@@ -1,0 +1,269 @@
+package binaa_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"hash"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"delphi/internal/binaa"
+	"delphi/internal/byz"
+	"delphi/internal/core"
+	"delphi/internal/node"
+	"delphi/internal/sim"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite the BinAA transcript golden file")
+
+// transcriptCell is one configuration of the transcript corpus.
+type transcriptCell struct {
+	n, f   int
+	fault  string // clean | spam | equivocate | crash
+	noComp bool
+}
+
+func (c transcriptCell) String() string {
+	comp := "comp"
+	if c.noComp {
+		comp = "nocomp"
+	}
+	return fmt.Sprintf("n=%d/f=%d/%s/%s", c.n, c.f, c.fault, comp)
+}
+
+func transcriptCells() []transcriptCell {
+	var cells []transcriptCell
+	for _, nf := range [][2]int{{4, 1}, {7, 2}, {16, 5}} {
+		for _, fault := range []string{"clean", "spam", "equivocate", "crash"} {
+			for _, noComp := range []bool{false, true} {
+				cells = append(cells, transcriptCell{n: nf[0], f: nf[1], fault: fault, noComp: noComp})
+			}
+		}
+	}
+	return cells
+}
+
+// transcriptParams is Delphi's parameterisation for the corpus: six levels
+// and inputs spread over most of Δ, so every node runs a few dozen
+// checkpoints whose states split, amplify and take the explicit-ECHO2 path.
+var transcriptParams = core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2}
+
+// recorder wraps a process and hashes everything it sends, in order.
+type recorder struct {
+	inner node.Process
+	h     hash.Hash
+	msgs  int
+	bytes int
+}
+
+type recEnv struct {
+	node.Env
+	rec *recorder
+}
+
+func (e *recEnv) Send(to node.ID, m node.Message) {
+	e.rec.record(int64(to), m)
+	e.Env.Send(to, m)
+}
+
+func (e *recEnv) Broadcast(m node.Message) {
+	e.rec.record(-1, m)
+	e.Env.Broadcast(m)
+}
+
+func (r *recorder) record(to int64, m node.Message) {
+	body, err := m.MarshalBinary()
+	if err != nil {
+		panic(err)
+	}
+	var hdr [17]byte
+	binary.LittleEndian.PutUint64(hdr[0:], uint64(to))
+	hdr[8] = m.Type()
+	binary.LittleEndian.PutUint64(hdr[9:], uint64(len(body)))
+	r.h.Write(hdr[:])
+	r.h.Write(body)
+	r.msgs++
+	r.bytes += len(body)
+}
+
+func (r *recorder) Init(env node.Env) { r.inner.Init(&recEnv{Env: env, rec: r}) }
+
+func (r *recorder) Deliver(from node.ID, m node.Message) { r.inner.Deliver(from, m) }
+
+// delphiInputs are core.Delphi's BinAA inputs for input v (Algorithm 2 lines
+// 9–11). The corpus drives binaa.Process with them rather than core.Delphi
+// itself: Delphi forwards every message to the engine unchanged and only
+// aggregates the final weights, and the standalone process outputs the
+// weights map this test wants to fingerprint.
+func delphiInputs(p core.Params, v float64) map[binaa.IID]float64 {
+	in := make(map[binaa.IID]float64)
+	for l := 0; l <= p.Levels(); l++ {
+		for _, k := range p.InputCheckpoints(l, v) {
+			in[binaa.IID{Level: uint8(l), K: k}] = 1
+		}
+	}
+	return in
+}
+
+func hexFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
+
+// runTranscriptCell runs one cell and renders its golden line: total
+// traffic, then per node a digest of its ordered outgoing messages
+// (destination, Type(), MarshalBinary()) and a digest of its final weights
+// (sorted, hex floats) plus the Delphi output aggregated from them.
+func runTranscriptCell(t *testing.T, c transcriptCell) string {
+	t.Helper()
+	p := transcriptParams
+	cfg := node.Config{N: c.n, F: c.f}
+	seed := int64(1000*c.n + len(c.fault))
+	rng := rand.New(rand.NewSource(seed))
+	inputs := make([]float64, c.n)
+	for i := range inputs {
+		inputs[i] = 41000 + 48*rng.Float64()
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range inputs[:c.n-c.f] {
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	bcfg := binaa.Config{Config: cfg, Rounds: p.Rounds(c.n), DisableCompression: c.noComp}
+	procs := make([]node.Process, c.n)
+	recs := make([]*recorder, c.n)
+	for i := range procs {
+		var inner node.Process
+		switch faulty := c.fault != "clean" && i >= c.n-c.f; {
+		case !faulty:
+			bp, err := binaa.NewProcess(bcfg, delphiInputs(p, inputs[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner = bp
+		case c.fault == "spam":
+			inner = &byz.Spammer{
+				Rng:      rand.New(rand.NewSource(seed + int64(i))),
+				Levels:   p.Levels(),
+				KMin:     int32(math.Floor(lo/p.Rho0)) - 8,
+				KMax:     int32(math.Ceil(hi/p.Rho0)) + 8,
+				PerRound: 4,
+			}
+		case c.fault == "equivocate":
+			inner = &byz.Equivocator{
+				CheckA: binaa.IID{K: int32(math.Floor(lo / p.Rho0))},
+				CheckB: binaa.IID{K: int32(math.Ceil(hi / p.Rho0))},
+			}
+		default:
+			continue // crashed
+		}
+		recs[i] = &recorder{inner: inner, h: sha256.New()}
+		procs[i] = recs[i]
+	}
+	r, err := sim.NewRunner(cfg, sim.AWS(), seed, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.Run()
+
+	var msgs, bytes int
+	nodes := make([]string, 0, c.n)
+	for i, rec := range recs {
+		if rec == nil {
+			nodes = append(nodes, "-")
+			continue
+		}
+		msgs += rec.msgs
+		bytes += rec.bytes
+		digest := hex.EncodeToString(rec.h.Sum(nil)[:6])
+		if _, honest := rec.inner.(*binaa.Process); !honest {
+			nodes = append(nodes, digest)
+			continue
+		}
+		out := res.Stats[i].Output
+		if len(out) == 0 {
+			t.Fatalf("%v: node %d produced no output", c, i)
+		}
+		weights := out[len(out)-1].(map[binaa.IID]float64)
+		ids := make([]binaa.IID, 0, len(weights))
+		for id := range weights {
+			ids = append(ids, id)
+		}
+		slices.SortFunc(ids, func(a, b binaa.IID) int {
+			if a.Level != b.Level {
+				return int(a.Level) - int(b.Level)
+			}
+			return int(a.K) - int(b.K)
+		})
+		wh := sha256.New()
+		for _, id := range ids {
+			fmt.Fprintf(wh, "%v=%s\n", id, hexFloat(weights[id]))
+		}
+		agg := core.Aggregate(core.Config{Config: cfg, Params: p}, inputs[i], weights)
+		fmt.Fprintf(wh, "out=%s\n", hexFloat(agg.Output))
+		nodes = append(nodes, digest+":"+hex.EncodeToString(wh.Sum(nil)[:6]))
+	}
+	return fmt.Sprintf("%v msgs=%d bytes=%d nodes=%s", c, msgs, bytes, strings.Join(nodes, ","))
+}
+
+// TestTranscriptGolden is the engine's byte-identity gate. Every cell runs
+// Delphi's BinAA workload on the simulator and fingerprints, per node, the
+// exact sequence of messages it emitted and the weights it decided. The
+// golden file was generated from the engine as it stood before the
+// per-delivery path was rewritten (threshold-crossing re-checks, index-
+// resolved bundles), so a pass certifies that the rewrite changed no emitted
+// byte and no ordering — clean, under Byzantine spam and equivocation, with
+// f crashes, with §II-C compression on and off. Regenerate with
+// -update-golden only for a change that deliberately alters the protocol's
+// messages.
+func TestTranscriptGolden(t *testing.T) {
+	var lines []string
+	for _, c := range transcriptCells() {
+		lines = append(lines, runTranscriptCell(t, c))
+	}
+	got := strings.Join(lines, "\n") + "\n"
+
+	path := filepath.Join("testdata", "golden_transcript.txt")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d cells)", path, len(lines))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update-golden to generate): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	wl := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wl) != len(lines) {
+		t.Fatalf("cell count diverged: got %d, want %d lines", len(lines), len(wl))
+	}
+	for i := range lines {
+		if lines[i] == wl[i] {
+			continue
+		}
+		// Name the nodes whose transcript or weights moved.
+		gn := strings.Split(lines[i][strings.Index(lines[i], "nodes=")+6:], ",")
+		wn := strings.Split(wl[i][strings.Index(wl[i], "nodes=")+6:], ",")
+		var moved []string
+		for j := 0; j < len(gn) && j < len(wn); j++ {
+			if gn[j] != wn[j] {
+				moved = append(moved, strconv.Itoa(j))
+			}
+		}
+		t.Errorf("cell %d diverged at nodes [%s]:\n got %s\nwant %s", i, strings.Join(moved, " "), lines[i], wl[i])
+	}
+	t.Fatal("engine transcripts are not byte-identical to the golden")
+}
