@@ -159,7 +159,7 @@ func BenchmarkAblationSingleLevel(b *testing.B) {
 }
 
 // BenchmarkAblationEps sweeps ε: smaller ε buys tighter agreement for more
-// rounds (latency). The cost knob called out in DESIGN.md.
+// rounds (latency): r_M = ceil(log2(1/ε')) grows by one per halving of ε.
 func BenchmarkAblationEps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.AblationEps(16, 12)
@@ -239,6 +239,7 @@ func delphiBenchParams() core.Params {
 // BenchmarkDelphiNodeStep microbenchmarks one node's message-processing
 // step in a 16-node cluster (the per-delivery hot path).
 func BenchmarkDelphiNodeStep(b *testing.B) {
+	b.ReportAllocs()
 	st, err := bench.Run(bench.RunSpec{
 		Protocol: bench.ProtoDelphi, N: 16, F: 5, Env: sim.Local(), Seed: 1,
 		Inputs: bench.OracleInputs(16, 41000, 20, 1),

@@ -41,6 +41,9 @@ type voteSet struct {
 	v     float64
 	set   bitset
 	count int
+	// amped (ECHO1 tallies only) records that this node has itself echoed
+	// v for the round, in its init bundle or as an amplification.
+	amped bool
 }
 
 // votes tallies votes per distinct value. An instance-round sees only a
@@ -61,19 +64,26 @@ func (vs *votes) find(v float64) *voteSet {
 	return nil
 }
 
-// add records a vote for v by from, allocating the tally on first use;
-// it reports whether the vote was new. n is the node universe size.
-func (vs *votes) add(from node.ID, v float64, n int) bool {
-	s := vs.find(v)
-	if s == nil {
-		vs.sets = append(vs.sets, voteSet{v: v, set: newBitset(n)})
-		s = &vs.sets[len(vs.sets)-1]
+// slot returns the tally for v, allocating it on first use. n is the node
+// universe size.
+func (vs *votes) slot(v float64, n int) *voteSet {
+	if s := vs.find(v); s != nil {
+		return s
 	}
+	vs.sets = append(vs.sets, voteSet{v: v, set: newBitset(n)})
+	return &vs.sets[len(vs.sets)-1]
+}
+
+// add records a vote for v by from. It returns v's new count, or 0 if from
+// had already voted v — so a caller can tell exactly when a count lands on a
+// threshold.
+func (vs *votes) add(from node.ID, v float64, n int) int {
+	s := vs.slot(v, n)
 	if !s.set.set(from) {
-		return false
+		return 0
 	}
 	s.count++
-	return true
+	return s.count
 }
 
 // remove withdraws from's vote for v, if present.

@@ -29,7 +29,7 @@ const (
 )
 
 // halfStep is the lattice unit at round r: 2^-(r-1).
-func halfStep(r int) float64 { return math.Pow(2, -float64(r-1)) }
+func halfStep(r int) float64 { return math.Ldexp(1, 1-r) }
 
 // deltaSymbol classifies the transition old→new at round r; ok is false if
 // it needs the escape path.
@@ -80,18 +80,9 @@ func packNibbles(syms []uint8) []byte {
 	return out
 }
 
-// unpackNibbles undoes packNibbles for n symbols.
-func unpackNibbles(b []byte, n int) []uint8 {
-	out := make([]uint8, 0, n)
-	for i := 0; i < n; i++ {
-		v := b[i/2]
-		if i%2 == 1 {
-			v >>= 4
-		}
-		out = append(out, v&0x0f)
-	}
-	return out
-}
+// nibble reads symbol i of a packNibbles buffer in place; the caller
+// guarantees len(b) >= (i+2)/2.
+func nibble(b []byte, i int) uint8 { return b[i/2] >> (4 * (i & 1)) & 0x0f }
 
 // Echo1C is the compressed round-opening bundle (rounds >= 2): symbols for
 // every instance of the sender's previous announcement (in its sorted

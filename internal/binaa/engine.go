@@ -1,9 +1,9 @@
 package binaa
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"delphi/internal/node"
 	"delphi/internal/obs"
@@ -38,8 +38,9 @@ func (c Config) Validate() error {
 }
 
 // Engine runs the full set of bundled BinAA instances for one agreement.
-// It is driven through HandleInit/HandleEcho1/HandleEcho2 by an embedding
-// protocol (internal/core's Delphi) or by the standalone Process wrapper.
+// It is driven through its four Handle methods, one per wire type, by an
+// embedding protocol (internal/core's Delphi) or by the standalone Process
+// wrapper.
 type Engine struct {
 	cfg    Config
 	env    node.Env
@@ -53,17 +54,22 @@ type Engine struct {
 	round  int // current round, 1-based
 	done   bool
 	inputs map[IID]float64
-	insts  map[IID]*inst
-	// instList holds the instances in activation order, for iteration
-	// without map-ordering overhead (all whole-set loops are commutative).
+	// insts resolves an instance named on the wire; instList holds the same
+	// instances in activation order (inst.idx is the position), for
+	// iteration and for index references without hashing (all whole-set
+	// loops are commutative).
+	insts    map[IID]*inst
 	instList []*inst
 
 	// Per-round bookkeeping, index r-1; grown on demand. initBundles holds
 	// each sender's (reconstructed) round announcement, indexed by sender:
 	// instances listed — with any value, zero included — voted explicitly;
 	// everything else implicitly voted 0. initSeen marks the senders whose
-	// bundle has arrived (a present bundle may be an empty list).
-	initBundles  [][][]IVal
+	// bundle has arrived (a present bundle may be an empty list). A stored
+	// bundle is the engine's own slice, never a message's, and every entry
+	// of it is resolved (entry.ref != 0): applyBundle, the only writer,
+	// resolves a bundle before it records it.
+	initBundles  [][][]entry
 	initSeen     []bitset
 	initCount    []int
 	zerosSenders []bitset
@@ -71,23 +77,39 @@ type Engine struct {
 	sentZeros    []bool
 
 	// Compression state: this node's own per-round announcements in
-	// canonical append order, with an index per round; plus buffered
-	// compressed bundles whose base round has not arrived yet.
-	announced  [][]IVal
-	annIndex   []map[IID]int
+	// canonical append order (instRound.annPos is the reverse index); plus
+	// buffered compressed bundles whose base round has not arrived yet.
+	announced  [][]entry
 	pendingC   map[node.ID]map[int]*Echo1C
 	pendingE2C map[node.ID]map[int]*Echo2C
 
-	// Staged outgoing echoes for the current step.
+	// Staged outgoing echoes for the current step; pendE2CB is the staged
+	// compact ECHO2 bitmap per round (index r-1, nil when nothing is staged).
 	pendAmp  []IVal
 	pendE2   []IVal
-	pendE2CB map[int][]byte // per round: staged compact ECHO2 bitmap
-	// dirty lists the (instance, round) pairs touched by the current
-	// message; the per-round dirty flag deduplicates, and the packed key
-	// orders the drain deterministically by (round, level, K).
-	dirty []dirtyEntry
+	pendE2CB [][]byte
+	// dirty lists the (instance, round) pairs whose state machine must be
+	// re-run: a pair is marked only when one of its vote counts lands
+	// exactly on a threshold check acts on (t+1 or n-t ECHO1s, n-t ECHO2s),
+	// or when its round opens. Every action in check is a monotone threshold
+	// test, so a vote that crosses nothing cannot enable one. The per-round
+	// dirty flag deduplicates, and the packed key orders the drain
+	// deterministically by (round, level, K). spare is the drained buffer,
+	// swapped back in so settle allocates nothing.
+	dirty, spare []dirtyEntry
 	// gen is the bundle-membership generation counter (see inst.gen).
 	gen uint64
+}
+
+// entry is one element of a round announcement: the instance, the announced
+// value, and ref, 1 + the instance's position in Engine.instList (0 until
+// applyBundle resolves it; this node's own announcements are built resolved).
+// It has no pointer, so the bundles (the engine's largest retained state)
+// cost the collector nothing to scan.
+type entry struct {
+	id  IID
+	ref uint32
+	v   float64
 }
 
 type dirtyEntry struct {
@@ -95,33 +117,26 @@ type dirtyEntry struct {
 	x   *inst
 }
 
-// sortDirty orders entries by packed key. Most drains are a handful of
-// entries per delivered message, where a direct insertion sort beats the
-// generic comparator-closure sort by a wide margin; the rare large drains
-// (a round advance re-marks every instance) fall through to SortFunc.
+// sortDirty orders entries by packed key. A drain is a handful of entries
+// per delivered message, where a direct insertion sort beats the generic
+// comparator-closure sort by a wide margin. A round advance re-marks every
+// instance in activation order, and a Byzantine sender chooses the order
+// (and number) of late activations, so large drains go to SortFunc, which is
+// linear on the honest near-sorted case and n·log n on any other.
 func sortDirty(entries []dirtyEntry) {
-	if len(entries) <= 32 {
-		for i := 1; i < len(entries); i++ {
-			e := entries[i]
-			j := i - 1
-			for j >= 0 && entries[j].key > e.key {
-				entries[j+1] = entries[j]
-				j--
-			}
-			entries[j+1] = e
-		}
+	if len(entries) > 32 {
+		slices.SortFunc(entries, func(a, b dirtyEntry) int { return cmp.Compare(a.key, b.key) })
 		return
 	}
-	slices.SortFunc(entries, func(a, b dirtyEntry) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		default:
-			return 0
+	for i := 1; i < len(entries); i++ {
+		e := entries[i]
+		j := i - 1
+		for j >= 0 && entries[j].key > e.key {
+			entries[j+1] = entries[j]
+			j--
 		}
-	})
+		entries[j+1] = e
+	}
 }
 
 // dirtyKey packs (round, instance) so that ascending uint64 order equals
@@ -160,7 +175,6 @@ func NewEngine(cfg Config, inputs map[IID]float64, onDone func(map[IID]float64))
 		insts:      make(map[IID]*inst),
 		pendingC:   make(map[node.ID]map[int]*Echo1C),
 		pendingE2C: make(map[node.ID]map[int]*Echo2C),
-		pendE2CB:   make(map[int][]byte),
 	}, nil
 }
 
@@ -173,10 +187,10 @@ func (e *Engine) Round() int { return e.round }
 // Weights returns the final per-instance weights; valid only once Done.
 // Instances never mentioned by anyone have weight 0 and are omitted.
 func (e *Engine) Weights() map[IID]float64 {
-	out := make(map[IID]float64, len(e.insts))
-	for id, x := range e.insts {
+	out := make(map[IID]float64, len(e.instList))
+	for _, x := range e.instList {
 		if x.state != 0 {
-			out[id] = x.state
+			out[x.id] = x.state
 		}
 	}
 	return out
@@ -193,29 +207,36 @@ func (e *Engine) Start(env node.Env) {
 	// loops over instList stage broadcasts — map order here is the same
 	// schedule-nondeterminism class as the aba.OnCoin map walk, merely
 	// masked today by downstream sorting.
-	ids := make([]IID, 0, len(e.inputs))
-	for id := range e.inputs {
-		ids = append(ids, id)
+	for id, v := range e.inputs {
+		e.newInst(id, v, 1)
 	}
-	sortIIDs(ids)
-	for _, id := range ids {
-		x := &inst{id: id, n: e.cfg.N, state: e.inputs[id], joined: 1}
-		e.insts[id] = x
-		e.instList = append(e.instList, x)
+	sortInsts(e.instList)
+	for i, x := range e.instList {
+		x.idx = uint32(i)
 	}
 	e.openRound(1)
 	e.flush()
 }
 
+// newInst registers an instance at the end of instList.
+func (e *Engine) newInst(id IID, state float64, joined int) *inst {
+	x := &inst{id: id, idx: uint32(len(e.instList)), n: e.cfg.N, state: state, joined: joined}
+	e.insts[id] = x
+	e.instList = append(e.instList, x)
+	return x
+}
+
 // grow ensures per-round slices cover round r.
 func (e *Engine) grow(r int) {
 	for len(e.initBundles) < r {
-		e.initBundles = append(e.initBundles, make([][]IVal, e.cfg.N))
+		e.initBundles = append(e.initBundles, make([][]entry, e.cfg.N))
 		e.initSeen = append(e.initSeen, newBitset(e.cfg.N))
 		e.initCount = append(e.initCount, 0)
 		e.zerosSenders = append(e.zerosSenders, newBitset(e.cfg.N))
 		e.zerosCount = append(e.zerosCount, 0)
 		e.sentZeros = append(e.sentZeros, false)
+		e.announced = append(e.announced, nil)
+		e.pendE2CB = append(e.pendE2CB, nil)
 	}
 }
 
@@ -224,113 +245,101 @@ func (e *Engine) grow(r int) {
 // delta bundle afterwards.
 func (e *Engine) openRound(r int) {
 	e.grow(r)
-	for len(e.announced) < r {
-		e.announced = append(e.announced, nil)
-		e.annIndex = append(e.annIndex, nil)
-	}
 	// Mark per-instance round state (my init vote and self-echo).
 	for _, x := range e.instList {
 		ir := x.round(r)
 		ir.myInit = x.state
-		ir.markAmped(x.state)
+		ir.markAmped(x.state, e.cfg.N)
 	}
 	// Build this round's announcement in canonical append order: previous
 	// announcement first, newly active instances (sorted) appended.
-	var ann []IVal
-	idx := make(map[IID]int, len(e.insts))
-	if r > 1 && e.announced[r-2] != nil {
-		prevIdx := e.annIndex[r-2]
-		ann = make([]IVal, 0, len(e.insts))
-		for _, p := range e.announced[r-2] {
-			ann = append(ann, IVal{ID: p.ID, Round: uint16(r), V: e.insts[p.ID].state})
-			idx[p.ID] = len(ann) - 1
-		}
-		var fresh []IID
-		for _, x := range e.instList {
-			if _, ok := prevIdx[x.id]; !ok {
-				fresh = append(fresh, x.id)
-			}
-		}
-		sortIIDs(fresh)
-		for _, id := range fresh {
-			ann = append(ann, IVal{ID: id, Round: uint16(r), V: e.insts[id].state})
-			idx[id] = len(ann) - 1
-		}
-	} else {
-		ids := make([]IID, 0, len(e.instList))
-		for _, x := range e.instList {
-			ids = append(ids, x.id)
-		}
-		sortIIDs(ids)
-		ann = make([]IVal, 0, len(ids))
-		for _, id := range ids {
-			ann = append(ann, IVal{ID: id, Round: uint16(r), V: e.insts[id].state})
-			idx[id] = len(ann) - 1
+	var prev []entry
+	if r > 1 {
+		prev = e.announced[r-2]
+	}
+	ann := make([]entry, 0, len(e.instList))
+	for _, p := range prev {
+		ann = append(ann, entry{id: p.id, ref: p.ref, v: e.instList[p.ref-1].state})
+	}
+	var fresh []*inst
+	for _, x := range e.instList {
+		if r == 1 || x.round(r-1).annPos == 0 {
+			fresh = append(fresh, x)
 		}
 	}
-	e.announced[r-1] = ann
-	e.annIndex[r-1] = idx
-
-	if e.cfg.DisableCompression || r == 1 || e.announced[r-2] == nil {
+	sortInsts(fresh)
+	for _, x := range fresh {
+		ann = append(ann, entry{id: x.id, ref: x.idx + 1, v: x.state})
+	}
+	full := e.cfg.DisableCompression || r == 1
+	if full {
 		// Full bundle: transmit only non-zero entries (implicit zeros cover
-		// the rest) but remember the full announcement locally. For
-		// canonical ordering across peers, round-1 announcements contain
-		// only this node's non-zero inputs, so the transmitted list and
-		// announcement coincide there.
-		vals := make([]IVal, 0, len(ann))
-		for _, iv := range ann {
-			if iv.V != 0 {
-				vals = append(vals, iv)
+		// the rest). Receivers reconstruct announcements from transmitted
+		// entries, so the announcement must equal the transmitted list.
+		nz := ann[:0]
+		for _, a := range ann {
+			if a.v != 0 {
+				nz = append(nz, a)
 			}
 		}
-		if r == 1 || e.cfg.DisableCompression {
-			// Receivers reconstruct announcements from transmitted entries,
-			// so the announcement must equal the transmitted list.
-			e.announced[r-1] = vals
-			idx = make(map[IID]int, len(vals))
-			for i, iv := range vals {
-				idx[iv.ID] = i
-			}
-			e.annIndex[r-1] = idx
-		}
-		e.env.Broadcast(&Echo1{Round: uint16(r), Init: true, Vals: vals})
+		ann = nz
+	}
+	e.announced[r-1] = ann
+	for i, a := range ann {
+		e.instList[a.ref-1].rounds[r-1].annPos = int32(i + 1)
+	}
+	if full {
+		e.env.Broadcast(&Echo1{Round: uint16(r), Init: true, Vals: wireVals(ann, r)})
 		return
 	}
 
 	// Compressed bundle relative to the previous announcement.
-	prev := e.announced[r-2]
 	syms := make([]uint8, len(prev))
 	var escapes []float64
 	for i, p := range prev {
-		newV := e.insts[p.ID].state
-		sym, ok := deltaSymbol(p.V, newV, r)
+		sym, ok := deltaSymbol(p.v, ann[i].v, r)
 		if !ok {
 			sym = symX
-			escapes = append(escapes, newV)
+			escapes = append(escapes, ann[i].v)
 		}
 		syms[i] = sym
 	}
-	newVals := ann[len(prev):]
 	e.env.Broadcast(&Echo1C{
 		Round:     uint16(r),
 		PrevCount: uint16(len(prev)),
 		Deltas:    packNibbles(syms),
 		Escapes:   escapes,
-		NewVals:   append([]IVal(nil), newVals...),
+		NewVals:   wireVals(ann[len(prev):], r),
 	})
 }
 
-func sortIIDs(ids []IID) {
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Level != ids[j].Level {
-			return ids[i].Level < ids[j].Level
+// wireVals renders announcement entries as round-r wire entries.
+func wireVals(ann []entry, r int) []IVal {
+	vals := make([]IVal, len(ann))
+	for i, a := range ann {
+		vals[i] = IVal{ID: a.id, Round: uint16(r), V: a.v}
+	}
+	return vals
+}
+
+// sortInsts orders instances by (level, K).
+func sortInsts(xs []*inst) {
+	slices.SortFunc(xs, func(a, b *inst) int {
+		if a.id.Level != b.id.Level {
+			return cmp.Compare(a.id.Level, b.id.Level)
 		}
-		return ids[i].K < ids[j].K
+		return cmp.Compare(a.id.K, b.id.K)
 	})
 }
 
 // validRound bounds rounds accepted from the wire.
 func (e *Engine) validRound(r int) bool { return r >= 1 && r <= e.cfg.Rounds }
+
+// crossed1 reports whether an ECHO1 count just landed on one of the two
+// thresholds check tests it against.
+func (e *Engine) crossed1(count int) bool {
+	return count == e.cfg.F+1 || count == e.cfg.Quorum()
+}
 
 // HandleEcho1 processes an Echo1 message.
 func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
@@ -342,7 +351,17 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 		if !e.validRound(r) {
 			return
 		}
-		e.applyInitBundle(from, r, m.Vals)
+		e.grow(r)
+		if e.initSeen[r-1].get(from) {
+			return // equivocating bundle: first wins
+		}
+		b := make([]entry, 0, len(m.Vals))
+		for _, v := range m.Vals {
+			if int(v.Round) == r {
+				b = append(b, entry{id: v.ID, v: v.V})
+			}
+		}
+		e.applyBundle(from, r, b)
 	} else {
 		for _, v := range m.Vals {
 			r := int(v.Round)
@@ -351,7 +370,7 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 			}
 			e.grow(r)
 			x := e.activate(v.ID)
-			if x.round(r).addEcho1(from, v.V, e.cfg.N) {
+			if e.crossed1(x.round(r).addEcho1(from, v.V, e.cfg.N)) {
 				e.mark(x, r)
 			}
 		}
@@ -359,28 +378,27 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 	e.settle()
 }
 
-// applyInitBundle records a sender's round announcement and applies its
-// explicit and implicit votes. It then drains any buffered compressed
-// bundles that were waiting for this round.
-func (e *Engine) applyInitBundle(from node.ID, r int, vals []IVal) {
-	e.grow(r)
-	if e.initSeen[r-1].get(from) {
-		return // equivocating bundle: first wins
-	}
-	kept := make([]IVal, 0, len(vals))
-	for _, v := range vals {
-		if int(v.Round) == r {
-			kept = append(kept, v)
+// applyBundle records a sender's round announcement — the caller has checked
+// it is the sender's first for round r — and applies its explicit and
+// implicit votes. It takes ownership of b. Before recording it, it resolves
+// every entry that is still unresolved (entries copied from an earlier
+// stored bundle already are), activating the instances this node had not
+// heard of. It then drains any buffered compressed bundles that were waiting
+// for this round.
+func (e *Engine) applyBundle(from node.ID, r int, b []entry) {
+	for i := range b {
+		if b[i].ref == 0 {
+			b[i].ref = e.activate(b[i].id).idx + 1
 		}
 	}
 	e.initSeen[r-1].set(from)
-	e.initBundles[r-1][from] = kept
+	e.initBundles[r-1][from] = b
 	e.initCount[r-1]++
 	e.gen++
-	for _, v := range kept {
-		x := e.activate(v.ID)
+	for _, a := range b {
+		x := e.instList[a.ref-1]
 		x.gen = e.gen
-		e.applyInitVote(x, r, from, v.V)
+		e.applyInitVote(x, r, from, a.v)
 	}
 	for _, x := range e.instList {
 		if x.gen != e.gen {
@@ -427,36 +445,35 @@ func (e *Engine) HandleEcho1C(from node.ID, m *Echo1C) {
 }
 
 // applyCompressed reconstructs a compressed bundle against the sender's
-// previous announcement and applies it.
+// previous announcement and applies it. A malformed bundle is dropped
+// before any engine state is touched.
 func (e *Engine) applyCompressed(from node.ID, m *Echo1C) {
 	r := int(m.Round)
 	prev := e.initBundles[r-2][from]
-	if len(prev) != int(m.PrevCount) || len(m.Deltas) < (len(prev)+1)/2 {
-		return // malformed relative to our view: drop
+	if e.initSeen[r-1].get(from) || len(prev) != int(m.PrevCount) || len(m.Deltas) < (len(prev)+1)/2 {
+		return // a full bundle overtook this one, or malformed relative to our view: drop
 	}
-	syms := unpackNibbles(m.Deltas, len(prev))
-	full := make([]IVal, 0, len(prev)+len(m.NewVals))
+	b := make([]entry, len(prev), len(prev)+len(m.NewVals))
 	esc := 0
 	for i, p := range prev {
-		v := 0.0
-		if syms[i] == symX {
+		switch sym := nibble(m.Deltas, i); {
+		case sym == symX:
 			if esc >= len(m.Escapes) {
 				return // malformed escape list
 			}
-			v = m.Escapes[esc]
+			p.v = m.Escapes[esc]
 			esc++
-		} else if syms[i] > sym2R {
+		case sym > sym2R:
 			return // unknown symbol
-		} else {
-			v = applySymbol(p.V, syms[i], r)
+		default:
+			p.v = applySymbol(p.v, sym, r)
 		}
-		full = append(full, IVal{ID: p.ID, Round: uint16(r), V: v})
+		b[i] = p
 	}
 	for _, nv := range m.NewVals {
-		nv.Round = uint16(r)
-		full = append(full, nv)
+		b = append(b, entry{id: nv.ID, v: nv.V})
 	}
-	e.applyInitBundle(from, r, full)
+	e.applyBundle(from, r, b)
 }
 
 // HandleEcho2C processes a compact ECHO2 bitmap.
@@ -495,13 +512,12 @@ func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
 // applyEcho2C resolves bitmap bits against the sender's round announcement.
 func (e *Engine) applyEcho2C(from node.ID, m *Echo2C) {
 	r := int(m.Round)
-	ann := e.initBundles[r-1][from]
-	for i, iv := range ann {
+	for i, a := range e.initBundles[r-1][from] {
 		if !getBit(m.Bits, i) {
 			continue
 		}
-		x := e.activate(iv.ID)
-		if x.round(r).addEcho2(from, iv.V, true, e.cfg.N) {
+		x := e.instList[a.ref-1]
+		if x.round(r).addEcho2(from, a.v, true, e.cfg.N) == e.cfg.Quorum() {
 			e.mark(x, r)
 		}
 	}
@@ -512,33 +528,28 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 	if e.done {
 		return
 	}
-	if m.Zeros {
-		r := int(m.Round)
-		if e.validRound(r) {
-			e.grow(r)
-			if !e.zerosSenders[r-1].get(from) {
-				e.zerosSenders[r-1].set(from)
-				e.zerosCount[r-1]++
-				// Mark the sender's listed instances once (first listing
-				// wins, as in bundle reconstruction), then apply the
-				// implicit zero to every instance whose init-slot vote from
-				// this sender was zero; instances whose init vote hasn't
-				// arrived pick the zeros vote up in applyInitVote.
-				e.gen++
-				for _, v := range e.initBundles[r-1][from] {
-					if x, ok := e.insts[v.ID]; ok && x.gen != e.gen {
-						x.gen = e.gen
-						x.genNonzero = v.V != 0
-					}
+	if r := int(m.Round); m.Zeros && e.validRound(r) {
+		e.grow(r)
+		if e.zerosSenders[r-1].set(from) {
+			e.zerosCount[r-1]++
+			// Mark the sender's listed instances once (first listing
+			// wins, as in bundle reconstruction), then apply the
+			// implicit zero to every instance whose init-slot vote from
+			// this sender was zero; instances whose init vote hasn't
+			// arrived pick the zeros vote up in applyInitVote.
+			e.gen++
+			for _, a := range e.initBundles[r-1][from] {
+				if x := e.instList[a.ref-1]; x.gen != e.gen {
+					x.gen = e.gen
+					x.genNonzero = a.v != 0
 				}
-				for _, x := range e.instList {
-					ir := x.round(r)
-					listedNonzero := x.gen == e.gen && x.genNonzero
-					if ir.initConsumed.get(from) && !listedNonzero {
-						if ir.addEcho2(from, 0, false, e.cfg.N) {
-							e.mark(x, r)
-						}
-					}
+			}
+			for _, x := range e.instList {
+				ir := x.round(r)
+				listedNonzero := x.gen == e.gen && x.genNonzero
+				if ir.initConsumed.get(from) && !listedNonzero &&
+					ir.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
+					e.mark(x, r)
 				}
 			}
 		}
@@ -550,7 +561,7 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 		}
 		e.grow(r)
 		x := e.activate(v.ID)
-		if x.round(r).addEcho2(from, v.V, true, e.cfg.N) {
+		if x.round(r).addEcho2(from, v.V, true, e.cfg.N) == e.cfg.Quorum() {
 			e.mark(x, r)
 		}
 	}
@@ -562,49 +573,39 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 // was zero.
 func (e *Engine) applyInitVote(x *inst, r int, from node.ID, v float64) {
 	ir := x.round(r)
-	if ir.initConsumed.get(from) {
+	if !ir.initConsumed.set(from) {
 		return
 	}
-	ir.initConsumed.set(from)
-	changed := ir.addEcho1(from, v, e.cfg.N)
-	if v == 0 && e.zerosSenders[r-1].get(from) {
-		if ir.addEcho2(from, 0, false, e.cfg.N) {
-			changed = true
-		}
+	crossed := e.crossed1(ir.addEcho1(from, v, e.cfg.N))
+	if v == 0 && e.zerosSenders[r-1].get(from) &&
+		ir.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
+		crossed = true
 	}
-	if changed {
+	if crossed {
 		e.mark(x, r)
 	}
 }
 
-// activate returns the instance, creating it (with replay of all stored
-// implicit votes) on first mention. Late-activated instances join with
-// state 0 — the value this node's implicit votes have already cast.
+// activate returns the instance, creating it on first mention. Every bundle
+// recorded so far voted an implicit 0 for it (recording a bundle activates
+// everything the bundle lists), so those votes are replayed. Late-activated
+// instances join with state 0 — the value this node's implicit votes have
+// already cast.
 func (e *Engine) activate(id IID) *inst {
 	if x, ok := e.insts[id]; ok {
 		return x
 	}
-	x := &inst{id: id, n: e.cfg.N, state: 0, joined: e.round}
-	e.insts[id] = x
-	e.instList = append(e.instList, x)
+	x := e.newInst(id, 0, e.round)
 	for r := 1; r <= len(e.initBundles); r++ {
 		for from := 0; from < e.cfg.N; from++ {
-			if !e.initSeen[r-1].get(node.ID(from)) {
-				continue
+			if e.initSeen[r-1].get(node.ID(from)) {
+				e.applyInitVote(x, r, node.ID(from), 0)
 			}
-			v := 0.0
-			for _, iv := range e.initBundles[r-1][from] {
-				if iv.ID == id && int(iv.Round) == r {
-					v = iv.V
-					break
-				}
-			}
-			e.applyInitVote(x, r, node.ID(from), v)
 		}
 		// This node's own implicit behaviour: it echoed 0 in every round it
 		// has opened, so it must not re-amplify 0 there.
 		if r <= e.round {
-			x.round(r).markAmped(0)
+			x.round(r).markAmped(0, e.cfg.N)
 		}
 	}
 	return x
@@ -635,10 +636,10 @@ func (e *Engine) settle() {
 	quorum := e.cfg.Quorum()
 	for {
 		for len(e.dirty) > 0 {
-			// Drain the dirty list; checks may re-mark entries (the flag is
-			// cleared before each check so re-marks land in the next pass).
+			// Swap in the spare buffer before draining, so marks made while
+			// draining land in the next pass.
 			entries := e.dirty
-			e.dirty = nil
+			e.dirty = e.spare[:0]
 			// Deterministic processing order: packed keys sort (r, level, K).
 			sortDirty(entries)
 			for _, en := range entries {
@@ -646,6 +647,7 @@ func (e *Engine) settle() {
 				en.x.round(r).dirty = false
 				e.check(en.x, r, quorum)
 			}
+			e.spare = entries
 		}
 		if !e.tryAdvance() {
 			break
@@ -657,39 +659,40 @@ func (e *Engine) settle() {
 // check runs the per-round state machine for one instance.
 func (e *Engine) check(x *inst, r int, quorum int) {
 	ir := x.round(r)
-	// Amplification: echo any value with t+1 support that we haven't echoed.
-	var ampVals []float64
-	for i := range ir.echo1.sets {
-		if s := &ir.echo1.sets[i]; s.count >= e.cfg.F+1 && !ir.hasAmped(s.v) {
-			ampVals = append(ampVals, s.v)
-		}
-	}
-	sort.Float64s(ampVals)
-	for _, v := range ampVals {
-		ir.markAmped(v)
-		e.pendAmp = append(e.pendAmp, IVal{ID: x.id, Round: uint16(r), V: v})
-	}
-	// ECHO2: first value to reach n-t ECHO1s, once per round. Deferred for
-	// rounds we have not opened yet (myInit is unknown until then); the
-	// round-opening path re-marks every instance dirty.
-	if !ir.sentEcho2 && r <= e.round {
-		var e2vals []float64
+	// Amplification: echo any value with t+1 support that we haven't
+	// echoed, in ascending order of value.
+	for {
+		var next *voteSet
 		for i := range ir.echo1.sets {
-			if s := &ir.echo1.sets[i]; s.count >= quorum {
-				e2vals = append(e2vals, s.v)
+			if s := &ir.echo1.sets[i]; s.count >= e.cfg.F+1 && !s.amped && (next == nil || s.v < next.v) {
+				next = s
 			}
 		}
-		if len(e2vals) > 0 {
-			sort.Float64s(e2vals)
-			v := e2vals[0]
+		if next == nil {
+			break
+		}
+		next.amped = true
+		e.pendAmp = append(e.pendAmp, IVal{ID: x.id, Round: uint16(r), V: next.v})
+	}
+	// ECHO2: the smallest value with n-t ECHO1s, once per round. Deferred
+	// for rounds we have not opened yet (myInit is unknown until then); the
+	// round-opening path re-marks every instance dirty.
+	if !ir.sentEcho2 && r <= e.round {
+		var first *voteSet
+		for i := range ir.echo1.sets {
+			if s := &ir.echo1.sets[i]; s.count >= quorum && (first == nil || s.v < first.v) {
+				first = s
+			}
+		}
+		if first != nil {
 			ir.sentEcho2 = true
-			switch {
+			switch v := first.v; {
 			case v == 0 && e.sentZeros[r-1] && ir.myInit == 0:
 				// Our zeros bundle covers this instance (receivers apply
 				// zeros only where our announced init vote was 0).
-			case !e.cfg.DisableCompression && v == ir.myInit && e.compactIndex(x.id, r) >= 0:
+			case !e.cfg.DisableCompression && v == ir.myInit && ir.annPos > 0:
 				// Vote value equals our announced value: one bitmap bit.
-				e.pendE2CB[r] = setBit(e.pendE2CB[r], e.compactIndex(x.id, r))
+				e.pendE2CB[r-1] = setBit(e.pendE2CB[r-1], int(ir.annPos)-1)
 			default:
 				e.pendE2 = append(e.pendE2, IVal{ID: x.id, Round: uint16(r), V: v})
 			}
@@ -733,26 +736,16 @@ func (e *Engine) tryAdvance() bool {
 	e.round++
 	e.openRound(e.round)
 	e.maybeSendZeros(e.round)
-	// Early-arrived votes may already decide the new round; re-check all.
+	// Early-arrived votes may already decide the new round, and ECHO2s
+	// deferred until the round opened are now due; re-check all.
 	for _, x := range e.instList {
 		e.mark(x, e.round)
 	}
 	return true
 }
 
-// compactIndex returns this instance's position in our round-r announced
-// list, or -1 if it was not announced.
-func (e *Engine) compactIndex(id IID, r int) int {
-	if r > len(e.annIndex) || e.annIndex[r-1] == nil {
-		return -1
-	}
-	if i, ok := e.annIndex[r-1][id]; ok {
-		return i
-	}
-	return -1
-}
-
-// flush broadcasts staged amplification and ECHO2 entries as bundles.
+// flush broadcasts staged amplification and ECHO2 entries as bundles, the
+// compact bitmaps in ascending round order.
 func (e *Engine) flush() {
 	if len(e.pendAmp) > 0 {
 		vals := e.pendAmp
@@ -764,18 +757,11 @@ func (e *Engine) flush() {
 		e.pendE2 = nil
 		e.env.Broadcast(&Echo2{Vals: vals})
 	}
-	if len(e.pendE2CB) > 0 {
-		// Broadcast in ascending round order: map order would let the
-		// network-level message sequence vary between runs.
-		rounds := make([]int, 0, len(e.pendE2CB))
-		for r := range e.pendE2CB {
-			rounds = append(rounds, r)
+	for i, bits := range e.pendE2CB {
+		if bits != nil {
+			e.pendE2CB[i] = nil
+			e.env.Broadcast(&Echo2C{Round: uint16(i + 1), Bits: bits})
 		}
-		slices.Sort(rounds)
-		for _, r := range rounds {
-			e.env.Broadcast(&Echo2C{Round: uint16(r), Bits: e.pendE2CB[r]})
-		}
-		e.pendE2CB = make(map[int][]byte)
 	}
 }
 

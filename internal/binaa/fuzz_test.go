@@ -1,0 +1,202 @@
+package binaa
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"delphi/internal/node"
+)
+
+// SinkEnv is an environment that swallows everything an engine emits and
+// counts the sends, for driving an Engine directly (exported to the external
+// test package).
+type SinkEnv struct {
+	Nodes, Faults int
+	Sends         int
+}
+
+func (e *SinkEnv) Self() node.ID                  { return 0 }
+func (e *SinkEnv) N() int                         { return e.Nodes }
+func (e *SinkEnv) F() int                         { return e.Faults }
+func (e *SinkEnv) Send(node.ID, node.Message)     { e.Sends++ }
+func (e *SinkEnv) Broadcast(node.Message)         { e.Sends++ }
+func (e *SinkEnv) Output(any)                     {}
+func (e *SinkEnv) Halt()                          {}
+func (e *SinkEnv) ChargeCompute(node.ComputeCost) {}
+
+// fuzzSender is the peer whose bundles the fuzz targets forge; fuzzPrev is
+// the length of its genuine round-1 announcement.
+const (
+	fuzzSender = node.ID(1)
+	fuzzPrev   = 5
+)
+
+// fuzzEngine returns a started n=4 engine that holds fuzzSender's round-1
+// announcement of fuzzPrev entries — the base a round-2 compressed bundle
+// is reconstructed against.
+func fuzzEngine(t testing.TB) *Engine {
+	t.Helper()
+	cfg := Config{Config: node.Config{N: 4, F: 1}, Rounds: 8}
+	e, err := NewEngine(cfg, map[IID]float64{{K: 50}: 1}, func(map[IID]float64) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(&SinkEnv{Nodes: 4, Faults: 1})
+	vals := make([]IVal, fuzzPrev)
+	for i := range vals {
+		vals[i] = IVal{ID: IID{K: int32(50 + i)}, Round: 1, V: math.Ldexp(1, -i)}
+	}
+	e.HandleEcho1(fuzzSender, &Echo1{Round: 1, Init: true, Vals: vals})
+	return e
+}
+
+// wellFormed is the test's own statement of when a compressed bundle must
+// be accepted against a previous announcement of prev entries.
+func wellFormed(m *Echo1C, prev int) bool {
+	if int(m.PrevCount) != prev || len(m.Deltas) < (prev+1)/2 {
+		return false
+	}
+	esc := 0
+	for i := 0; i < prev; i++ {
+		switch sym := nibble(m.Deltas, i); {
+		case sym == symX:
+			if esc == len(m.Escapes) {
+				return false
+			}
+			esc++
+		case sym > sym2R:
+			return false
+		}
+	}
+	return true
+}
+
+// checkCompressedDelivery hands m to a fuzzEngine as fuzzSender's bundle.
+// Nothing may panic. The bundle takes effect only if it opens round 2 and is
+// well formed against the stored round-1 announcement; otherwise it is
+// dropped, buffered or ignored, and initSeen, initCount, the stored bundles
+// and the instance list must be exactly as before. An accepted bundle must
+// be stored with every entry resolved.
+func checkCompressedDelivery(t *testing.T, m *Echo1C) {
+	e := fuzzEngine(t)
+	rounds := e.cfg.Rounds
+	type snap struct {
+		seen  bool
+		count int
+	}
+	before := make([]snap, rounds)
+	for i := range e.initSeen {
+		before[i] = snap{e.initSeen[i].get(fuzzSender), e.initCount[i]}
+	}
+	insts := len(e.instList)
+
+	e.HandleEcho1C(fuzzSender, m)
+
+	applied := m.Round == 2 && wellFormed(m, fuzzPrev)
+	if len(e.initSeen) > rounds {
+		t.Fatalf("round state grown to %d rounds, cap is %d", len(e.initSeen), rounds)
+	}
+	for i := range e.initSeen {
+		want := before[i]
+		if applied && i == 1 {
+			want = snap{true, want.count + 1}
+		}
+		if got := (snap{e.initSeen[i].get(fuzzSender), e.initCount[i]}); got != want {
+			t.Fatalf("round %d: (seen, count) = %v, want %v (applied=%v)", i+1, got, want, applied)
+		}
+	}
+	if !applied {
+		if len(e.instList) != insts {
+			t.Fatalf("rejected bundle activated %d instances", len(e.instList)-insts)
+		}
+		if len(e.initBundles) > 1 && e.initBundles[1][fuzzSender] != nil {
+			t.Fatal("rejected bundle was stored")
+		}
+		return
+	}
+	b := e.initBundles[1][fuzzSender]
+	if len(b) != fuzzPrev+len(m.NewVals) {
+		t.Fatalf("stored bundle has %d entries, want %d", len(b), fuzzPrev+len(m.NewVals))
+	}
+	for i, a := range b {
+		if a.ref == 0 || int(a.ref) > len(e.instList) || e.instList[a.ref-1].id != a.id {
+			t.Fatalf("entry %d (%v) has unresolved reference %d", i, a.id, a.ref)
+		}
+	}
+	// The paths that read the indices: a bitmap over the whole announcement
+	// and the sender's zeros bundle.
+	bits := make([]byte, len(b)/8+1)
+	for i := range bits {
+		bits[i] = 0xff
+	}
+	e.HandleEcho2C(fuzzSender, &Echo2C{Round: 2, Bits: bits})
+	e.HandleEcho2(fuzzSender, &Echo2{Round: 2, Zeros: true})
+}
+
+// echo1CSeeds are the compressed bundles of compress_test.go — the
+// round-trip message and the byzCompressed forgeries — plus a well-formed
+// round-2 bundle for fuzzEngine.
+func echo1CSeeds() []*Echo1C {
+	return []*Echo1C{
+		{Round: 3, PrevCount: 5, Deltas: packNibbles([]uint8{symC, symL, sym2R, symX, symR}),
+			Escapes: []float64{0.625}, NewVals: []IVal{{ID: IID{Level: 2, K: -7}, Round: 3, V: 0.25}}},
+		{Round: 2, PrevCount: 5, Deltas: packNibbles([]uint8{symC, symL, sym2R, symX, symR}),
+			Escapes: []float64{0.625}, NewVals: []IVal{{ID: IID{Level: 2, K: -7}, Round: 2, V: 0.25}}},
+		{Round: 2, PrevCount: 9, Deltas: []byte{0xff}, Escapes: []float64{5}},
+		{Round: 3, PrevCount: 1, Deltas: []byte{symX}},
+		{Round: 2, PrevCount: 5, Deltas: []byte{symX | symX<<4, symX}, Escapes: []float64{1}},
+	}
+}
+
+// FuzzDecodeEcho1C feeds arbitrary bytes through the wire decoder and, when
+// they decode, through the engine.
+func FuzzDecodeEcho1C(f *testing.F) {
+	for _, m := range echo1CSeeds() {
+		body, err := m.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m, err := DecodeEcho1C(body)
+		if err != nil {
+			return
+		}
+		checkCompressedDelivery(t, m.(*Echo1C))
+	})
+}
+
+// FuzzApplyCompressed builds the bundle field by field, so the fuzzer
+// reaches the reconstruction loop without first having to satisfy the
+// decoder: escapes are 8-byte floats, newVals 13-byte (level, K, value)
+// records.
+func FuzzApplyCompressed(f *testing.F) {
+	for _, m := range echo1CSeeds() {
+		var esc, nv []byte
+		for _, v := range m.Escapes {
+			esc = binary.LittleEndian.AppendUint64(esc, math.Float64bits(v))
+		}
+		for _, v := range m.NewVals {
+			nv = append(nv, v.ID.Level)
+			nv = binary.LittleEndian.AppendUint32(nv, uint32(v.ID.K))
+			nv = binary.LittleEndian.AppendUint64(nv, math.Float64bits(v.V))
+		}
+		f.Add(m.Round, m.PrevCount, m.Deltas, esc, nv)
+	}
+	f.Fuzz(func(t *testing.T, round, prevCount uint16, deltas, esc, nv []byte) {
+		m := &Echo1C{Round: round, PrevCount: prevCount, Deltas: deltas}
+		for ; len(esc) >= 8; esc = esc[8:] {
+			m.Escapes = append(m.Escapes, math.Float64frombits(binary.LittleEndian.Uint64(esc)))
+		}
+		for ; len(nv) >= 13; nv = nv[13:] {
+			m.NewVals = append(m.NewVals, IVal{
+				ID:    IID{Level: nv[0], K: int32(binary.LittleEndian.Uint32(nv[1:]))},
+				Round: round,
+				V:     math.Float64frombits(binary.LittleEndian.Uint64(nv[5:])),
+			})
+		}
+		checkCompressedDelivery(t, m)
+	})
+}

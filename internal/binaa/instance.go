@@ -19,13 +19,22 @@
 // instance after it opened round r joins with state 0 — exactly the value
 // its implicit votes already cast — and participates explicitly from the
 // current round onward, while still amplifying ECHO1 values for older rounds
-// to preserve liveness for slower peers. See DESIGN.md §5 for the analysis
-// of this choice.
+// to preserve liveness for slower peers. Joining with 0 is the only state
+// consistent with what peers have already counted: the node's init bundles
+// for the rounds it has opened cast ECHO1(0) for the instance, and an honest
+// node's state must equal its own init vote. Old rounds cannot stall on it
+// either, since amplification and the zeros bundle still run there.
+//
+// Message ownership: handlers never mutate or take ownership of a delivered
+// message's slices. The simulator hands one message pointer to all n
+// receivers, so an engine copies what it keeps (a stored bundle is always the
+// engine's own slice, see Engine.initBundles). The one thing retained by
+// reference is a whole *Echo1C buffered until its base round arrives, and it
+// is only ever read.
 package binaa
 
 import (
 	"fmt"
-	"sort"
 
 	"delphi/internal/node"
 )
@@ -62,14 +71,18 @@ type instRound struct {
 	// explicit vote overrides a previously applied implicit zero, modelling
 	// message reordering).
 	echo2Explicit bitset
-	// amped records the values this node has itself echoed for this round.
-	amped []float64
 	// sentEcho2 records that this node cast its ECHO2 for this round
 	// (explicitly or via its zeros bundle).
 	sentEcho2 bool
 	// dirty marks membership in the engine's pending re-check list (the
-	// flag deduplicates marks without a hashed set).
+	// flag deduplicates marks without a hashed set). It is set only when a
+	// vote count lands on a threshold (see Engine.dirty) and cleared when
+	// the entry is drained.
 	dirty bool
+	// annPos is 1 + this instance's position in this node's own round
+	// announcement (Engine.announced), 0 if the instance is not in it. A
+	// compact ECHO2 sets bit annPos-1.
+	annPos int32
 	// myInit is the value this node's init bundle cast for this round
 	// (0 for implicit votes). The zeros bundle only covers instances whose
 	// init vote was 0, so explicit ECHO2(0) may be skipped only then.
@@ -92,35 +105,25 @@ func newInstRound(n int) *instRound {
 	}
 }
 
-// hasAmped reports whether this node has already echoed v this round.
-func (ir *instRound) hasAmped(v float64) bool {
-	for _, a := range ir.amped {
-		if a == v {
-			return true
-		}
-	}
-	return false
-}
-
 // markAmped records that this node echoed v this round.
-func (ir *instRound) markAmped(v float64) {
-	if !ir.hasAmped(v) {
-		ir.amped = append(ir.amped, v)
-	}
+func (ir *instRound) markAmped(v float64, n int) {
+	ir.echo1.slot(v, n).amped = true
 }
 
-// addEcho1 records an ECHO1 vote; returns true if it was new.
-func (ir *instRound) addEcho1(from node.ID, v float64, n int) bool {
+// addEcho1 records an ECHO1 vote; it returns v's new count, or 0 if the vote
+// was a duplicate.
+func (ir *instRound) addEcho1(from node.ID, v float64, n int) int {
 	return ir.echo1.add(from, v, n)
 }
 
 // addEcho2 records an ECHO2 vote subject to the once-per-sender rule;
 // explicit votes override a previously applied implicit zero (reordering).
-// Returns true if the tally changed.
-func (ir *instRound) addEcho2(from node.ID, v float64, explicit bool, n int) bool {
+// It returns v's new count, or 0 if the vote was ignored. The override
+// withdraws a vote from 0, so 0's count can land on a threshold twice.
+func (ir *instRound) addEcho2(from node.ID, v float64, explicit bool, n int) int {
 	if ir.echo2From.get(from) {
 		if !explicit || ir.echo2Explicit.get(from) {
-			return false // duplicate or second explicit: ignore
+			return 0 // duplicate or second explicit: ignore
 		}
 		// Explicit overriding implicit zero: move the vote.
 		ir.echo2.remove(from, 0)
@@ -129,14 +132,13 @@ func (ir *instRound) addEcho2(from node.ID, v float64, explicit bool, n int) boo
 	if explicit {
 		ir.echo2Explicit.set(from)
 	}
-	ir.echo2.add(from, v, n)
-	return true
+	return ir.echo2.add(from, v, n)
 }
 
 // tryDecide evaluates the two termination conditions. quorum is n-t.
-func (ir *instRound) tryDecide(quorum int) bool {
+func (ir *instRound) tryDecide(quorum int) {
 	if ir.decided {
-		return false
+		return
 	}
 	// Condition (2): one value with n-t ECHO2s. At most one value can reach
 	// the n-t majority (each sender votes once), so first-found is unique.
@@ -144,29 +146,38 @@ func (ir *instRound) tryDecide(quorum int) bool {
 		if s := &ir.echo2.sets[i]; s.count >= quorum {
 			ir.decided = true
 			ir.decision = s.v
-			return true
+			return
 		}
 	}
-	// Condition (1): two values with n-t ECHO1s each.
-	var qualifying []float64
+	// Condition (1): two values with n-t ECHO1s each; the decision is the
+	// midpoint of the smallest and the largest.
+	var lo, hi float64
+	k := 0
 	for i := range ir.echo1.sets {
-		if s := &ir.echo1.sets[i]; s.count >= quorum {
-			qualifying = append(qualifying, s.v)
+		s := &ir.echo1.sets[i]
+		if s.count < quorum {
+			continue
 		}
+		if k == 0 || s.v < lo {
+			lo = s.v
+		}
+		if k == 0 || s.v > hi {
+			hi = s.v
+		}
+		k++
 	}
-	if len(qualifying) >= 2 {
-		sort.Float64s(qualifying)
-		lo, hi := qualifying[0], qualifying[len(qualifying)-1]
+	if k >= 2 {
 		ir.decided = true
 		ir.decision = (lo + hi) / 2
-		return true
 	}
-	return false
 }
 
 // inst is the per-instance state across rounds.
 type inst struct {
 	id IID
+	// idx is the instance's position in Engine.instList; stored bundles
+	// refer to instances by it (entry.ref is idx+1).
+	idx uint32
 	// n is the node universe size (sizes the per-round bitsets).
 	n int
 	// state is this node's current-round state value.
@@ -194,7 +205,7 @@ func (x *inst) round(r int) *instRound {
 	return x.rounds[r-1]
 }
 
-// decidedThrough reports whether round r has decided.
+// decidedRound reports whether round r has decided.
 func (x *inst) decidedRound(r int) bool {
 	return len(x.rounds) >= r && x.rounds[r-1].decided
 }

@@ -7,8 +7,9 @@
 // operation. We reproduce exactly that message pattern and charge the pairing
 // cost through node.Env.ChargeCompute, but derive the coin value itself
 // from a deterministic hash of a shared seed (standing in for the threshold
-// public key setup, which is out of scope per DESIGN.md §2). The coin is
-// perfectly common and, to the protocols above it, indistinguishable from a
+// public key setup, which this reproduction leaves out: the baselines are
+// here for their message and compute cost, not their cryptography). The coin
+// is perfectly common and, to the protocols above it, indistinguishable from a
 // real threshold coin.
 package coin
 

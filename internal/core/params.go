@@ -58,7 +58,7 @@ func (p Params) Levels() int {
 
 // Separator returns ρ_l = 2^l ρ0.
 func (p Params) Separator(l int) float64 {
-	return p.Rho0 * math.Pow(2, float64(l))
+	return math.Ldexp(p.Rho0, l)
 }
 
 // EpsPrime returns ε' = ε / (4·Δ·l_M·n), the per-checkpoint weight agreement

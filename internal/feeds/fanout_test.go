@@ -196,33 +196,32 @@ func TestFanoutUnsubscribe(t *testing.T) {
 }
 
 // TestFanoutConcurrentChurn races publishers against subscribe/unsubscribe
-// churn and slow consumers; under -race this pins the locking discipline,
-// and every subscriber's view must still be a gapless-or-shed suffix-free
-// subsequence of the global order (strictly increasing rounds).
+// churn and slow consumers; under -race this pins the locking discipline.
+// Publishers publish concurrently, each its own sequence (Value names the
+// publisher, Round counts up), and every subscriber's view of one publisher
+// must be a gapless-or-shed subsequence of that publisher's order (strictly
+// increasing rounds). Across publishers no order is defined: numbering
+// publishes globally would need the number taken and the publish made under
+// one lock, which is the concurrency this test exists to exercise.
 func TestFanoutConcurrentChurn(t *testing.T) {
+	const publishers = 3
 	f := feeds.NewFanout()
 	defer f.Close()
 	stopPub := make(chan struct{})
 	var pubWG sync.WaitGroup
-	var seq sync.Mutex
-	next := int64(0)
-	for p := 0; p < 3; p++ {
+	for p := 0; p < publishers; p++ {
 		pubWG.Add(1)
-		go func() {
+		go func(p int) {
 			defer pubWG.Done()
-			for {
+			for r := int64(0); ; r++ {
 				select {
 				case <-stopPub:
 					return
 				default:
 				}
-				seq.Lock()
-				r := next
-				next++
-				seq.Unlock()
-				f.Publish(feeds.Update{Round: r})
+				f.Publish(feeds.Update{Round: r, Value: float64(p)})
 			}
-		}()
+		}(p)
 	}
 	var subWG sync.WaitGroup
 	for c := 0; c < 6; c++ {
@@ -231,18 +230,19 @@ func TestFanoutConcurrentChurn(t *testing.T) {
 			defer subWG.Done()
 			for iter := 0; iter < 20; iter++ {
 				s := f.Subscribe(2 + c) // tiny buffers: force shedding
-				last := int64(-1)
+				last := [publishers]int64{-1, -1, -1}
 				for i := 0; i < 50; i++ {
 					u, ok := s.TryRecv()
 					if !ok {
 						continue
 					}
-					if u.Round <= last {
-						t.Errorf("subscriber saw rounds out of order: %d after %d", u.Round, last)
+					p := int(u.Value)
+					if u.Round <= last[p] {
+						t.Errorf("subscriber saw publisher %d out of order: %d after %d", p, u.Round, last[p])
 						s.Unsubscribe()
 						return
 					}
-					last = u.Round
+					last[p] = u.Round
 				}
 				s.Unsubscribe()
 			}

@@ -93,6 +93,11 @@ type Process interface {
 	// guarantees authenticity (from is correct) but nothing else: messages
 	// may be arbitrarily delayed, reordered, or duplicated by the
 	// adversary. They are never dropped.
+	//
+	// The message is shared: the simulator hands one pointer to every
+	// receiver of a broadcast. A handler never mutates a delivered message
+	// or takes ownership of its slices; what it keeps, it copies (holding
+	// the message itself, read-only, is fine).
 	Deliver(from ID, m Message)
 }
 

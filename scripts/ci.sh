@@ -58,6 +58,19 @@ fi
 echo "== sim byte-identity gate =="
 go test ./internal/bench -run TestSimGoldenByteIdentity -count=1
 
+# The BinAA engine's per-delivery path carries two guarantees of its own:
+# the transcript golden (TestTranscriptGolden — every message a node emits
+# and every weight it decides, byte for byte, clean / Byzantine / crashed,
+# compression on and off) and the allocation gate (TestDeliverAllocs — a
+# delivery that crosses no vote threshold allocates nothing). Both ran in
+# `go test -race ./...` above and are not run again. What that pass does not
+# do is fuzz: a short smoke of the compressed-bundle decoder and
+# reconstruction, the one engine path that indexes by wire-supplied counts
+# (one -fuzz target per invocation is a go test rule).
+echo "== binaa compressed-bundle fuzz smoke =="
+go test ./internal/binaa -run '^$' -fuzz FuzzDecodeEcho1C -fuzztime 10s
+go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
+
 # The parallel window executor carries its own two guarantees, gated under
 # -race on every run: (1) worker-count determinism — a parallel run is
 # byte-identical across reruns and across 1/4/8 workers — and (2) δ-window
