@@ -114,3 +114,67 @@ func TestDolevRejectsLowResilience(t *testing.T) {
 		t.Fatal("expected resilience error for n=5, t=1")
 	}
 }
+
+// stubEnv records what a single process under direct test sends and outputs.
+type stubEnv struct {
+	n, f    int
+	sent    []node.Message
+	outputs []any
+	halted  bool
+}
+
+func (e *stubEnv) Self() node.ID                    { return 0 }
+func (e *stubEnv) N() int                           { return e.n }
+func (e *stubEnv) F() int                           { return e.f }
+func (e *stubEnv) Send(_ node.ID, m node.Message)   { e.sent = append(e.sent, m) }
+func (e *stubEnv) Broadcast(m node.Message)         { e.sent = append(e.sent, m) }
+func (e *stubEnv) Output(v any)                     { e.outputs = append(e.outputs, v) }
+func (e *stubEnv) Halt()                            { e.halted = true }
+func (e *stubEnv) ChargeCompute(c node.ComputeCost) {}
+
+// TestDolevReceiptHygiene pins what a round counts: one value per sender,
+// senders and rounds inside the configuration only — a duplicate, an unknown
+// sender ID, or a round outside [1, Rounds] must neither advance the quorum
+// nor enter the trimmed midpoint — and a NaN from one faulty sender is
+// trimmed like any other outlier.
+func TestDolevReceiptHygiene(t *testing.T) {
+	d, err := aaa.NewDolev(aaa.DolevConfig{N: 6, F: 1, Rounds: 2}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &stubEnv{n: 6, f: 1}
+	d.Init(env)
+	val := func(from node.ID, round uint16, v float64) { d.Deliver(from, &aaa.Value{Round: round, V: v}) }
+	val(0, 1, 10)
+	val(1, 1, 20)
+	val(1, 1, 999)  // duplicate sender
+	val(-1, 1, 999) // sender IDs outside [0, n)
+	val(6, 1, 999)
+	val(1<<40, 1, 999)
+	val(2, 0, 999) // rounds outside [1, Rounds]
+	val(2, 3, 999)
+	val(2, 1, 30)
+	val(3, 1, 40)
+	if len(env.sent) != 1 {
+		t.Fatalf("round 2 began after four distinct receipts (quorum is 5): sent %d messages", len(env.sent))
+	}
+	val(4, 1, 50)
+	// Five receipts 10..50, trim 2t = 2 from each side: the midpoint is 30.
+	if len(env.sent) != 2 {
+		t.Fatalf("round 2 did not begin at quorum: sent %d messages", len(env.sent))
+	}
+	if got := env.sent[1].(*aaa.Value); got.Round != 2 || got.V != 30 {
+		t.Fatalf("round 2 broadcast = %+v, want round 2 value 30", got)
+	}
+	val(5, 2, math.NaN())
+	for i, v := range []float64{28, 29, 31, 32} {
+		val(node.ID(i), 2, v)
+	}
+	// sort.Float64s orders NaN first, so it is among the 2t trimmed low values.
+	if !env.halted || len(env.outputs) != 1 {
+		t.Fatalf("no decision after round 2's quorum (halted=%v outputs=%d)", env.halted, len(env.outputs))
+	}
+	if got := env.outputs[0].(aaa.DolevResult); got.Output != 29 || got.Rounds != 2 {
+		t.Errorf("decision = %+v, want output 29 after 2 rounds", got)
+	}
+}

@@ -52,8 +52,15 @@ type Dolev struct {
 	roundAt int64
 	value   float64
 	round   int
-	vals    map[int]map[node.ID]float64
+	rounds  []dolevRound // rounds[r-1] is round r's receipts
 	done    bool
+}
+
+// dolevRound is one round's receipts, allocated on the round's first
+// message: who has been heard from and what they sent, in arrival order.
+type dolevRound struct {
+	seen []uint64 // bitset over senders
+	vals []float64
 }
 
 var _ node.Process = (*Dolev)(nil)
@@ -66,7 +73,7 @@ func NewDolev(cfg DolevConfig, input float64) (*Dolev, error) {
 	if math.IsNaN(input) || math.IsInf(input, 0) {
 		return nil, fmt.Errorf("aaa: input must be finite, got %g", input)
 	}
-	return &Dolev{cfg: cfg, value: input, vals: make(map[int]map[node.ID]float64)}, nil
+	return &Dolev{cfg: cfg, value: input, rounds: make([]dolevRound, cfg.Rounds)}, nil
 }
 
 // Init implements node.Process.
@@ -85,35 +92,35 @@ func (d *Dolev) Deliver(from node.ID, m node.Message) {
 		return
 	}
 	r := int(msg.Round)
-	if r < 1 || r > d.cfg.Rounds {
+	if r < 1 || r > d.cfg.Rounds || from < 0 || int(from) >= d.cfg.N {
 		return
 	}
-	rv := d.vals[r]
-	if rv == nil {
-		rv = make(map[node.ID]float64)
-		d.vals[r] = rv
+	rd := &d.rounds[r-1]
+	if rd.seen == nil {
+		rd.seen = make([]uint64, (d.cfg.N+63)/64)
+		rd.vals = make([]float64, 0, d.cfg.N)
 	}
-	if _, dup := rv[from]; dup {
+	word, bit := &rd.seen[from>>6], uint64(1)<<(from&63)
+	if *word&bit != 0 {
 		return
 	}
-	rv[from] = msg.V
+	*word |= bit
+	rd.vals = append(rd.vals, msg.V)
 	d.progress()
 }
 
 func (d *Dolev) progress() {
 	quorum := d.cfg.N - d.cfg.F
 	for !d.done {
-		rv := d.vals[d.round]
+		rv := d.rounds[d.round-1].vals
 		if len(rv) < quorum {
 			return
 		}
-		vals := make([]float64, 0, len(rv))
-		for _, v := range rv {
-			vals = append(vals, v)
-		}
-		sort.Float64s(vals)
+		// Sorted in place: a round's receipts are read once, here, and a
+		// later one only appends to a slice nothing reads again.
+		sort.Float64s(rv)
 		trim := 2 * d.cfg.F
-		trimmed := vals[trim : len(vals)-trim]
+		trimmed := rv[trim : len(rv)-trim]
 		d.value = (trimmed[0] + trimmed[len(trimmed)-1]) / 2
 		d.track.Span("aaa.round", d.roundAt, int64(d.round), int64(len(rv)))
 		d.roundAt = d.track.Now()

@@ -15,9 +15,7 @@ import (
 // Envelopes are sealed, transmitted, and delivered exactly like single
 // frames — one MAC, one length-prefixed TCP write, one inbox hop — and the
 // receiving driver unpacks them back into per-message deliveries in order,
-// so per-link FIFO is preserved. The simulator's batched-delivery mode
-// (sim.WithBatchedDelivery) established that same-timestamp waves are
-// semantics-preserving; the envelope is the live-transport equivalent.
+// so per-link FIFO is preserved.
 //
 // BatchType can never collide with a protocol message: wire-type bytes are
 // allocated from 1 upward in internal/wire, and the registry rejects 0xFF.

@@ -11,15 +11,13 @@
 // the previous window, processes its slice of the current window, and
 // stages its own sends for the next.
 //
-// Each shard keeps its pending events in a calendar queue — a ring of
-// ringBuckets bucket slices, one per lookahead window — instead of a global
-// heap. Appends are O(1) into a contiguous slab and a window's events are
-// sorted and scanned in one linear pass, so the executor also replaces the
-// sequential mode's cache-hostile 4-ary heap walks (tens of MB of heap at
-// n=1000) with sequential memory traffic. Events beyond the ring horizon
-// (ringBuckets windows ahead — partition heals and Pareto jitter tails)
-// spill into a per-shard overflow min-heap and drain back as the ring
-// advances.
+// Each shard keeps its pending events in a calendar (calendar.go, the type
+// the sequential loop uses too) whose bucket width is the lookahead, so one
+// bucket is one window: the shard takes the window's bucket into a gather
+// buffer, orders it by (to, at, seq) in two linear passes, and delivers.
+// Events beyond the ring horizon (ringBuckets windows ahead — partition
+// heals and Pareto jitter tails) sit in the calendar's overflow heap and
+// drain back as the ring advances.
 //
 // Determinism: event order is the total order (to, at, seq) with per-sender
 // sequence numbers, each node draws latency jitter from its own
@@ -37,6 +35,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -48,11 +47,6 @@ import (
 )
 
 const (
-	// ringBuckets is the calendar ring size in windows (power of two). At
-	// the AWS floor (0.4 ms) the ring spans ~3.3 s of virtual time, beyond
-	// the largest preset delay (jitter cap 3 s); farther events overflow.
-	ringBuckets = 8192
-	ringMask    = ringBuckets - 1
 	// seqShift packs per-sender sequence numbers as seq<<seqShift|sender,
 	// bounding parallel runs to 2^seqShift nodes.
 	seqShift   = 20
@@ -135,12 +129,10 @@ type shard struct {
 	id     int
 	lo, hi int // node range [lo, hi)
 
-	ring     [][]event // calendar: bucket idx -> events, slot = idx & ringMask
-	base     int64     // lowest admissible bucket; valid range [base, base+ringBuckets)
-	occupied int       // events currently in the ring
-	overflow eventHeap // events beyond the ring horizon
-	sortBuf  []event   // counting-sort scatter scratch (one bucket's worth)
-	counts   []int32   // per-destination counts, len hi-lo
+	cal     calendar // pending events, one bucket per lookahead window
+	gather  []event  // the window's bucket, as taken from the calendar
+	sortBuf []event  // counting-sort scatter scratch (one bucket's worth)
+	counts  []int32  // per-destination counts, len hi-lo
 
 	// staged[k&1][dest] buffers sends made during window k; dest merges it
 	// during window k+1 and the owner resets it during window k+2, so one
@@ -174,20 +166,10 @@ type shard struct {
 	obsNow int64
 
 	// retained-capacity peaks for the scratch shrink rule
-	bucketPeak   int
-	stagedPeak   int
-	overflowPeak int
-	outPeak      int
+	bucketPeak int
+	stagedPeak int
 
-	envs []parEnv
-
-	// current delivery context (mirrors the sequential Runner's)
-	curNode    node.ID
-	curCharge  node.ComputeCost
-	curOutMsgs []outMsg
-	curOutput  bool
-	curHalt    bool
-	inStep     bool
+	stepState
 }
 
 // parScratch retains the parallel arenas across runs (inside Scratch).
@@ -220,15 +202,10 @@ func newParScratch(workers, n int) *parScratch {
 			id:     s,
 			lo:     lo,
 			hi:     hi,
-			ring:   make([][]event, ringBuckets),
-			envs:   make([]parEnv, hi-lo),
 			counts: make([]int32, hi-lo),
 		}
 		for p := range sh.staged {
 			sh.staged[p] = make([][]event, workers)
-		}
-		for i := range sh.envs {
-			sh.envs[i] = parEnv{sh: sh, id: node.ID(lo + i)}
 		}
 		ps.shards[s] = sh
 		for i := lo; i < hi; i++ {
@@ -296,7 +273,7 @@ func (r *Runner) setupParallel(seed int64) error {
 	}
 	for _, sh := range ps.shards {
 		sh.pr = pr
-		sh.base = 0
+		sh.cal.width = width
 		sh.curBucket = -1
 		sh.parity = 0
 		sh.minStaged = math.MaxInt64
@@ -309,20 +286,15 @@ func (r *Runner) setupParallel(seed int64) error {
 		sh.lastAt = 0
 		sh.bucketPeak = 0
 		sh.stagedPeak = 0
-		sh.overflowPeak = 0
 		sh.outPeak = 0
 		sh.tracks = nil
 		sh.obsNow = 0
+		sh.histDelivered = 0
 		if r.history == nil {
-			sh.histDelivered = 0
-			sh.histSent = nil
-			sh.histRecv = nil
+			sh.histSent, sh.histRecv = nil, nil
 		} else if len(sh.histSent) != n {
-			sh.histDelivered = 0
-			sh.histSent = make([]int64, n)
-			sh.histRecv = make([]int64, n)
+			sh.histSent, sh.histRecv = make([]int64, n), make([]int64, n)
 		} else {
-			sh.histDelivered = 0
 			clear(sh.histSent)
 			clear(sh.histRecv)
 		}
@@ -347,9 +319,7 @@ func (r *Runner) setupParallel(seed int64) error {
 	return nil
 }
 
-// runParallel is Run's parallel body.
-func (r *Runner) runParallel() { r.par.runWindows() }
-
+// runWindows is Run's parallel body.
 func (pr *parRunner) runWindows() {
 	r := pr.r
 	for s := range pr.shards {
@@ -519,11 +489,11 @@ func (sh *shard) runInit() {
 			continue
 		}
 		sh.beginStep(node.ID(i))
-		r.procs[i].Init(&sh.envs[i-sh.lo])
+		r.procs[i].Init(&r.envs[i])
 		sh.endStep(node.ID(i), 0, 0)
 	}
 	// Same-shard init sends were enqueued directly; report them.
-	sh.nextB = sh.nextBucket(0)
+	sh.nextB = sh.cal.next()
 }
 
 // runWindow executes window k over calendar bucket b.
@@ -535,21 +505,14 @@ func (sh *shard) runWindow(k, b int64) {
 	sh.windowStart = time.Duration(b) * sh.pr.width
 	sh.minStaged = math.MaxInt64
 
-	// Advance the ring horizon and pull newly admissible overflow back in.
-	// b never undercuts an unprocessed event's bucket (the coordinator's
-	// window minimum includes every shard's calendar and staging).
-	sh.base = b
-	for len(sh.overflow) > 0 && int64(sh.overflow[0].at/sh.pr.width) < b+ringBuckets {
-		e := sh.overflow.pop()
-		sh.enqueueAt(e, int64(e.at/sh.pr.width))
-	}
-
 	// Merge the sends every shard staged for us during window k-1 (parity
-	// p^1; the barrier orders those writes before these reads).
+	// p^1; the barrier orders those writes before these reads). None lies
+	// before b: the coordinator's window minimum includes every shard's
+	// calendar and staging.
 	for _, t := range sh.pr.shards {
 		buf := t.staged[p^1][sh.id]
 		for i := range buf {
-			sh.enqueue(buf[i])
+			sh.cal.push(buf[i], int64(buf[i].at/sh.pr.width))
 		}
 	}
 
@@ -571,8 +534,8 @@ func (sh *shard) runWindow(k, b int64) {
 	// destinations are a small contiguous range and per-destination groups
 	// are tiny, so this replaces a generic comparison sort's closure calls
 	// over 48-byte elements with two linear passes.
-	slot := &sh.ring[b&ringMask]
-	evs := sh.sortBucket(*slot)
+	sh.gather = sh.cal.take(b, sh.gather[:0])
+	evs := sh.sortBucket(sh.gather)
 	for i := range evs {
 		e := &evs[i]
 		if e.at > sh.lastAt {
@@ -586,15 +549,11 @@ func (sh *shard) runWindow(k, b int64) {
 	if len(evs) > sh.bucketPeak {
 		sh.bucketPeak = len(evs)
 	}
-	sh.occupied -= len(*slot)
-	clear(*slot)
-	*slot = (*slot)[:0]
-	if len(sh.sortBuf) > 0 {
-		clear(sh.sortBuf)
-		sh.sortBuf = sh.sortBuf[:0]
-	}
+	clear(sh.gather)
+	clear(sh.sortBuf)
+	sh.sortBuf = sh.sortBuf[:0]
 
-	sh.nextB = sh.nextBucket(b + 1)
+	sh.nextB = sh.cal.next()
 }
 
 // sortBucket returns the bucket's events in (to, at, seq) order. Buckets
@@ -658,16 +617,7 @@ func (sh *shard) sortBucket(evs []event) []event {
 func sortGroup(g []event) {
 	if len(g) > 48 {
 		slices.SortFunc(g, func(a, b event) int {
-			if a.at != b.at {
-				if a.at < b.at {
-					return -1
-				}
-				return 1
-			}
-			if a.seq < b.seq {
-				return -1
-			}
-			return 1
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
 		})
 		return
 	}
@@ -680,46 +630,6 @@ func sortGroup(g []event) {
 		}
 		g[j+1] = e
 	}
-}
-
-// enqueue routes an event into the calendar ring or the overflow heap.
-func (sh *shard) enqueue(e event) {
-	sh.enqueueAt(e, int64(e.at/sh.pr.width))
-}
-
-func (sh *shard) enqueueAt(e event, idx int64) {
-	if idx >= sh.base+ringBuckets {
-		sh.overflow.push(e)
-		if len(sh.overflow) > sh.overflowPeak {
-			sh.overflowPeak = len(sh.overflow)
-		}
-		return
-	}
-	slot := &sh.ring[idx&ringMask]
-	*slot = append(*slot, e)
-	sh.occupied++
-}
-
-// nextBucket returns the shard's earliest non-empty bucket at or after
-// `from`, or MaxInt64 when the shard is drained. The forward scan is
-// bounded by the ring span and amortised by the monotonic advance of the
-// window sequence.
-func (sh *shard) nextBucket(from int64) int64 {
-	nb := int64(math.MaxInt64)
-	if sh.occupied > 0 {
-		for i := from; ; i++ {
-			if len(sh.ring[i&ringMask]) > 0 {
-				nb = i
-				break
-			}
-		}
-	}
-	if len(sh.overflow) > 0 {
-		if o := int64(sh.overflow[0].at / sh.pr.width); o < nb {
-			nb = o
-		}
-	}
-	return nb
 }
 
 // deliver processes one delivery on this shard (the parallel counterpart of
@@ -744,84 +654,24 @@ func (sh *shard) deliver(e *event) {
 	sh.endStep(to, e.at, r.env.Cost.messageCost(size))
 }
 
-func (sh *shard) beginStep(id node.ID) {
-	sh.inStep = true
-	sh.curNode = id
-	sh.curCharge = node.ComputeCost{}
-	sh.curOutMsgs = sh.curOutMsgs[:0]
-	sh.curOutput = false
-	sh.curHalt = false
-}
-
 func (sh *shard) endStep(id node.ID, t, base time.Duration) {
-	r := sh.pr.r
-	ns := &r.nodes[id]
-	start := t
-	if ns.busyUntil > start {
-		start = ns.busyUntil
-	}
-	dur := base + r.env.Cost.Cost(sh.curCharge)
-	r.stats[id].Compute = r.stats[id].Compute.Add(sh.curCharge)
-	ns.busyUntil = start + dur
-	if sh.curOutput {
-		r.stats[id].OutputAt = ns.busyUntil
-	}
-	if sh.curHalt {
-		r.stats[id].HaltedAt = ns.busyUntil
-	}
-	if len(sh.curOutMsgs) > sh.outPeak {
-		sh.outPeak = len(sh.curOutMsgs)
-	}
+	ready := sh.finishStep(sh.pr.r, id, t, base)
 	for _, om := range sh.curOutMsgs {
-		sh.dispatch(id, om.to, om.msg, ns.busyUntil)
+		sh.dispatch(id, om.to, om.msg, ready)
 	}
 	sh.curOutMsgs = sh.curOutMsgs[:0]
 	sh.inStep = false
 }
 
-func (sh *shard) stageSend(from, to node.ID, m node.Message) {
-	if sh.inStep && from == sh.curNode {
-		sh.curOutMsgs = append(sh.curOutMsgs, outMsg{to: to, msg: m})
-		return
-	}
-	// Out-of-step sends leave no earlier than the current window: clamping
-	// keeps the departure inside the committed horizon (and is the point
-	// in time the send physically happens).
-	ready := sh.pr.r.nodes[from].busyUntil
-	if sh.windowStart > ready {
-		ready = sh.windowStart
-	}
-	sh.dispatch(from, to, m, ready)
-}
-
-// dispatch is the parallel counterpart of Runner.dispatch: same bandwidth,
-// latency, and delay-rule arithmetic, but jitter comes from the sender's
-// own RNG stream, the sequence number is per-sender (worker-count
-// independent), and the event is staged for its destination shard instead
-// of pushed on a global heap.
+// dispatch is the parallel counterpart of Runner.dispatch: the same
+// departure, but jitter comes from the sender's own RNG stream, the
+// sequence number is per-sender (worker-count independent), and the event
+// is staged for its destination shard.
 func (sh *shard) dispatch(from, to node.ID, m node.Message, ready time.Duration) {
-	r := sh.pr.r
-	size := m.WireSize() + r.macBytes
-	ns := &r.nodes[from]
-	start := ready
-	if ns.uplinkFree > start {
-		start = ns.uplinkFree
-	}
-	var tx time.Duration
-	if r.hasUplink {
-		tx = time.Duration(float64(size) / r.env.UplinkBytesPerSec * float64(time.Second))
-	}
-	ns.uplinkFree = start + tx
-	lat := r.env.Latency.Latency(from, to, sh.pr.rands[from])
-	at := start + tx + lat
-	if r.delayRule != nil {
-		at += r.delayRule(start+tx, from, to, m)
-	}
+	at := sh.pr.r.depart(from, to, m, ready, sh.pr.rands[from])
+	ns := &sh.pr.r.nodes[from]
 	ns.sendSeq++
 	sh.stage(event{at: at, seq: ns.sendSeq<<seqShift | uint64(from), from: from, to: to, msg: m})
-	st := &r.stats[from]
-	st.MsgsSent++
-	st.BytesSent += int64(size)
 }
 
 // stage buffers an event for its destination shard, detecting causality
@@ -839,8 +689,8 @@ func (sh *shard) stage(e event) {
 	if int(d) == sh.id {
 		// Same-shard traffic skips the staging round-trip: straight into
 		// our own calendar (sortBucket restores the total order, and the
-		// end-of-phase nextBucket scan reports it to the coordinator).
-		sh.enqueueAt(e, idx)
+		// end-of-phase next() reports it to the coordinator).
+		sh.cal.push(e, idx)
 		return
 	}
 	if idx < sh.minStaged {
@@ -857,14 +707,8 @@ func (pr *parRunner) handback(s *Scratch) {
 		return
 	}
 	for _, sh := range pr.shards {
-		for i := range sh.ring {
-			buf := sh.ring[i]
-			clear(buf)
-			sh.ring[i] = shrunk(buf, sh.bucketPeak)
-		}
-		sh.occupied = 0
-		clear(sh.overflow)
-		sh.overflow = shrunk(sh.overflow, sh.overflowPeak)
+		sh.cal.release()
+		sh.gather = shrunk(sh.gather, sh.bucketPeak)
 		for p := range sh.staged {
 			for d := range sh.staged[p] {
 				buf := sh.staged[p][d]
@@ -878,59 +722,4 @@ func (pr *parRunner) handback(s *Scratch) {
 		sh.curOutMsgs = shrunk(sh.curOutMsgs, sh.outPeak)
 	}
 	ps.clean = true
-}
-
-// parEnv is the node.Env handed to processes under parallel execution.
-type parEnv struct {
-	sh *shard
-	id node.ID
-}
-
-func (e *parEnv) Self() node.ID { return e.id }
-func (e *parEnv) N() int        { return e.sh.pr.r.cfg.N }
-func (e *parEnv) F() int        { return e.sh.pr.r.cfg.F }
-
-// Track implements node.Tracing: the node's track on its shard's virtual
-// clock, or nil when no recorder is attached.
-func (e *parEnv) Track() *obs.Track {
-	if e.sh.tracks == nil {
-		return nil
-	}
-	return e.sh.tracks[int(e.id)-e.sh.lo]
-}
-
-func (e *parEnv) Send(to node.ID, m node.Message) {
-	e.sh.stageSend(e.id, to, m)
-}
-
-func (e *parEnv) Broadcast(m node.Message) {
-	for i := 0; i < e.sh.pr.r.cfg.N; i++ {
-		e.sh.stageSend(e.id, node.ID(i), m)
-	}
-}
-
-func (e *parEnv) Output(v any) {
-	s := &e.sh.pr.r.stats[e.id]
-	s.Output = append(s.Output, v)
-	if e.sh.inStep && e.id == e.sh.curNode {
-		e.sh.curOutput = true
-	}
-}
-
-func (e *parEnv) Halt() {
-	r := e.sh.pr.r
-	if !r.nodes[e.id].halted {
-		r.nodes[e.id].halted = true
-		r.stats[e.id].Halted = true
-		e.sh.halts++ // live accounting is folded in at the window barrier
-		if e.sh.inStep && e.id == e.sh.curNode {
-			e.sh.curHalt = true
-		}
-	}
-}
-
-func (e *parEnv) ChargeCompute(c node.ComputeCost) {
-	if e.sh.inStep && e.id == e.sh.curNode {
-		e.sh.curCharge = e.sh.curCharge.Add(c)
-	}
 }

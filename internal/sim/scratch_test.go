@@ -135,3 +135,40 @@ func TestScratchNodeSlabReset(t *testing.T) {
 		t.Error("backing array not reused")
 	}
 }
+
+// TestSequentialOverflowHorizon is the sequential counterpart of
+// TestParallelOverflowHorizon: with the queue large enough to engage the
+// calendar (n=160 puts 25600 messages in flight), a delay rule that parks
+// the last sender's messages 10 s out — past the ring horizon, 8192 buckets
+// ≈ 4.3 s — must spill them to the overflow heap and drain them back in
+// order. (The last sender: its Init runs with 159 broadcasts already queued.)
+func TestSequentialOverflowHorizon(t *testing.T) {
+	const n = 160
+	farRule := func(at time.Duration, from, to node.ID, m node.Message) time.Duration {
+		if from == n-1 {
+			return 10 * time.Second
+		}
+		return 0
+	}
+	s := &Scratch{}
+	procs := make([]node.Process, n)
+	for i := range procs {
+		procs[i] = &ping{rounds: 3}
+	}
+	r, err := NewRunner(node.Config{N: n, F: (n - 1) / 3}, AWS(), 7, procs, WithDelayRule(farRule), WithScratch(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.Run()
+	if res.Time < 3*10*time.Second {
+		t.Fatalf("run finished at %v; the 10s-delayed messages of three rounds were lost", res.Time)
+	}
+	for i, st := range res.Stats {
+		if !st.Halted {
+			t.Errorf("node %d never halted", i)
+		}
+	}
+	if s.cal == nil || cap(s.cal.overflow) == 0 {
+		t.Error("the run never used the calendar's overflow heap")
+	}
+}

@@ -13,27 +13,33 @@
 // knowing they are being simulated. All randomness flows from a single seed,
 // so every experiment is reproducible.
 //
-// The event loop is built for sweep throughput: the pending-delivery queue
-// is an inlined 4-ary heap over event values (no per-event allocation, no
-// interface boxing through container/heap), per-node bookkeeping lives in
-// one contiguous nodeState slab (one cache line of state per node instead
-// of three parallel slices), each node's Env is allocated once per run, and
-// a delivery is dispatched by a direct Deliver call with no per-event
-// closure. A session-scoped caller can reuse the queue and per-node
-// bookkeeping across runs via Scratch. The pop order of the heap is fully
-// determined by the (time, sequence) total order, so none of this changes a
-// single scheduled delivery: fixed-seed runs are byte-identical to the
-// original container/heap implementation (pinned by
-// bench.TestSimGoldenByteIdentity).
+// The event loop is built for sweep throughput. Pending deliveries are
+// event values (no per-event allocation, no interface boxing) in one
+// structure under both executors: a calendar (calendar.go) files them by
+// time bucket in fixed-size chunks, and the sequential loop orders only the
+// bucket it is draining, in a small inlined 4-ary heap — at n=1000 a push
+// is a write to the end of a chunk and a pop walks a cache-resident heap,
+// where a single heap over the million pending events missed the cache at
+// every level. A queue that never reaches nearMin events stays in that
+// heap and builds no calendar. Per-node bookkeeping lives in one contiguous
+// nodeState slab, each node's Env is allocated once per run, and a delivery
+// is a direct Deliver call with no per-event closure. A session-scoped
+// caller can reuse all of this storage across runs via Scratch. The pop
+// order is fully determined by the (time, sequence) total order, so none of
+// it changes a single scheduled delivery: fixed-seed runs are
+// byte-identical to the original container/heap implementation (pinned by
+// bench.TestSimGoldenByteIdentity and, for the queue alone, by
+// TestCalendarOrder).
 //
-// For runs at n=1000+ the sequential loop is no longer the ceiling: an
-// opt-in conservative-window parallel mode (WithParallelWindow) shards the
-// nodes across a worker pool and executes each minimum-network-delay window
-// of causally independent events concurrently; see parallel.go.
+// An opt-in conservative-window parallel mode (WithParallelWindow) shards
+// the nodes across a worker pool, one calendar per shard, and executes each
+// minimum-network-delay window of causally independent events concurrently;
+// see parallel.go.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -42,7 +48,7 @@ import (
 )
 
 // event is a message delivery scheduled at a virtual time. Events are
-// stored by value in the runner's heap.
+// stored by value in the calendar's chunks and the heaps.
 type event struct {
 	at   time.Duration
 	seq  uint64 // tie-breaker for determinism
@@ -62,7 +68,7 @@ func (e *event) before(o *event) bool {
 }
 
 // eventHeap is an inlined 4-ary min-heap of events ordered by (at, seq).
-// It backs the sequential runner's pending queue and each parallel shard's
+// It backs the sequential runner's near heap and every calendar's
 // beyond-horizon overflow; the value layout and the manual sift loops are
 // what keep heap maintenance allocation-free.
 type eventHeap []event
@@ -70,16 +76,20 @@ type eventHeap []event
 // push adds e to the heap.
 func (h *eventHeap) push(e event) {
 	q := append(*h, e)
-	i := len(q) - 1
+	*h = q
+	q.up(len(q) - 1)
+}
+
+// up sifts the event at index i towards the root.
+func (h eventHeap) up(i int) {
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !q[i].before(&q[p]) {
+		if !h[i].before(&h[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	*h = q
 }
 
 // pop removes and returns the earliest event.
@@ -278,14 +288,13 @@ func (r *Result) Outputs(ids []node.ID) []any {
 // from its inputs (see internal/netadv for seed-deterministic presets).
 type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Duration
 
-// Scratch is a Runner's reusable storage: the event queue's backing array
-// (the freelist that replaces per-event allocation entirely), the per-node
-// bookkeeping slab, and — for parallel runs — the per-shard calendar
-// arenas. A session-scoped caller hands the same Scratch to consecutive
-// NewRunner calls so a thousand-trial sweep performs the growth allocations
-// once instead of once per trial. A Scratch must not be shared by
-// concurrently running Runners; reuse never changes results (every buffer
-// is fully reset) — only allocation counts.
+// Scratch is a Runner's reusable storage: the near heap's backing array,
+// the calendar's chunk slabs, the per-node bookkeeping slab, and — for
+// parallel runs — the per-shard arenas. A session-scoped caller hands the
+// same Scratch to consecutive NewRunner calls so a thousand-trial sweep
+// performs the growth allocations once instead of once per trial. A Scratch
+// must not be shared by concurrently running Runners; reuse never changes
+// results (every buffer is fully reset) — only allocation counts.
 //
 // Retained capacity is bounded, not monotone: after each run every backing
 // array whose peak occupancy fit in an eighth of its capacity is halved
@@ -294,8 +303,8 @@ type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Dur
 // its high-water storage once the sweep returns to paper-scale cells, while
 // steady-state sweeps sit inside the 8x hysteresis band and never thrash.
 type Scratch struct {
-	queue   eventHeap
-	batch   []event
+	near    eventHeap
+	cal     *calendar
 	nodes   []nodeState
 	outMsgs []outMsg
 	rng     *rand.Rand
@@ -326,16 +335,16 @@ func shrunk[T any](buf []T, peak int) []T {
 }
 
 // retainedEvents reports the scratch's total retained event-slot capacity
-// (queue, batch, and parallel arenas); it is the shrink policy's observable
-// for tests.
+// (near heap, calendar, and parallel arenas); it is the shrink policy's
+// observable for tests.
 func (s *Scratch) retainedEvents() int {
-	total := cap(s.queue) + cap(s.batch)
+	total := cap(s.near)
+	if s.cal != nil {
+		total += s.cal.retained()
+	}
 	if s.par != nil {
 		for _, sh := range s.par.shards {
-			total += cap(sh.overflow) + cap(sh.sortBuf)
-			for _, b := range sh.ring {
-				total += cap(b)
-			}
+			total += sh.cal.retained() + cap(sh.gather) + cap(sh.sortBuf)
 			for p := range sh.staged {
 				for _, b := range sh.staged[p] {
 					total += cap(b)
@@ -353,10 +362,13 @@ type Runner struct {
 	rng   *rand.Rand
 	procs []node.Process
 
-	queue     eventHeap // pending deliveries ordered by (at, seq)
-	queuePeak int
-	batch     []event // batched-delivery scratch
-	batchPeak int
+	// Pending deliveries: the calendar holds them by bucket (at >>
+	// seqBucketShift) and near orders the bucket being drained, so pops
+	// follow the (at, seq) total order; see push and ready. cal is nil until
+	// the near heap first holds nearMin events.
+	near      eventHeap
+	nearPeak  int
+	cal       *calendar
 	seq       uint64
 	now       time.Duration
 	nodes     []nodeState // per-node bookkeeping slab
@@ -367,7 +379,6 @@ type Runner struct {
 	history   *History
 	maxTime   time.Duration
 	events    int
-	batched   bool
 	scratch   *Scratch
 
 	// Parallel-mode knobs (WithParallelWindow / WithLookahead) and the
@@ -389,19 +400,53 @@ type Runner struct {
 	tracks []*obs.Track
 	obsNow int64
 
-	// current delivery context
-	curNode    node.ID
-	curCharge  node.ComputeCost
-	curOutMsgs []outMsg
-	outPeak    int
-	curOutput  bool
-	curHalt    bool
-	inStep     bool
+	stepState // the sequential loop's; each parallel shard has its own
 }
 
 type outMsg struct {
 	to  node.ID
 	msg node.Message
+}
+
+// stepState is the delivery context of the processing step in progress: what
+// the process charged, staged and signalled since beginStep.
+type stepState struct {
+	curNode    node.ID
+	curCharge  node.ComputeCost
+	curOutMsgs []outMsg
+	outPeak    int // retained-capacity peak of curOutMsgs
+	curOutput  bool
+	curHalt    bool
+	inStep     bool
+}
+
+// beginStep opens node id's processing step. The caller invokes the
+// process directly (Init or Deliver) and then closes the step with endStep;
+// splitting the step this way keeps the hot loop free of per-event closures.
+func (s *stepState) beginStep(id node.ID) {
+	s.inStep = true
+	s.curNode = id
+	s.curCharge = node.ComputeCost{}
+	s.curOutMsgs = s.curOutMsgs[:0]
+	s.curOutput = false
+	s.curHalt = false
+}
+
+// finishStep charges the step's compute on node id starting at virtual time
+// t (plus the base delivery cost) and returns when the node is free again,
+// which is when the step's staged sends leave.
+func (s *stepState) finishStep(r *Runner, id node.ID, t, base time.Duration) time.Duration {
+	ns, st := &r.nodes[id], &r.stats[id]
+	ns.busyUntil = max(t, ns.busyUntil) + base + r.env.Cost.Cost(s.curCharge)
+	st.Compute = st.Compute.Add(s.curCharge)
+	if s.curOutput {
+		st.OutputAt = ns.busyUntil
+	}
+	if s.curHalt {
+		st.HaltedAt = ns.busyUntil
+	}
+	s.outPeak = max(s.outPeak, len(s.curOutMsgs))
+	return ns.busyUntil
 }
 
 // Option configures a Runner.
@@ -426,19 +471,6 @@ func WithHistory(h *History) Option {
 // passes the bound (protects tests against liveness bugs).
 func WithMaxTime(d time.Duration) Option {
 	return func(rn *Runner) { rn.maxTime = d }
-}
-
-// WithBatchedDelivery processes all deliveries sharing a virtual timestamp
-// as one wave: the run of equal-time events is drained from the heap before
-// any of them is dispatched, so the loop touches the heap in bursts and a
-// same-instant flood (a broadcast arriving over zero-jitter links, a
-// partition heal releasing a batch) stays cache-resident. Delivery order
-// within a wave is still (time, seq) order — newly scheduled events always
-// carry later sequence numbers than the drained wave — so batched runs are
-// byte-identical to unbatched runs at every seed. The parallel mode ignores
-// this option: its window executor already processes whole time windows.
-func WithBatchedDelivery() Option {
-	return func(rn *Runner) { rn.batched = true }
 }
 
 // WithRecorder attaches an observability recorder: the runner creates one
@@ -519,8 +551,7 @@ func NewRunner(cfg node.Config, env Environment, seed int64, procs []node.Proces
 		// Adopt the scratch buffers; Run hands them back (grown) when the
 		// run completes. Stats and envs are never pooled: Result escapes
 		// with the stats, and processes may retain their Env beyond the run.
-		r.queue = s.queue[:0]
-		r.batch = s.batch[:0]
+		r.near = s.near[:0]
 		r.nodes = resetNodes(s.nodes, cfg.N)
 		r.curOutMsgs = s.outMsgs[:0]
 		if s.rng != nil {
@@ -545,15 +576,15 @@ func NewRunner(cfg node.Config, env Environment, seed int64, procs []node.Proces
 	if r.history != nil && r.history.n != cfg.N {
 		return nil, fmt.Errorf("sim: history has n=%d, config has n=%d", r.history.n, cfg.N)
 	}
+	r.envs = make([]simEnv, cfg.N)
+	for i := range r.envs {
+		r.envs[i] = simEnv{r: r, id: node.ID(i)}
+	}
 	if r.parWorkers > 0 {
 		if err := r.setupParallel(seed); err != nil {
 			return nil, err
 		}
 		return r, nil
-	}
-	r.envs = make([]simEnv, cfg.N)
-	for i := range r.envs {
-		r.envs[i] = simEnv{r: r, id: node.ID(i)}
 	}
 	if r.rec != nil {
 		r.tracks = make([]*obs.Track, cfg.N)
@@ -571,6 +602,15 @@ type simEnv struct {
 	id node.ID
 }
 
+// shard returns the node's shard under parallel execution, nil under the
+// sequential loop.
+func (e *simEnv) shard() *shard {
+	if pr := e.r.par; pr != nil {
+		return pr.shards[pr.shardOf[e.id]]
+	}
+	return nil
+}
+
 func (e *simEnv) Self() node.ID { return e.id }
 func (e *simEnv) N() int        { return e.r.cfg.N }
 func (e *simEnv) F() int        { return e.r.cfg.F }
@@ -584,117 +624,175 @@ func (e *simEnv) Track() *obs.Track {
 	return e.r.tracks[e.id]
 }
 
+// step returns the delivery context e's calls act on, and whether they fall
+// inside e's own processing step.
+func (e *simEnv) step() (*stepState, bool) {
+	st := &e.r.stepState
+	if sh := e.shard(); sh != nil {
+		st = &sh.stepState
+	}
+	return st, st.inStep && e.id == st.curNode
+}
+
+// Send buffers an outgoing message; it is flushed (with bandwidth and
+// latency applied) once the current processing step completes.
 func (e *simEnv) Send(to node.ID, m node.Message) {
-	e.r.stageSend(e.id, to, m)
+	if st, own := e.step(); own {
+		st.curOutMsgs = append(st.curOutMsgs, outMsg{to: to, msg: m})
+		return
+	}
+	// Sends outside a step (shouldn't happen for well-behaved processes)
+	// leave once the node is free, and no earlier than the executor's clock:
+	// an idle node's busyUntil lies in the past, and in a parallel window a
+	// departure before the window start would undercut the committed horizon.
+	free := e.r.nodes[e.id].busyUntil
+	if sh := e.shard(); sh != nil {
+		sh.dispatch(e.id, to, m, max(free, sh.windowStart))
+	} else {
+		e.r.dispatch(e.id, to, m, max(free, e.r.now))
+	}
 }
 
 func (e *simEnv) Broadcast(m node.Message) {
+	st, own := e.step()
 	for i := 0; i < e.r.cfg.N; i++ {
-		e.r.stageSend(e.id, node.ID(i), m)
+		if own {
+			st.curOutMsgs = append(st.curOutMsgs, outMsg{to: node.ID(i), msg: m})
+		} else {
+			e.Send(node.ID(i), m)
+		}
 	}
 }
 
 func (e *simEnv) Output(v any) {
 	s := &e.r.stats[e.id]
 	s.Output = append(s.Output, v)
-	if e.r.inStep && e.id == e.r.curNode {
-		e.r.curOutput = true
+	if st, own := e.step(); own {
+		st.curOutput = true
 	}
 }
 
 func (e *simEnv) Halt() {
-	if !e.r.nodes[e.id].halted {
-		e.r.nodes[e.id].halted = true
-		e.r.stats[e.id].Halted = true
+	if e.r.nodes[e.id].halted {
+		return
+	}
+	e.r.nodes[e.id].halted = true
+	e.r.stats[e.id].Halted = true
+	if sh := e.shard(); sh != nil {
+		sh.halts++ // live accounting is folded in at the window barrier
+	} else {
 		e.r.live--
-		if e.r.inStep && e.id == e.r.curNode {
-			e.r.curHalt = true
-		}
+	}
+	if st, own := e.step(); own {
+		st.curHalt = true
 	}
 }
 
 func (e *simEnv) ChargeCompute(c node.ComputeCost) {
-	if e.r.inStep && e.id == e.r.curNode {
-		e.r.curCharge = e.r.curCharge.Add(c)
+	if st, own := e.step(); own {
+		st.curCharge = st.curCharge.Add(c)
 	}
 }
 
-// stageSend buffers an outgoing message; it is flushed (with bandwidth and
-// latency applied) once the current processing step completes.
-func (r *Runner) stageSend(from, to node.ID, m node.Message) {
-	if r.inStep && from == r.curNode {
-		r.curOutMsgs = append(r.curOutMsgs, outMsg{to: to, msg: m})
-		return
-	}
-	// Sends outside a step (shouldn't happen for well-behaved processes)
-	// are dispatched at the node's current busy time.
-	r.dispatch(from, to, m, r.nodes[from].busyUntil)
-}
-
-// dispatch applies bandwidth serialization and latency and enqueues the
-// delivery event.
-func (r *Runner) dispatch(from, to node.ID, m node.Message, ready time.Duration) {
+// depart books a message leaving `from` no earlier than ready — bandwidth
+// serialization on the sender's uplink, traffic accounting — and returns
+// its arrival time: departure plus sampled latency plus the delay rule's.
+func (r *Runner) depart(from, to node.ID, m node.Message, ready time.Duration, rng *rand.Rand) time.Duration {
 	size := m.WireSize() + r.macBytes
-	ns := &r.nodes[from]
-	start := ready
-	if ns.uplinkFree > start {
-		start = ns.uplinkFree
-	}
-	var tx time.Duration
-	if r.hasUplink {
-		tx = time.Duration(float64(size) / r.env.UplinkBytesPerSec * float64(time.Second))
-	}
-	ns.uplinkFree = start + tx
-	lat := r.env.Latency.Latency(from, to, r.rng)
-	at := start + tx + lat
-	if r.delayRule != nil {
-		at += r.delayRule(start+tx, from, to, m)
-	}
-	r.seq++
-	r.queue.push(event{at: at, seq: r.seq, from: from, to: to, msg: m})
-	if len(r.queue) > r.queuePeak {
-		r.queuePeak = len(r.queue)
-	}
-	st := &r.stats[from]
+	ns, st := &r.nodes[from], &r.stats[from]
 	st.MsgsSent++
 	st.BytesSent += int64(size)
+	left := max(ready, ns.uplinkFree)
+	if r.hasUplink {
+		left += time.Duration(float64(size) / r.env.UplinkBytesPerSec * float64(time.Second))
+	}
+	ns.uplinkFree = left
+	at := left + r.env.Latency.Latency(from, to, rng)
+	if r.delayRule != nil {
+		at += r.delayRule(left, from, to, m)
+	}
+	return at
 }
 
-// beginStep opens node id's processing step. The caller invokes the
-// process directly (Init or Deliver) and then closes the step with endStep;
-// splitting the step this way keeps the hot loop free of per-event closures.
-func (r *Runner) beginStep(id node.ID) {
-	r.inStep = true
-	r.curNode = id
-	r.curCharge = node.ComputeCost{}
-	r.curOutMsgs = r.curOutMsgs[:0]
-	r.curOutput = false
-	r.curHalt = false
+// dispatch enqueues the delivery of a message leaving at ready or later.
+func (r *Runner) dispatch(from, to node.ID, m node.Message, ready time.Duration) {
+	at := r.depart(from, to, m, ready, r.rng)
+	r.seq++
+	r.push(&event{at: at, seq: r.seq, from: from, to: to, msg: m})
 }
 
-// endStep charges the step's compute starting at virtual time t (plus the
-// base delivery cost) and flushes staged sends.
+const (
+	// seqBucketShift sets the sequential calendar's bucket width, 2^19 ns ≈
+	// 0.52 ms: at n=1000 the fullest bucket is 16 k events, a near heap
+	// that stays in the L2 cache.
+	seqBucketShift = 19
+	// nearMin keeps a short queue out of the calendar altogether: until the
+	// near heap first holds this many events (768 KiB of them, one n=1000
+	// bucket) it takes every push, so a paper-scale run (Delphi at n=40
+	// peaks at 11 k pending, FIN at n=16 at 6 k) is a plain heap that never
+	// builds the ring, and its sparse buckets never cost a chunk each.
+	nearMin = 16384
+)
+
+// push queues a delivery. Once the calendar is engaged, events at or before
+// the bucket being drained — zero or sub-bucket latency, out-of-step sends —
+// go to the near heap, which orders them among that bucket's, and events
+// beyond it to the calendar.
+func (r *Runner) push(e *event) {
+	if r.cal == nil && len(r.near) >= nearMin {
+		// Engage the calendar for the rest of the run, the scratch's if it
+		// holds one.
+		if s := r.scratch; s != nil && s.cal != nil {
+			r.cal, s.cal = s.cal, nil
+		} else {
+			r.cal = &calendar{width: 1 << seqBucketShift}
+		}
+	}
+	if r.cal != nil {
+		if idx := int64(e.at >> seqBucketShift); idx > r.cal.base {
+			r.cal.push(*e, idx)
+			return
+		}
+	}
+	r.near.push(*e)
+	if len(r.near) > r.nearPeak {
+		r.nearPeak = len(r.near)
+	}
+}
+
+// ready reports whether a delivery is pending, having made the near heap's
+// top the earliest in (at, seq) order so the caller can pop it.
+func (r *Runner) ready() bool {
+	if r.cal != nil {
+		r.refill()
+	}
+	return len(r.near) > 0
+}
+
+// refill moves calendar buckets into the near heap until its top is the
+// earliest pending delivery: it is that whenever its bucket precedes the
+// calendar's earliest.
+func (r *Runner) refill() {
+	for {
+		nb := r.cal.next()
+		if nb == math.MaxInt64 || len(r.near) > 0 && int64(r.near[0].at>>seqBucketShift) < nb {
+			break
+		}
+		n := len(r.near)
+		r.near = r.cal.take(nb, r.near)
+		for ; n < len(r.near); n++ {
+			r.near.up(n)
+		}
+		r.nearPeak = max(r.nearPeak, len(r.near))
+	}
+}
+
+// endStep closes the step opened at virtual time t and flushes its staged
+// sends: they leave the node once processing completes.
 func (r *Runner) endStep(id node.ID, t, base time.Duration) {
-	ns := &r.nodes[id]
-	start := t
-	if ns.busyUntil > start {
-		start = ns.busyUntil
-	}
-	dur := base + r.env.Cost.Cost(r.curCharge)
-	r.stats[id].Compute = r.stats[id].Compute.Add(r.curCharge)
-	ns.busyUntil = start + dur
-	if r.curOutput {
-		r.stats[id].OutputAt = ns.busyUntil
-	}
-	if r.curHalt {
-		r.stats[id].HaltedAt = ns.busyUntil
-	}
-	// Flush sends: they leave the node once processing completes.
-	if len(r.curOutMsgs) > r.outPeak {
-		r.outPeak = len(r.curOutMsgs)
-	}
+	ready := r.finishStep(r, id, t, base)
 	for _, om := range r.curOutMsgs {
-		r.dispatch(id, om.to, om.msg, ns.busyUntil)
+		r.dispatch(id, om.to, om.msg, ready)
 	}
 	r.curOutMsgs = r.curOutMsgs[:0]
 	r.inStep = false
@@ -729,7 +827,7 @@ func (r *Runner) deliver(e *event) bool {
 // halt, or the virtual-time bound is hit.
 func (r *Runner) Run() *Result {
 	if r.par != nil {
-		r.runParallel()
+		r.par.runWindows()
 	} else {
 		// Initialise all processes at t=0.
 		for i, p := range r.procs {
@@ -740,14 +838,9 @@ func (r *Runner) Run() *Result {
 			p.Init(&r.envs[i])
 			r.endStep(node.ID(i), 0, 0)
 		}
-		if r.batched {
-			r.runBatched()
-		} else {
-			for len(r.queue) > 0 {
-				e := r.queue.pop()
-				if !r.deliver(&e) {
-					break
-				}
+		for r.ready() {
+			if e := r.near.pop(); !r.deliver(&e) {
+				break
 			}
 		}
 	}
@@ -770,11 +863,18 @@ func (r *Runner) Run() *Result {
 		// peak occupancy left them mostly idle. Remaining events and the
 		// staged-send buffer's capacity region hold message references;
 		// drop them so the scratch retains only bare storage.
-		clear(r.queue)
-		clear(r.batch)
+		clear(r.near)
 		clear(r.curOutMsgs[:cap(r.curOutMsgs)])
-		s.queue = shrunk(r.queue, r.queuePeak)
-		s.batch = shrunk(r.batch, r.batchPeak)
+		s.near = shrunk(r.near, r.nearPeak)
+		// The calendar moved out of the scratch if the run engaged it (so a
+		// run that panics strands it instead of leaving it half-drained);
+		// either way it is released, which is what shrinks an idle one.
+		if r.cal != nil {
+			s.cal = r.cal
+		}
+		if s.cal != nil {
+			s.cal.release()
+		}
 		s.nodes = shrunk(r.nodes, r.cfg.N)
 		s.outMsgs = shrunk(r.curOutMsgs, r.outPeak)
 		if r.par != nil {
@@ -782,25 +882,4 @@ func (r *Runner) Run() *Result {
 		}
 	}
 	return res
-}
-
-// runBatched is the batched-delivery loop: drain the run of equal-time
-// events, then dispatch the wave in order.
-func (r *Runner) runBatched() {
-	for len(r.queue) > 0 {
-		at := r.queue[0].at
-		r.batch = r.batch[:0]
-		for len(r.queue) > 0 && r.queue[0].at == at {
-			r.batch = append(r.batch, r.queue.pop())
-		}
-		if len(r.batch) > r.batchPeak {
-			r.batchPeak = len(r.batch)
-		}
-		for i := range r.batch {
-			if !r.deliver(&r.batch[i]) {
-				return
-			}
-			r.batch[i].msg = nil
-		}
-	}
 }

@@ -202,3 +202,43 @@ func (p *pingPonger) Init(env node.Env) {
 func (p *pingPonger) Deliver(from node.ID, m node.Message) {
 	p.env.Send(from, &ping{})
 }
+
+// meddler sends through another node's Env from inside its own step — an
+// out-of-step send as far as the borrowed node is concerned.
+type meddler struct {
+	echoer
+	borrowed *echoer
+}
+
+func (p *meddler) Deliver(from node.ID, m node.Message) {
+	p.borrowed.env.Send(0, &ping{seq: 2})
+}
+
+// TestOutOfStepSendLeavesAtTheClock pins the departure time of a send made
+// outside the sender's own processing step: the sender is idle, so its
+// busy-until lies in the past, and the message must leave at the current
+// virtual time, not then — which scheduled the delivery before the clock
+// and stepped the clock backwards.
+func TestOutOfStepSendLeavesAtTheClock(t *testing.T) {
+	idle := &echoer{quota: 1}
+	procs := []node.Process{&echoer{quota: 1}, &meddler{borrowed: idle}, idle, nil}
+	env := sim.Environment{Name: "t", Latency: sim.FixedLatency(5 * time.Millisecond)}
+	hold := func(at time.Duration, from, to node.ID, m node.Message) time.Duration {
+		if to == 1 {
+			return 20 * time.Millisecond
+		}
+		return 0
+	}
+	r, err := sim.NewRunner(node.Config{N: 4, F: 1}, env, 1, procs, sim.WithDelayRule(hold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.Run()
+	// Node 0's Init reaches node 1 at 25 ms; node 1 sends as the idle node 2
+	// there and then, and the 5 ms link lands it on node 0 at 30 ms. Node 0
+	// halted on its own 5 ms self-delivery, so the message is dropped there,
+	// but it is the run's last event.
+	if res.Time != 30*time.Millisecond {
+		t.Errorf("run ended at %v, want 30ms: the out-of-step send left in the past", res.Time)
+	}
+}

@@ -29,25 +29,6 @@ func resultsIdentical(a, b *sim.Result) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestBatchedDeliveryByteIdentical pins the batched-delivery contract:
-// processing same-timestamp waves together must not change a single
-// statistic, timestamp, or output — clean and under an adversary whose
-// partition heal releases large same-instant bursts.
-func TestBatchedDeliveryByteIdentical(t *testing.T) {
-	for _, advKind := range []netadv.Kind{netadv.None, netadv.Partition, netadv.JitterStorm} {
-		var opts []sim.Option
-		if advKind != netadv.None {
-			adv := netadv.Adversary{Kind: advKind}
-			opts = append(opts, sim.WithDelayRule(adv.Rule(13, 4, 99)))
-		}
-		plain := floodResult(t, 13, 99, opts...)
-		batched := floodResult(t, 13, 99, append(opts, sim.WithBatchedDelivery())...)
-		if !resultsIdentical(plain, batched) {
-			t.Errorf("adv=%q: batched delivery diverged from the unbatched schedule", advKind)
-		}
-	}
-}
-
 // TestScratchReuseByteIdentical pins the Scratch contract: reusing one
 // Scratch across runs — different sizes, seeds, and adversaries in
 // sequence — never changes any run's result.

@@ -49,15 +49,6 @@ if ! cmp -s "$adv1" "$adv2"; then
     exit 1
 fi
 
-# The simulator's inlined-heap fast path carries a byte-identity guarantee:
-# fixed-seed outputs for every protocol under every adversary preset must
-# match the golden files generated from the pre-fast-path (container/heap)
-# simulator bit for bit. The gate runs explicitly — even when someone trims
-# the test invocation above — because a silent schedule change would
-# invalidate every downstream measurement.
-echo "== sim byte-identity gate =="
-go test ./internal/bench -run TestSimGoldenByteIdentity -count=1
-
 # The BinAA engine's per-delivery path carries two guarantees of its own:
 # the transcript golden (TestTranscriptGolden — every message a node emits
 # and every weight it decides, byte for byte, clean / Byzantine / crashed,
@@ -71,16 +62,30 @@ echo "== binaa compressed-bundle fuzz smoke =="
 go test ./internal/binaa -run '^$' -fuzz FuzzDecodeEcho1C -fuzztime 10s
 go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
 
-# The parallel window executor carries its own two guarantees, gated under
-# -race on every run: (1) worker-count determinism — a parallel run is
-# byte-identical across reruns and across 1/4/8 workers — and (2) δ-window
-# agreement with the sequential loop on the quick cross-validation cell
-# (every protocol, clean and under adversary presets). The sequential
-# golden byte-identity gate above is untouched: parallel mode is opt-in
-# and tie-breaks differently by construction.
+# The simulator's event queue carries a byte-identity guarantee: fixed-seed
+# outputs for every protocol under every adversary preset must match the
+# golden files generated from the original (container/heap) simulator bit
+# for bit (TestSimGoldenByteIdentity), because a silent schedule change
+# would invalidate every downstream measurement. The parallel window
+# executor carries worker-count determinism — a parallel run is
+# byte-identical across reruns and across 1/4/8 workers
+# (TestParallelDeterminism, TestParallelScratchReuse,
+# TestParallelOverflowHorizon, TestLookaheadViolation). All of these ran
+# under -race in `go test -race ./...` above, none is -short-gated, and
+# they are not run again. The golden cells are paper-scale, though, and
+# their queues never grow into the calendar both executors file large
+# queues in; what that pass does not do is search its order: a short fuzz
+# of the sequential queue (near heap + calendar ring + overflow heap)
+# against a reference min-heap on interleaved pushes and pops.
+echo "== sim event-queue fuzz smoke =="
+go test ./internal/sim -run '^$' -fuzz FuzzCalendarOrder -fuzztime 10s
+
+# The parallel executor's second guarantee, gated under -race on every run:
+# δ-window agreement with the sequential loop on the quick cross-validation
+# cell (every protocol, clean and under adversary presets), and determinism
+# at the engine level. Parallel mode is opt-in and tie-breaks differently
+# from the sequential loop by construction.
 echo "== parallel-sim gate (-race) =="
-go test ./internal/sim -race -count=1 \
-    -run 'TestParallelCompletes|TestParallelDeterminism|TestParallelScratchReuse|TestParallelOverflowHorizon|TestLookaheadViolation'
 go test ./internal/bench -race -count=1 \
     -run 'TestParallelWindowAgreement|TestParallelWindowDeterminism'
 
@@ -150,7 +155,8 @@ go test ./internal/backend -race -short -count=1 -run 'TestServiceTCPSoak'
 #      clean and under the jitter-storm adversary — and attaching the
 #      recorder moves no result bit (the disabled-tracing golden check:
 #      traced and untraced runs produce identical golden lines, on top of
-#      the sim byte-identity gate above which runs entirely untraced).
+#      TestSimGoldenByteIdentity in the test pass above, which runs
+#      entirely untraced).
 #   2. Span decomposition + accounting identity on the service model.
 #   3. Zero-alloc regression on the disabled driver/transport hot paths.
 #   4. Trace determinism (CLI level): the `trace` target's exported
