@@ -43,6 +43,7 @@ type Auth struct {
 	self  node.ID
 	keys  [][]byte
 	peers []peerState
+	epoch uint64
 }
 
 // New derives pairwise keys for node self in an n-node system from a master
@@ -70,8 +71,17 @@ func New(self node.ID, n int, master []byte) (*Auth, error) {
 		mac.Write(buf[:])
 		a.keys[peer] = mac.Sum(nil)
 	}
+	mac.Reset()
+	mac.Write([]byte("epoch"))
+	a.epoch = binary.LittleEndian.Uint64(mac.Sum(nil))
 	return a, nil
 }
+
+// Epoch returns a short public identifier of the master secret, the same at
+// every node keyed from it. Persistent transports carry it in plaintext so a
+// receiver can tell a straggler of an earlier run (another master) from a
+// forgery without trying the MAC; it authenticates nothing.
+func (a *Auth) Epoch() uint64 { return a.epoch }
 
 // Seal appends the MAC of frame under the channel key shared with peer.
 // The sender id is bound into the MAC so a shared pairwise key cannot be

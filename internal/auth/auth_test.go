@@ -56,6 +56,20 @@ func TestDifferentMastersDontInteroperate(t *testing.T) {
 	}
 }
 
+// TestEpochFollowsTheMaster pins the epoch id's contract: every node keyed
+// from one master derives the same id, and another master gives another.
+func TestEpochFollowsTheMaster(t *testing.T) {
+	a0, _ := auth.New(0, 5, []byte("alpha"))
+	a4, _ := auth.New(4, 5, []byte("alpha"))
+	b0, _ := auth.New(0, 5, []byte("beta"))
+	if a0.Epoch() != a4.Epoch() {
+		t.Errorf("nodes of one master disagree on the epoch: %#x vs %#x", a0.Epoch(), a4.Epoch())
+	}
+	if a0.Epoch() == b0.Epoch() || a0.Epoch() == 0 {
+		t.Errorf("epochs %#x (alpha) and %#x (beta) do not tell the masters apart", a0.Epoch(), b0.Epoch())
+	}
+}
+
 func TestShortFrameRejected(t *testing.T) {
 	a, _ := auth.New(0, 2, []byte("m"))
 	if _, err := a.Open(1, []byte{1, 2, 3}); err == nil {

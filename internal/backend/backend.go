@@ -226,6 +226,11 @@ func runCluster(spec bench.RunSpec, kind bench.BackendKind, timeout time.Duratio
 // clusterStats assembles a RunResult from a finished cluster run — shared
 // by the per-trial path and the persistent sessions.
 func clusterStats(spec bench.RunSpec, kind bench.BackendKind, res *runtime.ClusterResult, acct *traffic, ctx context.Context, timeout time.Duration) (RunResult, error) {
+	if bad := res.Faults[runtime.FaultBadMAC]; bad != 0 {
+		// Stale epochs are filtered before the MAC, so these were forged or
+		// corrupted in a closed cluster: no number from this trial counts.
+		return RunResult{}, fmt.Errorf("backend: %s: %d frames failed authentication", kind, bad)
+	}
 	finals := make([]any, spec.N)
 	at := make([]time.Duration, spec.N)
 	for _, i := range spec.HonestSlots() {

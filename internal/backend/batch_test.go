@@ -1,10 +1,7 @@
 package backend
 
 import (
-	"io"
-	"log"
 	"math"
-	"os"
 	"testing"
 	"time"
 
@@ -164,10 +161,6 @@ func TestSessionTransportDrops(t *testing.T) {
 // transport efficiency; batch_speedup is their ratio. scripts/bench.sh
 // records all three in BENCH_6.json.
 func BenchmarkTCPFrameThroughput(b *testing.B) {
-	// Inter-trial stale-frame drops log by design; keep the benchmark
-	// output (and clock) clear of them.
-	log.SetOutput(io.Discard)
-	defer log.SetOutput(os.Stderr)
 	const n, f = 16, 5
 	spec := bench.RunSpec{
 		Protocol: bench.ProtoFIN,

@@ -121,13 +121,20 @@ func (t *advTransport) delayFor(to node.ID, frame []byte) time.Duration {
 // one seal; the stats measure protocol traffic, not transport framing. When
 // no member is delayed the original envelope is forwarded untouched (the
 // common case: one write). Otherwise delayed members are copied onto their
-// timers and the remainder is re-batched.
+// timers and the remainder is re-batched. The envelope is totalled locally
+// and the shared counters — contended by every node of the cluster — are
+// bumped once per envelope; on a clean network (no rule, no history) that
+// total is all a member costs.
 func (t *advTransport) sendBatch(to node.ID, frame []byte) error {
 	var pass [][]byte
-	delayed := false
+	var msgs, bytes int64
+	delayed, clean := false, t.rule == nil && t.hist == nil
 	err := runtime.UnpackBatch(frame, func(inner []byte) bool {
-		t.acct.bytes.Add(int64(len(inner) + auth.MACSize))
-		t.acct.msgs.Add(1)
+		msgs++
+		bytes += int64(len(inner) + auth.MACSize)
+		if clean {
+			return true
+		}
 		if d := t.delayFor(to, inner); d > 0 {
 			t.sendLater(to, append([]byte(nil), inner...), d)
 			delayed = true
@@ -137,6 +144,8 @@ func (t *advTransport) sendBatch(to node.ID, frame []byte) error {
 		}
 		return true
 	})
+	t.acct.bytes.Add(bytes)
+	t.acct.msgs.Add(msgs)
 	if err != nil || !delayed {
 		return t.inner.Send(to, frame)
 	}

@@ -1,9 +1,6 @@
 package backend
 
 import (
-	"io"
-	"log"
-	"os"
 	"testing"
 	"time"
 
@@ -25,10 +22,6 @@ import (
 // scripts/bench.sh records off/on ms/trial and gates the ratio at ≤ 1.05
 // in BENCH_9.json.
 func BenchmarkTCPObsOverhead(b *testing.B) {
-	// Inter-trial stale-frame drops log by design; keep the benchmark
-	// output (and clock) clear of them.
-	log.SetOutput(io.Discard)
-	defer log.SetOutput(os.Stderr)
 	const n, f = 16, 5
 	spec := bench.RunSpec{
 		Protocol: bench.ProtoFIN,

@@ -1,9 +1,6 @@
 package backend
 
 import (
-	"io"
-	"log"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -323,8 +320,6 @@ func TestServiceLiveAdversaries(t *testing.T) {
 // staleness on the tcp backend; scripts/bench.sh records rounds/s and p99
 // staleness in BENCH_7.json.
 func BenchmarkServiceTCP(b *testing.B) {
-	log.SetOutput(io.Discard)
-	defer log.SetOutput(os.Stderr)
 	cfg := bench.ServiceConfig{
 		Scenario:        serviceScenario(bench.BackendTCP),
 		Rounds:          200,

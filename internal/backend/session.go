@@ -109,10 +109,12 @@ type drainer struct {
 // trials rests on two mechanisms:
 //
 //   - Epoch keys. Every trial seals frames with a fresh master key (the
-//     session epoch is part of it), so a frame from an earlier trial that
-//     is still crossing the persistent fabric fails the new trial's MAC
-//     and is dropped by the driver — exactly how the protocols already
-//     treat unauthentic traffic.
+//     session epoch is part of it) and its endpoints mark them with the
+//     key's public epoch id, so a frame from an earlier trial that is still
+//     crossing the persistent fabric is recycled and counted by the new
+//     trial's endpoint (transport.stale_epoch) before any MAC is tried. A
+//     frame that does fail the MAC is therefore a real fault, and fails the
+//     trial (see clusterStats).
 //   - Inter-trial drainers. Between trials (and during a trial, for slots
 //     hosting no process) every idle slot's inbound channel is drained.
 //     This discards stale frames and, more importantly, keeps senders from
@@ -275,8 +277,8 @@ func (s *clusterSession) Run(spec bench.RunSpec) (RunResult, error) {
 	// RunCluster has invoked release on every path; resume again anyway
 	// (idempotent), then wait out the wrappers' in-flight delayed sends —
 	// guaranteed to finish now that every slot is drained. Their frames
-	// carry this epoch's MACs and the next epoch's keys differ, so any
-	// stragglers die at the next trial's driver.
+	// carry this epoch's id, so any stragglers die at the next trial's
+	// endpoints.
 	s.resumeDrainers()
 	for _, w := range wrappers {
 		if w != nil {

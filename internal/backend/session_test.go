@@ -1,10 +1,7 @@
 package backend
 
 import (
-	"io"
-	"log"
 	"math"
-	"os"
 	"testing"
 
 	"delphi/internal/bench"
@@ -216,10 +213,6 @@ func TestCrossBackendValidationAllKinds(t *testing.T) {
 // fraction of their wall-clock. scripts/bench.sh records both modes in
 // BENCH_5.json.
 func BenchmarkTCPCellSetup(b *testing.B) {
-	// Stale inter-trial frames are dropped with a driver log line by
-	// design; keep them out of the benchmark output (and off its clock).
-	log.SetOutput(io.Discard)
-	defer log.SetOutput(os.Stderr)
 	spec := bench.RunSpec{
 		Protocol: bench.ProtoDolev,
 		N:        16, F: 3, // Dolev needs n >= 5t+1

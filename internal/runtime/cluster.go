@@ -23,6 +23,8 @@ type ClusterResult struct {
 	Times [][]time.Duration
 	// Errs holds per-node driver errors (nil entries for clean exits).
 	Errs []error
+	// Faults sums what the drivers tolerated and counted (Driver.Faults).
+	Faults Faults
 	// Wall is the real elapsed time from cluster start until every
 	// driver exited.
 	Wall time.Duration
@@ -285,6 +287,13 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 	}
 	wg.Wait()
 	res.Wall = time.Since(start)
+	for _, d := range drivers {
+		if d != nil {
+			for k, c := range d.Faults() {
+				res.Faults[k] += c
+			}
+		}
+	}
 	// Drivers have exited; close every transport (and the hub) so buffered
 	// inboxes, delay timers, and any overflow handoff still parked on a
 	// full inbox (e.g. one addressed to a crashed node that never drained)

@@ -1,8 +1,11 @@
 package runtime
 
 import (
+	"bytes"
 	"sync"
 
+	"delphi/internal/auth"
+	"delphi/internal/node"
 	"delphi/internal/obs"
 )
 
@@ -40,8 +43,10 @@ type inbox struct {
 	// free is the bounded frame-buffer freelist (see getBuf/recycle).
 	free [][]byte
 	// hw, when set, ratchets the inbox's high-water occupancy into a shared
-	// gauge. Nil (a free no-op) unless a recorder is attached upstream.
-	hw *obs.Gauge
+	// gauge, and stale counts the frames recv filtered out. Nil (free no-ops)
+	// unless a recorder is attached upstream.
+	hw    *obs.Gauge
+	stale *obs.Counter
 }
 
 // inboxFreeCap bounds the freelist length; inboxBufCap bounds the capacity
@@ -144,6 +149,37 @@ func (b *inbox) tryGet() (Frame, bool) {
 	}
 	b.mu.Unlock()
 	return f, true
+}
+
+// recv is get (block set) or tryGet behind an endpoint's suffix filter: with
+// want non-nil it passes on only frames whose trailing plaintext bytes equal
+// want, stripped of them; any other frame — a straggler of another epoch of
+// a persistent fabric — is recycled and counted in stale, never returned.
+func (b *inbox) recv(stop <-chan struct{}, block bool, want []byte) (Frame, bool) {
+	for {
+		f, ok := b.tryGet()
+		if !ok && block {
+			f, ok = b.get(stop)
+		}
+		if !ok || want == nil {
+			return f, ok
+		}
+		if bytes.HasSuffix(f.Data, want) {
+			f.Data = f.Data[:len(f.Data)-len(want)]
+			return f, true
+		}
+		b.stale.Inc()
+		b.recycle(f.Data)
+	}
+}
+
+// putSealed seals frame for peer to under a into a buffer from this inbox's
+// own pool — the receiver hands it back after delivery, so steady-state
+// sends are alloc-free — appends the plaintext suffix, and enqueues the
+// result as a frame from from. It reports false if the inbox is closed.
+func (b *inbox) putSealed(from, to node.ID, a *auth.Auth, frame, suffix []byte) bool {
+	sealed := a.AppendSeal(to, b.getBuf(len(frame) + auth.MACSize + len(suffix))[:0], frame)
+	return b.put(Frame{From: from, Data: append(sealed, suffix...)})
 }
 
 // inboxShrinkMin is the smallest ring the pop path will halve. Shrinking at

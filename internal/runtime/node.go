@@ -3,9 +3,9 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"log"
 	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 
 	"delphi/internal/auth"
 	"delphi/internal/node"
@@ -27,8 +27,9 @@ const flushEvery = 64
 // one inbound frame or envelope, or Init — into a single batch envelope
 // (see BatchType), sealed and sent as one transport write. Batches are
 // flushed whenever the inbox goes momentarily idle (so a node about to
-// block never withholds traffic its peers are waiting for), when the
-// process halts, and at the latest every flushEvery inbound frames. The
+// block never withholds traffic its peers are waiting for; the node's own
+// batch goes first, and what it triggers rides along), when the process
+// halts, and at the latest every flushEvery inbound frames. The
 // receiving driver unpacks envelopes back into per-message deliveries in
 // arrival order, so per-link FIFO is preserved end to end.
 type Driver struct {
@@ -50,11 +51,48 @@ type Driver struct {
 	pendCount int
 	scratch   []byte // envelope build buffer, reused across flushes
 
+	// Tolerated faults (see Fault), each mirrored into obsFaults.
+	faults    [numFaults]atomic.Uint64
+	obsFaults [numFaults]*obs.Counter
+
 	// Observability handles; all nil (and every call on them free) unless
 	// WithDriverObs attached a recorder.
 	obsTrack       *obs.Track
 	obsFlushes     *obs.Counter
 	obsFlushFrames *obs.Counter
+}
+
+// Fault names one kind of event a driver tolerates and counts instead of
+// failing: the protocols treat each as a lost or delayed message. A stale
+// epoch's frames are filtered before the MAC (see Endpoint), so in a closed
+// cluster FaultBadMAC means a forgery or a keying bug.
+type Fault int
+
+const (
+	FaultBadMAC      Fault = iota // inbound frame failed authentication
+	FaultUndecodable              // authenticated frame of no registered type
+	FaultBadBatch                 // authenticated but malformed envelope
+	FaultSend                     // transport refused a send, or bad destination
+	numFaults
+)
+
+// faultCounters names each Fault's recorder counter.
+var faultCounters = [numFaults]string{"driver.bad_mac", "driver.undecodable", "driver.bad_batch", "driver.send_errors"}
+
+// Faults holds one count per Fault.
+type Faults [numFaults]uint64
+
+func (d *Driver) fault(k Fault) {
+	d.faults[k].Add(1)
+	d.obsFaults[k].Inc()
+}
+
+// Faults returns the driver's fault counts so far.
+func (d *Driver) Faults() (f Faults) {
+	for k := range f {
+		f[k] = d.faults[k].Load()
+	}
+	return f
 }
 
 // DriverOption customises a Driver.
@@ -76,6 +114,9 @@ func WithDriverObs(rec *obs.Recorder, track *obs.Track) DriverOption {
 		d.obsTrack = track
 		d.obsFlushes = rec.Counter("driver.flushes")
 		d.obsFlushFrames = rec.Counter("driver.flush_frames")
+		for k, name := range faultCounters {
+			d.obsFaults[k] = rec.Counter(name)
+		}
 	}
 }
 
@@ -120,34 +161,9 @@ func (e *driverEnv) F() int        { return e.d.cfg.F }
 // driver's per-node track (nil when observability is off).
 func (e *driverEnv) Track() *obs.Track { return e.d.obsTrack }
 
-func (e *driverEnv) Send(to node.ID, m node.Message) {
-	d := e.d
-	frame, err := wire.Encode(m)
-	if err != nil {
-		d.setErr(fmt.Errorf("encode: %w", err))
-		return
-	}
-	if d.batch {
-		if int(to) < 0 || int(to) >= d.cfg.N {
-			log.Printf("node %v: send to %v: bad destination", d.id, to)
-			return
-		}
-		d.pend[to] = append(d.pend[to], frame)
-		d.pendCount++
-		return
-	}
-	if err := d.tr.Send(to, frame); err != nil {
-		// Transport failures to individual peers are expected under faults;
-		// the protocol layer tolerates them as (permanent) delays.
-		log.Printf("node %v: send to %v: %v", d.id, to, err)
-	}
-}
+func (e *driverEnv) Send(to node.ID, m node.Message) { e.d.send(m, to, to+1) }
 
-func (e *driverEnv) Broadcast(m node.Message) {
-	for i := 0; i < e.d.cfg.N; i++ {
-		e.Send(node.ID(i), m)
-	}
-}
+func (e *driverEnv) Broadcast(m node.Message) { e.d.send(m, 0, node.ID(e.d.cfg.N)) }
 
 func (e *driverEnv) Output(v any) {
 	select {
@@ -181,6 +197,38 @@ func (d *Driver) Err() error {
 	return d.err
 }
 
+// send encodes m once and files that one frame on the pending batch of every
+// destination in [lo, hi) — or transmits it to each when batching is off.
+// Sharing is safe because nothing downstream writes to a frame (see
+// Transport).
+func (d *Driver) send(m node.Message, lo, hi node.ID) {
+	frame, err := wire.Encode(m)
+	if err != nil {
+		d.setErr(fmt.Errorf("encode: %w", err))
+		return
+	}
+	for to := lo; to < hi; to++ {
+		switch {
+		case !d.batch:
+			d.transmit(to, frame)
+		case int(to) < 0 || int(to) >= d.cfg.N:
+			d.fault(FaultSend)
+		default:
+			d.pend[to] = append(d.pend[to], frame)
+			d.pendCount++
+		}
+	}
+}
+
+// transmit hands one frame or envelope to the transport. A failure to reach
+// an individual peer is expected under faults; the protocol layer tolerates
+// it as a (permanent) delay, so it is counted, not returned.
+func (d *Driver) transmit(to node.ID, frame []byte) {
+	if err := d.tr.Send(to, frame); err != nil {
+		d.fault(FaultSend)
+	}
+}
+
 // flush sends every pending per-destination batch: single frames as-is, two
 // or more as one envelope. Destinations are visited in id order so the
 // wire schedule is a deterministic function of the protocol's sends.
@@ -189,30 +237,30 @@ func (d *Driver) flush() {
 		return
 	}
 	d.obsFlushes.Inc()
-	d.obsFlushFrames.Add(int64(d.pendCount))
 	d.obsTrack.Instant("driver.flush", int64(d.pendCount), 0)
 	for to := range d.pend {
-		frames := d.pend[to]
-		if len(frames) == 0 {
-			continue
-		}
-		var err error
-		if len(frames) == 1 {
-			err = d.tr.Send(node.ID(to), frames[0])
-		} else {
-			d.scratch = AppendBatch(d.scratch[:0], frames)
-			err = d.tr.Send(node.ID(to), d.scratch)
-		}
-		if err != nil {
-			// Tolerated as (permanent) delay, exactly like unbatched sends.
-			log.Printf("node %v: send to %v: %v", d.id, to, err)
-		}
-		for i := range frames {
-			frames[i] = nil
-		}
-		d.pend[to] = frames[:0]
+		d.flushTo(to)
 	}
-	d.pendCount = 0
+}
+
+// flushTo sends to's pending batch, if any.
+func (d *Driver) flushTo(to int) {
+	frames := d.pend[to]
+	if len(frames) == 0 {
+		return
+	}
+	frame := frames[0]
+	if len(frames) > 1 {
+		d.scratch = AppendBatch(d.scratch[:0], frames)
+		frame = d.scratch
+	}
+	d.transmit(node.ID(to), frame)
+	d.obsFlushFrames.Add(int64(len(frames)))
+	d.pendCount -= len(frames)
+	for i := range frames {
+		frames[i] = nil
+	}
+	d.pend[to] = frames[:0]
 }
 
 // deliverOne decodes and delivers a single protocol frame; it reports
@@ -220,7 +268,7 @@ func (d *Driver) flush() {
 func (d *Driver) deliverOne(from node.ID, frame []byte) bool {
 	m, err := d.reg.DecodeFramed(frame)
 	if err != nil {
-		log.Printf("node %v: drop undecodable frame from %v: %v", d.id, from, err)
+		d.fault(FaultUndecodable)
 		return true
 	}
 	d.proc.Deliver(from, m)
@@ -240,13 +288,13 @@ func (d *Driver) deliverFrame(f Frame) bool {
 	opened, err := d.auth.Open(f.From, f.Data)
 	switch {
 	case err != nil:
-		log.Printf("node %v: drop unauthentic frame from %v: %v", d.id, f.From, err)
+		d.fault(FaultBadMAC)
 	case IsBatch(opened):
-		if err := UnpackBatch(opened, func(inner []byte) bool {
+		if UnpackBatch(opened, func(inner []byte) bool {
 			live = d.deliverOne(f.From, inner)
 			return live
-		}); err != nil {
-			log.Printf("node %v: drop %v from %v", d.id, err, f.From)
+		}) != nil {
+			d.fault(FaultBadBatch)
 		}
 	default:
 		live = d.deliverOne(f.From, opened)
@@ -271,7 +319,6 @@ func (d *Driver) Run(ctx context.Context) error {
 		return nil
 	default:
 	}
-	d.flush()
 	// stop unblocks a Recv when the context is cancelled or the process
 	// halts from another step; finished retires the watcher on exit.
 	finished := make(chan struct{})
@@ -289,6 +336,16 @@ func (d *Driver) Run(ctx context.Context) error {
 	for {
 		f, ok := d.tr.TryRecv()
 		if !ok && d.batch {
+			if len(d.pend[d.id]) > 0 {
+				// Some of the pending output is for this node itself, and a
+				// self-send lands in the inbox at once: take it first. What
+				// it triggers joins the batches still pending for the peers,
+				// who then get one envelope where they would have got two.
+				// A process that keeps itself busy this way still flushes to
+				// its peers every flushEvery frames.
+				d.flushTo(int(d.id))
+				continue
+			}
 			// The inbox looks dry, but frames are often only a scheduler
 			// slice away (a read loop holding a frame it has not enqueued
 			// yet). With output pending, yield once before sealing it:

@@ -8,9 +8,11 @@
 //
 // The transports pool buffers, so ownership is strict:
 //
-//   - Send does not retain the frame slice after it returns. Transports
-//     that transmit later (the backend delay wrapper) copy first. Callers
-//     may therefore reuse a frame buffer the moment Send returns.
+//   - A frame given to Send is read-only and not retained after Send
+//     returns: transports seal into buffers of their own, and those that
+//     transmit later (the backend delay wrapper) copy first. Callers may
+//     therefore reuse a frame buffer the moment Send returns, and may Send
+//     one frame to many destinations — the driver encodes a broadcast once.
 //   - The frame handed out by Recv/TryRecv is owned by the receiver until
 //     it optionally returns the buffer via the transport's Recycle; after
 //     Recycle the buffer belongs to the transport again and must not be
@@ -24,7 +26,20 @@
 // in Send order: the hub because each inbox is a FIFO ring that grows
 // instead of parking overflow senders, TCP because each (sender, receiver)
 // link is one connection with serialised frame writes. An adversarial
-// delay wrapper on top may reorder — that is its job.
+// delay wrapper on top may reorder — that is its job. A frame a TCP node
+// addresses to itself is sealed straight into its own inbox, in Send order,
+// and never touches the socket: a fabric dials n(n−1) connections.
+//
+// # Plaintext suffix
+//
+// Endpoints of a persistent fabric (Hub, TCPNet) append TagSize plaintext
+// bytes after the MAC: a tagged endpoint its instance tag, which an
+// InstanceMux reads and strips; a plain endpoint its authenticator's epoch
+// id (auth.Epoch), which its own Recv/TryRecv check and strip, so a
+// straggler of an earlier run on the fabric is recycled and counted in
+// transport.stale_epoch before any MAC is tried. The suffix routes and
+// filters; authenticity rests on the MAC alone. NewTCP's one-run transport
+// carries none.
 package runtime
 
 import (
@@ -49,17 +64,18 @@ type Frame struct {
 	Data []byte
 }
 
-// TagSize is the length of the plaintext instance tag a tagged endpoint
-// appends after the MAC (see TaggedEndpoint on Hub and TCPNet). The tag is
-// routing metadata, not authenticated payload: an InstanceMux strips it to
-// pick the destination instance, and a relabeled tag merely routes the frame
-// to an instance whose epoch key rejects the MAC.
+// TagSize is the length of the plaintext suffix a fabric endpoint appends
+// after the MAC: the instance tag of a TaggedEndpoint, the epoch id of a
+// plain Endpoint. It is routing metadata, not authenticated payload: an
+// InstanceMux strips a tag to pick the destination instance, and a relabeled
+// suffix merely routes the frame to a receiver whose key rejects the MAC.
 const TagSize = 8
 
 // Transport moves sealed frames between nodes.
 type Transport interface {
 	// Send transmits an authenticated frame to a peer. The frame slice is
-	// not retained past the call.
+	// read-only to the transport and not retained past the call, so one
+	// frame may be sent to many peers.
 	Send(to node.ID, frame []byte) error
 	// Recv blocks for the next inbound frame, in per-link FIFO order. It
 	// reports false when the transport is closed and drained, or when stop
@@ -88,14 +104,15 @@ type Hub struct {
 	obsDrops *obs.Counter
 }
 
-// Observe mirrors the hub's drop counter and inbox high-water marks into
-// the recorder (metric names transport.drops, transport.inbox_high_water).
-// Call before traffic starts; a nil recorder leaves the hooks free no-ops.
+// Observe mirrors the hub's drop and stale-epoch counters and inbox
+// high-water marks into the recorder (transport.drops, .stale_epoch,
+// .inbox_high_water). Call before traffic starts; a nil recorder leaves the
+// hooks free no-ops.
 func (h *Hub) Observe(rec *obs.Recorder) {
 	h.obsDrops = rec.Counter("transport.drops")
-	hw := rec.Gauge("transport.inbox_high_water")
+	hw, stale := rec.Gauge("transport.inbox_high_water"), rec.Counter("transport.stale_epoch")
 	for _, b := range h.inbox {
-		b.hw = hw
+		b.hw, b.stale = hw, stale
 	}
 }
 
@@ -114,18 +131,17 @@ func NewHub(n int) *Hub {
 // Endpoint returns node id's transport attached to the hub. Authentication
 // uses the supplied pairwise MACs. A persistent hub can hand out fresh
 // endpoints (with fresh authenticators) for every run it hosts; the inbox
-// behind Recv is shared by all of id's endpoints.
+// behind Recv is shared by all of id's endpoints, each seeing its own epoch.
 func (h *Hub) Endpoint(id node.ID, a *auth.Auth) Transport {
-	return &hubTransport{hub: h, id: id, auth: a}
+	epoch := binary.LittleEndian.AppendUint64(nil, a.Epoch())
+	return &hubTransport{hub: h, id: id, auth: a, suffix: epoch, want: epoch}
 }
 
 // TaggedEndpoint is Endpoint for one instance of a multiplexed session: every
 // outbound frame carries the 8-byte little-endian instance tag after its MAC,
 // so an InstanceMux on the receiving side can route it without trying keys.
 func (h *Hub) TaggedEndpoint(id node.ID, a *auth.Auth, tag uint64) Transport {
-	t := &hubTransport{hub: h, id: id, auth: a, tagged: true}
-	binary.LittleEndian.PutUint64(t.tag[:], tag)
-	return t
+	return &hubTransport{hub: h, id: id, auth: a, suffix: binary.LittleEndian.AppendUint64(nil, tag)}
 }
 
 // N returns the hub's node count.
@@ -158,11 +174,12 @@ func (h *Hub) Close() {
 }
 
 type hubTransport struct {
-	hub    *Hub
-	id     node.ID
-	auth   *auth.Auth
-	tagged bool
-	tag    [TagSize]byte
+	hub  *Hub
+	id   node.ID
+	auth *auth.Auth
+	// suffix follows every outbound MAC: the instance tag (want nil), or
+	// the epoch id, which Recv and TryRecv check and strip (want = suffix).
+	suffix, want []byte
 }
 
 var _ Transport = (*hubTransport)(nil)
@@ -172,19 +189,7 @@ func (t *hubTransport) Send(to node.ID, frame []byte) error {
 	if int(to) < 0 || int(to) >= t.hub.n {
 		return fmt.Errorf("runtime: bad destination %v", to)
 	}
-	box := t.hub.inbox[to]
-	// Seal into a buffer recycled from the destination's inbox: the
-	// receiver hands it back after delivery, so steady-state sends are
-	// alloc-free.
-	need := len(frame) + auth.MACSize
-	if t.tagged {
-		need += TagSize
-	}
-	sealed := t.auth.AppendSeal(to, box.getBuf(need)[:0], frame)
-	if t.tagged {
-		sealed = append(sealed, t.tag[:]...)
-	}
-	if !box.put(Frame{From: t.id, Data: sealed}) {
+	if !t.hub.inbox[to].putSealed(t.id, to, t.auth, frame, t.suffix) {
 		// Closed hub: dropping is correct (the run is over), but counted.
 		t.hub.drops.Add(1)
 		t.hub.obsDrops.Inc()
@@ -193,11 +198,11 @@ func (t *hubTransport) Send(to node.ID, frame []byte) error {
 }
 
 func (t *hubTransport) Recv(stop <-chan struct{}) (Frame, bool) {
-	return t.hub.inbox[t.id].get(stop)
+	return t.hub.inbox[t.id].recv(stop, true, t.want)
 }
 
 func (t *hubTransport) TryRecv() (Frame, bool) {
-	return t.hub.inbox[t.id].tryGet()
+	return t.hub.inbox[t.id].recv(nil, false, t.want)
 }
 
 func (t *hubTransport) Recycle(buf []byte) {
@@ -208,6 +213,10 @@ func (t *hubTransport) Close() error {
 	t.hub.Close()
 	return nil
 }
+
+// maxFrameSize bounds a sealed frame: a header announcing more drops the
+// connection before any buffer is fetched.
+const maxFrameSize = 64 << 20
 
 // DialFunc dials a peer's listen address. It exists so tests can inject
 // slow, blackholed, or instrumented dials; production code uses net.Dial.
@@ -228,10 +237,10 @@ type tcpTransport struct {
 	in *inbox
 	// drops counts frames observably lost by this core: a body read that
 	// failed mid-frame, an oversized frame, or a frame that raced shutdown
-	// after its connection had already delivered it.
+	// after its connection (or a self-send) had already delivered it.
 	drops atomic.Uint64
 
-	// Observability handles (see observe); nil means off and free.
+	// Observability handles (see Observe); nil means off and free.
 	obsDrops *obs.Counter
 	obsDials *obs.Track
 
@@ -305,7 +314,7 @@ func (t *tcpTransport) Observe(rec *obs.Recorder, dials *obs.Track) {
 	}
 	t.obsDrops = rec.Counter("transport.drops")
 	t.obsDials = dials
-	t.in.hw = rec.Gauge("transport.inbox_high_water")
+	t.in.hw, t.in.stale = rec.Gauge("transport.inbox_high_water"), rec.Counter("transport.stale_epoch")
 }
 
 // NewTCPDial is NewTCP with an injected dialer (nil means net.Dial).
@@ -362,7 +371,7 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 		}
 		from := node.ID(binary.LittleEndian.Uint32(hdr[0:]))
 		n := binary.LittleEndian.Uint32(hdr[4:])
-		if n > 64<<20 {
+		if n > maxFrameSize {
 			t.drops.Add(1) // oversized frame: drop the connection
 			t.obsDrops.Inc()
 			return
@@ -439,13 +448,21 @@ func (t *tcpTransport) Send(to node.ID, frame []byte) error {
 }
 
 // sendFrame seals and writes one frame to peer to, dialing (or re-dialing)
-// as needed. Header, payload, MAC, and the optional instance tag (nil or
-// TagSize bytes, appended plaintext after the MAC) are assembled in the
-// peer's write scratch and go out as one buffer — one syscall per frame, no
-// allocation in steady state.
+// as needed. Header, payload, MAC, and the optional suffix (nil or TagSize
+// bytes, appended plaintext after the MAC) are assembled in the peer's
+// write scratch and go out as one buffer — one syscall per frame, no
+// allocation in steady state. A frame to self skips the socket: it is sealed
+// into this node's own inbox, as the hub seals every frame.
 func (t *tcpTransport) sendFrame(to node.ID, a *auth.Auth, frame, tag []byte) error {
 	if int(to) < 0 || int(to) >= len(t.addrs) {
 		return fmt.Errorf("runtime: bad destination %v", to)
+	}
+	if to == t.self {
+		if !t.in.putSealed(to, to, a, frame, tag) {
+			t.drops.Add(1) // closed core: the run is over
+			t.obsDrops.Inc()
+		}
+		return nil
 	}
 	pc := &t.peers[to]
 	// One lock per destination: serialises the dial and the frame write to
@@ -564,11 +581,13 @@ func (p *TCPNet) Observe(rec *obs.Recorder) {
 }
 
 // Endpoint returns node id's transport view for one epoch (cluster run),
-// sealing outbound frames with a. Closing the view is a no-op — the fabric
-// owns the core; stale frames from an earlier epoch fail the new epoch's
-// MAC and are dropped by the driver.
+// sealing outbound frames with a and marking them with a's epoch id. Closing
+// the view is a no-op — the fabric owns the core; frames of an earlier epoch
+// still crossing the fabric carry another id, and the view's Recv recycles
+// and counts them (transport.stale_epoch) instead of returning them.
 func (p *TCPNet) Endpoint(id node.ID, a *auth.Auth) Transport {
-	return &tcpEndpoint{core: p.cores[id], auth: a}
+	epoch := binary.LittleEndian.AppendUint64(nil, a.Epoch())
+	return &tcpEndpoint{core: p.cores[id], auth: a, suffix: epoch, want: epoch}
 }
 
 // TaggedEndpoint is Endpoint for one instance of a multiplexed session: every
@@ -576,11 +595,7 @@ func (p *TCPNet) Endpoint(id node.ID, a *auth.Auth) Transport {
 // (inside the length prefix), so an InstanceMux on the receiving side can
 // route it without trying keys.
 func (p *TCPNet) TaggedEndpoint(id node.ID, a *auth.Auth, tag uint64) Transport {
-	e := &tcpEndpoint{core: p.cores[id], auth: a}
-	var b [TagSize]byte
-	binary.LittleEndian.PutUint64(b[:], tag)
-	e.tag = b[:]
-	return e
+	return &tcpEndpoint{core: p.cores[id], auth: a, suffix: binary.LittleEndian.AppendUint64(nil, tag)}
 }
 
 // Recycle returns a frame buffer to node id's core pool. It is the
@@ -617,12 +632,13 @@ func (p *TCPNet) Close() error {
 	return first
 }
 
-// tcpEndpoint is one epoch's view of a persistent core. tag is nil for a
-// plain epoch view, or the TagSize-byte instance tag for a multiplexed one.
+// tcpEndpoint is one epoch's view of a persistent core. suffix follows every
+// outbound MAC: the instance tag of a multiplexed view, or the epoch id of
+// a plain one, whose Recv and TryRecv check and strip it (want, else nil).
 type tcpEndpoint struct {
-	core *tcpTransport
-	auth *auth.Auth
-	tag  []byte
+	core         *tcpTransport
+	auth         *auth.Auth
+	suffix, want []byte
 }
 
 var _ Transport = (*tcpEndpoint)(nil)
@@ -630,15 +646,17 @@ var _ Recycler = (*tcpEndpoint)(nil)
 
 // Send implements Transport, sealing with the epoch's authenticator.
 func (e *tcpEndpoint) Send(to node.ID, frame []byte) error {
-	return e.core.sendFrame(to, e.auth, frame, e.tag)
+	return e.core.sendFrame(to, e.auth, frame, e.suffix)
 }
 
 // Recv implements Transport; the inbox is the core's and outlives the
 // epoch.
-func (e *tcpEndpoint) Recv(stop <-chan struct{}) (Frame, bool) { return e.core.in.get(stop) }
+func (e *tcpEndpoint) Recv(stop <-chan struct{}) (Frame, bool) {
+	return e.core.in.recv(stop, true, e.want)
+}
 
 // TryRecv implements Transport.
-func (e *tcpEndpoint) TryRecv() (Frame, bool) { return e.core.in.tryGet() }
+func (e *tcpEndpoint) TryRecv() (Frame, bool) { return e.core.in.recv(nil, false, e.want) }
 
 // Recycle implements Recycler on the core's shared buffer pool.
 func (e *tcpEndpoint) Recycle(buf []byte) { e.core.in.recycle(buf) }

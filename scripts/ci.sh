@@ -80,6 +80,15 @@ go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
 echo "== sim event-queue fuzz smoke =="
 go test ./internal/sim -run '^$' -fuzz FuzzCalendarOrder -fuzztime 10s
 
+# The two parsers in internal/runtime that read bytes straight off a socket
+# — the tcp [sender][len] record loop and the batch-envelope walk the driver
+# and the accounting wrapper both lean on — against arbitrary input: no
+# panic, no slice past the input, oversize and truncated records counted,
+# and the envelope codec round-trips.
+echo "== runtime socket-parser fuzz smoke =="
+go test ./internal/runtime -run '^$' -fuzz FuzzUnpackBatch -fuzztime 10s
+go test ./internal/runtime -run '^$' -fuzz FuzzTCPHeaderLoop -fuzztime 10s
+
 # The parallel executor's second guarantee, gated under -race on every run:
 # δ-window agreement with the sequential loop on the quick cross-validation
 # cell (every protocol, clean and under adversary presets), and determinism
@@ -119,12 +128,10 @@ go test ./internal/backend -count=1 ${short_flag:+"$short_flag"} \
 
 # Persistent-session smoke: a 3-trial tcp cell through the engine, reusing
 # one loopback cluster (listeners + connections) across the trials. The
-# target fails on any agreement violation. Stale-frame drops are the
-# epoch-key mechanism working, not an error — filter them from stderr so
-# real failures stand out.
+# target fails on any agreement violation. Stale inter-trial frames are
+# filtered by epoch id and counted, so stderr stays empty on a clean run.
 echo "== tcp session smoke =="
-go run ./cmd/experiments -scale quick -seed 1 -run sessions > /dev/null \
-    2> >(grep -v "drop unauthentic frame" >&2 || true)
+go run ./cmd/experiments -scale quick -seed 1 -run sessions > /dev/null
 
 # Continuous-service mode, two gates that run on every invocation
 # (including -short):
@@ -202,5 +209,16 @@ if ! cmp -s "$wc1" "$wc2"; then
     diff "$wc1" "$wc2" >&2 || true
     exit 1
 fi
+
+# perf/ is its own module compiled against this one's exported API, and
+# `go build ./... && go test ./...` never enters it: vet it, run its tests,
+# and run every workload once at smoke size, so an API break against the
+# benchmark fails here instead of in the benchmark run.
+echo "== perf module (vet, test, smoke) =="
+perf_start=$SECONDS
+go vet -C perf ./...
+go test -C perf ./...
+bash perf/run.sh -smoke > /dev/null
+echo "perf module step: $((SECONDS - perf_start)) s"
 
 echo "CI OK"
