@@ -7,6 +7,9 @@ import (
 	"io"
 	"net"
 	"testing"
+
+	"delphi/internal/auth"
+	"delphi/internal/obs"
 )
 
 // FuzzUnpackBatch drives the envelope codec from both ends. Forwards: the
@@ -140,6 +143,65 @@ func FuzzTCPHeaderLoop(f *testing.F) {
 		}
 		if f, ok := tr.in.tryGet(); ok {
 			t.Fatalf("unexpected extra frame from %d (%d bytes)", f.From, len(f.Data))
+		}
+	})
+}
+
+// FuzzSuffixDemux feeds arbitrary frames to the two places that read the
+// 8-byte plaintext suffix of a fabric frame: a plain endpoint's epoch filter
+// (inbox.recv with a want) and the InstanceMux's tag router. Neither may
+// panic; a frame comes out only if it ends in the expected suffix, and then
+// as exactly the input with the suffix cut off; anything else — shorter than
+// the suffix, or for the mux shorter than suffix plus MAC — is counted stale
+// and its buffer recycled.
+func FuzzSuffixDemux(f *testing.F) {
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte{1, 2, 3}, uint64(0x0000000000030201))
+	f.Add(bytes.Repeat([]byte{0xee}, TagSize), uint64(0xeeeeeeeeeeeeeeee))
+	f.Add(bytes.Repeat([]byte{0xee}, TagSize+auth.MACSize), uint64(0xeeeeeeeeeeeeeeee))
+	f.Add(bytes.Repeat([]byte{0xee}, TagSize+auth.MACSize-1), uint64(0xeeeeeeeeeeeeeeee))
+	f.Add(append(bytes.Repeat([]byte{7}, 40), 1, 0, 0, 0, 0, 0, 0, 0), uint64(1))
+	f.Fuzz(func(t *testing.T, data []byte, suffix uint64) {
+		want := binary.LittleEndian.AppendUint64(nil, suffix)
+		// Each input goes through as it is and with the suffix appended, so
+		// both verdicts are reached on every iteration.
+		for _, in := range [][]byte{data, append(append([]byte(nil), data...), want...)} {
+			ends := bytes.HasSuffix(in, want)
+			stripped := in[:max(len(in)-TagSize, 0)]
+
+			rec := obs.New()
+			box := newInbox(16)
+			box.stale = rec.Counter("stale")
+			box.put(Frame{From: 1, Data: append([]byte(nil), in...)})
+			got, ok := box.recv(nil, false, want)
+			switch stale := rec.Snapshot().Value("stale"); {
+			case ok != ends:
+				t.Fatalf("recv(%x, want %x) returned %v", in, want, ok)
+			case ok && (stale != 0 || !bytes.Equal(got.Data, stripped) || got.From != 1):
+				t.Fatalf("recv(%x) = %x from %v with %d stale, want %x", in, got.Data, got.From, stale, stripped)
+			case !ok && (stale != 1 || len(in) > 0 && len(box.free) != 1):
+				t.Fatalf("recv dropped %x with %d stale, %d recycled, want 1 and 1", in, stale, len(box.free))
+			}
+
+			hub := NewHub(1)
+			mux := NewInstanceMux(hub)
+			inst, err := mux.Register(suffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routes := ends && len(in) >= TagSize+auth.MACSize
+			mux.route(0, Frame{From: 1, Data: append([]byte(nil), in...)})
+			got, ok = inst.slots[0].tryGet()
+			switch {
+			case ok != routes:
+				t.Fatalf("route(%x, tag %x) delivered %v", in, want, ok)
+			case ok && (mux.Stale() != 0 || !bytes.Equal(got.Data, stripped) || got.From != 1):
+				t.Fatalf("route(%x) = %x from %v with %d stale, want %x", in, got.Data, got.From, mux.Stale(), stripped)
+			case !ok && (mux.Stale() != 1 || len(in) > 0 && len(hub.inbox[0].free) != 1):
+				t.Fatalf("route dropped %x with %d stale, %d recycled, want 1 and 1", in, mux.Stale(), len(hub.inbox[0].free))
+			}
+			mux.Close()
+			hub.Close()
 		}
 	})
 }

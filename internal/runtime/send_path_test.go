@@ -240,9 +240,11 @@ func countDials(rec *obs.Recorder) [][2]int64 {
 	return dials
 }
 
-// TestTCPNetFullMeshDials pins the connection count of a fabric: after every
-// node has sent to every node, itself included, there are n(n−1) dialed
-// connections and none of a node to itself.
+// TestTCPNetFullMeshDials pins what a fabric reports about its connections:
+// transport.links reads n(n−1)/2 as soon as a recorder is attached, and after
+// every node has sent to every node, itself included, not one tcp.dial has
+// been recorded — the wired links carried it all, self-frames off the socket
+// — and the cores hold exactly those links, two ends each.
 func TestTCPNetFullMeshDials(t *testing.T) {
 	const n = 5
 	fab, err := runtime.NewTCPNet(n)
@@ -252,39 +254,15 @@ func TestTCPNetFullMeshDials(t *testing.T) {
 	defer fab.Close()
 	rec := obs.New()
 	fab.Observe(rec)
-	eps := make([]runtime.Transport, n)
-	auths := make([]*auth.Auth, n)
-	for i := range eps {
-		if auths[i], err = auth.New(node.ID(i), n, []byte("full-mesh")); err != nil {
-			t.Fatal(err)
-		}
-		eps[i] = fab.Endpoint(node.ID(i), auths[i])
+	if got := rec.Snapshot().Value("transport.links"); got != n*(n-1)/2 {
+		t.Errorf("transport.links = %d, want %d", got, n*(n-1)/2)
 	}
-	for from := range eps {
-		for to := range eps {
-			if err := eps[from].Send(node.ID(to), seqFrame(from, 0)); err != nil {
-				t.Fatalf("%d → %d: %v", from, to, err)
-			}
-		}
+	allToAll(t, fab, fabricAuths(t, n, "full-mesh"))
+	if dials := countDials(rec); len(dials) != 0 {
+		t.Errorf("all-to-all traffic on a wired fabric dialed: %v", dials)
 	}
-	for to := range eps {
-		chk := &seqChecker{next: map[int]int{}}
-		for i := 0; i < n; i++ {
-			f, ok := recvFrame(t, eps[to], 5*time.Second)
-			if !ok {
-				t.Fatalf("node %d received %d of %d frames", to, i, n)
-			}
-			chk.observe(t, auths[to], f)
-		}
-	}
-	dials := countDials(rec)
-	if len(dials) != n*(n-1) {
-		t.Errorf("full mesh of %d recorded %d dials, want %d", n, len(dials), n*(n-1))
-	}
-	for _, d := range dials {
-		if d[0] == d[1] {
-			t.Errorf("node %d dialed itself", d[0])
-		}
+	if got := fab.ConnEnds(); got != n*(n-1) {
+		t.Errorf("fabric holds %d connection ends, want %d (two per link)", got, n*(n-1))
 	}
 }
 

@@ -24,11 +24,20 @@
 //
 // Both transports deliver frames from a given sender to a given receiver
 // in Send order: the hub because each inbox is a FIFO ring that grows
-// instead of parking overflow senders, TCP because each (sender, receiver)
-// link is one connection with serialised frame writes. An adversarial
-// delay wrapper on top may reorder — that is its job. A frame a TCP node
-// addresses to itself is sealed straight into its own inbox, in Send order,
-// and never touches the socket: a fabric dials n(n−1) connections.
+// instead of parking overflow senders, TCP because each direction of a link
+// is one connection with serialised frame writes. An adversarial delay
+// wrapper on top may reorder — that is its job. A frame a TCP node addresses
+// to itself is sealed straight into its own inbox, in Send order, and never
+// touches the socket.
+//
+// A TCPNet link is one connection used both ways, wired at construction —
+// n(n−1)/2 per fabric — so the kernel's ACKs ride on reverse traffic instead
+// of costing a packet per read. A link that breaks degrades to what NewTCP
+// does from the start: each end fails one Send, then dials its own one-way
+// connection (tcp.dial) and the peer's accept loop reads it. Those stay
+// one-way because the accepting side knows the dialer only from unauthenticated
+// frame headers; writing back on that say-so would let a stranger redirect a
+// link.
 //
 // # Plaintext suffix
 //
@@ -50,6 +59,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"delphi/internal/auth"
 	"delphi/internal/node"
@@ -214,8 +224,8 @@ func (t *hubTransport) Close() error {
 	return nil
 }
 
-// maxFrameSize bounds a sealed frame: a header announcing more drops the
-// connection before any buffer is fetched.
+// maxFrameSize bounds a sealed frame: sendFrame refuses to write more, and a
+// header announcing more drops the connection before any buffer is fetched.
 const maxFrameSize = 64 << 20
 
 // DialFunc dials a peer's listen address. It exists so tests can inject
@@ -260,11 +270,11 @@ type tcpTransport struct {
 	wg       sync.WaitGroup
 }
 
-// peerConn is one destination's outbound state: the connection (nil until
-// dialed), the dial/write lock serialising access to it, and the write
-// scratch frames are sealed into. Holding mu across the dial is what makes
-// concurrent sends to an unreachable peer singleflight: the second sender
-// waits for the first dial's verdict instead of dialing again.
+// peerConn is one destination's outbound state: the connection (a fabric's
+// wired link, else nil until dialed), the dial/write lock serialising access
+// to it, and the write scratch frames are sealed into. Holding mu across the
+// dial is what makes concurrent sends to an unreachable peer singleflight:
+// the second sender waits for the first dial's verdict, not dialing again.
 type peerConn struct {
 	mu      sync.Mutex
 	c       net.Conn
@@ -275,7 +285,9 @@ var _ Transport = (*tcpTransport)(nil)
 var _ Recycler = (*tcpTransport)(nil)
 
 // newTCPCore builds the transport machinery and starts its accept loop.
-func newTCPCore(self node.ID, addrs []string, ln net.Listener, a *auth.Auth, dial DialFunc) *tcpTransport {
+// links, when non-nil, holds this node's end of a pre-wired connection to
+// each peer (nil at self): the connection it writes to and also reads from.
+func newTCPCore(self node.ID, addrs []string, ln net.Listener, a *auth.Auth, dial DialFunc, links []net.Conn) *tcpTransport {
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
@@ -290,6 +302,13 @@ func newTCPCore(self node.ID, addrs []string, ln net.Listener, a *auth.Auth, dia
 		dialed:   make(map[node.ID]net.Conn),
 		accepted: make(map[net.Conn]struct{}),
 	}
+	for to, c := range links {
+		if c != nil {
+			t.peers[to].c, t.dialed[node.ID(to)] = c, c
+			t.wg.Add(1)
+			go t.readLoop(c)
+		}
+	}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t
@@ -299,7 +318,7 @@ func newTCPCore(self node.ID, addrs []string, ln net.Listener, a *auth.Auth, dia
 // listen address (index = node id). The listener must already be bound to
 // addrs[self].
 func NewTCP(self node.ID, addrs []string, ln net.Listener, a *auth.Auth) Transport {
-	return newTCPCore(self, addrs, ln, a, nil)
+	return newTCPCore(self, addrs, ln, a, nil, nil)
 }
 
 // Observe attaches this core's drop counter, dial events, and inbox
@@ -319,7 +338,7 @@ func (t *tcpTransport) Observe(rec *obs.Recorder, dials *obs.Track) {
 
 // NewTCPDial is NewTCP with an injected dialer (nil means net.Dial).
 func NewTCPDial(self node.ID, addrs []string, ln net.Listener, a *auth.Auth, dial DialFunc) Transport {
-	return newTCPCore(self, addrs, ln, a, dial)
+	return newTCPCore(self, addrs, ln, a, dial, nil)
 }
 
 func (t *tcpTransport) acceptLoop() {
@@ -464,6 +483,11 @@ func (t *tcpTransport) sendFrame(to node.ID, a *auth.Auth, frame, tag []byte) er
 		}
 		return nil
 	}
+	if n := len(frame) + auth.MACSize + len(tag); n > maxFrameSize {
+		// The receiver would drop the connection, and with it a fabric link
+		// both ends write to: refuse here and leave the link up.
+		return fmt.Errorf("runtime: frame to %v is %d bytes sealed, over the %d limit", to, n, maxFrameSize)
+	}
 	pc := &t.peers[to]
 	// One lock per destination: serialises the dial and the frame write to
 	// this peer (write interleaving would corrupt framing) while leaving
@@ -532,36 +556,76 @@ func (t *tcpTransport) Close() error {
 }
 
 // TCPNet is a persistent loopback TCP fabric for an n-node cluster: one
-// listener and one transport core per node, bound once and reused across
-// any number of cluster runs. Each run takes per-epoch endpoint views via
-// Endpoint — the view carries that run's authenticator, so two epochs
-// sharing the fabric can never authenticate each other's frames — while
-// accepted connections, dialed connections, and read loops persist. This is
-// what makes a session-scoped `tcp` execution backend possible: the n
-// listener binds and up to n² dials happen once per session instead of once
-// per trial.
+// listener and one transport core per node and one connection per node pair,
+// made once and reused across any number of cluster runs. Each run takes
+// per-epoch endpoint views via Endpoint — the view carries that run's
+// authenticator, so two epochs sharing the fabric can never authenticate each
+// other's frames — while links and read loops persist. This is what makes a
+// session-scoped `tcp` execution backend possible: the n listener binds and
+// n(n−1)/2 connections happen once per session instead of once per trial.
 type TCPNet struct {
 	addrs []string
 	cores []*tcpTransport
 }
 
-// NewTCPNet binds n loopback listeners and starts their accept loops.
-func NewTCPNet(n int) (*TCPNet, error) {
+// wireTimeout bounds each accept NewTCPNet makes while wiring its mesh.
+const wireTimeout = 10 * time.Second
+
+// NewTCPNet binds n loopback listeners and wires the mesh before any accept
+// loop runs: for every pair i < j it dials j's listener, accepts that
+// connection itself, and gives one end to core i and the other to core j as
+// the link both write to and read from. A failure closes everything opened.
+func NewTCPNet(n int) (*TCPNet, error) { return newTCPNet(n, net.Listener.Accept) }
+
+// newTCPNet is NewTCPNet with the accept call injected, so tests can break
+// a wiring step or slip a stranger's connection in front of it.
+func newTCPNet(n int, accept func(net.Listener) (net.Conn, error)) (_ *TCPNet, err error) {
 	p := &TCPNet{addrs: make([]string, n), cores: make([]*tcpTransport, n)}
-	lns := make([]net.Listener, n)
+	var open []io.Closer
+	defer func() {
+		if err != nil {
+			for _, c := range open {
+				c.Close()
+			}
+		}
+	}()
+	lns := make([]*net.TCPListener, n)
+	links := make([][]net.Conn, n) // links[i][j] is node i's end of the i–j link
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			for _, open := range lns[:i] {
-				open.Close()
-			}
 			return nil, fmt.Errorf("runtime: bind node %d: %w", i, err)
 		}
-		lns[i] = ln
-		p.addrs[i] = ln.Addr().String()
+		open = append(open, ln)
+		lns[i], p.addrs[i], links[i] = ln.(*net.TCPListener), ln.Addr().String(), make([]net.Conn, n)
+	}
+	for j := 1; j < n; j++ {
+		for i := 0; i < j; i++ {
+			out, err := net.Dial("tcp", p.addrs[j])
+			if err != nil {
+				return nil, fmt.Errorf("runtime: wire %d–%d: %w", i, j, err)
+			}
+			open = append(open, out)
+			// Whoever else connected to the port first is not the link: a
+			// connection is installed only if it is the one dialed above.
+			for links[j][i] == nil {
+				lns[j].SetDeadline(time.Now().Add(wireTimeout))
+				in, err := accept(lns[j])
+				if err != nil {
+					return nil, fmt.Errorf("runtime: wire %d–%d: %w", i, j, err)
+				}
+				if in.RemoteAddr().String() != out.LocalAddr().String() {
+					in.Close()
+					continue
+				}
+				open = append(open, in)
+				links[i][j], links[j][i] = out, in
+			}
+		}
+		lns[j].SetDeadline(time.Time{})
 	}
 	for i, ln := range lns {
-		p.cores[i] = newTCPCore(node.ID(i), p.addrs, ln, nil, nil)
+		p.cores[i] = newTCPCore(node.ID(i), p.addrs, ln, nil, nil, links[i])
 	}
 	return p, nil
 }
@@ -571,13 +635,16 @@ func (p *TCPNet) N() int { return len(p.cores) }
 
 // Observe attaches the recorder to every core: transport.drops counts lost
 // inbound frames across the fabric, transport.inbox_high_water ratchets the
-// deepest inbox backlog, and dial completions land on a shared "transport"
-// track. Call before traffic starts; nil recorder leaves the hooks free.
+// deepest inbox backlog, transport.links is the number of wired links, and
+// lazy dials land as tcp.dial on a shared "transport" track — on a fabric
+// each one means a wired link broke. Call before traffic starts; nil recorder
+// leaves the hooks free.
 func (p *TCPNet) Observe(rec *obs.Recorder) {
 	dials := rec.SharedTrack("transport")
 	for _, c := range p.cores {
 		c.Observe(rec, dials)
 	}
+	rec.Gauge("transport.links").Set(int64(len(p.cores) * (len(p.cores) - 1) / 2))
 }
 
 // Endpoint returns node id's transport view for one epoch (cluster run),

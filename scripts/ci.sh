@@ -80,14 +80,18 @@ go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
 echo "== sim event-queue fuzz smoke =="
 go test ./internal/sim -run '^$' -fuzz FuzzCalendarOrder -fuzztime 10s
 
-# The two parsers in internal/runtime that read bytes straight off a socket
-# — the tcp [sender][len] record loop and the batch-envelope walk the driver
-# and the accounting wrapper both lean on — against arbitrary input: no
-# panic, no slice past the input, oversize and truncated records counted,
-# and the envelope codec round-trips.
+# The checks between a socket and the driver — the tcp [sender][len] record
+# loop, the batch-envelope walk the driver and the accounting wrapper both
+# lean on, the 8-byte suffix demux (epoch filter and InstanceMux tag router)
+# and auth.Open — against arbitrary input: no panic, no slice past the input,
+# oversize and truncated records counted, the envelope codec round-trips, a
+# frame without the expected suffix is counted stale and recycled, and
+# nothing opens but a sealed frame under its own sender.
 echo "== runtime socket-parser fuzz smoke =="
 go test ./internal/runtime -run '^$' -fuzz FuzzUnpackBatch -fuzztime 10s
 go test ./internal/runtime -run '^$' -fuzz FuzzTCPHeaderLoop -fuzztime 10s
+go test ./internal/runtime -run '^$' -fuzz FuzzSuffixDemux -fuzztime 10s
+go test ./internal/auth -run '^$' -fuzz FuzzAuthOpen -fuzztime 10s
 
 # The parallel executor's second guarantee, gated under -race on every run:
 # δ-window agreement with the sequential loop on the quick cross-validation
@@ -119,10 +123,12 @@ go run ./cmd/experiments -scale quick -seed 1 -backend live -run matrix > /dev/n
 # bugs), and the batched-vs-unbatched equivalence check (the batching knob
 # must not move the simulator by a bit, and batched and unbatched live
 # runs must agree inside the cross-backend δ window with zero transport
-# drops).
+# drops). A tcp fabric's links carry both directions on one connection, so
+# the same list holds both-way FIFO on every link at once and the fallback
+# to one-way dials when a link breaks.
 echo "== transport batching gate =="
 go test ./internal/runtime -race -count=1 \
-    -run 'TestHubPerLinkFIFO|TestTCPPerLinkFIFO|TestTCPDialStall|TestTCPDialInstallRace|TestTCPDropCounter'
+    -run 'TestHubPerLinkFIFO|TestTCPPerLinkFIFO|TestTCPDialStall|TestTCPDialInstallRace|TestTCPDropCounter|TestTCPNetLinksCarryBothDirections|TestTCPNetBrokenLinkFallsBack'
 go test ./internal/backend -count=1 ${short_flag:+"$short_flag"} \
     -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops'
 
