@@ -22,27 +22,43 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the sim byte-ident
 // bit-exact fingerprint of the simulator's schedule: any change to event
 // ordering, rng consumption, latency/cost arithmetic, or adversarial delay
 // evaluation shifts at least one cell's latency, traffic, or outputs.
+//
+// Those 24 cells are toy-sized and their queues stay on the simulator's
+// plain heap. The nine that follow them — Delphi n=40, FIN n=31 and Dolev
+// n=300, clean and under two presets — are large enough to engage the
+// calendar and its sorted bucket runs; their golden lines were generated by
+// the simulator that still heap-ordered every bucket.
 func goldenSimCells() []RunSpec {
 	params := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2}
-	advs := append([]netadv.Adversary{{}}, netadv.Presets()...)
 	var specs []RunSpec
+	cell := func(proto Protocol, n, f int, adv netadv.Adversary) {
+		const seed = 424242
+		specs = append(specs, RunSpec{
+			Protocol:  proto,
+			N:         n,
+			F:         f,
+			Env:       sim.AWS(),
+			Seed:      seed,
+			Inputs:    OracleInputs(n, 41000, 20, seed),
+			Delphi:    params,
+			Adversary: adv,
+		})
+	}
 	for _, proto := range []Protocol{ProtoDelphi, ProtoFIN, ProtoAbraham, ProtoDolev} {
 		n, f := 8, 2
 		if proto == ProtoDolev {
 			n, f = 6, 1 // Dolev needs n >= 5t+1
 		}
-		for _, adv := range advs {
-			const seed = 424242
-			specs = append(specs, RunSpec{
-				Protocol:  proto,
-				N:         n,
-				F:         f,
-				Env:       sim.AWS(),
-				Seed:      seed,
-				Inputs:    OracleInputs(n, 41000, 20, seed),
-				Delphi:    params,
-				Adversary: adv,
-			})
+		for _, adv := range append([]netadv.Adversary{{}}, netadv.Presets()...) {
+			cell(proto, n, f, adv)
+		}
+	}
+	for _, big := range []struct {
+		proto Protocol
+		n, f  int
+	}{{ProtoDelphi, 40, 13}, {ProtoFIN, 31, 10}, {ProtoDolev, 300, 59}} {
+		for _, kind := range []netadv.Kind{netadv.None, netadv.JitterStorm, netadv.Partition} {
+			cell(big.proto, big.n, big.f, netadv.Adversary{Kind: kind})
 		}
 	}
 	return specs

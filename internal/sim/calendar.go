@@ -14,10 +14,10 @@ const (
 	ringMask    = ringBuckets - 1
 	// chunkEvents sizes a chunk at 3 KiB.
 	chunkEvents = 64
-	// firstSlab is the first slab's chunk count, as many events as the near
-	// heap held when the ring engaged; each further slab adds half the total
-	// again: a million pending events cost a dozen allocations and no copy.
-	firstSlab = nearMin / chunkEvents
+	// firstSlab is the first slab's chunk count, 96 KiB for a paper-scale
+	// run's sparse buckets; each further slab adds half the total again: a
+	// million pending events cost a score of allocations and no copy.
+	firstSlab = 32
 )
 
 // chunk is a fixed-size run of one bucket's events, chained newest first.
@@ -32,8 +32,8 @@ type chunk struct {
 // each a chain of chunks drawn from geometrically growing slabs through a
 // freelist, plus a min-heap for events beyond the ring horizon, which drain
 // back as the ring advances. Events inside a bucket are unordered; the
-// caller orders what take returns (the sequential runner in its near heap,
-// a shard with sortBucket). A push writes to the end of a chunk and a take
+// caller orders what take returns (the sequential runner with sortRun, a
+// shard with sortBucket). A push writes to the end of a chunk and a take
 // walks one chain, so no operation touches memory in proportion to the
 // whole queue. The zero value is ready once width is set.
 type calendar struct {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"delphi/internal/node"
 )
 
 // refHeap is the reference the queue is checked against: container/heap
@@ -25,43 +27,82 @@ func (h *refHeap) Pop() any {
 
 const bucketNS = time.Duration(1) << seqBucketShift
 
-// checkQueueOrder drives the sequential runner's queue — push and ready, so
-// the near heap, the calendar ring and its overflow heap together — and a
-// reference min-heap with the same operations and requires identical pop
-// sequences. Each op is two bytes, (kind, magnitude): an even kind pops, an
-// odd kind pushes an event whose time is placed relative to the clock (the
-// time of the last pop) by one of eight rules: at the clock, before it,
-// inside the bucket being drained, a typical link delay, exactly at the
-// ring horizon, one bucket short of it, and beyond it. The near heap is
-// first filled with nearMin events decades out, which stay there to the
-// end (and are checked there, not mirrored in the reference), so every
-// later push past the drained bucket goes to the calendar. It returns the
-// last bucket taken before the final drain.
+// checkQueueOrder drives the sequential runner's queue — push and next, so
+// the near heap, the sorted run, the calendar ring and its overflow
+// heap together — and a reference min-heap with the same operations and
+// requires identical pop sequences. Each op is two bytes, (kind, magnitude):
+// an even kind pops, an odd kind pushes by rule kind>>1&15. Rules 0–7 place
+// one event relative to the clock (the time of the last pop): at the clock,
+// before it, inside the bucket being drained, a typical link delay, exactly
+// at the ring horizon, one bucket short of it, and beyond it. Rules 8–15 aim
+// at the sorted run:
+//
+//   - 8, 14, 15: a burst of events with one identical time — two buckets on,
+//     on the last nanosecond of the clock's bucket, at a landmark — one
+//     burst in 32 long enough to chain three chunks, so that take order is
+//     not seq order;
+//   - 9: one event at the landmark, a time every 8.6 s (two ring spans) that
+//     earlier and later ops hit too, through the overflow heap or directly;
+//   - 10, 11: the first and the last nanosecond of a bucket;
+//   - 12: a tie with the head of the queue, or one nanosecond after it: a
+//     push into the bucket being drained, between two pops of its run;
+//   - 13: nanoseconds past the clock; for kind 251 and magnitude 255 an early
+//     stop instead — Run pops one event of the half-drained queue, hits its
+//     time bound and hands the buffers back to the Scratch, which must then
+//     hold no message, and a new runner adopts them at the same clock.
+//
+// The near heap is first filled with 64 events over the first 19 ms — what a
+// run queues before the calendar engages, which next has to merge with the
+// buckets filed over them later — and with nearMin events decades out, which
+// stay there to the end (and are checked there, not mirrored in the
+// reference), so every later push past the drained bucket goes to the
+// calendar. It returns the last bucket taken before the final drain.
 func checkQueueOrder(t *testing.T, ops []byte) int64 {
 	t.Helper()
-	r := &Runner{}
+	const far = time.Duration(1) << 60
+	s := &Scratch{}
+	var r *Runner
 	var ref refHeap
 	push := func(at time.Duration) {
 		r.seq++
-		e := event{at: at, seq: r.seq}
+		e := event{at: at, seq: r.seq, msg: pingMsg{}}
 		r.push(&e)
 		heap.Push(&ref, e)
 	}
+	start := func(now time.Duration) {
+		var err error
+		if r, err = NewRunner(node.Config{N: 4, F: 1}, Environment{}, 0, make([]node.Process, 4), WithScratch(s), WithMaxTime(-1)); err != nil {
+			t.Fatal(err)
+		}
+		r.now = now
+		for i := time.Duration(0); i < chunkEvents; i++ {
+			push(now + i*300*time.Microsecond)
+		}
+		for i := 0; i < nearMin; i++ {
+			r.seq++
+			r.push(&event{at: far + time.Duration(i), seq: r.seq})
+		}
+	}
+	start(0)
+	burst := func(at time.Duration, m byte) {
+		n := 2 + int(m&7)
+		if m>>3 == 31 {
+			n += 2 * chunkEvents // one time, three chunks
+		}
+		for ; n > 0; n-- {
+			push(at)
+		}
+	}
 	pop := func() {
 		want := heap.Pop(&ref).(event)
-		if !r.ready() {
+		var got event
+		if !r.next(&got) {
 			t.Fatalf("queue empty with %d events outstanding; want (%v, %d)", len(ref)+1, want.at, want.seq)
 		}
-		got := r.near.pop()
 		if got.at != want.at || got.seq != want.seq {
 			t.Fatalf("popped (%v, %d), want (%v, %d)", got.at, got.seq, want.at, want.seq)
 		}
 		r.now = got.at
-	}
-	const far = time.Duration(1) << 60
-	for i := 0; i < nearMin; i++ {
-		r.seq++
-		r.push(&event{at: far + time.Duration(i), seq: r.seq})
 	}
 	for i := 0; i+1 < len(ops); i += 2 {
 		kind, m := ops[i], time.Duration(ops[i+1])
@@ -75,7 +116,9 @@ func checkQueueOrder(t *testing.T, ops []byte) int64 {
 		if r.cal != nil {
 			horizon = time.Duration(r.cal.base+ringBuckets) * bucketNS
 		}
-		switch kind >> 1 & 7 {
+		bucket := r.now >> seqBucketShift << seqBucketShift
+		landmark := (r.now>>33+1)<<33 | m&1 // every 8.6 s, two ring spans
+		switch kind >> 1 & 15 {
 		case 0:
 			push(r.now)
 		case 1:
@@ -92,6 +135,37 @@ func checkQueueOrder(t *testing.T, ops []byte) int64 {
 			push(max(r.now, horizon-bucketNS+m))
 		case 7:
 			push(r.now + ringBuckets*bucketNS + m*10*time.Millisecond)
+		case 8:
+			burst(r.now+2*bucketNS+m*time.Microsecond, ops[i+1])
+		case 9:
+			push(landmark)
+		case 10:
+			push(bucket + m&3*bucketNS)
+		case 11:
+			push(bucket + m&3*bucketNS + bucketNS - 1)
+		case 12:
+			if len(ref) > 0 {
+				push(ref[0].at + m&1)
+			}
+		case 13:
+			if kind>>5 != 7 || m != 255 || len(ref) == 0 {
+				push(r.now + m)
+				break
+			}
+			if res := r.Run(); res.Events != 0 {
+				t.Fatalf("a run bounded at -1 ns delivered %d events", res.Events)
+			}
+			if got := scratchMessages(s); got != 0 {
+				t.Fatalf("an early stop with %d events queued left %d messages in the Scratch", len(ref), got)
+			}
+			ref = ref[:0]
+			start(r.now)
+			push(r.now) // one pop, and the new calendar's base is the clock's bucket
+			pop()
+		case 14:
+			burst(bucket+bucketNS-1, ops[i+1])
+		case 15:
+			burst(landmark, ops[i+1])
 		}
 	}
 	var last int64
@@ -102,14 +176,15 @@ func checkQueueOrder(t *testing.T, ops []byte) int64 {
 		pop()
 	}
 	for i := 0; i < nearMin; i++ {
-		if !r.ready() {
+		var got event
+		if !r.next(&got) {
 			t.Fatalf("queue empty at resident %d", i)
 		}
-		if got := r.near.pop(); got.at != far+time.Duration(i) {
+		if got.at != far+time.Duration(i) {
 			t.Fatalf("resident %d popped as (%v, %d)", i, got.at, got.seq)
 		}
 	}
-	if r.ready() {
+	if r.next(new(event)) {
 		t.Fatal("queue holds an event the reference does not")
 	}
 	if r.cal == nil {
@@ -150,12 +225,53 @@ func TestCalendarOrder(t *testing.T) {
 }
 
 // FuzzCalendarOrder is the same body under the fuzzer; the seeds walk each
-// placement rule, the horizon boundary on both sides, and an overflow drain.
+// placement rule, the horizon boundary on both sides, and an overflow drain,
+// then the sorted run: a three-chunk tie burst popped halfway with ties
+// pushed against its head, a landmark reached through the overflow heap and
+// then directly, bucket edges, and two early stops on a half-drained run.
 func FuzzCalendarOrder(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 9, 5, 200, 7, 40, 9, 41, 0, 0, 0, 0, 11, 0, 13, 0, 15, 3, 0, 0})
 	f.Add([]byte{11, 0, 11, 1, 13, 0, 13, 255, 0, 0, 11, 0, 0, 0, 0, 0, 15, 0, 0, 0, 0, 0})
 	f.Add([]byte{15, 255, 15, 0, 7, 1, 0, 0, 0, 0, 3, 255, 1, 0, 0, 0, 5, 255, 0, 0})
+	f.Add([]byte{17, 255, 17, 250, 0, 0, 0, 0, 25, 0, 25, 1, 0, 0, 25, 0, 0, 0, 29, 249, 0, 0, 0, 0})
+	f.Add([]byte{19, 0, 31, 255, 9, 200, 0, 0, 0, 0, 19, 1, 31, 248, 19, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{21, 0, 21, 1, 23, 0, 23, 3, 0, 0, 23, 0, 21, 1, 0, 0, 0, 0, 27, 7, 0, 0})
+	f.Add([]byte{17, 255, 0, 0, 0, 0, 251, 255, 17, 255, 5, 9, 0, 0, 251, 255, 31, 250, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) { checkQueueOrder(t, ops) })
+}
+
+// TestSortRun checks the bucket sort alone, on both sides of its one-event,
+// chunk and radix boundaries: whatever order take left a bucket in, keys must
+// list each of its events once, in (at, seq) order — with every time equal
+// (seq alone decides), every time distinct, and few distinct times under
+// shuffled seqs (both decide).
+func TestSortRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	inputs := map[string]func(i, n int) time.Duration{
+		"all-equal":    func(i, n int) time.Duration { return bucketNS - 1 },
+		"all-distinct": func(i, n int) time.Duration { return time.Duration(i) * (bucketNS / time.Duration(n)) },
+		"shuffled-seq": func(i, n int) time.Duration { return time.Duration(rng.Intn(8)) << uint(rng.Intn(17)) },
+	}
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 5000} {
+		for name, low := range inputs {
+			r := &Runner{run: make([]event, n)}
+			for i, seq := range rng.Perm(n) {
+				r.run[i] = event{at: 77*bucketNS + low(i, n), seq: uint64(seq)}
+			}
+			rng.Shuffle(n, func(i, j int) { r.run[i], r.run[j] = r.run[j], r.run[i] })
+			r.sortRun()
+			seen := make([]bool, n)
+			for i, k := range r.keys[:n] {
+				if seen[uint32(k)] {
+					t.Fatalf("n=%d %s: key %d repeats event %d", n, name, i, uint32(k))
+				}
+				seen[uint32(k)] = true
+				if i > 0 && !r.run[uint32(r.keys[i-1])].before(&r.run[uint32(k)]) {
+					t.Fatalf("n=%d %s: key %d is out of (at, seq) order", n, name, i)
+				}
+			}
+		}
+	}
 }
 
 // TestCalendarRelease pins the arena's scratch rule: a run that used the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -64,6 +65,35 @@ func (p *ping) Deliver(_ node.ID, m node.Message) {
 	}
 }
 
+// scratchMessages counts the messages reachable from s: every event slot of
+// every retained backing array, in use or not, and the staged-send buffer.
+func scratchMessages(s *Scratch) int {
+	total := 0
+	count := func(evs []event) {
+		for _, e := range evs[:cap(evs)] {
+			if e.msg != nil {
+				total++
+			}
+		}
+	}
+	count(s.near)
+	count(s.run)
+	if c := s.cal; c != nil {
+		count(c.overflow)
+		for _, slab := range c.slabs {
+			for i := range slab {
+				count(slab[i].ev[:])
+			}
+		}
+	}
+	for _, om := range s.outMsgs[:cap(s.outMsgs)] {
+		if om.msg != nil {
+			total++
+		}
+	}
+	return total
+}
+
 func runPing(t *testing.T, n int, s *Scratch, opts ...Option) {
 	t.Helper()
 	procs := make([]node.Process, n)
@@ -105,10 +135,24 @@ func TestScratchShrinksAfterLargeRun(t *testing.T) {
 	if big <= 4*small {
 		t.Fatalf("n=192 run retained %d event slots, not clearly above the small run's %d", big, small)
 	}
+	// The run drained its buckets through the run and key buffers (36 k
+	// messages in flight over ~300 buckets): both come back, keys at twice
+	// the run's size, and both are in the count above.
+	bigRun, bigKeys := cap(s.run), cap(s.keys)
+	if bigRun < 128 || bigKeys < 2*bigRun {
+		t.Fatalf("n=192 run handed back a %d-event run buffer and %d keys", bigRun, bigKeys)
+	}
+	runPing(t, 192, s)
+	if cap(s.run) != bigRun || cap(s.keys) != bigKeys {
+		t.Errorf("steady-state reuse moved the run buffer %d -> %d, the keys %d -> %d", bigRun, cap(s.run), bigKeys, cap(s.keys))
+	}
 	runPing(t, 12, s)
 	after := s.retainedEvents()
 	if after > big/4 {
 		t.Errorf("after a small run the big run's capacity lingers: %d of %d event slots retained", after, big)
+	}
+	if cap(s.run) > bigRun/2 || cap(s.keys) > bigKeys/2 {
+		t.Errorf("after a small run %d of %d run slots and %d of %d keys are still retained", cap(s.run), bigRun, cap(s.keys), bigKeys)
 	}
 
 	// Same policy for the parallel arenas.
@@ -118,6 +162,43 @@ func TestScratchShrinksAfterLargeRun(t *testing.T) {
 	afterPar := s.retainedEvents()
 	if afterPar > bigPar/4 {
 		t.Errorf("parallel arenas linger after a small run: %d of %d event slots retained", afterPar, bigPar)
+	}
+}
+
+// TestEarlyStopLeaksNoMessage stops a run on its time bound with the calendar
+// engaged and a bucket's run half drained (n=64 puts 4096 messages in flight;
+// 80 ms is inside the first round's arrivals): the Scratch it hands back must
+// hold storage only, no message — not in the run's undelivered slots, the
+// near heap, the calendar's chunks or the staged-send buffer — and the next
+// run on it must match a fresh one.
+func TestEarlyStopLeaksNoMessage(t *testing.T) {
+	newRun := func(opts ...Option) *Runner {
+		procs := make([]node.Process, 64)
+		for i := range procs {
+			procs[i] = &ping{rounds: 3}
+		}
+		r, err := NewRunner(node.Config{N: 64, F: 21}, AWS(), 7, procs, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	s := &Scratch{}
+	r := newRun(WithScratch(s), WithMaxTime(80*time.Millisecond))
+	res := r.Run()
+	if res.Events == 0 || r.cal == nil || r.runPos == 0 || r.runPos == len(r.run) {
+		t.Fatalf("the run stopped after %d events at %d of a %d-event run; want a half-drained run over an engaged calendar",
+			res.Events, r.runPos, len(r.run))
+	}
+	if got := scratchMessages(s); got != 0 {
+		t.Errorf("%d messages are reachable from the Scratch of an early-stopped run", got)
+	}
+	want := newRun().Run()
+	if got := newRun(WithScratch(s)).Run(); !reflect.DeepEqual(got, want) {
+		t.Error("the run after an early-stopped one differs from a fresh run")
+	}
+	if got := scratchMessages(s); got != 0 {
+		t.Errorf("%d messages are reachable from the Scratch of a completed run", got)
 	}
 }
 

@@ -17,19 +17,19 @@
 // event values (no per-event allocation, no interface boxing) in one
 // structure under both executors: a calendar (calendar.go) files them by
 // time bucket in fixed-size chunks, and the sequential loop orders only the
-// bucket it is draining, in a small inlined 4-ary heap — at n=1000 a push
-// is a write to the end of a chunk and a pop walks a cache-resident heap,
-// where a single heap over the million pending events missed the cache at
-// every level. A queue that never reaches nearMin events stays in that
-// heap and builds no calendar. Per-node bookkeeping lives in one contiguous
-// nodeState slab, each node's Env is allocated once per run, and a delivery
-// is a direct Deliver call with no per-event closure. A session-scoped
-// caller can reuse all of this storage across runs via Scratch. The pop
+// bucket it is about to drain, in linear radix passes over 8-byte keys — at
+// n=1000 a push is a write to the end of a chunk and a pop reads the next
+// key of a cache-resident run, where a single heap over the million pending
+// events missed the cache at every level. A small inlined 4-ary heap holds
+// what is pushed into the bucket being drained, and all of a queue that
+// never reaches nearMin events and builds no calendar. Per-node bookkeeping
+// lives in one contiguous nodeState slab, each node's Env is allocated once
+// per run, and a delivery is a direct Deliver call with no per-event
+// closure; Scratch lets a session reuse all of this storage across runs. Pop
 // order is fully determined by the (time, sequence) total order, so none of
-// it changes a single scheduled delivery: fixed-seed runs are
-// byte-identical to the original container/heap implementation (pinned by
-// bench.TestSimGoldenByteIdentity and, for the queue alone, by
-// TestCalendarOrder).
+// it changes a scheduled delivery: fixed-seed runs are byte-identical to the
+// original container/heap implementation (bench.TestSimGoldenByteIdentity
+// and, for the queue alone, TestCalendarOrder).
 //
 // An opt-in conservative-window parallel mode (WithParallelWindow) shards
 // the nodes across a worker pool, one calendar per shard, and executes each
@@ -38,9 +38,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"delphi/internal/node"
@@ -67,27 +69,22 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// eventHeap is an inlined 4-ary min-heap of events ordered by (at, seq).
-// It backs the sequential runner's near heap and every calendar's
-// beyond-horizon overflow; the value layout and the manual sift loops are
-// what keep heap maintenance allocation-free.
+// eventHeap is an inlined 4-ary min-heap of events ordered by (at, seq): the
+// sequential runner's near heap and every calendar's beyond-horizon
+// overflow. The value layout and the manual sift loops are what keep heap
+// maintenance allocation-free.
 type eventHeap []event
 
-// push adds e to the heap.
+// push adds e to the heap, sifting it towards the root.
 func (h *eventHeap) push(e event) {
 	q := append(*h, e)
 	*h = q
-	q.up(len(q) - 1)
-}
-
-// up sifts the event at index i towards the root.
-func (h eventHeap) up(i int) {
-	for i > 0 {
+	for i := len(q) - 1; i > 0; {
 		p := (i - 1) >> 2
-		if !h[i].before(&h[p]) {
+		if !q[i].before(&q[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		q[i], q[p] = q[p], q[i]
 		i = p
 	}
 }
@@ -288,13 +285,13 @@ func (r *Result) Outputs(ids []node.ID) []any {
 // from its inputs (see internal/netadv for seed-deterministic presets).
 type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Duration
 
-// Scratch is a Runner's reusable storage: the near heap's backing array,
-// the calendar's chunk slabs, the per-node bookkeeping slab, and — for
-// parallel runs — the per-shard arenas. A session-scoped caller hands the
-// same Scratch to consecutive NewRunner calls so a thousand-trial sweep
-// performs the growth allocations once instead of once per trial. A Scratch
-// must not be shared by concurrently running Runners; reuse never changes
-// results (every buffer is fully reset) — only allocation counts.
+// Scratch is a Runner's reusable storage: the near heap's backing array, the
+// drained bucket's run and sort keys, the calendar's chunk slabs, the per-node
+// bookkeeping slab, and — for parallel runs — the per-shard arenas. A session
+// hands the same Scratch to consecutive NewRunner calls so a thousand-trial
+// sweep performs the growth allocations once instead of once per trial. A
+// Scratch must not be shared by concurrently running Runners; reuse never
+// changes results (every buffer is fully reset) — only allocation counts.
 //
 // Retained capacity is bounded, not monotone: after each run every backing
 // array whose peak occupancy fit in an eighth of its capacity is halved
@@ -304,6 +301,8 @@ type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Dur
 // steady-state sweeps sit inside the 8x hysteresis band and never thrash.
 type Scratch struct {
 	near    eventHeap
+	run     []event
+	keys    []uint64
 	cal     *calendar
 	nodes   []nodeState
 	outMsgs []outMsg
@@ -335,10 +334,10 @@ func shrunk[T any](buf []T, peak int) []T {
 }
 
 // retainedEvents reports the scratch's total retained event-slot capacity
-// (near heap, calendar, and parallel arenas); it is the shrink policy's
-// observable for tests.
+// (near heap, run and keys, calendar, and parallel arenas); it is the shrink
+// policy's observable for tests.
 func (s *Scratch) retainedEvents() int {
-	total := cap(s.near)
+	total := cap(s.near) + cap(s.run) + cap(s.keys)
 	if s.cal != nil {
 		total += s.cal.retained()
 	}
@@ -363,12 +362,17 @@ type Runner struct {
 	procs []node.Process
 
 	// Pending deliveries: the calendar holds them by bucket (at >>
-	// seqBucketShift) and near orders the bucket being drained, so pops
-	// follow the (at, seq) total order; see push and ready. cal is nil until
-	// the near heap first holds nearMin events.
+	// seqBucketShift), run is the bucket being drained — read through keys,
+	// its (at, seq) order, from runPos on — and near holds what was pushed at
+	// or before that bucket; see push and next. cal is nil until the near heap
+	// first holds nearMin events.
 	near      eventHeap
 	nearPeak  int
 	cal       *calendar
+	run       []event
+	keys      []uint64 // len(run) sort keys, then as much sorting space
+	runPos    int
+	runPeak   int
 	seq       uint64
 	now       time.Duration
 	nodes     []nodeState // per-node bookkeeping slab
@@ -551,7 +555,7 @@ func NewRunner(cfg node.Config, env Environment, seed int64, procs []node.Proces
 		// Adopt the scratch buffers; Run hands them back (grown) when the
 		// run completes. Stats and envs are never pooled: Result escapes
 		// with the stats, and processes may retain their Env beyond the run.
-		r.near = s.near[:0]
+		r.near, r.run, r.keys = s.near[:0], s.run[:0], s.keys
 		r.nodes = resetNodes(s.nodes, cfg.N)
 		r.curOutMsgs = s.outMsgs[:0]
 		if s.rng != nil {
@@ -723,20 +727,23 @@ func (r *Runner) dispatch(from, to node.ID, m node.Message, ready time.Duration)
 
 const (
 	// seqBucketShift sets the sequential calendar's bucket width, 2^19 ns ≈
-	// 0.52 ms: at n=1000 the fullest bucket is 16 k events, a near heap
-	// that stays in the L2 cache.
+	// 0.52 ms: at n=1000 the fullest bucket is 16 k events, a run whose
+	// events and sort keys stay in the L2 cache.
 	seqBucketShift = 19
 	// nearMin keeps a short queue out of the calendar altogether: until the
-	// near heap first holds this many events (768 KiB of them, one n=1000
-	// bucket) it takes every push, so a paper-scale run (Delphi at n=40
-	// peaks at 11 k pending, FIN at n=16 at 6 k) is a plain heap that never
-	// builds the ring, and its sparse buckets never cost a chunk each.
-	nearMin = 16384
+	// near heap first holds this many events it takes every push, and a run
+	// that never does is a plain heap. An engaged calendar clears 64 KiB of
+	// bucket heads and spends a 3 KiB chunk on each sparse bucket, ~1 MB a
+	// run: protocol runs peaking under 1 k pending lose by it (FIN n=8 at 749
+	// +27 %; BenchmarkSimCore n=4/16 and the n=8 golden cells peak at 16–821),
+	// 1–2 k buys no time for 1.2–3× the bytes (FIN n=10, Delphi n=16), 3 k up
+	// wins (FIN n=16 at 5 k −15 %, Delphi n=40 at 11 k −15 %).
+	nearMin = 2048
 )
 
 // push queues a delivery. Once the calendar is engaged, events at or before
 // the bucket being drained — zero or sub-bucket latency, out-of-step sends —
-// go to the near heap, which orders them among that bucket's, and events
+// go to the near heap, which next merges with that bucket's run, and events
 // beyond it to the calendar.
 func (r *Runner) push(e *event) {
 	if r.cal == nil && len(r.near) >= nearMin {
@@ -755,35 +762,84 @@ func (r *Runner) push(e *event) {
 		}
 	}
 	r.near.push(*e)
-	if len(r.near) > r.nearPeak {
-		r.nearPeak = len(r.near)
-	}
+	r.nearPeak = max(r.nearPeak, len(r.near))
 }
 
-// ready reports whether a delivery is pending, having made the near heap's
-// top the earliest in (at, seq) order so the caller can pop it.
-func (r *Runner) ready() bool {
-	if r.cal != nil {
-		r.refill()
-	}
-	return len(r.near) > 0
-}
-
-// refill moves calendar buckets into the near heap until its top is the
-// earliest pending delivery: it is that whenever its bucket precedes the
-// calendar's earliest.
-func (r *Runner) refill() {
-	for {
+// next removes the earliest pending delivery in (at, seq) order into e, the
+// run's head or the near heap's top, and reports whether there was one. A run
+// in progress precedes every calendar bucket; once it is drained the
+// calendar's earliest bucket becomes the next run, unless the near heap's
+// top still precedes that bucket.
+func (r *Runner) next(e *event) bool {
+	if r.runPos == len(r.run) && r.cal != nil {
 		nb := r.cal.next()
-		if nb == math.MaxInt64 || len(r.near) > 0 && int64(r.near[0].at>>seqBucketShift) < nb {
-			break
+		if nb != math.MaxInt64 && (len(r.near) == 0 || int64(r.near[0].at>>seqBucketShift) >= nb) {
+			r.run = r.cal.take(nb, r.run[:0])
+			r.runPos = 0
+			r.runPeak = max(r.runPeak, len(r.run))
+			r.sortRun()
 		}
-		n := len(r.near)
-		r.near = r.cal.take(nb, r.near)
-		for ; n < len(r.near); n++ {
-			r.near.up(n)
+	}
+	if r.runPos < len(r.run) {
+		if head := &r.run[uint32(r.keys[r.runPos])]; len(r.near) == 0 || head.before(&r.near[0]) {
+			*e = *head
+			head.msg = nil // release the message reference
+			r.runPos++
+			return true
 		}
-		r.nearPeak = max(r.nearPeak, len(r.near))
+	}
+	if len(r.near) == 0 {
+		return false
+	}
+	*e = r.near[0] // copied where it lies: pop's by-value result takes a detour over the stack
+	r.near.pop()
+	return true
+}
+
+// sortRun fills keys[:len(run)] with run's indices in (at, seq) order, each
+// under the bits of at its bucket leaves open: key = at%width<<32 | index. Two
+// stable counting passes of ten bits order the keys by at in linear time, 10
+// ns an event at 16 k against a comparison sort's 80; under radixMin events
+// zeroing and summing the counters costs more than comparing (26 against 13
+// ns at 64, 15 against 18 at 128). Events of equal at then stand in take, not
+// seq, order (chunks chain newest first): each such group is sorted by seq.
+func (r *Runner) sortRun() {
+	const radixMin = 128
+	run, n := r.run, len(r.run)
+	if cap(r.keys) < 2*n {
+		r.keys = make([]uint64, 2*cap(run))
+	}
+	r.keys = r.keys[:2*n]
+	keys, tmp := r.keys[:n], r.keys[n:]
+	for i := range run {
+		keys[i] = uint64(run[i].at&(1<<seqBucketShift-1))<<32 | uint64(i)
+	}
+	if n < radixMin {
+		slices.Sort(keys)
+	} else {
+		for shift, src, dst := 32, keys, tmp; shift < 32+seqBucketShift; shift, src, dst = shift+10, dst, src {
+			var count [1 << 10]uint32
+			for _, k := range src {
+				count[k>>shift&1023]++
+			}
+			sum := uint32(0)
+			for d, c := range count {
+				count[d], sum = sum, sum+c
+			}
+			for _, k := range src {
+				dst[count[k>>shift&1023]] = k
+				count[k>>shift&1023]++
+			}
+		}
+	}
+	bySeq := func(a, b uint64) int { return cmp.Compare(run[uint32(a)].seq, run[uint32(b)].seq) }
+	for i, j := 0, 1; j <= n; j++ {
+		if j == n || keys[j]>>32 != keys[i]>>32 {
+			if j-i > 1 {
+				slices.SortFunc(keys[i:j], bySeq)
+			}
+			i = j
+		}
 	}
 }
 
@@ -838,8 +894,9 @@ func (r *Runner) Run() *Result {
 			p.Init(&r.envs[i])
 			r.endStep(node.ID(i), 0, 0)
 		}
-		for r.ready() {
-			if e := r.near.pop(); !r.deliver(&e) {
+		var e event
+		for r.next(&e) {
+			if !r.deliver(&e) {
 				break
 			}
 		}
@@ -860,12 +917,15 @@ func (r *Runner) Run() *Result {
 	}
 	if s := r.scratch; s != nil {
 		// Hand the buffers back for the next run, shrunk where this run's
-		// peak occupancy left them mostly idle. Remaining events and the
-		// staged-send buffer's capacity region hold message references;
-		// drop them so the scratch retains only bare storage.
+		// peak occupancy left them mostly idle. Events an early stop left
+		// queued and the staged-send buffer's capacity region hold message
+		// references; drop them so the scratch retains only bare storage.
 		clear(r.near)
+		clear(r.run)
 		clear(r.curOutMsgs[:cap(r.curOutMsgs)])
 		s.near = shrunk(r.near, r.nearPeak)
+		s.run = shrunk(r.run, r.runPeak)
+		s.keys = shrunk(r.keys, 2*r.runPeak)
 		// The calendar moved out of the scratch if the run engaged it (so a
 		// run that panics strands it instead of leaving it half-drained);
 		// either way it is released, which is what shrinks an idle one.

@@ -72,11 +72,12 @@ go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
 # (TestParallelDeterminism, TestParallelScratchReuse,
 # TestParallelOverflowHorizon, TestLookaheadViolation). All of these ran
 # under -race in `go test -race ./...` above, none is -short-gated, and
-# they are not run again. The golden cells are paper-scale, though, and
-# their queues never grow into the calendar both executors file large
-# queues in; what that pass does not do is search its order: a short fuzz
-# of the sequential queue (near heap + calendar ring + overflow heap)
-# against a reference min-heap on interleaved pushes and pops.
+# they are not run again. The golden file's last nine cells (Delphi n=40,
+# FIN n=31, Dolev n=300) are large enough to engage the calendar and the
+# sorted bucket runs the sequential loop drains it through; what that pass
+# does not do is search the queue's order: a short fuzz of the sequential
+# queue (near heap + sorted run + calendar ring + overflow heap, early stops
+# included) against a reference min-heap on interleaved pushes and pops.
 echo "== sim event-queue fuzz smoke =="
 go test ./internal/sim -run '^$' -fuzz FuzzCalendarOrder -fuzztime 10s
 
