@@ -47,6 +47,81 @@ func (e *Engine) debugState() string {
 	return b.String()
 }
 
+// DebugState and StoredBundle show the external test package what a delivery
+// left behind: the whole tally dump, and one slot of initBundles (entries is
+// -1 for a nil slot; resolved means every entry's ref names its instance).
+func (e *Engine) DebugState() string { return e.debugState() }
+
+func (e *Engine) StoredBundle(r int, from node.ID) (entries int, resolved bool) {
+	b := e.initBundles[r-1][from]
+	if b == nil {
+		return -1, false
+	}
+	for _, a := range b {
+		if a.ref == 0 || int(a.ref) > len(e.instList) || e.instList[a.ref-1].id != a.id {
+			return len(b), false
+		}
+	}
+	return len(b), true
+}
+
+// TestBundleDuplicateListing pins "first listing wins" inside one bundle: an
+// instance a sender names twice gets that sender's init vote once, with the
+// first value, and the sender's zeros bundle reads the same first value —
+// whether the repeat sits in a full bundle or in a compressed bundle's
+// NewVals, and whichever of bundle and zeros bundle arrives first. The guard
+// is applyBundle's gen stamp; without it the second listing votes too.
+func TestBundleDuplicateListing(t *testing.T) {
+	cfg := Config{Config: node.Config{N: 4, F: 1}, Rounds: 8}
+	e, err := NewEngine(cfg, map[IID]float64{{K: 50}: 1}, func(map[IID]float64) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(&SinkEnv{Nodes: 4, Faults: 1})
+	hiFirst, loFirst := IID{K: 60}, IID{K: 61} // listed (1, 0) and (0, 1)
+	dup := func(r uint16, vHi, vLo float64) []IVal {
+		return []IVal{{ID: hiFirst, Round: r, V: vHi}, {ID: loFirst, Round: r, V: vLo}}
+	}
+	// Sender 1: full bundle, then zeros. Sender 2: zeros, then full bundle.
+	full := &Echo1{Round: 1, Init: true, Vals: append(dup(1, 1, 0), dup(1, 0, 1)...)}
+	e.HandleEcho1(1, full)
+	e.HandleEcho2(1, &Echo2{Round: 1, Zeros: true})
+	e.HandleEcho2(2, &Echo2{Round: 1, Zeros: true})
+	e.HandleEcho1(2, full)
+	// Sender 3: a clean round-1 base, then a round-2 compressed bundle whose
+	// NewVals repeat both base entries with the other value, then both zeros.
+	e.HandleEcho1(3, &Echo1{Round: 1, Init: true, Vals: dup(1, 1, 0)})
+	e.HandleEcho1C(3, &Echo1C{Round: 2, PrevCount: 2, Deltas: packNibbles([]uint8{symC, symC}), NewVals: dup(2, 0, 1)})
+	e.HandleEcho2(3, &Echo2{Round: 1, Zeros: true})
+	e.HandleEcho2(3, &Echo2{Round: 2, Zeros: true})
+	if n, ok := e.StoredBundle(2, 3); n != 4 || !ok {
+		t.Fatalf("sender 3's round-2 bundle: %d entries (resolved=%v), want the 4 listed", n, ok)
+	}
+
+	for _, c := range []struct {
+		from node.ID
+		r    int
+	}{{1, 1}, {2, 1}, {3, 1}, {3, 2}} {
+		for _, want := range []struct {
+			id IID
+			v  float64
+		}{{hiFirst, 1}, {loFirst, 0}} {
+			ir := e.insts[want.id].round(c.r)
+			for _, s := range ir.echo1.sets {
+				if s.set.get(c.from) != (s.v == want.v) {
+					t.Errorf("%v round %d: sender %d's init vote for %g counted=%v, want only %g",
+						want.id, c.r, c.from, s.v, s.set.get(c.from), want.v)
+				}
+			}
+			zero := ir.echo2.find(0)
+			if got := zero != nil && zero.set.get(c.from); got != (want.v == 0) {
+				t.Errorf("%v round %d: sender %d's zeros bundle applied=%v, first listing is %g",
+					want.id, c.r, c.from, got, want.v)
+			}
+		}
+	}
+}
+
 func TestDeadlockRepro(t *testing.T) {
 	n, f := 7, 2
 	cfg := Config{Config: node.Config{N: n, F: f}, Rounds: 13}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,11 +59,32 @@ func warmedEngine(t testing.TB) (*binaa.Engine, *binaa.SinkEnv) {
 	return e, env
 }
 
+// toRound2 completes round 1 of a warmedEngine: bitmaps from senders 0..10
+// decide a and b at 1, their zeros bundles decide c at 0 and are the n-t the
+// round waits for, so the engine opens round 2 with states (1, 1, 0).
+func toRound2(e *binaa.Engine) {
+	for from := node.ID(0); from < 11; from++ {
+		e.HandleEcho2C(from, &binaa.Echo2C{Round: 1, Bits: []byte{3}})
+	}
+	for from := node.ID(0); from < 11; from++ {
+		e.HandleEcho2(from, &binaa.Echo2{Round: 1, Zeros: true})
+	}
+}
+
+// keepAB is a round-2 compressed bundle that leaves a sender's two round-1
+// entries (a and b at 1) unchanged and announces nothing new.
+func keepAB() *binaa.Echo1C {
+	return &binaa.Echo1C{Round: 2, PrevCount: 2, Deltas: []byte{0}}
+}
+
 // TestDeliverAllocs is the allocation gate of the per-delivery path: a
 // delivered message that crosses no threshold — a duplicate, or a new vote
 // that lands strictly between or beyond t+1 and n-t — must allocate nothing
 // and emit nothing. Each case sends from a fresh sender per run, so the
-// votes counted are new ones, not replays of one message.
+// votes counted are new ones, not replays of one message. The cases on an
+// engine that has left round 1 add: ECHO2 traffic for the left round leaves
+// no trace at all, and a compressed bundle whose base round is behind is
+// built in the base bundle, not in a copy.
 func TestDeliverAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -71,6 +93,12 @@ func TestDeliverAllocs(t *testing.T) {
 		warm func(e *binaa.Engine)
 		runs int
 		next func(i int) (node.ID, node.Message)
+		// round is where the engine must stand before and after (default 1);
+		// frozen requires an unchanged DebugState; check inspects the engine
+		// after the measured deliveries.
+		round  int
+		frozen bool
+		check  func(t *testing.T, e *binaa.Engine)
 	}{
 		{
 			// a's ECHO1(1) tally stands at 12 > n-t: senders 12..15 add
@@ -109,6 +137,61 @@ func TestDeliverAllocs(t *testing.T) {
 				return node.ID(1 + i), &binaa.Echo2{Round: 1, Zeros: true}
 			},
 		},
+		{
+			// Senders 11..15 were not among the n-t the round left on.
+			name: "Echo2 zeros, left round",
+			warm: toRound2, round: 2, frozen: true,
+			runs: 5,
+			next: func(i int) (node.ID, node.Message) {
+				return node.ID(11 + i), &binaa.Echo2{Round: 1, Zeros: true}
+			},
+		},
+		{
+			// Sender 11's round-1 bundle is stored, 12..15's never came (the
+			// bitmap used to be buffered for it).
+			name: "Echo2C, left round",
+			warm: toRound2, round: 2, frozen: true,
+			runs: 5,
+			next: func(i int) (node.ID, node.Message) {
+				return node.ID(11 + i), &binaa.Echo2C{Round: 1, Bits: []byte{3}}
+			},
+		},
+		{
+			name: "Echo2 explicit, left round",
+			warm: toRound2, round: 2, frozen: true,
+			runs: 5,
+			next: func(i int) (node.ID, node.Message) {
+				return node.ID(11 + i), &binaa.Echo2{Vals: []binaa.IVal{{ID: gateA, Round: 1, V: 1}, {ID: gateC, Round: 1, V: 0}}}
+			},
+		},
+		{
+			// Senders 0..5 take the round-2 ECHO1 tallies to t+1 = 6; senders
+			// 6..9 add votes 7..10 < n-t, and are the 7th..10th bundle of the
+			// round, so no zeros bundle goes out either.
+			name: "Echo1C in place",
+			warm: func(e *binaa.Engine) {
+				toRound2(e)
+				for from := node.ID(0); from < 6; from++ {
+					e.HandleEcho1C(from, keepAB())
+				}
+			},
+			round: 2,
+			runs:  4,
+			next:  func(i int) (node.ID, node.Message) { return node.ID(6 + i), keepAB() },
+			check: func(t *testing.T, e *binaa.Engine) {
+				for from := node.ID(0); from < 12; from++ {
+					base, _ := e.StoredBundle(1, from)
+					next, resolved := e.StoredBundle(2, from)
+					if from >= 10 {
+						if base != 2 || next != -1 {
+							t.Errorf("sender %d sent no round-2 bundle: slots hold %d and %d entries, want 2 and none", from, base, next)
+						}
+					} else if base != -1 || next != 2 || !resolved {
+						t.Errorf("sender %d: base slot holds %d entries, successor %d (resolved=%v); want none, 2, true", from, base, next, resolved)
+					}
+				}
+			},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -116,6 +199,13 @@ func TestDeliverAllocs(t *testing.T) {
 			if c.warm != nil {
 				c.warm(e)
 			}
+			if c.round == 0 {
+				c.round = 1
+			}
+			if e.Round() != c.round {
+				t.Fatalf("fixture stands in round %d, want %d", e.Round(), c.round)
+			}
+			state := e.DebugState()
 			// AllocsPerRun makes one warm-up call before the measured runs.
 			ds := make([]delivery, c.runs)
 			for i := range ds {
@@ -132,8 +222,14 @@ func TestDeliverAllocs(t *testing.T) {
 			if env.Sends != sends {
 				t.Errorf("%d messages emitted by non-crossing deliveries, want 0", env.Sends-sends)
 			}
-			if e.Round() != 1 || e.Done() {
+			if e.Round() != c.round || e.Done() {
 				t.Errorf("engine moved to round %d (done=%v)", e.Round(), e.Done())
+			}
+			if after := e.DebugState(); c.frozen && after != state {
+				t.Errorf("engine state moved:\n--- before\n%s--- after\n%s", state, after)
+			}
+			if c.check != nil {
+				c.check(t, e)
 			}
 		})
 	}
@@ -229,8 +325,12 @@ func TestMessageAliasing(t *testing.T) {
 	}
 }
 
-// deliveryKind names the handler path a message takes.
-func deliveryKind(m node.Message) string {
+// deliveryKind names the handler path a message takes in the engine about
+// to receive it: echo2-late is ECHO2 traffic of any form for a round the
+// engine has left (dropped), echo1c-inplace a compressed bundle whose base
+// round is behind the engine (rebuilt in the base bundle; Echo1C is then the
+// copied or buffered rest).
+func deliveryKind(e *binaa.Engine, m node.Message) string {
 	switch msg := m.(type) {
 	case *binaa.Echo1:
 		if msg.Init {
@@ -239,12 +339,24 @@ func deliveryKind(m node.Message) string {
 		return "Echo1/amp"
 	case *binaa.Echo2:
 		if msg.Zeros {
+			if int(msg.Round) < e.Round() {
+				return "echo2-late"
+			}
 			return "Echo2/zeros"
+		}
+		if !slices.ContainsFunc(msg.Vals, func(v binaa.IVal) bool { return int(v.Round) >= e.Round() }) {
+			return "echo2-late"
 		}
 		return "Echo2/vals"
 	case *binaa.Echo1C:
+		if int(msg.Round)-1 < e.Round() {
+			return "echo1c-inplace"
+		}
 		return "Echo1C"
 	case *binaa.Echo2C:
+		if int(msg.Round) < e.Round() {
+			return "echo2-late"
+		}
 		return "Echo2C"
 	}
 	return "other"
@@ -258,14 +370,14 @@ func deliveryKind(m node.Message) string {
 // so messages are never timed in isolation.
 func BenchmarkEngineDeliver(b *testing.B) {
 	cfg, in, trace := captureTrace(b)
-	for _, kind := range []string{"Echo1/init", "Echo1/amp", "Echo1C", "Echo2/zeros", "Echo2/vals", "Echo2C"} {
+	for _, kind := range []string{"Echo1/init", "Echo1/amp", "Echo1C", "echo1c-inplace", "Echo2/zeros", "Echo2/vals", "Echo2C", "echo2-late"} {
 		b.Run(kind, func(b *testing.B) {
 			// One instrumented replay counts the path's allocations exactly
 			// (ReadMemStats stops the world, so not inside the timed loop).
 			var mallocs uint64
 			var ms runtime.MemStats
 			replay(b, cfg, in, trace, func(e *binaa.Engine, d delivery) {
-				if deliveryKind(d.m) != kind {
+				if deliveryKind(e, d.m) != kind {
 					deliver(e, d.from, d.m)
 					return
 				}
@@ -281,7 +393,7 @@ func BenchmarkEngineDeliver(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				replay(b, cfg, in, trace, func(e *binaa.Engine, d delivery) {
-					if deliveryKind(d.m) != kind {
+					if deliveryKind(e, d.m) != kind {
 						deliver(e, d.from, d.m)
 						return
 					}

@@ -66,9 +66,9 @@ type Engine struct {
 	// instances listed — with any value, zero included — voted explicitly;
 	// everything else implicitly voted 0. initSeen marks the senders whose
 	// bundle has arrived (a present bundle may be an empty list). A stored
-	// bundle is the engine's own slice, never a message's, and every entry
-	// of it is resolved (entry.ref != 0): applyBundle, the only writer,
-	// resolves a bundle before it records it.
+	// bundle is the engine's own slice, never a message's, with every entry
+	// resolved (entry.ref != 0). It stays until its round is left and its
+	// successor has arrived: applyCompressed builds that in it and nils the slot.
 	initBundles  [][][]entry
 	initSeen     []bitset
 	initCount    []int
@@ -81,7 +81,7 @@ type Engine struct {
 	// buffered compressed bundles whose base round has not arrived yet.
 	announced  [][]entry
 	pendingC   map[node.ID]map[int]*Echo1C
-	pendingE2C map[node.ID]map[int]*Echo2C
+	pendingE2C map[node.ID]map[int][]byte
 
 	// Staged outgoing echoes for the current step; pendE2CB is the staged
 	// compact ECHO2 bitmap per round (index r-1, nil when nothing is staged).
@@ -174,7 +174,7 @@ func NewEngine(cfg Config, inputs map[IID]float64, onDone func(map[IID]float64))
 		inputs:     in,
 		insts:      make(map[IID]*inst),
 		pendingC:   make(map[node.ID]map[int]*Echo1C),
-		pendingE2C: make(map[node.ID]map[int]*Echo2C),
+		pendingE2C: make(map[node.ID]map[int][]byte),
 	}, nil
 }
 
@@ -380,11 +380,10 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 
 // applyBundle records a sender's round announcement — the caller has checked
 // it is the sender's first for round r — and applies its explicit and
-// implicit votes. It takes ownership of b. Before recording it, it resolves
-// every entry that is still unresolved (entries copied from an earlier
-// stored bundle already are), activating the instances this node had not
-// heard of. It then drains any buffered compressed bundles that were waiting
-// for this round.
+// implicit votes. It takes ownership of b and first resolves every entry not
+// yet resolved (those of an earlier stored bundle are), activating the
+// instances this node had not heard of. It then drains any buffered
+// compressed bundle and bitmap that were waiting for this round.
 func (e *Engine) applyBundle(from node.ID, r int, b []entry) {
 	for i := range b {
 		if b[i].ref == 0 {
@@ -396,9 +395,10 @@ func (e *Engine) applyBundle(from node.ID, r int, b []entry) {
 	e.initCount[r-1]++
 	e.gen++
 	for _, a := range b {
-		x := e.instList[a.ref-1]
-		x.gen = e.gen
-		e.applyInitVote(x, r, from, a.v)
+		if x := e.instList[a.ref-1]; x.gen != e.gen { // first listing wins
+			x.gen = e.gen
+			e.applyInitVote(x, r, from, a.v)
+		}
 	}
 	for _, x := range e.instList {
 		if x.gen != e.gen {
@@ -411,9 +411,11 @@ func (e *Engine) applyBundle(from node.ID, r int, b []entry) {
 		delete(e.pendingC[from], r+1)
 		e.applyCompressed(from, next)
 	}
-	if ec, ok := e.pendingE2C[from][r]; ok {
+	if bits, ok := e.pendingE2C[from][r]; ok {
 		delete(e.pendingE2C[from], r)
-		e.applyEcho2C(from, ec)
+		if r >= e.round {
+			e.applyEcho2C(from, r, bits)
+		}
 	}
 }
 
@@ -445,30 +447,41 @@ func (e *Engine) HandleEcho1C(from node.ID, m *Echo1C) {
 }
 
 // applyCompressed reconstructs a compressed bundle against the sender's
-// previous announcement and applies it. A malformed bundle is dropped
-// before any engine state is touched.
+// previous announcement and applies it. A malformed bundle is dropped before
+// any engine state is touched. A base bundle whose round the engine has left
+// has no reader any more and becomes the new bundle in place; one whose round
+// is current or ahead may still meet its bitmap or zeros bundle, and is copied.
 func (e *Engine) applyCompressed(from node.ID, m *Echo1C) {
 	r := int(m.Round)
 	prev := e.initBundles[r-2][from]
 	if e.initSeen[r-1].get(from) || len(prev) != int(m.PrevCount) || len(m.Deltas) < (len(prev)+1)/2 {
 		return // a full bundle overtook this one, or malformed relative to our view: drop
 	}
-	b := make([]entry, len(prev), len(prev)+len(m.NewVals))
 	esc := 0
-	for i, p := range prev {
-		switch sym := nibble(m.Deltas, i); {
-		case sym == symX:
-			if esc >= len(m.Escapes) {
-				return // malformed escape list
-			}
-			p.v = m.Escapes[esc]
+	for i := range prev {
+		if sym := nibble(m.Deltas, i); sym == symX {
 			esc++
-		case sym > sym2R:
+		} else if sym > sym2R {
 			return // unknown symbol
-		default:
-			p.v = applySymbol(p.v, sym, r)
 		}
-		b[i] = p
+	}
+	if esc > len(m.Escapes) {
+		return // malformed escape list
+	}
+	b := prev
+	if r-1 < e.round {
+		e.initBundles[r-2][from] = nil
+	} else {
+		b = append(make([]entry, 0, len(prev)+len(m.NewVals)), prev...)
+	}
+	esc = 0
+	for i := range b {
+		if sym := nibble(m.Deltas, i); sym == symX {
+			b[i].v = m.Escapes[esc]
+			esc++
+		} else {
+			b[i].v = applySymbol(b[i].v, sym, r)
+		}
 	}
 	for _, nv := range m.NewVals {
 		b = append(b, entry{id: nv.ID, v: nv.V})
@@ -478,42 +491,34 @@ func (e *Engine) applyCompressed(from node.ID, m *Echo1C) {
 
 // HandleEcho2C processes a compact ECHO2 bitmap.
 func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
-	if e.done {
-		return
-	}
 	r := int(m.Round)
-	if !e.validRound(r) {
-		return
+	if e.done || !e.validRound(r) || r < e.round {
+		return // nothing reads a left round's ECHO2s
 	}
 	e.grow(r)
 	if !e.initSeen[r-1].get(from) {
 		if e.pendingE2C[from] == nil {
-			e.pendingE2C[from] = make(map[int]*Echo2C)
+			e.pendingE2C[from] = make(map[int][]byte)
 		}
-		// Bitmaps are incremental: merge rather than keep-first.
-		if prev, ok := e.pendingE2C[from][r]; ok {
-			merged := append([]byte(nil), prev.Bits...)
-			for len(merged) < len(m.Bits) {
-				merged = append(merged, 0)
-			}
-			for i, b := range m.Bits {
-				merged[i] |= b
-			}
-			prev.Bits = merged
-		} else {
-			e.pendingE2C[from][r] = &Echo2C{Round: m.Round, Bits: append([]byte(nil), m.Bits...)}
+		// Bitmaps are incremental: merge (into our own bytes), not keep-first.
+		merged := e.pendingE2C[from][r]
+		for len(merged) < len(m.Bits) {
+			merged = append(merged, 0)
 		}
+		for i, b := range m.Bits {
+			merged[i] |= b
+		}
+		e.pendingE2C[from][r] = merged
 		return
 	}
-	e.applyEcho2C(from, m)
+	e.applyEcho2C(from, r, m.Bits)
 	e.settle()
 }
 
 // applyEcho2C resolves bitmap bits against the sender's round announcement.
-func (e *Engine) applyEcho2C(from node.ID, m *Echo2C) {
-	r := int(m.Round)
+func (e *Engine) applyEcho2C(from node.ID, r int, bits []byte) {
 	for i, a := range e.initBundles[r-1][from] {
-		if !getBit(m.Bits, i) {
+		if !getBit(bits, i) {
 			continue
 		}
 		x := e.instList[a.ref-1]
@@ -523,33 +528,32 @@ func (e *Engine) applyEcho2C(from node.ID, m *Echo2C) {
 	}
 }
 
-// HandleEcho2 processes an Echo2 message.
+// HandleEcho2 processes an Echo2 message. Votes for a round the engine has
+// left are dropped (see the package comment); their instances still activate.
 func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 	if e.done {
 		return
 	}
-	if r := int(m.Round); m.Zeros && e.validRound(r) {
+	if r := int(m.Round); m.Zeros && e.validRound(r) && r >= e.round {
 		e.grow(r)
 		if e.zerosSenders[r-1].set(from) {
 			e.zerosCount[r-1]++
-			// Mark the sender's listed instances once (first listing
-			// wins, as in bundle reconstruction), then apply the
-			// implicit zero to every instance whose init-slot vote from
-			// this sender was zero; instances whose init vote hasn't
-			// arrived pick the zeros vote up in applyInitVote.
-			e.gen++
-			for _, a := range e.initBundles[r-1][from] {
-				if x := e.instList[a.ref-1]; x.gen != e.gen {
-					x.gen = e.gen
-					x.genNonzero = a.v != 0
+			// The implicit zero goes to every instance the sender's bundle
+			// does not list non-zero (first listing wins, as in applyBundle);
+			// until the bundle arrives, applyInitVote picks the vote up.
+			if e.initSeen[r-1].get(from) {
+				e.gen++
+				for _, a := range e.initBundles[r-1][from] {
+					if x := e.instList[a.ref-1]; x.gen != e.gen {
+						x.gen = e.gen
+						x.genNonzero = a.v != 0
+					}
 				}
-			}
-			for _, x := range e.instList {
-				ir := x.round(r)
-				listedNonzero := x.gen == e.gen && x.genNonzero
-				if ir.initConsumed.get(from) && !listedNonzero &&
-					ir.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
-					e.mark(x, r)
+				for _, x := range e.instList {
+					if !(x.gen == e.gen && x.genNonzero) &&
+						x.round(r).addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
+						e.mark(x, r)
+					}
 				}
 			}
 		}
@@ -560,22 +564,20 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 			continue
 		}
 		e.grow(r)
-		x := e.activate(v.ID)
-		if x.round(r).addEcho2(from, v.V, true, e.cfg.N) == e.cfg.Quorum() {
+		x := e.activate(v.ID) // even for a left round: it joins our next announcement
+		if r >= e.round && x.round(r).addEcho2(from, v.V, true, e.cfg.N) == e.cfg.Quorum() {
 			e.mark(x, r)
 		}
 	}
 	e.settle()
 }
 
-// applyInitVote consumes sender's init-slot ECHO1 vote for one instance and
-// round, and applies the sender's pending zeros-bundle ECHO2 if the vote
-// was zero.
+// applyInitVote applies sender's init-slot ECHO1 vote for one instance and
+// round, and the sender's pending zeros-bundle ECHO2 if the vote was zero.
+// Each (instance, sender, round) gets here once: initSeen admits one bundle,
+// applyBundle skips repeated listings, activate replays only earlier bundles.
 func (e *Engine) applyInitVote(x *inst, r int, from node.ID, v float64) {
 	ir := x.round(r)
-	if !ir.initConsumed.set(from) {
-		return
-	}
 	crossed := e.crossed1(ir.addEcho1(from, v, e.cfg.N))
 	if v == 0 && e.zerosSenders[r-1].get(from) &&
 		ir.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {

@@ -3,6 +3,7 @@ package binaa
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"delphi/internal/node"
@@ -34,8 +35,11 @@ const (
 
 // fuzzEngine returns a started n=4 engine that holds fuzzSender's round-1
 // announcement of fuzzPrev entries — the base a round-2 compressed bundle
-// is reconstructed against.
-func fuzzEngine(t testing.TB) *Engine {
+// is reconstructed against. With left set, all three peers have announced
+// and ECHO2'd the same values and sent their zeros bundles, so the engine
+// stands in round 2 and the base round is behind it: the bundle is then
+// rebuilt in the stored base, not in a copy.
+func fuzzEngine(t testing.TB, left bool) *Engine {
 	t.Helper()
 	cfg := Config{Config: node.Config{N: 4, F: 1}, Rounds: 8}
 	e, err := NewEngine(cfg, map[IID]float64{{K: 50}: 1}, func(map[IID]float64) {})
@@ -48,6 +52,18 @@ func fuzzEngine(t testing.TB) *Engine {
 		vals[i] = IVal{ID: IID{K: int32(50 + i)}, Round: 1, V: math.Ldexp(1, -i)}
 	}
 	e.HandleEcho1(fuzzSender, &Echo1{Round: 1, Init: true, Vals: vals})
+	if left {
+		for _, from := range []node.ID{2, 3} {
+			e.HandleEcho1(from, &Echo1{Round: 1, Init: true, Vals: vals})
+		}
+		for from := node.ID(1); from < 4; from++ {
+			e.HandleEcho2C(from, &Echo2C{Round: 1, Bits: []byte{1<<fuzzPrev - 1}})
+			e.HandleEcho2(from, &Echo2{Round: 1, Zeros: true})
+		}
+		if e.round != 2 {
+			t.Fatalf("fixture stands in round %d, want 2", e.round)
+		}
+	}
 	return e
 }
 
@@ -72,15 +88,24 @@ func wellFormed(m *Echo1C, prev int) bool {
 	return true
 }
 
-// checkCompressedDelivery hands m to a fuzzEngine as fuzzSender's bundle.
-// Nothing may panic. The bundle takes effect only if it opens round 2 and is
-// well formed against the stored round-1 announcement; otherwise it is
-// dropped, buffered or ignored, and initSeen, initCount, the stored bundles
-// and the instance list must be exactly as before. An accepted bundle must
-// be stored with every entry resolved.
+// checkCompressedDelivery hands m to both fuzzEngine fixtures as fuzzSender's
+// bundle. Nothing may panic. The bundle takes effect only if it opens round 2
+// and is well formed against the stored round-1 announcement; otherwise it is
+// dropped, buffered or ignored, and initSeen, initCount, the stored bundles —
+// the base bundle entry by entry: the in-place path must not write before it
+// has validated — and the instance list must be exactly as before. An
+// accepted bundle must be stored with every entry resolved and every value
+// reconstructed; its base bundle is untouched when its round is current and
+// gone when its round is left.
 func checkCompressedDelivery(t *testing.T, m *Echo1C) {
-	e := fuzzEngine(t)
+	for _, left := range []bool{false, true} {
+		checkCompressedOn(t, fuzzEngine(t, left), left, m)
+	}
+}
+
+func checkCompressedOn(t *testing.T, e *Engine, left bool, m *Echo1C) {
 	rounds := e.cfg.Rounds
+	base := slices.Clone(e.initBundles[0][fuzzSender])
 	type snap struct {
 		seen  bool
 		count int
@@ -106,6 +131,13 @@ func checkCompressedDelivery(t *testing.T, m *Echo1C) {
 			t.Fatalf("round %d: (seen, count) = %v, want %v (applied=%v)", i+1, got, want, applied)
 		}
 	}
+	if kept := e.initBundles[0][fuzzSender]; applied && left {
+		if kept != nil {
+			t.Fatalf("left-round base bundle still stored (%d entries) after its successor", len(kept))
+		}
+	} else if !slices.Equal(kept, base) {
+		t.Fatalf("base bundle changed (applied=%v, left=%v):\n got %v\nwant %v", applied, left, kept, base)
+	}
 	if !applied {
 		if len(e.instList) != insts {
 			t.Fatalf("rejected bundle activated %d instances", len(e.instList)-insts)
@@ -119,10 +151,19 @@ func checkCompressedDelivery(t *testing.T, m *Echo1C) {
 	if len(b) != fuzzPrev+len(m.NewVals) {
 		t.Fatalf("stored bundle has %d entries, want %d", len(b), fuzzPrev+len(m.NewVals))
 	}
-	for i, a := range b {
-		if a.ref == 0 || int(a.ref) > len(e.instList) || e.instList[a.ref-1].id != a.id {
-			t.Fatalf("entry %d (%v) has unresolved reference %d", i, a.id, a.ref)
+	esc := 0
+	for i, p := range base {
+		want := applySymbol(p.v, nibble(m.Deltas, i), 2)
+		if nibble(m.Deltas, i) == symX {
+			want = m.Escapes[esc]
+			esc++
 		}
+		if b[i].id != p.id || math.Float64bits(b[i].v) != math.Float64bits(want) {
+			t.Fatalf("entry %d reconstructed as %v=%g, want %v=%g", i, b[i].id, b[i].v, p.id, want)
+		}
+	}
+	if _, resolved := e.StoredBundle(2, fuzzSender); !resolved {
+		t.Fatalf("stored bundle has an unresolved entry: %v", b)
 	}
 	// The paths that read the indices: a bitmap over the whole announcement
 	// and the sender's zeros bundle.
@@ -136,7 +177,7 @@ func checkCompressedDelivery(t *testing.T, m *Echo1C) {
 
 // echo1CSeeds are the compressed bundles of compress_test.go — the
 // round-trip message and the byzCompressed forgeries — plus a well-formed
-// round-2 bundle for fuzzEngine.
+// round-2 bundle for fuzzEngine and two that go wrong late.
 func echo1CSeeds() []*Echo1C {
 	return []*Echo1C{
 		{Round: 3, PrevCount: 5, Deltas: packNibbles([]uint8{symC, symL, sym2R, symX, symR}),
@@ -146,6 +187,10 @@ func echo1CSeeds() []*Echo1C {
 		{Round: 2, PrevCount: 9, Deltas: []byte{0xff}, Escapes: []float64{5}},
 		{Round: 3, PrevCount: 1, Deltas: []byte{symX}},
 		{Round: 2, PrevCount: 5, Deltas: []byte{symX | symX<<4, symX}, Escapes: []float64{1}},
+		// Malformed only after deltas a one-pass rebuild would already have
+		// applied: a second escape with one value, an unknown symbol.
+		{Round: 2, PrevCount: 5, Deltas: packNibbles([]uint8{symL, symX, symX, symC, symC}), Escapes: []float64{0.5}},
+		{Round: 2, PrevCount: 5, Deltas: packNibbles([]uint8{symR, sym2L, 7, symC, symC})},
 	}
 }
 

@@ -27,10 +27,18 @@
 //
 // Message ownership: handlers never mutate or take ownership of a delivered
 // message's slices. The simulator hands one message pointer to all n
-// receivers, so an engine copies what it keeps (a stored bundle is always the
-// engine's own slice, see Engine.initBundles). The one thing retained by
+// receivers, so an engine copies what it keeps. The one thing retained by
 // reference is a whole *Echo1C buffered until its base round arrives, and it
-// is only ever read.
+// is only ever read. A stored bundle (Engine.initBundles) is the engine's own
+// slice; it lives until the engine has left its round and the sender's next
+// compressed bundle has arrived, which is then built in it.
+//
+// Left rounds: ECHO2 traffic — zeros bundle, bitmap, explicit votes — for a
+// round below the engine's current one is dropped on arrival: it feeds only
+// that round's decisions, which the engine reads only while in the round (it
+// leaves on n-t zeros bundles, so t senders' ECHO2s always come late). ECHO1s
+// of left rounds still count — amplification and ECHO2 emission, which slower
+// peers wait for, depend on them alone — and a late vote's instance activates.
 package binaa
 
 import (
@@ -61,9 +69,6 @@ type instRound struct {
 	echo1 votes
 	// echo2 tallies, per value, the nodes whose ECHO2 counted for it.
 	echo2 votes
-	// initConsumed marks senders whose init-slot vote (explicit listing or
-	// implicit zero) has been applied, so replays don't double-count.
-	initConsumed bitset
 	// echo2From marks senders whose ECHO2 vote (explicit or zeros-bundle)
 	// has been consumed.
 	echo2From bitset
@@ -92,17 +97,12 @@ type instRound struct {
 	decision float64
 }
 
-// newInstRound allocates one round's state for an n-node system. The three
-// sender bitsets share one backing array: one allocation instead of six
-// map headers per (instance, round).
+// newInstRound allocates one round's state for an n-node system. The two
+// sender bitsets share one backing array.
 func newInstRound(n int) *instRound {
 	w := bitsetWords(n)
-	backing := make(bitset, 3*w)
-	return &instRound{
-		initConsumed:  backing[:w:w],
-		echo2From:     backing[w : 2*w : 2*w],
-		echo2Explicit: backing[2*w : 3*w : 3*w],
-	}
+	backing := make(bitset, 2*w)
+	return &instRound{echo2From: backing[:w:w], echo2Explicit: backing[w:]}
 }
 
 // markAmped records that this node echoed v this round.
@@ -191,9 +191,7 @@ type inst struct {
 	// gen and genNonzero implement the engine's per-bundle membership
 	// marks: an instance with gen equal to the engine's current generation
 	// was listed in the bundle being applied (genNonzero: with a non-zero
-	// value). This replaces a per-bundle IID-keyed map — the bundle loops
-	// run per sender per round over every instance, so map hashing there
-	// dominated whole-run profiles.
+	// value). Stamped at the first listing, so a repeated one is skipped.
 	gen        uint64
 	genNonzero bool
 }

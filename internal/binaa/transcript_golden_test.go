@@ -28,7 +28,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the BinAA transcri
 // transcriptCell is one configuration of the transcript corpus.
 type transcriptCell struct {
 	n, f   int
-	fault  string // clean | spam | equivocate | crash
+	fault  string // clean | spam | equivocate | crash | laggard
 	noComp bool
 }
 
@@ -40,16 +40,103 @@ func (c transcriptCell) String() string {
 	return fmt.Sprintf("n=%d/f=%d/%s/%s", c.n, c.f, c.fault, comp)
 }
 
+// transcriptCells lists the corpus. The laggard cells come after the rest so
+// that the golden file's first 24 lines keep their places.
 func transcriptCells() []transcriptCell {
+	sizes := [][2]int{{4, 1}, {7, 2}, {16, 5}}
 	var cells []transcriptCell
-	for _, nf := range [][2]int{{4, 1}, {7, 2}, {16, 5}} {
+	for _, nf := range sizes {
 		for _, fault := range []string{"clean", "spam", "equivocate", "crash"} {
 			for _, noComp := range []bool{false, true} {
 				cells = append(cells, transcriptCell{n: nf[0], f: nf[1], fault: fault, noComp: noComp})
 			}
 		}
 	}
+	for _, nf := range sizes {
+		for _, noComp := range []bool{false, true} {
+			cells = append(cells, transcriptCell{n: nf[0], f: nf[1], fault: "laggard", noComp: noComp})
+		}
+	}
 	return cells
+}
+
+// msgRound is the round a BinAA message belongs to: the round it opens or
+// covers, or its first entry's for the per-entry kinds.
+func msgRound(m node.Message) int {
+	switch msg := m.(type) {
+	case *binaa.Echo1:
+		if !msg.Init && len(msg.Vals) > 0 {
+			return int(msg.Vals[0].Round)
+		}
+		return int(msg.Round)
+	case *binaa.Echo2:
+		if !msg.Zeros && len(msg.Vals) > 0 {
+			return int(msg.Vals[0].Round)
+		}
+		return int(msg.Round)
+	case *binaa.Echo1C:
+		return int(msg.Round)
+	case *binaa.Echo2C:
+		return int(msg.Round)
+	}
+	return 0
+}
+
+// laggard runs an honest BinAA process two rounds behind on the wire: what
+// the process sends for round r is held until the node first hears a
+// round-(r+2) message, then released in order, followed by an explicit
+// ECHO2 at round r for an instance nobody ever announced. The honest nodes
+// have left round r by then, so they receive late init bundles, compressed
+// bundles whose base round is behind them, late zeros bundles, bitmaps and
+// explicit votes, and activate an instance from a vote for a left round.
+type laggard struct {
+	inner node.Process
+	env   node.Env
+	heard int
+	held  []node.Message
+}
+
+// lagEnv holds the process's broadcasts (a BinAA process sends nothing else).
+type lagEnv struct {
+	node.Env
+	lag *laggard
+}
+
+func (e *lagEnv) Broadcast(m node.Message) { e.lag.held = append(e.lag.held, m) }
+
+func (l *laggard) Init(env node.Env) {
+	l.env = env
+	l.inner.Init(&lagEnv{Env: env, lag: l})
+}
+
+func (l *laggard) Deliver(from node.ID, m node.Message) {
+	l.inner.Deliver(from, m)
+	if r := msgRound(m); r > l.heard {
+		for released := l.heard - 1; released <= r-2; released++ {
+			l.release(released)
+		}
+		l.heard = r
+	}
+}
+
+// release sends the held messages of round r (and, defensively, of any
+// earlier one), keeping the rest in order.
+func (l *laggard) release(r int) {
+	if r < 1 {
+		return
+	}
+	kept := l.held[:0]
+	for _, m := range l.held {
+		if msgRound(m) > r {
+			kept = append(kept, m)
+		} else {
+			l.env.Broadcast(m)
+		}
+	}
+	clear(l.held[len(kept):])
+	l.held = kept
+	stray := binaa.IID{Level: 1, K: int32(-1000 - r)}
+	l.env.Broadcast(&binaa.Echo2{Vals: []binaa.IVal{{ID: stray, Round: uint16(r), V: 1}}})
 }
 
 // transcriptParams is Delphi's parameterisation for the corpus: six levels
@@ -159,6 +246,12 @@ func runTranscriptCell(t *testing.T, c transcriptCell) string {
 				CheckA: binaa.IID{K: int32(math.Floor(lo / p.Rho0))},
 				CheckB: binaa.IID{K: int32(math.Ceil(hi / p.Rho0))},
 			}
+		case c.fault == "laggard":
+			bp, err := binaa.NewProcess(bcfg, delphiInputs(p, inputs[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner = &laggard{inner: bp}
 		default:
 			continue // crashed
 		}

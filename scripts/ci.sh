@@ -57,7 +57,10 @@ fi
 # `go test -race ./...` above and are not run again. What that pass does not
 # do is fuzz: a short smoke of the compressed-bundle decoder and
 # reconstruction, the one engine path that indexes by wire-supplied counts
-# (one -fuzz target per invocation is a go test rule).
+# (one -fuzz target per invocation is a go test rule). Each input goes to two
+# engines: one with the base round current (the bundle is rebuilt in a copy)
+# and one that has left it (rebuilt in the stored base bundle itself, so a
+# rejected bundle is also checked to have left that base untouched).
 echo "== binaa compressed-bundle fuzz smoke =="
 go test ./internal/binaa -run '^$' -fuzz FuzzDecodeEcho1C -fuzztime 10s
 go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
@@ -228,4 +231,4 @@ go test -C perf ./...
 bash perf/run.sh -smoke > /dev/null
 echo "perf module step: $((SECONDS - perf_start)) s"
 
-echo "CI OK"
+echo "CI OK in $SECONDS s"
