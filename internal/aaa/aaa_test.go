@@ -2,6 +2,7 @@ package aaa_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"delphi/internal/aaa"
@@ -135,7 +136,7 @@ func (e *stubEnv) ChargeCompute(c node.ComputeCost) {}
 // TestDolevReceiptHygiene pins what a round counts: one value per sender,
 // senders and rounds inside the configuration only — a duplicate, an unknown
 // sender ID, or a round outside [1, Rounds] must neither advance the quorum
-// nor enter the trimmed midpoint — and a NaN from one faulty sender is
+// nor enter the trimmed midpoint — and NaNs from up to t faulty senders are
 // trimmed like any other outlier.
 func TestDolevReceiptHygiene(t *testing.T) {
 	d, err := aaa.NewDolev(aaa.DolevConfig{N: 6, F: 1, Rounds: 2}, 10)
@@ -170,11 +171,47 @@ func TestDolevReceiptHygiene(t *testing.T) {
 	for i, v := range []float64{28, 29, 31, 32} {
 		val(node.ID(i), 2, v)
 	}
-	// sort.Float64s orders NaN first, so it is among the 2t trimmed low values.
+	// NaN orders first (as under sort.Float64s), among the 2t trimmed low values.
 	if !env.halted || len(env.outputs) != 1 {
 		t.Fatalf("no decision after round 2's quorum (halted=%v outputs=%d)", env.halted, len(env.outputs))
 	}
 	if got := env.outputs[0].(aaa.DolevResult); got.Output != 29 || got.Rounds != 2 {
 		t.Errorf("decision = %+v, want output 29 after 2 rounds", got)
+	}
+
+	// f senders send NaN, wherever in the arrival order: the NaNs order first,
+	// inside the 2t trimmed low values, so the decision is the one the same
+	// receipts give with -Inf in their place.
+	decide := func(vals []float64) float64 {
+		d, err := aaa.NewDolev(aaa.DolevConfig{N: 11, F: 2, Rounds: 1}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := &stubEnv{n: 11, f: 2}
+		d.Init(env)
+		for i, v := range vals {
+			d.Deliver(node.ID(i), &aaa.Value{Round: 1, V: v})
+		}
+		if len(env.outputs) != 1 {
+			t.Fatalf("no decision on %d receipts %v", len(vals), vals)
+		}
+		return env.outputs[0].(aaa.DolevResult).Output
+	}
+	nan := math.NaN()
+	for _, vals := range [][]float64{
+		{nan, nan, 7, 1, 6, 2, 5, 3, 4},
+		{7, 1, 6, 2, 5, 3, 4, nan, nan},
+		{7, nan, 1, 6, 2, 5, nan, 3, 4},
+	} {
+		clean := slices.Clone(vals)
+		for i, v := range clean {
+			if math.IsNaN(v) {
+				clean[i] = math.Inf(-1)
+			}
+		}
+		// NaN NaN 1 2 [3] 4 5 6 7: trimming 2t = 4 a side leaves the 3.
+		if got, want := decide(vals), decide(clean); got != want || got != 3 {
+			t.Errorf("receipts %v decide %v, with -Inf for NaN %v, want 3", vals, got, want)
+		}
 	}
 }

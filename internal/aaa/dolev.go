@@ -3,7 +3,6 @@ package aaa
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"delphi/internal/node"
 	"delphi/internal/obs"
@@ -116,12 +115,15 @@ func (d *Dolev) progress() {
 		if len(rv) < quorum {
 			return
 		}
-		// Sorted in place: a round's receipts are read once, here, and a
-		// later one only appends to a slice nothing reads again.
-		sort.Float64s(rv)
+		// The round reads two order statistics of its receipts, the ends of
+		// what trimming 2t from each side leaves: two selections, the second
+		// inside what the first left above it. Reordered in place: a round's
+		// receipts are read once, here, and a later one only appends to a
+		// slice nothing reads again.
 		trim := 2 * d.cfg.F
-		trimmed := rv[trim : len(rv)-trim]
-		d.value = (trimmed[0] + trimmed[len(trimmed)-1]) / 2
+		lo := selectFloat(rv, trim)
+		hi := selectFloat(rv[trim:], len(rv)-1-2*trim)
+		d.value = (lo + hi) / 2
 		d.track.Span("aaa.round", d.roundAt, int64(d.round), int64(len(rv)))
 		d.roundAt = d.track.Now()
 		if d.round >= d.cfg.Rounds {
@@ -134,4 +136,71 @@ func (d *Dolev) progress() {
 		d.round++
 		d.env.Broadcast(&Value{Round: uint16(d.round), V: d.value})
 	}
+}
+
+// selectFloat returns the value sort.Float64s would leave at v[k] — NaNs
+// order before every number — and reorders v no further than that takes:
+// afterwards v[k] holds it, nothing before k orders after it and nothing
+// after k before it. Median-of-three Hoare selection, linear where the sort
+// the round does not need is n log n.
+func selectFloat(v []float64, k int) float64 {
+	lo := 0 // NaNs go to the front, so the scans below compare numbers only
+	for i, x := range v {
+		if math.IsNaN(x) {
+			v[i], v[lo] = v[lo], x
+			lo++
+		}
+	}
+	if k < lo {
+		return v[k]
+	}
+	// Invariant: v[:lo] <= v[lo:hi+1] <= v[hi+1:] and lo <= k <= hi.
+	hi := len(v) - 1
+	for hi-lo >= 12 {
+		mid := lo + (hi-lo)/2
+		if v[mid] < v[lo] {
+			v[mid], v[lo] = v[lo], v[mid]
+		}
+		if v[hi] < v[lo] {
+			v[hi], v[lo] = v[lo], v[hi]
+		}
+		if v[hi] < v[mid] {
+			v[hi], v[mid] = v[mid], v[hi]
+		}
+		// v[lo] <= p <= v[hi] bound the first scans, swapped pairs the rest.
+		p := v[mid]
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < p {
+				i++
+			}
+			for p < v[j] {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		// v[lo:j+1] <= p <= v[i:hi+1], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return v[k]
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		x := v[i]
+		j := i - 1
+		for j >= lo && x < v[j] {
+			v[j+1] = v[j]
+			j--
+		}
+		v[j+1] = x
+	}
+	return v[k]
 }

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
+	"weak"
 
 	"delphi/internal/aaa"
 	"delphi/internal/acs"
@@ -295,9 +297,41 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 	return stats, nil
 }
 
-// Run executes the spec in the simulator.
+// Run executes the spec in the simulator. A one-shot run is a session of
+// length one: it borrows the sim.Scratch the previous one-shot run handed
+// back (event arenas, per-node slabs, parallel shards — ~100 MB at n=1000)
+// instead of allocating and zeroing its own, which is invisible in results
+// (TestOneShotReuseInvisible). The Scratch is held weakly, so the collector
+// reclaims it while no run is in flight, and by one slot, so concurrent
+// callers are safe but only one of them finds it.
 func Run(spec RunSpec) (*RunStats, error) {
 	return runSim(spec, nil)
+}
+
+// lastScratch is the one slot one-shot runs pass their Scratch through.
+var lastScratch struct {
+	sync.Mutex
+	p weak.Pointer[sim.Scratch]
+}
+
+// borrowScratch empties the slot and returns what it held, or a fresh
+// Scratch when another run holds it or the collector took it.
+func borrowScratch() *sim.Scratch {
+	lastScratch.Lock()
+	s := lastScratch.p.Value()
+	lastScratch.p = weak.Pointer[sim.Scratch]{}
+	lastScratch.Unlock()
+	if s == nil {
+		s = new(sim.Scratch)
+	}
+	return s
+}
+
+// lendScratch puts a completed run's Scratch in the slot.
+func lendScratch(s *sim.Scratch) {
+	lastScratch.Lock()
+	lastScratch.p = weak.Make(s)
+	lastScratch.Unlock()
 }
 
 // simSessions is the simulator's built-in session support: a session is
@@ -336,7 +370,9 @@ func (s *simSession) Run(spec RunSpec) (*RunStats, error) { return runSim(spec, 
 // Close implements BackendSession; a scratch holds no external resources.
 func (s *simSession) Close() error { return nil }
 
-// runSim executes the spec in the simulator, reusing scratch when non-nil.
+// runSim executes the spec in the simulator on scratch, or, when it is nil,
+// on the last one-shot run's. Only a run that returns hands its Scratch on:
+// one that panics (a lookahead-violating delay rule) strands it.
 func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 	cfg := node.Config{N: spec.N, F: spec.F}
 	procs, err := spec.Processes()
@@ -362,9 +398,11 @@ func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 	if rule := spec.Adversary.RuleWith(spec.N, spec.F, spec.Seed, hv); rule != nil {
 		opts = append(opts, sim.WithDelayRule(rule))
 	}
-	if scratch != nil {
-		opts = append(opts, sim.WithScratch(scratch))
+	oneShot := scratch == nil
+	if oneShot {
+		scratch = borrowScratch()
 	}
+	opts = append(opts, sim.WithScratch(scratch))
 	workers := spec.SimWorkers
 	if workers == 0 {
 		workers = defaultSimWorkers
@@ -380,6 +418,9 @@ func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 		return nil, err
 	}
 	res := runner.Run()
+	if oneShot {
+		lendScratch(scratch)
+	}
 
 	finals := make([]any, spec.N)
 	at := make([]time.Duration, spec.N)

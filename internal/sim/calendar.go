@@ -32,16 +32,18 @@ type chunk struct {
 // each a chain of chunks drawn from geometrically growing slabs through a
 // freelist, plus a min-heap for events beyond the ring horizon, which drain
 // back as the ring advances. Events inside a bucket are unordered; the
-// caller orders what take returns (the sequential runner with sortRun, a
-// shard with sortBucket). A push writes to the end of a chunk and a take
-// walks one chain, so no operation touches memory in proportion to the
-// whole queue. The zero value is ready once width is set.
+// caller orders the chain detach unlinks (the sequential runner's take copies
+// it out for sortRun, a shard's sortBucket scatters it) and recycles it. A
+// push writes to the end of a chunk and a detach unlinks one chain, so no
+// operation touches memory in proportion to the whole queue. A shard also
+// stages its cross-shard sends in chains of this arena's chunks (slot). The
+// zero value is ready once width is set.
 type calendar struct {
 	width    time.Duration
 	heads    [ringBuckets]*chunk
-	base     int64     // last bucket taken; the ring admits idx < base+ringBuckets
+	base     int64     // last bucket detached; the ring admits idx < base+ringBuckets
 	scan     int64     // no ring bucket before scan holds an event
-	count    int       // events in the ring
+	count    int       // ring buckets holding events
 	overflow eventHeap // events at or beyond base+ringBuckets
 
 	free   *chunk
@@ -54,27 +56,35 @@ type calendar struct {
 
 // push files e under bucket idx, which must be later than every bucket
 // taken so far.
-func (c *calendar) push(e event, idx int64) {
+func (c *calendar) push(e *event, idx int64) {
 	if idx >= c.base+ringBuckets {
-		c.overflow.push(e)
+		c.overflow.push(*e)
 		if len(c.overflow) > c.overflowPeak {
 			c.overflowPeak = len(c.overflow)
 		}
 		return
 	}
 	head := &c.heads[idx&ringMask]
+	if *head == nil {
+		c.count++
+	}
+	*c.slot(head) = *e
+	if idx < c.scan {
+		c.scan = idx
+	}
+}
+
+// slot returns the next free event slot of the chain at *head, putting a
+// chunk from the arena in front when the newest one is full.
+func (c *calendar) slot(head **chunk) *event {
 	ch := *head
 	if ch == nil || ch.n == chunkEvents {
 		ch = c.grab()
 		ch.next = *head
 		*head = ch
 	}
-	ch.ev[ch.n] = e
 	ch.n++
-	c.count++
-	if idx < c.scan {
-		c.scan = idx
-	}
+	return &ch.ev[ch.n-1]
 }
 
 // grab takes a chunk off the freelist, growing the arena by one slab when
@@ -122,34 +132,51 @@ func (c *calendar) next() int64 {
 	return nb
 }
 
-// take advances the ring to bucket b — which must not exceed next() —
-// pulls newly admissible overflow back in, and appends bucket b's events to
-// dst, returning its chunks (message references cleared) to the freelist.
-func (c *calendar) take(b int64, dst []event) []event {
+// detach advances the ring to bucket b — which must not exceed next() —
+// pulls newly admissible overflow back in, and unlinks bucket b's chain; the
+// caller reads it and hands it to recycle.
+func (c *calendar) detach(b int64) *chunk {
 	c.base = b
 	for len(c.overflow) > 0 {
 		idx := int64(c.overflow[0].at / c.width)
 		if idx >= b+ringBuckets {
 			break
 		}
-		c.push(c.overflow.pop(), idx)
+		e := c.overflow.pop()
+		c.push(&e, idx)
 	}
 	if c.scan <= b {
 		c.scan = b + 1
 	}
 	ch := c.heads[b&ringMask]
-	c.heads[b&ringMask] = nil
-	for ch != nil {
+	if ch != nil {
+		c.heads[b&ringMask] = nil
+		c.count--
+	}
+	return ch
+}
+
+// take detaches bucket b, appends its events to dst and recycles its chain.
+func (c *calendar) take(b int64, dst []event) []event {
+	chain := c.detach(b)
+	for ch := chain; ch != nil; ch = ch.next {
 		dst = append(dst, ch.ev[:ch.n]...)
-		c.count -= ch.n
+	}
+	c.recycle(chain)
+	return dst
+}
+
+// recycle returns a chain's chunks, message references cleared, to the
+// freelist.
+func (c *calendar) recycle(ch *chunk) {
+	for ch != nil {
+		next := ch.next
 		clear(ch.ev[:ch.n])
 		ch.n = 0
-		next := ch.next
 		ch.next, c.free = c.free, ch
-		ch = next
 		c.inUse--
+		ch = next
 	}
-	return dst
 }
 
 // retained reports the event-slot capacity the calendar holds on to.

@@ -282,9 +282,9 @@ func TestCalendarRelease(t *testing.T) {
 	fill := func(n int) {
 		for i := 0; i < n; i++ {
 			idx := int64(i%(n/100) + 1)
-			c.push(event{at: time.Duration(idx) * bucketNS, seq: uint64(i), msg: pingMsg{}}, idx)
+			c.push(&event{at: time.Duration(idx) * bucketNS, seq: uint64(i), msg: pingMsg{}}, idx)
 		}
-		c.push(event{at: 2 * ringBuckets * bucketNS, msg: pingMsg{}}, 2*ringBuckets)
+		c.push(&event{at: 2 * ringBuckets * bucketNS, msg: pingMsg{}}, 2*ringBuckets)
 	}
 	fill(100_000)
 	c.release()

@@ -7,17 +7,25 @@
 // across nodes — anything an event at time t generates lands at
 // t + L ≥ T + L, beyond the window. The runner therefore partitions the
 // nodes into contiguous shards, hands each shard to a worker, and executes
-// one window per barrier: every worker merges the sends staged for it in
+// one window per barrier: every worker files the sends staged for it in
 // the previous window, processes its slice of the current window, and
 // stages its own sends for the next.
 //
 // Each shard keeps its pending events in a calendar (calendar.go, the type
 // the sequential loop uses too) whose bucket width is the lookahead, so one
-// bucket is one window: the shard takes the window's bucket into a gather
-// buffer, orders it by (to, at, seq) in two linear passes, and delivers.
-// Events beyond the ring horizon (ringBuckets windows ahead — partition
-// heals and Pareto jitter tails) sit in the calendar's overflow heap and
-// drain back as the ring advances.
+// bucket is one window: the shard detaches the window's chain of chunks,
+// counting-scatters it by destination straight into sortBuf — (to, at, seq)
+// order in two linear passes — recycles the chain, and delivers. Events
+// beyond the ring horizon (ringBuckets windows ahead — partition heals and
+// Pareto jitter tails) sit in the calendar's overflow heap and drain back as
+// the ring advances.
+//
+// A cross-shard send is staged in a chain of the same chunks, one chain per
+// destination shard, drawn from the sending shard's arena. A chain changes
+// hands at barriers only: the sender writes it during window k, the receiver
+// walks it during k+1 and files every event in its own calendar, the sender
+// recycles it to its own freelist during k+2. Nothing is copied or grown in
+// between, and staging memory is the arena's, sized and shrunk with it.
 //
 // Determinism: event order is the total order (to, at, seq) with per-sender
 // sequence numbers, each node draws latency jitter from its own
@@ -119,25 +127,23 @@ type parRunner struct {
 }
 
 // shard is one worker's slice of the simulation: a contiguous node range,
-// its calendar queue, and double-buffered staging for cross-shard sends.
-// All per-node state for nodes in [lo, hi) — the nodes slab, stats, RNG —
-// is touched only by this shard's worker (sends from node i happen while
-// shard(i) processes i), so workers share no mutable state outside the
-// barrier-separated staging buffers.
+// its calendar queue, and double-buffered staging chains for cross-shard
+// sends. All per-node state for nodes in [lo, hi) — the nodes slab, stats,
+// RNG — is touched only by this shard's worker (sends from node i happen
+// while shard(i) processes i), so workers share no mutable state outside the
+// barrier-separated staging chains.
 type shard struct {
 	pr     *parRunner
 	id     int
 	lo, hi int // node range [lo, hi)
 
 	cal     calendar // pending events, one bucket per lookahead window
-	gather  []event  // the window's bucket, as taken from the calendar
-	sortBuf []event  // counting-sort scatter scratch (one bucket's worth)
+	sortBuf []event  // the window's bucket, scattered into (to, at, seq) order
 	counts  []int32  // per-destination counts, len hi-lo
 
-	// staged[k&1][dest] buffers sends made during window k; dest merges it
-	// during window k+1 and the owner resets it during window k+2, so one
-	// barrier per window suffices.
-	staged      [2][][]event
+	// staged[k&1][dest] chains the sends made during window k for shard dest,
+	// in chunks of cal's arena; who touches a chain when is in the file header.
+	staged      [2][]*chunk
 	parity      int
 	minStaged   int64 // min bucket staged this window (feeds next-window min)
 	curBucket   int64 // bucket being processed; staging at ≤ this is a violation
@@ -165,9 +171,7 @@ type shard struct {
 	tracks []*obs.Track
 	obsNow int64
 
-	// retained-capacity peaks for the scratch shrink rule
-	bucketPeak int
-	stagedPeak int
+	bucketPeak int // sortBuf's retained-capacity peak for the scratch shrink rule
 
 	stepState
 }
@@ -203,9 +207,7 @@ func newParScratch(workers, n int) *parScratch {
 			lo:     lo,
 			hi:     hi,
 			counts: make([]int32, hi-lo),
-		}
-		for p := range sh.staged {
-			sh.staged[p] = make([][]event, workers)
+			staged: [2][]*chunk{make([]*chunk, workers), make([]*chunk, workers)},
 		}
 		ps.shards[s] = sh
 		for i := lo; i < hi; i++ {
@@ -285,7 +287,6 @@ func (r *Runner) setupParallel(seed int64) error {
 		sh.events = 0
 		sh.lastAt = 0
 		sh.bucketPeak = 0
-		sh.stagedPeak = 0
 		sh.outPeak = 0
 		sh.tracks = nil
 		sh.obsNow = 0
@@ -505,37 +506,31 @@ func (sh *shard) runWindow(k, b int64) {
 	sh.windowStart = time.Duration(b) * sh.pr.width
 	sh.minStaged = math.MaxInt64
 
-	// Merge the sends every shard staged for us during window k-1 (parity
+	// File the sends every shard staged for us during window k-1 (parity
 	// p^1; the barrier orders those writes before these reads). None lies
 	// before b: the coordinator's window minimum includes every shard's
 	// calendar and staging.
 	for _, t := range sh.pr.shards {
-		buf := t.staged[p^1][sh.id]
-		for i := range buf {
-			sh.cal.push(buf[i], int64(buf[i].at/sh.pr.width))
+		for ch := t.staged[p^1][sh.id]; ch != nil; ch = ch.next {
+			for i := range ch.ev[:ch.n] {
+				sh.cal.push(&ch.ev[i], int64(ch.ev[i].at/sh.pr.width))
+			}
 		}
 	}
 
-	// Reset our parity-p staging: written during window k-2, merged by its
-	// destinations during k-1, dead since. Clearing releases message refs.
-	for d := range sh.staged[p] {
-		buf := sh.staged[p][d]
-		if len(buf) > sh.stagedPeak {
-			sh.stagedPeak = len(buf)
-		}
-		clear(buf)
-		sh.staged[p][d] = buf[:0]
+	// Recycle our parity-p staging: written during window k-2, filed by its
+	// destinations during k-1, dead since.
+	for _, chain := range sh.staged[p] {
+		sh.cal.recycle(chain)
 	}
+	clear(sh.staged[p])
 
-	// Process our slice of the window: one contiguous bucket, ordered by
-	// (to, at, seq) — a total order, so the result is independent of the
-	// merge order above and of the worker count. The ordering is a counting
-	// sort by destination node followed by per-destination (at, seq) sorts:
-	// destinations are a small contiguous range and per-destination groups
-	// are tiny, so this replaces a generic comparison sort's closure calls
-	// over 48-byte elements with two linear passes.
-	sh.gather = sh.cal.take(b, sh.gather[:0])
-	evs := sh.sortBucket(sh.gather)
+	// Process our slice of the window: one bucket, ordered by (to, at, seq)
+	// — a total order, so the result is independent of the filing order
+	// above and of the worker count.
+	chain := sh.cal.detach(b)
+	evs := sh.sortBucket(chain)
+	sh.cal.recycle(chain)
 	for i := range evs {
 		e := &evs[i]
 		if e.at > sh.lastAt {
@@ -546,41 +541,27 @@ func (sh *shard) runWindow(k, b int64) {
 		}
 		sh.deliver(e)
 	}
-	if len(evs) > sh.bucketPeak {
-		sh.bucketPeak = len(evs)
-	}
-	clear(sh.gather)
-	clear(sh.sortBuf)
-	sh.sortBuf = sh.sortBuf[:0]
+	sh.bucketPeak = max(sh.bucketPeak, len(evs))
+	clear(evs) // the message references
 
 	sh.nextB = sh.cal.next()
 }
 
-// sortBucket returns the bucket's events in (to, at, seq) order. Buckets
-// with a single destination order in place; otherwise events are
-// counting-scattered by destination into sortBuf (counts spans the shard's
-// node range) and each destination's group — typically a handful of events
-// — is finished with a direct insertion sort, falling back to the generic
-// sort only for pathologically hot destinations. The result is the unique
-// (to, at, seq) order whatever the (worker-count-dependent) merge order
-// was, so schedules stay byte-identical across worker counts.
-func (sh *shard) sortBucket(evs []event) []event {
-	if len(evs) < 2 {
-		return evs
-	}
+// sortBucket returns the chain's events in (to, at, seq) order, in sortBuf:
+// counting-scattered by destination straight from the chunks (counts spans
+// the shard's node range: two linear passes where a comparison sort calls a
+// closure over 48-byte elements), then each destination's group finished by
+// sortGroup. The result is the unique (to, at, seq) order whatever the
+// (worker-count-dependent) filing order was, so schedules stay byte-identical
+// across worker counts.
+func (sh *shard) sortBucket(chain *chunk) []event {
 	lo := node.ID(sh.lo)
 	counts := sh.counts
 	clear(counts)
-	oneDest := true
-	for i := range evs {
-		counts[evs[i].to-lo]++
-		if evs[i].to != evs[0].to {
-			oneDest = false
+	for ch := chain; ch != nil; ch = ch.next {
+		for i := range ch.ev[:ch.n] {
+			counts[ch.ev[i].to-lo]++
 		}
-	}
-	if oneDest {
-		sortGroup(evs)
-		return evs
 	}
 	// Prefix-sum the counts into scatter offsets, then place each event.
 	total := int32(0)
@@ -589,15 +570,16 @@ func (sh *shard) sortBucket(evs []event) []event {
 		counts[d] = total
 		total += c
 	}
-	if cap(sh.sortBuf) < len(evs) {
-		sh.sortBuf = make([]event, len(evs))
+	if cap(sh.sortBuf) < int(total) {
+		sh.sortBuf = make([]event, total)
 	}
-	buf := sh.sortBuf[:len(evs)]
-	sh.sortBuf = buf
-	for i := range evs {
-		d := evs[i].to - lo
-		buf[counts[d]] = evs[i]
-		counts[d]++
+	buf := sh.sortBuf[:total]
+	for ch := chain; ch != nil; ch = ch.next {
+		for i := range ch.ev[:ch.n] {
+			d := ch.ev[i].to - lo
+			buf[counts[d]] = ch.ev[i]
+			counts[d]++
+		}
 	}
 	// counts[d] is now each group's end offset; the previous group's end is
 	// its start.
@@ -671,13 +653,13 @@ func (sh *shard) dispatch(from, to node.ID, m node.Message, ready time.Duration)
 	at := sh.pr.r.depart(from, to, m, ready, sh.pr.rands[from])
 	ns := &sh.pr.r.nodes[from]
 	ns.sendSeq++
-	sh.stage(event{at: at, seq: ns.sendSeq<<seqShift | uint64(from), from: from, to: to, msg: m})
+	sh.stage(&event{at: at, seq: ns.sendSeq<<seqShift | uint64(from), from: from, to: to, msg: m})
 }
 
 // stage buffers an event for its destination shard, detecting causality
 // violations: an event landing in the bucket being processed (or earlier)
 // would have to be inserted into a committed window.
-func (sh *shard) stage(e event) {
+func (sh *shard) stage(e *event) {
 	idx := int64(e.at / sh.pr.width)
 	if idx <= sh.curBucket {
 		if sh.viol == nil {
@@ -696,7 +678,7 @@ func (sh *shard) stage(e event) {
 	if idx < sh.minStaged {
 		sh.minStaged = idx
 	}
-	sh.staged[sh.parity][d] = append(sh.staged[sh.parity][d], e)
+	*sh.cal.slot(&sh.staged[sh.parity][d]) = *e
 }
 
 // handback clears every retained message reference and applies the shrink
@@ -707,16 +689,9 @@ func (pr *parRunner) handback(s *Scratch) {
 		return
 	}
 	for _, sh := range pr.shards {
-		sh.cal.release()
-		sh.gather = shrunk(sh.gather, sh.bucketPeak)
-		for p := range sh.staged {
-			for d := range sh.staged[p] {
-				buf := sh.staged[p][d]
-				clear(buf)
-				sh.staged[p][d] = shrunk(buf, sh.stagedPeak)
-			}
-		}
-		clear(sh.sortBuf[:cap(sh.sortBuf)])
+		sh.cal.release() // empties the arena's every chunk, staged ones too
+		clear(sh.staged[0])
+		clear(sh.staged[1])
 		sh.sortBuf = shrunk(sh.sortBuf, sh.bucketPeak)
 		clear(sh.curOutMsgs[:cap(sh.curOutMsgs)])
 		sh.curOutMsgs = shrunk(sh.curOutMsgs, sh.outPeak)

@@ -33,9 +33,12 @@ func runFloodN(b *testing.B, n, rounds int, seed int64, opts ...sim.Option) int 
 // mode's speedup over the sequential loop. Both lanes run inside every
 // iteration (paired alternating trials, like BenchmarkTCPFrameThroughput)
 // so host drift cannot bias either side, each lane reusing its own Scratch
-// across iterations. The parallel lane uses 8 workers — the ISSUE 8
-// acceptance configuration — and scripts/bench.sh records seq/par ns/event
-// and the speedup per n in BENCH_8.json.
+// across iterations; the parallel lane uses 8 workers. A warm Scratch is what
+// a session's trial or a repeated bench.Run sees, and the allocations reported
+// here are that case's only: cold/n=1000 is the same parallel lane with no
+// Scratch, building its arenas every iteration — what the first run of a
+// process pays, and what every one-shot run paid while this benchmark, warm
+// alone, showed none of it.
 func BenchmarkSimParallel(b *testing.B) {
 	for _, sz := range []struct {
 		n, rounds int
@@ -45,6 +48,7 @@ func BenchmarkSimParallel(b *testing.B) {
 		{2000, 2},
 	} {
 		b.Run(fmt.Sprintf("n=%d", sz.n), func(b *testing.B) {
+			b.ReportAllocs()
 			seqScratch := &sim.Scratch{}
 			parScratch := &sim.Scratch{}
 			var seqEvents, parEvents int
@@ -73,4 +77,12 @@ func BenchmarkSimParallel(b *testing.B) {
 			b.ReportMetric(float64(seqEvents)/float64(b.N), "events/run")
 		})
 	}
+	b.Run("cold/n=1000", func(b *testing.B) {
+		b.ReportAllocs()
+		events := 0
+		for i := 0; i < b.N; i++ {
+			events += runFloodN(b, 1000, 3, 7, sim.WithParallelWindow(8))
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "par_ns/event")
+	})
 }

@@ -66,7 +66,10 @@ func (p *ping) Deliver(_ node.ID, m node.Message) {
 }
 
 // scratchMessages counts the messages reachable from s: every event slot of
-// every retained backing array, in use or not, and the staged-send buffer.
+// every retained backing array, in use or not, and the staged-send buffers —
+// the sequential loop's and every shard's. A shard's staging chains are
+// chunks of its calendar's slabs; a chain still linked is walked as well, so
+// a chunk from anywhere else would be seen too.
 func scratchMessages(s *Scratch) int {
 	total := 0
 	count := func(evs []event) {
@@ -76,9 +79,7 @@ func scratchMessages(s *Scratch) int {
 			}
 		}
 	}
-	count(s.near)
-	count(s.run)
-	if c := s.cal; c != nil {
+	countCal := func(c *calendar) {
 		count(c.overflow)
 		for _, slab := range c.slabs {
 			for i := range slab {
@@ -86,9 +87,31 @@ func scratchMessages(s *Scratch) int {
 			}
 		}
 	}
-	for _, om := range s.outMsgs[:cap(s.outMsgs)] {
-		if om.msg != nil {
-			total++
+	countOut := func(out []outMsg) {
+		for _, om := range out[:cap(out)] {
+			if om.msg != nil {
+				total++
+			}
+		}
+	}
+	count(s.near)
+	count(s.run)
+	if s.cal != nil {
+		countCal(s.cal)
+	}
+	countOut(s.outMsgs)
+	if s.par != nil {
+		for _, sh := range s.par.shards {
+			countCal(&sh.cal)
+			count(sh.sortBuf)
+			countOut(sh.curOutMsgs)
+			for _, chains := range sh.staged {
+				for _, ch := range chains {
+					for ; ch != nil; ch = ch.next {
+						count(ch.ev[:])
+					}
+				}
+			}
 		}
 	}
 	return total
@@ -170,7 +193,9 @@ func TestScratchShrinksAfterLargeRun(t *testing.T) {
 // 80 ms is inside the first round's arrivals): the Scratch it hands back must
 // hold storage only, no message — not in the run's undelivered slots, the
 // near heap, the calendar's chunks or the staged-send buffer — and the next
-// run on it must match a fresh one.
+// run on it must match a fresh one. The parallel variant stops between two
+// windows with events filed in both shards' calendars and staged for the
+// other shard in chains nobody has walked yet.
 func TestEarlyStopLeaksNoMessage(t *testing.T) {
 	newRun := func(opts ...Option) *Runner {
 		procs := make([]node.Process, 64)
@@ -183,18 +208,55 @@ func TestEarlyStopLeaksNoMessage(t *testing.T) {
 		}
 		return r
 	}
-	s := &Scratch{}
-	r := newRun(WithScratch(s), WithMaxTime(80*time.Millisecond))
-	res := r.Run()
-	if res.Events == 0 || r.cal == nil || r.runPos == 0 || r.runPos == len(r.run) {
-		t.Fatalf("the run stopped after %d events at %d of a %d-event run; want a half-drained run over an engaged calendar",
-			res.Events, r.runPos, len(r.run))
-	}
+	t.Run("sequential", func(t *testing.T) {
+		s := &Scratch{}
+		r := newRun(WithScratch(s), WithMaxTime(80*time.Millisecond))
+		res := r.Run()
+		if res.Events == 0 || r.cal == nil || r.runPos == 0 || r.runPos == len(r.run) {
+			t.Fatalf("the run stopped after %d events at %d of a %d-event run; want a half-drained run over an engaged calendar",
+				res.Events, r.runPos, len(r.run))
+		}
+		checkNoLeak(t, s, func(opts ...Option) *Result { return newRun(opts...).Run() })
+	})
+	t.Run("parallel", func(t *testing.T) {
+		par := WithParallelWindow(2)
+		// The first stop, in 1 ms steps, that follows a window some node
+		// broadcast in: its sends are staged and nobody will file them.
+		// Without a Scratch nothing is handed back, so what a stop leaves
+		// behind can be looked at.
+		pending := func(r *Runner) (filed int, staged bool) {
+			for _, sh := range r.par.shards {
+				filed += sh.cal.count
+				staged = staged || sh.staged[0][1-sh.id] != nil || sh.staged[1][1-sh.id] != nil
+			}
+			return filed, staged
+		}
+		var stop Option
+		for ms := 80; ; ms++ {
+			if ms == 1000 {
+				t.Fatal("no stop in [80, 1000) ms leaves events both filed and staged")
+			}
+			stop = WithMaxTime(time.Duration(ms) * time.Millisecond)
+			r := newRun(par, stop)
+			r.Run()
+			if filed, staged := pending(r); filed > 0 && staged {
+				break
+			}
+		}
+		s := &Scratch{}
+		newRun(par, stop, WithScratch(s)).Run()
+		checkNoLeak(t, s, func(opts ...Option) *Result { return newRun(append(opts, par)...).Run() })
+	})
+}
+
+// checkNoLeak checks that s, handed back by an early-stopped run, holds no
+// message, and that a full run on it equals a fresh one and leaves none.
+func checkNoLeak(t *testing.T, s *Scratch, run func(...Option) *Result) {
+	t.Helper()
 	if got := scratchMessages(s); got != 0 {
 		t.Errorf("%d messages are reachable from the Scratch of an early-stopped run", got)
 	}
-	want := newRun().Run()
-	if got := newRun(WithScratch(s)).Run(); !reflect.DeepEqual(got, want) {
+	if got, want := run(WithScratch(s)), run(); !reflect.DeepEqual(got, want) {
 		t.Error("the run after an early-stopped one differs from a fresh run")
 	}
 	if got := scratchMessages(s); got != 0 {
@@ -251,5 +313,71 @@ func TestSequentialOverflowHorizon(t *testing.T) {
 	}
 	if s.cal == nil || cap(s.cal.overflow) == 0 {
 		t.Error("the run never used the calendar's overflow heap")
+	}
+}
+
+// TestParallelStagingChains drives the staging chains past one chunk and the
+// ring past its horizon at once: at n=256 every shard stages (n/workers)² ≥
+// 1024 Init sends for each other shard — chains of 16 chunks and more where
+// chunkEvents is 64 — and a delay rule parks one sender's messages 10 s out,
+// beyond the AWS ring's ~3.3 s, so they reach the overflow heap through a
+// staging chain. Results must be identical across worker counts and across a
+// fresh Scratch, one whose shards were just rebuilt for another worker count,
+// and a warm one — the three states a chain's chunks can come from.
+func TestParallelStagingChains(t *testing.T) {
+	const n = 256
+	farRule := func(at time.Duration, from, to node.ID, m node.Message) time.Duration {
+		if from == n/2 {
+			return 10 * time.Second
+		}
+		return 0
+	}
+	run := func(workers int, s *Scratch) *Result {
+		procs := make([]node.Process, n)
+		for i := range procs {
+			procs[i] = &ping{rounds: 2}
+		}
+		opts := []Option{WithDelayRule(farRule), WithParallelWindow(workers)}
+		if s != nil {
+			opts = append(opts, WithScratch(s))
+		}
+		r, err := NewRunner(node.Config{N: n, F: (n - 1) / 3}, AWS(), 7, procs, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Run()
+	}
+	base := run(1, nil)
+	if base.Time < 2*10*time.Second {
+		t.Fatalf("run finished at %v; the 10s-delayed messages of two rounds were lost", base.Time)
+	}
+	for i, st := range base.Stats {
+		if !st.Halted {
+			t.Errorf("node %d never halted", i)
+		}
+	}
+	s := &Scratch{}
+	for _, workers := range []int{2, 3, 8, 1} {
+		if per := n / workers; per*per <= chunkEvents {
+			t.Fatalf("workers=%d: %d Init sends per shard pair fit one chunk", workers, per*per)
+		}
+		for _, tc := range []struct {
+			state string
+			s     *Scratch
+		}{{"no", nil}, {"a rebuilt", s}, {"a warm", s}} {
+			if got := run(workers, tc.s); !reflect.DeepEqual(got, base) {
+				t.Errorf("workers=%d on %s Scratch diverged from workers=1 on none", workers, tc.state)
+			}
+		}
+		overflowed := false
+		for _, sh := range s.par.shards {
+			overflowed = overflowed || cap(sh.cal.overflow) > 0
+		}
+		if !overflowed {
+			t.Errorf("workers=%d: no shard's calendar used its overflow heap", workers)
+		}
+		if got := scratchMessages(s); got != 0 {
+			t.Errorf("workers=%d: %d messages are reachable from the Scratch", workers, got)
+		}
 	}
 }

@@ -287,11 +287,13 @@ type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Dur
 
 // Scratch is a Runner's reusable storage: the near heap's backing array, the
 // drained bucket's run and sort keys, the calendar's chunk slabs, the per-node
-// bookkeeping slab, and — for parallel runs — the per-shard arenas. A session
-// hands the same Scratch to consecutive NewRunner calls so a thousand-trial
-// sweep performs the growth allocations once instead of once per trial. A
-// Scratch must not be shared by concurrently running Runners; reuse never
-// changes results (every buffer is fully reset) — only allocation counts.
+// bookkeeping slab, and — for parallel runs — each shard's calendar (whose
+// chunks also stage its cross-shard sends) and scatter buffer. A session
+// hands the same Scratch to consecutive NewRunner calls, and bench.Run the
+// last one-shot run's, so a sweep performs the growth allocations once instead
+// of once per trial. A Scratch must not be shared by concurrently running
+// Runners; reuse never changes results (every buffer is fully reset) — only
+// allocation counts.
 //
 // Retained capacity is bounded, not monotone: after each run every backing
 // array whose peak occupancy fit in an eighth of its capacity is halved
@@ -334,8 +336,8 @@ func shrunk[T any](buf []T, peak int) []T {
 }
 
 // retainedEvents reports the scratch's total retained event-slot capacity
-// (near heap, run and keys, calendar, and parallel arenas); it is the shrink
-// policy's observable for tests.
+// (near heap, run and keys, calendar, and each shard's calendar and scatter
+// buffer); it is the shrink policy's observable for tests.
 func (s *Scratch) retainedEvents() int {
 	total := cap(s.near) + cap(s.run) + cap(s.keys)
 	if s.cal != nil {
@@ -343,12 +345,7 @@ func (s *Scratch) retainedEvents() int {
 	}
 	if s.par != nil {
 		for _, sh := range s.par.shards {
-			total += sh.cal.retained() + cap(sh.gather) + cap(sh.sortBuf)
-			for p := range sh.staged {
-				for _, b := range sh.staged[p] {
-					total += cap(b)
-				}
-			}
+			total += sh.cal.retained() + cap(sh.sortBuf)
 		}
 	}
 	return total
@@ -757,7 +754,7 @@ func (r *Runner) push(e *event) {
 	}
 	if r.cal != nil {
 		if idx := int64(e.at >> seqBucketShift); idx > r.cal.base {
-			r.cal.push(*e, idx)
+			r.cal.push(e, idx)
 			return
 		}
 	}

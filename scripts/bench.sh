@@ -147,7 +147,7 @@ obs_extract() {
     # numbers are consistent by construction.
     printf '  "sim_parallel": [\n'
     echo "$par_out" | awk '
-        /^BenchmarkSimParallel\// {
+        /^BenchmarkSimParallel\/n=/ {
             name = $1
             sub(/^BenchmarkSimParallel\//, "", name)
             sub(/-[0-9]+$/, "", name)

@@ -101,10 +101,22 @@ go test ./internal/auth -run '^$' -fuzz FuzzAuthOpen -fuzztime 10s
 # δ-window agreement with the sequential loop on the quick cross-validation
 # cell (every protocol, clean and under adversary presets), and determinism
 # at the engine level. Parallel mode is opt-in and tie-breaks differently
-# from the sequential loop by construction.
+# from the sequential loop by construction. What -race is here to catch is
+# the staging chains' ownership rule: a chain of chunks is written in window
+# k by the sending shard's worker, read in k+1 by the receiving shard's, and
+# recycled in k+2 by the sender's again, with only the window barrier between
+# them — a chunk recycled a window early, or a chain walked while it is still
+# being written, is a data race before it is a wrong result
+# (TestParallelStagingChains: chains of 16+ chunks at 1/2/3/8 workers, fresh,
+# rebuilt and warm arenas; TestEarlyStopLeaksNoMessage: chains nobody walked).
+# The one-shot tests pin the same for bench.Run's borrowed Scratch: invisible
+# in results, never shared by two concurrent runs, dropped by a run that
+# panics, gone after a collection, and worth ≥ 75 % of a run's allocated bytes.
 echo "== parallel-sim gate (-race) =="
+go test ./internal/sim -race -count=1 \
+    -run 'TestParallelStagingChains|TestEarlyStopLeaksNoMessage'
 go test ./internal/bench -race -count=1 \
-    -run 'TestParallelWindowAgreement|TestParallelWindowDeterminism'
+    -run 'TestParallelWindowAgreement|TestParallelWindowDeterminism|TestOneShot'
 
 # The execution-backend axis is exercised on every run (including -short):
 # the cross-backend validator runs every protocol on the simulator AND a
