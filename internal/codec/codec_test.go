@@ -1,6 +1,7 @@
 package codec_test
 
 import (
+	"bytes"
 	"testing"
 
 	"delphi/internal/aaa"
@@ -15,11 +16,10 @@ import (
 	"delphi/internal/codec"
 )
 
-// TestEveryMessageRoundTrips encodes one instance of every message type in
-// the repository through the global registry and checks structural
-// equality after decoding, plus WireSize accuracy.
-func TestEveryMessageRoundTrips(t *testing.T) {
-	msgs := []node.Message{
+// sampleMessages returns one instance of every message type in the
+// repository.
+func sampleMessages() []node.Message {
+	return []node.Message{
 		&binaa.Echo1{Round: 2, Init: true, Vals: []binaa.IVal{
 			{ID: binaa.IID{Level: 1, K: -3}, Round: 2, V: 0.5},
 			{ID: binaa.IID{Level: 0, K: 20500}, Round: 2, V: 1},
@@ -40,8 +40,14 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 		&aaa.Value{Round: 6, V: 123.25},
 		&dora.Sig{V: 42, Sig: make([]byte, 64)},
 	}
+}
+
+// TestEveryMessageRoundTrips encodes one instance of every message type in
+// the repository through the global registry and checks structural
+// equality after decoding, plus WireSize accuracy.
+func TestEveryMessageRoundTrips(t *testing.T) {
 	reg := codec.MustRegistry()
-	for _, m := range msgs {
+	for _, m := range sampleMessages() {
 		frame, err := wire.Encode(m)
 		if err != nil {
 			t.Fatalf("type %d: encode: %v", m.Type(), err)
@@ -92,4 +98,51 @@ func TestMustRegistryIsComplete(t *testing.T) {
 			t.Errorf("type %d not registered", typ)
 		}
 	}
+}
+
+// FuzzDecodeFramed feeds arbitrary frames to the full registry — the decode
+// every transport runs on bytes off a socket, and the size the simulator caches
+// per send. No input may panic a decoder or make it read past the frame's end
+// (the frame is decoded with spare capacity behind it, filled two ways, and
+// with none: all three must agree). Whatever decodes must be a message the
+// repository could have sent: it encodes, to exactly WireSize bytes, and that
+// canonical frame decodes to a message that encodes to the same bytes again.
+func FuzzDecodeFramed(f *testing.F) {
+	for _, m := range sampleMessages() {
+		frame, err := wire.Encode(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	reg := codec.MustRegistry()
+	canonical := func(t *testing.T, frame []byte) []byte {
+		m, err := reg.DecodeFramed(frame)
+		if err != nil {
+			return nil
+		}
+		out, err := wire.Encode(m)
+		if err != nil {
+			t.Fatalf("type %d decoded from %x does not encode: %v", m.Type(), frame, err)
+		}
+		if len(out) != m.WireSize() {
+			t.Fatalf("type %d decoded from %x: WireSize %d != framed size %d", m.Type(), frame, m.WireSize(), len(out))
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := canonical(t, data[:len(data):len(data)])
+		for _, fill := range []byte{0x00, 0xff} {
+			padded := append(append(make([]byte, 0, len(data)+16), data...), bytes.Repeat([]byte{fill}, 16)...)
+			if got := canonical(t, padded[:len(data)]); !bytes.Equal(got, want) {
+				t.Fatalf("frame %x decodes differently with %#x behind it: %x, alone %x", data, fill, got, want)
+			}
+		}
+		if want == nil {
+			return
+		}
+		if again := canonical(t, want); !bytes.Equal(again, want) {
+			t.Fatalf("frame %x: canonical form %x decodes and encodes to %x", data, want, again)
+		}
+	})
 }

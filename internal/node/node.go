@@ -48,7 +48,10 @@ type Env interface {
 	// (the paper's t, with n >= 3t+1 unless a protocol states otherwise).
 	F() int
 	// Send transmits m to a single peer. Sending to Self() is allowed and
-	// is delivered like any other message.
+	// is delivered like any other message. The environment may keep m until
+	// its last delivery and size it once, at the call: a sent message must
+	// not be mutated afterwards, nor its WireSize change (the same holds for
+	// Broadcast, and receivers never mutate a delivered message either).
 	Send(to ID, m Message)
 	// Broadcast transmits m to every node, including the sender itself.
 	Broadcast(m Message)
@@ -119,13 +122,18 @@ type ComputeCost struct {
 
 // Add returns the sum of two compute costs.
 func (c ComputeCost) Add(o ComputeCost) ComputeCost {
-	return ComputeCost{
-		Hashes:      c.Hashes + o.Hashes,
-		SigVerifies: c.SigVerifies + o.SigVerifies,
-		SigSigns:    c.SigSigns + o.SigSigns,
-		Pairings:    c.Pairings + o.Pairings,
-		Bytes:       c.Bytes + o.Bytes,
-	}
+	c.Accumulate(o)
+	return c
+}
+
+// Accumulate adds o to c in place: the simulator's per-delivery form of Add,
+// which builds the sum by value and copies it out.
+func (c *ComputeCost) Accumulate(o ComputeCost) {
+	c.Hashes += o.Hashes
+	c.SigVerifies += o.SigVerifies
+	c.SigSigns += o.SigSigns
+	c.Pairings += o.Pairings
+	c.Bytes += o.Bytes
 }
 
 // Config carries the common protocol parameters.

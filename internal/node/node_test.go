@@ -55,6 +55,9 @@ func TestComputeCostAdd(t *testing.T) {
 	if got != want {
 		t.Errorf("Add = %+v, want %+v", got, want)
 	}
+	if a.Accumulate(b); a != want {
+		t.Errorf("Accumulate left %+v, want %+v", a, want)
+	}
 }
 
 func TestIDString(t *testing.T) {

@@ -12,9 +12,10 @@ const (
 	// delay (jitter cap 3 s); farther events overflow.
 	ringBuckets = 8192
 	ringMask    = ringBuckets - 1
-	// chunkEvents sizes a chunk at 3 KiB.
+	// chunkEvents sizes a chunk at 2 KiB of events and a 16-byte header.
 	chunkEvents = 64
-	// firstSlab is the first slab's chunk count, 96 KiB for a paper-scale
+	sentSlab    = 64 // records to a sent arena slab, 1.5 KiB
+	// firstSlab is the first slab's chunk count, 64 KiB for a paper-scale
 	// run's sparse buckets; each further slab adds half the total again: a
 	// million pending events cost a score of allocations and no copy.
 	firstSlab = 32
@@ -108,7 +109,6 @@ func (c *calendar) grab() *chunk {
 func (c *calendar) thread(slab []chunk) {
 	for i := len(slab) - 1; i >= 0; i-- {
 		ch := &slab[i]
-		clear(ch.ev[:ch.n])
 		ch.n = 0
 		ch.next, c.free = c.free, ch
 	}
@@ -166,12 +166,11 @@ func (c *calendar) take(b int64, dst []event) []event {
 	return dst
 }
 
-// recycle returns a chain's chunks, message references cleared, to the
-// freelist.
+// recycle returns a chain's chunks to the freelist, events left as they are
+// (they hold no message, only a pointer into the sender's arena).
 func (c *calendar) recycle(ch *chunk) {
 	for ch != nil {
 		next := ch.next
-		clear(ch.ev[:ch.n])
 		ch.n = 0
 		ch.next, c.free = c.free, ch
 		c.inUse--
@@ -185,7 +184,7 @@ func (c *calendar) retained() int { return c.chunks*chunkEvents + cap(c.overflow
 // release readies the calendar for the next run: it applies the scratch
 // shrink rule to the arena — slabs go, newest and largest first, while the
 // run's peak use is under an eighth of what is held — and rebuilds the
-// freelist over the rest, dropping every message reference still filed.
+// freelist over the rest, events still filed included.
 func (c *calendar) release() {
 	for len(c.slabs) > 0 && c.chunkPeak*8 < c.chunks {
 		last := len(c.slabs) - 1
@@ -198,7 +197,6 @@ func (c *calendar) release() {
 	for i := len(c.slabs) - 1; i >= 0; i-- {
 		c.thread(c.slabs[i])
 	}
-	clear(c.overflow)
 	c.overflow = shrunk(c.overflow, c.overflowPeak)
 	c.base, c.scan, c.count, c.inUse, c.chunkPeak, c.overflowPeak = 0, 0, 0, 0, 0, 0
 }

@@ -65,7 +65,7 @@ func checkQueueOrder(t *testing.T, ops []byte) int64 {
 	var ref refHeap
 	push := func(at time.Duration) {
 		r.seq++
-		e := event{at: at, seq: r.seq, msg: pingMsg{}}
+		e := event{at: at, seq: r.seq, msg: r.sent.put(pingMsg{}, 0)}
 		r.push(&e)
 		heap.Push(&ref, e)
 	}
@@ -274,42 +274,54 @@ func TestSortRun(t *testing.T) {
 	}
 }
 
-// TestCalendarRelease pins the arena's scratch rule: a run that used the
-// chunks keeps them, a run that left them idle gives them up, and release
-// leaves no event behind either way.
+// TestCalendarRelease pins the two arenas' scratch rule: a run that used the
+// chunks and the sent records keeps them, a run that left them idle gives them
+// up, and release leaves no event filed and no message held either way.
 func TestCalendarRelease(t *testing.T) {
 	c := &calendar{width: bucketNS}
+	var a sentArena
 	fill := func(n int) {
 		for i := 0; i < n; i++ {
 			idx := int64(i%(n/100) + 1)
-			c.push(&event{at: time.Duration(idx) * bucketNS, seq: uint64(i), msg: pingMsg{}}, idx)
+			c.push(&event{at: time.Duration(idx) * bucketNS, seq: uint64(i), msg: a.put(pingMsg{}, 48)}, idx)
 		}
-		c.push(&event{at: 2 * ringBuckets * bucketNS, msg: pingMsg{}}, 2*ringBuckets)
+		c.push(&event{at: 2 * ringBuckets * bucketNS, msg: a.put(pingMsg{}, 48)}, 2*ringBuckets)
+	}
+	release := func() {
+		c.release()
+		a.release()
 	}
 	fill(100_000)
-	c.release()
-	held := c.retained()
-	if held < 100_000 {
-		t.Fatalf("retained %d event slots after a run that filed 100000", held)
+	release()
+	held, records := c.retained(), len(a.slabs)*sentSlab
+	if held < 100_000 || records < 100_000 {
+		t.Fatalf("retained %d event slots and %d records after a run that filed 100000", held, records)
 	}
 	for _, slab := range c.slabs {
 		for i := range slab {
-			if slab[i].n != 0 || slab[i].ev[0].msg != nil {
+			if slab[i].n != 0 {
 				t.Fatal("release left an event in a retained chunk")
 			}
 		}
 	}
-	if c.count != 0 || len(c.overflow) != 0 || c.next() != math.MaxInt64 {
-		t.Fatal("released calendar is not empty")
+	for _, slab := range a.slabs {
+		for i := range slab {
+			if slab[i].msg != nil {
+				t.Fatal("release left a message in a retained record")
+			}
+		}
+	}
+	if c.count != 0 || len(c.overflow) != 0 || c.next() != math.MaxInt64 || a.used != 0 {
+		t.Fatal("released arenas are not empty")
 	}
 	fill(100_000)
-	c.release()
-	if got := c.retained(); got != held {
-		t.Errorf("steady-state reuse moved retained capacity %d -> %d", held, got)
+	release()
+	if got := c.retained(); got != held || len(a.slabs)*sentSlab != records {
+		t.Errorf("steady-state reuse moved retained capacity %d -> %d, records %d -> %d", held, got, records, len(a.slabs)*sentSlab)
 	}
 	fill(100)
-	c.release()
-	if got := c.retained(); got > held/4 {
-		t.Errorf("after a small run %d of %d event slots are still retained", got, held)
+	release()
+	if got := c.retained(); got > held/4 || len(a.slabs)*sentSlab > records/4 {
+		t.Errorf("after a small run %d of %d event slots and %d of %d records are still retained", got, held, len(a.slabs)*sentSlab, records)
 	}
 }

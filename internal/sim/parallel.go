@@ -25,7 +25,7 @@
 // hands at barriers only: the sender writes it during window k, the receiver
 // walks it during k+1 and files every event in its own calendar, the sender
 // recycles it to its own freelist during k+2. Nothing is copied or grown in
-// between, and staging memory is the arena's, sized and shrunk with it.
+// between; the message stays in the sender's sent arena, read-only from k+1.
 //
 // Determinism: event order is the total order (to, at, seq) with per-sender
 // sequence numbers, each node draws latency jitter from its own
@@ -542,7 +542,6 @@ func (sh *shard) runWindow(k, b int64) {
 		sh.deliver(e)
 	}
 	sh.bucketPeak = max(sh.bucketPeak, len(evs))
-	clear(evs) // the message references
 
 	sh.nextB = sh.cal.next()
 }
@@ -550,12 +549,12 @@ func (sh *shard) runWindow(k, b int64) {
 // sortBucket returns the chain's events in (to, at, seq) order, in sortBuf:
 // counting-scattered by destination straight from the chunks (counts spans
 // the shard's node range: two linear passes where a comparison sort calls a
-// closure over 48-byte elements), then each destination's group finished by
+// closure over 32-byte elements), then each destination's group finished by
 // sortGroup. The result is the unique (to, at, seq) order whatever the
 // (worker-count-dependent) filing order was, so schedules stay byte-identical
 // across worker counts.
 func (sh *shard) sortBucket(chain *chunk) []event {
-	lo := node.ID(sh.lo)
+	lo := int32(sh.lo)
 	counts := sh.counts
 	clear(counts)
 	for ch := chain; ch != nil; ch = ch.next {
@@ -619,29 +618,27 @@ func sortGroup(g []event) {
 func (sh *shard) deliver(e *event) {
 	r := sh.pr.r
 	sh.obsNow = int64(e.at)
-	to := e.to
+	from, to := node.ID(e.from), node.ID(e.to)
 	if r.nodes[to].halted || r.procs[to] == nil {
 		return
 	}
 	if sh.histSent != nil {
 		sh.histDelivered++
-		sh.histSent[e.from]++
+		sh.histSent[from]++
 		sh.histRecv[to]++
 	}
 	sh.events++
 	r.stats[to].MsgsRecv++
-	size := e.msg.WireSize() + r.macBytes
 	sh.beginStep(to)
-	r.procs[to].Deliver(e.from, e.msg)
-	sh.endStep(to, e.at, r.env.Cost.messageCost(size))
+	r.procs[to].Deliver(from, e.msg.msg)
+	sh.endStep(to, e.at, r.env.Cost.messageCost(e.msg.size))
 }
 
 func (sh *shard) endStep(id node.ID, t, base time.Duration) {
 	ready := sh.finishStep(sh.pr.r, id, t, base)
 	for _, om := range sh.curOutMsgs {
-		sh.dispatch(id, om.to, om.msg, ready)
+		sh.dispatch(id, om, ready)
 	}
-	sh.curOutMsgs = sh.curOutMsgs[:0]
 	sh.inStep = false
 }
 
@@ -649,11 +646,13 @@ func (sh *shard) endStep(id node.ID, t, base time.Duration) {
 // departure, but jitter comes from the sender's own RNG stream, the
 // sequence number is per-sender (worker-count independent), and the event
 // is staged for its destination shard.
-func (sh *shard) dispatch(from, to node.ID, m node.Message, ready time.Duration) {
-	at := sh.pr.r.depart(from, to, m, ready, sh.pr.rands[from])
-	ns := &sh.pr.r.nodes[from]
-	ns.sendSeq++
-	sh.stage(&event{at: at, seq: ns.sendSeq<<seqShift | uint64(from), from: from, to: to, msg: m})
+func (sh *shard) dispatch(from node.ID, om outMsg, ready time.Duration) {
+	r, ns := sh.pr.r, &sh.pr.r.nodes[from]
+	for to := om.lo; to < om.hi; to++ {
+		at := r.depart(from, node.ID(to), om.msg, ready, sh.pr.rands[from])
+		ns.sendSeq++
+		sh.stage(&event{at: at, seq: ns.sendSeq<<seqShift | uint64(from), from: int32(from), to: to, msg: om.msg})
+	}
 }
 
 // stage buffers an event for its destination shard, detecting causality
@@ -663,7 +662,7 @@ func (sh *shard) stage(e *event) {
 	idx := int64(e.at / sh.pr.width)
 	if idx <= sh.curBucket {
 		if sh.viol == nil {
-			sh.viol = &causalityViolation{at: e.at, bucket: idx, window: sh.curBucket, from: e.from, to: e.to}
+			sh.viol = &causalityViolation{at: e.at, bucket: idx, window: sh.curBucket, from: node.ID(e.from), to: node.ID(e.to)}
 		}
 		return
 	}
@@ -681,19 +680,19 @@ func (sh *shard) stage(e *event) {
 	*sh.cal.slot(&sh.staged[sh.parity][d]) = *e
 }
 
-// handback clears every retained message reference and applies the shrink
-// rule to the parallel arenas; called from Run when a Scratch is installed.
+// handback drops every retained message reference (the sent arenas') and
+// shrinks the parallel arenas; called from Run when a Scratch is installed.
 func (pr *parRunner) handback(s *Scratch) {
 	ps := s.par
 	if ps == nil {
 		return
 	}
 	for _, sh := range pr.shards {
+		sh.sent.release()
 		sh.cal.release() // empties the arena's every chunk, staged ones too
 		clear(sh.staged[0])
 		clear(sh.staged[1])
 		sh.sortBuf = shrunk(sh.sortBuf, sh.bucketPeak)
-		clear(sh.curOutMsgs[:cap(sh.curOutMsgs)])
 		sh.curOutMsgs = shrunk(sh.curOutMsgs, sh.outPeak)
 	}
 	ps.clean = true

@@ -65,53 +65,31 @@ func (p *ping) Deliver(_ node.ID, m node.Message) {
 	}
 }
 
-// scratchMessages counts the messages reachable from s: every event slot of
-// every retained backing array, in use or not, and the staged-send buffers —
-// the sequential loop's and every shard's. A shard's staging chains are
-// chunks of its calendar's slabs; a chain still linked is walked as well, so
-// a chunk from anywhere else would be seen too.
+// scratchMessages counts the messages reachable from s. A run holds them in
+// its sent arenas only — the sequential loop's and every shard's — so every
+// record of every retained slab is looked at, in use or not, and so is every
+// record a staged send still points to, its buffer's capacity region included:
+// a record from anywhere but a retained slab would be seen there.
 func scratchMessages(s *Scratch) int {
 	total := 0
-	count := func(evs []event) {
-		for _, e := range evs[:cap(evs)] {
-			if e.msg != nil {
-				total++
-			}
-		}
-	}
-	countCal := func(c *calendar) {
-		count(c.overflow)
-		for _, slab := range c.slabs {
+	count := func(a *sentArena, out []outMsg) {
+		for _, slab := range a.slabs {
 			for i := range slab {
-				count(slab[i].ev[:])
-			}
-		}
-	}
-	countOut := func(out []outMsg) {
-		for _, om := range out[:cap(out)] {
-			if om.msg != nil {
-				total++
-			}
-		}
-	}
-	count(s.near)
-	count(s.run)
-	if s.cal != nil {
-		countCal(s.cal)
-	}
-	countOut(s.outMsgs)
-	if s.par != nil {
-		for _, sh := range s.par.shards {
-			countCal(&sh.cal)
-			count(sh.sortBuf)
-			countOut(sh.curOutMsgs)
-			for _, chains := range sh.staged {
-				for _, ch := range chains {
-					for ; ch != nil; ch = ch.next {
-						count(ch.ev[:])
-					}
+				if slab[i].msg != nil {
+					total++
 				}
 			}
+		}
+		for _, om := range out[:cap(out)] {
+			if om.msg != nil && om.msg.msg != nil {
+				total++
+			}
+		}
+	}
+	count(&s.sent, s.outMsgs)
+	if s.par != nil {
+		for _, sh := range s.par.shards {
+			count(&sh.sent, sh.curOutMsgs)
 		}
 	}
 	return total

@@ -13,9 +13,10 @@
 // knowing they are being simulated. All randomness flows from a single seed,
 // so every experiment is reproducible.
 //
-// The event loop is built for sweep throughput. Pending deliveries are
-// event values (no per-event allocation, no interface boxing) in one
-// structure under both executors: a calendar (calendar.go) files them by
+// The event loop is built for sweep throughput. Pending deliveries are 32-byte
+// event values (no per-event allocation; a message sits once per Send or
+// Broadcast call in its sender's arena) in one structure under both
+// executors: a calendar (calendar.go) files them by
 // time bucket in fixed-size chunks, and the sequential loop orders only the
 // bucket it is about to drain, in linear radix passes over 8-byte keys — at
 // n=1000 a push is a write to the end of a chunk and a pop reads the next
@@ -50,13 +51,48 @@ import (
 )
 
 // event is a message delivery scheduled at a virtual time. Events are
-// stored by value in the calendar's chunks and the heaps.
+// stored by value in the calendar's chunks and the heaps, 32 bytes each: node
+// ids are int32 (NewRunner bounds n) and msg is the sending call's record.
 type event struct {
-	at   time.Duration
-	seq  uint64 // tie-breaker for determinism
-	from node.ID
-	to   node.ID
+	at       time.Duration
+	seq      uint64 // tie-breaker for determinism
+	msg      *sent
+	from, to int32
+}
+
+// sent is one Send or Broadcast call: the message and its wire size, MAC
+// included. The sending step writes it once; its deliveries, on whichever
+// shard, only read it (a window barrier lies in between).
+type sent struct {
 	msg  node.Message
+	size int
+}
+
+// sentArena hands out a run's sent records and is the only place the run
+// holds message references: events and staged sends point here.
+type sentArena struct {
+	slabs [][]sent // sentSlab records each
+	used  int      // records handed out this run
+}
+
+func (a *sentArena) put(m node.Message, size int) *sent {
+	if a.used == len(a.slabs)*sentSlab {
+		a.slabs = append(a.slabs, make([]sent, sentSlab))
+	}
+	rec := &a.slabs[a.used/sentSlab][a.used%sentSlab]
+	*rec = sent{msg: m, size: size}
+	a.used++
+	return rec
+}
+
+// release drops every message reference, then applies the scratch shrink rule
+// (to slabs this run never reached, clean since an earlier release).
+func (a *sentArena) release() {
+	for _, slab := range a.slabs[:(a.used+sentSlab-1)/sentSlab] {
+		clear(slab)
+	}
+	keep := min(len(a.slabs), 8*a.used/sentSlab+1)
+	a.slabs, a.used = slices.Delete(a.slabs, keep, len(a.slabs)), 0
 }
 
 // before reports whether e is scheduled strictly before o. seq is unique,
@@ -95,9 +131,7 @@ func (h *eventHeap) pop() event {
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{} // release the message reference
-	q = q[:n]
-	*h = q
+	*h = q[:n]
 	if n == 0 {
 		return top
 	}
@@ -286,14 +320,16 @@ func (r *Result) Outputs(ids []node.ID) []any {
 type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Duration
 
 // Scratch is a Runner's reusable storage: the near heap's backing array, the
-// drained bucket's run and sort keys, the calendar's chunk slabs, the per-node
-// bookkeeping slab, and — for parallel runs — each shard's calendar (whose
-// chunks also stage its cross-shard sends) and scatter buffer. A session
-// hands the same Scratch to consecutive NewRunner calls, and bench.Run the
-// last one-shot run's, so a sweep performs the growth allocations once instead
-// of once per trial. A Scratch must not be shared by concurrently running
-// Runners; reuse never changes results (every buffer is fully reset) — only
-// allocation counts.
+// drained bucket's run and sort keys, the calendar's chunk slabs, the sent
+// arena, the per-node bookkeeping slab, and — for parallel runs — each shard's
+// calendar (whose chunks also stage its cross-shard sends), sent arena and
+// scatter buffer. A session hands the same Scratch to consecutive NewRunner
+// calls, and bench.Run the last one-shot run's, so a sweep performs the growth
+// allocations once instead of once per trial. A Scratch must not be shared by
+// concurrently running Runners; reuse never changes results (every buffer is
+// fully reset) — only allocation counts. It holds no message: hand-back clears
+// the sent arenas, and the stale events elsewhere can at most keep a dropped
+// arena slab, 1.5 KiB of bare storage, alive until they are overwritten.
 //
 // Retained capacity is bounded, not monotone: after each run every backing
 // array whose peak occupancy fit in an eighth of its capacity is halved
@@ -308,6 +344,7 @@ type Scratch struct {
 	cal     *calendar
 	nodes   []nodeState
 	outMsgs []outMsg
+	sent    sentArena
 	rng     *rand.Rand
 	par     *parScratch
 }
@@ -335,17 +372,16 @@ func shrunk[T any](buf []T, peak int) []T {
 	return buf[:0]
 }
 
-// retainedEvents reports the scratch's total retained event-slot capacity
-// (near heap, run and keys, calendar, and each shard's calendar and scatter
-// buffer); it is the shrink policy's observable for tests.
+// retainedEvents reports the scratch's total retained event-slot and sent-
+// record capacity, every shard's too; the shrink policy's observable for tests.
 func (s *Scratch) retainedEvents() int {
-	total := cap(s.near) + cap(s.run) + cap(s.keys)
+	total := cap(s.near) + cap(s.run) + cap(s.keys) + len(s.sent.slabs)*sentSlab
 	if s.cal != nil {
 		total += s.cal.retained()
 	}
 	if s.par != nil {
 		for _, sh := range s.par.shards {
-			total += sh.cal.retained() + cap(sh.sortBuf)
+			total += sh.cal.retained() + cap(sh.sortBuf) + len(sh.sent.slabs)*sentSlab
 		}
 	}
 	return total
@@ -388,11 +424,7 @@ type Runner struct {
 	extraLook  time.Duration
 	par        *parRunner
 
-	// Hot-path constants hoisted out of the per-message dispatch: the
-	// environment's MAC overhead and whether the uplink/delay-rule
-	// branches are live at all.
-	macBytes  int
-	hasUplink bool
+	hasUplink bool // hoisted out of the per-message dispatch: is the uplink branch live
 
 	// Observability (WithRecorder): one trace track per node on the
 	// virtual clock. obsNow is the sequential loop's clock target; each
@@ -404,9 +436,11 @@ type Runner struct {
 	stepState // the sequential loop's; each parallel shard has its own
 }
 
+// outMsg is one staged Send or Broadcast, to destinations [lo, hi): dispatch
+// expands a broadcast's 0…n−1 in order, as n staged sends would have gone.
 type outMsg struct {
-	to  node.ID
-	msg node.Message
+	msg    *sent
+	lo, hi int32
 }
 
 // stepState is the delivery context of the processing step in progress: what
@@ -419,6 +453,7 @@ type stepState struct {
 	curOutput  bool
 	curHalt    bool
 	inStep     bool
+	sent       sentArena // every send by this executor, the loop or one shard
 }
 
 // beginStep opens node id's processing step. The caller invokes the
@@ -439,7 +474,7 @@ func (s *stepState) beginStep(id node.ID) {
 func (s *stepState) finishStep(r *Runner, id node.ID, t, base time.Duration) time.Duration {
 	ns, st := &r.nodes[id], &r.stats[id]
 	ns.busyUntil = max(t, ns.busyUntil) + base + r.env.Cost.Cost(s.curCharge)
-	st.Compute = st.Compute.Add(s.curCharge)
+	st.Compute.Accumulate(s.curCharge)
 	if s.curOutput {
 		st.OutputAt = ns.busyUntil
 	}
@@ -533,6 +568,9 @@ func NewRunner(cfg node.Config, env Environment, seed int64, procs []node.Proces
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.N > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: n=%d exceeds the %d nodes an event can address", cfg.N, math.MaxInt32)
+	}
 	if len(procs) != cfg.N {
 		return nil, fmt.Errorf("sim: have %d processes for n=%d", len(procs), cfg.N)
 	}
@@ -542,7 +580,6 @@ func NewRunner(cfg node.Config, env Environment, seed int64, procs []node.Proces
 		procs:     procs,
 		stats:     make([]NodeStats, cfg.N),
 		maxTime:   30 * time.Minute,
-		macBytes:  env.MACBytes,
 		hasUplink: env.UplinkBytesPerSec > 0,
 	}
 	for _, o := range opts {
@@ -554,7 +591,7 @@ func NewRunner(cfg node.Config, env Environment, seed int64, procs []node.Proces
 		// with the stats, and processes may retain their Env beyond the run.
 		r.near, r.run, r.keys = s.near[:0], s.run[:0], s.keys
 		r.nodes = resetNodes(s.nodes, cfg.N)
-		r.curOutMsgs = s.outMsgs[:0]
+		r.curOutMsgs, r.sent = s.outMsgs[:0], s.sent
 		if s.rng != nil {
 			r.rng = s.rng
 			r.rng.Seed(seed)
@@ -635,33 +672,27 @@ func (e *simEnv) step() (*stepState, bool) {
 	return st, st.inStep && e.id == st.curNode
 }
 
-// Send buffers an outgoing message; it is flushed (with bandwidth and
-// latency applied) once the current processing step completes.
-func (e *simEnv) Send(to node.ID, m node.Message) {
-	if st, own := e.step(); own {
-		st.curOutMsgs = append(st.curOutMsgs, outMsg{to: to, msg: m})
+func (e *simEnv) Send(to node.ID, m node.Message) { e.send(int32(to), int32(to)+1, m) }
+func (e *simEnv) Broadcast(m node.Message)        { e.send(0, int32(e.r.cfg.N), m) }
+
+// send records an outgoing message, sized here, and buffers it; it is flushed
+// (with bandwidth and latency applied) once the current processing step ends.
+func (e *simEnv) send(lo, hi int32, m node.Message) {
+	st, own := e.step()
+	om := outMsg{lo: lo, hi: hi, msg: st.sent.put(m, m.WireSize()+e.r.env.MACBytes)}
+	if own {
+		st.curOutMsgs = append(st.curOutMsgs, om)
 		return
 	}
-	// Sends outside a step (shouldn't happen for well-behaved processes)
-	// leave once the node is free, and no earlier than the executor's clock:
-	// an idle node's busyUntil lies in the past, and in a parallel window a
-	// departure before the window start would undercut the committed horizon.
+	// Sends outside a step (shouldn't happen for well-behaved processes) leave
+	// once the node is free, and no earlier than the executor's clock: an idle
+	// node's busyUntil lies in the past, and in a parallel window a departure
+	// before the window start would undercut the committed horizon.
 	free := e.r.nodes[e.id].busyUntil
 	if sh := e.shard(); sh != nil {
-		sh.dispatch(e.id, to, m, max(free, sh.windowStart))
+		sh.dispatch(e.id, om, max(free, sh.windowStart))
 	} else {
-		e.r.dispatch(e.id, to, m, max(free, e.r.now))
-	}
-}
-
-func (e *simEnv) Broadcast(m node.Message) {
-	st, own := e.step()
-	for i := 0; i < e.r.cfg.N; i++ {
-		if own {
-			st.curOutMsgs = append(st.curOutMsgs, outMsg{to: node.ID(i), msg: m})
-		} else {
-			e.Send(node.ID(i), m)
-		}
+		e.r.dispatch(e.id, om, max(free, e.r.now))
 	}
 }
 
@@ -691,35 +722,36 @@ func (e *simEnv) Halt() {
 
 func (e *simEnv) ChargeCompute(c node.ComputeCost) {
 	if st, own := e.step(); own {
-		st.curCharge = st.curCharge.Add(c)
+		st.curCharge.Accumulate(c)
 	}
 }
 
 // depart books a message leaving `from` no earlier than ready — bandwidth
 // serialization on the sender's uplink, traffic accounting — and returns
 // its arrival time: departure plus sampled latency plus the delay rule's.
-func (r *Runner) depart(from, to node.ID, m node.Message, ready time.Duration, rng *rand.Rand) time.Duration {
-	size := m.WireSize() + r.macBytes
+func (r *Runner) depart(from, to node.ID, m *sent, ready time.Duration, rng *rand.Rand) time.Duration {
 	ns, st := &r.nodes[from], &r.stats[from]
 	st.MsgsSent++
-	st.BytesSent += int64(size)
+	st.BytesSent += int64(m.size)
 	left := max(ready, ns.uplinkFree)
 	if r.hasUplink {
-		left += time.Duration(float64(size) / r.env.UplinkBytesPerSec * float64(time.Second))
+		left += time.Duration(float64(m.size) / r.env.UplinkBytesPerSec * float64(time.Second))
 	}
 	ns.uplinkFree = left
 	at := left + r.env.Latency.Latency(from, to, rng)
 	if r.delayRule != nil {
-		at += r.delayRule(left, from, to, m)
+		at += r.delayRule(left, from, to, m.msg)
 	}
 	return at
 }
 
-// dispatch enqueues the delivery of a message leaving at ready or later.
-func (r *Runner) dispatch(from, to node.ID, m node.Message, ready time.Duration) {
-	at := r.depart(from, to, m, ready, r.rng)
-	r.seq++
-	r.push(&event{at: at, seq: r.seq, from: from, to: to, msg: m})
+// dispatch enqueues a staged send's deliveries, leaving at ready or later.
+func (r *Runner) dispatch(from node.ID, om outMsg, ready time.Duration) {
+	for to := om.lo; to < om.hi; to++ {
+		at := r.depart(from, node.ID(to), om.msg, ready, r.rng)
+		r.seq++
+		r.push(&event{at: at, seq: r.seq, from: int32(from), to: to, msg: om.msg})
+	}
 }
 
 const (
@@ -730,7 +762,7 @@ const (
 	// nearMin keeps a short queue out of the calendar altogether: until the
 	// near heap first holds this many events it takes every push, and a run
 	// that never does is a plain heap. An engaged calendar clears 64 KiB of
-	// bucket heads and spends a 3 KiB chunk on each sparse bucket, ~1 MB a
+	// bucket heads and spends a 2 KiB chunk on each sparse bucket, ~0.7 MB a
 	// run: protocol runs peaking under 1 k pending lose by it (FIN n=8 at 749
 	// +27 %; BenchmarkSimCore n=4/16 and the n=8 golden cells peak at 16–821),
 	// 1–2 k buys no time for 1.2–3× the bytes (FIN n=10, Delphi n=16), 3 k up
@@ -780,7 +812,6 @@ func (r *Runner) next(e *event) bool {
 	if r.runPos < len(r.run) {
 		if head := &r.run[uint32(r.keys[r.runPos])]; len(r.near) == 0 || head.before(&r.near[0]) {
 			*e = *head
-			head.msg = nil // release the message reference
 			r.runPos++
 			return true
 		}
@@ -845,9 +876,8 @@ func (r *Runner) sortRun() {
 func (r *Runner) endStep(id node.ID, t, base time.Duration) {
 	ready := r.finishStep(r, id, t, base)
 	for _, om := range r.curOutMsgs {
-		r.dispatch(id, om.to, om.msg, ready)
+		r.dispatch(id, om, ready)
 	}
-	r.curOutMsgs = r.curOutMsgs[:0]
 	r.inStep = false
 }
 
@@ -859,20 +889,19 @@ func (r *Runner) deliver(e *event) bool {
 	if r.now > r.maxTime {
 		return false
 	}
-	to := e.to
+	from, to := node.ID(e.from), node.ID(e.to)
 	if r.nodes[to].halted || r.procs[to] == nil {
 		return true
 	}
 	if h := r.history; h != nil {
 		h.observe(e.at)
-		h.record(e.from, to)
+		h.record(from, to)
 	}
 	r.events++
 	r.stats[to].MsgsRecv++
-	size := e.msg.WireSize() + r.macBytes
 	r.beginStep(to)
-	r.procs[to].Deliver(e.from, e.msg)
-	r.endStep(to, e.at, r.env.Cost.messageCost(size))
+	r.procs[to].Deliver(from, e.msg.msg)
+	r.endStep(to, e.at, r.env.Cost.messageCost(e.msg.size))
 	return r.live > 0
 }
 
@@ -914,12 +943,10 @@ func (r *Runner) Run() *Result {
 	}
 	if s := r.scratch; s != nil {
 		// Hand the buffers back for the next run, shrunk where this run's
-		// peak occupancy left them mostly idle. Events an early stop left
-		// queued and the staged-send buffer's capacity region hold message
-		// references; drop them so the scratch retains only bare storage.
-		clear(r.near)
-		clear(r.run)
-		clear(r.curOutMsgs[:cap(r.curOutMsgs)])
+		// peak occupancy left them mostly idle, and the arena released: the
+		// events an early stop left queued keep no message alive.
+		r.sent.release()
+		s.sent = r.sent
 		s.near = shrunk(r.near, r.nearPeak)
 		s.run = shrunk(r.run, r.runPeak)
 		s.keys = shrunk(r.keys, 2*r.runPeak)

@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,6 +177,9 @@ func TestRunnerValidation(t *testing.T) {
 	}
 	if _, err := sim.NewRunner(node.Config{N: 4, F: 1}, sim.Local(), 1, make([]node.Process, 3)); err == nil {
 		t.Error("process-count mismatch accepted")
+	}
+	if _, err := sim.NewRunner(node.Config{N: math.MaxInt32 + 1}, sim.Local(), 1, nil); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("n beyond an event's int32 node ids: got %v, want the bound named", err)
 	}
 }
 

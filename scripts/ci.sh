@@ -90,12 +90,17 @@ go test ./internal/sim -run '^$' -fuzz FuzzCalendarOrder -fuzztime 10s
 # and auth.Open — against arbitrary input: no panic, no slice past the input,
 # oversize and truncated records counted, the envelope codec round-trips, a
 # frame without the expected suffix is counted stale and recycled, and
-# nothing opens but a sealed frame under its own sender.
+# nothing opens but a sealed frame under its own sender. Last, what the driver
+# hands an opened frame to: the full message registry's decode — no panic, no
+# read past the frame, and whatever decodes re-encodes to exactly WireSize
+# bytes that decode to the same message (the size the simulator caches per
+# send is the size on the wire).
 echo "== runtime socket-parser fuzz smoke =="
 go test ./internal/runtime -run '^$' -fuzz FuzzUnpackBatch -fuzztime 10s
 go test ./internal/runtime -run '^$' -fuzz FuzzTCPHeaderLoop -fuzztime 10s
 go test ./internal/runtime -run '^$' -fuzz FuzzSuffixDemux -fuzztime 10s
 go test ./internal/auth -run '^$' -fuzz FuzzAuthOpen -fuzztime 10s
+go test ./internal/codec -run '^$' -fuzz FuzzDecodeFramed -fuzztime 10s
 
 # The parallel executor's second guarantee, gated under -race on every run:
 # δ-window agreement with the sequential loop on the quick cross-validation
@@ -109,12 +114,16 @@ go test ./internal/auth -run '^$' -fuzz FuzzAuthOpen -fuzztime 10s
 # being written, is a data race before it is a wrong result
 # (TestParallelStagingChains: chains of 16+ chunks at 1/2/3/8 workers, fresh,
 # rebuilt and warm arenas; TestEarlyStopLeaksNoMessage: chains nobody walked).
+# The same barrier is all that orders a sent record — message and cached wire
+# size, written once by the sending shard's step — before its reads on every
+# other shard (TestBroadcastIsNSends: one staged Broadcast against n Sends, in
+# and out of step, 1/2/3 workers; TestEventLayout: the 32-byte event).
 # The one-shot tests pin the same for bench.Run's borrowed Scratch: invisible
 # in results, never shared by two concurrent runs, dropped by a run that
 # panics, gone after a collection, and worth ≥ 75 % of a run's allocated bytes.
 echo "== parallel-sim gate (-race) =="
 go test ./internal/sim -race -count=1 \
-    -run 'TestParallelStagingChains|TestEarlyStopLeaksNoMessage'
+    -run 'TestParallelStagingChains|TestEarlyStopLeaksNoMessage|TestEventLayout|TestBroadcastIsNSends'
 go test ./internal/bench -race -count=1 \
     -run 'TestParallelWindowAgreement|TestParallelWindowDeterminism|TestOneShot'
 
