@@ -18,7 +18,7 @@
 // Targets are selected positionally or with -run (comma-separated); the
 // two compose. Quick scale (default) runs reduced node counts and finishes
 // in well under a minute; paper scale uses the paper's axes (n up to 169)
-// and can take tens of minutes on one core. Trials fan out across
+// and takes 1–2 minutes per figure on two cores. Trials fan out across
 // bench.Engine's worker pool (GOMAXPROCS workers unless -workers is set);
 // results — including the adversary sweep's adversarial schedules — are
 // identical at any worker count.

@@ -21,8 +21,8 @@ const (
 	Quick Scale = iota + 1
 	// Medium reaches n=112 (a couple of minutes per figure on one core).
 	Medium
-	// Paper uses the paper's full node counts (tens of minutes on one
-	// core; the Abraham baseline alone is ~40M simulated events at n=160).
+	// Paper uses the paper's full node counts (1–2 minutes per figure on
+	// two cores; the Abraham baseline alone is ~40M simulated events at n=160).
 	Paper
 )
 

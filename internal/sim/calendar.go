@@ -12,10 +12,15 @@ const (
 	// delay (jitter cap 3 s); farther events overflow.
 	ringBuckets = 8192
 	ringMask    = ringBuckets - 1
-	// chunkEvents sizes a chunk at 2 KiB of events and a 16-byte header.
+	// chunkEvents sizes a chunk at 1 KiB of events and a 16-byte header.
 	chunkEvents = 64
-	sentSlab    = 64 // records to a sent arena slab, 1.5 KiB
-	// firstSlab is the first slab's chunk count, 64 KiB for a paper-scale
+	// An event's rec is maxWorkers arena ids over 2^recBits indices; a sent arena
+	// doubles from 1<<sentShift records (a short run allocates few it won't use).
+	recBits   = 26
+	recMask   = 1<<recBits - 1
+	sentShift = 4
+	sentLimit = 1<<recBits - 1<<sentShift
+	// firstSlab is the first slab's chunk count, 32 KiB for a paper-scale
 	// run's sparse buckets; each further slab adds half the total again: a
 	// million pending events cost a score of allocations and no copy.
 	firstSlab = 32
@@ -59,10 +64,8 @@ type calendar struct {
 // taken so far.
 func (c *calendar) push(e *event, idx int64) {
 	if idx >= c.base+ringBuckets {
-		c.overflow.push(*e)
-		if len(c.overflow) > c.overflowPeak {
-			c.overflowPeak = len(c.overflow)
-		}
+		c.overflow.push(heapEvent{event: *e})
+		c.overflowPeak = max(c.overflowPeak, len(c.overflow))
 		return
 	}
 	head := &c.heads[idx&ringMask]
@@ -143,7 +146,7 @@ func (c *calendar) detach(b int64) *chunk {
 			break
 		}
 		e := c.overflow.pop()
-		c.push(&e, idx)
+		c.push(&e.event, idx)
 	}
 	if c.scan <= b {
 		c.scan = b + 1
@@ -167,7 +170,7 @@ func (c *calendar) take(b int64, dst []event) []event {
 }
 
 // recycle returns a chain's chunks to the freelist, events left as they are
-// (they hold no message, only a pointer into the sender's arena).
+// (they hold no pointer).
 func (c *calendar) recycle(ch *chunk) {
 	for ch != nil {
 		next := ch.next

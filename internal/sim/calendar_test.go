@@ -12,12 +12,12 @@ import (
 
 // refHeap is the reference the queue is checked against: container/heap
 // over the same (at, seq) order.
-type refHeap []event
+type refHeap []heapEvent
 
 func (h refHeap) Len() int           { return len(h) }
 func (h refHeap) Less(i, j int) bool { return h[i].before(&h[j]) }
 func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(event)) }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(heapEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	e := old[len(old)-1]
@@ -56,19 +56,23 @@ const bucketNS = time.Duration(1) << seqBucketShift
 // buckets filed over them later — and with nearMin events decades out, which
 // stay there to the end (and are checked there, not mirrored in the
 // reference), so every later push past the drained bucket goes to the
-// calendar. It returns the last bucket taken before the final drain.
+// calendar. Every event is a send of its own, put in the runner's arena and
+// numbered the way dispatch numbers it, so the sequence numbers next compares
+// are looked up there. It returns the last bucket taken before the final drain.
 func checkQueueOrder(t *testing.T, ops []byte) int64 {
 	t.Helper()
 	const far = time.Duration(1) << 60
 	s := &Scratch{}
 	var r *Runner
 	var ref refHeap
-	push := func(at time.Duration) {
+	put := func(at time.Duration) heapEvent {
 		r.seq++
-		e := event{at: at, seq: r.seq, msg: r.sent.put(pingMsg{}, 0)}
-		r.push(&e)
-		heap.Push(&ref, e)
+		e := heapEvent{event{at: at, rec: r.sent.put(pingMsg{}, 0, 0)}, r.seq}
+		r.sent.at(e.rec).base = e.seq
+		r.push(&e.event, e.seq)
+		return e
 	}
+	push := func(at time.Duration) { heap.Push(&ref, put(at)) }
 	start := func(now time.Duration) {
 		var err error
 		if r, err = NewRunner(node.Config{N: 4, F: 1}, Environment{}, 0, make([]node.Process, 4), WithScratch(s), WithMaxTime(-1)); err != nil {
@@ -79,8 +83,7 @@ func checkQueueOrder(t *testing.T, ops []byte) int64 {
 			push(now + i*300*time.Microsecond)
 		}
 		for i := 0; i < nearMin; i++ {
-			r.seq++
-			r.push(&event{at: far + time.Duration(i), seq: r.seq})
+			put(far + time.Duration(i))
 		}
 	}
 	start(0)
@@ -94,13 +97,13 @@ func checkQueueOrder(t *testing.T, ops []byte) int64 {
 		}
 	}
 	pop := func() {
-		want := heap.Pop(&ref).(event)
+		want := heap.Pop(&ref).(heapEvent)
 		var got event
 		if !r.next(&got) {
 			t.Fatalf("queue empty with %d events outstanding; want (%v, %d)", len(ref)+1, want.at, want.seq)
 		}
-		if got.at != want.at || got.seq != want.seq {
-			t.Fatalf("popped (%v, %d), want (%v, %d)", got.at, got.seq, want.at, want.seq)
+		if got != want.event {
+			t.Fatalf("popped (%v, %d), want (%v, %d)", got.at, r.seqOf(&got), want.at, want.seq)
 		}
 		r.now = got.at
 	}
@@ -181,7 +184,7 @@ func checkQueueOrder(t *testing.T, ops []byte) int64 {
 			t.Fatalf("queue empty at resident %d", i)
 		}
 		if got.at != far+time.Duration(i) {
-			t.Fatalf("resident %d popped as (%v, %d)", i, got.at, got.seq)
+			t.Fatalf("resident %d popped as (%v, %d)", i, got.at, r.seqOf(&got))
 		}
 	}
 	if r.next(new(event)) {
@@ -256,7 +259,8 @@ func TestSortRun(t *testing.T) {
 		for name, low := range inputs {
 			r := &Runner{run: make([]event, n)}
 			for i, seq := range rng.Perm(n) {
-				r.run[i] = event{at: 77*bucketNS + low(i, n), seq: uint64(seq)}
+				r.run[i] = event{at: 77*bucketNS + low(i, n), rec: r.sent.put(nil, 0, 0)}
+				r.sent.at(r.run[i].rec).base = uint64(seq)
 			}
 			rng.Shuffle(n, func(i, j int) { r.run[i], r.run[j] = r.run[j], r.run[i] })
 			r.sortRun()
@@ -266,7 +270,11 @@ func TestSortRun(t *testing.T) {
 					t.Fatalf("n=%d %s: key %d repeats event %d", n, name, i, uint32(k))
 				}
 				seen[uint32(k)] = true
-				if i > 0 && !r.run[uint32(r.keys[i-1])].before(&r.run[uint32(k)]) {
+				if i == 0 {
+					continue
+				}
+				prev, e := &r.run[uint32(r.keys[i-1])], &r.run[uint32(k)]
+				if prev.at > e.at || prev.at == e.at && r.seqOf(prev) >= r.seqOf(e) {
 					t.Fatalf("n=%d %s: key %d is out of (at, seq) order", n, name, i)
 				}
 			}
@@ -283,9 +291,9 @@ func TestCalendarRelease(t *testing.T) {
 	fill := func(n int) {
 		for i := 0; i < n; i++ {
 			idx := int64(i%(n/100) + 1)
-			c.push(&event{at: time.Duration(idx) * bucketNS, seq: uint64(i), msg: a.put(pingMsg{}, 48)}, idx)
+			c.push(&event{at: time.Duration(idx) * bucketNS, rec: a.put(pingMsg{}, 48, 0)}, idx)
 		}
-		c.push(&event{at: 2 * ringBuckets * bucketNS, msg: a.put(pingMsg{}, 48)}, 2*ringBuckets)
+		c.push(&event{at: 2 * ringBuckets * bucketNS, rec: a.put(pingMsg{}, 48, 0)}, 2*ringBuckets)
 	}
 	release := func() {
 		c.release()
@@ -293,7 +301,7 @@ func TestCalendarRelease(t *testing.T) {
 	}
 	fill(100_000)
 	release()
-	held, records := c.retained(), len(a.slabs)*sentSlab
+	held, records := c.retained(), a.retained()
 	if held < 100_000 || records < 100_000 {
 		t.Fatalf("retained %d event slots and %d records after a run that filed 100000", held, records)
 	}
@@ -304,24 +312,25 @@ func TestCalendarRelease(t *testing.T) {
 			}
 		}
 	}
-	for _, slab := range a.slabs {
-		for i := range slab {
-			if slab[i].msg != nil {
-				t.Fatal("release left a message in a retained record")
-			}
-		}
+	if arenaMessages(&a) != 0 {
+		t.Fatal("release left a message in a retained record")
 	}
 	if c.count != 0 || len(c.overflow) != 0 || c.next() != math.MaxInt64 || a.used != 0 {
 		t.Fatal("released arenas are not empty")
 	}
 	fill(100_000)
 	release()
-	if got := c.retained(); got != held || len(a.slabs)*sentSlab != records {
-		t.Errorf("steady-state reuse moved retained capacity %d -> %d, records %d -> %d", held, got, records, len(a.slabs)*sentSlab)
+	if got := c.retained(); got != held || a.retained() != records {
+		t.Errorf("steady-state reuse moved retained capacity %d -> %d, records %d -> %d", held, got, records, a.retained())
 	}
 	fill(100)
 	release()
-	if got := c.retained(); got > held/4 || len(a.slabs)*sentSlab > records/4 {
-		t.Errorf("after a small run %d of %d event slots and %d of %d records are still retained", got, held, len(a.slabs)*sentSlab, records)
+	if got := c.retained(); got > held/4 || a.retained() > records/4 {
+		t.Errorf("after a small run %d of %d event slots and %d of %d records are still retained", got, held, a.retained(), records)
+	}
+	for k, slab := range a.slabs {
+		if (slab != nil) != (k < a.held) {
+			t.Errorf("slab %d of an arena that holds %d: %v", k, a.held, slab)
+		}
 	}
 }

@@ -28,7 +28,7 @@
 // between; the message stays in the sender's sent arena, read-only from k+1.
 //
 // Determinism: event order is the total order (to, at, seq) with per-sender
-// sequence numbers, each node draws latency jitter from its own
+// sequence numbers (compare), each node draws latency jitter from its own
 // seed-derived RNG stream, and every worker observes the same global window
 // sequence — so parallel runs are byte-identical across reruns AND across
 // worker counts. They are NOT byte-identical to sequential runs, which
@@ -209,6 +209,7 @@ func newParScratch(workers, n int) *parScratch {
 			counts: make([]int32, hi-lo),
 			staged: [2][]*chunk{make([]*chunk, workers), make([]*chunk, workers)},
 		}
+		sh.sent.id = uint32(s) << recBits
 		ps.shards[s] = sh
 		for i := lo; i < hi; i++ {
 			ps.shardOf[i] = uint8(s)
@@ -549,7 +550,7 @@ func (sh *shard) runWindow(k, b int64) {
 // sortBucket returns the chain's events in (to, at, seq) order, in sortBuf:
 // counting-scattered by destination straight from the chunks (counts spans
 // the shard's node range: two linear passes where a comparison sort calls a
-// closure over 32-byte elements), then each destination's group finished by
+// closure per pair), then each destination's group finished by
 // sortGroup. The result is the unique (to, at, seq) order whatever the
 // (worker-count-dependent) filing order was, so schedules stay byte-identical
 // across worker counts.
@@ -586,26 +587,37 @@ func (sh *shard) sortBucket(chain *chunk) []event {
 	for d := range counts {
 		end := counts[d]
 		if end-start > 1 {
-			sortGroup(buf[start:end])
+			sh.pr.sortGroup(buf[start:end])
 		}
 		start = end
 	}
 	return buf
 }
 
+// record returns the sent record rec names, which a barrier must have published.
+func (pr *parRunner) record(rec uint32) *sent { return pr.shards[rec>>recBits].sent.at(rec) }
+
+// compare orders two events by (at, seq), seq — the sender's per-node count,
+// then the sender, so independent of the sharding — looked up on ties only.
+func (pr *parRunner) compare(a, b *event) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	ma, mb := pr.record(a.rec), pr.record(b.rec)
+	return cmp.Compare((ma.base+uint64(a.to))<<seqShift|uint64(ma.from), (mb.base+uint64(b.to))<<seqShift|uint64(mb.from))
+}
+
 // sortGroup orders one destination's events by (at, seq): insertion sort
 // for the common tiny group, generic sort beyond it.
-func sortGroup(g []event) {
+func (pr *parRunner) sortGroup(g []event) {
 	if len(g) > 48 {
-		slices.SortFunc(g, func(a, b event) int {
-			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
-		})
+		slices.SortFunc(g, func(a, b event) int { return pr.compare(&a, &b) })
 		return
 	}
 	for i := 1; i < len(g); i++ {
 		e := g[i]
 		j := i - 1
-		for j >= 0 && (g[j].at > e.at || (g[j].at == e.at && g[j].seq > e.seq)) {
+		for j >= 0 && pr.compare(&g[j], &e) > 0 {
 			g[j+1] = g[j]
 			j--
 		}
@@ -618,10 +630,12 @@ func sortGroup(g []event) {
 func (sh *shard) deliver(e *event) {
 	r := sh.pr.r
 	sh.obsNow = int64(e.at)
-	from, to := node.ID(e.from), node.ID(e.to)
+	to := node.ID(e.to)
 	if r.nodes[to].halted || r.procs[to] == nil {
 		return
 	}
+	m := sh.pr.record(e.rec)
+	from := node.ID(m.from)
 	if sh.histSent != nil {
 		sh.histDelivered++
 		sh.histSent[from]++
@@ -630,8 +644,8 @@ func (sh *shard) deliver(e *event) {
 	sh.events++
 	r.stats[to].MsgsRecv++
 	sh.beginStep(to)
-	r.procs[to].Deliver(from, e.msg.msg)
-	sh.endStep(to, e.at, r.env.Cost.messageCost(e.msg.size))
+	r.procs[to].Deliver(from, m.msg)
+	sh.endStep(to, e.at, r.env.Cost.messageCost(int(m.size)))
 }
 
 func (sh *shard) endStep(id node.ID, t, base time.Duration) {
@@ -647,11 +661,12 @@ func (sh *shard) endStep(id node.ID, t, base time.Duration) {
 // sequence number is per-sender (worker-count independent), and the event
 // is staged for its destination shard.
 func (sh *shard) dispatch(from node.ID, om outMsg, ready time.Duration) {
-	r, ns := sh.pr.r, &sh.pr.r.nodes[from]
+	r, ns, m := sh.pr.r, &sh.pr.r.nodes[from], sh.sent.at(om.rec)
+	m.base = ns.sendSeq + 1 - uint64(om.lo)
+	ns.sendSeq += uint64(om.hi - om.lo)
 	for to := om.lo; to < om.hi; to++ {
-		at := r.depart(from, node.ID(to), om.msg, ready, sh.pr.rands[from])
-		ns.sendSeq++
-		sh.stage(&event{at: at, seq: ns.sendSeq<<seqShift | uint64(from), from: int32(from), to: to, msg: om.msg})
+		at := r.depart(from, node.ID(to), m, ready, sh.pr.rands[from])
+		sh.stage(&event{at: at, rec: om.rec, to: to})
 	}
 }
 
@@ -662,7 +677,7 @@ func (sh *shard) stage(e *event) {
 	idx := int64(e.at / sh.pr.width)
 	if idx <= sh.curBucket {
 		if sh.viol == nil {
-			sh.viol = &causalityViolation{at: e.at, bucket: idx, window: sh.curBucket, from: node.ID(e.from), to: node.ID(e.to)}
+			sh.viol = &causalityViolation{at: e.at, bucket: idx, window: sh.curBucket, from: node.ID(sh.sent.at(e.rec).from), to: node.ID(e.to)}
 		}
 		return
 	}

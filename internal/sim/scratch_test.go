@@ -66,30 +66,26 @@ func (p *ping) Deliver(_ node.ID, m node.Message) {
 }
 
 // scratchMessages counts the messages reachable from s. A run holds them in
-// its sent arenas only — the sequential loop's and every shard's — so every
-// record of every retained slab is looked at, in use or not, and so is every
-// record a staged send still points to, its buffer's capacity region included:
-// a record from anywhere but a retained slab would be seen there.
+// its sent arenas only — the sequential loop's and every shard's; nothing else
+// in a Scratch has a pointer to hold one with (TestEventLayout) — so every
+// record of every retained slab is looked at, in use or not.
 func scratchMessages(s *Scratch) int {
-	total := 0
-	count := func(a *sentArena, out []outMsg) {
-		for _, slab := range a.slabs {
-			for i := range slab {
-				if slab[i].msg != nil {
-					total++
-				}
-			}
-		}
-		for _, om := range out[:cap(out)] {
-			if om.msg != nil && om.msg.msg != nil {
-				total++
-			}
-		}
-	}
-	count(&s.sent, s.outMsgs)
+	total := arenaMessages(&s.sent)
 	if s.par != nil {
 		for _, sh := range s.par.shards {
-			count(&sh.sent, sh.curOutMsgs)
+			total += arenaMessages(&sh.sent)
+		}
+	}
+	return total
+}
+
+// arenaMessages counts the messages a's retained slabs hold.
+func arenaMessages(a *sentArena) (total int) {
+	for _, slab := range a.slabs {
+		for i := 0; slab != nil && i < len(*slab); i++ {
+			if (*slab)[i].msg != nil {
+				total++
+			}
 		}
 	}
 	return total

@@ -13,24 +13,24 @@
 // knowing they are being simulated. All randomness flows from a single seed,
 // so every experiment is reproducible.
 //
-// The event loop is built for sweep throughput. Pending deliveries are 32-byte
-// event values (no per-event allocation; a message sits once per Send or
-// Broadcast call in its sender's arena) in one structure under both
-// executors: a calendar (calendar.go) files them by
-// time bucket in fixed-size chunks, and the sequential loop orders only the
-// bucket it is about to drain, in linear radix passes over 8-byte keys — at
-// n=1000 a push is a write to the end of a chunk and a pop reads the next
-// key of a cache-resident run, where a single heap over the million pending
-// events missed the cache at every level. A small inlined 4-ary heap holds
-// what is pushed into the bucket being drained, and all of a queue that
-// never reaches nearMin events and builds no calendar. Per-node bookkeeping
-// lives in one contiguous nodeState slab, each node's Env is allocated once
-// per run, and a delivery is a direct Deliver call with no per-event
-// closure; Scratch lets a session reuse all of this storage across runs. Pop
-// order is fully determined by the (time, sequence) total order, so none of
+// The event loop is built for sweep throughput. Pending deliveries are 16-byte
+// pointer-free event values (no per-event allocation; message, sender and
+// sequence numbers sit once per Send or Broadcast call in the sending
+// executor's arena) in one structure under both executors: a calendar
+// (calendar.go) files them by time bucket in fixed-size chunks, and the
+// sequential loop orders only the bucket it is about to drain, in linear radix
+// passes over 8-byte keys — at n=1000 a push is a write to the end of a chunk
+// and a pop reads the next key of a cache-resident run, where a single heap
+// over the million pending events missed the cache at every level. A small
+// inlined 4-ary heap holds what is pushed into the bucket being drained, and
+// all of a queue that never reaches nearMin events and builds no calendar. Per-
+// node bookkeeping lives in one contiguous nodeState slab, each node's Env is
+// allocated once per run, and a delivery is a direct Deliver call with no per-
+// event closure; Scratch lets a session reuse all of this storage across runs.
+// Pop order is fully determined by the (time, sequence) total order, so none of
 // it changes a scheduled delivery: fixed-seed runs are byte-identical to the
-// original container/heap implementation (bench.TestSimGoldenByteIdentity
-// and, for the queue alone, TestCalendarOrder).
+// original container/heap implementation (bench.TestSimGoldenByteIdentity and,
+// for the queue alone, TestCalendarOrder).
 //
 // An opt-in conservative-window parallel mode (WithParallelWindow) shards
 // the nodes across a worker pool, one calendar per shard, and executes each
@@ -42,6 +42,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -50,69 +51,101 @@ import (
 	"delphi/internal/obs"
 )
 
-// event is a message delivery scheduled at a virtual time. Events are
-// stored by value in the calendar's chunks and the heaps, 32 bytes each: node
-// ids are int32 (NewRunner bounds n) and msg is the sending call's record.
+// event is a message delivery scheduled at a virtual time, stored by value, 16
+// bytes and no pointer: rec names the sending call's record — its executor's
+// arena (0, or the shard) above recBits, its index there below — which has the
+// sender and the sequence numbers; node ids are int32 (NewRunner bounds n).
 type event struct {
-	at       time.Duration
-	seq      uint64 // tie-breaker for determinism
-	msg      *sent
-	from, to int32
+	at  time.Duration
+	rec uint32
+	to  int32
 }
 
-// sent is one Send or Broadcast call: the message and its wire size, MAC
-// included. The sending step writes it once; its deliveries, on whichever
-// shard, only read it (a window barrier lies in between).
+// sent is one Send or Broadcast call: message, wire size (MAC included), sender
+// and base — dispatch stamps it, not put: an out-of-step send is dispatched
+// before sends put earlier — its delivery to node `to` having sequence number
+// base+to. Its deliveries, on whichever shard, only read it (a barrier later).
 type sent struct {
-	msg  node.Message
-	size int
+	msg        node.Message
+	base       uint64
+	size, from int32
 }
 
-// sentArena hands out a run's sent records and is the only place the run
-// holds message references: events and staged sends point here.
+// sentArena hands out a run's sent records and is the only place the run holds
+// a reference. Slab k holds 1<<(k+sentShift) records, and the slab table is a
+// fixed array: a shard resolves another shard's rec while that shard appends,
+// which an append-grown table would not survive.
 type sentArena struct {
-	slabs [][]sent // sentSlab records each
-	used  int      // records handed out this run
+	slabs [recBits - sentShift]*[]sent
+	held  int    // slabs[:held] are allocated
+	used  uint32 // records handed out this run
+	id    uint32 // the executor's arena id, shifted above recBits
 }
 
-func (a *sentArena) put(m node.Message, size int) *sent {
-	if a.used == len(a.slabs)*sentSlab {
-		a.slabs = append(a.slabs, make([]sent, sentSlab))
+// locate returns record i's slab and index there: i+1<<sentShift's top bit, the rest.
+func locate(i uint32) (k int, off uint32) {
+	j := i + 1<<sentShift
+	top := bits.Len32(j) - 1
+	return top - sentShift, j &^ (1 << top)
+}
+
+// at returns the record rec names in this arena.
+func (a *sentArena) at(rec uint32) *sent {
+	k, off := locate(rec & recMask)
+	return &(*a.slabs[k])[off]
+}
+
+// put records a send by node from and returns its rec.
+func (a *sentArena) put(m node.Message, size int, from node.ID) uint32 {
+	if a.used == sentLimit || size > math.MaxInt32 {
+		panic(fmt.Sprintf("sim: send %d of %d bytes is past an arena's %d sends or %d bytes", a.used, size, sentLimit, math.MaxInt32))
 	}
-	rec := &a.slabs[a.used/sentSlab][a.used%sentSlab]
-	*rec = sent{msg: m, size: size}
+	k, off := locate(a.used)
+	if k == a.held {
+		slab := make([]sent, 1<<(k+sentShift))
+		a.slabs[k], a.held = &slab, k+1
+	}
+	(*a.slabs[k])[off] = sent{msg: m, size: int32(size), from: int32(from)}
 	a.used++
-	return rec
+	return a.id | (a.used - 1)
 }
 
-// release drops every message reference, then applies the scratch shrink rule
-// (to slabs this run never reached, clean since an earlier release).
+// retained reports the arena's record capacity.
+func (a *sentArena) retained() int { return 1<<(a.held+sentShift) - 1<<sentShift }
+
+// release drops every message reference, then applies the scratch shrink rule:
+// slabs that start beyond eight times this run's use go.
 func (a *sentArena) release() {
-	for _, slab := range a.slabs[:(a.used+sentSlab-1)/sentSlab] {
-		clear(slab)
+	next, _ := locate(a.used)
+	for _, slab := range a.slabs[:min(a.held, next+1)] {
+		clear(*slab) // the rest are clean since an earlier release
 	}
-	keep := min(len(a.slabs), 8*a.used/sentSlab+1)
-	a.slabs, a.used = slices.Delete(a.slabs, keep, len(a.slabs)), 0
+	keep, _ := locate(8 * a.used)
+	clear(a.slabs[min(a.held, keep+1):a.held])
+	a.held, a.used = min(a.held, keep+1), 0
+}
+
+// heapEvent is an event beside its sequence number: the near heap orders by it.
+type heapEvent struct {
+	event
+	seq uint64 // tie-breaker for determinism
 }
 
 // before reports whether e is scheduled strictly before o. seq is unique,
 // so this is a total order and the heap's pop sequence is independent of
 // its internal layout.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+func (e *heapEvent) before(o *heapEvent) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // eventHeap is an inlined 4-ary min-heap of events ordered by (at, seq): the
 // sequential runner's near heap and every calendar's beyond-horizon
-// overflow. The value layout and the manual sift loops are what keep heap
-// maintenance allocation-free.
-type eventHeap []event
+// overflow (seq 0: it hands events back to the ring by at alone). The value
+// layout and the manual sift loops keep heap maintenance allocation-free.
+type eventHeap []heapEvent
 
 // push adds e to the heap, sifting it towards the root.
-func (h *eventHeap) push(e event) {
+func (h *eventHeap) push(e heapEvent) {
 	q := append(*h, e)
 	*h = q
 	for i := len(q) - 1; i > 0; {
@@ -126,7 +159,7 @@ func (h *eventHeap) push(e event) {
 }
 
 // pop removes and returns the earliest event.
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() heapEvent {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
@@ -327,9 +360,8 @@ type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Dur
 // calls, and bench.Run the last one-shot run's, so a sweep performs the growth
 // allocations once instead of once per trial. A Scratch must not be shared by
 // concurrently running Runners; reuse never changes results (every buffer is
-// fully reset) — only allocation counts. It holds no message: hand-back clears
-// the sent arenas, and the stale events elsewhere can at most keep a dropped
-// arena slab, 1.5 KiB of bare storage, alive until they are overwritten.
+// fully reset) — only allocation counts. It holds no message: the sent arenas
+// are the only storage with a pointer in it, and hand-back clears them.
 //
 // Retained capacity is bounded, not monotone: after each run every backing
 // array whose peak occupancy fit in an eighth of its capacity is halved
@@ -375,13 +407,13 @@ func shrunk[T any](buf []T, peak int) []T {
 // retainedEvents reports the scratch's total retained event-slot and sent-
 // record capacity, every shard's too; the shrink policy's observable for tests.
 func (s *Scratch) retainedEvents() int {
-	total := cap(s.near) + cap(s.run) + cap(s.keys) + len(s.sent.slabs)*sentSlab
+	total := cap(s.near) + cap(s.run) + cap(s.keys) + s.sent.retained()
 	if s.cal != nil {
 		total += s.cal.retained()
 	}
 	if s.par != nil {
 		for _, sh := range s.par.shards {
-			total += sh.cal.retained() + cap(sh.sortBuf) + len(sh.sent.slabs)*sentSlab
+			total += sh.cal.retained() + cap(sh.sortBuf) + sh.sent.retained()
 		}
 	}
 	return total
@@ -436,10 +468,10 @@ type Runner struct {
 	stepState // the sequential loop's; each parallel shard has its own
 }
 
-// outMsg is one staged Send or Broadcast, to destinations [lo, hi): dispatch
+// outMsg is one staged Send or Broadcast, rec to destinations [lo, hi): dispatch
 // expands a broadcast's 0…n−1 in order, as n staged sends would have gone.
 type outMsg struct {
-	msg    *sent
+	rec    uint32
 	lo, hi int32
 }
 
@@ -679,7 +711,7 @@ func (e *simEnv) Broadcast(m node.Message)        { e.send(0, int32(e.r.cfg.N), 
 // (with bandwidth and latency applied) once the current processing step ends.
 func (e *simEnv) send(lo, hi int32, m node.Message) {
 	st, own := e.step()
-	om := outMsg{lo: lo, hi: hi, msg: st.sent.put(m, m.WireSize()+e.r.env.MACBytes)}
+	om := outMsg{lo: lo, hi: hi, rec: st.sent.put(m, m.WireSize()+e.r.env.MACBytes, e.id)}
 	if own {
 		st.curOutMsgs = append(st.curOutMsgs, om)
 		return
@@ -747,12 +779,17 @@ func (r *Runner) depart(from, to node.ID, m *sent, ready time.Duration, rng *ran
 
 // dispatch enqueues a staged send's deliveries, leaving at ready or later.
 func (r *Runner) dispatch(from node.ID, om outMsg, ready time.Duration) {
+	m := r.sent.at(om.rec)
+	m.base = r.seq + 1 - uint64(om.lo)
+	r.seq += uint64(om.hi - om.lo)
 	for to := om.lo; to < om.hi; to++ {
-		at := r.depart(from, node.ID(to), om.msg, ready, r.rng)
-		r.seq++
-		r.push(&event{at: at, seq: r.seq, from: int32(from), to: to, msg: om.msg})
+		at := r.depart(from, node.ID(to), m, ready, r.rng)
+		r.push(&event{at: at, rec: om.rec, to: to}, m.base+uint64(to))
 	}
 }
+
+// seqOf returns e's sequence number.
+func (r *Runner) seqOf(e *event) uint64 { return r.sent.at(e.rec).base + uint64(e.to) }
 
 const (
 	// seqBucketShift sets the sequential calendar's bucket width, 2^19 ns ≈
@@ -762,7 +799,7 @@ const (
 	// nearMin keeps a short queue out of the calendar altogether: until the
 	// near heap first holds this many events it takes every push, and a run
 	// that never does is a plain heap. An engaged calendar clears 64 KiB of
-	// bucket heads and spends a 2 KiB chunk on each sparse bucket, ~0.7 MB a
+	// bucket heads and spends a 1 KiB chunk on each sparse bucket, ~0.4 MB a
 	// run: protocol runs peaking under 1 k pending lose by it (FIN n=8 at 749
 	// +27 %; BenchmarkSimCore n=4/16 and the n=8 golden cells peak at 16–821),
 	// 1–2 k buys no time for 1.2–3× the bytes (FIN n=10, Delphi n=16), 3 k up
@@ -770,11 +807,11 @@ const (
 	nearMin = 2048
 )
 
-// push queues a delivery. Once the calendar is engaged, events at or before
-// the bucket being drained — zero or sub-bucket latency, out-of-step sends —
-// go to the near heap, which next merges with that bucket's run, and events
-// beyond it to the calendar.
-func (r *Runner) push(e *event) {
+// push queues a delivery, seq its sequence number. Once the calendar is
+// engaged, events at or before the bucket being drained — zero or sub-bucket
+// latency, out-of-step sends — go to the near heap, which next merges with
+// that bucket's run, and events beyond it to the calendar.
+func (r *Runner) push(e *event, seq uint64) {
 	if r.cal == nil && len(r.near) >= nearMin {
 		// Engage the calendar for the rest of the run, the scratch's if it
 		// holds one.
@@ -790,7 +827,7 @@ func (r *Runner) push(e *event) {
 			return
 		}
 	}
-	r.near.push(*e)
+	r.near.push(heapEvent{*e, seq})
 	r.nearPeak = max(r.nearPeak, len(r.near))
 }
 
@@ -810,7 +847,8 @@ func (r *Runner) next(e *event) bool {
 		}
 	}
 	if r.runPos < len(r.run) {
-		if head := &r.run[uint32(r.keys[r.runPos])]; len(r.near) == 0 || head.before(&r.near[0]) {
+		head := &r.run[uint32(r.keys[r.runPos])]
+		if len(r.near) == 0 || head.at < r.near[0].at || head.at == r.near[0].at && r.seqOf(head) < r.near[0].seq {
 			*e = *head
 			r.runPos++
 			return true
@@ -819,7 +857,7 @@ func (r *Runner) next(e *event) bool {
 	if len(r.near) == 0 {
 		return false
 	}
-	*e = r.near[0] // copied where it lies: pop's by-value result takes a detour over the stack
+	*e = r.near[0].event // copied where it lies: pop's by-value result takes a detour over the stack
 	r.near.pop()
 	return true
 }
@@ -830,7 +868,8 @@ func (r *Runner) next(e *event) bool {
 // ns an event at 16 k against a comparison sort's 80; under radixMin events
 // zeroing and summing the counters costs more than comparing (26 against 13
 // ns at 64, 15 against 18 at 128). Events of equal at then stand in take, not
-// seq, order (chunks chain newest first): each such group is sorted by seq.
+// seq, order (chunks chain newest first): each such group is sorted by seq,
+// looked up in the arena.
 func (r *Runner) sortRun() {
 	const radixMin = 128
 	run, n := r.run, len(r.run)
@@ -860,7 +899,7 @@ func (r *Runner) sortRun() {
 			}
 		}
 	}
-	bySeq := func(a, b uint64) int { return cmp.Compare(run[uint32(a)].seq, run[uint32(b)].seq) }
+	bySeq := func(a, b uint64) int { return cmp.Compare(r.seqOf(&run[uint32(a)]), r.seqOf(&run[uint32(b)])) }
 	for i, j := 0, 1; j <= n; j++ {
 		if j == n || keys[j]>>32 != keys[i]>>32 {
 			if j-i > 1 {
@@ -889,10 +928,12 @@ func (r *Runner) deliver(e *event) bool {
 	if r.now > r.maxTime {
 		return false
 	}
-	from, to := node.ID(e.from), node.ID(e.to)
+	to := node.ID(e.to)
 	if r.nodes[to].halted || r.procs[to] == nil {
 		return true
 	}
+	m := r.sent.at(e.rec)
+	from := node.ID(m.from)
 	if h := r.history; h != nil {
 		h.observe(e.at)
 		h.record(from, to)
@@ -900,8 +941,8 @@ func (r *Runner) deliver(e *event) bool {
 	r.events++
 	r.stats[to].MsgsRecv++
 	r.beginStep(to)
-	r.procs[to].Deliver(from, e.msg.msg)
-	r.endStep(to, e.at, r.env.Cost.messageCost(e.msg.size))
+	r.procs[to].Deliver(from, m.msg)
+	r.endStep(to, e.at, r.env.Cost.messageCost(int(m.size)))
 	return r.live > 0
 }
 
@@ -943,8 +984,7 @@ func (r *Runner) Run() *Result {
 	}
 	if s := r.scratch; s != nil {
 		// Hand the buffers back for the next run, shrunk where this run's
-		// peak occupancy left them mostly idle, and the arena released: the
-		// events an early stop left queued keep no message alive.
+		// peak occupancy left them mostly idle, and the arena released.
 		r.sent.release()
 		s.sent = r.sent
 		s.near = shrunk(r.near, r.nearPeak)

@@ -114,16 +114,20 @@ go test ./internal/codec -run '^$' -fuzz FuzzDecodeFramed -fuzztime 10s
 # being written, is a data race before it is a wrong result
 # (TestParallelStagingChains: chains of 16+ chunks at 1/2/3/8 workers, fresh,
 # rebuilt and warm arenas; TestEarlyStopLeaksNoMessage: chains nobody walked).
-# The same barrier is all that orders a sent record — message and cached wire
-# size, written once by the sending shard's step — before its reads on every
-# other shard (TestBroadcastIsNSends: one staged Broadcast against n Sends, in
-# and out of step, 1/2/3 workers; TestEventLayout: the 32-byte event).
+# The same barrier is all that orders a sent record — message, cached wire
+# size, sender and sequence base, written once by the sending shard's step —
+# before its reads on every other shard (TestBroadcastIsNSends: one staged
+# Broadcast against n Sends, in and out of step, 1/2/3 workers; TestTieOrder:
+# the order of deliveries that tie on time, looked up through those records;
+# TestEventLayout: the 16-byte pointer-free event). An event names its record
+# by index, and the other shards resolve it while the sender's arena grows:
+# TestSentArenaGrowsUnderReaders is a race on any slab table that moves.
 # The one-shot tests pin the same for bench.Run's borrowed Scratch: invisible
 # in results, never shared by two concurrent runs, dropped by a run that
-# panics, gone after a collection, and worth ≥ 75 % of a run's allocated bytes.
+# panics, gone after a collection, and a second run allocates no arena.
 echo "== parallel-sim gate (-race) =="
 go test ./internal/sim -race -count=1 \
-    -run 'TestParallelStagingChains|TestEarlyStopLeaksNoMessage|TestEventLayout|TestBroadcastIsNSends'
+    -run 'TestParallelStagingChains|TestEarlyStopLeaksNoMessage|TestEventLayout|TestBroadcastIsNSends|TestTieOrder|TestSentArenaGrowsUnderReaders'
 go test ./internal/bench -race -count=1 \
     -run 'TestParallelWindowAgreement|TestParallelWindowDeterminism|TestOneShot'
 
