@@ -116,7 +116,7 @@ func (p *Profile) replayOne(adv netadv.Adversary, rc ReplayConfig, res *ReplayRe
 		}
 		res.Scored++
 		p.Scored++
-		wall := out.Stats.Latency
+		wall := out.Latency
 		if wall <= 0 {
 			wall = out.Wall
 		}

@@ -1,9 +1,13 @@
-// Package backend is the execution-backend subsystem: one RunSpec, three
-// ways to execute it. The simulator backend wraps bench.Run (byte-identical
-// to calling it directly); the live backend runs the same node.Process
-// instances as a goroutine-per-node cluster over an in-memory hub
-// (runtime.Hub); the tcp backend runs them over loopback TCP with
-// length-prefixed, HMAC-authenticated frames (runtime.NewTCP).
+// Package backend runs a RunSpec on a live cluster: the same node.Process
+// instances the simulator runs, as goroutine-per-node drivers over a
+// persistent fabric. The live backend's fabric is an in-memory hub
+// (runtime.Hub); the tcp backend's is a wired loopback mesh with
+// length-prefixed, HMAC-authenticated frames (runtime.TCPNet). Every run is
+// a session: bench.Engine keeps one per (cell, worker) across trials, and a
+// one-shot Run is a session of one trial. Serial trials share the fabric
+// through epoch keys and drainers (clusterSession); concurrent service
+// rounds share it through an instance mux (serviceSession). Both run their
+// trials through one body, runTrial.
 //
 // Importing this package registers the live backends with the bench
 // registry, so a Scenario or Matrix can name them as an axis
@@ -27,60 +31,20 @@ import (
 	"fmt"
 	"time"
 
+	"delphi/internal/auth"
 	"delphi/internal/bench"
 	"delphi/internal/codec"
 	"delphi/internal/node"
+	"delphi/internal/obs"
 	"delphi/internal/runtime"
 	"delphi/internal/sim"
 	"delphi/internal/wire"
 )
 
-// Caps mirrors bench.BackendCaps for callers holding a Backend value.
-type Caps = bench.BackendCaps
-
-// Backend executes RunSpecs on some execution substrate.
-type Backend interface {
-	// Name returns the bench registry kind the backend answers to.
-	Name() bench.BackendKind
-	// Caps declares determinism and wall-clock semantics.
-	Caps() Caps
-	// Run executes one spec and returns its result.
-	Run(spec bench.RunSpec) (RunResult, error)
-}
-
-// RunResult is a backend execution's outcome.
-type RunResult struct {
-	// Stats is the harness summary (outputs, spread, latency, traffic).
-	Stats *bench.RunStats
-	// Wall is the run's real elapsed time; zero on the simulator. It is
-	// also recorded in Stats.Wall.
-	Wall time.Duration
-}
-
 // DefaultTimeout bounds a live cluster run. It is far above any quick-scale
 // protocol completion (milliseconds to a few seconds under adversarial
 // delay) so hitting it means a wedged cluster, not a slow one.
 const DefaultTimeout = 60 * time.Second
-
-// Sim executes specs on the discrete-event simulator — a trivial wrapper
-// over bench.Run, so results are byte-identical to the pre-backend path.
-type Sim struct{}
-
-// Name implements Backend.
-func (Sim) Name() bench.BackendKind { return bench.BackendSim }
-
-// Caps implements Backend: the simulator is deterministic and measures
-// virtual, not wall, time.
-func (Sim) Caps() Caps { return Caps{Deterministic: true} }
-
-// Run implements Backend.
-func (Sim) Run(spec bench.RunSpec) (RunResult, error) {
-	st, err := bench.Run(spec)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{Stats: st}, nil
-}
 
 // Live executes specs as in-process goroutine clusters over runtime.Hub.
 type Live struct {
@@ -91,19 +55,12 @@ type Live struct {
 	NoBatch bool
 }
 
-// Name implements Backend.
-func (Live) Name() bench.BackendKind { return bench.BackendLive }
-
-// Caps implements Backend: goroutine scheduling makes wall measurements
-// (and message interleavings) non-deterministic.
-func (Live) Caps() Caps { return Caps{WallClock: true} }
-
-// Run implements Backend.
-func (b Live) Run(spec bench.RunSpec) (RunResult, error) {
-	return runCluster(spec, bench.BackendLive, b.Timeout, nil, b.NoBatch, nil)
+// Run executes one spec as a session of one trial.
+func (b Live) Run(spec bench.RunSpec) (*bench.RunStats, error) {
+	return runOnce(bench.BackendLive, openHub, spec, b.Timeout, b.NoBatch)
 }
 
-// TCP executes specs as loopback TCP clusters over runtime.NewTCP.
+// TCP executes specs as loopback TCP clusters over runtime.TCPNet.
 type TCP struct {
 	// Timeout bounds one cluster run; 0 means DefaultTimeout.
 	Timeout time.Duration
@@ -112,28 +69,49 @@ type TCP struct {
 	NoBatch bool
 }
 
-// Name implements Backend.
-func (TCP) Name() bench.BackendKind { return bench.BackendTCP }
-
-// Caps implements Backend.
-func (TCP) Caps() Caps { return Caps{WallClock: true} }
-
-// Run implements Backend.
-func (b TCP) Run(spec bench.RunSpec) (RunResult, error) {
-	factory, cleanup, drops, err := tcpFactory(spec.N, spec.Obs)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer cleanup()
-	return runCluster(spec, bench.BackendTCP, b.Timeout, factory, b.NoBatch, drops)
+// Run executes one spec as a session of one trial: the mesh is wired, the
+// trial runs, and the mesh is torn down.
+func (b TCP) Run(spec bench.RunSpec) (*bench.RunStats, error) {
+	return runOnce(bench.BackendTCP, openTCPNet, spec, b.Timeout, b.NoBatch)
 }
 
-// trialScaffold is the per-trial plumbing every live execution needs,
-// built identically by the per-trial path and the persistent sessions so
-// the two cannot drift: processes, adversary wrapper, honest-exit set, and
-// the timeout. Trials are over when every honest node has decided and
-// halted; Byzantine processes (a spammer never halts) must not hold the
-// cluster open until the timeout — hence WaitFor(honest).
+// fabric is the persistent substrate under a session: per-slot inboxes
+// (runtime.MuxFabric), per-epoch and per-instance endpoints, and cumulative
+// observable frame drops. *runtime.Hub and *runtime.TCPNet satisfy it.
+type fabric interface {
+	runtime.MuxFabric
+	Endpoint(id node.ID, a *auth.Auth) runtime.Transport
+	TaggedEndpoint(id node.ID, a *auth.Auth, tag uint64) runtime.Transport
+	Drops() uint64
+	Observe(rec *obs.Recorder)
+	Close() error
+}
+
+func openHub(n int) (fabric, error) { return runtime.NewHub(n), nil }
+
+func openTCPNet(n int) (fabric, error) {
+	net, err := runtime.NewTCPNet(n)
+	if err != nil {
+		return nil, err
+	}
+	return net, nil
+}
+
+// runOnce runs spec as a session of one trial.
+func runOnce(kind bench.BackendKind, open func(int) (fabric, error), spec bench.RunSpec, timeout time.Duration, noBatch bool) (*bench.RunStats, error) {
+	s, err := openCluster(kind, open, spec.N, timeout, noBatch)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return s.Run(spec)
+}
+
+// trialScaffold is the per-trial plumbing every live execution needs:
+// processes, adversary wrapper, honest-exit set, and the timeout. Trials
+// are over when every honest node has decided and halted; Byzantine
+// processes (a spammer never halts) must not hold the cluster open until
+// the timeout — hence WaitFor(honest).
 type trialScaffold struct {
 	timeout time.Duration
 	reg     *wire.Registry
@@ -184,101 +162,121 @@ func newTrialScaffold(spec bench.RunSpec, timeout time.Duration) (*trialScaffold
 	}, nil
 }
 
-// runCluster is the shared live execution path: build the spec's processes,
-// wrap every transport with adversary delay + traffic accounting, run the
-// cluster, and assemble RunStats from the honest nodes' final outputs and
-// wall-clock decision times. drops, when non-nil, reads the transports'
-// cumulative observable frame-loss counter (per-trial transports start at
-// zero, so no delta is needed here).
-func runCluster(spec bench.RunSpec, kind bench.BackendKind, timeout time.Duration, factory runtime.TransportFactory, noBatch bool, drops func() uint64) (RunResult, error) {
-	sc, err := newTrialScaffold(spec, timeout)
-	if err != nil {
-		return RunResult{}, err
-	}
+// runTrial is the trial body both session kinds share: wrap every transport
+// with adversary delay and traffic accounting, run the cluster, and assemble
+// RunStats. Teardown never touches the fabric: the delay wrappers detach,
+// then release runs — it is what unblocks any sender still
+// parked in a transport Send — and again after the run, before the
+// wrappers' in-flight delayed sends are waited out. tracks are the drivers'
+// per-node trace rows when spec.Obs is set.
+func runTrial(kind bench.BackendKind, spec bench.RunSpec, sc *trialScaffold, master []byte, noBatch bool,
+	transports runtime.TransportFactory, release func(), tracks []*obs.Track) (*bench.RunStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), sc.timeout)
 	defer cancel()
-
+	wrappers := make([]*advTransport, spec.N)
 	opts := []runtime.ClusterOption{
-		runtime.WithTransportWrap(sc.wrap),
+		runtime.WithTransports(transports),
+		runtime.WithTransportWrap(func(id node.ID, tr runtime.Transport) runtime.Transport {
+			w := sc.wrap(id, tr).(*advTransport)
+			wrappers[id] = w
+			return w
+		}),
 		runtime.WithWaitFor(sc.honest),
+		runtime.WithTransportRelease(func() {
+			for _, w := range wrappers {
+				if w != nil {
+					w.detach()
+				}
+			}
+			release()
+		}),
 		runtime.WithFrameBatching(!noBatch),
-		runtime.WithObs(spec.Obs),
 	}
-	if factory != nil {
-		opts = append(opts, runtime.WithTransports(factory))
+	if spec.Obs != nil {
+		opts = append(opts, runtime.WithObsTracks(spec.Obs, tracks))
 	}
-	cfg := node.Config{N: spec.N, F: spec.F}
-	master := []byte(fmt.Sprintf("delphi-backend-%s-%d", kind, spec.Seed))
-	res, err := runtime.RunCluster(ctx, cfg, sc.procs, master, sc.reg, opts...)
+	res, err := runtime.RunCluster(ctx, node.Config{N: spec.N, F: spec.F}, sc.procs, master, sc.reg, opts...)
+	// RunCluster has released on every path; release again anyway
+	// (idempotent), then wait out the wrappers' in-flight delayed sends —
+	// guaranteed to finish now that nothing can block them. Their frames
+	// carry this trial's epoch or tag, so any stragglers die at the next
+	// trial's endpoints or in the mux.
+	release()
+	for _, w := range wrappers {
+		if w != nil {
+			w.wait()
+		}
+	}
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
-	r, err := clusterStats(spec, kind, res, sc.acct, ctx, sc.timeout)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if drops != nil {
-		r.Stats.TransportDrops = drops()
-	}
-	return r, nil
+	return clusterStats(spec, kind, res, sc.acct, ctx, sc.timeout)
 }
 
-// clusterStats assembles a RunResult from a finished cluster run — shared
-// by the per-trial path and the persistent sessions.
-func clusterStats(spec bench.RunSpec, kind bench.BackendKind, res *runtime.ClusterResult, acct *traffic, ctx context.Context, timeout time.Duration) (RunResult, error) {
+// clusterStats assembles RunStats from a finished cluster run. When the
+// trial context expired, the error names the honest slots that never
+// decided and the first driver error, so a timed-out trial carries its
+// cause.
+func clusterStats(spec bench.RunSpec, kind bench.BackendKind, res *runtime.ClusterResult, acct *traffic, ctx context.Context, timeout time.Duration) (*bench.RunStats, error) {
 	if bad := res.Faults[runtime.FaultBadMAC]; bad != 0 {
 		// Stale epochs are filtered before the MAC, so these were forged or
 		// corrupted in a closed cluster: no number from this trial counts.
-		return RunResult{}, fmt.Errorf("backend: %s: %d frames failed authentication", kind, bad)
+		return nil, fmt.Errorf("backend: %s: %d frames failed authentication", kind, bad)
 	}
 	finals := make([]any, spec.N)
 	at := make([]time.Duration, spec.N)
+	var silent []int
 	for _, i := range spec.HonestSlots() {
 		finals[i] = res.Final(i)
 		at[i] = res.FinalAt(i)
 		if finals[i] == nil && res.Errs[i] != nil {
-			return RunResult{}, fmt.Errorf("node %d: %w", i, res.Errs[i])
+			return nil, fmt.Errorf("node %d: %w", i, res.Errs[i])
+		}
+		if finals[i] == nil {
+			silent = append(silent, i)
 		}
 	}
 	stats, err := spec.StatsFromOutputs(finals, at)
 	if err != nil {
 		if ctx.Err() != nil {
-			return RunResult{}, fmt.Errorf("%w (cluster timed out after %v)", err, timeout)
+			cause := fmt.Sprintf("honest slots %v have no output", silent)
+			for i, e := range res.Errs {
+				if e != nil {
+					cause += fmt.Sprintf("; first driver error: node %d: %v", i, e)
+					break
+				}
+			}
+			return nil, fmt.Errorf("%w (cluster timed out after %v: %s)", err, timeout, cause)
 		}
-		return RunResult{}, err
+		return nil, err
 	}
 	stats.Backend = kind
 	stats.Wall = res.Wall
 	stats.TotalBytes = acct.bytes.Load()
 	stats.TotalMsgs = int(acct.msgs.Load())
-	return RunResult{Stats: stats, Wall: res.Wall}, nil
-}
-
-// register installs b in the bench registry, with session support when the
-// backend implements SessionBackend.
-func register(b Backend) {
-	bench.MustRegisterBackend(b.Name(), b.Caps(), func(spec bench.RunSpec) (*bench.RunStats, error) {
-		r, err := b.Run(spec)
-		if err != nil {
-			return nil, err
-		}
-		return r.Stats, nil
-	})
-	if sb, ok := b.(SessionBackend); ok {
-		bench.MustRegisterBackendSessions(b.Name(), bench.SessionSupport{
-			Key: sb.SessionKey,
-			Open: func(spec bench.RunSpec) (bench.BackendSession, error) {
-				s, err := sb.OpenSession(spec)
-				if err != nil {
-					return nil, err
-				}
-				return benchSession{s: s}, nil
-			},
-		})
-	}
+	return stats, nil
 }
 
 func init() {
-	register(Live{})
-	register(TCP{})
+	for _, k := range []struct {
+		kind bench.BackendKind
+		open func(int) (fabric, error)
+	}{
+		{bench.BackendLive, openHub},
+		{bench.BackendTCP, openTCPNet},
+	} {
+		bench.MustRegisterBackend(k.kind, bench.BackendCaps{WallClock: true}, func(spec bench.RunSpec) (*bench.RunStats, error) {
+			return runOnce(k.kind, k.open, spec, 0, false)
+		})
+		bench.MustRegisterBackendSessions(k.kind, bench.SessionSupport{
+			// A fabric fits any trial of the same cluster size.
+			Key: func(spec bench.RunSpec) string { return fmt.Sprintf("n=%d", spec.N) },
+			Open: func(spec bench.RunSpec) (bench.BackendSession, error) {
+				return openCluster(k.kind, k.open, spec.N, 0, false)
+			},
+		})
+		bench.MustRegisterServiceBackend(k.kind, func(spec bench.RunSpec, timeout time.Duration) (bench.ServiceRunner, error) {
+			return openService(k.kind, k.open, spec.N, timeout, spec.Obs)
+		})
+	}
 }

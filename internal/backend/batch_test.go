@@ -38,25 +38,25 @@ func TestBatchingLiveAgreement(t *testing.T) {
 	if !statsEqual(simBefore, simAfter) {
 		t.Error("sim results moved while exercising the live batching knob")
 	}
-	for name, r := range map[string]RunResult{"batched": batched, "unbatched": unbatched} {
-		if r.Stats.Spread > quickParams.Eps {
-			t.Errorf("%s: spread %g > ε", name, r.Stats.Spread)
+	for name, r := range map[string]*bench.RunStats{"batched": batched, "unbatched": unbatched} {
+		if r.Spread > quickParams.Eps {
+			t.Errorf("%s: spread %g > ε", name, r.Spread)
 		}
-		for _, v := range r.Stats.Outputs {
+		for _, v := range r.Outputs {
 			if v < 41000-10-quickParams.Rho0-quickParams.Eps || v > 41000+10+quickParams.Rho0+quickParams.Eps {
 				t.Errorf("%s: output %g outside relaxed honest hull", name, v)
 			}
 		}
-		if r.Stats.TransportDrops != 0 {
-			t.Errorf("%s: clean run counted %d transport drops", name, r.Stats.TransportDrops)
+		if r.TransportDrops != 0 {
+			t.Errorf("%s: clean run counted %d transport drops", name, r.TransportDrops)
 		}
 	}
 	// Batching changes transport framing, never protocol accounting: both
 	// modes count individual messages. Exact counts vary run to run (nodes
 	// halt at scheduling-dependent points and stop sending), so compare as
 	// a ratio, not bit-for-bit.
-	checkMsgRatio(t, batched.Stats, unbatched.Stats)
-	if gap := math.Abs(mean(batched.Stats.Outputs) - mean(unbatched.Stats.Outputs)); gap > delta+quickParams.Eps {
+	checkMsgRatio(t, batched, unbatched)
+	if gap := math.Abs(mean(batched.Outputs) - mean(unbatched.Outputs)); gap > delta+quickParams.Eps {
 		t.Errorf("batched and unbatched runs decided %g apart (> δ=%g)", gap, delta)
 	}
 }
@@ -96,13 +96,13 @@ func TestBatchingTCPAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s unbatched: %v", adv, err)
 		}
-		for name, r := range map[string]RunResult{"batched": batched, "unbatched": unbatched} {
-			if r.Stats.Spread > quickParams.Eps {
-				t.Errorf("%s %s: spread %g > ε", adv, name, r.Stats.Spread)
+		for name, r := range map[string]*bench.RunStats{"batched": batched, "unbatched": unbatched} {
+			if r.Spread > quickParams.Eps {
+				t.Errorf("%s %s: spread %g > ε", adv, name, r.Spread)
 			}
 		}
-		checkMsgRatio(t, batched.Stats, unbatched.Stats)
-		if gap := math.Abs(mean(batched.Stats.Outputs) - mean(unbatched.Stats.Outputs)); gap > delta+quickParams.Eps {
+		checkMsgRatio(t, batched, unbatched)
+		if gap := math.Abs(mean(batched.Outputs) - mean(unbatched.Outputs)); gap > delta+quickParams.Eps {
 			t.Errorf("%s: batched and unbatched decided %g apart (> δ)", adv, gap)
 		}
 	}
@@ -118,24 +118,15 @@ func TestSessionTransportDrops(t *testing.T) {
 				t.Skip("tcp session smoke")
 			}
 			spec := sessionSpec(kind, 13)
-			var sb SessionBackend
-			if kind == bench.BackendLive {
-				sb = Live{}
-			} else {
-				sb = TCP{}
-			}
-			sess, err := sb.OpenSession(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sess := openSession(t, kind, spec.N, false)
 			defer sess.Close()
 			for i := 0; i < 3; i++ {
 				r, err := sess.Run(spec)
 				if err != nil {
 					t.Fatalf("trial %d: %v", i, err)
 				}
-				if r.Stats.TransportDrops != 0 {
-					t.Errorf("trial %d: clean run reported %d transport drops", i, r.Stats.TransportDrops)
+				if r.TransportDrops != 0 {
+					t.Errorf("trial %d: clean run reported %d transport drops", i, r.TransportDrops)
 				}
 			}
 		})
@@ -174,16 +165,13 @@ func BenchmarkTCPFrameThroughput(b *testing.B) {
 	}
 	type lane struct {
 		name    string
-		sess    Session
+		sess    bench.BackendSession
 		elapsed time.Duration
 		frames  int64
 	}
 	lanes := [2]lane{{name: "batched"}, {name: "unbatched"}}
 	for i := range lanes {
-		sess, err := (TCP{NoBatch: i == 1}).OpenSession(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sess := openSession(b, bench.BackendTCP, n, i == 1)
 		defer sess.Close()
 		// Warm the mesh: the first trial dials n² connections.
 		if _, err := sess.Run(spec); err != nil {
@@ -200,10 +188,10 @@ func BenchmarkTCPFrameThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if r.Stats.TransportDrops != 0 {
-				b.Fatalf("%s trial dropped %d frames", lanes[l].name, r.Stats.TransportDrops)
+			if r.TransportDrops != 0 {
+				b.Fatalf("%s trial dropped %d frames", lanes[l].name, r.TransportDrops)
 			}
-			lanes[l].frames += int64(r.Stats.TotalMsgs)
+			lanes[l].frames += int64(r.TotalMsgs)
 		}
 	}
 	b.StopTimer()

@@ -222,23 +222,20 @@ func TestTCPTrafficMatchesSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			sess, err := TCP{NoBatch: noBatch}.OpenSession(spec)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			sess := openSession(t, bench.BackendTCP, spec.N, noBatch)
 			first, err1 := sess.Run(spec)
 			second, err2 := sess.Run(spec)
 			sess.Close()
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s: session trials: %v, %v", name, err1, err2)
 			}
-			for kind, got := range map[string]RunResult{"per-trial": perTrial, "session trial 1": first, "session trial 2": second} {
-				if got.Stats.TotalMsgs != want.TotalMsgs || got.Stats.TotalBytes != want.TotalBytes {
+			for kind, got := range map[string]*bench.RunStats{"per-trial": perTrial, "session trial 1": first, "session trial 2": second} {
+				if got.TotalMsgs != want.TotalMsgs || got.TotalBytes != want.TotalBytes {
 					t.Errorf("%s %s: %d msgs / %d bytes, simulator %d / %d", name, kind,
-						got.Stats.TotalMsgs, got.Stats.TotalBytes, want.TotalMsgs, want.TotalBytes)
+						got.TotalMsgs, got.TotalBytes, want.TotalMsgs, want.TotalBytes)
 				}
-				if got.Stats.TransportDrops != 0 {
-					t.Errorf("%s %s: %d transport drops", name, kind, got.Stats.TransportDrops)
+				if got.TransportDrops != 0 {
+					t.Errorf("%s %s: %d transport drops", name, kind, got.TransportDrops)
 				}
 			}
 		}

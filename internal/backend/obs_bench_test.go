@@ -36,17 +36,14 @@ func BenchmarkTCPObsOverhead(b *testing.B) {
 	type lane struct {
 		name    string
 		spec    bench.RunSpec
-		sess    Session
+		sess    bench.BackendSession
 		elapsed time.Duration
 		trials  int
 	}
 	lanes := [2]lane{{name: "off", spec: spec}, {name: "on", spec: spec}}
 	lanes[1].spec.Obs = obs.New()
 	for i := range lanes {
-		sess, err := (TCP{}).OpenSession(lanes[i].spec)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sess := openSession(b, bench.BackendTCP, n, false)
 		defer sess.Close()
 		// Warm the mesh: the first trial dials n² connections.
 		if _, err := sess.Run(lanes[i].spec); err != nil {
@@ -61,8 +58,8 @@ func BenchmarkTCPObsOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Stats.TransportDrops != 0 {
-			b.Fatalf("%s trial dropped %d frames", lanes[l].name, r.Stats.TransportDrops)
+		if r.TransportDrops != 0 {
+			b.Fatalf("%s trial dropped %d frames", lanes[l].name, r.TransportDrops)
 		}
 		lanes[l].trials++
 	}

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -34,9 +33,8 @@ import (
 //     rounds it has served.
 type serviceSession struct {
 	kind    bench.BackendKind
-	n       int
 	timeout time.Duration
-	fab     svcFabric
+	fab     fabric
 	mux     *runtime.InstanceMux
 	tags    atomic.Uint64
 
@@ -44,54 +42,32 @@ type serviceSession struct {
 	closed bool
 }
 
-var _ bench.ServiceRunner = (*serviceSession)(nil)
-
-// svcFabric is the persistent substrate under a service session: the
-// clusterSession fabric plus tagged sending and mux attachment.
-type svcFabric interface {
-	fabric
-	tagged(id node.ID, a *auth.Auth, tag uint64) runtime.Transport
-	muxFab() runtime.MuxFabric
-}
-
-func (f hubFabric) tagged(id node.ID, a *auth.Auth, tag uint64) runtime.Transport {
-	return f.hub.TaggedEndpoint(id, a, tag)
-}
-func (f hubFabric) muxFab() runtime.MuxFabric { return f.hub }
-
-func (f tcpFabric) tagged(id node.ID, a *auth.Auth, tag uint64) runtime.Transport {
-	return f.net.TaggedEndpoint(id, a, tag)
-}
-func (f tcpFabric) muxFab() runtime.MuxFabric { return f.net }
-
-// newServiceSession attaches a mux to the fabric; from here on the mux's
-// readers are the fabric's only consumers (the session never starts
-// drainers — the mux drains every slot itself, routing or discarding).
-// rec, when non-nil, observes the fabric and the mux — it arrives before
-// any traffic flows, so the hooks are installed race-free.
-func newServiceSession(kind bench.BackendKind, n int, timeout time.Duration, fab svcFabric, rec *obs.Recorder) *serviceSession {
+// openService opens an n-slot fabric and attaches a mux to it; from here on
+// the mux's readers are the fabric's only consumers (the session never
+// starts drainers — the mux drains every slot itself, routing or
+// discarding). rec, when non-nil, observes the fabric and the mux — it
+// arrives before any traffic flows, so the hooks are installed race-free.
+func openService(kind bench.BackendKind, open func(int) (fabric, error), n int, timeout time.Duration, rec *obs.Recorder) (bench.ServiceRunner, error) {
+	fab, err := open(n)
+	if err != nil {
+		return nil, err
+	}
 	if rec != nil {
-		fab.observe(rec)
+		fab.Observe(rec)
 	}
-	s := &serviceSession{
-		kind:    kind,
-		n:       n,
-		timeout: timeout,
-		fab:     fab,
-		mux:     runtime.NewInstanceMux(fab.muxFab()),
-	}
+	s := &serviceSession{kind: kind, timeout: timeout, fab: fab, mux: runtime.NewInstanceMux(fab)}
 	if rec != nil {
 		s.mux.Observe(rec)
 	}
-	return s
+	return s, nil
 }
 
 // RunRound implements bench.ServiceRunner. Safe for concurrent calls: each
 // round is an isolated instance — own tag, own master key, own per-slot
 // inboxes — sharing only the fabric's wire and buffer pool.
 func (s *serviceSession) RunRound(spec bench.RunSpec) (*bench.RunStats, error) {
-	if spec.N != s.n {
-		return nil, fmt.Errorf("backend: %s service for n=%d cannot run spec with n=%d", s.kind, s.n, spec.N)
+	if spec.N != s.fab.N() {
+		return nil, fmt.Errorf("backend: %s service for n=%d cannot run spec with n=%d", s.kind, s.fab.N(), spec.N)
 	}
 	sc, err := newTrialScaffold(spec, s.timeout)
 	if err != nil {
@@ -102,71 +78,32 @@ func (s *serviceSession) RunRound(spec bench.RunSpec) (*bench.RunStats, error) {
 	if err != nil {
 		return nil, fmt.Errorf("backend: %s service: %w", s.kind, err)
 	}
+	// Collected after runTrial has flushed the wrappers' delayed sends, so
+	// their frames are routed to this instance and discarded by its Close:
+	// either way accounted.
 	defer inst.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), sc.timeout)
-	defer cancel()
-
-	wrappers := make([]*advTransport, spec.N)
-	// The tag is part of the master key: concurrent rounds never share MACs,
-	// whatever their seeds, so cross-instance frames (relabeled or plain
-	// stragglers) die at the receiving driver's authenticator.
-	master := []byte(fmt.Sprintf("delphi-service-%s-%d-t%d", s.kind, spec.Seed, tag))
-	release := func() {
-		// Round teardown without touching the fabric: stop the delay
-		// wrappers' timers. Unlike clusterSession there are no drainers to
-		// resume — the mux's readers never stopped, so no sender can wedge
-		// on this round's exit.
-		for _, w := range wrappers {
-			if w != nil {
-				w.detach()
-			}
-		}
-	}
-	opts := []runtime.ClusterOption{
-		runtime.WithTransports(func(id node.ID, a *auth.Auth) (runtime.Transport, error) {
-			return inst.Endpoint(id, s.fab.tagged(id, a, tag)), nil
-		}),
-		runtime.WithTransportWrap(func(id node.ID, tr runtime.Transport) runtime.Transport {
-			w := sc.wrap(id, tr).(*advTransport)
-			wrappers[id] = w
-			return w
-		}),
-		runtime.WithWaitFor(sc.honest),
-		runtime.WithTransportRelease(release),
-		runtime.WithFrameBatching(true),
-	}
+	var tracks []*obs.Track
 	if spec.Obs != nil {
 		// Concurrent rounds cannot share per-node tracks (tracks are
 		// single-writer), so each round mints its own row set, named by tag.
-		tracks := make([]*obs.Track, spec.N)
+		tracks = make([]*obs.Track, spec.N)
 		for i := range tracks {
 			tracks[i] = spec.Obs.NewTrack(fmt.Sprintf("round-%d.node-%d", tag, i), nil)
 		}
-		opts = append(opts, runtime.WithObsTracks(spec.Obs, tracks))
 	}
-	cfg := node.Config{N: spec.N, F: spec.F}
-	res, runErr := runtime.RunCluster(ctx, cfg, sc.procs, master, sc.reg, opts...)
-	// Flush the wrappers' in-flight delayed sends before collecting the
-	// instance; they cannot block (the mux drains every slot), and flushing
-	// first keeps the frames' fate deterministic in aggregate: routed to
-	// this instance and then discarded by its Close, either way accounted.
-	for _, w := range wrappers {
-		if w != nil {
-			w.wait()
-		}
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	r, err := clusterStats(spec, s.kind, res, sc.acct, ctx, sc.timeout)
-	if err != nil {
-		return nil, err
-	}
-	// TransportDrops stays zero per round: with concurrent rounds on one
-	// fabric a counter delta cannot be attributed to a round. The service
-	// reads the session-level total through Drops instead.
-	return r.Stats, nil
+	// The tag is part of the master key: concurrent rounds never share MACs,
+	// whatever their seeds, so cross-instance frames (relabeled or plain
+	// stragglers) die at the receiving driver's authenticator. Nothing needs
+	// releasing on exit: the mux's readers never stop, so no sender can
+	// wedge on this round's end. TransportDrops stays zero per round: with
+	// concurrent rounds on one fabric a counter delta cannot be attributed
+	// to a round, so the service reads the session total through Drops.
+	master := []byte(fmt.Sprintf("delphi-service-%s-%d-t%d", s.kind, spec.Seed, tag))
+	return runTrial(s.kind, spec, sc, master, false,
+		func(id node.ID, a *auth.Auth) (runtime.Transport, error) {
+			return inst.Endpoint(id, s.fab.TaggedEndpoint(id, a, tag)), nil
+		}, func() {}, tracks)
 }
 
 // StaleFrames implements bench.ServiceRunner: frames the mux discarded
@@ -176,7 +113,7 @@ func (s *serviceSession) StaleFrames() uint64 { return s.mux.Stale() }
 
 // Drops implements bench.ServiceRunner: the fabric's observable frame loss
 // since the session opened.
-func (s *serviceSession) Drops() uint64 { return s.fab.drops() }
+func (s *serviceSession) Drops() uint64 { return s.fab.Drops() }
 
 // Close implements bench.ServiceRunner. Idempotent. Rounds still in flight
 // lose their inboxes (their drivers see end-of-input and exit), so callers
@@ -190,20 +127,5 @@ func (s *serviceSession) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	s.mux.Close()
-	return s.fab.close()
-}
-
-func init() {
-	bench.MustRegisterServiceBackend(bench.BackendLive, func(spec bench.RunSpec, timeout time.Duration) (bench.ServiceRunner, error) {
-		return newServiceSession(bench.BackendLive, spec.N, timeout,
-			hubFabric{hub: runtime.NewHub(spec.N)}, spec.Obs), nil
-	})
-	bench.MustRegisterServiceBackend(bench.BackendTCP, func(spec bench.RunSpec, timeout time.Duration) (bench.ServiceRunner, error) {
-		net, err := runtime.NewTCPNet(spec.N)
-		if err != nil {
-			return nil, err
-		}
-		return newServiceSession(bench.BackendTCP, spec.N, timeout,
-			tcpFabric{net: net}, spec.Obs), nil
-	})
+	return s.fab.Close()
 }

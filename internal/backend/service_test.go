@@ -11,7 +11,6 @@ import (
 	"delphi/internal/feeds"
 	"delphi/internal/netadv"
 	"delphi/internal/obs"
-	"delphi/internal/runtime"
 	"delphi/internal/sim"
 )
 
@@ -48,26 +47,22 @@ func servicePopulation() feeds.Population {
 
 // openSoakSession opens a service session directly (not through the bench
 // registry) so the soak can measure the session mid-run.
-func openSoakSession(t testing.TB, kind bench.BackendKind, n int) *serviceSession {
+func openSoakSession(t testing.TB, kind bench.BackendKind, n int) bench.ServiceRunner {
 	t.Helper()
-	switch kind {
-	case bench.BackendLive:
-		return newServiceSession(kind, n, 0, hubFabric{hub: runtime.NewHub(n)}, nil)
-	case bench.BackendTCP:
-		net, err := runtime.NewTCPNet(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return newServiceSession(kind, n, 0, tcpFabric{net: net}, nil)
-	default:
-		t.Fatalf("no soak session for backend %q", kind)
-		return nil
+	open := openHub
+	if kind == bench.BackendTCP {
+		open = openTCPNet
 	}
+	s, err := openService(kind, open, n, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // soakRounds drives rounds [from, to) through the session with `window`
 // concurrent instances, checking every decided round's spread.
-func soakRounds(t *testing.T, s *serviceSession, base bench.RunSpec, from, to, window int, failed *atomic.Int64) {
+func soakRounds(t *testing.T, s bench.ServiceRunner, base bench.RunSpec, from, to, window int, failed *atomic.Int64) {
 	t.Helper()
 	sem := make(chan struct{}, window)
 	var wg sync.WaitGroup

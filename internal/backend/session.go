@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -13,91 +12,6 @@ import (
 	"delphi/internal/runtime"
 )
 
-// Session is a persistent execution session for one cell: Open once, Run
-// many trials over the same substrate, Close when the cell is done. The
-// tcp session keeps its loopback listeners (and whatever connections the
-// cluster has dialed) bound across trials; the live session keeps its hub
-// and inbox buffers. bench.Engine opens one session per (cell, worker) and
-// reuses it for every trial — the ROADMAP's persistent-cluster mode.
-type Session interface {
-	// Run executes one spec on the session's substrate.
-	Run(spec bench.RunSpec) (RunResult, error)
-	// Close tears the substrate down. Safe after a failed Run.
-	Close() error
-}
-
-// SessionBackend is implemented by backends that support persistent
-// sessions. Backends without it keep the exact per-trial behaviour.
-type SessionBackend interface {
-	Backend
-	// SessionKey maps a spec to its session cell key: specs with equal
-	// keys may share one session.
-	SessionKey(spec bench.RunSpec) string
-	// OpenSession opens a session for the spec's cell.
-	OpenSession(spec bench.RunSpec) (Session, error)
-}
-
-// SessionKey implements SessionBackend: a live hub fits any trial of the
-// same cluster size.
-func (b Live) SessionKey(spec bench.RunSpec) string { return fmt.Sprintf("n=%d", spec.N) }
-
-// OpenSession implements SessionBackend.
-func (b Live) OpenSession(spec bench.RunSpec) (Session, error) {
-	return newClusterSession(bench.BackendLive, spec.N, b.Timeout,
-		hubFabric{hub: runtime.NewHub(spec.N)}, b.NoBatch), nil
-}
-
-// SessionKey implements SessionBackend: the tcp listeners fit any trial of
-// the same cluster size.
-func (b TCP) SessionKey(spec bench.RunSpec) string { return fmt.Sprintf("n=%d", spec.N) }
-
-// OpenSession implements SessionBackend: the n listener binds happen here,
-// once, instead of once per trial.
-func (b TCP) OpenSession(spec bench.RunSpec) (Session, error) {
-	net, err := runtime.NewTCPNet(spec.N)
-	if err != nil {
-		return nil, err
-	}
-	return newClusterSession(bench.BackendTCP, spec.N, b.Timeout, tcpFabric{net: net}, b.NoBatch), nil
-}
-
-// fabric is the persistent substrate under a clusterSession: something
-// that hands out per-epoch transport endpoints, receives on each slot's
-// shared inbox, and reports cumulative observable frame drops.
-type fabric interface {
-	endpoint(id node.ID, a *auth.Auth) runtime.Transport
-	recv(id node.ID, stop <-chan struct{}) (runtime.Frame, bool)
-	drops() uint64
-	observe(rec *obs.Recorder)
-	close() error
-}
-
-// hubFabric adapts a persistent runtime.Hub.
-type hubFabric struct{ hub *runtime.Hub }
-
-func (f hubFabric) endpoint(id node.ID, a *auth.Auth) runtime.Transport {
-	return f.hub.Endpoint(id, a)
-}
-func (f hubFabric) recv(id node.ID, stop <-chan struct{}) (runtime.Frame, bool) {
-	return f.hub.Recv(id, stop)
-}
-func (f hubFabric) drops() uint64             { return f.hub.Drops() }
-func (f hubFabric) observe(rec *obs.Recorder) { f.hub.Observe(rec) }
-func (f hubFabric) close() error              { f.hub.Close(); return nil }
-
-// tcpFabric adapts a persistent runtime.TCPNet.
-type tcpFabric struct{ net *runtime.TCPNet }
-
-func (f tcpFabric) endpoint(id node.ID, a *auth.Auth) runtime.Transport {
-	return f.net.Endpoint(id, a)
-}
-func (f tcpFabric) recv(id node.ID, stop <-chan struct{}) (runtime.Frame, bool) {
-	return f.net.Recv(id, stop)
-}
-func (f tcpFabric) drops() uint64             { return f.net.Drops() }
-func (f tcpFabric) observe(rec *obs.Recorder) { f.net.Observe(rec) }
-func (f tcpFabric) close() error              { return f.net.Close() }
-
 // drainer discards frames arriving on one slot's shared inbox while no
 // driver is reading it.
 type drainer struct {
@@ -105,8 +19,8 @@ type drainer struct {
 	done chan struct{}
 }
 
-// clusterSession runs trials over a persistent fabric. Correctness across
-// trials rests on two mechanisms:
+// clusterSession runs serial trials over a persistent fabric. Correctness
+// across trials rests on two mechanisms:
 //
 //   - Epoch keys. Every trial seals frames with a fresh master key (the
 //     session epoch is part of it) and its endpoints mark them with the
@@ -123,7 +37,6 @@ type drainer struct {
 //     closing the listeners and connections the next trial reuses.
 type clusterSession struct {
 	kind    bench.BackendKind
-	n       int
 	timeout time.Duration
 	fab     fabric
 	noBatch bool
@@ -140,22 +53,21 @@ type clusterSession struct {
 	obsTracks []*obs.Track
 }
 
-// newClusterSession builds the session and starts draining every slot.
-func newClusterSession(kind bench.BackendKind, n int, timeout time.Duration, fab fabric, noBatch bool) *clusterSession {
+// openCluster opens an n-slot fabric and starts draining every slot.
+func openCluster(kind bench.BackendKind, open func(int) (fabric, error), n int, timeout time.Duration, noBatch bool) (bench.BackendSession, error) {
+	fab, err := open(n)
+	if err != nil {
+		return nil, err
+	}
 	s := &clusterSession{
 		kind:     kind,
-		n:        n,
 		timeout:  timeout,
 		fab:      fab,
 		noBatch:  noBatch,
 		drainers: make([]*drainer, n),
 	}
-	s.mu.Lock()
-	for i := range s.drainers {
-		s.startDrain(i)
-	}
-	s.mu.Unlock()
-	return s
+	s.resumeDrainers()
+	return s, nil
 }
 
 // startDrain starts slot i's drainer if absent. Caller holds s.mu.
@@ -169,7 +81,7 @@ func (s *clusterSession) startDrain(i int) {
 	go func() {
 		defer close(d.done)
 		for {
-			if _, ok := s.fab.recv(id, d.stop); !ok {
+			if _, ok := s.fab.Recv(id, d.stop); !ok {
 				// Stopped, or the fabric closed under us — either way, done.
 				return
 			}
@@ -199,19 +111,19 @@ func (s *clusterSession) resumeDrainers() {
 	s.mu.Unlock()
 }
 
-// Run implements Session.
-func (s *clusterSession) Run(spec bench.RunSpec) (RunResult, error) {
-	if spec.N != s.n {
-		return RunResult{}, fmt.Errorf("backend: session for n=%d cannot run spec with n=%d", s.n, spec.N)
+// Run implements bench.BackendSession.
+func (s *clusterSession) Run(spec bench.RunSpec) (*bench.RunStats, error) {
+	if spec.N != s.fab.N() {
+		return nil, fmt.Errorf("backend: session for n=%d cannot run spec with n=%d", s.fab.N(), spec.N)
 	}
 	sc, err := newTrialScaffold(spec, s.timeout)
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return RunResult{}, fmt.Errorf("backend: %s session is closed", s.kind)
+		return nil, fmt.Errorf("backend: %s session is closed", s.kind)
 	}
 	s.epoch++
 	epoch := s.epoch
@@ -220,8 +132,8 @@ func (s *clusterSession) Run(spec bench.RunSpec) (RunResult, error) {
 		// and lay out the per-node track rows once. Specs of one batch all
 		// carry the same recorder, so this runs before any traffic flows.
 		s.obsRec = spec.Obs
-		s.fab.observe(spec.Obs)
-		s.obsTracks = make([]*obs.Track, s.n)
+		s.fab.Observe(spec.Obs)
+		s.obsTracks = make([]*obs.Track, spec.N)
 		for i := range s.obsTracks {
 			s.obsTracks[i] = spec.Obs.NewTrack(fmt.Sprintf("node-%d", i), nil)
 		}
@@ -236,69 +148,23 @@ func (s *clusterSession) Run(spec bench.RunSpec) (RunResult, error) {
 	}
 	s.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(context.Background(), sc.timeout)
-	defer cancel()
-
-	wrappers := make([]*advTransport, spec.N)
 	// The epoch is part of the master key: no two trials of this session
 	// share MACs, whatever their seeds.
 	master := []byte(fmt.Sprintf("delphi-session-%s-%d-e%d", s.kind, spec.Seed, epoch))
-	release := func() {
-		// Trial teardown without touching the fabric: stop the delay
-		// wrappers' timers and put every slot back on its drainer. The
-		// drainers are what unblock any sender still parked in a transport
-		// Send (closing the transport did that job in per-trial mode).
-		for _, w := range wrappers {
-			if w != nil {
-				w.detach()
-			}
-		}
-		s.resumeDrainers()
-	}
-	opts := []runtime.ClusterOption{
-		runtime.WithTransports(func(id node.ID, a *auth.Auth) (runtime.Transport, error) {
-			return s.fab.endpoint(id, a), nil
-		}),
-		runtime.WithTransportWrap(func(id node.ID, tr runtime.Transport) runtime.Transport {
-			w := sc.wrap(id, tr).(*advTransport)
-			wrappers[id] = w
-			return w
-		}),
-		runtime.WithWaitFor(sc.honest),
-		runtime.WithTransportRelease(release),
-		runtime.WithFrameBatching(!s.noBatch),
-	}
-	if spec.Obs != nil {
-		opts = append(opts, runtime.WithObsTracks(spec.Obs, s.obsTracks))
-	}
-	cfg := node.Config{N: spec.N, F: spec.F}
-	dropsBefore := s.fab.drops()
-	res, runErr := runtime.RunCluster(ctx, cfg, sc.procs, master, sc.reg, opts...)
-	// RunCluster has invoked release on every path; resume again anyway
-	// (idempotent), then wait out the wrappers' in-flight delayed sends —
-	// guaranteed to finish now that every slot is drained. Their frames
-	// carry this epoch's id, so any stragglers die at the next trial's
-	// endpoints.
-	s.resumeDrainers()
-	for _, w := range wrappers {
-		if w != nil {
-			w.wait()
-		}
-	}
-	if runErr != nil {
-		return RunResult{}, runErr
-	}
-	r, err := clusterStats(spec, s.kind, res, sc.acct, ctx, sc.timeout)
+	dropsBefore := s.fab.Drops()
+	st, err := runTrial(s.kind, spec, sc, master, s.noBatch,
+		func(id node.ID, a *auth.Auth) (runtime.Transport, error) { return s.fab.Endpoint(id, a), nil },
+		s.resumeDrainers, s.obsTracks)
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 	// The fabric outlives the trial, so the trial's observable frame loss is
 	// the counter's delta. A clean trial reads zero.
-	r.Stats.TransportDrops = s.fab.drops() - dropsBefore
-	return r, nil
+	st.TransportDrops = s.fab.Drops() - dropsBefore
+	return st, nil
 }
 
-// Close implements Session.
+// Close implements bench.BackendSession.
 func (s *clusterSession) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -310,20 +176,5 @@ func (s *clusterSession) Close() error {
 		s.stopDrain(i)
 	}
 	s.mu.Unlock()
-	return s.fab.close()
+	return s.fab.Close()
 }
-
-// benchSession adapts a Session to the bench registry's interface.
-type benchSession struct{ s Session }
-
-// Run implements bench.BackendSession.
-func (w benchSession) Run(spec bench.RunSpec) (*bench.RunStats, error) {
-	r, err := w.s.Run(spec)
-	if err != nil {
-		return nil, err
-	}
-	return r.Stats, nil
-}
-
-// Close implements bench.BackendSession.
-func (w benchSession) Close() error { return w.s.Close() }

@@ -16,6 +16,21 @@ func sessionSpec(kind bench.BackendKind, seed int64) bench.RunSpec {
 	return spec
 }
 
+// openSession opens a clusterSession on the kind's fabric, as the engine
+// does for a cell.
+func openSession(tb testing.TB, kind bench.BackendKind, n int, noBatch bool) bench.BackendSession {
+	tb.Helper()
+	open := openHub
+	if kind == bench.BackendTCP {
+		open = openTCPNet
+	}
+	s, err := openCluster(kind, open, n, 0, noBatch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestSessionSupportRegistered(t *testing.T) {
 	for _, kind := range []bench.BackendKind{bench.BackendSim, bench.BackendLive, bench.BackendTCP} {
 		if !bench.BackendSessionful(kind) {
@@ -103,10 +118,7 @@ func TestTCPSessionNoLeak(t *testing.T) {
 		t.Skip("tcp session leak sweep")
 	}
 	spec := sessionSpec(bench.BackendTCP, 3)
-	sess, err := (TCP{}).OpenSession(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := openSession(t, bench.BackendTCP, spec.N, false)
 	defer sess.Close()
 
 	run := func(i int, byz bool) {
@@ -122,8 +134,8 @@ func TestTCPSessionNoLeak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
-		if r.Stats.Spread > quickParams.Eps {
-			t.Errorf("trial %d: spread %g > ε", i, r.Stats.Spread)
+		if r.Spread > quickParams.Eps {
+			t.Errorf("trial %d: spread %g > ε", i, r.Spread)
 		}
 	}
 
@@ -149,6 +161,47 @@ func TestTCPSessionNoLeak(t *testing.T) {
 	}
 }
 
+// TestOneShotNoLeak pins the one-shot path's teardown: every Live.Run and
+// TCP.Run opens a whole fabric (for tcp, a wired loopback mesh), drains the
+// slots of crashed nodes, and must close all of it before returning — also
+// when a Byzantine spammer never halts. Twenty sequential one-shots must
+// leave goroutine and fd counts flat.
+func TestOneShotNoLeak(t *testing.T) {
+	clean := sessionSpec(bench.BackendLive, 3)
+	crashed := clean
+	crashed.Inputs = append([]float64(nil), clean.Inputs...)
+	crashed.Inputs[5] = math.NaN()
+	spammer := clean
+	spammer.Byzantine = 1
+	spammer.ByzKind = bench.ByzSpam
+	specs := []bench.RunSpec{clean, crashed, spammer}
+	run := func(i int) {
+		t.Helper()
+		spec := specs[i%len(specs)]
+		run := Live{}.Run
+		if i%2 == 1 {
+			run = TCP{}.Run
+		}
+		st, err := run(spec)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if st.Spread > quickParams.Eps {
+			t.Errorf("run %d: spread %g > ε", i, st.Spread)
+		}
+	}
+	run(0)
+	run(1)
+	before := obs.TakeResourceSnapshot()
+	for i := 0; i < 20; i++ {
+		run(i)
+	}
+	after := obs.TakeResourceSnapshot()
+	if grew := after.GrewBeyond(before, 4, 4, 1<<40); len(grew) != 0 {
+		t.Errorf("one-shot runs leaked %v (%+v -> %+v)", grew, before, after)
+	}
+}
+
 // TestTCPSessionSurvivesFailedTrial pins crash-mid-trial behaviour at the
 // session level: a trial that fails before (bad spec) or during (cluster
 // timeout) execution must leave the session able to run the next trial.
@@ -157,10 +210,7 @@ func TestTCPSessionSurvivesFailedTrial(t *testing.T) {
 		t.Skip("tcp session smoke")
 	}
 	spec := sessionSpec(bench.BackendTCP, 5)
-	sess, err := (TCP{}).OpenSession(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := openSession(t, bench.BackendTCP, spec.N, false)
 	defer sess.Close()
 
 	if _, err := sess.Run(spec); err != nil {
@@ -180,8 +230,8 @@ func TestTCPSessionSurvivesFailedTrial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trial after failures: %v", err)
 	}
-	if r.Stats.Spread > quickParams.Eps {
-		t.Errorf("spread %g > ε after failed trials", r.Stats.Spread)
+	if r.Spread > quickParams.Eps {
+		t.Errorf("spread %g > ε after failed trials", r.Spread)
 	}
 }
 

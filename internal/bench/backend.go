@@ -21,7 +21,7 @@ const (
 	BackendSim BackendKind = "sim"
 	// BackendLive is an in-process goroutine cluster over runtime.Hub.
 	BackendLive BackendKind = "live"
-	// BackendTCP is a loopback TCP cluster over runtime.NewTCP.
+	// BackendTCP is a loopback TCP cluster over a runtime.TCPNet mesh.
 	BackendTCP BackendKind = "tcp"
 )
 

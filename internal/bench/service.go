@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"strings"
@@ -409,9 +410,57 @@ func (r *ServiceReport) finishMetrics(rec *obs.Recorder) {
 	r.Metrics = rec.Snapshot()
 }
 
-// doneHeap is a min-heap of in-flight completions ordered by (time, round):
-// the deterministic tiebreak keeps the sim overlay byte-identical when two
-// virtual completions coincide.
+// admission is the service's admission state machine, driven by both
+// models — the simulator's on its virtual clock, the live one under its
+// mutex: an arrival starts while the window has room, waits while the queue
+// has, and is shed otherwise; a finished round hands its slot to the oldest
+// waiting one. It alone moves Arrived, Decided, Shed, Failed and the
+// occupancy marks, so Arrived == Decided + Shed + Failed once it drains.
+type admission struct {
+	rep              *ServiceReport
+	window, queueCap int
+	inflight         int
+	queue            []int // waiting rounds, FIFO
+}
+
+// arrive admits round i, reporting whether it starts now and whether it
+// was shed; a round that does neither waits in the queue.
+func (a *admission) arrive(i int) (start, shed bool) {
+	a.rep.Arrived++
+	switch {
+	case a.inflight < a.window:
+		a.inflight++
+		start = true
+	case len(a.queue) < a.queueCap:
+		a.queue = append(a.queue, i)
+	default:
+		a.rep.Shed++
+		shed = true
+	}
+	a.rep.MaxInFlight = max(a.rep.MaxInFlight, a.inflight)
+	a.rep.MaxQueued = max(a.rep.MaxQueued, len(a.queue))
+	return start, shed
+}
+
+// finish retires one in-flight round, decided unless failed, and returns
+// the waiting round that takes its slot (ok is false when none waits).
+func (a *admission) finish(failed bool) (next int, ok bool) {
+	if failed {
+		a.rep.Failed++
+	} else {
+		a.rep.Decided++
+	}
+	if len(a.queue) == 0 {
+		a.inflight--
+		return 0, false
+	}
+	next, a.queue = a.queue[0], a.queue[1:]
+	return next, true
+}
+
+// doneHeap is a min-heap (container/heap) of in-flight completions ordered
+// by (time, round): the deterministic tiebreak keeps the sim overlay
+// byte-identical when two virtual completions coincide.
 type doneHeap []doneEv
 
 type doneEv struct {
@@ -419,49 +468,19 @@ type doneEv struct {
 	round int
 }
 
-func (h doneHeap) less(i, j int) bool {
+func (h doneHeap) Len() int { return len(h) }
+func (h doneHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].round < h[j].round
 }
-
-func (h *doneHeap) push(e doneEv) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
-	}
-}
-
-func (h *doneHeap) pop() doneEv {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).less(l, small) {
-			small = l
-		}
-		if r < n && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
+func (h doneHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *doneHeap) Push(x any)   { *h = append(*h, x.(doneEv)) }
+func (h *doneHeap) Pop() any {
+	e := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return e
 }
 
 // runServiceSim is the deterministic service model. Agreement rounds run
@@ -482,7 +501,7 @@ func (e *Engine) runServiceSim(cfg ServiceConfig, seed int64) (*ServiceReport, e
 
 	rep := newServiceReport(BackendSim)
 	reps := cfg.Subscribers.Representatives(cfg.representatives())
-	window, queueCap := cfg.window(), cfg.Queue
+	adm := &admission{rep: rep, window: cfg.window(), queueCap: cfg.Queue}
 
 	// Service-lifecycle trace: one virtual-clock track driven by the
 	// single-threaded overlay, so the emitted bytes are pure functions of
@@ -493,7 +512,6 @@ func (e *Engine) runServiceSim(cfg ServiceConfig, seed int64) (*ServiceReport, e
 	startAt := make([]float64, cfg.Rounds)
 
 	var inflight doneHeap
-	var queue []int // round indices waiting, FIFO
 	arrivals := make([]float64, cfg.Rounds)
 	now := 0.0
 	for i := range arrivals {
@@ -505,13 +523,12 @@ func (e *Engine) runServiceSim(cfg ServiceConfig, seed int64) (*ServiceReport, e
 	start := func(round int, at float64) {
 		service := float64(stats[round].Latency) / float64(time.Second)
 		done := at + service
-		inflight.push(doneEv{at: done, round: round})
+		heap.Push(&inflight, doneEv{at: done, round: round})
 		startAt[round] = at
 		rep.QueueMS.Add((at - arrivals[round]) * 1e3)
 		rep.ServiceMS.Add(service * 1e3)
 	}
 	finish := func(ev doneEv) {
-		rep.Decided++
 		if ev.at > lastDone {
 			lastDone = ev.at
 		}
@@ -525,9 +542,7 @@ func (e *Engine) runServiceSim(cfg ServiceConfig, seed int64) (*ServiceReport, e
 			rep.DeliveredUpdates++
 			track.SpanAt("svc.fanout", vns(ev.at), vns(ev.at)+int64(d), int64(ev.round), int64(sub))
 		}
-		if len(queue) > 0 {
-			next := queue[0]
-			queue = queue[1:]
+		if next, ok := adm.finish(false); ok {
 			start(next, ev.at)
 		}
 	}
@@ -536,27 +551,16 @@ func (e *Engine) runServiceSim(cfg ServiceConfig, seed int64) (*ServiceReport, e
 		t := arrivals[i]
 		svcNow = vns(t)
 		for len(inflight) > 0 && inflight[0].at <= t {
-			finish(inflight.pop())
+			finish(heap.Pop(&inflight).(doneEv))
 		}
-		rep.Arrived++
-		switch {
-		case len(inflight) < window:
+		if starts, shed := adm.arrive(i); starts {
 			start(i, t)
-		case len(queue) < queueCap:
-			queue = append(queue, i)
-		default:
-			rep.Shed++
+		} else if shed {
 			track.Instant("svc.shed", int64(i), 0)
-		}
-		if len(inflight) > rep.MaxInFlight {
-			rep.MaxInFlight = len(inflight)
-		}
-		if len(queue) > rep.MaxQueued {
-			rep.MaxQueued = len(queue)
 		}
 	}
 	for len(inflight) > 0 {
-		finish(inflight.pop())
+		finish(heap.Pop(&inflight).(doneEv))
 	}
 
 	span := lastDone - arrivals[0]
@@ -626,56 +630,45 @@ func runServiceLive(cfg ServiceConfig, kind BackendKind, seed int64, open Servic
 		}(si, subIdx, s)
 	}
 
-	// Shared service state: window occupancy and the bounded queue.
-	type queued struct {
-		round   int
-		arrived time.Time
-	}
+	// Shared service state, under mu: the admission machine and each
+	// round's arrival time.
 	var (
-		mu       sync.Mutex
-		inflight int
-		queue    []queued
-		wg       sync.WaitGroup
-		firstMu  sync.Mutex
-		firstErr error
+		mu        sync.Mutex
+		adm       = &admission{rep: rep, window: cfg.window(), queueCap: cfg.Queue}
+		arrivedAt = make([]time.Time, cfg.Rounds)
+		wg        sync.WaitGroup
+		firstMu   sync.Mutex
+		firstErr  error
 	)
-	var launch func(q queued)
-	runRound := func(q queued) {
+	var launch func(round int)
+	runRound := func(round int) {
 		defer wg.Done()
-		spec := cfg.Scenario.Spec(seed, q.round)
+		// Written under mu before the round was launched or queued.
+		arrived := arrivedAt[round]
+		spec := cfg.Scenario.Spec(seed, round)
 		spec.Backend = kind
 		spec.Obs = cfg.Obs
 		started := time.Now()
 		st, err := runner.RunRound(spec)
 		decided := time.Now()
 		if err == nil {
-			track.SpanAt("svc.queue", rec.WallNS(q.arrived), rec.WallNS(started), int64(q.round), 0)
-			track.SpanAt("svc.round", rec.WallNS(started), rec.WallNS(decided), int64(q.round), 0)
+			track.SpanAt("svc.queue", rec.WallNS(arrived), rec.WallNS(started), int64(round), 0)
+			track.SpanAt("svc.round", rec.WallNS(started), rec.WallNS(decided), int64(round), 0)
 		}
 
 		mu.Lock()
-		if err != nil {
-			rep.Failed++
-		} else {
-			rep.Decided++
-			rep.QueueMS.Add(float64(started.Sub(q.arrived)) / float64(time.Millisecond))
+		if err == nil {
+			rep.QueueMS.Add(float64(started.Sub(arrived)) / float64(time.Millisecond))
 			rep.ServiceMS.Add(float64(decided.Sub(started)) / float64(time.Millisecond))
-			rep.LatencyMS.Add(float64(decided.Sub(q.arrived)) / float64(time.Millisecond))
+			rep.LatencyMS.Add(float64(decided.Sub(arrived)) / float64(time.Millisecond))
 		}
-		var next *queued
-		if len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			next = &n
-		} else {
-			inflight--
-		}
+		next, queued := adm.finish(err != nil)
 		mu.Unlock()
 
 		if err != nil {
 			firstMu.Lock()
 			if firstErr == nil {
-				firstErr = fmt.Errorf("round %d: %w", q.round, err)
+				firstErr = fmt.Errorf("round %d: %w", round, err)
 			}
 			firstMu.Unlock()
 		} else if len(reps) > 0 {
@@ -683,15 +676,15 @@ func runServiceLive(cfg ServiceConfig, kind BackendKind, seed int64, open Servic
 			if len(st.Outputs) > 0 {
 				value = st.Outputs[0]
 			}
-			fanout.Publish(feeds.Update{Round: int64(q.round), Value: value, At: q.arrived, Decided: decided})
+			fanout.Publish(feeds.Update{Round: int64(round), Value: value, At: arrived, Decided: decided})
 		}
-		if next != nil {
-			launch(*next)
+		if queued {
+			launch(next)
 		}
 	}
-	launch = func(q queued) {
+	launch = func(round int) {
 		wg.Add(1)
-		go runRound(q)
+		go runRound(round)
 	}
 
 	// Open-loop arrival pacer: the same deterministic interarrival draws as
@@ -707,29 +700,15 @@ func runServiceLive(cfg ServiceConfig, kind BackendKind, seed int64, open Servic
 		if cfg.Duration > 0 && time.Since(begin) > cfg.Duration {
 			break
 		}
-		now := time.Now()
 		mu.Lock()
-		rep.Arrived++
-		var admit *queued
-		switch {
-		case inflight < cfg.window():
-			inflight++
-			admit = &queued{round: i, arrived: now}
-		case len(queue) < cfg.Queue:
-			queue = append(queue, queued{round: i, arrived: now})
-		default:
-			rep.Shed++
+		arrivedAt[i] = time.Now()
+		start, shed := adm.arrive(i)
+		if shed {
 			track.Instant("svc.shed", int64(i), 0)
 		}
-		if inflight > rep.MaxInFlight {
-			rep.MaxInFlight = inflight
-		}
-		if len(queue) > rep.MaxQueued {
-			rep.MaxQueued = len(queue)
-		}
 		mu.Unlock()
-		if admit != nil {
-			launch(*admit)
+		if start {
+			launch(i)
 		}
 	}
 	wg.Wait()

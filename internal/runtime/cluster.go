@@ -72,7 +72,7 @@ type clusterOpts struct {
 type ClusterOption func(*clusterOpts)
 
 // WithTransports replaces the default in-memory hub with per-node
-// transports from the factory (e.g. runtime.NewTCP endpoints).
+// transports from the factory (e.g. endpoints of a runtime.TCPNet).
 func WithTransports(f TransportFactory) ClusterOption {
 	return func(o *clusterOpts) { o.transports = f }
 }
@@ -103,18 +103,12 @@ func WithFrameBatching(on bool) ClusterOption {
 	return func(o *clusterOpts) { o.noBatch = !on }
 }
 
-// WithObs threads a recorder through the cluster: each driver gets a
-// wall-clock per-node track (created here in node order, so track layout is
-// stable) plus flush/batch counters, and the process behind it sees the
-// track through node.Tracing. A nil recorder is the default no-op.
-func WithObs(rec *obs.Recorder) ClusterOption {
-	return func(o *clusterOpts) { o.rec = rec }
-}
-
-// WithObsTracks is WithObs with caller-supplied per-node tracks (index =
-// node id; nil entries allowed). Sessions that host many runs on one
-// recorder use it to keep all of a node's spans on one long-lived track
-// instead of one track per run.
+// WithObsTracks threads a recorder through the cluster: each driver gets
+// flush/batch counters and the per-node track tracks[id] (a nil entry, or a
+// short slice, leaves that node's spans off), and the process behind it
+// sees the track through node.Tracing. Sessions that host many runs on one
+// recorder pass the same tracks every run, so a node's spans stay on one
+// long-lived row. A nil recorder is the default no-op.
 func WithObsTracks(rec *obs.Recorder, tracks []*obs.Track) ClusterOption {
 	return func(o *clusterOpts) { o.rec, o.tracks = rec, tracks }
 }
@@ -202,10 +196,8 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 		dopts := []DriverOption{WithDriverBatching(!o.noBatch)}
 		if o.rec != nil {
 			var track *obs.Track
-			if o.tracks != nil && i < len(o.tracks) {
+			if i < len(o.tracks) {
 				track = o.tracks[i]
-			} else {
-				track = o.rec.NewTrack(fmt.Sprintf("node-%d", i), nil)
 			}
 			dopts = append(dopts, WithDriverObs(o.rec, track))
 		}

@@ -364,7 +364,7 @@ func TestBadMACIsCounted(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := runtime.RunCluster(ctx, node.Config{N: n, F: 1}, procs, []byte("bad-mac"), pingRegistry(t, &marshals),
-		runtime.WithObs(rec),
+		runtime.WithObsTracks(rec, nil),
 		runtime.WithTransportWrap(func(id node.ID, tr runtime.Transport) runtime.Transport {
 			if id != 1 {
 				return tr

@@ -176,11 +176,13 @@ func (h *Hub) Drops() uint64 { return h.drops.Load() }
 
 // Close shuts the hub down: every inbox is closed, which unblocks any
 // receiver still draining. Senders never park (the rings grow), so there
-// is nothing else to release. Safe to call more than once.
-func (h *Hub) Close() {
+// is nothing else to release. Safe to call more than once; the error is
+// always nil (it is there so a Hub closes like any other fabric).
+func (h *Hub) Close() error {
 	for _, b := range h.inbox {
 		b.close()
 	}
+	return nil
 }
 
 type hubTransport struct {
@@ -219,10 +221,7 @@ func (t *hubTransport) Recycle(buf []byte) {
 	t.hub.inbox[t.id].recycle(buf)
 }
 
-func (t *hubTransport) Close() error {
-	t.hub.Close()
-	return nil
-}
+func (t *hubTransport) Close() error { return t.hub.Close() }
 
 // maxFrameSize bounds a sealed frame: sendFrame refuses to write more, and a
 // header announcing more drops the connection before any buffer is fetched.

@@ -175,7 +175,10 @@ go run ./cmd/experiments -scale quick -seed 1 -run sessions > /dev/null
 #   2. The tcp soak (short profile: 150 rounds multiplexed onto ONE
 #      persistent loopback session, window 4) under -race, with goroutine,
 #      fd, and heap counts asserted flat mid-run and zero unaccounted frame
-#      drops.
+#      drops. Beside it, the one-shot leak test: twenty sequential live and
+#      tcp one-shot runs (each opens and closes a whole fabric), crashed
+#      slots and a never-halting spammer included, with goroutine and fd
+#      counts asserted flat.
 echo "== service determinism gate =="
 svc1=$(mktemp)
 svc2=$(mktemp)
@@ -187,8 +190,8 @@ if ! cmp -s "$svc1" "$svc2"; then
     exit 1
 fi
 
-echo "== tcp service soak (-race) =="
-go test ./internal/backend -race -short -count=1 -run 'TestServiceTCPSoak'
+echo "== tcp service soak and one-shot leak (-race) =="
+go test ./internal/backend -race -short -count=1 -run 'TestServiceTCPSoak|TestOneShotNoLeak'
 
 # Observability gates, all explicit so a trimmed test invocation above can
 # never silently drop them:
