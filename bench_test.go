@@ -38,7 +38,7 @@ func sanitizeMetric(s string) string {
 // BenchmarkTable1 regenerates Table I (convex BA protocol comparison).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table1(bench.Quick, 1); err != nil {
+		if _, err := bench.NewEngine(0).Table1(bench.Quick, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates Table II (Delphi under input conditions).
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table2(bench.Quick, 2); err != nil {
+		if _, err := bench.NewEngine(0).Table2(bench.Quick, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func BenchmarkFig5(b *testing.B) {
 // BenchmarkFig6a regenerates Fig. 6a (runtime vs n, AWS).
 func BenchmarkFig6a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig6a(bench.Quick, 6)
+		fig, err := bench.NewEngine(0).Fig6a(bench.Quick, 6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func BenchmarkFig6a(b *testing.B) {
 // BenchmarkFig6b regenerates Fig. 6b (bandwidth vs n, AWS).
 func BenchmarkFig6b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig6b(bench.Quick, 7)
+		fig, err := bench.NewEngine(0).Fig6b(bench.Quick, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func BenchmarkFig6b(b *testing.B) {
 // BenchmarkFig6c regenerates Fig. 6c (runtime vs n, CPS).
 func BenchmarkFig6c(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig6c(bench.Quick, 8)
+		fig, err := bench.NewEngine(0).Fig6c(bench.Quick, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkFig6c(b *testing.B) {
 // BenchmarkFig7 regenerates Fig. 7 (runtime heatmaps, AWS and CPS).
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		aws, cps, err := bench.Fig7(bench.Quick, 9)
+		aws, cps, err := bench.NewEngine(0).Fig7(bench.Quick, 9)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkValidity regenerates the §VI-E validity-relaxation analysis.
 func BenchmarkValidity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reps, err := bench.Validity(bench.Quick, 10)
+		reps, err := bench.NewEngine(0).Validity(bench.Quick, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func BenchmarkValidity(b *testing.B) {
 // Fig. 3.
 func BenchmarkAblationSingleLevel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		single, multi, err := bench.AblationSingleLevel(16, 11)
+		single, multi, err := bench.NewEngine(0).AblationSingleLevel(16, 11)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func BenchmarkAblationSingleLevel(b *testing.B) {
 // rounds (latency): r_M = ceil(log2(1/ε')) grows by one per halving of ε.
 func BenchmarkAblationEps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.AblationEps(16, 12)
+		rows, err := bench.NewEngine(0).AblationEps(16, 12)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func BenchmarkAblationEps(b *testing.B) {
 // encoding: bytes on the wire with and without compression.
 func BenchmarkAblationCompression(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		comp, plain, err := bench.AblationCompression(16, 14)
+		comp, plain, err := bench.NewEngine(0).AblationCompression(16, 14)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 // on CPS-grade hardware. Delphi has no coin at all.
 func BenchmarkAblationCoinCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		slow, fast, err := bench.AblationCoinCost(16, 13)
+		slow, fast, err := bench.NewEngine(0).AblationCoinCost(16, 13)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,8 +18,11 @@
 // Targets are selected positionally or with -run (comma-separated); the
 // two compose. Quick scale (default) runs reduced node counts and finishes
 // in well under a minute; paper scale uses the paper's axes (n up to 169)
-// and takes 1–2 minutes per figure on two cores. Trials fan out across
-// bench.Engine's worker pool (GOMAXPROCS workers unless -workers is set);
+// and takes 1–2 minutes per figure on two cores.
+//
+// -workers, -sessions, -backend and -sim-workers each set one field of the
+// one bench.Engine every target runs its trials on. Trials fan out across
+// the engine's worker pool (GOMAXPROCS workers unless -workers is set);
 // results — including the adversary sweep's adversarial schedules — are
 // identical at any worker count.
 //
@@ -30,12 +33,13 @@
 // durations. The backends target cross-validates protocol outputs across
 // backends regardless of the flag.
 //
-// -sim-workers routes every simulator run through the parallel window
+// -sim-workers routes every simulator run of the engine, the trace target's
+// trial and the worstcase target's probes through the parallel window
 // executor with that many shard workers (0, the default, keeps the
 // sequential loop). Parallel runs are deterministic across reruns and
 // worker counts but tie-break differently from the sequential loop, so
 // they agree with it statistically (δ-window), not byte for byte. The
-// scale target measures the n=1000+ curve, sequential versus parallel,
+// scale target measures the n=1000+ curve, sequential versus 8 workers,
 // regardless of the flag.
 //
 // Backends run trials through persistent sessions by default: each engine
@@ -102,28 +106,33 @@ import (
 	"delphi/internal/sim"
 )
 
-// svcFlags carries the service target's knobs from flag parsing to
-// dispatch; the initialisers are the flag defaults.
-var svcFlags = struct {
-	rounds   int
-	rate     float64
-	window   int
-	queue    int
-	duration time.Duration
-	arrivals string
-}{rounds: 200, rate: 100, window: 4, queue: 16, arrivals: "poisson"}
+// options is one parsed command line: the engine every target runs its
+// trials on, the experiment sizing, the per-target knobs, and what run
+// does around the targets.
+type options struct {
+	engine *bench.Engine
+	scale  bench.Scale
+	seed   int64
+	// service carries the service target's knobs.
+	service struct {
+		rounds, window, queue int
+		rate                  float64
+		duration              time.Duration
+		arrivals              string
+	}
+	// worst carries the worstcase target's knobs.
+	worst struct {
+		objective, trace string
+		replay           bool
+	}
+	// rec is the run's shared recorder, created when -trace or -metrics
+	// asks for one; the instrumented targets (service, trace) attach it.
+	// Nil keeps every hook a free no-op.
+	rec *obs.Recorder
 
-// worstFlags carries the worstcase target's knobs.
-var worstFlags = struct {
-	objective string
-	replay    bool
-	trace     string
-}{objective: "latency"}
-
-// obsRec is the run's shared recorder, created when -trace or -metrics asks
-// for one; the instrumented targets (service, trace) attach it. Nil keeps
-// every hook a free no-op.
-var obsRec *obs.Recorder
+	targets                           []string
+	tracePath, metricsPath, pprofAddr string
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -133,79 +142,169 @@ func main() {
 }
 
 func run(args []string) error {
+	o, err := parseArgs(args)
+	if err != nil {
+		return err
+	}
+	if o.pprofAddr != "" {
+		go func() {
+			fmt.Fprintln(os.Stderr, "experiments: pprof:", http.ListenAndServe(o.pprofAddr, nil))
+		}()
+	}
+	for _, name := range o.targets {
+		start := time.Now()
+		text, err := runTarget(name, o)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		fmt.Println(strings.TrimRight(text, "\n"))
+		fmt.Printf("[%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
+	}
+	return writeObs(o.rec, o.tracePath, o.metricsPath)
+}
+
+// parseArgs parses a command line into the options its targets run with.
+func parseArgs(args []string) (*options, error) {
+	o := &options{engine: &bench.Engine{}}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	scaleFlag := fs.String("scale", "quick", "experiment scale: quick, medium, or paper")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	workers := fs.Int("workers", 0, "trial worker pool size (0 = GOMAXPROCS)")
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.IntVar(&o.engine.Workers, "workers", 0, "trial worker pool size (0 = GOMAXPROCS)")
 	runFlag := fs.String("run", "", "comma-separated targets to run (adds to positional targets)")
 	backendFlag := fs.String("backend", "sim", "execution backend for the workloads: sim, live, or tcp")
 	sessions := fs.Bool("sessions", true, "reuse backend substrates (listeners, hubs, sim storage) across a cell's trials")
-	simWorkers := fs.Int("sim-workers", 0, "parallel window executor shard workers for sim runs (0 = sequential)")
-	fs.IntVar(&svcFlags.rounds, "service-rounds", svcFlags.rounds, "service target: arrivals to generate")
-	fs.Float64Var(&svcFlags.rate, "service-rate", svcFlags.rate, "service target: arrival rate, rounds per second")
-	fs.IntVar(&svcFlags.window, "service-window", svcFlags.window, "service target: max concurrent in-flight rounds")
-	fs.IntVar(&svcFlags.queue, "service-queue", svcFlags.queue, "service target: waiting-room bound; overflow is shed")
-	fs.DurationVar(&svcFlags.duration, "service-duration", svcFlags.duration, "service target: wall-clock cap on a live run (0 = none)")
-	fs.StringVar(&svcFlags.arrivals, "service-arrivals", svcFlags.arrivals, "service target: interarrival law, poisson or bursty")
-	fs.StringVar(&worstFlags.objective, "worstcase-objective", worstFlags.objective, "worstcase target: maximised metric, latency, spread, events, or bytes")
-	fs.BoolVar(&worstFlags.replay, "worstcase-replay", worstFlags.replay, "worstcase target: validate each winner on the loopback-tcp backend (wall-clock)")
-	fs.StringVar(&worstFlags.trace, "worstcase-trace", worstFlags.trace, "worstcase target: write each winner's evidence trace to PREFIX-<protocol>.json")
-	traceFlag := fs.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the instrumented targets")
-	metricsFlag := fs.String("metrics", "", "write the metrics snapshot: '-' for text on stdout, *.json for JSON, else text to the path")
-	pprofFlag := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	fs.IntVar(&o.engine.SimWorkers, "sim-workers", 0, "parallel window executor shard workers for sim runs (0 = sequential)")
+	fs.IntVar(&o.service.rounds, "service-rounds", 200, "service target: arrivals to generate")
+	fs.Float64Var(&o.service.rate, "service-rate", 100, "service target: arrival rate, rounds per second")
+	fs.IntVar(&o.service.window, "service-window", 4, "service target: max concurrent in-flight rounds")
+	fs.IntVar(&o.service.queue, "service-queue", 16, "service target: waiting-room bound; overflow is shed")
+	fs.DurationVar(&o.service.duration, "service-duration", 0, "service target: wall-clock cap on a live run (0 = none)")
+	fs.StringVar(&o.service.arrivals, "service-arrivals", "poisson", "service target: interarrival law, poisson or bursty")
+	fs.StringVar(&o.worst.objective, "worstcase-objective", "latency", "worstcase target: maximised metric, latency, spread, events, or bytes")
+	fs.BoolVar(&o.worst.replay, "worstcase-replay", false, "worstcase target: validate each winner on the loopback-tcp backend (wall-clock)")
+	fs.StringVar(&o.worst.trace, "worstcase-trace", "", "worstcase target: write each winner's evidence trace to PREFIX-<protocol>.json")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the instrumented targets")
+	fs.StringVar(&o.metricsPath, "metrics", "", "write the metrics snapshot: '-' for text on stdout, *.json for JSON, else text to the path")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
-	if *pprofFlag != "" {
-		go func() {
-			fmt.Fprintln(os.Stderr, "experiments: pprof:", http.ListenAndServe(*pprofFlag, nil))
-		}()
+	o.engine.DisableSessions = !*sessions
+	o.engine.Backend = bench.BackendKind(*backendFlag)
+	if !bench.BackendRegistered(o.engine.Backend) {
+		return nil, fmt.Errorf("unknown backend %q (want one of %v)", *backendFlag, bench.RegisteredBackends())
 	}
-	obsRec = nil
-	if *traceFlag != "" || *metricsFlag != "" {
-		obsRec = obs.New()
-	}
-	bench.SetDefaultWorkers(*workers)
-	bench.SetDefaultSessions(*sessions)
-	bench.SetDefaultSimWorkers(*simWorkers)
-	if err := bench.SetDefaultBackend(bench.BackendKind(*backendFlag)); err != nil {
-		return err
-	}
-	var scale bench.Scale
 	switch *scaleFlag {
 	case "quick":
-		scale = bench.Quick
+		o.scale = bench.Quick
 	case "medium":
-		scale = bench.Medium
+		o.scale = bench.Medium
 	case "paper":
-		scale = bench.Paper
+		o.scale = bench.Paper
 	default:
-		return fmt.Errorf("unknown scale %q", *scaleFlag)
+		return nil, fmt.Errorf("unknown scale %q", *scaleFlag)
+	}
+	if o.tracePath != "" || o.metricsPath != "" {
+		o.rec = obs.New()
 	}
 
-	targets := fs.Args()
+	o.targets = fs.Args()
 	for _, t := range strings.Split(*runFlag, ",") {
 		if t = strings.TrimSpace(t); t != "" {
-			targets = append(targets, t)
+			o.targets = append(o.targets, t)
 		}
 	}
-	if len(targets) == 0 || (len(targets) == 1 && targets[0] == "all") {
-		targets = []string{"fig4", "fig5", "table1", "table2", "table3",
-			"fig6a", "fig6b", "fig6c", "fig7", "validity", "tail",
-			"matrix", "adversary", "backends", "sessions", "service",
-			"trace", "scale", "ablations"}
+	if len(o.targets) == 0 || (len(o.targets) == 1 && o.targets[0] == "all") {
+		o.targets = nil
+		for _, t := range targetTable() {
+			if t.name != "worstcase" {
+				o.targets = append(o.targets, t.name)
+			}
+		}
 	}
+	return o, nil
+}
 
-	for _, target := range targets {
-		start := time.Now()
-		text, err := runTarget(target, scale, *seed)
-		if err != nil {
-			return fmt.Errorf("%s: %w", target, err)
-		}
-		fmt.Println(strings.TrimRight(text, "\n"))
-		fmt.Printf("[%s completed in %s]\n\n", target, time.Since(start).Round(time.Millisecond))
+// target is one runnable experiment.
+type target struct {
+	name string
+	run  func(*options) (string, error)
+}
+
+// targetTable lists every target in the order `all` runs them; `all`
+// leaves out worstcase, the adversary-space search.
+func targetTable() []target {
+	fit := textOf(func(r *bench.FitReport) string { return r.Text })
+	tbl := textOf(func(t *bench.Table) string { return t.Text })
+	fig := textOf(func(f *bench.Figure) string { return f.Text })
+	return []target{
+		{"fig4", func(o *options) (string, error) { return fit(bench.Fig4(o.seed)) }},
+		{"fig5", func(o *options) (string, error) { return fit(bench.Fig5(o.seed)) }},
+		{"table1", func(o *options) (string, error) { return tbl(o.engine.Table1(o.scale, o.seed)) }},
+		{"table2", func(o *options) (string, error) { return tbl(o.engine.Table2(o.scale, o.seed)) }},
+		{"table3", func(o *options) (string, error) { return tbl(bench.Table3(o.scale, o.seed)) }},
+		{"fig6a", func(o *options) (string, error) { return fig(o.engine.Fig6a(o.scale, o.seed)) }},
+		{"fig6b", func(o *options) (string, error) { return fig(o.engine.Fig6b(o.scale, o.seed)) }},
+		{"fig6c", func(o *options) (string, error) { return fig(o.engine.Fig6c(o.scale, o.seed)) }},
+		{"fig7", func(o *options) (string, error) {
+			aws, cps, err := o.engine.Fig7(o.scale, o.seed)
+			if err != nil {
+				return "", err
+			}
+			return aws.Text + "\n" + cps.Text, nil
+		}},
+		{"validity", func(o *options) (string, error) {
+			reps, err := o.engine.Validity(o.scale, o.seed)
+			if err != nil {
+				return "", err
+			}
+			var b strings.Builder
+			b.WriteString("validity (§VI-E) — distance from honest mean\n")
+			for _, r := range reps {
+				b.WriteString(r.Text + "\n")
+			}
+			return b.String(), nil
+		}},
+		{"tail", func(o *options) (string, error) {
+			return textOf(func(r *bench.TailReport) string { return r.Text })(o.engine.LatencyTail(o.scale, o.seed))
+		}},
+		{"matrix", runMatrix},
+		{"adversary", func(o *options) (string, error) {
+			return textOf(func(r *bench.AdversaryReport) string { return r.Text })(o.engine.AdversarySweep(o.scale, o.seed))
+		}},
+		{"backends", runBackends},
+		{"sessions", runSessions},
+		{"service", runService},
+		{"trace", runTrace},
+		{"scale", func(o *options) (string, error) {
+			return textOf(func(r *bench.ScaleReport) string { return r.Text })(bench.ScaleSweep(o.scale, 8, o.seed))
+		}},
+		{"ablations", runAblations},
+		{"worstcase", runWorstcase},
 	}
-	return writeObs(obsRec, *traceFlag, *metricsFlag)
+}
+
+// textOf lifts a report's text accessor over the (report, error) pair an
+// experiment returns.
+func textOf[T any](text func(T) string) func(T, error) (string, error) {
+	return func(v T, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return text(v), nil
+	}
+}
+
+// runTarget runs the named target with o.
+func runTarget(name string, o *options) (string, error) {
+	var names []string
+	for _, t := range targetTable() {
+		if t.name == name {
+			return t.run(o)
+		}
+		names = append(names, t.name)
+	}
+	return "", fmt.Errorf("unknown target (want %s, or all)", strings.Join(names, ", "))
 }
 
 // writeObs renders what the run's recorder captured: the trace as Chrome
@@ -250,110 +349,6 @@ func writeObs(rec *obs.Recorder, tracePath, metricsPath string) error {
 	return nil
 }
 
-func runTarget(target string, scale bench.Scale, seed int64) (string, error) {
-	switch target {
-	case "table1":
-		t, err := bench.Table1(scale, seed)
-		if err != nil {
-			return "", err
-		}
-		return t.Text, nil
-	case "table2":
-		t, err := bench.Table2(scale, seed)
-		if err != nil {
-			return "", err
-		}
-		return t.Text, nil
-	case "table3":
-		t, err := bench.Table3(scale, seed)
-		if err != nil {
-			return "", err
-		}
-		return t.Text, nil
-	case "fig4":
-		r, err := bench.Fig4(seed)
-		if err != nil {
-			return "", err
-		}
-		return r.Text, nil
-	case "fig5":
-		r, err := bench.Fig5(seed)
-		if err != nil {
-			return "", err
-		}
-		return r.Text, nil
-	case "fig6a":
-		f, err := bench.Fig6a(scale, seed)
-		if err != nil {
-			return "", err
-		}
-		return f.Text, nil
-	case "fig6b":
-		f, err := bench.Fig6b(scale, seed)
-		if err != nil {
-			return "", err
-		}
-		return f.Text, nil
-	case "fig6c":
-		f, err := bench.Fig6c(scale, seed)
-		if err != nil {
-			return "", err
-		}
-		return f.Text, nil
-	case "fig7":
-		aws, cps, err := bench.Fig7(scale, seed)
-		if err != nil {
-			return "", err
-		}
-		return aws.Text + "\n" + cps.Text, nil
-	case "validity":
-		reps, err := bench.Validity(scale, seed)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		b.WriteString("validity (§VI-E) — distance from honest mean\n")
-		for _, r := range reps {
-			b.WriteString(r.Text + "\n")
-		}
-		return b.String(), nil
-	case "tail":
-		rep, err := bench.LatencyTail(scale, seed)
-		if err != nil {
-			return "", err
-		}
-		return rep.Text, nil
-	case "matrix":
-		return runMatrix(scale, seed)
-	case "adversary":
-		rep, err := bench.AdversarySweep(scale, seed)
-		if err != nil {
-			return "", err
-		}
-		return rep.Text, nil
-	case "backends":
-		return runBackends(scale, seed)
-	case "sessions":
-		return runSessions(scale, seed)
-	case "service":
-		return runService(scale, seed)
-	case "trace":
-		return runTrace(scale, seed)
-	case "scale":
-		rep, err := bench.ScaleSweep(scale, 8, seed)
-		if err != nil {
-			return "", err
-		}
-		return rep.Text, nil
-	case "ablations":
-		return runAblations(seed)
-	case "worstcase":
-		return runWorstcase(scale, seed)
-	default:
-		return "", fmt.Errorf("unknown target (want table1..3, fig4..7, validity, tail, matrix, adversary, backends, sessions, service, trace, scale, ablations, worstcase)")
-	}
-}
-
 // runBackends demonstrates the execution-backend axis: first the
 // cross-backend validator (identical RunSpecs on the simulator and a live
 // goroutine cluster must produce outputs in the same agreement window; the
@@ -361,12 +356,12 @@ func runTarget(target string, scale bench.Scale, seed int64) (string, error) {
 // cross input shapes with backends. Simulator cells report virtual latency;
 // live cells report real wall time and are excluded from byte-identity
 // expectations.
-func runBackends(scale bench.Scale, seed int64) (string, error) {
+func runBackends(o *options) (string, error) {
 	kinds := []bench.BackendKind{bench.BackendSim, bench.BackendLive}
-	if scale != bench.Quick {
+	if o.scale != bench.Quick {
 		kinds = append(kinds, bench.BackendTCP)
 	}
-	rep, err := bench.DefaultEngine().ValidateCrossBackend(kinds, scale, seed)
+	rep, err := o.engine.ValidateCrossBackend(kinds, o.scale, o.seed)
 	if err != nil {
 		return "", err
 	}
@@ -377,7 +372,7 @@ func runBackends(scale bench.Scale, seed int64) (string, error) {
 	}
 
 	trials := 2
-	if scale != bench.Quick {
+	if o.scale != bench.Quick {
 		trials = 4
 	}
 	m := bench.Matrix{
@@ -393,7 +388,7 @@ func runBackends(scale bench.Scale, seed int64) (string, error) {
 		Shapes:   []bench.InputShape{bench.ShapePinned, bench.ShapeClustered},
 		Backends: kinds,
 	}
-	cells, err := bench.DefaultEngine().RunMatrix(m, seed)
+	cells, err := o.engine.RunMatrix(m, o.seed)
 	if err != nil {
 		return "", err
 	}
@@ -416,10 +411,10 @@ func runBackends(scale bench.Scale, seed int64) (string, error) {
 // workers keep the cell's listeners and connections bound across trials.
 // Per-trial agreement must hold on every trial; the printed wall times are
 // real and non-deterministic.
-func runSessions(scale bench.Scale, seed int64) (string, error) {
+func runSessions(o *options) (string, error) {
 	trials := 3
 	n := 8
-	if scale != bench.Quick {
+	if o.scale != bench.Quick {
 		trials, n = 10, 16
 	}
 	spec := bench.RunSpec{
@@ -427,12 +422,12 @@ func runSessions(scale bench.Scale, seed int64) (string, error) {
 		N:        n,
 		F:        (n - 1) / 3,
 		Env:      sim.AWS(),
-		Seed:     seed,
-		Inputs:   bench.OracleInputs(n, 41000, 20, seed),
+		Seed:     o.seed,
+		Inputs:   bench.OracleInputs(n, 41000, 20, o.seed),
 		Delphi:   core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
 		Backend:  bench.BackendTCP,
 	}
-	stats, err := bench.DefaultEngine().RunTrials(spec, trials)
+	stats, err := o.engine.RunTrials(spec, trials)
 	if err != nil {
 		return "", err
 	}
@@ -441,7 +436,7 @@ func runSessions(scale bench.Scale, seed int64) (string, error) {
 		agg.Observe(st)
 	}
 	mode := "one persistent cluster per worker"
-	if bench.DefaultEngine().DisableSessions {
+	if o.engine.DisableSessions {
 		mode = "per-trial setup (sessions disabled)"
 	}
 	var b strings.Builder
@@ -458,9 +453,9 @@ func runSessions(scale bench.Scale, seed int64) (string, error) {
 // -backend selected (the sim model is deterministic; live/tcp are wall-clock
 // soaks) and renders the service report: round accounting, backpressure
 // high-water marks, latency split, throughput, and subscriber staleness.
-func runService(scale bench.Scale, seed int64) (string, error) {
+func runService(o *options) (string, error) {
 	n := 8
-	if scale != bench.Quick {
+	if o.scale != bench.Quick {
 		n = 16
 	}
 	cfg := bench.ServiceConfig{
@@ -473,26 +468,26 @@ func runService(scale bench.Scale, seed int64) (string, error) {
 			Center:   41000,
 			Delta:    20,
 		},
-		Rounds:   svcFlags.rounds,
-		Rate:     svcFlags.rate,
-		Window:   svcFlags.window,
-		Queue:    svcFlags.queue,
-		Duration: svcFlags.duration,
+		Rounds:   o.service.rounds,
+		Rate:     o.service.rate,
+		Window:   o.service.window,
+		Queue:    o.service.queue,
+		Duration: o.service.duration,
 		Subscribers: feeds.Population{
-			Size: 1_000_000, Seed: seed, Base: 5 * time.Millisecond,
+			Size: 1_000_000, Seed: o.seed, Base: 5 * time.Millisecond,
 			Jitter: dist.Lognormal{Mu: 2, Sigma: 0.5},
 		},
 		Representatives: 8,
-		Obs:             obsRec,
+		Obs:             o.rec,
 	}
-	switch svcFlags.arrivals {
+	switch o.service.arrivals {
 	case "", "poisson":
 	case "bursty":
 		cfg.Arrivals = bench.ArrivalBursty
 	default:
-		return "", fmt.Errorf("unknown arrival law %q (want poisson or bursty)", svcFlags.arrivals)
+		return "", fmt.Errorf("unknown arrival law %q (want poisson or bursty)", o.service.arrivals)
 	}
-	rep, err := bench.DefaultEngine().RunService(cfg, seed)
+	rep, err := o.engine.RunService(cfg, o.seed)
 	if err != nil {
 		return "", err
 	}
@@ -507,24 +502,25 @@ func runService(scale bench.Scale, seed int64) (string, error) {
 // the instrumented path is exercised either way. With -sim-workers K the
 // trial goes through the parallel executor; the trace bytes are identical
 // at any K — scripts/ci.sh gates exactly that.
-func runTrace(scale bench.Scale, seed int64) (string, error) {
-	rec := obsRec
+func runTrace(o *options) (string, error) {
+	rec := o.rec
 	if rec == nil {
 		rec = obs.New()
 	}
 	n := 8
-	if scale != bench.Quick {
+	if o.scale != bench.Quick {
 		n = 16
 	}
 	spec := bench.RunSpec{
-		Protocol: bench.ProtoDelphi,
-		N:        n,
-		F:        (n - 1) / 3,
-		Env:      sim.AWS(),
-		Seed:     seed,
-		Inputs:   bench.OracleInputs(n, 41000, 20, seed),
-		Delphi:   core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
-		Obs:      rec,
+		Protocol:   bench.ProtoDelphi,
+		N:          n,
+		F:          (n - 1) / 3,
+		Env:        sim.AWS(),
+		Seed:       o.seed,
+		Inputs:     bench.OracleInputs(n, 41000, 20, o.seed),
+		Delphi:     core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
+		SimWorkers: o.engine.SimWorkers,
+		Obs:        rec,
 	}
 	st, err := bench.Run(spec)
 	if err != nil {
@@ -544,10 +540,10 @@ func runTrace(scale bench.Scale, seed int64) (string, error) {
 // runMatrix demonstrates the scenario matrix: Delphi across both testbeds,
 // two system sizes, the three input shapes, and the fault axes, as one
 // engine batch. Each cell is a struct literal away from a new workload.
-func runMatrix(scale bench.Scale, seed int64) (string, error) {
+func runMatrix(o *options) (string, error) {
 	ns := []int{16}
 	trials := 2
-	if scale != bench.Quick {
+	if o.scale != bench.Quick {
 		ns = []int{16, 40}
 		trials = 4
 	}
@@ -566,7 +562,7 @@ func runMatrix(scale bench.Scale, seed int64) (string, error) {
 		Shapes:    []bench.InputShape{bench.ShapePinned, bench.ShapeSkewed, bench.ShapeClustered},
 		ByzCounts: []int{0, 1},
 	}
-	cells, err := bench.DefaultEngine().RunMatrix(m, seed)
+	cells, err := o.engine.RunMatrix(m, o.seed)
 	if err != nil {
 		return "", err
 	}
@@ -585,10 +581,10 @@ func runMatrix(scale bench.Scale, seed int64) (string, error) {
 // function of (scale, seed, objective) on the simulator; the tcp replay
 // lines are real wall-clock measurements and print only under
 // -worstcase-replay so the deterministic output stays gateable.
-func runWorstcase(scale bench.Scale, seed int64) (string, error) {
+func runWorstcase(o *options) (string, error) {
 	protos := []bench.Protocol{bench.ProtoDelphi, bench.ProtoFIN}
 	n, rungs, anneal := 8, 3, 6
-	if scale != bench.Quick {
+	if o.scale != bench.Quick {
 		protos = append(protos, bench.ProtoAbraham)
 		n, anneal = 16, 12
 	}
@@ -597,23 +593,24 @@ func runWorstcase(scale bench.Scale, seed int64) (string, error) {
 		p, err := advsearch.Search(advsearch.Config{
 			Protocol:    proto,
 			N:           n,
-			Seed:        seed,
-			Objective:   advsearch.Objective(worstFlags.objective),
+			Seed:        o.seed,
+			Objective:   advsearch.Objective(o.worst.objective),
 			Rungs:       rungs,
 			AnnealSteps: anneal,
+			SimWorkers:  o.engine.SimWorkers,
 		})
 		if err != nil {
 			return "", err
 		}
 		b.WriteString(p.Text())
-		if worstFlags.trace != "" {
-			path := fmt.Sprintf("%s-%s.json", worstFlags.trace, proto)
+		if o.worst.trace != "" {
+			path := fmt.Sprintf("%s-%s.json", o.worst.trace, proto)
 			if err := os.WriteFile(path, p.Trace, 0o644); err != nil {
 				return "", fmt.Errorf("write evidence trace: %w", err)
 			}
 			fmt.Fprintf(&b, "  [evidence trace: %d events -> %s]\n", p.TraceEvents, path)
 		}
-		if worstFlags.replay {
+		if o.worst.replay {
 			res, err := p.ReplayTCP(advsearch.ReplayConfig{})
 			if err != nil {
 				return "", fmt.Errorf("tcp replay: %w", err)
@@ -626,9 +623,9 @@ func runWorstcase(scale bench.Scale, seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runAblations(seed int64) (string, error) {
+func runAblations(o *options) (string, error) {
 	var b strings.Builder
-	single, multi, err := bench.AblationSingleLevel(16, seed)
+	single, multi, err := o.engine.AblationSingleLevel(16, o.seed)
 	if err != nil {
 		return "", err
 	}
@@ -636,7 +633,7 @@ func runAblations(seed int64) (string, error) {
 	fmt.Fprintf(&b, "  single-level |out−mean|=%.1f$   multi-level |out−mean|=%.2f$\n",
 		single.MeanAbsErr, multi.MeanAbsErr)
 
-	rows, err := bench.AblationEps(16, seed)
+	rows, err := o.engine.AblationEps(16, o.seed)
 	if err != nil {
 		return "", err
 	}
@@ -646,7 +643,7 @@ func runAblations(seed int64) (string, error) {
 		fmt.Fprintf(&b, "  %-8s %8d %10.4g %12.0f %8.2f\n", r.Name, r.Rounds, r.Spread, r.LatencyMS, r.MB)
 	}
 
-	comp, plain, err := bench.AblationCompression(16, seed)
+	comp, plain, err := o.engine.AblationCompression(16, o.seed)
 	if err != nil {
 		return "", err
 	}
@@ -655,7 +652,7 @@ func runAblations(seed int64) (string, error) {
 		float64(comp.TotalBytes)/1e6, float64(plain.TotalBytes)/1e6,
 		float64(plain.TotalBytes)/float64(comp.TotalBytes))
 
-	slow, fast, err := bench.AblationCoinCost(16, seed)
+	slow, fast, err := o.engine.AblationCoinCost(16, o.seed)
 	if err != nil {
 		return "", err
 	}
@@ -663,7 +660,7 @@ func runAblations(seed int64) (string, error) {
 	fmt.Fprintf(&b, "  pairing-class coin: %s   hash-class coin: %s\n",
 		slow.Latency.Round(time.Millisecond), fast.Latency.Round(time.Millisecond))
 
-	clean, crashed, byzantine, err := bench.AblationFaults(16, seed)
+	clean, crashed, byzantine, err := o.engine.AblationFaults(16, o.seed)
 	if err != nil {
 		return "", err
 	}
@@ -673,7 +670,7 @@ func runAblations(seed int64) (string, error) {
 		crashed.Latency.Round(time.Millisecond), float64(crashed.TotalBytes)/1e6,
 		byzantine.Latency.Round(time.Millisecond), float64(byzantine.TotalBytes)/1e6)
 
-	advRows, err := bench.AblationAdversary(16, seed)
+	advRows, err := o.engine.AblationAdversary(16, o.seed)
 	if err != nil {
 		return "", err
 	}

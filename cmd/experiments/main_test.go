@@ -12,7 +12,7 @@ import (
 // parsing, target dispatch, and rendering, without heavy simulation.
 func TestRunTargetDispatch(t *testing.T) {
 	for _, target := range []string{"fig4", "fig5"} {
-		text, err := runTarget(target, bench.Quick, 1)
+		text, err := runTarget(target, defaultOptions(t))
 		if err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}
@@ -20,7 +20,7 @@ func TestRunTargetDispatch(t *testing.T) {
 			t.Errorf("%s: rendering lacks the figure name:\n%s", target, text)
 		}
 	}
-	if _, err := runTarget("nope", bench.Quick, 1); err == nil {
+	if _, err := runTarget("nope", defaultOptions(t)); err == nil {
 		t.Error("unknown target: want error")
 	}
 	if err := run([]string{"-scale", "warp9"}); err == nil {
@@ -29,7 +29,6 @@ func TestRunTargetDispatch(t *testing.T) {
 	if err := run([]string{"-backend", "warp", "fig4"}); err == nil {
 		t.Error("bad backend flag: want error")
 	}
-	t.Cleanup(func() { _ = bench.SetDefaultBackend("") })
 }
 
 // TestBackendsTarget drives the execution-backend axis end to end: the
@@ -39,7 +38,7 @@ func TestBackendsTarget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-cluster harness test")
 	}
-	text, err := runTarget("backends", bench.Quick, 1)
+	text, err := runTarget("backends", defaultOptions(t))
 	if err != nil {
 		t.Fatalf("backends target: %v", err)
 	}
@@ -61,7 +60,6 @@ func TestBackendFlagRetargetsWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-cluster harness test")
 	}
-	t.Cleanup(func() { _ = bench.SetDefaultBackend("") })
 	if err := run([]string{"-backend", "live", "-scale", "quick", "matrix"}); err != nil {
 		t.Fatalf("-backend live matrix: %v", err)
 	}
@@ -81,8 +79,10 @@ func TestPaperScaleSmoke(t *testing.T) {
 	}
 	const budget = 5 * time.Minute
 	start := time.Now()
+	o := defaultOptions(t)
+	o.scale = bench.Paper
 	for _, target := range []string{"fig4", "fig5", "table2"} {
-		text, err := runTarget(target, bench.Paper, 1)
+		text, err := runTarget(target, o)
 		if err != nil {
 			t.Fatalf("paper-scale %s: %v", target, err)
 		}
@@ -104,9 +104,9 @@ func TestAdversaryTargetDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	t.Cleanup(func() { bench.SetDefaultWorkers(0) })
-	bench.SetDefaultWorkers(1)
-	first, err := runTarget("adversary", bench.Quick, 1)
+	o := defaultOptions(t)
+	o.engine.Workers = 1
+	first, err := runTarget("adversary", o)
 	if err != nil {
 		t.Fatalf("adversary target: %v", err)
 	}
@@ -117,8 +117,8 @@ func TestAdversaryTargetDeterministic(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4, 16} {
-		bench.SetDefaultWorkers(workers)
-		again, err := runTarget("adversary", bench.Quick, 1)
+		o.engine.Workers = workers
+		again, err := runTarget("adversary", o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -133,9 +133,9 @@ func TestAdversaryTargetDeterministic(t *testing.T) {
 // the deterministic service model must render its full report, and reruns
 // at different worker counts must render it byte-identically.
 func TestServiceTarget(t *testing.T) {
-	t.Cleanup(func() { bench.SetDefaultWorkers(0) })
-	bench.SetDefaultWorkers(1)
-	first, err := runTarget("service", bench.Quick, 1)
+	o := defaultOptions(t)
+	o.engine.Workers = 1
+	first, err := runTarget("service", o)
 	if err != nil {
 		t.Fatalf("service target: %v", err)
 	}
@@ -146,8 +146,8 @@ func TestServiceTarget(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{4, 16} {
-		bench.SetDefaultWorkers(workers)
-		again, err := runTarget("service", bench.Quick, 1)
+		o.engine.Workers = workers
+		again, err := runTarget("service", o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -157,9 +157,8 @@ func TestServiceTarget(t *testing.T) {
 		}
 	}
 	// The service flags reach the config: a bad arrival law is rejected.
-	svcFlags.arrivals = "fractal"
-	t.Cleanup(func() { svcFlags.arrivals = "poisson" })
-	if _, err := runTarget("service", bench.Quick, 1); err == nil {
+	o.service.arrivals = "fractal"
+	if _, err := runTarget("service", o); err == nil {
 		t.Error("bad -service-arrivals: want error")
 	}
 }
@@ -178,4 +177,34 @@ func TestRunFlagSelectsTargets(t *testing.T) {
 	if err := run([]string{"-run", "fig4", "nope"}); err == nil {
 		t.Error("-run fig4 with junk positional: want error")
 	}
+}
+
+// TestFlagsReachEngine pins each engine flag to its field on the one
+// engine the parsed options carry, and the defaults to the zero engine
+// plus the simulator.
+func TestFlagsReachEngine(t *testing.T) {
+	o, err := parseArgs([]string{"-workers", "3", "-sessions=false", "-backend", "live", "-sim-workers", "2", "fig4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bench.Engine{Workers: 3, DisableSessions: true, Backend: bench.BackendLive, SimWorkers: 2}
+	if *o.engine != want {
+		t.Errorf("engine = %+v, want %+v", *o.engine, want)
+	}
+	if len(o.targets) != 1 || o.targets[0] != "fig4" {
+		t.Errorf("targets = %v, want [fig4]", o.targets)
+	}
+	if d := defaultOptions(t); *d.engine != (bench.Engine{Backend: bench.BackendSim}) {
+		t.Errorf("default engine = %+v", *d.engine)
+	}
+}
+
+// defaultOptions returns the options of a command line with no flags.
+func defaultOptions(t *testing.T) *options {
+	t.Helper()
+	o, err := parseArgs(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }

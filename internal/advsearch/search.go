@@ -160,8 +160,8 @@ type Config struct {
 	BaseTrials int
 	// AnnealSteps is the simulated-annealing refinement length (default 8).
 	AnnealSteps int
-	// SimWorkers routes probes through the parallel window executor; 0
-	// keeps the process default.
+	// SimWorkers routes probes through the parallel window executor with
+	// that many shard workers; 0 runs them on the sequential loop.
 	SimWorkers int
 	// Env is the simulated testbed; the zero value means sim.AWS().
 	Env sim.Environment

@@ -286,7 +286,7 @@ func TestMatrixBackendAxis(t *testing.T) {
 // live transport, must land in the same agreement window on the simulator
 // and the live cluster.
 func TestCrossBackendValidation(t *testing.T) {
-	rep, err := bench.DefaultEngine().ValidateCrossBackend(
+	rep, err := bench.NewEngine(0).ValidateCrossBackend(
 		[]bench.BackendKind{bench.BackendSim, bench.BackendLive}, bench.Quick, 1)
 	if err != nil {
 		t.Fatal(err)

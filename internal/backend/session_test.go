@@ -242,7 +242,7 @@ func TestCrossBackendValidationAllKinds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-backend validation with tcp clusters")
 	}
-	rep, err := bench.DefaultEngine().ValidateCrossBackend(
+	rep, err := bench.NewEngine(0).ValidateCrossBackend(
 		[]bench.BackendKind{bench.BackendSim, bench.BackendLive, bench.BackendTCP}, bench.Quick, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func OracleDefaultParams() core.Params { return oracleParamsBandwidth() }
 // clustered inputs. The strawman terminates but pays a validity relaxation
 // of order Δ even when δ is small — the motivation for the multi-level
 // design (Fig. 2 vs Fig. 3).
-func AblationSingleLevel(n int, seed int64) (single, multi *RunStats, err error) {
+func (e *Engine) AblationSingleLevel(n int, seed int64) (single, multi *RunStats, err error) {
 	f := faults(n)
 	delta := 10.0
 	// The centre sits off the coarse checkpoint grid (multiples of 2000$),
@@ -26,7 +26,7 @@ func AblationSingleLevel(n int, seed int64) (single, multi *RunStats, err error)
 	multiParams := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 2000, Eps: 2}
 	singleParams := core.Params{S: 0, E: 100000, Rho0: 2000, Delta: 2000, Eps: 2}
 
-	stats, err := labelledBatch("ablation", []RunSpec{
+	stats, err := e.labelledBatch("ablation", []RunSpec{
 		{Protocol: ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: singleParams},
 		{Protocol: ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: multiParams},
 	}, []string{"single-level", "multi-level"})
@@ -54,7 +54,7 @@ type EpsRow struct {
 
 // AblationEps sweeps the agreement distance ε: each halving of ε adds a
 // round (r_M = ceil(log2(1/ε'))) and must tighten the measured spread.
-func AblationEps(n int, seed int64) ([]*EpsRow, error) {
+func (e *Engine) AblationEps(n int, seed int64) ([]*EpsRow, error) {
 	f := faults(n)
 	epss := []float64{16, 8, 4, 2, 1}
 	var specs []RunSpec
@@ -68,7 +68,7 @@ func AblationEps(n int, seed int64) ([]*EpsRow, error) {
 		})
 		labels = append(labels, fmt.Sprintf("eps=%g", eps))
 	}
-	stats, err := labelledBatch("ablation", specs, labels)
+	stats, err := e.labelledBatch("ablation", specs, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -89,11 +89,11 @@ func AblationEps(n int, seed int64) ([]*EpsRow, error) {
 // AblationCompression measures the §II-C delta/bitmap wire encoding: the
 // same Delphi run with compression on and off, comparing bytes on the wire
 // (the paper's log log(1/ε') factor in practice).
-func AblationCompression(n int, seed int64) (compressed, plain *RunStats, err error) {
+func (e *Engine) AblationCompression(n int, seed int64) (compressed, plain *RunStats, err error) {
 	f := faults(n)
 	inputs := OracleInputs(n, 41000, 20, seed)
 	p := oracleParamsBandwidth()
-	stats, err := labelledBatch("ablation", []RunSpec{
+	stats, err := e.labelledBatch("ablation", []RunSpec{
 		{Protocol: ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p},
 		{Protocol: ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p, NoCompression: true},
 	}, []string{"compression on", "compression off"})
@@ -107,7 +107,7 @@ func AblationCompression(n int, seed int64) (compressed, plain *RunStats, err er
 // real pairing-class coin cost and under a hypothetical hash-cheap coin
 // (the HashRand direction the paper cites), quantifying how much of FIN's
 // CPS latency is threshold-coin compute.
-func AblationCoinCost(n int, seed int64) (pairingCoin, hashCoin *RunStats, err error) {
+func (e *Engine) AblationCoinCost(n int, seed int64) (pairingCoin, hashCoin *RunStats, err error) {
 	f := faults(n)
 	inputs := OracleInputs(n, 500, 5, seed)
 	p := cpsParams()
@@ -115,7 +115,7 @@ func AblationCoinCost(n int, seed int64) (pairingCoin, hashCoin *RunStats, err e
 	envSlow := sim.CPS()
 	envFast := sim.CPS()
 	envFast.Cost.Pairing = envFast.Cost.Hash // hash-based coin shares
-	stats, err := labelledBatch("ablation", []RunSpec{
+	stats, err := e.labelledBatch("ablation", []RunSpec{
 		{Protocol: ProtoFIN, N: n, F: f, Env: envSlow, Seed: seed, Inputs: inputs, Delphi: p},
 		{Protocol: ProtoFIN, N: n, F: f, Env: envFast, Seed: seed, Inputs: inputs, Delphi: p},
 	}, []string{"pairing coin", "hash coin"})
@@ -129,7 +129,7 @@ func AblationCoinCost(n int, seed int64) (pairingCoin, hashCoin *RunStats, err e
 // f crash faults, and f Byzantine spammers on identical inputs — the
 // scenario-matrix fault axes applied as a designed ablation. Crash faults
 // shrink the echo quorums' slack; the spammer bloats state and traffic.
-func AblationFaults(n int, seed int64) (clean, crashed, byzantine *RunStats, err error) {
+func (e *Engine) AblationFaults(n int, seed int64) (clean, crashed, byzantine *RunStats, err error) {
 	f := faults(n)
 	base := Scenario{
 		Name:     "faults",
@@ -145,7 +145,7 @@ func AblationFaults(n int, seed int64) (clean, crashed, byzantine *RunStats, err
 	byzant := base
 	byzant.Byzantine = f
 	byzant.ByzKind = ByzSpam
-	stats, err := labelledBatch("ablation", []RunSpec{
+	stats, err := e.labelledBatch("ablation", []RunSpec{
 		base.Spec(seed, 0),
 		crash.Spec(seed, 0),
 		byzant.Spec(seed, 0),

@@ -103,17 +103,17 @@ func TestAdversarySweepOverAdaptive(t *testing.T) {
 		{}, // baseline column
 		{Kind: netadv.SlowF, Adaptive: true},
 	}
-	rep, err := AdversarySweepOver(Quick, 7, advs)
+	rep, err := (&Engine{}).AdversarySweepOver(Quick, 7, advs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(rep.Text, "slow-f@adaptive") {
 		t.Fatalf("report does not render the adaptive cell:\n%s", rep.Text)
 	}
-	if _, err := AdversarySweepOver(Quick, 7, nil); err == nil {
+	if _, err := (&Engine{}).AdversarySweepOver(Quick, 7, nil); err == nil {
 		t.Error("empty adversary list accepted")
 	}
-	if _, err := AdversarySweepOver(Quick, 7, []netadv.Adversary{{Adaptive: true}}); err == nil {
+	if _, err := (&Engine{}).AdversarySweepOver(Quick, 7, []netadv.Adversary{{Adaptive: true}}); err == nil {
 		t.Error("invalid adversary (adaptive none) accepted")
 	}
 }

@@ -37,19 +37,17 @@ type AdversaryReport struct {
 // trial) runs form one engine batch; results are byte-identical across
 // reruns and worker counts because each adversary's schedule is a pure
 // function of the trial seed.
-func AdversarySweep(scale Scale, seed int64) (*AdversaryReport, error) {
-	return AdversarySweepOver(scale, seed, adversaryAxis())
+func (e *Engine) AdversarySweep(scale Scale, seed int64) (*AdversaryReport, error) {
+	return e.AdversarySweepOver(scale, seed, adversaryAxis())
 }
 
 // AdversarySweepOver is AdversarySweep over an arbitrary adversary column
 // set — any parameterisation expressible as netadv.Adversary fields
 // (severity, placement, adaptivity, onset), not just the named presets.
 // advs[0] is the baseline column the slowdown factors are rendered against;
-// pass the zero Adversary there for a clean baseline. The worst-case search
-// (internal/advsearch) feeds its found configurations through this entry
-// point, so searched and preset adversaries share one measurement path.
-// Adaptive columns render as "…/adv=<kind>@adaptive" in cell names.
-func AdversarySweepOver(scale Scale, seed int64, advs []netadv.Adversary) (*AdversaryReport, error) {
+// pass the zero Adversary there for a clean baseline. Adaptive columns
+// render as "…/adv=<kind>@adaptive" in cell names.
+func (e *Engine) AdversarySweepOver(scale Scale, seed int64, advs []netadv.Adversary) (*AdversaryReport, error) {
 	if len(advs) == 0 {
 		return nil, fmt.Errorf("bench: adversary sweep needs at least one column")
 	}
@@ -91,7 +89,7 @@ func AdversarySweepOver(scale Scale, seed int64, advs []netadv.Adversary) (*Adve
 			})
 		}
 	}
-	res, err := defaultEngine.RunScenarios(cells, seed, false)
+	res, err := e.RunScenarios(cells, seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +145,7 @@ type AdvRow struct {
 // identical inputs — the designed-ablation view of the adversary axis. The
 // ε-agreement guarantee must hold in every row (the adversary only delays;
 // safety is schedule-independent), while latency degrades per preset.
-func AblationAdversary(n int, seed int64) ([]*AdvRow, error) {
+func (e *Engine) AblationAdversary(n int, seed int64) ([]*AdvRow, error) {
 	f := faults(n)
 	inputs := OracleInputs(n, 41000, 20, seed)
 	p := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2}
@@ -161,7 +159,7 @@ func AblationAdversary(n int, seed int64) ([]*AdvRow, error) {
 		})
 		labels = append(labels, "adv="+adv.String())
 	}
-	stats, err := labelledBatch("ablation", specs, labels)
+	stats, err := e.labelledBatch("ablation", specs, labels)
 	if err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ type ValidityReport struct {
 // outputs sit from the honest mean. The paper reports Delphi ≈2x the
 // baseline's distance (25$ vs 12.5$ on the oracle; 2.6m vs 1.3m on drones).
 // All trials of both applications run as one engine batch.
-func Validity(scale Scale, seed int64) ([]*ValidityReport, error) {
+func (e *Engine) Validity(scale Scale, seed int64) ([]*ValidityReport, error) {
 	trials := 3
 	n := 16
 	if scale == Paper {
@@ -188,7 +188,7 @@ func Validity(scale Scale, seed int64) ([]*ValidityReport, error) {
 			}
 		}
 	}
-	stats, err := labelledBatch("validity", specs, labels)
+	stats, err := e.labelledBatch("validity", specs, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +235,7 @@ type TailReport struct {
 // models to it. Scale selects the trial count and parameterisation:
 // Quick uses Table I's Δ=256$ sizing so the sweep stays subsecond per
 // trial; Paper uses the full Fig. 6b oracle parameterisation.
-func LatencyTail(scale Scale, seed int64) (*TailReport, error) {
+func (e *Engine) LatencyTail(scale Scale, seed int64) (*TailReport, error) {
 	trials := 12
 	n := 16
 	params := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2}
@@ -254,10 +254,11 @@ func LatencyTail(scale Scale, seed int64) (*TailReport, error) {
 		Delta:    20,
 		Trials:   trials,
 	}
-	res, err := defaultEngine.RunScenario(sc, seed, true)
+	cells, err := e.RunScenarios([]Scenario{sc}, seed, true)
 	if err != nil {
 		return nil, err
 	}
+	res := cells[0]
 	samples := res.Agg.LatencyMS.Samples
 	rep := &TailReport{Scenario: sc, Agg: res.Agg}
 	if fre, err := dist.FitFrechet(samples); err == nil {

@@ -73,11 +73,13 @@ type SessionSupport struct {
 	Open func(RunSpec) (BackendSession, error)
 }
 
-// registeredBackend pairs a backend's runner with its capabilities.
+// registeredBackend is one registry row: a backend's runner, its
+// capabilities, and the optional session and service openers.
 type registeredBackend struct {
 	caps     BackendCaps
 	run      BackendFunc
 	sessions *SessionSupport
+	service  ServiceOpen
 }
 
 var (
@@ -112,73 +114,85 @@ func MustRegisterBackend(kind BackendKind, caps BackendCaps, run BackendFunc) {
 	}
 }
 
-// RegisterBackendSessions installs persistent-session support for an
-// already-registered backend kind. The simulator's session support (scratch
-// reuse) is built in and cannot be replaced.
-func RegisterBackendSessions(kind BackendKind, s SessionSupport) error {
-	if kind == "" || kind == BackendSim {
-		return fmt.Errorf("bench: backend %q sessions are built in", kind)
-	}
+// MustRegisterBackendSessions installs persistent-session support for an
+// already-registered backend kind, panicking on error. The simulator's
+// session support (scratch reuse) is built in and cannot be replaced.
+func MustRegisterBackendSessions(kind BackendKind, s SessionSupport) {
 	if s.Key == nil || s.Open == nil {
-		return fmt.Errorf("bench: backend %q: session support needs Key and Open", kind)
+		panic(fmt.Errorf("bench: backend %q: session support needs Key and Open", kind))
+	}
+	amendBackend(kind, "session support", func(b *registeredBackend) bool {
+		if b.sessions != nil {
+			return false
+		}
+		b.sessions = &s
+		return true
+	})
+}
+
+// MustRegisterServiceBackend installs concurrent-instance service support
+// for an already-registered wall-clock backend, panicking on error. The
+// simulator's service model is built in.
+func MustRegisterServiceBackend(kind BackendKind, open ServiceOpen) {
+	if open == nil {
+		panic(fmt.Errorf("bench: service backend %q: nil opener", kind))
+	}
+	amendBackend(kind, "service support", func(b *registeredBackend) bool {
+		if b.service != nil {
+			return false
+		}
+		b.service = open
+		return true
+	})
+}
+
+// amendBackend adds one opener to kind's registry row; set reports false
+// when the row already has it. Every failure is a build defect, so it
+// panics.
+func amendBackend(kind BackendKind, what string, set func(*registeredBackend) bool) {
+	if kind == "" || kind == BackendSim {
+		panic(fmt.Errorf("bench: backend %q: %s is built in", kind, what))
 	}
 	backendMu.Lock()
 	defer backendMu.Unlock()
 	b, ok := backendTab[kind]
 	if !ok {
-		return fmt.Errorf("bench: backend %q not registered", kind)
+		panic(fmt.Errorf("bench: backend %q not registered", kind))
 	}
-	if b.sessions != nil {
-		return fmt.Errorf("bench: backend %q sessions already registered", kind)
+	if !set(&b) {
+		panic(fmt.Errorf("bench: backend %q: %s already registered", kind, what))
 	}
-	b.sessions = &s
 	backendTab[kind] = b
-	return nil
 }
 
-// MustRegisterBackendSessions is RegisterBackendSessions panicking on error.
-func MustRegisterBackendSessions(kind BackendKind, s SessionSupport) {
-	if err := RegisterBackendSessions(kind, s); err != nil {
-		panic(err)
+// lookupBackend returns kind's registry row; the simulator's is built in.
+func lookupBackend(kind BackendKind) (registeredBackend, bool) {
+	if kind == "" || kind == BackendSim {
+		return registeredBackend{caps: BackendCaps{Deterministic: true}, run: Run, sessions: &simSessions}, true
 	}
+	backendMu.RLock()
+	defer backendMu.RUnlock()
+	b, ok := backendTab[kind]
+	return b, ok
 }
 
 // BackendSessionful reports whether kind amortises setup across trials via
 // persistent sessions.
 func BackendSessionful(kind BackendKind) bool {
-	return sessionSupportOf(kind) != nil
-}
-
-// sessionSupportOf returns kind's session support (nil when absent).
-func sessionSupportOf(kind BackendKind) *SessionSupport {
-	if kind == "" || kind == BackendSim {
-		return &simSessions
-	}
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return backendTab[kind].sessions
+	b, _ := lookupBackend(kind)
+	return b.sessions != nil
 }
 
 // BackendRegistered reports whether kind can execute specs in this process.
 func BackendRegistered(kind BackendKind) bool {
-	if kind == "" || kind == BackendSim {
-		return true
-	}
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	_, ok := backendTab[kind]
+	_, ok := lookupBackend(kind)
 	return ok
 }
 
 // BackendCapsOf returns kind's capabilities; ok is false for unregistered
 // kinds.
 func BackendCapsOf(kind BackendKind) (caps BackendCaps, ok bool) {
-	if kind == "" || kind == BackendSim {
-		return BackendCaps{Deterministic: true}, true
-	}
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	b, ok := backendTab[kind]
+	b, ok := lookupBackend(kind)
 	return b.caps, ok
 }
 
@@ -195,66 +209,45 @@ func RegisteredBackends() []BackendKind {
 	return append([]BackendKind{BackendSim}, out...)
 }
 
-// defaultBackend is where specs without an explicit Backend run; the zero
-// value is the simulator.
-var defaultBackend BackendKind
-
-// SetDefaultBackend retargets every spec whose Backend field is empty to
-// kind — how cmd/experiments' -backend flag moves existing workloads onto a
-// live cluster wholesale. It is not safe to call concurrently with running
-// experiments. The empty kind (or "sim") restores the simulator.
-func SetDefaultBackend(kind BackendKind) error {
-	if !BackendRegistered(kind) {
-		return fmt.Errorf("bench: backend %q not registered (import delphi/internal/backend)", kind)
-	}
-	defaultBackend = kind
-	return nil
+// errUnregistered names a kind no backend registered.
+func errUnregistered(kind BackendKind) error {
+	return fmt.Errorf("bench: backend %q not registered (import delphi/internal/backend)", kind)
 }
 
-// runSpec dispatches a spec to its backend; the engine's workers and the
-// sequential path both go through it. The simulator path is exactly Run, so
-// specs without a Backend are byte-identical to the pre-axis harness.
-func runSpec(spec RunSpec) (*RunStats, error) {
-	return runSpecIn(spec, nil)
-}
-
-// runSpecIn dispatches a spec, routing it through c's persistent session
-// for the spec's cell when the backend supports sessions (c == nil forces
-// the per-trial path). Sessions amortise setup only — a trial's result is
-// identical either way, so worker count and session distribution never
-// change measurements.
-func runSpecIn(spec RunSpec, c *sessionCache) (*RunStats, error) {
+// runSpec dispatches a spec to its backend, filling the fields it leaves
+// zero from e: Backend, then SimWorkers. It routes the spec through c's
+// persistent session for its cell when the backend supports sessions
+// (c == nil forces per-trial setup). Sessions amortise setup only — a
+// trial's result is identical either way, so worker count and session
+// distribution never change measurements. The simulator path is exactly
+// Run.
+func (e *Engine) runSpec(spec RunSpec, c *sessionCache) (*RunStats, error) {
 	kind := spec.Backend
 	if kind == "" {
-		kind = defaultBackend
+		kind = e.Backend
 	}
 	isSim := kind == "" || kind == BackendSim
 	if !isSim {
 		spec.Backend = kind
 	}
-	if c != nil {
-		if sup := sessionSupportOf(kind); sup != nil {
-			st, err := c.run(sup, kind, spec)
-			if err != nil && !isSim {
-				return nil, fmt.Errorf("backend %s: %w", kind, err)
-			}
-			return st, err
-		}
+	if spec.SimWorkers == 0 {
+		spec.SimWorkers = e.SimWorkers
 	}
-	if isSim {
-		return Run(spec)
-	}
-	backendMu.RLock()
-	b, ok := backendTab[kind]
-	backendMu.RUnlock()
+	b, ok := lookupBackend(kind)
 	if !ok {
-		return nil, fmt.Errorf("bench: backend %q not registered (import delphi/internal/backend)", kind)
+		return nil, errUnregistered(kind)
 	}
-	st, err := b.run(spec)
-	if err != nil {
+	var st *RunStats
+	var err error
+	if c != nil && b.sessions != nil {
+		st, err = c.run(b.sessions, kind, spec)
+	} else {
+		st, err = b.run(spec)
+	}
+	if err != nil && !isSim {
 		return nil, fmt.Errorf("backend %s: %w", kind, err)
 	}
-	return st, nil
+	return st, err
 }
 
 // sessionCache holds one engine worker's open sessions, keyed by

@@ -89,7 +89,8 @@ func TestBackendRegistry(t *testing.T) {
 
 // TestBackendUnregisteredErrors pins the failure mode a missing
 // `import delphi/internal/backend` produces: scenario validation and
-// engine dispatch both name the unregistered kind.
+// engine dispatch, by spec or by engine default, all name the unregistered
+// kind.
 func TestBackendUnregisteredErrors(t *testing.T) {
 	_, err := bench.NewEngine(1).RunBatch([]bench.RunSpec{specFor("quantum")})
 	if err == nil || !strings.Contains(err.Error(), "quantum") {
@@ -107,11 +108,11 @@ func TestBackendUnregisteredErrors(t *testing.T) {
 	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Errorf("scenario validation error = %v", err)
 	}
-	if err := bench.SetDefaultBackend("quantum"); err == nil {
-		t.Error("SetDefaultBackend accepted an unregistered kind")
-	}
-	if err := bench.SetDefaultBackend(""); err != nil {
-		t.Errorf("restoring the sim default: %v", err)
+	// An engine's Backend retargets specs that name none, so it fails the
+	// same way.
+	_, err = (&bench.Engine{Backend: "quantum"}).RunBatch([]bench.RunSpec{specFor("")})
+	if err == nil || !strings.Contains(err.Error(), "quantum") {
+		t.Errorf("unregistered engine backend error = %v", err)
 	}
 }
 

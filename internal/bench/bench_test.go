@@ -12,7 +12,7 @@ func TestFig6aQuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	fig, err := bench.Fig6a(bench.Quick, 1)
+	fig, err := bench.NewEngine(0).Fig6a(bench.Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestFig6bDelphiBandwidthBelowBaselines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	fig, err := bench.Fig6b(bench.Quick, 2)
+	fig, err := bench.NewEngine(0).Fig6b(bench.Quick, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestTable1Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	tbl, err := bench.Table1(bench.Quick, 3)
+	tbl, err := bench.NewEngine(0).Table1(bench.Quick, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestValidityRelaxationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	reps, err := bench.Validity(bench.Quick, 5)
+	reps, err := bench.NewEngine(0).Validity(bench.Quick, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func (e *Engine) ValidateCrossBackend(kinds []BackendKind, scale Scale, seed int
 	}
 	for _, k := range kinds {
 		if !BackendRegistered(k) {
-			return nil, fmt.Errorf("bench: backend %q not registered (import delphi/internal/backend)", k)
+			return nil, errUnregistered(k)
 		}
 	}
 	trials := 1

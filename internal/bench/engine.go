@@ -15,7 +15,9 @@ import (
 // function of its spec (the simulator derives all randomness from the
 // spec's seed), so results are byte-identical to running the same specs
 // sequentially through Run — the engine only changes wall-clock, never
-// measurements. The zero value is ready to use.
+// measurements. An Engine is the whole run configuration: every experiment
+// entry point that runs trials is a method on it, and the package keeps no
+// process-wide settings. The zero value is ready to use.
 type Engine struct {
 	// Workers bounds the number of concurrent trials; <= 0 means
 	// GOMAXPROCS.
@@ -26,6 +28,12 @@ type Engine struct {
 	// change results — this switch exists for the setup-cost benchmarks
 	// and as an escape hatch.
 	DisableSessions bool
+	// Backend runs every spec (and service config) whose Backend is empty;
+	// the zero value is the simulator. It must be registered.
+	Backend BackendKind
+	// SimWorkers is the parallel window executor's worker count for every
+	// sim-backed spec whose SimWorkers is zero; 0 keeps the sequential loop.
+	SimWorkers int
 }
 
 // NewEngine returns an engine with the given worker count (<= 0 for
@@ -33,15 +41,11 @@ type Engine struct {
 func NewEngine(workers int) *Engine { return &Engine{Workers: workers} }
 
 func (e *Engine) workers() int {
-	if e != nil && e.Workers > 0 {
+	if e.Workers > 0 {
 		return e.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// defaultEngine runs the package-level experiment entry points. Callers that
-// need a different worker count construct their own Engine.
-var defaultEngine = &Engine{}
 
 // TrialError attaches the failing trial's batch index to its error.
 type TrialError struct {
@@ -75,26 +79,6 @@ func (e *Engine) RunBatch(specs []RunSpec) ([]*RunStats, error) {
 	if w > len(specs) {
 		w = len(specs)
 	}
-	sessions := func() *sessionCache {
-		if e != nil && e.DisableSessions {
-			return nil
-		}
-		return newSessionCache()
-	}
-	if w <= 1 {
-		cache := sessions()
-		if cache != nil {
-			defer cache.close()
-		}
-		for i := range specs {
-			st, err := runSpecIn(specs[i], cache)
-			if err != nil {
-				return nil, &TrialError{Index: i, Err: err}
-			}
-			out[i] = st
-		}
-		return out, nil
-	}
 	next := make(chan int)
 	// minFail tracks the lowest failing index seen so far. A failed batch
 	// discards every result, so trials above a known failure are skipped —
@@ -107,15 +91,16 @@ func (e *Engine) RunBatch(specs []RunSpec) ([]*RunStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cache := sessions()
-			if cache != nil {
+			var cache *sessionCache
+			if !e.DisableSessions {
+				cache = newSessionCache()
 				defer cache.close()
 			}
 			for i := range next {
 				if int64(i) > minFail.Load() {
 					continue
 				}
-				out[i], errs[i] = runSpecIn(specs[i], cache)
+				out[i], errs[i] = e.runSpec(specs[i], cache)
 				if errs[i] != nil {
 					for {
 						cur := minFail.Load()
@@ -139,22 +124,6 @@ func (e *Engine) RunBatch(specs []RunSpec) ([]*RunStats, error) {
 	}
 	return out, nil
 }
-
-// SetDefaultWorkers bounds the worker pool used by the package-level
-// experiment entry points (Fig6a, Table1, ...); <= 0 restores GOMAXPROCS.
-// It is not safe to call concurrently with running experiments.
-func SetDefaultWorkers(n int) { defaultEngine.Workers = n }
-
-// SetDefaultSessions toggles persistent backend sessions on the shared
-// engine (enabled by default). Disabling forces per-trial setup everywhere
-// — cmd/experiments' -sessions=false, for A/B-ing the amortisation. It is
-// not safe to call concurrently with running experiments.
-func SetDefaultSessions(enabled bool) { defaultEngine.DisableSessions = !enabled }
-
-// DefaultEngine returns the shared engine the package-level experiment
-// entry points run on (sized by SetDefaultWorkers), for callers composing
-// their own scenarios under the same worker budget.
-func DefaultEngine() *Engine { return defaultEngine }
 
 // TrialSeed derives trial i's simulation seed from a base seed. The
 // derivation is a splitmix64 step — deterministic, order-free, and

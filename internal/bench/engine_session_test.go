@@ -179,7 +179,8 @@ func TestEngineSessionDropsFailedMidBatch(t *testing.T) {
 	// for trials 2 and 3 (they run before RunBatch returns the error only
 	// if their indices are below the failure — they are not — so drive the
 	// cache by hand).
-	sup := sessionSupportOf(fakeKind)
+	b, _ := lookupBackend(fakeKind)
+	sup := b.sessions
 	if sup == nil {
 		t.Fatal("fake backend lost its session support")
 	}

@@ -116,21 +116,23 @@ func TestTrialSeedProperties(t *testing.T) {
 }
 
 // TestRunBatchErrorIndex pins the error contract: the lowest-indexed
-// failure wins, wrapped in a TrialError.
+// failure wins, wrapped in a TrialError, at any worker count.
 func TestRunBatchErrorIndex(t *testing.T) {
 	specs := detSpecs()[:3]
 	specs[1].Protocol = "nonsense"
 	specs[2].Protocol = "alsobad"
-	_, err := bench.NewEngine(4).RunBatch(specs)
-	if err == nil {
-		t.Fatal("want error")
-	}
-	var te *bench.TrialError
-	if !errors.As(err, &te) {
-		t.Fatalf("error %v is not a TrialError", err)
-	}
-	if te.Index != 1 {
-		t.Errorf("failing index = %d, want 1 (lowest)", te.Index)
+	for _, workers := range []int{1, 4} {
+		_, err := bench.NewEngine(workers).RunBatch(specs)
+		if err == nil {
+			t.Fatalf("workers=%d: want error", workers)
+		}
+		var te *bench.TrialError
+		if !errors.As(err, &te) {
+			t.Fatalf("workers=%d: error %v is not a TrialError", workers, err)
+		}
+		if te.Index != 1 {
+			t.Errorf("workers=%d: failing index = %d, want 1 (lowest)", workers, te.Index)
+		}
 	}
 }
 

@@ -112,10 +112,10 @@ func cpsNodeCounts(scale Scale) []int {
 
 func faults(n int) int { return (n - 1) / 3 }
 
-// labelledBatch runs the specs through the shared engine, re-labelling a
-// failed trial with its experiment-level label.
-func labelledBatch(name string, specs []RunSpec, labels []string) ([]*RunStats, error) {
-	stats, err := defaultEngine.RunBatch(specs)
+// labelledBatch runs the specs as one batch, re-labelling a failed trial
+// with its experiment-level label.
+func (e *Engine) labelledBatch(name string, specs []RunSpec, labels []string) ([]*RunStats, error) {
+	stats, err := e.RunBatch(specs)
 	if err != nil {
 		var te *TrialError
 		if errors.As(err, &te) && te.Index < len(labels) {
@@ -144,7 +144,7 @@ type fig6Axes struct {
 // fig6 builds one Fig. 6 panel: Delphi at two input ranges, FIN, and
 // Abraham et al. at the small range, swept over the node counts. All runs
 // of the whole panel form one engine batch.
-func fig6(a fig6Axes, seed int64) (*Figure, error) {
+func (e *Engine) fig6(a fig6Axes, seed int64) (*Figure, error) {
 	series := []Series{
 		{Label: "Delphi " + a.labelSmall},
 		{Label: "Delphi " + a.labelLarge},
@@ -167,7 +167,7 @@ func fig6(a fig6Axes, seed int64) (*Figure, error) {
 			labels = append(labels, fmt.Sprintf("n=%d %s", n, series[i].Label))
 		}
 	}
-	stats, err := labelledBatch(a.name, specs, labels)
+	stats, err := e.labelledBatch(a.name, specs, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -187,8 +187,8 @@ func trafficMB(st *RunStats) float64 { return float64(st.TotalBytes) / 1e6 }
 
 // Fig6a reproduces "Runtime vs n on AWS": Delphi at δ=20$ and δ=180$, FIN,
 // and Abraham et al. at δ=20$, as milliseconds of virtual latency.
-func Fig6a(scale Scale, seed int64) (*Figure, error) {
-	return fig6(fig6Axes{
+func (e *Engine) Fig6a(scale Scale, seed int64) (*Figure, error) {
+	return e.fig6(fig6Axes{
 		name: "fig6a", title: "Runtime vs n on AWS (ms)",
 		env: sim.AWS(), ns: awsNodeCounts(scale), params: oracleParams(),
 		center: 41000, deltaSmall: 20, deltaLarge: 180,
@@ -198,8 +198,8 @@ func Fig6a(scale Scale, seed int64) (*Figure, error) {
 }
 
 // Fig6b reproduces "Network bandwidth vs n on AWS" in megabytes.
-func Fig6b(scale Scale, seed int64) (*Figure, error) {
-	return fig6(fig6Axes{
+func (e *Engine) Fig6b(scale Scale, seed int64) (*Figure, error) {
+	return e.fig6(fig6Axes{
 		name: "fig6b", title: "Bandwidth vs n on AWS (MB)",
 		env: sim.AWS(), ns: awsNodeCounts(scale), params: oracleParamsBandwidth(),
 		center: 41000, deltaSmall: 20, deltaLarge: 180,
@@ -210,8 +210,8 @@ func Fig6b(scale Scale, seed int64) (*Figure, error) {
 
 // Fig6c reproduces "Runtime vs n on the embedded (CPS) testbed": Delphi at
 // δ=5m and δ=50m, FIN, Abraham et al. at δ=5m, in milliseconds.
-func Fig6c(scale Scale, seed int64) (*Figure, error) {
-	return fig6(fig6Axes{
+func (e *Engine) Fig6c(scale Scale, seed int64) (*Figure, error) {
+	return e.fig6(fig6Axes{
 		name: "fig6c", title: "Runtime vs n on CPS testbed (ms)",
 		env: sim.CPS(), ns: cpsNodeCounts(scale), params: cpsParams(),
 		center: 500, deltaSmall: 5, deltaLarge: 50,
@@ -237,7 +237,7 @@ type Heatmap struct {
 }
 
 // Fig7 reproduces the runtime heatmaps on AWS (n=64) and CPS (n=85).
-func Fig7(scale Scale, seed int64) (awsMap, cpsMap *Heatmap, err error) {
+func (e *Engine) Fig7(scale Scale, seed int64) (awsMap, cpsMap *Heatmap, err error) {
 	awsN, cpsN := 64, 85
 	awsAgr := []float64{2000, 400, 100, 20}
 	awsRng := []float64{1, 4, 20, 90}
@@ -250,18 +250,18 @@ func Fig7(scale Scale, seed int64) (awsMap, cpsMap *Heatmap, err error) {
 		cpsAgr = []float64{400, 20}
 		cpsRng = []float64{1, 20}
 	}
-	awsMap, err = heatmap("aws", sim.AWS(), awsN, 2.0, awsAgr, awsRng, 100000, 41000, seed)
+	awsMap, err = e.heatmap("aws", sim.AWS(), awsN, 2.0, awsAgr, awsRng, 100000, 41000, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	cpsMap, err = heatmap("cps", sim.CPS(), cpsN, 0.5, cpsAgr, cpsRng, 100000, 41000, seed)
+	cpsMap, err = e.heatmap("cps", sim.CPS(), cpsN, 0.5, cpsAgr, cpsRng, 100000, 41000, seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	return awsMap, cpsMap, nil
 }
 
-func heatmap(name string, env sim.Environment, n int, eps float64, agr, rng []float64, e, center float64, seed int64) (*Heatmap, error) {
+func (e *Engine) heatmap(name string, env sim.Environment, n int, eps float64, agr, rng []float64, emax, center float64, seed int64) (*Heatmap, error) {
 	h := &Heatmap{Env: name, AgreementRatios: agr, RangeRatios: rng}
 	f := faults(n)
 	// Expand the feasible cells into one batch, remembering each spec's
@@ -274,7 +274,7 @@ func heatmap(name string, env sim.Environment, n int, eps float64, agr, rng []fl
 	for i, ar := range agr {
 		h.Seconds[i] = make([]float64, len(rng))
 		for j, rr := range rng {
-			p := core.Params{S: 0, E: e, Rho0: eps, Delta: ar * eps, Eps: eps}
+			p := core.Params{S: 0, E: emax, Rho0: eps, Delta: ar * eps, Eps: eps}
 			delta := rr * p.Rho0
 			if delta > p.Delta {
 				h.Seconds[i][j] = math.NaN()
@@ -289,7 +289,7 @@ func heatmap(name string, env sim.Environment, n int, eps float64, agr, rng []fl
 			cells = append(cells, cell{i, j})
 		}
 	}
-	stats, err := labelledBatch("fig7", specs, labels)
+	stats, err := e.labelledBatch("fig7", specs, labels)
 	if err != nil {
 		return nil, err
 	}

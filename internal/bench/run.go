@@ -75,9 +75,9 @@ type RunSpec struct {
 	// delphi/internal/backend) before the engine can run them.
 	Backend BackendKind
 	// SimWorkers enables the simulator's conservative-window parallel mode
-	// with that many shard workers (sim.WithParallelWindow); 0 uses the
-	// process default (SetDefaultSimWorkers), and the sequential loop when
-	// that is unset. Sim-only: live backends ignore it. Parallel runs are
+	// with that many shard workers (sim.WithParallelWindow); 0 runs the
+	// sequential loop, unless an Engine fills it from Engine.SimWorkers.
+	// Sim-only: live backends ignore it. Parallel runs are
 	// byte-identical across reruns and worker counts but follow a different
 	// (equally valid) schedule than sequential runs, so sequential goldens
 	// only transfer as δ-window statistical agreement.
@@ -344,22 +344,6 @@ var simSessions = SessionSupport{
 	Open: func(RunSpec) (BackendSession, error) { return &simSession{scratch: new(sim.Scratch)}, nil },
 }
 
-// defaultSimWorkers is the process-wide worker count for specs whose
-// SimWorkers field is zero; 0 keeps the sequential loop.
-var defaultSimWorkers int
-
-// SetDefaultSimWorkers routes every sim-backed spec with SimWorkers == 0
-// through the parallel window executor with the given worker count
-// (negative or zero restores the sequential default). Like
-// SetDefaultBackend it is process-wide CLI plumbing — call it before
-// running, not concurrently with an Engine.
-func SetDefaultSimWorkers(workers int) {
-	if workers < 0 {
-		workers = 0
-	}
-	defaultSimWorkers = workers
-}
-
 type simSession struct {
 	scratch *sim.Scratch
 }
@@ -403,12 +387,8 @@ func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 		scratch = borrowScratch()
 	}
 	opts = append(opts, sim.WithScratch(scratch))
-	workers := spec.SimWorkers
-	if workers == 0 {
-		workers = defaultSimWorkers
-	}
-	if workers > 0 {
-		opts = append(opts, sim.WithParallelWindow(workers))
+	if spec.SimWorkers > 0 {
+		opts = append(opts, sim.WithParallelWindow(spec.SimWorkers))
 		if extra := spec.Adversary.Lookahead(); extra > 0 {
 			opts = append(opts, sim.WithLookahead(extra))
 		}

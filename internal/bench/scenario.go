@@ -124,8 +124,9 @@ type Scenario struct {
 	// "/be=live" etc. in matrix names.
 	Backend BackendKind
 	// SimWorkers runs every sim-backed trial under the parallel window
-	// executor with that many shard workers (0 = the process default, then
-	// sequential). Renders as "/simw=K" in matrix names.
+	// executor with that many shard workers; 0 is the sequential loop
+	// unless the Engine fills it (see RunSpec.SimWorkers). Renders as
+	// "/simw=K" in matrix names.
 	SimWorkers int
 	// Trials is the per-scenario trial count (default 1). Trial i runs at
 	// seed TrialSeed(base, i) with freshly shaped inputs.
@@ -226,24 +227,6 @@ type ScenarioResult struct {
 	Agg *Aggregate
 }
 
-// RunScenario executes every trial of the scenario across the worker pool
-// and aggregates the results. keepSamples retains per-trial latency samples
-// for tail (EVT) fitting.
-func (e *Engine) RunScenario(s Scenario, baseSeed int64, keepSamples bool) (*ScenarioResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	stats, err := e.RunBatch(s.Specs(baseSeed))
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	agg := NewAggregate(keepSamples)
-	for _, st := range stats {
-		agg.Observe(st)
-	}
-	return &ScenarioResult{Scenario: s, Agg: agg}, nil
-}
-
 // Matrix is a scenario grid: a base scenario crossed with per-axis value
 // lists. Nil axes keep the base value, so a Matrix degenerates gracefully
 // to a single scenario. The paper's sweeps (env × n, δ sweep, fault
@@ -265,7 +248,8 @@ type Matrix struct {
 	// backends, which run on the real host).
 	Backends []BackendKind
 	// SimWorkerCounts crosses every cell with the listed sim worker counts
-	// (0 = sequential) — the scale sweeps' sequential-vs-parallel axis.
+	// (0 = sequential, unless the Engine fills it from Engine.SimWorkers) —
+	// the scale sweeps' sequential-vs-parallel axis.
 	SimWorkerCounts []int
 }
 

@@ -107,10 +107,11 @@ func TestScenarioFaultInjection(t *testing.T) {
 			Params: scenarioParams(), Center: 41000, Delta: 20,
 			Crashes: 1, Byzantine: 1, ByzKind: kind, Trials: 1,
 		}
-		res, err := bench.NewEngine(2).RunScenario(s, 9, false)
+		cells, err := bench.NewEngine(2).RunScenarios([]bench.Scenario{s}, 9, false)
 		if err != nil {
 			t.Fatalf("kind %d: %v", kind, err)
 		}
+		res := cells[0]
 		if res.Agg.Trials != 1 {
 			t.Fatalf("kind %d: trials = %d", kind, res.Agg.Trials)
 		}
@@ -179,7 +180,7 @@ func TestLatencyTailShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	rep, err := bench.LatencyTail(bench.Quick, 17)
+	rep, err := bench.NewEngine(0).LatencyTail(bench.Quick, 17)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,45 +265,6 @@ type ServiceRunner interface {
 // timeout bounds each round (0 means the backend default).
 type ServiceOpen func(spec RunSpec, timeout time.Duration) (ServiceRunner, error)
 
-var (
-	serviceMu  sync.RWMutex
-	serviceTab = map[BackendKind]ServiceOpen{}
-)
-
-// RegisterServiceBackend installs concurrent-instance service support for a
-// registered wall-clock backend. The simulator's service model is built in.
-func RegisterServiceBackend(kind BackendKind, open ServiceOpen) error {
-	if kind == "" || kind == BackendSim {
-		return fmt.Errorf("bench: service on backend %q is built in", kind)
-	}
-	if open == nil {
-		return fmt.Errorf("bench: service backend %q: nil opener", kind)
-	}
-	if !BackendRegistered(kind) {
-		return fmt.Errorf("bench: service backend %q not registered", kind)
-	}
-	serviceMu.Lock()
-	defer serviceMu.Unlock()
-	if _, dup := serviceTab[kind]; dup {
-		return fmt.Errorf("bench: service backend %q already registered", kind)
-	}
-	serviceTab[kind] = open
-	return nil
-}
-
-// MustRegisterServiceBackend is RegisterServiceBackend panicking on error.
-func MustRegisterServiceBackend(kind BackendKind, open ServiceOpen) {
-	if err := RegisterServiceBackend(kind, open); err != nil {
-		panic(err)
-	}
-}
-
-func serviceOpenOf(kind BackendKind) ServiceOpen {
-	serviceMu.RLock()
-	defer serviceMu.RUnlock()
-	return serviceTab[kind]
-}
-
 // RunService executes one continuous-service run and returns its report.
 // Simulator cells run the deterministic queueing model; live cells need
 // their backend's service support registered (import internal/backend).
@@ -313,33 +274,16 @@ func (e *Engine) RunService(cfg ServiceConfig, seed int64) (*ServiceReport, erro
 	}
 	kind := cfg.Scenario.Backend
 	if kind == "" {
-		kind = defaultBackend
+		kind = e.Backend
 	}
 	if kind == "" || kind == BackendSim {
 		return e.runServiceSim(cfg, seed)
 	}
-	open := serviceOpenOf(kind)
-	if open == nil {
+	b, _ := lookupBackend(kind)
+	if b.service == nil {
 		return nil, fmt.Errorf("bench: backend %q has no service support (import delphi/internal/backend)", kind)
 	}
-	return runServiceLive(cfg, kind, seed, open)
-}
-
-// RunServiceScenarios runs the service once per cell — the Matrix wiring:
-// expand a Matrix to cells, then sweep the same arrival process across
-// them. cfg.Scenario is replaced by each cell in turn.
-func (e *Engine) RunServiceScenarios(cells []Scenario, cfg ServiceConfig, seed int64) ([]*ServiceReport, error) {
-	out := make([]*ServiceReport, len(cells))
-	for i, cell := range cells {
-		c := cfg
-		c.Scenario = cell
-		r, err := e.RunService(c, seed)
-		if err != nil {
-			return nil, fmt.Errorf("service cell %q: %w", cell.Name, err)
-		}
-		out[i] = r
-	}
-	return out, nil
+	return runServiceLive(cfg, kind, seed, b.service)
 }
 
 // interarrival returns arrival i's gap in seconds, a pure function of

@@ -181,18 +181,18 @@ func TestServiceValidation(t *testing.T) {
 func TestServiceScenariosSweep(t *testing.T) {
 	m := bench.Matrix{Base: serviceScenario(), Ns: []int{8, 16}}
 	cells := m.Scenarios()
-	cfg := serviceConfig(20, 100)
-	reports, err := bench.NewEngine(4).RunServiceScenarios(cells, cfg, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != len(cells) {
-		t.Fatalf("%d reports for %d cells", len(reports), len(cells))
-	}
-	for i, r := range reports {
-		if r.Decided == 0 {
-			t.Fatalf("cell %q decided nothing", cells[i].Name)
+	reports := make([]*bench.ServiceReport, len(cells))
+	for i, cell := range cells {
+		cfg := serviceConfig(20, 100)
+		cfg.Scenario = cell
+		r, err := bench.NewEngine(4).RunService(cfg, 11)
+		if err != nil {
+			t.Fatalf("cell %q: %v", cell.Name, err)
 		}
+		if r.Decided == 0 {
+			t.Fatalf("cell %q decided nothing", cell.Name)
+		}
+		reports[i] = r
 	}
 	// Bigger clusters are slower per round; the overlay must reflect the
 	// underlying service times, so n=16's mean service time exceeds n=8's.

@@ -71,7 +71,7 @@ func renderTable(t *Table) {
 // Table1 is the measured companion of the paper's Table I: the four convex
 // BA protocols on identical inputs, reporting bits on the wire, latency,
 // crypto operations, agreement distance, and validity interval slack.
-func Table1(scale Scale, seed int64) (*Table, error) {
+func (e *Engine) Table1(scale Scale, seed int64) (*Table, error) {
 	n := 16
 	if scale == Paper {
 		n = 64
@@ -95,7 +95,7 @@ func Table1(scale Scale, seed int64) (*Table, error) {
 		{Protocol: ProtoDolev, N: n, F: fDolev, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p},
 		{Protocol: ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p},
 	}
-	stats, err := labelledBatch("table1", specs, names)
+	stats, err := e.labelledBatch("table1", specs, names)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func Table1(scale Scale, seed int64) (*Table, error) {
 
 // Table2 is the paper's Table II: Delphi's communication and rounds under
 // the three (Δ, δ) conditions.
-func Table2(scale Scale, seed int64) (*Table, error) {
+func (e *Engine) Table2(scale Scale, seed int64) (*Table, error) {
 	n := 16
 	if scale == Paper {
 		n = 64
@@ -155,7 +155,7 @@ func Table2(scale Scale, seed int64) (*Table, error) {
 		})
 		labels = append(labels, c.name)
 	}
-	stats, err := labelledBatch("table2", specs, labels)
+	stats, err := e.labelledBatch("table2", specs, labels)
 	if err != nil {
 		return nil, err
 	}

@@ -165,8 +165,10 @@ go test ./internal/backend -count=1 ${short_flag:+"$short_flag"} \
 # one loopback cluster (listeners + connections) across the trials. The
 # target fails on any agreement violation. Stale inter-trial frames are
 # filtered by epoch id and counted, so stderr stays empty on a clean run.
+# The second run takes the per-trial setup path (-sessions=false).
 echo "== tcp session smoke =="
 go run ./cmd/experiments -scale quick -seed 1 -run sessions > /dev/null
+go run ./cmd/experiments -scale quick -seed 1 -sessions=false -run sessions > /dev/null
 
 # Continuous-service mode, two gates that run on every invocation
 # (including -short):
