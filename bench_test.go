@@ -84,25 +84,16 @@ func BenchmarkFig5(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6a regenerates Fig. 6a (runtime vs n, AWS).
-func BenchmarkFig6a(b *testing.B) {
+// BenchmarkFig6AWS regenerates Fig. 6a and 6b (runtime and bandwidth vs n,
+// AWS) from their one shared batch.
+func BenchmarkFig6AWS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.NewEngine(0).Fig6a(bench.Quick, 6)
+		runtime, bandwidth, err := bench.NewEngine(0).Fig6AWS(bench.Quick, 6)
 		if err != nil {
 			b.Fatal(err)
 		}
-		reportSeries(b, fig, "ms")
-	}
-}
-
-// BenchmarkFig6b regenerates Fig. 6b (bandwidth vs n, AWS).
-func BenchmarkFig6b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.NewEngine(0).Fig6b(bench.Quick, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, fig, "MB")
+		reportSeries(b, runtime, "ms")
+		reportSeries(b, bandwidth, "MB")
 	}
 }
 

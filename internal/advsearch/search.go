@@ -2,7 +2,7 @@
 // empirical worst case.
 //
 // The space is the cross product of netadv.Adversary's knobs — kind ×
-// severity × placement × onset × adaptivity — and the search runs entirely
+// severity × onset × adaptivity — and the search runs entirely
 // on the simulator backend, where a probe run costs hundreds of
 // nanoseconds per event, so thousands of probes are cheap. The loop is
 // successive halving (score every candidate at a small trial budget, keep
@@ -84,7 +84,6 @@ func (o Objective) score(st *bench.RunStats) float64 {
 type Space struct {
 	Kinds      []netadv.Kind
 	Severities []float64
-	Placements []netadv.Placement
 	Onsets     []time.Duration
 	Adaptive   []bool
 }
@@ -96,7 +95,6 @@ func DefaultSpace() Space {
 	return Space{
 		Kinds:      []netadv.Kind{netadv.SlowF, netadv.Gray, netadv.Partition, netadv.CoinRush, netadv.JitterStorm},
 		Severities: []float64{1, 2},
-		Placements: []netadv.Placement{netadv.PlaceDefault},
 		Onsets:     []time.Duration{0, 250 * time.Millisecond},
 		Adaptive:   []bool{false, true},
 	}
@@ -112,9 +110,6 @@ func (s Space) Candidates() []netadv.Adversary {
 	if len(s.Severities) == 0 {
 		s.Severities = d.Severities
 	}
-	if len(s.Placements) == 0 {
-		s.Placements = d.Placements
-	}
 	if len(s.Onsets) == 0 {
 		s.Onsets = d.Onsets
 	}
@@ -124,14 +119,11 @@ func (s Space) Candidates() []netadv.Adversary {
 	var out []netadv.Adversary
 	for _, k := range s.Kinds {
 		for _, sev := range s.Severities {
-			for _, pl := range s.Placements {
-				for _, on := range s.Onsets {
-					for _, ad := range s.Adaptive {
-						out = append(out, netadv.Adversary{
-							Kind: k, Severity: sev, Placement: pl,
-							Onset: on, Adaptive: ad,
-						})
-					}
+			for _, on := range s.Onsets {
+				for _, ad := range s.Adaptive {
+					out = append(out, netadv.Adversary{
+						Kind: k, Severity: sev, Onset: on, Adaptive: ad,
+					})
 				}
 			}
 		}

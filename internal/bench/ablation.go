@@ -9,7 +9,7 @@ import (
 
 // OracleDefaultParams exposes the oracle-network Delphi parameterisation
 // for external callers (benchmarks, examples).
-func OracleDefaultParams() core.Params { return oracleParamsBandwidth() }
+func OracleDefaultParams() core.Params { return oracleParams(2) }
 
 // AblationSingleLevel compares the paper's §III-B1 single-level strawman
 // (ρ0 = Δ, so l_M = 0) against full multi-level Delphi on identical
@@ -92,7 +92,7 @@ func (e *Engine) AblationEps(n int, seed int64) ([]*EpsRow, error) {
 func (e *Engine) AblationCompression(n int, seed int64) (compressed, plain *RunStats, err error) {
 	f := faults(n)
 	inputs := OracleInputs(n, 41000, 20, seed)
-	p := oracleParamsBandwidth()
+	p := OracleDefaultParams()
 	stats, err := e.labelledBatch("ablation", []RunSpec{
 		{Protocol: ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p},
 		{Protocol: ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p, NoCompression: true},
@@ -136,7 +136,7 @@ func (e *Engine) AblationFaults(n int, seed int64) (clean, crashed, byzantine *R
 		Protocol: ProtoDelphi,
 		N:        n,
 		Env:      sim.AWS(),
-		Params:   oracleParamsBandwidth(),
+		Params:   OracleDefaultParams(),
 		Center:   41000,
 		Delta:    20,
 	}

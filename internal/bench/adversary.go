@@ -43,7 +43,7 @@ func (e *Engine) AdversarySweep(scale Scale, seed int64) (*AdversaryReport, erro
 
 // AdversarySweepOver is AdversarySweep over an arbitrary adversary column
 // set — any parameterisation expressible as netadv.Adversary fields
-// (severity, placement, adaptivity, onset), not just the named presets.
+// (severity, adaptivity, onset), not just the named presets.
 // advs[0] is the baseline column the slowdown factors are rendered against;
 // pass the zero Adversary there for a clean baseline. Adaptive columns
 // render as "…/adv=<kind>@adaptive" in cell names.

@@ -175,33 +175,3 @@ func TestMatrixAdversaryAxis(t *testing.T) {
 		t.Error("unknown adversary kind accepted by matrix validation")
 	}
 }
-
-// TestSeededPlacementRunsDeterministic extends the rerun-determinism
-// guarantee to the placement knob: a seeded-placement adversary's full run
-// is still a pure function of the spec, and different seeds genuinely
-// exercise different placements (the netadv tests pin the target sets;
-// here the whole simulation must stay byte-identical per seed).
-func TestSeededPlacementRunsDeterministic(t *testing.T) {
-	n, f := 8, 2
-	p := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2}
-	for _, kind := range []netadv.Kind{netadv.SlowF, netadv.Gray, netadv.Partition} {
-		for seed := int64(1); seed <= 2; seed++ {
-			spec := bench.RunSpec{
-				Protocol: bench.ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed,
-				Inputs: bench.OracleInputs(n, 41000, 20, seed), Delphi: p,
-				Adversary: netadv.Adversary{Kind: kind, Placement: netadv.PlaceSeeded},
-			}
-			a, err := bench.Run(spec)
-			if err != nil {
-				t.Fatalf("%s@seeded seed=%d: %v", kind, seed, err)
-			}
-			b, err := bench.Run(spec)
-			if err != nil {
-				t.Fatalf("%s@seeded seed=%d rerun: %v", kind, seed, err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("%s@seeded seed=%d: rerun diverged", kind, seed)
-			}
-		}
-	}
-}

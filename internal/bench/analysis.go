@@ -242,7 +242,7 @@ func (e *Engine) LatencyTail(scale Scale, seed int64) (*TailReport, error) {
 	if scale == Paper {
 		trials = 48
 		n = 40
-		params = oracleParamsBandwidth()
+		params = OracleDefaultParams()
 	}
 	sc := Scenario{
 		Name:     "latency-tail",

@@ -8,34 +8,11 @@ import (
 	"delphi/internal/bench"
 )
 
-func TestFig6aQuickShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment harness test")
-	}
-	fig, err := bench.NewEngine(0).Fig6a(bench.Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 4 {
-		t.Fatalf("series = %d, want 4", len(fig.Series))
-	}
-	for _, s := range fig.Series {
-		for i, y := range s.Y {
-			if y <= 0 {
-				t.Errorf("%s: non-positive latency at x=%g", s.Label, s.X[i])
-			}
-		}
-	}
-	if !strings.Contains(fig.Text, "Delphi") {
-		t.Error("text rendering missing series labels")
-	}
-}
-
 func TestFig6bDelphiBandwidthBelowBaselines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	fig, err := bench.NewEngine(0).Fig6b(bench.Quick, 2)
+	_, fig, err := bench.NewEngine(0).Fig6AWS(bench.Quick, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

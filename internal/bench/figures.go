@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,8 +22,8 @@ const (
 	Quick Scale = iota + 1
 	// Medium reaches n=112 (a couple of minutes per figure on one core).
 	Medium
-	// Paper uses the paper's full node counts (1–2 minutes per figure on
-	// two cores; the Abraham baseline alone is ~40M simulated events at n=160).
+	// Paper uses the paper's full node counts (two cores, seed 1: ~80 s for
+	// the Fig. 6a+6b batch, ~40 s for Fig. 6c, ~10 s for Fig. 7).
 	Paper
 )
 
@@ -70,15 +71,11 @@ func renderFigure(f *Figure, xLabel, yLabel string) {
 	f.Text = b.String()
 }
 
-// oracleParams is the paper's oracle-network Delphi configuration for the
-// runtime plot (Fig. 6a): ρ0 = 10$, Δ = 2000$, ε = 2$.
-func oracleParams() core.Params {
-	return core.Params{S: 0, E: 100000, Rho0: 10, Delta: 2000, Eps: 2}
-}
-
-// oracleParamsBandwidth is Fig. 6b's configuration: ρ0 = ε = 2$.
-func oracleParamsBandwidth() core.Params {
-	return core.Params{S: 0, E: 100000, Rho0: 2, Delta: 2000, Eps: 2}
+// oracleParams is the paper's oracle-network Delphi configuration, Δ = 2000$
+// and ε = 2$, at checkpoint spacing ρ0: 10$ for the runtime plot (Fig. 6a),
+// ε for the bandwidth plot (Fig. 6b) and OracleDefaultParams.
+func oracleParams(rho0 float64) core.Params {
+	return core.Params{S: 0, E: 100000, Rho0: rho0, Delta: 2000, Eps: 2}
 }
 
 // cpsParams is the drone-localisation configuration: Δ = 50m, ρ0 = ε = 0.5m.
@@ -126,98 +123,101 @@ func (e *Engine) labelledBatch(name string, specs []RunSpec, labels []string) ([
 	return stats, nil
 }
 
-// fig6Axes describes one Fig. 6 panel: the testbed, node counts, Delphi
-// parameterisation, input placement, and the measured metric.
-type fig6Axes struct {
+// fig6Testbed is what the panels of one Fig. 6 batch share.
+type fig6Testbed struct {
+	env                            sim.Environment
+	ns                             []int
+	center, deltaSmall, deltaLarge float64
+	labelSmall, labelLarge         string
+}
+
+// fig6Panel is one Fig. 6 panel: its Delphi parameterisation and metric.
+type fig6Panel struct {
 	name, title string
-	env         sim.Environment
-	ns          []int
 	params      core.Params
-	center      float64
-	deltaSmall  float64
-	deltaLarge  float64
-	labelSmall  string
-	labelLarge  string
 	metric      func(*RunStats) float64
 }
 
-// fig6 builds one Fig. 6 panel: Delphi at two input ranges, FIN, and
-// Abraham et al. at the small range, swept over the node counts. All runs
-// of the whole panel form one engine batch.
-func (e *Engine) fig6(a fig6Axes, seed int64) (*Figure, error) {
-	series := []Series{
-		{Label: "Delphi " + a.labelSmall},
-		{Label: "Delphi " + a.labelLarge},
-		{Label: "FIN"},
-		{Label: "Abraham et al. " + a.labelSmall},
-	}
-	var specs []RunSpec
-	var labels []string
-	for _, n := range a.ns {
-		f := faults(n)
-		inSmall := OracleInputs(n, a.center, a.deltaSmall, seed)
-		inLarge := OracleInputs(n, a.center, a.deltaLarge, seed+1)
-		for i, spec := range []RunSpec{
-			{Protocol: ProtoDelphi, N: n, F: f, Env: a.env, Seed: seed, Inputs: inSmall, Delphi: a.params},
-			{Protocol: ProtoDelphi, N: n, F: f, Env: a.env, Seed: seed, Inputs: inLarge, Delphi: a.params},
-			{Protocol: ProtoFIN, N: n, F: f, Env: a.env, Seed: seed, Inputs: inSmall, Delphi: a.params},
-			{Protocol: ProtoAbraham, N: n, F: f, Env: a.env, Seed: seed, Inputs: inSmall, Delphi: a.params},
-		} {
-			specs = append(specs, spec)
-			labels = append(labels, fmt.Sprintf("n=%d %s", n, series[i].Label))
+// fig6 builds Fig. 6 panels over one testbed from one engine batch. Per n,
+// largest first so the longest runs start first, it runs Abraham et al. and
+// FIN at the small range once for every panel, then Delphi at both ranges
+// under each panel's parameters. FIN reads no Delphi parameter, and Abraham
+// et al. reads only Δ/ε (its round count), on which the panels must agree.
+func (e *Engine) fig6(tb fig6Testbed, seed int64, panels ...fig6Panel) ([]*Figure, error) {
+	p0 := panels[0].params
+	for _, p := range panels[1:] {
+		if p.params.Delta/p.params.Eps != p0.Delta/p0.Eps {
+			return nil, fmt.Errorf("%s: Δ/ε = %g, but %s has %g; Abraham et al. cannot serve both", p.name, p.params.Delta/p.params.Eps, panels[0].name, p0.Delta/p0.Eps)
 		}
 	}
-	stats, err := e.labelledBatch(a.name, specs, labels)
+	names := []string{"Delphi " + tb.labelSmall, "Delphi " + tb.labelLarge, "FIN", "Abraham et al. " + tb.labelSmall}
+	var specs []RunSpec
+	var labels []string
+	for _, n := range slices.Backward(tb.ns) {
+		run := func(proto Protocol, inputs []float64, p core.Params, label string) {
+			specs = append(specs, RunSpec{Protocol: proto, N: n, F: faults(n), Env: tb.env, Seed: seed, Inputs: inputs, Delphi: p})
+			labels = append(labels, fmt.Sprintf("n=%d %s", n, label))
+		}
+		inSmall := OracleInputs(n, tb.center, tb.deltaSmall, seed)
+		inLarge := OracleInputs(n, tb.center, tb.deltaLarge, seed+1)
+		run(ProtoAbraham, inSmall, p0, names[3])
+		run(ProtoFIN, inSmall, p0, names[2])
+		for _, pn := range panels {
+			run(ProtoDelphi, inSmall, pn.params, pn.name+" "+names[0])
+			run(ProtoDelphi, inLarge, pn.params, pn.name+" "+names[1])
+		}
+	}
+	stats, err := e.labelledBatch("fig6", specs, labels)
 	if err != nil {
 		return nil, err
 	}
-	for k, st := range stats {
-		n := a.ns[k/4]
-		s := &series[k%4]
-		s.X = append(s.X, float64(n))
-		s.Y = append(s.Y, a.metric(st))
+	figs := make([]*Figure, len(panels))
+	for i, pn := range panels {
+		series := make([]Series, len(names))
+		for j, n := range tb.ns {
+			row := stats[(len(tb.ns)-1-j)*(2*len(panels)+2):]
+			for k, st := range []*RunStats{row[2+2*i], row[3+2*i], row[1], row[0]} {
+				s := &series[k]
+				s.Label, s.X, s.Y = names[k], append(s.X, float64(n)), append(s.Y, pn.metric(st))
+			}
+		}
+		figs[i] = &Figure{Name: pn.name, Title: pn.title, Series: series}
+		renderFigure(figs[i], "protocol", "n")
 	}
-	fig := &Figure{Name: a.name, Title: a.title, Series: series}
-	renderFigure(fig, "protocol", "n")
-	return fig, nil
+	return figs, nil
 }
 
 func latencyMS(st *RunStats) float64 { return float64(st.Latency) / float64(time.Millisecond) }
 func trafficMB(st *RunStats) float64 { return float64(st.TotalBytes) / 1e6 }
 
-// Fig6a reproduces "Runtime vs n on AWS": Delphi at δ=20$ and δ=180$, FIN,
-// and Abraham et al. at δ=20$, as milliseconds of virtual latency.
-func (e *Engine) Fig6a(scale Scale, seed int64) (*Figure, error) {
-	return e.fig6(fig6Axes{
-		name: "fig6a", title: "Runtime vs n on AWS (ms)",
-		env: sim.AWS(), ns: awsNodeCounts(scale), params: oracleParams(),
-		center: 41000, deltaSmall: 20, deltaLarge: 180,
-		labelSmall: "δ=20$", labelLarge: "δ=180$",
-		metric: latencyMS,
-	}, seed)
-}
-
-// Fig6b reproduces "Network bandwidth vs n on AWS" in megabytes.
-func (e *Engine) Fig6b(scale Scale, seed int64) (*Figure, error) {
-	return e.fig6(fig6Axes{
-		name: "fig6b", title: "Bandwidth vs n on AWS (MB)",
-		env: sim.AWS(), ns: awsNodeCounts(scale), params: oracleParamsBandwidth(),
-		center: 41000, deltaSmall: 20, deltaLarge: 180,
-		labelSmall: "δ=20$", labelLarge: "δ=180$",
-		metric: trafficMB,
-	}, seed)
+// Fig6AWS reproduces Fig. 6's AWS panels from one batch, "Runtime vs n"
+// (6a, ms of virtual latency) and "Network bandwidth vs n" (6b, MB): Delphi
+// at δ=20$ and δ=180$ under each panel's ρ0, then FIN and Abraham et al. at
+// δ=20$, which run once per n for both panels.
+func (e *Engine) Fig6AWS(scale Scale, seed int64) (runtime, bandwidth *Figure, err error) {
+	figs, err := e.fig6(fig6Testbed{
+		env: sim.AWS(), ns: awsNodeCounts(scale), center: 41000,
+		deltaSmall: 20, deltaLarge: 180, labelSmall: "δ=20$", labelLarge: "δ=180$",
+	}, seed,
+		fig6Panel{"fig6a", "Runtime vs n on AWS (ms)", oracleParams(10), latencyMS},
+		fig6Panel{"fig6b", "Bandwidth vs n on AWS (MB)", OracleDefaultParams(), trafficMB})
+	if err != nil {
+		return nil, nil, err
+	}
+	return figs[0], figs[1], nil
 }
 
 // Fig6c reproduces "Runtime vs n on the embedded (CPS) testbed": Delphi at
 // δ=5m and δ=50m, FIN, Abraham et al. at δ=5m, in milliseconds.
 func (e *Engine) Fig6c(scale Scale, seed int64) (*Figure, error) {
-	return e.fig6(fig6Axes{
-		name: "fig6c", title: "Runtime vs n on CPS testbed (ms)",
-		env: sim.CPS(), ns: cpsNodeCounts(scale), params: cpsParams(),
-		center: 500, deltaSmall: 5, deltaLarge: 50,
-		labelSmall: "δ=5m", labelLarge: "δ=50m",
-		metric: latencyMS,
-	}, seed)
+	figs, err := e.fig6(fig6Testbed{
+		env: sim.CPS(), ns: cpsNodeCounts(scale), center: 500,
+		deltaSmall: 5, deltaLarge: 50, labelSmall: "δ=5m", labelLarge: "δ=50m",
+	}, seed, fig6Panel{"fig6c", "Runtime vs n on CPS testbed (ms)", cpsParams(), latencyMS})
+	if err != nil {
+		return nil, err
+	}
+	return figs[0], nil
 }
 
 // Heatmap is the Fig. 7 result: runtime seconds over the

@@ -389,9 +389,6 @@ func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 	opts = append(opts, sim.WithScratch(scratch))
 	if spec.SimWorkers > 0 {
 		opts = append(opts, sim.WithParallelWindow(spec.SimWorkers))
-		if extra := spec.Adversary.Lookahead(); extra > 0 {
-			opts = append(opts, sim.WithLookahead(extra))
-		}
 	}
 	runner, err := sim.NewRunner(cfg, spec.Env, spec.Seed, procs, opts...)
 	if err != nil {

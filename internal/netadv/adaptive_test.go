@@ -10,7 +10,6 @@ import (
 	"delphi/internal/netadv"
 	"delphi/internal/node"
 	"delphi/internal/rbc"
-	"delphi/internal/sim"
 )
 
 // fakeHistory is a canned sim.HistoryView with a fixed hot-sender ranking,
@@ -218,36 +217,6 @@ func TestAdaptiveStringAndValidate(t *testing.T) {
 	}
 	if (netadv.Adversary{Kind: netadv.SlowF}).NeedsHistory() {
 		t.Error("static slow-f reports needing history")
-	}
-}
-
-// TestAdaptiveLookaheadIsAFloor extends the Lookahead floor contract to
-// adaptive and onset variants: the declared floor (still 0 — pre-onset and
-// untargeted traffic is undelayed) must bound every probed delay, with and
-// without history.
-func TestAdaptiveLookaheadIsAFloor(t *testing.T) {
-	const n, f = 8, 2
-	h := newFakeHistory([]node.ID{7, 6, 5, 4, 3, 2, 1, 0}, 100)
-	for _, base := range netadv.Presets() {
-		for _, adv := range []netadv.Adversary{
-			{Kind: base.Kind, Adaptive: true},
-			{Kind: base.Kind, Adaptive: true, Severity: 2},
-			{Kind: base.Kind, Adaptive: true, Onset: 300 * time.Millisecond},
-		} {
-			look := adv.Lookahead()
-			if look != 0 {
-				t.Errorf("%s: Lookahead() = %v; adaptive rules leave pre-onset and untargeted traffic undelayed", adv, look)
-			}
-			for _, hv := range []sim.HistoryView{nil, h} {
-				rule := adv.RuleWith(n, f, 42, hv)
-				for i, d := range probe(rule, n) {
-					if d < look {
-						t.Fatalf("%s (history=%v): probe %d delay %v undercuts floor %v",
-							adv, hv != nil, i, d, look)
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -72,54 +72,22 @@ func (k Kind) String() string {
 	return string(k)
 }
 
-// Placement selects how a preset picks its targets — which nodes are slow,
-// gray-failed, or on which side of a partition.
-type Placement int
-
-// The available placements.
-const (
-	// PlaceDefault keeps each preset's historical targets, a fixed
-	// function of n and f: SlowF slows slots [0, f) (the pinned δ
-	// extremes), Gray victimises node n/2, Partition cuts lower half from
-	// upper half. The zero value, so existing adversaries are
-	// byte-identical to before the knob existed.
-	PlaceDefault Placement = iota
-	// PlaceSeeded derives the targets from the run seed instead: SlowF
-	// slows a seed-chosen set of f slots, Gray victimises a seed-chosen
-	// node, Partition cuts a seed-chosen bipartition. Sweeping seeds then
-	// sweeps placements, letting a trial corpus search for a protocol's
-	// worst-case targeting instead of measuring one fixed case. CoinRush
-	// and JitterStorm target message types, not nodes, so placement does
-	// not change them.
-	PlaceSeeded
-)
-
-// String implements fmt.Stringer.
-func (p Placement) String() string {
-	switch p {
-	case PlaceDefault:
-		return "default"
-	case PlaceSeeded:
-		return "seeded"
-	default:
-		return fmt.Sprintf("placement(%d)", int(p))
-	}
-}
-
 // Adversary is a named, parameterised network adversary. The zero value is
 // no adversary. Every field is a plain knob, so the worst-case search
 // (internal/advsearch) and AdversarySweep share one parameterisation: a
 // point in the adversary space IS an Adversary value.
+//
+// A static preset's targets are a fixed function of n and f: SlowF slows
+// slots [0, f) (the pinned δ extremes), Gray victimises node n/2, Partition
+// cuts lower half from upper half. CoinRush and JitterStorm target message
+// types, not nodes.
 type Adversary struct {
 	// Kind selects the preset.
 	Kind Kind
 	// Severity scales the preset's delays; 0 means the preset default (1.0).
 	Severity float64
-	// Placement selects target placement; the zero value keeps the
-	// preset's historical fixed targets.
-	Placement Placement
 	// Adaptive re-targets the preset from delivered-traffic history instead
-	// of fixed or seeded placement: SlowF slows the f hottest senders, Gray
+	// of its fixed targets: SlowF slows the f hottest senders, Gray
 	// victimises the single hottest, Partition cuts hot half from cold
 	// half, CoinRush and JitterStorm concentrate on the hot half. Requires
 	// a sim.HistoryView via RuleWith; until the first history commit the
@@ -149,9 +117,6 @@ func (a Adversary) String() string {
 	if a.Severity != 0 && a.Severity != 1 {
 		s = fmt.Sprintf("%s×%g", a.Kind, a.Severity)
 	}
-	if a.Placement != PlaceDefault {
-		s += "@" + a.Placement.String()
-	}
 	if a.Adaptive {
 		s += "@adaptive"
 	}
@@ -160,20 +125,6 @@ func (a Adversary) String() string {
 	}
 	return s
 }
-
-// Lookahead returns the guaranteed extra-delay floor of the adversary's
-// rule: a duration the rule provably adds to EVERY message. The parallel
-// simulator widens its conservative window by this hint
-// (sim.WithLookahead), and an overstated value is detected at run time as a
-// causality violation — so the hint must be a floor over all placements,
-// severities, and times, not a typical delay. Every current preset leaves
-// some messages undelayed (untargeted links, healed partitions, zero
-// Pareto samples), and adaptive variants additionally leave all pre-onset
-// and pre-history traffic untouched, so the floor is 0 for every
-// configuration; a future always-on preset (e.g. a uniform WAN stretch)
-// would return its base delay here and buy the parallel mode
-// proportionally wider windows.
-func (a Adversary) Lookahead() time.Duration { return 0 }
 
 // severity returns the delay multiplier.
 func (a Adversary) severity() float64 {
@@ -221,7 +172,7 @@ func (a Adversary) Rule(n, f int, seed int64) sim.DelayRule {
 
 // RuleWith materialises the adversary with a delivered-message history for
 // adaptive placement. h may be nil (or the adversary non-Adaptive), in which
-// case targets are the static fixed/seeded ones and RuleWith == Rule. The
+// case targets are the static fixed ones and RuleWith == Rule. The
 // returned rule reads only h's committed prefix, so on the simulator it is a
 // pure function of the schedule so far — adaptive runs stay byte-identical
 // across reruns and worker counts. Live backends hand in a continuously
@@ -262,28 +213,9 @@ func (a Adversary) baseRule(n, f int, seed int64, h sim.HistoryView) sim.DelayRu
 		if slow < 1 {
 			slow = 1
 		}
-		slowSet := make([]bool, n)
-		if a.Placement == PlaceSeeded {
-			// A seed-derived set of `slow` distinct slots (partial
-			// Fisher–Yates over the identity permutation).
-			next := placementRng(seed, slowFSalt)
-			perm := make([]int, n)
-			for i := range perm {
-				perm[i] = i
-			}
-			for i := 0; i < slow; i++ {
-				j := i + int(next()%uint64(n-i))
-				perm[i], perm[j] = perm[j], perm[i]
-				slowSet[perm[i]] = true
-			}
-		} else {
-			// Slots [0, f) are honest under the harness' fault placement
-			// (crashes and Byzantine nodes occupy the top f slots), and
-			// include the pinned δ extremes.
-			for i := 0; i < slow; i++ {
-				slowSet[i] = true
-			}
-		}
+		// Slots [0, f) are honest under the harness' fault placement
+		// (crashes and Byzantine nodes occupy the top f slots), and include
+		// the pinned δ extremes.
 		d := scale(slowFDelay)
 		if h != nil {
 			// Adaptive: slow the `slow` hottest senders in the committed
@@ -291,7 +223,7 @@ func (a Adversary) baseRule(n, f int, seed int64, h sim.HistoryView) sim.DelayRu
 			// traffic, whatever slots they sit in.
 			return func(_ time.Duration, from, _ node.ID, _ node.Message) time.Duration {
 				if h.Delivered() == 0 {
-					if slowSet[from] {
+					if int(from) < slow {
 						return d
 					}
 					return 0
@@ -303,19 +235,15 @@ func (a Adversary) baseRule(n, f int, seed int64, h sim.HistoryView) sim.DelayRu
 			}
 		}
 		return func(_ time.Duration, from, _ node.ID, _ node.Message) time.Duration {
-			if slowSet[from] {
+			if int(from) < slow {
 				return d
 			}
 			return 0
 		}
 	case Gray:
-		// By default the victim sits mid-range: never a pinned extreme,
-		// never a fault slot. Seeded placement picks any node. Links
-		// to/from peers of opposite parity degrade.
+		// The victim sits mid-range: never a pinned extreme, never a fault
+		// slot. Links to/from peers of opposite parity degrade.
 		victim := node.ID(n / 2)
-		if a.Placement == PlaceSeeded {
-			victim = node.ID(placementRng(seed, graySalt)() % uint64(n))
-		}
 		d := scale(grayDelay)
 		degraded := func(v, from, to node.ID) bool {
 			if from == v && (int(to)-int(v))%2 != 0 {
@@ -345,30 +273,17 @@ func (a Adversary) baseRule(n, f int, seed int64, h sim.HistoryView) sim.DelayRu
 			return 0
 		}
 	case Partition:
-		// By default the cut splits lower half from upper half; seeded
-		// placement draws a random bipartition (pinned so neither side is
-		// empty).
-		side := make([]bool, n)
-		if a.Placement == PlaceSeeded {
-			next := placementRng(seed, partitionSalt)
-			for i := range side {
-				side[i] = next()&1 == 1
-			}
-			side[0], side[n-1] = false, true
-		} else {
-			for i := range side {
-				side[i] = i >= n/2
-			}
-		}
+		// The cut splits lower half from upper half.
+		halves := func(from, to node.ID) bool { return (int(from) >= n/2) == (int(to) >= n/2) }
 		heal := scale(partitionHeal)
 		stag := scale(partitionStag)
-		sameSide := func(from, to node.ID) bool { return side[from] == side[to] }
+		sameSide := halves
 		if h != nil {
 			// Adaptive: cut the hot half from the cold half — the
 			// bipartition that severs the most observed traffic.
 			sameSide = func(from, to node.ID) bool {
 				if h.Delivered() == 0 {
-					return side[from] == side[to]
+					return halves(from, to)
 				}
 				return (h.HotRank(from) < n/2) == (h.HotRank(to) < n/2)
 			}
@@ -445,8 +360,8 @@ func (a Adversary) baseRule(n, f int, seed int64, h sim.HistoryView) sim.DelayRu
 	}
 }
 
-// Validate rejects unknown kinds, negative severities, unknown placements,
-// negative onsets, and adaptivity without a preset to adapt.
+// Validate rejects unknown kinds, negative severities, negative onsets, and
+// adaptivity without a preset to adapt.
 func (a Adversary) Validate() error {
 	switch a.Kind {
 	case None, SlowF, Gray, Partition, CoinRush, JitterStorm:
@@ -455,11 +370,6 @@ func (a Adversary) Validate() error {
 	}
 	if a.Severity < 0 {
 		return fmt.Errorf("netadv: negative severity %g", a.Severity)
-	}
-	switch a.Placement {
-	case PlaceDefault, PlaceSeeded:
-	default:
-		return fmt.Errorf("netadv: unknown placement %d", int(a.Placement))
 	}
 	if a.Onset < 0 {
 		return fmt.Errorf("netadv: negative onset %v", a.Onset)
@@ -470,36 +380,13 @@ func (a Adversary) Validate() error {
 	return nil
 }
 
-// Placement-stream salts, one per preset so a shared seed never correlates
-// the targets of different presets.
-const (
-	slowFSalt     = 0x51f0_5e7_0001
-	graySalt      = 0x6a7a_11c_0002
-	partitionSalt = 0x9a47_b0d_0003
-)
-
-// placementRng returns a splitmix64 stream over (seed, salt) for target
-// selection — deterministic per run seed, so placements are byte-identical
-// across reruns and worker counts like everything else.
-func placementRng(seed int64, salt uint64) func() uint64 {
-	z := uint64(seed) ^ salt
-	return func() uint64 {
-		z += 0x9e3779b97f4a7c15
-		return splitmix64(z)
-	}
-}
-
-// splitmix64 is the shared avalanche finalizer behind msgHash and
-// placementRng.
-func splitmix64(z uint64) uint64 {
+// msgHash mixes the per-message coordinates with the seed through the
+// splitmix64 finalizer: deterministic, well-dispersed, and cheap enough for
+// the dispatch hot path.
+func msgHash(seed int64, at time.Duration, from, to node.ID, size int) uint64 {
+	z := uint64(seed) ^ uint64(at)*0x9e3779b97f4a7c15 ^
+		uint64(from)<<32 ^ uint64(to)<<16 ^ uint64(size)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// msgHash mixes the per-message coordinates with the seed via splitmix64:
-// deterministic, well-dispersed, and cheap enough for the dispatch hot path.
-func msgHash(seed int64, at time.Duration, from, to node.ID, size int) uint64 {
-	return splitmix64(uint64(seed) ^ uint64(at)*0x9e3779b97f4a7c15 ^
-		uint64(from)<<32 ^ uint64(to)<<16 ^ uint64(size))
 }

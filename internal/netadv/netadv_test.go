@@ -156,10 +156,9 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestPlacementDefaultsPinned pins the placement knob's byte-identity
-// contract: the zero (default) placement must keep every preset's
-// historical fixed targets — slow-f delays exactly slots [0, f), gray
-// victimises node n/2, partition cuts lower half from upper half.
+// TestPlacementDefaultsPinned pins every node-targeting preset's fixed
+// targets: slow-f delays exactly slots [0, f), gray victimises node n/2,
+// partition cuts lower half from upper half.
 func TestPlacementDefaultsPinned(t *testing.T) {
 	n, f := 8, 2
 	m := &rbc.Echo{Payload: []byte("x")}
@@ -187,127 +186,5 @@ func TestPlacementDefaultsPinned(t *testing.T) {
 	}
 	if part(0, 0, 1, m) != 0 || part(0, node.ID(n-2), node.ID(n-1), m) != 0 {
 		t.Error("partition default: same-half link held")
-	}
-}
-
-// TestPlacementSeededDeterministic is the per-placement determinism test:
-// for every preset under every placement, two materialisations at the same
-// (n, f, seed) agree on every probe point.
-func TestPlacementSeededDeterministic(t *testing.T) {
-	n, f := 8, 2
-	for _, place := range []netadv.Placement{netadv.PlaceDefault, netadv.PlaceSeeded} {
-		for _, preset := range netadv.Presets() {
-			adv := preset
-			adv.Placement = place
-			a, b := adv.Rule(n, f, 42), adv.Rule(n, f, 42)
-			pa, pb := probe(a, n), probe(b, n)
-			for i := range pa {
-				if pa[i] != pb[i] {
-					t.Fatalf("%s: rule not pure at probe %d: %v vs %v", adv, i, pa[i], pb[i])
-				}
-			}
-		}
-	}
-}
-
-// TestPlacementSeededMovesTargets pins what the knob is for: under seeded
-// placement the slow set, gray victim, and partition cut actually move with
-// the seed (and can differ from the default targets), while staying a pure
-// function of it.
-func TestPlacementSeededMovesTargets(t *testing.T) {
-	n, f := 16, 5
-	m := &rbc.Echo{Payload: []byte("x")}
-
-	targets := func(kind netadv.Kind, seed int64) string {
-		adv := netadv.Adversary{Kind: kind, Placement: netadv.PlaceSeeded}
-		rule := adv.Rule(n, f, seed)
-		var sig []byte
-		for from := 0; from < n; from++ {
-			for to := 0; to < n; to++ {
-				if from == to {
-					continue
-				}
-				if rule(0, node.ID(from), node.ID(to), m) > 0 {
-					sig = append(sig, byte(from), byte(to))
-				}
-			}
-		}
-		return string(sig)
-	}
-	for _, kind := range []netadv.Kind{netadv.SlowF, netadv.Gray, netadv.Partition} {
-		seen := map[string]bool{}
-		for seed := int64(1); seed <= 8; seed++ {
-			seen[targets(kind, seed)] = true
-		}
-		if len(seen) < 2 {
-			t.Errorf("%s: seeded placement produced one target set across 8 seeds", kind)
-		}
-	}
-
-	// Seeded slow-f still slows exactly f senders.
-	rule := netadv.Adversary{Kind: netadv.SlowF, Placement: netadv.PlaceSeeded}.Rule(n, f, 7)
-	slowed := 0
-	for from := 0; from < n; from++ {
-		if rule(0, node.ID(from), node.ID((from+1)%n), m) > 0 {
-			slowed++
-		}
-	}
-	if slowed != f {
-		t.Errorf("seeded slow-f slows %d senders, want f=%d", slowed, f)
-	}
-
-	// Seeded partition still has two non-empty sides: some pair is held
-	// and node 0 / node n-1 are on opposite sides by construction.
-	prule := netadv.Adversary{Kind: netadv.Partition, Placement: netadv.PlaceSeeded}.Rule(n, f, 7)
-	if prule(0, 0, node.ID(n-1), m) == 0 {
-		t.Error("seeded partition: nodes 0 and n-1 not separated")
-	}
-}
-
-// TestPlacementValidateAndString pins validation and rendering of the knob.
-func TestPlacementValidateAndString(t *testing.T) {
-	bad := netadv.Adversary{Kind: netadv.Gray, Placement: netadv.Placement(9)}
-	if err := bad.Validate(); err == nil {
-		t.Error("unknown placement accepted")
-	}
-	ok := netadv.Adversary{Kind: netadv.Gray, Placement: netadv.PlaceSeeded}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("seeded placement rejected: %v", err)
-	}
-	if got := ok.String(); got != "gray@seeded" {
-		t.Errorf("seeded adversary renders as %q, want gray@seeded", got)
-	}
-	if got := (netadv.Adversary{Kind: netadv.SlowF, Severity: 2, Placement: netadv.PlaceSeeded}).String(); got != "slow-f×2@seeded" {
-		t.Errorf("scaled seeded adversary renders as %q", got)
-	}
-}
-
-// TestLookaheadIsAFloor pins the Lookahead contract consumed by the
-// parallel simulator: whatever a preset returns must bound EVERY probed
-// delay from below, across placements and severities. (All current presets
-// leave some messages undelayed, so their floor is 0 — asserted exactly so
-// a preset gaining an always-on delay must revisit its hint consciously.)
-func TestLookaheadIsAFloor(t *testing.T) {
-	n, f := 8, 2
-	advs := append(netadv.Presets(), netadv.Adversary{})
-	for _, base := range netadv.Presets() {
-		base.Severity = 0.25
-		base.Placement = netadv.PlaceSeeded
-		advs = append(advs, base)
-	}
-	for _, adv := range advs {
-		look := adv.Lookahead()
-		if look != 0 {
-			t.Errorf("%s: Lookahead() = %v; every current preset leaves some links undelayed", adv, look)
-		}
-		rule := adv.Rule(n, f, 42)
-		if rule == nil {
-			continue
-		}
-		for i, d := range probe(rule, n) {
-			if d < look {
-				t.Fatalf("%s: probe %d delay %v undercuts the declared floor %v", adv, i, d, look)
-			}
-		}
 	}
 }

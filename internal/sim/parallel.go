@@ -1,8 +1,8 @@
 // Conservative-window parallel execution (WithParallelWindow).
 //
 // The classic conservative-PDES argument: if every message in the simulated
-// network takes at least L (the lookahead — here the environment's minimum
-// link delay plus any WithLookahead hint about the DelayRule), then all
+// network takes at least L (the lookahead — here the latency model's
+// declared MinLatency; a DelayRule only ever adds delay), then all
 // events in one virtual-time window [T, T+L) are causally independent
 // across nodes — anything an event at time t generates lands at
 // t + L ≥ T + L, beyond the window. The runner therefore partitions the
@@ -36,10 +36,11 @@
 // parallel agreement is the δ-window statistical kind (see
 // bench.TestParallelWindowAgreement).
 //
-// Safety: a DelayRule that violates its WithLookahead promise would
-// schedule an event inside a committed window. The stage path detects this
-// (bucket index ≤ the window being processed) and the coordinator panics
-// with the offending message's coordinates rather than silently diverging.
+// Safety: a latency model whose samples undercut its declared MinLatency
+// would schedule an event inside a committed window. The stage path detects
+// this (bucket index ≤ the window being processed) and the coordinator
+// panics with the offending message's coordinates rather than silently
+// diverging.
 package sim
 
 import (
@@ -72,7 +73,7 @@ type causalityViolation struct {
 }
 
 func (v *causalityViolation) String() string {
-	return fmt.Sprintf("event %d->%d at %v (bucket %d) scheduled inside committed window %d; WithLookahead hint overstates the DelayRule's delay floor",
+	return fmt.Sprintf("event %d->%d at %v (bucket %d) scheduled inside committed window %d; a message arrived sooner than the latency model's declared MinLatency",
 		v.from, v.to, v.at, v.bucket, v.window)
 }
 
@@ -229,13 +230,7 @@ func (r *Runner) setupParallel(seed int64) error {
 	if !ok {
 		return fmt.Errorf("sim: parallel mode needs a latency model with a MinLatency floor; %T does not declare one", r.env.Latency)
 	}
-	if r.extraLook < 0 {
-		return fmt.Errorf("sim: negative lookahead hint %v", r.extraLook)
-	}
-	if r.extraLook > 0 && r.delayRule == nil {
-		return fmt.Errorf("sim: lookahead hint %v declared without a delay rule", r.extraLook)
-	}
-	width := ml.MinLatency() + r.extraLook
+	width := ml.MinLatency()
 	if width <= 0 {
 		return fmt.Errorf("sim: parallel mode needs a positive lookahead, got %v", width)
 	}

@@ -127,46 +127,51 @@ func TestParallelOverflowHorizon(t *testing.T) {
 	}
 }
 
-// TestLookaheadViolation is the mis-declared-hint table: a WithLookahead
-// hint the DelayRule actually honours must run to completion, while a hint
-// that overstates the rule's delay floor must be detected as a causality
-// violation (an event scheduled inside a committed window) and fail loudly
-// rather than silently diverge.
+// understatedLatency samples lat but declares floor as its MinLatency.
+type understatedLatency struct {
+	floor time.Duration
+	lat   func(from, to node.ID) time.Duration
+}
+
+func (l understatedLatency) MinLatency() time.Duration { return l.floor }
+
+func (l understatedLatency) Latency(from, to node.ID, _ *rand.Rand) time.Duration {
+	return l.lat(from, to)
+}
+
+// TestLookaheadViolation is the mis-declared-floor table: the window width
+// is the latency model's declared MinLatency, so a model whose samples
+// undercut it must be detected as a causality violation (an event scheduled
+// inside a committed window) and fail loudly rather than silently diverge,
+// while an adaptive delay rule, which only ever adds delay, runs to
+// completion.
 func TestLookaheadViolation(t *testing.T) {
-	flat := func(extra time.Duration) sim.DelayRule {
-		return func(at time.Duration, from, to node.ID, m node.Message) time.Duration {
-			return extra
-		}
-	}
+	const floor = 3 * time.Millisecond
 	cases := []struct {
 		name      string
-		rule      sim.DelayRule
-		hint      time.Duration
-		adaptive  bool // replace rule with an adaptive netadv rule + history
+		lat       func(from, to node.ID) time.Duration // nil: sim.Local under an adaptive rule
 		wantPanic bool
 	}{
-		{name: "honest-hint", rule: flat(3 * time.Millisecond), hint: 3 * time.Millisecond},
-		{name: "understated-hint-is-safe", rule: flat(3 * time.Millisecond), hint: time.Millisecond},
-		{name: "hint-overstates-uniform-rule", rule: flat(time.Millisecond), hint: 3 * time.Millisecond, wantPanic: true},
 		{
-			// The sneaky case: the rule honours the hint on every link but
-			// one, so the floor holds for almost all traffic.
-			name: "hint-broken-on-one-link",
-			rule: func(at time.Duration, from, to node.ID, m node.Message) time.Duration {
+			name:      "latency-undercuts-floor-uniformly",
+			lat:       func(_, _ node.ID) time.Duration { return time.Millisecond },
+			wantPanic: true,
+		},
+		{
+			// The sneaky case: the model honours its floor on every link
+			// but one, so the floor holds for almost all traffic.
+			name: "latency-undercuts-floor-on-one-link",
+			lat: func(from, to node.ID) time.Duration {
 				if from == 2 && to == 5 {
 					return 0
 				}
-				return 3 * time.Millisecond
+				return floor
 			},
-			hint:      3 * time.Millisecond,
 			wantPanic: true,
 		},
-		// Adaptive rules declare a zero lookahead floor (untargeted and
-		// pre-history traffic is undelayed): the sound hint completes, and
-		// a mis-declared positive hint on the same rule must fail loudly as
-		// a causality violation, exactly like a static rule's.
-		{name: "adaptive-rule-zero-hint", adaptive: true},
-		{name: "adaptive-rule-overstated-hint", adaptive: true, hint: 2 * time.Millisecond, wantPanic: true},
+		// An adaptive rule leaves untargeted and pre-history traffic
+		// undelayed and delays the rest: the floor still holds.
+		{name: "adaptive-rule"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,16 +185,16 @@ func TestLookaheadViolation(t *testing.T) {
 				for i := range procs {
 					procs[i] = &flood{rounds: 4}
 				}
-				opts := []sim.Option{sim.WithLookahead(tc.hint), sim.WithParallelWindow(4)}
-				rule := tc.rule
-				if tc.adaptive {
+				env := sim.Local()
+				opts := []sim.Option{sim.WithParallelWindow(4)}
+				if tc.lat != nil {
+					env.Latency = understatedLatency{floor: floor, lat: tc.lat}
+				} else {
 					h := sim.NewHistory(8, netadv.HistoryEpoch)
 					adv := netadv.Adversary{Kind: netadv.SlowF, Adaptive: true}
-					rule = adv.RuleWith(8, 2, 9, h)
-					opts = append(opts, sim.WithHistory(h))
+					opts = append(opts, sim.WithHistory(h), sim.WithDelayRule(adv.RuleWith(8, 2, 9, h)))
 				}
-				opts = append(opts, sim.WithDelayRule(rule))
-				r, err := sim.NewRunner(node.Config{N: 8, F: 2}, sim.Local(), 9, procs, opts...)
+				r, err := sim.NewRunner(node.Config{N: 8, F: 2}, env, 9, procs, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -198,7 +203,7 @@ func TestLookaheadViolation(t *testing.T) {
 			res, panicked := run()
 			if tc.wantPanic {
 				if panicked == "" {
-					t.Fatal("violated lookahead hint went undetected")
+					t.Fatal("undercut MinLatency floor went undetected")
 				}
 				if !strings.Contains(panicked, "causality violation") {
 					t.Fatalf("panic %q does not name the causality violation", panicked)
@@ -206,7 +211,7 @@ func TestLookaheadViolation(t *testing.T) {
 				return
 			}
 			if panicked != "" {
-				t.Fatalf("honest hint panicked: %s", panicked)
+				t.Fatalf("sound floor panicked: %s", panicked)
 			}
 			for i, st := range res.Stats {
 				if !st.Halted {
@@ -292,16 +297,11 @@ func TestParallelConfigErrors(t *testing.T) {
 		procs[i] = &flood{rounds: 1}
 	}
 	cfg := node.Config{N: 4, F: 1}
-	rule := func(at time.Duration, from, to node.ID, m node.Message) time.Duration { return 0 }
 	cases := []struct {
 		name string
 		env  sim.Environment
 		opts []sim.Option
 	}{
-		{"hint without delay rule", sim.Local(), []sim.Option{
-			sim.WithParallelWindow(2), sim.WithLookahead(time.Millisecond)}},
-		{"negative hint", sim.Local(), []sim.Option{
-			sim.WithParallelWindow(2), sim.WithDelayRule(rule), sim.WithLookahead(-time.Millisecond)}},
 		{"no MinLatency floor", sim.Environment{Name: "x", Latency: noFloorLatency{}},
 			[]sim.Option{sim.WithParallelWindow(2)}},
 		{"zero-width lookahead", sim.Environment{Name: "x", Latency: sim.FixedLatency(0)},

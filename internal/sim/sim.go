@@ -450,10 +450,9 @@ type Runner struct {
 	events    int
 	scratch   *Scratch
 
-	// Parallel-mode knobs (WithParallelWindow / WithLookahead) and the
-	// materialised parallel runner; nil means the sequential loop.
+	// The parallel-mode knob (WithParallelWindow) and the materialised
+	// parallel runner; nil means the sequential loop.
 	parWorkers int
-	extraLook  time.Duration
 	par        *parRunner
 
 	hasUplink bool // hoisted out of the per-message dispatch: is the uplink branch live
@@ -558,11 +557,11 @@ func WithScratch(s *Scratch) Option {
 
 // WithParallelWindow enables conservative-window parallel execution on a
 // pool of `workers` shard workers. The runner partitions the nodes into
-// contiguous shards, derives a lookahead bound L from the environment's
-// minimum link delay (plus any WithLookahead hint), and executes each
-// [T, T+L) window of events concurrently — events inside one lookahead
-// window are causally independent across nodes, the classic conservative
-// PDES argument. See Runner.Run and README "Parallel simulation" for which
+// contiguous shards, takes the lookahead bound L to be the latency model's
+// declared MinLatency, and executes each [T, T+L) window of events
+// concurrently — events inside one lookahead window are causally
+// independent across nodes, the classic conservative PDES argument. See
+// Runner.Run and README "Parallel simulation" for which
 // guarantees survive: parallel runs are deterministic (byte-identical
 // across reruns AND across worker counts), but follow a different
 // tie-breaking schedule and RNG stream split than the sequential runner, so
@@ -570,16 +569,6 @@ func WithScratch(s *Scratch) Option {
 // byte-identical. workers ≤ 0 keeps the sequential loop.
 func WithParallelWindow(workers int) Option {
 	return func(rn *Runner) { rn.parWorkers = workers }
-}
-
-// WithLookahead declares that the installed DelayRule adds at least `extra`
-// delay to every message, widening the parallel mode's lookahead window to
-// (minimum link delay + extra). The hint is a promise, not a measurement:
-// if any message violates it, the parallel runner detects the causality
-// violation (an event scheduled inside a committed window) and panics
-// rather than silently diverging. Sequential runs ignore the hint.
-func WithLookahead(extra time.Duration) Option {
-	return func(rn *Runner) { rn.extraLook = extra }
 }
 
 // resetNodes returns buf zeroed and resized to n, reusing its backing

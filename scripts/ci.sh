@@ -73,9 +73,12 @@ go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
 # executor carries worker-count determinism — a parallel run is
 # byte-identical across reruns and across 1/4/8 workers
 # (TestParallelDeterminism, TestParallelScratchReuse,
-# TestParallelOverflowHorizon, TestLookaheadViolation). All of these ran
-# under -race in `go test -race ./...` above, none is -short-gated, and
-# they are not run again. The golden file's last nine cells (Delphi n=40,
+# TestParallelOverflowHorizon) — and fails loudly on a latency model that
+# undercuts its declared MinLatency, the window width
+# (TestLookaheadViolation). All of these ran under -race in
+# `go test -race ./...` above, none is -short-gated, and they are not run
+# again. Neither are the rendered quick-scale Fig. 6 panels (TestFig6Golden)
+# and the AWS batch's run count (TestFig6AWSRunCount). The golden file's last nine cells (Delphi n=40,
 # FIN n=31, Dolev n=300) are large enough to engage the calendar and the
 # sorted bucket runs the sequential loop drains it through; what that pass
 # does not do is search the queue's order: a short fuzz of the sequential
