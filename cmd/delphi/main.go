@@ -67,6 +67,9 @@ func run(args []string) error {
 		Config: delphi.System{N: *n, F: *f},
 		Params: delphi.Params{S: 0, E: 1e9, Rho0: *rho0, Delta: *delta, Eps: *eps},
 	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 

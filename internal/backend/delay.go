@@ -91,15 +91,15 @@ func (t *advTransport) Send(to node.ID, frame []byte) error {
 		t.sendLater(to, append([]byte(nil), frame...), d)
 		return nil
 	}
-	t.record(to)
+	t.record()
 	return t.inner.Send(to, frame)
 }
 
 // record notes one frame forwarded past the adversary in the shared
 // delivered-message history.
-func (t *advTransport) record(to node.ID) {
+func (t *advTransport) record() {
 	if t.hist != nil {
-		t.hist.record(t.self, to)
+		t.hist.record(t.self)
 	}
 }
 
@@ -139,7 +139,7 @@ func (t *advTransport) sendBatch(to node.ID, frame []byte) error {
 			t.sendLater(to, append([]byte(nil), inner...), d)
 			delayed = true
 		} else {
-			t.record(to)
+			t.record()
 			pass = append(pass, inner)
 		}
 		return true
@@ -175,7 +175,7 @@ func (t *advTransport) sendLater(to node.ID, frame []byte, d time.Duration) {
 		defer timer.Stop()
 		select {
 		case <-timer.C:
-			t.record(to)
+			t.record()
 			_ = t.inner.Send(to, frame)
 		case <-t.done:
 		}

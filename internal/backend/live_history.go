@@ -1,10 +1,8 @@
 package backend
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"delphi/internal/node"
 	"delphi/internal/sim"
@@ -25,7 +23,6 @@ type liveHistory struct {
 	n         int
 	delivered atomic.Int64
 	sent      []atomic.Int64
-	recv      []atomic.Int64
 
 	// Ranking cache, recomputed at most once per liveRerankEvery recorded
 	// frames. Guarded by mu; readers are the delay rules, which tolerate a
@@ -44,36 +41,21 @@ func newLiveHistory(n int) *liveHistory {
 	h := &liveHistory{
 		n:    n,
 		sent: make([]atomic.Int64, n),
-		recv: make([]atomic.Int64, n),
 		hot:  make([]node.ID, n),
 		rank: make([]int32, n),
 	}
-	for i := range h.hot {
-		h.hot[i] = node.ID(i)
-		h.rank[i] = int32(i)
-	}
+	sim.RankHotSenders(make([]int64, n), h.hot, h.rank)
 	return h
 }
 
-// record notes one frame forwarded from from to to.
-func (h *liveHistory) record(from, to node.ID) {
+// record notes one frame forwarded by from.
+func (h *liveHistory) record(from node.ID) {
 	h.sent[from].Add(1)
-	h.recv[to].Add(1)
 	h.delivered.Add(1)
 }
 
-// Epoch implements sim.HistoryView; 0 marks the view as continuously
-// advancing.
-func (h *liveHistory) Epoch() time.Duration { return 0 }
-
 // Delivered implements sim.HistoryView.
 func (h *liveHistory) Delivered() int64 { return h.delivered.Load() }
-
-// SentMsgs implements sim.HistoryView.
-func (h *liveHistory) SentMsgs(from node.ID) int64 { return h.sent[from].Load() }
-
-// RecvMsgs implements sim.HistoryView.
-func (h *liveHistory) RecvMsgs(to node.ID) int64 { return h.recv[to].Load() }
 
 // HotRank implements sim.HistoryView.
 func (h *liveHistory) HotRank(id node.ID) int {
@@ -97,9 +79,8 @@ func (h *liveHistory) HotSender(rank int) node.ID {
 	return h.hot[rank]
 }
 
-// refreshLocked recomputes the ranking when enough new frames have been
-// recorded since the last refresh (same order as sim.History: sent count
-// descending, ties by lower ID).
+// refreshLocked re-ranks from a snapshot of the sent counts on the first
+// recorded frame and then once per liveRerankEvery more.
 func (h *liveHistory) refreshLocked() {
 	d := h.delivered.Load()
 	if d == 0 || d-h.rankedAt < liveRerankEvery && h.rankedAt != 0 {
@@ -109,15 +90,6 @@ func (h *liveHistory) refreshLocked() {
 	counts := make([]int64, h.n)
 	for i := range counts {
 		counts[i] = h.sent[i].Load()
-		h.hot[i] = node.ID(i)
 	}
-	sort.Slice(h.hot, func(a, b int) bool {
-		if counts[h.hot[a]] != counts[h.hot[b]] {
-			return counts[h.hot[a]] > counts[h.hot[b]]
-		}
-		return h.hot[a] < h.hot[b]
-	})
-	for r, id := range h.hot {
-		h.rank[id] = int32(r)
-	}
+	sim.RankHotSenders(counts, h.hot, h.rank)
 }

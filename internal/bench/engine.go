@@ -253,9 +253,6 @@ func (s *Stream) Var() float64 {
 	return s.m2 / float64(s.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (s *Stream) Std() float64 { return math.Sqrt(s.Var()) }
-
 // Min and Max return the observed extremes (NaN before any observation).
 func (s *Stream) Min() float64 {
 	if s.n == 0 {

@@ -229,20 +229,16 @@ type ScenarioResult struct {
 
 // Matrix is a scenario grid: a base scenario crossed with per-axis value
 // lists. Nil axes keep the base value, so a Matrix degenerates gracefully
-// to a single scenario. The paper's sweeps (env × n, δ sweep, fault
-// sweeps) are each one or two axes.
+// to a single scenario. The paper's sweeps (env × n, fault sweeps) are each
+// one or two axes.
 type Matrix struct {
 	// Base supplies every field the axes don't override.
 	Base Scenario
-	// Envs, Ns, Deltas, Shapes, CrashCounts, ByzCounts, Adversaries, and
-	// Backends are the axes.
-	Envs        []sim.Environment
-	Ns          []int
-	Deltas      []float64
-	Shapes      []InputShape
-	CrashCounts []int
-	ByzCounts   []int
-	Adversaries []netadv.Adversary
+	// Envs, Ns, Shapes, ByzCounts, and Backends are the axes.
+	Envs      []sim.Environment
+	Ns        []int
+	Shapes    []InputShape
+	ByzCounts []int
 	// Backends crosses every cell with the listed execution backends
 	// (Env describes the simulated testbed and is ignored by the live
 	// backends, which run on the real host).
@@ -254,7 +250,8 @@ type Matrix struct {
 }
 
 // Scenarios expands the matrix to the cross-product of its axes, naming
-// each cell "env/n=N/δ=D/shape[/crash=C][/byz=B][/adv=A][/be=B][/simw=K]".
+// each cell "env/n=N/δ=D/shape[/crash=C][/byz=B][/adv=A][/be=B][/simw=K]"
+// (crash and adv come from the base).
 func (m Matrix) Scenarios() []Scenario {
 	envs := m.Envs
 	if len(envs) == 0 {
@@ -264,25 +261,13 @@ func (m Matrix) Scenarios() []Scenario {
 	if len(ns) == 0 {
 		ns = []int{m.Base.N}
 	}
-	deltas := m.Deltas
-	if len(deltas) == 0 {
-		deltas = []float64{m.Base.Delta}
-	}
 	shapes := m.Shapes
 	if len(shapes) == 0 {
 		shapes = []InputShape{m.Base.Shape}
 	}
-	crashes := m.CrashCounts
-	if len(crashes) == 0 {
-		crashes = []int{m.Base.Crashes}
-	}
 	byzs := m.ByzCounts
 	if len(byzs) == 0 {
 		byzs = []int{m.Base.Byzantine}
-	}
-	advs := m.Adversaries
-	if len(advs) == 0 {
-		advs = []netadv.Adversary{m.Base.Adversary}
 	}
 	backends := m.Backends
 	if len(backends) == 0 {
@@ -295,50 +280,40 @@ func (m Matrix) Scenarios() []Scenario {
 	var out []Scenario
 	for _, env := range envs {
 		for _, n := range ns {
-			for _, d := range deltas {
-				for _, sh := range shapes {
-					for _, cr := range crashes {
-						for _, bz := range byzs {
-							for _, adv := range advs {
-								for _, be := range backends {
-									for _, sw := range simws {
-										s := m.Base
-										s.Env = env
-										s.N = n
-										// An explicit base F only makes sense at the
-										// base's n; cells at other sizes re-derive
-										// (N-1)/3.
-										s.F = 0
-										if m.Base.F > 0 && n == m.Base.N {
-											s.F = m.Base.F
-										}
-										s.Delta = d
-										s.Shape = sh
-										s.Crashes = cr
-										s.Byzantine = bz
-										s.Adversary = adv
-										s.Backend = be
-										s.SimWorkers = sw
-										s.Name = fmt.Sprintf("%s/n=%d/δ=%g/%s", env.Name, n, d, sh)
-										if cr > 0 {
-											s.Name += fmt.Sprintf("/crash=%d", cr)
-										}
-										if bz > 0 {
-											s.Name += fmt.Sprintf("/byz=%d", bz)
-										}
-										if adv.Kind != netadv.None {
-											s.Name += fmt.Sprintf("/adv=%s", adv)
-										}
-										if be != "" && be != BackendSim {
-											s.Name += fmt.Sprintf("/be=%s", be)
-										}
-										if sw > 0 {
-											s.Name += fmt.Sprintf("/simw=%d", sw)
-										}
-										out = append(out, s)
-									}
-								}
+			for _, sh := range shapes {
+				for _, bz := range byzs {
+					for _, be := range backends {
+						for _, sw := range simws {
+							s := m.Base
+							s.Env = env
+							s.N = n
+							// An explicit base F only makes sense at the base's
+							// n; cells at other sizes re-derive (N-1)/3.
+							s.F = 0
+							if m.Base.F > 0 && n == m.Base.N {
+								s.F = m.Base.F
 							}
+							s.Shape = sh
+							s.Byzantine = bz
+							s.Backend = be
+							s.SimWorkers = sw
+							s.Name = fmt.Sprintf("%s/n=%d/δ=%g/%s", env.Name, n, s.Delta, sh)
+							if s.Crashes > 0 {
+								s.Name += fmt.Sprintf("/crash=%d", s.Crashes)
+							}
+							if bz > 0 {
+								s.Name += fmt.Sprintf("/byz=%d", bz)
+							}
+							if s.Adversary.Kind != netadv.None {
+								s.Name += fmt.Sprintf("/adv=%s", s.Adversary)
+							}
+							if be != "" && be != BackendSim {
+								s.Name += fmt.Sprintf("/be=%s", be)
+							}
+							if sw > 0 {
+								s.Name += fmt.Sprintf("/simw=%d", sw)
+							}
+							out = append(out, s)
 						}
 					}
 				}

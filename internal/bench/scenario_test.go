@@ -71,9 +71,9 @@ func TestMatrixExpansion(t *testing.T) {
 			Protocol: bench.ProtoDelphi, Env: sim.AWS(), Params: scenarioParams(),
 			Center: 41000, Delta: 20, Trials: 2,
 		},
-		Ns:          []int{16, 40},
-		Shapes:      []bench.InputShape{bench.ShapePinned, bench.ShapeClustered},
-		CrashCounts: []int{0, 1},
+		Ns:        []int{16, 40},
+		Shapes:    []bench.InputShape{bench.ShapePinned, bench.ShapeClustered},
+		ByzCounts: []int{0, 1},
 	}
 	cells := m.Scenarios()
 	if len(cells) != 8 {
@@ -89,7 +89,7 @@ func TestMatrixExpansion(t *testing.T) {
 			t.Errorf("%s: trials = %d, want base's 2", c.Name, c.Trials)
 		}
 	}
-	if !names["aws/n=40/δ=20/clustered/crash=1"] {
+	if !names["aws/n=40/δ=20/clustered/byz=1"] {
 		t.Errorf("expected cell name missing; have %v", names)
 	}
 }

@@ -73,7 +73,7 @@ type ServiceConfig struct {
 	// BurstAlpha is the Pareto tail index for ArrivalBursty (default 1.5;
 	// must exceed 1 so the mean interarrival exists).
 	BurstAlpha float64
-	// Window bounds concurrent in-flight rounds (default 4).
+	// Window bounds concurrent in-flight rounds; 0 means the default, 4.
 	Window int
 	// Queue bounds the waiting room for rounds arriving with the window
 	// full; beyond it arrivals are shed. 0 means shed immediately.
@@ -89,10 +89,11 @@ type ServiceConfig struct {
 	// Size 0 disables the fan-out stage.
 	Subscribers feeds.Population
 	// Representatives bounds the live subscriber instances standing in for
-	// the population (default 8); the rest are modeled through
+	// the population (0 means the default, 8); the rest are modeled through
 	// Subscribers.Delay.
 	Representatives int
-	// SubBuffer is each representative's fan-out buffer (default 16).
+	// SubBuffer is each representative's fan-out buffer; 0 means the
+	// default, 16.
 	SubBuffer int
 	// Obs, when non-nil, records the service's round lifecycle on a
 	// "service" trace track — svc.queue (arrival → start), svc.round
@@ -150,8 +151,13 @@ func (c ServiceConfig) Validate() error {
 	if c.Arrivals == ArrivalBursty && c.burstAlpha() <= 1 {
 		return fmt.Errorf("bench: bursty arrivals need BurstAlpha > 1, got %g", c.BurstAlpha)
 	}
-	if c.Queue < 0 {
-		return fmt.Errorf("bench: negative Queue %d", c.Queue)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Window", c.Window}, {"Queue", c.Queue}, {"Representatives", c.Representatives}, {"SubBuffer", c.SubBuffer}} {
+		if f.v < 0 {
+			return fmt.Errorf("bench: negative %s %d", f.name, f.v)
+		}
 	}
 	return nil
 }

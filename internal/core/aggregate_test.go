@@ -156,12 +156,28 @@ func TestSeparatorDoubling(t *testing.T) {
 }
 
 func TestConfigRejectsOutOfRangeInput(t *testing.T) {
-	cfg := mkConfig(4, 1, core.Params{S: 10, E: 20, Rho0: 1, Delta: 5, Eps: 1})
-	if _, err := core.New(cfg, 25); err == nil {
-		t.Error("input above E accepted")
+	good := core.Params{S: 10, E: 20, Rho0: 1, Delta: 5, Eps: 1}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name  string
+		edit  func(*core.Params)
+		input float64
+	}{
+		{"input above E", func(*core.Params) {}, 25},
+		{"input below S", func(*core.Params) {}, 5},
+		{"NaN input", func(*core.Params) {}, nan},
+		{"NaN rho0", func(p *core.Params) { p.Rho0 = nan }, 15},
+		{"NaN delta", func(p *core.Params) { p.Delta = nan }, 15},
+		{"NaN eps", func(p *core.Params) { p.Eps = nan }, 15},
+	} {
+		p := good
+		tc.edit(&p)
+		if _, err := core.New(mkConfig(4, 1, p), tc.input); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if _, err := core.New(cfg, 5); err == nil {
-		t.Error("input below S accepted")
+	if _, err := core.New(mkConfig(4, 1, good), 15); err != nil {
+		t.Errorf("in-range input rejected: %v", err)
 	}
 	var nilCfg core.Config
 	nilCfg.Config = node.Config{N: 4, F: 1}

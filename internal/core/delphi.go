@@ -73,7 +73,7 @@ func New(cfg Config, input float64) (*Delphi, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if input < cfg.Params.S || input > cfg.Params.E {
+	if !(input >= cfg.Params.S && input <= cfg.Params.E) {
 		return nil, fmt.Errorf("core: input %g outside [%g, %g]", input, cfg.Params.S, cfg.Params.E)
 	}
 	d := &Delphi{cfg: cfg, input: input}

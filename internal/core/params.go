@@ -26,18 +26,19 @@ type Params struct {
 	Eps float64
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. Each check is written so that a NaN
+// fails it.
 func (p Params) Validate() error {
 	if !(p.S < p.E) {
 		return fmt.Errorf("core: need s < e, got [%g, %g]", p.S, p.E)
 	}
-	if p.Rho0 <= 0 {
+	if !(p.Rho0 > 0) {
 		return fmt.Errorf("core: rho0 must be positive, got %g", p.Rho0)
 	}
-	if p.Delta < p.Rho0 {
+	if !(p.Delta >= p.Rho0) {
 		return fmt.Errorf("core: delta (%g) must be >= rho0 (%g)", p.Delta, p.Rho0)
 	}
-	if p.Eps <= 0 {
+	if !(p.Eps > 0) {
 		return fmt.Errorf("core: eps must be positive, got %g", p.Eps)
 	}
 	if p.Delta > p.E-p.S {

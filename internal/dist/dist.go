@@ -5,9 +5,10 @@
 //
 // It provides a small Distribution interface (sampling, CDF, quantile),
 // six concrete families (Normal, Gamma, Lognormal, Pareto, Gumbel,
-// Fréchet), parameter fitting (FitGumbel, FitFrechet, FitGamma), sample
-// moments, a Kolmogorov–Smirnov goodness-of-fit statistic, and a text
-// histogram used to render the paper's Figs. 4 and 5.
+// Fréchet), method-of-moments parameter fitting (FitGumbel, FitGamma, and
+// FitFrechet with the location pinned to 0), sample moments, a
+// Kolmogorov–Smirnov goodness-of-fit statistic, and a text histogram used
+// to render the paper's Figs. 4 and 5.
 //
 // Everything is pure Go with no dependencies beyond the standard library;
 // randomness always flows through an explicit *rand.Rand so callers stay

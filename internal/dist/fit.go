@@ -70,173 +70,6 @@ func FitFrechet(samples []float64) (Frechet, error) {
 	return Frechet{Loc: 0, Scale: scale, Alpha: alpha}, nil
 }
 
-// FitFrechetMLE fits a 3-parameter Fréchet distribution by maximum
-// likelihood, seeded by the method-of-moments fit: unlike FitFrechet, the
-// location is no longer pinned to 0. For fixed location the two remaining
-// parameters have a closed profile: if X ~ Fréchet(loc, s, α) then
-// 1/(X−loc) ~ Weibull(shape α, scale 1/s), so the inner problem reduces to
-// the classic Weibull shape equation (monotone, solved by safeguarded
-// Newton) and the outer problem is a one-dimensional search over the
-// location, bounded above by the smallest sample. The seed's input
-// requirements carry over (>= 2 positive finite samples with spread); the
-// result never has lower likelihood than the seed.
-func FitFrechetMLE(samples []float64) (Frechet, error) {
-	seed, err := FitFrechet(samples)
-	if err != nil {
-		return Frechet{}, err
-	}
-	minX, maxX := samples[0], samples[0]
-	for _, v := range samples[1:] {
-		minX = math.Min(minX, v)
-		maxX = math.Max(maxX, v)
-	}
-	span := maxX - minX // > 0: FitFrechet rejected zero variance
-
-	best := seed
-	bestLL := frechetLogLik(samples, seed)
-	consider := func(loc float64) float64 {
-		f, ok := frechetProfile(samples, loc, seed.Alpha)
-		if !ok {
-			return math.Inf(-1)
-		}
-		ll := frechetLogLik(samples, f)
-		if ll > bestLL {
-			best, bestLL = f, ll
-		}
-		return ll
-	}
-
-	// Golden-section search for the profile-likelihood location. The
-	// bracket spans from one full sample range below the minimum (the
-	// diffuse regime, where the fit degenerates toward the seed's pinned
-	// origin) up to just below the minimum (the heavy-location regime);
-	// the seed's loc = 0 is evaluated explicitly when it falls outside.
-	lo := minX - span
-	hi := minX - 1e-9*span
-	if 0 < lo {
-		consider(0)
-	}
-	const phi = 0.6180339887498949 // (√5−1)/2
-	a, b := lo, hi
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, f2 := consider(x1), consider(x2)
-	for i := 0; i < 80 && b-a > 1e-10*span; i++ {
-		if f1 >= f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = consider(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = consider(x2)
-		}
-	}
-	return best, nil
-}
-
-// frechetProfile maximises the Fréchet likelihood in (scale, alpha) at a
-// fixed location via the Weibull reduction. alphaSeed starts the shape
-// iteration; ok is false when the location is infeasible (a sample at or
-// below it) or the iteration degenerates.
-func frechetProfile(samples []float64, loc, alphaSeed float64) (Frechet, bool) {
-	n := len(samples)
-	// t_i = ln w_i with w_i = 1/(x_i − loc); the shape equation only needs
-	// the t_i.
-	t := make([]float64, n)
-	var tBar float64
-	for i, x := range samples {
-		y := x - loc
-		if y <= 0 {
-			return Frechet{}, false
-		}
-		t[i] = -math.Log(y)
-		tBar += t[i]
-	}
-	tBar /= float64(n)
-
-	// Weibull shape equation g(k) = 1/k + t̄ − Σt·e^{kt}/Σe^{kt} = 0;
-	// g is strictly decreasing (the last term is a softmax mean of t,
-	// increasing in k), so a bracketed Newton iteration is safe.
-	tMax := t[0]
-	for _, v := range t[1:] {
-		tMax = math.Max(tMax, v)
-	}
-	g := func(k float64) (val, deriv float64) {
-		var s0, s1, s2 float64
-		for _, ti := range t {
-			e := math.Exp(k * (ti - tMax)) // factor e^{k·tMax} cancels
-			s0 += e
-			s1 += ti * e
-			s2 += ti * ti * e
-		}
-		m := s1 / s0
-		v := s2/s0 - m*m // softmax variance ≥ 0
-		return 1/k + tBar - m, -1/(k*k) - v
-	}
-	kLo, kHi := 1e-3, 1e6
-	if vLo, _ := g(kLo); vLo < 0 {
-		return Frechet{}, false
-	}
-	if vHi, _ := g(kHi); vHi > 0 {
-		return Frechet{}, false
-	}
-	k := alphaSeed
-	if k < kLo || k > kHi {
-		k = 1
-	}
-	for i := 0; i < 60; i++ {
-		val, deriv := g(k)
-		step := val / deriv
-		next := k - step
-		if !(next > kLo && next < kHi) {
-			// Newton left the bracket: bisect it instead.
-			if val > 0 {
-				kLo = k
-			} else {
-				kHi = k
-			}
-			next = (kLo + kHi) / 2
-		} else if val > 0 {
-			kLo = k
-		} else {
-			kHi = k
-		}
-		if math.Abs(next-k) <= 1e-12*math.Max(1, k) {
-			k = next
-			break
-		}
-		k = next
-	}
-	// Weibull scale λ^k = mean(w^k) → Fréchet scale s = 1/λ, computed in
-	// log space through the same overflow guard.
-	var s0 float64
-	for _, ti := range t {
-		s0 += math.Exp(k * (ti - tMax))
-	}
-	logLambda := tMax + math.Log(s0/float64(n))/k
-	scale := math.Exp(-logLambda)
-	if !(scale > 0) || math.IsNaN(k) {
-		return Frechet{}, false
-	}
-	return Frechet{Loc: loc, Scale: scale, Alpha: k}, true
-}
-
-// frechetLogLik is the Fréchet log-likelihood of samples under f
-// (−Inf when any sample is at or below the location).
-func frechetLogLik(samples []float64, f Frechet) float64 {
-	ll := float64(len(samples)) * math.Log(f.Alpha/f.Scale)
-	for _, x := range samples {
-		z := (x - f.Loc) / f.Scale
-		if z <= 0 {
-			return math.Inf(-1)
-		}
-		ll -= (f.Alpha + 1) * math.Log(z)
-		ll -= math.Pow(z, -f.Alpha)
-	}
-	return ll
-}
-
 // FitGamma fits a Gamma distribution to samples by the method of moments:
 // Shape = mean²/variance and Scale = variance/mean. Degenerate input
 // (non-positive mean, zero variance, or NaN moments from NaN/Inf

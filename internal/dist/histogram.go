@@ -69,11 +69,6 @@ func (h *Histogram) BinWidth() float64 {
 	return (h.Max - h.Min) / float64(len(h.Counts))
 }
 
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Min + (float64(i)+0.5)*h.BinWidth()
-}
-
 // Density returns bin i's empirical probability density (normalized so
 // the histogram integrates to the in-range mass).
 func (h *Histogram) Density(i int) float64 {

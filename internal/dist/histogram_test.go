@@ -26,9 +26,6 @@ func TestHistogramBinning(t *testing.T) {
 	if bw := h.BinWidth(); bw != 1 {
 		t.Errorf("bin width = %g, want 1", bw)
 	}
-	if c := h.BinCenter(0); c != 0.5 {
-		t.Errorf("bin 0 center = %g, want 0.5", c)
-	}
 }
 
 func TestHistogramAutoRangeAndNaN(t *testing.T) {

@@ -73,36 +73,8 @@ func RangeSamples(base dist.Distribution, n, trials int, rng *rand.Rand) []float
 // Calibrate estimates Δ for a system of n nodes whose inputs carry noise
 // distributed as base, at statistical security λ bits. The Fréchet
 // candidate is fitted by the method of moments with its location pinned to
-// 0; CalibrateMLE refines it.
+// 0, and the family with the lower KS statistic wins.
 func Calibrate(base dist.Distribution, n, lambda, trials int, rng *rand.Rand) (Calibration, error) {
-	return calibrate(base, n, lambda, trials, rng, dist.FitFrechet, 1)
-}
-
-// mleMargin is CalibrateMLE's model-selection handicap: the 3-parameter
-// Fréchet family approximates a Gumbel arbitrarily well as α → ∞, so a
-// marginal KS win over the 2-parameter Gumbel is exactly what overfitting
-// one extra parameter buys and says nothing about the tail. Fat tails are
-// declared only when the Fréchet fit beats the Gumbel decisively; on
-// genuinely fat-tailed ranges the MLE's KS advantage is 3-10x, far past
-// this threshold, while on thin-tailed ranges it stays within a few
-// percent.
-const mleMargin = 0.8
-
-// CalibrateMLE is Calibrate with the Fréchet candidate fitted by the
-// 3-parameter maximum-likelihood refinement (dist.FitFrechetMLE). Freeing
-// the location lets the Fréchet family match the offset that a finite
-// range distribution always carries, which sharpens the Gumbel-vs-Fréchet
-// discrimination — fat tails are recognised from fewer range samples than
-// the moments fit needs.
-func CalibrateMLE(base dist.Distribution, n, lambda, trials int, rng *rand.Rand) (Calibration, error) {
-	return calibrate(base, n, lambda, trials, rng, dist.FitFrechetMLE, mleMargin)
-}
-
-// calibrate is the shared calibration procedure, parameterised by the
-// Fréchet fitting method and the KS margin the Fréchet fit must clear to
-// win (1 = plain better-KS-wins, as the moments-based Calibrate has always
-// used).
-func calibrate(base dist.Distribution, n, lambda, trials int, rng *rand.Rand, fitFrechet func([]float64) (dist.Frechet, error), margin float64) (Calibration, error) {
 	if n < 2 {
 		return Calibration{}, fmt.Errorf("evt: need n >= 2, got %d", n)
 	}
@@ -127,14 +99,14 @@ func calibrate(base dist.Distribution, n, lambda, trials int, rng *rand.Rand, fi
 	cal := Calibration{MeanRange: mean, Lambda: lambda, N: n, KSGumbel: ksG}
 	q := math.Pow(2, -float64(lambda))
 
-	fre, errF := fitFrechet(ranges)
+	fre, errF := dist.FitFrechet(ranges)
 	ksF := math.Inf(1)
 	if errF == nil {
 		ksF = dist.KS(ranges, fre)
 	}
 	cal.KSFrechet = ksF
 
-	if ksF >= margin*ksG {
+	if ksF >= ksG {
 		cal.ThinTailed = true
 		cal.Fit = gum
 		cal.Delta = GumbelQuantileUpper(gum, q)

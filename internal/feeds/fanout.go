@@ -59,7 +59,6 @@ func (f *Fanout) Subscribe(buffer int) *Subscriber {
 		buffer = 1
 	}
 	s := &Subscriber{
-		f:    f,
 		buf:  make([]Update, buffer),
 		wake: make(chan struct{}, 1),
 	}
@@ -88,13 +87,6 @@ func (f *Fanout) Publish(u Update) {
 	}
 }
 
-// Subscribers returns the current subscriber count.
-func (f *Fanout) Subscribers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.subs)
-}
-
 // Close stops future publishes and marks every subscriber closed; buffered
 // updates stay receivable (drain-then-false). Idempotent.
 func (f *Fanout) Close() {
@@ -114,8 +106,6 @@ func (f *Fanout) Close() {
 
 // Subscriber is one consumer's bounded view of the fan-out stream.
 type Subscriber struct {
-	f *Fanout
-
 	mu      sync.Mutex
 	buf     []Update // fixed-capacity ring
 	head    int
@@ -154,7 +144,7 @@ func (s *Subscriber) signal() {
 }
 
 // Recv blocks for the next update in publish order. It reports false when
-// the subscriber is closed (or unsubscribed) and drained, or when stop
+// the subscriber is closed and drained, or when stop
 // closes first; a nil stop never fires.
 func (s *Subscriber) Recv(stop <-chan struct{}) (Update, bool) {
 	for {
@@ -199,15 +189,6 @@ func (s *Subscriber) Dropped() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// Unsubscribe detaches the subscriber from the fan-out and closes it;
-// buffered updates stay receivable. Idempotent.
-func (s *Subscriber) Unsubscribe() {
-	s.f.mu.Lock()
-	delete(s.f.subs, s)
-	s.f.mu.Unlock()
-	s.close()
 }
 
 func (s *Subscriber) close() {

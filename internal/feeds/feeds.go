@@ -113,11 +113,6 @@ func NewMarket(cfg Config, seed int64) (*Market, error) {
 	return &Market{rng: rng, price: cfg.BasePrice, volPerMin: volPerMin, exchanges: exs}, nil
 }
 
-// Exchanges returns the market's exchange list.
-func (m *Market) Exchanges() []Exchange {
-	return append([]Exchange(nil), m.exchanges...)
-}
-
 // Tick advances the market one minute and returns the snapshot.
 func (m *Market) Tick(minute int) Snapshot {
 	// GBM step.

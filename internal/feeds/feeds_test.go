@@ -68,9 +68,6 @@ func TestMarketValidation(t *testing.T) {
 
 func TestTenExchanges(t *testing.T) {
 	m, _ := feeds.NewMarket(feeds.DefaultConfig(), 2)
-	if got := len(m.Exchanges()); got != 10 {
-		t.Fatalf("exchanges = %d, want 10", got)
-	}
 	s := m.Tick(0)
 	if len(s.Quotes) != 10 {
 		t.Fatalf("quotes = %d, want 10", len(s.Quotes))

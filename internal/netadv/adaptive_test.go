@@ -28,10 +28,7 @@ func newFakeHistory(hot []node.ID, delivered int64) *fakeHistory {
 	return h
 }
 
-func (h *fakeHistory) Epoch() time.Duration       { return netadv.HistoryEpoch }
 func (h *fakeHistory) Delivered() int64           { return h.delivered }
-func (h *fakeHistory) SentMsgs(node.ID) int64     { return h.delivered }
-func (h *fakeHistory) RecvMsgs(node.ID) int64     { return h.delivered }
 func (h *fakeHistory) HotRank(id node.ID) int     { return h.rank[id] }
 func (h *fakeHistory) HotSender(rank int) node.ID { return h.hot[rank] }
 
@@ -132,21 +129,32 @@ func TestAdaptiveTargetsHotSenders(t *testing.T) {
 	})
 }
 
-// TestAdaptiveFallsBackPreHistory pins the pre-history contract: with an
-// empty committed prefix (Delivered() == 0) every adaptive rule behaves
-// exactly like its static counterpart, so the schedule before the first
-// commit is well defined.
+// TestAdaptiveFallsBackPreHistory pins the pre-history contract for every
+// preset: with an empty committed prefix (Delivered() == 0) an adaptive rule
+// behaves exactly like its static counterpart, so the schedule before the
+// first commit is well defined. A static adversary handed a history with
+// traffic in it ignores that history.
 func TestAdaptiveFallsBackPreHistory(t *testing.T) {
 	const n, f, seed = 8, 2, 42
-	empty := newFakeHistory([]node.ID{7, 6, 5, 4, 3, 2, 1, 0}, 0)
-	for _, kind := range []netadv.Kind{netadv.SlowF, netadv.Gray, netadv.Partition} {
-		adaptive := netadv.Adversary{Kind: kind, Adaptive: true}.RuleWith(n, f, seed, empty)
-		static := netadv.Adversary{Kind: kind}.Rule(n, f, seed)
-		pa, ps := probe(adaptive, n), probe(static, n)
-		for i := range pa {
-			if pa[i] != ps[i] {
-				t.Fatalf("%s: pre-history adaptive diverges from static at probe %d: %v vs %v",
-					kind, i, pa[i], ps[i])
+	hot := []node.ID{7, 6, 5, 4, 3, 2, 1, 0}
+	empty, full := newFakeHistory(hot, 0), newFakeHistory(hot, 100)
+	for _, adv := range netadv.Presets() {
+		static := adv.Rule(n, f, seed)
+		ps := probe(static, n)
+		adaptive := adv
+		adaptive.Adaptive = true
+		for _, c := range []struct {
+			name string
+			got  []time.Duration
+		}{
+			{"pre-history adaptive", probe(adaptive.RuleWith(n, f, seed, empty), n)},
+			{"static with history", probe(adv.RuleWith(n, f, seed, full), n)},
+		} {
+			for i := range ps {
+				if c.got[i] != ps[i] {
+					t.Fatalf("%s: %s diverges from static at probe %d: %v vs %v",
+						adv.Kind, c.name, i, c.got[i], ps[i])
+				}
 			}
 		}
 	}

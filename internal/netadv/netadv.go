@@ -196,15 +196,17 @@ func (a Adversary) RuleWith(n, f int, seed int64, h sim.HistoryView) sim.DelayRu
 	}
 }
 
-// baseRule builds the onset-free rule. Adaptive branches consult h only when
-// it has committed history (h.Delivered() > 0); before that they use the
-// same static targets as the non-adaptive variant, keeping the pre-history
-// prefix of the schedule identical to the static adversary's.
+// baseRule builds the onset-free rule. Each preset has one rule; adaptive()
+// picks its placement per message. An adaptive adversary consults h only
+// once it has committed history (h.Delivered() > 0); before that, and
+// always for a static adversary (h == nil), the rule uses the fixed targets,
+// so the pre-history prefix of an adaptive schedule is the static one.
 func (a Adversary) baseRule(n, f int, seed int64, h sim.HistoryView) sim.DelayRule {
 	sev := a.severity()
 	scale := func(d time.Duration) time.Duration {
 		return time.Duration(float64(d) * sev)
 	}
+	adaptive := func() bool { return h != nil && h.Delivered() > 0 }
 	switch a.Kind {
 	case None:
 		return nil
@@ -215,84 +217,51 @@ func (a Adversary) baseRule(n, f int, seed int64, h sim.HistoryView) sim.DelayRu
 		}
 		// Slots [0, f) are honest under the harness' fault placement
 		// (crashes and Byzantine nodes occupy the top f slots), and include
-		// the pinned δ extremes.
+		// the pinned δ extremes. Adaptive: slow the `slow` hottest senders in
+		// the committed ranking — the nodes currently carrying the most
+		// protocol traffic, whatever slots they sit in.
 		d := scale(slowFDelay)
-		if h != nil {
-			// Adaptive: slow the `slow` hottest senders in the committed
-			// ranking — the nodes currently carrying the most protocol
-			// traffic, whatever slots they sit in.
-			return func(_ time.Duration, from, _ node.ID, _ node.Message) time.Duration {
-				if h.Delivered() == 0 {
-					if int(from) < slow {
-						return d
-					}
-					return 0
-				}
-				if h.HotRank(from) < slow {
-					return d
-				}
-				return 0
-			}
-		}
 		return func(_ time.Duration, from, _ node.ID, _ node.Message) time.Duration {
-			if int(from) < slow {
+			r := int(from)
+			if adaptive() {
+				r = h.HotRank(from)
+			}
+			if r < slow {
 				return d
 			}
 			return 0
 		}
 	case Gray:
 		// The victim sits mid-range: never a pinned extreme, never a fault
-		// slot. Links to/from peers of opposite parity degrade.
-		victim := node.ID(n / 2)
+		// slot. Adaptive: gray-fail whichever node is currently the hottest
+		// sender — the worst node to degrade, since the most traffic crosses
+		// its links. Links to/from peers of opposite parity degrade.
 		d := scale(grayDelay)
-		degraded := func(v, from, to node.ID) bool {
-			if from == v && (int(to)-int(v))%2 != 0 {
-				return true
-			}
-			return to == v && (int(from)-int(v))%2 != 0
-		}
-		if h != nil {
-			// Adaptive: gray-fail whichever node is currently the hottest
-			// sender — the worst node to degrade, since the most traffic
-			// crosses its links.
-			return func(_ time.Duration, from, to node.ID, _ node.Message) time.Duration {
-				v := victim
-				if h.Delivered() > 0 {
-					v = h.HotSender(0)
-				}
-				if degraded(v, from, to) {
-					return d
-				}
-				return 0
-			}
-		}
 		return func(_ time.Duration, from, to node.ID, _ node.Message) time.Duration {
-			if degraded(victim, from, to) {
+			v := node.ID(n / 2)
+			if adaptive() {
+				v = h.HotSender(0)
+			}
+			if from == v && (int(to)-int(v))%2 != 0 || to == v && (int(from)-int(v))%2 != 0 {
 				return d
 			}
 			return 0
 		}
 	case Partition:
-		// The cut splits lower half from upper half.
-		halves := func(from, to node.ID) bool { return (int(from) >= n/2) == (int(to) >= n/2) }
+		// The cut splits lower half from upper half. Adaptive: cut the hot
+		// half from the cold half — the bipartition that severs the most
+		// observed traffic.
 		heal := scale(partitionHeal)
 		stag := scale(partitionStag)
-		sameSide := halves
-		if h != nil {
-			// Adaptive: cut the hot half from the cold half — the
-			// bipartition that severs the most observed traffic.
-			sameSide = func(from, to node.ID) bool {
-				if h.Delivered() == 0 {
-					return halves(from, to)
-				}
-				return (h.HotRank(from) < n/2) == (h.HotRank(to) < n/2)
-			}
-		}
 		return func(at time.Duration, from, to node.ID, _ node.Message) time.Duration {
 			if at >= heal {
 				return 0
 			}
-			if sameSide(from, to) {
+			rf, rt := int(from), int(to)
+			if adaptive() {
+				rf, rt = h.HotRank(from), h.HotRank(to)
+			}
+			if (rf < n/2) == (rt < n/2) {
 				return 0
 			}
 			// Held until the heal, then released with a deterministic
@@ -304,32 +273,22 @@ func (a Adversary) baseRule(n, f int, seed int64, h sim.HistoryView) sim.DelayRu
 			return hold
 		}
 	case CoinRush:
+		// Adaptive: concentrate the starvation on the nodes closest to
+		// assembling a coin — the f+1 hottest receivers would cross the share
+		// threshold first, so their shares are held twice as long.
 		d := scale(coinRushDelay)
-		if h != nil {
-			// Adaptive: concentrate the starvation on the nodes closest to
-			// assembling a coin — the f+1 hottest receivers would cross the
-			// share threshold first, so their shares are held twice as long.
-			return func(_ time.Duration, _, to node.ID, m node.Message) time.Duration {
-				switch m.(type) {
-				case *coin.Share:
-					if h.Delivered() > 0 && h.HotRank(to) <= f {
-						return 2 * d
-					}
-					return d
-				case *aba.Aux:
-					if h.Delivered() > 0 && h.HotRank(to) <= f {
-						return d
-					}
-					return d / 2
-				}
-				return 0
-			}
-		}
-		return func(_ time.Duration, _, _ node.ID, m node.Message) time.Duration {
+		hot := func(to node.ID) bool { return adaptive() && h.HotRank(to) <= f }
+		return func(_ time.Duration, _, to node.ID, m node.Message) time.Duration {
 			switch m.(type) {
 			case *coin.Share:
+				if hot(to) {
+					return 2 * d
+				}
 				return d
 			case *aba.Aux:
+				if hot(to) {
+					return d
+				}
 				return d / 2
 			}
 			return 0
@@ -345,7 +304,7 @@ func (a Adversary) baseRule(n, f int, seed int64, h sim.HistoryView) sim.DelayRu
 			j := time.Duration(scl * (math.Pow(1/u, jitterInvAlpha) - 1))
 			// Adaptive: the hot half of the network draws doubled jitter, so
 			// the storm lands where the traffic is.
-			if h != nil && h.Delivered() > 0 && h.HotRank(from) < n/2 {
+			if adaptive() && h.HotRank(from) < n/2 {
 				j *= 2
 			}
 			if j > jitterCap {

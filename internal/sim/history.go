@@ -34,17 +34,10 @@ import (
 // implement it with continuously advancing wall-clock counts — purity and
 // byte-reproducibility are simulator guarantees only.
 type HistoryView interface {
-	// Epoch returns the commit granularity in virtual time; 0 means the
-	// view advances continuously (live backends).
-	Epoch() time.Duration
 	// Delivered returns the number of deliveries in the committed prefix.
 	// Zero means "no history yet": adaptive rules must fall back to their
 	// static placement so the pre-history schedule stays well defined.
 	Delivered() int64
-	// SentMsgs returns how many committed deliveries originated at from.
-	SentMsgs(from node.ID) int64
-	// RecvMsgs returns how many committed deliveries were processed by to.
-	RecvMsgs(to node.ID) int64
 	// HotRank returns id's position in the committed traffic ranking:
 	// rank 0 is the node with the most delivered messages sent, ties broken
 	// by lower ID. Before the first commit the ranking is the identity.
@@ -68,7 +61,6 @@ type History struct {
 	// commits against reads).
 	delivered int64
 	sent      []int64
-	recv      []int64
 	hot       []node.ID // rank -> node
 	rank      []int32   // node -> rank
 	commits   int
@@ -77,7 +69,6 @@ type History struct {
 	// the next epoch boundary that triggers a commit.
 	pendDelivered int64
 	pendSent      []int64
-	pendRecv      []int64
 	nextCommit    time.Duration
 }
 
@@ -94,11 +85,9 @@ func NewHistory(n int, epoch time.Duration) *History {
 		n:          n,
 		epoch:      epoch,
 		sent:       make([]int64, n),
-		recv:       make([]int64, n),
 		hot:        make([]node.ID, n),
 		rank:       make([]int32, n),
 		pendSent:   make([]int64, n),
-		pendRecv:   make([]int64, n),
 		nextCommit: epoch,
 	}
 	for i := range h.hot {
@@ -108,17 +97,11 @@ func NewHistory(n int, epoch time.Duration) *History {
 	return h
 }
 
-// Epoch implements HistoryView.
-func (h *History) Epoch() time.Duration { return h.epoch }
-
 // Delivered implements HistoryView.
 func (h *History) Delivered() int64 { return h.delivered }
 
-// SentMsgs implements HistoryView.
+// SentMsgs returns how many committed deliveries originated at from.
 func (h *History) SentMsgs(from node.ID) int64 { return h.sent[from] }
-
-// RecvMsgs implements HistoryView.
-func (h *History) RecvMsgs(to node.ID) int64 { return h.recv[to] }
 
 // HotRank implements HistoryView.
 func (h *History) HotRank(id node.ID) int { return int(h.rank[id]) }
@@ -149,11 +132,11 @@ func (h *History) observe(at time.Duration) {
 	}
 }
 
-// record adds one processed delivery to the pending (uncommitted) counts.
-func (h *History) record(from, to node.ID) {
+// record adds one processed delivery from from to the pending
+// (uncommitted) counts.
+func (h *History) record(from node.ID) {
 	h.pendDelivered++
 	h.pendSent[from]++
-	h.pendRecv[to]++
 }
 
 // commitUpTo folds the pending counts into the committed prefix, recomputes
@@ -163,30 +146,29 @@ func (h *History) commitUpTo(upTo time.Duration) {
 	h.pendDelivered = 0
 	for i := range h.pendSent {
 		h.sent[i] += h.pendSent[i]
-		h.recv[i] += h.pendRecv[i]
 		h.pendSent[i] = 0
-		h.pendRecv[i] = 0
 	}
-	h.rerank()
+	RankHotSenders(h.sent, h.hot, h.rank)
 	h.nextCommit = (upTo/h.epoch + 1) * h.epoch
 	h.commits++
 }
 
-// rerank rebuilds the hot-sender ranking from the committed sent counts:
-// descending count, ties by ascending ID — a total order, so the ranking is
-// a pure function of the committed counts.
-func (h *History) rerank() {
-	ids := h.hot
-	for i := range ids {
-		ids[i] = node.ID(i)
+// RankHotSenders writes the hot-sender ranking of the per-node sent counts
+// into hot (rank -> node) and rank (node -> rank): descending count, ties by
+// ascending ID. That is a total order, so the ranking is a pure function of
+// the counts. The simulator's History and the live backends' history both
+// rank through it.
+func RankHotSenders(sent []int64, hot []node.ID, rank []int32) {
+	for i := range hot {
+		hot[i] = node.ID(i)
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		if h.sent[ids[a]] != h.sent[ids[b]] {
-			return h.sent[ids[a]] > h.sent[ids[b]]
+	sort.Slice(hot, func(a, b int) bool {
+		if sent[hot[a]] != sent[hot[b]] {
+			return sent[hot[a]] > sent[hot[b]]
 		}
-		return ids[a] < ids[b]
+		return hot[a] < hot[b]
 	})
-	for r, id := range ids {
-		h.rank[id] = int32(r)
+	for r, id := range hot {
+		rank[id] = int32(r)
 	}
 }

@@ -164,7 +164,6 @@ type shard struct {
 	// delivery's sender can live on any shard. nil when no history.
 	histDelivered int64
 	histSent      []int64
-	histRecv      []int64
 
 	// Observability: per-node tracks for this shard's node range, driven by
 	// the shard's own virtual clock (single-writer: only this shard's worker
@@ -288,12 +287,11 @@ func (r *Runner) setupParallel(seed int64) error {
 		sh.obsNow = 0
 		sh.histDelivered = 0
 		if r.history == nil {
-			sh.histSent, sh.histRecv = nil, nil
+			sh.histSent = nil
 		} else if len(sh.histSent) != n {
-			sh.histSent, sh.histRecv = make([]int64, n), make([]int64, n)
+			sh.histSent = make([]int64, n)
 		} else {
 			clear(sh.histSent)
-			clear(sh.histRecv)
 		}
 	}
 	if r.rec != nil {
@@ -390,9 +388,7 @@ func (pr *parRunner) commitHistory(b int64) {
 		sh.histDelivered = 0
 		for i := range sh.histSent {
 			h.pendSent[i] += sh.histSent[i]
-			h.pendRecv[i] += sh.histRecv[i]
 			sh.histSent[i] = 0
-			sh.histRecv[i] = 0
 		}
 	}
 	h.commitUpTo(ws)
@@ -634,7 +630,6 @@ func (sh *shard) deliver(e *event) {
 	if sh.histSent != nil {
 		sh.histDelivered++
 		sh.histSent[from]++
-		sh.histRecv[to]++
 	}
 	sh.events++
 	r.stats[to].MsgsRecv++

@@ -318,30 +318,6 @@ type Result struct {
 	TotalMsgs int
 }
 
-// LatestHonestOutput returns the largest OutputAt over the given honest
-// nodes; it is the protocol's completion latency.
-func (r *Result) LatestHonestOutput(honest []node.ID) time.Duration {
-	var mx time.Duration
-	for _, id := range honest {
-		if s := r.Stats[id]; len(s.Output) > 0 && s.OutputAt > mx {
-			mx = s.OutputAt
-		}
-	}
-	return mx
-}
-
-// Outputs collects the last output value of each listed node, skipping
-// nodes that produced none.
-func (r *Result) Outputs(ids []node.ID) []any {
-	out := make([]any, 0, len(ids))
-	for _, id := range ids {
-		if s := r.Stats[id]; len(s.Output) > 0 {
-			out = append(out, s.Output[len(s.Output)-1])
-		}
-	}
-	return out
-}
-
 // DelayRule lets an adversarial scheduler inject extra delay on selected
 // links/messages. It is consulted for every message with the message's
 // departure time (after the sender's compute and uplink serialization), so
@@ -925,7 +901,7 @@ func (r *Runner) deliver(e *event) bool {
 	from := node.ID(m.from)
 	if h := r.history; h != nil {
 		h.observe(e.at)
-		h.record(from, to)
+		h.record(from)
 	}
 	r.events++
 	r.stats[to].MsgsRecv++

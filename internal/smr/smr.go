@@ -28,16 +28,11 @@ type Submission struct {
 
 // Channel is the simulated total-order SMR service.
 type Channel struct {
-	subs   []Submission
-	sealed bool
+	subs []Submission
 }
 
-// Submit appends a submission. Submissions after Seal are ignored (the
-// report for the round has already been finalised).
+// Submit appends a submission.
 func (c *Channel) Submit(s Submission) {
-	if c.sealed {
-		return
-	}
 	c.subs = append(c.subs, s)
 }
 
@@ -62,9 +57,6 @@ func (c *Channel) First() (Submission, bool) {
 	}
 	return ord[0], true
 }
-
-// Seal freezes the channel.
-func (c *Channel) Seal() { c.sealed = true }
 
 // Len returns the number of accepted submissions.
 func (c *Channel) Len() int { return len(c.subs) }

@@ -36,16 +36,6 @@ func TestChannelTieBreak(t *testing.T) {
 	}
 }
 
-func TestChannelSeal(t *testing.T) {
-	ch := &smr.Channel{}
-	ch.Submit(smr.Submission{From: 1, At: time.Millisecond})
-	ch.Seal()
-	ch.Submit(smr.Submission{From: 2, At: time.Microsecond})
-	if ch.Len() != 1 {
-		t.Errorf("sealed channel accepted a submission; len=%d", ch.Len())
-	}
-}
-
 func TestEmptyChannel(t *testing.T) {
 	ch := &smr.Channel{}
 	if _, ok := ch.First(); ok {

@@ -29,6 +29,14 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# The library's size, printed and not gated: non-test Go lines outside
+# cmd/, examples/, perf/ and hidden directories (.git, the benchmark's
+# .bench_build).
+echo "== library non-test Go lines =="
+find . -name '*.go' ! -name '*_test.go' ! -path './.*' \
+    ! -path './cmd/*' ! -path './examples/*' ! -path './perf/*' -print0 |
+    xargs -0 cat | wc -l
+
 echo "== go test -race =="
 go test -race ${short_flag:+"$short_flag"} ./...
 
