@@ -11,86 +11,57 @@
 //	            [-trace out.json] [-metrics out|-] [-pprof addr]
 //	            [-worstcase-objective latency|spread|events|bytes]
 //	            [-worstcase-replay] [-worstcase-trace prefix]
-//	            [table1 table2 table3 fig4 fig5 fig6a fig6b fig6c fig7
-//	             validity tail matrix adversary backends sessions service
-//	             trace scale ablations worstcase | all]
+//	            [fig4 fig5 table1 table2 table3 fig6a fig6b fig6c fig7
+//	             validity tail matrix adversary ablations backends sessions
+//	             service trace scale worstcase | all]
 //
 // Targets are selected positionally or with -run (comma-separated); the
-// two compose. Quick scale (default) runs reduced node counts and finishes
-// in well under a minute; paper scale uses the paper's axes (n up to 169).
-// On two cores at seed 1 it takes ~80 s for fig6a and fig6b together, ~40 s
-// for fig6c and ~10 s for fig7. fig6a and fig6b are two panels of one batch
-// of simulations: whichever of the two runs first runs the batch, and the
-// other prints its panel at no cost.
+// two compose, and `all` anywhere in the list stands for every target but
+// worstcase. Every name is checked before anything runs, and a target named
+// twice runs once. Stdout holds only the targets' text; the timing lines go
+// to stderr. Quick scale (default) finishes in seconds; paper scale uses the
+// paper's axes (n up to 169): on two cores at seed 1, ~80 s for fig6a and
+// fig6b together, ~40 s for fig6c and ~10 s for fig7.
 //
-// -workers, -sessions, -backend and -sim-workers each set one field of the
-// one bench.Engine every target runs its trials on. Trials fan out across
-// the engine's worker pool (GOMAXPROCS workers unless -workers is set);
-// results — including the adversary sweep's adversarial schedules — are
-// identical at any worker count.
+// The targets up to ablations are the experiments of bench.Experiments.
+// They run as one batch of simulations in which a run two experiments
+// share, such as fig6a's and fig6b's FIN and Abraham et al. runs, runs
+// once. The rest read command-line flags:
 //
-// -backend retargets every RunSpec-driven workload onto an execution
-// backend: the discrete-event simulator (default), an in-process goroutine
-// cluster (live), or a loopback TCP cluster (tcp). Live backends measure
-// wall-clock time, so their latency columns are real, non-deterministic
-// durations. The backends target cross-validates protocol outputs across
-// backends regardless of the flag.
+//   - backends cross-validates every protocol on the simulator and a live
+//     goroutine cluster (and loopback tcp at paper scale), then runs a
+//     sim|live matrix; sessions smoke-runs a 3-trial tcp cell through one
+//     persistent session. Both print real wall times.
+//   - service runs the continuous-service oracle mode with the -service-*
+//     knobs: deterministic on the simulator, a wall-clock soak on live/tcp.
+//   - trace runs one instrumented simulator trial and prints its metrics;
+//     -trace writes its Chrome trace-event JSON (Perfetto-loadable), the
+//     same bytes at any -sim-workers count.
+//   - scale measures the simulator's n=1000+ curve, sequential versus 8
+//     workers, in host wall time.
+//   - worstcase searches the adversary space for each protocol's empirical
+//     worst case (-worstcase-objective), byte-identical across reruns and
+//     -sim-workers counts; -worstcase-trace and -worstcase-replay add each
+//     winner's evidence trace and a wall-clock loopback-tcp replay.
 //
-// -sim-workers routes every simulator run of the engine, the trace target's
-// trial and the worstcase target's probes through the parallel window
-// executor with that many shard workers (0, the default, keeps the
-// sequential loop). Parallel runs are deterministic across reruns and
-// worker counts but tie-break differently from the sequential loop, so
-// they agree with it statistically (δ-window), not byte for byte. The
-// scale target measures the n=1000+ curve, sequential versus 8 workers,
-// regardless of the flag.
-//
-// Backends run trials through persistent sessions by default: each engine
-// worker keeps one substrate per cell (the tcp backend's listeners, the
-// live backend's hub, the simulator's event-queue storage) alive across
-// that cell's trials. -sessions=false forces per-trial setup; results are
-// identical either way. The sessions target smoke-runs a 3-trial tcp cell
-// through a session.
-//
-// The service target runs the continuous-service oracle mode: an open-loop
-// arrival process of agreement rounds (-service-rate rounds/s,
-// -service-arrivals poisson or bursty) over one persistent substrate, a
-// bounded window of concurrent in-flight rounds (-service-window) with a
-// bounded waiting queue (-service-queue; overflow is shed), fanning decided
-// rounds out to a modeled million-client subscriber population. On the sim
-// backend the report is deterministic (byte-identical across reruns and
-// worker counts); on live/tcp it is a real wall-clock soak, optionally
-// capped by -service-duration.
-//
-// Observability: -trace attaches a recorder to the instrumented targets
-// (service, trace) and writes everything captured as Chrome trace-event
-// JSON — load it in Perfetto or chrome://tracing. Protocol phases land on
-// per-node tracks, the service's round lifecycle on a "service" track.
-// -metrics writes the run's metrics-registry snapshot ("-" for text on
-// stdout, a *.json path for JSON, any other path for text). The trace
-// target runs one instrumented simulator trial; its trace bytes are
-// identical across reruns and -sim-workers counts. -pprof serves
-// net/http/pprof on the given address for profiling live runs.
-//
-// The worstcase target searches the adversary space (kind × severity ×
-// onset × adaptivity) for each protocol's empirical worst case on the
-// simulator — successive halving plus simulated annealing, every probe
-// seeded from -seed — and prints the resulting profiles: the winning
-// configuration, its score against clean and the best fixed preset, and
-// the search trajectory. The output is byte-identical across reruns and
-// -sim-workers counts (scripts/ci.sh gates exactly that).
-// -worstcase-objective picks the maximised damage metric;
-// -worstcase-trace PREFIX writes each winner's evidence trace to
-// PREFIX-<protocol>.json; -worstcase-replay validates each winner on the
-// loopback-tcp backend (deadline-bounded, wall-clock, non-deterministic —
-// the replay lines print only under this flag).
+// -workers, -sessions, -backend and -sim-workers set the fields of the one
+// bench.Engine every target runs its trials on. Results are identical at
+// any -workers count and with or without -sessions. -backend retargets the
+// experiments' runs onto the simulator (default) or a live or tcp cluster,
+// whose latencies are real time. -sim-workers routes simulator runs through
+// the parallel window executor, deterministic at any worker count but only
+// δ-window close to the sequential loop. -metrics writes the recorder's
+// metrics snapshot ("-" for stdout, *.json for JSON); -pprof serves
+// net/http/pprof.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -132,9 +103,6 @@ type options struct {
 	// asks for one; the instrumented targets (service, trace) attach it.
 	// Nil keeps every hook a free no-op.
 	rec *obs.Recorder
-	// aws holds Fig. 6a and 6b once the first of the two targets has run
-	// their shared batch.
-	aws []*bench.Figure
 
 	targets                           []string
 	tracePath, metricsPath, pprofAddr string
@@ -157,14 +125,8 @@ func run(args []string) error {
 			fmt.Fprintln(os.Stderr, "experiments: pprof:", http.ListenAndServe(o.pprofAddr, nil))
 		}()
 	}
-	for _, name := range o.targets {
-		start := time.Now()
-		text, err := runTarget(name, o)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Println(strings.TrimRight(text, "\n"))
-		fmt.Printf("[%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
+	if err := runTargets(o, os.Stdout); err != nil {
+		return err
 	}
 	return writeObs(o.rec, o.tracePath, o.metricsPath)
 }
@@ -173,7 +135,7 @@ func run(args []string) error {
 func parseArgs(args []string) (*options, error) {
 	o := &options{engine: &bench.Engine{}}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	scaleFlag := fs.String("scale", "quick", "experiment scale: quick, medium, or paper")
+	scaleFlag := fs.String("scale", "quick", "experiment scale: quick or paper")
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&o.engine.Workers, "workers", 0, "trial worker pool size (0 = GOMAXPROCS)")
 	runFlag := fs.String("run", "", "comma-separated targets to run (adds to positional targets)")
@@ -203,127 +165,117 @@ func parseArgs(args []string) (*options, error) {
 	switch *scaleFlag {
 	case "quick":
 		o.scale = bench.Quick
-	case "medium":
-		o.scale = bench.Medium
 	case "paper":
 		o.scale = bench.Paper
 	default:
-		return nil, fmt.Errorf("unknown scale %q", *scaleFlag)
+		return nil, fmt.Errorf("unknown scale %q (want quick or paper)", *scaleFlag)
 	}
 	if o.tracePath != "" || o.metricsPath != "" {
 		o.rec = obs.New()
 	}
 
-	o.targets = fs.Args()
+	// Every experiment, then every command; `all` is each of them but
+	// worstcase, the adversary-space search.
+	var known []string
+	for _, x := range bench.Experiments() {
+		known = append(known, x.Name)
+	}
+	for _, c := range commands() {
+		known = append(known, c.name)
+	}
+	all := slices.DeleteFunc(slices.Clone(known), func(t string) bool { return t == "worstcase" })
+	targets := fs.Args()
 	for _, t := range strings.Split(*runFlag, ",") {
 		if t = strings.TrimSpace(t); t != "" {
-			o.targets = append(o.targets, t)
+			targets = append(targets, t)
 		}
 	}
-	if len(o.targets) == 0 || (len(o.targets) == 1 && o.targets[0] == "all") {
-		o.targets = nil
-		for _, t := range targetTable() {
-			if t.name != "worstcase" {
-				o.targets = append(o.targets, t.name)
+	if len(targets) == 0 {
+		targets = []string{"all"}
+	}
+	for _, t := range targets {
+		names := []string{t}
+		if t == "all" {
+			names = all
+		} else if !slices.Contains(known, t) {
+			return nil, fmt.Errorf("%s: unknown target (want %s, or all)", t, strings.Join(known, ", "))
+		}
+		for _, name := range names {
+			if !slices.Contains(o.targets, name) {
+				o.targets = append(o.targets, name)
 			}
 		}
 	}
 	return o, nil
 }
 
-// target is one runnable experiment.
-type target struct {
+// command is a target that reads command-line flags; every other target is
+// an experiment of bench.Experiments.
+type command struct {
 	name string
 	run  func(*options) (string, error)
 }
 
-// targetTable lists every target in the order `all` runs them; `all`
-// leaves out worstcase, the adversary-space search.
-func targetTable() []target {
-	fit := textOf(func(r *bench.FitReport) string { return r.Text })
-	tbl := textOf(func(t *bench.Table) string { return t.Text })
-	fig := textOf(func(f *bench.Figure) string { return f.Text })
-	return []target{
-		{"fig4", func(o *options) (string, error) { return fit(bench.Fig4(o.seed)) }},
-		{"fig5", func(o *options) (string, error) { return fit(bench.Fig5(o.seed)) }},
-		{"table1", func(o *options) (string, error) { return tbl(o.engine.Table1(o.scale, o.seed)) }},
-		{"table2", func(o *options) (string, error) { return tbl(o.engine.Table2(o.scale, o.seed)) }},
-		{"table3", func(o *options) (string, error) { return tbl(bench.Table3(o.scale, o.seed)) }},
-		{"fig6a", func(o *options) (string, error) { return fig(o.fig6AWS(0)) }},
-		{"fig6b", func(o *options) (string, error) { return fig(o.fig6AWS(1)) }},
-		{"fig6c", func(o *options) (string, error) { return fig(o.engine.Fig6c(o.scale, o.seed)) }},
-		{"fig7", func(o *options) (string, error) {
-			aws, cps, err := o.engine.Fig7(o.scale, o.seed)
-			if err != nil {
-				return "", err
-			}
-			return aws.Text + "\n" + cps.Text, nil
-		}},
-		{"validity", func(o *options) (string, error) {
-			reps, err := o.engine.Validity(o.scale, o.seed)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			b.WriteString("validity (§VI-E) — distance from honest mean\n")
-			for _, r := range reps {
-				b.WriteString(r.Text + "\n")
-			}
-			return b.String(), nil
-		}},
-		{"tail", func(o *options) (string, error) {
-			return textOf(func(r *bench.TailReport) string { return r.Text })(o.engine.LatencyTail(o.scale, o.seed))
-		}},
-		{"matrix", runMatrix},
-		{"adversary", func(o *options) (string, error) {
-			return textOf(func(r *bench.AdversaryReport) string { return r.Text })(o.engine.AdversarySweep(o.scale, o.seed))
-		}},
+// commands lists the commands in the order `all` runs them, after the
+// experiments.
+func commands() []command {
+	return []command{
 		{"backends", runBackends},
 		{"sessions", runSessions},
 		{"service", runService},
 		{"trace", runTrace},
-		{"scale", func(o *options) (string, error) {
-			return textOf(func(r *bench.ScaleReport) string { return r.Text })(bench.ScaleSweep(o.scale, 8, o.seed))
-		}},
-		{"ablations", runAblations},
+		{"scale", runScale},
 		{"worstcase", runWorstcase},
 	}
 }
 
-// textOf lifts a report's text accessor over the (report, error) pair an
-// experiment returns.
-func textOf[T any](text func(T) string) func(T, error) (string, error) {
-	return func(v T, err error) (string, error) {
-		if err != nil {
-			return "", err
+// lookup returns the run function of the command named name, or nil when
+// name is an experiment.
+func lookup(name string) func(*options) (string, error) {
+	for _, c := range commands() {
+		if c.name == name {
+			return c.run
 		}
-		return text(v), nil
 	}
+	return nil
 }
 
-// fig6AWS returns panel i (0 for Fig. 6a, 1 for 6b) of the AWS batch,
-// running the batch on the first call only.
-func (o *options) fig6AWS(i int) (*bench.Figure, error) {
-	if o.aws == nil {
-		runtime, bandwidth, err := o.engine.Fig6AWS(o.scale, o.seed)
-		if err != nil {
-			return nil, err
-		}
-		o.aws = []*bench.Figure{runtime, bandwidth}
-	}
-	return o.aws[i], nil
-}
-
-// runTarget runs the named target with o.
-func runTarget(name string, o *options) (string, error) {
+// runTargets runs o's targets and writes each one's text to w, in target
+// order, followed by a blank line. The experiments among them run first,
+// as one batch; each command then runs on its own. The timing lines go to
+// stderr.
+func runTargets(o *options, w io.Writer) error {
 	var names []string
-	for _, t := range targetTable() {
-		if t.name == name {
-			return t.run(o)
+	for _, t := range o.targets {
+		if lookup(t) == nil {
+			names = append(names, t)
 		}
-		names = append(names, t.name)
 	}
-	return "", fmt.Errorf("unknown target (want %s, or all)", strings.Join(names, ", "))
+	texts := make(map[string]string)
+	if len(names) > 0 {
+		start := time.Now()
+		out, err := o.engine.RunExperiments(names, o.scale, o.seed)
+		if err != nil {
+			return err
+		}
+		for i, name := range names {
+			texts[name] = out[i]
+		}
+		fmt.Fprintf(os.Stderr, "[%s completed in %s]\n", strings.Join(names, ","), time.Since(start).Round(time.Millisecond))
+	}
+	for _, t := range o.targets {
+		text, ok := texts[t]
+		if !ok {
+			start := time.Now()
+			var err error
+			if text, err = lookup(t)(o); err != nil {
+				return fmt.Errorf("%s: %w", t, err)
+			}
+			fmt.Fprintf(os.Stderr, "[%s completed in %s]\n", t, time.Since(start).Round(time.Millisecond))
+		}
+		fmt.Fprintf(w, "%s\n\n", strings.TrimRight(text, "\n"))
+	}
+	return nil
 }
 
 // writeObs renders what the run's recorder captured: the trace as Chrome
@@ -344,7 +296,7 @@ func writeObs(rec *obs.Recorder, tracePath, metricsPath string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("[trace: %d events -> %s]\n", rec.EventCount(), tracePath)
+		fmt.Fprintf(os.Stderr, "[trace: %d events -> %s]\n", rec.EventCount(), tracePath)
 	}
 	if metricsPath != "" {
 		snap := rec.Snapshot()
@@ -377,7 +329,7 @@ func writeObs(rec *obs.Recorder, tracePath, metricsPath string) error {
 // expectations.
 func runBackends(o *options) (string, error) {
 	kinds := []bench.BackendKind{bench.BackendSim, bench.BackendLive}
-	if o.scale != bench.Quick {
+	if o.scale == bench.Paper {
 		kinds = append(kinds, bench.BackendTCP)
 	}
 	rep, err := o.engine.ValidateCrossBackend(kinds, o.scale, o.seed)
@@ -391,7 +343,7 @@ func runBackends(o *options) (string, error) {
 	}
 
 	trials := 2
-	if o.scale != bench.Quick {
+	if o.scale == bench.Paper {
 		trials = 4
 	}
 	m := bench.Matrix{
@@ -425,6 +377,19 @@ func runBackends(o *options) (string, error) {
 	return b.String(), nil
 }
 
+// delphiSpec is the Delphi run of the sessions and trace targets: n=8
+// (16 at paper scale) on the AWS testbed, Δ=64$, δ=20$.
+func delphiSpec(o *options) bench.RunSpec {
+	n := 8
+	if o.scale == bench.Paper {
+		n = 16
+	}
+	return bench.RunSpec{
+		Protocol: bench.ProtoDelphi, N: n, F: (n - 1) / 3, Env: sim.AWS(), Seed: o.seed,
+		Inputs: bench.OracleInputs(n, 41000, 20, o.seed), Delphi: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
+	}
+}
+
 // runSessions smoke-runs the persistent-session path end to end: one
 // 3-trial (quick) Delphi cell on the tcp backend through the engine, whose
 // workers keep the cell's listeners and connections bound across trials.
@@ -432,20 +397,11 @@ func runBackends(o *options) (string, error) {
 // real and non-deterministic.
 func runSessions(o *options) (string, error) {
 	trials := 3
-	n := 8
-	if o.scale != bench.Quick {
-		trials, n = 10, 16
+	if o.scale == bench.Paper {
+		trials = 10
 	}
-	spec := bench.RunSpec{
-		Protocol: bench.ProtoDelphi,
-		N:        n,
-		F:        (n - 1) / 3,
-		Env:      sim.AWS(),
-		Seed:     o.seed,
-		Inputs:   bench.OracleInputs(n, 41000, 20, o.seed),
-		Delphi:   core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
-		Backend:  bench.BackendTCP,
-	}
+	spec := delphiSpec(o)
+	spec.Backend = bench.BackendTCP
 	stats, err := o.engine.RunTrials(spec, trials)
 	if err != nil {
 		return "", err
@@ -459,7 +415,7 @@ func runSessions(o *options) (string, error) {
 		mode = "per-trial setup (sessions disabled)"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "tcp session smoke — %d trials, n=%d, %s\n", trials, n, mode)
+	fmt.Fprintf(&b, "tcp session smoke — %d trials, n=%d, %s\n", trials, spec.N, mode)
 	fmt.Fprintf(&b, "  wall mean %.1f ms   spread max %.3g (ε=%g)   %.2f MB/trial mean\n",
 		agg.WallMS.Mean(), agg.Spread.Max(), spec.Delphi.Eps, agg.MB.Mean())
 	if agg.Spread.Max() > spec.Delphi.Eps {
@@ -474,7 +430,7 @@ func runSessions(o *options) (string, error) {
 // high-water marks, latency split, throughput, and subscriber staleness.
 func runService(o *options) (string, error) {
 	n := 8
-	if o.scale != bench.Quick {
+	if o.scale == bench.Paper {
 		n = 16
 	}
 	cfg := bench.ServiceConfig{
@@ -526,27 +482,14 @@ func runTrace(o *options) (string, error) {
 	if rec == nil {
 		rec = obs.New()
 	}
-	n := 8
-	if o.scale != bench.Quick {
-		n = 16
-	}
-	spec := bench.RunSpec{
-		Protocol:   bench.ProtoDelphi,
-		N:          n,
-		F:          (n - 1) / 3,
-		Env:        sim.AWS(),
-		Seed:       o.seed,
-		Inputs:     bench.OracleInputs(n, 41000, 20, o.seed),
-		Delphi:     core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
-		SimWorkers: o.engine.SimWorkers,
-		Obs:        rec,
-	}
+	spec := delphiSpec(o)
+	spec.SimWorkers, spec.Obs = o.engine.SimWorkers, rec
 	st, err := bench.Run(spec)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace — Delphi n=%d on the simulator: %d trace events\n", n, rec.EventCount())
+	fmt.Fprintf(&b, "trace — Delphi n=%d on the simulator: %d trace events\n", spec.N, rec.EventCount())
 	b.WriteString("metrics:\n")
 	for _, m := range st.Metrics {
 		line := &strings.Builder{}
@@ -556,43 +499,14 @@ func runTrace(o *options) (string, error) {
 	return b.String(), nil
 }
 
-// runMatrix demonstrates the scenario matrix: Delphi across both testbeds,
-// two system sizes, the three input shapes, and the fault axes, as one
-// engine batch. Each cell is a struct literal away from a new workload.
-func runMatrix(o *options) (string, error) {
-	ns := []int{16}
-	trials := 2
-	if o.scale != bench.Quick {
-		ns = []int{16, 40}
-		trials = 4
-	}
-	m := bench.Matrix{
-		Base: bench.Scenario{
-			Protocol: bench.ProtoDelphi,
-			// Table I's parameterisation: Δ=256$ keeps every cell subsecond.
-			Params:  core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
-			Center:  41000,
-			Delta:   20,
-			ByzKind: bench.ByzSpam,
-			Trials:  trials,
-		},
-		Envs:      []sim.Environment{sim.AWS(), sim.CPS()},
-		Ns:        ns,
-		Shapes:    []bench.InputShape{bench.ShapePinned, bench.ShapeSkewed, bench.ShapeClustered},
-		ByzCounts: []int{0, 1},
-	}
-	cells, err := o.engine.RunMatrix(m, o.seed)
+// runScale measures the simulator's n=1000+ scale curve, sequential versus
+// the 8-worker parallel window executor, in host wall time.
+func runScale(o *options) (string, error) {
+	rep, err := bench.ScaleSweep(o.scale, 8, o.seed)
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	b.WriteString("scenario matrix — Delphi, mean over trials\n")
-	fmt.Fprintf(&b, "  %-36s %10s %10s %10s\n", "cell", "lat(ms)", "MB", "spread")
-	for _, c := range cells {
-		fmt.Fprintf(&b, "  %-36s %10.0f %10.2f %10.3g\n",
-			c.Scenario.Name, c.Agg.LatencyMS.Mean(), c.Agg.MB.Mean(), c.Agg.Spread.Mean())
-	}
-	return b.String(), nil
+	return rep.Text, nil
 }
 
 // runWorstcase searches the adversary space for each protocol's empirical
@@ -603,7 +517,7 @@ func runMatrix(o *options) (string, error) {
 func runWorstcase(o *options) (string, error) {
 	protos := []bench.Protocol{bench.ProtoDelphi, bench.ProtoFIN}
 	n, rungs, anneal := 8, 3, 6
-	if o.scale != bench.Quick {
+	if o.scale == bench.Paper {
 		protos = append(protos, bench.ProtoAbraham)
 		n, anneal = 16, 12
 	}
@@ -638,65 +552,6 @@ func runWorstcase(o *options) (string, error) {
 				res.CleanWall.Round(time.Millisecond), res.WorstWall.Round(time.Millisecond),
 				res.Degraded, res.Attempts, res.Scored, res.TimedOut)
 		}
-	}
-	return b.String(), nil
-}
-
-func runAblations(o *options) (string, error) {
-	var b strings.Builder
-	single, multi, err := o.engine.AblationSingleLevel(16, o.seed)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "ablation: single-level strawman (ρ0=Δ) vs multi-level, n=16 δ=10$\n")
-	fmt.Fprintf(&b, "  single-level |out−mean|=%.1f$   multi-level |out−mean|=%.2f$\n",
-		single.MeanAbsErr, multi.MeanAbsErr)
-
-	rows, err := o.engine.AblationEps(16, o.seed)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "ablation: ε sweep (n=16, δ=20$)\n")
-	fmt.Fprintf(&b, "  %-8s %8s %10s %12s %8s\n", "eps", "rounds", "spread", "latency(ms)", "MB")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-8s %8d %10.4g %12.0f %8.2f\n", r.Name, r.Rounds, r.Spread, r.LatencyMS, r.MB)
-	}
-
-	comp, plain, err := o.engine.AblationCompression(16, o.seed)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "ablation: §II-C wire compression (n=16, δ=20$)\n")
-	fmt.Fprintf(&b, "  compressed: %.2f MB   plain: %.2f MB   saving: %.1fx\n",
-		float64(comp.TotalBytes)/1e6, float64(plain.TotalBytes)/1e6,
-		float64(plain.TotalBytes)/float64(comp.TotalBytes))
-
-	slow, fast, err := o.engine.AblationCoinCost(16, o.seed)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "ablation: FIN coin cost on CPS hardware (n=16)\n")
-	fmt.Fprintf(&b, "  pairing-class coin: %s   hash-class coin: %s\n",
-		slow.Latency.Round(time.Millisecond), fast.Latency.Round(time.Millisecond))
-
-	clean, crashed, byzantine, err := o.engine.AblationFaults(16, o.seed)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "ablation: fault load (n=16, δ=20$, f=5)\n")
-	fmt.Fprintf(&b, "  clean: %s %.2fMB   f crashes: %s %.2fMB   f byz spammers: %s %.2fMB\n",
-		clean.Latency.Round(time.Millisecond), float64(clean.TotalBytes)/1e6,
-		crashed.Latency.Round(time.Millisecond), float64(crashed.TotalBytes)/1e6,
-		byzantine.Latency.Round(time.Millisecond), float64(byzantine.TotalBytes)/1e6)
-
-	advRows, err := o.engine.AblationAdversary(16, o.seed)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "ablation: network adversary (Delphi, n=16, δ=20$)\n")
-	fmt.Fprintf(&b, "  %-14s %12s %8s %10s\n", "adversary", "latency(ms)", "MB", "spread")
-	for _, r := range advRows {
-		fmt.Fprintf(&b, "  %-14s %12.0f %8.2f %10.3g\n", r.Name, r.LatencyMS, r.MB, r.Spread)
 	}
 	return b.String(), nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,24 +12,36 @@ import (
 // TestRunTargetDispatch drives the cheap end of the pipeline: flag
 // parsing, target dispatch, and rendering, without heavy simulation.
 func TestRunTargetDispatch(t *testing.T) {
-	for _, target := range []string{"fig4", "fig5"} {
-		text, err := runTarget(target, defaultOptions(t))
-		if err != nil {
-			t.Fatalf("%s: %v", target, err)
-		}
+	o := defaultOptions(t)
+	o.targets = []string{"fig4", "fig5"}
+	text, err := runText(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range o.targets {
 		if !strings.Contains(text, target) {
 			t.Errorf("%s: rendering lacks the figure name:\n%s", target, text)
 		}
 	}
-	if _, err := runTarget("nope", defaultOptions(t)); err == nil {
+	if err := run([]string{"nope"}); err == nil {
 		t.Error("unknown target: want error")
 	}
 	if err := run([]string{"-scale", "warp9"}); err == nil {
 		t.Error("bad scale flag: want error")
 	}
+	if err := run([]string{"-scale", "medium", "fig4"}); err == nil {
+		t.Error("-scale medium: want error")
+	}
 	if err := run([]string{"-backend", "warp", "fig4"}); err == nil {
 		t.Error("bad backend flag: want error")
 	}
+}
+
+// runText runs o's targets and returns what they print.
+func runText(o *options) (string, error) {
+	var b strings.Builder
+	err := runTargets(o, &b)
+	return b.String(), err
 }
 
 // TestBackendsTarget drives the execution-backend axis end to end: the
@@ -38,7 +51,7 @@ func TestBackendsTarget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-cluster harness test")
 	}
-	text, err := runTarget("backends", defaultOptions(t))
+	text, err := runBackends(defaultOptions(t))
 	if err != nil {
 		t.Fatalf("backends target: %v", err)
 	}
@@ -82,7 +95,8 @@ func TestPaperScaleSmoke(t *testing.T) {
 	o := defaultOptions(t)
 	o.scale = bench.Paper
 	for _, target := range []string{"fig4", "fig5", "table2"} {
-		text, err := runTarget(target, o)
+		o.targets = []string{target}
+		text, err := runText(o)
 		if err != nil {
 			t.Fatalf("paper-scale %s: %v", target, err)
 		}
@@ -106,7 +120,8 @@ func TestAdversaryTargetDeterministic(t *testing.T) {
 	}
 	o := defaultOptions(t)
 	o.engine.Workers = 1
-	first, err := runTarget("adversary", o)
+	o.targets = []string{"adversary"}
+	first, err := runText(o)
 	if err != nil {
 		t.Fatalf("adversary target: %v", err)
 	}
@@ -118,7 +133,7 @@ func TestAdversaryTargetDeterministic(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 16} {
 		o.engine.Workers = workers
-		again, err := runTarget("adversary", o)
+		again, err := runText(o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -135,7 +150,7 @@ func TestAdversaryTargetDeterministic(t *testing.T) {
 func TestServiceTarget(t *testing.T) {
 	o := defaultOptions(t)
 	o.engine.Workers = 1
-	first, err := runTarget("service", o)
+	first, err := runService(o)
 	if err != nil {
 		t.Fatalf("service target: %v", err)
 	}
@@ -147,7 +162,7 @@ func TestServiceTarget(t *testing.T) {
 	}
 	for _, workers := range []int{4, 16} {
 		o.engine.Workers = workers
-		again, err := runTarget("service", o)
+		again, err := runService(o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -158,24 +173,46 @@ func TestServiceTarget(t *testing.T) {
 	}
 	// The service flags reach the config: a bad arrival law is rejected.
 	o.service.arrivals = "fractal"
-	if _, err := runTarget("service", o); err == nil {
+	if _, err := runService(o); err == nil {
 		t.Error("bad -service-arrivals: want error")
 	}
 }
 
 // TestRunFlagSelectsTargets pins the -run flag: flag targets compose with
-// positional ones (both must run) and junk is rejected.
+// positional ones (both must run), `all` expands wherever it appears, a
+// target named twice runs once, and every name is checked before anything
+// runs.
 func TestRunFlagSelectsTargets(t *testing.T) {
 	if err := run([]string{"-run", "fig4", "fig5"}); err != nil {
 		t.Errorf("-run fig4 + positional fig5: %v", err)
 	}
-	if err := run([]string{"-run", "nope"}); err == nil {
-		t.Error("-run nope: want error")
-	}
-	// A junk positional target must still error when -run is set — i.e. the
-	// flag must not swallow the positional list.
-	if err := run([]string{"-run", "fig4", "nope"}); err == nil {
-		t.Error("-run fig4 with junk positional: want error")
+	for _, c := range []struct {
+		args []string
+		want []string // nil: an error
+	}{
+		{[]string{"-run", "fig4", "fig5"}, []string{"fig5", "fig4"}},
+		{[]string{"-run", "fig5,fig4,fig5"}, []string{"fig5", "fig4"}},
+		{[]string{"-run", "nope"}, nil},
+		// The flag must not swallow the positional list.
+		{[]string{"-run", "fig4", "nope"}, nil},
+		// The typo fails before Fig. 6a runs.
+		{[]string{"-run", "fig6a,typo"}, nil},
+		{[]string{"-run", "fig6a,all"}, append([]string{"fig6a", "fig4", "fig5", "table1", "table2", "table3", "fig6b"},
+			"fig6c", "fig7", "validity", "tail", "matrix", "adversary", "ablations",
+			"backends", "sessions", "service", "trace", "scale")},
+		{[]string{"worstcase", "all"}, []string{"worstcase", "fig4", "fig5", "table1", "table2", "table3", "fig6a",
+			"fig6b", "fig6c", "fig7", "validity", "tail", "matrix", "adversary", "ablations",
+			"backends", "sessions", "service", "trace", "scale"}},
+	} {
+		o, err := parseArgs(c.args)
+		switch {
+		case c.want == nil && err == nil:
+			t.Errorf("%v: targets %v, want an error", c.args, o.targets)
+		case c.want != nil && err != nil:
+			t.Errorf("%v: %v", c.args, err)
+		case c.want != nil && !slices.Equal(o.targets, c.want):
+			t.Errorf("%v: targets %v, want %v", c.args, o.targets, c.want)
+		}
 	}
 }
 

@@ -92,28 +92,31 @@ func TestAdaptiveDeterminism(t *testing.T) {
 	}
 }
 
-// TestAdversarySweepOverAdaptive pins the sweep satellite: AdversarySweepOver
+// TestAdversarySweepOverAdaptive pins the sweep's column axis: the sweep
 // accepts arbitrary adversary configs and adaptive cells render with the
 // @adaptive marker in the report.
 func TestAdversarySweepOverAdaptive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	advs := []netadv.Adversary{
-		{}, // baseline column
-		{Kind: netadv.SlowF, Adaptive: true},
+	sweep := func(advs ...netadv.Adversary) (string, error) {
+		texts, err := (&Engine{}).runPlans([]string{"adversary"}, []Plan[string]{adversarySweep(Quick, 7, advs)})
+		if err != nil {
+			return "", err
+		}
+		return texts[0], nil
 	}
-	rep, err := (&Engine{}).AdversarySweepOver(Quick, 7, advs)
+	text, err := sweep(netadv.Adversary{}, netadv.Adversary{Kind: netadv.SlowF, Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rep.Text, "slow-f@adaptive") {
-		t.Fatalf("report does not render the adaptive cell:\n%s", rep.Text)
+	if !strings.Contains(text, "slow-f@adaptive") {
+		t.Fatalf("report does not render the adaptive cell:\n%s", text)
 	}
-	if _, err := (&Engine{}).AdversarySweepOver(Quick, 7, nil); err == nil {
+	if _, err := sweep(); err == nil {
 		t.Error("empty adversary list accepted")
 	}
-	if _, err := (&Engine{}).AdversarySweepOver(Quick, 7, []netadv.Adversary{{Adaptive: true}}); err == nil {
+	if _, err := sweep(netadv.Adversary{Adaptive: true}); err == nil {
 		t.Error("invalid adversary (adaptive none) accepted")
 	}
 }

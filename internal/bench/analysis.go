@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"delphi/internal/core"
@@ -14,14 +15,6 @@ import (
 
 // FitReport is a histogram plus competing distribution fits (Figs. 4/5).
 type FitReport struct {
-	// Name identifies the figure.
-	Name string
-	// Histogram is the binned data.
-	Histogram *dist.Histogram
-	// Fits holds the candidate distributions.
-	Fits []dist.Distribution
-	// KS holds each candidate's KS statistic, aligned with Fits.
-	KS []float64
 	// Best is the name of the winning fit.
 	Best string
 	// MeanValue is the sample mean.
@@ -30,71 +23,76 @@ type FitReport struct {
 	Text string
 }
 
-// scoreFits computes each candidate's KS statistic against the samples and
-// returns the index of the lowest-KS (winning) candidate, or -1 if none
-// scores (an all-NaN KS must not count as a perfect fit).
-func scoreFits(samples []float64, cands []dist.Distribution) (ks []float64, bestIdx int) {
-	bestIdx = -1
-	bestKS := 2.0
-	for i, c := range cands {
-		k := dist.KS(samples, c)
-		ks = append(ks, k)
-		if k < bestKS {
-			bestIdx, bestKS = i, k
-		}
+// extremeValueFits fits the Fréchet (when it converges) and Gumbel
+// extreme-value models to samples.
+func extremeValueFits(samples []float64) []dist.Distribution {
+	var cands []dist.Distribution
+	if fre, err := dist.FitFrechet(samples); err == nil {
+		cands = append(cands, fre)
 	}
-	return ks, bestIdx
+	return append(cands, dist.FitGumbel(samples))
 }
 
-func buildFitReport(name string, samples []float64, hmin, hmax float64, bins int, cands []dist.Distribution) *FitReport {
-	r := &FitReport{Name: name, Fits: cands}
-	r.Histogram = dist.NewHistogram(samples, hmin, hmax, bins)
-	r.MeanValue, _ = dist.Moments(samples)
-	var bestIdx int
-	r.KS, bestIdx = scoreFits(samples, cands)
-	if bestIdx >= 0 {
-		r.Best = cands[bestIdx].Name()
-	}
+// scoreFits renders one line per candidate with its KS statistic against
+// the samples and returns the lowest-KS (winning) candidate, or nil if none
+// scores (an all-NaN KS must not count as a perfect fit).
+func scoreFits(samples []float64, cands []dist.Distribution) (string, dist.Distribution) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — mean=%.3f best-fit=%s\n", name, r.MeanValue, r.Best)
-	for i, c := range cands {
-		fmt.Fprintf(&b, "  %-10s KS=%.4f %+v\n", c.Name(), r.KS[i], c)
+	var best dist.Distribution
+	bestKS := 2.0
+	for _, c := range cands {
+		k := dist.KS(samples, c)
+		fmt.Fprintf(&b, "  %-10s KS=%.4f %+v\n", c.Name(), k, c)
+		if k < bestKS {
+			best, bestKS = c, k
+		}
 	}
-	b.WriteString(r.Histogram.Render(40, cands...))
-	r.Text = b.String()
+	return b.String(), best
+}
+
+// fitReport renders the samples' histogram over [hmin, hmax] with the
+// candidate fits overlaid.
+func fitReport(name string, samples []float64, hmin, hmax float64, bins int, cands []dist.Distribution) *FitReport {
+	r := &FitReport{}
+	r.MeanValue, _ = dist.Moments(samples)
+	lines, best := scoreFits(samples, cands)
+	if best != nil {
+		r.Best = best.Name()
+	}
+	r.Text = fmt.Sprintf("%s — mean=%.3f best-fit=%s\n", name, r.MeanValue, r.Best) + lines +
+		dist.NewHistogram(samples, hmin, hmax, bins).Render(40, cands...)
 	return r
 }
 
-// Fig4 reproduces the Bitcoin price-range study: two weeks of synthetic
+// fig4 reproduces the Bitcoin price-range study: two weeks of synthetic
 // ten-exchange quotes, the per-minute δ histogram, and the Fréchet-vs-Gumbel
 // extreme-value fits (the paper finds Fréchet α=4.41, scale 29.3 wins).
-// The sample corpus is drawn from the shared per-seed cache (corpus.go).
-func Fig4(seed int64) (*FitReport, error) {
-	ranges, err := Fig4Ranges(seed)
-	if err != nil {
-		return nil, err
-	}
-	var cands []dist.Distribution
-	if fre, err := dist.FitFrechet(ranges); err == nil {
-		cands = append(cands, fre)
-	}
-	cands = append(cands, dist.FitGumbel(ranges))
-	return buildFitReport("fig4: bitcoin range δ (USD)", ranges, 0, 70, 35, cands), nil
+func fig4(_ Scale, seed int64) Plan[*FitReport] {
+	return Plan[*FitReport]{Reduce: func([]*RunStats) (*FitReport, error) {
+		m, err := feeds.NewMarket(feeds.DefaultConfig(), seed)
+		if err != nil {
+			return nil, err
+		}
+		ranges := feeds.Ranges(m.Collect(feeds.TwoWeeks))
+		return fitReport("fig4: bitcoin range δ (USD)", ranges, 0, 70, 35, extremeValueFits(ranges)), nil
+	}}
 }
 
-// Fig5 reproduces the IoU study: 80 000 synthetic detections, the IoU
-// histogram, and the Gamma-vs-Fréchet fits (Gamma wins, mean 0.87). The
-// sample corpus is drawn from the shared per-seed cache (corpus.go).
-func Fig5(seed int64) (*FitReport, error) {
-	ious, err := Fig5IoUs(seed)
-	if err != nil {
-		return nil, err
-	}
-	cands := []dist.Distribution{dist.FitGamma(ious)}
-	if fre, err := dist.FitFrechet(ious); err == nil {
-		cands = append(cands, fre)
-	}
-	return buildFitReport("fig5: detection IoU", ious, 0.35, 1.0, 26, cands), nil
+// fig5 reproduces the IoU study: 80 000 synthetic detections, the IoU
+// histogram, and the Gamma-vs-Fréchet fits (Gamma wins, mean 0.87).
+func fig5(_ Scale, seed int64) Plan[*FitReport] {
+	return Plan[*FitReport]{Reduce: func([]*RunStats) (*FitReport, error) {
+		model := vision.DefaultModel()
+		if err := model.Validate(); err != nil {
+			return nil, err
+		}
+		ious := model.SampleIoUs(80000, rand.New(rand.NewSource(seed)))
+		cands := []dist.Distribution{dist.FitGamma(ious)}
+		if fre, err := dist.FitFrechet(ious); err == nil {
+			cands = append(cands, fre)
+		}
+		return fitReport("fig5: detection IoU", ious, 0.35, 1.0, 26, cands), nil
+	}}
 }
 
 // ValidityReport is the §VI-E analysis: expected distance between a
@@ -109,105 +107,74 @@ type ValidityReport struct {
 	BaselineErr float64
 	// DeltaMean is the mean honest range over the trials.
 	DeltaMean float64
-	// Text is the rendered row.
-	Text string
 }
 
-// Validity runs the §VI-E validity-relaxation comparison: several seeds of
+// validity runs the §VI-E validity-relaxation comparison: several seeds of
 // realistic inputs per application, measuring how far Delphi's and FIN's
 // outputs sit from the honest mean. The paper reports Delphi ≈2x the
 // baseline's distance (25$ vs 12.5$ on the oracle; 2.6m vs 1.3m on drones).
-// All trials of both applications run as one engine batch.
-func (e *Engine) Validity(scale Scale, seed int64) ([]*ValidityReport, error) {
+func validity(scale Scale, seed int64) Plan[[]*ValidityReport] {
 	trials := 3
 	n := 16
 	if scale == Paper {
 		trials = 8
 		n = 40
 	}
-	f := faults(n)
-
 	apps := []struct {
 		name   string
 		params core.Params
 		inputs func(trial int64) []float64
 	}{
-		{
-			name:   "oracle",
-			params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 2000, Eps: 2},
-			inputs: func(trial int64) []float64 {
-				m, _ := feeds.NewMarket(feeds.DefaultConfig(), seed+trial)
-				snap := m.Tick(0)
-				out := make([]float64, n)
-				for i := range out {
-					out[i] = snap.Quotes[i%len(snap.Quotes)]
-				}
-				return out
-			},
-		},
-		{
-			name:   "drones",
-			params: core.Params{S: 0, E: 2000, Rho0: 0.5, Delta: 50, Eps: 0.5},
-			inputs: func(trial int64) []float64 {
-				model := vision.DefaultModel()
-				rng := rand.New(rand.NewSource(seed + trial))
-				pts := model.DroneInputs(n, vision.Point{X: 500, Y: 500}, rng)
-				out := make([]float64, n)
-				for i, p := range pts {
-					out[i] = p.X
-				}
-				return out
-			},
-		},
+		{"oracle", OracleDefaultParams(), func(trial int64) []float64 {
+			m, _ := feeds.NewMarket(feeds.DefaultConfig(), seed+trial)
+			quotes := m.Tick(0).Quotes
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = quotes[i%len(quotes)]
+			}
+			return out
+		}},
+		{"drones", cpsParams(), func(trial int64) []float64 {
+			pts := vision.DefaultModel().DroneInputs(n, vision.Point{X: 500, Y: 500}, rand.New(rand.NewSource(seed+trial)))
+			out := make([]float64, n)
+			for i, p := range pts {
+				out[i] = p.X
+			}
+			return out
+		}},
 	}
 
-	// Expand every (app, trial) into a Delphi and a FIN spec, batch them
-	// all, then fold per-app aggregates.
-	var specs []RunSpec
-	var labels []string
+	// Every (app, trial) runs Delphi and FIN.
+	var s Plan[[]*ValidityReport]
 	deltaMeans := make([]float64, len(apps))
 	for ai, app := range apps {
 		for t := 0; t < trials; t++ {
 			inputs := app.inputs(int64(t))
-			lo, hi := inputs[0], inputs[0]
-			for _, v := range inputs {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			deltaMeans[ai] += hi - lo
+			deltaMeans[ai] += slices.Max(inputs) - slices.Min(inputs)
 			for _, proto := range []Protocol{ProtoDelphi, ProtoFIN} {
-				specs = append(specs, RunSpec{
-					Protocol: proto, N: n, F: f, Env: sim.AWS(),
+				s.add(RunSpec{
+					Protocol: proto, N: n, F: faults(n), Env: sim.AWS(),
 					Seed: seed + int64(t), Inputs: inputs, Delphi: app.params,
-				})
-				labels = append(labels, fmt.Sprintf("%s %s trial %d", app.name, proto, t))
+				}, fmt.Sprintf("%s %s trial %d", app.name, proto, t))
 			}
 		}
 	}
-	stats, err := e.labelledBatch("validity", specs, labels)
-	if err != nil {
-		return nil, err
-	}
-
-	var reports []*ValidityReport
-	for ai, app := range apps {
-		rep := &ValidityReport{App: app.name, DeltaMean: deltaMeans[ai] / float64(trials)}
-		base := ai * trials * 2
-		for t := 0; t < trials; t++ {
-			rep.DelphiErr += stats[base+2*t].MeanAbsErr
-			rep.BaselineErr += stats[base+2*t+1].MeanAbsErr
+	s.Reduce = func(stats []*RunStats) ([]*ValidityReport, error) {
+		var reports []*ValidityReport
+		for ai, app := range apps {
+			rep := &ValidityReport{App: app.name, DeltaMean: deltaMeans[ai] / float64(trials)}
+			base := ai * trials * 2
+			for t := 0; t < trials; t++ {
+				rep.DelphiErr += stats[base+2*t].MeanAbsErr
+				rep.BaselineErr += stats[base+2*t+1].MeanAbsErr
+			}
+			rep.DelphiErr /= float64(trials)
+			rep.BaselineErr /= float64(trials)
+			reports = append(reports, rep)
 		}
-		rep.DelphiErr /= float64(trials)
-		rep.BaselineErr /= float64(trials)
-		rep.Text = fmt.Sprintf("%-8s mean δ=%.3f  |Delphi−mean|=%.3f  |FIN−mean|=%.3f  ratio=%.2f",
-			rep.App, rep.DeltaMean, rep.DelphiErr, rep.BaselineErr, rep.DelphiErr/rep.BaselineErr)
-		reports = append(reports, rep)
+		return reports, nil
 	}
-	return reports, nil
+	return s
 }
 
 // TailReport is the latency-tail analysis: the protocol's per-trial
@@ -215,13 +182,10 @@ func (e *Engine) Validity(scale Scale, seed int64) ([]*ValidityReport, error) {
 // value fits in the style of the paper's Fig. 4 methodology applied to the
 // harness' own measurements.
 type TailReport struct {
-	// Scenario is the measured workload.
-	Scenario Scenario
 	// Agg holds the streaming summary (latency samples retained).
 	Agg *Aggregate
-	// Fits and KS hold the candidate tail fits and their KS statistics.
+	// Fits holds the candidate tail fits.
 	Fits []dist.Distribution
-	KS   []float64
 	// Best names the winning fit.
 	Best string
 	// P99 is the winning fit's 0.99 quantile (milliseconds).
@@ -230,53 +194,39 @@ type TailReport struct {
 	Text string
 }
 
-// LatencyTail measures Delphi's completion-latency distribution over many
+// latencyTail measures Delphi's completion-latency distribution over many
 // trials of the oracle workload and fits the candidate extreme-value
-// models to it. Scale selects the trial count and parameterisation:
-// Quick uses Table I's Δ=256$ sizing so the sweep stays subsecond per
-// trial; Paper uses the full Fig. 6b oracle parameterisation.
-func (e *Engine) LatencyTail(scale Scale, seed int64) (*TailReport, error) {
-	trials := 12
-	n := 16
-	params := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2}
-	if scale == Paper {
-		trials = 48
-		n = 40
-		params = OracleDefaultParams()
-	}
+// models to it. Quick uses Table I's Δ=256$ sizing so the sweep stays
+// subsecond per trial; Paper uses the full Fig. 6b oracle parameterisation.
+func latencyTail(scale Scale, seed int64) Plan[*TailReport] {
 	sc := Scenario{
 		Name:     "latency-tail",
 		Protocol: ProtoDelphi,
-		N:        n,
+		N:        16,
 		Env:      sim.AWS(),
-		Params:   params,
+		Params:   core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
 		Center:   41000,
 		Delta:    20,
-		Trials:   trials,
+		Trials:   12,
 	}
-	cells, err := e.RunScenarios([]Scenario{sc}, seed, true)
-	if err != nil {
-		return nil, err
+	if scale == Paper {
+		sc.N, sc.Params, sc.Trials = 40, OracleDefaultParams(), 48
 	}
-	res := cells[0]
-	samples := res.Agg.LatencyMS.Samples
-	rep := &TailReport{Scenario: sc, Agg: res.Agg}
-	if fre, err := dist.FitFrechet(samples); err == nil {
-		rep.Fits = append(rep.Fits, fre)
+	var s Plan[*TailReport]
+	for i, spec := range sc.Specs(seed) {
+		s.add(spec, fmt.Sprintf("trial %d", i))
 	}
-	rep.Fits = append(rep.Fits, dist.FitGumbel(samples))
-	var bestIdx int
-	rep.KS, bestIdx = scoreFits(samples, rep.Fits)
-	if bestIdx >= 0 {
-		rep.Best = rep.Fits[bestIdx].Name()
-		rep.P99 = rep.Fits[bestIdx].Quantile(0.99)
+	s.Reduce = func(stats []*RunStats) (*TailReport, error) {
+		agg := aggregates([]Scenario{sc}, stats, true)[0]
+		samples := agg.LatencyMS.Samples
+		rep := &TailReport{Agg: agg, Fits: extremeValueFits(samples)}
+		lines, best := scoreFits(samples, rep.Fits)
+		if best != nil {
+			rep.Best, rep.P99 = best.Name(), best.Quantile(0.99)
+		}
+		rep.Text = fmt.Sprintf("latency tail — %s n=%d trials=%d: mean=%.1fms max=%.1fms best-fit=%s p99=%.1fms\n%s",
+			sc.Protocol, sc.N, sc.Trials, agg.LatencyMS.Mean(), agg.LatencyMS.Max(), rep.Best, rep.P99, lines)
+		return rep, nil
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "latency tail — %s n=%d trials=%d: mean=%.1fms max=%.1fms best-fit=%s p99=%.1fms\n",
-		sc.Protocol, sc.N, trials, res.Agg.LatencyMS.Mean(), res.Agg.LatencyMS.Max(), rep.Best, rep.P99)
-	for i, c := range rep.Fits {
-		fmt.Fprintf(&b, "  %-10s KS=%.4f %+v\n", c.Name(), rep.KS[i], c)
-	}
-	rep.Text = b.String()
-	return rep, nil
+	return s
 }

@@ -1,21 +1,16 @@
-package bench_test
+package bench
 
 import (
 	"math"
 	"strings"
 	"testing"
-
-	"delphi/internal/bench"
 )
 
 func TestFig6bDelphiBandwidthBelowBaselines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	_, fig, err := bench.NewEngine(0).Fig6AWS(bench.Quick, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := runPlan(t, fig6b(Quick, 2))
 	// At the largest quick n, Delphi's bandwidth must undercut FIN and
 	// Abraham (paper: by an order of magnitude).
 	last := len(fig.Series[0].Y) - 1
@@ -31,10 +26,7 @@ func TestFig6bDelphiBandwidthBelowBaselines(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	rep, err := bench.Fig4(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runPlan(t, fig4(Quick, 7))
 	if rep.Best != "frechet" {
 		t.Errorf("best fit = %s, paper finds frechet", rep.Best)
 	}
@@ -44,10 +36,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	rep, err := bench.Fig5(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runPlan(t, fig5(Quick, 8))
 	if rep.Best != "gamma" {
 		t.Errorf("best fit = %s, paper finds gamma", rep.Best)
 	}
@@ -60,10 +49,7 @@ func TestTable1Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	tbl, err := bench.NewEngine(0).Table1(bench.Quick, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runPlan(t, table1(Quick, 3))
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(tbl.Rows))
 	}
@@ -89,10 +75,7 @@ func TestTable3SignatureCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	tbl, err := bench.Table3(bench.Quick, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runPlan(t, table3(Quick, 4))
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
 	}
@@ -108,10 +91,7 @@ func TestValidityRelaxationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	reps, err := bench.NewEngine(0).Validity(bench.Quick, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := runPlan(t, validity(Quick, 5))
 	for _, r := range reps {
 		if r.DelphiErr <= 0 || r.BaselineErr <= 0 {
 			t.Errorf("%s: degenerate errors %+v", r.App, r)
@@ -127,7 +107,7 @@ func TestValidityRelaxationShape(t *testing.T) {
 }
 
 func TestOracleInputsPinsRange(t *testing.T) {
-	in := bench.OracleInputs(10, 100, 20, 1)
+	in := OracleInputs(10, 100, 20, 1)
 	lo, hi := in[0], in[0]
 	for _, v := range in {
 		lo = math.Min(lo, v)

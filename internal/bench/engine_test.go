@@ -190,30 +190,3 @@ func TestStreamMoments(t *testing.T) {
 		t.Error("empty stream must report NaN moments")
 	}
 }
-
-// TestFig4CorpusShared pins the corpus cache: two draws at one seed return
-// the same backing array (generation happened once).
-func TestFig4CorpusShared(t *testing.T) {
-	a, err := bench.Fig4Ranges(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bench.Fig4Ranges(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 || &a[0] != &b[0] {
-		t.Error("Fig4Ranges(42) regenerated the corpus instead of sharing it")
-	}
-	c, err := bench.Fig5IoUs(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := bench.Fig5IoUs(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c) == 0 || &c[0] != &d[0] {
-		t.Error("Fig5IoUs(42) regenerated the corpus instead of sharing it")
-	}
-}

@@ -1,14 +1,16 @@
 package bench
 
 import (
-	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"delphi/internal/core"
+	"delphi/internal/netadv"
+	"delphi/internal/obs"
 	"delphi/internal/sim"
 )
 
@@ -19,12 +21,12 @@ import (
 // Regenerate with -update-golden only for a change that deliberately alters
 // a measurement.
 func TestExperimentsGolden(t *testing.T) {
+	texts, err := NewEngine(0).RunExperiments(experimentNames(), Quick, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	for _, x := range goldenExperiments(NewEngine(0)) {
-		text, err := x.run()
-		if err != nil {
-			t.Fatalf("%s: %v", x.name, err)
-		}
+	for _, text := range texts {
 		b.WriteString(strings.TrimRight(text, "\n") + "\n\n")
 	}
 	got := b.String()
@@ -46,140 +48,191 @@ func TestExperimentsGolden(t *testing.T) {
 	}
 }
 
-type goldenExperiment struct {
-	name string
-	run  func() (string, error)
+func experimentNames() []string {
+	var names []string
+	for _, x := range Experiments() {
+		names = append(names, x.Name)
+	}
+	return names
 }
 
-// goldenExperiments renders every experiment the way cmd/experiments does.
-func goldenExperiments(e *Engine) []goldenExperiment {
-	const scale, seed = Quick, 1
-	return []goldenExperiment{
-		{"fig4", func() (string, error) { r, err := Fig4(seed); return textOr(r, err) }},
-		{"fig5", func() (string, error) { r, err := Fig5(seed); return textOr(r, err) }},
-		{"table1", func() (string, error) { r, err := e.Table1(scale, seed); return textOr(r, err) }},
-		{"table2", func() (string, error) { r, err := e.Table2(scale, seed); return textOr(r, err) }},
-		{"table3", func() (string, error) { r, err := Table3(scale, seed); return textOr(r, err) }},
-		{"fig6a", func() (string, error) { a, _, err := e.Fig6AWS(scale, seed); return textOr(a, err) }},
-		{"fig6b", func() (string, error) { _, b, err := e.Fig6AWS(scale, seed); return textOr(b, err) }},
-		{"fig6c", func() (string, error) { r, err := e.Fig6c(scale, seed); return textOr(r, err) }},
-		{"fig7", func() (string, error) {
-			aws, cps, err := e.Fig7(scale, seed)
-			if err != nil {
-				return "", err
+// countingBackend is a throwaway kind that counts the runs a batch asks
+// for, by spec key, and returns empty stats without running them.
+const countingBackend BackendKind = "test-counting"
+
+var counted struct {
+	sync.Mutex
+	runs map[string]int
+}
+
+func init() {
+	MustRegisterBackend(countingBackend, BackendCaps{Deterministic: true}, func(spec RunSpec) (*RunStats, error) {
+		counted.Lock()
+		counted.runs[spec.key()]++
+		counted.Unlock()
+		return &RunStats{}, nil
+	})
+}
+
+// TestExperimentsRunCount pins the batch's de-duplication: every distinct
+// spec key runs exactly once. At quick scale, seed 1, Fig. 6a and 6b each
+// plan their own FIN and Abraham et al. runs, 16 in all, and run 12. The
+// ten experiments that ran their own batches before the table existed plan
+// 95 runs and run 87: beyond Fig. 6a/6b's four, Table 1's FIN row is
+// Fig. 6a's FIN at n=16, its Delphi row is the adversary ablation's clean
+// row, the compression ablation's compressed run is Fig. 6b's Delphi
+// δ=20$ at n=16, and the coin-cost ablation's pairing-coin FIN is Fig. 6c's
+// FIN at n=16. The whole table adds the matrix, two of whose trials are
+// the latency tail's.
+func TestExperimentsRunCount(t *testing.T) {
+	for _, c := range []struct {
+		names      []string
+		plan, want int
+	}{
+		{[]string{"table1", "table2", "fig6a", "fig6b", "fig6c", "fig7", "validity", "tail", "adversary", "ablations"}, 95, 87},
+		{[]string{"fig6a", "fig6b"}, 16, 12},
+		{experimentNames(), 119, 109},
+	} {
+		planned := 0
+		for _, x := range Experiments() {
+			for _, name := range c.names {
+				if x.Name == name {
+					planned += len(x.Plan(Quick, 1).Specs)
+				}
 			}
-			return aws.Text + "\n" + cps.Text, nil
-		}},
-		{"validity", func() (string, error) {
-			reps, err := e.Validity(scale, seed)
-			if err != nil {
-				return "", err
+		}
+		counted.Lock()
+		counted.runs = make(map[string]int)
+		counted.Unlock()
+		if _, err := (&Engine{Backend: countingBackend}).RunExperiments(c.names, Quick, 1); err != nil {
+			t.Fatal(err)
+		}
+		if planned != c.plan || len(counted.runs) != c.want {
+			t.Errorf("%v: planned %d runs and ran %d distinct, want %d and %d", c.names, planned, len(counted.runs), c.plan, c.want)
+		}
+		for k, n := range counted.runs {
+			if n != 1 {
+				t.Errorf("%v: ran %d times: %s", c.names, n, k)
 			}
-			text := "validity (§VI-E) — distance from honest mean\n"
-			for _, r := range reps {
-				text += r.Text + "\n"
-			}
-			return text, nil
-		}},
-		{"tail", func() (string, error) { r, err := e.LatencyTail(scale, seed); return textOr(r, err) }},
-		{"matrix", func() (string, error) { return goldenMatrix(e, seed) }},
-		{"adversary", func() (string, error) { r, err := e.AdversarySweep(scale, seed); return textOr(r, err) }},
-		{"ablations", func() (string, error) { return goldenAblations(e, seed) }},
+		}
 	}
 }
 
-func textOr[T interface{ text() string }](r T, err error) (string, error) {
-	if err != nil {
-		return "", err
+// TestRunSpecKey pins the batch key: specs that differ only in a field the
+// protocol does not read share it, and every field the protocol reads
+// separates them.
+func TestRunSpecKey(t *testing.T) {
+	base := func(proto Protocol) RunSpec {
+		return RunSpec{
+			Protocol: proto, N: 16, F: 5, Env: sim.AWS(), Seed: 1,
+			Inputs: OracleInputs(16, 41000, 20, 1), Delphi: OracleDefaultParams(),
+		}
 	}
-	return r.text(), nil
-}
-
-func (r *FitReport) text() string       { return r.Text }
-func (t *Table) text() string           { return t.Text }
-func (f *Figure) text() string          { return f.Text }
-func (r *TailReport) text() string      { return r.Text }
-func (r *AdversaryReport) text() string { return r.Text }
-
-func goldenMatrix(e *Engine, seed int64) (string, error) {
-	m := Matrix{
-		Base: Scenario{
-			Protocol: ProtoDelphi,
-			Params:   core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
-			Center:   41000,
-			Delta:    20,
-			ByzKind:  ByzSpam,
-			Trials:   2,
+	same := map[string]func(*RunSpec){
+		"fresh environment":   func(s *RunSpec) { s.Env = sim.AWS() },
+		"recorder":            func(s *RunSpec) { s.Obs = obs.New() },
+		"byzantine kind at 0": func(s *RunSpec) { s.ByzKind = ByzSpam },
+	}
+	differ := map[string]func(*RunSpec){
+		"protocol": func(s *RunSpec) {
+			if s.Protocol == ProtoDolev {
+				s.Protocol = ProtoAbraham
+			} else {
+				s.Protocol = ProtoDolev
+			}
 		},
-		Envs:      []sim.Environment{sim.AWS(), sim.CPS()},
-		Ns:        []int{16},
-		Shapes:    []InputShape{ShapePinned, ShapeSkewed, ShapeClustered},
-		ByzCounts: []int{0, 1},
+		"n":           func(s *RunSpec) { s.N = 17 },
+		"f":           func(s *RunSpec) { s.F = 4 },
+		"env cost":    func(s *RunSpec) { s.Env.Cost.Pairing = s.Env.Cost.Hash },
+		"env latency": func(s *RunSpec) { s.Env.Latency = &sim.WANLatency{JitterFrac: 0.2} },
+		"env testbed": func(s *RunSpec) { s.Env = sim.CPS() },
+		"seed":        func(s *RunSpec) { s.Seed = 2 },
+		"input":       func(s *RunSpec) { s.Inputs = append([]float64{41001}, s.Inputs[1:]...) },
+		"crash":       func(s *RunSpec) { s.Inputs = append([]float64{math.NaN()}, s.Inputs[1:]...) },
+		"byzantine":   func(s *RunSpec) { s.Byzantine = 1 },
+		"adversary":   func(s *RunSpec) { s.Adversary = netadv.Adversary{Kind: netadv.SlowF} },
+		"backend":     func(s *RunSpec) { s.Backend = BackendLive },
+		"sim workers": func(s *RunSpec) { s.SimWorkers = 2 },
 	}
-	cells, err := e.RunMatrix(m, seed)
-	if err != nil {
-		return "", err
+	check := func(proto Protocol, same, differ map[string]func(*RunSpec)) {
+		for name, mutate := range same {
+			s := base(proto)
+			mutate(&s)
+			if s.key() != base(proto).key() {
+				t.Errorf("%s: %s changes the key", proto, name)
+			}
+		}
+		for name, mutate := range differ {
+			s := base(proto)
+			mutate(&s)
+			if s.key() == base(proto).key() {
+				t.Errorf("%s: %s keeps the key", proto, name)
+			}
+		}
 	}
-	var b strings.Builder
-	b.WriteString("scenario matrix — Delphi, mean over trials\n")
-	fmt.Fprintf(&b, "  %-36s %10s %10s %10s\n", "cell", "lat(ms)", "MB", "spread")
-	for _, c := range cells {
-		fmt.Fprintf(&b, "  %-36s %10.0f %10.2f %10.3g\n",
-			c.Scenario.Name, c.Agg.LatencyMS.Mean(), c.Agg.MB.Mean(), c.Agg.Spread.Mean())
+	for _, proto := range []Protocol{ProtoDelphi, ProtoFIN, ProtoAbraham, ProtoDolev} {
+		check(proto, same, differ)
 	}
-	return b.String(), nil
+	check(ProtoDelphi, map[string]func(*RunSpec){"baseline rounds": func(s *RunSpec) { s.Rounds = 3 }},
+		map[string]func(*RunSpec){
+			"params":      func(s *RunSpec) { s.Delphi.Rho0 = 10 },
+			"compression": func(s *RunSpec) { s.NoCompression = true },
+		})
+	check(ProtoFIN, map[string]func(*RunSpec){
+		"params":      func(s *RunSpec) { s.Delphi = core.Params{} },
+		"rounds":      func(s *RunSpec) { s.Rounds = 3 },
+		"compression": func(s *RunSpec) { s.NoCompression = true },
+	}, nil)
+	// A Byzantine slot runs the kind under Delphi and is mute elsewhere.
+	byz := func(proto Protocol, kind ByzKind) string {
+		s := base(proto)
+		s.Byzantine, s.ByzKind = 1, kind
+		return s.key()
+	}
+	if byz(ProtoDelphi, ByzSpam) == byz(ProtoDelphi, ByzMute) {
+		t.Error("delphi: the byzantine kind keeps the key")
+	}
+	if byz(ProtoFIN, ByzSpam) != byz(ProtoFIN, ByzMute) {
+		t.Error("fin: the byzantine kind changes the key")
+	}
+	for _, proto := range []Protocol{ProtoAbraham, ProtoDolev} {
+		check(proto, map[string]func(*RunSpec){
+			"same Δ/ε":       func(s *RunSpec) { s.Delphi = oracleParams(10) },
+			"derived rounds": func(s *RunSpec) { s.Rounds = 10 },
+		}, map[string]func(*RunSpec){
+			"Δ/ε":    func(s *RunSpec) { s.Delphi.Delta = 256 },
+			"rounds": func(s *RunSpec) { s.Rounds = 3 },
+		})
+	}
 }
 
-func goldenAblations(e *Engine, seed int64) (string, error) {
-	var b strings.Builder
-	single, multi, err := e.AblationSingleLevel(16, seed)
+// runPlan runs a plan's specs and returns its result.
+func runPlan[T any](t *testing.T, p Plan[T]) T {
+	t.Helper()
+	stats, err := NewEngine(0).RunBatch(p.Specs)
 	if err != nil {
-		return "", err
+		t.Fatal(err)
 	}
-	fmt.Fprintf(&b, "ablation: single-level strawman (ρ0=Δ) vs multi-level, n=16 δ=10$\n")
-	fmt.Fprintf(&b, "  single-level |out−mean|=%.1f$   multi-level |out−mean|=%.2f$\n",
-		single.MeanAbsErr, multi.MeanAbsErr)
-	rows, err := e.AblationEps(16, seed)
+	r, err := p.Reduce(stats)
 	if err != nil {
-		return "", err
+		t.Fatal(err)
 	}
-	fmt.Fprintf(&b, "ablation: ε sweep (n=16, δ=20$)\n")
-	fmt.Fprintf(&b, "  %-8s %8s %10s %12s %8s\n", "eps", "rounds", "spread", "latency(ms)", "MB")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-8s %8d %10.4g %12.0f %8.2f\n", r.Name, r.Rounds, r.Spread, r.LatencyMS, r.MB)
+	return r
+}
+
+// TestLatencyTailShape runs the engine-backed EVT analysis at quick scale.
+func TestLatencyTailShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment harness test")
 	}
-	comp, plain, err := e.AblationCompression(16, seed)
-	if err != nil {
-		return "", err
+	rep := runPlan(t, latencyTail(Quick, 17))
+	if rep.Agg.LatencyMS.N() == 0 || len(rep.Agg.LatencyMS.Samples) != rep.Agg.LatencyMS.N() {
+		t.Fatalf("sample retention broken: %+v", rep.Agg.LatencyMS)
 	}
-	fmt.Fprintf(&b, "ablation: §II-C wire compression (n=16, δ=20$)\n")
-	fmt.Fprintf(&b, "  compressed: %.2f MB   plain: %.2f MB   saving: %.1fx\n",
-		float64(comp.TotalBytes)/1e6, float64(plain.TotalBytes)/1e6,
-		float64(plain.TotalBytes)/float64(comp.TotalBytes))
-	slow, fast, err := e.AblationCoinCost(16, seed)
-	if err != nil {
-		return "", err
+	if rep.Best == "" || len(rep.Fits) == 0 {
+		t.Error("no tail fit produced")
 	}
-	fmt.Fprintf(&b, "ablation: FIN coin cost on CPS hardware (n=16)\n")
-	fmt.Fprintf(&b, "  pairing-class coin: %s   hash-class coin: %s\n",
-		slow.Latency.Round(time.Millisecond), fast.Latency.Round(time.Millisecond))
-	clean, crashed, byzantine, err := e.AblationFaults(16, seed)
-	if err != nil {
-		return "", err
+	if !(rep.P99 >= rep.Agg.LatencyMS.Mean()) {
+		t.Errorf("p99 %.1f below mean %.1f", rep.P99, rep.Agg.LatencyMS.Mean())
 	}
-	fmt.Fprintf(&b, "ablation: fault load (n=16, δ=20$, f=5)\n")
-	fmt.Fprintf(&b, "  clean: %s %.2fMB   f crashes: %s %.2fMB   f byz spammers: %s %.2fMB\n",
-		clean.Latency.Round(time.Millisecond), float64(clean.TotalBytes)/1e6,
-		crashed.Latency.Round(time.Millisecond), float64(crashed.TotalBytes)/1e6,
-		byzantine.Latency.Round(time.Millisecond), float64(byzantine.TotalBytes)/1e6)
-	advRows, err := e.AblationAdversary(16, seed)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "ablation: network adversary (Delphi, n=16, δ=20$)\n")
-	fmt.Fprintf(&b, "  %-14s %12s %8s %10s\n", "adversary", "latency(ms)", "MB", "spread")
-	for _, r := range advRows {
-		fmt.Fprintf(&b, "  %-14s %12.0f %8.2f %10.3g\n", r.Name, r.LatencyMS, r.MB, r.Spread)
-	}
-	return b.String(), nil
 }

@@ -1,6 +1,7 @@
-// Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (§VI), each returning structured results and a
-// formatted text block matching the paper's rows/series. The root
+// Package bench is the experiment harness. Experiments is the table of the
+// paper's evaluation (§VI): each table and figure is a plan of RunSpecs and
+// a reduction of their stats to the text matching the paper's rows/series,
+// and Engine.RunExperiments runs the selected plans as one batch. The root
 // bench_test.go and cmd/experiments are thin wrappers over this package.
 package bench
 
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"time"
 	"weak"
@@ -155,6 +157,29 @@ func (s RunSpec) defaultRounds() int {
 		r = 1
 	}
 	return r
+}
+
+// key identifies the run the spec describes: specs with one key produce
+// the same RunStats, so a batch runs them once. It zeroes every field the
+// protocol does not read (FIN reads no Delphi parameter, Abraham et al. and
+// Dolev read them only through defaultRounds, and a Byzantine kind matters
+// only to Delphi's Byzantine slots), drops Obs, which never changes
+// results, and prints the latency model by value.
+func (s RunSpec) key() string {
+	k := s
+	k.Obs, k.Env.Latency = nil, nil
+	if s.Protocol == ProtoDelphi {
+		k.Rounds = 0
+	} else {
+		k.Delphi, k.Rounds, k.NoCompression, k.ByzKind = core.Params{}, 0, false, ByzMute
+		if s.Protocol != ProtoFIN {
+			k.Rounds = s.defaultRounds()
+		}
+	}
+	if s.Byzantine == 0 {
+		k.ByzKind = ByzMute
+	}
+	return fmt.Sprintf("%#v %T %#v", k, s.Env.Latency, reflect.Indirect(reflect.ValueOf(s.Env.Latency)))
 }
 
 // byzSlot reports whether slot i hosts a Byzantine process.

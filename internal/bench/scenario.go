@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"delphi/internal/core"
 	"delphi/internal/netadv"
@@ -328,12 +329,10 @@ func (m Matrix) Scenarios() []Scenario {
 // keepSamples retains per-trial latency samples in each cell's aggregate.
 func (e *Engine) RunScenarios(cells []Scenario, baseSeed int64, keepSamples bool) ([]*ScenarioResult, error) {
 	var specs []RunSpec
-	offsets := make([]int, 0, len(cells))
 	for _, s := range cells {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
-		offsets = append(offsets, len(specs))
 		specs = append(specs, s.Specs(baseSeed)...)
 	}
 	stats, err := e.RunBatch(specs)
@@ -341,22 +340,62 @@ func (e *Engine) RunScenarios(cells []Scenario, baseSeed int64, keepSamples bool
 		return nil, err
 	}
 	out := make([]*ScenarioResult, len(cells))
-	for ci, s := range cells {
-		agg := NewAggregate(keepSamples)
-		end := len(specs)
-		if ci+1 < len(cells) {
-			end = offsets[ci+1]
-		}
-		for _, st := range stats[offsets[ci]:end] {
-			agg.Observe(st)
-		}
-		out[ci] = &ScenarioResult{Scenario: s, Agg: agg}
+	for i, agg := range aggregates(cells, stats, keepSamples) {
+		out[i] = &ScenarioResult{Scenario: cells[i], Agg: agg}
 	}
 	return out, nil
+}
+
+// aggregates folds stats, every trial of every cell in cell order, into one
+// Aggregate per cell.
+func aggregates(cells []Scenario, stats []*RunStats, keepSamples bool) []*Aggregate {
+	out := make([]*Aggregate, len(cells))
+	for i, c := range cells {
+		out[i] = NewAggregate(keepSamples)
+		for _, st := range stats[:c.trials()] {
+			out[i].Observe(st)
+		}
+		stats = stats[c.trials():]
+	}
+	return out
 }
 
 // RunMatrix expands the matrix and executes every trial of every cell as
 // one flat batch, returning per-cell aggregates in cell order.
 func (e *Engine) RunMatrix(m Matrix, baseSeed int64) ([]*ScenarioResult, error) {
 	return e.RunScenarios(m.Scenarios(), baseSeed, false)
+}
+
+// scenarioMatrix is the scenario matrix as an experiment: Delphi across
+// both testbeds, the three input shapes and a Byzantine spammer or none,
+// at n=16 (and 40 at paper scale). Each cell is a struct literal away from
+// a new workload.
+func scenarioMatrix(scale Scale, seed int64) Plan[string] {
+	m := Matrix{
+		Base: Scenario{
+			Protocol: ProtoDelphi,
+			// Table I's parameterisation: Δ=256$ keeps every cell subsecond.
+			Params:  core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
+			Center:  41000,
+			Delta:   20,
+			ByzKind: ByzSpam,
+			Trials:  2,
+		},
+		Envs:      []sim.Environment{sim.AWS(), sim.CPS()},
+		Ns:        []int{16},
+		Shapes:    []InputShape{ShapePinned, ShapeSkewed, ShapeClustered},
+		ByzCounts: []int{0, 1},
+	}
+	if scale == Paper {
+		m.Ns, m.Base.Trials = []int{16, 40}, 4
+	}
+	cells := m.Scenarios()
+	return scenarioPlan(cells, seed, func(aggs []*Aggregate) (string, error) {
+		var b strings.Builder
+		fmt.Fprintf(&b, "scenario matrix — Delphi, mean over trials\n  %-36s %10s %10s %10s\n", "cell", "lat(ms)", "MB", "spread")
+		for i, agg := range aggs {
+			fmt.Fprintf(&b, "  %-36s %10.0f %10.2f %10.3g\n", cells[i].Name, agg.LatencyMS.Mean(), agg.MB.Mean(), agg.Spread.Mean())
+		}
+		return b.String(), nil
+	})
 }

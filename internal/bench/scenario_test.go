@@ -174,23 +174,3 @@ func TestRunMatrixAggregates(t *testing.T) {
 		}
 	}
 }
-
-// TestLatencyTailShape runs the engine-backed EVT analysis at quick scale.
-func TestLatencyTailShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment harness test")
-	}
-	rep, err := bench.NewEngine(0).LatencyTail(bench.Quick, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Agg.LatencyMS.N() == 0 || len(rep.Agg.LatencyMS.Samples) != rep.Agg.LatencyMS.N() {
-		t.Fatalf("sample retention broken: %+v", rep.Agg.LatencyMS)
-	}
-	if rep.Best == "" || len(rep.Fits) == 0 {
-		t.Error("no tail fit produced")
-	}
-	if !(rep.P99 >= rep.Agg.LatencyMS.Mean()) {
-		t.Errorf("p99 %.1f below mean %.1f", rep.P99, rep.Agg.LatencyMS.Mean())
-	}
-}

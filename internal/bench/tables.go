@@ -23,112 +23,84 @@ type TableRow struct {
 
 // Table is a reproduced table.
 type Table struct {
-	// Name identifies the table ("table1", ...).
-	Name string
-	// Title is the caption lead.
-	Title string
-	// Header names the columns.
-	Header []string
 	// Rows holds the measured rows.
 	Rows []TableRow
 	// Text is the rendered table.
 	Text string
 }
 
-func renderTable(t *Table) {
-	widths := make([]int, len(t.Header)+1)
-	widths[0] = len("protocol")
-	for _, r := range t.Rows {
-		if len(r.Name) > widths[0] {
-			widths[0] = len(r.Name)
-		}
-	}
-	for i, h := range t.Header {
-		widths[i+1] = len(h)
-		for _, r := range t.Rows {
-			if i < len(r.Cells) && len(r.Cells[i]) > widths[i+1] {
-				widths[i+1] = len(r.Cells[i])
-			}
+// newTable renders rows under a heading line and a header row, each
+// column right-aligned to its widest cell.
+func newTable(heading string, header []string, rows []TableRow) *Table {
+	all := append([]TableRow{{Name: "protocol", Cells: header}}, rows...)
+	widths := make([]int, len(header)+1)
+	for _, r := range all {
+		widths[0] = max(widths[0], len(r.Name))
+		for i, c := range r.Cells {
+			widths[i+1] = max(widths[i+1], len(c))
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", t.Name, t.Title)
-	fmt.Fprintf(&b, "%-*s", widths[0]+2, "protocol")
-	for i, h := range t.Header {
-		fmt.Fprintf(&b, "%*s", widths[i+1]+2, h)
-	}
-	b.WriteString("\n")
-	for _, r := range t.Rows {
+	b.WriteString(heading + "\n")
+	for _, r := range all {
 		fmt.Fprintf(&b, "%-*s", widths[0]+2, r.Name)
 		for i, c := range r.Cells {
 			fmt.Fprintf(&b, "%*s", widths[i+1]+2, c)
 		}
 		b.WriteString("\n")
 	}
-	t.Text = b.String()
+	return &Table{Rows: rows, Text: b.String()}
 }
 
-// Table1 is the measured companion of the paper's Table I: the four convex
+// table1 is the measured companion of the paper's Table I: the four convex
 // BA protocols on identical inputs, reporting bits on the wire, latency,
 // crypto operations, agreement distance, and validity interval slack.
-func (e *Engine) Table1(scale Scale, seed int64) (*Table, error) {
+func table1(scale Scale, seed int64) Plan[*Table] {
 	n := 16
 	if scale == Paper {
 		n = 64
 	}
-	f := faults(n)
-	fDolev := (n - 1) / 5
 	p := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2}
 	delta := 20.0
 	inputs := OracleInputs(n, 41000, delta, seed)
 	m, M := 41000-delta/2, 41000+delta/2
-
-	tbl := &Table{
-		Name:   "table1",
-		Title:  fmt.Sprintf("Asynchronous convex BA protocols, measured at n=%d, δ=%.0f$", n, delta),
-		Header: []string{"MB", "latency", "pairings", "spread", "validity-slack"},
-	}
 	names := []string{"FIN (ACS)", "Abraham et al.", "Dolev et al. (5t+1)", "Delphi"}
-	specs := []RunSpec{
-		{Protocol: ProtoFIN, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p},
-		{Protocol: ProtoAbraham, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p},
-		{Protocol: ProtoDolev, N: n, F: fDolev, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p},
-		{Protocol: ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p},
-	}
-	stats, err := e.labelledBatch("table1", specs, names)
-	if err != nil {
-		return nil, err
-	}
-	for i, st := range stats {
-		slack := 0.0
-		for _, o := range st.Outputs {
-			if o < m {
-				slack = math.Max(slack, m-o)
-			}
-			if o > M {
-				slack = math.Max(slack, o-M)
-			}
+	var s Plan[*Table]
+	for i, proto := range []Protocol{ProtoFIN, ProtoAbraham, ProtoDolev, ProtoDelphi} {
+		f := faults(n)
+		if proto == ProtoDolev {
+			f = (n - 1) / 5
 		}
-		tbl.Rows = append(tbl.Rows, TableRow{Name: names[i], Cells: []string{
-			fmt.Sprintf("%.2f", float64(st.TotalBytes)/1e6),
-			st.Latency.Round(time.Millisecond).String(),
-			fmt.Sprintf("%d", st.Pairings),
-			fmt.Sprintf("%.3g", st.Spread),
-			fmt.Sprintf("%.3g", slack),
-		}})
+		s.add(RunSpec{Protocol: proto, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p}, names[i])
 	}
-	renderTable(tbl)
-	return tbl, nil
+	s.Reduce = func(stats []*RunStats) (*Table, error) {
+		var rows []TableRow
+		for i, st := range stats {
+			slack := 0.0
+			for _, o := range st.Outputs {
+				slack = math.Max(slack, math.Max(m-o, o-M))
+			}
+			rows = append(rows, TableRow{Name: names[i], Cells: []string{
+				fmt.Sprintf("%.2f", float64(st.TotalBytes)/1e6),
+				st.Latency.Round(time.Millisecond).String(),
+				fmt.Sprintf("%d", st.Pairings),
+				fmt.Sprintf("%.3g", st.Spread),
+				fmt.Sprintf("%.3g", slack),
+			}})
+		}
+		return newTable(fmt.Sprintf("table1 — Asynchronous convex BA protocols, measured at n=%d, δ=%.0f$", n, delta),
+			[]string{"MB", "latency", "pairings", "spread", "validity-slack"}, rows), nil
+	}
+	return s
 }
 
-// Table2 is the paper's Table II: Delphi's communication and rounds under
+// table2 is the paper's Table II: Delphi's communication and rounds under
 // the three (Δ, δ) conditions.
-func (e *Engine) Table2(scale Scale, seed int64) (*Table, error) {
+func table2(scale Scale, seed int64) Plan[*Table] {
 	n := 16
 	if scale == Paper {
 		n = 64
 	}
-	f := faults(n)
 	eps := 2.0
 	conds := []struct {
 		name  string
@@ -139,188 +111,158 @@ func (e *Engine) Table2(scale Scale, seed int64) (*Table, error) {
 		{"Δ=f(n)ε, δ=O(ε)", float64(n) * eps, eps},
 		{"Δ=f(n)ε, δ=O(Δ)", float64(n) * eps, float64(n) * eps / 2},
 	}
-	tbl := &Table{
-		Name:   "table2",
-		Title:  fmt.Sprintf("Delphi under input conditions, n=%d", n),
-		Header: []string{"MB", "rounds", "latency", "spread"},
+	var s Plan[*Table]
+	for _, c := range conds {
+		s.add(RunSpec{
+			Protocol: ProtoDelphi, N: n, F: faults(n), Env: sim.AWS(), Seed: seed,
+			Inputs: OracleInputs(n, 41000, c.rng, seed), Delphi: core.Params{S: 0, E: 100000, Rho0: eps, Delta: c.delta, Eps: eps},
+		}, c.name)
 	}
-	var specs []RunSpec
-	var labels []string
-	params := make([]core.Params, len(conds))
-	for i, c := range conds {
-		params[i] = core.Params{S: 0, E: 100000, Rho0: eps, Delta: c.delta, Eps: eps}
-		specs = append(specs, RunSpec{
-			Protocol: ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed,
-			Inputs: OracleInputs(n, 41000, c.rng, seed), Delphi: params[i],
-		})
-		labels = append(labels, c.name)
+	s.Reduce = func(stats []*RunStats) (*Table, error) {
+		var rows []TableRow
+		for i, st := range stats {
+			rows = append(rows, TableRow{Name: conds[i].name, Cells: []string{
+				fmt.Sprintf("%.2f", float64(st.TotalBytes)/1e6),
+				fmt.Sprintf("%d", s.Specs[i].Delphi.Rounds(n)),
+				st.Latency.Round(time.Millisecond).String(),
+				fmt.Sprintf("%.3g", st.Spread),
+			}})
+		}
+		return newTable(fmt.Sprintf("table2 — Delphi under input conditions, n=%d", n), []string{"MB", "rounds", "latency", "spread"}, rows), nil
 	}
-	stats, err := e.labelledBatch("table2", specs, labels)
-	if err != nil {
-		return nil, err
-	}
-	for i, st := range stats {
-		tbl.Rows = append(tbl.Rows, TableRow{Name: conds[i].name, Cells: []string{
-			fmt.Sprintf("%.2f", float64(st.TotalBytes)/1e6),
-			fmt.Sprintf("%d", params[i].Rounds(n)),
-			st.Latency.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.3g", st.Spread),
-		}})
-	}
-	renderTable(tbl)
-	return tbl, nil
+	return s
 }
 
-// OracleStats measures one oracle-reporting protocol for Table III.
-type OracleStats struct {
-	// Latency is the time to the first SMR submission / certificate.
-	Latency time.Duration
-	// TotalBytes is the node-to-node traffic.
-	TotalBytes int64
-	// OnChainBytes is the size of the submitted artefact.
-	OnChainBytes int
-	// Signs and Verifies count node-side signature operations.
-	Signs, Verifies int
-	// ChainVerifies counts the SMR channel's verifications.
-	ChainVerifies int
-	// DistinctOutputs counts distinct attested values (Delphi: <= 2).
-	DistinctOutputs int
-	// Value is the decided value.
-	Value float64
+// oracleStats measures one oracle-reporting protocol for Table III: the
+// time to the first SMR submission or certificate, node-to-node and
+// on-chain bytes, node-side signs and verifies, the SMR channel's
+// verifications, and the distinct attested values (Delphi: <= 2).
+type oracleStats struct {
+	latency                                                       time.Duration
+	totalBytes                                                    int64
+	onChainBytes, signs, verifies, chainVerifies, distinctOutputs int
 }
 
-// Table3 is the paper's Table III: Delphi's DORA layer vs the Chakka et al.
+// table3 is the paper's Table III: Delphi's DORA layer vs the Chakka et al.
 // baseline, measured per attested value.
-func Table3(scale Scale, seed int64) (*Table, error) {
-	n := 16
-	if scale == Paper {
-		n = 64
-	}
-	f := faults(n)
-	inputs := OracleInputs(n, 41000, 20, seed)
-
-	chakka, err := runChakka(n, f, inputs, seed)
-	if err != nil {
-		return nil, fmt.Errorf("table3 chakka: %w", err)
-	}
-	delphiStats, err := runDelphiDora(n, f, inputs, seed)
-	if err != nil {
-		return nil, fmt.Errorf("table3 delphi: %w", err)
-	}
-
-	tbl := &Table{
-		Name:   "table3",
-		Title:  fmt.Sprintf("Oracle reporting protocols, measured at n=%d, δ=20$", n),
-		Header: []string{"MB", "on-chain B", "signs", "verifies", "chain-verifies", "outputs", "latency"},
-	}
-	for _, row := range []struct {
-		name string
-		s    *OracleStats
-	}{
-		{"DORA (Chakka et al.)", chakka},
-		{"Delphi + DORA layer", delphiStats},
-	} {
-		tbl.Rows = append(tbl.Rows, TableRow{Name: row.name, Cells: []string{
-			fmt.Sprintf("%.2f", float64(row.s.TotalBytes)/1e6),
-			fmt.Sprintf("%d", row.s.OnChainBytes),
-			fmt.Sprintf("%d", row.s.Signs),
-			fmt.Sprintf("%d", row.s.Verifies),
-			fmt.Sprintf("%d", row.s.ChainVerifies),
-			fmt.Sprintf("%d", row.s.DistinctOutputs),
-			row.s.Latency.Round(time.Millisecond).String(),
-		}})
-	}
-	renderTable(tbl)
-	return tbl, nil
+func table3(scale Scale, seed int64) Plan[*Table] {
+	return Plan[*Table]{Reduce: func([]*RunStats) (*Table, error) {
+		n := 16
+		if scale == Paper {
+			n = 64
+		}
+		inputs := OracleInputs(n, 41000, 20, seed)
+		var rows []TableRow
+		for _, row := range []struct {
+			name string
+			run  func(n int, inputs []float64, seed int64) (*oracleStats, error)
+		}{
+			{"DORA (Chakka et al.)", runChakka},
+			{"Delphi + DORA layer", runDelphiDora},
+		} {
+			st, err := row.run(n, inputs, seed)
+			if err != nil {
+				return nil, fmt.Errorf("table3 %s: %w", row.name, err)
+			}
+			rows = append(rows, TableRow{Name: row.name, Cells: []string{
+				fmt.Sprintf("%.2f", float64(st.totalBytes)/1e6),
+				fmt.Sprintf("%d", st.onChainBytes),
+				fmt.Sprintf("%d", st.signs),
+				fmt.Sprintf("%d", st.verifies),
+				fmt.Sprintf("%d", st.chainVerifies),
+				fmt.Sprintf("%d", st.distinctOutputs),
+				st.latency.Round(time.Millisecond).String(),
+			}})
+		}
+		return newTable(fmt.Sprintf("table3 — Oracle reporting protocols, measured at n=%d, δ=20$", n),
+			[]string{"MB", "on-chain B", "signs", "verifies", "chain-verifies", "outputs", "latency"}, rows), nil
+	}}
 }
 
-func runChakka(n, f int, inputs []float64, seed int64) (*OracleStats, error) {
-	cfg := node.Config{N: n, F: f}
+// runOracles runs one oracle per input on the AWS testbed and returns the
+// run with each node's last output, the signature work charged to st.
+func runOracles(n int, inputs []float64, seed int64, st *oracleStats, newOracle func(dora.Keyring, float64) (node.Process, error), opts ...sim.Option) (*sim.Result, []any, error) {
 	keys := dora.GenKeyrings(n, uint64(seed))
 	procs := make([]node.Process, n)
 	for i, v := range inputs {
-		p, err := dora.NewChakka(cfg, keys[i], v)
+		p, err := newOracle(keys[i], v)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		procs[i] = p
 	}
-	runner, err := sim.NewRunner(cfg, sim.AWS(), seed, procs)
+	runner, err := sim.NewRunner(node.Config{N: n, F: faults(n)}, sim.AWS(), seed, procs, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := runner.Run()
+	st.totalBytes = res.TotalBytes
+	outs := make([]any, n)
+	for i, ns := range res.Stats {
+		if len(ns.Output) == 0 {
+			return nil, nil, fmt.Errorf("oracle %d: no output", i)
+		}
+		outs[i] = ns.Output[len(ns.Output)-1]
+		st.signs += ns.Compute.SigSigns
+		st.verifies += ns.Compute.SigVerifies
+	}
+	return res, outs, nil
+}
+
+func runChakka(n int, inputs []float64, seed int64) (*oracleStats, error) {
+	st := &oracleStats{}
+	res, outs, err := runOracles(n, inputs, seed, st, func(k dora.Keyring, v float64) (node.Process, error) {
+		return dora.NewChakka(node.Config{N: n, F: faults(n)}, k, v)
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := runner.Run()
 	ch := &smr.Channel{}
-	st := &OracleStats{TotalBytes: res.TotalBytes}
-	for i := 0; i < n; i++ {
-		ns := res.Stats[i]
-		if len(ns.Output) == 0 {
-			return nil, fmt.Errorf("oracle %d: no submission", i)
-		}
-		sub, ok := ns.Output[len(ns.Output)-1].(dora.ChakkaSubmission)
+	for i, out := range outs {
+		sub, ok := out.(dora.ChakkaSubmission)
 		if !ok {
-			return nil, fmt.Errorf("oracle %d output type %T", i, ns.Output[0])
+			return nil, fmt.Errorf("oracle %d output type %T", i, out)
 		}
-		ch.Submit(smr.Submission{From: node.ID(i), At: ns.OutputAt, Payload: nil, VerifyCost: sub.VerifyCost})
-		st.Signs += ns.Compute.SigSigns
-		st.Verifies += ns.Compute.SigVerifies
+		ch.Submit(smr.Submission{From: node.ID(i), At: res.Stats[i].OutputAt, Payload: nil, VerifyCost: sub.VerifyCost})
 		if i == 0 {
-			st.OnChainBytes = sub.WireSize
-			st.Value = sub.Median()
+			st.onChainBytes = sub.WireSize
 		}
 	}
 	first, _ := ch.First()
-	st.Latency = first.At
-	st.ChainVerifies = first.VerifyCost
+	st.latency = first.At
+	st.chainVerifies = first.VerifyCost
 	// The SMR channel picks one list; every oracle adopts its median, so
 	// there is a single decided value, but any of the n submissions could
 	// have been first — the protocol admits O(n) possible outputs.
-	st.DistinctOutputs = ch.Len()
+	st.distinctOutputs = ch.Len()
 	return st, nil
 }
 
-func runDelphiDora(n, f int, inputs []float64, seed int64) (*OracleStats, error) {
+func runDelphiDora(n int, inputs []float64, seed int64) (*oracleStats, error) {
+	st := &oracleStats{}
 	cfg := core.Config{
-		Config: node.Config{N: n, F: f},
+		Config: node.Config{N: n, F: faults(n)},
 		Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 2000, Eps: 2},
 	}
-	keys := dora.GenKeyrings(n, uint64(seed))
-	procs := make([]node.Process, n)
-	for i, v := range inputs {
-		p, err := dora.New(cfg, keys[i], v)
-		if err != nil {
-			return nil, err
-		}
-		procs[i] = p
-	}
-	runner, err := sim.NewRunner(cfg.Config, sim.AWS(), seed, procs, sim.WithMaxTime(time.Hour))
+	res, outs, err := runOracles(n, inputs, seed, st, func(k dora.Keyring, v float64) (node.Process, error) {
+		return dora.New(cfg, k, v)
+	}, sim.WithMaxTime(time.Hour))
 	if err != nil {
 		return nil, err
 	}
-	res := runner.Run()
-	st := &OracleStats{TotalBytes: res.TotalBytes}
 	distinct := make(map[float64]bool)
-	for i := 0; i < n; i++ {
-		ns := res.Stats[i]
-		if len(ns.Output) == 0 {
-			return nil, fmt.Errorf("oracle %d: no certificate", i)
-		}
-		cert, ok := ns.Output[len(ns.Output)-1].(dora.Certificate)
+	for i, out := range outs {
+		cert, ok := out.(dora.Certificate)
 		if !ok {
-			return nil, fmt.Errorf("oracle %d output type %T", i, ns.Output[0])
+			return nil, fmt.Errorf("oracle %d output type %T", i, out)
 		}
 		distinct[cert.Value] = true
-		st.Signs += ns.Compute.SigSigns
-		st.Verifies += ns.Compute.SigVerifies
-		if ns.OutputAt > st.Latency {
-			st.Latency = ns.OutputAt
-		}
+		st.latency = max(st.latency, res.Stats[i].OutputAt)
 		if i == 0 {
-			st.OnChainBytes = cert.WireSizeEstimate()
-			st.Value = cert.Value
-			st.ChainVerifies = len(cert.Signers)
+			st.onChainBytes = cert.WireSizeEstimate()
+			st.chainVerifies = len(cert.Signers)
 		}
 	}
-	st.DistinctOutputs = len(distinct)
+	st.distinctOutputs = len(distinct)
 	return st, nil
 }

@@ -48,9 +48,9 @@ echo "== adversary-matrix smoke =="
 adv1=$(mktemp)
 adv2=$(mktemp)
 trap 'rm -f "$adv1" "$adv2" "${svc1:-}" "${svc2:-}"' EXIT
-# (the trailing "[... completed in ...]" wall-clock line is dropped)
-go run ./cmd/experiments -scale quick -seed 1 -run adversary | grep -v '^\[' > "$adv1"
-go run ./cmd/experiments -scale quick -seed 1 -run adversary | grep -v '^\[' > "$adv2"
+# (the "[... completed in ...]" wall-clock lines go to stderr, not stdout)
+go run ./cmd/experiments -scale quick -seed 1 -run adversary > "$adv1"
+go run ./cmd/experiments -scale quick -seed 1 -run adversary > "$adv2"
 if ! cmp -s "$adv1" "$adv2"; then
     echo "adversary sweep reruns differ:" >&2
     diff "$adv1" "$adv2" >&2 || true
@@ -85,8 +85,9 @@ go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
 # undercuts its declared MinLatency, the window width
 # (TestLookaheadViolation). All of these ran under -race in
 # `go test -race ./...` above, none is -short-gated, and they are not run
-# again. Neither are the rendered quick-scale Fig. 6 panels (TestFig6Golden)
-# and the AWS batch's run count (TestFig6AWSRunCount). The golden file's last nine cells (Delphi n=40,
+# again. Neither are the quick-scale text of every experiment
+# (TestExperimentsGolden) and the run count of their de-duplicated batch
+# (TestExperimentsRunCount). The sim golden file's last nine cells (Delphi n=40,
 # FIN n=31, Dolev n=300) are large enough to engage the calendar and the
 # sorted bucket runs the sequential loop drains it through; what that pass
 # does not do is search the queue's order: a short fuzz of the sequential
@@ -195,8 +196,8 @@ go run ./cmd/experiments -scale quick -seed 1 -sessions=false -run sessions > /d
 echo "== service determinism gate =="
 svc1=$(mktemp)
 svc2=$(mktemp)
-go run ./cmd/experiments -scale quick -seed 1 -workers 1 -run service | grep -v '^\[' > "$svc1"
-go run ./cmd/experiments -scale quick -seed 1 -workers 8 -run service | grep -v '^\[' > "$svc2"
+go run ./cmd/experiments -scale quick -seed 1 -workers 1 -run service > "$svc1"
+go run ./cmd/experiments -scale quick -seed 1 -workers 8 -run service > "$svc2"
 if ! cmp -s "$svc1" "$svc2"; then
     echo "sim service reruns differ across worker counts:" >&2
     diff "$svc1" "$svc2" >&2 || true
@@ -247,14 +248,14 @@ echo "== worst-case search determinism gate =="
 wc1=$(mktemp)
 wc2=$(mktemp)
 trap 'rm -f "$adv1" "$adv2" "${svc1:-}" "${svc2:-}" "$tr1" "$tr2" "${wc1:-}" "${wc2:-}"' EXIT
-go run ./cmd/experiments -scale quick -seed 1 -sim-workers 1 -run worstcase | grep -v '^\[' > "$wc1"
-go run ./cmd/experiments -scale quick -seed 1 -sim-workers 1 -run worstcase | grep -v '^\[' > "$wc2"
+go run ./cmd/experiments -scale quick -seed 1 -sim-workers 1 -run worstcase > "$wc1"
+go run ./cmd/experiments -scale quick -seed 1 -sim-workers 1 -run worstcase > "$wc2"
 if ! cmp -s "$wc1" "$wc2"; then
     echo "worst-case search reruns differ:" >&2
     diff "$wc1" "$wc2" >&2 || true
     exit 1
 fi
-go run ./cmd/experiments -scale quick -seed 1 -sim-workers 4 -run worstcase | grep -v '^\[' > "$wc2"
+go run ./cmd/experiments -scale quick -seed 1 -sim-workers 4 -run worstcase > "$wc2"
 if ! cmp -s "$wc1" "$wc2"; then
     echo "worst-case search differs between -sim-workers 1 and 4:" >&2
     diff "$wc1" "$wc2" >&2 || true
