@@ -171,3 +171,32 @@ func TestOneShotAllocGate(t *testing.T) {
 		t.Errorf("the second one-shot run allocated %d bytes, over 1.25 MiB: it built arenas of its own", second)
 	}
 }
+
+// TestDelphiAllocGate holds the BinAA engine's structural saving, counting
+// votes a round agrees on once per round instead of once per instance. The
+// benchmark's sim-delphi workload at seed 1 opens with Delphi n=40, t=13 on
+// sim.AWS(); that run, on a warm Scratch, made 252 285 allocations while the
+// engine tallied every vote per (instance, round), and 63 779 with implicit
+// tallies (amd64, Go 1.24). The bound is half the former.
+func TestDelphiAllocGate(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // the warm Scratch must stay in the slot
+	seed := TrialSeed(1, 0)
+	spec := RunSpec{
+		Protocol: ProtoDelphi, N: 40, F: 13, Env: sim.AWS(), Seed: seed,
+		Inputs: OracleInputs(40, 41000, 20, seed), Delphi: OracleDefaultParams(),
+	}
+	if _, err := Run(spec); err != nil { // warms the Scratch
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations", allocs)
+	if allocs > 252285/2 {
+		t.Errorf("a warm sim-delphi run made %d allocations, over half the 252 285 of per-instance tallies", allocs)
+	}
+}

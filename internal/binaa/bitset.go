@@ -52,6 +52,8 @@ type voteSet struct {
 // map of maps by a wide margin.
 type votes struct {
 	sets []voteSet
+	// spare is room for the next sets' voter bitsets.
+	spare bitset
 }
 
 // find returns the tally for v, or nil if no vote for v has been recorded.
@@ -70,7 +72,13 @@ func (vs *votes) slot(v float64, n int) *voteSet {
 	if s := vs.find(v); s != nil {
 		return s
 	}
-	vs.sets = append(vs.sets, voteSet{v: v, set: newBitset(n)})
+	set := vs.spare
+	if w := bitsetWords(n); len(set) >= w {
+		set, vs.spare = set[:w:w], set[w:]
+	} else {
+		set = newBitset(n)
+	}
+	vs.sets = append(vs.sets, voteSet{v: v, set: set})
 	return &vs.sets[len(vs.sets)-1]
 }
 

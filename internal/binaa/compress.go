@@ -28,43 +28,32 @@ const (
 	symX  = 5 // escape: value carried in Escapes
 )
 
-// halfStep is the lattice unit at round r: 2^-(r-1).
-func halfStep(r int) float64 { return math.Ldexp(1, 1-r) }
+// halfStep is the lattice unit at round r: 2^-(r-1), built from its exponent
+// (r <= 60, Config.Validate's cap).
+func halfStep(r int) float64 { return math.Float64frombits(uint64(1024-r) << 52) }
+
+// symStep is each lattice symbol's move in half-steps.
+var symStep = [...]float64{symC: 0, symL: -1, sym2L: -2, symR: 1, sym2R: 2}
 
 // deltaSymbol classifies the transition old→new at round r; ok is false if
 // it needs the escape path.
 func deltaSymbol(old, new float64, r int) (sym uint8, ok bool) {
 	q := (new - old) / halfStep(r)
-	switch q {
-	case 0:
-		return symC, true
-	case -1:
-		return symL, true
-	case -2:
-		return sym2L, true
-	case 1:
-		return symR, true
-	case 2:
-		return sym2R, true
-	default:
-		return symX, false
+	for sym, step := range symStep {
+		if q == step {
+			return uint8(sym), true
+		}
 	}
+	return symX, false
 }
 
-// applySymbol inverts deltaSymbol.
+// applySymbol inverts deltaSymbol (symC, and a symbol off the lattice, keep
+// old as it is, −0 included).
 func applySymbol(old float64, sym uint8, r int) float64 {
-	switch sym {
-	case symL:
-		return old - halfStep(r)
-	case sym2L:
-		return old - 2*halfStep(r)
-	case symR:
-		return old + halfStep(r)
-	case sym2R:
-		return old + 2*halfStep(r)
-	default:
+	if sym == symC || int(sym) >= len(symStep) {
 		return old
 	}
+	return old + symStep[sym]*halfStep(r)
 }
 
 // packNibbles packs 4-bit symbols two per byte.
@@ -193,12 +182,4 @@ func setBit(bits []byte, i int) []byte {
 	}
 	bits[i/8] |= 1 << (i % 8)
 	return bits
-}
-
-// getBit reads bit i.
-func getBit(bits []byte, i int) bool {
-	if i/8 >= len(bits) {
-		return false
-	}
-	return bits[i/8]&(1<<(i%8)) != 0
 }

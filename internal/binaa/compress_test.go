@@ -239,3 +239,11 @@ func (b *byzCompressed) Init(env node.Env) {
 }
 
 func (b *byzCompressed) Deliver(node.ID, node.Message) {}
+
+// getBit reads bit i of a setBit bitmap.
+func getBit(bits []byte, i int) bool {
+	if i/8 >= len(bits) {
+		return false
+	}
+	return bits[i/8]&(1<<(i%8)) != 0
+}

@@ -15,7 +15,7 @@ func (e *Engine) debugState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "round=%d done=%v insts=%d\n", e.round, e.done, len(e.insts))
 	for r := 1; r <= len(e.initCount); r++ {
-		fmt.Fprintf(&b, " r%d: init=%d zeros=%d sentZeros=%v\n", r, e.initCount[r-1], e.zerosCount[r-1], e.sentZeros[r-1])
+		fmt.Fprintf(&b, " r%d: init=%d zeros=%d sentZeros=%v\n", r, e.initCount[r-1], e.zerosCount[r-1], e.initCount[r-1] >= e.cfg.Quorum())
 	}
 	ids := make([]IID, 0, len(e.insts))
 	for id := range e.insts {
@@ -29,15 +29,15 @@ func (e *Engine) debugState() string {
 	})
 	for _, id := range ids {
 		x := e.insts[id]
-		fmt.Fprintf(&b, " %v state=%g joined=%d:", id, x.state, x.joined)
-		for r := 1; r <= len(x.rounds); r++ {
-			ir := x.rounds[r-1]
+		fmt.Fprintf(&b, " %v state=%g:", id, x.state)
+		for r := 1; r <= len(e.rounds); r++ {
+			ir, t := e.rounds[r-1][x.idx], e.effective(x, r)
 			e1 := ""
-			for _, s := range ir.echo1.sets {
+			for _, s := range t.echo1.sets {
 				e1 += fmt.Sprintf(" %g:%d", s.v, s.count)
 			}
 			e2 := ""
-			for _, s := range ir.echo2.sets {
+			for _, s := range t.echo2.sets {
 				e2 += fmt.Sprintf(" %g:%d", s.v, s.count)
 			}
 			fmt.Fprintf(&b, " [r%d e1{%s} e2{%s} dec=%v/%g sentE2=%v]", r, e1, e2, ir.decided, ir.decision, ir.sentEcho2)
@@ -45,6 +45,14 @@ func (e *Engine) debugState() string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// effective returns x's round-r tallies as if every vote had been counted
+// one at a time: the materialised tally, or a rebuild of the implicit one
+// that leaves the engine as it was.
+func (e *Engine) effective(x *inst, r int) *tally {
+	ir := e.rounds[r-1][x.idx]
+	return e.materialise(&ir, r)
 }
 
 // DebugState and StoredBundle show the external test package what a delivery
@@ -70,7 +78,9 @@ func (e *Engine) StoredBundle(r int, from node.ID) (entries int, resolved bool) 
 // first value, and the sender's zeros bundle reads the same first value —
 // whether the repeat sits in a full bundle or in a compressed bundle's
 // NewVals, and whichever of bundle and zeros bundle arrives first. The guard
-// is applyBundle's gen stamp; without it the second listing votes too.
+// is the bundle's gen stamp; without it the second listing votes too. The
+// probe reads effective votes, so it holds whether the tallies it meets are
+// implicit or materialised.
 func TestBundleDuplicateListing(t *testing.T) {
 	cfg := Config{Config: node.Config{N: 4, F: 1}, Rounds: 8}
 	e, err := NewEngine(cfg, map[IID]float64{{K: 50}: 1}, func(map[IID]float64) {})
@@ -106,14 +116,14 @@ func TestBundleDuplicateListing(t *testing.T) {
 			id IID
 			v  float64
 		}{{hiFirst, 1}, {loFirst, 0}} {
-			ir := e.insts[want.id].round(c.r)
-			for _, s := range ir.echo1.sets {
+			tl := e.effective(e.insts[want.id], c.r)
+			for _, s := range tl.echo1.sets {
 				if s.set.get(c.from) != (s.v == want.v) {
 					t.Errorf("%v round %d: sender %d's init vote for %g counted=%v, want only %g",
 						want.id, c.r, c.from, s.v, s.set.get(c.from), want.v)
 				}
 			}
-			zero := ir.echo2.find(0)
+			zero := tl.echo2.find(0)
 			if got := zero != nil && zero.set.get(c.from); got != (want.v == 0) {
 				t.Errorf("%v round %d: sender %d's zeros bundle applied=%v, first listing is %g",
 					want.id, c.r, c.from, got, want.v)

@@ -3,6 +3,7 @@ package binaa
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"delphi/internal/node"
@@ -39,8 +40,7 @@ func (c Config) Validate() error {
 
 // Engine runs the full set of bundled BinAA instances for one agreement.
 // It is driven through its four Handle methods, one per wire type, by an
-// embedding protocol (internal/core's Delphi) or by the standalone Process
-// wrapper.
+// embedding protocol (internal/core's Delphi).
 type Engine struct {
 	cfg    Config
 	env    node.Env
@@ -55,9 +55,8 @@ type Engine struct {
 	done   bool
 	inputs map[IID]float64
 	// insts resolves an instance named on the wire; instList holds the same
-	// instances in activation order (inst.idx is the position), for
-	// iteration and for index references without hashing (all whole-set
-	// loops are commutative).
+	// instances in activation order (inst.idx is the position), for iteration
+	// and index references without hashing (whole-set loops commute).
 	insts    map[IID]*inst
 	instList []*inst
 
@@ -74,7 +73,10 @@ type Engine struct {
 	initCount    []int
 	zerosSenders []bitset
 	zerosCount   []int
-	sentZeros    []bool
+	// initZeros counts initSeen ∩ zerosSenders: an implicit 0's ECHO2s.
+	initZeros []int
+	// rounds[r-1][idx] is instance idx's state in round r, for all instList.
+	rounds [][]instRound
 
 	// Compression state: this node's own per-round announcements in
 	// canonical append order (instRound.annPos is the reverse index); plus
@@ -91,14 +93,17 @@ type Engine struct {
 	// dirty lists the (instance, round) pairs whose state machine must be
 	// re-run: a pair is marked only when one of its vote counts lands
 	// exactly on a threshold check acts on (t+1 or n-t ECHO1s, n-t ECHO2s),
-	// or when its round opens. Every action in check is a monotone threshold
-	// test, so a vote that crosses nothing cannot enable one. The per-round
+	// or when its round opens — an implicit tally only if it is due. Every
+	// action in check is a monotone threshold test, so a vote that crosses
+	// nothing cannot enable one. The per-round
 	// dirty flag deduplicates, and the packed key orders the drain
 	// deterministically by (round, level, K). spare is the drained buffer,
 	// swapped back in so settle allocates nothing.
 	dirty, spare []dirtyEntry
-	// gen is the bundle-membership generation counter (see inst.gen).
-	gen uint64
+	// gen and stamps mark the members of the bundle being applied: stamps[idx]
+	// is gen once the bundle has listed the instance, so a repeat is skipped.
+	gen    uint64
+	stamps []uint64
 }
 
 // entry is one element of a round announcement: the instance, the announced
@@ -146,9 +151,6 @@ func dirtyKey(id IID, r int) uint64 {
 	return uint64(r)<<40 | uint64(id.Level)<<32 | uint64(uint32(id.K)^0x80000000)
 }
 
-// dirtyRound recovers the round from a packed key.
-func dirtyRound(k uint64) int { return int(k >> 40) }
-
 // NewEngine creates an engine with the node's non-zero inputs. An input of
 // 1 at instance X corresponds to Algorithm 2 line 11; inputs strictly
 // between 0 and 1 are permitted (they arise in tests).
@@ -178,24 +180,6 @@ func NewEngine(cfg Config, inputs map[IID]float64, onDone func(map[IID]float64))
 	}, nil
 }
 
-// Done reports whether all rounds have completed.
-func (e *Engine) Done() bool { return e.done }
-
-// Round returns the engine's current round (1-based).
-func (e *Engine) Round() int { return e.round }
-
-// Weights returns the final per-instance weights; valid only once Done.
-// Instances never mentioned by anyone have weight 0 and are omitted.
-func (e *Engine) Weights() map[IID]float64 {
-	out := make(map[IID]float64, len(e.instList))
-	for _, x := range e.instList {
-		if x.state != 0 {
-			out[x.id] = x.state
-		}
-	}
-	return out
-}
-
 // Start begins round 1. Call exactly once, after the environment is ready.
 func (e *Engine) Start(env node.Env) {
 	e.env = env
@@ -208,7 +192,7 @@ func (e *Engine) Start(env node.Env) {
 	// schedule-nondeterminism class as the aba.OnCoin map walk, merely
 	// masked today by downstream sorting.
 	for id, v := range e.inputs {
-		e.newInst(id, v, 1)
+		e.newInst(id, v)
 	}
 	sortInsts(e.instList)
 	for i, x := range e.instList {
@@ -219,10 +203,11 @@ func (e *Engine) Start(env node.Env) {
 }
 
 // newInst registers an instance at the end of instList.
-func (e *Engine) newInst(id IID, state float64, joined int) *inst {
-	x := &inst{id: id, idx: uint32(len(e.instList)), n: e.cfg.N, state: state, joined: joined}
+func (e *Engine) newInst(id IID, state float64) *inst {
+	x := &inst{id: id, idx: uint32(len(e.instList)), state: state}
 	e.insts[id] = x
 	e.instList = append(e.instList, x)
+	e.stamps = append(e.stamps, 0)
 	return x
 }
 
@@ -234,7 +219,8 @@ func (e *Engine) grow(r int) {
 		e.initCount = append(e.initCount, 0)
 		e.zerosSenders = append(e.zerosSenders, newBitset(e.cfg.N))
 		e.zerosCount = append(e.zerosCount, 0)
-		e.sentZeros = append(e.sentZeros, false)
+		e.initZeros = append(e.initZeros, 0)
+		e.rounds = append(e.rounds, make([]instRound, len(e.instList)))
 		e.announced = append(e.announced, nil)
 		e.pendE2CB = append(e.pendE2CB, nil)
 	}
@@ -246,10 +232,16 @@ func (e *Engine) grow(r int) {
 func (e *Engine) openRound(r int) {
 	e.grow(r)
 	// Mark per-instance round state (my init vote and self-echo).
-	for _, x := range e.instList {
-		ir := x.round(r)
-		ir.myInit = x.state
-		ir.markAmped(x.state, e.cfg.N)
+	row := e.rounds[r-1]
+	for i, x := range e.instList {
+		ir := &row[i]
+		ir.myInit, ir.opened = x.state, true
+		if !plain(x.state) {
+			e.materialise(ir, r)
+		}
+		if ir.t != nil {
+			ir.t.echo1.slot(x.state, e.cfg.N).amped = true
+		}
 	}
 	// Build this round's announcement in canonical append order: previous
 	// announcement first, newly active instances (sorted) appended.
@@ -262,8 +254,8 @@ func (e *Engine) openRound(r int) {
 		ann = append(ann, entry{id: p.id, ref: p.ref, v: e.instList[p.ref-1].state})
 	}
 	var fresh []*inst
-	for _, x := range e.instList {
-		if r == 1 || x.round(r-1).annPos == 0 {
+	for i, x := range e.instList {
+		if r == 1 || e.rounds[r-2][i].annPos == 0 {
 			fresh = append(fresh, x)
 		}
 	}
@@ -286,7 +278,7 @@ func (e *Engine) openRound(r int) {
 	}
 	e.announced[r-1] = ann
 	for i, a := range ann {
-		e.instList[a.ref-1].rounds[r-1].annPos = int32(i + 1)
+		row[a.ref-1].annPos = int32(i + 1)
 	}
 	if full {
 		e.env.Broadcast(&Echo1{Round: uint16(r), Init: true, Vals: wireVals(ann, r)})
@@ -324,22 +316,14 @@ func wireVals(ann []entry, r int) []IVal {
 
 // sortInsts orders instances by (level, K).
 func sortInsts(xs []*inst) {
-	slices.SortFunc(xs, func(a, b *inst) int {
-		if a.id.Level != b.id.Level {
-			return cmp.Compare(a.id.Level, b.id.Level)
-		}
-		return cmp.Compare(a.id.K, b.id.K)
-	})
+	slices.SortFunc(xs, func(a, b *inst) int { return cmp.Compare(dirtyKey(a.id, 0), dirtyKey(b.id, 0)) })
 }
 
 // validRound bounds rounds accepted from the wire.
 func (e *Engine) validRound(r int) bool { return r >= 1 && r <= e.cfg.Rounds }
 
-// crossed1 reports whether an ECHO1 count just landed on one of the two
-// thresholds check tests it against.
-func (e *Engine) crossed1(count int) bool {
-	return count == e.cfg.F+1 || count == e.cfg.Quorum()
-}
+// crossed1 reports whether an ECHO1 count just landed on t+1 or n-t.
+func (e *Engine) crossed1(count int) bool { return count == e.cfg.F+1 || count == e.cfg.Quorum() }
 
 // HandleEcho1 processes an Echo1 message.
 func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
@@ -370,7 +354,10 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 			}
 			e.grow(r)
 			x := e.activate(v.ID)
-			if e.crossed1(x.round(r).addEcho1(from, v.V, e.cfg.N)) {
+			if ir := &e.rounds[r-1][x.idx]; ir.t == nil && v.V == ir.u && e.initSeen[r-1].get(from) {
+				continue // a repeat of the sender's bundle vote
+			}
+			if e.crossed1(e.materialise(&e.rounds[r-1][x.idx], r).echo1.add(from, v.V, e.cfg.N)) {
 				e.mark(x, r)
 			}
 		}
@@ -380,32 +367,53 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 
 // applyBundle records a sender's round announcement — the caller has checked
 // it is the sender's first for round r — and applies its explicit and
-// implicit votes. It takes ownership of b and first resolves every entry not
-// yet resolved (those of an earlier stored bundle are), activating the
-// instances this node had not heard of. It then drains any buffered
-// compressed bundle and bitmap that were waiting for this round.
+// implicit votes, those an implicit tally agrees with through initCount
+// alone. It takes ownership of b and first resolves every entry not yet
+// resolved (those of an earlier stored bundle are), activating the instances
+// this node had not heard of. It then drains any buffered compressed bundle
+// and bitmap that were waiting for this round.
 func (e *Engine) applyBundle(from node.ID, r int, b []entry) {
 	for i := range b {
 		if b[i].ref == 0 {
 			b[i].ref = e.activate(b[i].id).idx + 1
 		}
 	}
+	// The votes go first and the sender is recorded after them, so that a
+	// tally they materialise is rebuilt without the sender.
+	e.gen++
+	row, listed := e.rounds[r-1], 0
+	for _, a := range b {
+		if e.stamps[a.ref-1] == e.gen {
+			continue // a repeated listing: the first wins
+		}
+		e.stamps[a.ref-1] = e.gen
+		listed++
+		// An implicit tally absorbs a vote for u (any plain one, first bundle).
+		if ir := &row[a.ref-1]; ir.t == nil && plain(a.v) && (a.v == ir.u || e.initCount[r-1] == 0) {
+			ir.u = a.v
+		} else {
+			e.applyInitVote(a.ref-1, r, from, a.v)
+		}
+	}
+	for i := 0; listed < len(row) && i < len(row); i++ {
+		if e.stamps[i] != e.gen && (row[i].t != nil || row[i].u != 0) {
+			e.applyInitVote(uint32(i), r, from, 0)
+		}
+	}
 	e.initSeen[r-1].set(from)
 	e.initBundles[r-1][from] = b
 	e.initCount[r-1]++
-	e.gen++
-	for _, a := range b {
-		if x := e.instList[a.ref-1]; x.gen != e.gen { // first listing wins
-			x.gen = e.gen
-			e.applyInitVote(x, r, from, a.v)
-		}
+	zeros := e.zerosSenders[r-1].get(from)
+	if zeros {
+		e.initZeros[r-1]++
 	}
-	for _, x := range e.instList {
-		if x.gen != e.gen {
-			e.applyInitVote(x, r, from, 0)
-		}
+	if e.crossed1(e.initCount[r-1]) || zeros && e.initZeros[r-1] == e.cfg.Quorum() {
+		e.markDue(r, false)
 	}
-	e.maybeSendZeros(r)
+	if e.initCount[r-1] == e.cfg.Quorum() {
+		// n-t init bundles: send the implicit ECHO2(0) bundle for round r.
+		e.env.Broadcast(&Echo2{Round: uint16(r), Zeros: true})
+	}
 	// A compressed bundle for r+1 may have been waiting for this base.
 	if next, ok := e.pendingC[from][r+1]; ok {
 		delete(e.pendingC[from], r+1)
@@ -516,14 +524,17 @@ func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
 }
 
 // applyEcho2C resolves bitmap bits against the sender's round announcement.
-func (e *Engine) applyEcho2C(from node.ID, r int, bits []byte) {
-	for i, a := range e.initBundles[r-1][from] {
-		if !getBit(bits, i) {
-			continue
-		}
-		x := e.instList[a.ref-1]
-		if x.round(r).addEcho2(from, a.v, true, e.cfg.N) == e.cfg.Quorum() {
-			e.mark(x, r)
+func (e *Engine) applyEcho2C(from node.ID, r int, bitmap []byte) {
+	b := e.initBundles[r-1][from]
+	for j, w := range bitmap {
+		for ; w != 0; w &= w - 1 { // set bits only, in ascending order
+			i := 8*j + bits.TrailingZeros8(w)
+			if i >= len(b) {
+				return
+			}
+			if e.materialise(&e.rounds[r-1][b[i].ref-1], r).addEcho2(from, b[i].v, true, e.cfg.N) == e.cfg.Quorum() {
+				e.mark(e.instList[b[i].ref-1], r)
+			}
 		}
 	}
 }
@@ -539,20 +550,17 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 		if e.zerosSenders[r-1].set(from) {
 			e.zerosCount[r-1]++
 			// The implicit zero goes to every instance the sender's bundle
-			// does not list non-zero (first listing wins, as in applyBundle);
-			// until the bundle arrives, applyInitVote picks the vote up.
+			// voted 0 for, to implicit tallies via initZeros; until the bundle
+			// arrives, applyInitVote does.
 			if e.initSeen[r-1].get(from) {
-				e.gen++
-				for _, a := range e.initBundles[r-1][from] {
-					if x := e.instList[a.ref-1]; x.gen != e.gen {
-						x.gen = e.gen
-						x.genNonzero = a.v != 0
-					}
+				if e.initZeros[r-1]++; e.initZeros[r-1] == e.cfg.Quorum() {
+					e.markDue(r, false)
 				}
-				for _, x := range e.instList {
-					if !(x.gen == e.gen && x.genNonzero) &&
-						x.round(r).addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
-						e.mark(x, r)
+				row := e.rounds[r-1]
+				for i := range row {
+					if t := row[i].t; t != nil && t.zeroFrom.get(from) &&
+						t.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
+						e.mark(e.instList[i], r)
 					}
 				}
 			}
@@ -565,49 +573,86 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 		}
 		e.grow(r)
 		x := e.activate(v.ID) // even for a left round: it joins our next announcement
-		if r >= e.round && x.round(r).addEcho2(from, v.V, true, e.cfg.N) == e.cfg.Quorum() {
+		if r >= e.round && e.materialise(&e.rounds[r-1][x.idx], r).addEcho2(from, v.V, true, e.cfg.N) == e.cfg.Quorum() {
 			e.mark(x, r)
 		}
 	}
 	e.settle()
 }
 
-// applyInitVote applies sender's init-slot ECHO1 vote for one instance and
-// round, and the sender's pending zeros-bundle ECHO2 if the vote was zero.
-// Each (instance, sender, round) gets here once: initSeen admits one bundle,
-// applyBundle skips repeated listings, activate replays only earlier bundles.
-func (e *Engine) applyInitVote(x *inst, r int, from node.ID, v float64) {
-	ir := x.round(r)
-	crossed := e.crossed1(ir.addEcho1(from, v, e.cfg.N))
-	if v == 0 && e.zerosSenders[r-1].get(from) &&
-		ir.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
-		crossed = true
+// applyInitVote applies sender's init-slot ECHO1 vote for instance i in
+// round r, and the sender's pending zeros-bundle ECHO2 if the vote was zero,
+// to a tally it materialises. Each (instance, sender, round) gets here once:
+// initSeen admits one bundle and applyBundle skips repeated listings.
+func (e *Engine) applyInitVote(i uint32, r int, from node.ID, v float64) {
+	t := e.materialise(&e.rounds[r-1][i], r)
+	crossed := e.crossed1(t.echo1.add(from, v, e.cfg.N))
+	if v == 0 {
+		t.zeroFrom.set(from)
+		if e.zerosSenders[r-1].get(from) && t.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
+			crossed = true
+		}
 	}
 	if crossed {
-		e.mark(x, r)
+		e.mark(e.instList[i], r)
 	}
+}
+
+// materialise returns ir's explicit tally. An implicit one (ir in round r)
+// is first given the tally it stands for, copied a word at a time from the
+// round's sender sets.
+func (e *Engine) materialise(ir *instRound, r int) *tally {
+	if ir.t != nil {
+		return ir.t
+	}
+	n := e.cfg.N
+	w := bitsetWords(n)
+	b := make(bitset, 5*w)
+	t := &tally{echo2From: b[:w:w], echo2Explicit: b[w : 2*w : 2*w], zeroFrom: b[2*w : 3*w : 3*w]}
+	t.echo1 = votes{sets: t.sets[:0:1], spare: b[3*w : 4*w : 4*w]}
+	t.echo2 = votes{sets: t.sets[1:1], spare: b[4*w:]}
+	seen, zeros := e.initSeen[r-1], e.zerosSenders[r-1]
+	if c := e.initCount[r-1]; c > 0 {
+		s := t.echo1.slot(ir.u, n)
+		copy(s.set, seen)
+		s.count = c
+	}
+	if c := e.initZeros[r-1]; ir.u == 0 {
+		copy(t.zeroFrom, seen)
+		for i := range zeros {
+			t.echo2From[i] = seen[i] & zeros[i]
+		}
+		if c > 0 {
+			s := t.echo2.slot(0, n)
+			copy(s.set, t.echo2From)
+			s.count = c
+		}
+	}
+	if ir.opened {
+		t.echo1.slot(ir.myInit, n).amped = true
+	}
+	if ir.ampedU {
+		t.echo1.slot(ir.u, n).amped = true
+	}
+	ir.t = t
+	return t
 }
 
 // activate returns the instance, creating it on first mention. Every bundle
 // recorded so far voted an implicit 0 for it (recording a bundle activates
-// everything the bundle lists), so those votes are replayed. Late-activated
-// instances join with state 0 — the value this node's implicit votes have
-// already cast.
+// everything the bundle lists), so it starts implicit at 0 in every round,
+// marked where those votes have passed a threshold. Late-activated instances
+// join with state 0 — the value this node's implicit votes have already cast,
+// so it echoed 0 in every round it has opened and must not re-amplify it.
 func (e *Engine) activate(id IID) *inst {
 	if x, ok := e.insts[id]; ok {
 		return x
 	}
-	x := e.newInst(id, 0, e.round)
-	for r := 1; r <= len(e.initBundles); r++ {
-		for from := 0; from < e.cfg.N; from++ {
-			if e.initSeen[r-1].get(node.ID(from)) {
-				e.applyInitVote(x, r, node.ID(from), 0)
-			}
-		}
-		// This node's own implicit behaviour: it echoed 0 in every round it
-		// has opened, so it must not re-amplify 0 there.
-		if r <= e.round {
-			x.round(r).markAmped(0, e.cfg.N)
+	x := e.newInst(id, 0)
+	for r := 1; r <= len(e.rounds); r++ {
+		e.rounds[r-1] = append(e.rounds[r-1], instRound{opened: r <= e.round})
+		if e.due(&e.rounds[r-1][x.idx], r) {
+			e.mark(x, r)
 		}
 	}
 	return x
@@ -616,20 +661,29 @@ func (e *Engine) activate(id IID) *inst {
 // mark queues (x, r) for re-checking; the instRound's dirty flag makes
 // repeated marks free.
 func (e *Engine) mark(x *inst, r int) {
-	ir := x.round(r)
-	if !ir.dirty {
+	if ir := &e.rounds[r-1][x.idx]; !ir.dirty {
 		ir.dirty = true
 		e.dirty = append(e.dirty, dirtyEntry{key: dirtyKey(x.id, r), x: x})
 	}
 }
 
-// maybeSendZeros broadcasts the implicit ECHO2(0) bundle for round r once
-// n-t init bundles for r have arrived.
-func (e *Engine) maybeSendZeros(r int) {
-	if !e.sentZeros[r-1] && e.initCount[r-1] >= e.cfg.Quorum() {
-		e.sentZeros[r-1] = true
-		e.env.Broadcast(&Echo2{Round: uint16(r), Zeros: true})
+// markDue marks round r's implicit tallies that are due, after a count they
+// share has landed on a threshold, and with all set every materialised one.
+func (e *Engine) markDue(r int, all bool) {
+	for i := range e.rounds[r-1] {
+		if ir := &e.rounds[r-1][i]; ir.t != nil && all || ir.t == nil && e.due(ir, r) {
+			e.mark(e.instList[i], r)
+		}
 	}
+}
+
+// due reports whether check has an action left on ir, an implicit tally of
+// round r: amplifying u, sending the round's ECHO2, or deciding 0 (check's
+// tests on an implicit tally, one for one).
+func (e *Engine) due(ir *instRound, r int) bool {
+	c, q := e.initCount[r-1], e.cfg.Quorum()
+	return c > e.cfg.F && !ir.ampedU && !(ir.opened && ir.myInit == ir.u) ||
+		c >= q && !ir.sentEcho2 && r <= e.round || ir.u == 0 && !ir.decided && e.initZeros[r-1] >= q
 }
 
 // settle processes all dirty (instance, round) pairs: amplification, ECHO2
@@ -645,9 +699,7 @@ func (e *Engine) settle() {
 			// Deterministic processing order: packed keys sort (r, level, K).
 			sortDirty(entries)
 			for _, en := range entries {
-				r := dirtyRound(en.key)
-				en.x.round(r).dirty = false
-				e.check(en.x, r, quorum)
+				e.check(en.x, int(en.key>>40), quorum)
 			}
 			e.spare = entries
 		}
@@ -660,13 +712,21 @@ func (e *Engine) settle() {
 
 // check runs the per-round state machine for one instance.
 func (e *Engine) check(x *inst, r int, quorum int) {
-	ir := x.round(r)
+	ir := &e.rounds[r-1][x.idx]
+	ir.dirty = false
 	// Amplification: echo any value with t+1 support that we haven't
 	// echoed, in ascending order of value.
-	for {
+	if ir.t == nil {
+		// One value, u, and amped already if it is our own init vote.
+		if e.initCount[r-1] > e.cfg.F && !ir.ampedU && !(ir.opened && ir.myInit == ir.u) {
+			ir.ampedU = true
+			e.pendAmp = append(e.pendAmp, IVal{ID: x.id, Round: uint16(r), V: ir.u})
+		}
+	}
+	for t := ir.t; t != nil; {
 		var next *voteSet
-		for i := range ir.echo1.sets {
-			if s := &ir.echo1.sets[i]; s.count >= e.cfg.F+1 && !s.amped && (next == nil || s.v < next.v) {
+		for i := range t.echo1.sets {
+			if s := &t.echo1.sets[i]; s.count >= e.cfg.F+1 && !s.amped && (next == nil || s.v < next.v) {
 				next = s
 			}
 		}
@@ -678,20 +738,21 @@ func (e *Engine) check(x *inst, r int, quorum int) {
 	}
 	// ECHO2: the smallest value with n-t ECHO1s, once per round. Deferred
 	// for rounds we have not opened yet (myInit is unknown until then); the
-	// round-opening path re-marks every instance dirty.
+	// round-opening path re-marks every instance on which check may act.
 	if !ir.sentEcho2 && r <= e.round {
-		var first *voteSet
-		for i := range ir.echo1.sets {
-			if s := &ir.echo1.sets[i]; s.count >= quorum && (first == nil || s.v < first.v) {
-				first = s
+		v, ok := ir.u, ir.t == nil && e.initCount[r-1] >= quorum // an implicit tally's one value
+		for i := 0; ir.t != nil && i < len(ir.t.echo1.sets); i++ {
+			if s := &ir.t.echo1.sets[i]; s.count >= quorum && (!ok || s.v < v) {
+				v, ok = s.v, true
 			}
 		}
-		if first != nil {
+		if ok {
 			ir.sentEcho2 = true
-			switch v := first.v; {
-			case v == 0 && e.sentZeros[r-1] && ir.myInit == 0:
-				// Our zeros bundle covers this instance (receivers apply
-				// zeros only where our announced init vote was 0).
+			switch {
+			case v == 0 && e.initCount[r-1] >= quorum && ir.myInit == 0:
+				// Our zeros bundle, sent on n-t init bundles, covers this
+				// instance (receivers apply zeros only where our announced
+				// init vote was 0).
 			case !e.cfg.DisableCompression && v == ir.myInit && ir.annPos > 0:
 				// Vote value equals our announced value: one bitmap bit.
 				e.pendE2CB[r-1] = setBit(e.pendE2CB[r-1], int(ir.annPos)-1)
@@ -700,7 +761,7 @@ func (e *Engine) check(x *inst, r int, quorum int) {
 			}
 		}
 	}
-	ir.tryDecide(quorum)
+	ir.tryDecide(quorum, e.initZeros[r-1])
 }
 
 // tryAdvance moves the engine to the next round once the current round has
@@ -718,31 +779,37 @@ func (e *Engine) tryAdvance() bool {
 		e.zerosCount[e.round-1] < e.cfg.Quorum() {
 		return false
 	}
-	for _, x := range e.instList {
-		if !x.decidedRound(e.round) {
+	row := e.rounds[e.round-1]
+	for i := range row {
+		if !row[i].decided {
 			return false
 		}
 	}
 	// Adopt decisions as next-round states.
-	for _, x := range e.instList {
-		x.state = x.rounds[e.round-1].decision
+	for i, x := range e.instList {
+		x.state = row[i].decision
 	}
 	e.track.Span("binaa.round", e.roundAt, int64(e.round), int64(len(e.instList)))
 	e.roundAt = e.track.Now()
 	if e.round >= e.cfg.Rounds {
 		e.done = true
 		e.track.Instant("binaa.done", int64(e.round), int64(len(e.instList)))
-		e.onDone(e.Weights())
+		// The final weights: instances never mentioned by anyone have
+		// weight 0 and are omitted.
+		out := make(map[IID]float64, len(e.instList))
+		for _, x := range e.instList {
+			if x.state != 0 {
+				out[x.id] = x.state
+			}
+		}
+		e.onDone(out)
 		return false
 	}
 	e.round++
 	e.openRound(e.round)
-	e.maybeSendZeros(e.round)
 	// Early-arrived votes may already decide the new round, and ECHO2s
-	// deferred until the round opened are now due; re-check all.
-	for _, x := range e.instList {
-		e.mark(x, e.round)
-	}
+	// deferred until the round opened are now due; re-check all that may act.
+	e.markDue(e.round, true)
 	return true
 }
 
@@ -764,52 +831,5 @@ func (e *Engine) flush() {
 			e.pendE2CB[i] = nil
 			e.env.Broadcast(&Echo2C{Round: uint16(i + 1), Bits: bits})
 		}
-	}
-}
-
-// Process wraps an Engine as a standalone node.Process that outputs the
-// final weights map and halts. Used by tests and the quickstart example.
-type Process struct {
-	cfg    Config
-	inputs map[IID]float64
-	eng    *Engine
-	env    node.Env
-}
-
-var _ node.Process = (*Process)(nil)
-
-// NewProcess returns a standalone BinAA process.
-func NewProcess(cfg Config, inputs map[IID]float64) (*Process, error) {
-	p := &Process{cfg: cfg, inputs: inputs}
-	eng, err := NewEngine(cfg, inputs, p.finish)
-	if err != nil {
-		return nil, err
-	}
-	p.eng = eng
-	return p, nil
-}
-
-func (p *Process) finish(weights map[IID]float64) {
-	p.env.Output(weights)
-	p.env.Halt()
-}
-
-// Init implements node.Process.
-func (p *Process) Init(env node.Env) {
-	p.env = env
-	p.eng.Start(env)
-}
-
-// Deliver implements node.Process.
-func (p *Process) Deliver(from node.ID, m node.Message) {
-	switch msg := m.(type) {
-	case *Echo1:
-		p.eng.HandleEcho1(from, msg)
-	case *Echo2:
-		p.eng.HandleEcho2(from, msg)
-	case *Echo1C:
-		p.eng.HandleEcho1C(from, msg)
-	case *Echo2C:
-		p.eng.HandleEcho2C(from, msg)
 	}
 }

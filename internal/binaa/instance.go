@@ -39,10 +39,23 @@
 // leaves on n-t zeros bundles, so t senders' ECHO2s always come late). ECHO1s
 // of left rounds still count — amplification and ECHO2 emission, which slower
 // peers wait for, depend on them alone — and a late vote's instance activates.
+//
+// Implicit tallies: nearly every vote an (instance, round) receives is a
+// bundle vote that agrees with all earlier ones, so it keeps no tally while
+// (1) every ECHO1 vote it has counted is a round-r bundle vote for one value
+// u, neither NaN nor −0 — its ECHO1 tally is (u, initCount) — and (2) no
+// explicit ECHO2 has reached it — its ECHO2 tally is (0, |initSeen ∩
+// zerosSenders|) if u is 0, else empty. The first vote that breaks either
+// materialises the tally: it is copied from the round's sender bitsets (a
+// bundle's sender is recorded after its votes) and counts votes one by one
+// from then on. All implicit tallies of a round share one count, so they
+// cross a threshold at the same delivery, which marks those on which check
+// still has an action (Engine.due); check acts on no other.
 package binaa
 
 import (
 	"fmt"
+	"math"
 
 	"delphi/internal/node"
 )
@@ -58,11 +71,37 @@ type IID struct {
 // String implements fmt.Stringer.
 func (id IID) String() string { return fmt.Sprintf("L%d/K%d", id.Level, id.K) }
 
-// instRound holds one instance's vote state for one round. The simulator
-// delivers millions of per-round votes in a paper-scale run, so the tallies
-// are bitsets and small value slices rather than maps (see bitset.go); the
-// voting semantics are identical to the map representation.
+// instRound is one instance's state for one round, Engine.rounds[r-1][idx].
+// Its tallies are implicit (t == nil) until materialised, see the package
+// comment.
 type instRound struct {
+	t *tally
+	// u is the value of every ECHO1 vote an implicit tally has counted.
+	u float64
+	// myInit is the value this node's init bundle cast for this round
+	// (0 for implicit votes). The zeros bundle only covers instances whose
+	// init vote was 0, so explicit ECHO2(0) may be skipped only then.
+	myInit float64
+	// decision is the round's outcome once decided.
+	decision float64
+	// annPos is 1 + this instance's position in this node's own round
+	// announcement (Engine.announced), 0 if the instance is not in it. A
+	// compact ECHO2 sets bit annPos-1.
+	annPos int32
+	// opened: this node has echoed myInit this round (its init bundle, or
+	// the implicit 0 of a late activation); ampedU: it has amplified u.
+	opened, ampedU bool
+	// sentEcho2 records that this node cast its ECHO2 for this round
+	// (explicitly or via its zeros bundle).
+	sentEcho2 bool
+	// dirty marks membership in the engine's pending re-check list (the
+	// flag deduplicates marks without a hashed set; see Engine.dirty).
+	dirty   bool
+	decided bool
+}
+
+// tally is a materialised instRound's vote state (sets as in bitset.go).
+type tally struct {
 	// echo1 tallies, per value, the nodes that ECHO1'd it (explicitly or
 	// implicitly). A node may legitimately echo several values
 	// (own state + amplified values).
@@ -70,80 +109,54 @@ type instRound struct {
 	// echo2 tallies, per value, the nodes whose ECHO2 counted for it.
 	echo2 votes
 	// echo2From marks senders whose ECHO2 vote (explicit or zeros-bundle)
-	// has been consumed.
-	echo2From bitset
-	// echo2Explicit marks senders whose consumed ECHO2 was explicit (an
-	// explicit vote overrides a previously applied implicit zero, modelling
-	// message reordering).
-	echo2Explicit bitset
-	// sentEcho2 records that this node cast its ECHO2 for this round
-	// (explicitly or via its zeros bundle).
-	sentEcho2 bool
-	// dirty marks membership in the engine's pending re-check list (the
-	// flag deduplicates marks without a hashed set). It is set only when a
-	// vote count lands on a threshold (see Engine.dirty) and cleared when
-	// the entry is drained.
-	dirty bool
-	// annPos is 1 + this instance's position in this node's own round
-	// announcement (Engine.announced), 0 if the instance is not in it. A
-	// compact ECHO2 sets bit annPos-1.
-	annPos int32
-	// myInit is the value this node's init bundle cast for this round
-	// (0 for implicit votes). The zeros bundle only covers instances whose
-	// init vote was 0, so explicit ECHO2(0) may be skipped only then.
-	myInit float64
-	// decided / decision hold the round's outcome once reached.
-	decided  bool
-	decision float64
+	// has been consumed; echo2Explicit those whose consumed ECHO2 was
+	// explicit (an explicit vote overrides a previously applied implicit
+	// zero, modelling message reordering). zeroFrom marks the senders whose
+	// init vote was 0, the ones whose zeros bundle counts here.
+	echo2From, echo2Explicit, zeroFrom bitset
+	// sets is room for the first set of each of echo1 and echo2.
+	sets [2]voteSet
 }
 
-// newInstRound allocates one round's state for an n-node system. The two
-// sender bitsets share one backing array.
-func newInstRound(n int) *instRound {
-	w := bitsetWords(n)
-	backing := make(bitset, 2*w)
-	return &instRound{echo2From: backing[:w:w], echo2Explicit: backing[w:]}
-}
-
-// markAmped records that this node echoed v this round.
-func (ir *instRound) markAmped(v float64, n int) {
-	ir.echo1.slot(v, n).amped = true
-}
-
-// addEcho1 records an ECHO1 vote; it returns v's new count, or 0 if the vote
-// was a duplicate.
-func (ir *instRound) addEcho1(from node.ID, v float64, n int) int {
-	return ir.echo1.add(from, v, n)
-}
+// plain reports whether v may be an implicit tally's u: a NaN vote is a
+// tally of its own, and −0 shares 0's tally under a representative fixed by
+// which came first.
+func plain(v float64) bool { return v == v && (v != 0 || !math.Signbit(v)) }
 
 // addEcho2 records an ECHO2 vote subject to the once-per-sender rule;
 // explicit votes override a previously applied implicit zero (reordering).
 // It returns v's new count, or 0 if the vote was ignored. The override
 // withdraws a vote from 0, so 0's count can land on a threshold twice.
-func (ir *instRound) addEcho2(from node.ID, v float64, explicit bool, n int) int {
-	if ir.echo2From.get(from) {
-		if !explicit || ir.echo2Explicit.get(from) {
+func (t *tally) addEcho2(from node.ID, v float64, explicit bool, n int) int {
+	if t.echo2From.get(from) {
+		if !explicit || t.echo2Explicit.get(from) {
 			return 0 // duplicate or second explicit: ignore
 		}
 		// Explicit overriding implicit zero: move the vote.
-		ir.echo2.remove(from, 0)
+		t.echo2.remove(from, 0)
 	}
-	ir.echo2From.set(from)
+	t.echo2From.set(from)
 	if explicit {
-		ir.echo2Explicit.set(from)
+		t.echo2Explicit.set(from)
 	}
-	return ir.echo2.add(from, v, n)
+	return t.echo2.add(from, v, n)
 }
 
-// tryDecide evaluates the two termination conditions. quorum is n-t.
-func (ir *instRound) tryDecide(quorum int) {
+// tryDecide evaluates the two termination conditions. quorum is n-t; zeros
+// is the round's |initSeen ∩ zerosSenders|, an implicit 0's ECHO2 count.
+func (ir *instRound) tryDecide(quorum, zeros int) {
 	if ir.decided {
+		return
+	}
+	if ir.t == nil {
+		// One ECHO1 value only, so condition (2) on the implicit zeros alone.
+		ir.decided = ir.u == 0 && zeros >= quorum
 		return
 	}
 	// Condition (2): one value with n-t ECHO2s. At most one value can reach
 	// the n-t majority (each sender votes once), so first-found is unique.
-	for i := range ir.echo2.sets {
-		if s := &ir.echo2.sets[i]; s.count >= quorum {
+	for i := range ir.t.echo2.sets {
+		if s := &ir.t.echo2.sets[i]; s.count >= quorum {
 			ir.decided = true
 			ir.decision = s.v
 			return
@@ -153,18 +166,16 @@ func (ir *instRound) tryDecide(quorum int) {
 	// midpoint of the smallest and the largest.
 	var lo, hi float64
 	k := 0
-	for i := range ir.echo1.sets {
-		s := &ir.echo1.sets[i]
-		if s.count < quorum {
-			continue
+	for _, s := range ir.t.echo1.sets {
+		if s.count >= quorum {
+			if k == 0 || s.v < lo {
+				lo = s.v
+			}
+			if k == 0 || s.v > hi {
+				hi = s.v
+			}
+			k++
 		}
-		if k == 0 || s.v < lo {
-			lo = s.v
-		}
-		if k == 0 || s.v > hi {
-			hi = s.v
-		}
-		k++
 	}
 	if k >= 2 {
 		ir.decided = true
@@ -172,38 +183,13 @@ func (ir *instRound) tryDecide(quorum int) {
 	}
 }
 
-// inst is the per-instance state across rounds.
+// inst is one instance: its identity and this node's current-round state.
 type inst struct {
 	id IID
-	// idx is the instance's position in Engine.instList; stored bundles
-	// refer to instances by it (entry.ref is idx+1).
+	// idx is the instance's position in Engine.instList and in every
+	// Engine.rounds row; stored bundles refer to instances by it (entry.ref
+	// is idx+1).
 	idx uint32
-	// n is the node universe size (sizes the per-round bitsets).
-	n int
 	// state is this node's current-round state value.
 	state float64
-	// joined is the round at which this node began explicit participation
-	// (1 for instances in the node's own input set; the activation round
-	// for late-activated instances, which join with state 0).
-	joined int
-	// rounds[r-1] is the vote state of round r. Grown on demand.
-	rounds []*instRound
-	// gen and genNonzero implement the engine's per-bundle membership
-	// marks: an instance with gen equal to the engine's current generation
-	// was listed in the bundle being applied (genNonzero: with a non-zero
-	// value). Stamped at the first listing, so a repeated one is skipped.
-	gen        uint64
-	genNonzero bool
-}
-
-func (x *inst) round(r int) *instRound {
-	for len(x.rounds) < r {
-		x.rounds = append(x.rounds, newInstRound(x.n))
-	}
-	return x.rounds[r-1]
-}
-
-// decidedRound reports whether round r has decided.
-func (x *inst) decidedRound(r int) bool {
-	return len(x.rounds) >= r && x.rounds[r-1].decided
 }

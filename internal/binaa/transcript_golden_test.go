@@ -28,7 +28,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the BinAA transcri
 // transcriptCell is one configuration of the transcript corpus.
 type transcriptCell struct {
 	n, f   int
-	fault  string // clean | spam | equivocate | crash | laggard
+	fault  string // clean | spam | equivocate | crash | laggard | divergent
 	noComp bool
 }
 
@@ -41,7 +41,8 @@ func (c transcriptCell) String() string {
 }
 
 // transcriptCells lists the corpus. The laggard cells come after the rest so
-// that the golden file's first 24 lines keep their places.
+// that the golden file's first 24 lines keep their places, and the divergent
+// cells after those so that its first 30 do.
 func transcriptCells() []transcriptCell {
 	sizes := [][2]int{{4, 1}, {7, 2}, {16, 5}}
 	var cells []transcriptCell
@@ -52,9 +53,11 @@ func transcriptCells() []transcriptCell {
 			}
 		}
 	}
-	for _, nf := range sizes {
-		for _, noComp := range []bool{false, true} {
-			cells = append(cells, transcriptCell{n: nf[0], f: nf[1], fault: "laggard", noComp: noComp})
+	for _, fault := range []string{"laggard", "divergent"} {
+		for _, nf := range sizes {
+			for _, noComp := range []bool{false, true} {
+				cells = append(cells, transcriptCell{n: nf[0], f: nf[1], fault: fault, noComp: noComp})
+			}
 		}
 	}
 	return cells
@@ -137,6 +140,35 @@ func (l *laggard) release(r int) {
 	l.held = kept
 	stray := binaa.IID{Level: 1, K: int32(-1000 - r)}
 	l.env.Broadcast(&binaa.Echo2{Vals: []binaa.IVal{{ID: stray, Round: uint16(r), V: 1}}})
+}
+
+// divergent breaks, every round, the agreement an honest engine counts
+// implicitly. On first hearing of round r it sends an amplification echo for
+// a at round r ahead of its round-r bundle, then a full bundle that lists a
+// at 1, b at 1/2 (a value no honest node announces there) and z at 0 (an
+// instance no honest node holds), a bitmap with a bit on every entry — z's
+// zero-listed one included — and its zeros bundle.
+type divergent struct {
+	a, b, z binaa.IID
+	env     node.Env
+	heard   int
+}
+
+func (d *divergent) Init(env node.Env) { d.env = env }
+
+func (d *divergent) Deliver(_ node.ID, m node.Message) {
+	r := msgRound(m)
+	if r <= d.heard {
+		return
+	}
+	d.heard = r
+	rr := uint16(r)
+	d.env.Broadcast(&binaa.Echo1{Vals: []binaa.IVal{{ID: d.a, Round: rr, V: 1}}})
+	d.env.Broadcast(&binaa.Echo1{Round: rr, Init: true, Vals: []binaa.IVal{
+		{ID: d.a, Round: rr, V: 1}, {ID: d.b, Round: rr, V: 0.5}, {ID: d.z, Round: rr, V: 0},
+	}})
+	d.env.Broadcast(&binaa.Echo2C{Round: rr, Bits: []byte{0b111}})
+	d.env.Broadcast(&binaa.Echo2{Round: rr, Zeros: true})
 }
 
 // transcriptParams is Delphi's parameterisation for the corpus: six levels
@@ -246,6 +278,9 @@ func runTranscriptCell(t *testing.T, c transcriptCell) string {
 				CheckA: binaa.IID{K: int32(math.Floor(lo / p.Rho0))},
 				CheckB: binaa.IID{K: int32(math.Ceil(hi / p.Rho0))},
 			}
+		case c.fault == "divergent":
+			k := int32(math.Floor(lo / p.Rho0))
+			inner = &divergent{a: binaa.IID{K: k}, b: binaa.IID{K: int32(math.Ceil(hi / p.Rho0))}, z: binaa.IID{K: k - 5}}
 		case c.fault == "laggard":
 			bp, err := binaa.NewProcess(bcfg, delphiInputs(p, inputs[i]))
 			if err != nil {

@@ -68,10 +68,17 @@ fi
 # (one -fuzz target per invocation is a go test rule). Each input goes to two
 # engines: one with the base round current (the bundle is rebuilt in a copy)
 # and one that has left it (rebuilt in the stored base bundle itself, so a
-# rejected bundle is also checked to have left that base untouched).
-echo "== binaa compressed-bundle fuzz smoke =="
+# rejected bundle is also checked to have left that base untouched). Last, the
+# tally oracle: the engine keeps a round's agreeing votes as implicit tallies
+# and materialises one on the first vote that disagrees, so a byte-driven
+# stream of deliveries (duplicate listings, NaN and −0, echoes ahead of their
+# bundle, bitmap bits over zero-listed entries, explicit ECHO2 overrides, late
+# activation, left rounds) is checked after every delivery against a
+# brute-force recount of each (instance, round)'s voter sets.
+echo "== binaa compressed-bundle and tally fuzz smoke =="
 go test ./internal/binaa -run '^$' -fuzz FuzzDecodeEcho1C -fuzztime 10s
 go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
+go test ./internal/binaa -run '^$' -fuzz FuzzEngineTallies -fuzztime 10s
 
 # The simulator's event queue carries a byte-identity guarantee: fixed-seed
 # outputs for every protocol under every adversary preset must match the
