@@ -60,18 +60,10 @@ func applySymbol(old float64, sym uint8, r int) float64 {
 func packNibbles(syms []uint8) []byte {
 	out := make([]byte, (len(syms)+1)/2)
 	for i, s := range syms {
-		if i%2 == 0 {
-			out[i/2] = s & 0x0f
-		} else {
-			out[i/2] |= (s & 0x0f) << 4
-		}
+		out[i/2] |= (s & 0x0f) << (4 * (i & 1))
 	}
 	return out
 }
-
-// nibble reads symbol i of a packNibbles buffer in place; the caller
-// guarantees len(b) >= (i+2)/2.
-func nibble(b []byte, i int) uint8 { return b[i/2] >> (4 * (i & 1)) & 0x0f }
 
 // Echo1C is the compressed round-opening bundle (rounds >= 2): symbols for
 // every instance of the sender's previous announcement (in its sorted
@@ -123,10 +115,7 @@ func (m *Echo1C) MarshalBinary() ([]byte, error) {
 // DecodeEcho1C decodes an Echo1C body.
 func DecodeEcho1C(body []byte) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Echo1C{}
-	m.Round = r.U16()
-	m.PrevCount = r.U16()
-	m.Deltas = append([]byte(nil), r.BytesLP()...)
+	m := &Echo1C{Round: r.U16(), PrevCount: r.U16(), Deltas: append([]byte(nil), r.BytesLP()...)}
 	ne := r.UVarint()
 	if r.Err() == nil && ne <= uint64(r.Remaining())/8 {
 		m.Escapes = make([]float64, 0, ne)
@@ -169,10 +158,7 @@ func (m *Echo2C) MarshalBinary() ([]byte, error) {
 // DecodeEcho2C decodes an Echo2C body.
 func DecodeEcho2C(body []byte) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Echo2C{}
-	m.Round = r.U16()
-	m.Bits = append([]byte(nil), r.BytesLP()...)
-	return m, r.Err()
+	return &Echo2C{Round: r.U16(), Bits: append([]byte(nil), r.BytesLP()...)}, r.Err()
 }
 
 // setBit marks bit i in a growable bitmap.

@@ -52,13 +52,16 @@ func (e *Engine) debugState() string {
 // that leaves the engine as it was.
 func (e *Engine) effective(x *inst, r int) *tally {
 	ir := e.rounds[r-1][x.idx]
-	return e.materialise(&ir, r)
+	return e.materialise(&ir, r, x.idx)
 }
 
-// DebugState and StoredBundle show the external test package what a delivery
-// left behind: the whole tally dump, and one slot of initBundles (entries is
-// -1 for a nil slot; resolved means every entry's ref names its instance).
+// DebugState, Implicit and StoredBundle show the external test package what
+// a delivery left behind: the whole tally dump, whether an instance's round-r
+// tally is still implicit, and one slot of initBundles (entries is -1 for a
+// nil slot; resolved means every entry's ref names its instance).
 func (e *Engine) DebugState() string { return e.debugState() }
+
+func (e *Engine) Implicit(r int, id IID) bool { return e.rounds[r-1][e.insts[id].idx].t == nil }
 
 func (e *Engine) StoredBundle(r int, from node.ID) (entries int, resolved bool) {
 	b := e.initBundles[r-1][from]

@@ -110,7 +110,24 @@ func TestDeliverAllocs(t *testing.T) {
 			},
 		},
 		{
-			// Sender 0's bitmap creates the ECHO2(1) tallies of a and b;
+			// Senders 0..9 vote a's and b's u = 1 by bitmap: their implicit
+			// tallies count the votes (10 < n-t) in the round's voter slab
+			// and stay implicit.
+			name: "Echo2C for u, implicit",
+			runs: 10,
+			next: func(i int) (node.ID, node.Message) {
+				return node.ID(i), &binaa.Echo2C{Round: 1, Bits: []byte{3}}
+			},
+			check: func(t *testing.T, e *binaa.Engine) {
+				for _, id := range []binaa.IID{gateA, gateB} {
+					if !e.Implicit(1, id) {
+						t.Errorf("%v's round-1 tally materialised on bitmap votes for its u", id)
+					}
+				}
+			},
+		},
+		{
+			// Sender 0's bitmap starts the ECHO2(1) counts of a and b;
 			// senders 1..9 raise them to 10 < n-t.
 			name: "Echo2C non-crossing",
 			warm: func(e *binaa.Engine) { e.HandleEcho2C(0, &binaa.Echo2C{Round: 1, Bits: []byte{3}}) },

@@ -50,7 +50,7 @@ func binaaSchedule(t *testing.T, seed int64) ([]sim.NodeStats, []map[binaa.IID]f
 }
 
 // TestEngineRerunDeterminism is the fixed-seed regression for the audited
-// instList-seeding site (Start's input-map walk, now sorted): two runs of
+// instList-seeding site (NewEngine's input-map walk, now sorted): two runs of
 // the same seed must produce an identical schedule — every node's
 // sent/received message and byte counts — and identical weights.
 func TestEngineRerunDeterminism(t *testing.T) {

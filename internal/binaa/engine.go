@@ -51,9 +51,8 @@ type Engine struct {
 	track   *obs.Track
 	roundAt int64
 
-	round  int // current round, 1-based
-	done   bool
-	inputs map[IID]float64
+	round int // current round, 1-based
+	done  bool
 	// insts resolves an instance named on the wire; instList holds the same
 	// instances in activation order (inst.idx is the position), for iteration
 	// and index references without hashing (whole-set loops commute).
@@ -75,15 +74,19 @@ type Engine struct {
 	zerosCount   []int
 	// initZeros counts initSeen ∩ zerosSenders: an implicit 0's ECHO2s.
 	initZeros []int
+	// bitVoters is each round's voter slab: the bitsetWords(n) words from
+	// idx·bitsetWords(n) hold the senders behind instance idx's instRound.e2.
+	bitVoters []bitset
 	// rounds[r-1][idx] is instance idx's state in round r, for all instList.
 	rounds [][]instRound
 
 	// Compression state: this node's own per-round announcements in
-	// canonical append order (instRound.annPos is the reverse index); plus
-	// buffered compressed bundles whose base round has not arrived yet.
+	// canonical append order (instRound.annPos is the reverse index); plus,
+	// per round and sender, a compressed bundle buffered until its base round
+	// arrives and the merged bitmaps buffered until their bundle does.
 	announced  [][]entry
-	pendingC   map[node.ID]map[int]*Echo1C
-	pendingE2C map[node.ID]map[int][]byte
+	pendingC   [][]*Echo1C
+	pendingE2C [][][]byte
 
 	// Staged outgoing echoes for the current step; pendE2CB is the staged
 	// compact ECHO2 bitmap per round (index r-1, nil when nothing is staged).
@@ -161,23 +164,25 @@ func NewEngine(cfg Config, inputs map[IID]float64, onDone func(map[IID]float64))
 	if onDone == nil {
 		return nil, fmt.Errorf("binaa: onDone callback required")
 	}
-	in := make(map[IID]float64, len(inputs))
+	e := &Engine{cfg: cfg, onDone: onDone, insts: make(map[IID]*inst)}
 	for id, v := range inputs {
 		if v < 0 || v > 1 {
 			return nil, fmt.Errorf("binaa: input %v=%g outside [0,1]", id, v)
 		}
 		if v != 0 {
-			in[id] = v
+			e.newInst(id, v)
 		}
 	}
-	return &Engine{
-		cfg:        cfg,
-		onDone:     onDone,
-		inputs:     in,
-		insts:      make(map[IID]*inst),
-		pendingC:   make(map[node.ID]map[int]*Echo1C),
-		pendingE2C: make(map[node.ID]map[int][]byte),
-	}, nil
+	// Seed instList in sorted (level, K) order, not input-map order: every
+	// later activation appends in deterministic message order, and whole-set
+	// loops over instList stage broadcasts — map order here is the same
+	// schedule-nondeterminism class as the aba.OnCoin map walk, merely
+	// masked today by downstream sorting.
+	sortInsts(e.instList)
+	for i, x := range e.instList {
+		x.idx = uint32(i)
+	}
+	return e, nil
 }
 
 // Start begins round 1. Call exactly once, after the environment is ready.
@@ -186,18 +191,6 @@ func (e *Engine) Start(env node.Env) {
 	e.track = node.TrackOf(env)
 	e.roundAt = e.track.Now()
 	e.round = 1
-	// Seed instList in sorted (level, K) order, not input-map order: every
-	// later activation appends in deterministic message order, and whole-set
-	// loops over instList stage broadcasts — map order here is the same
-	// schedule-nondeterminism class as the aba.OnCoin map walk, merely
-	// masked today by downstream sorting.
-	for id, v := range e.inputs {
-		e.newInst(id, v)
-	}
-	sortInsts(e.instList)
-	for i, x := range e.instList {
-		x.idx = uint32(i)
-	}
 	e.openRound(1)
 	e.flush()
 }
@@ -220,8 +213,11 @@ func (e *Engine) grow(r int) {
 		e.zerosSenders = append(e.zerosSenders, newBitset(e.cfg.N))
 		e.zerosCount = append(e.zerosCount, 0)
 		e.initZeros = append(e.initZeros, 0)
+		e.bitVoters = append(e.bitVoters, make(bitset, len(e.instList)*bitsetWords(e.cfg.N)))
 		e.rounds = append(e.rounds, make([]instRound, len(e.instList)))
 		e.announced = append(e.announced, nil)
+		e.pendingC = append(e.pendingC, make([]*Echo1C, e.cfg.N))
+		e.pendingE2C = append(e.pendingE2C, make([][]byte, e.cfg.N))
 		e.pendE2CB = append(e.pendE2CB, nil)
 	}
 }
@@ -237,7 +233,7 @@ func (e *Engine) openRound(r int) {
 		ir := &row[i]
 		ir.myInit, ir.opened = x.state, true
 		if !plain(x.state) {
-			e.materialise(ir, r)
+			e.materialise(ir, r, x.idx)
 		}
 		if ir.t != nil {
 			ir.t.echo1.slot(x.state, e.cfg.N).amped = true
@@ -357,7 +353,7 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 			if ir := &e.rounds[r-1][x.idx]; ir.t == nil && v.V == ir.u && e.initSeen[r-1].get(from) {
 				continue // a repeat of the sender's bundle vote
 			}
-			if e.crossed1(e.materialise(&e.rounds[r-1][x.idx], r).echo1.add(from, v.V, e.cfg.N)) {
+			if e.crossed1(e.materialise(&e.rounds[r-1][x.idx], r, x.idx).echo1.add(from, v.V, e.cfg.N)) {
 				e.mark(x, r)
 			}
 		}
@@ -415,15 +411,14 @@ func (e *Engine) applyBundle(from node.ID, r int, b []entry) {
 		e.env.Broadcast(&Echo2{Round: uint16(r), Zeros: true})
 	}
 	// A compressed bundle for r+1 may have been waiting for this base.
-	if next, ok := e.pendingC[from][r+1]; ok {
-		delete(e.pendingC[from], r+1)
+	if r < len(e.pendingC) && e.pendingC[r][from] != nil {
+		next := e.pendingC[r][from]
+		e.pendingC[r][from] = nil
 		e.applyCompressed(from, next)
 	}
-	if bits, ok := e.pendingE2C[from][r]; ok {
-		delete(e.pendingE2C[from], r)
-		if r >= e.round {
-			e.applyEcho2C(from, r, bits)
-		}
+	// So may the sender's bitmaps, merged; they count while round r is read.
+	if r >= e.round {
+		e.applyEcho2C(from, r, e.pendingE2C[r-1][from])
 	}
 }
 
@@ -442,11 +437,8 @@ func (e *Engine) HandleEcho1C(from node.ID, m *Echo1C) {
 	}
 	if !e.initSeen[r-2].get(from) {
 		// Base round not yet seen: buffer (keep the first only).
-		if e.pendingC[from] == nil {
-			e.pendingC[from] = make(map[int]*Echo1C)
-		}
-		if _, ok := e.pendingC[from][r]; !ok {
-			e.pendingC[from][r] = m
+		if e.pendingC[r-1][from] == nil {
+			e.pendingC[r-1][from] = m
 		}
 		return
 	}
@@ -465,12 +457,17 @@ func (e *Engine) applyCompressed(from node.ID, m *Echo1C) {
 	if e.initSeen[r-1].get(from) || len(prev) != int(m.PrevCount) || len(m.Deltas) < (len(prev)+1)/2 {
 		return // a full bundle overtook this one, or malformed relative to our view: drop
 	}
-	esc := 0
-	for i := range prev {
-		if sym := nibble(m.Deltas, i); sym == symX {
-			esc++
-		} else if sym > sym2R {
-			return // unknown symbol
+	// Byte j of the deltas holds entries 2j and 2j+1 (the last byte's high
+	// nibble is padding when len(prev) is odd). A zero byte is two symC
+	// entries, which need no check and no write.
+	deltas, esc := m.Deltas[:(len(prev)+1)/2], 0
+	for j, d := range deltas {
+		for k := 2 * j; d != 0 && k < len(prev); k, d = k+1, d>>4 {
+			if sym := d & 0x0f; sym == symX {
+				esc++
+			} else if sym > sym2R {
+				return // unknown symbol
+			}
 		}
 	}
 	if esc > len(m.Escapes) {
@@ -483,12 +480,14 @@ func (e *Engine) applyCompressed(from node.ID, m *Echo1C) {
 		b = append(make([]entry, 0, len(prev)+len(m.NewVals)), prev...)
 	}
 	esc = 0
-	for i := range b {
-		if sym := nibble(m.Deltas, i); sym == symX {
-			b[i].v = m.Escapes[esc]
-			esc++
-		} else {
-			b[i].v = applySymbol(b[i].v, sym, r)
+	for j, d := range deltas {
+		for k := 2 * j; d != 0 && k < len(prev); k, d = k+1, d>>4 {
+			if sym := d & 0x0f; sym == symX {
+				b[k].v = m.Escapes[esc]
+				esc++
+			} else {
+				b[k].v = applySymbol(b[k].v, sym, r)
+			}
 		}
 	}
 	for _, nv := range m.NewVals {
@@ -505,18 +504,13 @@ func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
 	}
 	e.grow(r)
 	if !e.initSeen[r-1].get(from) {
-		if e.pendingE2C[from] == nil {
-			e.pendingE2C[from] = make(map[int][]byte)
-		}
 		// Bitmaps are incremental: merge (into our own bytes), not keep-first.
-		merged := e.pendingE2C[from][r]
-		for len(merged) < len(m.Bits) {
-			merged = append(merged, 0)
-		}
+		merged := e.pendingE2C[r-1][from]
+		merged = append(merged, make([]byte, max(0, len(m.Bits)-len(merged)))...)
 		for i, b := range m.Bits {
 			merged[i] |= b
 		}
-		e.pendingE2C[from][r] = merged
+		e.pendingE2C[r-1][from] = merged
 		return
 	}
 	e.applyEcho2C(from, r, m.Bits)
@@ -524,16 +518,26 @@ func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
 }
 
 // applyEcho2C resolves bitmap bits against the sender's round announcement.
+// An implicit tally counts a vote for its u ≠ 0 in its voter slab words.
 func (e *Engine) applyEcho2C(from node.ID, r int, bitmap []byte) {
-	b := e.initBundles[r-1][from]
+	b, words := e.initBundles[r-1][from], bitsetWords(e.cfg.N)
 	for j, w := range bitmap {
 		for ; w != 0; w &= w - 1 { // set bits only, in ascending order
 			i := 8*j + bits.TrailingZeros8(w)
 			if i >= len(b) {
 				return
 			}
-			if e.materialise(&e.rounds[r-1][b[i].ref-1], r).addEcho2(from, b[i].v, true, e.cfg.N) == e.cfg.Quorum() {
-				e.mark(e.instList[b[i].ref-1], r)
+			a, c := b[i], 0
+			if ir := &e.rounds[r-1][a.ref-1]; ir.t == nil && ir.u != 0 && a.v == ir.u {
+				if bitset(e.bitVoters[r-1][int(a.ref-1)*words:]).set(from) {
+					ir.e2++
+					c = int(ir.e2)
+				}
+			} else {
+				c = e.materialise(ir, r, a.ref-1).addEcho2(from, a.v, true, e.cfg.N)
+			}
+			if c == e.cfg.Quorum() {
+				e.mark(e.instList[a.ref-1], r)
 			}
 		}
 	}
@@ -573,7 +577,7 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 		}
 		e.grow(r)
 		x := e.activate(v.ID) // even for a left round: it joins our next announcement
-		if r >= e.round && e.materialise(&e.rounds[r-1][x.idx], r).addEcho2(from, v.V, true, e.cfg.N) == e.cfg.Quorum() {
+		if r >= e.round && e.materialise(&e.rounds[r-1][x.idx], r, x.idx).addEcho2(from, v.V, true, e.cfg.N) == e.cfg.Quorum() {
 			e.mark(x, r)
 		}
 	}
@@ -585,7 +589,7 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 // to a tally it materialises. Each (instance, sender, round) gets here once:
 // initSeen admits one bundle and applyBundle skips repeated listings.
 func (e *Engine) applyInitVote(i uint32, r int, from node.ID, v float64) {
-	t := e.materialise(&e.rounds[r-1][i], r)
+	t := e.materialise(&e.rounds[r-1][i], r, i)
 	crossed := e.crossed1(t.echo1.add(from, v, e.cfg.N))
 	if v == 0 {
 		t.zeroFrom.set(from)
@@ -598,10 +602,10 @@ func (e *Engine) applyInitVote(i uint32, r int, from node.ID, v float64) {
 	}
 }
 
-// materialise returns ir's explicit tally. An implicit one (ir in round r)
-// is first given the tally it stands for, copied a word at a time from the
-// round's sender sets.
-func (e *Engine) materialise(ir *instRound, r int) *tally {
+// materialise returns ir's explicit tally. An implicit one (instance i in
+// round r) is first given the tally it stands for, copied a word at a time
+// from the round's sender sets and its voter slab words.
+func (e *Engine) materialise(ir *instRound, r int, i uint32) *tally {
 	if ir.t != nil {
 		return ir.t
 	}
@@ -617,16 +621,21 @@ func (e *Engine) materialise(ir *instRound, r int) *tally {
 		copy(s.set, seen)
 		s.count = c
 	}
-	if c := e.initZeros[r-1]; ir.u == 0 {
+	c := int(ir.e2)
+	if ir.u == 0 {
 		copy(t.zeroFrom, seen)
-		for i := range zeros {
-			t.echo2From[i] = seen[i] & zeros[i]
+		for j := range zeros {
+			t.echo2From[j] = seen[j] & zeros[j]
 		}
-		if c > 0 {
-			s := t.echo2.slot(0, n)
-			copy(s.set, t.echo2From)
-			s.count = c
-		}
+		c = e.initZeros[r-1]
+	} else {
+		copy(t.echo2From, e.bitVoters[r-1][int(i)*w:])
+		copy(t.echo2Explicit, t.echo2From)
+	}
+	if c > 0 {
+		s := t.echo2.slot(ir.u, n)
+		copy(s.set, t.echo2From)
+		s.count = c
 	}
 	if ir.opened {
 		t.echo1.slot(ir.myInit, n).amped = true
@@ -651,6 +660,7 @@ func (e *Engine) activate(id IID) *inst {
 	x := e.newInst(id, 0)
 	for r := 1; r <= len(e.rounds); r++ {
 		e.rounds[r-1] = append(e.rounds[r-1], instRound{opened: r <= e.round})
+		e.bitVoters[r-1] = append(e.bitVoters[r-1], make(bitset, bitsetWords(e.cfg.N))...)
 		if e.due(&e.rounds[r-1][x.idx], r) {
 			e.mark(x, r)
 		}
@@ -678,12 +688,13 @@ func (e *Engine) markDue(r int, all bool) {
 }
 
 // due reports whether check has an action left on ir, an implicit tally of
-// round r: amplifying u, sending the round's ECHO2, or deciding 0 (check's
+// round r: amplifying u, sending the round's ECHO2, or deciding u (check's
 // tests on an implicit tally, one for one).
 func (e *Engine) due(ir *instRound, r int) bool {
 	c, q := e.initCount[r-1], e.cfg.Quorum()
 	return c > e.cfg.F && !ir.ampedU && !(ir.opened && ir.myInit == ir.u) ||
-		c >= q && !ir.sentEcho2 && r <= e.round || ir.u == 0 && !ir.decided && e.initZeros[r-1] >= q
+		c >= q && !ir.sentEcho2 && r <= e.round ||
+		!ir.decided && (ir.u == 0 && e.initZeros[r-1] >= q || ir.u != 0 && int(ir.e2) >= q)
 }
 
 // settle processes all dirty (instance, round) pairs: amplification, ECHO2

@@ -63,6 +63,50 @@ func TestUnanimousOne(t *testing.T) {
 	}
 }
 
+// TestSettledInstancesStayImplicit pins the implicit-tally path on a clean
+// cluster: an instance every node holds at 1 meets only bundle votes and
+// bitmap votes for 1, so no node materialises its tally in any round. An
+// instance the nodes split on does materialise, which shows the probe reads
+// real tallies.
+func TestSettledInstancesStayImplicit(t *testing.T) {
+	cfg := binaa.Config{Config: node.Config{N: 7, F: 2}, Rounds: 6}
+	settled := []binaa.IID{{K: 1}, {K: 2}, {Level: 1, K: 3}}
+	split := binaa.IID{K: 9}
+	procs := make([]node.Process, cfg.N)
+	engines := make([]*binaa.Engine, cfg.N)
+	for i := range procs {
+		in := map[binaa.IID]float64{split: float64(i % 2)}
+		for _, id := range settled {
+			in[id] = 1
+		}
+		p, err := binaa.NewProcess(cfg, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[i], engines[i] = p, p.Engine()
+	}
+	r, err := sim.NewRunner(cfg.Config, sim.AWS(), 3, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.Run()
+	for i, e := range engines {
+		if len(res.Stats[i].Output) == 0 {
+			t.Fatalf("node %d produced no output", i)
+		}
+		for round := 1; round <= cfg.Rounds; round++ {
+			for _, id := range settled {
+				if !e.Implicit(round, id) {
+					t.Errorf("node %d: settled %v's round-%d tally materialised", i, id, round)
+				}
+			}
+		}
+		if e.Implicit(1, split) {
+			t.Errorf("node %d: split %v's round-1 tally is implicit", i, split)
+		}
+	}
+}
+
 func TestUnanimousZero(t *testing.T) {
 	n, f := 4, 1
 	inputs := make([]map[binaa.IID]float64, n)

@@ -67,6 +67,10 @@ func fuzzEngine(t testing.TB, left bool) *Engine {
 	return e
 }
 
+// nibble reads symbol i of a packNibbles buffer; the caller guarantees
+// len(b) >= (i+2)/2.
+func nibble(b []byte, i int) uint8 { return b[i/2] >> (4 * (i & 1)) & 0x0f }
+
 // wellFormed is the test's own statement of when a compressed bundle must
 // be accepted against a previous announcement of prev entries.
 func wellFormed(m *Echo1C, prev int) bool {
@@ -177,7 +181,8 @@ func checkCompressedOn(t *testing.T, e *Engine, left bool, m *Echo1C) {
 
 // echo1CSeeds are the compressed bundles of compress_test.go — the
 // round-trip message and the byzCompressed forgeries — plus a well-formed
-// round-2 bundle for fuzzEngine and two that go wrong late.
+// round-2 bundle for fuzzEngine, two that go wrong late, and five around
+// runs of zero bytes.
 func echo1CSeeds() []*Echo1C {
 	return []*Echo1C{
 		{Round: 3, PrevCount: 5, Deltas: packNibbles([]uint8{symC, symL, sym2R, symX, symR}),
@@ -191,6 +196,15 @@ func echo1CSeeds() []*Echo1C {
 		// applied: a second escape with one value, an unknown symbol.
 		{Round: 2, PrevCount: 5, Deltas: packNibbles([]uint8{symL, symX, symX, symC, symC}), Escapes: []float64{0.5}},
 		{Round: 2, PrevCount: 5, Deltas: packNibbles([]uint8{symR, sym2L, 7, symC, symC})},
+		// The rebuild skips zero bytes (two symC entries each). Around them: a
+		// padding nibble after the odd count, a lattice symbol or an escape
+		// with no escape value, is ignored; escapes keep announcement order;
+		// an unknown symbol still drops the bundle before anything is written.
+		{Round: 2, PrevCount: 5, Deltas: []byte{0, 0, symL | 0xf<<4}},
+		{Round: 2, PrevCount: 5, Deltas: []byte{0, 0, symX << 4}},
+		{Round: 2, PrevCount: 5, Deltas: []byte{0, symX << 4, symX}, Escapes: []float64{0.375, 0.125}},
+		{Round: 2, PrevCount: 5, Deltas: []byte{0, 0, 7}},
+		{Round: 2, PrevCount: 5, Deltas: []byte{symX, 0x70, 0}, Escapes: []float64{0.5}},
 	}
 }
 

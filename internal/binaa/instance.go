@@ -41,16 +41,18 @@
 // peers wait for, depend on them alone — and a late vote's instance activates.
 //
 // Implicit tallies: nearly every vote an (instance, round) receives is a
-// bundle vote that agrees with all earlier ones, so it keeps no tally while
-// (1) every ECHO1 vote it has counted is a round-r bundle vote for one value
-// u, neither NaN nor −0 — its ECHO1 tally is (u, initCount) — and (2) no
-// explicit ECHO2 has reached it — its ECHO2 tally is (0, |initSeen ∩
-// zerosSenders|) if u is 0, else empty. The first vote that breaks either
-// materialises the tally: it is copied from the round's sender bitsets (a
-// bundle's sender is recorded after its votes) and counts votes one by one
-// from then on. All implicit tallies of a round share one count, so they
-// cross a threshold at the same delivery, which marks those on which check
-// still has an action (Engine.due); check acts on no other.
+// bundle or bitmap vote that agrees with all earlier ones, so it keeps no
+// tally while (1) every ECHO1 vote it has counted is a round-r bundle vote
+// for one value u, neither NaN nor −0 — its ECHO1 tally is (u, initCount) —
+// and (2) every explicit ECHO2 that reached it is a bitmap vote for u ≠ 0 —
+// its ECHO2 tally is (0, |initSeen ∩ zerosSenders|) if u is 0, else (u, e2),
+// with e2's senders in the round's voter slab. The first vote that breaks
+// either materialises the tally: it is copied from the round's sender
+// bitsets (a bundle's sender is recorded after its votes) and the slab, and
+// counts votes one by one from then on. The implicit tallies of a round
+// share their ECHO1 and zeros counts, so they cross those thresholds at the
+// same delivery, which marks those on which check still has an action
+// (Engine.due); e2 marks its own pair on reaching n-t. check acts on no other.
 package binaa
 
 import (
@@ -84,6 +86,8 @@ type instRound struct {
 	myInit float64
 	// decision is the round's outcome once decided.
 	decision float64
+	// e2 counts an implicit tally's bitmap votes for u ≠ 0 (Engine.bitVoters).
+	e2 int32
 	// annPos is 1 + this instance's position in this node's own round
 	// announcement (Engine.announced), 0 if the instance is not in it. A
 	// compact ECHO2 sets bit annPos-1.
@@ -149,8 +153,11 @@ func (ir *instRound) tryDecide(quorum, zeros int) {
 		return
 	}
 	if ir.t == nil {
-		// One ECHO1 value only, so condition (2) on the implicit zeros alone.
-		ir.decided = ir.u == 0 && zeros >= quorum
+		// One ECHO1 value only, so condition (2) on u's implicit ECHO2s alone:
+		// the round's zeros bundles for 0, the tally's bitmap votes for any other.
+		if ir.decided = ir.u == 0 && zeros >= quorum || ir.u != 0 && int(ir.e2) >= quorum; ir.decided {
+			ir.decision = ir.u
+		}
 		return
 	}
 	// Condition (2): one value with n-t ECHO2s. At most one value can reach

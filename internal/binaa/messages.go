@@ -83,11 +83,7 @@ func (m *Echo1) MarshalBinary() ([]byte, error) {
 // DecodeEcho1 decodes an Echo1 message body.
 func DecodeEcho1(body []byte) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Echo1{}
-	m.Round = r.U16()
-	m.Init = r.Bool()
-	m.Vals = decodeVals(r)
-	return m, r.Err()
+	return &Echo1{Round: r.U16(), Init: r.Bool(), Vals: decodeVals(r)}, r.Err()
 }
 
 // Echo2 carries ECHO2 votes. A Zeros bundle casts ECHO2(0) for round Round
@@ -122,11 +118,7 @@ func (m *Echo2) MarshalBinary() ([]byte, error) {
 // DecodeEcho2 decodes an Echo2 message body.
 func DecodeEcho2(body []byte) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Echo2{}
-	m.Round = r.U16()
-	m.Zeros = r.Bool()
-	m.Vals = decodeVals(r)
-	return m, r.Err()
+	return &Echo2{Round: r.U16(), Zeros: r.Bool(), Vals: decodeVals(r)}, r.Err()
 }
 
 // Register installs the package's message decoders into a wire registry.

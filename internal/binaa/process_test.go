@@ -30,6 +30,9 @@ func NewProcess(cfg Config, inputs map[IID]float64) (*Process, error) {
 	return p, nil
 }
 
+// Engine returns the process's engine.
+func (p *Process) Engine() *Engine { return p.eng }
+
 func (p *Process) finish(weights map[IID]float64) {
 	p.env.Output(weights)
 	p.env.Halt()

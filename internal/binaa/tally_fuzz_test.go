@@ -26,6 +26,9 @@ type oracle struct {
 	zeros map[senderRound]bool
 	// explicit[(x, r, from)] is the sender's first explicit ECHO2 counted.
 	explicit map[explicitKey]float64
+	// echo2s is every explicit ECHO2 that reached the engine, counted or not,
+	// and whether it came as a bitmap bit or as an Echo2 entry.
+	echo2s []echo2Vote
 	// bits merges bitmaps waiting for their bundle.
 	bits map[senderRound][]byte
 }
@@ -47,6 +50,12 @@ type explicitKey struct {
 	id   IID
 	r    int
 	from node.ID
+}
+
+type echo2Vote struct {
+	explicitKey
+	v      float64
+	bitmap bool
 }
 
 // deliver records m as the engine, standing in round `round`, counts it.
@@ -85,7 +94,7 @@ func (o *oracle) deliver(round, rounds int, from node.ID, m node.Message) {
 		}
 		for _, v := range msg.Vals {
 			if r := int(v.Round); valid(r) && r >= round {
-				o.vote2(explicitKey{v.ID, r, from}, v.V)
+				o.vote2(explicitKey{v.ID, r, from}, v.V, false)
 			}
 		}
 	case *Echo2C:
@@ -111,13 +120,15 @@ func (o *oracle) deliver(round, rounds int, from node.ID, m node.Message) {
 func (o *oracle) applyBits(k senderRound, bits []byte) {
 	for i, v := range o.bundles[k] {
 		if getBit(bits, i) {
-			o.vote2(explicitKey{v.ID, k.r, k.from}, v.V)
+			o.vote2(explicitKey{v.ID, k.r, k.from}, v.V, true)
 		}
 	}
 }
 
-// vote2 records an explicit ECHO2: a sender's first one counts.
-func (o *oracle) vote2(k explicitKey, v float64) {
+// vote2 records an explicit ECHO2 that reached the engine, from a bitmap or
+// an Echo2 entry: a sender's first one counts.
+func (o *oracle) vote2(k explicitKey, v float64, bitmap bool) {
+	o.echo2s = append(o.echo2s, echo2Vote{k, v, bitmap})
 	if _, ok := o.explicit[k]; !ok {
 		o.explicit[k] = v
 	}
@@ -213,7 +224,8 @@ func (o *oracle) check(t *testing.T, e *Engine) {
 				}
 			}
 			// Implicit: every bundle vote is u (plain), every echo repeats its
-			// sender's bundle vote, and no explicit ECHO2 has come.
+			// sender's bundle vote, and every explicit ECHO2 that came is a
+			// bitmap vote for u ≠ 0.
 			ir := e.rounds[r-1][x.idx]
 			for _, v := range echo1 {
 				if ir.t == nil && (!plain(v.v) || v.v != ir.u) {
@@ -228,11 +240,9 @@ func (o *oracle) check(t *testing.T, e *Engine) {
 					}
 				}
 			}
-			if ir.t == nil {
-				for from := node.ID(0); int(from) < o.n; from++ {
-					if _, ok := o.explicit[explicitKey{x.id, r, from}]; ok {
-						t.Fatalf("%v round %d: implicit after sender %d's explicit ECHO2", x.id, r, from)
-					}
+			for _, v := range o.echo2s {
+				if ir.t == nil && v.id == x.id && v.r == r && !(v.bitmap && ir.u != 0 && v.v == ir.u) {
+					t.Fatalf("%v round %d: implicit at u=%g after sender %d's ECHO2 %g (bitmap=%v)", x.id, r, ir.u, v.from, v.v, v.bitmap)
 				}
 			}
 			tl := e.effective(x, r)
@@ -313,6 +323,35 @@ func FuzzEngineTallies(f *testing.F) {
 		op(5, 6), op(5, 2), // rounds 1 and 2 left
 		op(0, 0, 1, 1, ent(4, 1)), op(2, 0, 1), op(1, 6, 1, ent(4, 1)), // a late bundle activates K4
 		op(0, 1, 2, 1, ent(3, 3)),
+	))
+	// Bitmap votes for u = 1 at K2, counted implicitly, then what must
+	// materialise the tally or be ignored by it.
+	agree := slices.Concat(op(0, 1, 0, 1, ent(2, 1)), op(0, 2, 0, 1, ent(2, 1)))
+	f.Add(slices.Concat([]byte{0}, agree,
+		op(3, 1, 0, 1), op(3, 1, 0, 1), // the same bit in two bitmaps
+		op(3, 2, 0, 1),
+		op(3, 3, 0, 1), op(0, 3, 0, 1, ent(2, 1)), // a bitmap ahead of its bundle, which makes n-t
+	))
+	f.Add(slices.Concat([]byte{0},
+		op(0, 1, 0, 2, ent(2, 1), ent(2, 2)), op(0, 2, 0, 1, ent(2, 1)), // sender 1 repeats K2 at 1/2
+		op(3, 2, 0, 1),
+		op(3, 1, 0, 3), // a bit on the repeat after one for u: the vote is cast
+	))
+	f.Add(slices.Concat([]byte{0}, agree,
+		op(3, 1, 0, 1), op(3, 2, 0, 1),
+		op(4, 1, 0, ent(2, 2)), // an Echo2 entry from a sender whose bitmap voted
+	))
+	f.Add(slices.Concat([]byte{1},
+		op(0, 1, 0, 1, ent(2, 1)),
+		op(3, 2, 0, 1), op(3, 2, 0, 1), op(0, 2, 0, 1, ent(2, 1)), // merged ahead of the bundle
+		op(3, 1, 0, 1),
+		op(0, 3, 0, 1, ent(2, 2)),   // a disagreeing bundle vote after two bitmap votes
+		op(0, 4, 0, 0), op(2, 4, 0), // an implicit zero, then its zeros bundle
+		op(3, 3, 0, 1), op(3, 5, 0, 1),
+	))
+	f.Add(slices.Concat([]byte{0},
+		op(0, 1, 0, 1, ent(3, 0)), op(0, 2, 0, 1, ent(3, 0)),
+		op(3, 1, 0, 1), // a bitmap vote for u = 0 (zeros bundles count those)
 	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -28,7 +28,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the BinAA transcri
 // transcriptCell is one configuration of the transcript corpus.
 type transcriptCell struct {
 	n, f   int
-	fault  string // clean | spam | equivocate | crash | laggard | divergent
+	fault  string // clean | spam | equivocate | crash | laggard | divergent | recant
 	noComp bool
 }
 
@@ -41,8 +41,9 @@ func (c transcriptCell) String() string {
 }
 
 // transcriptCells lists the corpus. The laggard cells come after the rest so
-// that the golden file's first 24 lines keep their places, and the divergent
-// cells after those so that its first 30 do.
+// that the golden file's first 24 lines keep their places, the divergent
+// cells after those so that its first 30 do, and the recant cells last so
+// that its first 36 do.
 func transcriptCells() []transcriptCell {
 	sizes := [][2]int{{4, 1}, {7, 2}, {16, 5}}
 	var cells []transcriptCell
@@ -53,7 +54,7 @@ func transcriptCells() []transcriptCell {
 			}
 		}
 	}
-	for _, fault := range []string{"laggard", "divergent"} {
+	for _, fault := range []string{"laggard", "divergent", "recant"} {
 		for _, nf := range sizes {
 			for _, noComp := range []bool{false, true} {
 				cells = append(cells, transcriptCell{n: nf[0], f: nf[1], fault: fault, noComp: noComp})
@@ -171,6 +172,68 @@ func (d *divergent) Deliver(_ node.ID, m node.Message) {
 	d.env.Broadcast(&binaa.Echo2{Round: rr, Zeros: true})
 }
 
+// recant first votes with the honest nodes and then goes back on it, at two
+// instances every honest node holds at 1, so that u is 1 there in every
+// round. On first hearing of round r it sends a full bundle listing a and b
+// at 1 and a bitmap over both: votes an honest engine counts without
+// materialising a tally. On first hearing a round-r ECHO2 it sends an
+// explicit ECHO2 for a at 1/2, which the engine must ignore after the
+// bitmap's vote, and an amplification echo for b at 1/2; each materialises
+// the tally it reaches.
+type recant struct {
+	a, b            binaa.IID
+	env             node.Env
+	heard, recanted int
+}
+
+func (d *recant) Init(env node.Env) { d.env = env }
+
+func (d *recant) Deliver(_ node.ID, m node.Message) {
+	r := msgRound(m)
+	rr := uint16(r)
+	if r > d.heard {
+		d.heard = r
+		d.env.Broadcast(&binaa.Echo1{Round: rr, Init: true, Vals: []binaa.IVal{{ID: d.a, Round: rr, V: 1}, {ID: d.b, Round: rr, V: 1}}})
+		d.env.Broadcast(&binaa.Echo2C{Round: rr, Bits: []byte{0b11}})
+	}
+	switch m.(type) {
+	case *binaa.Echo2, *binaa.Echo2C:
+		if r > d.recanted {
+			d.recanted = r
+			d.env.Broadcast(&binaa.Echo2{Vals: []binaa.IVal{{ID: d.a, Round: rr, V: 0.5}}})
+			d.env.Broadcast(&binaa.Echo1{Vals: []binaa.IVal{{ID: d.b, Round: rr, V: 0.5}}})
+		}
+	}
+}
+
+// settledIDs are the instances every one of the first k nodes holds at 1,
+// sorted by (level, K).
+func settledIDs(p core.Params, inputs []float64, k int) []binaa.IID {
+	var ids []binaa.IID
+	for id := range delphiInputs(p, inputs[0]) {
+		held := true
+		for _, v := range inputs[1:k] {
+			_, ok := delphiInputs(p, v)[id]
+			held = held && ok
+		}
+		if held {
+			ids = append(ids, id)
+		}
+	}
+	sortIDs(ids)
+	return ids
+}
+
+// sortIDs orders instances by (level, K).
+func sortIDs(ids []binaa.IID) {
+	slices.SortFunc(ids, func(a, b binaa.IID) int {
+		if a.Level != b.Level {
+			return int(a.Level) - int(b.Level)
+		}
+		return int(a.K) - int(b.K)
+	})
+}
+
 // transcriptParams is Delphi's parameterisation for the corpus: six levels
 // and inputs spread over most of Δ, so every node runs a few dozen
 // checkpoints whose states split, amplify and take the explicit-ECHO2 path.
@@ -281,6 +344,12 @@ func runTranscriptCell(t *testing.T, c transcriptCell) string {
 		case c.fault == "divergent":
 			k := int32(math.Floor(lo / p.Rho0))
 			inner = &divergent{a: binaa.IID{K: k}, b: binaa.IID{K: int32(math.Ceil(hi / p.Rho0))}, z: binaa.IID{K: k - 5}}
+		case c.fault == "recant":
+			ids := settledIDs(p, inputs, c.n-c.f)
+			if len(ids) == 0 {
+				t.Fatalf("%v: no instance every honest node holds", c)
+			}
+			inner = &recant{a: ids[0], b: ids[len(ids)-1]}
 		case c.fault == "laggard":
 			bp, err := binaa.NewProcess(bcfg, delphiInputs(p, inputs[i]))
 			if err != nil {
@@ -322,12 +391,7 @@ func runTranscriptCell(t *testing.T, c transcriptCell) string {
 		for id := range weights {
 			ids = append(ids, id)
 		}
-		slices.SortFunc(ids, func(a, b binaa.IID) int {
-			if a.Level != b.Level {
-				return int(a.Level) - int(b.Level)
-			}
-			return int(a.K) - int(b.K)
-		})
+		sortIDs(ids)
 		wh := sha256.New()
 		for _, id := range ids {
 			fmt.Fprintf(wh, "%v=%s\n", id, hexFloat(weights[id]))

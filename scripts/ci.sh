@@ -36,6 +36,12 @@ echo "== library non-test Go lines =="
 find . -name '*.go' ! -name '*_test.go' ! -path './.*' \
     ! -path './cmd/*' ! -path './examples/*' ! -path './perf/*' -print0 |
     xargs -0 cat | wc -l
+# The same count per internal/* package (a package's own directory), so a
+# change can be held to leaving its package no larger; printed, not gated.
+for pkg in internal/*/; do
+    printf '%6d %s\n' "$(find "$pkg" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 |
+        xargs -0 cat /dev/null | wc -l)" "${pkg%/}"
+done
 
 echo "== go test -race =="
 go test -race ${short_flag:+"$short_flag"} ./...
