@@ -385,7 +385,7 @@ func delphiSpec(o *options) bench.RunSpec {
 		n = 16
 	}
 	return bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: n, F: (n - 1) / 3, Env: sim.AWS(), Seed: o.seed,
+		Protocol: bench.ProtoDelphi, N: n, F: bench.ProtoDelphi.Faults(n), Env: sim.AWS(), Seed: o.seed,
 		Inputs: bench.OracleInputs(n, 41000, 20, o.seed), Delphi: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
 	}
 }

@@ -5,7 +5,7 @@
 //
 //	go run ./examples/byzantine
 //
-// Ten nodes (t = 3): seven honest with clustered prices, one mute (crashed),
+// Ten nodes (t = 3): seven honest with clustered prices, one crashed,
 // one equivocating about far-away checkpoints, and one flooding junk
 // checkpoints — under the simulated geo-distributed AWS network with an
 // adversarial delay rule slowing one honest node's traffic. The honest
@@ -45,7 +45,7 @@ func main() {
 		procs[i] = d
 		honest[i] = v
 	}
-	procs[0] = &byz.Mute{}       // crashed
+	procs[0] = nil               // crashed
 	procs[1] = &byz.Equivocator{ // lies differently to each half
 		CheckA: binaa.IID{Level: 0, K: 5_000},
 		CheckB: binaa.IID{Level: 0, K: 20_000},

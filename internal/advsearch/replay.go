@@ -13,6 +13,7 @@ import (
 	"delphi/internal/backend"
 	"delphi/internal/bench"
 	"delphi/internal/netadv"
+	"delphi/internal/sim"
 )
 
 // ReplayConfig bounds one live replay.
@@ -88,7 +89,7 @@ func (p *Profile) replayOne(adv netadv.Adversary, rc ReplayConfig, res *ReplayRe
 		Protocol:  p.Protocol,
 		N:         p.N,
 		F:         p.F,
-		Env:       p.env,
+		Env:       sim.AWS(),
 		Seed:      p.Seed,
 		Inputs:    p.inputs,
 		Delphi:    p.params,

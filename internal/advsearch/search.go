@@ -135,28 +135,24 @@ func (s Space) Candidates() []netadv.Adversary {
 type Config struct {
 	// Protocol is the victim.
 	Protocol bench.Protocol
-	// N sizes the system; F derives as (N-1)/3 unless set.
-	N, F int
+	// N sizes the system; the fault budget is the protocol's,
+	// Protocol.Faults(N). Probes run on the sim.AWS() testbed.
+	N int
 	// Seed drives every probe and every annealing draw.
 	Seed int64
 	// Objective selects the score; empty means ObjLatency.
 	Objective Objective
 	// Space is the searched region; the zero value means DefaultSpace.
 	Space Space
-	// Rungs is the number of successive-halving rounds (default 3).
+	// Rungs is the number of successive-halving rounds (default 3). The
+	// top third of the candidates survives each rung, and the
+	// per-candidate trial budget, one on the first rung, doubles each rung.
 	Rungs int
-	// Keep is the fraction of candidates surviving each rung (default 1/3).
-	Keep float64
-	// BaseTrials is the per-candidate trial budget on the first rung,
-	// doubling each rung (default 1).
-	BaseTrials int
 	// AnnealSteps is the simulated-annealing refinement length (default 8).
 	AnnealSteps int
 	// SimWorkers routes probes through the parallel window executor with
 	// that many shard workers; 0 runs them on the sequential loop.
 	SimWorkers int
-	// Env is the simulated testbed; the zero value means sim.AWS().
-	Env sim.Environment
 }
 
 // TrajPoint is one step of the search's score trajectory.
@@ -211,7 +207,6 @@ type Profile struct {
 	Replay *ReplayResult
 
 	// Replay needs the probe inputs the search used.
-	env    sim.Environment
 	inputs []float64
 	params core.Params
 }
@@ -245,23 +240,11 @@ func Search(cfg Config) (*Profile, error) {
 	if err := cfg.Objective.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.F == 0 {
-		cfg.F = (cfg.N - 1) / 3
-	}
 	if cfg.Rungs <= 0 {
 		cfg.Rungs = 3
 	}
-	if cfg.Keep <= 0 || cfg.Keep >= 1 {
-		cfg.Keep = 1.0 / 3
-	}
-	if cfg.BaseTrials <= 0 {
-		cfg.BaseTrials = 1
-	}
 	if cfg.AnnealSteps < 0 {
 		cfg.AnnealSteps = 8
-	}
-	if cfg.Env.Latency == nil {
-		cfg.Env = sim.AWS()
 	}
 	s := &searcher{
 		cfg:    cfg,
@@ -272,9 +255,8 @@ func Search(cfg Config) (*Profile, error) {
 		Protocol:  cfg.Protocol,
 		Objective: cfg.Objective,
 		N:         cfg.N,
-		F:         cfg.F,
+		F:         cfg.Protocol.Faults(cfg.N),
 		Seed:      cfg.Seed,
-		env:       cfg.Env,
 		inputs:    s.inputs,
 		params:    s.params,
 	}
@@ -289,9 +271,9 @@ func Search(cfg Config) (*Profile, error) {
 		}
 	}
 
-	// Successive halving: score everyone, keep the top Keep fraction,
-	// double the budget.
-	trials := cfg.BaseTrials
+	// Successive halving: score everyone, keep the top third, double the
+	// budget.
+	trials := 1
 	var ranked []scored
 	for rung := 1; rung <= cfg.Rungs && len(pool) > 0; rung++ {
 		ranked = ranked[:0]
@@ -309,7 +291,7 @@ func Search(cfg Config) (*Profile, error) {
 			Best:   ranked[0].adv.String(),
 			Score:  ranked[0].score,
 		})
-		keep := int(math.Ceil(float64(len(ranked)) * cfg.Keep))
+		keep := int(math.Ceil(float64(len(ranked)) / 3))
 		if keep < 1 {
 			keep = 1
 		}
@@ -423,8 +405,8 @@ func (s *searcher) probe(adv netadv.Adversary, trial int, rec *obs.Recorder) (fl
 	st, err := bench.Run(bench.RunSpec{
 		Protocol:   s.cfg.Protocol,
 		N:          s.cfg.N,
-		F:          s.cfg.F,
-		Env:        s.cfg.Env,
+		F:          s.prof.F,
+		Env:        sim.AWS(),
 		Seed:       bench.TrialSeed(s.cfg.Seed, trial),
 		Inputs:     s.inputs,
 		Delphi:     s.params,

@@ -101,6 +101,33 @@ func TestSearchValidation(t *testing.T) {
 	}
 }
 
+// TestSearchDolevBudget runs a one-candidate search against Dolev at n=8.
+// Every probe takes Dolev's fault budget, (n-1)/5 = 1; the t < n/3 budget
+// of 2 would fail Dolev's n >= 5t+1 check on the first probe.
+func TestSearchDolevBudget(t *testing.T) {
+	p, err := Search(Config{
+		Protocol: bench.ProtoDolev,
+		N:        8,
+		Seed:     7,
+		Space: Space{
+			Kinds:      []netadv.Kind{netadv.SlowF},
+			Severities: []float64{1},
+			Onsets:     []time.Duration{0},
+			Adaptive:   []bool{false},
+		},
+		Rungs: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.F != 1 {
+		t.Errorf("profile f = %d, want Dolev's (8-1)/5 = 1", p.F)
+	}
+	if p.Scored == 0 || p.BestScore <= 0 {
+		t.Errorf("degenerate search: scored=%d best=%.3f", p.Scored, p.BestScore)
+	}
+}
+
 // TestReplayTimeoutAccounting forces every tcp attempt to miss an absurd
 // deadline and checks the satellite's no-wedge contract: the replay returns
 // (no hang), timeouts are counted, the accounting identity still holds, and

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"delphi/internal/bench"
+	"delphi/internal/core"
 	"delphi/internal/obs"
 	"delphi/internal/sim"
 )
@@ -265,11 +266,11 @@ func TestCrossBackendValidationAllKinds(t *testing.T) {
 func BenchmarkTCPCellSetup(b *testing.B) {
 	spec := bench.RunSpec{
 		Protocol: bench.ProtoDolev,
-		N:        16, F: 3, // Dolev needs n >= 5t+1
+		N:        16, F: bench.ProtoDolev.Faults(16),
 		Env:     sim.AWS(),
 		Seed:    9,
 		Inputs:  bench.OracleInputs(16, 41000, 20, 9),
-		Rounds:  1,
+		Delphi:  core.Params{Delta: 2, Eps: 2}, // Δ/ε = 1: one round
 		Backend: bench.BackendTCP,
 	}
 	for _, mode := range []struct {

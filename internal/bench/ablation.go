@@ -16,7 +16,7 @@ func OracleDefaultParams() core.Params { return oracleParams(2) }
 // ablations are the design ablations at n=16, one text block each.
 func ablations(_ Scale, seed int64) Plan[string] {
 	const n = 16
-	f := faults(n)
+	f := ProtoDelphi.Faults(n)
 	aws := func(inputs []float64, p core.Params) RunSpec {
 		return RunSpec{Protocol: ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p}
 	}
@@ -89,7 +89,7 @@ func compression(on RunSpec) Plan[string] {
 // HashRand direction the paper cites), quantifying how much of FIN's CPS
 // latency is threshold-coin compute.
 func coinCost(n int, seed int64) Plan[string] {
-	pairing := RunSpec{Protocol: ProtoFIN, N: n, F: faults(n), Env: sim.CPS(), Seed: seed, Inputs: OracleInputs(n, 500, 5, seed), Delphi: cpsParams()}
+	pairing := RunSpec{Protocol: ProtoFIN, N: n, F: ProtoFIN.Faults(n), Env: sim.CPS(), Seed: seed, Inputs: OracleInputs(n, 500, 5, seed), Delphi: cpsParams()}
 	hash := pairing
 	hash.Env.Cost.Pairing = hash.Env.Cost.Hash // hash-based coin shares
 	return Plan[string]{
@@ -108,8 +108,8 @@ func coinCost(n int, seed int64) Plan[string] {
 func faultLoad(n int, seed int64) Plan[string] {
 	clean := Scenario{Name: "faults", Protocol: ProtoDelphi, N: n, Env: sim.AWS(), Params: OracleDefaultParams(), Center: 41000, Delta: 20}
 	crash, byzant := clean, clean
-	crash.Crashes = faults(n)
-	byzant.Byzantine, byzant.ByzKind = faults(n), ByzSpam
+	crash.Crashes = ProtoDelphi.Faults(n)
+	byzant.Byzantine = ProtoDelphi.Faults(n)
 	return Plan[string]{
 		Specs:  []RunSpec{clean.Spec(seed, 0), crash.Spec(seed, 0), byzant.Spec(seed, 0)},
 		Labels: []string{"clean", "crash", "byzantine"},

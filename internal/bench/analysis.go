@@ -153,7 +153,7 @@ func validity(scale Scale, seed int64) Plan[[]*ValidityReport] {
 			deltaMeans[ai] += slices.Max(inputs) - slices.Min(inputs)
 			for _, proto := range []Protocol{ProtoDelphi, ProtoFIN} {
 				s.add(RunSpec{
-					Protocol: proto, N: n, F: faults(n), Env: sim.AWS(),
+					Protocol: proto, N: n, F: proto.Faults(n), Env: sim.AWS(),
 					Seed: seed + int64(t), Inputs: inputs, Delphi: app.params,
 				}, fmt.Sprintf("%s %s trial %d", app.name, proto, t))
 			}

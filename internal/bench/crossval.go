@@ -102,14 +102,10 @@ func (e *Engine) ValidateCrossBackend(kinds []BackendKind, scale Scale, seed int
 	rep := &CrossReport{Kinds: kinds}
 	var specs []RunSpec
 	for _, proto := range []Protocol{ProtoDelphi, ProtoFIN, ProtoAbraham, ProtoDolev} {
-		cn, cf := n, (n-1)/3
-		if proto == ProtoDolev {
-			// Dolev needs n >= 5t+1.
-			cn, cf = n, (n-1)/5
-		}
+		f := proto.Faults(n)
 		for _, adv := range crossAdversaries() {
 			rep.Cells = append(rep.Cells, &CrossCell{
-				Protocol: proto, Adversary: adv, N: cn, F: cf,
+				Protocol: proto, Adversary: adv, N: n, F: f,
 				Center: center, Delta: delta,
 			})
 			for _, kind := range kinds {
@@ -119,11 +115,11 @@ func (e *Engine) ValidateCrossBackend(kinds []BackendKind, scale Scale, seed int
 					ts := TrialSeed(seed, tr)
 					specs = append(specs, RunSpec{
 						Protocol:  proto,
-						N:         cn,
-						F:         cf,
+						N:         n,
+						F:         f,
 						Env:       sim.AWS(),
 						Seed:      ts,
-						Inputs:    OracleInputs(cn, center, delta, ts),
+						Inputs:    OracleInputs(n, center, delta, ts),
 						Delphi:    params,
 						Adversary: adv,
 						Backend:   kind,

@@ -131,7 +131,7 @@ func TestRunSpecKey(t *testing.T) {
 	same := map[string]func(*RunSpec){
 		"fresh environment":   func(s *RunSpec) { s.Env = sim.AWS() },
 		"recorder":            func(s *RunSpec) { s.Obs = obs.New() },
-		"byzantine kind at 0": func(s *RunSpec) { s.ByzKind = ByzSpam },
+		"byzantine kind at 0": func(s *RunSpec) { s.ByzKind = ByzEquivocate },
 	}
 	differ := map[string]func(*RunSpec){
 		"protocol": func(s *RunSpec) {
@@ -149,7 +149,6 @@ func TestRunSpecKey(t *testing.T) {
 		"seed":        func(s *RunSpec) { s.Seed = 2 },
 		"input":       func(s *RunSpec) { s.Inputs = append([]float64{41001}, s.Inputs[1:]...) },
 		"crash":       func(s *RunSpec) { s.Inputs = append([]float64{math.NaN()}, s.Inputs[1:]...) },
-		"byzantine":   func(s *RunSpec) { s.Byzantine = 1 },
 		"adversary":   func(s *RunSpec) { s.Adversary = netadv.Adversary{Kind: netadv.SlowF} },
 		"backend":     func(s *RunSpec) { s.Backend = BackendLive },
 		"sim workers": func(s *RunSpec) { s.SimWorkers = 2 },
@@ -173,35 +172,29 @@ func TestRunSpecKey(t *testing.T) {
 	for _, proto := range []Protocol{ProtoDelphi, ProtoFIN, ProtoAbraham, ProtoDolev} {
 		check(proto, same, differ)
 	}
-	check(ProtoDelphi, map[string]func(*RunSpec){"baseline rounds": func(s *RunSpec) { s.Rounds = 3 }},
-		map[string]func(*RunSpec){
-			"params":      func(s *RunSpec) { s.Delphi.Rho0 = 10 },
-			"compression": func(s *RunSpec) { s.NoCompression = true },
-		})
+	check(ProtoDelphi, nil, map[string]func(*RunSpec){
+		"params":      func(s *RunSpec) { s.Delphi.Rho0 = 10 },
+		"compression": func(s *RunSpec) { s.NoCompression = true },
+		"byzantine":   func(s *RunSpec) { s.Byzantine = 1 },
+	})
 	check(ProtoFIN, map[string]func(*RunSpec){
 		"params":      func(s *RunSpec) { s.Delphi = core.Params{} },
-		"rounds":      func(s *RunSpec) { s.Rounds = 3 },
 		"compression": func(s *RunSpec) { s.NoCompression = true },
 	}, nil)
-	// A Byzantine slot runs the kind under Delphi and is mute elsewhere.
-	byz := func(proto Protocol, kind ByzKind) string {
-		s := base(proto)
+	// A Byzantine slot runs its kind (only Delphi has Byzantine slots).
+	byz := func(kind ByzKind) string {
+		s := base(ProtoDelphi)
 		s.Byzantine, s.ByzKind = 1, kind
 		return s.key()
 	}
-	if byz(ProtoDelphi, ByzSpam) == byz(ProtoDelphi, ByzMute) {
-		t.Error("delphi: the byzantine kind keeps the key")
-	}
-	if byz(ProtoFIN, ByzSpam) != byz(ProtoFIN, ByzMute) {
-		t.Error("fin: the byzantine kind changes the key")
+	if byz(ByzSpam) == byz(ByzEquivocate) {
+		t.Error("delphi: spam and equivocate share the key")
 	}
 	for _, proto := range []Protocol{ProtoAbraham, ProtoDolev} {
 		check(proto, map[string]func(*RunSpec){
-			"same Δ/ε":       func(s *RunSpec) { s.Delphi = oracleParams(10) },
-			"derived rounds": func(s *RunSpec) { s.Rounds = 10 },
+			"same Δ/ε": func(s *RunSpec) { s.Delphi = oracleParams(10) },
 		}, map[string]func(*RunSpec){
-			"Δ/ε":    func(s *RunSpec) { s.Delphi.Delta = 256 },
-			"rounds": func(s *RunSpec) { s.Rounds = 3 },
+			"Δ/ε": func(s *RunSpec) { s.Delphi.Delta = 256 },
 		})
 	}
 }

@@ -79,8 +79,6 @@ func cpsTestbed(scale Scale) testbed {
 	return tb
 }
 
-func faults(n int) int { return (n - 1) / 3 }
-
 // fig6 is one Fig. 6 panel: per n, Delphi under p at the small and the
 // large input range, then FIN and Abraham et al. at the small range, with
 // metric on the y axis. Panels that share a testbed plan the same FIN and
@@ -96,7 +94,7 @@ func fig6(tb testbed, seed int64, name, title string, p core.Params, metric func
 		large := OracleInputs(n, tb.center, tb.large, seed+1)
 		for i, run := range []RunSpec{{Protocol: ProtoDelphi, Inputs: small}, {Protocol: ProtoDelphi, Inputs: large},
 			{Protocol: ProtoFIN, Inputs: small}, {Protocol: ProtoAbraham, Inputs: small}} {
-			run.N, run.F, run.Env, run.Seed, run.Delphi = n, faults(n), tb.env, seed, p
+			run.N, run.F, run.Env, run.Seed, run.Delphi = n, run.Protocol.Faults(n), tb.env, seed, p
 			s.add(run, fmt.Sprintf("n=%d %s", n, labels[i]))
 		}
 	}
@@ -159,7 +157,7 @@ func heatmap(name string, env sim.Environment, n int, eps float64, agr, rng []fl
 				continue
 			}
 			p.add(RunSpec{
-				Protocol: ProtoDelphi, N: n, F: faults(n), Env: env, Seed: seed,
+				Protocol: ProtoDelphi, N: n, F: ProtoDelphi.Faults(n), Env: env, Seed: seed,
 				Inputs: OracleInputs(n, 41000, rr*eps, seed+int64(ar)+int64(rr)),
 				Delphi: core.Params{S: 0, E: 100000, Rho0: eps, Delta: ar * eps, Eps: eps},
 			}, fmt.Sprintf("%s Δ/ε=%g δ/ρ0=%g", name, ar, rr))

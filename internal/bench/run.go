@@ -40,6 +40,15 @@ const (
 	ProtoDolev Protocol = "dolev"
 )
 
+// Faults returns the protocol's fault budget at n nodes: the largest t it
+// tolerates, under n >= 5t+1 for Dolev et al. and n >= 3t+1 for the others.
+func (p Protocol) Faults(n int) int {
+	if p == ProtoDolev {
+		return (n - 1) / 5
+	}
+	return (n - 1) / 3
+}
+
 // RunSpec describes one protocol execution.
 type RunSpec struct {
 	// Protocol selects the protocol.
@@ -52,20 +61,19 @@ type RunSpec struct {
 	Seed int64
 	// Inputs are the honest measurements (NaN = crashed node).
 	Inputs []float64
-	// Delphi holds Delphi's parameters (used when Protocol == ProtoDelphi).
+	// Delphi holds Delphi's parameters. Abraham et al. and Dolev read them
+	// too, for their round count ceil(log2(Δ/ε)).
 	Delphi core.Params
-	// Rounds is the round count for the AAA baselines (derived from the
-	// Delphi parameters when zero: ceil(log2(Δ/ε))).
-	Rounds int
 	// NoCompression disables Delphi's §II-C wire encoding (ablation).
 	NoCompression bool
 	// Byzantine replaces the highest Byzantine slots with actively
 	// adversarial processes (their Inputs entries are ignored). Byzantine
 	// nodes are excluded from the honest statistics, like crashed nodes.
+	// Only Delphi has Byzantine behaviours: under any other protocol a
+	// Byzantine slot is an error, and a NaN input (a crash) is the fault to
+	// inject instead.
 	Byzantine int
-	// ByzKind selects the adversarial behaviour; the zero value is a mute
-	// (crash-at-zero) node. The active behaviours attack Delphi's BinAA
-	// layer and degrade to mute under the other protocols.
+	// ByzKind selects the adversarial behaviour; the zero value is ByzSpam.
 	ByzKind ByzKind
 	// Adversary installs a network adversary (an adversarial message
 	// scheduler) for the run; the zero value is a clean network. The
@@ -94,18 +102,18 @@ type RunSpec struct {
 	Obs *obs.Recorder
 }
 
-// ByzKind names a Byzantine behaviour for RunSpec.Byzantine slots.
+// ByzKind names a Byzantine behaviour for RunSpec.Byzantine slots. Both
+// attack Delphi's BinAA layer; the other protocols have none. A mute node
+// is not a kind: it is a crash (a NaN input, or Scenario.Crashes).
 type ByzKind int
 
 // The available Byzantine behaviours.
 const (
-	// ByzMute crashes at time zero (participates in nothing).
-	ByzMute ByzKind = iota
 	// ByzSpam floods checkpoint instances near the honest inputs with junk
-	// echoes (Delphi only; mute elsewhere).
-	ByzSpam
+	// echoes.
+	ByzSpam ByzKind = iota
 	// ByzEquivocate sends conflicting round-1 init bundles to the two
-	// halves of the network (Delphi only; mute elsewhere).
+	// halves of the network.
 	ByzEquivocate
 )
 
@@ -146,40 +154,32 @@ type RunStats struct {
 	Metrics obs.Metrics
 }
 
-// defaultRounds derives the baselines' halving-round count from Delphi's
+// rounds derives the baselines' halving-round count from Delphi's
 // parameterisation (range Δ down to agreement ε), for parity.
-func (s RunSpec) defaultRounds() int {
-	if s.Rounds > 0 {
-		return s.Rounds
-	}
-	r := int(math.Ceil(math.Log2(s.Delphi.Delta / s.Delphi.Eps)))
-	if r < 1 {
-		r = 1
-	}
-	return r
+func (s RunSpec) rounds() int {
+	return max(1, int(math.Ceil(math.Log2(s.Delphi.Delta/s.Delphi.Eps))))
 }
 
 // key identifies the run the spec describes: specs with one key produce
 // the same RunStats, so a batch runs them once. It zeroes every field the
 // protocol does not read (FIN reads no Delphi parameter, Abraham et al. and
-// Dolev read them only through defaultRounds, and a Byzantine kind matters
-// only to Delphi's Byzantine slots), drops Obs, which never changes
-// results, and prints the latency model by value.
+// Dolev read them only through rounds, whose count it prints instead, and a
+// Byzantine kind matters only with Byzantine slots), drops Obs, which never
+// changes results, and prints the latency model by value.
 func (s RunSpec) key() string {
 	k := s
 	k.Obs, k.Env.Latency = nil, nil
-	if s.Protocol == ProtoDelphi {
-		k.Rounds = 0
-	} else {
-		k.Delphi, k.Rounds, k.NoCompression, k.ByzKind = core.Params{}, 0, false, ByzMute
+	rounds := 0
+	if s.Protocol != ProtoDelphi {
+		k.Delphi, k.NoCompression = core.Params{}, false
 		if s.Protocol != ProtoFIN {
-			k.Rounds = s.defaultRounds()
+			rounds = s.rounds()
 		}
 	}
 	if s.Byzantine == 0 {
-		k.ByzKind = ByzMute
+		k.ByzKind = ByzSpam
 	}
-	return fmt.Sprintf("%#v %T %#v", k, s.Env.Latency, reflect.Indirect(reflect.ValueOf(s.Env.Latency)))
+	return fmt.Sprintf("%#v %d %T %#v", k, rounds, s.Env.Latency, reflect.Indirect(reflect.ValueOf(s.Env.Latency)))
 }
 
 // byzSlot reports whether slot i hosts a Byzantine process.
@@ -187,39 +187,26 @@ func (s RunSpec) byzSlot(i int) bool {
 	return s.Byzantine > 0 && i >= s.N-s.Byzantine
 }
 
-// byzProcess builds the adversarial process for slot i. The active
-// behaviours speak BinAA, so they only apply to Delphi runs; under the
-// baselines a Byzantine node degrades to a mute (crashed) node, the
-// strongest protocol-agnostic fault the harness can inject.
+// byzProcess builds the adversarial process for slot i of a Delphi run;
+// both behaviours aim at the checkpoints around the honest inputs.
 func (s RunSpec) byzProcess(i int) node.Process {
-	if s.Protocol != ProtoDelphi {
-		return &byz.Mute{}
-	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for j, v := range s.Inputs {
-		if !math.IsNaN(v) && !s.byzSlot(j) {
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
+	for _, j := range s.HonestSlots() {
+		lo = math.Min(lo, s.Inputs[j])
+		hi = math.Max(hi, s.Inputs[j])
 	}
-	switch s.ByzKind {
-	case ByzSpam:
-		kmin := int32(math.Floor(lo/s.Delphi.Rho0)) - 8
-		kmax := int32(math.Ceil(hi/s.Delphi.Rho0)) + 8
-		return &byz.Spammer{
-			Rng:      rand.New(rand.NewSource(TrialSeed(s.Seed, 1000+i))),
-			Levels:   s.Delphi.Levels(),
-			KMin:     kmin,
-			KMax:     kmax,
-			PerRound: 4,
-		}
-	case ByzEquivocate:
+	if s.ByzKind == ByzEquivocate {
 		return &byz.Equivocator{
 			CheckA: binaa.IID{Level: 0, K: int32(math.Floor(lo / s.Delphi.Rho0))},
 			CheckB: binaa.IID{Level: 0, K: int32(math.Ceil(hi / s.Delphi.Rho0))},
 		}
-	default:
-		return &byz.Mute{}
+	}
+	return &byz.Spammer{
+		Rng:      rand.New(rand.NewSource(TrialSeed(s.Seed, 1000+i))),
+		Levels:   s.Delphi.Levels(),
+		KMin:     int32(math.Floor(lo/s.Delphi.Rho0)) - 8,
+		KMax:     int32(math.Ceil(hi/s.Delphi.Rho0)) + 8,
+		PerRound: 4,
 	}
 }
 
@@ -229,6 +216,9 @@ func (s RunSpec) byzProcess(i int) node.Process {
 // under the simulator and the live runtime backends — node.Process is the
 // shared contract.
 func (s RunSpec) Processes() ([]node.Process, error) {
+	if s.Byzantine > 0 && s.Protocol != ProtoDelphi {
+		return nil, fmt.Errorf("bench: %s has no Byzantine behaviour; crash the slots (NaN inputs) instead", s.Protocol)
+	}
 	cfg := node.Config{N: s.N, F: s.F}
 	procs := make([]node.Process, s.N)
 	for i, v := range s.Inputs {
@@ -253,9 +243,9 @@ func (s RunSpec) Processes() ([]node.Process, error) {
 		case ProtoFIN:
 			p, err = acs.New(acs.Config{Config: cfg, CoinSeed: uint64(s.Seed) + 0xc01}, v)
 		case ProtoAbraham:
-			p, err = aaa.NewAbraham(aaa.AbrahamConfig{Config: cfg, Rounds: s.defaultRounds()}, v)
+			p, err = aaa.NewAbraham(aaa.AbrahamConfig{Config: cfg, Rounds: s.rounds()}, v)
 		case ProtoDolev:
-			p, err = aaa.NewDolev(aaa.DolevConfig{N: s.N, F: s.F, Rounds: s.defaultRounds()}, v)
+			p, err = aaa.NewDolev(aaa.DolevConfig{N: s.N, F: s.F, Rounds: s.rounds()}, v)
 		default:
 			return nil, fmt.Errorf("bench: unknown protocol %q", s.Protocol)
 		}
@@ -285,23 +275,20 @@ func (s RunSpec) HonestSlots() []int {
 // slots are ignored, and every honest slot must have decided. Backends add
 // their own traffic and compute accounting on top.
 func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, error) {
-	stats := &RunStats{Backend: s.Backend}
-	var honestSum float64
-	var honestCount int
-	for i, v := range s.Inputs {
-		if !math.IsNaN(v) && !s.byzSlot(i) {
-			honestSum += v
-			honestCount++
-		}
-	}
-	if honestCount == 0 {
+	honest := s.HonestSlots()
+	if len(honest) == 0 {
 		// Every slot was crashed or Byzantine: there is no honest
 		// measurement to report, only NaN means and ±Inf spreads.
 		return nil, fmt.Errorf("bench: %s run has no live honest node (n=%d)", s.Protocol, s.N)
 	}
-	honestMean := honestSum / float64(honestCount)
+	var honestSum float64
+	for _, i := range honest {
+		honestSum += s.Inputs[i]
+	}
+	honestMean := honestSum / float64(len(honest))
+	stats := &RunStats{Backend: s.Backend}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, i := range s.HonestSlots() {
+	for _, i := range honest {
 		if finals[i] == nil {
 			return nil, fmt.Errorf("bench: %s node %d produced no output", s.Protocol, i)
 		}

@@ -2,6 +2,7 @@ package bench_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"delphi/internal/bench"
@@ -102,6 +103,23 @@ func TestRunUnknownProtocol(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown protocol: want error")
+	}
+}
+
+// TestRunRejectsBaselineByzantine pins that a Byzantine slot needs a
+// protocol with Byzantine behaviours: the baselines have none, and the
+// error names crashes as the fault to inject instead of degrading the slot
+// to one.
+func TestRunRejectsBaselineByzantine(t *testing.T) {
+	for _, proto := range []bench.Protocol{bench.ProtoFIN, bench.ProtoAbraham, bench.ProtoDolev} {
+		_, err := bench.Run(bench.RunSpec{
+			Protocol: proto, N: 16, F: proto.Faults(16), Env: sim.AWS(), Seed: 1,
+			Inputs: bench.OracleInputs(16, 41000, 20, 1), Delphi: bench.OracleDefaultParams(),
+			Byzantine: 1,
+		})
+		if err == nil || !strings.Contains(err.Error(), "crash") {
+			t.Errorf("%s with a Byzantine slot: err = %v, want a rejection naming crashes", proto, err)
+		}
 	}
 }
 

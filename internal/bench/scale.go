@@ -71,8 +71,6 @@ func ScaleSweep(scale Scale, workers int, seed int64) (*ScaleReport, error) {
 	scratches := make(map[int]*sim.Scratch)
 	seqWall := make(map[int]time.Duration)
 	for _, cell := range m.Scenarios() {
-		// Dolev's budget is n >= 5t+1; the matrix derives (n-1)/3.
-		cell.F = (cell.N - 1) / 5
 		if err := cell.Validate(); err != nil {
 			return nil, err
 		}

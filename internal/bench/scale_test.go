@@ -58,7 +58,7 @@ func TestScaleSweepSequentialLane(t *testing.T) {
 		t.Skip("experiment harness test")
 	}
 	spec := bench.Scenario{
-		Protocol: bench.ProtoDolev, N: 1000, F: 199, Env: sim.AWS(),
+		Protocol: bench.ProtoDolev, N: 1000, Env: sim.AWS(),
 		Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 8, Eps: 2},
 		Center: 41000, Delta: 8,
 	}.Spec(1, 0)

@@ -86,16 +86,17 @@ func ShapedInputs(shape InputShape, n int, center, delta float64, seed int64) []
 }
 
 // Scenario describes one measured workload: a protocol and system size, an
-// environment, an input distribution, and a fault load. New workloads are
-// one struct literal — the engine expands a scenario into its trial specs
-// and aggregates the results.
+// environment, an input distribution, and a fault load within the
+// protocol's budget, Protocol.Faults(N). New workloads are one struct
+// literal — the engine expands a scenario into its trial specs and
+// aggregates the results.
 type Scenario struct {
 	// Name labels the scenario in reports; Matrix fills it automatically.
 	Name string
 	// Protocol is the protocol under measurement.
 	Protocol Protocol
-	// N is the system size; F defaults to (N-1)/3 when zero.
-	N, F int
+	// N is the system size.
+	N int
 	// Env is the simulated testbed.
 	Env sim.Environment
 	// Params holds Delphi's parameterisation (also sets the baselines'
@@ -112,7 +113,7 @@ type Scenario struct {
 	// placement.
 	Crashes int
 	// Byzantine replaces the last Byzantine slots with adversaries of kind
-	// ByzKind.
+	// ByzKind (Delphi only, see RunSpec.Byzantine).
 	Byzantine int
 	// ByzKind selects the adversarial behaviour.
 	ByzKind ByzKind
@@ -136,14 +137,6 @@ type Scenario struct {
 	NoCompression bool
 }
 
-// faults returns the fault budget: F, or (N-1)/3 when unset.
-func (s Scenario) faults() int {
-	if s.F > 0 {
-		return s.F
-	}
-	return faults(s.N)
-}
-
 func (s Scenario) trials() int {
 	if s.Trials > 0 {
 		return s.Trials
@@ -157,11 +150,7 @@ func (s Scenario) Validate() error {
 	if s.N < 4 {
 		return fmt.Errorf("bench: scenario %q: n must be >= 4, got %d", s.Name, s.N)
 	}
-	f := s.faults()
-	if 3*f+1 > s.N {
-		return fmt.Errorf("bench: scenario %q: fault budget f=%d needs n >= %d, got %d",
-			s.Name, f, 3*f+1, s.N)
-	}
+	f := s.Protocol.Faults(s.N)
 	if s.Crashes < 0 || s.Byzantine < 0 {
 		return fmt.Errorf("bench: scenario %q: negative fault counts", s.Name)
 	}
@@ -197,7 +186,7 @@ func (s Scenario) Spec(baseSeed int64, trial int) RunSpec {
 	return RunSpec{
 		Protocol:      s.Protocol,
 		N:             s.N,
-		F:             s.faults(),
+		F:             s.Protocol.Faults(s.N),
 		Env:           s.Env,
 		Seed:          seed,
 		Inputs:        inputs,
@@ -288,12 +277,6 @@ func (m Matrix) Scenarios() []Scenario {
 							s := m.Base
 							s.Env = env
 							s.N = n
-							// An explicit base F only makes sense at the base's
-							// n; cells at other sizes re-derive (N-1)/3.
-							s.F = 0
-							if m.Base.F > 0 && n == m.Base.N {
-								s.F = m.Base.F
-							}
 							s.Shape = sh
 							s.Byzantine = bz
 							s.Backend = be
@@ -375,11 +358,10 @@ func scenarioMatrix(scale Scale, seed int64) Plan[string] {
 		Base: Scenario{
 			Protocol: ProtoDelphi,
 			// Table I's parameterisation: Δ=256$ keeps every cell subsecond.
-			Params:  core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
-			Center:  41000,
-			Delta:   20,
-			ByzKind: ByzSpam,
-			Trials:  2,
+			Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
+			Center: 41000,
+			Delta:  20,
+			Trials: 2,
 		},
 		Envs:      []sim.Environment{sim.AWS(), sim.CPS()},
 		Ns:        []int{16},

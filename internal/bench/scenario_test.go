@@ -94,6 +94,32 @@ func TestMatrixExpansion(t *testing.T) {
 	}
 }
 
+// TestMatrixDolevFaultBudget runs a Dolev matrix at n=16 with its whole
+// fault budget crashed: the budget is Dolev's (n-1)/5 = 3, not (n-1)/3,
+// at the base's n as at every other.
+func TestMatrixDolevFaultBudget(t *testing.T) {
+	m := bench.Matrix{
+		Base: bench.Scenario{
+			Protocol: bench.ProtoDolev, N: 16, Env: sim.AWS(), Params: scenarioParams(),
+			Center: 41000, Delta: 20, Crashes: 3,
+		},
+		Ns: []int{16, 21},
+	}
+	cells, err := bench.NewEngine(2).RunMatrix(m, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if got, want := c.Agg.Trials, 1; got != want {
+			t.Errorf("%s: trials = %d, want %d", c.Scenario.Name, got, want)
+		}
+	}
+	m.Base.Crashes = 4
+	if _, err := bench.NewEngine(2).RunMatrix(m, 5); err == nil {
+		t.Error("4 crashes under Dolev at n=16 (budget 3) not rejected")
+	}
+}
+
 // TestScenarioFaultInjection runs Delphi with crashes and each Byzantine
 // behaviour: the run must complete, report only honest outputs, and keep
 // the ε-agreement guarantee among them (up to f total faults).
@@ -101,7 +127,7 @@ func TestScenarioFaultInjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	for _, kind := range []bench.ByzKind{bench.ByzMute, bench.ByzSpam, bench.ByzEquivocate} {
+	for _, kind := range []bench.ByzKind{bench.ByzSpam, bench.ByzEquivocate} {
 		s := bench.Scenario{
 			Name: "faults", Protocol: bench.ProtoDelphi, N: 8, Env: sim.AWS(),
 			Params: scenarioParams(), Center: 41000, Delta: 20,

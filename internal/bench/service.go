@@ -56,6 +56,14 @@ func (k ArrivalKind) String() string {
 	}
 }
 
+const (
+	// burstAlpha is ArrivalBursty's Pareto tail index; above 1, so the mean
+	// interarrival exists.
+	burstAlpha = 1.5
+	// subBuffer is each live representative subscriber's fan-out buffer.
+	subBuffer = 16
+)
+
 // ServiceConfig describes one continuous-service run.
 type ServiceConfig struct {
 	// Scenario is the per-round workload: protocol, cluster size,
@@ -70,17 +78,11 @@ type ServiceConfig struct {
 	Rate float64
 	// Arrivals selects the interarrival law.
 	Arrivals ArrivalKind
-	// BurstAlpha is the Pareto tail index for ArrivalBursty (default 1.5;
-	// must exceed 1 so the mean interarrival exists).
-	BurstAlpha float64
 	// Window bounds concurrent in-flight rounds; 0 means the default, 4.
 	Window int
 	// Queue bounds the waiting room for rounds arriving with the window
 	// full; beyond it arrivals are shed. 0 means shed immediately.
 	Queue int
-	// Timeout bounds one round on a wall-clock backend; 0 uses the
-	// backend's default. Ignored by the simulator.
-	Timeout time.Duration
 	// Duration optionally caps a live service run: arrivals stop once the
 	// wall clock passes it, even with Rounds unserved. Ignored by the
 	// simulator (virtual time is free).
@@ -92,9 +94,6 @@ type ServiceConfig struct {
 	// the population (0 means the default, 8); the rest are modeled through
 	// Subscribers.Delay.
 	Representatives int
-	// SubBuffer is each representative's fan-out buffer; 0 means the
-	// default, 16.
-	SubBuffer int
 	// Obs, when non-nil, records the service's round lifecycle on a
 	// "service" trace track — svc.queue (arrival → start), svc.round
 	// (start → decision), and svc.fanout (decision → subscriber-visible)
@@ -116,25 +115,11 @@ func (c ServiceConfig) window() int {
 	return 4
 }
 
-func (c ServiceConfig) burstAlpha() float64 {
-	if c.BurstAlpha > 0 {
-		return c.BurstAlpha
-	}
-	return 1.5
-}
-
 func (c ServiceConfig) representatives() int {
 	if c.Representatives > 0 {
 		return c.Representatives
 	}
 	return 8
-}
-
-func (c ServiceConfig) subBuffer() int {
-	if c.SubBuffer > 0 {
-		return c.SubBuffer
-	}
-	return 16
 }
 
 // Validate checks the configuration.
@@ -148,13 +133,10 @@ func (c ServiceConfig) Validate() error {
 	if !(c.Rate > 0) {
 		return fmt.Errorf("bench: service needs Rate > 0, got %g", c.Rate)
 	}
-	if c.Arrivals == ArrivalBursty && c.burstAlpha() <= 1 {
-		return fmt.Errorf("bench: bursty arrivals need BurstAlpha > 1, got %g", c.BurstAlpha)
-	}
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"Window", c.Window}, {"Queue", c.Queue}, {"Representatives", c.Representatives}, {"SubBuffer", c.SubBuffer}} {
+	}{{"Window", c.Window}, {"Queue", c.Queue}, {"Representatives", c.Representatives}} {
 		if f.v < 0 {
 			return fmt.Errorf("bench: negative %s %d", f.name, f.v)
 		}
@@ -299,9 +281,8 @@ func (c ServiceConfig) interarrival(seed int64, i int) float64 {
 	switch c.Arrivals {
 	case ArrivalBursty:
 		// Pareto with mean 1/Rate: xm·α/(α−1) = 1/Rate.
-		alpha := c.burstAlpha()
-		xm := (alpha - 1) / (alpha * c.Rate)
-		return xm * math.Pow(1-u, -1/alpha)
+		xm := (burstAlpha - 1) / (burstAlpha * c.Rate)
+		return xm * math.Pow(1-u, -1/burstAlpha)
 	default:
 		return -math.Log(1-u) / c.Rate
 	}
@@ -528,7 +509,7 @@ func runServiceLive(cfg ServiceConfig, kind BackendKind, seed int64, open Servic
 	spec0 := cfg.Scenario.Spec(seed, 0)
 	spec0.Backend = kind
 	spec0.Obs = cfg.Obs // lets the opener observe its fabric and demux
-	runner, err := open(spec0, cfg.Timeout)
+	runner, err := open(spec0, 0)
 	if err != nil {
 		return nil, fmt.Errorf("bench: open %s service: %w", kind, err)
 	}
@@ -554,7 +535,7 @@ func runServiceLive(cfg ServiceConfig, kind BackendKind, seed int64, open Servic
 	subResults := make([]subResult, len(reps))
 	var subWG sync.WaitGroup
 	for si, subIdx := range reps {
-		s := fanout.Subscribe(cfg.subBuffer())
+		s := fanout.Subscribe(subBuffer)
 		subWG.Add(1)
 		go func(si, subIdx int, s *feeds.Subscriber) {
 			defer subWG.Done()

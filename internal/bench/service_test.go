@@ -166,8 +166,6 @@ func TestServiceValidation(t *testing.T) {
 		func(c *bench.ServiceConfig) { c.Queue = -1 },
 		func(c *bench.ServiceConfig) { c.Window = -1 },
 		func(c *bench.ServiceConfig) { c.Representatives = -1 },
-		func(c *bench.ServiceConfig) { c.SubBuffer = -1 },
-		func(c *bench.ServiceConfig) { c.Arrivals = bench.ArrivalBursty; c.BurstAlpha = 0.5 },
 		func(c *bench.ServiceConfig) { c.Scenario.N = 2 },
 	}
 	for i, mutate := range bad {

@@ -67,11 +67,7 @@ func table1(scale Scale, seed int64) Plan[*Table] {
 	names := []string{"FIN (ACS)", "Abraham et al.", "Dolev et al. (5t+1)", "Delphi"}
 	var s Plan[*Table]
 	for i, proto := range []Protocol{ProtoFIN, ProtoAbraham, ProtoDolev, ProtoDelphi} {
-		f := faults(n)
-		if proto == ProtoDolev {
-			f = (n - 1) / 5
-		}
-		s.add(RunSpec{Protocol: proto, N: n, F: f, Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p}, names[i])
+		s.add(RunSpec{Protocol: proto, N: n, F: proto.Faults(n), Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p}, names[i])
 	}
 	s.Reduce = func(stats []*RunStats) (*Table, error) {
 		var rows []TableRow
@@ -114,7 +110,7 @@ func table2(scale Scale, seed int64) Plan[*Table] {
 	var s Plan[*Table]
 	for _, c := range conds {
 		s.add(RunSpec{
-			Protocol: ProtoDelphi, N: n, F: faults(n), Env: sim.AWS(), Seed: seed,
+			Protocol: ProtoDelphi, N: n, F: ProtoDelphi.Faults(n), Env: sim.AWS(), Seed: seed,
 			Inputs: OracleInputs(n, 41000, c.rng, seed), Delphi: core.Params{S: 0, E: 100000, Rho0: eps, Delta: c.delta, Eps: eps},
 		}, c.name)
 	}
@@ -191,7 +187,7 @@ func runOracles(n int, inputs []float64, seed int64, st *oracleStats, newOracle 
 		}
 		procs[i] = p
 	}
-	runner, err := sim.NewRunner(node.Config{N: n, F: faults(n)}, sim.AWS(), seed, procs, opts...)
+	runner, err := sim.NewRunner(node.Config{N: n, F: ProtoDelphi.Faults(n)}, sim.AWS(), seed, procs, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -212,7 +208,7 @@ func runOracles(n int, inputs []float64, seed int64, st *oracleStats, newOracle 
 func runChakka(n int, inputs []float64, seed int64) (*oracleStats, error) {
 	st := &oracleStats{}
 	res, outs, err := runOracles(n, inputs, seed, st, func(k dora.Keyring, v float64) (node.Process, error) {
-		return dora.NewChakka(node.Config{N: n, F: faults(n)}, k, v)
+		return dora.NewChakka(node.Config{N: n, F: ProtoDelphi.Faults(n)}, k, v)
 	})
 	if err != nil {
 		return nil, err
@@ -241,7 +237,7 @@ func runChakka(n int, inputs []float64, seed int64) (*oracleStats, error) {
 func runDelphiDora(n int, inputs []float64, seed int64) (*oracleStats, error) {
 	st := &oracleStats{}
 	cfg := core.Config{
-		Config: node.Config{N: n, F: faults(n)},
+		Config: node.Config{N: n, F: ProtoDelphi.Faults(n)},
 		Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 2000, Eps: 2},
 	}
 	res, outs, err := runOracles(n, inputs, seed, st, func(k dora.Keyring, v float64) (node.Process, error) {

@@ -19,17 +19,6 @@ import (
 	"delphi/internal/node"
 )
 
-// Mute is a node that participates in nothing (a crash at time zero).
-type Mute struct{}
-
-var _ node.Process = (*Mute)(nil)
-
-// Init implements node.Process.
-func (*Mute) Init(env node.Env) { env.Halt() }
-
-// Deliver implements node.Process.
-func (*Mute) Deliver(node.ID, node.Message) {}
-
 // Equivocator attacks the BinAA layer: it sends conflicting round-1 init
 // bundles — input 1 on CheckA to one half of the network and input 1 on
 // CheckB to the other half — then goes quiet. This attacks the weak

@@ -16,11 +16,10 @@ type sent struct {
 	m  node.Message
 }
 
-// recEnv is a node.Env that records every send and the halt.
+// recEnv is a node.Env that records every send.
 type recEnv struct {
-	n      int
-	sends  []sent
-	halted bool
+	n     int
+	sends []sent
 }
 
 func (e *recEnv) Self() node.ID                    { return 0 }
@@ -29,21 +28,8 @@ func (e *recEnv) F() int                           { return (e.n - 1) / 3 }
 func (e *recEnv) Send(to node.ID, m node.Message)  { e.sends = append(e.sends, sent{to, m}) }
 func (e *recEnv) Broadcast(m node.Message)         { e.sends = append(e.sends, sent{-1, m}) }
 func (e *recEnv) Output(any)                       {}
-func (e *recEnv) Halt()                            { e.halted = true }
+func (e *recEnv) Halt()                            {}
 func (e *recEnv) ChargeCompute(c node.ComputeCost) {}
-
-func TestMuteHaltsAndSendsNothing(t *testing.T) {
-	env := &recEnv{n: 4}
-	m := &byz.Mute{}
-	m.Init(env)
-	m.Deliver(1, &binaa.Echo1{Round: 1, Init: true})
-	if !env.halted {
-		t.Error("Mute did not halt at Init")
-	}
-	if len(env.sends) != 0 {
-		t.Errorf("Mute sent %d messages", len(env.sends))
-	}
-}
 
 func TestEquivocatorSplitsChecksByParity(t *testing.T) {
 	const n = 7

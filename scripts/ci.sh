@@ -29,6 +29,14 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# The examples are the library's first readers, and an API change edits
+# them: build and run each one, so an edited example is executed, not only
+# compiled (all four together run in well under a second).
+echo "== examples =="
+for ex in examples/*/; do
+    go run "./$ex" > /dev/null
+done
+
 # The library's size, printed and not gated: non-test Go lines outside
 # cmd/, examples/, perf/ and hidden directories (.git, the benchmark's
 # .bench_build).
