@@ -32,6 +32,28 @@ func advSpecs() []bench.RunSpec {
 	return specs
 }
 
+// TestAdversaryDelphiLiveness runs the Delphi half of advSpecs — every
+// netadv preset at both seeds, n=8 — one after another, under -short too: a
+// schedule that stalls a node (bench.Run fails on a node without output)
+// fails here, not only in the transcript golden. Every honest output must be
+// within ε of the others.
+func TestAdversaryDelphiLiveness(t *testing.T) {
+	for _, spec := range advSpecs() {
+		if spec.Protocol != bench.ProtoDelphi {
+			continue
+		}
+		st, err := bench.Run(spec)
+		if err != nil {
+			t.Errorf("%s seed=%d: %v", spec.Adversary, spec.Seed, err)
+			continue
+		}
+		if len(st.Outputs) != spec.N || st.Spread >= spec.Delphi.Eps {
+			t.Errorf("%s seed=%d: %d of %d nodes decided, spread %g (ε %g)",
+				spec.Adversary, spec.Seed, len(st.Outputs), spec.N, st.Spread, spec.Delphi.Eps)
+		}
+	}
+}
+
 // TestAdversaryRunsMatchSequential is the satellite determinism regression
 // for the adversary axis: for every netadv preset and protocol, the
 // engine's parallel results at 1/4/16 workers must equal sequential

@@ -12,9 +12,6 @@ type bitset []uint64
 // bitsetWords returns the word count needed for n members.
 func bitsetWords(n int) int { return (n + 63) / 64 }
 
-// newBitset returns an empty set with capacity for members 0..n-1.
-func newBitset(n int) bitset { return make(bitset, bitsetWords(n)) }
-
 // get reports whether id is a member.
 func (b bitset) get(id node.ID) bool {
 	return b[uint(id)>>6]&(1<<(uint(id)&63)) != 0
@@ -76,7 +73,7 @@ func (vs *votes) slot(v float64, n int) *voteSet {
 	if w := bitsetWords(n); len(set) >= w {
 		set, vs.spare = set[:w:w], set[w:]
 	} else {
-		set = newBitset(n)
+		set = make(bitset, w)
 	}
 	vs.sets = append(vs.sets, voteSet{v: v, set: set})
 	return &vs.sets[len(vs.sets)-1]

@@ -85,8 +85,6 @@ type Echo1C struct {
 	NewVals []IVal
 }
 
-var _ node.Message = (*Echo1C)(nil)
-
 // Type implements node.Message.
 func (m *Echo1C) Type() uint8 { return wire.TypeEcho1C }
 
@@ -137,15 +135,11 @@ type Echo2C struct {
 	Bits []byte
 }
 
-var _ node.Message = (*Echo2C)(nil)
-
 // Type implements node.Message.
 func (m *Echo2C) Type() uint8 { return wire.TypeEcho2C }
 
 // WireSize implements node.Message.
-func (m *Echo2C) WireSize() int {
-	return 1 + 2 + wire.UVarintSize(uint64(len(m.Bits))) + len(m.Bits)
-}
+func (m *Echo2C) WireSize() int { return 1 + 2 + wire.UVarintSize(uint64(len(m.Bits))) + len(m.Bits) }
 
 // MarshalBinary implements node.Message.
 func (m *Echo2C) MarshalBinary() ([]byte, error) {

@@ -14,8 +14,8 @@ import (
 func (e *Engine) debugState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "round=%d done=%v insts=%d\n", e.round, e.done, len(e.insts))
-	for r := 1; r <= len(e.initCount); r++ {
-		fmt.Fprintf(&b, " r%d: init=%d zeros=%d sentZeros=%v\n", r, e.initCount[r-1], e.zerosCount[r-1], e.initCount[r-1] >= e.cfg.Quorum())
+	for r := 1; r <= len(e.rs); r++ {
+		fmt.Fprintf(&b, " r%d: init=%d zeros=%d sentZeros=%v\n", r, e.rs[r-1].initCount, e.rs[r-1].zerosCount, e.rs[r-1].initCount >= e.cfg.Quorum())
 	}
 	ids := make([]IID, 0, len(e.insts))
 	for id := range e.insts {
@@ -30,8 +30,8 @@ func (e *Engine) debugState() string {
 	for _, id := range ids {
 		x := e.insts[id]
 		fmt.Fprintf(&b, " %v state=%g:", id, x.state)
-		for r := 1; r <= len(e.rounds); r++ {
-			ir, t := e.rounds[r-1][x.idx], e.effective(x, r)
+		for r := 1; r <= len(e.rs); r++ {
+			ir, t := e.rs[r-1].insts[x.idx], e.effective(x, r)
 			e1 := ""
 			for _, s := range t.echo1.sets {
 				e1 += fmt.Sprintf(" %g:%d", s.v, s.count)
@@ -51,25 +51,35 @@ func (e *Engine) debugState() string {
 // one at a time: the materialised tally, or a rebuild of the implicit one
 // that leaves the engine as it was.
 func (e *Engine) effective(x *inst, r int) *tally {
-	ir := e.rounds[r-1][x.idx]
+	ir, quiet := e.rs[r-1].insts[x.idx], e.rs[r-1].quiet
+	defer func() { e.rs[r-1].quiet = quiet }() // the copy's materialise must not end the round's quiet
 	return e.materialise(&ir, r, x.idx)
 }
 
 // DebugState, Implicit and StoredBundle show the external test package what
 // a delivery left behind: the whole tally dump, whether an instance's round-r
 // tally is still implicit, and one slot of initBundles (entries is -1 for a
-// nil slot; resolved means every entry's ref names its instance).
+// nil slot; resolved means every entry's ref names an instance).
 func (e *Engine) DebugState() string { return e.debugState() }
 
-func (e *Engine) Implicit(r int, id IID) bool { return e.rounds[r-1][e.insts[id].idx].t == nil }
+func (e *Engine) Implicit(r int, id IID) bool { return e.rs[r-1].insts[e.insts[id].idx].t == nil }
+
+// Quiet reports condition (3) of the package comment's quiet rounds for
+// round r; Clean reports whether from's round-r bundle has arrived and
+// whether it changed no tally (condition (2) for its round-(r+1) successor).
+func (e *Engine) Quiet(r int) bool { return e.rs[r-1].quiet }
+
+func (e *Engine) Clean(r int, from node.ID) (seen, clean bool) {
+	return e.rs[r-1].initSeen.get(from), e.rs[r-1].clean.get(from)
+}
 
 func (e *Engine) StoredBundle(r int, from node.ID) (entries int, resolved bool) {
-	b := e.initBundles[r-1][from]
+	b := e.rs[r-1].initBundles[from]
 	if b == nil {
 		return -1, false
 	}
 	for _, a := range b {
-		if a.ref == 0 || int(a.ref) > len(e.instList) || e.instList[a.ref-1].id != a.id {
+		if a.ref == 0 || int(a.ref) > len(e.instList) {
 			return len(b), false
 		}
 	}

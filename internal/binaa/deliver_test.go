@@ -77,6 +77,14 @@ func keepAB() *binaa.Echo1C {
 	return &binaa.Echo1C{Round: 2, PrevCount: 2, Deltas: []byte{0}}
 }
 
+// sixKeepAB completes round 1 and delivers senders 0..5's keepAB.
+func sixKeepAB(e *binaa.Engine) {
+	toRound2(e)
+	for from := node.ID(0); from < 6; from++ {
+		e.HandleEcho1C(from, keepAB())
+	}
+}
+
 // TestDeliverAllocs is the allocation gate of the per-delivery path: a
 // delivered message that crosses no threshold — a duplicate, or a new vote
 // that lands strictly between or beyond t+1 and n-t — must allocate nothing
@@ -184,18 +192,46 @@ func TestDeliverAllocs(t *testing.T) {
 		{
 			// Senders 0..5 take the round-2 ECHO1 tallies to t+1 = 6; senders
 			// 6..9 add votes 7..10 < n-t, and are the 7th..10th bundle of the
-			// round, so no zeros bundle goes out either.
+			// round, so no zeros bundle goes out either. Round 2 is quiet:
+			// sender 0's bundle, its first, repeats a clean round-1 bundle
+			// and agrees with every tally, so the rest are only recorded.
+			name:  "unchanged Echo1C in a quiet round",
+			warm:  sixKeepAB,
+			round: 2,
+			runs:  4,
+			next:  func(i int) (node.ID, node.Message) { return node.ID(6 + i), keepAB() },
+			check: func(t *testing.T, e *binaa.Engine) {
+				if !e.Quiet(2) {
+					t.Error("round 2 is not quiet")
+				}
+				for from := node.ID(0); from < 10; from++ {
+					if _, clean := e.Clean(2, from); !clean {
+						t.Errorf("sender %d's unchanged round-2 bundle is not clean", from)
+					}
+				}
+				for _, id := range []binaa.IID{gateA, gateB, gateC} {
+					if !e.Implicit(2, id) {
+						t.Errorf("%v's round-2 tally materialised", id)
+					}
+				}
+			},
+		},
+		{
+			// The same deliveries walk every entry when round 2 is not quiet:
+			// sender 15's explicit ECHO2 has materialised c's round-2 tally
+			// before the round's first bundle.
 			name: "Echo1C in place",
 			warm: func(e *binaa.Engine) {
-				toRound2(e)
-				for from := node.ID(0); from < 6; from++ {
-					e.HandleEcho1C(from, keepAB())
-				}
+				e.HandleEcho2(15, &binaa.Echo2{Vals: []binaa.IVal{{ID: gateC, Round: 2, V: 0}}})
+				sixKeepAB(e)
 			},
 			round: 2,
 			runs:  4,
 			next:  func(i int) (node.ID, node.Message) { return node.ID(6 + i), keepAB() },
 			check: func(t *testing.T, e *binaa.Engine) {
+				if e.Quiet(2) {
+					t.Error("round 2 is quiet after a tally materialised ahead of its first bundle")
+				}
 				for from := node.ID(0); from < 12; from++ {
 					base, _ := e.StoredBundle(1, from)
 					next, resolved := e.StoredBundle(2, from)

@@ -29,11 +29,8 @@ func (c Config) Validate() error {
 	if err := c.Config.Validate(); err != nil {
 		return err
 	}
-	if c.Rounds < 1 {
-		return fmt.Errorf("binaa: rounds must be >= 1, got %d", c.Rounds)
-	}
-	if c.Rounds > 60 {
-		return fmt.Errorf("binaa: rounds capped at 60 (float64 dyadic precision), got %d", c.Rounds)
+	if c.Rounds < 1 || c.Rounds > 60 { // 60: float64 dyadic precision
+		return fmt.Errorf("binaa: rounds must be in [1, 60], got %d", c.Rounds)
 	}
 	return nil
 }
@@ -59,49 +56,20 @@ type Engine struct {
 	insts    map[IID]*inst
 	instList []*inst
 
-	// Per-round bookkeeping, index r-1; grown on demand. initBundles holds
-	// each sender's (reconstructed) round announcement, indexed by sender:
-	// instances listed — with any value, zero included — voted explicitly;
-	// everything else implicitly voted 0. initSeen marks the senders whose
-	// bundle has arrived (a present bundle may be an empty list). A stored
-	// bundle is the engine's own slice, never a message's, with every entry
-	// resolved (entry.ref != 0). It stays until its round is left and its
-	// successor has arrived: applyCompressed builds that in it and nils the slot.
-	initBundles  [][][]entry
-	initSeen     []bitset
-	initCount    []int
-	zerosSenders []bitset
-	zerosCount   []int
-	// initZeros counts initSeen ∩ zerosSenders: an implicit 0's ECHO2s.
-	initZeros []int
-	// bitVoters is each round's voter slab: the bitsetWords(n) words from
-	// idx·bitsetWords(n) hold the senders behind instance idx's instRound.e2.
-	bitVoters []bitset
-	// rounds[r-1][idx] is instance idx's state in round r, for all instList.
-	rounds [][]instRound
+	// rs[r-1] is round r's bookkeeping; grown on demand.
+	rs []round
 
-	// Compression state: this node's own per-round announcements in
-	// canonical append order (instRound.annPos is the reverse index); plus,
-	// per round and sender, a compressed bundle buffered until its base round
-	// arrives and the merged bitmaps buffered until their bundle does.
-	announced  [][]entry
-	pendingC   [][]*Echo1C
-	pendingE2C [][][]byte
-
-	// Staged outgoing echoes for the current step; pendE2CB is the staged
-	// compact ECHO2 bitmap per round (index r-1, nil when nothing is staged).
-	pendAmp  []IVal
-	pendE2   []IVal
-	pendE2CB [][]byte
+	// Staged outgoing echoes for the current step (the compact ECHO2 bitmaps
+	// are staged per round, round.pendE2CB).
+	pendAmp, pendE2 []IVal
 	// dirty lists the (instance, round) pairs whose state machine must be
 	// re-run: a pair is marked only when one of its vote counts lands
 	// exactly on a threshold check acts on (t+1 or n-t ECHO1s, n-t ECHO2s),
 	// or when its round opens — an implicit tally only if it is due. Every
 	// action in check is a monotone threshold test, so a vote that crosses
-	// nothing cannot enable one. The per-round
-	// dirty flag deduplicates, and the packed key orders the drain
-	// deterministically by (round, level, K). spare is the drained buffer,
-	// swapped back in so settle allocates nothing.
+	// nothing cannot enable one. The per-round dirty flag deduplicates, and
+	// the packed key orders the drain deterministically by (round, level, K).
+	// spare is the drained buffer, swapped back in so settle allocates nothing.
 	dirty, spare []dirtyEntry
 	// gen and stamps mark the members of the bundle being applied: stamps[idx]
 	// is gen once the bundle has listed the instance, so a repeat is skipped.
@@ -109,13 +77,43 @@ type Engine struct {
 	stamps []uint64
 }
 
-// entry is one element of a round announcement: the instance, the announced
-// value, and ref, 1 + the instance's position in Engine.instList (0 until
-// applyBundle resolves it; this node's own announcements are built resolved).
-// It has no pointer, so the bundles (the engine's largest retained state)
-// cost the collector nothing to scan.
+// round is the engine's bookkeeping for one round.
+type round struct {
+	// initBundles holds each sender's (reconstructed) round announcement,
+	// indexed by sender: instances listed — with any value, zero included —
+	// voted explicitly; everything else implicitly voted 0. A stored bundle is
+	// the engine's own slice, never a message's. It stays until its round is
+	// left and its successor has arrived: applyCompressed builds that in it
+	// and nils the slot. initSeen marks the senders whose bundle has arrived
+	// (a present bundle may be an empty list), and clean those whose bundle
+	// changed no tally; initZeros counts initSeen ∩ zerosSenders, an implicit
+	// 0's ECHO2s. quiet is condition (3) of the package comment's quiet rounds.
+	initBundles                      [][]entry
+	initSeen, clean, zerosSenders    bitset
+	quiet                            bool
+	initCount, zerosCount, initZeros int
+	// bitVoters is the voter slab: the bitsetWords(n) words from
+	// idx·bitsetWords(n) hold the senders behind instance idx's instRound.e2.
+	bitVoters bitset
+	// insts[idx] is instance idx's state in this round, for all instList.
+	insts []instRound
+	// Compression state: this node's own announcement in canonical append
+	// order (instRound.annPos is the reverse index); per sender, a compressed
+	// bundle buffered until its base round arrives and the merged bitmaps
+	// buffered until their bundle does; and the staged compact ECHO2 bitmap
+	// (nil when nothing is staged).
+	announced  []entry
+	pendingC   []*Echo1C
+	pendingE2C [][]byte
+	pendE2CB   []byte
+}
+
+// entry is one element of a round announcement: ref, 1 + the instance's
+// position in Engine.instList (resolved, activating the instance, as the
+// bundle is built), and the announced value. It has no pointer, so the
+// bundles (the engine's largest retained state) cost the collector nothing
+// to scan.
 type entry struct {
-	id  IID
 	ref uint32
 	v   float64
 }
@@ -204,21 +202,14 @@ func (e *Engine) newInst(id IID, state float64) *inst {
 	return x
 }
 
-// grow ensures per-round slices cover round r.
+// grow ensures rs covers round r.
 func (e *Engine) grow(r int) {
-	for len(e.initBundles) < r {
-		e.initBundles = append(e.initBundles, make([][]entry, e.cfg.N))
-		e.initSeen = append(e.initSeen, newBitset(e.cfg.N))
-		e.initCount = append(e.initCount, 0)
-		e.zerosSenders = append(e.zerosSenders, newBitset(e.cfg.N))
-		e.zerosCount = append(e.zerosCount, 0)
-		e.initZeros = append(e.initZeros, 0)
-		e.bitVoters = append(e.bitVoters, make(bitset, len(e.instList)*bitsetWords(e.cfg.N)))
-		e.rounds = append(e.rounds, make([]instRound, len(e.instList)))
-		e.announced = append(e.announced, nil)
-		e.pendingC = append(e.pendingC, make([]*Echo1C, e.cfg.N))
-		e.pendingE2C = append(e.pendingE2C, make([][]byte, e.cfg.N))
-		e.pendE2CB = append(e.pendE2CB, nil)
+	n, w := e.cfg.N, bitsetWords(e.cfg.N)
+	for len(e.rs) < r {
+		s := make(bitset, 3*w) // one allocation for the round's sender sets
+		e.rs = append(e.rs, round{initBundles: make([][]entry, n), initSeen: s[:w:w], clean: s[w : 2*w : 2*w],
+			zerosSenders: s[2*w:], bitVoters: make(bitset, len(e.instList)*w), insts: make([]instRound, len(e.instList)),
+			pendingC: make([]*Echo1C, n), pendingE2C: make([][]byte, n)})
 	}
 }
 
@@ -228,7 +219,7 @@ func (e *Engine) grow(r int) {
 func (e *Engine) openRound(r int) {
 	e.grow(r)
 	// Mark per-instance round state (my init vote and self-echo).
-	row := e.rounds[r-1]
+	row := e.rs[r-1].insts
 	for i, x := range e.instList {
 		ir := &row[i]
 		ir.myInit, ir.opened = x.state, true
@@ -243,21 +234,21 @@ func (e *Engine) openRound(r int) {
 	// announcement first, newly active instances (sorted) appended.
 	var prev []entry
 	if r > 1 {
-		prev = e.announced[r-2]
+		prev = e.rs[r-2].announced
 	}
 	ann := make([]entry, 0, len(e.instList))
 	for _, p := range prev {
-		ann = append(ann, entry{id: p.id, ref: p.ref, v: e.instList[p.ref-1].state})
+		ann = append(ann, entry{ref: p.ref, v: e.instList[p.ref-1].state})
 	}
 	var fresh []*inst
 	for i, x := range e.instList {
-		if r == 1 || e.rounds[r-2][i].annPos == 0 {
+		if r == 1 || e.rs[r-2].insts[i].annPos == 0 {
 			fresh = append(fresh, x)
 		}
 	}
 	sortInsts(fresh)
 	for _, x := range fresh {
-		ann = append(ann, entry{id: x.id, ref: x.idx + 1, v: x.state})
+		ann = append(ann, entry{ref: x.idx + 1, v: x.state})
 	}
 	full := e.cfg.DisableCompression || r == 1
 	if full {
@@ -272,12 +263,12 @@ func (e *Engine) openRound(r int) {
 		}
 		ann = nz
 	}
-	e.announced[r-1] = ann
+	e.rs[r-1].announced = ann
 	for i, a := range ann {
 		row[a.ref-1].annPos = int32(i + 1)
 	}
 	if full {
-		e.env.Broadcast(&Echo1{Round: uint16(r), Init: true, Vals: wireVals(ann, r)})
+		e.env.Broadcast(&Echo1{Round: uint16(r), Init: true, Vals: e.wireVals(ann, r)})
 		return
 	}
 
@@ -297,15 +288,15 @@ func (e *Engine) openRound(r int) {
 		PrevCount: uint16(len(prev)),
 		Deltas:    packNibbles(syms),
 		Escapes:   escapes,
-		NewVals:   wireVals(ann[len(prev):], r),
+		NewVals:   e.wireVals(ann[len(prev):], r),
 	})
 }
 
 // wireVals renders announcement entries as round-r wire entries.
-func wireVals(ann []entry, r int) []IVal {
+func (e *Engine) wireVals(ann []entry, r int) []IVal {
 	vals := make([]IVal, len(ann))
 	for i, a := range ann {
-		vals[i] = IVal{ID: a.id, Round: uint16(r), V: a.v}
+		vals[i] = IVal{ID: e.instList[a.ref-1].id, Round: uint16(r), V: a.v}
 	}
 	return vals
 }
@@ -332,16 +323,16 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 			return
 		}
 		e.grow(r)
-		if e.initSeen[r-1].get(from) {
+		if e.rs[r-1].initSeen.get(from) {
 			return // equivocating bundle: first wins
 		}
 		b := make([]entry, 0, len(m.Vals))
 		for _, v := range m.Vals {
 			if int(v.Round) == r {
-				b = append(b, entry{id: v.ID, v: v.V})
+				b = append(b, entry{ref: e.activate(v.ID).idx + 1, v: v.V})
 			}
 		}
-		e.applyBundle(from, r, b)
+		e.applyBundle(from, r, b, false)
 	} else {
 		for _, v := range m.Vals {
 			r := int(v.Round)
@@ -350,10 +341,10 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 			}
 			e.grow(r)
 			x := e.activate(v.ID)
-			if ir := &e.rounds[r-1][x.idx]; ir.t == nil && v.V == ir.u && e.initSeen[r-1].get(from) {
+			if ir := &e.rs[r-1].insts[x.idx]; ir.t == nil && v.V == ir.u && e.rs[r-1].initSeen.get(from) {
 				continue // a repeat of the sender's bundle vote
 			}
-			if e.crossed1(e.materialise(&e.rounds[r-1][x.idx], r, x.idx).echo1.add(from, v.V, e.cfg.N)) {
+			if e.crossed1(e.materialise(&e.rs[r-1].insts[x.idx], r, x.idx).echo1.add(from, v.V, e.cfg.N)) {
 				e.mark(x, r)
 			}
 		}
@@ -362,63 +353,73 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 }
 
 // applyBundle records a sender's round announcement — the caller has checked
-// it is the sender's first for round r — and applies its explicit and
-// implicit votes, those an implicit tally agrees with through initCount
-// alone. It takes ownership of b and first resolves every entry not yet
-// resolved (those of an earlier stored bundle are), activating the instances
-// this node had not heard of. It then drains any buffered compressed bundle
-// and bitmap that were waiting for this round.
-func (e *Engine) applyBundle(from node.ID, r int, b []entry) {
-	for i := range b {
-		if b[i].ref == 0 {
-			b[i].ref = e.activate(b[i].id).idx + 1
-		}
-	}
+// it is the sender's first for round r, and resolved every entry — and
+// applies its explicit and implicit votes, those an implicit tally agrees
+// with through initCount alone. It takes ownership of b. same reports that b
+// is the sender's round-(r-1) bundle unchanged; in a quiet round, such a
+// bundle from a clean sender is u at every instance and is only recorded. It
+// then drains any buffered compressed bundle and bitmap that were waiting for
+// this round.
+func (e *Engine) applyBundle(from node.ID, r int, b []entry, same bool) {
+	rd, base := &e.rs[r-1], same && e.rs[r-2].clean.get(from) // same is false in round 1
 	// The votes go first and the sender is recorded after them, so that a
 	// tally they materialise is rebuilt without the sender.
-	e.gen++
-	row, listed := e.rounds[r-1], 0
-	for _, a := range b {
-		if e.stamps[a.ref-1] == e.gen {
-			continue // a repeated listing: the first wins
+	clean := base && rd.quiet
+	if !clean {
+		clean = true
+		e.gen++
+		row, listed := rd.insts, 0
+		for _, a := range b {
+			if e.stamps[a.ref-1] == e.gen {
+				clean = false
+				continue // a repeated listing: the first wins
+			}
+			e.stamps[a.ref-1] = e.gen
+			listed++
+			// An implicit tally absorbs a vote for u (any plain one, first bundle).
+			if ir := &row[a.ref-1]; ir.t == nil && plain(a.v) && (a.v == ir.u || rd.initCount == 0) {
+				ir.u = a.v
+			} else {
+				clean = false
+				e.applyInitVote(a.ref-1, r, from, a.v)
+			}
 		}
-		e.stamps[a.ref-1] = e.gen
-		listed++
-		// An implicit tally absorbs a vote for u (any plain one, first bundle).
-		if ir := &row[a.ref-1]; ir.t == nil && plain(a.v) && (a.v == ir.u || e.initCount[r-1] == 0) {
-			ir.u = a.v
-		} else {
-			e.applyInitVote(a.ref-1, r, from, a.v)
+		for i := 0; listed < len(row) && i < len(row); i++ {
+			if e.stamps[i] != e.gen && (row[i].t != nil || row[i].u != 0) {
+				clean = false
+				e.applyInitVote(uint32(i), r, from, 0)
+			}
 		}
 	}
-	for i := 0; listed < len(row) && i < len(row); i++ {
-		if e.stamps[i] != e.gen && (row[i].t != nil || row[i].u != 0) {
-			e.applyInitVote(uint32(i), r, from, 0)
-		}
+	if clean {
+		rd.clean.set(from)
 	}
-	e.initSeen[r-1].set(from)
-	e.initBundles[r-1][from] = b
-	e.initCount[r-1]++
-	zeros := e.zerosSenders[r-1].get(from)
+	if rd.initCount == 0 {
+		rd.quiet = base && clean
+	}
+	rd.initSeen.set(from)
+	rd.initBundles[from] = b
+	rd.initCount++
+	zeros := rd.zerosSenders.get(from)
 	if zeros {
-		e.initZeros[r-1]++
+		rd.initZeros++
 	}
-	if e.crossed1(e.initCount[r-1]) || zeros && e.initZeros[r-1] == e.cfg.Quorum() {
+	if e.crossed1(rd.initCount) || zeros && rd.initZeros == e.cfg.Quorum() {
 		e.markDue(r, false)
 	}
-	if e.initCount[r-1] == e.cfg.Quorum() {
+	if rd.initCount == e.cfg.Quorum() {
 		// n-t init bundles: send the implicit ECHO2(0) bundle for round r.
 		e.env.Broadcast(&Echo2{Round: uint16(r), Zeros: true})
 	}
 	// A compressed bundle for r+1 may have been waiting for this base.
-	if r < len(e.pendingC) && e.pendingC[r][from] != nil {
-		next := e.pendingC[r][from]
-		e.pendingC[r][from] = nil
+	if r < len(e.rs) && e.rs[r].pendingC[from] != nil {
+		next := e.rs[r].pendingC[from]
+		e.rs[r].pendingC[from] = nil
 		e.applyCompressed(from, next)
 	}
 	// So may the sender's bitmaps, merged; they count while round r is read.
 	if r >= e.round {
-		e.applyEcho2C(from, r, e.pendingE2C[r-1][from])
+		e.applyEcho2C(from, r, rd.pendingE2C[from])
 	}
 }
 
@@ -432,13 +433,13 @@ func (e *Engine) HandleEcho1C(from node.ID, m *Echo1C) {
 		return
 	}
 	e.grow(r)
-	if e.initSeen[r-1].get(from) {
+	if e.rs[r-1].initSeen.get(from) {
 		return
 	}
-	if !e.initSeen[r-2].get(from) {
+	if !e.rs[r-2].initSeen.get(from) {
 		// Base round not yet seen: buffer (keep the first only).
-		if e.pendingC[r-1][from] == nil {
-			e.pendingC[r-1][from] = m
+		if e.rs[r-1].pendingC[from] == nil {
+			e.rs[r-1].pendingC[from] = m
 		}
 		return
 	}
@@ -453,15 +454,16 @@ func (e *Engine) HandleEcho1C(from node.ID, m *Echo1C) {
 // is current or ahead may still meet its bitmap or zeros bundle, and is copied.
 func (e *Engine) applyCompressed(from node.ID, m *Echo1C) {
 	r := int(m.Round)
-	prev := e.initBundles[r-2][from]
-	if e.initSeen[r-1].get(from) || len(prev) != int(m.PrevCount) || len(m.Deltas) < (len(prev)+1)/2 {
+	prev := e.rs[r-2].initBundles[from]
+	if e.rs[r-1].initSeen.get(from) || len(prev) != int(m.PrevCount) || len(m.Deltas) < (len(prev)+1)/2 {
 		return // a full bundle overtook this one, or malformed relative to our view: drop
 	}
 	// Byte j of the deltas holds entries 2j and 2j+1 (the last byte's high
 	// nibble is padding when len(prev) is odd). A zero byte is two symC
 	// entries, which need no check and no write.
-	deltas, esc := m.Deltas[:(len(prev)+1)/2], 0
+	deltas, esc, same := m.Deltas[:(len(prev)+1)/2], 0, len(m.NewVals) == 0
 	for j, d := range deltas {
+		same = same && d == 0
 		for k := 2 * j; d != 0 && k < len(prev); k, d = k+1, d>>4 {
 			if sym := d & 0x0f; sym == symX {
 				esc++
@@ -475,7 +477,7 @@ func (e *Engine) applyCompressed(from node.ID, m *Echo1C) {
 	}
 	b := prev
 	if r-1 < e.round {
-		e.initBundles[r-2][from] = nil
+		e.rs[r-2].initBundles[from] = nil
 	} else {
 		b = append(make([]entry, 0, len(prev)+len(m.NewVals)), prev...)
 	}
@@ -491,9 +493,9 @@ func (e *Engine) applyCompressed(from node.ID, m *Echo1C) {
 		}
 	}
 	for _, nv := range m.NewVals {
-		b = append(b, entry{id: nv.ID, v: nv.V})
+		b = append(b, entry{ref: e.activate(nv.ID).idx + 1, v: nv.V})
 	}
-	e.applyBundle(from, r, b)
+	e.applyBundle(from, r, b, same)
 }
 
 // HandleEcho2C processes a compact ECHO2 bitmap.
@@ -503,14 +505,14 @@ func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
 		return // nothing reads a left round's ECHO2s
 	}
 	e.grow(r)
-	if !e.initSeen[r-1].get(from) {
+	if !e.rs[r-1].initSeen.get(from) {
 		// Bitmaps are incremental: merge (into our own bytes), not keep-first.
-		merged := e.pendingE2C[r-1][from]
+		merged := e.rs[r-1].pendingE2C[from]
 		merged = append(merged, make([]byte, max(0, len(m.Bits)-len(merged)))...)
 		for i, b := range m.Bits {
 			merged[i] |= b
 		}
-		e.pendingE2C[r-1][from] = merged
+		e.rs[r-1].pendingE2C[from] = merged
 		return
 	}
 	e.applyEcho2C(from, r, m.Bits)
@@ -520,7 +522,7 @@ func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
 // applyEcho2C resolves bitmap bits against the sender's round announcement.
 // An implicit tally counts a vote for its u ≠ 0 in its voter slab words.
 func (e *Engine) applyEcho2C(from node.ID, r int, bitmap []byte) {
-	b, words := e.initBundles[r-1][from], bitsetWords(e.cfg.N)
+	b, words := e.rs[r-1].initBundles[from], bitsetWords(e.cfg.N)
 	for j, w := range bitmap {
 		for ; w != 0; w &= w - 1 { // set bits only, in ascending order
 			i := 8*j + bits.TrailingZeros8(w)
@@ -528,8 +530,8 @@ func (e *Engine) applyEcho2C(from node.ID, r int, bitmap []byte) {
 				return
 			}
 			a, c := b[i], 0
-			if ir := &e.rounds[r-1][a.ref-1]; ir.t == nil && ir.u != 0 && a.v == ir.u {
-				if bitset(e.bitVoters[r-1][int(a.ref-1)*words:]).set(from) {
+			if ir := &e.rs[r-1].insts[a.ref-1]; ir.t == nil && ir.u != 0 && a.v == ir.u {
+				if bitset(e.rs[r-1].bitVoters[int(a.ref-1)*words:]).set(from) {
 					ir.e2++
 					c = int(ir.e2)
 				}
@@ -551,16 +553,16 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 	}
 	if r := int(m.Round); m.Zeros && e.validRound(r) && r >= e.round {
 		e.grow(r)
-		if e.zerosSenders[r-1].set(from) {
-			e.zerosCount[r-1]++
+		if rd := &e.rs[r-1]; rd.zerosSenders.set(from) {
+			rd.zerosCount++
 			// The implicit zero goes to every instance the sender's bundle
 			// voted 0 for, to implicit tallies via initZeros; until the bundle
 			// arrives, applyInitVote does.
-			if e.initSeen[r-1].get(from) {
-				if e.initZeros[r-1]++; e.initZeros[r-1] == e.cfg.Quorum() {
+			if rd.initSeen.get(from) {
+				if rd.initZeros++; rd.initZeros == e.cfg.Quorum() {
 					e.markDue(r, false)
 				}
-				row := e.rounds[r-1]
+				row := rd.insts
 				for i := range row {
 					if t := row[i].t; t != nil && t.zeroFrom.get(from) &&
 						t.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
@@ -577,7 +579,7 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 		}
 		e.grow(r)
 		x := e.activate(v.ID) // even for a left round: it joins our next announcement
-		if r >= e.round && e.materialise(&e.rounds[r-1][x.idx], r, x.idx).addEcho2(from, v.V, true, e.cfg.N) == e.cfg.Quorum() {
+		if r >= e.round && e.materialise(&e.rs[r-1].insts[x.idx], r, x.idx).addEcho2(from, v.V, true, e.cfg.N) == e.cfg.Quorum() {
 			e.mark(x, r)
 		}
 	}
@@ -589,11 +591,11 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 // to a tally it materialises. Each (instance, sender, round) gets here once:
 // initSeen admits one bundle and applyBundle skips repeated listings.
 func (e *Engine) applyInitVote(i uint32, r int, from node.ID, v float64) {
-	t := e.materialise(&e.rounds[r-1][i], r, i)
+	t := e.materialise(&e.rs[r-1].insts[i], r, i)
 	crossed := e.crossed1(t.echo1.add(from, v, e.cfg.N))
 	if v == 0 {
 		t.zeroFrom.set(from)
-		if e.zerosSenders[r-1].get(from) && t.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
+		if e.rs[r-1].zerosSenders.get(from) && t.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
 			crossed = true
 		}
 	}
@@ -615,8 +617,10 @@ func (e *Engine) materialise(ir *instRound, r int, i uint32) *tally {
 	t := &tally{echo2From: b[:w:w], echo2Explicit: b[w : 2*w : 2*w], zeroFrom: b[2*w : 3*w : 3*w]}
 	t.echo1 = votes{sets: t.sets[:0:1], spare: b[3*w : 4*w : 4*w]}
 	t.echo2 = votes{sets: t.sets[1:1], spare: b[4*w:]}
-	seen, zeros := e.initSeen[r-1], e.zerosSenders[r-1]
-	if c := e.initCount[r-1]; c > 0 {
+	rd := &e.rs[r-1]
+	rd.quiet = false // condition (3): the round's tallies move
+	seen, zeros := rd.initSeen, rd.zerosSenders
+	if c := rd.initCount; c > 0 {
 		s := t.echo1.slot(ir.u, n)
 		copy(s.set, seen)
 		s.count = c
@@ -627,9 +631,9 @@ func (e *Engine) materialise(ir *instRound, r int, i uint32) *tally {
 		for j := range zeros {
 			t.echo2From[j] = seen[j] & zeros[j]
 		}
-		c = e.initZeros[r-1]
+		c = rd.initZeros
 	} else {
-		copy(t.echo2From, e.bitVoters[r-1][int(i)*w:])
+		copy(t.echo2From, rd.bitVoters[int(i)*w:])
 		copy(t.echo2Explicit, t.echo2From)
 	}
 	if c > 0 {
@@ -658,10 +662,11 @@ func (e *Engine) activate(id IID) *inst {
 		return x
 	}
 	x := e.newInst(id, 0)
-	for r := 1; r <= len(e.rounds); r++ {
-		e.rounds[r-1] = append(e.rounds[r-1], instRound{opened: r <= e.round})
-		e.bitVoters[r-1] = append(e.bitVoters[r-1], make(bitset, bitsetWords(e.cfg.N))...)
-		if e.due(&e.rounds[r-1][x.idx], r) {
+	for r := 1; r <= len(e.rs); r++ {
+		rd := &e.rs[r-1]
+		rd.insts = append(rd.insts, instRound{opened: r <= e.round})
+		rd.bitVoters = append(rd.bitVoters, make(bitset, bitsetWords(e.cfg.N))...)
+		if e.due(&rd.insts[x.idx], r) {
 			e.mark(x, r)
 		}
 	}
@@ -671,7 +676,7 @@ func (e *Engine) activate(id IID) *inst {
 // mark queues (x, r) for re-checking; the instRound's dirty flag makes
 // repeated marks free.
 func (e *Engine) mark(x *inst, r int) {
-	if ir := &e.rounds[r-1][x.idx]; !ir.dirty {
+	if ir := &e.rs[r-1].insts[x.idx]; !ir.dirty {
 		ir.dirty = true
 		e.dirty = append(e.dirty, dirtyEntry{key: dirtyKey(x.id, r), x: x})
 	}
@@ -680,8 +685,8 @@ func (e *Engine) mark(x *inst, r int) {
 // markDue marks round r's implicit tallies that are due, after a count they
 // share has landed on a threshold, and with all set every materialised one.
 func (e *Engine) markDue(r int, all bool) {
-	for i := range e.rounds[r-1] {
-		if ir := &e.rounds[r-1][i]; ir.t != nil && all || ir.t == nil && e.due(ir, r) {
+	for i := range e.rs[r-1].insts {
+		if ir := &e.rs[r-1].insts[i]; ir.t != nil && all || ir.t == nil && e.due(ir, r) {
 			e.mark(e.instList[i], r)
 		}
 	}
@@ -691,10 +696,10 @@ func (e *Engine) markDue(r int, all bool) {
 // round r: amplifying u, sending the round's ECHO2, or deciding u (check's
 // tests on an implicit tally, one for one).
 func (e *Engine) due(ir *instRound, r int) bool {
-	c, q := e.initCount[r-1], e.cfg.Quorum()
+	c, q := e.rs[r-1].initCount, e.cfg.Quorum()
 	return c > e.cfg.F && !ir.ampedU && !(ir.opened && ir.myInit == ir.u) ||
 		c >= q && !ir.sentEcho2 && r <= e.round ||
-		!ir.decided && (ir.u == 0 && e.initZeros[r-1] >= q || ir.u != 0 && int(ir.e2) >= q)
+		!ir.decided && (ir.u == 0 && e.rs[r-1].initZeros >= q || ir.u != 0 && int(ir.e2) >= q)
 }
 
 // settle processes all dirty (instance, round) pairs: amplification, ECHO2
@@ -723,16 +728,15 @@ func (e *Engine) settle() {
 
 // check runs the per-round state machine for one instance.
 func (e *Engine) check(x *inst, r int, quorum int) {
-	ir := &e.rounds[r-1][x.idx]
+	rd := &e.rs[r-1]
+	ir := &rd.insts[x.idx]
 	ir.dirty = false
-	// Amplification: echo any value with t+1 support that we haven't
-	// echoed, in ascending order of value.
-	if ir.t == nil {
-		// One value, u, and amped already if it is our own init vote.
-		if e.initCount[r-1] > e.cfg.F && !ir.ampedU && !(ir.opened && ir.myInit == ir.u) {
-			ir.ampedU = true
-			e.pendAmp = append(e.pendAmp, IVal{ID: x.id, Round: uint16(r), V: ir.u})
-		}
+	// Amplification: echo any value with t+1 support that we haven't echoed,
+	// in ascending order of value. An implicit tally has one value, u, amped
+	// already if it is our own init vote.
+	if ir.t == nil && rd.initCount > e.cfg.F && !ir.ampedU && !(ir.opened && ir.myInit == ir.u) {
+		ir.ampedU = true
+		e.pendAmp = append(e.pendAmp, IVal{ID: x.id, Round: uint16(r), V: ir.u})
 	}
 	for t := ir.t; t != nil; {
 		var next *voteSet
@@ -751,7 +755,7 @@ func (e *Engine) check(x *inst, r int, quorum int) {
 	// for rounds we have not opened yet (myInit is unknown until then); the
 	// round-opening path re-marks every instance on which check may act.
 	if !ir.sentEcho2 && r <= e.round {
-		v, ok := ir.u, ir.t == nil && e.initCount[r-1] >= quorum // an implicit tally's one value
+		v, ok := ir.u, ir.t == nil && rd.initCount >= quorum // an implicit tally's one value
 		for i := 0; ir.t != nil && i < len(ir.t.echo1.sets); i++ {
 			if s := &ir.t.echo1.sets[i]; s.count >= quorum && (!ok || s.v < v) {
 				v, ok = s.v, true
@@ -760,19 +764,19 @@ func (e *Engine) check(x *inst, r int, quorum int) {
 		if ok {
 			ir.sentEcho2 = true
 			switch {
-			case v == 0 && e.initCount[r-1] >= quorum && ir.myInit == 0:
+			case v == 0 && rd.initCount >= quorum && ir.myInit == 0:
 				// Our zeros bundle, sent on n-t init bundles, covers this
 				// instance (receivers apply zeros only where our announced
 				// init vote was 0).
 			case !e.cfg.DisableCompression && v == ir.myInit && ir.annPos > 0:
 				// Vote value equals our announced value: one bitmap bit.
-				e.pendE2CB[r-1] = setBit(e.pendE2CB[r-1], int(ir.annPos)-1)
+				rd.pendE2CB = setBit(rd.pendE2CB, int(ir.annPos)-1)
 			default:
 				e.pendE2 = append(e.pendE2, IVal{ID: x.id, Round: uint16(r), V: v})
 			}
 		}
 	}
-	ir.tryDecide(quorum, e.initZeros[r-1])
+	ir.tryDecide(quorum, rd.initZeros)
 }
 
 // tryAdvance moves the engine to the next round once the current round has
@@ -785,12 +789,12 @@ func (e *Engine) tryAdvance() bool {
 	// A round completes only once n-t init bundles and n-t zeros bundles
 	// for it have arrived — these are the implicit votes that decide every
 	// quiet (all-zero) checkpoint — and every active instance has decided.
-	if len(e.initCount) < e.round ||
-		e.initCount[e.round-1] < e.cfg.Quorum() ||
-		e.zerosCount[e.round-1] < e.cfg.Quorum() {
+	if len(e.rs) < e.round ||
+		e.rs[e.round-1].initCount < e.cfg.Quorum() ||
+		e.rs[e.round-1].zerosCount < e.cfg.Quorum() {
 		return false
 	}
-	row := e.rounds[e.round-1]
+	row := e.rs[e.round-1].insts
 	for i := range row {
 		if !row[i].decided {
 			return false
@@ -827,19 +831,17 @@ func (e *Engine) tryAdvance() bool {
 // flush broadcasts staged amplification and ECHO2 entries as bundles, the
 // compact bitmaps in ascending round order.
 func (e *Engine) flush() {
-	if len(e.pendAmp) > 0 {
-		vals := e.pendAmp
+	if vals := e.pendAmp; len(vals) > 0 {
 		e.pendAmp = nil
-		e.env.Broadcast(&Echo1{Init: false, Vals: vals})
+		e.env.Broadcast(&Echo1{Vals: vals})
 	}
-	if len(e.pendE2) > 0 {
-		vals := e.pendE2
+	if vals := e.pendE2; len(vals) > 0 {
 		e.pendE2 = nil
 		e.env.Broadcast(&Echo2{Vals: vals})
 	}
-	for i, bits := range e.pendE2CB {
-		if bits != nil {
-			e.pendE2CB[i] = nil
+	for i := range e.rs {
+		if bits := e.rs[i].pendE2CB; bits != nil {
+			e.rs[i].pendE2CB = nil
 			e.env.Broadcast(&Echo2C{Round: uint16(i + 1), Bits: bits})
 		}
 	}

@@ -63,17 +63,16 @@ func TestUnanimousOne(t *testing.T) {
 	}
 }
 
-// TestSettledInstancesStayImplicit pins the implicit-tally path on a clean
-// cluster: an instance every node holds at 1 meets only bundle votes and
-// bitmap votes for 1, so no node materialises its tally in any round. An
-// instance the nodes split on does materialise, which shows the probe reads
-// real tallies.
-func TestSettledInstancesStayImplicit(t *testing.T) {
-	cfg := binaa.Config{Config: node.Config{N: 7, F: 2}, Rounds: 6}
-	settled := []binaa.IID{{K: 1}, {K: 2}, {Level: 1, K: 3}}
-	split := binaa.IID{K: 9}
+// settledCluster runs a clean n=7 cluster for 6 rounds: every node holds the
+// settled instances at 1, and the split instance at its index mod 2. It
+// returns the engines, each checked to have decided.
+func settledCluster(t *testing.T) (cfg binaa.Config, settled []binaa.IID, split binaa.IID, engines []*binaa.Engine) {
+	t.Helper()
+	cfg = binaa.Config{Config: node.Config{N: 7, F: 2}, Rounds: 6}
+	settled = []binaa.IID{{K: 1}, {K: 2}, {Level: 1, K: 3}}
+	split = binaa.IID{K: 9}
 	procs := make([]node.Process, cfg.N)
-	engines := make([]*binaa.Engine, cfg.N)
+	engines = make([]*binaa.Engine, cfg.N)
 	for i := range procs {
 		in := map[binaa.IID]float64{split: float64(i % 2)}
 		for _, id := range settled {
@@ -90,10 +89,22 @@ func TestSettledInstancesStayImplicit(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := r.Run()
-	for i, e := range engines {
+	for i := range engines {
 		if len(res.Stats[i].Output) == 0 {
 			t.Fatalf("node %d produced no output", i)
 		}
+	}
+	return cfg, settled, split, engines
+}
+
+// TestSettledInstancesStayImplicit pins the implicit-tally path on a clean
+// cluster: an instance every node holds at 1 meets only bundle votes and
+// bitmap votes for 1, so no node materialises its tally in any round. An
+// instance the nodes split on does materialise, which shows the probe reads
+// real tallies.
+func TestSettledInstancesStayImplicit(t *testing.T) {
+	cfg, settled, split, engines := settledCluster(t)
+	for i, e := range engines {
 		for round := 1; round <= cfg.Rounds; round++ {
 			for _, id := range settled {
 				if !e.Implicit(round, id) {
@@ -103,6 +114,37 @@ func TestSettledInstancesStayImplicit(t *testing.T) {
 		}
 		if e.Implicit(1, split) {
 			t.Errorf("node %d: split %v's round-1 tally is implicit", i, split)
+		}
+	}
+}
+
+// TestSettledRoundsAreQuiet pins the quiet-round path on the same cluster:
+// the split instance moves every bundle of round 2, and once it has settled
+// every round from 3 on is quiet at every node, with every sender whose
+// bundle arrived clean. Round 1 (full bundles) is never quiet.
+func TestSettledRoundsAreQuiet(t *testing.T) {
+	cfg, _, _, engines := settledCluster(t)
+	for i, e := range engines {
+		if e.Quiet(1) || e.Quiet(2) {
+			t.Errorf("node %d: round 1 quiet=%v, round 2 quiet=%v; want neither", i, e.Quiet(1), e.Quiet(2))
+		}
+		for round := 3; round <= cfg.Rounds; round++ {
+			if !e.Quiet(round) {
+				t.Errorf("node %d: round %d is not quiet", i, round)
+			}
+			arrived := 0
+			for from := node.ID(0); int(from) < cfg.N; from++ {
+				seen, clean := e.Clean(round, from)
+				if seen && !clean {
+					t.Errorf("node %d: sender %d's round-%d bundle is not clean", i, from, round)
+				}
+				if seen {
+					arrived++
+				}
+			}
+			if arrived < cfg.Quorum() {
+				t.Errorf("node %d: %d round-%d bundles arrived, fewer than n-t", i, arrived, round)
+			}
 		}
 	}
 }

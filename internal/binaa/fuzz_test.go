@@ -109,33 +109,33 @@ func checkCompressedDelivery(t *testing.T, m *Echo1C) {
 
 func checkCompressedOn(t *testing.T, e *Engine, left bool, m *Echo1C) {
 	rounds := e.cfg.Rounds
-	base := slices.Clone(e.initBundles[0][fuzzSender])
+	base := slices.Clone(e.rs[0].initBundles[fuzzSender])
 	type snap struct {
 		seen  bool
 		count int
 	}
 	before := make([]snap, rounds)
-	for i := range e.initSeen {
-		before[i] = snap{e.initSeen[i].get(fuzzSender), e.initCount[i]}
+	for i := range e.rs {
+		before[i] = snap{e.rs[i].initSeen.get(fuzzSender), e.rs[i].initCount}
 	}
 	insts := len(e.instList)
 
 	e.HandleEcho1C(fuzzSender, m)
 
 	applied := m.Round == 2 && wellFormed(m, fuzzPrev)
-	if len(e.initSeen) > rounds {
-		t.Fatalf("round state grown to %d rounds, cap is %d", len(e.initSeen), rounds)
+	if len(e.rs) > rounds {
+		t.Fatalf("round state grown to %d rounds, cap is %d", len(e.rs), rounds)
 	}
-	for i := range e.initSeen {
+	for i := range e.rs {
 		want := before[i]
 		if applied && i == 1 {
 			want = snap{true, want.count + 1}
 		}
-		if got := (snap{e.initSeen[i].get(fuzzSender), e.initCount[i]}); got != want {
+		if got := (snap{e.rs[i].initSeen.get(fuzzSender), e.rs[i].initCount}); got != want {
 			t.Fatalf("round %d: (seen, count) = %v, want %v (applied=%v)", i+1, got, want, applied)
 		}
 	}
-	if kept := e.initBundles[0][fuzzSender]; applied && left {
+	if kept := e.rs[0].initBundles[fuzzSender]; applied && left {
 		if kept != nil {
 			t.Fatalf("left-round base bundle still stored (%d entries) after its successor", len(kept))
 		}
@@ -146,12 +146,12 @@ func checkCompressedOn(t *testing.T, e *Engine, left bool, m *Echo1C) {
 		if len(e.instList) != insts {
 			t.Fatalf("rejected bundle activated %d instances", len(e.instList)-insts)
 		}
-		if len(e.initBundles) > 1 && e.initBundles[1][fuzzSender] != nil {
+		if len(e.rs) > 1 && e.rs[1].initBundles[fuzzSender] != nil {
 			t.Fatal("rejected bundle was stored")
 		}
 		return
 	}
-	b := e.initBundles[1][fuzzSender]
+	b := e.rs[1].initBundles[fuzzSender]
 	if len(b) != fuzzPrev+len(m.NewVals) {
 		t.Fatalf("stored bundle has %d entries, want %d", len(b), fuzzPrev+len(m.NewVals))
 	}
@@ -162,8 +162,8 @@ func checkCompressedOn(t *testing.T, e *Engine, left bool, m *Echo1C) {
 			want = m.Escapes[esc]
 			esc++
 		}
-		if b[i].id != p.id || math.Float64bits(b[i].v) != math.Float64bits(want) {
-			t.Fatalf("entry %d reconstructed as %v=%g, want %v=%g", i, b[i].id, b[i].v, p.id, want)
+		if b[i].ref != p.ref || math.Float64bits(b[i].v) != math.Float64bits(want) {
+			t.Fatalf("entry %d reconstructed as %d=%g, want %d=%g", i, b[i].ref, b[i].v, p.ref, want)
 		}
 	}
 	if _, resolved := e.StoredBundle(2, fuzzSender); !resolved {

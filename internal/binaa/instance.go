@@ -53,6 +53,16 @@
 // share their ECHO1 and zeros counts, so they cross those thresholds at the
 // same delivery, which marks those on which check still has an action
 // (Engine.due); e2 marks its own pair on reaching n-t. check acts on no other.
+//
+// Quiet rounds: a bundle is clean if it changed no tally — every entry was
+// absorbed by an implicit tally, none was listed twice, every unlisted
+// instance was implicit at 0 — so clean round-(r−1) bundles all list round
+// r−1's u. A round-r compressed bundle is not walked when (1) it is unchanged
+// (zero delta bytes, no new entries), (2) its sender's round-(r−1) bundle was
+// clean, and (3) round r is quiet: its first bundle met (1) and (2) and was
+// clean itself, and no round-r tally has materialised since. It is then round
+// r's u at every instance, and only recorded. The first bundle's walk is
+// needed: it is what meets a tally an echo materialised ahead of the bundle.
 package binaa
 
 import (

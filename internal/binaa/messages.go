@@ -63,8 +63,6 @@ type Echo1 struct {
 	Vals []IVal
 }
 
-var _ node.Message = (*Echo1)(nil)
-
 // Type implements node.Message.
 func (m *Echo1) Type() uint8 { return wire.TypeEcho1 }
 
@@ -97,8 +95,6 @@ type Echo2 struct {
 	// Vals are the explicit entries.
 	Vals []IVal
 }
-
-var _ node.Message = (*Echo2)(nil)
 
 // Type implements node.Message.
 func (m *Echo2) Type() uint8 { return wire.TypeEcho2 }

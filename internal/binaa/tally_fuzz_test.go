@@ -29,8 +29,10 @@ type oracle struct {
 	// echo2s is every explicit ECHO2 that reached the engine, counted or not,
 	// and whether it came as a bitmap bit or as an Echo2 entry.
 	echo2s []echo2Vote
-	// bits merges bitmaps waiting for their bundle.
-	bits map[senderRound][]byte
+	// bits merges bitmaps waiting for their bundle, and pendingC holds a
+	// compressed bundle waiting for its base.
+	bits     map[senderRound][]byte
+	pendingC map[senderRound]*Echo1C
 }
 
 // senderRound keys the oracle's per-bundle records.
@@ -81,13 +83,19 @@ func (o *oracle) deliver(round, rounds int, from node.ID, m node.Message) {
 				b = append(b, v)
 			}
 		}
-		o.bundles[k] = b
-		if bits, ok := o.bits[k]; ok {
-			delete(o.bits, k)
-			if k.r >= round {
-				o.applyBits(k, bits)
-			}
+		o.record(round, k, b)
+	case *Echo1C:
+		k := senderRound{from, int(msg.Round)}
+		if _, seen := o.bundles[k]; seen || !valid(k.r) || k.r < 2 {
+			return
 		}
+		if _, ok := o.bundles[senderRound{from, k.r - 1}]; !ok {
+			if _, ok := o.pendingC[k]; !ok {
+				o.pendingC[k] = msg
+			}
+			return
+		}
+		o.rebuild(round, k, msg)
 	case *Echo2:
 		if r := int(msg.Round); msg.Zeros && valid(r) && r >= round {
 			o.zeros[senderRound{from, r}] = true
@@ -115,6 +123,42 @@ func (o *oracle) deliver(round, rounds int, from node.ID, m node.Message) {
 		}
 		o.applyBits(k, msg.Bits)
 	}
+}
+
+// record stores the sender's round-k.r bundle b, then applies what waited
+// for it: its compressed bundle for the next round and its bitmaps.
+func (o *oracle) record(round int, k senderRound, b []IVal) {
+	o.bundles[k] = b
+	next := senderRound{k.from, k.r + 1}
+	if m, ok := o.pendingC[next]; ok {
+		delete(o.pendingC, next)
+		o.rebuild(round, next, m)
+	}
+	if bits, ok := o.bits[k]; ok {
+		delete(o.bits, k)
+		if k.r >= round {
+			o.applyBits(k, bits)
+		}
+	}
+}
+
+// rebuild records a compressed bundle as the sender's previous bundle with
+// each symbol applied (applySymbol) and the new entries appended; a full
+// bundle that overtook it, or a malformed one, leaves nothing.
+func (o *oracle) rebuild(round int, k senderRound, m *Echo1C) {
+	prev := o.bundles[senderRound{k.from, k.r - 1}]
+	if _, seen := o.bundles[k]; seen || !wellFormed(m, len(prev)) {
+		return
+	}
+	b, esc := make([]IVal, 0, len(prev)+len(m.NewVals)), 0
+	for i, p := range prev {
+		p.V = applySymbol(p.V, nibble(m.Deltas, i), k.r)
+		if nibble(m.Deltas, i) == symX {
+			p.V, esc = m.Escapes[esc], esc+1
+		}
+		b = append(b, p)
+	}
+	o.record(round, k, append(b, m.NewVals...))
 }
 
 func (o *oracle) applyBits(k senderRound, bits []byte) {
@@ -209,7 +253,7 @@ func engineTallies(t *testing.T, vs votes, n int) string {
 
 // check compares every (instance, round) of e with the recount.
 func (o *oracle) check(t *testing.T, e *Engine) {
-	for r := 1; r <= len(e.rounds); r++ {
+	for r := 1; r <= len(e.rs); r++ {
 		for _, x := range e.instList {
 			var echo1, echo2 []ampVote
 			for from := node.ID(0); int(from) < o.n; from++ {
@@ -226,7 +270,7 @@ func (o *oracle) check(t *testing.T, e *Engine) {
 			// Implicit: every bundle vote is u (plain), every echo repeats its
 			// sender's bundle vote, and every explicit ECHO2 that came is a
 			// bitmap vote for u ≠ 0.
-			ir := e.rounds[r-1][x.idx]
+			ir := e.rs[r-1].insts[x.idx]
 			for _, v := range echo1 {
 				if ir.t == nil && (!plain(v.v) || v.v != ir.u) {
 					t.Fatalf("%v round %d: implicit at u=%g, but sender %d's bundle voted %g", x.id, r, ir.u, v.from, v.v)
@@ -293,12 +337,18 @@ func (s *fuzzStream) round(rounds int) int {
 // zeros, duplicate listings, NaN and −0), amplification echoes (before their
 // sender's bundle too), zeros bundles, bitmaps (over zero-listed entries
 // too), explicit ECHO2s (overriding an implicit zero), late activation, and
-// traffic for rounds the engine has left. A sweep delivery — empty bundles
-// and zeros bundles from n-t senders for the current round — moves the
-// engine on, so that left rounds are reached.
+// traffic for rounds the engine has left, and compressed bundles against the
+// sender's previous bundle (mostly unchanged, which a quiet round records
+// without walking them; else with one moved or escaped entry, or a new one).
+// A sweep delivery — empty bundles and zeros bundles from n-t senders for the
+// current round — moves the engine on, so that left rounds are reached.
 func FuzzEngineTallies(f *testing.F) {
 	// Kinds: 0 bundle (round, count, entries), 1 echo (round, entry), 2 zeros
-	// (round), 3 bitmap (round, bits), 4 explicit ECHO2 (round, entry), 5 sweep.
+	// (round), 3 bitmap (round, bits), 4 explicit ECHO2 (round, entry), 6
+	// compressed bundle (round 2.., control byte c, then the entries c asks
+	// for: with c's top bit, symbol c&7 at entry c>>4&7 mod the count — an
+	// escape takes an entry's value — and with bit 3 one new entry), 5 and 7
+	// sweep.
 	op := func(kind, from byte, args ...byte) []byte { return append([]byte{kind | from<<3}, args...) }
 	ent := func(k, val byte) byte { return k | val<<5 } // val indexes fuzzVals
 	f.Add(slices.Concat([]byte{0},
@@ -353,6 +403,31 @@ func FuzzEngineTallies(f *testing.F) {
 		op(0, 1, 0, 1, ent(3, 0)), op(0, 2, 0, 1, ent(3, 0)),
 		op(3, 1, 0, 1), // a bitmap vote for u = 0 (zeros bundles count those)
 	))
+	// Quiet rounds: unchanged round-2 bundles (kind 6, control byte 0) from
+	// senders 1..3, whose round-1 bundles list K2 (at 1 unless said otherwise).
+	at1 := func(from byte) []byte { return op(0, from, 0, 1, ent(2, 1)) }
+	same := func(from byte) []byte { return op(6, from, 0, 0) }
+	f.Add(slices.Concat([]byte{0}, at1(1), at1(2), at1(3),
+		op(4, 1, 1, ent(2, 1)), // an explicit ECHO2 materialises K2's round-2 tally first
+		same(1), same(2), same(3),
+	))
+	f.Add(slices.Concat([]byte{0},
+		op(0, 1, 0, 2, ent(2, 1), ent(2, 2)), at1(2), at1(3), // sender 1 lists K2 twice
+		same(2), same(1),
+	))
+	f.Add(slices.Concat([]byte{0}, at1(1), at1(2), at1(3),
+		same(1), same(2),
+		op(4, 3, 1, ent(2, 1)), // K2's round-2 tally materialises after a skipped bundle
+		same(3),
+	))
+	f.Add(slices.Concat([]byte{0}, at1(1), op(0, 2, 0, 1, ent(2, 2)), at1(3), // sender 2 votes K2 1/2
+		same(1), same(2),
+	))
+	// A compressed bundle ahead of its base, a moved and an escaped entry, a
+	// new entry.
+	f.Add(slices.Concat([]byte{1}, same(1), at1(1), at1(2), op(0, 3, 0, 2, ent(2, 1), ent(3, 2)),
+		op(6, 2, 0, 0x80|symL), op(6, 3, 0, 0x90|symX, ent(0, 6)), op(6, 4, 0, 8, ent(4, 1)),
+	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -367,7 +442,7 @@ func FuzzEngineTallies(f *testing.F) {
 		}
 		e.Start(&SinkEnv{Nodes: cfg.N, Faults: cfg.F})
 		o := &oracle{n: cfg.N, bundles: map[senderRound][]IVal{}, zeros: map[senderRound]bool{},
-			explicit: map[explicitKey]float64{}, bits: map[senderRound][]byte{}}
+			explicit: map[explicitKey]float64{}, bits: map[senderRound][]byte{}, pendingC: map[senderRound]*Echo1C{}}
 		s := &fuzzStream{data: data[1:]}
 		for step := 0; step < 64 && !e.done; step++ {
 			op, ok := s.next()
@@ -395,6 +470,22 @@ func FuzzEngineTallies(f *testing.F) {
 				ms = append(ms, &Echo2C{Round: uint16(r), Bits: []byte{b}})
 			case 4: // explicit ECHO2
 				ms = append(ms, &Echo2{Vals: []IVal{s.entry(s.round(cfg.Rounds))}})
+			case 6: // compressed bundle against the sender's recorded previous bundle
+				r := 1 + s.round(cfg.Rounds-1)
+				m := &Echo1C{Round: uint16(r), PrevCount: uint16(len(o.bundles[senderRound{from, r - 1}]))}
+				c, _ := s.next()
+				syms := make([]uint8, m.PrevCount)
+				if c&0x80 != 0 && len(syms) > 0 { // one symbol; an escape carries an entry's value
+					syms[int(c>>4&7)%len(syms)] = c & 7
+					if c&7 == symX {
+						m.Escapes = []float64{s.entry(r).V}
+					}
+				}
+				if c&8 != 0 {
+					m.NewVals = []IVal{s.entry(r)}
+				}
+				m.Deltas = packNibbles(syms)
+				ms = append(ms, m)
 			default: // sweep the current round from n-t senders
 				r := e.round
 				for i := 0; i < cfg.Quorum(); i++ {
@@ -409,7 +500,7 @@ func FuzzEngineTallies(f *testing.F) {
 					return
 				}
 				sender := from
-				if op&7 > 4 {
+				if op&7 == 5 || op&7 == 7 {
 					sender = node.ID((int(from) + i%cfg.Quorum()) % cfg.N)
 				}
 				o.deliver(e.round, cfg.Rounds, sender, m)
@@ -420,6 +511,8 @@ func FuzzEngineTallies(f *testing.F) {
 					e.HandleEcho2(sender, msg)
 				case *Echo2C:
 					e.HandleEcho2C(sender, msg)
+				case *Echo1C:
+					e.HandleEcho1C(sender, msg)
 				}
 				o.check(t, e)
 			}

@@ -87,8 +87,10 @@ fi
 # and materialises one on the first vote that disagrees, so a byte-driven
 # stream of deliveries (duplicate listings, NaN and −0, echoes ahead of their
 # bundle, bitmap bits over zero-listed entries, explicit ECHO2 overrides, late
-# activation, left rounds) is checked after every delivery against a
-# brute-force recount of each (instance, round)'s voter sets.
+# activation, left rounds, and compressed bundles, which the oracle rebuilds
+# against the sender's previous bundle — mostly unchanged ones, which a quiet
+# round records without walking their entries) is checked after every delivery
+# against a brute-force recount of each (instance, round)'s voter sets.
 echo "== binaa compressed-bundle and tally fuzz smoke =="
 go test ./internal/binaa -run '^$' -fuzz FuzzDecodeEcho1C -fuzztime 10s
 go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
