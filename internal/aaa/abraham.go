@@ -40,11 +40,15 @@ type AbrahamResult struct {
 	Rounds int
 }
 
-// roundData tracks one round's deliveries and witness reports.
+// roundData tracks one round's deliveries and witness reports, by node:
+// values[i] is i's delivered value once delivered has i, and reports[i] the
+// set i reported (nil until i reports), carved from spare's words i·w on.
 type roundData struct {
-	values     map[node.ID]float64
-	reports    map[node.ID][]node.ID
-	sentReport bool
+	values           []float64
+	reports          []node.Set
+	delivered, spare node.Set
+	nDelivered       int
+	sentReport       bool
 }
 
 // Abraham runs one node of Abraham et al.'s approximate agreement. Each
@@ -60,7 +64,7 @@ type Abraham struct {
 	rbcEng  *rbc.Engine
 	value   float64
 	round   int
-	rounds  map[int]*roundData
+	rounds  []*roundData // by round, 1 to Rounds
 	done    bool
 }
 
@@ -74,7 +78,7 @@ func NewAbraham(cfg AbrahamConfig, input float64) (*Abraham, error) {
 	if math.IsNaN(input) || math.IsInf(input, 0) {
 		return nil, fmt.Errorf("aaa: input must be finite, got %g", input)
 	}
-	return &Abraham{cfg: cfg, value: input, rounds: make(map[int]*roundData)}, nil
+	return &Abraham{cfg: cfg, value: input, rounds: make([]*roundData, cfg.Rounds+1)}, nil
 }
 
 // Init implements node.Process.
@@ -82,18 +86,18 @@ func (a *Abraham) Init(env node.Env) {
 	a.env = env
 	a.track = node.TrackOf(env)
 	a.roundAt = a.track.Now()
-	a.rbcEng = rbc.NewEngine(a.cfg.Config, env, a.onDeliver)
+	a.rbcEng = rbc.NewEngine(a.cfg.Config, env, a.cfg.Rounds+1, a.onDeliver)
 	a.round = 1
 	a.broadcastValue()
 }
 
 func (a *Abraham) rd(r int) *roundData {
-	d, ok := a.rounds[r]
-	if !ok {
-		d = &roundData{values: make(map[node.ID]float64), reports: make(map[node.ID][]node.ID)}
-		a.rounds[r] = d
+	if a.rounds[r] == nil {
+		n, w := a.cfg.N, node.SetWords(a.cfg.N)
+		s := make(node.Set, (n+1)*w) // one allocation for the round's sets
+		a.rounds[r] = &roundData{values: make([]float64, n), reports: make([]node.Set, n), delivered: s[:w:w], spare: s[w:]}
 	}
-	return d
+	return a.rounds[r]
 }
 
 func (a *Abraham) broadcastValue() {
@@ -114,12 +118,21 @@ func (a *Abraham) Deliver(from node.ID, m node.Message) {
 	}
 	if rep, ok := m.(*Report); ok {
 		r := int(rep.Round)
-		if r < 1 || r > a.cfg.Rounds {
+		if r < 1 || r > a.cfg.Rounds || uint(from) >= uint(a.cfg.N) {
 			return
 		}
-		d := a.rd(r)
-		if _, dup := d.reports[from]; !dup {
-			d.reports[from] = rep.Have
+		// A report naming a node outside [0, n) could never witness.
+		for _, id := range rep.Have {
+			if uint(id) >= uint(a.cfg.N) {
+				return
+			}
+		}
+		if d, w := a.rd(r), node.SetWords(a.cfg.N); d.reports[from] == nil {
+			set := d.spare[int(from)*w : int(from+1)*w : int(from+1)*w]
+			for _, id := range rep.Have {
+				set.Add(id)
+			}
+			d.reports[from] = set
 		}
 		a.progress()
 	}
@@ -136,10 +149,11 @@ func (a *Abraham) onDeliver(k rbc.Key, payload []byte) {
 		return
 	}
 	d := a.rd(r)
-	if _, dup := d.values[k.Initiator]; dup {
+	if !d.delivered.Add(k.Initiator) {
 		return
 	}
 	d.values[k.Initiator] = v
+	d.nDelivered++
 	a.progress()
 }
 
@@ -148,13 +162,14 @@ func (a *Abraham) progress() {
 	for !a.done {
 		d := a.rd(a.round)
 		// Report the delivered set once it reaches n-t.
-		if !d.sentReport && len(d.values) >= a.cfg.Quorum() {
+		if !d.sentReport && d.nDelivered >= a.cfg.Quorum() {
 			d.sentReport = true
-			have := make([]node.ID, 0, len(d.values))
-			for id := range d.values {
-				have = append(have, id)
+			have := make([]node.ID, 0, d.nDelivered)
+			for id := node.ID(0); int(id) < a.cfg.N; id++ {
+				if d.delivered.Has(id) {
+					have = append(have, id)
+				}
 			}
-			sort.Slice(have, func(i, j int) bool { return have[i] < have[j] })
 			a.env.Broadcast(&Report{Round: uint16(a.round), Have: have})
 		}
 		if !d.sentReport {
@@ -163,14 +178,7 @@ func (a *Abraham) progress() {
 		// Count witnesses: peers whose reported sets we fully delivered.
 		witnesses := 0
 		for _, have := range d.reports {
-			covered := true
-			for _, id := range have {
-				if _, ok := d.values[id]; !ok {
-					covered = false
-					break
-				}
-			}
-			if covered {
+			if have != nil && have.SubsetOf(d.delivered) {
 				witnesses++
 			}
 		}
@@ -178,9 +186,11 @@ func (a *Abraham) progress() {
 			return
 		}
 		// Update: midpoint of the t-trimmed delivered multiset.
-		vals := make([]float64, 0, len(d.values))
-		for _, v := range d.values {
-			vals = append(vals, v)
+		vals := make([]float64, 0, d.nDelivered)
+		for id := node.ID(0); int(id) < a.cfg.N; id++ {
+			if d.delivered.Has(id) {
+				vals = append(vals, d.values[id])
+			}
 		}
 		sort.Float64s(vals)
 		f := a.cfg.F

@@ -1,6 +1,7 @@
 package aaa_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,9 +12,7 @@ import (
 )
 
 // abrahamRun executes one full Abraham simulation at size n and returns the
-// event count, so the benchmark can report per-event cost — the metric
-// ROADMAP calls out: Abraham is the slowest baseline per event at large n
-// (the BinAA bitset optimisation does not apply to its witness-set logic).
+// event count, so the benchmark can report per-event cost.
 func abrahamRun(b *testing.B, n, rounds int, seed int64) int {
 	b.Helper()
 	f := (n - 1) / 3
@@ -41,12 +40,12 @@ func abrahamRun(b *testing.B, n, rounds int, seed int64) int {
 }
 
 // BenchmarkAbraham pins the per-event cost of the Abraham et al. baseline
-// at a mid and a paper-scale size. Run with -benchmem: the witness
-// accounting is the per-event hot path, so allocation regressions surface
-// here first.
+// at a small, a mid and a paper-scale size. Run with -benchmem: RBC vote
+// counting and the witness check are the per-event hot path, so allocation
+// regressions surface here first.
 func BenchmarkAbraham(b *testing.B) {
-	for _, n := range []int{16, 40} {
-		b.Run(map[int]string{16: "n=16", 40: "n=40"}[n], func(b *testing.B) {
+	for _, n := range []int{16, 40, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			events := 0
 			for i := 0; i < b.N; i++ {
 				events += abrahamRun(b, n, 5, int64(i+1))

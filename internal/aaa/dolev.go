@@ -58,7 +58,7 @@ type Dolev struct {
 // dolevRound is one round's receipts, allocated on the round's first
 // message: who has been heard from and what they sent, in arrival order.
 type dolevRound struct {
-	seen []uint64 // bitset over senders
+	seen node.Set
 	vals []float64
 }
 
@@ -96,14 +96,12 @@ func (d *Dolev) Deliver(from node.ID, m node.Message) {
 	}
 	rd := &d.rounds[r-1]
 	if rd.seen == nil {
-		rd.seen = make([]uint64, (d.cfg.N+63)/64)
+		rd.seen = make(node.Set, node.SetWords(d.cfg.N))
 		rd.vals = make([]float64, 0, d.cfg.N)
 	}
-	word, bit := &rd.seen[from>>6], uint64(1)<<(from&63)
-	if *word&bit != 0 {
+	if !rd.seen.Add(from) {
 		return
 	}
-	*word |= bit
 	rd.vals = append(rd.vals, msg.V)
 	d.progress()
 }

@@ -25,8 +25,6 @@ type Report struct {
 	Have []node.ID
 }
 
-var _ node.Message = (*Report)(nil)
-
 // Type implements node.Message.
 func (m *Report) Type() uint8 { return wire.TypeAAAReport }
 
@@ -73,8 +71,6 @@ type Value struct {
 	// V is the sender's state value.
 	V float64
 }
-
-var _ node.Message = (*Value)(nil)
 
 // Type implements node.Message.
 func (m *Value) Type() uint8 { return wire.TypeAAAMulticast }

@@ -4,14 +4,15 @@
 // and a common coin to break symmetry. It is the per-slot agreement inside
 // the FIN-style ACS baseline.
 //
-// Many instances run concurrently (one per ACS slot), multiplexed by an
-// instance id. To mirror FIN's coin economy, all instances of one engine
-// share a single coin per round rather than one coin per (instance, round).
+// Many instances run concurrently, multiplexed by an instance id that is
+// the ACS slot: ids are [0, n), and the engine keeps the instances in a
+// slice by slot. A BVAL or AUX naming an instance outside [0, n), or a round
+// of 0 or above MaxRounds, is dropped before any state exists. To mirror
+// FIN's coin economy, all instances of one engine share a single coin per
+// round rather than one coin per (instance, round).
 package aba
 
 import (
-	"slices"
-
 	"delphi/internal/coin"
 	"delphi/internal/node"
 	"delphi/internal/obs"
@@ -27,8 +28,6 @@ type BVal struct {
 	// V is the binary value.
 	V bool
 }
-
-var _ node.Message = (*BVal)(nil)
 
 // Type implements node.Message.
 func (m *BVal) Type() uint8 { return wire.TypeABABVal }
@@ -54,8 +53,6 @@ type Aux struct {
 	// V is the vote.
 	V bool
 }
-
-var _ node.Message = (*Aux)(nil)
 
 // Type implements node.Message.
 func (m *Aux) Type() uint8 { return wire.TypeABAAux }
@@ -100,30 +97,22 @@ func Register(reg *wire.Registry) error {
 	return reg.Register(wire.TypeABAAux, DecodeAux)
 }
 
-// maxRounds bounds an instance's rounds; with a perfectly common coin an
+// MaxRounds bounds an instance's rounds; with a perfectly common coin an
 // honest-majority instance decides in expected <= 3 rounds, so hitting the
 // bound indicates a bug rather than bad luck.
-const maxRounds = 64
+const MaxRounds = 64
 
-// roundState is the per-(instance, round) vote state.
+// roundState is the per-(instance, round) vote state: who sent BVAL and AUX
+// for each value, and how many.
 type roundState struct {
-	bvalSent  [2]bool
-	bval      [2]map[node.ID]bool
-	binValues [2]bool
-	auxSent   bool
-	aux       [2]map[node.ID]bool
-	coinValue uint64
-	coinReady bool
+	bvalSent, binValues [2]bool
+	auxSent, coinReady  bool
+	bval, aux           [2]node.Set
+	nBval, nAux         [2]int
+	coinValue           uint64
 	// startAt is the trace-clock reading when the round opened (feeds the
 	// per-round span; zero when tracing is disabled).
 	startAt int64
-}
-
-func newRoundState() *roundState {
-	return &roundState{
-		bval: [2]map[node.ID]bool{make(map[node.ID]bool), make(map[node.ID]bool)},
-		aux:  [2]map[node.ID]bool{make(map[node.ID]bool), make(map[node.ID]bool)},
-	}
 }
 
 // instance is one ABA's state across rounds.
@@ -137,9 +126,14 @@ type instance struct {
 	value   bool
 }
 
-func (x *instance) rs(r int) *roundState {
+func (x *instance) rs(r, n int) *roundState {
 	for len(x.rounds) < r {
-		x.rounds = append(x.rounds, newRoundState())
+		w := node.SetWords(n)
+		s := make(node.Set, 4*w) // one allocation for the round's four sets
+		x.rounds = append(x.rounds, &roundState{
+			bval: [2]node.Set{s[:w:w], s[w : 2*w : 2*w]},
+			aux:  [2]node.Set{s[2*w : 3*w : 3*w], s[3*w:]},
+		})
 	}
 	return x.rounds[r-1]
 }
@@ -151,14 +145,19 @@ type Engine struct {
 	track  *obs.Track
 	coins  *coin.Source
 	decide func(inst uint32, v bool)
-	insts  map[uint32]*instance
+	// insts[id] is instance id, one per ACS slot.
+	insts []instance
 }
 
 // NewEngine creates an ABA engine. decide fires once per decided instance.
 // The coin source must be dedicated to this engine (it keys coins by
-// round).
+// round) and serve CoinID(1) to CoinID(MaxRounds).
 func NewEngine(cfg node.Config, env node.Env, coins *coin.Source, decide func(uint32, bool)) *Engine {
-	return &Engine{cfg: cfg, env: env, track: node.TrackOf(env), coins: coins, decide: decide, insts: make(map[uint32]*instance)}
+	insts := make([]instance, cfg.N)
+	for i := range insts {
+		insts[i].id = uint32(i)
+	}
+	return &Engine{cfg: cfg, env: env, track: node.TrackOf(env), coins: coins, decide: decide, insts: insts}
 }
 
 // CoinID derives the coin identifier for a round (shared across instances,
@@ -167,25 +166,16 @@ func CoinID(round int) uint64 { return 0x0a0b<<32 | uint64(round) }
 
 // OnCoin must be invoked by the owner when the coin source reveals a coin
 // requested by this engine. Instances are resumed in slot order: progress
-// broadcasts messages, so iterating the instance map directly would let the
-// emission order — and with it the whole simulated schedule — vary between
-// runs of the same seed.
+// broadcasts messages, so the emission order — and with it the whole
+// simulated schedule — is fixed by the slots, not by arrival.
 func (e *Engine) OnCoin(coinID, value uint64) {
-	ids := make([]uint32, 0, len(e.insts))
-	for id := range e.insts {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		x := e.insts[id]
-		if x.started && !x.decided {
-			r := x.round
-			if CoinID(r) == coinID {
-				rs := x.rs(r)
-				rs.coinValue = value
-				rs.coinReady = true
-				e.progress(x)
-			}
+	for i := range e.insts {
+		x := &e.insts[i]
+		if x.started && !x.decided && CoinID(x.round) == coinID {
+			rs := x.rs(x.round, e.cfg.N)
+			rs.coinValue = value
+			rs.coinReady = true
+			e.progress(x)
 		}
 	}
 }
@@ -193,7 +183,7 @@ func (e *Engine) OnCoin(coinID, value uint64) {
 // Input starts an instance with the node's estimate (idempotent).
 func (e *Engine) Input(inst uint32, v bool) {
 	x := e.inst(inst)
-	if x.started {
+	if x == nil || x.started {
 		return
 	}
 	x.started = true
@@ -204,20 +194,18 @@ func (e *Engine) Input(inst uint32, v bool) {
 
 // Decided reports whether the instance has decided, and its value.
 func (e *Engine) Decided(inst uint32) (bool, bool) {
-	x, ok := e.insts[inst]
-	if !ok {
-		return false, false
+	if x := e.inst(inst); x != nil {
+		return x.decided, x.value
 	}
-	return x.decided, x.value
+	return false, false
 }
 
+// inst returns instance id, or nil when id is not a slot.
 func (e *Engine) inst(id uint32) *instance {
-	x, ok := e.insts[id]
-	if !ok {
-		x = &instance{id: id}
-		e.insts[id] = x
+	if uint64(id) >= uint64(len(e.insts)) {
+		return nil
 	}
-	return x
+	return &e.insts[id]
 }
 
 func bi(v bool) int {
@@ -228,7 +216,7 @@ func bi(v bool) int {
 }
 
 func (e *Engine) startRound(x *instance) {
-	rs := x.rs(x.round)
+	rs := x.rs(x.round, e.cfg.N)
 	if rs.startAt == 0 {
 		rs.startAt = e.track.Now()
 	}
@@ -252,26 +240,32 @@ func (e *Engine) Handle(from node.ID, m node.Message) bool {
 	return true
 }
 
-func (e *Engine) onBVal(from node.ID, m *BVal) {
-	x := e.inst(m.Inst)
-	r := int(m.Round)
-	if r < 1 || r > maxRounds {
-		return
+// vote returns the message's instance and round, or nils when the instance,
+// the round or the sender is out of range.
+func (e *Engine) vote(from node.ID, inst uint32, round uint16) (*instance, *roundState) {
+	x, r := e.inst(inst), int(round)
+	if x == nil || r < 1 || r > MaxRounds || uint(from) >= uint(e.cfg.N) {
+		return nil, nil
 	}
-	rs := x.rs(r)
+	rs := x.rs(r, e.cfg.N)
 	e.zombie(x, r)
-	set := rs.bval[bi(m.V)]
-	if set[from] {
+	return x, rs
+}
+
+func (e *Engine) onBVal(from node.ID, m *BVal) {
+	x, rs := e.vote(from, m.Inst, m.Round)
+	if x == nil || !rs.bval[bi(m.V)].Add(from) {
 		return
 	}
-	set[from] = true
+	r, c := int(m.Round), &rs.nBval[bi(m.V)]
+	*c++
 	// Amplify on t+1.
-	if len(set) >= e.cfg.F+1 && !rs.bvalSent[bi(m.V)] {
+	if *c >= e.cfg.F+1 && !rs.bvalSent[bi(m.V)] {
 		rs.bvalSent[bi(m.V)] = true
 		e.env.Broadcast(&BVal{Inst: x.id, Round: uint16(r), V: m.V})
 	}
 	// Bin-values on 2t+1.
-	if len(set) >= 2*e.cfg.F+1 && !rs.binValues[bi(m.V)] {
+	if *c >= 2*e.cfg.F+1 && !rs.binValues[bi(m.V)] {
 		rs.binValues[bi(m.V)] = true
 	}
 	if x.started && !x.decided {
@@ -280,18 +274,11 @@ func (e *Engine) onBVal(from node.ID, m *BVal) {
 }
 
 func (e *Engine) onAux(from node.ID, m *Aux) {
-	x := e.inst(m.Inst)
-	r := int(m.Round)
-	if r < 1 || r > maxRounds {
+	x, rs := e.vote(from, m.Inst, m.Round)
+	if x == nil || !rs.aux[bi(m.V)].Add(from) {
 		return
 	}
-	rs := x.rs(r)
-	e.zombie(x, r)
-	set := rs.aux[bi(m.V)]
-	if set[from] {
-		return
-	}
-	set[from] = true
+	rs.nAux[bi(m.V)]++
 	if x.started && !x.decided {
 		e.progress(x)
 	}
@@ -304,7 +291,7 @@ func (e *Engine) zombie(x *instance, r int) {
 	if !x.decided || r <= x.round {
 		return
 	}
-	rs := x.rs(r)
+	rs := x.rs(r, e.cfg.N)
 	if !rs.bvalSent[bi(x.value)] {
 		rs.bvalSent[bi(x.value)] = true
 		e.env.Broadcast(&BVal{Inst: x.id, Round: uint16(r), V: x.value})
@@ -317,8 +304,8 @@ func (e *Engine) zombie(x *instance, r int) {
 
 // progress runs the round state machine for the instance's current round.
 func (e *Engine) progress(x *instance) {
-	for !x.decided && x.round <= maxRounds {
-		rs := x.rs(x.round)
+	for !x.decided && x.round <= MaxRounds {
+		rs := x.rs(x.round, e.cfg.N)
 		// Send AUX once some value entered bin_values.
 		if !rs.auxSent {
 			var w bool
@@ -337,10 +324,10 @@ func (e *Engine) progress(x *instance) {
 		// Collect n-t AUX votes on values inside bin_values.
 		n0, n1 := 0, 0
 		if rs.binValues[0] {
-			n0 = len(rs.aux[0])
+			n0 = rs.nAux[0]
 		}
 		if rs.binValues[1] {
-			n1 = len(rs.aux[1])
+			n1 = rs.nAux[1]
 		}
 		if n0+n1 < e.cfg.Quorum() {
 			return

@@ -26,7 +26,7 @@ func newHarness(cfg node.Config, inputs map[uint32]bool) *harness {
 
 func (h *harness) Init(env node.Env) {
 	h.env = env
-	h.coins = coin.NewSource(h.cfg, env, 0xc0ffee, func(id, v uint64) { h.eng.OnCoin(id, v) })
+	h.coins = coin.NewSource(h.cfg, env, 0xc0ffee, aba.CoinID(1), aba.MaxRounds, func(id, v uint64) { h.eng.OnCoin(id, v) })
 	h.eng = aba.NewEngine(h.cfg, env, h.coins, func(inst uint32, v bool) {
 		h.decided[inst] = v
 		if len(h.decided) == len(h.inputs) {
@@ -98,13 +98,13 @@ func TestABAMixedAgreement(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		inputs := make([]map[uint32]bool, n)
 		for i := range inputs {
-			inputs[i] = map[uint32]bool{9: i%2 == 0}
+			inputs[i] = map[uint32]bool{6: i%2 == 0}
 		}
 		outs := runABA(t, n, f, inputs, seed)
-		first := outs[0][9]
+		first := outs[0][6]
 		for i, d := range outs {
-			if d[9] != first {
-				t.Errorf("seed %d: node %d decided %v, node 0 decided %v", seed, i, d[9], first)
+			if d[6] != first {
+				t.Errorf("seed %d: node %d decided %v, node 0 decided %v", seed, i, d[6], first)
 			}
 		}
 	}
@@ -131,7 +131,7 @@ func TestCoinCommonValue(t *testing.T) {
 	cfg := node.Config{N: 4, F: 1}
 	var sources []*coin.Source
 	for i := 0; i < 4; i++ {
-		s := coin.NewSource(cfg, nil, 99, func(uint64, uint64) {})
+		s := coin.NewSource(cfg, nil, 99, 0, 32, func(uint64, uint64) {})
 		sources = append(sources, s)
 	}
 	for c := uint64(0); c < 32; c++ {

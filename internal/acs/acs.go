@@ -54,11 +54,13 @@ type Process struct {
 	abaEng *aba.Engine
 	coins  *coin.Source
 
-	values    map[node.ID]float64
-	abaInput  map[uint32]bool
-	abaResult map[uint32]bool
-	ones      int
-	finished  bool
+	// values[i] is slot i's delivered value once valued has i; started,
+	// decided and ones are the slots whose ABA has an input, has decided,
+	// and has decided 1.
+	values                         []float64
+	valued, started, decided, ones node.Set
+	nDecided, nOnes                int
+	finished                       bool
 }
 
 var _ node.Process = (*Process)(nil)
@@ -71,12 +73,11 @@ func New(cfg Config, input float64) (*Process, error) {
 	if math.IsNaN(input) || math.IsInf(input, 0) {
 		return nil, fmt.Errorf("acs: input must be finite, got %g", input)
 	}
+	w := node.SetWords(cfg.N)
+	s := make(node.Set, 4*w)
 	return &Process{
-		cfg:       cfg,
-		input:     input,
-		values:    make(map[node.ID]float64),
-		abaInput:  make(map[uint32]bool),
-		abaResult: make(map[uint32]bool),
+		cfg: cfg, input: input, values: make([]float64, cfg.N),
+		valued: s[:w:w], started: s[w : 2*w : 2*w], decided: s[2*w : 3*w : 3*w], ones: s[3*w:],
 	}, nil
 }
 
@@ -85,8 +86,8 @@ func (p *Process) Init(env node.Env) {
 	p.env = env
 	p.track = node.TrackOf(env)
 	p.startAt = p.track.Now()
-	p.rbcEng = rbc.NewEngine(p.cfg.Config, env, p.onRBCDeliver)
-	p.coins = coin.NewSource(p.cfg.Config, env, p.cfg.CoinSeed, p.onCoin)
+	p.rbcEng = rbc.NewEngine(p.cfg.Config, env, 1, p.onRBCDeliver)
+	p.coins = coin.NewSource(p.cfg.Config, env, p.cfg.CoinSeed, aba.CoinID(1), aba.MaxRounds, p.onCoin)
 	p.abaEng = aba.NewEngine(p.cfg.Config, env, p.coins, p.onABADecide)
 	w := wire.NewWriter(8)
 	w.F64(p.input)
@@ -114,38 +115,33 @@ func (p *Process) onRBCDeliver(k rbc.Key, payload []byte) {
 	if r.Err() != nil {
 		return // malformed broadcast from a Byzantine initiator
 	}
-	if _, ok := p.values[k.Initiator]; ok {
+	if !p.valued.Add(k.Initiator) {
 		return
 	}
 	p.values[k.Initiator] = v
-	slot := uint32(k.Initiator)
-	if !p.abaInput[slot] {
-		p.abaInput[slot] = true
-		p.abaEng.Input(slot, true)
+	if p.started.Add(k.Initiator) {
+		p.abaEng.Input(uint32(k.Initiator), true)
 	}
 	p.tryFinish()
 }
 
 func (p *Process) onABADecide(slot uint32, v bool) {
-	if _, ok := p.abaResult[slot]; ok {
+	if !p.decided.Add(node.ID(slot)) {
 		return
 	}
-	p.abaResult[slot] = v
+	p.nDecided++
 	var vi int64
 	if v {
 		vi = 1
+		p.ones.Add(node.ID(slot))
+		p.nOnes++
 	}
 	p.track.Instant("acs.slot", int64(slot), vi)
-	if v {
-		p.ones++
-	}
 	// Once n-t slots are in, vote 0 for everything not yet started.
-	if p.ones >= p.cfg.Quorum() {
+	if p.nOnes >= p.cfg.Quorum() {
 		for i := 0; i < p.cfg.N; i++ {
-			s := uint32(i)
-			if !p.abaInput[s] {
-				p.abaInput[s] = true
-				p.abaEng.Input(s, false)
+			if p.started.Add(node.ID(i)) {
+				p.abaEng.Input(uint32(i), false)
 			}
 		}
 	}
@@ -153,22 +149,20 @@ func (p *Process) onABADecide(slot uint32, v bool) {
 }
 
 func (p *Process) tryFinish() {
-	if p.finished || len(p.abaResult) < p.cfg.N {
+	if p.finished || p.nDecided < p.cfg.N {
 		return
 	}
 	// All slots decided; wait for the subset's values (RBC totality).
+	if !p.ones.SubsetOf(p.valued) {
+		return // a value still in flight
+	}
 	var set []node.ID
 	var vals []float64
-	for i := 0; i < p.cfg.N; i++ {
-		if !p.abaResult[uint32(i)] {
-			continue
+	for i := node.ID(0); int(i) < p.cfg.N; i++ {
+		if p.ones.Has(i) {
+			set = append(set, i)
+			vals = append(vals, p.values[i])
 		}
-		v, ok := p.values[node.ID(i)]
-		if !ok {
-			return // value still in flight
-		}
-		set = append(set, node.ID(i))
-		vals = append(vals, v)
 	}
 	p.finished = true
 	// The whole-protocol span: Init → subset decided with values in hand.

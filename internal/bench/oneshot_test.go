@@ -201,3 +201,37 @@ func TestDelphiAllocGate(t *testing.T) {
 		t.Errorf("a warm sim-delphi run made %d allocations, over two-thirds of the 63 805 made while bitmap votes materialised tallies", allocs)
 	}
 }
+
+// TestBaselineAllocGate holds the baselines' vote counting in node.Set
+// bitsets and dense tables instead of maps. A warm FIN n=16 run (t=5,
+// sim.AWS(), the inputs and seed TestDelphiAllocGate uses) made 33 225
+// allocations while rbc, aba and coin counted in maps and 8 852 after; Abraham
+// et al. at n=16 made 37 131 and 12 131 (amd64, Go 1.24). Each bound is
+// halfway between the two.
+func TestBaselineAllocGate(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // the warm Scratch must stay in the slot
+	for _, c := range []struct {
+		proto Protocol
+		bound uint64
+	}{{ProtoFIN, (33225 + 8852) / 2}, {ProtoAbraham, (37131 + 12131) / 2}} {
+		seed := TrialSeed(1, 0)
+		spec := RunSpec{
+			Protocol: c.proto, N: 16, F: c.proto.Faults(16), Env: sim.AWS(), Seed: seed,
+			Inputs: OracleInputs(16, 41000, 20, seed), Delphi: OracleDefaultParams(),
+		}
+		if _, err := Run(spec); err != nil { // warms the Scratch
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(spec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocs := after.Mallocs - before.Mallocs
+		t.Logf("%s: %d allocations", c.proto, allocs)
+		if allocs > c.bound {
+			t.Errorf("a warm %s n=16 run made %d allocations, over %d, halfway to the map-keyed counting's", c.proto, allocs, c.bound)
+		}
+	}
+}

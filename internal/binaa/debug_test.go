@@ -70,7 +70,7 @@ func (e *Engine) Implicit(r int, id IID) bool { return e.rs[r-1].insts[e.insts[i
 func (e *Engine) Quiet(r int) bool { return e.rs[r-1].quiet }
 
 func (e *Engine) Clean(r int, from node.ID) (seen, clean bool) {
-	return e.rs[r-1].initSeen.get(from), e.rs[r-1].clean.get(from)
+	return e.rs[r-1].initSeen.Has(from), e.rs[r-1].clean.Has(from)
 }
 
 func (e *Engine) StoredBundle(r int, from node.ID) (entries int, resolved bool) {
@@ -131,13 +131,13 @@ func TestBundleDuplicateListing(t *testing.T) {
 		}{{hiFirst, 1}, {loFirst, 0}} {
 			tl := e.effective(e.insts[want.id], c.r)
 			for _, s := range tl.echo1.sets {
-				if s.set.get(c.from) != (s.v == want.v) {
+				if s.set.Has(c.from) != (s.v == want.v) {
 					t.Errorf("%v round %d: sender %d's init vote for %g counted=%v, want only %g",
-						want.id, c.r, c.from, s.v, s.set.get(c.from), want.v)
+						want.id, c.r, c.from, s.v, s.set.Has(c.from), want.v)
 				}
 			}
 			zero := tl.echo2.find(0)
-			if got := zero != nil && zero.set.get(c.from); got != (want.v == 0) {
+			if got := zero != nil && zero.set.Has(c.from); got != (want.v == 0) {
 				t.Errorf("%v round %d: sender %d's zeros bundle applied=%v, first listing is %g",
 					want.id, c.r, c.from, got, want.v)
 			}

@@ -89,12 +89,12 @@ type round struct {
 	// changed no tally; initZeros counts initSeen ∩ zerosSenders, an implicit
 	// 0's ECHO2s. quiet is condition (3) of the package comment's quiet rounds.
 	initBundles                      [][]entry
-	initSeen, clean, zerosSenders    bitset
+	initSeen, clean, zerosSenders    node.Set
 	quiet                            bool
 	initCount, zerosCount, initZeros int
-	// bitVoters is the voter slab: the bitsetWords(n) words from
-	// idx·bitsetWords(n) hold the senders behind instance idx's instRound.e2.
-	bitVoters bitset
+	// bitVoters is the voter slab: the node.SetWords(n) words from
+	// idx·node.SetWords(n) hold the senders behind instance idx's instRound.e2.
+	bitVoters node.Set
 	// insts[idx] is instance idx's state in this round, for all instList.
 	insts []instRound
 	// Compression state: this node's own announcement in canonical append
@@ -204,11 +204,11 @@ func (e *Engine) newInst(id IID, state float64) *inst {
 
 // grow ensures rs covers round r.
 func (e *Engine) grow(r int) {
-	n, w := e.cfg.N, bitsetWords(e.cfg.N)
+	n, w := e.cfg.N, node.SetWords(e.cfg.N)
 	for len(e.rs) < r {
-		s := make(bitset, 3*w) // one allocation for the round's sender sets
+		s := make(node.Set, 3*w) // one allocation for the round's sender sets
 		e.rs = append(e.rs, round{initBundles: make([][]entry, n), initSeen: s[:w:w], clean: s[w : 2*w : 2*w],
-			zerosSenders: s[2*w:], bitVoters: make(bitset, len(e.instList)*w), insts: make([]instRound, len(e.instList)),
+			zerosSenders: s[2*w:], bitVoters: make(node.Set, len(e.instList)*w), insts: make([]instRound, len(e.instList)),
 			pendingC: make([]*Echo1C, n), pendingE2C: make([][]byte, n)})
 	}
 }
@@ -323,7 +323,7 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 			return
 		}
 		e.grow(r)
-		if e.rs[r-1].initSeen.get(from) {
+		if e.rs[r-1].initSeen.Has(from) {
 			return // equivocating bundle: first wins
 		}
 		b := make([]entry, 0, len(m.Vals))
@@ -341,7 +341,7 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 			}
 			e.grow(r)
 			x := e.activate(v.ID)
-			if ir := &e.rs[r-1].insts[x.idx]; ir.t == nil && v.V == ir.u && e.rs[r-1].initSeen.get(from) {
+			if ir := &e.rs[r-1].insts[x.idx]; ir.t == nil && v.V == ir.u && e.rs[r-1].initSeen.Has(from) {
 				continue // a repeat of the sender's bundle vote
 			}
 			if e.crossed1(e.materialise(&e.rs[r-1].insts[x.idx], r, x.idx).echo1.add(from, v.V, e.cfg.N)) {
@@ -361,7 +361,7 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 // then drains any buffered compressed bundle and bitmap that were waiting for
 // this round.
 func (e *Engine) applyBundle(from node.ID, r int, b []entry, same bool) {
-	rd, base := &e.rs[r-1], same && e.rs[r-2].clean.get(from) // same is false in round 1
+	rd, base := &e.rs[r-1], same && e.rs[r-2].clean.Has(from) // same is false in round 1
 	// The votes go first and the sender is recorded after them, so that a
 	// tally they materialise is rebuilt without the sender.
 	clean := base && rd.quiet
@@ -392,15 +392,15 @@ func (e *Engine) applyBundle(from node.ID, r int, b []entry, same bool) {
 		}
 	}
 	if clean {
-		rd.clean.set(from)
+		rd.clean.Add(from)
 	}
 	if rd.initCount == 0 {
 		rd.quiet = base && clean
 	}
-	rd.initSeen.set(from)
+	rd.initSeen.Add(from)
 	rd.initBundles[from] = b
 	rd.initCount++
-	zeros := rd.zerosSenders.get(from)
+	zeros := rd.zerosSenders.Has(from)
 	if zeros {
 		rd.initZeros++
 	}
@@ -433,10 +433,10 @@ func (e *Engine) HandleEcho1C(from node.ID, m *Echo1C) {
 		return
 	}
 	e.grow(r)
-	if e.rs[r-1].initSeen.get(from) {
+	if e.rs[r-1].initSeen.Has(from) {
 		return
 	}
-	if !e.rs[r-2].initSeen.get(from) {
+	if !e.rs[r-2].initSeen.Has(from) {
 		// Base round not yet seen: buffer (keep the first only).
 		if e.rs[r-1].pendingC[from] == nil {
 			e.rs[r-1].pendingC[from] = m
@@ -455,7 +455,7 @@ func (e *Engine) HandleEcho1C(from node.ID, m *Echo1C) {
 func (e *Engine) applyCompressed(from node.ID, m *Echo1C) {
 	r := int(m.Round)
 	prev := e.rs[r-2].initBundles[from]
-	if e.rs[r-1].initSeen.get(from) || len(prev) != int(m.PrevCount) || len(m.Deltas) < (len(prev)+1)/2 {
+	if e.rs[r-1].initSeen.Has(from) || len(prev) != int(m.PrevCount) || len(m.Deltas) < (len(prev)+1)/2 {
 		return // a full bundle overtook this one, or malformed relative to our view: drop
 	}
 	// Byte j of the deltas holds entries 2j and 2j+1 (the last byte's high
@@ -505,7 +505,7 @@ func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
 		return // nothing reads a left round's ECHO2s
 	}
 	e.grow(r)
-	if !e.rs[r-1].initSeen.get(from) {
+	if !e.rs[r-1].initSeen.Has(from) {
 		// Bitmaps are incremental: merge (into our own bytes), not keep-first.
 		merged := e.rs[r-1].pendingE2C[from]
 		merged = append(merged, make([]byte, max(0, len(m.Bits)-len(merged)))...)
@@ -522,7 +522,7 @@ func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
 // applyEcho2C resolves bitmap bits against the sender's round announcement.
 // An implicit tally counts a vote for its u ≠ 0 in its voter slab words.
 func (e *Engine) applyEcho2C(from node.ID, r int, bitmap []byte) {
-	b, words := e.rs[r-1].initBundles[from], bitsetWords(e.cfg.N)
+	b, words := e.rs[r-1].initBundles[from], node.SetWords(e.cfg.N)
 	for j, w := range bitmap {
 		for ; w != 0; w &= w - 1 { // set bits only, in ascending order
 			i := 8*j + bits.TrailingZeros8(w)
@@ -531,7 +531,7 @@ func (e *Engine) applyEcho2C(from node.ID, r int, bitmap []byte) {
 			}
 			a, c := b[i], 0
 			if ir := &e.rs[r-1].insts[a.ref-1]; ir.t == nil && ir.u != 0 && a.v == ir.u {
-				if bitset(e.rs[r-1].bitVoters[int(a.ref-1)*words:]).set(from) {
+				if node.Set(e.rs[r-1].bitVoters[int(a.ref-1)*words:]).Add(from) {
 					ir.e2++
 					c = int(ir.e2)
 				}
@@ -553,18 +553,18 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 	}
 	if r := int(m.Round); m.Zeros && e.validRound(r) && r >= e.round {
 		e.grow(r)
-		if rd := &e.rs[r-1]; rd.zerosSenders.set(from) {
+		if rd := &e.rs[r-1]; rd.zerosSenders.Add(from) {
 			rd.zerosCount++
 			// The implicit zero goes to every instance the sender's bundle
 			// voted 0 for, to implicit tallies via initZeros; until the bundle
 			// arrives, applyInitVote does.
-			if rd.initSeen.get(from) {
+			if rd.initSeen.Has(from) {
 				if rd.initZeros++; rd.initZeros == e.cfg.Quorum() {
 					e.markDue(r, false)
 				}
 				row := rd.insts
 				for i := range row {
-					if t := row[i].t; t != nil && t.zeroFrom.get(from) &&
+					if t := row[i].t; t != nil && t.zeroFrom.Has(from) &&
 						t.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
 						e.mark(e.instList[i], r)
 					}
@@ -594,8 +594,8 @@ func (e *Engine) applyInitVote(i uint32, r int, from node.ID, v float64) {
 	t := e.materialise(&e.rs[r-1].insts[i], r, i)
 	crossed := e.crossed1(t.echo1.add(from, v, e.cfg.N))
 	if v == 0 {
-		t.zeroFrom.set(from)
-		if e.rs[r-1].zerosSenders.get(from) && t.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
+		t.zeroFrom.Add(from)
+		if e.rs[r-1].zerosSenders.Has(from) && t.addEcho2(from, 0, false, e.cfg.N) == e.cfg.Quorum() {
 			crossed = true
 		}
 	}
@@ -612,8 +612,8 @@ func (e *Engine) materialise(ir *instRound, r int, i uint32) *tally {
 		return ir.t
 	}
 	n := e.cfg.N
-	w := bitsetWords(n)
-	b := make(bitset, 5*w)
+	w := node.SetWords(n)
+	b := make(node.Set, 5*w)
 	t := &tally{echo2From: b[:w:w], echo2Explicit: b[w : 2*w : 2*w], zeroFrom: b[2*w : 3*w : 3*w]}
 	t.echo1 = votes{sets: t.sets[:0:1], spare: b[3*w : 4*w : 4*w]}
 	t.echo2 = votes{sets: t.sets[1:1], spare: b[4*w:]}
@@ -665,7 +665,7 @@ func (e *Engine) activate(id IID) *inst {
 	for r := 1; r <= len(e.rs); r++ {
 		rd := &e.rs[r-1]
 		rd.insts = append(rd.insts, instRound{opened: r <= e.round})
-		rd.bitVoters = append(rd.bitVoters, make(bitset, bitsetWords(e.cfg.N))...)
+		rd.bitVoters = append(rd.bitVoters, make(node.Set, node.SetWords(e.cfg.N))...)
 		if e.due(&rd.insts[x.idx], r) {
 			e.mark(x, r)
 		}

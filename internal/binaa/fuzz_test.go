@@ -116,7 +116,7 @@ func checkCompressedOn(t *testing.T, e *Engine, left bool, m *Echo1C) {
 	}
 	before := make([]snap, rounds)
 	for i := range e.rs {
-		before[i] = snap{e.rs[i].initSeen.get(fuzzSender), e.rs[i].initCount}
+		before[i] = snap{e.rs[i].initSeen.Has(fuzzSender), e.rs[i].initCount}
 	}
 	insts := len(e.instList)
 
@@ -131,7 +131,7 @@ func checkCompressedOn(t *testing.T, e *Engine, left bool, m *Echo1C) {
 		if applied && i == 1 {
 			want = snap{true, want.count + 1}
 		}
-		if got := (snap{e.rs[i].initSeen.get(fuzzSender), e.rs[i].initCount}); got != want {
+		if got := (snap{e.rs[i].initSeen.Has(fuzzSender), e.rs[i].initCount}); got != want {
 			t.Fatalf("round %d: (seen, count) = %v, want %v (applied=%v)", i+1, got, want, applied)
 		}
 	}

@@ -114,7 +114,7 @@ type instRound struct {
 	decided bool
 }
 
-// tally is a materialised instRound's vote state (sets as in bitset.go).
+// tally is a materialised instRound's vote state.
 type tally struct {
 	// echo1 tallies, per value, the nodes that ECHO1'd it (explicitly or
 	// implicitly). A node may legitimately echo several values
@@ -127,7 +127,7 @@ type tally struct {
 	// explicit (an explicit vote overrides a previously applied implicit
 	// zero, modelling message reordering). zeroFrom marks the senders whose
 	// init vote was 0, the ones whose zeros bundle counts here.
-	echo2From, echo2Explicit, zeroFrom bitset
+	echo2From, echo2Explicit, zeroFrom node.Set
 	// sets is room for the first set of each of echo1 and echo2.
 	sets [2]voteSet
 }
@@ -142,16 +142,16 @@ func plain(v float64) bool { return v == v && (v != 0 || !math.Signbit(v)) }
 // It returns v's new count, or 0 if the vote was ignored. The override
 // withdraws a vote from 0, so 0's count can land on a threshold twice.
 func (t *tally) addEcho2(from node.ID, v float64, explicit bool, n int) int {
-	if t.echo2From.get(from) {
-		if !explicit || t.echo2Explicit.get(from) {
+	if t.echo2From.Has(from) {
+		if !explicit || t.echo2Explicit.Has(from) {
 			return 0 // duplicate or second explicit: ignore
 		}
 		// Explicit overriding implicit zero: move the vote.
 		t.echo2.remove(from, 0)
 	}
-	t.echo2From.set(from)
+	t.echo2From.Add(from)
 	if explicit {
-		t.echo2Explicit.set(from)
+		t.echo2Explicit.Add(from)
 	}
 	return t.echo2.add(from, v, n)
 }

@@ -234,7 +234,7 @@ func engineTallies(t *testing.T, vs votes, n int) string {
 	for _, s := range vs.sets {
 		k := 0
 		for from := node.ID(0); int(from) < n; from++ {
-			if s.set.get(from) {
+			if s.set.Has(from) {
 				k++
 				votes = append(votes, ampVote{v: s.v, from: from})
 			}

@@ -2,41 +2,11 @@ package binaa
 
 import "delphi/internal/node"
 
-// bitset is a fixed-capacity set of node IDs. The engine's vote tallies are
-// membership tests over the n-node universe on the per-delivery hot path;
-// a word array replaces the map[node.ID]bool representation so membership
-// costs one shift/mask instead of a hash, and a whole set costs one small
-// allocation instead of a map header plus buckets.
-type bitset []uint64
-
-// bitsetWords returns the word count needed for n members.
-func bitsetWords(n int) int { return (n + 63) / 64 }
-
-// get reports whether id is a member.
-func (b bitset) get(id node.ID) bool {
-	return b[uint(id)>>6]&(1<<(uint(id)&63)) != 0
-}
-
-// set inserts id, reporting whether it was newly inserted.
-func (b bitset) set(id node.ID) bool {
-	w, m := uint(id)>>6, uint64(1)<<(uint(id)&63)
-	if b[w]&m != 0 {
-		return false
-	}
-	b[w] |= m
-	return true
-}
-
-// clear removes id.
-func (b bitset) clear(id node.ID) {
-	b[uint(id)>>6] &^= 1 << (uint(id) & 63)
-}
-
 // voteSet is one value's tally: the voters and their count. count mirrors
 // the set so quorum checks don't re-popcount.
 type voteSet struct {
 	v     float64
-	set   bitset
+	set   node.Set
 	count int
 	// amped (ECHO1 tallies only) records that this node has itself echoed
 	// v for the round, in its init bundle or as an amplification.
@@ -50,7 +20,7 @@ type voteSet struct {
 type votes struct {
 	sets []voteSet
 	// spare is room for the next sets' voter bitsets.
-	spare bitset
+	spare node.Set
 }
 
 // find returns the tally for v, or nil if no vote for v has been recorded.
@@ -70,10 +40,10 @@ func (vs *votes) slot(v float64, n int) *voteSet {
 		return s
 	}
 	set := vs.spare
-	if w := bitsetWords(n); len(set) >= w {
+	if w := node.SetWords(n); len(set) >= w {
 		set, vs.spare = set[:w:w], set[w:]
 	} else {
-		set = make(bitset, w)
+		set = make(node.Set, w)
 	}
 	vs.sets = append(vs.sets, voteSet{v: v, set: set})
 	return &vs.sets[len(vs.sets)-1]
@@ -84,7 +54,7 @@ func (vs *votes) slot(v float64, n int) *voteSet {
 // threshold.
 func (vs *votes) add(from node.ID, v float64, n int) int {
 	s := vs.slot(v, n)
-	if !s.set.set(from) {
+	if !s.set.Add(from) {
 		return 0
 	}
 	s.count++
@@ -93,8 +63,8 @@ func (vs *votes) add(from node.ID, v float64, n int) int {
 
 // remove withdraws from's vote for v, if present.
 func (vs *votes) remove(from node.ID, v float64) {
-	if s := vs.find(v); s != nil && s.set.get(from) {
-		s.set.clear(from)
+	if s := vs.find(v); s != nil && s.set.Has(from) {
+		s.set.Remove(from)
 		s.count--
 	}
 }

@@ -32,8 +32,6 @@ type Share struct {
 	Blob []byte
 }
 
-var _ node.Message = (*Share)(nil)
-
 // Type implements node.Message.
 func (m *Share) Type() uint8 { return wire.TypeCoinShare }
 
@@ -71,36 +69,45 @@ type Source struct {
 	env    node.Env
 	seed   uint64
 	reveal func(coin uint64, value uint64)
-
-	requested map[uint64]bool
-	shares    map[uint64]map[node.ID]bool
-	revealed  map[uint64]bool
+	// coins[c-first] is coin c's state, for the coins the source serves.
+	first uint64
+	coins []state
 }
 
-// NewSource creates a coin source. reveal fires once per coin, after this
-// node has received t+1 shares (its own included).
-func NewSource(cfg node.Config, env node.Env, seed uint64, reveal func(coin, value uint64)) *Source {
-	return &Source{
-		cfg:       cfg,
-		env:       env,
-		seed:      seed,
-		reveal:    reveal,
-		requested: make(map[uint64]bool),
-		shares:    make(map[uint64]map[node.ID]bool),
-		revealed:  make(map[uint64]bool),
+// state is one coin's: this node's share sent, the senders of the genuine
+// shares received (allocated on the first), and whether the coin is revealed.
+type state struct {
+	requested, revealed bool
+	shares              node.Set
+	count               int
+}
+
+// NewSource creates a coin source serving the coins [first, first+count).
+// reveal fires once per coin, after this node has received t+1 shares (its
+// own included). A share for any other coin is dropped unverified.
+func NewSource(cfg node.Config, env node.Env, seed, first uint64, count int, reveal func(coin, value uint64)) *Source {
+	return &Source{cfg: cfg, env: env, seed: seed, reveal: reveal, first: first, coins: make([]state, count)}
+}
+
+// state returns coin's state, or nil when the source does not serve it.
+func (s *Source) state(coin uint64) *state {
+	if coin-s.first >= uint64(len(s.coins)) {
+		return nil
 	}
+	return &s.coins[coin-s.first]
 }
 
 // Request broadcasts this node's share for the coin (idempotent). The
 // signing cost of the share is charged to the environment.
 func (s *Source) Request(coin uint64) {
-	if s.requested[coin] {
+	c := s.state(coin)
+	if c == nil || c.requested {
 		return
 	}
-	s.requested[coin] = true
+	c.requested = true
 	s.env.ChargeCompute(node.ComputeCost{Pairings: 1}) // threshold-share signing
 	blob := s.shareBlob(coin, s.env.Self())
-	s.env.Broadcast(&Share{Coin: coin, Blob: blob})
+	s.env.Broadcast(&Share{Coin: coin, Blob: blob[:]})
 }
 
 // Handle processes a coin share; it returns true if the message was a coin
@@ -110,22 +117,24 @@ func (s *Source) Handle(from node.ID, m node.Message) bool {
 	if !ok {
 		return false
 	}
+	c := s.state(sh.Coin)
+	if c == nil || uint(from) >= uint(s.cfg.N) {
+		return true
+	}
 	// Verify the share (pairing-class cost), discard forgeries.
 	s.env.ChargeCompute(node.ComputeCost{Pairings: 1})
-	if string(sh.Blob) != string(s.shareBlob(sh.Coin, from)) {
+	if blob := s.shareBlob(sh.Coin, from); string(sh.Blob) != string(blob[:]) {
 		return true
 	}
-	set := s.shares[sh.Coin]
-	if set == nil {
-		set = make(map[node.ID]bool)
-		s.shares[sh.Coin] = set
+	if c.shares == nil {
+		c.shares = make(node.Set, node.SetWords(s.cfg.N))
 	}
-	if set[from] {
+	if !c.shares.Add(from) {
 		return true
 	}
-	set[from] = true
-	if len(set) >= s.cfg.F+1 && !s.revealed[sh.Coin] {
-		s.revealed[sh.Coin] = true
+	c.count++
+	if c.count >= s.cfg.F+1 && !c.revealed {
+		c.revealed = true
 		s.reveal(sh.Coin, s.Value(sh.Coin))
 	}
 	return true
@@ -134,7 +143,7 @@ func (s *Source) Handle(from node.ID, m node.Message) bool {
 // TryValue returns the coin's value if this node has already collected
 // enough shares to reveal it.
 func (s *Source) TryValue(coin uint64) (uint64, bool) {
-	if !s.revealed[coin] {
+	if c := s.state(coin); c == nil || !c.revealed {
 		return 0, false
 	}
 	return s.Value(coin), true
@@ -152,14 +161,13 @@ func (s *Source) Value(coin uint64) uint64 {
 }
 
 // shareBlob derives node id's simulated share for a coin.
-func (s *Source) shareBlob(coin uint64, id node.ID) []byte {
+func (s *Source) shareBlob(coin uint64, id node.ID) (out [ShareBytes]byte) {
 	var buf [24]byte
 	binary.LittleEndian.PutUint64(buf[0:], s.seed)
 	binary.LittleEndian.PutUint64(buf[8:], coin)
 	binary.LittleEndian.PutUint64(buf[16:], uint64(id))
 	h := sha256.Sum256(buf[:])
-	out := make([]byte, ShareBytes)
-	copy(out, h[:])
+	copy(out[:], h[:])
 	copy(out[32:], h[:16])
 	return out
 }

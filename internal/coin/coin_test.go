@@ -30,7 +30,7 @@ func TestRevealAfterThreshold(t *testing.T) {
 	cfg := node.Config{N: 4, F: 1}
 	revealed := map[uint64]uint64{}
 	env := &fakeEnv{self: 0, n: 4, f: 1}
-	src := coin.NewSource(cfg, env, 7, func(id, v uint64) { revealed[id] = v })
+	src := coin.NewSource(cfg, env, 7, 0, 8, func(id, v uint64) { revealed[id] = v })
 
 	src.Request(5)
 	if len(env.sent) != 1 {
@@ -53,7 +53,7 @@ func TestRevealAfterThreshold(t *testing.T) {
 	}
 	// A genuine share from node 1 (derive via a peer source).
 	env1 := &fakeEnv{self: 1, n: 4, f: 1}
-	src1 := coin.NewSource(cfg, env1, 7, func(uint64, uint64) {})
+	src1 := coin.NewSource(cfg, env1, 7, 0, 8, func(uint64, uint64) {})
 	src1.Request(5)
 	peerShare := env1.sent[0].(*coin.Share)
 	src.Handle(1, peerShare)
@@ -81,8 +81,8 @@ func TestRevealAfterThreshold(t *testing.T) {
 
 func TestDifferentSeedsDifferentCoins(t *testing.T) {
 	cfg := node.Config{N: 4, F: 1}
-	a := coin.NewSource(cfg, &fakeEnv{n: 4, f: 1}, 1, func(uint64, uint64) {})
-	b := coin.NewSource(cfg, &fakeEnv{n: 4, f: 1}, 2, func(uint64, uint64) {})
+	a := coin.NewSource(cfg, &fakeEnv{n: 4, f: 1}, 1, 0, 0, func(uint64, uint64) {})
+	b := coin.NewSource(cfg, &fakeEnv{n: 4, f: 1}, 2, 0, 0, func(uint64, uint64) {})
 	same := 0
 	for c := uint64(0); c < 64; c++ {
 		if a.Value(c)&1 == b.Value(c)&1 {

@@ -160,3 +160,37 @@ func (c Config) Validate() error {
 
 // Quorum returns n-f, the standard asynchronous quorum size.
 func (c Config) Quorum() int { return c.N - c.F }
+
+// Set is a set of node IDs in [0, n), one bit per node: the voter and sender
+// sets every protocol here counts with. Membership is a shift and a mask, not
+// a hash. Callers check an ID is in [0, n) before they use it on a Set.
+type Set []uint64
+
+// SetWords returns the word count of a Set over n nodes.
+func SetWords(n int) int { return (n + 63) / 64 }
+
+// Has reports whether id is a member.
+func (s Set) Has(id ID) bool { return s[uint(id)>>6]&(1<<(uint(id)&63)) != 0 }
+
+// Add inserts id, reporting whether it was newly inserted.
+func (s Set) Add(id ID) bool {
+	w, m := uint(id)>>6, uint64(1)<<(uint(id)&63)
+	if s[w]&m != 0 {
+		return false
+	}
+	s[w] |= m
+	return true
+}
+
+// Remove deletes id.
+func (s Set) Remove(id ID) { s[uint(id)>>6] &^= 1 << (uint(id) & 63) }
+
+// SubsetOf reports whether every member of s is in o, a set of its size.
+func (s Set) SubsetOf(o Set) bool {
+	for i, w := range s {
+		if w&^o[i] != 0 {
+			return false
+		}
+	}
+	return true
+}

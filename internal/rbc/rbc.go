@@ -4,14 +4,23 @@
 // approximate agreement reliably broadcasts every node's per-round state.
 //
 // Instances are keyed by (initiator, tag); a node may initiate many
-// broadcasts with distinct tags. Properties: validity (an honest
-// initiator's payload is delivered), agreement (no two honest nodes deliver
-// different payloads for the same instance), and totality (if one honest
-// node delivers, all do). Cost: O(n²) messages of O(l) bits per instance.
+// broadcasts with distinct tags, in a range [0, tags) its caller fixes (FIN
+// uses one tag, Abraham et al. one per round). The engine keeps them in a
+// dense table indexed by tag and initiator, and counts each instance's
+// ECHOs and READYs as a short list of distinct payloads, compared by bytes,
+// each with its voters' node.Set. A message naming an initiator outside
+// [0, n) or a tag outside the range, or sent from outside [0, n), is dropped
+// before any state exists, so a Byzantine peer cannot make honest nodes
+// allocate instances without bound.
+//
+// Properties: validity (an honest initiator's payload is delivered),
+// agreement (no two honest nodes deliver different payloads for the same
+// instance), and totality (if one honest node delivers, all do). Cost: O(n²)
+// messages of O(l) bits per instance.
 package rbc
 
 import (
-	"fmt"
+	"bytes"
 
 	"delphi/internal/node"
 	"delphi/internal/obs"
@@ -27,9 +36,6 @@ type Key struct {
 	Tag uint32
 }
 
-// String implements fmt.Stringer.
-func (k Key) String() string { return fmt.Sprintf("rbc(%d/%d)", k.Initiator, k.Tag) }
-
 // Init is the initiator's proposal message.
 type Init struct {
 	// Tag is the instance tag (the initiator is the authenticated sender).
@@ -37,8 +43,6 @@ type Init struct {
 	// Payload is the broadcast content.
 	Payload []byte
 }
-
-var _ node.Message = (*Init)(nil)
 
 // Type implements node.Message.
 func (m *Init) Type() uint8 { return wire.TypeRBCInit }
@@ -65,8 +69,6 @@ type Echo struct {
 	// Payload is the echoed content.
 	Payload []byte
 }
-
-var _ node.Message = (*Echo)(nil)
 
 // Type implements node.Message.
 func (m *Echo) Type() uint8 { return wire.TypeRBCEcho }
@@ -95,8 +97,6 @@ type Ready struct {
 	// Payload is the committed content.
 	Payload []byte
 }
-
-var _ node.Message = (*Ready)(nil)
 
 // Type implements node.Message.
 func (m *Ready) Type() uint8 { return wire.TypeRBCReady }
@@ -155,43 +155,24 @@ func Register(reg *wire.Registry) error {
 	return reg.Register(wire.TypeRBCReady, DecodeReady)
 }
 
-// voteSet counts distinct voters with a bitset — one allocation per
-// distinct payload instead of a map bucket per vote, and O(1) duplicate
-// checks without hashing.
-type voteSet struct {
-	bits  []uint64
-	count int
-}
-
-func newVoteSet(n int) *voteSet { return &voteSet{bits: make([]uint64, (n+63)/64)} }
-
-// add records voter id, reporting whether it was new.
-func (s *voteSet) add(id node.ID) bool {
-	w, b := uint(id)/64, uint(id)%64
-	if s.bits[w]&(1<<b) != 0 {
-		return false
-	}
-	s.bits[w] |= 1 << b
-	s.count++
-	return true
+// tally counts one payload's distinct voters. The payload is the first
+// voter's message's own, held read-only like the message.
+type tally struct {
+	payload []byte
+	voters  node.Set
+	count   int
 }
 
 // instance is the per-broadcast state machine.
 type instance struct {
-	echoed    bool
-	readied   bool
-	delivered bool
+	born, echoed, readied, delivered bool
 	// bornAt/echoAt/readyAt are trace-clock readings of the instance's
 	// phase transitions (zero when tracing is disabled; they only feed the
 	// emitted spans).
-	bornAt  int64
-	echoAt  int64
-	readyAt int64
-	// echoes and readies count votes per distinct payload (keyed by string
-	// conversion of the payload bytes), allocated lazily on the first echo
-	// or ready for the instance.
-	echoes  map[string]*voteSet
-	readies map[string]*voteSet
+	bornAt, echoAt, readyAt int64
+	// echoes and readies count votes per distinct payload: one, unless the
+	// initiator equivocates.
+	echoes, readies []tally
 }
 
 // Engine runs all RBC instances for one node. Embed it in a protocol and
@@ -201,22 +182,56 @@ type Engine struct {
 	env     node.Env
 	track   *obs.Track
 	deliver func(Key, []byte)
-	insts   map[Key]*instance
+	// rows[tag][initiator] is the instance; a tag's row is allocated on its
+	// first message.
+	rows [][]instance
+	// spare is room for the next tallies' voter sets.
+	spare node.Set
 }
 
-// NewEngine creates an engine; deliver is invoked exactly once per
-// delivered instance.
-func NewEngine(cfg node.Config, env node.Env, deliver func(Key, []byte)) *Engine {
-	return &Engine{cfg: cfg, env: env, track: node.TrackOf(env), deliver: deliver, insts: make(map[Key]*instance)}
+// NewEngine creates an engine for tags in [0, tags); deliver is invoked
+// exactly once per delivered instance.
+func NewEngine(cfg node.Config, env node.Env, tags int, deliver func(Key, []byte)) *Engine {
+	return &Engine{cfg: cfg, env: env, track: node.TrackOf(env), deliver: deliver, rows: make([][]instance, tags)}
 }
 
-func (e *Engine) inst(k Key) *instance {
-	x, ok := e.insts[k]
-	if !ok {
-		x = &instance{bornAt: e.track.Now()}
-		e.insts[k] = x
+// inst returns k's instance for a message from from, or nil when the sender,
+// k's initiator or k's tag is out of range.
+func (e *Engine) inst(from node.ID, k Key) *instance {
+	if uint(from) >= uint(e.cfg.N) || uint(k.Initiator) >= uint(e.cfg.N) || uint64(k.Tag) >= uint64(len(e.rows)) {
+		return nil
+	}
+	if e.rows[k.Tag] == nil {
+		e.rows[k.Tag] = make([]instance, e.cfg.N)
+	}
+	x := &e.rows[k.Tag][k.Initiator]
+	if !x.born {
+		x.born, x.bornAt = true, e.track.Now()
 	}
 	return x
+}
+
+// vote records from's vote for payload in ts. It returns the payload's new
+// count, or 0 if from had already voted for it.
+func (e *Engine) vote(ts *[]tally, from node.ID, payload []byte) int {
+	for i := range *ts {
+		if t := &(*ts)[i]; bytes.Equal(t.payload, payload) {
+			if !t.voters.Add(from) {
+				return 0
+			}
+			t.count++
+			return t.count
+		}
+	}
+	w := node.SetWords(e.cfg.N)
+	if len(e.spare) < w {
+		e.spare = make(node.Set, 2*e.cfg.N*w)
+	}
+	t := tally{payload: payload, voters: e.spare[:w:w], count: 1}
+	e.spare = e.spare[w:]
+	t.voters.Add(from)
+	*ts = append(*ts, t)
+	return 1
 }
 
 // Broadcast initiates a reliable broadcast of payload under tag.
@@ -241,9 +256,8 @@ func (e *Engine) Handle(from node.ID, m node.Message) bool {
 }
 
 func (e *Engine) onInit(from node.ID, m *Init) {
-	k := Key{Initiator: from, Tag: m.Tag}
-	x := e.inst(k)
-	if x.echoed {
+	x := e.inst(from, Key{Initiator: from, Tag: m.Tag})
+	if x == nil || x.echoed {
 		return
 	}
 	x.echoed = true
@@ -264,21 +278,11 @@ func (e *Engine) traceReady(k Key, x *instance) {
 
 func (e *Engine) onEcho(from node.ID, m *Echo) {
 	k := Key{Initiator: m.Initiator, Tag: m.Tag}
-	x := e.inst(k)
-	// The map lookup converts without allocating; the payload string is
-	// materialised only when a new per-payload set is inserted.
-	s := x.echoes[string(m.Payload)]
-	if s == nil {
-		if x.echoes == nil {
-			x.echoes = make(map[string]*voteSet, 1)
-		}
-		s = newVoteSet(e.cfg.N)
-		x.echoes[string(m.Payload)] = s
-	}
-	if !s.add(from) {
+	x := e.inst(from, k)
+	if x == nil {
 		return
 	}
-	if s.count >= e.cfg.Quorum() && !x.readied {
+	if e.vote(&x.echoes, from, m.Payload) >= e.cfg.Quorum() && !x.readied {
 		x.readied = true
 		e.traceReady(k, x)
 		e.env.Broadcast(&Ready{Initiator: m.Initiator, Tag: m.Tag, Payload: m.Payload})
@@ -287,26 +291,22 @@ func (e *Engine) onEcho(from node.ID, m *Echo) {
 
 func (e *Engine) onReady(from node.ID, m *Ready) {
 	k := Key{Initiator: m.Initiator, Tag: m.Tag}
-	x := e.inst(k)
-	s := x.readies[string(m.Payload)]
-	if s == nil {
-		if x.readies == nil {
-			x.readies = make(map[string]*voteSet, 1)
-		}
-		s = newVoteSet(e.cfg.N)
-		x.readies[string(m.Payload)] = s
+	x := e.inst(from, k)
+	if x == nil {
+		return
 	}
-	if !s.add(from) {
+	c := e.vote(&x.readies, from, m.Payload)
+	if c == 0 {
 		return
 	}
 	// Amplify on t+1 READYs.
-	if s.count >= e.cfg.F+1 && !x.readied {
+	if c >= e.cfg.F+1 && !x.readied {
 		x.readied = true
 		e.traceReady(k, x)
 		e.env.Broadcast(&Ready{Initiator: m.Initiator, Tag: m.Tag, Payload: m.Payload})
 	}
 	// Deliver on 2t+1 READYs.
-	if s.count >= 2*e.cfg.F+1 && !x.delivered {
+	if c >= 2*e.cfg.F+1 && !x.delivered {
 		x.delivered = true
 		// "rbc.ready" spans ready broadcast → delivery quorum.
 		e.track.Span("rbc.ready", x.readyAt, int64(k.Initiator), int64(k.Tag))

@@ -23,7 +23,7 @@ type harness struct {
 func (h *harness) Init(env node.Env) {
 	h.env = env
 	h.delivered = make(map[rbc.Key][]byte)
-	h.eng = rbc.NewEngine(h.cfg, env, func(k rbc.Key, p []byte) {
+	h.eng = rbc.NewEngine(h.cfg, env, 10, func(k rbc.Key, p []byte) {
 		h.delivered[k] = append([]byte(nil), p...)
 		env.Output(k)
 	})

@@ -96,6 +96,17 @@ go test ./internal/binaa -run '^$' -fuzz FuzzDecodeEcho1C -fuzztime 10s
 go test ./internal/binaa -run '^$' -fuzz FuzzApplyCompressed -fuzztime 10s
 go test ./internal/binaa -run '^$' -fuzz FuzzEngineTallies -fuzztime 10s
 
+# The baselines count votes in node.Set bitsets and dense tables indexed by
+# initiator, tag, slot and round. Each engine is fuzzed against the map-keyed
+# counting it replaced, kept in its test file as the oracle: one byte-driven
+# stream (repeats, two payloads or both values per instance, votes ahead of
+# their INIT or round, zombie rounds after an ABA decision, and initiators,
+# tags, instances, rounds and senders out of range) must give the same
+# emitted messages and deliveries or decisions, in the same order.
+echo "== rbc and aba counting fuzz smoke =="
+go test ./internal/rbc -run '^$' -fuzz FuzzRBCCounts -fuzztime 10s
+go test ./internal/aba -run '^$' -fuzz FuzzABACounts -fuzztime 10s
+
 # The simulator's event queue carries a byte-identity guarantee: fixed-seed
 # outputs for every protocol under every adversary preset must match the
 # golden files generated from the original (container/heap) simulator bit
