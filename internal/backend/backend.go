@@ -76,10 +76,11 @@ func (b TCP) Run(spec bench.RunSpec) (*bench.RunStats, error) {
 }
 
 // fabric is the persistent substrate under a session: per-slot inboxes
-// (runtime.MuxFabric), per-epoch and per-instance endpoints, and cumulative
-// observable frame drops. *runtime.Hub and *runtime.TCPNet satisfy it.
+// (runtime.MuxFabric; Recv for idle-slot drainers), per-epoch and per-instance
+// endpoints, and cumulative observable frame drops. Hub and TCPNet satisfy it.
 type fabric interface {
 	runtime.MuxFabric
+	Recv(id node.ID, stop <-chan struct{}) (runtime.Frame, bool)
 	Endpoint(id node.ID, a *auth.Auth) runtime.Transport
 	TaggedEndpoint(id node.ID, a *auth.Auth, tag uint64) runtime.Transport
 	Drops() uint64

@@ -43,9 +43,9 @@ type serviceSession struct {
 }
 
 // openService opens an n-slot fabric and attaches a mux to it; from here on
-// the mux's readers are the fabric's only consumers (the session never
-// starts drainers — the mux drains every slot itself, routing or
-// discarding). rec, when non-nil, observes the fabric and the mux — it
+// the mux's routes take every frame the fabric's inboxes are offered (the
+// session never starts drainers — each frame is routed or discarded as it
+// arrives). rec, when non-nil, observes the fabric and the mux — it
 // arrives before any traffic flows, so the hooks are installed race-free.
 func openService(kind bench.BackendKind, open func(int) (fabric, error), n int, timeout time.Duration, rec *obs.Recorder) (bench.ServiceRunner, error) {
 	fab, err := open(n)
@@ -95,8 +95,8 @@ func (s *serviceSession) RunRound(spec bench.RunSpec) (*bench.RunStats, error) {
 	// The tag is part of the master key: concurrent rounds never share MACs,
 	// whatever their seeds, so cross-instance frames (relabeled or plain
 	// stragglers) die at the receiving driver's authenticator. Nothing needs
-	// releasing on exit: the mux's readers never stop, so no sender can
-	// wedge on this round's end. TransportDrops stays zero per round: with
+	// releasing on exit: routing never blocks, so no sender can wedge on
+	// this round's end. TransportDrops stays zero per round: with
 	// concurrent rounds on one fabric a counter delta cannot be attributed
 	// to a round, so the service reads the session total through Drops.
 	master := []byte(fmt.Sprintf("delphi-service-%s-%d-t%d", s.kind, spec.Seed, tag))

@@ -1,6 +1,11 @@
 package runtime
 
-import "delphi/internal/node"
+import (
+	"net"
+
+	"delphi/internal/auth"
+	"delphi/internal/node"
+)
 
 // Test-only views of the fabric's unexported wiring.
 
@@ -33,3 +38,24 @@ func (p *TCPNet) BreakLink(i, j node.ID) {
 		pc.mu.Unlock()
 	}
 }
+
+// NewTCPDial is NewTCP with an injected dialer (nil means net.Dial).
+func NewTCPDial(self node.ID, addrs []string, ln net.Listener, a *auth.Auth, dial DialFunc) Transport {
+	t := newTCPCore(self, addrs, ln, dial, nil)
+	return &endpoint{via: t, id: self, in: t.in, auth: a, owner: t}
+}
+
+// Addr returns node id's listen address.
+func (p *TCPNet) Addr(id node.ID) string { return p.addrs[id] }
+
+// EAGAINReads sums the fabric's socket reads that found nothing to read.
+func (p *TCPNet) EAGAINReads() uint64 {
+	var n uint64
+	for _, c := range p.cores {
+		n += c.eagains.Load()
+	}
+	return n
+}
+
+// Recycle returns a frame buffer to node id's inbox pool.
+func (h *Hub) Recycle(id node.ID, buf []byte) { h.inbox[id].recycle(buf) }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"delphi/internal/auth"
+	"delphi/internal/node"
 	"delphi/internal/obs"
 )
 
@@ -202,6 +204,139 @@ func FuzzSuffixDemux(f *testing.F) {
 			}
 			mux.Close()
 			hub.Close()
+		}
+	})
+}
+
+// chunkConn serves a fixed stream in reads no longer than its cuts allow:
+// read i takes at most 1+c² bytes for c = cuts[i mod len(cuts)] (any length
+// when cuts is empty), so one input spans 1-byte reads that split every
+// header through reads far larger than the stage. It records whether the
+// reader read on to the end of the stream.
+type chunkConn struct {
+	net.Conn
+	data, cuts []byte
+	reads      int
+	sawEOF     bool
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		c.sawEOF = true
+		return 0, io.EOF
+	}
+	n := min(len(p), len(c.data))
+	if len(c.cuts) > 0 {
+		cut := int(c.cuts[c.reads%len(c.cuts)])
+		n = min(n, 1+cut*cut)
+	}
+	c.reads++
+	copy(p, c.data[:n])
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// oracleReadLoop is the tcp read loop the splitter replaced: a 16 KiB
+// bufio.Reader and io.ReadFull per header and per body. The body goes
+// through io.CopyN instead of a buffer of the announced size, which is the
+// same read to the stream (it fails exactly when fewer than n bytes follow)
+// without allocating a fuzzed header's 64 MiB on every input.
+func oracleReadLoop(t *tcpTransport, conn net.Conn) {
+	br := bufio.NewReaderSize(conn, 16<<10)
+	var hdr [8]byte
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return
+		}
+		from := node.ID(binary.LittleEndian.Uint32(hdr[0:]))
+		n := binary.LittleEndian.Uint32(hdr[4:])
+		if n > maxFrameSize {
+			t.drops.Add(1)
+			t.obsDrops.Inc()
+			return
+		}
+		var body bytes.Buffer
+		if _, err := io.CopyN(&body, br, int64(n)); err != nil {
+			t.drops.Add(1)
+			t.obsDrops.Inc()
+			return
+		}
+		if !t.in.put(Frame{From: from, Data: body.Bytes()}) {
+			t.drops.Add(1)
+			t.obsDrops.Inc()
+			return
+		}
+	}
+}
+
+// FuzzLinkReader holds the splitter (linkReader, the read side of every tcp
+// link) to the bufio loop it replaced. The input is the stream and the read
+// boundaries it arrives in; both readers must deliver the same frames in
+// order, count the same drops and stop at the same point: the same stream
+// offset, and either both read on to the end of the stream or neither did
+// (an oversized header stops a link without reading further). The stage may
+// grow past its 16 KiB only with bytes that arrived: never beyond twice the
+// stream.
+func FuzzLinkReader(f *testing.F) {
+	rec := func(sender, n uint32, body []byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, sender)
+		return append(binary.LittleEndian.AppendUint32(b, n), body...)
+	}
+	jumbo := bytes.Repeat([]byte{0x5a}, 40<<10)
+	small := append(rec(1, 3, []byte("abc")), rec(2, 0, nil)...)
+	f.Add([]byte{}, []byte{})
+	f.Add(small, []byte{})
+	f.Add(small, []byte{2})                                           // 5-byte reads: every header split
+	f.Add(small, []byte{0})                                           // 1-byte reads
+	f.Add(rec(1, 100, []byte("short")), []byte{1, 7})                 // truncated body
+	f.Add(append(rec(1, 3, []byte("abc")), 9, 9, 9), []byte{})        // truncated header
+	f.Add(rec(1, maxFrameSize+1, []byte("never read")), []byte{})     // oversize
+	f.Add(append(small, rec(3, maxFrameSize+1, small)...), []byte{3}) // good records, then oversize
+	f.Add(rec(4, maxFrameSize, []byte{1}), []byte{})                  // the largest header, one body byte
+	f.Add(append(rec(5, uint32(len(jumbo)), jumbo), small...), []byte{})
+	f.Add(append(rec(5, uint32(len(jumbo)), jumbo), small...), []byte{255, 13})
+	f.Add(append(append(small, rec(6, 20<<10, jumbo[:20<<10])...), small...), []byte{127})
+	f.Add(rec(5, uint32(len(jumbo)), jumbo[:30<<10]), []byte{200}) // truncated jumbo
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		type result struct {
+			frames []Frame
+			drops  uint64
+			offset int
+			sawEOF bool
+		}
+		run := func(read func(*tcpTransport, net.Conn)) result {
+			tr := &tcpTransport{in: newInbox(16)}
+			conn := &chunkConn{data: stream, cuts: cuts}
+			read(tr, conn)
+			res := result{drops: tr.Drops(), sawEOF: conn.sawEOF}
+			for {
+				f, ok := tr.in.tryGet()
+				if !ok {
+					return res
+				}
+				res.frames = append(res.frames, f)
+				res.offset += 8 + len(f.Data)
+			}
+		}
+		want := run(oracleReadLoop)
+		var stage int
+		got := run(func(tr *tcpTransport, conn net.Conn) {
+			r := linkReader{t: tr, buf: make([]byte, stageSize)}
+			for r.split(conn.Read(r.space())) {
+			}
+			stage = len(r.buf)
+		})
+		if got.drops != want.drops || got.offset != want.offset || got.sawEOF != want.sawEOF || len(got.frames) != len(want.frames) {
+			t.Fatalf("splitter: %d frames, %d drops, stopped at %d (read to end: %v); oracle: %d, %d, %d (%v)",
+				len(got.frames), got.drops, got.offset, got.sawEOF, len(want.frames), want.drops, want.offset, want.sawEOF)
+		}
+		for i, w := range want.frames {
+			if g := got.frames[i]; g.From != w.From || !bytes.Equal(g.Data, w.Data) {
+				t.Fatalf("frame %d = (%d, %d bytes), want (%d, %d bytes)", i, g.From, len(g.Data), w.From, len(w.Data))
+			}
+		}
+		if stage > max(stageSize, 2*len(stream)) {
+			t.Fatalf("stage grew to %d bytes on a %d-byte stream", stage, len(stream))
 		}
 	})
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 
 	"delphi/internal/auth"
 	"delphi/internal/node"
@@ -10,20 +11,12 @@ import (
 )
 
 // inbox is a growable ring buffer of inbound frames: the per-node mailbox
-// behind every transport's Recv. It replaces the buffered `chan Frame` the
-// transports used to hand out, for three reasons the channel could not
-// deliver together:
-//
-//   - FIFO under overflow. A full channel forced senders onto parked
-//     handoff goroutines that later sends could overtake, breaking
-//     per-link ordering. The ring grows instead of parking, so frames
-//     leave in exactly the order put() accepted them.
-//   - Cheap steady state. One mutexed append/pop per frame instead of a
-//     channel send/receive pair with goroutine parking on every hop.
-//   - Buffer recycling. The inbox doubles as the frame-buffer freelist:
-//     producers borrow buffers sized for their frame (getBuf) and the
-//     consumer returns them once a frame is fully processed (recycle), so
-//     steady-state traffic allocates nothing.
+// behind every transport's Recv. Unlike a buffered channel it keeps FIFO
+// under overflow (the ring grows, so no sender parks and none overtakes
+// another), costs one mutexed append/pop per frame, and doubles as the
+// frame-buffer freelist: producers borrow buffers sized for their frame
+// (getBuf) and the consumer returns them once a frame is processed
+// (recycle), so steady-state traffic allocates nothing.
 //
 // put never blocks; get blocks until a frame arrives, the inbox closes, or
 // the caller's stop channel closes. Closing wakes every waiting getter;
@@ -47,6 +40,10 @@ type inbox struct {
 	// unless a recorder is attached upstream.
 	hw    *obs.Gauge
 	stale *obs.Counter
+	// route, when set, takes every frame put is offered, on the producer's
+	// goroutine, instead of the ring (an InstanceMux's tag router on a
+	// fabric slot); frames queued before it was set stay queued.
+	route atomic.Pointer[func(Frame)]
 }
 
 // inboxFreeCap bounds the freelist length; inboxBufCap bounds the capacity
@@ -67,9 +64,13 @@ func newInbox(capHint int) *inbox {
 	}
 }
 
-// put appends f, growing the ring if full. It reports false — without
-// accepting the frame — once the inbox is closed.
+// put appends f, growing the ring if full, or hands it to the route. It
+// reports false — without accepting the frame — once the inbox is closed.
 func (b *inbox) put(f Frame) bool {
+	if route := b.route.Load(); route != nil {
+		(*route)(f)
+		return true
+	}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -200,9 +201,11 @@ func (b *inbox) shrink() {
 	b.head = 0
 }
 
-// close marks the inbox closed and wakes every blocked getter. Frames
-// already accepted stay receivable; put rejects from now on. Idempotent.
+// close marks the inbox closed, drops its route and wakes every blocked
+// getter. Frames already accepted stay receivable; put rejects from now on.
+// Idempotent.
 func (b *inbox) close() {
+	b.route.Store(nil)
 	b.mu.Lock()
 	b.closed = true
 	b.free = nil

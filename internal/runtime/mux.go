@@ -12,26 +12,22 @@ import (
 )
 
 // MuxFabric is the slice of a persistent fabric (Hub, TCPNet) an InstanceMux
-// needs: per-slot receive, per-slot buffer recycling, and the cluster size.
+// needs: the cluster size and each slot's inbox, whose frames it routes and
+// whose buffer pool it recycles into.
 type MuxFabric interface {
 	N() int
-	Recv(id node.ID, stop <-chan struct{}) (Frame, bool)
-	Recycle(id node.ID, buf []byte)
+	slot(id node.ID) *inbox
 }
-
-var (
-	_ MuxFabric = (*Hub)(nil)
-	_ MuxFabric = (*TCPNet)(nil)
-)
 
 // InstanceMux lets any number of concurrent protocol instances share one
 // persistent fabric. Each instance seals frames with its own epoch key and
 // sends them through tagged endpoints (TaggedEndpoint on the fabric), which
-// append the instance's 8-byte tag after the MAC. The mux runs one reader
-// per fabric slot that routes each inbound frame to the owning instance's
-// per-slot inbox by that plaintext tag — no MAC trials, no shared-key
-// ambiguity — and strips the tag, so the driver on the other end sees
-// exactly the sealed frame its epoch authenticator expects.
+// append the instance's 8-byte tag after the MAC. The mux starts no
+// goroutine: a route on every fabric slot's inbox hands each frame, on the
+// goroutine that puts it (a tcp link's read loop, or the sender on a Hub and
+// for self-sends), to the owning instance's slot inbox by that plaintext tag
+// — no MAC trials, no shared-key ambiguity — stripped of the tag, so the
+// driver sees exactly the sealed frame its epoch authenticator expects.
 //
 // Frames whose tag matches no live instance are counted in Stale and their
 // buffers recycled. That covers the three straggler shapes a long-lived
@@ -41,13 +37,12 @@ var (
 // live instance's tag routes to that instance and then fails its MAC —
 // authentication never depends on the tag.
 //
-// While a mux is attached to a fabric it must be the only consumer of the
-// fabric's inboxes (sessions stop their idle-slot drainers first); readers
-// always drain, so senders can never wedge on a decided instance.
+// While a mux is attached to a fabric it is the only consumer of the
+// fabric's inboxes (sessions stop their idle-slot drainers first); routing
+// never blocks, so senders can never wedge on a decided instance. Close
+// removes the routes, and frames queue in the fabric inboxes again.
 type InstanceMux struct {
 	fab      MuxFabric
-	stop     chan struct{}
-	wg       sync.WaitGroup
 	stale    atomic.Uint64
 	obsStale *obs.Counter
 
@@ -62,32 +57,16 @@ func (m *InstanceMux) Observe(rec *obs.Recorder) {
 	m.obsStale = rec.Counter("mux.stale_frames")
 }
 
-// NewInstanceMux attaches a mux to the fabric and starts its per-slot
-// readers.
+// NewInstanceMux attaches a mux to the fabric: from here on every frame put
+// into a slot's inbox is routed by tag.
 func NewInstanceMux(fab MuxFabric) *InstanceMux {
-	m := &InstanceMux{
-		fab:   fab,
-		stop:  make(chan struct{}),
-		insts: make(map[uint64]*MuxInstance),
-	}
+	m := &InstanceMux{fab: fab, insts: make(map[uint64]*MuxInstance)}
 	for i := 0; i < fab.N(); i++ {
-		m.wg.Add(1)
-		go m.readLoop(node.ID(i))
+		id := node.ID(i)
+		route := func(f Frame) { m.route(id, f) }
+		fab.slot(id).route.Store(&route)
 	}
 	return m
-}
-
-// readLoop consumes every frame the fabric delivers for slot id and routes
-// it; it exits when the mux or the fabric closes.
-func (m *InstanceMux) readLoop(id node.ID) {
-	defer m.wg.Done()
-	for {
-		f, ok := m.fab.Recv(id, m.stop)
-		if !ok {
-			return
-		}
-		m.route(id, f)
-	}
 }
 
 // route hands a frame to its instance's slot inbox, or counts it stale and
@@ -116,16 +95,18 @@ func (m *InstanceMux) route(id node.ID, f Frame) {
 func (m *InstanceMux) discard(id node.ID, buf []byte) {
 	m.stale.Add(1)
 	m.obsStale.Inc()
-	m.fab.Recycle(id, buf)
+	m.fab.slot(id).recycle(buf)
 }
 
 // Register creates the instance for tag: one inbox per fabric slot, fed by
-// the mux's readers. Tags must be unique among live instances — sessions use
-// a monotonic round counter, so uniqueness is structural.
+// the routes, whose depth ratchets the fabric slot's high-water gauge. Tags
+// must be unique among live instances — sessions use a monotonic round
+// counter, so uniqueness is structural.
 func (m *InstanceMux) Register(tag uint64) (*MuxInstance, error) {
 	inst := &MuxInstance{mux: m, tag: tag, slots: make([]*inbox, m.fab.N())}
 	for i := range inst.slots {
 		inst.slots[i] = newInbox(64)
+		inst.slots[i].hw = m.fab.slot(node.ID(i)).hw
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -140,30 +121,22 @@ func (m *InstanceMux) Register(tag uint64) (*MuxInstance, error) {
 }
 
 // Stale returns the count of frames discarded because no live instance
-// claimed them (plus undersized frames). Monotonic over the mux's life;
-// clean runs see a small residue here — the final frames of each round are
-// still in flight when the round's honest quorum halts and the instance is
-// collected.
+// claimed them (plus undersized frames). Monotonic; clean runs leave a small
+// residue — a round's last frames still in flight when it is collected.
 func (m *InstanceMux) Stale() uint64 { return m.stale.Load() }
 
-// Close stops the readers and refuses further registration. The fabric is
-// untouched — it belongs to the session, which may reattach drainers or a
-// fresh mux afterwards. Live instances' inboxes are closed and drained so
-// no blocked driver outlives the mux. Idempotent.
+// Close removes the routes and refuses further registration. The fabric is
+// otherwise untouched — it belongs to the session, which may reattach
+// drainers or a fresh mux afterwards. Live instances' inboxes are closed and
+// drained so no blocked driver outlives the mux. Idempotent.
 func (m *InstanceMux) Close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	live := make([]*MuxInstance, 0, len(m.insts))
-	for _, inst := range m.insts {
-		live = append(live, inst)
-	}
+	live := m.insts
+	m.insts, m.closed = nil, true
 	m.mu.Unlock()
-	close(m.stop)
-	m.wg.Wait()
+	for i := 0; i < m.fab.N(); i++ {
+		m.fab.slot(node.ID(i)).route.Store(nil)
+	}
 	for _, inst := range live {
 		inst.Close()
 	}
@@ -178,9 +151,6 @@ type MuxInstance struct {
 	once  sync.Once
 }
 
-// Tag returns the instance's routing tag.
-func (inst *MuxInstance) Tag() uint64 { return inst.tag }
-
 // Endpoint wraps out — the fabric's tagged endpoint for slot id, carrying
 // this instance's tag and epoch authenticator — into the Transport a driver
 // runs on: sends go out tagged, receives come from the instance's slot
@@ -193,7 +163,7 @@ func (inst *MuxInstance) Endpoint(id node.ID, out Transport) Transport {
 // instance GC that lets a decided round release its buffers while the
 // session lives on. Frames still queued (or routed concurrently with the
 // close) are counted stale and their buffers recycled to the fabric.
-// Idempotent and safe alongside the mux's readers.
+// Idempotent and safe alongside routing.
 func (inst *MuxInstance) Close() {
 	inst.once.Do(func() {
 		m := inst.mux
@@ -222,7 +192,6 @@ type muxEndpoint struct {
 	out  Transport
 }
 
-var _ Transport = (*muxEndpoint)(nil)
 var _ Recycler = (*muxEndpoint)(nil)
 
 func (e *muxEndpoint) Send(to node.ID, frame []byte) error { return e.out.Send(to, frame) }
@@ -233,7 +202,7 @@ func (e *muxEndpoint) Recv(stop <-chan struct{}) (Frame, bool) {
 
 func (e *muxEndpoint) TryRecv() (Frame, bool) { return e.inst.slots[e.id].tryGet() }
 
-func (e *muxEndpoint) Recycle(buf []byte) { e.inst.mux.fab.Recycle(e.id, buf) }
+func (e *muxEndpoint) Recycle(buf []byte) { e.inst.mux.fab.slot(e.id).recycle(buf) }
 
 // Close is a no-op: the instance owns its inboxes (closed by instance GC),
 // the fabric owns the wire.

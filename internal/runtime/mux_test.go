@@ -3,12 +3,14 @@ package runtime
 import (
 	"bytes"
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"delphi/internal/auth"
 	"delphi/internal/node"
+	"delphi/internal/obs"
 )
 
 // muxAuths derives one epoch's pairwise authenticators for an n-node
@@ -275,4 +277,125 @@ func TestMuxConcurrentLifecycle(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// settledGoroutines returns the goroutine count once it holds still, so
+// stragglers of earlier tests winding down do not read as a change.
+func settledGoroutines() int {
+	last := goruntime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(2 * time.Millisecond)
+		n := goruntime.NumGoroutine()
+		if n == last {
+			return n
+		}
+		last = n
+	}
+	return last
+}
+
+// TestMuxStartsNoGoroutines pins that routing runs on the goroutine that
+// puts the frame (a link's read loop, or the sender): attaching a mux to a
+// Hub or to a TCPNet starts no goroutine of its own.
+func TestMuxStartsNoGoroutines(t *testing.T) {
+	tcp, err := NewTCPNet(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	hub := NewHub(3)
+	defer hub.Close()
+	for _, fab := range []struct {
+		name string
+		MuxFabric
+	}{{"hub", hub}, {"tcp", tcp}} {
+		before := settledGoroutines()
+		m := NewInstanceMux(fab)
+		after := settledGoroutines()
+		m.Close()
+		if after != before {
+			t.Errorf("%s: %d goroutines before NewInstanceMux, %d after", fab.name, before, after)
+		}
+	}
+}
+
+// TestMuxCloseAccountsRoutedFrames pins what becomes of frames that meet a
+// closing mux: each is counted stale (routed to an instance Close reclaims,
+// or to no instance) or queued in the fabric inbox, as frames queued before
+// the mux attached — never lost silently and never delivered. Frames sent
+// after Close queue in the fabric inbox.
+func TestMuxCloseAccountsRoutedFrames(t *testing.T) {
+	const n, during, after = 2, 500, 10
+	hub := NewHub(n)
+	defer hub.Close()
+	m := NewInstanceMux(hub)
+	inst, err := m.Register(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auths := muxAuths(t, n, 7)
+	sender := hub.TaggedEndpoint(0, auths[0], 7)
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := 0; i < during; i++ {
+			if err := sender.Send(1, []byte("in flight")); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	m.Close()
+	<-sent
+	for i := 0; i < after; i++ {
+		if err := sender.Send(1, []byte("after close")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := inst.Endpoint(1, hub.TaggedEndpoint(1, auths[1], 7)).TryRecv(); ok {
+		t.Fatal("a closed mux's instance delivered a frame")
+	}
+	queued := 0
+	for {
+		if _, ok := hub.inbox[1].tryGet(); !ok {
+			break
+		}
+		queued++
+	}
+	if stale := m.Stale(); stale+uint64(queued) != during+after || queued < after {
+		t.Fatalf("%d stale + %d queued in the fabric inbox, want %d frames with at least %d queued", stale, queued, during+after, after)
+	}
+}
+
+// TestMuxFeedsFabricObs: with routing on, frames wait in instance inboxes
+// rather than the fabric ring, so those inboxes ratchet the fabric's
+// transport.inbox_high_water gauge, and frames no instance claims count in
+// mux.stale_frames.
+func TestMuxFeedsFabricObs(t *testing.T) {
+	const n, queued = 2, 5
+	hub := NewHub(n)
+	defer hub.Close()
+	rec := obs.New()
+	hub.Observe(rec)
+	m := NewInstanceMux(hub)
+	m.Observe(rec)
+	defer m.Close()
+	if _, err := m.Register(3); err != nil {
+		t.Fatal(err)
+	}
+	auths := muxAuths(t, n, 3)
+	for i := 0; i < queued; i++ {
+		if err := hub.TaggedEndpoint(0, auths[0], 3).Send(1, []byte("waiting")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := hub.TaggedEndpoint(0, auths[0], 4).Send(1, []byte("nobody home")); err != nil {
+		t.Fatal(err)
+	}
+	snap := rec.Snapshot()
+	if hw := snap.Value("transport.inbox_high_water"); hw != queued {
+		t.Errorf("transport.inbox_high_water = %d, want %d", hw, queued)
+	}
+	if stale := snap.Value("mux.stale_frames"); stale != 1 {
+		t.Errorf("mux.stale_frames = %d, want 1", stale)
+	}
 }

@@ -39,26 +39,37 @@
 // frame headers; writing back on that say-so would let a stranger redirect a
 // link.
 //
+// # Read side
+//
+// A frame takes one goroutine hop from socket to driver. Each connection's
+// read loop cuts the stream into frames in a 16 KiB stage and puts each into
+// the node's inbox. On a socket it reads inside one long-lived RawConn.Read,
+// and once a read leaves the socket empty it waits for readiness instead of
+// reading again to see EAGAIN.
+//
 // # Plaintext suffix
 //
 // Endpoints of a persistent fabric (Hub, TCPNet) append TagSize plaintext
 // bytes after the MAC: a tagged endpoint its instance tag, which an
-// InstanceMux reads and strips; a plain endpoint its authenticator's epoch
-// id (auth.Epoch), which its own Recv/TryRecv check and strip, so a
-// straggler of an earlier run on the fabric is recycled and counted in
+// InstanceMux's route reads and strips as the frame is put into the slot's
+// inbox, on the putting goroutine; a plain endpoint its authenticator's epoch
+// id (auth.Epoch), which its own Recv/TryRecv check and strip, so a straggler
+// of an earlier run on the fabric is recycled and counted in
 // transport.stale_epoch before any MAC is tried. The suffix routes and
-// filters; authenticity rests on the MAC alone. NewTCP's one-run transport
-// carries none.
+// filters; authenticity rests on the MAC alone. NewTCP's transport carries
+// none.
 package runtime
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"delphi/internal/auth"
@@ -144,23 +155,20 @@ func NewHub(n int) *Hub {
 // behind Recv is shared by all of id's endpoints, each seeing its own epoch.
 func (h *Hub) Endpoint(id node.ID, a *auth.Auth) Transport {
 	epoch := binary.LittleEndian.AppendUint64(nil, a.Epoch())
-	return &hubTransport{hub: h, id: id, auth: a, suffix: epoch, want: epoch}
+	return &endpoint{via: h, id: id, in: h.inbox[id], auth: a, suffix: epoch, want: epoch, owner: h}
 }
 
 // TaggedEndpoint is Endpoint for one instance of a multiplexed session: every
 // outbound frame carries the 8-byte little-endian instance tag after its MAC,
 // so an InstanceMux on the receiving side can route it without trying keys.
 func (h *Hub) TaggedEndpoint(id node.ID, a *auth.Auth, tag uint64) Transport {
-	return &hubTransport{hub: h, id: id, auth: a, suffix: binary.LittleEndian.AppendUint64(nil, tag)}
+	return &endpoint{via: h, id: id, in: h.inbox[id], auth: a, suffix: binary.LittleEndian.AppendUint64(nil, tag), owner: h}
 }
 
 // N returns the hub's node count.
 func (h *Hub) N() int { return h.n }
 
-// Recycle returns a frame buffer to node id's inbox pool. It is the
-// slot-addressed form of the endpoint Recycler, for receivers (an
-// InstanceMux) that consume frames for many slots from one place.
-func (h *Hub) Recycle(id node.ID, buf []byte) { h.inbox[id].recycle(buf) }
+func (h *Hub) slot(id node.ID) *inbox { return h.inbox[id] }
 
 // Recv receives the next frame addressed to node id — the inbox is shared
 // by every endpoint for id — so a session can drain frames addressed to
@@ -185,43 +193,60 @@ func (h *Hub) Close() error {
 	return nil
 }
 
-type hubTransport struct {
-	hub  *Hub
-	id   node.ID
-	auth *auth.Auth
-	// suffix follows every outbound MAC: the instance tag (want nil), or
-	// the epoch id, which Recv and TryRecv check and strip (want = suffix).
-	suffix, want []byte
-}
-
-var _ Transport = (*hubTransport)(nil)
-var _ Recycler = (*hubTransport)(nil)
-
-func (t *hubTransport) Send(to node.ID, frame []byte) error {
-	if int(to) < 0 || int(to) >= t.hub.n {
+// sendFrame seals frame into to's inbox; a closed hub drops it, counted.
+func (h *Hub) sendFrame(from, to node.ID, a *auth.Auth, frame, suffix []byte) error {
+	if int(to) < 0 || int(to) >= h.n {
 		return fmt.Errorf("runtime: bad destination %v", to)
 	}
-	if !t.hub.inbox[to].putSealed(t.id, to, t.auth, frame, t.suffix) {
-		// Closed hub: dropping is correct (the run is over), but counted.
-		t.hub.drops.Add(1)
-		t.hub.obsDrops.Inc()
+	if !h.inbox[to].putSealed(from, to, a, frame, suffix) {
+		h.drops.Add(1)
+		h.obsDrops.Inc()
 	}
 	return nil
 }
 
-func (t *hubTransport) Recv(stop <-chan struct{}) (Frame, bool) {
-	return t.hub.inbox[t.id].recv(stop, true, t.want)
+// carrier is what an endpoint sends through and counts losses on: a Hub, or
+// a tcp core.
+type carrier interface {
+	sendFrame(from, to node.ID, a *auth.Auth, frame, suffix []byte) error
+	Drops() uint64
 }
 
-func (t *hubTransport) TryRecv() (Frame, bool) {
-	return t.hub.inbox[t.id].recv(nil, false, t.want)
+// endpoint is a node's Transport on a Hub or a tcp core. Send seals with the
+// run's authenticator and appends suffix after the MAC; Recv and TryRecv read
+// the node's inbox and, with want set, pass on only frames that end in want,
+// stripped of it (see Plaintext suffix). Close closes owner: the Hub, or
+// NewTCP's core; a TCPNet view has none, the fabric owns its core.
+type endpoint struct {
+	via          carrier
+	id           node.ID
+	in           *inbox
+	auth         *auth.Auth
+	suffix, want []byte
+	owner        io.Closer
 }
 
-func (t *hubTransport) Recycle(buf []byte) {
-	t.hub.inbox[t.id].recycle(buf)
+var _ Recycler = (*endpoint)(nil)
+
+func (e *endpoint) Send(to node.ID, frame []byte) error {
+	return e.via.sendFrame(e.id, to, e.auth, frame, e.suffix)
 }
 
-func (t *hubTransport) Close() error { return t.hub.Close() }
+func (e *endpoint) Recv(stop <-chan struct{}) (Frame, bool) { return e.in.recv(stop, true, e.want) }
+
+func (e *endpoint) TryRecv() (Frame, bool) { return e.in.recv(nil, false, e.want) }
+
+func (e *endpoint) Recycle(buf []byte) { e.in.recycle(buf) }
+
+// Drops returns the carrier's count of observably lost frames.
+func (e *endpoint) Drops() uint64 { return e.via.Drops() }
+
+func (e *endpoint) Close() error {
+	if e.owner == nil {
+		return nil
+	}
+	return e.owner.Close()
+}
 
 // maxFrameSize bounds a sealed frame: sendFrame refuses to write more, and a
 // header announcing more drops the connection before any buffer is fetched.
@@ -231,16 +256,14 @@ const maxFrameSize = 64 << 20
 // slow, blackholed, or instrumented dials; production code uses net.Dial.
 type DialFunc func(addr string) (net.Conn, error)
 
-// tcpTransport connects a node to its peers over TCP with 4-byte
-// length-prefixed frames: [sender u32][len u32][sealed frame]. It is both
-// the one-run transport NewTCP returns and the persistent per-node core a
-// TCPNet keeps alive across runs (auth is nil there; sealing happens in the
-// per-epoch endpoint views).
+// tcpTransport is a node's tcp core: its listener, its connections to the
+// peers, carrying 4-byte length-prefixed frames [sender u32][len u32][sealed
+// frame], and its inbox. NewTCP's transport and each TCPNet view are
+// endpoints on a core.
 type tcpTransport struct {
 	self  node.ID
 	addrs []string
 	ln    net.Listener
-	auth  *auth.Auth // nil for TCPNet cores
 	dial  DialFunc
 
 	in *inbox
@@ -248,6 +271,9 @@ type tcpTransport struct {
 	// failed mid-frame, an oversized frame, or a frame that raced shutdown
 	// after its connection (or a self-send) had already delivered it.
 	drops atomic.Uint64
+
+	// eagains counts socket reads that found nothing there (rare; pinned).
+	eagains atomic.Uint64
 
 	// Observability handles (see Observe); nil means off and free.
 	obsDrops *obs.Counter
@@ -280,13 +306,10 @@ type peerConn struct {
 	scratch []byte
 }
 
-var _ Transport = (*tcpTransport)(nil)
-var _ Recycler = (*tcpTransport)(nil)
-
 // newTCPCore builds the transport machinery and starts its accept loop.
 // links, when non-nil, holds this node's end of a pre-wired connection to
 // each peer (nil at self): the connection it writes to and also reads from.
-func newTCPCore(self node.ID, addrs []string, ln net.Listener, a *auth.Auth, dial DialFunc, links []net.Conn) *tcpTransport {
+func newTCPCore(self node.ID, addrs []string, ln net.Listener, dial DialFunc, links []net.Conn) *tcpTransport {
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
@@ -294,7 +317,6 @@ func newTCPCore(self node.ID, addrs []string, ln net.Listener, a *auth.Auth, dia
 		self:     self,
 		addrs:    addrs,
 		ln:       ln,
-		auth:     a,
 		dial:     dial,
 		in:       newInbox(1024),
 		peers:    make([]peerConn, len(addrs)),
@@ -317,27 +339,8 @@ func newTCPCore(self node.ID, addrs []string, ln net.Listener, a *auth.Auth, dia
 // listen address (index = node id). The listener must already be bound to
 // addrs[self].
 func NewTCP(self node.ID, addrs []string, ln net.Listener, a *auth.Auth) Transport {
-	return newTCPCore(self, addrs, ln, a, nil, nil)
-}
-
-// Observe attaches this core's drop counter, dial events, and inbox
-// high-water mark to the recorder. dials is the shared track dial
-// completions land on (shared because dials run on whichever sender
-// goroutine finds the connection missing); nil lets the core make its
-// own, and callers observing several cores pass one so all dials line up
-// on a single "transport" row.
-func (t *tcpTransport) Observe(rec *obs.Recorder, dials *obs.Track) {
-	if dials == nil {
-		dials = rec.SharedTrack("transport")
-	}
-	t.obsDrops = rec.Counter("transport.drops")
-	t.obsDials = dials
-	t.in.hw, t.in.stale = rec.Gauge("transport.inbox_high_water"), rec.Counter("transport.stale_epoch")
-}
-
-// NewTCPDial is NewTCP with an injected dialer (nil means net.Dial).
-func NewTCPDial(self node.ID, addrs []string, ln net.Listener, a *auth.Auth, dial DialFunc) Transport {
-	return newTCPCore(self, addrs, ln, a, dial, nil)
+	t := newTCPCore(self, addrs, ln, nil, nil)
+	return &endpoint{via: t, id: self, in: t.in, auth: a, owner: t}
 }
 
 func (t *tcpTransport) acceptLoop() {
@@ -363,51 +366,116 @@ func (t *tcpTransport) acceptLoop() {
 
 func (t *tcpTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
-	// Prune the connection from the accepted set on exit: a persistent
-	// core sees peers re-dial every time their previous connection dies
-	// (peer restart, interrupt between session trials), and retaining every
-	// dead inbound conn would leak one entry per re-dial for the lifetime
-	// of the core.
+	// Prune the connection from the accepted set on exit: peers re-dial each
+	// time a connection dies, and keeping every dead inbound conn would leak
+	// one entry per re-dial for the lifetime of the core.
 	defer func() {
 		t.mu.Lock()
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 		conn.Close()
 	}()
-	// Buffer the read side: a frame is a tiny 8-byte header plus a small
-	// body, and reading each part straight off the socket costs two
-	// syscalls per frame. One buffered reader amortises those into one
-	// read per ~16 KiB of frames (TestTCPReadsAreBuffered pins the
-	// syscall count).
-	br := bufio.NewReaderSize(conn, 16<<10)
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			// Connection closed between frames: normal peer shutdown, no
-			// frame was in flight, nothing to count.
+	r := linkReader{t: t, buf: make([]byte, stageSize)}
+	if sc, ok := conn.(syscall.Conn); ok {
+		if rc, err := sc.SyscallConn(); err == nil {
+			r.drainRaw(conn, rc)
 			return
 		}
-		from := node.ID(binary.LittleEndian.Uint32(hdr[0:]))
-		n := binary.LittleEndian.Uint32(hdr[4:])
-		if n > maxFrameSize {
-			t.drops.Add(1) // oversized frame: drop the connection
-			t.obsDrops.Inc()
-			return
+	}
+	for r.split(conn.Read(r.space())) {
+	}
+}
+
+// stageSize is a link's staging buffer: one read takes up to this many bytes
+// of back-to-back frames off the socket. eofPoll is how often a waiting
+// socket is read once more, for an EOF or reset that arrived with the last
+// data and so raised no readiness edge of its own.
+const (
+	stageSize = 16 << 10
+	eofPoll   = time.Second
+)
+
+// linkReader splits a connection's byte stream into [sender u32][len u32]
+// [body] frames and puts each into the inbox, copied out of a staging buffer
+// once it is whole. The stage grows (doubling) only while a frame larger than
+// it arrives, so a header alone pins nothing.
+type linkReader struct {
+	t      *tcpTransport
+	buf    []byte
+	lo, hi int // buf[lo:hi] is read and not yet handed on
+}
+
+// space returns the stage's free tail for the next read, after moving the
+// unparsed bytes to the front: into a doubled stage when one frame fills it,
+// into a fresh 16 KiB one once a larger frame has passed.
+func (r *linkReader) space() []byte {
+	pending, need := r.buf[r.lo:r.hi], 8
+	if len(pending) >= 8 {
+		need += int(binary.LittleEndian.Uint32(pending[4:]))
+	}
+	if size := len(r.buf); len(pending) == size || size > stageSize && need <= stageSize {
+		r.buf = make([]byte, max(stageSize, min(2*size, need)))
+	} else if r.lo == 0 {
+		return r.buf[r.hi:]
+	}
+	r.hi, r.lo = copy(r.buf, pending), 0
+	return r.buf[r.hi:]
+}
+
+// split takes n freshly read bytes and the read's error, and hands every
+// whole frame in the stage to the inbox. It reports whether the link goes on,
+// counting the frame it stops under as lost: one over maxFrameSize, one the
+// closed inbox refused, or one whose body the failed read cut off.
+func (r *linkReader) split(n int, err error) bool {
+	r.hi += n
+	ok := err == nil
+	for r.hi-r.lo >= 8 {
+		rec := r.buf[r.lo:r.hi]
+		size := binary.LittleEndian.Uint32(rec[4:])
+		if size <= maxFrameSize && len(rec) < 8+int(size) {
+			break // the body is still arriving
 		}
-		buf := t.in.getBuf(int(n))
-		if _, err := io.ReadFull(br, buf); err != nil {
-			// The header arrived but the body did not: a frame was lost
-			// mid-flight (peer died, or Close cut the connection under a
-			// frame). Count it so cross-backend disagreement investigations
-			// can rule transport loss in or out.
-			t.drops.Add(1)
-			t.obsDrops.Inc()
-			t.in.recycle(buf)
-			return
+		if size > maxFrameSize || !r.t.in.put(Frame{
+			From: node.ID(binary.LittleEndian.Uint32(rec)),
+			Data: append(r.t.in.getBuf(int(size))[:0], rec[8:8+size]...),
+		}) {
+			ok = false
+			break
 		}
-		if !t.in.put(Frame{From: from, Data: buf}) {
-			t.drops.Add(1) // fully received, then raced shutdown
-			t.obsDrops.Inc()
+		r.lo += 8 + int(size)
+	}
+	if !ok && r.hi-r.lo >= 8 {
+		r.t.drops.Add(1)
+		r.t.obsDrops.Inc()
+	}
+	return ok
+}
+
+// drainRaw feeds the splitter inside the socket's RawConn.Read. A read that
+// did not fill the stage left the socket empty, so the callback then waits
+// for readiness instead of reading again to see EAGAIN: Go clears readiness
+// only when RawConn.Read starts, so data arriving after that read still wakes
+// the wait. After a full read, which may have left bytes behind, and at the
+// eofPoll deadline, Read is entered again and reads first; a Close ends it.
+func (r *linkReader) drainRaw(conn net.Conn, rc syscall.RawConn) {
+	more := true
+	read := func(fd uintptr) bool {
+		p := r.space()
+		n, err := syscall.Read(int(fd), p)
+		if err == syscall.EAGAIN {
+			r.t.eagains.Add(1)
+			return false
+		}
+		if n == 0 && err == nil {
+			err = io.EOF
+		}
+		more = r.split(max(n, 0), err)
+		return !more || n == len(p)
+	}
+	for more {
+		conn.SetReadDeadline(time.Now().Add(eofPoll))
+		if err := rc.Read(read); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+			r.split(0, err)
 			return
 		}
 	}
@@ -458,20 +526,13 @@ func (t *tcpTransport) dropConn(to node.ID, pc *peerConn, c net.Conn) {
 	c.Close()
 }
 
-func (t *tcpTransport) Send(to node.ID, frame []byte) error {
-	if t.auth == nil {
-		return fmt.Errorf("runtime: send on a TCPNet core (use an Endpoint)")
-	}
-	return t.sendFrame(to, t.auth, frame, nil)
-}
-
-// sendFrame seals and writes one frame to peer to, dialing (or re-dialing)
-// as needed. Header, payload, MAC, and the optional suffix (nil or TagSize
+// sendFrame seals and writes one frame from this node (from is always self)
+// to peer to, dialing (or re-dialing) as needed. Header, payload, MAC, and the optional suffix (nil or TagSize
 // bytes, appended plaintext after the MAC) are assembled in the peer's
 // write scratch and go out as one buffer — one syscall per frame, no
 // allocation in steady state. A frame to self skips the socket: it is sealed
 // into this node's own inbox, as the hub seals every frame.
-func (t *tcpTransport) sendFrame(to node.ID, a *auth.Auth, frame, tag []byte) error {
+func (t *tcpTransport) sendFrame(_, to node.ID, a *auth.Auth, frame, tag []byte) error {
 	if int(to) < 0 || int(to) >= len(t.addrs) {
 		return fmt.Errorf("runtime: bad destination %v", to)
 	}
@@ -518,12 +579,6 @@ func (t *tcpTransport) sendFrame(to node.ID, a *auth.Auth, frame, tag []byte) er
 	}
 	return nil
 }
-
-func (t *tcpTransport) Recv(stop <-chan struct{}) (Frame, bool) { return t.in.get(stop) }
-
-func (t *tcpTransport) TryRecv() (Frame, bool) { return t.in.tryGet() }
-
-func (t *tcpTransport) Recycle(buf []byte) { t.in.recycle(buf) }
 
 // Drops returns the count of observably lost inbound frames (see the field
 // doc). Monotonic; readable after Close.
@@ -624,7 +679,7 @@ func newTCPNet(n int, accept func(net.Listener) (net.Conn, error)) (_ *TCPNet, e
 		lns[j].SetDeadline(time.Time{})
 	}
 	for i, ln := range lns {
-		p.cores[i] = newTCPCore(node.ID(i), p.addrs, ln, nil, nil, links[i])
+		p.cores[i] = newTCPCore(node.ID(i), p.addrs, ln, nil, links[i])
 	}
 	return p, nil
 }
@@ -641,7 +696,8 @@ func (p *TCPNet) N() int { return len(p.cores) }
 func (p *TCPNet) Observe(rec *obs.Recorder) {
 	dials := rec.SharedTrack("transport")
 	for _, c := range p.cores {
-		c.Observe(rec, dials)
+		c.obsDrops, c.obsDials = rec.Counter("transport.drops"), dials
+		c.in.hw, c.in.stale = rec.Gauge("transport.inbox_high_water"), rec.Counter("transport.stale_epoch")
 	}
 	rec.Gauge("transport.links").Set(int64(len(p.cores) * (len(p.cores) - 1) / 2))
 }
@@ -652,8 +708,8 @@ func (p *TCPNet) Observe(rec *obs.Recorder) {
 // still crossing the fabric carry another id, and the view's Recv recycles
 // and counts them (transport.stale_epoch) instead of returning them.
 func (p *TCPNet) Endpoint(id node.ID, a *auth.Auth) Transport {
-	epoch := binary.LittleEndian.AppendUint64(nil, a.Epoch())
-	return &tcpEndpoint{core: p.cores[id], auth: a, suffix: epoch, want: epoch}
+	c, epoch := p.cores[id], binary.LittleEndian.AppendUint64(nil, a.Epoch())
+	return &endpoint{via: c, id: id, in: c.in, auth: a, suffix: epoch, want: epoch}
 }
 
 // TaggedEndpoint is Endpoint for one instance of a multiplexed session: every
@@ -661,13 +717,16 @@ func (p *TCPNet) Endpoint(id node.ID, a *auth.Auth) Transport {
 // (inside the length prefix), so an InstanceMux on the receiving side can
 // route it without trying keys.
 func (p *TCPNet) TaggedEndpoint(id node.ID, a *auth.Auth, tag uint64) Transport {
-	return &tcpEndpoint{core: p.cores[id], auth: a, suffix: binary.LittleEndian.AppendUint64(nil, tag)}
+	c := p.cores[id]
+	return &endpoint{via: c, id: id, in: c.in, auth: a, suffix: binary.LittleEndian.AppendUint64(nil, tag)}
 }
 
 // Recycle returns a frame buffer to node id's core pool. It is the
-// slot-addressed form of the endpoint Recycler, for receivers (an
-// InstanceMux) that consume frames for many slots from one place.
+// slot-addressed form of the endpoint Recycler, for receivers that consume
+// frames for many slots from one place.
 func (p *TCPNet) Recycle(id node.ID, buf []byte) { p.cores[id].in.recycle(buf) }
+
+func (p *TCPNet) slot(id node.ID) *inbox { return p.cores[id].in }
 
 // Recv receives the next frame addressed to node id — the core inbox is
 // shared by every epoch's view — so a session can drain frames addressed
@@ -697,35 +756,3 @@ func (p *TCPNet) Close() error {
 	}
 	return first
 }
-
-// tcpEndpoint is one epoch's view of a persistent core. suffix follows every
-// outbound MAC: the instance tag of a multiplexed view, or the epoch id of
-// a plain one, whose Recv and TryRecv check and strip it (want, else nil).
-type tcpEndpoint struct {
-	core         *tcpTransport
-	auth         *auth.Auth
-	suffix, want []byte
-}
-
-var _ Transport = (*tcpEndpoint)(nil)
-var _ Recycler = (*tcpEndpoint)(nil)
-
-// Send implements Transport, sealing with the epoch's authenticator.
-func (e *tcpEndpoint) Send(to node.ID, frame []byte) error {
-	return e.core.sendFrame(to, e.auth, frame, e.suffix)
-}
-
-// Recv implements Transport; the inbox is the core's and outlives the
-// epoch.
-func (e *tcpEndpoint) Recv(stop <-chan struct{}) (Frame, bool) {
-	return e.core.in.recv(stop, true, e.want)
-}
-
-// TryRecv implements Transport.
-func (e *tcpEndpoint) TryRecv() (Frame, bool) { return e.core.in.recv(nil, false, e.want) }
-
-// Recycle implements Recycler on the core's shared buffer pool.
-func (e *tcpEndpoint) Recycle(buf []byte) { e.core.in.recycle(buf) }
-
-// Close implements Transport as a no-op: the owning TCPNet closes cores.
-func (e *tcpEndpoint) Close() error { return nil }

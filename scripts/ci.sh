@@ -136,7 +136,12 @@ go test ./internal/sim -run '^$' -fuzz FuzzCalendarOrder -fuzztime 10s
 # and auth.Open — against arbitrary input: no panic, no slice past the input,
 # oversize and truncated records counted, the envelope codec round-trips, a
 # frame without the expected suffix is counted stale and recycled, and
-# nothing opens but a sealed frame under its own sender. Last, what the driver
+# nothing opens but a sealed frame under its own sender. The record loop is
+# also fuzzed against the bufio loop it replaced, kept as the oracle: any
+# stream, cut into any read boundaries (split headers, jumbo frames past the
+# 16 KiB stage), must give the same frames, drops and stopping point. Its
+# minimisation is capped at 100 runs: a jumbo-sized input costs about a
+# millisecond a run, and minimising one would take the whole 10 s. Last, what the driver
 # hands an opened frame to: the full message registry's decode — no panic, no
 # read past the frame, and whatever decodes re-encodes to exactly WireSize
 # bytes that decode to the same message (the size the simulator caches per
@@ -144,6 +149,7 @@ go test ./internal/sim -run '^$' -fuzz FuzzCalendarOrder -fuzztime 10s
 echo "== runtime socket-parser fuzz smoke =="
 go test ./internal/runtime -run '^$' -fuzz FuzzUnpackBatch -fuzztime 10s
 go test ./internal/runtime -run '^$' -fuzz FuzzTCPHeaderLoop -fuzztime 10s
+go test ./internal/runtime -run '^$' -fuzz FuzzLinkReader -fuzztime 10s -fuzzminimizetime 100x
 go test ./internal/runtime -run '^$' -fuzz FuzzSuffixDemux -fuzztime 10s
 go test ./internal/auth -run '^$' -fuzz FuzzAuthOpen -fuzztime 10s
 go test ./internal/codec -run '^$' -fuzz FuzzDecodeFramed -fuzztime 10s
