@@ -6,14 +6,12 @@
 //
 //	experiments [-scale quick|paper] [-seed N] [-workers K] [-run T1,T2]
 //	            [-backend sim|live|tcp] [-sessions=false] [-sim-workers K]
-//	            [-service-rounds N] [-service-rate R] [-service-window W]
-//	            [-service-queue Q] [-service-duration D] [-service-arrivals poisson|bursty]
 //	            [-trace out.json] [-metrics out|-] [-pprof addr]
 //	            [-worstcase-objective latency|spread|events|bytes]
 //	            [-worstcase-replay] [-worstcase-trace prefix]
 //	            [fig4 fig5 table1 table2 table3 fig6a fig6b fig6c fig7
-//	             validity tail matrix adversary ablations backends sessions
-//	             service trace scale worstcase | all]
+//	             validity tail matrix adversary ablations
+//	             service trace worstcase | all]
 //
 // Targets are selected positionally or with -run (comma-separated); the
 // two compose, and `all` anywhere in the list stands for every target but
@@ -26,33 +24,33 @@
 // The targets up to ablations are the experiments of bench.Experiments.
 // They run as one batch of simulations in which a run two experiments
 // share, such as fig6a's and fig6b's FIN and Abraham et al. runs, runs
-// once. The rest read command-line flags:
+// once. The rest are commands:
 //
-//   - backends cross-validates every protocol on the simulator and a live
-//     goroutine cluster (and loopback tcp at paper scale), then runs a
-//     sim|live matrix; sessions smoke-runs a 3-trial tcp cell through one
-//     persistent session. Both print real wall times.
-//   - service runs the continuous-service oracle mode with the -service-*
-//     knobs: deterministic on the simulator, a wall-clock soak on live/tcp.
+//   - service runs the continuous-service oracle mode: deterministic on
+//     the simulator, a wall-clock soak on live/tcp.
 //   - trace runs one instrumented simulator trial and prints its metrics;
 //     -trace writes its Chrome trace-event JSON (Perfetto-loadable), the
 //     same bytes at any -sim-workers count.
-//   - scale measures the simulator's n=1000+ curve, sequential versus 8
-//     workers, in host wall time.
 //   - worstcase searches the adversary space for each protocol's empirical
 //     worst case (-worstcase-objective), byte-identical across reruns and
 //     -sim-workers counts; -worstcase-trace and -worstcase-replay add each
 //     winner's evidence trace and a wall-clock loopback-tcp replay.
 //
+// Every run is checked where its outputs are assembled
+// (bench.RunSpec.StatsFromOutputs): a run that breaks ε-agreement or
+// validity fails its target, on every backend.
+//
 // -workers, -sessions, -backend and -sim-workers set the fields of the one
 // bench.Engine every target runs its trials on. Results are identical at
 // any -workers count and with or without -sessions. -backend retargets the
-// experiments' runs onto the simulator (default) or a live or tcp cluster,
-// whose latencies are real time. -sim-workers routes simulator runs through
-// the parallel window executor, deterministic at any worker count but only
-// δ-window close to the sequential loop. -metrics writes the recorder's
-// metrics snapshot ("-" for stdout, *.json for JSON); -pprof serves
-// net/http/pprof.
+// experiments' runs onto the simulator (default) or a live goroutine
+// cluster or loopback tcp cluster, whose latencies are real time; so
+// `-backend tcp -run matrix` is a checked tcp run, through one persistent
+// session per worker unless -sessions=false. -sim-workers routes simulator
+// runs through the parallel window executor, deterministic at any worker
+// count but only δ-window close to the sequential loop. -metrics writes the
+// recorder's metrics snapshot ("-" for stdout, *.json for JSON); -pprof
+// serves net/http/pprof.
 package main
 
 import (
@@ -87,13 +85,6 @@ type options struct {
 	engine *bench.Engine
 	scale  bench.Scale
 	seed   int64
-	// service carries the service target's knobs.
-	service struct {
-		rounds, window, queue int
-		rate                  float64
-		duration              time.Duration
-		arrivals              string
-	}
 	// worst carries the worstcase target's knobs.
 	worst struct {
 		objective, trace string
@@ -142,12 +133,6 @@ func parseArgs(args []string) (*options, error) {
 	backendFlag := fs.String("backend", "sim", "execution backend for the workloads: sim, live, or tcp")
 	sessions := fs.Bool("sessions", true, "reuse backend substrates (listeners, hubs, sim storage) across a cell's trials")
 	fs.IntVar(&o.engine.SimWorkers, "sim-workers", 0, "parallel window executor shard workers for sim runs (0 = sequential)")
-	fs.IntVar(&o.service.rounds, "service-rounds", 200, "service target: arrivals to generate")
-	fs.Float64Var(&o.service.rate, "service-rate", 100, "service target: arrival rate, rounds per second")
-	fs.IntVar(&o.service.window, "service-window", 4, "service target: max concurrent in-flight rounds")
-	fs.IntVar(&o.service.queue, "service-queue", 16, "service target: waiting-room bound; overflow is shed")
-	fs.DurationVar(&o.service.duration, "service-duration", 0, "service target: wall-clock cap on a live run (0 = none)")
-	fs.StringVar(&o.service.arrivals, "service-arrivals", "poisson", "service target: interarrival law, poisson or bursty")
 	fs.StringVar(&o.worst.objective, "worstcase-objective", "latency", "worstcase target: maximised metric, latency, spread, events, or bytes")
 	fs.BoolVar(&o.worst.replay, "worstcase-replay", false, "worstcase target: validate each winner on the loopback-tcp backend (wall-clock)")
 	fs.StringVar(&o.worst.trace, "worstcase-trace", "", "worstcase target: write each winner's evidence trace to PREFIX-<protocol>.json")
@@ -220,11 +205,8 @@ type command struct {
 // experiments.
 func commands() []command {
 	return []command{
-		{"backends", runBackends},
-		{"sessions", runSessions},
 		{"service", runService},
 		{"trace", runTrace},
-		{"scale", runScale},
 		{"worstcase", runWorstcase},
 	}
 }
@@ -320,120 +302,18 @@ func writeObs(rec *obs.Recorder, tracePath, metricsPath string) error {
 	return nil
 }
 
-// runBackends demonstrates the execution-backend axis: first the
-// cross-backend validator (identical RunSpecs on the simulator and a live
-// goroutine cluster must produce outputs in the same agreement window; the
-// tcp backend joins above quick scale), then one Delphi matrix whose cells
-// cross input shapes with backends. Simulator cells report virtual latency;
-// live cells report real wall time and are excluded from byte-identity
-// expectations.
-func runBackends(o *options) (string, error) {
-	kinds := []bench.BackendKind{bench.BackendSim, bench.BackendLive}
-	if o.scale == bench.Paper {
-		kinds = append(kinds, bench.BackendTCP)
-	}
-	rep, err := o.engine.ValidateCrossBackend(kinds, o.scale, o.seed)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString(rep.Text)
-	if !rep.OK() {
-		return b.String(), fmt.Errorf("cross-backend validation failed:\n%s", rep.Text)
-	}
-
-	trials := 2
-	if o.scale == bench.Paper {
-		trials = 4
-	}
-	m := bench.Matrix{
-		Base: bench.Scenario{
-			Protocol: bench.ProtoDelphi,
-			Params:   core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
-			Env:      sim.AWS(),
-			N:        8,
-			Center:   41000,
-			Delta:    20,
-			Trials:   trials,
-		},
-		Shapes:   []bench.InputShape{bench.ShapePinned, bench.ShapeClustered},
-		Backends: kinds,
-	}
-	cells, err := o.engine.RunMatrix(m, o.seed)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("\nbackend matrix — Delphi, mean over trials\n")
-	b.WriteString("  (lat: virtual time on sim cells, wall time to decision on live cells)\n")
-	fmt.Fprintf(&b, "  %-40s %10s %10s %10s %10s\n", "cell", "lat(ms)", "wall(ms)", "MB", "spread")
-	for _, c := range cells {
-		wall := "-"
-		if c.Agg.WallMS.N() > 0 {
-			wall = fmt.Sprintf("%.1f", c.Agg.WallMS.Mean())
-		}
-		fmt.Fprintf(&b, "  %-40s %10.0f %10s %10.2f %10.3g\n",
-			c.Scenario.Name, c.Agg.LatencyMS.Mean(), wall, c.Agg.MB.Mean(), c.Agg.Spread.Mean())
-	}
-	return b.String(), nil
-}
-
-// delphiSpec is the Delphi run of the sessions and trace targets: n=8
-// (16 at paper scale) on the AWS testbed, Δ=64$, δ=20$.
-func delphiSpec(o *options) bench.RunSpec {
-	n := 8
-	if o.scale == bench.Paper {
-		n = 16
-	}
-	return bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: n, F: bench.ProtoDelphi.Faults(n), Env: sim.AWS(), Seed: o.seed,
-		Inputs: bench.OracleInputs(n, 41000, 20, o.seed), Delphi: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
-	}
-}
-
-// runSessions smoke-runs the persistent-session path end to end: one
-// 3-trial (quick) Delphi cell on the tcp backend through the engine, whose
-// workers keep the cell's listeners and connections bound across trials.
-// Per-trial agreement must hold on every trial; the printed wall times are
-// real and non-deterministic.
-func runSessions(o *options) (string, error) {
-	trials := 3
-	if o.scale == bench.Paper {
-		trials = 10
-	}
-	spec := delphiSpec(o)
-	spec.Backend = bench.BackendTCP
-	stats, err := o.engine.RunTrials(spec, trials)
-	if err != nil {
-		return "", err
-	}
-	agg := bench.NewAggregate(false)
-	for _, st := range stats {
-		agg.Observe(st)
-	}
-	mode := "one persistent cluster per worker"
-	if o.engine.DisableSessions {
-		mode = "per-trial setup (sessions disabled)"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "tcp session smoke — %d trials, n=%d, %s\n", trials, spec.N, mode)
-	fmt.Fprintf(&b, "  wall mean %.1f ms   spread max %.3g (ε=%g)   %.2f MB/trial mean\n",
-		agg.WallMS.Mean(), agg.Spread.Max(), spec.Delphi.Eps, agg.MB.Mean())
-	if agg.Spread.Max() > spec.Delphi.Eps {
-		return b.String(), fmt.Errorf("session smoke: agreement violated (spread %g > ε=%g)", agg.Spread.Max(), spec.Delphi.Eps)
-	}
-	return b.String(), nil
-}
-
 // runService drives the continuous-service oracle mode on whatever backend
 // -backend selected (the sim model is deterministic; live/tcp are wall-clock
 // soaks) and renders the service report: round accounting, backpressure
 // high-water marks, latency split, throughput, and subscriber staleness.
+// It offers 200 rounds as Poisson arrivals at 100 per second, with 4 rounds
+// in flight and 16 waiting.
 func runService(o *options) (string, error) {
 	n := 8
 	if o.scale == bench.Paper {
 		n = 16
 	}
-	cfg := bench.ServiceConfig{
+	rep, err := o.engine.RunService(bench.ServiceConfig{
 		Scenario: bench.Scenario{
 			Name:     "service",
 			Protocol: bench.ProtoDelphi,
@@ -443,47 +323,46 @@ func runService(o *options) (string, error) {
 			Center:   41000,
 			Delta:    20,
 		},
-		Rounds:   o.service.rounds,
-		Rate:     o.service.rate,
-		Window:   o.service.window,
-		Queue:    o.service.queue,
-		Duration: o.service.duration,
+		Rounds: 200,
+		Rate:   100,
+		Window: 4,
+		Queue:  16,
 		Subscribers: feeds.Population{
 			Size: 1_000_000, Seed: o.seed, Base: 5 * time.Millisecond,
 			Jitter: dist.Lognormal{Mu: 2, Sigma: 0.5},
 		},
 		Representatives: 8,
 		Obs:             o.rec,
-	}
-	switch o.service.arrivals {
-	case "", "poisson":
-	case "bursty":
-		cfg.Arrivals = bench.ArrivalBursty
-	default:
-		return "", fmt.Errorf("unknown arrival law %q (want poisson or bursty)", o.service.arrivals)
-	}
-	rep, err := o.engine.RunService(cfg, o.seed)
+	}, o.seed)
 	if err != nil {
 		return "", err
 	}
 	return rep.Text(), nil
 }
 
-// runTrace runs one instrumented simulator trial: protocol phase spans land
-// on per-node virtual-clock tracks, driver flushes and sim internals on
-// their own, and the metrics registry collects the counters. It prints the
-// metrics snapshot (deterministic on the simulator); -trace captures the
-// spans. Without -trace or -metrics it still runs, on its own recorder, so
-// the instrumented path is exercised either way. With -sim-workers K the
-// trial goes through the parallel executor; the trace bytes are identical
-// at any K — scripts/ci.sh gates exactly that.
+// runTrace runs one instrumented simulator trial, Delphi at n=8 (16 at
+// paper scale) on the AWS testbed with Δ=64$ and δ=20$: protocol phase
+// spans land on per-node virtual-clock tracks, driver flushes and sim
+// internals on their own, and the metrics registry collects the counters.
+// It prints the metrics snapshot (deterministic on the simulator); -trace
+// captures the spans. Without -trace or -metrics it still runs, on its own
+// recorder, so the instrumented path is exercised either way. With
+// -sim-workers K the trial goes through the parallel executor; the trace
+// bytes are identical at any K — scripts/ci.sh gates exactly that.
 func runTrace(o *options) (string, error) {
 	rec := o.rec
 	if rec == nil {
 		rec = obs.New()
 	}
-	spec := delphiSpec(o)
-	spec.SimWorkers, spec.Obs = o.engine.SimWorkers, rec
+	n := 8
+	if o.scale == bench.Paper {
+		n = 16
+	}
+	spec := bench.RunSpec{
+		Protocol: bench.ProtoDelphi, N: n, F: bench.ProtoDelphi.Faults(n), Env: sim.AWS(), Seed: o.seed,
+		Inputs: bench.OracleInputs(n, 41000, 20, o.seed), Delphi: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
+		SimWorkers: o.engine.SimWorkers, Obs: rec,
+	}
 	st, err := bench.Run(spec)
 	if err != nil {
 		return "", err
@@ -497,16 +376,6 @@ func runTrace(o *options) (string, error) {
 		b.WriteString("  " + line.String())
 	}
 	return b.String(), nil
-}
-
-// runScale measures the simulator's n=1000+ scale curve, sequential versus
-// the 8-worker parallel window executor, in host wall time.
-func runScale(o *options) (string, error) {
-	rep, err := bench.ScaleSweep(o.scale, 8, o.seed)
-	if err != nil {
-		return "", err
-	}
-	return rep.Text, nil
 }
 
 // runWorstcase searches the adversary space for each protocol's empirical

@@ -44,28 +44,6 @@ func runText(o *options) (string, error) {
 	return b.String(), err
 }
 
-// TestBackendsTarget drives the execution-backend axis end to end: the
-// cross-backend validator must pass and the rendered matrix must show both
-// sim and live cells, with wall time only on the latter.
-func TestBackendsTarget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live-cluster harness test")
-	}
-	text, err := runBackends(defaultOptions(t))
-	if err != nil {
-		t.Fatalf("backends target: %v", err)
-	}
-	for _, want := range []string{"cross-backend validation", "delphi", "fin", "abraham", "dolev",
-		"slow-f", "jitter-storm", "/be=live", "wall(ms)"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("backends output lacks %q:\n%s", want, text)
-		}
-	}
-	if strings.Contains(text, "FAIL") {
-		t.Errorf("backends output reports a failed check:\n%s", text)
-	}
-}
-
 // TestBackendFlagRetargetsWorkloads pins -backend live on an existing
 // target: the matrix must execute on the live cluster (wall-clock
 // latencies, so no byte-identity claim — just success and sane rendering).
@@ -171,11 +149,6 @@ func TestServiceTarget(t *testing.T) {
 				workers, again, first)
 		}
 	}
-	// The service flags reach the config: a bad arrival law is rejected.
-	o.service.arrivals = "fractal"
-	if _, err := runService(o); err == nil {
-		t.Error("bad -service-arrivals: want error")
-	}
 }
 
 // TestRunFlagSelectsTargets pins the -run flag: flag targets compose with
@@ -199,10 +172,10 @@ func TestRunFlagSelectsTargets(t *testing.T) {
 		{[]string{"-run", "fig6a,typo"}, nil},
 		{[]string{"-run", "fig6a,all"}, append([]string{"fig6a", "fig4", "fig5", "table1", "table2", "table3", "fig6b"},
 			"fig6c", "fig7", "validity", "tail", "matrix", "adversary", "ablations",
-			"backends", "sessions", "service", "trace", "scale")},
+			"service", "trace")},
 		{[]string{"worstcase", "all"}, []string{"worstcase", "fig4", "fig5", "table1", "table2", "table3", "fig6a",
 			"fig6b", "fig6c", "fig7", "validity", "tail", "matrix", "adversary", "ablations",
-			"backends", "sessions", "service", "trace", "scale"}},
+			"service", "trace"}},
 	} {
 		o, err := parseArgs(c.args)
 		switch {

@@ -10,20 +10,20 @@
 // trials through one body, runTrial.
 //
 // Importing this package registers the live backends with the bench
-// registry, so a Scenario or Matrix can name them as an axis
-// (Scenario.Backend / Matrix.Backends) and bench.Engine fans the cells
-// across its worker pool like any other trial — every existing workload
-// (figures, ablations, adversary sweeps) becomes a cross-backend experiment
-// by adding one axis value.
+// registry, so a Scenario or an Engine can name them (Scenario.Backend,
+// Engine.Backend) and bench.Engine fans the cells across its worker pool
+// like any other trial — every existing workload (figures, ablations,
+// adversary sweeps) runs on a live cluster by setting one field.
 //
 // Live backends measure wall-clock time (RunStats.Wall, and Latency as
 // wall time to the slowest honest decision). Wall time is real, so it is
 // not deterministic and carries no byte-identity guarantee; protocol
 // outputs, in contrast, must still satisfy the protocols' agreement and
-// validity guarantees on every backend — bench.ValidateCrossBackend checks
-// exactly that. Network adversaries (internal/netadv) are injected into
-// live transports by a delay-wrapping Transport that evaluates the same
-// sim.DelayRule presets against the wall clock.
+// validity guarantees on every backend — bench.RunSpec.StatsFromOutputs
+// checks exactly that on every trial, so a trial that breaks one fails.
+// Network adversaries (internal/netadv) are injected into live transports
+// by a delay-wrapping Transport that evaluates the same sim.DelayRule
+// presets against the wall clock.
 package backend
 
 import (

@@ -14,7 +14,7 @@ import (
 // on the live backend: the frame-batching knob must not move the simulator
 // by a bit, and batched and unbatched live runs must both keep the protocol
 // guarantees and decide inside the same δ-wide window (the same bound
-// ValidateCrossBackend applies across backends).
+// checkCrossBackend applies across backends).
 func TestBatchingLiveAgreement(t *testing.T) {
 	spec := quickSpec(bench.ProtoDelphi, 99)
 	const delta = 20.0

@@ -237,20 +237,13 @@ func TestTCPSessionSurvivesFailedTrial(t *testing.T) {
 }
 
 // TestCrossBackendValidationAllKinds drives the acceptance criterion:
-// ValidateCrossBackend on sim, live, AND tcp — every tcp trial running
+// checkCrossBackend on sim, live, AND tcp — every tcp trial running
 // through a persistent session in the engine's worker caches.
 func TestCrossBackendValidationAllKinds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-backend validation with tcp clusters")
 	}
-	rep, err := bench.NewEngine(0).ValidateCrossBackend(
-		[]bench.BackendKind{bench.BackendSim, bench.BackendLive, bench.BackendTCP}, bench.Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("cross-backend validation failed:\n%s", rep.Text)
-	}
+	checkCrossBackend(t, bench.BackendSim, bench.BackendLive, bench.BackendTCP)
 }
 
 // BenchmarkTCPCellSetup pins the per-trial setup cost the sessions

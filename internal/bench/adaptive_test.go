@@ -22,11 +22,11 @@ func adaptiveAdversaries() []netadv.Adversary {
 	}
 }
 
-// TestAdaptiveAdversarySafety runs every protocol under every adaptive rule
-// and applies the cross-backend safety/validity predicates: the oracle must
-// stay within the honest hull and agreement must hold whatever the
-// history-reactive schedule does. Severity on the heavy kinds is kept low so
-// quick-scale runs converge, matching the cross-validator's presets.
+// TestAdaptiveAdversarySafety runs every protocol under every adaptive
+// rule: each run must pass the per-run agreement and validity check and
+// keep its outputs within ρ0+ε of the input hull, whatever the
+// history-reactive schedule does. Severity on the heavy kinds is kept low
+// so quick-scale runs converge.
 func TestAdaptiveAdversarySafety(t *testing.T) {
 	params := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2}
 	const center, delta = 41000.0, 20.0
@@ -38,14 +38,7 @@ func TestAdaptiveAdversarySafety(t *testing.T) {
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				cell := &CrossCell{
-					Protocol: proto, Adversary: adv, N: spec.N, F: spec.F,
-					Center: center, Delta: delta,
-				}
-				cell.check("sim", st, params)
-				if len(cell.Failures) > 0 {
-					t.Fatalf("safety/validity violated under %s:\n  %v", adv, cell.Failures)
-				}
+				checkTightHull(t, "sim", st, params, center, delta)
 			})
 		}
 	}

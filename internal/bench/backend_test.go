@@ -115,33 +115,3 @@ func TestBackendUnregisteredErrors(t *testing.T) {
 		t.Errorf("unregistered engine backend error = %v", err)
 	}
 }
-
-// TestBackendAxisNamesAndSpecs pins the matrix axis plumbing without any
-// live backend: cell naming, spec propagation, and the zero-value
-// degeneration to plain sim cells.
-func TestBackendAxisNamesAndSpecs(t *testing.T) {
-	m := bench.Matrix{
-		Base: bench.Scenario{
-			Protocol: bench.ProtoDelphi, N: 8, Env: sim.AWS(),
-			Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
-			Center: 41000, Delta: 20,
-		},
-		Backends: []bench.BackendKind{bench.BackendSim, testBackendKind},
-	}
-	cells := m.Scenarios()
-	if len(cells) != 2 {
-		t.Fatalf("expanded %d cells, want 2", len(cells))
-	}
-	if strings.Contains(cells[0].Name, "/be=") {
-		t.Errorf("sim cell named %q; the default backend must not rename cells", cells[0].Name)
-	}
-	if !strings.HasSuffix(cells[1].Name, "/be="+string(testBackendKind)) {
-		t.Errorf("backend cell named %q", cells[1].Name)
-	}
-	if spec := cells[1].Spec(1, 0); spec.Backend != testBackendKind {
-		t.Errorf("cell spec backend = %q", spec.Backend)
-	}
-	if spec := cells[0].Spec(1, 0); spec.Backend != bench.BackendSim {
-		t.Errorf("sim cell spec backend = %q", spec.Backend)
-	}
-}

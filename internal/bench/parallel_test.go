@@ -11,9 +11,18 @@ import (
 	"delphi/internal/sim"
 )
 
+// crossAdversaries is the δ-window tests' adversary axis: a clean network
+// plus two presets at reduced severity.
+func crossAdversaries() []netadv.Adversary {
+	return []netadv.Adversary{
+		{},
+		{Kind: netadv.SlowF, Severity: 0.25},
+		{Kind: netadv.JitterStorm, Severity: 0.25},
+	}
+}
+
 // parallelSpec builds the δ-window workload shared by the parallel-window
-// tests: the cross-backend validator's quick cell (n=8, δ=20 around 41000)
-// for one (protocol, adversary) pair.
+// tests: n=8, δ=20 around 41000, for one (protocol, adversary) pair.
 func parallelSpec(proto Protocol, adv netadv.Adversary, params core.Params, center, delta float64, seed int64) RunSpec {
 	n := 8
 	f := (n - 1) / 3
@@ -33,13 +42,35 @@ func parallelSpec(proto Protocol, adv netadv.Adversary, params core.Params, cent
 	}
 }
 
-// TestParallelWindowAgreement runs every protocol, clean and under the
-// cross-validator's adversary presets, sequentially and with the parallel
-// window executor, and applies the cross-backend δ-window predicates to
-// both executions. Parallel runs are not byte-identical to sequential ones
-// (tie-breaking differs), so this is the statistical contract: agreement
-// within ε, validity within the honest hull, and both executions' means
-// inside one δ-wide window.
+// checkTightHull fails t when st's outputs lie more than ρ0+ε outside the
+// input hull [center−δ/2, center+δ/2]. That is tighter than the validity
+// every run is held to in StatsFromOutputs (max(ρ0, δ) for Delphi), and
+// these specs meet it.
+func checkTightHull(t *testing.T, label string, st *RunStats, params core.Params, center, delta float64) {
+	t.Helper()
+	slack := params.Rho0 + params.Eps
+	for _, v := range st.Outputs {
+		if v < center-delta/2-slack || v > center+delta/2+slack {
+			t.Errorf("%s: output %g outside hull [%g, %g]±%g", label, v, center-delta/2, center+delta/2, slack)
+		}
+	}
+}
+
+// mean returns the arithmetic mean of xs (NaN when empty).
+func mean(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
+// TestParallelWindowAgreement runs every protocol, clean and under two
+// adversary presets, sequentially and with the parallel window executor.
+// Parallel runs are not byte-identical to sequential ones (tie-breaking
+// differs), so this is the statistical contract: both executions pass the
+// per-run agreement and validity check, keep their outputs within ρ0+ε of
+// the input hull, and put their means inside one δ-wide window.
 func TestParallelWindowAgreement(t *testing.T) {
 	params := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2}
 	const center, delta = 41000.0, 20.0
@@ -57,19 +88,10 @@ func TestParallelWindowAgreement(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parallel run: %v", err)
 				}
-				cell := &CrossCell{
-					Protocol: proto, Adversary: adv, N: spec.N, F: spec.F,
-					Center: center, Delta: delta,
-				}
-				cell.check("seq", seq, params)
-				cell.check("par4", par, params)
+				checkTightHull(t, "seq", seq, params, center, delta)
+				checkTightHull(t, "par4", par, params, center, delta)
 				if gap := math.Abs(mean(seq.Outputs) - mean(par.Outputs)); gap > delta+params.Eps {
-					cell.Failures = append(cell.Failures, fmt.Sprintf(
-						"sequential and parallel means %.3g apart (> δ=%g): no common validity window",
-						gap, delta))
-				}
-				if len(cell.Failures) > 0 {
-					t.Fatalf("δ-window agreement violated:\n  %v", cell.Failures)
+					t.Errorf("sequential and parallel means %.3g apart (> δ=%g): no common validity window", gap, delta)
 				}
 			})
 		}

@@ -274,7 +274,19 @@ func (s RunSpec) HonestSlots() []int {
 // decision time. finals and at are indexed by slot; crashed and Byzantine
 // slots are ignored, and every honest slot must have decided. Backends add
 // their own traffic and compute accounting on top.
+//
+// It is also the one place every run on every backend is checked against
+// the paper's guarantees, so a run that breaks one fails instead of
+// reporting stats:
+//
+//   - ε-agreement: Spread ≤ ε;
+//   - validity: no honest output is NaN or lies outside the honest input
+//     range [lo, hi] by more than max(ρ0, hi−lo) for Delphi (its relaxed
+//     min-max validity) or at all for the baselines.
+//
+// Both bounds allow 1e-9 of float rounding.
 func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, error) {
+	const ulps = 1e-9
 	honest := s.HonestSlots()
 	if len(honest) == 0 {
 		// Every slot was crashed or Byzantine: there is no honest
@@ -282,10 +294,17 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 		return nil, fmt.Errorf("bench: %s run has no live honest node (n=%d)", s.Protocol, s.N)
 	}
 	var honestSum float64
+	inLo, inHi := math.Inf(1), math.Inf(-1)
 	for _, i := range honest {
 		honestSum += s.Inputs[i]
+		inLo = math.Min(inLo, s.Inputs[i])
+		inHi = math.Max(inHi, s.Inputs[i])
 	}
 	honestMean := honestSum / float64(len(honest))
+	slack := ulps
+	if s.Protocol == ProtoDelphi {
+		slack += math.Max(s.Delphi.Rho0, inHi-inLo)
+	}
 	stats := &RunStats{Backend: s.Backend}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, i := range honest {
@@ -296,6 +315,10 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 		if err != nil {
 			return nil, fmt.Errorf("bench: node %d: %w", i, err)
 		}
+		if math.IsNaN(out) || out < inLo-slack || out > inHi+slack {
+			return nil, fmt.Errorf("bench: %s validity violated: node %d output %g outside honest inputs [%g, %g] ± %g",
+				s.Protocol, i, out, inLo, inHi, slack)
+		}
 		stats.Outputs = append(stats.Outputs, out)
 		if at[i] > stats.Latency {
 			stats.Latency = at[i]
@@ -305,6 +328,9 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 		stats.MeanAbsErr += math.Abs(out - honestMean)
 	}
 	stats.Spread = hi - lo
+	if stats.Spread > s.Delphi.Eps+ulps {
+		return nil, fmt.Errorf("bench: %s agreement violated: spread %g > ε %g", s.Protocol, stats.Spread, s.Delphi.Eps)
+	}
 	stats.MeanAbsErr /= float64(len(stats.Outputs))
 	return stats, nil
 }

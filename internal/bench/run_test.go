@@ -4,7 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"delphi/internal/aaa"
+	"delphi/internal/acs"
 	"delphi/internal/bench"
 	"delphi/internal/core"
 	"delphi/internal/sim"
@@ -137,4 +140,77 @@ func TestRunAllCrashedInputs(t *testing.T) {
 	if err == nil {
 		t.Fatal("all-crashed spec: want error")
 	}
+}
+
+// TestStatsFromOutputsChecksGuarantees pins the per-run safety check every
+// backend's outputs pass through: ε-agreement, Delphi's relaxed validity
+// within max(ρ0, δ) of the honest input range, the baselines' validity
+// inside it, and no NaN. The honest inputs span [100, 110], so δ = 10; ε = 2.
+func TestStatsFromOutputsChecksGuarantees(t *testing.T) {
+	inputs := []float64{100, 110, 104, 106, math.NaN()} // slot 4 crashed
+	nan := math.NaN()
+	for _, c := range []struct {
+		name  string
+		proto bench.Protocol
+		rho0  float64
+		outs  []float64
+		want  string // "" passes; else a substring of the error
+	}{
+		{"spread at ε", bench.ProtoDelphi, 2, []float64{105, 105, 106, 107}, ""},
+		{"spread just over ε", bench.ProtoDelphi, 2, []float64{105, 105, 106, 107 + 1e-6}, "agreement violated"},
+		{"delphi at hi+δ", bench.ProtoDelphi, 2, []float64{120, 120, 120, 120}, ""},
+		{"delphi at lo−δ", bench.ProtoDelphi, 2, []float64{90, 90, 90, 90}, ""},
+		{"delphi beyond hi+δ", bench.ProtoDelphi, 2, []float64{120 + 1e-6, 120, 120, 120}, "validity violated"},
+		{"delphi beyond lo−δ", bench.ProtoDelphi, 2, []float64{90, 90, 90, 90 - 1e-6}, "validity violated"},
+		{"delphi at hi+ρ0, ρ0 > δ", bench.ProtoDelphi, 16, []float64{126, 126, 126, 126}, ""},
+		{"delphi beyond lo−ρ0, ρ0 > δ", bench.ProtoDelphi, 16, []float64{84 - 1e-6, 84, 84, 84}, "validity violated"},
+		{"fin at hi", bench.ProtoFIN, 2, []float64{110, 110, 110, 110}, ""},
+		{"fin just above hi", bench.ProtoFIN, 2, []float64{110 + 1e-6, 110, 110, 110}, "validity violated"},
+		{"abraham just above hi", bench.ProtoAbraham, 2, []float64{110, 110 + 1e-6, 110, 110}, "validity violated"},
+		{"dolev at lo", bench.ProtoDolev, 2, []float64{100, 100, 100, 100}, ""},
+		{"dolev just below lo", bench.ProtoDolev, 2, []float64{100, 100, 100 - 1e-6, 100}, "validity violated"},
+		{"nan output", bench.ProtoDelphi, 2, []float64{105, nan, 105, 105}, "validity violated"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec, finals, at := statsCase(c.proto, c.rho0, inputs, c.outs)
+			st, err := spec.StatsFromOutputs(finals, at)
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("want stats, got %v", err)
+			case c.want != "" && err == nil:
+				t.Errorf("want an error with %q, got stats (spread %g, outputs %v)", c.want, st.Spread, st.Outputs)
+			case c.want != "" && !strings.Contains(err.Error(), c.want):
+				t.Errorf("error %q lacks %q", err, c.want)
+			}
+		})
+	}
+
+	// The check reads only what the assembly already holds: HonestSlots'
+	// slice, the RunStats and the growth of its Outputs.
+	spec, finals, at := statsCase(bench.ProtoDelphi, 2, inputs, []float64{105, 105, 106, 107})
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = spec.StatsFromOutputs(finals, at) }); allocs != 5 {
+		t.Errorf("StatsFromOutputs allocates %v times, want 5", allocs)
+	}
+}
+
+// statsCase builds a spec over inputs and the per-slot finals of a run
+// whose honest slots decided outs, in slot order, at 1s.
+func statsCase(proto bench.Protocol, rho0 float64, inputs, outs []float64) (bench.RunSpec, []any, []time.Duration) {
+	spec := bench.RunSpec{Protocol: proto, N: len(inputs), Inputs: inputs, Delphi: core.Params{Rho0: rho0, Eps: 2}}
+	finals := make([]any, spec.N)
+	at := make([]time.Duration, spec.N)
+	for k, i := range spec.HonestSlots() {
+		at[i] = time.Second
+		switch proto {
+		case bench.ProtoFIN:
+			finals[i] = acs.Result{Output: outs[k]}
+		case bench.ProtoAbraham:
+			finals[i] = aaa.AbrahamResult{Output: outs[k]}
+		case bench.ProtoDolev:
+			finals[i] = aaa.DolevResult{Output: outs[k]}
+		default:
+			finals[i] = core.Result{Output: outs[k]}
+		}
+	}
+	return spec, finals, at
 }

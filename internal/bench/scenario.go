@@ -122,13 +122,12 @@ type Scenario struct {
 	// inject the same presets into their transports, scaled to wall time.
 	Adversary netadv.Adversary
 	// Backend selects the execution backend for every trial; the zero
-	// value is the simulator. Cells on other backends render as
-	// "/be=live" etc. in matrix names.
+	// value is the simulator, unless the Engine fills it (see
+	// Engine.Backend).
 	Backend BackendKind
 	// SimWorkers runs every sim-backed trial under the parallel window
 	// executor with that many shard workers; 0 is the sequential loop
-	// unless the Engine fills it (see RunSpec.SimWorkers). Renders as
-	// "/simw=K" in matrix names.
+	// unless the Engine fills it (see RunSpec.SimWorkers).
 	SimWorkers int
 	// Trials is the per-scenario trial count (default 1). Trial i runs at
 	// seed TrialSeed(base, i) with freshly shaped inputs.
@@ -224,24 +223,16 @@ type ScenarioResult struct {
 type Matrix struct {
 	// Base supplies every field the axes don't override.
 	Base Scenario
-	// Envs, Ns, Shapes, ByzCounts, and Backends are the axes.
+	// Envs, Ns, Shapes, and ByzCounts are the axes.
 	Envs      []sim.Environment
 	Ns        []int
 	Shapes    []InputShape
 	ByzCounts []int
-	// Backends crosses every cell with the listed execution backends
-	// (Env describes the simulated testbed and is ignored by the live
-	// backends, which run on the real host).
-	Backends []BackendKind
-	// SimWorkerCounts crosses every cell with the listed sim worker counts
-	// (0 = sequential, unless the Engine fills it from Engine.SimWorkers) —
-	// the scale sweeps' sequential-vs-parallel axis.
-	SimWorkerCounts []int
 }
 
 // Scenarios expands the matrix to the cross-product of its axes, naming
-// each cell "env/n=N/δ=D/shape[/crash=C][/byz=B][/adv=A][/be=B][/simw=K]"
-// (crash and adv come from the base).
+// each cell "env/n=N/δ=D/shape[/crash=C][/byz=B][/adv=A]" (crash and adv
+// come from the base).
 func (m Matrix) Scenarios() []Scenario {
 	envs := m.Envs
 	if len(envs) == 0 {
@@ -259,47 +250,27 @@ func (m Matrix) Scenarios() []Scenario {
 	if len(byzs) == 0 {
 		byzs = []int{m.Base.Byzantine}
 	}
-	backends := m.Backends
-	if len(backends) == 0 {
-		backends = []BackendKind{m.Base.Backend}
-	}
-	simws := m.SimWorkerCounts
-	if len(simws) == 0 {
-		simws = []int{m.Base.SimWorkers}
-	}
 	var out []Scenario
 	for _, env := range envs {
 		for _, n := range ns {
 			for _, sh := range shapes {
 				for _, bz := range byzs {
-					for _, be := range backends {
-						for _, sw := range simws {
-							s := m.Base
-							s.Env = env
-							s.N = n
-							s.Shape = sh
-							s.Byzantine = bz
-							s.Backend = be
-							s.SimWorkers = sw
-							s.Name = fmt.Sprintf("%s/n=%d/δ=%g/%s", env.Name, n, s.Delta, sh)
-							if s.Crashes > 0 {
-								s.Name += fmt.Sprintf("/crash=%d", s.Crashes)
-							}
-							if bz > 0 {
-								s.Name += fmt.Sprintf("/byz=%d", bz)
-							}
-							if s.Adversary.Kind != netadv.None {
-								s.Name += fmt.Sprintf("/adv=%s", s.Adversary)
-							}
-							if be != "" && be != BackendSim {
-								s.Name += fmt.Sprintf("/be=%s", be)
-							}
-							if sw > 0 {
-								s.Name += fmt.Sprintf("/simw=%d", sw)
-							}
-							out = append(out, s)
-						}
+					s := m.Base
+					s.Env = env
+					s.N = n
+					s.Shape = sh
+					s.Byzantine = bz
+					s.Name = fmt.Sprintf("%s/n=%d/δ=%g/%s", env.Name, n, s.Delta, sh)
+					if s.Crashes > 0 {
+						s.Name += fmt.Sprintf("/crash=%d", s.Crashes)
 					}
+					if bz > 0 {
+						s.Name += fmt.Sprintf("/byz=%d", bz)
+					}
+					if s.Adversary.Kind != netadv.None {
+						s.Name += fmt.Sprintf("/adv=%s", s.Adversary)
+					}
+					out = append(out, s)
 				}
 			}
 		}

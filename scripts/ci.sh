@@ -155,7 +155,7 @@ go test ./internal/auth -run '^$' -fuzz FuzzAuthOpen -fuzztime 10s
 go test ./internal/codec -run '^$' -fuzz FuzzDecodeFramed -fuzztime 10s
 
 # The parallel executor's second guarantee, gated under -race on every run:
-# δ-window agreement with the sequential loop on the quick cross-validation
+# δ-window agreement with the sequential loop on a quick n=8, δ=20
 # cell (every protocol, clean and under adversary presets), and determinism
 # at the engine level. Parallel mode is opt-in and tie-breaks differently
 # from the sequential loop by construction. What -race is here to catch is
@@ -184,17 +184,16 @@ go test ./internal/bench -race -count=1 \
     -run 'TestParallelWindowAgreement|TestParallelWindowDeterminism|TestOneShot'
 
 # The execution-backend axis is exercised on every run (including -short):
-# the cross-backend validator runs every protocol on the simulator AND a
-# live goroutine cluster from identical specs — clean and under netadv
-# presets injected into the live transport — and fails on any agreement or
-# validity violation, then a sim|live matrix runs as one engine batch.
-# Second line: a real `-backend live` retargeting of an existing workload.
-# Wall-clock columns are real time and non-deterministic by design, so no
-# byte comparison here; the full TCP-cluster smoke lives in the test suite
-# (`TestTCPBackend`, `TestTCPTransportDelphi`) and is -short-gated, so the
-# workflow's full (main) runs cover it while PR runs stay fast.
+# an existing workload retargeted onto a live goroutine cluster with
+# `-backend live`. Every run is checked where its outputs are assembled
+# (RunSpec.StatsFromOutputs): a run that breaks ε-agreement or validity
+# fails its batch, so it fails this step. Wall-clock columns are real time
+# and non-deterministic by design, so no byte comparison here; the
+# cross-backend δ-window tests (`TestCrossBackendValidation*`) and the full
+# TCP-cluster smoke (`TestTCPBackend`, `TestTCPTransportDelphi`) live in the
+# test suite, the tcp ones -short-gated, so the workflow's full (main) runs
+# cover them while PR runs stay fast.
 echo "== backend smoke =="
-go run ./cmd/experiments -scale quick -seed 1 -run backends > /dev/null
 go run ./cmd/experiments -scale quick -seed 1 -backend live -run matrix > /dev/null
 
 # The live/tcp frame hot path batches per-step sends into sealed envelopes;
@@ -213,14 +212,15 @@ go test ./internal/runtime -race -count=1 \
 go test ./internal/backend -count=1 ${short_flag:+"$short_flag"} \
     -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops'
 
-# Persistent-session smoke: a 3-trial tcp cell through the engine, reusing
-# one loopback cluster (listeners + connections) across the trials. The
-# target fails on any agreement violation. Stale inter-trial frames are
-# filtered by epoch id and counted, so stderr stays empty on a clean run.
-# The second run takes the per-trial setup path (-sessions=false).
+# Persistent-session smoke: the matrix's tcp cells through the engine, each
+# worker reusing one loopback cluster (listeners + connections) across its
+# trials. The per-run check fails the run on any agreement or validity
+# violation. Stale inter-trial frames are filtered by epoch id and counted,
+# so stderr stays empty on a clean run. The second run takes the per-trial
+# setup path (-sessions=false).
 echo "== tcp session smoke =="
-go run ./cmd/experiments -scale quick -seed 1 -run sessions > /dev/null
-go run ./cmd/experiments -scale quick -seed 1 -sessions=false -run sessions > /dev/null
+go run ./cmd/experiments -scale quick -seed 1 -backend tcp -run matrix > /dev/null
+go run ./cmd/experiments -scale quick -seed 1 -backend tcp -sessions=false -run matrix > /dev/null
 
 # Continuous-service mode, two gates that run on every invocation
 # (including -short):
