@@ -9,6 +9,7 @@ import (
 
 	"delphi/internal/bench"
 	"delphi/internal/core"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -33,13 +34,13 @@ func BenchmarkExperiments(b *testing.B) {
 func BenchmarkEngineMatrix(b *testing.B) {
 	m := bench.Matrix{
 		Base: bench.Scenario{
-			Protocol: bench.ProtoDelphi,
+			Protocol: run.ProtoDelphi,
 			N:        16,
 			Env:      sim.AWS(),
 			Params:   delphiBenchParams(),
 			Center:   41000,
 			Delta:    20,
-			ByzKind:  bench.ByzSpam,
+			ByzKind:  run.ByzSpam,
 			Trials:   2,
 		},
 		Shapes:    []bench.InputShape{bench.ShapePinned, bench.ShapeClustered},
@@ -67,8 +68,8 @@ func delphiBenchParams() core.Params {
 // step in a 16-node cluster (the per-delivery hot path).
 func BenchmarkDelphiNodeStep(b *testing.B) {
 	b.ReportAllocs()
-	st, err := bench.Run(bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: 16, F: 5, Env: sim.Local(), Seed: 1,
+	st, err := run.Run(run.RunSpec{
+		Protocol: run.ProtoDelphi, N: 16, F: 5, Env: sim.Local(), Seed: 1,
 		Inputs: bench.OracleInputs(16, 41000, 20, 1),
 		Delphi: bench.OracleDefaultParams(),
 	})
@@ -78,8 +79,8 @@ func BenchmarkDelphiNodeStep(b *testing.B) {
 	msgs := st.TotalMsgs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := bench.Run(bench.RunSpec{
-			Protocol: bench.ProtoDelphi, N: 16, F: 5, Env: sim.Local(), Seed: int64(i),
+		st, err := run.Run(run.RunSpec{
+			Protocol: run.ProtoDelphi, N: 16, F: 5, Env: sim.Local(), Seed: int64(i),
 			Inputs: bench.OracleInputs(16, 41000, 20, int64(i)),
 			Delphi: bench.OracleDefaultParams(),
 		})

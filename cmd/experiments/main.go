@@ -37,7 +37,7 @@
 //     winner's evidence trace and a wall-clock loopback-tcp replay.
 //
 // Every run is checked where its outputs are assembled
-// (bench.RunSpec.StatsFromOutputs): a run that breaks ε-agreement or
+// (run.RunSpec.StatsFromOutputs): a run that breaks ε-agreement or
 // validity fails its target, on every backend.
 //
 // -workers, -sessions, -backend and -sim-workers set the fields of the one
@@ -66,15 +66,13 @@ import (
 	// Serve profiling endpoints on the -pprof address.
 	_ "net/http/pprof"
 
-	// Register the live execution backends (live, tcp) with bench.
-	_ "delphi/internal/backend"
-
 	"delphi/internal/advsearch"
 	"delphi/internal/bench"
 	"delphi/internal/core"
 	"delphi/internal/dist"
 	"delphi/internal/feeds"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -100,13 +98,13 @@ type options struct {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := execute(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func execute(args []string) error {
 	o, err := parseArgs(args)
 	if err != nil {
 		return err
@@ -143,10 +141,11 @@ func parseArgs(args []string) (*options, error) {
 		return nil, err
 	}
 	o.engine.DisableSessions = !*sessions
-	o.engine.Backend = bench.BackendKind(*backendFlag)
-	if !bench.BackendRegistered(o.engine.Backend) {
-		return nil, fmt.Errorf("unknown backend %q (want one of %v)", *backendFlag, bench.RegisteredBackends())
+	kind, err := bench.ParseBackend(*backendFlag)
+	if err != nil {
+		return nil, err
 	}
+	o.engine.Backend = kind
 	switch *scaleFlag {
 	case "quick":
 		o.scale = bench.Quick
@@ -316,7 +315,7 @@ func runService(o *options) (string, error) {
 	rep, err := o.engine.RunService(bench.ServiceConfig{
 		Scenario: bench.Scenario{
 			Name:     "service",
-			Protocol: bench.ProtoDelphi,
+			Protocol: run.ProtoDelphi,
 			N:        n,
 			Env:      sim.AWS(),
 			Params:   core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
@@ -358,12 +357,12 @@ func runTrace(o *options) (string, error) {
 	if o.scale == bench.Paper {
 		n = 16
 	}
-	spec := bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: n, F: bench.ProtoDelphi.Faults(n), Env: sim.AWS(), Seed: o.seed,
+	spec := run.RunSpec{
+		Protocol: run.ProtoDelphi, N: n, F: run.ProtoDelphi.Faults(n), Env: sim.AWS(), Seed: o.seed,
 		Inputs: bench.OracleInputs(n, 41000, 20, o.seed), Delphi: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
 		SimWorkers: o.engine.SimWorkers, Obs: rec,
 	}
-	st, err := bench.Run(spec)
+	st, err := run.Run(spec)
 	if err != nil {
 		return "", err
 	}
@@ -384,10 +383,10 @@ func runTrace(o *options) (string, error) {
 // lines are real wall-clock measurements and print only under
 // -worstcase-replay so the deterministic output stays gateable.
 func runWorstcase(o *options) (string, error) {
-	protos := []bench.Protocol{bench.ProtoDelphi, bench.ProtoFIN}
+	protos := []run.Protocol{run.ProtoDelphi, run.ProtoFIN}
 	n, rungs, anneal := 8, 3, 6
 	if o.scale == bench.Paper {
-		protos = append(protos, bench.ProtoAbraham)
+		protos = append(protos, run.ProtoAbraham)
 		n, anneal = 16, 12
 	}
 	var b strings.Builder

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"delphi/internal/bench"
+	"delphi/internal/run"
 )
 
 // TestRunTargetDispatch drives the cheap end of the pipeline: flag
@@ -23,16 +24,16 @@ func TestRunTargetDispatch(t *testing.T) {
 			t.Errorf("%s: rendering lacks the figure name:\n%s", target, text)
 		}
 	}
-	if err := run([]string{"nope"}); err == nil {
+	if err := execute([]string{"nope"}); err == nil {
 		t.Error("unknown target: want error")
 	}
-	if err := run([]string{"-scale", "warp9"}); err == nil {
+	if err := execute([]string{"-scale", "warp9"}); err == nil {
 		t.Error("bad scale flag: want error")
 	}
-	if err := run([]string{"-scale", "medium", "fig4"}); err == nil {
+	if err := execute([]string{"-scale", "medium", "fig4"}); err == nil {
 		t.Error("-scale medium: want error")
 	}
-	if err := run([]string{"-backend", "warp", "fig4"}); err == nil {
+	if err := execute([]string{"-backend", "warp", "fig4"}); err == nil {
 		t.Error("bad backend flag: want error")
 	}
 }
@@ -51,7 +52,7 @@ func TestBackendFlagRetargetsWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-cluster harness test")
 	}
-	if err := run([]string{"-backend", "live", "-scale", "quick", "matrix"}); err != nil {
+	if err := execute([]string{"-backend", "live", "-scale", "quick", "matrix"}); err != nil {
 		t.Fatalf("-backend live matrix: %v", err)
 	}
 }
@@ -156,7 +157,7 @@ func TestServiceTarget(t *testing.T) {
 // target named twice runs once, and every name is checked before anything
 // runs.
 func TestRunFlagSelectsTargets(t *testing.T) {
-	if err := run([]string{"-run", "fig4", "fig5"}); err != nil {
+	if err := execute([]string{"-run", "fig4", "fig5"}); err != nil {
 		t.Errorf("-run fig4 + positional fig5: %v", err)
 	}
 	for _, c := range []struct {
@@ -197,14 +198,14 @@ func TestFlagsReachEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bench.Engine{Workers: 3, DisableSessions: true, Backend: bench.BackendLive, SimWorkers: 2}
+	want := bench.Engine{Workers: 3, DisableSessions: true, Backend: run.BackendLive, SimWorkers: 2}
 	if *o.engine != want {
 		t.Errorf("engine = %+v, want %+v", *o.engine, want)
 	}
 	if len(o.targets) != 1 || o.targets[0] != "fig4" {
 		t.Errorf("targets = %v, want [fig4]", o.targets)
 	}
-	if d := defaultOptions(t); *d.engine != (bench.Engine{Backend: bench.BackendSim}) {
+	if d := defaultOptions(t); *d.engine != (bench.Engine{Backend: run.BackendSim}) {
 		t.Errorf("default engine = %+v", *d.engine)
 	}
 }

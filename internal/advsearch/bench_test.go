@@ -3,7 +3,7 @@ package advsearch
 import (
 	"testing"
 
-	"delphi/internal/bench"
+	"delphi/internal/run"
 )
 
 // BenchmarkAdvSearch measures the worst-case search's probe throughput on
@@ -13,7 +13,7 @@ import (
 // best_over_preset — the gate scripts/bench.sh enforces (≥ 1.0: the search
 // never does worse than the preset grid, by construction).
 func BenchmarkAdvSearch(b *testing.B) {
-	for _, proto := range []bench.Protocol{bench.ProtoDelphi, bench.ProtoFIN} {
+	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN} {
 		b.Run(string(proto), func(b *testing.B) {
 			cfg := quickConfig(0)
 			cfg.Protocol = proto

@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"delphi/internal/backend"
-	"delphi/internal/bench"
 	"delphi/internal/netadv"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -85,7 +85,7 @@ func (p *Profile) ReplayTCP(rc ReplayConfig) (*ReplayResult, error) {
 // returning the wall latency of the first completed attempt (0 when all
 // attempts timed out). Every attempt is one probe in the accounting.
 func (p *Profile) replayOne(adv netadv.Adversary, rc ReplayConfig, res *ReplayResult) (time.Duration, error) {
-	spec := bench.RunSpec{
+	spec := run.RunSpec{
 		Protocol:  p.Protocol,
 		N:         p.N,
 		F:         p.F,
@@ -94,7 +94,7 @@ func (p *Profile) replayOne(adv netadv.Adversary, rc ReplayConfig, res *ReplayRe
 		Inputs:    p.inputs,
 		Delphi:    p.params,
 		Adversary: adv,
-		Backend:   bench.BackendTCP,
+		Backend:   run.BackendTCP,
 	}
 	be := backend.TCP{Timeout: rc.Deadline}
 	backoff := rc.Backoff

@@ -8,7 +8,7 @@
 // successive halving (score every candidate at a small trial budget, keep
 // the top fraction, double the budget, repeat) followed by a simulated-
 // annealing refinement around the halving winner. Every probe's seed
-// derives from the search seed via bench.TrialSeed and every accept/reject
+// derives from the search seed via run.TrialSeed and every accept/reject
 // draw comes from a splitmix64 stream over the same seed, so a search is a
 // pure function of its Config: byte-identical profiles across reruns and —
 // because adaptive adversaries commit history at worker-count-independent
@@ -32,8 +32,10 @@ import (
 
 	"delphi/internal/bench"
 	"delphi/internal/core"
+	"delphi/internal/dist"
 	"delphi/internal/netadv"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -66,7 +68,7 @@ func (o Objective) Validate() error {
 }
 
 // score extracts the objective's value from one probe's stats.
-func (o Objective) score(st *bench.RunStats) float64 {
+func (o Objective) score(st *run.RunStats) float64 {
 	switch o {
 	case ObjSpread:
 		return st.Spread
@@ -134,7 +136,7 @@ func (s Space) Candidates() []netadv.Adversary {
 // Config parameterises one search.
 type Config struct {
 	// Protocol is the victim.
-	Protocol bench.Protocol
+	Protocol run.Protocol
 	// N sizes the system; the fault budget is the protocol's,
 	// Protocol.Faults(N). Probes run on the sim.AWS() testbed.
 	N int
@@ -171,7 +173,7 @@ type TrajPoint struct {
 // (protocol, objective) pair, with its evidence.
 type Profile struct {
 	// Protocol and Objective identify the search.
-	Protocol  bench.Protocol
+	Protocol  run.Protocol
 	Objective Objective
 	// N, F, and Seed record the sizing.
 	N, F int
@@ -402,12 +404,12 @@ func (s *searcher) probe(adv netadv.Adversary, trial int, rec *obs.Recorder) (fl
 	if rec == nil {
 		rec = obs.New()
 	}
-	st, err := bench.Run(bench.RunSpec{
+	st, err := run.Run(run.RunSpec{
 		Protocol:   s.cfg.Protocol,
 		N:          s.cfg.N,
 		F:          s.prof.F,
 		Env:        sim.AWS(),
-		Seed:       bench.TrialSeed(s.cfg.Seed, trial),
+		Seed:       run.TrialSeed(s.cfg.Seed, trial),
 		Inputs:     s.inputs,
 		Delphi:     s.params,
 		Adversary:  adv,
@@ -519,10 +521,7 @@ func newRng(seed int64, salt uint64) *rng { return &rng{z: uint64(seed) ^ salt} 
 
 func (r *rng) next() uint64 {
 	r.z += 0x9e3779b97f4a7c15
-	z := r.z
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return dist.Mix64(r.z)
 }
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }

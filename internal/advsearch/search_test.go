@@ -5,15 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"delphi/internal/bench"
 	"delphi/internal/netadv"
+	"delphi/internal/run"
 )
 
 // quickConfig is a reduced search that still exercises every stage: a
 // 2-kind × 2-adaptivity space over 2 halving rungs plus a short anneal.
 func quickConfig(workers int) Config {
 	return Config{
-		Protocol: bench.ProtoDelphi,
+		Protocol: run.ProtoDelphi,
 		N:        8,
 		Seed:     4242,
 		Space: Space{
@@ -93,10 +93,10 @@ func TestSearchValidation(t *testing.T) {
 	if _, err := Search(Config{N: 8}); err == nil {
 		t.Error("missing protocol accepted")
 	}
-	if _, err := Search(Config{Protocol: bench.ProtoDelphi, N: 2}); err == nil {
+	if _, err := Search(Config{Protocol: run.ProtoDelphi, N: 2}); err == nil {
 		t.Error("n=2 accepted")
 	}
-	if _, err := Search(Config{Protocol: bench.ProtoDelphi, N: 8, Objective: "entropy"}); err == nil {
+	if _, err := Search(Config{Protocol: run.ProtoDelphi, N: 8, Objective: "entropy"}); err == nil {
 		t.Error("unknown objective accepted")
 	}
 }
@@ -106,7 +106,7 @@ func TestSearchValidation(t *testing.T) {
 // of 2 would fail Dolev's n >= 5t+1 check on the first probe.
 func TestSearchDolevBudget(t *testing.T) {
 	p, err := Search(Config{
-		Protocol: bench.ProtoDolev,
+		Protocol: run.ProtoDolev,
 		N:        8,
 		Seed:     7,
 		Space: Space{

@@ -9,17 +9,17 @@
 // rounds share it through an instance mux (serviceSession). Both run their
 // trials through one body, runTrial.
 //
-// Importing this package registers the live backends with the bench
-// registry, so a Scenario or an Engine can name them (Scenario.Backend,
-// Engine.Backend) and bench.Engine fans the cells across its worker pool
-// like any other trial — every existing workload (figures, ablations,
-// adversary sweeps) runs on a live cluster by setting one field.
+// bench.Engine runs a spec on these backends when the spec, its Scenario or
+// the Engine names one (RunSpec.Backend, Scenario.Backend, Engine.Backend),
+// and fans the cells across its worker pool like any other trial — every
+// existing workload (figures, ablations, adversary sweeps) runs on a live
+// cluster by setting one field.
 //
 // Live backends measure wall-clock time (RunStats.Wall, and Latency as
 // wall time to the slowest honest decision). Wall time is real, so it is
 // not deterministic and carries no byte-identity guarantee; protocol
 // outputs, in contrast, must still satisfy the protocols' agreement and
-// validity guarantees on every backend — bench.RunSpec.StatsFromOutputs
+// validity guarantees on every backend — run.RunSpec.StatsFromOutputs
 // checks exactly that on every trial, so a trial that breaks one fails.
 // Network adversaries (internal/netadv) are injected into live transports
 // by a delay-wrapping Transport that evaluates the same sim.DelayRule
@@ -27,15 +27,16 @@
 package backend
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
 
 	"delphi/internal/auth"
-	"delphi/internal/bench"
 	"delphi/internal/codec"
 	"delphi/internal/node"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 	"delphi/internal/runtime"
 	"delphi/internal/sim"
 	"delphi/internal/wire"
@@ -46,8 +47,8 @@ import (
 // delay) so hitting it means a wedged cluster, not a slow one.
 const DefaultTimeout = 60 * time.Second
 
-// Live executes specs as in-process goroutine clusters over runtime.Hub.
-type Live struct {
+// Config is a live backend's run settings.
+type Config struct {
 	// Timeout bounds one cluster run; 0 means DefaultTimeout.
 	Timeout time.Duration
 	// NoBatch disables the drivers' per-step frame batching (see
@@ -55,24 +56,41 @@ type Live struct {
 	NoBatch bool
 }
 
-// Run executes one spec as a session of one trial.
-func (b Live) Run(spec bench.RunSpec) (*bench.RunStats, error) {
-	return runOnce(bench.BackendLive, openHub, spec, b.Timeout, b.NoBatch)
-}
+// Live executes specs as in-process goroutine clusters over runtime.Hub.
+type Live Config
 
 // TCP executes specs as loopback TCP clusters over runtime.TCPNet.
-type TCP struct {
-	// Timeout bounds one cluster run; 0 means DefaultTimeout.
-	Timeout time.Duration
-	// NoBatch disables the drivers' per-step frame batching (see
-	// runtime.WithFrameBatching) for A/B comparison.
-	NoBatch bool
+type TCP Config
+
+// Run executes one spec as a session of one trial.
+func (b Live) Run(spec run.RunSpec) (*run.RunStats, error) { return runOnce(b.Open, spec) }
+
+// Open opens a session that runs specs of spec's size one after another on
+// one hub.
+func (b Live) Open(spec run.RunSpec) (run.BackendSession, error) {
+	return openCluster(run.BackendLive, openHub, spec.N, b.Timeout, b.NoBatch)
+}
+
+// OpenService opens a hub of spec's size for concurrent service rounds,
+// observed by spec.Obs when set; a zero timeout means b.Timeout.
+func (b Live) OpenService(spec run.RunSpec, timeout time.Duration) (run.ServiceRunner, error) {
+	return openService(run.BackendLive, openHub, spec.N, cmp.Or(timeout, b.Timeout), spec.Obs)
 }
 
 // Run executes one spec as a session of one trial: the mesh is wired, the
 // trial runs, and the mesh is torn down.
-func (b TCP) Run(spec bench.RunSpec) (*bench.RunStats, error) {
-	return runOnce(bench.BackendTCP, openTCPNet, spec, b.Timeout, b.NoBatch)
+func (b TCP) Run(spec run.RunSpec) (*run.RunStats, error) { return runOnce(b.Open, spec) }
+
+// Open opens a session that runs specs of spec's size one after another on
+// one wired loopback mesh.
+func (b TCP) Open(spec run.RunSpec) (run.BackendSession, error) {
+	return openCluster(run.BackendTCP, openTCPNet, spec.N, b.Timeout, b.NoBatch)
+}
+
+// OpenService opens a loopback mesh of spec's size for concurrent service
+// rounds, observed by spec.Obs when set; a zero timeout means b.Timeout.
+func (b TCP) OpenService(spec run.RunSpec, timeout time.Duration) (run.ServiceRunner, error) {
+	return openService(run.BackendTCP, openTCPNet, spec.N, cmp.Or(timeout, b.Timeout), spec.Obs)
 }
 
 // fabric is the persistent substrate under a session: per-slot inboxes
@@ -99,8 +117,8 @@ func openTCPNet(n int) (fabric, error) {
 }
 
 // runOnce runs spec as a session of one trial.
-func runOnce(kind bench.BackendKind, open func(int) (fabric, error), spec bench.RunSpec, timeout time.Duration, noBatch bool) (*bench.RunStats, error) {
-	s, err := openCluster(kind, open, spec.N, timeout, noBatch)
+func runOnce(open func(run.RunSpec) (run.BackendSession, error), spec run.RunSpec) (*run.RunStats, error) {
+	s, err := open(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +142,7 @@ type trialScaffold struct {
 
 // newTrialScaffold validates the spec and builds the scaffolding; a zero
 // timeout means DefaultTimeout.
-func newTrialScaffold(spec bench.RunSpec, timeout time.Duration) (*trialScaffold, error) {
+func newTrialScaffold(spec run.RunSpec, timeout time.Duration) (*trialScaffold, error) {
 	if err := spec.Adversary.Validate(); err != nil {
 		return nil, err
 	}
@@ -170,8 +188,8 @@ func newTrialScaffold(spec bench.RunSpec, timeout time.Duration) (*trialScaffold
 // parked in a transport Send — and again after the run, before the
 // wrappers' in-flight delayed sends are waited out. tracks are the drivers'
 // per-node trace rows when spec.Obs is set.
-func runTrial(kind bench.BackendKind, spec bench.RunSpec, sc *trialScaffold, master []byte, noBatch bool,
-	transports runtime.TransportFactory, release func(), tracks []*obs.Track) (*bench.RunStats, error) {
+func runTrial(kind run.BackendKind, spec run.RunSpec, sc *trialScaffold, master []byte, noBatch bool,
+	transports runtime.TransportFactory, release func(), tracks []*obs.Track) (*run.RunStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), sc.timeout)
 	defer cancel()
 	wrappers := make([]*advTransport, spec.N)
@@ -218,7 +236,7 @@ func runTrial(kind bench.BackendKind, spec bench.RunSpec, sc *trialScaffold, mas
 // trial context expired, the error names the honest slots that never
 // decided and the first driver error, so a timed-out trial carries its
 // cause.
-func clusterStats(spec bench.RunSpec, kind bench.BackendKind, res *runtime.ClusterResult, acct *traffic, ctx context.Context, timeout time.Duration) (*bench.RunStats, error) {
+func clusterStats(spec run.RunSpec, kind run.BackendKind, res *runtime.ClusterResult, acct *traffic, ctx context.Context, timeout time.Duration) (*run.RunStats, error) {
 	if bad := res.Faults[runtime.FaultBadMAC]; bad != 0 {
 		// Stale epochs are filtered before the MAC, so these were forged or
 		// corrupted in a closed cluster: no number from this trial counts.
@@ -256,28 +274,4 @@ func clusterStats(spec bench.RunSpec, kind bench.BackendKind, res *runtime.Clust
 	stats.TotalBytes = acct.bytes.Load()
 	stats.TotalMsgs = int(acct.msgs.Load())
 	return stats, nil
-}
-
-func init() {
-	for _, k := range []struct {
-		kind bench.BackendKind
-		open func(int) (fabric, error)
-	}{
-		{bench.BackendLive, openHub},
-		{bench.BackendTCP, openTCPNet},
-	} {
-		bench.MustRegisterBackend(k.kind, bench.BackendCaps{WallClock: true}, func(spec bench.RunSpec) (*bench.RunStats, error) {
-			return runOnce(k.kind, k.open, spec, 0, false)
-		})
-		bench.MustRegisterBackendSessions(k.kind, bench.SessionSupport{
-			// A fabric fits any trial of the same cluster size.
-			Key: func(spec bench.RunSpec) string { return fmt.Sprintf("n=%d", spec.N) },
-			Open: func(spec bench.RunSpec) (bench.BackendSession, error) {
-				return openCluster(k.kind, k.open, spec.N, 0, false)
-			},
-		})
-		bench.MustRegisterServiceBackend(k.kind, func(spec bench.RunSpec, timeout time.Duration) (bench.ServiceRunner, error) {
-			return openService(k.kind, k.open, spec.N, timeout, spec.Obs)
-		})
-	}
 }

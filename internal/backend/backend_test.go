@@ -1,4 +1,4 @@
-package backend
+package backend_test
 
 import (
 	"math"
@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"delphi/internal/backend"
 	"delphi/internal/bench"
 	"delphi/internal/core"
 	"delphi/internal/netadv"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -17,12 +19,12 @@ import (
 var quickParams = core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2}
 
 // quickSpec builds a small clean-network spec for the protocol.
-func quickSpec(proto bench.Protocol, seed int64) bench.RunSpec {
+func quickSpec(proto run.Protocol, seed int64) run.RunSpec {
 	n, f := 8, 2
-	if proto == bench.ProtoDolev {
+	if proto == run.ProtoDolev {
 		n, f = 6, 1 // Dolev needs n >= 5t+1
 	}
-	return bench.RunSpec{
+	return run.RunSpec{
 		Protocol: proto,
 		N:        n,
 		F:        f,
@@ -33,41 +35,18 @@ func quickSpec(proto bench.Protocol, seed int64) bench.RunSpec {
 	}
 }
 
-func TestBackendsRegistered(t *testing.T) {
-	for _, kind := range []bench.BackendKind{bench.BackendSim, bench.BackendLive, bench.BackendTCP} {
-		if !bench.BackendRegistered(kind) {
-			t.Errorf("backend %q not registered", kind)
-		}
-	}
-	caps, ok := bench.BackendCapsOf(bench.BackendLive)
-	if !ok || caps.Deterministic || !caps.WallClock {
-		t.Errorf("live caps = %+v, want wall-clock non-deterministic", caps)
-	}
-	caps, ok = bench.BackendCapsOf(bench.BackendSim)
-	if !ok || !caps.Deterministic || caps.WallClock {
-		t.Errorf("sim caps = %+v, want deterministic virtual-time", caps)
-	}
-	if bench.BackendRegistered("quantum") {
-		t.Error("unknown backend reported registered")
-	}
-	kinds := bench.RegisteredBackends()
-	if len(kinds) < 3 || kinds[0] != bench.BackendSim {
-		t.Errorf("RegisteredBackends() = %v, want sim first with live kinds", kinds)
-	}
-}
-
 // TestSimBackendByteIdentical pins the simulator's place on the backend
-// axis: with the live backends registered, a spec naming the simulator runs
-// through the engine byte-identically to calling bench.Run directly, and
+// axis: beside the live backends, a spec naming the simulator runs
+// through the engine byte-identically to calling run.Run directly, and
 // reports no wall time.
 func TestSimBackendByteIdentical(t *testing.T) {
-	spec := quickSpec(bench.ProtoDelphi, 7)
-	direct, err := bench.Run(spec)
+	spec := quickSpec(run.ProtoDelphi, 7)
+	direct, err := run.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Backend = bench.BackendSim
-	viaEngine, err := bench.NewEngine(1).RunBatch([]bench.RunSpec{spec})
+	spec.Backend = run.BackendSim
+	viaEngine, err := bench.NewEngine(1).RunBatch([]run.RunSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +54,11 @@ func TestSimBackendByteIdentical(t *testing.T) {
 		t.Errorf("sim backend reported wall time %v", viaEngine[0].Wall)
 	}
 	if got, want := viaEngine[0], direct; !statsEqual(got, want) {
-		t.Errorf("sim backend stats differ from bench.Run:\n%+v\nvs\n%+v", got, want)
+		t.Errorf("sim backend stats differ from run.Run:\n%+v\nvs\n%+v", got, want)
 	}
 }
 
-func statsEqual(a, b *bench.RunStats) bool {
+func statsEqual(a, b *run.RunStats) bool {
 	if a.Latency != b.Latency || a.TotalBytes != b.TotalBytes || a.TotalMsgs != b.TotalMsgs ||
 		a.Spread != b.Spread || a.MeanAbsErr != b.MeanAbsErr ||
 		a.SigVerifies != b.SigVerifies || a.Pairings != b.Pairings ||
@@ -98,10 +77,10 @@ func statsEqual(a, b *bench.RunStats) bool {
 // cluster and checks the protocol guarantees plus the wall-clock and
 // traffic accounting the live backend must fill in.
 func TestLiveBackendAllProtocols(t *testing.T) {
-	for _, proto := range []bench.Protocol{bench.ProtoDelphi, bench.ProtoFIN, bench.ProtoAbraham, bench.ProtoDolev} {
+	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev} {
 		t.Run(string(proto), func(t *testing.T) {
 			spec := quickSpec(proto, 42)
-			st, err := Live{}.Run(spec)
+			st, err := backend.Live{}.Run(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +104,7 @@ func TestLiveBackendAllProtocols(t *testing.T) {
 			if st.TotalMsgs == 0 || st.TotalBytes == 0 {
 				t.Errorf("traffic accounting empty: %d msgs, %d bytes", st.TotalMsgs, st.TotalBytes)
 			}
-			if st.Backend != bench.BackendLive {
+			if st.Backend != run.BackendLive {
 				t.Errorf("stats backend = %q, want live", st.Backend)
 			}
 		})
@@ -135,11 +114,11 @@ func TestLiveBackendAllProtocols(t *testing.T) {
 // TestLiveBackendFaults exercises crash and Byzantine slots on the live
 // cluster: the honest majority must still decide.
 func TestLiveBackendFaults(t *testing.T) {
-	spec := quickSpec(bench.ProtoDelphi, 11)
+	spec := quickSpec(run.ProtoDelphi, 11)
 	spec.Inputs[5] = math.NaN() // crash a middle slot
 	spec.Byzantine = 1          // slot 7 turns adversarial
-	spec.ByzKind = bench.ByzSpam
-	r, err := Live{}.Run(spec)
+	spec.ByzKind = run.ByzSpam
+	r, err := backend.Live{}.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +137,9 @@ func TestLiveBackendFaults(t *testing.T) {
 func TestLiveAdversaryInjection(t *testing.T) {
 	const severity = 0.2
 	heal := time.Duration(float64(1500*time.Millisecond) * severity)
-	spec := quickSpec(bench.ProtoDelphi, 3)
+	spec := quickSpec(run.ProtoDelphi, 3)
 	spec.Adversary = netadv.Adversary{Kind: netadv.Partition, Severity: severity}
-	r, err := Live{}.Run(spec)
+	r, err := backend.Live{}.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +153,7 @@ func TestLiveAdversaryInjection(t *testing.T) {
 	// And the clean run must not be anywhere near that slow on average:
 	// re-run without the adversary and require it to beat the heal bound.
 	spec.Adversary = netadv.Adversary{}
-	clean, err := Live{}.Run(spec)
+	clean, err := backend.Live{}.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +167,9 @@ func TestLiveAdversaryInjection(t *testing.T) {
 // — fails with an error that says it timed out and lists the honest slots
 // left without output, not merely that one node produced none.
 func TestTimedOutTrialNamesItsCause(t *testing.T) {
-	spec := quickSpec(bench.ProtoDelphi, 3)
+	spec := quickSpec(run.ProtoDelphi, 3)
 	spec.Adversary = netadv.Adversary{Kind: netadv.Partition, Severity: 1} // heals after 1.5 s
-	_, err := Live{Timeout: 50 * time.Millisecond}.Run(spec)
+	_, err := backend.Live{Timeout: 50 * time.Millisecond}.Run(spec)
 	if err == nil {
 		t.Fatal("partitioned cluster decided inside 50ms")
 	}
@@ -206,7 +185,7 @@ func TestTimedOutTrialNamesItsCause(t *testing.T) {
 // live transport, must land in the same agreement window on the simulator
 // and the live cluster.
 func TestCrossBackendValidation(t *testing.T) {
-	checkCrossBackend(t, bench.BackendSim, bench.BackendLive)
+	checkCrossBackend(t, run.BackendSim, run.BackendLive)
 }
 
 // checkCrossBackend runs every protocol at n=8, clean and under two netadv
@@ -216,16 +195,16 @@ func TestCrossBackendValidation(t *testing.T) {
 // Across kinds, the same spec's mean outputs must lie within δ+ε of each
 // other: every backend decides inside one δ-wide validity window. Wall
 // times are real and are not compared.
-func checkCrossBackend(t *testing.T, kinds ...bench.BackendKind) {
+func checkCrossBackend(t *testing.T, kinds ...run.BackendKind) {
 	t.Helper()
 	const n, center, delta = 8, 41000.0, 20.0
 	advs := []netadv.Adversary{{}, {Kind: netadv.SlowF, Severity: 0.25}, {Kind: netadv.JitterStorm, Severity: 0.25}}
-	seed := bench.TrialSeed(1, 0)
-	var specs []bench.RunSpec
-	for _, proto := range []bench.Protocol{bench.ProtoDelphi, bench.ProtoFIN, bench.ProtoAbraham, bench.ProtoDolev} {
+	seed := run.TrialSeed(1, 0)
+	var specs []run.RunSpec
+	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev} {
 		for _, adv := range advs {
 			for _, kind := range kinds {
-				specs = append(specs, bench.RunSpec{
+				specs = append(specs, run.RunSpec{
 					Protocol: proto, N: n, F: proto.Faults(n), Env: sim.AWS(), Seed: seed,
 					Inputs: bench.OracleInputs(n, center, delta, seed), Delphi: quickParams,
 					Adversary: adv, Backend: kind,
@@ -255,17 +234,17 @@ func TestTCPBackend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp cluster smoke")
 	}
-	spec := quickSpec(bench.ProtoDelphi, 42)
+	spec := quickSpec(run.ProtoDelphi, 42)
 	spec.N, spec.F = 4, 1
 	spec.Inputs = bench.OracleInputs(4, 41000, 20, 42)
-	r, err := TCP{}.Run(spec)
+	r, err := backend.TCP{}.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Spread > quickParams.Eps {
 		t.Errorf("tcp spread %g > eps", r.Spread)
 	}
-	if r.Backend != bench.BackendTCP {
+	if r.Backend != run.BackendTCP {
 		t.Errorf("stats backend = %q, want tcp", r.Backend)
 	}
 	if r.Wall <= 0 {
@@ -274,7 +253,7 @@ func TestTCPBackend(t *testing.T) {
 
 	// Adversary injection composes with the TCP transport too.
 	spec.Adversary = netadv.Adversary{Kind: netadv.SlowF, Severity: 0.1}
-	if _, err := (TCP{}.Run(spec)); err != nil {
+	if _, err := (backend.TCP{}.Run(spec)); err != nil {
 		t.Fatalf("tcp under slow-f: %v", err)
 	}
 
@@ -283,9 +262,9 @@ func TestTCPBackend(t *testing.T) {
 	// instead of waiting out the timeout with the spammer blocked mid-Send.
 	spec.Adversary = netadv.Adversary{}
 	spec.Byzantine = 1
-	spec.ByzKind = bench.ByzSpam
+	spec.ByzKind = run.ByzSpam
 	start := time.Now()
-	r2, err := (TCP{Timeout: 30 * time.Second}).Run(spec)
+	r2, err := (backend.TCP{Timeout: 30 * time.Second}).Run(spec)
 	if err != nil {
 		t.Fatalf("tcp with spammer: %v", err)
 	}
@@ -300,10 +279,10 @@ func TestTCPBackend(t *testing.T) {
 // TestLiveBackendRerunsAgree documents what IS stable on a live backend:
 // wall times vary, but the protocol guarantees hold on every rerun.
 func TestLiveBackendRerunsAgree(t *testing.T) {
-	spec := quickSpec(bench.ProtoFIN, 5)
+	spec := quickSpec(run.ProtoFIN, 5)
 	var outputs []float64
 	for i := 0; i < 3; i++ {
-		r, err := Live{}.Run(spec)
+		r, err := backend.Live{}.Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,15 @@
-package backend
+package backend_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"delphi/internal/backend"
 	"delphi/internal/bench"
 	"delphi/internal/netadv"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -16,29 +19,29 @@ import (
 // guarantees and decide inside the same δ-wide window (the same bound
 // checkCrossBackend applies across backends).
 func TestBatchingLiveAgreement(t *testing.T) {
-	spec := quickSpec(bench.ProtoDelphi, 99)
+	spec := quickSpec(run.ProtoDelphi, 99)
 	const delta = 20.0
 
-	simBefore, err := bench.Run(spec)
+	simBefore, err := run.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := Live{}.Run(spec)
+	batched, err := backend.Live{}.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbatched, err := Live{NoBatch: true}.Run(spec)
+	unbatched, err := backend.Live{NoBatch: true}.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simAfter, err := bench.Run(spec)
+	simAfter, err := run.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !statsEqual(simBefore, simAfter) {
 		t.Error("sim results moved while exercising the live batching knob")
 	}
-	for name, r := range map[string]*bench.RunStats{"batched": batched, "unbatched": unbatched} {
+	for name, r := range map[string]*run.RunStats{"batched": batched, "unbatched": unbatched} {
 		if r.Spread > quickParams.Eps {
 			t.Errorf("%s: spread %g > ε", name, r.Spread)
 		}
@@ -64,7 +67,7 @@ func TestBatchingLiveAgreement(t *testing.T) {
 // checkMsgRatio asserts two runs' accounted message counts are of the same
 // magnitude: if batching were accounted per envelope instead of per member
 // message, the batched count would collapse by roughly the cluster size.
-func checkMsgRatio(t *testing.T, a, b *bench.RunStats) {
+func checkMsgRatio(t *testing.T, a, b *run.RunStats) {
 	t.Helper()
 	if a.TotalMsgs == 0 || b.TotalMsgs == 0 {
 		t.Fatalf("empty accounting: %d vs %d messages", a.TotalMsgs, b.TotalMsgs)
@@ -83,20 +86,20 @@ func TestBatchingTCPAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp batching sweep")
 	}
-	spec := quickSpec(bench.ProtoDelphi, 77)
+	spec := quickSpec(run.ProtoDelphi, 77)
 	spec.N, spec.F = 8, 2
 	const delta = 20.0
 	for _, adv := range []netadv.Adversary{{}, {Kind: netadv.JitterStorm, Severity: 0.2}} {
 		spec.Adversary = adv
-		batched, err := TCP{}.Run(spec)
+		batched, err := backend.TCP{}.Run(spec)
 		if err != nil {
 			t.Fatalf("%s batched: %v", adv, err)
 		}
-		unbatched, err := TCP{NoBatch: true}.Run(spec)
+		unbatched, err := backend.TCP{NoBatch: true}.Run(spec)
 		if err != nil {
 			t.Fatalf("%s unbatched: %v", adv, err)
 		}
-		for name, r := range map[string]*bench.RunStats{"batched": batched, "unbatched": unbatched} {
+		for name, r := range map[string]*run.RunStats{"batched": batched, "unbatched": unbatched} {
 			if r.Spread > quickParams.Eps {
 				t.Errorf("%s %s: spread %g > ε", adv, name, r.Spread)
 			}
@@ -112,9 +115,9 @@ func TestBatchingTCPAgreement(t *testing.T) {
 // clean session trial reports zero transport drops in its stats — so a
 // non-zero value in an investigation genuinely means frames were lost.
 func TestSessionTransportDrops(t *testing.T) {
-	for _, kind := range []bench.BackendKind{bench.BackendLive, bench.BackendTCP} {
+	for _, kind := range []run.BackendKind{run.BackendLive, run.BackendTCP} {
 		t.Run(string(kind), func(t *testing.T) {
-			if kind == bench.BackendTCP && testing.Short() {
+			if kind == run.BackendTCP && testing.Short() {
 				t.Skip("tcp session smoke")
 			}
 			spec := sessionSpec(kind, 13)
@@ -130,6 +133,51 @@ func TestSessionTransportDrops(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTCPTrafficMatchesSimulator runs a protocol whose traffic does not
+// depend on the schedule (Dolev: every node broadcasts once per round) over
+// tcp and checks the wrapper's totals against the simulator's for the same
+// spec, bit for bit — bare frames (batching off) and envelopes, on a clean
+// network (the one-pass path) and under a delay preset (the per-member
+// path), per-trial transports and a persistent session.
+func TestTCPTrafficMatchesSimulator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tcp traffic audit")
+	}
+	spec := quickSpec(run.ProtoDolev, 5)
+	spec.N, spec.F = 11, 2
+	spec.Inputs = bench.OracleInputs(spec.N, 41000, 20, spec.Seed)
+	for _, adv := range []netadv.Adversary{{}, {Kind: netadv.JitterStorm, Severity: 0.2}} {
+		spec.Adversary = adv
+		want, err := run.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, noBatch := range []bool{true, false} {
+			name := fmt.Sprintf("%s/nobatch=%v", adv, noBatch)
+			perTrial, err := backend.TCP{NoBatch: noBatch}.Run(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sess := openSession(t, run.BackendTCP, spec.N, noBatch)
+			first, err1 := sess.Run(spec)
+			second, err2 := sess.Run(spec)
+			sess.Close()
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s: session trials: %v, %v", name, err1, err2)
+			}
+			for kind, got := range map[string]*run.RunStats{"per-trial": perTrial, "session trial 1": first, "session trial 2": second} {
+				if got.TotalMsgs != want.TotalMsgs || got.TotalBytes != want.TotalBytes {
+					t.Errorf("%s %s: %d msgs / %d bytes, simulator %d / %d", name, kind,
+						got.TotalMsgs, got.TotalBytes, want.TotalMsgs, want.TotalBytes)
+				}
+				if got.TransportDrops != 0 {
+					t.Errorf("%s %s: %d transport drops", name, kind, got.TransportDrops)
+				}
+			}
+		}
 	}
 }
 
@@ -153,25 +201,25 @@ func TestSessionTransportDrops(t *testing.T) {
 // records all three in BENCH_6.json.
 func BenchmarkTCPFrameThroughput(b *testing.B) {
 	const n, f = 16, 5
-	spec := bench.RunSpec{
-		Protocol: bench.ProtoFIN,
+	spec := run.RunSpec{
+		Protocol: run.ProtoFIN,
 		N:        n,
 		F:        f,
 		Env:      sim.AWS(),
 		Seed:     21,
 		Inputs:   bench.OracleInputs(n, 41000, 20, 21),
 		Delphi:   quickParams,
-		Backend:  bench.BackendTCP,
+		Backend:  run.BackendTCP,
 	}
 	type lane struct {
 		name    string
-		sess    bench.BackendSession
+		sess    run.BackendSession
 		elapsed time.Duration
 		frames  int64
 	}
 	lanes := [2]lane{{name: "batched"}, {name: "unbatched"}}
 	for i := range lanes {
-		sess := openSession(b, bench.BackendTCP, n, i == 1)
+		sess := openSession(b, run.BackendTCP, n, i == 1)
 		defer sess.Close()
 		// Warm the mesh: the first trial dials n² connections.
 		if _, err := sess.Run(spec); err != nil {

@@ -3,15 +3,13 @@ package backend
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"delphi/internal/auth"
-	"delphi/internal/bench"
-	"delphi/internal/netadv"
 	"delphi/internal/node"
+	"delphi/internal/run"
 	"delphi/internal/runtime"
 	"delphi/internal/sim"
 	"delphi/internal/wire"
@@ -166,7 +164,7 @@ func TestCleanAndRulePathsAccountAlike(t *testing.T) {
 		frames[39],
 		append(runtime.AppendBatch(nil, frames[:3]), 0x7f), // last member's length overruns
 	}
-	run := func(rule sim.DelayRule) (*traffic, [][]byte) {
+	relay := func(rule sim.DelayRule) (*traffic, [][]byte) {
 		wrap, acct := newAdvWrapper(rule, reg, nil)
 		sink := newSink()
 		adv := wrap(2, sink)
@@ -178,8 +176,8 @@ func TestCleanAndRulePathsAccountAlike(t *testing.T) {
 		adv.Close()
 		return acct, sink.got(1)
 	}
-	clean, cleanSent := run(nil)
-	ruled, ruledSent := run(func(time.Duration, node.ID, node.ID, node.Message) time.Duration { return 0 })
+	clean, cleanSent := relay(nil)
+	ruled, ruledSent := relay(func(time.Duration, node.ID, node.ID, node.Message) time.Duration { return 0 })
 	if clean.msgs.Load() != ruled.msgs.Load() || clean.bytes.Load() != ruled.bytes.Load() {
 		t.Errorf("clean path accounted %d msgs / %d bytes, rule path %d / %d",
 			clean.msgs.Load(), clean.bytes.Load(), ruled.msgs.Load(), ruled.bytes.Load())
@@ -197,63 +195,18 @@ func TestCleanAndRulePathsAccountAlike(t *testing.T) {
 	}
 }
 
-// TestTCPTrafficMatchesSimulator runs a protocol whose traffic does not
-// depend on the schedule (Dolev: every node broadcasts once per round) over
-// tcp and checks the wrapper's totals against the simulator's for the same
-// spec, bit for bit — bare frames (batching off) and envelopes, on a clean
-// network (the one-pass path) and under a delay preset (the per-member
-// path), per-trial transports and a persistent session.
-func TestTCPTrafficMatchesSimulator(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tcp traffic audit")
-	}
-	spec := quickSpec(bench.ProtoDolev, 5)
-	spec.N, spec.F = 11, 2
-	spec.Inputs = bench.OracleInputs(spec.N, 41000, 20, spec.Seed)
-	for _, adv := range []netadv.Adversary{{}, {Kind: netadv.JitterStorm, Severity: 0.2}} {
-		spec.Adversary = adv
-		want, err := bench.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, noBatch := range []bool{true, false} {
-			name := fmt.Sprintf("%s/nobatch=%v", adv, noBatch)
-			perTrial, err := TCP{NoBatch: noBatch}.Run(spec)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			sess := openSession(t, bench.BackendTCP, spec.N, noBatch)
-			first, err1 := sess.Run(spec)
-			second, err2 := sess.Run(spec)
-			sess.Close()
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s: session trials: %v, %v", name, err1, err2)
-			}
-			for kind, got := range map[string]*bench.RunStats{"per-trial": perTrial, "session trial 1": first, "session trial 2": second} {
-				if got.TotalMsgs != want.TotalMsgs || got.TotalBytes != want.TotalBytes {
-					t.Errorf("%s %s: %d msgs / %d bytes, simulator %d / %d", name, kind,
-						got.TotalMsgs, got.TotalBytes, want.TotalMsgs, want.TotalBytes)
-				}
-				if got.TransportDrops != 0 {
-					t.Errorf("%s %s: %d transport drops", name, kind, got.TransportDrops)
-				}
-			}
-		}
-	}
-}
-
 // TestBadMACFailsTheTrial pins the gate in clusterStats: a cluster result
 // that counted an authentication failure yields no stats, whatever its
 // outputs say.
 func TestBadMACFailsTheTrial(t *testing.T) {
-	spec := quickSpec(bench.ProtoDelphi, 1)
+	spec := run.RunSpec{Protocol: run.ProtoDelphi, N: 8, F: 2}
 	res := &runtime.ClusterResult{
 		Outputs: make([][]any, spec.N),
 		Times:   make([][]time.Duration, spec.N),
 		Errs:    make([]error, spec.N),
 	}
 	res.Faults[runtime.FaultBadMAC] = 2
-	_, err := clusterStats(spec, bench.BackendTCP, res, &traffic{}, context.Background(), time.Second)
+	_, err := clusterStats(spec, run.BackendTCP, res, &traffic{}, context.Background(), time.Second)
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("2 frames failed authentication")) {
 		t.Errorf("err = %v, want the authentication failure", err)
 	}

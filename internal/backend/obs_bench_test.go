@@ -1,4 +1,4 @@
-package backend
+package backend_test
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 
 	"delphi/internal/bench"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -23,27 +24,27 @@ import (
 // in BENCH_9.json.
 func BenchmarkTCPObsOverhead(b *testing.B) {
 	const n, f = 16, 5
-	spec := bench.RunSpec{
-		Protocol: bench.ProtoFIN,
+	spec := run.RunSpec{
+		Protocol: run.ProtoFIN,
 		N:        n,
 		F:        f,
 		Env:      sim.AWS(),
 		Seed:     21,
 		Inputs:   bench.OracleInputs(n, 41000, 20, 21),
 		Delphi:   quickParams,
-		Backend:  bench.BackendTCP,
+		Backend:  run.BackendTCP,
 	}
 	type lane struct {
 		name    string
-		spec    bench.RunSpec
-		sess    bench.BackendSession
+		spec    run.RunSpec
+		sess    run.BackendSession
 		elapsed time.Duration
 		trials  int
 	}
 	lanes := [2]lane{{name: "off", spec: spec}, {name: "on", spec: spec}}
 	lanes[1].spec.Obs = obs.New()
 	for i := range lanes {
-		sess := openSession(b, bench.BackendTCP, n, false)
+		sess := openSession(b, run.BackendTCP, n, false)
 		defer sess.Close()
 		// Warm the mesh: the first trial dials n² connections.
 		if _, err := sess.Run(lanes[i].spec); err != nil {

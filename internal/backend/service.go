@@ -7,16 +7,17 @@ import (
 	"time"
 
 	"delphi/internal/auth"
-	"delphi/internal/bench"
 	"delphi/internal/node"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 	"delphi/internal/runtime"
 )
 
-// This file is the live half of the continuous-service mode (bench.Service):
-// a serviceSession runs many agreement rounds CONCURRENTLY over one
-// persistent fabric. Where clusterSession serialises trials (one epoch at a
-// time, drainers between), the service session multiplexes instances:
+// This file is the live half of the continuous-service mode
+// (bench.Engine.RunService): a serviceSession runs many agreement rounds
+// CONCURRENTLY over one persistent fabric. Where clusterSession serialises
+// trials (one epoch at a time, drainers between), the service session
+// multiplexes instances:
 //
 //   - every round gets a unique 8-byte tag and sends through the fabric's
 //     tagged endpoints, which append the tag after the sealed frame;
@@ -32,7 +33,7 @@ import (
 //     bounded window of rounds in flight holds bounded buffers, however many
 //     rounds it has served.
 type serviceSession struct {
-	kind    bench.BackendKind
+	kind    run.BackendKind
 	timeout time.Duration
 	fab     fabric
 	mux     *runtime.InstanceMux
@@ -47,7 +48,7 @@ type serviceSession struct {
 // session never starts drainers — each frame is routed or discarded as it
 // arrives). rec, when non-nil, observes the fabric and the mux — it
 // arrives before any traffic flows, so the hooks are installed race-free.
-func openService(kind bench.BackendKind, open func(int) (fabric, error), n int, timeout time.Duration, rec *obs.Recorder) (bench.ServiceRunner, error) {
+func openService(kind run.BackendKind, open func(int) (fabric, error), n int, timeout time.Duration, rec *obs.Recorder) (run.ServiceRunner, error) {
 	fab, err := open(n)
 	if err != nil {
 		return nil, err
@@ -62,10 +63,10 @@ func openService(kind bench.BackendKind, open func(int) (fabric, error), n int, 
 	return s, nil
 }
 
-// RunRound implements bench.ServiceRunner. Safe for concurrent calls: each
+// RunRound implements run.ServiceRunner. Safe for concurrent calls: each
 // round is an isolated instance — own tag, own master key, own per-slot
 // inboxes — sharing only the fabric's wire and buffer pool.
-func (s *serviceSession) RunRound(spec bench.RunSpec) (*bench.RunStats, error) {
+func (s *serviceSession) RunRound(spec run.RunSpec) (*run.RunStats, error) {
 	if spec.N != s.fab.N() {
 		return nil, fmt.Errorf("backend: %s service for n=%d cannot run spec with n=%d", s.kind, s.fab.N(), spec.N)
 	}
@@ -106,16 +107,16 @@ func (s *serviceSession) RunRound(spec bench.RunSpec) (*bench.RunStats, error) {
 		}, func() {}, tracks)
 }
 
-// StaleFrames implements bench.ServiceRunner: frames the mux discarded
+// StaleFrames implements run.ServiceRunner: frames the mux discarded
 // because no live instance claimed them — the accounted stragglers of
 // decided rounds.
 func (s *serviceSession) StaleFrames() uint64 { return s.mux.Stale() }
 
-// Drops implements bench.ServiceRunner: the fabric's observable frame loss
+// Drops implements run.ServiceRunner: the fabric's observable frame loss
 // since the session opened.
 func (s *serviceSession) Drops() uint64 { return s.fab.Drops() }
 
-// Close implements bench.ServiceRunner. Idempotent. Rounds still in flight
+// Close implements run.ServiceRunner. Idempotent. Rounds still in flight
 // lose their inboxes (their drivers see end-of-input and exit), so callers
 // should drain their window first for clean stats.
 func (s *serviceSession) Close() error {

@@ -1,4 +1,4 @@
-package backend
+package backend_test
 
 import (
 	"sync"
@@ -6,20 +6,22 @@ import (
 	"testing"
 	"time"
 
+	"delphi/internal/backend"
 	"delphi/internal/bench"
 	"delphi/internal/dist"
 	"delphi/internal/feeds"
 	"delphi/internal/netadv"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
 // soakSpec is the smallest cluster the soak drives: n=4 keeps per-round
 // cost low so a thousand-round soak stays in test-suite budget.
-func soakSpec(kind bench.BackendKind, seed int64) bench.RunSpec {
+func soakSpec(kind run.BackendKind, seed int64) run.RunSpec {
 	const n, f = 4, 1
-	return bench.RunSpec{
-		Protocol: bench.ProtoDelphi,
+	return run.RunSpec{
+		Protocol: run.ProtoDelphi,
 		N:        n,
 		F:        f,
 		Env:      sim.AWS(),
@@ -31,9 +33,9 @@ func soakSpec(kind bench.BackendKind, seed int64) bench.RunSpec {
 }
 
 // serviceScenario is the Scenario the end-to-end service tests sweep.
-func serviceScenario(kind bench.BackendKind) bench.Scenario {
+func serviceScenario(kind run.BackendKind) bench.Scenario {
 	return bench.Scenario{
-		Name: "svc-live", Protocol: bench.ProtoDelphi, N: 4, Env: sim.AWS(),
+		Name: "svc-live", Protocol: run.ProtoDelphi, N: 4, Env: sim.AWS(),
 		Params: quickParams, Center: 41000, Delta: 20, Backend: kind,
 	}
 }
@@ -45,15 +47,15 @@ func servicePopulation() feeds.Population {
 	}
 }
 
-// openSoakSession opens a service session directly (not through the bench
-// registry) so the soak can measure the session mid-run.
-func openSoakSession(t testing.TB, kind bench.BackendKind, n int) bench.ServiceRunner {
+// openSoakSession opens a service session directly (not through
+// bench.RunService) so the soak can measure the session mid-run.
+func openSoakSession(t testing.TB, kind run.BackendKind, n int) run.ServiceRunner {
 	t.Helper()
-	open := openHub
-	if kind == bench.BackendTCP {
-		open = openTCPNet
+	open := backend.Live{}.OpenService
+	if kind == run.BackendTCP {
+		open = backend.TCP{}.OpenService
 	}
-	s, err := openService(kind, open, n, 0, nil)
+	s, err := open(run.RunSpec{N: n}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func openSoakSession(t testing.TB, kind bench.BackendKind, n int) bench.ServiceR
 
 // soakRounds drives rounds [from, to) through the session with `window`
 // concurrent instances, checking every decided round's spread.
-func soakRounds(t *testing.T, s bench.ServiceRunner, base bench.RunSpec, from, to, window int, failed *atomic.Int64) {
+func soakRounds(t *testing.T, s run.ServiceRunner, base run.RunSpec, from, to, window int, failed *atomic.Int64) {
 	t.Helper()
 	sem := make(chan struct{}, window)
 	var wg sync.WaitGroup
@@ -73,7 +75,7 @@ func soakRounds(t *testing.T, s bench.ServiceRunner, base bench.RunSpec, from, t
 			defer wg.Done()
 			defer func() { <-sem }()
 			sp := base
-			sp.Seed = bench.TrialSeed(base.Seed, i)
+			sp.Seed = run.TrialSeed(base.Seed, i)
 			sp.Inputs = bench.OracleInputs(sp.N, 41000, 20, sp.Seed)
 			st, err := s.RunRound(sp)
 			if err != nil {
@@ -103,8 +105,8 @@ func TestServiceTCPSoak(t *testing.T) {
 		rounds = 150
 	}
 	const window = 4
-	base := soakSpec(bench.BackendTCP, 3)
-	s := openSoakSession(t, bench.BackendTCP, base.N)
+	base := soakSpec(run.BackendTCP, 3)
+	s := openSoakSession(t, run.BackendTCP, base.N)
 	defer s.Close()
 
 	var failed atomic.Int64
@@ -144,8 +146,8 @@ func TestServiceTCPSoak(t *testing.T) {
 // relabeled-tag MAC failure itself).
 func TestServiceHubOverlappingRounds(t *testing.T) {
 	const rounds, window = 64, 8
-	base := soakSpec(bench.BackendLive, 11)
-	s := openSoakSession(t, bench.BackendLive, base.N)
+	base := soakSpec(run.BackendLive, 11)
+	s := openSoakSession(t, run.BackendLive, base.N)
 	defer s.Close()
 
 	var failed atomic.Int64
@@ -167,8 +169,8 @@ func TestServiceHubOverlappingRounds(t *testing.T) {
 // TestServiceSessionLifecycle pins the session's error paths: wrong cluster
 // size, use after close, and double close.
 func TestServiceSessionLifecycle(t *testing.T) {
-	base := soakSpec(bench.BackendLive, 5)
-	s := openSoakSession(t, bench.BackendLive, base.N)
+	base := soakSpec(run.BackendLive, 5)
+	s := openSoakSession(t, run.BackendLive, base.N)
 	wrongN := base
 	wrongN.N = base.N + 1
 	if _, err := s.RunRound(wrongN); err == nil {
@@ -195,7 +197,7 @@ func TestServiceSessionLifecycle(t *testing.T) {
 // physical losses stay zero.
 func TestServiceLiveEndToEnd(t *testing.T) {
 	cfg := bench.ServiceConfig{
-		Scenario:        serviceScenario(bench.BackendLive),
+		Scenario:        serviceScenario(run.BackendLive),
 		Rounds:          40,
 		Rate:            300,
 		Window:          4,
@@ -240,7 +242,7 @@ func TestServiceLiveEndToEnd(t *testing.T) {
 // requires the open loop to shed instead of queueing without bound.
 func TestServiceLiveBackpressure(t *testing.T) {
 	cfg := bench.ServiceConfig{
-		Scenario: serviceScenario(bench.BackendLive),
+		Scenario: serviceScenario(run.BackendLive),
 		Rounds:   60,
 		Rate:     100000, // arrivals effectively instantaneous
 		Window:   2,
@@ -279,7 +281,7 @@ func TestServiceLiveAdversaries(t *testing.T) {
 		{Kind: netadv.SlowF},
 	} {
 		t.Run(adv.String(), func(t *testing.T) {
-			scn := serviceScenario(bench.BackendLive)
+			scn := serviceScenario(run.BackendLive)
 			scn.Adversary = adv
 			cfg := bench.ServiceConfig{
 				Scenario:        scn,
@@ -300,7 +302,7 @@ func TestServiceLiveAdversaries(t *testing.T) {
 			if rep.Decided == 0 {
 				t.Fatal("nothing decided under adversary")
 			}
-			timeoutMS := float64(DefaultTimeout) / float64(time.Millisecond)
+			timeoutMS := float64(backend.DefaultTimeout) / float64(time.Millisecond)
 			if p99 := rep.StalenessMS.Percentile(0.99); !(p99 > 0) || p99 > timeoutMS {
 				t.Fatalf("p99 staleness %.1fms outside (0, %gms]", p99, timeoutMS)
 			}
@@ -316,7 +318,7 @@ func TestServiceLiveAdversaries(t *testing.T) {
 // staleness in BENCH_7.json.
 func BenchmarkServiceTCP(b *testing.B) {
 	cfg := bench.ServiceConfig{
-		Scenario:        serviceScenario(bench.BackendTCP),
+		Scenario:        serviceScenario(run.BackendTCP),
 		Rounds:          200,
 		Rate:            400,
 		Window:          4,
@@ -345,7 +347,7 @@ func BenchmarkServiceTCP(b *testing.B) {
 func TestServiceLiveMetricsAccounting(t *testing.T) {
 	rec := obs.New()
 	cfg := bench.ServiceConfig{
-		Scenario:        serviceScenario(bench.BackendLive),
+		Scenario:        serviceScenario(run.BackendLive),
 		Rounds:          40,
 		Rate:            300,
 		Window:          4,

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"delphi/internal/auth"
-	"delphi/internal/bench"
 	"delphi/internal/node"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 	"delphi/internal/runtime"
 )
 
@@ -36,7 +36,7 @@ type drainer struct {
 //     halts, unblocks because its peer's channel keeps moving, without
 //     closing the listeners and connections the next trial reuses.
 type clusterSession struct {
-	kind    bench.BackendKind
+	kind    run.BackendKind
 	timeout time.Duration
 	fab     fabric
 	noBatch bool
@@ -54,7 +54,7 @@ type clusterSession struct {
 }
 
 // openCluster opens an n-slot fabric and starts draining every slot.
-func openCluster(kind bench.BackendKind, open func(int) (fabric, error), n int, timeout time.Duration, noBatch bool) (bench.BackendSession, error) {
+func openCluster(kind run.BackendKind, open func(int) (fabric, error), n int, timeout time.Duration, noBatch bool) (run.BackendSession, error) {
 	fab, err := open(n)
 	if err != nil {
 		return nil, err
@@ -111,8 +111,8 @@ func (s *clusterSession) resumeDrainers() {
 	s.mu.Unlock()
 }
 
-// Run implements bench.BackendSession.
-func (s *clusterSession) Run(spec bench.RunSpec) (*bench.RunStats, error) {
+// Run implements run.BackendSession.
+func (s *clusterSession) Run(spec run.RunSpec) (*run.RunStats, error) {
 	if spec.N != s.fab.N() {
 		return nil, fmt.Errorf("backend: session for n=%d cannot run spec with n=%d", s.fab.N(), spec.N)
 	}
@@ -164,7 +164,7 @@ func (s *clusterSession) Run(spec bench.RunSpec) (*bench.RunStats, error) {
 	return st, nil
 }
 
-// Close implements bench.BackendSession.
+// Close implements run.BackendSession.
 func (s *clusterSession) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -1,46 +1,37 @@
-package backend
+package backend_test
 
 import (
 	"math"
 	"testing"
 
+	"delphi/internal/backend"
 	"delphi/internal/bench"
 	"delphi/internal/core"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
 // sessionSpec is a small clean-network cell spec for session tests.
-func sessionSpec(kind bench.BackendKind, seed int64) bench.RunSpec {
-	spec := quickSpec(bench.ProtoDelphi, seed)
+func sessionSpec(kind run.BackendKind, seed int64) run.RunSpec {
+	spec := quickSpec(run.ProtoDelphi, seed)
 	spec.Backend = kind
 	return spec
 }
 
-// openSession opens a clusterSession on the kind's fabric, as the engine
-// does for a cell.
-func openSession(tb testing.TB, kind bench.BackendKind, n int, noBatch bool) bench.BackendSession {
+// openSession opens a session on the kind's fabric, as the engine does for
+// a cell.
+func openSession(tb testing.TB, kind run.BackendKind, n int, noBatch bool) run.BackendSession {
 	tb.Helper()
-	open := openHub
-	if kind == bench.BackendTCP {
-		open = openTCPNet
+	open := backend.Live{NoBatch: noBatch}.Open
+	if kind == run.BackendTCP {
+		open = backend.TCP{NoBatch: noBatch}.Open
 	}
-	s, err := openCluster(kind, open, n, 0, noBatch)
+	s, err := open(run.RunSpec{N: n})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return s
-}
-
-func TestSessionSupportRegistered(t *testing.T) {
-	for _, kind := range []bench.BackendKind{bench.BackendSim, bench.BackendLive, bench.BackendTCP} {
-		if !bench.BackendSessionful(kind) {
-			t.Errorf("backend %q has no session support", kind)
-		}
-	}
-	if bench.BackendSessionful("quantum") {
-		t.Error("unknown backend reported sessionful")
-	}
 }
 
 // TestSessionDeterminism pins what stays deterministic when trials run
@@ -58,10 +49,10 @@ func TestSessionDeterminism(t *testing.T) {
 		t.Skip("session determinism sweep (runs tcp clusters)")
 	}
 	const trials = 6
-	for _, kind := range []bench.BackendKind{bench.BackendSim, bench.BackendLive, bench.BackendTCP} {
+	for _, kind := range []run.BackendKind{run.BackendSim, run.BackendLive, run.BackendTCP} {
 		t.Run(string(kind), func(t *testing.T) {
 			base := sessionSpec(kind, 11)
-			var runs [][]*bench.RunStats
+			var runs [][]*run.RunStats
 			for _, workers := range []int{1, 4, 16, 4} { // trailing 4: rerun == rerun
 				eng := bench.NewEngine(workers)
 				stats, err := eng.RunTrials(base, trials)
@@ -85,7 +76,7 @@ func TestSessionDeterminism(t *testing.T) {
 			for ri := 1; ri < len(runs); ri++ {
 				for ti := range runs[ri] {
 					a, b := runs[0][ti], runs[ri][ti]
-					if kind == bench.BackendSim {
+					if kind == run.BackendSim {
 						if !statsEqual(a, b) {
 							t.Errorf("sim trial %d not byte-identical at different worker counts", ti)
 						}
@@ -118,18 +109,18 @@ func TestTCPSessionNoLeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp session leak sweep")
 	}
-	spec := sessionSpec(bench.BackendTCP, 3)
-	sess := openSession(t, bench.BackendTCP, spec.N, false)
+	spec := sessionSpec(run.BackendTCP, 3)
+	sess := openSession(t, run.BackendTCP, spec.N, false)
 	defer sess.Close()
 
-	run := func(i int, byz bool) {
+	trial := func(i int, byz bool) {
 		t.Helper()
 		s := spec
-		s.Seed = bench.TrialSeed(3, i)
+		s.Seed = run.TrialSeed(3, i)
 		s.Inputs = bench.OracleInputs(s.N, 41000, 20, s.Seed)
 		if byz {
 			s.Byzantine = 1
-			s.ByzKind = bench.ByzSpam
+			s.ByzKind = run.ByzSpam
 		}
 		r, err := sess.Run(s)
 		if err != nil {
@@ -141,12 +132,12 @@ func TestTCPSessionNoLeak(t *testing.T) {
 	}
 
 	// Warm up: first trials dial the full mesh and park keep-warm state.
-	run(0, false)
-	run(1, true)
+	trial(0, false)
+	trial(1, true)
 	before := obs.TakeResourceSnapshot()
 
 	for i := 2; i < 10; i++ {
-		run(i, i%3 == 2) // every third trial hosts a never-halting spammer
+		trial(i, i%3 == 2) // every third trial hosts a never-halting spammer
 	}
 	after := obs.TakeResourceSnapshot()
 
@@ -168,22 +159,22 @@ func TestTCPSessionNoLeak(t *testing.T) {
 // when a Byzantine spammer never halts. Twenty sequential one-shots must
 // leave goroutine and fd counts flat.
 func TestOneShotNoLeak(t *testing.T) {
-	clean := sessionSpec(bench.BackendLive, 3)
+	clean := sessionSpec(run.BackendLive, 3)
 	crashed := clean
 	crashed.Inputs = append([]float64(nil), clean.Inputs...)
 	crashed.Inputs[5] = math.NaN()
 	spammer := clean
 	spammer.Byzantine = 1
-	spammer.ByzKind = bench.ByzSpam
-	specs := []bench.RunSpec{clean, crashed, spammer}
-	run := func(i int) {
+	spammer.ByzKind = run.ByzSpam
+	specs := []run.RunSpec{clean, crashed, spammer}
+	oneShot := func(i int) {
 		t.Helper()
 		spec := specs[i%len(specs)]
-		run := Live{}.Run
+		runOnce := backend.Live{}.Run
 		if i%2 == 1 {
-			run = TCP{}.Run
+			runOnce = backend.TCP{}.Run
 		}
-		st, err := run(spec)
+		st, err := runOnce(spec)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -191,11 +182,11 @@ func TestOneShotNoLeak(t *testing.T) {
 			t.Errorf("run %d: spread %g > ε", i, st.Spread)
 		}
 	}
-	run(0)
-	run(1)
+	oneShot(0)
+	oneShot(1)
 	before := obs.TakeResourceSnapshot()
 	for i := 0; i < 20; i++ {
-		run(i)
+		oneShot(i)
 	}
 	after := obs.TakeResourceSnapshot()
 	if grew := after.GrewBeyond(before, 4, 4, 1<<40); len(grew) != 0 {
@@ -210,8 +201,8 @@ func TestTCPSessionSurvivesFailedTrial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp session smoke")
 	}
-	spec := sessionSpec(bench.BackendTCP, 5)
-	sess := openSession(t, bench.BackendTCP, spec.N, false)
+	spec := sessionSpec(run.BackendTCP, 5)
+	sess := openSession(t, run.BackendTCP, spec.N, false)
 	defer sess.Close()
 
 	if _, err := sess.Run(spec); err != nil {
@@ -243,7 +234,7 @@ func TestCrossBackendValidationAllKinds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-backend validation with tcp clusters")
 	}
-	checkCrossBackend(t, bench.BackendSim, bench.BackendLive, bench.BackendTCP)
+	checkCrossBackend(t, run.BackendSim, run.BackendLive, run.BackendTCP)
 }
 
 // BenchmarkTCPCellSetup pins the per-trial setup cost the sessions
@@ -257,14 +248,14 @@ func TestCrossBackendValidationAllKinds(t *testing.T) {
 // fraction of their wall-clock. scripts/bench.sh records both modes in
 // BENCH_5.json.
 func BenchmarkTCPCellSetup(b *testing.B) {
-	spec := bench.RunSpec{
-		Protocol: bench.ProtoDolev,
-		N:        16, F: bench.ProtoDolev.Faults(16),
+	spec := run.RunSpec{
+		Protocol: run.ProtoDolev,
+		N:        16, F: run.ProtoDolev.Faults(16),
 		Env:     sim.AWS(),
 		Seed:    9,
 		Inputs:  bench.OracleInputs(16, 41000, 20, 9),
 		Delphi:  core.Params{Delta: 2, Eps: 2}, // Δ/ε = 1: one round
-		Backend: bench.BackendTCP,
+		Backend: run.BackendTCP,
 	}
 	for _, mode := range []struct {
 		name    string

@@ -8,6 +8,7 @@ import (
 
 	"delphi/internal/core"
 	"delphi/internal/netadv"
+	"delphi/internal/run"
 )
 
 // adaptiveAdversaries is the adaptive test matrix: every preset kind with
@@ -30,11 +31,11 @@ func adaptiveAdversaries() []netadv.Adversary {
 func TestAdaptiveAdversarySafety(t *testing.T) {
 	params := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2}
 	const center, delta = 41000.0, 20.0
-	for _, proto := range []Protocol{ProtoDelphi, ProtoFIN, ProtoAbraham, ProtoDolev} {
+	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev} {
 		for _, adv := range adaptiveAdversaries() {
 			t.Run(fmt.Sprintf("%s/%s", proto, adv), func(t *testing.T) {
-				spec := parallelSpec(proto, adv, params, center, delta, TrialSeed(910, 0))
-				st, err := Run(spec)
+				spec := parallelSpec(proto, adv, params, center, delta, run.TrialSeed(910, 0))
+				st, err := run.Run(spec)
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
@@ -57,13 +58,13 @@ func TestAdaptiveDeterminism(t *testing.T) {
 		{Kind: netadv.JitterStorm, Adaptive: true, Severity: 0.25},
 	} {
 		t.Run(adv.String(), func(t *testing.T) {
-			spec := parallelSpec(ProtoFIN, adv, params, center, delta, TrialSeed(911, 0))
+			spec := parallelSpec(run.ProtoFIN, adv, params, center, delta, run.TrialSeed(911, 0))
 			spec.SimWorkers = 4
-			base, err := Run(spec)
+			base, err := run.Run(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rerun, err := Run(spec)
+			rerun, err := run.Run(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +73,7 @@ func TestAdaptiveDeterminism(t *testing.T) {
 			}
 			for _, workers := range []int{1, 8} {
 				spec.SimWorkers = workers
-				got, err := Run(spec)
+				got, err := run.Run(spec)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -6,6 +6,7 @@ import (
 
 	"delphi/internal/core"
 	"delphi/internal/netadv"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -24,10 +25,10 @@ func adversaryAxis() []netadv.Adversary {
 // render as "<kind>@adaptive".
 func adversarySweep(scale Scale, seed int64, advs []netadv.Adversary) Plan[string] {
 	n, trials := 8, 1
-	protos := []Protocol{ProtoDelphi, ProtoFIN}
+	protos := []run.Protocol{run.ProtoDelphi, run.ProtoFIN}
 	if scale == Paper {
 		n, trials = 40, 3
-		protos = append(protos, ProtoAbraham)
+		protos = append(protos, run.ProtoAbraham)
 	}
 	var cells []Scenario
 	for _, proto := range protos {

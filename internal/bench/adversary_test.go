@@ -8,20 +8,21 @@ import (
 	"delphi/internal/bench"
 	"delphi/internal/core"
 	"delphi/internal/netadv"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
 // advSpecs builds one RunSpec per (netadv preset, protocol): every preset
 // crossed with Delphi and the coin-driven FIN baseline (the coin-rush
 // target), at two seeds for the jitter presets' seed-dependence.
-func advSpecs() []bench.RunSpec {
+func advSpecs() []run.RunSpec {
 	n, f := 8, 2
 	p := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2}
-	var specs []bench.RunSpec
+	var specs []run.RunSpec
 	for _, adv := range netadv.Presets() {
-		for _, proto := range []bench.Protocol{bench.ProtoDelphi, bench.ProtoFIN} {
+		for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN} {
 			for seed := int64(1); seed <= 2; seed++ {
-				specs = append(specs, bench.RunSpec{
+				specs = append(specs, run.RunSpec{
 					Protocol: proto, N: n, F: f, Env: sim.AWS(), Seed: seed,
 					Inputs: bench.OracleInputs(n, 41000, 20, seed), Delphi: p,
 					Adversary: adv,
@@ -34,15 +35,15 @@ func advSpecs() []bench.RunSpec {
 
 // TestAdversaryDelphiLiveness runs the Delphi half of advSpecs — every
 // netadv preset at both seeds, n=8 — one after another, under -short too: a
-// schedule that stalls a node (bench.Run fails on a node without output)
+// schedule that stalls a node (run.Run fails on a node without output)
 // fails here, not only in the transcript golden. Every honest output must be
 // within ε of the others.
 func TestAdversaryDelphiLiveness(t *testing.T) {
 	for _, spec := range advSpecs() {
-		if spec.Protocol != bench.ProtoDelphi {
+		if spec.Protocol != run.ProtoDelphi {
 			continue
 		}
-		st, err := bench.Run(spec)
+		st, err := run.Run(spec)
 		if err != nil {
 			t.Errorf("%s seed=%d: %v", spec.Adversary, spec.Seed, err)
 			continue
@@ -57,16 +58,16 @@ func TestAdversaryDelphiLiveness(t *testing.T) {
 // TestAdversaryRunsMatchSequential is the satellite determinism regression
 // for the adversary axis: for every netadv preset and protocol, the
 // engine's parallel results at 1/4/16 workers must equal sequential
-// bench.Run exactly — the adversarial schedule is part of the trial's pure
+// run.Run exactly — the adversarial schedule is part of the trial's pure
 // function, so worker count must not leak into it.
 func TestAdversaryRunsMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
 	specs := advSpecs()
-	want := make([]*bench.RunStats, len(specs))
+	want := make([]*run.RunStats, len(specs))
 	for i, spec := range specs {
-		st, err := bench.Run(spec)
+		st, err := run.Run(spec)
 		if err != nil {
 			t.Fatalf("sequential %s/%s seed=%d: %v", spec.Protocol, spec.Adversary, spec.Seed, err)
 		}
@@ -93,11 +94,11 @@ func TestAdversaryRunsRerunDeterministic(t *testing.T) {
 		t.Skip("experiment harness test")
 	}
 	for _, spec := range advSpecs() {
-		a, err := bench.Run(spec)
+		a, err := run.Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := bench.Run(spec)
+		b, err := run.Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,18 +118,18 @@ func TestAdversarySlowsButPreservesAgreement(t *testing.T) {
 	}
 	n, f := 8, 2
 	p := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2}
-	base := bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: 5,
+	base := run.RunSpec{
+		Protocol: run.ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: 5,
 		Inputs: bench.OracleInputs(n, 41000, 20, 5), Delphi: p,
 	}
-	clean, err := bench.Run(base)
+	clean, err := run.Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, adv := range netadv.Presets() {
 		spec := base
 		spec.Adversary = adv
-		st, err := bench.Run(spec)
+		st, err := run.Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", adv, err)
 		}
@@ -143,13 +144,13 @@ func TestAdversarySlowsButPreservesAgreement(t *testing.T) {
 	}
 	// coin-rush must bite the coin-driven baseline instead.
 	fin := base
-	fin.Protocol = bench.ProtoFIN
-	finClean, err := bench.Run(fin)
+	fin.Protocol = run.ProtoFIN
+	finClean, err := run.Run(fin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fin.Adversary = netadv.Adversary{Kind: netadv.CoinRush}
-	finRushed, err := bench.Run(fin)
+	finRushed, err := run.Run(fin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestAdversarySlowsButPreservesAgreement(t *testing.T) {
 func TestMatrixAdversaryAxis(t *testing.T) {
 	m := bench.Matrix{
 		Base: bench.Scenario{
-			Protocol: bench.ProtoDelphi, Env: sim.AWS(),
+			Protocol: run.ProtoDelphi, Env: sim.AWS(),
 			Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
 			Center: 41000, Delta: 20, Adversary: netadv.Adversary{Kind: netadv.SlowF},
 		},

@@ -9,6 +9,7 @@ import (
 	"delphi/internal/core"
 	"delphi/internal/dist"
 	"delphi/internal/feeds"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 	"delphi/internal/vision"
 )
@@ -68,7 +69,7 @@ func fitReport(name string, samples []float64, hmin, hmax float64, bins int, can
 // ten-exchange quotes, the per-minute δ histogram, and the Fréchet-vs-Gumbel
 // extreme-value fits (the paper finds Fréchet α=4.41, scale 29.3 wins).
 func fig4(_ Scale, seed int64) Plan[*FitReport] {
-	return Plan[*FitReport]{Reduce: func([]*RunStats) (*FitReport, error) {
+	return Plan[*FitReport]{Reduce: func([]*run.RunStats) (*FitReport, error) {
 		m, err := feeds.NewMarket(feeds.DefaultConfig(), seed)
 		if err != nil {
 			return nil, err
@@ -81,7 +82,7 @@ func fig4(_ Scale, seed int64) Plan[*FitReport] {
 // fig5 reproduces the IoU study: 80 000 synthetic detections, the IoU
 // histogram, and the Gamma-vs-Fréchet fits (Gamma wins, mean 0.87).
 func fig5(_ Scale, seed int64) Plan[*FitReport] {
-	return Plan[*FitReport]{Reduce: func([]*RunStats) (*FitReport, error) {
+	return Plan[*FitReport]{Reduce: func([]*run.RunStats) (*FitReport, error) {
 		model := vision.DefaultModel()
 		if err := model.Validate(); err != nil {
 			return nil, err
@@ -151,15 +152,15 @@ func validity(scale Scale, seed int64) Plan[[]*ValidityReport] {
 		for t := 0; t < trials; t++ {
 			inputs := app.inputs(int64(t))
 			deltaMeans[ai] += slices.Max(inputs) - slices.Min(inputs)
-			for _, proto := range []Protocol{ProtoDelphi, ProtoFIN} {
-				s.add(RunSpec{
+			for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN} {
+				s.add(run.RunSpec{
 					Protocol: proto, N: n, F: proto.Faults(n), Env: sim.AWS(),
 					Seed: seed + int64(t), Inputs: inputs, Delphi: app.params,
 				}, fmt.Sprintf("%s %s trial %d", app.name, proto, t))
 			}
 		}
 	}
-	s.Reduce = func(stats []*RunStats) ([]*ValidityReport, error) {
+	s.Reduce = func(stats []*run.RunStats) ([]*ValidityReport, error) {
 		var reports []*ValidityReport
 		for ai, app := range apps {
 			rep := &ValidityReport{App: app.name, DeltaMean: deltaMeans[ai] / float64(trials)}
@@ -201,7 +202,7 @@ type TailReport struct {
 func latencyTail(scale Scale, seed int64) Plan[*TailReport] {
 	sc := Scenario{
 		Name:     "latency-tail",
-		Protocol: ProtoDelphi,
+		Protocol: run.ProtoDelphi,
 		N:        16,
 		Env:      sim.AWS(),
 		Params:   core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
@@ -216,7 +217,7 @@ func latencyTail(scale Scale, seed int64) Plan[*TailReport] {
 	for i, spec := range sc.Specs(seed) {
 		s.add(spec, fmt.Sprintf("trial %d", i))
 	}
-	s.Reduce = func(stats []*RunStats) (*TailReport, error) {
+	s.Reduce = func(stats []*run.RunStats) (*TailReport, error) {
 		agg := aggregates([]Scenario{sc}, stats, true)[0]
 		samples := agg.LatencyMS.Samples
 		rep := &TailReport{Agg: agg, Fits: extremeValueFits(samples)}

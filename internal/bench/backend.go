@@ -2,216 +2,162 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+
+	"delphi/internal/backend"
+	"delphi/internal/run"
 )
 
-// BackendKind names an execution backend for a RunSpec or scenario cell.
-// The zero value selects the simulator, so existing specs and scenarios
-// behave exactly as before the backend axis existed.
-type BackendKind string
+// The run layer's names perf/ reaches through bench, until it imports
+// internal/run itself (ROADMAP item 2). bench's own code names them by run.
+type (
+	RunSpec        = run.RunSpec
+	RunStats       = run.RunStats
+	Protocol       = run.Protocol
+	BackendKind    = run.BackendKind
+	BackendSession = run.BackendSession
+	ServiceRunner  = run.ServiceRunner
+)
 
-// The backend kinds the harness knows about. Only the simulator is built
-// into this package; the live kinds are registered by internal/backend
-// (import it — cmd/experiments and the backend tests do — before running
-// live cells).
 const (
-	// BackendSim is the discrete-event simulator (bench.Run). It is also
-	// what the empty string means.
-	BackendSim BackendKind = "sim"
-	// BackendLive is an in-process goroutine cluster over runtime.Hub.
-	BackendLive BackendKind = "live"
-	// BackendTCP is a loopback TCP cluster over a runtime.TCPNet mesh.
-	BackendTCP BackendKind = "tcp"
+	ProtoDelphi = run.ProtoDelphi
+	ProtoFIN    = run.ProtoFIN
+	ProtoDolev  = run.ProtoDolev
+	BackendSim  = run.BackendSim
+	BackendTCP  = run.BackendTCP
 )
 
-// String implements fmt.Stringer; the zero value renders as "sim".
-func (k BackendKind) String() string {
-	if k == "" {
-		return string(BackendSim)
-	}
-	return string(k)
-}
+// Run is run.Run.
+func Run(spec run.RunSpec) (*run.RunStats, error) { return run.Run(spec) }
 
-// BackendCaps declares what a backend's measurements mean.
-type BackendCaps struct {
-	// Deterministic backends produce byte-identical RunStats for a given
-	// RunSpec across reruns and worker counts. Only deterministic
-	// backends participate in byte-identity checks.
-	Deterministic bool
-	// WallClock backends measure real elapsed time: RunStats.Latency and
-	// RunStats.Wall are wall-clock durations subject to scheduler noise,
-	// not virtual time.
-	WallClock bool
-}
+// TrialSeed is run.TrialSeed.
+func TrialSeed(base int64, trial int) int64 { return run.TrialSeed(base, trial) }
 
-// BackendFunc executes one RunSpec on some execution backend.
-type BackendFunc func(RunSpec) (*RunStats, error)
+// BackendCaps is what perf's traced pass declares when it registers its
+// kind through MustRegisterBackend; nothing reads it. It goes with the
+// MustRegister functions once perf stops registering (ROADMAP item 2).
+type BackendCaps struct{ WallClock bool }
 
-// BackendSession executes consecutive RunSpecs with setup amortised across
-// them: bound listeners, warm connections, reusable simulator storage.
-// Sessions are opened by the engine (one per cell key per worker), reused
-// across every trial the worker runs for that cell, and closed when the
-// batch ends — or immediately after a failed trial, so one crashed cluster
-// can never poison later trials. A session is used by one goroutine at a
-// time; it need not be safe for concurrent use.
-type BackendSession interface {
-	// Run executes one spec on the session's persistent substrate.
-	Run(RunSpec) (*RunStats, error)
-	// Close releases the session's resources (listeners, connections,
-	// goroutines). It must be safe to call after a failed Run.
-	Close() error
-}
-
-// SessionSupport declares a backend's persistent-session capability.
+// SessionSupport is a backend's persistent-session opener: the sim, live and
+// tcp rows carry one, and perf's traced pass adds its own through
+// MustRegisterBackendSessions.
 type SessionSupport struct {
 	// Key maps a spec to its session cell key: specs with equal keys may
 	// share one session (e.g. the tcp backend keys on n — its listeners
 	// fit any trial of the same cluster size).
-	Key func(RunSpec) string
+	Key func(run.RunSpec) string
 	// Open opens a session able to run every spec sharing Key(spec).
-	Open func(RunSpec) (BackendSession, error)
+	Open func(run.RunSpec) (run.BackendSession, error)
 }
 
-// registeredBackend is one registry row: a backend's runner, its
-// capabilities, and the optional session and service openers.
-type registeredBackend struct {
-	caps     BackendCaps
-	run      BackendFunc
+// backendRow is one backend table row: a backend's one-shot runner
+// and its optional session and service openers.
+type backendRow struct {
+	run      func(run.RunSpec) (*run.RunStats, error)
 	sessions *SessionSupport
-	service  ServiceOpen
+	service  run.ServiceOpen
 }
 
+// byN keys a live kind's sessions: a fabric fits any trial of its size.
+func byN(spec run.RunSpec) string { return fmt.Sprintf("n=%d", spec.N) }
+
+// backendTab holds every backend the engine can run specs on: the
+// simulator, the live kinds, and any kind perf's traced pass registers.
 var (
 	backendMu  sync.RWMutex
-	backendTab = map[BackendKind]registeredBackend{}
+	backendTab = map[run.BackendKind]backendRow{
+		run.BackendSim: {
+			run:      run.Run,
+			sessions: &SessionSupport{Key: func(run.RunSpec) string { return "sim" }, Open: run.OpenSim},
+		},
+		run.BackendLive: {
+			run:      backend.Live{}.Run,
+			sessions: &SessionSupport{Key: byN, Open: backend.Live{}.Open},
+			service:  backend.Live{}.OpenService,
+		},
+		run.BackendTCP: {
+			run:      backend.TCP{}.Run,
+			sessions: &SessionSupport{Key: byN, Open: backend.TCP{}.Open},
+			service:  backend.TCP{}.OpenService,
+		},
+	}
 )
 
-// RegisterBackend installs an execution backend under kind. The simulator
-// kinds ("", "sim") are built in and cannot be replaced; registering the
-// same kind twice is a programming error.
-func RegisterBackend(kind BackendKind, caps BackendCaps, run BackendFunc) error {
-	if kind == "" || kind == BackendSim {
-		return fmt.Errorf("bench: backend %q is built in", kind)
-	}
-	if run == nil {
-		return fmt.Errorf("bench: backend %q: nil runner", kind)
+// MustRegisterBackend installs an execution backend under kind, panicking
+// when kind is built in or already registered or run is nil. It exists for
+// perf's traced pass, and goes once perf stops registering (ROADMAP item 2).
+func MustRegisterBackend(kind run.BackendKind, _ BackendCaps, fn func(run.RunSpec) (*run.RunStats, error)) {
+	if fn == nil {
+		panic(fmt.Errorf("bench: backend %q: nil runner", kind))
 	}
 	backendMu.Lock()
 	defer backendMu.Unlock()
-	if _, dup := backendTab[kind]; dup {
-		return fmt.Errorf("bench: backend %q already registered", kind)
+	if _, dup := backendTab[kind]; dup || kind == "" {
+		panic(fmt.Errorf("bench: backend %q is built in or already registered", kind))
 	}
-	backendTab[kind] = registeredBackend{caps: caps, run: run}
-	return nil
+	backendTab[kind] = backendRow{run: fn}
 }
 
-// MustRegisterBackend is RegisterBackend panicking on error; intended for
-// package initialisation, where a duplicate is a build defect.
-func MustRegisterBackend(kind BackendKind, caps BackendCaps, run BackendFunc) {
-	if err := RegisterBackend(kind, caps, run); err != nil {
-		panic(err)
-	}
-}
-
-// MustRegisterBackendSessions installs persistent-session support for an
-// already-registered backend kind, panicking on error. The simulator's
-// session support (scratch reuse) is built in and cannot be replaced.
-func MustRegisterBackendSessions(kind BackendKind, s SessionSupport) {
+// MustRegisterBackendSessions installs persistent-session support for a
+// kind MustRegisterBackend registered, panicking on error. Like it, it
+// exists for perf's traced pass.
+func MustRegisterBackendSessions(kind run.BackendKind, s SessionSupport) {
 	if s.Key == nil || s.Open == nil {
 		panic(fmt.Errorf("bench: backend %q: session support needs Key and Open", kind))
 	}
-	amendBackend(kind, "session support", func(b *registeredBackend) bool {
-		if b.sessions != nil {
-			return false
-		}
+	amendBackend(kind, func(b *backendRow) bool {
+		ok := b.sessions == nil
 		b.sessions = &s
-		return true
+		return ok
 	})
 }
 
 // MustRegisterServiceBackend installs concurrent-instance service support
-// for an already-registered wall-clock backend, panicking on error. The
-// simulator's service model is built in.
-func MustRegisterServiceBackend(kind BackendKind, open ServiceOpen) {
+// for a kind MustRegisterBackend registered, panicking on error. Like it, it
+// exists for perf's traced pass.
+func MustRegisterServiceBackend(kind run.BackendKind, open run.ServiceOpen) {
 	if open == nil {
 		panic(fmt.Errorf("bench: service backend %q: nil opener", kind))
 	}
-	amendBackend(kind, "service support", func(b *registeredBackend) bool {
-		if b.service != nil {
-			return false
-		}
+	amendBackend(kind, func(b *backendRow) bool {
+		ok := b.service == nil
 		b.service = open
-		return true
+		return ok
 	})
 }
 
-// amendBackend adds one opener to kind's registry row; set reports false
-// when the row already has it. Every failure is a build defect, so it
-// panics.
-func amendBackend(kind BackendKind, what string, set func(*registeredBackend) bool) {
-	if kind == "" || kind == BackendSim {
-		panic(fmt.Errorf("bench: backend %q: %s is built in", kind, what))
-	}
+// amendBackend adds one opener to a copy of kind's row and stores it. A
+// kind that is the simulator or unregistered, or a row that already had the
+// opener (set reports false), is a build defect, so it panics.
+func amendBackend(kind run.BackendKind, set func(*backendRow) bool) {
 	backendMu.Lock()
 	defer backendMu.Unlock()
 	b, ok := backendTab[kind]
-	if !ok {
-		panic(fmt.Errorf("bench: backend %q not registered", kind))
-	}
-	if !set(&b) {
-		panic(fmt.Errorf("bench: backend %q: %s already registered", kind, what))
+	if !ok || kind == run.BackendSim || !set(&b) {
+		panic(fmt.Errorf("bench: backend %q: not registered, or the opener already is", kind))
 	}
 	backendTab[kind] = b
 }
 
-// lookupBackend returns kind's registry row; the simulator's is built in.
-func lookupBackend(kind BackendKind) (registeredBackend, bool) {
-	if kind == "" || kind == BackendSim {
-		return registeredBackend{caps: BackendCaps{Deterministic: true}, run: Run, sessions: &simSessions}, true
+// lookupBackend returns kind's row; the empty kind is the simulator.
+func lookupBackend(kind run.BackendKind) (backendRow, error) {
+	if kind == "" {
+		kind = run.BackendSim
 	}
 	backendMu.RLock()
 	defer backendMu.RUnlock()
 	b, ok := backendTab[kind]
-	return b, ok
-}
-
-// BackendSessionful reports whether kind amortises setup across trials via
-// persistent sessions.
-func BackendSessionful(kind BackendKind) bool {
-	b, _ := lookupBackend(kind)
-	return b.sessions != nil
-}
-
-// BackendRegistered reports whether kind can execute specs in this process.
-func BackendRegistered(kind BackendKind) bool {
-	_, ok := lookupBackend(kind)
-	return ok
-}
-
-// BackendCapsOf returns kind's capabilities; ok is false for unregistered
-// kinds.
-func BackendCapsOf(kind BackendKind) (caps BackendCaps, ok bool) {
-	b, ok := lookupBackend(kind)
-	return b.caps, ok
-}
-
-// RegisteredBackends lists every runnable kind in sorted order, the
-// simulator first.
-func RegisteredBackends() []BackendKind {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	out := make([]BackendKind, 0, len(backendTab)+1)
-	for k := range backendTab {
-		out = append(out, k)
+	if !ok {
+		return b, fmt.Errorf("bench: unknown backend %q (want sim, live or tcp)", kind)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return append([]BackendKind{BackendSim}, out...)
+	return b, nil
 }
 
-// errUnregistered names a kind no backend registered.
-func errUnregistered(kind BackendKind) error {
-	return fmt.Errorf("bench: backend %q not registered (import delphi/internal/backend)", kind)
+// ParseBackend returns the backend kind named name, or an error when the
+// engine cannot run it.
+func ParseBackend(name string) (run.BackendKind, error) {
+	_, err := lookupBackend(run.BackendKind(name))
+	return run.BackendKind(name), err
 }
 
 // runSpec dispatches a spec to its backend, filling the fields it leaves
@@ -220,25 +166,24 @@ func errUnregistered(kind BackendKind) error {
 // (c == nil forces per-trial setup). Sessions amortise setup only — a
 // trial's result is identical either way, so worker count and session
 // distribution never change measurements. The simulator path is exactly
-// Run.
-func (e *Engine) runSpec(spec RunSpec, c *sessionCache) (*RunStats, error) {
+// run.Run.
+func (e *Engine) runSpec(spec run.RunSpec, c *sessionCache) (*run.RunStats, error) {
 	kind := spec.Backend
 	if kind == "" {
 		kind = e.Backend
 	}
-	isSim := kind == "" || kind == BackendSim
+	isSim := kind == "" || kind == run.BackendSim
 	if !isSim {
 		spec.Backend = kind
 	}
 	if spec.SimWorkers == 0 {
 		spec.SimWorkers = e.SimWorkers
 	}
-	b, ok := lookupBackend(kind)
-	if !ok {
-		return nil, errUnregistered(kind)
+	b, err := lookupBackend(kind)
+	if err != nil {
+		return nil, err
 	}
-	var st *RunStats
-	var err error
+	var st *run.RunStats
 	if c != nil && b.sessions != nil {
 		st, err = c.run(b.sessions, kind, spec)
 	} else {
@@ -254,17 +199,17 @@ func (e *Engine) runSpec(spec RunSpec, c *sessionCache) (*RunStats, error) {
 // "<kind>\x00<cell key>". Every worker owns its own cache, so sessions are
 // single-goroutine by construction.
 type sessionCache struct {
-	m map[string]BackendSession
+	m map[string]run.BackendSession
 }
 
 func newSessionCache() *sessionCache {
-	return &sessionCache{m: map[string]BackendSession{}}
+	return &sessionCache{m: map[string]run.BackendSession{}}
 }
 
 // run executes spec through the cached (or freshly opened) session for its
 // cell. A failed trial closes and drops its session: the next trial of the
 // cell reopens cleanly instead of inheriting a possibly-wedged substrate.
-func (c *sessionCache) run(sup *SessionSupport, kind BackendKind, spec RunSpec) (*RunStats, error) {
+func (c *sessionCache) run(sup *SessionSupport, kind run.BackendKind, spec run.RunSpec) (*run.RunStats, error) {
 	key := string(kind) + "\x00" + sup.Key(spec)
 	s, ok := c.m[key]
 	if !ok {

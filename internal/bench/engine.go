@@ -8,13 +8,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"delphi/internal/dist"
+	"delphi/internal/run"
 )
 
 // Engine is the harness' parallel trial runner: it fans batches of RunSpecs
 // across a fixed worker pool. Every trial is an independent, deterministic
 // function of its spec (the simulator derives all randomness from the
 // spec's seed), so results are byte-identical to running the same specs
-// sequentially through Run — the engine only changes wall-clock, never
+// sequentially through run.Run — the engine only changes wall-clock, never
 // measurements. An Engine is the whole run configuration: every experiment
 // entry point that runs trials is a method on it, and the package keeps no
 // process-wide settings. The zero value is ready to use.
@@ -29,8 +32,8 @@ type Engine struct {
 	// and as an escape hatch.
 	DisableSessions bool
 	// Backend runs every spec (and service config) whose Backend is empty;
-	// the zero value is the simulator. It must be registered.
-	Backend BackendKind
+	// the zero value is the simulator.
+	Backend run.BackendKind
 	// SimWorkers is the parallel window executor's worker count for every
 	// sim-backed spec whose SimWorkers is zero; 0 keeps the sequential loop.
 	SimWorkers int
@@ -72,8 +75,8 @@ func (e *TrialError) Unwrap() error { return e.Err }
 // live backend's hub, the simulator's event-queue storage — is paid once
 // per (cell, worker) instead of once per trial. All sessions close when
 // the batch returns.
-func (e *Engine) RunBatch(specs []RunSpec) ([]*RunStats, error) {
-	out := make([]*RunStats, len(specs))
+func (e *Engine) RunBatch(specs []run.RunSpec) ([]*run.RunStats, error) {
+	out := make([]*run.RunStats, len(specs))
 	errs := make([]error, len(specs))
 	w := e.workers()
 	if w > len(specs) {
@@ -125,24 +128,13 @@ func (e *Engine) RunBatch(specs []RunSpec) ([]*RunStats, error) {
 	return out, nil
 }
 
-// TrialSeed derives trial i's simulation seed from a base seed. The
-// derivation is a splitmix64 step — deterministic, order-free, and
-// well-dispersed, so trial seeds never collide with the consecutive
-// base+i seeds the callers use for distinct experiments.
-func TrialSeed(base int64, trial int) int64 {
-	z := uint64(base) + uint64(trial+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
 // RunTrials executes trials copies of base, with trial i's seed derived as
 // TrialSeed(base.Seed, i), and returns the per-trial results in order.
-func (e *Engine) RunTrials(base RunSpec, trials int) ([]*RunStats, error) {
-	specs := make([]RunSpec, trials)
+func (e *Engine) RunTrials(base run.RunSpec, trials int) ([]*run.RunStats, error) {
+	specs := make([]run.RunSpec, trials)
 	for i := range specs {
 		specs[i] = base
-		specs[i].Seed = TrialSeed(base.Seed, i)
+		specs[i].Seed = run.TrialSeed(base.Seed, i)
 	}
 	return e.RunBatch(specs)
 }
@@ -198,10 +190,7 @@ func (s *Stream) cap() int {
 // nextRand advances the embedded splitmix64 stream.
 func (s *Stream) nextRand() uint64 {
 	s.rng += 0x9e3779b97f4a7c15
-	z := s.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return dist.Mix64(s.rng)
 }
 
 // Add feeds one observation.
@@ -328,7 +317,7 @@ func NewAggregate(keepSamples bool) *Aggregate {
 }
 
 // Observe folds one trial into the aggregate.
-func (a *Aggregate) Observe(st *RunStats) {
+func (a *Aggregate) Observe(st *run.RunStats) {
 	a.Trials++
 	a.LatencyMS.Add(float64(st.Latency) / float64(time.Millisecond))
 	a.MB.Add(float64(st.TotalBytes) / 1e6)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"delphi/internal/core"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -28,7 +29,7 @@ type fakeSession struct {
 	closed bool
 }
 
-func (s *fakeSession) Run(spec RunSpec) (*RunStats, error) {
+func (s *fakeSession) Run(spec run.RunSpec) (*run.RunStats, error) {
 	if s.closed {
 		return nil, errors.New("run on closed session")
 	}
@@ -39,7 +40,7 @@ func (s *fakeSession) Run(spec RunSpec) (*RunStats, error) {
 	if fail {
 		return nil, fmt.Errorf("injected failure for seed %d", spec.Seed)
 	}
-	return Run(spec)
+	return run.Run(spec)
 }
 
 func (s *fakeSession) Close() error {
@@ -52,14 +53,14 @@ func (s *fakeSession) Close() error {
 
 var (
 	fakeBackend     = &fakeSessBackend{failSeeds: map[int64]bool{}}
-	fakeKind        = BackendKind("fake-sess")
+	fakeKind        = run.BackendKind("fake-sess")
 	registerFakeNow = sync.OnceFunc(func() {
-		MustRegisterBackend(fakeKind, BackendCaps{Deterministic: true}, func(spec RunSpec) (*RunStats, error) {
-			return Run(spec)
+		MustRegisterBackend(fakeKind, BackendCaps{}, func(spec run.RunSpec) (*run.RunStats, error) {
+			return run.Run(spec)
 		})
 		MustRegisterBackendSessions(fakeKind, SessionSupport{
-			Key: func(spec RunSpec) string { return fmt.Sprintf("n=%d", spec.N) },
-			Open: func(RunSpec) (BackendSession, error) {
+			Key: func(spec run.RunSpec) string { return fmt.Sprintf("n=%d", spec.N) },
+			Open: func(run.RunSpec) (run.BackendSession, error) {
 				fakeBackend.opens.Add(1)
 				return &fakeSession{b: fakeBackend}, nil
 			},
@@ -67,16 +68,16 @@ var (
 	})
 )
 
-func fakeSpec(seed int64) RunSpec {
+func fakeSpec(seed int64) run.RunSpec {
 	spec := quickDelphiSpec(seed)
 	spec.Backend = fakeKind
 	return spec
 }
 
 // quickDelphiSpec builds a minimal simulator-backed Delphi spec.
-func quickDelphiSpec(seed int64) RunSpec {
-	return RunSpec{
-		Protocol: ProtoDelphi,
+func quickDelphiSpec(seed int64) run.RunSpec {
+	return run.RunSpec{
+		Protocol: run.ProtoDelphi,
 		N:        8, F: 2,
 		Env:    sim.AWS(),
 		Seed:   seed,
@@ -118,7 +119,7 @@ func TestEngineSessionLifecycle(t *testing.T) {
 // cell's next trial, so one wedged substrate cannot poison later trials.
 func TestEngineSessionReopensAfterFailure(t *testing.T) {
 	registerFakeNow()
-	specs := make([]RunSpec, 5)
+	specs := make([]run.RunSpec, 5)
 	for i := range specs {
 		specs[i] = fakeSpec(int64(100 + i))
 	}

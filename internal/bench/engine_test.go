@@ -8,25 +8,26 @@ import (
 
 	"delphi/internal/bench"
 	"delphi/internal/core"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
 // detSpecs builds a small cross-protocol spec batch: every protocol at two
 // seeds, plus a crash-faulted and a compression-off variant.
-func detSpecs() []bench.RunSpec {
+func detSpecs() []run.RunSpec {
 	n := 8
 	f := 2
 	p := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2}
-	var specs []bench.RunSpec
-	for _, proto := range []bench.Protocol{
-		bench.ProtoDelphi, bench.ProtoFIN, bench.ProtoAbraham, bench.ProtoDolev,
+	var specs []run.RunSpec
+	for _, proto := range []run.Protocol{
+		run.ProtoDelphi, run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev,
 	} {
 		fp := f
-		if proto == bench.ProtoDolev {
+		if proto == run.ProtoDolev {
 			fp = 1 // n = 5t+1
 		}
 		for seed := int64(1); seed <= 2; seed++ {
-			specs = append(specs, bench.RunSpec{
+			specs = append(specs, run.RunSpec{
 				Protocol: proto, N: n, F: fp, Env: sim.AWS(), Seed: seed,
 				Inputs: bench.OracleInputs(n, 41000, 20, seed), Delphi: p,
 			})
@@ -34,12 +35,12 @@ func detSpecs() []bench.RunSpec {
 	}
 	crashed := bench.OracleInputs(n, 41000, 20, 3)
 	crashed[4] = math.NaN()
-	specs = append(specs, bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: 3,
+	specs = append(specs, run.RunSpec{
+		Protocol: run.ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: 3,
 		Inputs: crashed, Delphi: p,
 	})
-	specs = append(specs, bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: n, F: f, Env: sim.CPS(), Seed: 4,
+	specs = append(specs, run.RunSpec{
+		Protocol: run.ProtoDelphi, N: n, F: f, Env: sim.CPS(), Seed: 4,
 		Inputs: bench.OracleInputs(n, 41000, 20, 4), Delphi: p, NoCompression: true,
 	})
 	return specs
@@ -47,16 +48,16 @@ func detSpecs() []bench.RunSpec {
 
 // TestEngineMatchesSequential is the determinism regression: for every
 // protocol, the engine's parallel results must be identical — outputs,
-// bytes, latencies, every field — to sequential bench.Run at equal seeds,
+// bytes, latencies, every field — to sequential run.Run at equal seeds,
 // for any worker count.
 func TestEngineMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
 	specs := detSpecs()
-	want := make([]*bench.RunStats, len(specs))
+	want := make([]*run.RunStats, len(specs))
 	for i, spec := range specs {
-		st, err := bench.Run(spec)
+		st, err := run.Run(spec)
 		if err != nil {
 			t.Fatalf("sequential spec %d (%s): %v", i, spec.Protocol, err)
 		}
@@ -83,11 +84,11 @@ func TestRunIsRerunDeterministic(t *testing.T) {
 		t.Skip("experiment harness test")
 	}
 	for _, spec := range detSpecs() {
-		a, err := bench.Run(spec)
+		a, err := run.Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := bench.Run(spec)
+		b, err := run.Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,13 +101,13 @@ func TestRunIsRerunDeterministic(t *testing.T) {
 // TestTrialSeedProperties pins the derivation: deterministic, sensitive to
 // both inputs, and collision-free over a realistic trial window.
 func TestTrialSeedProperties(t *testing.T) {
-	if bench.TrialSeed(1, 0) != bench.TrialSeed(1, 0) {
+	if run.TrialSeed(1, 0) != run.TrialSeed(1, 0) {
 		t.Fatal("TrialSeed not deterministic")
 	}
 	seen := make(map[int64]bool)
 	for base := int64(0); base < 4; base++ {
 		for trial := 0; trial < 1000; trial++ {
-			s := bench.TrialSeed(base, trial)
+			s := run.TrialSeed(base, trial)
 			if seen[s] {
 				t.Fatalf("seed collision at base=%d trial=%d", base, trial)
 			}
@@ -142,8 +143,8 @@ func TestRunTrialsDerivesSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	base := bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: 8, F: 2, Env: sim.AWS(), Seed: 7,
+	base := run.RunSpec{
+		Protocol: run.ProtoDelphi, N: 8, F: 2, Env: sim.AWS(), Seed: 7,
 		Inputs: bench.OracleInputs(8, 41000, 20, 7),
 		Delphi: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
 	}
@@ -152,8 +153,8 @@ func TestRunTrialsDerivesSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := base
-	direct.Seed = bench.TrialSeed(7, 0)
-	want, err := bench.Run(direct)
+	direct.Seed = run.TrialSeed(7, 0)
+	want, err := run.Run(direct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,9 @@
+// Package bench is the experiment harness. Experiments is the table of the
+// paper's evaluation (§VI): each table and figure is a plan of RunSpecs and
+// a reduction of their stats to the text matching the paper's rows/series,
+// and Engine.RunExperiments runs the selected plans as one batch on the
+// simulator or on internal/backend's live and tcp clusters. The root
+// bench_test.go and cmd/experiments are thin wrappers over this package.
 package bench
 
 import (
@@ -6,6 +12,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"delphi/internal/run"
 )
 
 // Experiment is one artefact of the paper's evaluation as data: a name and
@@ -23,15 +31,15 @@ type Experiment struct {
 type Plan[T any] struct {
 	// Specs are the runs; Labels[i] names Specs[i] in a failed trial's
 	// error.
-	Specs  []RunSpec
+	Specs  []run.RunSpec
 	Labels []string
 	// Reduce builds the result from one RunStats per spec, in spec order.
 	// The stats may be shared with other plans and must not be modified.
-	Reduce func(stats []*RunStats) (T, error)
+	Reduce func(stats []*run.RunStats) (T, error)
 }
 
 // add appends one run.
-func (p *Plan[T]) add(spec RunSpec, label string) {
+func (p *Plan[T]) add(spec run.RunSpec, label string) {
 	p.Specs = append(p.Specs, spec)
 	p.Labels = append(p.Labels, label)
 }
@@ -58,7 +66,7 @@ func Experiments() []Experiment {
 }
 
 // RunExperiments plans the named experiments and runs the union of their
-// specs as one batch, in which specs with one key (RunSpec.key) run once.
+// specs as one batch, in which specs with one key (run.RunSpec.Key) run once.
 // It returns each experiment's text, in names order.
 func (e *Engine) RunExperiments(names []string, scale Scale, seed int64) ([]string, error) {
 	table := Experiments()
@@ -78,25 +86,25 @@ func (e *Engine) RunExperiments(names []string, scale Scale, seed int64) ([]stri
 // Abraham et al. then FIN, the slowest protocols to simulate. A failed
 // trial's error names the first plan that asked for it and its label.
 func (e *Engine) runPlans(names []string, plans []Plan[string]) ([]string, error) {
-	type run struct {
-		spec       RunSpec
+	type job struct {
+		spec       run.RunSpec
 		key, owner string
 	}
-	var runs []run
+	var runs []job
 	seen := make(map[string]bool)
 	for i, p := range plans {
 		for j, spec := range p.Specs {
-			if k := spec.key(); !seen[k] {
+			if k := spec.Key(); !seen[k] {
 				seen[k] = true
-				runs = append(runs, run{spec, k, names[i] + " " + p.Labels[j]})
+				runs = append(runs, job{spec, k, names[i] + " " + p.Labels[j]})
 			}
 		}
 	}
-	slowest := []Protocol{ProtoFIN, ProtoAbraham}
-	slices.SortStableFunc(runs, func(a, b run) int {
+	slowest := []run.Protocol{run.ProtoFIN, run.ProtoAbraham}
+	slices.SortStableFunc(runs, func(a, b job) int {
 		return cmp.Or(cmp.Compare(b.spec.N, a.spec.N), cmp.Compare(slices.Index(slowest, b.spec.Protocol), slices.Index(slowest, a.spec.Protocol)))
 	})
-	specs := make([]RunSpec, len(runs))
+	specs := make([]run.RunSpec, len(runs))
 	at := make(map[string]int, len(runs))
 	for i, r := range runs {
 		specs[i], at[r.key] = r.spec, i
@@ -111,9 +119,9 @@ func (e *Engine) runPlans(names []string, plans []Plan[string]) ([]string, error
 	}
 	texts := make([]string, len(plans))
 	for i, p := range plans {
-		own := make([]*RunStats, len(p.Specs))
+		own := make([]*run.RunStats, len(p.Specs))
 		for j, spec := range p.Specs {
-			own[j] = stats[at[spec.key()]]
+			own[j] = stats[at[spec.Key()]]
 		}
 		if texts[i], err = p.Reduce(own); err != nil {
 			return nil, fmt.Errorf("%s: %w", names[i], err)
@@ -126,7 +134,7 @@ func (e *Engine) runPlans(names []string, plans []Plan[string]) ([]string, error
 func rendered[T any](plan func(Scale, int64) Plan[T], text func(T) string) func(Scale, int64) Plan[string] {
 	return func(scale Scale, seed int64) Plan[string] {
 		p := plan(scale, seed)
-		return Plan[string]{Specs: p.Specs, Labels: p.Labels, Reduce: func(stats []*RunStats) (string, error) {
+		return Plan[string]{Specs: p.Specs, Labels: p.Labels, Reduce: func(stats []*run.RunStats) (string, error) {
 			r, err := p.Reduce(stats)
 			if err != nil {
 				return "", err
@@ -144,7 +152,7 @@ func concat(sep string, parts ...Plan[string]) Plan[string] {
 		p.Specs = append(p.Specs, q.Specs...)
 		p.Labels = append(p.Labels, q.Labels...)
 	}
-	p.Reduce = func(stats []*RunStats) (string, error) {
+	p.Reduce = func(stats []*run.RunStats) (string, error) {
 		var b strings.Builder
 		for i, q := range parts {
 			text, err := q.Reduce(stats[:len(q.Specs)])
@@ -171,7 +179,7 @@ func scenarioPlan(cells []Scenario, seed int64, reduce func([]*Aggregate) (strin
 			p.add(spec, fmt.Sprintf("%s trial %d", c.Name, i))
 		}
 	}
-	p.Reduce = func(stats []*RunStats) (string, error) { return reduce(aggregates(cells, stats, false)) }
+	p.Reduce = func(stats []*run.RunStats) (string, error) { return reduce(aggregates(cells, stats, false)) }
 	return p
 }
 

@@ -11,6 +11,7 @@ import (
 	"delphi/internal/core"
 	"delphi/internal/netadv"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -58,7 +59,7 @@ func experimentNames() []string {
 
 // countingBackend is a throwaway kind that counts the runs a batch asks
 // for, by spec key, and returns empty stats without running them.
-const countingBackend BackendKind = "test-counting"
+const countingBackend run.BackendKind = "test-counting"
 
 var counted struct {
 	sync.Mutex
@@ -66,11 +67,11 @@ var counted struct {
 }
 
 func init() {
-	MustRegisterBackend(countingBackend, BackendCaps{Deterministic: true}, func(spec RunSpec) (*RunStats, error) {
+	MustRegisterBackend(countingBackend, BackendCaps{}, func(spec run.RunSpec) (*run.RunStats, error) {
 		counted.Lock()
-		counted.runs[spec.key()]++
+		counted.runs[spec.Key()]++
 		counted.Unlock()
-		return &RunStats{}, nil
+		return &run.RunStats{}, nil
 	})
 }
 
@@ -122,79 +123,79 @@ func TestExperimentsRunCount(t *testing.T) {
 // protocol does not read share it, and every field the protocol reads
 // separates them.
 func TestRunSpecKey(t *testing.T) {
-	base := func(proto Protocol) RunSpec {
-		return RunSpec{
+	base := func(proto run.Protocol) run.RunSpec {
+		return run.RunSpec{
 			Protocol: proto, N: 16, F: 5, Env: sim.AWS(), Seed: 1,
 			Inputs: OracleInputs(16, 41000, 20, 1), Delphi: OracleDefaultParams(),
 		}
 	}
-	same := map[string]func(*RunSpec){
-		"fresh environment":   func(s *RunSpec) { s.Env = sim.AWS() },
-		"recorder":            func(s *RunSpec) { s.Obs = obs.New() },
-		"byzantine kind at 0": func(s *RunSpec) { s.ByzKind = ByzEquivocate },
+	same := map[string]func(*run.RunSpec){
+		"fresh environment":   func(s *run.RunSpec) { s.Env = sim.AWS() },
+		"recorder":            func(s *run.RunSpec) { s.Obs = obs.New() },
+		"byzantine kind at 0": func(s *run.RunSpec) { s.ByzKind = run.ByzEquivocate },
 	}
-	differ := map[string]func(*RunSpec){
-		"protocol": func(s *RunSpec) {
-			if s.Protocol == ProtoDolev {
-				s.Protocol = ProtoAbraham
+	differ := map[string]func(*run.RunSpec){
+		"protocol": func(s *run.RunSpec) {
+			if s.Protocol == run.ProtoDolev {
+				s.Protocol = run.ProtoAbraham
 			} else {
-				s.Protocol = ProtoDolev
+				s.Protocol = run.ProtoDolev
 			}
 		},
-		"n":           func(s *RunSpec) { s.N = 17 },
-		"f":           func(s *RunSpec) { s.F = 4 },
-		"env cost":    func(s *RunSpec) { s.Env.Cost.Pairing = s.Env.Cost.Hash },
-		"env latency": func(s *RunSpec) { s.Env.Latency = &sim.WANLatency{JitterFrac: 0.2} },
-		"env testbed": func(s *RunSpec) { s.Env = sim.CPS() },
-		"seed":        func(s *RunSpec) { s.Seed = 2 },
-		"input":       func(s *RunSpec) { s.Inputs = append([]float64{41001}, s.Inputs[1:]...) },
-		"crash":       func(s *RunSpec) { s.Inputs = append([]float64{math.NaN()}, s.Inputs[1:]...) },
-		"adversary":   func(s *RunSpec) { s.Adversary = netadv.Adversary{Kind: netadv.SlowF} },
-		"backend":     func(s *RunSpec) { s.Backend = BackendLive },
-		"sim workers": func(s *RunSpec) { s.SimWorkers = 2 },
+		"n":           func(s *run.RunSpec) { s.N = 17 },
+		"f":           func(s *run.RunSpec) { s.F = 4 },
+		"env cost":    func(s *run.RunSpec) { s.Env.Cost.Pairing = s.Env.Cost.Hash },
+		"env latency": func(s *run.RunSpec) { s.Env.Latency = &sim.WANLatency{JitterFrac: 0.2} },
+		"env testbed": func(s *run.RunSpec) { s.Env = sim.CPS() },
+		"seed":        func(s *run.RunSpec) { s.Seed = 2 },
+		"input":       func(s *run.RunSpec) { s.Inputs = append([]float64{41001}, s.Inputs[1:]...) },
+		"crash":       func(s *run.RunSpec) { s.Inputs = append([]float64{math.NaN()}, s.Inputs[1:]...) },
+		"adversary":   func(s *run.RunSpec) { s.Adversary = netadv.Adversary{Kind: netadv.SlowF} },
+		"backend":     func(s *run.RunSpec) { s.Backend = run.BackendLive },
+		"sim workers": func(s *run.RunSpec) { s.SimWorkers = 2 },
 	}
-	check := func(proto Protocol, same, differ map[string]func(*RunSpec)) {
+	check := func(proto run.Protocol, same, differ map[string]func(*run.RunSpec)) {
 		for name, mutate := range same {
 			s := base(proto)
 			mutate(&s)
-			if s.key() != base(proto).key() {
+			if s.Key() != base(proto).Key() {
 				t.Errorf("%s: %s changes the key", proto, name)
 			}
 		}
 		for name, mutate := range differ {
 			s := base(proto)
 			mutate(&s)
-			if s.key() == base(proto).key() {
+			if s.Key() == base(proto).Key() {
 				t.Errorf("%s: %s keeps the key", proto, name)
 			}
 		}
 	}
-	for _, proto := range []Protocol{ProtoDelphi, ProtoFIN, ProtoAbraham, ProtoDolev} {
+	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev} {
 		check(proto, same, differ)
 	}
-	check(ProtoDelphi, nil, map[string]func(*RunSpec){
-		"params":      func(s *RunSpec) { s.Delphi.Rho0 = 10 },
-		"compression": func(s *RunSpec) { s.NoCompression = true },
-		"byzantine":   func(s *RunSpec) { s.Byzantine = 1 },
+	check(run.ProtoDelphi, nil, map[string]func(*run.RunSpec){
+		"params":      func(s *run.RunSpec) { s.Delphi.Rho0 = 10 },
+		"compression": func(s *run.RunSpec) { s.NoCompression = true },
+		"byzantine":   func(s *run.RunSpec) { s.Byzantine = 1 },
 	})
-	check(ProtoFIN, map[string]func(*RunSpec){
-		"params":      func(s *RunSpec) { s.Delphi = core.Params{} },
-		"compression": func(s *RunSpec) { s.NoCompression = true },
+	check(run.ProtoFIN, map[string]func(*run.RunSpec){
+		"params":      func(s *run.RunSpec) { s.Delphi = core.Params{} },
+		"compression": func(s *run.RunSpec) { s.NoCompression = true },
 	}, nil)
 	// A Byzantine slot runs its kind (only Delphi has Byzantine slots).
-	byz := func(kind ByzKind) string {
-		s := base(ProtoDelphi)
+	byz := func(kind run.ByzKind) string {
+		s := base(run.ProtoDelphi)
 		s.Byzantine, s.ByzKind = 1, kind
-		return s.key()
+		return s.Key()
 	}
-	if byz(ByzSpam) == byz(ByzEquivocate) {
+	if byz(run.ByzSpam) == byz(run.ByzEquivocate) {
 		t.Error("delphi: spam and equivocate share the key")
 	}
-	for _, proto := range []Protocol{ProtoAbraham, ProtoDolev} {
-		check(proto, map[string]func(*RunSpec){
-			"same Δ/ε": func(s *RunSpec) { s.Delphi = oracleParams(10) },
-		}, map[string]func(*RunSpec){
-			"Δ/ε": func(s *RunSpec) { s.Delphi.Delta = 256 },
+	for _, proto := range []run.Protocol{run.ProtoAbraham, run.ProtoDolev} {
+		check(proto, map[string]func(*run.RunSpec){
+			"same Δ/ε": func(s *run.RunSpec) { s.Delphi = oracleParams(10) },
+		}, map[string]func(*run.RunSpec){
+			"Δ/ε": func(s *run.RunSpec) { s.Delphi.Delta = 256 },
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"delphi/internal/core"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -82,8 +83,8 @@ func cpsTestbed(scale Scale) testbed {
 // fig6 is one Fig. 6 panel: per n, Delphi under p at the small and the
 // large input range, then FIN and Abraham et al. at the small range, with
 // metric on the y axis. Panels that share a testbed plan the same FIN and
-// Abraham et al. runs, which a batch runs once (RunSpec.key).
-func fig6(tb testbed, seed int64, name, title string, p core.Params, metric func(*RunStats) float64) Plan[*Figure] {
+// Abraham et al. runs, which a batch runs once (run.RunSpec.Key).
+func fig6(tb testbed, seed int64, name, title string, p core.Params, metric func(*run.RunStats) float64) Plan[*Figure] {
 	labels := []string{
 		fmt.Sprintf("Delphi δ=%g%s", tb.small, tb.unit), fmt.Sprintf("Delphi δ=%g%s", tb.large, tb.unit),
 		"FIN", fmt.Sprintf("Abraham et al. δ=%g%s", tb.small, tb.unit),
@@ -92,13 +93,13 @@ func fig6(tb testbed, seed int64, name, title string, p core.Params, metric func
 	for _, n := range tb.ns {
 		small := OracleInputs(n, tb.center, tb.small, seed)
 		large := OracleInputs(n, tb.center, tb.large, seed+1)
-		for i, run := range []RunSpec{{Protocol: ProtoDelphi, Inputs: small}, {Protocol: ProtoDelphi, Inputs: large},
-			{Protocol: ProtoFIN, Inputs: small}, {Protocol: ProtoAbraham, Inputs: small}} {
-			run.N, run.F, run.Env, run.Seed, run.Delphi = n, run.Protocol.Faults(n), tb.env, seed, p
-			s.add(run, fmt.Sprintf("n=%d %s", n, labels[i]))
+		for i, spec := range []run.RunSpec{{Protocol: run.ProtoDelphi, Inputs: small}, {Protocol: run.ProtoDelphi, Inputs: large},
+			{Protocol: run.ProtoFIN, Inputs: small}, {Protocol: run.ProtoAbraham, Inputs: small}} {
+			spec.N, spec.F, spec.Env, spec.Seed, spec.Delphi = n, spec.Protocol.Faults(n), tb.env, seed, p
+			s.add(spec, fmt.Sprintf("n=%d %s", n, labels[i]))
 		}
 	}
-	s.Reduce = func(stats []*RunStats) (*Figure, error) {
+	s.Reduce = func(stats []*run.RunStats) (*Figure, error) {
 		f := &Figure{Series: make([]Series, len(labels))}
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s — %s\n%-26s", name, title, "protocol \\ n")
@@ -132,8 +133,8 @@ func fig6c(scale Scale, seed int64) Plan[*Figure] {
 	return fig6(cpsTestbed(scale), seed, "fig6c", "Runtime vs n on CPS testbed (ms)", cpsParams(), latencyMS)
 }
 
-func latencyMS(st *RunStats) float64 { return float64(st.Latency) / float64(time.Millisecond) }
-func trafficMB(st *RunStats) float64 { return float64(st.TotalBytes) / 1e6 }
+func latencyMS(st *run.RunStats) float64 { return float64(st.Latency) / float64(time.Millisecond) }
+func trafficMB(st *run.RunStats) float64 { return float64(st.TotalBytes) / 1e6 }
 
 // fig7 is the pair of runtime heatmaps, AWS at n=64 and CPS at n=85.
 func fig7(scale Scale, seed int64) Plan[string] {
@@ -156,14 +157,14 @@ func heatmap(name string, env sim.Environment, n int, eps float64, agr, rng []fl
 			if rr > ar {
 				continue
 			}
-			p.add(RunSpec{
-				Protocol: ProtoDelphi, N: n, F: ProtoDelphi.Faults(n), Env: env, Seed: seed,
+			p.add(run.RunSpec{
+				Protocol: run.ProtoDelphi, N: n, F: run.ProtoDelphi.Faults(n), Env: env, Seed: seed,
 				Inputs: OracleInputs(n, 41000, rr*eps, seed+int64(ar)+int64(rr)),
 				Delphi: core.Params{S: 0, E: 100000, Rho0: eps, Delta: ar * eps, Eps: eps},
 			}, fmt.Sprintf("%s Δ/ε=%g δ/ρ0=%g", name, ar, rr))
 		}
 	}
-	p.Reduce = func(stats []*RunStats) (string, error) {
+	p.Reduce = func(stats []*run.RunStats) (string, error) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "fig7 (%s, n=%d) — runtime seconds; rows Δ/ε, cols δ/ρ0\n%10s", name, n, "")
 		for _, rr := range rng {

@@ -11,6 +11,7 @@ import (
 	"delphi/internal/core"
 	"delphi/internal/dist"
 	"delphi/internal/feeds"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -25,7 +26,7 @@ func goldenServiceCells() []struct {
 	cfg  ServiceConfig
 } {
 	scn := Scenario{
-		Name: "svc", Protocol: ProtoDelphi, N: 8, Env: sim.AWS(),
+		Name: "svc", Protocol: run.ProtoDelphi, N: 8, Env: sim.AWS(),
 		Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
 		Center: 41000, Delta: 20,
 	}

@@ -11,6 +11,7 @@ import (
 
 	"delphi/internal/core"
 	"delphi/internal/netadv"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -28,12 +29,12 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the sim byte-ident
 // n=300, clean and under two presets — are large enough to engage the
 // calendar and its sorted bucket runs; their golden lines were generated by
 // the simulator that still heap-ordered every bucket.
-func goldenSimCells() []RunSpec {
+func goldenSimCells() []run.RunSpec {
 	params := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2}
-	var specs []RunSpec
-	cell := func(proto Protocol, n, f int, adv netadv.Adversary) {
+	var specs []run.RunSpec
+	cell := func(proto run.Protocol, n, f int, adv netadv.Adversary) {
 		const seed = 424242
-		specs = append(specs, RunSpec{
+		specs = append(specs, run.RunSpec{
 			Protocol:  proto,
 			N:         n,
 			F:         f,
@@ -44,9 +45,9 @@ func goldenSimCells() []RunSpec {
 			Adversary: adv,
 		})
 	}
-	for _, proto := range []Protocol{ProtoDelphi, ProtoFIN, ProtoAbraham, ProtoDolev} {
+	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev} {
 		n, f := 8, 2
-		if proto == ProtoDolev {
+		if proto == run.ProtoDolev {
 			n, f = 6, 1 // Dolev needs n >= 5t+1
 		}
 		for _, adv := range append([]netadv.Adversary{{}}, netadv.Presets()...) {
@@ -54,9 +55,9 @@ func goldenSimCells() []RunSpec {
 		}
 	}
 	for _, big := range []struct {
-		proto Protocol
+		proto run.Protocol
 		n, f  int
-	}{{ProtoDelphi, 40, 13}, {ProtoFIN, 31, 10}, {ProtoDolev, 300, 59}} {
+	}{{run.ProtoDelphi, 40, 13}, {run.ProtoFIN, 31, 10}, {run.ProtoDolev, 300, 59}} {
 		for _, kind := range []netadv.Kind{netadv.None, netadv.JitterStorm, netadv.Partition} {
 			cell(big.proto, big.n, big.f, netadv.Adversary{Kind: kind})
 		}
@@ -67,7 +68,7 @@ func goldenSimCells() []RunSpec {
 // goldenLine renders one cell's stats with no precision loss: durations as
 // integer nanoseconds, floats in hexadecimal so every mantissa bit is in the
 // file. Two runs produce the same line iff they are byte-identical.
-func goldenLine(spec RunSpec, st *RunStats) string {
+func goldenLine(spec run.RunSpec, st *run.RunStats) string {
 	hex := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 	outs := make([]string, len(st.Outputs))
 	for i, v := range st.Outputs {
@@ -90,7 +91,7 @@ func TestSimGoldenByteIdentity(t *testing.T) {
 	specs := goldenSimCells()
 	var lines []string
 	for _, spec := range specs {
-		st, err := Run(spec)
+		st, err := run.Run(spec)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", spec.Protocol, spec.Adversary, err)
 		}

@@ -12,17 +12,18 @@ import (
 	"delphi/internal/feeds"
 	"delphi/internal/netadv"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
 // traceCell is the fixed-seed Delphi cell the trace-determinism tests run:
 // the golden corpus's clean cell, with a selectable adversary and worker
 // count.
-func traceCell(adv netadv.Adversary, workers int) RunSpec {
+func traceCell(adv netadv.Adversary, workers int) run.RunSpec {
 	const seed = 424242
 	const n, f = 8, 2
-	return RunSpec{
-		Protocol:   ProtoDelphi,
+	return run.RunSpec{
+		Protocol:   run.ProtoDelphi,
 		N:          n,
 		F:          f,
 		Env:        sim.AWS(),
@@ -36,11 +37,11 @@ func traceCell(adv netadv.Adversary, workers int) RunSpec {
 
 // runTraced runs one cell with a fresh recorder attached and returns its
 // stats plus the exported trace bytes.
-func runTraced(t *testing.T, spec RunSpec) (*RunStats, []byte) {
+func runTraced(t *testing.T, spec run.RunSpec) (*run.RunStats, []byte) {
 	t.Helper()
 	rec := obs.New()
 	spec.Obs = rec
-	st, err := Run(spec)
+	st, err := run.Run(spec)
 	if err != nil {
 		t.Fatalf("%s/%s workers=%d: %v", spec.Protocol, spec.Adversary, spec.SimWorkers, err)
 	}
@@ -65,7 +66,7 @@ func TestSimTraceDeterminism(t *testing.T) {
 	for _, adv := range []netadv.Adversary{{}, {Kind: netadv.JitterStorm}} {
 		t.Run(fmt.Sprintf("%s", adv), func(t *testing.T) {
 			baseline := func(workers int) string {
-				plain, err := Run(traceCell(adv, workers))
+				plain, err := run.Run(traceCell(adv, workers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +111,7 @@ func TestSimTraceDeterminism(t *testing.T) {
 func obsServiceConfig(rec *obs.Recorder) ServiceConfig {
 	return ServiceConfig{
 		Scenario: Scenario{
-			Name: "svc-obs", Protocol: ProtoDelphi, N: 8, Env: sim.AWS(),
+			Name: "svc-obs", Protocol: run.ProtoDelphi, N: 8, Env: sim.AWS(),
 			Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
 			Center: 41000, Delta: 20,
 		},
@@ -269,7 +270,7 @@ func TestServiceSimMetricsAccounting(t *testing.T) {
 func TestRunStatsMetricsSnapshot(t *testing.T) {
 	spec := traceCell(netadv.Adversary{}, 0)
 	spec.Obs = obs.New()
-	st, err := Run(spec)
+	st, err := run.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

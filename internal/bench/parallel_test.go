@@ -8,6 +8,7 @@ import (
 
 	"delphi/internal/core"
 	"delphi/internal/netadv"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -23,14 +24,14 @@ func crossAdversaries() []netadv.Adversary {
 
 // parallelSpec builds the δ-window workload shared by the parallel-window
 // tests: n=8, δ=20 around 41000, for one (protocol, adversary) pair.
-func parallelSpec(proto Protocol, adv netadv.Adversary, params core.Params, center, delta float64, seed int64) RunSpec {
+func parallelSpec(proto run.Protocol, adv netadv.Adversary, params core.Params, center, delta float64, seed int64) run.RunSpec {
 	n := 8
 	f := (n - 1) / 3
-	if proto == ProtoDolev {
+	if proto == run.ProtoDolev {
 		// Dolev needs n >= 5t+1.
 		f = (n - 1) / 5
 	}
-	return RunSpec{
+	return run.RunSpec{
 		Protocol:  proto,
 		N:         n,
 		F:         f,
@@ -46,7 +47,7 @@ func parallelSpec(proto Protocol, adv netadv.Adversary, params core.Params, cent
 // input hull [center−δ/2, center+δ/2]. That is tighter than the validity
 // every run is held to in StatsFromOutputs (max(ρ0, δ) for Delphi), and
 // these specs meet it.
-func checkTightHull(t *testing.T, label string, st *RunStats, params core.Params, center, delta float64) {
+func checkTightHull(t *testing.T, label string, st *run.RunStats, params core.Params, center, delta float64) {
 	t.Helper()
 	slack := params.Rho0 + params.Eps
 	for _, v := range st.Outputs {
@@ -74,17 +75,17 @@ func mean(xs []float64) float64 {
 func TestParallelWindowAgreement(t *testing.T) {
 	params := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2}
 	const center, delta = 41000.0, 20.0
-	for _, proto := range []Protocol{ProtoDelphi, ProtoFIN, ProtoAbraham, ProtoDolev} {
+	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev} {
 		for _, adv := range crossAdversaries() {
 			t.Run(fmt.Sprintf("%s/%s", proto, adv), func(t *testing.T) {
-				seed := TrialSeed(802, 0)
+				seed := run.TrialSeed(802, 0)
 				spec := parallelSpec(proto, adv, params, center, delta, seed)
-				seq, err := Run(spec)
+				seq, err := run.Run(spec)
 				if err != nil {
 					t.Fatalf("sequential run: %v", err)
 				}
 				spec.SimWorkers = 4
-				par, err := Run(spec)
+				par, err := run.Run(spec)
 				if err != nil {
 					t.Fatalf("parallel run: %v", err)
 				}
@@ -106,15 +107,15 @@ func TestParallelWindowDeterminism(t *testing.T) {
 	params := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2}
 	const center, delta = 41000.0, 20.0
 	adv := netadv.Adversary{Kind: netadv.JitterStorm, Severity: 0.25}
-	spec := parallelSpec(ProtoFIN, adv, params, center, delta, TrialSeed(803, 0))
+	spec := parallelSpec(run.ProtoFIN, adv, params, center, delta, run.TrialSeed(803, 0))
 	spec.SimWorkers = 4
-	base, err := Run(spec)
+	base, err := run.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		spec.SimWorkers = workers
-		got, err := Run(spec)
+		got, err := run.Run(spec)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

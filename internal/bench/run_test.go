@@ -10,6 +10,7 @@ import (
 	"delphi/internal/acs"
 	"delphi/internal/bench"
 	"delphi/internal/core"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -47,20 +48,20 @@ func TestRunToleratesFCrashes(t *testing.T) {
 	n := 8
 	p := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2}
 	for _, tc := range []struct {
-		proto bench.Protocol
+		proto run.Protocol
 		f     int
 	}{
-		{bench.ProtoDelphi, 2},
-		{bench.ProtoFIN, 2},
-		{bench.ProtoAbraham, 2},
-		{bench.ProtoDolev, 1},
+		{run.ProtoDelphi, 2},
+		{run.ProtoFIN, 2},
+		{run.ProtoAbraham, 2},
+		{run.ProtoDolev, 1},
 	} {
 		inputs := bench.OracleInputs(n, 41000, 20, 21)
 		for i := 0; i < tc.f; i++ {
 			// Crash high slots: slots 0/1 pin the δ extremes.
 			inputs[n-1-i] = math.NaN()
 		}
-		st, err := bench.Run(bench.RunSpec{
+		st, err := run.Run(run.RunSpec{
 			Protocol: tc.proto, N: n, F: tc.f, Env: sim.AWS(), Seed: 21,
 			Inputs: inputs, Delphi: p,
 		})
@@ -89,8 +90,8 @@ func TestRunBeyondCrashBudgetFails(t *testing.T) {
 	for i := 0; i < f+1; i++ {
 		inputs[n-1-i] = math.NaN()
 	}
-	_, err := bench.Run(bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: 23,
+	_, err := run.Run(run.RunSpec{
+		Protocol: run.ProtoDelphi, N: n, F: f, Env: sim.AWS(), Seed: 23,
 		Inputs: inputs, Delphi: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
 	})
 	if err == nil {
@@ -100,7 +101,7 @@ func TestRunBeyondCrashBudgetFails(t *testing.T) {
 
 // TestRunUnknownProtocol pins the error path.
 func TestRunUnknownProtocol(t *testing.T) {
-	_, err := bench.Run(bench.RunSpec{
+	_, err := run.Run(run.RunSpec{
 		Protocol: "martian", N: 4, F: 1, Env: sim.AWS(), Seed: 1,
 		Inputs: bench.OracleInputs(4, 100, 2, 1),
 	})
@@ -114,8 +115,8 @@ func TestRunUnknownProtocol(t *testing.T) {
 // error names crashes as the fault to inject instead of degrading the slot
 // to one.
 func TestRunRejectsBaselineByzantine(t *testing.T) {
-	for _, proto := range []bench.Protocol{bench.ProtoFIN, bench.ProtoAbraham, bench.ProtoDolev} {
-		_, err := bench.Run(bench.RunSpec{
+	for _, proto := range []run.Protocol{run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev} {
+		_, err := run.Run(run.RunSpec{
 			Protocol: proto, N: 16, F: proto.Faults(16), Env: sim.AWS(), Seed: 1,
 			Inputs: bench.OracleInputs(16, 41000, 20, 1), Delphi: bench.OracleDefaultParams(),
 			Byzantine: 1,
@@ -133,8 +134,8 @@ func TestRunAllCrashedInputs(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = math.NaN()
 	}
-	_, err := bench.Run(bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: 4, F: 1, Env: sim.AWS(), Seed: 1,
+	_, err := run.Run(run.RunSpec{
+		Protocol: run.ProtoDelphi, N: 4, F: 1, Env: sim.AWS(), Seed: 1,
 		Inputs: inputs, Delphi: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
 	})
 	if err == nil {
@@ -151,25 +152,25 @@ func TestStatsFromOutputsChecksGuarantees(t *testing.T) {
 	nan := math.NaN()
 	for _, c := range []struct {
 		name  string
-		proto bench.Protocol
+		proto run.Protocol
 		rho0  float64
 		outs  []float64
 		want  string // "" passes; else a substring of the error
 	}{
-		{"spread at ε", bench.ProtoDelphi, 2, []float64{105, 105, 106, 107}, ""},
-		{"spread just over ε", bench.ProtoDelphi, 2, []float64{105, 105, 106, 107 + 1e-6}, "agreement violated"},
-		{"delphi at hi+δ", bench.ProtoDelphi, 2, []float64{120, 120, 120, 120}, ""},
-		{"delphi at lo−δ", bench.ProtoDelphi, 2, []float64{90, 90, 90, 90}, ""},
-		{"delphi beyond hi+δ", bench.ProtoDelphi, 2, []float64{120 + 1e-6, 120, 120, 120}, "validity violated"},
-		{"delphi beyond lo−δ", bench.ProtoDelphi, 2, []float64{90, 90, 90, 90 - 1e-6}, "validity violated"},
-		{"delphi at hi+ρ0, ρ0 > δ", bench.ProtoDelphi, 16, []float64{126, 126, 126, 126}, ""},
-		{"delphi beyond lo−ρ0, ρ0 > δ", bench.ProtoDelphi, 16, []float64{84 - 1e-6, 84, 84, 84}, "validity violated"},
-		{"fin at hi", bench.ProtoFIN, 2, []float64{110, 110, 110, 110}, ""},
-		{"fin just above hi", bench.ProtoFIN, 2, []float64{110 + 1e-6, 110, 110, 110}, "validity violated"},
-		{"abraham just above hi", bench.ProtoAbraham, 2, []float64{110, 110 + 1e-6, 110, 110}, "validity violated"},
-		{"dolev at lo", bench.ProtoDolev, 2, []float64{100, 100, 100, 100}, ""},
-		{"dolev just below lo", bench.ProtoDolev, 2, []float64{100, 100, 100 - 1e-6, 100}, "validity violated"},
-		{"nan output", bench.ProtoDelphi, 2, []float64{105, nan, 105, 105}, "validity violated"},
+		{"spread at ε", run.ProtoDelphi, 2, []float64{105, 105, 106, 107}, ""},
+		{"spread just over ε", run.ProtoDelphi, 2, []float64{105, 105, 106, 107 + 1e-6}, "agreement violated"},
+		{"delphi at hi+δ", run.ProtoDelphi, 2, []float64{120, 120, 120, 120}, ""},
+		{"delphi at lo−δ", run.ProtoDelphi, 2, []float64{90, 90, 90, 90}, ""},
+		{"delphi beyond hi+δ", run.ProtoDelphi, 2, []float64{120 + 1e-6, 120, 120, 120}, "validity violated"},
+		{"delphi beyond lo−δ", run.ProtoDelphi, 2, []float64{90, 90, 90, 90 - 1e-6}, "validity violated"},
+		{"delphi at hi+ρ0, ρ0 > δ", run.ProtoDelphi, 16, []float64{126, 126, 126, 126}, ""},
+		{"delphi beyond lo−ρ0, ρ0 > δ", run.ProtoDelphi, 16, []float64{84 - 1e-6, 84, 84, 84}, "validity violated"},
+		{"fin at hi", run.ProtoFIN, 2, []float64{110, 110, 110, 110}, ""},
+		{"fin just above hi", run.ProtoFIN, 2, []float64{110 + 1e-6, 110, 110, 110}, "validity violated"},
+		{"abraham just above hi", run.ProtoAbraham, 2, []float64{110, 110 + 1e-6, 110, 110}, "validity violated"},
+		{"dolev at lo", run.ProtoDolev, 2, []float64{100, 100, 100, 100}, ""},
+		{"dolev just below lo", run.ProtoDolev, 2, []float64{100, 100, 100 - 1e-6, 100}, "validity violated"},
+		{"nan output", run.ProtoDelphi, 2, []float64{105, nan, 105, 105}, "validity violated"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			spec, finals, at := statsCase(c.proto, c.rho0, inputs, c.outs)
@@ -187,7 +188,7 @@ func TestStatsFromOutputsChecksGuarantees(t *testing.T) {
 
 	// The check reads only what the assembly already holds: HonestSlots'
 	// slice, the RunStats and the growth of its Outputs.
-	spec, finals, at := statsCase(bench.ProtoDelphi, 2, inputs, []float64{105, 105, 106, 107})
+	spec, finals, at := statsCase(run.ProtoDelphi, 2, inputs, []float64{105, 105, 106, 107})
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = spec.StatsFromOutputs(finals, at) }); allocs != 5 {
 		t.Errorf("StatsFromOutputs allocates %v times, want 5", allocs)
 	}
@@ -195,18 +196,18 @@ func TestStatsFromOutputsChecksGuarantees(t *testing.T) {
 
 // statsCase builds a spec over inputs and the per-slot finals of a run
 // whose honest slots decided outs, in slot order, at 1s.
-func statsCase(proto bench.Protocol, rho0 float64, inputs, outs []float64) (bench.RunSpec, []any, []time.Duration) {
-	spec := bench.RunSpec{Protocol: proto, N: len(inputs), Inputs: inputs, Delphi: core.Params{Rho0: rho0, Eps: 2}}
+func statsCase(proto run.Protocol, rho0 float64, inputs, outs []float64) (run.RunSpec, []any, []time.Duration) {
+	spec := run.RunSpec{Protocol: proto, N: len(inputs), Inputs: inputs, Delphi: core.Params{Rho0: rho0, Eps: 2}}
 	finals := make([]any, spec.N)
 	at := make([]time.Duration, spec.N)
 	for k, i := range spec.HonestSlots() {
 		at[i] = time.Second
 		switch proto {
-		case bench.ProtoFIN:
+		case run.ProtoFIN:
 			finals[i] = acs.Result{Output: outs[k]}
-		case bench.ProtoAbraham:
+		case run.ProtoAbraham:
 			finals[i] = aaa.AbrahamResult{Output: outs[k]}
-		case bench.ProtoDolev:
+		case run.ProtoDolev:
 			finals[i] = aaa.DolevResult{Output: outs[k]}
 		default:
 			finals[i] = core.Result{Output: outs[k]}

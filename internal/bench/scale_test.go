@@ -6,6 +6,7 @@ import (
 
 	"delphi/internal/bench"
 	"delphi/internal/core"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -19,25 +20,25 @@ func TestScaleSweepSequentialLane(t *testing.T) {
 		t.Skip("experiment harness test")
 	}
 	spec := bench.Scenario{
-		Protocol: bench.ProtoDolev, N: 1000, Env: sim.AWS(),
+		Protocol: run.ProtoDolev, N: 1000, Env: sim.AWS(),
 		Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 8, Eps: 2},
 		Center: 41000, Delta: 8,
 	}.Spec(1, 0)
-	seq, err := bench.Run(spec)
+	seq, err := run.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaEngine, err := (&bench.Engine{SimWorkers: 2}).RunBatch([]bench.RunSpec{spec})
+	viaEngine, err := (&bench.Engine{SimWorkers: 2}).RunBatch([]run.RunSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane0, err := bench.Run(spec)
+	lane0, err := run.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := spec
 	par.SimWorkers = 2
-	lane2, err := bench.Run(par)
+	lane2, err := run.Run(par)
 	if err != nil {
 		t.Fatal(err)
 	}

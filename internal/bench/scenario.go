@@ -8,6 +8,7 @@ import (
 
 	"delphi/internal/core"
 	"delphi/internal/netadv"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -41,6 +42,22 @@ func (s InputShape) String() string {
 	default:
 		return fmt.Sprintf("shape(%d)", int(s))
 	}
+}
+
+// OracleInputs generates n price measurements centred on center with exact
+// range delta: the extremes are pinned so δ is controlled, the rest are
+// uniform in between. This matches the paper's "δ = 20$ / 180$" runs.
+func OracleInputs(n int, center, delta float64, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = center + (rng.Float64()-0.5)*delta
+	}
+	if n >= 2 {
+		out[0] = center - delta/2
+		out[1] = center + delta/2
+	}
+	return out
 }
 
 // ShapedInputs generates n measurements centred on center with exact range
@@ -94,7 +111,7 @@ type Scenario struct {
 	// Name labels the scenario in reports; Matrix fills it automatically.
 	Name string
 	// Protocol is the protocol under measurement.
-	Protocol Protocol
+	Protocol run.Protocol
 	// N is the system size.
 	N int
 	// Env is the simulated testbed.
@@ -116,7 +133,7 @@ type Scenario struct {
 	// ByzKind (Delphi only, see RunSpec.Byzantine).
 	Byzantine int
 	// ByzKind selects the adversarial behaviour.
-	ByzKind ByzKind
+	ByzKind run.ByzKind
 	// Adversary installs a network adversary (adversarial scheduling) for
 	// every trial; the zero value is a clean network. Live backends
 	// inject the same presets into their transports, scaled to wall time.
@@ -124,7 +141,7 @@ type Scenario struct {
 	// Backend selects the execution backend for every trial; the zero
 	// value is the simulator, unless the Engine fills it (see
 	// Engine.Backend).
-	Backend BackendKind
+	Backend run.BackendKind
 	// SimWorkers runs every sim-backed trial under the parallel window
 	// executor with that many shard workers; 0 is the sequential loop
 	// unless the Engine fills it (see RunSpec.SimWorkers).
@@ -163,9 +180,8 @@ func (s Scenario) Validate() error {
 	if err := s.Adversary.Validate(); err != nil {
 		return fmt.Errorf("bench: scenario %q: %w", s.Name, err)
 	}
-	if !BackendRegistered(s.Backend) {
-		return fmt.Errorf("bench: scenario %q: backend %q not registered (import delphi/internal/backend)",
-			s.Name, s.Backend)
+	if _, err := lookupBackend(s.Backend); err != nil {
+		return fmt.Errorf("bench: scenario %q: %w", s.Name, err)
 	}
 	return nil
 }
@@ -173,8 +189,8 @@ func (s Scenario) Validate() error {
 // Spec expands trial i of the scenario into a RunSpec. The trial seed is
 // derived deterministically from (baseSeed, i), so a scenario's corpus is
 // reproducible independent of worker count or batch order.
-func (s Scenario) Spec(baseSeed int64, trial int) RunSpec {
-	seed := TrialSeed(baseSeed, trial)
+func (s Scenario) Spec(baseSeed int64, trial int) run.RunSpec {
+	seed := run.TrialSeed(baseSeed, trial)
 	inputs := ShapedInputs(s.Shape, s.N, s.Center, s.Delta, seed)
 	// Crash the highest honest slots (just below any Byzantine slots);
 	// Validate bounds Crashes+Byzantine ≤ f < N-2, so the pinned extremes
@@ -182,7 +198,7 @@ func (s Scenario) Spec(baseSeed int64, trial int) RunSpec {
 	for i := 0; i < s.Crashes; i++ {
 		inputs[s.N-s.Byzantine-1-i] = math.NaN()
 	}
-	return RunSpec{
+	return run.RunSpec{
 		Protocol:      s.Protocol,
 		N:             s.N,
 		F:             s.Protocol.Faults(s.N),
@@ -200,8 +216,8 @@ func (s Scenario) Spec(baseSeed int64, trial int) RunSpec {
 }
 
 // Specs expands every trial of the scenario.
-func (s Scenario) Specs(baseSeed int64) []RunSpec {
-	out := make([]RunSpec, s.trials())
+func (s Scenario) Specs(baseSeed int64) []run.RunSpec {
+	out := make([]run.RunSpec, s.trials())
 	for i := range out {
 		out[i] = s.Spec(baseSeed, i)
 	}
@@ -282,7 +298,7 @@ func (m Matrix) Scenarios() []Scenario {
 // (maximal pool utilisation), returning per-cell aggregates in cell order.
 // keepSamples retains per-trial latency samples in each cell's aggregate.
 func (e *Engine) RunScenarios(cells []Scenario, baseSeed int64, keepSamples bool) ([]*ScenarioResult, error) {
-	var specs []RunSpec
+	var specs []run.RunSpec
 	for _, s := range cells {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -302,7 +318,7 @@ func (e *Engine) RunScenarios(cells []Scenario, baseSeed int64, keepSamples bool
 
 // aggregates folds stats, every trial of every cell in cell order, into one
 // Aggregate per cell.
-func aggregates(cells []Scenario, stats []*RunStats, keepSamples bool) []*Aggregate {
+func aggregates(cells []Scenario, stats []*run.RunStats, keepSamples bool) []*Aggregate {
 	out := make([]*Aggregate, len(cells))
 	for i, c := range cells {
 		out[i] = NewAggregate(keepSamples)
@@ -327,7 +343,7 @@ func (e *Engine) RunMatrix(m Matrix, baseSeed int64) ([]*ScenarioResult, error) 
 func scenarioMatrix(scale Scale, seed int64) Plan[string] {
 	m := Matrix{
 		Base: Scenario{
-			Protocol: ProtoDelphi,
+			Protocol: run.ProtoDelphi,
 			// Table I's parameterisation: Δ=256$ keeps every cell subsecond.
 			Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 256, Eps: 2},
 			Center: 41000,

@@ -7,6 +7,7 @@ import (
 
 	"delphi/internal/bench"
 	"delphi/internal/core"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
@@ -39,7 +40,7 @@ func TestShapedInputsPinRange(t *testing.T) {
 // TestScenarioValidate pins the fault-budget and shape checks.
 func TestScenarioValidate(t *testing.T) {
 	base := bench.Scenario{
-		Name: "t", Protocol: bench.ProtoDelphi, N: 16, Env: sim.AWS(),
+		Name: "t", Protocol: run.ProtoDelphi, N: 16, Env: sim.AWS(),
 		Params: scenarioParams(), Center: 41000, Delta: 20,
 	}
 	if err := base.Validate(); err != nil {
@@ -68,7 +69,7 @@ func TestScenarioValidate(t *testing.T) {
 func TestMatrixExpansion(t *testing.T) {
 	m := bench.Matrix{
 		Base: bench.Scenario{
-			Protocol: bench.ProtoDelphi, Env: sim.AWS(), Params: scenarioParams(),
+			Protocol: run.ProtoDelphi, Env: sim.AWS(), Params: scenarioParams(),
 			Center: 41000, Delta: 20, Trials: 2,
 		},
 		Ns:        []int{16, 40},
@@ -100,7 +101,7 @@ func TestMatrixExpansion(t *testing.T) {
 func TestMatrixDolevFaultBudget(t *testing.T) {
 	m := bench.Matrix{
 		Base: bench.Scenario{
-			Protocol: bench.ProtoDolev, N: 16, Env: sim.AWS(), Params: scenarioParams(),
+			Protocol: run.ProtoDolev, N: 16, Env: sim.AWS(), Params: scenarioParams(),
 			Center: 41000, Delta: 20, Crashes: 3,
 		},
 		Ns: []int{16, 21},
@@ -127,9 +128,9 @@ func TestScenarioFaultInjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
 	}
-	for _, kind := range []bench.ByzKind{bench.ByzSpam, bench.ByzEquivocate} {
+	for _, kind := range []run.ByzKind{run.ByzSpam, run.ByzEquivocate} {
 		s := bench.Scenario{
-			Name: "faults", Protocol: bench.ProtoDelphi, N: 8, Env: sim.AWS(),
+			Name: "faults", Protocol: run.ProtoDelphi, N: 8, Env: sim.AWS(),
 			Params: scenarioParams(), Center: 41000, Delta: 20,
 			Crashes: 1, Byzantine: 1, ByzKind: kind, Trials: 1,
 		}
@@ -156,10 +157,10 @@ func TestRunReportsOnlyHonestOutputs(t *testing.T) {
 	n := 8
 	inputs := bench.OracleInputs(n, 41000, 20, 11)
 	inputs[2] = math.NaN()
-	st, err := bench.Run(bench.RunSpec{
-		Protocol: bench.ProtoDelphi, N: n, F: 2, Env: sim.AWS(), Seed: 11,
+	st, err := run.Run(run.RunSpec{
+		Protocol: run.ProtoDelphi, N: n, F: 2, Env: sim.AWS(), Seed: 11,
 		Inputs: inputs, Delphi: scenarioParams(),
-		Byzantine: 1, ByzKind: bench.ByzSpam,
+		Byzantine: 1, ByzKind: run.ByzSpam,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +177,7 @@ func TestRunMatrixAggregates(t *testing.T) {
 	}
 	m := bench.Matrix{
 		Base: bench.Scenario{
-			Protocol: bench.ProtoDelphi, N: 8, Env: sim.AWS(),
+			Protocol: run.ProtoDelphi, N: 8, Env: sim.AWS(),
 			Params: scenarioParams(), Center: 41000, Delta: 20, Trials: 2,
 		},
 		Shapes: []bench.InputShape{bench.ShapePinned, bench.ShapeSkewed},

@@ -8,8 +8,10 @@ import (
 	"sync"
 	"time"
 
+	"delphi/internal/dist"
 	"delphi/internal/feeds"
 	"delphi/internal/obs"
+	"delphi/internal/run"
 )
 
 // This file is the continuous-service oracle mode (ROADMAP item 3): instead
@@ -27,7 +29,7 @@ import (
 //     clock replays the arrival process against the per-round virtual
 //     service times. Reports are byte-identical across reruns and worker
 //     counts.
-//   - The live model (live/tcp backends, registered by internal/backend)
+//   - The live model (the live and tcp backends of internal/backend)
 //     runs rounds as real concurrent protocol instances multiplexed onto
 //     one persistent fabric, paced by the wall clock, with a real
 //     feeds.Fanout delivering to live representative subscribers.
@@ -150,7 +152,7 @@ func (c ServiceConfig) Validate() error {
 // not in Arrived).
 type ServiceReport struct {
 	// Backend records the executing backend.
-	Backend BackendKind
+	Backend run.BackendKind
 	// Arrived counts generated arrivals; Decided, Shed, and Failed
 	// partition them.
 	Arrived, Decided, Shed, Failed int
@@ -232,30 +234,9 @@ func (r *ServiceReport) Text() string {
 	return b.String()
 }
 
-// ServiceRunner executes individual service rounds on a persistent live
-// substrate. Unlike BackendSession.Run, RunRound must be safe for
-// concurrent calls: the service keeps up to Window rounds in flight at
-// once, each as its own multiplexed protocol instance.
-type ServiceRunner interface {
-	// RunRound executes one round's spec as a fresh protocol instance on
-	// the shared fabric.
-	RunRound(RunSpec) (*RunStats, error)
-	// StaleFrames returns the demux's count of frames shed because their
-	// instance was already collected.
-	StaleFrames() uint64
-	// Drops returns the transports' observable frame loss since open.
-	Drops() uint64
-	// Close tears the substrate down.
-	Close() error
-}
-
-// ServiceOpen opens a live service substrate sized for spec's cluster;
-// timeout bounds each round (0 means the backend default).
-type ServiceOpen func(spec RunSpec, timeout time.Duration) (ServiceRunner, error)
-
 // RunService executes one continuous-service run and returns its report.
-// Simulator cells run the deterministic queueing model; live cells need
-// their backend's service support registered (import internal/backend).
+// Simulator cells run the deterministic queueing model; live and tcp cells
+// run concurrent rounds on one of internal/backend's service sessions.
 func (e *Engine) RunService(cfg ServiceConfig, seed int64) (*ServiceReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -264,12 +245,15 @@ func (e *Engine) RunService(cfg ServiceConfig, seed int64) (*ServiceReport, erro
 	if kind == "" {
 		kind = e.Backend
 	}
-	if kind == "" || kind == BackendSim {
+	if kind == "" || kind == run.BackendSim {
 		return e.runServiceSim(cfg, seed)
 	}
-	b, _ := lookupBackend(kind)
+	b, err := lookupBackend(kind)
+	if err != nil {
+		return nil, err
+	}
 	if b.service == nil {
-		return nil, fmt.Errorf("bench: backend %q has no service support (import delphi/internal/backend)", kind)
+		return nil, fmt.Errorf("bench: backend %q has no service support", kind)
 	}
 	return runServiceLive(cfg, kind, seed, b.service)
 }
@@ -294,13 +278,7 @@ func (c ServiceConfig) interarrival(seed int64, i int) float64 {
 func serviceUniform(seed int64, stream uint64, i int) float64 {
 	x := uint64(seed) ^ (stream+1)*0x9E3779B97F4A7C15
 	x += uint64(i+1) * 0xBF58476D1CE4E5B9
-	for r := 0; r < 2; r++ {
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-	}
+	x = dist.Mix64(dist.Mix64(x))
 	u := float64(x>>11) / (1 << 53)
 	if u <= 0 {
 		u = 0x1p-53
@@ -312,7 +290,7 @@ func serviceUniform(seed int64, stream uint64, i int) float64 {
 }
 
 // newServiceReport seeds the report's reservoirs so fingerprints are stable.
-func newServiceReport(kind BackendKind) *ServiceReport {
+func newServiceReport(kind run.BackendKind) *ServiceReport {
 	r := &ServiceReport{Backend: kind}
 	for i, s := range []*Stream{&r.LatencyMS, &r.ServiceMS, &r.QueueMS, &r.StalenessMS} {
 		s.KeepSamples = true
@@ -421,7 +399,7 @@ func (h *doneHeap) Pop() any {
 // their agreement computed for nothing — the price of keeping the batch
 // stage embarrassingly parallel; the overlay itself is O(Rounds log Window).
 func (e *Engine) runServiceSim(cfg ServiceConfig, seed int64) (*ServiceReport, error) {
-	specs := make([]RunSpec, cfg.Rounds)
+	specs := make([]run.RunSpec, cfg.Rounds)
 	for i := range specs {
 		specs[i] = cfg.Scenario.Spec(seed, i)
 	}
@@ -430,7 +408,7 @@ func (e *Engine) runServiceSim(cfg ServiceConfig, seed int64) (*ServiceReport, e
 		return nil, fmt.Errorf("service round: %w", err)
 	}
 
-	rep := newServiceReport(BackendSim)
+	rep := newServiceReport(run.BackendSim)
 	reps := cfg.Subscribers.Representatives(cfg.representatives())
 	adm := &admission{rep: rep, window: cfg.window(), queueCap: cfg.Queue}
 
@@ -505,7 +483,7 @@ func (e *Engine) runServiceSim(cfg ServiceConfig, seed int64) (*ServiceReport, e
 
 // runServiceLive drives real concurrent rounds over one persistent service
 // substrate, paced by the wall clock, with a live fan-out stage.
-func runServiceLive(cfg ServiceConfig, kind BackendKind, seed int64, open ServiceOpen) (*ServiceReport, error) {
+func runServiceLive(cfg ServiceConfig, kind run.BackendKind, seed int64, open run.ServiceOpen) (*ServiceReport, error) {
 	spec0 := cfg.Scenario.Spec(seed, 0)
 	spec0.Backend = kind
 	spec0.Obs = cfg.Obs // lets the opener observe its fabric and demux

@@ -9,13 +9,14 @@ import (
 	"delphi/internal/core"
 	"delphi/internal/dist"
 	"delphi/internal/feeds"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 )
 
 // serviceScenario is the quick per-round workload the service tests drive.
 func serviceScenario() bench.Scenario {
 	return bench.Scenario{
-		Name: "svc", Protocol: bench.ProtoDelphi, N: 8, Env: sim.AWS(),
+		Name: "svc", Protocol: run.ProtoDelphi, N: 8, Env: sim.AWS(),
 		Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
 		Center: 41000, Delta: 20,
 	}

@@ -9,6 +9,7 @@ import (
 	"delphi/internal/core"
 	"delphi/internal/dora"
 	"delphi/internal/node"
+	"delphi/internal/run"
 	"delphi/internal/sim"
 	"delphi/internal/smr"
 )
@@ -66,10 +67,10 @@ func table1(scale Scale, seed int64) Plan[*Table] {
 	m, M := 41000-delta/2, 41000+delta/2
 	names := []string{"FIN (ACS)", "Abraham et al.", "Dolev et al. (5t+1)", "Delphi"}
 	var s Plan[*Table]
-	for i, proto := range []Protocol{ProtoFIN, ProtoAbraham, ProtoDolev, ProtoDelphi} {
-		s.add(RunSpec{Protocol: proto, N: n, F: proto.Faults(n), Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p}, names[i])
+	for i, proto := range []run.Protocol{run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev, run.ProtoDelphi} {
+		s.add(run.RunSpec{Protocol: proto, N: n, F: proto.Faults(n), Env: sim.AWS(), Seed: seed, Inputs: inputs, Delphi: p}, names[i])
 	}
-	s.Reduce = func(stats []*RunStats) (*Table, error) {
+	s.Reduce = func(stats []*run.RunStats) (*Table, error) {
 		var rows []TableRow
 		for i, st := range stats {
 			slack := 0.0
@@ -109,12 +110,12 @@ func table2(scale Scale, seed int64) Plan[*Table] {
 	}
 	var s Plan[*Table]
 	for _, c := range conds {
-		s.add(RunSpec{
-			Protocol: ProtoDelphi, N: n, F: ProtoDelphi.Faults(n), Env: sim.AWS(), Seed: seed,
+		s.add(run.RunSpec{
+			Protocol: run.ProtoDelphi, N: n, F: run.ProtoDelphi.Faults(n), Env: sim.AWS(), Seed: seed,
 			Inputs: OracleInputs(n, 41000, c.rng, seed), Delphi: core.Params{S: 0, E: 100000, Rho0: eps, Delta: c.delta, Eps: eps},
 		}, c.name)
 	}
-	s.Reduce = func(stats []*RunStats) (*Table, error) {
+	s.Reduce = func(stats []*run.RunStats) (*Table, error) {
 		var rows []TableRow
 		for i, st := range stats {
 			rows = append(rows, TableRow{Name: conds[i].name, Cells: []string{
@@ -142,7 +143,7 @@ type oracleStats struct {
 // table3 is the paper's Table III: Delphi's DORA layer vs the Chakka et al.
 // baseline, measured per attested value.
 func table3(scale Scale, seed int64) Plan[*Table] {
-	return Plan[*Table]{Reduce: func([]*RunStats) (*Table, error) {
+	return Plan[*Table]{Reduce: func([]*run.RunStats) (*Table, error) {
 		n := 16
 		if scale == Paper {
 			n = 64
@@ -187,7 +188,7 @@ func runOracles(n int, inputs []float64, seed int64, st *oracleStats, newOracle 
 		}
 		procs[i] = p
 	}
-	runner, err := sim.NewRunner(node.Config{N: n, F: ProtoDelphi.Faults(n)}, sim.AWS(), seed, procs, opts...)
+	runner, err := sim.NewRunner(node.Config{N: n, F: run.ProtoDelphi.Faults(n)}, sim.AWS(), seed, procs, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -208,7 +209,7 @@ func runOracles(n int, inputs []float64, seed int64, st *oracleStats, newOracle 
 func runChakka(n int, inputs []float64, seed int64) (*oracleStats, error) {
 	st := &oracleStats{}
 	res, outs, err := runOracles(n, inputs, seed, st, func(k dora.Keyring, v float64) (node.Process, error) {
-		return dora.NewChakka(node.Config{N: n, F: ProtoDelphi.Faults(n)}, k, v)
+		return dora.NewChakka(node.Config{N: n, F: run.ProtoDelphi.Faults(n)}, k, v)
 	})
 	if err != nil {
 		return nil, err
@@ -237,7 +238,7 @@ func runChakka(n int, inputs []float64, seed int64) (*oracleStats, error) {
 func runDelphiDora(n int, inputs []float64, seed int64) (*oracleStats, error) {
 	st := &oracleStats{}
 	cfg := core.Config{
-		Config: node.Config{N: n, F: ProtoDelphi.Faults(n)},
+		Config: node.Config{N: n, F: run.ProtoDelphi.Faults(n)},
 		Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 2000, Eps: 2},
 	}
 	res, outs, err := runOracles(n, inputs, seed, st, func(k dora.Keyring, v float64) (node.Process, error) {

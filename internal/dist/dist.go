@@ -35,6 +35,15 @@ type Distribution interface {
 	Quantile(p float64) float64
 }
 
+// Mix64 is the splitmix64 finaliser: a bijection of uint64 that spreads
+// every input bit over the output. Seed derivations, hashes and splitmix64
+// streams (state += 0x9e3779b97f4a7c15, then Mix64(state)) share it.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // Moments returns the sample mean and the unbiased sample variance.
 // Empty input yields (0, 0); a single sample yields (x, 0).
 func Moments(samples []float64) (mean, variance float64) {

@@ -257,10 +257,7 @@ func (p Population) Representatives(max int) []int {
 // splitmixUniform maps a 64-bit state to a uniform in (0,1): the splitmix64
 // finaliser, then the 53-bit mantissa trick, nudged off exact 0.
 func splitmixUniform(x uint64) float64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	x ^= x >> 31
+	x = dist.Mix64(x + 0x9E3779B97F4A7C15)
 	u := float64(x>>11) / (1 << 53)
 	if u <= 0 {
 		u = 0x1p-53

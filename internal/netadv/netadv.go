@@ -22,6 +22,7 @@ import (
 
 	"delphi/internal/aba"
 	"delphi/internal/coin"
+	"delphi/internal/dist"
 	"delphi/internal/node"
 	"delphi/internal/sim"
 )
@@ -343,9 +344,6 @@ func (a Adversary) Validate() error {
 // splitmix64 finalizer: deterministic, well-dispersed, and cheap enough for
 // the dispatch hot path.
 func msgHash(seed int64, at time.Duration, from, to node.ID, size int) uint64 {
-	z := uint64(seed) ^ uint64(at)*0x9e3779b97f4a7c15 ^
-		uint64(from)<<32 ^ uint64(to)<<16 ^ uint64(size)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return dist.Mix64(uint64(seed) ^ uint64(at)*0x9e3779b97f4a7c15 ^
+		uint64(from)<<32 ^ uint64(to)<<16 ^ uint64(size))
 }

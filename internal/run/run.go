@@ -1,9 +1,8 @@
-// Package bench is the experiment harness. Experiments is the table of the
-// paper's evaluation (§VI): each table and figure is a plan of RunSpecs and
-// a reduction of their stats to the text matching the paper's rows/series,
-// and Engine.RunExperiments runs the selected plans as one batch. The root
-// bench_test.go and cmd/experiments are thin wrappers over this package.
-package bench
+// Package run is the run layer: a RunSpec is one protocol execution, Run
+// executes it on the simulator, and StatsFromOutputs checks any backend's
+// outputs into RunStats. internal/backend's live and tcp sessions implement
+// BackendSession and ServiceRunner, and internal/bench schedules specs.
+package run
 
 import (
 	"fmt"
@@ -19,6 +18,7 @@ import (
 	"delphi/internal/binaa"
 	"delphi/internal/byz"
 	"delphi/internal/core"
+	"delphi/internal/dist"
 	"delphi/internal/netadv"
 	"delphi/internal/node"
 	"delphi/internal/obs"
@@ -81,8 +81,7 @@ type RunSpec struct {
 	// adversarial runs stay byte-identical across reruns and worker counts.
 	Adversary netadv.Adversary
 	// Backend selects the execution backend; the zero value is the
-	// simulator. Live kinds must be registered (import
-	// delphi/internal/backend) before the engine can run them.
+	// simulator. Run ignores it: bench.Engine routes a spec to its backend.
 	Backend BackendKind
 	// SimWorkers enables the simulator's conservative-window parallel mode
 	// with that many shard workers (sim.WithParallelWindow); 0 runs the
@@ -154,19 +153,88 @@ type RunStats struct {
 	Metrics obs.Metrics
 }
 
+// BackendKind names an execution backend for a RunSpec or scenario cell.
+// The zero value selects the simulator, so existing specs and scenarios
+// behave exactly as before the backend axis existed.
+type BackendKind string
+
+// The backend kinds the harness runs: the simulator here, the live kinds in
+// internal/backend.
+const (
+	// BackendSim is the discrete-event simulator (Run). It is also what the
+	// empty string means.
+	BackendSim BackendKind = "sim"
+	// BackendLive is an in-process goroutine cluster over runtime.Hub.
+	BackendLive BackendKind = "live"
+	// BackendTCP is a loopback TCP cluster over a runtime.TCPNet mesh.
+	BackendTCP BackendKind = "tcp"
+)
+
+// String implements fmt.Stringer; the zero value renders as "sim".
+func (k BackendKind) String() string {
+	if k == "" {
+		return string(BackendSim)
+	}
+	return string(k)
+}
+
+// BackendSession executes consecutive RunSpecs with setup amortised across
+// them: bound listeners, warm connections, reusable simulator storage.
+// Sessions are opened by the engine (one per cell key per worker), reused
+// across every trial the worker runs for that cell, and closed when the
+// batch ends — or immediately after a failed trial, so one crashed cluster
+// can never poison later trials. A session is used by one goroutine at a
+// time; it need not be safe for concurrent use.
+type BackendSession interface {
+	// Run executes one spec on the session's persistent substrate.
+	Run(RunSpec) (*RunStats, error)
+	// Close releases the session's resources (listeners, connections,
+	// goroutines). It must be safe to call after a failed Run.
+	Close() error
+}
+
+// ServiceRunner executes individual service rounds on a persistent live
+// substrate. Unlike BackendSession.Run, RunRound must be safe for
+// concurrent calls: the service keeps up to Window rounds in flight at
+// once, each as its own multiplexed protocol instance.
+type ServiceRunner interface {
+	// RunRound executes one round's spec as a fresh protocol instance on
+	// the shared fabric.
+	RunRound(RunSpec) (*RunStats, error)
+	// StaleFrames returns the demux's count of frames shed because their
+	// instance was already collected.
+	StaleFrames() uint64
+	// Drops returns the transports' observable frame loss since open.
+	Drops() uint64
+	// Close tears the substrate down.
+	Close() error
+}
+
+// ServiceOpen opens a live service substrate sized for spec's cluster;
+// timeout bounds each round (0 means the backend default).
+type ServiceOpen func(spec RunSpec, timeout time.Duration) (ServiceRunner, error)
+
+// TrialSeed derives trial i's simulation seed from a base seed. The
+// derivation is a splitmix64 step — deterministic, order-free, and
+// well-dispersed, so trial seeds never collide with the consecutive
+// base+i seeds the callers use for distinct experiments.
+func TrialSeed(base int64, trial int) int64 {
+	return int64(dist.Mix64(uint64(base) + uint64(trial+1)*0x9e3779b97f4a7c15))
+}
+
 // rounds derives the baselines' halving-round count from Delphi's
 // parameterisation (range Δ down to agreement ε), for parity.
 func (s RunSpec) rounds() int {
 	return max(1, int(math.Ceil(math.Log2(s.Delphi.Delta/s.Delphi.Eps))))
 }
 
-// key identifies the run the spec describes: specs with one key produce
+// Key identifies the run the spec describes: specs with one key produce
 // the same RunStats, so a batch runs them once. It zeroes every field the
 // protocol does not read (FIN reads no Delphi parameter, Abraham et al. and
 // Dolev read them only through rounds, whose count it prints instead, and a
 // Byzantine kind matters only with Byzantine slots), drops Obs, which never
 // changes results, and prints the latency model by value.
-func (s RunSpec) key() string {
+func (s RunSpec) Key() string {
 	k := s
 	k.Obs, k.Env.Latency = nil, nil
 	rounds := 0
@@ -217,7 +285,7 @@ func (s RunSpec) byzProcess(i int) node.Process {
 // shared contract.
 func (s RunSpec) Processes() ([]node.Process, error) {
 	if s.Byzantine > 0 && s.Protocol != ProtoDelphi {
-		return nil, fmt.Errorf("bench: %s has no Byzantine behaviour; crash the slots (NaN inputs) instead", s.Protocol)
+		return nil, fmt.Errorf("run: %s has no Byzantine behaviour; crash the slots (NaN inputs) instead", s.Protocol)
 	}
 	cfg := node.Config{N: s.N, F: s.F}
 	procs := make([]node.Process, s.N)
@@ -247,10 +315,10 @@ func (s RunSpec) Processes() ([]node.Process, error) {
 		case ProtoDolev:
 			p, err = aaa.NewDolev(aaa.DolevConfig{N: s.N, F: s.F, Rounds: s.rounds()}, v)
 		default:
-			return nil, fmt.Errorf("bench: unknown protocol %q", s.Protocol)
+			return nil, fmt.Errorf("run: unknown protocol %q", s.Protocol)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("bench: node %d: %w", i, err)
+			return nil, fmt.Errorf("run: node %d: %w", i, err)
 		}
 		procs[i] = p
 	}
@@ -291,7 +359,7 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 	if len(honest) == 0 {
 		// Every slot was crashed or Byzantine: there is no honest
 		// measurement to report, only NaN means and ±Inf spreads.
-		return nil, fmt.Errorf("bench: %s run has no live honest node (n=%d)", s.Protocol, s.N)
+		return nil, fmt.Errorf("run: %s run has no live honest node (n=%d)", s.Protocol, s.N)
 	}
 	var honestSum float64
 	inLo, inHi := math.Inf(1), math.Inf(-1)
@@ -309,14 +377,14 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, i := range honest {
 		if finals[i] == nil {
-			return nil, fmt.Errorf("bench: %s node %d produced no output", s.Protocol, i)
+			return nil, fmt.Errorf("run: %s node %d produced no output", s.Protocol, i)
 		}
 		out, err := extractOutput(finals[i])
 		if err != nil {
-			return nil, fmt.Errorf("bench: node %d: %w", i, err)
+			return nil, fmt.Errorf("run: node %d: %w", i, err)
 		}
 		if math.IsNaN(out) || out < inLo-slack || out > inHi+slack {
-			return nil, fmt.Errorf("bench: %s validity violated: node %d output %g outside honest inputs [%g, %g] ± %g",
+			return nil, fmt.Errorf("run: %s validity violated: node %d output %g outside honest inputs [%g, %g] ± %g",
 				s.Protocol, i, out, inLo, inHi, slack)
 		}
 		stats.Outputs = append(stats.Outputs, out)
@@ -329,7 +397,7 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 	}
 	stats.Spread = hi - lo
 	if stats.Spread > s.Delphi.Eps+ulps {
-		return nil, fmt.Errorf("bench: %s agreement violated: spread %g > ε %g", s.Protocol, stats.Spread, s.Delphi.Eps)
+		return nil, fmt.Errorf("run: %s agreement violated: spread %g > ε %g", s.Protocol, stats.Spread, s.Delphi.Eps)
 	}
 	stats.MeanAbsErr /= float64(len(stats.Outputs))
 	return stats, nil
@@ -372,15 +440,12 @@ func lendScratch(s *sim.Scratch) {
 	lastScratch.Unlock()
 }
 
-// simSessions is the simulator's built-in session support: a session is
-// one sim.Scratch, so an engine worker's trials share the event queue's
-// backing array and per-node bookkeeping instead of re-allocating them
-// every trial. Scratch reuse is invisible in results (pinned by
-// TestSimGoldenByteIdentity and the engine determinism tests).
-var simSessions = SessionSupport{
-	Key:  func(RunSpec) string { return "sim" },
-	Open: func(RunSpec) (BackendSession, error) { return &simSession{scratch: new(sim.Scratch)}, nil },
-}
+// OpenSim opens a simulator session: one sim.Scratch, so an engine worker's
+// trials share the event queue's backing array and per-node bookkeeping
+// instead of re-allocating them every trial. Scratch reuse is invisible in
+// results (pinned by TestSimGoldenByteIdentity and the engine determinism
+// tests).
+func OpenSim(RunSpec) (BackendSession, error) { return &simSession{scratch: new(sim.Scratch)}, nil }
 
 type simSession struct {
 	scratch *sim.Scratch
@@ -402,7 +467,7 @@ func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 		return nil, err
 	}
 	if err := spec.Adversary.Validate(); err != nil {
-		return nil, fmt.Errorf("bench: %w", err)
+		return nil, fmt.Errorf("run: %w", err)
 	}
 	opts := []sim.Option{sim.WithMaxTime(4 * time.Hour)}
 	if spec.Obs != nil {
@@ -442,7 +507,7 @@ func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 	for _, i := range spec.HonestSlots() {
 		st := res.Stats[i]
 		if len(st.Output) == 0 {
-			return nil, fmt.Errorf("bench: %s node %d produced no output (vtime=%v)", spec.Protocol, i, res.Time)
+			return nil, fmt.Errorf("run: %s node %d produced no output (vtime=%v)", spec.Protocol, i, res.Time)
 		}
 		finals[i] = st.Output[len(st.Output)-1]
 		at[i] = st.OutputAt
@@ -476,20 +541,4 @@ func extractOutput(v any) (float64, error) {
 	default:
 		return 0, fmt.Errorf("unexpected output type %T", v)
 	}
-}
-
-// OracleInputs generates n price measurements centred on center with exact
-// range delta: the extremes are pinned so δ is controlled, the rest are
-// uniform in between. This matches the paper's "δ = 20$ / 180$" runs.
-func OracleInputs(n int, center, delta float64, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = center + (rng.Float64()-0.5)*delta
-	}
-	if n >= 2 {
-		out[0] = center - delta/2
-		out[1] = center + delta/2
-	}
-	return out
 }

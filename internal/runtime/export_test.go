@@ -12,6 +12,10 @@ import (
 // MaxFrameSize is the sealed-frame cap both ends of a tcp link enforce.
 const MaxFrameSize = maxFrameSize
 
+// EOFPoll is how often a waiting tcp link is read once more for an end of
+// stream that raised no readiness edge.
+const EOFPoll = eofPoll
+
 // NewTCPNetAccept is NewTCPNet with the accept call of each wiring step
 // injected.
 var NewTCPNetAccept = newTCPNet

@@ -276,8 +276,8 @@ type tcpTransport struct {
 	eagains atomic.Uint64
 
 	// Observability handles (see Observe); nil means off and free.
-	obsDrops *obs.Counter
-	obsDials *obs.Track
+	obsDrops, obsLateCloses *obs.Counter
+	obsDials                *obs.Track
 
 	// peers holds per-destination dial/write state. Each slot carries its
 	// own lock, so a stalled dial or a write blocked on one saturated peer
@@ -457,11 +457,14 @@ func (r *linkReader) split(n int, err error) bool {
 // only when RawConn.Read starts, so data arriving after that read still wakes
 // the wait. After a full read, which may have left bytes behind, and at the
 // eofPoll deadline, Read is entered again and reads first; a Close ends it.
+// An end of stream found by the first read after a deadline is a late close.
 func (r *linkReader) drainRaw(conn net.Conn, rc syscall.RawConn) {
-	more := true
+	more, polled := true, false
 	read := func(fd uintptr) bool {
 		p := r.space()
 		n, err := syscall.Read(int(fd), p)
+		late := polled
+		polled = false
 		if err == syscall.EAGAIN {
 			r.t.eagains.Add(1)
 			return false
@@ -469,12 +472,16 @@ func (r *linkReader) drainRaw(conn net.Conn, rc syscall.RawConn) {
 		if n == 0 && err == nil {
 			err = io.EOF
 		}
+		if late && n <= 0 {
+			r.t.obsLateCloses.Inc()
+		}
 		more = r.split(max(n, 0), err)
 		return !more || n == len(p)
 	}
 	for more {
 		conn.SetReadDeadline(time.Now().Add(eofPoll))
-		if err := rc.Read(read); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+		err := rc.Read(read)
+		if polled = errors.Is(err, os.ErrDeadlineExceeded); err != nil && !polled {
 			r.split(0, err)
 			return
 		}
@@ -688,15 +695,17 @@ func newTCPNet(n int, accept func(net.Listener) (net.Conn, error)) (_ *TCPNet, e
 func (p *TCPNet) N() int { return len(p.cores) }
 
 // Observe attaches the recorder to every core: transport.drops counts lost
-// inbound frames across the fabric, transport.inbox_high_water ratchets the
+// inbound frames across the fabric, transport.late_closes peer closes seen
+// only at an eofPoll deadline, transport.inbox_high_water ratchets the
 // deepest inbox backlog, transport.links is the number of wired links, and
 // lazy dials land as tcp.dial on a shared "transport" track — on a fabric
-// each one means a wired link broke. Call before traffic starts; nil recorder
-// leaves the hooks free.
+// each one means a wired link broke. Call before traffic starts; nil
+// recorder leaves the hooks free.
 func (p *TCPNet) Observe(rec *obs.Recorder) {
 	dials := rec.SharedTrack("transport")
 	for _, c := range p.cores {
-		c.obsDrops, c.obsDials = rec.Counter("transport.drops"), dials
+		c.obsDrops, c.obsLateCloses = rec.Counter("transport.drops"), rec.Counter("transport.late_closes")
+		c.obsDials = dials
 		c.in.hw, c.in.stale = rec.Gauge("transport.inbox_high_water"), rec.Counter("transport.stale_epoch")
 	}
 	rec.Gauge("transport.links").Set(int64(len(p.cores) * (len(p.cores) - 1) / 2))

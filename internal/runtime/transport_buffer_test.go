@@ -11,6 +11,7 @@ import (
 
 	"delphi/internal/auth"
 	"delphi/internal/node"
+	"delphi/internal/obs"
 	"delphi/internal/runtime"
 )
 
@@ -164,4 +165,57 @@ func TestTCPHeaderAlonePinsNothing(t *testing.T) {
 	if grew := ms.TotalAlloc - before; grew >= 1<<20 {
 		t.Fatalf("a %d-byte header and one body byte allocated %d bytes; want < 1 MiB", runtime.MaxFrameSize, grew)
 	}
+}
+
+// TestTCPLateCloseCounted: a stranger connects, writes one whole frame and
+// hangs up at once, so its FIN usually waits in the socket with the frame
+// before the link's first read and raises no readiness edge of its own. The
+// read loop must still end — the accepted end is pruned — within eofPoll and
+// a second, and transport.late_closes counts that close at most once: once
+// when the loop waited for the deadline, not at all when the FIN arrived on
+// its own.
+func TestTCPLateCloseCounted(t *testing.T) {
+	// On one P the stranger's write and close finish before the accepted
+	// link's first read, so the close is almost always a late one.
+	defer runtimestd.GOMAXPROCS(runtimestd.GOMAXPROCS(1))
+	fab, err := runtime.NewTCPNet(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	rec := obs.New()
+	fab.Observe(rec)
+	wired := fab.ConnEnds()
+	c, err := net.Dial("tcp", fab.Addr(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, 0)
+	frame = binary.LittleEndian.AppendUint32(frame, 1)
+	if _, err := c.Write(append(frame, 0xab)); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	closed := time.Now()
+	stop := make(chan struct{})
+	timer := time.AfterFunc(5*time.Second, func() { close(stop) })
+	defer timer.Stop()
+	if _, ok := fab.Recv(1, stop); !ok {
+		t.Fatal("the stranger's frame never arrived")
+	}
+	for fab.ConnEnds() > wired {
+		if time.Since(closed) > runtime.EOFPoll+time.Second {
+			t.Fatalf("the read loop was still running %v after the peer closed", time.Since(closed))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waited := time.Since(closed)
+	late := rec.Snapshot().Value("transport.late_closes")
+	if late > 1 {
+		t.Errorf("transport.late_closes = %d for one closed link, want at most 1", late)
+	}
+	if waited > runtime.EOFPoll/2 && late != 1 {
+		t.Errorf("the read loop waited %v for the close, but transport.late_closes = %d", waited, late)
+	}
+	t.Logf("read loop ended %v after the close; late closes %d", waited, late)
 }

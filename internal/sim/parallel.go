@@ -51,6 +51,7 @@ import (
 	"slices"
 	"time"
 
+	"delphi/internal/dist"
 	"delphi/internal/node"
 	"delphi/internal/obs"
 )
@@ -83,10 +84,7 @@ type sm64 struct{ s uint64 }
 
 func (s *sm64) Uint64() uint64 {
 	s.s += 0x9E3779B97F4A7C15
-	z := s.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return dist.Mix64(s.s)
 }
 
 func (s *sm64) Int63() int64    { return int64(s.Uint64() >> 1) }

@@ -34,7 +34,7 @@ func runFloodN(b *testing.B, n, rounds int, seed int64, opts ...sim.Option) int 
 // iteration (paired alternating trials, like BenchmarkTCPFrameThroughput)
 // so host drift cannot bias either side, each lane reusing its own Scratch
 // across iterations; the parallel lane uses 8 workers. A warm Scratch is what
-// a session's trial or a repeated bench.Run sees, and the allocations reported
+// a session's trial or a repeated run.Run sees, and the allocations reported
 // here are that case's only: cold/n=1000 is the same parallel lane with no
 // Scratch, building its arenas every iteration — what the first run of a
 // process pays, and what every one-shot run paid while this benchmark, warm

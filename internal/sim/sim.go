@@ -333,7 +333,7 @@ type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Dur
 // arena, the per-node bookkeeping slab, and — for parallel runs — each shard's
 // calendar (whose chunks also stage its cross-shard sends), sent arena and
 // scatter buffer. A session hands the same Scratch to consecutive NewRunner
-// calls, and bench.Run the last one-shot run's, so a sweep performs the growth
+// calls, and run.Run the last one-shot run's, so a sweep performs the growth
 // allocations once instead of once per trial. A Scratch must not be shared by
 // concurrently running Runners; reuse never changes results (every buffer is
 // fully reset) — only allocation counts. It holds no message: the sent arenas

@@ -26,6 +26,17 @@ fi
 echo "== go vet =="
 go vet ./...
 
+# Package state is built where it is declared, not by init side effects: no
+# non-test Go file outside perf/ (its own module) declares func init().
+echo "== no init functions =="
+inits=$(find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './perf/*' -print0 |
+    xargs -0 grep -l '^func init()' || true)
+if [[ -n "$inits" ]]; then
+    echo "func init() declared in:" >&2
+    echo "$inits" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -174,14 +185,15 @@ go test ./internal/codec -run '^$' -fuzz FuzzDecodeFramed -fuzztime 10s
 # TestEventLayout: the 16-byte pointer-free event). An event names its record
 # by index, and the other shards resolve it while the sender's arena grows:
 # TestSentArenaGrowsUnderReaders is a race on any slab table that moves.
-# The one-shot tests pin the same for bench.Run's borrowed Scratch: invisible
+# The one-shot tests pin the same for run.Run's borrowed Scratch: invisible
 # in results, never shared by two concurrent runs, dropped by a run that
 # panics, gone after a collection, and a second run allocates no arena.
 echo "== parallel-sim gate (-race) =="
 go test ./internal/sim -race -count=1 \
     -run 'TestParallelStagingChains|TestEarlyStopLeaksNoMessage|TestEventLayout|TestBroadcastIsNSends|TestTieOrder|TestSentArenaGrowsUnderReaders'
 go test ./internal/bench -race -count=1 \
-    -run 'TestParallelWindowAgreement|TestParallelWindowDeterminism|TestOneShot'
+    -run 'TestParallelWindowAgreement|TestParallelWindowDeterminism'
+go test ./internal/run -race -count=1 -run 'TestOneShot'
 
 # The execution-backend axis is exercised on every run (including -short):
 # an existing workload retargeted onto a live goroutine cluster with
