@@ -152,21 +152,15 @@ func runTCP(ctx context.Context, cfg delphi.Config, id int, peerList string, inp
 		return err
 	}
 	drv := runtime.NewDriver(cfg.Config, node.ID(id), proc, tr, a, reg)
-
-	done := make(chan struct{})
-	var last any
-	go func() {
-		defer close(done)
-		for v := range drv.Outputs() {
-			last = v
-		}
-	}()
 	// Give peers a moment to bind before the first broadcast storm.
 	time.Sleep(500 * time.Millisecond)
 	if err := drv.Run(ctx); err != nil {
 		return err
 	}
-	<-done
+	var last any
+	if outs := drv.Outputs(); len(outs) > 0 {
+		last = outs[len(outs)-1]
+	}
 	r, ok := last.(delphi.Result)
 	if !ok {
 		return fmt.Errorf("no result (got %T)", last)

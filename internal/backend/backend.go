@@ -232,9 +232,9 @@ func runTrial(kind run.BackendKind, spec run.RunSpec, sc *trialScaffold, master 
 	return clusterStats(spec, kind, res, sc.acct, ctx, sc.timeout)
 }
 
-// clusterStats assembles RunStats from a finished cluster run. When the
-// trial context expired, the error names the honest slots that never
-// decided and the first driver error, so a timed-out trial carries its
+// clusterStats assembles RunStats from a finished cluster run. A driver
+// error fails the trial. When the trial context expired, the error names
+// the honest slots that never decided, so a timed-out trial carries its
 // cause.
 func clusterStats(spec run.RunSpec, kind run.BackendKind, res *runtime.ClusterResult, acct *traffic, ctx context.Context, timeout time.Duration) (*run.RunStats, error) {
 	if bad := res.Faults[runtime.FaultBadMAC]; bad != 0 {
@@ -242,15 +242,18 @@ func clusterStats(spec run.RunSpec, kind run.BackendKind, res *runtime.ClusterRe
 		// corrupted in a closed cluster: no number from this trial counts.
 		return nil, fmt.Errorf("backend: %s: %d frames failed authentication", kind, bad)
 	}
+	for i, err := range res.Errs {
+		if err != nil {
+			// A driver that failed to encode a message dropped it unsent.
+			return nil, fmt.Errorf("backend: %s: node %d: %w", kind, i, err)
+		}
+	}
 	finals := make([]any, spec.N)
 	at := make([]time.Duration, spec.N)
 	var silent []int
 	for _, i := range spec.HonestSlots() {
 		finals[i] = res.Final(i)
 		at[i] = res.FinalAt(i)
-		if finals[i] == nil && res.Errs[i] != nil {
-			return nil, fmt.Errorf("node %d: %w", i, res.Errs[i])
-		}
 		if finals[i] == nil {
 			silent = append(silent, i)
 		}
@@ -258,14 +261,7 @@ func clusterStats(spec run.RunSpec, kind run.BackendKind, res *runtime.ClusterRe
 	stats, err := spec.StatsFromOutputs(finals, at)
 	if err != nil {
 		if ctx.Err() != nil {
-			cause := fmt.Sprintf("honest slots %v have no output", silent)
-			for i, e := range res.Errs {
-				if e != nil {
-					cause += fmt.Sprintf("; first driver error: node %d: %v", i, e)
-					break
-				}
-			}
-			return nil, fmt.Errorf("%w (cluster timed out after %v: %s)", err, timeout, cause)
+			return nil, fmt.Errorf("%w (cluster timed out after %v: honest slots %v have no output)", err, timeout, silent)
 		}
 		return nil, err
 	}

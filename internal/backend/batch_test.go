@@ -187,10 +187,10 @@ func TestTCPTrafficMatchesSimulator(t *testing.T) {
 // agreement instances concurrently, so one protocol step emits echo/ready
 // bursts for many instances to every destination — tens of thousands of
 // small authenticated frames per trial. The batched mode coalesces each
-// step's frames per destination into one sealed write (one MAC + one
-// syscall instead of k of each) and recycles frame buffers through the
-// inbox pool; unbatched is the one-write-per-message wire behaviour the
-// NoBatch knob restores.
+// step's frames per destination into one sealed envelope (one MAC instead
+// of k) and recycles frame buffers through the inbox pool; unbatched seals
+// one frame per message, as the NoBatch knob restores. A TCPNet node writes
+// once per peer per step in both modes (runtime's "Write side").
 //
 // Both modes run as alternating trials of one paired benchmark, so slow
 // drift on the host (frequency scaling, page cache, GC heap growth) hits

@@ -3,6 +3,7 @@ package backend
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -209,5 +210,22 @@ func TestBadMACFailsTheTrial(t *testing.T) {
 	_, err := clusterStats(spec, run.BackendTCP, res, &traffic{}, context.Background(), time.Second)
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("2 frames failed authentication")) {
 		t.Errorf("err = %v, want the authentication failure", err)
+	}
+}
+
+// TestDriverErrorFailsTheTrial: a driver error in the cluster result (a
+// message that failed to encode went unsent) fails the trial, whatever its
+// outputs say.
+func TestDriverErrorFailsTheTrial(t *testing.T) {
+	spec := run.RunSpec{Protocol: run.ProtoDelphi, N: 8, F: 2}
+	res := &runtime.ClusterResult{
+		Outputs: make([][]any, spec.N),
+		Times:   make([][]time.Duration, spec.N),
+		Errs:    make([]error, spec.N),
+	}
+	res.Errs[3] = errors.New("encode: cannot marshal")
+	_, err := clusterStats(spec, run.BackendTCP, res, &traffic{}, context.Background(), time.Second)
+	if err == nil || !errors.Is(err, res.Errs[3]) {
+		t.Errorf("err = %v, want node 3's driver error", err)
 	}
 }

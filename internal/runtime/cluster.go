@@ -18,10 +18,9 @@ type ClusterResult struct {
 	Outputs [][]any
 	// Times holds the wall-clock elapsed time of each Output call,
 	// measured from cluster start; Times[i][j] timestamps Outputs[i][j].
-	// The stamp is taken when the output is drained, so it includes any
-	// (bounded) channel hand-off latency on top of the decision instant.
 	Times [][]time.Duration
-	// Errs holds per-node driver errors (nil entries for clean exits).
+	// Errs holds each node's driver error from Run: a message that failed to
+	// encode (nil entries for clean exits).
 	Errs []error
 	// Faults sums what the drivers tolerated and counted (Driver.Faults).
 	Faults Faults
@@ -86,38 +85,34 @@ func WithTransportWrap(w TransportWrapper) ClusterOption {
 
 // WithTransportRelease replaces transport teardown: instead of closing
 // every transport (and the default hub), the cluster calls release exactly
-// once when the run ends — normally, by timeout, or by WithWaitFor
-// completion. It is the hook for session-scoped transports that outlive one
-// run: the caller keeps listeners and connections warm for the next run and
-// remains responsible for (a) eventually closing them and (b) unblocking
-// any sender still parked inside a transport Send, which transport closing
-// would otherwise do (e.g. by draining the receivers' inbound channels).
+// once when the run ends, however it ends. It is the hook for transports
+// that outlive one run: the caller keeps them warm for the next run and
+// remains responsible for closing them, and for unblocking any sender still
+// parked inside a transport Send, which closing would otherwise do.
 func WithTransportRelease(release func()) ClusterOption {
 	return func(o *clusterOpts) { o.release = release }
 }
 
 // WithFrameBatching toggles the drivers' per-step outbound frame batching
-// (default on; see Driver). Off sends every protocol message as its own
-// sealed write — the pre-batching wire behaviour — for A/B comparison.
+// (default on; see Driver). Off seals every protocol message as its own
+// frame, the pre-batching wire behaviour, for A/B comparison.
 func WithFrameBatching(on bool) ClusterOption {
 	return func(o *clusterOpts) { o.noBatch = !on }
 }
 
 // WithObsTracks threads a recorder through the cluster: each driver gets
 // flush/batch counters and the per-node track tracks[id] (a nil entry, or a
-// short slice, leaves that node's spans off), and the process behind it
-// sees the track through node.Tracing. Sessions that host many runs on one
-// recorder pass the same tracks every run, so a node's spans stay on one
-// long-lived row. A nil recorder is the default no-op.
+// short slice, leaves that node's spans off), which its process sees through
+// node.Tracing. Sessions pass the same tracks every run, so a node's spans
+// stay on one row. A nil recorder is the default no-op.
 func WithObsTracks(rec *obs.Recorder, tracks []*obs.Track) ClusterOption {
 	return func(o *clusterOpts) { o.rec, o.tracks = rec, tracks }
 }
 
 // WithWaitFor ends the run once every listed node's driver has exited,
 // cancelling the rest. Without it the cluster waits for all non-nil
-// processes — which never happens when a Byzantine process (e.g. a
-// spammer) deliberately never halts; the experiment harness lists the
-// honest slots, whose decisions are the run.
+// processes, which never happens when a Byzantine spammer never halts; the
+// experiment harness lists the honest slots, whose decisions are the run.
 func WithWaitFor(ids []node.ID) ClusterOption {
 	return func(o *clusterOpts) { o.waitFor = ids }
 }
@@ -152,10 +147,8 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 		Times:   make([][]time.Duration, cfg.N),
 		Errs:    make([]error, cfg.N),
 	}
-	// Construct every driver before launching any goroutine: a failing
-	// authenticator or transport then returns with nothing started, instead
-	// of abandoning already-launched node goroutines (and the transports
-	// they block on) as an unsupervised leak.
+	// Construct every driver before launching any goroutine, so a failing
+	// authenticator or transport returns with nothing started to leak.
 	drivers := make([]*Driver, cfg.N)
 	transports := make([]Transport, cfg.N)
 	var closeOnce sync.Once
@@ -189,6 +182,7 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 			closeAll()
 			return nil, err
 		}
+		core := heldBy(tr) // found before a wrapper hides it
 		if o.wrap != nil {
 			tr = o.wrap(node.ID(i), tr)
 		}
@@ -202,6 +196,7 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 			dopts = append(dopts, WithDriverObs(o.rec, track))
 		}
 		drivers[i] = NewDriver(cfg, node.ID(i), p, tr, a, reg, dopts...)
+		drivers[i].core = core
 	}
 	// WithWaitFor: once every listed (and actually running) driver exits,
 	// cancel the rest instead of waiting on processes that never halt.
@@ -219,9 +214,7 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 			}
 		}
 		if len(waitSet) == 0 {
-			// Nothing listed is actually running: waiting would cancel
-			// instantly and return an empty result indistinguishable from
-			// a completed run. Fail loudly instead.
+			// Waiting would cancel at once, an empty result passing for a run.
 			closeAll()
 			return nil, fmt.Errorf("runtime: WithWaitFor: none of the %d listed slots hosts a running process", len(o.waitFor))
 		}
@@ -230,13 +223,10 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 			cancel()
 		}()
 	}
-	// Watchdog: when the run context ends — timeout, caller cancellation,
-	// or WithWaitFor completion — close every transport. A driver blocked
-	// inside a transport Send (e.g. a TCP write to a saturated peer) never
-	// observes context cancellation on its own; closing the transport is
-	// what unblocks it, so without this the timeout cannot bound a wedged
-	// cluster. closeAll is idempotent, so the deferred final close is
-	// unaffected.
+	// Watchdog: when the run context ends (timeout, cancellation, or
+	// WithWaitFor completion), close every transport. A driver blocked in a
+	// transport Send, as on a TCP write to a saturated peer, never sees the
+	// context; closing the transport is what unblocks it.
 	finished := make(chan struct{})
 	defer close(finished)
 	go func() {
@@ -248,48 +238,38 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 	}()
 	start := time.Now()
 	var wg sync.WaitGroup
-	var mu sync.Mutex
 	for i, d := range drivers {
 		if d == nil {
 			continue
 		}
-		idx, drv := i, d
-		wg.Add(2)
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for v := range drv.Outputs() {
-				at := time.Since(start)
-				mu.Lock()
-				res.Outputs[idx] = append(res.Outputs[idx], v)
-				res.Times[idx] = append(res.Times[idx], at)
-				mu.Unlock()
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if waitSet[node.ID(idx)] {
+			if waitSet[node.ID(i)] {
 				defer waited.Done()
 			}
-			if err := drv.Run(runCtx); err != nil && runCtx.Err() == nil {
-				mu.Lock()
-				res.Errs[idx] = err
-				mu.Unlock()
+			// A context error is how the run ended, not the driver's fault.
+			if err := d.Run(runCtx); err != nil && err != runCtx.Err() {
+				res.Errs[i] = err
 			}
 		}()
 	}
 	wg.Wait()
 	res.Wall = time.Since(start)
-	for _, d := range drivers {
-		if d != nil {
-			for k, c := range d.Faults() {
-				res.Faults[k] += c
-			}
+	for i, d := range drivers {
+		if d == nil {
+			continue
+		}
+		res.Outputs[i] = d.outs
+		for _, at := range d.outAt {
+			res.Times[i] = append(res.Times[i], at.Sub(start))
+		}
+		for k, c := range d.Faults() {
+			res.Faults[k] += c
 		}
 	}
-	// Drivers have exited; close every transport (and the hub) so buffered
-	// inboxes, delay timers, and any overflow handoff still parked on a
-	// full inbox (e.g. one addressed to a crashed node that never drained)
-	// unblock instead of leaking.
+	// Drivers have exited; close every transport (and the hub) so inboxes
+	// and delay timers are released instead of leaking.
 	closeAll()
 	return res, nil
 }

@@ -13,9 +13,8 @@ import (
 //	[BatchType] ([uvarint len][frame bytes])*
 //
 // Envelopes are sealed, transmitted, and delivered exactly like single
-// frames — one MAC, one length-prefixed TCP write, one inbox hop — and the
-// receiving driver unpacks them back into per-message deliveries in order,
-// so per-link FIFO is preserved.
+// frames (one MAC, one length-prefixed record, one inbox hop), and the
+// receiving driver unpacks them into per-message deliveries in order.
 //
 // BatchType can never collide with a protocol message: wire-type bytes are
 // allocated from 1 upward in internal/wire, and the registry rejects 0xFF.

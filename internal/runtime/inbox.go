@@ -12,16 +12,14 @@ import (
 
 // inbox is a growable ring buffer of inbound frames: the per-node mailbox
 // behind every transport's Recv. Unlike a buffered channel it keeps FIFO
-// under overflow (the ring grows, so no sender parks and none overtakes
-// another), costs one mutexed append/pop per frame, and doubles as the
+// under overflow (the ring grows, so no sender parks), and it doubles as the
 // frame-buffer freelist: producers borrow buffers sized for their frame
 // (getBuf) and the consumer returns them once a frame is processed
 // (recycle), so steady-state traffic allocates nothing.
 //
 // put never blocks; get blocks until a frame arrives, the inbox closes, or
-// the caller's stop channel closes. Closing wakes every waiting getter;
-// frames already accepted remain receivable after close (matching the
-// drained-then-closed semantics of a closed Go channel).
+// the caller's stop channel closes. As with a closed channel, frames already
+// accepted stay receivable after close.
 type inbox struct {
 	mu     sync.Mutex
 	buf    []Frame
@@ -55,11 +53,8 @@ const (
 
 // newInbox returns an inbox with the given initial ring capacity.
 func newInbox(capHint int) *inbox {
-	if capHint < 16 {
-		capHint = 16
-	}
 	return &inbox{
-		buf:  make([]Frame, capHint),
+		buf:  make([]Frame, max(capHint, 16)),
 		wake: make(chan struct{}, 1),
 	}
 }

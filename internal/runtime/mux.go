@@ -25,21 +25,18 @@ type MuxFabric interface {
 // append the instance's 8-byte tag after the MAC. The mux starts no
 // goroutine: a route on every fabric slot's inbox hands each frame, on the
 // goroutine that puts it (a tcp link's read loop, or the sender on a Hub and
-// for self-sends), to the owning instance's slot inbox by that plaintext tag
-// — no MAC trials, no shared-key ambiguity — stripped of the tag, so the
-// driver sees exactly the sealed frame its epoch authenticator expects.
+// for self-sends), to the owning instance's slot inbox by that plaintext
+// tag, stripped of it, so the driver sees exactly the sealed frame its epoch
+// authenticator expects.
 //
-// Frames whose tag matches no live instance are counted in Stale and their
-// buffers recycled. That covers the three straggler shapes a long-lived
-// session produces: frames still in flight when their round decided and was
-// garbage-collected, frames for a tag never registered (foreign traffic),
-// and frames too short to carry a tag. A frame maliciously relabeled with a
-// live instance's tag routes to that instance and then fails its MAC —
-// authentication never depends on the tag.
+// Frames whose tag matches no live instance (stragglers of a decided round,
+// foreign traffic) or that are too short to carry a tag are counted in
+// Stale and their buffers recycled. A frame relabeled with a live
+// instance's tag routes there and fails its MAC: authentication never
+// depends on the tag.
 //
-// While a mux is attached to a fabric it is the only consumer of the
-// fabric's inboxes (sessions stop their idle-slot drainers first); routing
-// never blocks, so senders can never wedge on a decided instance. Close
+// While attached, the mux is the only consumer of the fabric's inboxes, and
+// routing never blocks, so no sender can wedge on a decided instance. Close
 // removes the routes, and frames queue in the fabric inboxes again.
 type InstanceMux struct {
 	fab      MuxFabric
@@ -121,14 +118,13 @@ func (m *InstanceMux) Register(tag uint64) (*MuxInstance, error) {
 }
 
 // Stale returns the count of frames discarded because no live instance
-// claimed them (plus undersized frames). Monotonic; clean runs leave a small
-// residue — a round's last frames still in flight when it is collected.
+// claimed them (plus undersized frames). Clean runs leave a small residue:
+// a round's last frames, in flight when it is collected.
 func (m *InstanceMux) Stale() uint64 { return m.stale.Load() }
 
-// Close removes the routes and refuses further registration. The fabric is
-// otherwise untouched — it belongs to the session, which may reattach
-// drainers or a fresh mux afterwards. Live instances' inboxes are closed and
-// drained so no blocked driver outlives the mux. Idempotent.
+// Close removes the routes and refuses further registration; the fabric is
+// otherwise untouched. Live instances' inboxes are closed and drained so no
+// blocked driver outlives the mux. Idempotent.
 func (m *InstanceMux) Close() {
 	m.mu.Lock()
 	live := m.insts
@@ -159,11 +155,10 @@ func (inst *MuxInstance) Endpoint(id node.ID, out Transport) Transport {
 	return &muxEndpoint{inst: inst, id: id, out: out}
 }
 
-// Close unregisters the instance and reclaims its inboxes: this is the
-// instance GC that lets a decided round release its buffers while the
-// session lives on. Frames still queued (or routed concurrently with the
-// close) are counted stale and their buffers recycled to the fabric.
-// Idempotent and safe alongside routing.
+// Close unregisters the instance and reclaims its inboxes, so a decided
+// round releases its buffers while the session lives on. Frames still
+// queued, or routed concurrently, are counted stale and their buffers
+// recycled. Idempotent and safe alongside routing.
 func (inst *MuxInstance) Close() {
 	inst.once.Do(func() {
 		m := inst.mux
@@ -174,11 +169,7 @@ func (inst *MuxInstance) Close() {
 		m.mu.Unlock()
 		for id, box := range inst.slots {
 			box.close()
-			for {
-				f, ok := box.tryGet()
-				if !ok {
-					break
-				}
+			for f, ok := box.tryGet(); ok; f, ok = box.tryGet() {
 				m.discard(node.ID(id), f.Data)
 			}
 		}

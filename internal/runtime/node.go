@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"delphi/internal/auth"
 	"delphi/internal/node"
@@ -13,25 +15,25 @@ import (
 	"delphi/internal/wire"
 )
 
-// flushEvery bounds how many inbound frames the driver processes before it
-// force-flushes pending outbound batches (and checks its context), so a
-// never-idle inbox cannot defer sends or cancellation indefinitely.
+// flushEvery bounds how many inbound frames a driver, or a node's drivers
+// together if it holds writes (see Write side), process before pending
+// output is forced out (and the context checked), so a never-idle inbox
+// cannot defer sends or cancellation indefinitely.
 const flushEvery = 64
 
 // Driver runs one protocol process over a transport. Messages are decoded,
-// authenticated, and delivered sequentially; outputs are published on a
-// channel; Halt stops the loop.
+// authenticated, and delivered sequentially; outputs are recorded in order
+// (Outputs); Halt stops the loop.
 //
 // With batching on (the default), the driver coalesces every frame the
-// process emits for one destination during one protocol step — processing
-// one inbound frame or envelope, or Init — into a single batch envelope
-// (see BatchType), sealed and sent as one transport write. Batches are
-// flushed whenever the inbox goes momentarily idle (so a node about to
-// block never withholds traffic its peers are waiting for; the node's own
-// batch goes first, and what it triggers rides along), when the process
-// halts, and at the latest every flushEvery inbound frames. The
-// receiving driver unpacks envelopes back into per-message deliveries in
-// arrival order, so per-link FIFO is preserved end to end.
+// process emits for one destination during one protocol step (processing
+// one inbound frame or envelope, or Init) into one sealed batch envelope
+// (see BatchType). Batches are flushed whenever the inbox goes momentarily
+// idle (so a node about to block never withholds traffic its peers are
+// waiting for; its own batch goes first, and what it triggers rides along),
+// when the process halts, and at the latest every flushEvery inbound
+// frames. The receiving driver unpacks envelopes back into per-message
+// deliveries in order, so per-link FIFO is preserved end to end.
 type Driver struct {
 	cfg   node.Config
 	id    node.ID
@@ -39,11 +41,15 @@ type Driver struct {
 	tr    Transport
 	reg   *wire.Registry
 	auth  *auth.Auth
-	out   chan any
+	outs  []any       // every Output, in order (see Outputs)
+	outAt []time.Time // when each was made
 	halt  chan struct{}
 	once  sync.Once
-	errMu sync.Mutex
-	err   error
+	err   error // the first message that failed to encode
+
+	// core is the node's tcp core when it holds writes (see Write side), set
+	// by RunCluster.
+	core *tcpTransport
 
 	batch     bool
 	rec       Recycler   // tr's buffer pool, when it has one
@@ -99,8 +105,8 @@ func (d *Driver) Faults() (f Faults) {
 type DriverOption func(*Driver)
 
 // WithDriverBatching toggles per-step outbound frame batching (default
-// on). Off reproduces the one-write-per-message wire behaviour, for A/B
-// benchmarks and bisection.
+// on). Off seals every message as its own frame, for A/B benchmarks and
+// bisection.
 func WithDriverBatching(on bool) DriverOption {
 	return func(d *Driver) { d.batch = on }
 }
@@ -130,7 +136,6 @@ func NewDriver(cfg node.Config, id node.ID, proc node.Process, tr Transport, a *
 		tr:    tr,
 		reg:   reg,
 		auth:  a,
-		out:   make(chan any, 16),
 		halt:  make(chan struct{}),
 		batch: true,
 	}
@@ -144,57 +149,34 @@ func NewDriver(cfg node.Config, id node.ID, proc node.Process, tr Transport, a *
 	return d
 }
 
-// Outputs returns the channel of protocol outputs. It is closed when the
-// process halts or the driver stops.
-func (d *Driver) Outputs() <-chan any { return d.out }
+// Outputs returns the process's outputs in Output order. Output runs on
+// Run's goroutine, so read them once Run has returned.
+func (d *Driver) Outputs() []any { return d.outs }
 
-// driverEnv implements node.Env over the transport.
-type driverEnv struct {
-	d *Driver
-}
+// driverEnv is the Driver as its process's node.Env.
+type driverEnv Driver
 
-func (e *driverEnv) Self() node.ID { return e.d.id }
-func (e *driverEnv) N() int        { return e.d.cfg.N }
-func (e *driverEnv) F() int        { return e.d.cfg.F }
+func (e *driverEnv) Self() node.ID { return e.id }
+func (e *driverEnv) N() int        { return e.cfg.N }
+func (e *driverEnv) F() int        { return e.cfg.F }
 
 // Track implements node.Tracing: the process's phase spans share the
 // driver's per-node track (nil when observability is off).
-func (e *driverEnv) Track() *obs.Track { return e.d.obsTrack }
+func (e *driverEnv) Track() *obs.Track { return e.obsTrack }
 
-func (e *driverEnv) Send(to node.ID, m node.Message) { e.d.send(m, to, to+1) }
+func (e *driverEnv) Send(to node.ID, m node.Message) { (*Driver)(e).send(m, to, to+1) }
 
-func (e *driverEnv) Broadcast(m node.Message) { e.d.send(m, 0, node.ID(e.d.cfg.N)) }
+func (e *driverEnv) Broadcast(m node.Message) { (*Driver)(e).send(m, 0, node.ID(e.cfg.N)) }
 
 func (e *driverEnv) Output(v any) {
-	select {
-	case e.d.out <- v:
-	default:
-		// Never block a protocol step on a slow consumer.
-		go func() { e.d.out <- v }()
-	}
+	e.outs = append(e.outs, v)
+	e.outAt = append(e.outAt, time.Now())
 }
 
-func (e *driverEnv) Halt() {
-	e.d.once.Do(func() { close(e.d.halt) })
-}
+func (e *driverEnv) Halt() { e.once.Do(func() { close(e.halt) }) }
 
 func (e *driverEnv) ChargeCompute(node.ComputeCost) {
 	// Real CPU time is spent for real on the live runtime.
-}
-
-func (d *Driver) setErr(err error) {
-	d.errMu.Lock()
-	defer d.errMu.Unlock()
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-// Err returns the first internal error the driver hit, if any.
-func (d *Driver) Err() error {
-	d.errMu.Lock()
-	defer d.errMu.Unlock()
-	return d.err
 }
 
 // send encodes m once and files that one frame on the pending batch of every
@@ -204,7 +186,7 @@ func (d *Driver) Err() error {
 func (d *Driver) send(m node.Message, lo, hi node.ID) {
 	frame, err := wire.Encode(m)
 	if err != nil {
-		d.setErr(fmt.Errorf("encode: %w", err))
+		d.err = cmp.Or(d.err, fmt.Errorf("encode %T: %w", m, err))
 		return
 	}
 	for to := lo; to < hi; to++ {
@@ -307,16 +289,27 @@ func (d *Driver) deliverFrame(f Frame) bool {
 	return live
 }
 
+// writeFaults counts each failed write of the node's buffers as a send
+// fault.
+func (d *Driver) writeFaults(failed int) {
+	for range failed {
+		d.fault(FaultSend)
+	}
+}
+
 // Run initialises the process and delivers messages until the process
-// halts, the context is cancelled, or the transport closes.
+// halts, the context is cancelled, or the transport closes. It returns the
+// first message that failed to encode, else the context's error, if any.
 func (d *Driver) Run(ctx context.Context) error {
-	env := &driverEnv{d: d}
-	defer close(d.out)
-	d.proc.Init(env)
+	// The driver holds its node's writes (see Write side) from here to the
+	// deferred release, but for its idle waits in Recv.
+	d.core.hold()
+	defer func() { d.writeFaults(d.core.release()) }()
+	d.proc.Init((*driverEnv)(d))
 	select {
 	case <-d.halt:
 		d.flush()
-		return nil
+		return d.err
 	default:
 	}
 	// stop unblocks a Recv when the context is cancelled or the process
@@ -357,28 +350,27 @@ func (d *Driver) Run(ctx context.Context) error {
 			f, ok = d.tr.TryRecv()
 		}
 		if !ok {
-			// Idle: everything the last steps produced goes out before this
-			// node blocks — peers may need it to make the progress that
-			// produces our next inbound frame.
+			// Idle: everything the last steps produced goes out before the
+			// node blocks (its last busy driver writes it), as peers may need
+			// it to make the progress that produces our next inbound frame.
 			d.flush()
+			d.writeFaults(d.core.release())
 			delivered = 0
 			f, ok = d.tr.Recv(stop)
-			if !ok {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				return nil // halted or transport closed
+			if d.core.hold(); !ok {
+				return cmp.Or(d.err, ctx.Err()) // halted, cancelled or closed
 			}
 		}
 		if !d.deliverFrame(f) {
 			d.flush()
-			return nil
+			return d.err
 		}
-		if delivered++; delivered >= flushEvery {
+		if delivered++; delivered >= flushEvery || d.core.delivered() {
 			d.flush()
+			d.writeFaults(d.core.writeAll())
 			delivered = 0
 			if err := ctx.Err(); err != nil {
-				return err
+				return cmp.Or(d.err, err)
 			}
 		}
 	}

@@ -26,8 +26,8 @@ func TestDisabledObsZeroAllocDriverFlush(t *testing.T) {
 }
 
 // TestDisabledObsZeroAllocTransport covers the transport hot paths: the
-// hub's and tcp core's drop counters, the tcp core's late-close counter, the
-// tcp dial instant, and the demux's stale-frame counter.
+// hub's and tcp core's drop counters, the tcp core's late-close and write
+// counters, the tcp dial instant, and the demux's stale-frame counter.
 func TestDisabledObsZeroAllocTransport(t *testing.T) {
 	h := &Hub{}           // never Observe()d
 	tr := &tcpTransport{} // never Observe()d
@@ -36,6 +36,7 @@ func TestDisabledObsZeroAllocTransport(t *testing.T) {
 		h.obsDrops.Inc()
 		tr.obsDrops.Inc()
 		tr.obsLateCloses.Inc()
+		tr.obsWrites.Inc()
 		tr.obsDials.Instant("tcp.dial", 0, 1)
 		m.obsStale.Inc()
 	}); allocs != 0 {

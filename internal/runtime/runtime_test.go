@@ -147,18 +147,11 @@ func TestTCPTransportDelphi(t *testing.T) {
 		drv := runtime.NewDriver(cfg.Config, node.ID(i), d, tr, a, reg)
 		idx := i
 		go func() {
-			var last any
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for v := range drv.Outputs() {
-					last = v
-				}
-			}()
 			_ = drv.Run(ctx)
-			<-done
-			if r, ok := last.(core.Result); ok {
-				results <- nodeOut{i: idx, out: r}
+			if outs := drv.Outputs(); len(outs) > 0 {
+				if r, ok := outs[len(outs)-1].(core.Result); ok {
+					results <- nodeOut{i: idx, out: r}
+				}
 			}
 		}()
 	}

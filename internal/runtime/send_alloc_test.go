@@ -28,7 +28,7 @@ func broadcastAllocs(t *testing.T, n int) float64 {
 		t.Fatal(err)
 	}
 	d := NewDriver(node.Config{N: n, F: (n - 1) / 3}, 0, nil, hub.Endpoint(0, a), a, wire.NewRegistry())
-	env := &driverEnv{d: d}
+	env := (*driverEnv)(d)
 	step := func() {
 		env.Broadcast(allocMsg{})
 		env.Broadcast(allocMsg{})

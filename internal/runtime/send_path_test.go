@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -531,5 +533,84 @@ func TestSelfTalkerStillFlushes(t *testing.T) {
 	}
 	if members > 65 {
 		t.Errorf("first write to node 1 holds %d messages, want at most 65 (Init's plus flushEvery)", members)
+	}
+}
+
+// outputter outputs 0, 1, … from Init, count of them, and halts.
+type outputter int
+
+func (o outputter) Init(env node.Env) {
+	for i := range int(o) {
+		env.Output(i)
+	}
+	env.Halt()
+}
+func (outputter) Deliver(node.ID, node.Message) {}
+
+// TestOutputsKeptInOrder: a burst of outputs from one step is kept whole
+// and in order on every node, run after run, and Final is the last of them.
+func TestOutputsKeptInOrder(t *testing.T) {
+	const n, outs = 4, 500
+	procs := make([]node.Process, n)
+	for i := range procs {
+		procs[i] = outputter(outs)
+	}
+	for rep := range 5 {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res, err := runtime.RunCluster(ctx, node.Config{N: n, F: 1}, procs, []byte("outputs"), wire.NewRegistry())
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			if len(res.Outputs[i]) != outs || len(res.Times[i]) != outs {
+				t.Fatalf("run %d node %d: %d outputs, %d stamps, want %d", rep, i, len(res.Outputs[i]), len(res.Times[i]), outs)
+			}
+			for j, v := range res.Outputs[i] {
+				if v != j || j > 0 && res.Times[i][j] < res.Times[i][j-1] {
+					t.Fatalf("run %d node %d: output %d is %v at %v, want %d in time order", rep, i, j, v, res.Times[i][j], j)
+				}
+			}
+			if res.Final(i) != outs-1 {
+				t.Fatalf("run %d node %d: Final %v, want %d", rep, i, res.Final(i), outs-1)
+			}
+		}
+	}
+}
+
+// badMsg fails to marshal.
+type badMsg struct{}
+
+func (badMsg) Type() uint8                    { return wire.TypeTestPing }
+func (badMsg) WireSize() int                  { return 0 }
+func (badMsg) MarshalBinary() ([]byte, error) { return nil, errors.New("cannot marshal") }
+
+// TestEncodeFailureIsRunError: a message that fails to marshal is not
+// dropped silently: Run returns the error, and the cluster result carries it
+// for that node alone.
+func TestEncodeFailureIsRunError(t *testing.T) {
+	const n = 4
+	procs := make([]node.Process, n)
+	for i := range procs {
+		procs[i] = scriptProc{func(env node.Env) {
+			if env.Self() == 0 {
+				env.Broadcast(badMsg{})
+			}
+			env.Output(true)
+		}}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := runtime.RunCluster(ctx, node.Config{N: n, F: 1}, procs, []byte("bad-msg"), wire.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Errs[0]; err == nil || !strings.Contains(err.Error(), "cannot marshal") {
+		t.Errorf("node 0 error %v, want the marshal failure", err)
+	}
+	for i := 1; i < n; i++ {
+		if res.Errs[i] != nil {
+			t.Errorf("node %d error %v, want none", i, res.Errs[i])
+		}
 	}
 }

@@ -9,34 +9,28 @@
 // The transports pool buffers, so ownership is strict:
 //
 //   - A frame given to Send is read-only and not retained after Send
-//     returns: transports seal into buffers of their own, and those that
-//     transmit later (the backend delay wrapper) copy first. Callers may
-//     therefore reuse a frame buffer the moment Send returns, and may Send
-//     one frame to many destinations — the driver encodes a broadcast once.
-//   - The frame handed out by Recv/TryRecv is owned by the receiver until
-//     it optionally returns the buffer via the transport's Recycle; after
-//     Recycle the buffer belongs to the transport again and must not be
-//     touched. Receivers that never call Recycle simply leave reclamation
-//     to the GC (decoded messages copy every byte slice out of the frame,
-//     so nothing downstream aliases it).
+//     returns (transports seal into buffers of their own; the backend delay
+//     wrapper copies first), so a caller may reuse it at once and may Send
+//     one frame to many destinations: the driver encodes a broadcast once.
+//   - A frame from Recv/TryRecv is the receiver's until it hands the buffer
+//     back with the transport's Recycle, if it ever does, and must not be
+//     touched after that. Decoded messages copy every byte slice out of the
+//     frame, so nothing downstream aliases it.
 //
 // # Per-link ordering
 //
 // Both transports deliver frames from a given sender to a given receiver
-// in Send order: the hub because each inbox is a FIFO ring that grows
-// instead of parking overflow senders, TCP because each direction of a link
-// is one connection with serialised frame writes. An adversarial delay
-// wrapper on top may reorder — that is its job. A frame a TCP node addresses
-// to itself is sealed straight into its own inbox, in Send order, and never
-// touches the socket.
+// in Send order: the hub's inboxes are FIFO rings that grow instead of
+// parking senders, and each direction of a tcp link is one connection with
+// serialised writes. A delay wrapper on top may reorder; that is its job. A
+// frame a TCP node sends itself is sealed straight into its own inbox.
 //
-// A TCPNet link is one connection used both ways, wired at construction —
-// n(n−1)/2 per fabric — so the kernel's ACKs ride on reverse traffic instead
-// of costing a packet per read. A link that breaks degrades to what NewTCP
-// does from the start: each end fails one Send, then dials its own one-way
-// connection (tcp.dial) and the peer's accept loop reads it. Those stay
-// one-way because the accepting side knows the dialer only from unauthenticated
-// frame headers; writing back on that say-so would let a stranger redirect a
+// A TCPNet link is one connection used both ways, wired at construction, so
+// the kernel's ACKs ride on reverse traffic. A link that breaks degrades to
+// what NewTCP does from the start: each end fails one write, then dials a
+// one-way connection (tcp.dial) that the peer's accept loop reads. It stays
+// one-way: the acceptor knows the dialer only from unauthenticated frame
+// headers, and writing back on their say-so would let a stranger redirect a
 // link.
 //
 // # Read side
@@ -46,6 +40,18 @@
 // the node's inbox. On a socket it reads inside one long-lived RawConn.Read,
 // and once a read leaves the socket empty it waits for readiness instead of
 // reading again to see EAGAIN.
+//
+// # Write side
+//
+// A TCPNet node writes once per peer for all its drivers' steps. sendFrame
+// seals each frame, with its own [sender][len] header, MAC and suffix, into
+// the peer's buffer. While any of the node's drivers is in a step (from
+// Init, and from each Recv that returns a frame, to its idle flush) the
+// buffers only fill; the last driver to go idle writes each in one write,
+// as does a driver once the node has delivered flushEvery frames since. A
+// send while no driver holds the node, as from a delay timer, writes at
+// once. Appends and writes take the peer lock, so per-link FIFO holds. A
+// Hub and NewTCP's transport never hold.
 //
 // # Plaintext suffix
 //
@@ -109,15 +115,14 @@ type Transport interface {
 }
 
 // Recycler is implemented by transports whose Recv frames come from a
-// buffer pool. A receiver that is finished with a frame (and every alias
-// into it) may hand the buffer back for reuse.
+// buffer pool: a receiver done with a frame, and every alias into it, may
+// hand the buffer back.
 type Recycler interface {
 	Recycle(buf []byte)
 }
 
-// Hub is an in-memory message switch connecting n in-process nodes. Each
-// node's inbox is a FIFO ring that grows under bursts, so per-link send
-// order is delivery order and senders never block or park.
+// Hub is an in-memory message switch connecting n in-process nodes: each
+// node's inbox is a FIFO ring that grows under bursts.
 type Hub struct {
 	n        int
 	inbox    []*inbox
@@ -141,18 +146,14 @@ func (h *Hub) Observe(rec *obs.Recorder) {
 func NewHub(n int) *Hub {
 	h := &Hub{n: n, inbox: make([]*inbox, n)}
 	for i := range h.inbox {
-		// Sized for a protocol burst (n messages per step, batched into
-		// envelopes); the ring grows past this instead of dropping or
-		// blocking.
-		h.inbox[i] = newInbox(4*n + 64)
+		h.inbox[i] = newInbox(4*n + 64) // a protocol burst; grows past it
 	}
 	return h
 }
 
-// Endpoint returns node id's transport attached to the hub. Authentication
-// uses the supplied pairwise MACs. A persistent hub can hand out fresh
-// endpoints (with fresh authenticators) for every run it hosts; the inbox
-// behind Recv is shared by all of id's endpoints, each seeing its own epoch.
+// Endpoint returns node id's transport attached to the hub, sealing with a.
+// A persistent hub hands out fresh endpoints for every run it hosts; all of
+// id's endpoints share its inbox, each seeing its own epoch.
 func (h *Hub) Endpoint(id node.ID, a *auth.Auth) Transport {
 	epoch := binary.LittleEndian.AppendUint64(nil, a.Epoch())
 	return &endpoint{via: h, id: id, in: h.inbox[id], auth: a, suffix: epoch, want: epoch, owner: h}
@@ -178,14 +179,11 @@ func (h *Hub) Recv(id node.ID, stop <-chan struct{}) (Frame, bool) {
 }
 
 // Drops returns the number of frames discarded because they arrived after
-// Close — observable so shutdown races can be ruled in or out when
-// investigating message loss.
+// Close, so shutdown races can be ruled in or out.
 func (h *Hub) Drops() uint64 { return h.drops.Load() }
 
-// Close shuts the hub down: every inbox is closed, which unblocks any
-// receiver still draining. Senders never park (the rings grow), so there
-// is nothing else to release. Safe to call more than once; the error is
-// always nil (it is there so a Hub closes like any other fabric).
+// Close closes every inbox, unblocking any receiver still draining; senders
+// never park. Idempotent; the error is always nil.
 func (h *Hub) Close() error {
 	for _, b := range h.inbox {
 		b.close()
@@ -216,7 +214,8 @@ type carrier interface {
 // run's authenticator and appends suffix after the MAC; Recv and TryRecv read
 // the node's inbox and, with want set, pass on only frames that end in want,
 // stripped of it (see Plaintext suffix). Close closes owner: the Hub, or
-// NewTCP's core; a TCPNet view has none, the fabric owns its core.
+// NewTCP's core. A TCPNet view has none; its core field names the core
+// whose writes its drivers hold (see Write side).
 type endpoint struct {
 	via          carrier
 	id           node.ID
@@ -224,6 +223,19 @@ type endpoint struct {
 	auth         *auth.Auth
 	suffix, want []byte
 	owner        io.Closer
+	core         *tcpTransport
+}
+
+// heldBy returns the tcp core that holds the writes of tr's node while its
+// drivers are in a step (see Write side), or nil.
+func heldBy(tr Transport) *tcpTransport {
+	switch e := tr.(type) {
+	case *endpoint:
+		return e.core
+	case *muxEndpoint:
+		return heldBy(e.out)
+	}
+	return nil
 }
 
 var _ Recycler = (*endpoint)(nil)
@@ -268,26 +280,25 @@ type tcpTransport struct {
 
 	in *inbox
 	// drops counts frames observably lost by this core: a body read that
-	// failed mid-frame, an oversized frame, or a frame that raced shutdown
-	// after its connection (or a self-send) had already delivered it.
+	// failed mid-frame, an oversized frame, or a frame that raced shutdown.
 	drops atomic.Uint64
-
 	// eagains counts socket reads that found nothing there (rare; pinned).
 	eagains atomic.Uint64
+	// busy counts the node's drivers in a step, since the frames they
+	// delivered since the buffers were last written (see Write side).
+	busy, since atomic.Int32
 
 	// Observability handles (see Observe); nil means off and free.
-	obsDrops, obsLateCloses *obs.Counter
-	obsDials                *obs.Track
+	obsDrops, obsLateCloses, obsWrites *obs.Counter
+	obsDials                           *obs.Track
 
-	// peers holds per-destination dial/write state. Each slot carries its
-	// own lock, so a stalled dial or a write blocked on one saturated peer
-	// never delays sends to other peers — and never delays Close, which
-	// only takes the transport-wide mu.
+	// peers holds per-destination dial/write state, each slot under its own
+	// lock, so a stalled dial or a write blocked on one saturated peer never
+	// delays sends to other peers, nor Close, which only takes mu.
 	peers []peerConn
 
-	// mu guards closed and the connection registries only. It is never
-	// held across a dial or a blocking write, so Close can always acquire
-	// it promptly.
+	// mu guards closed and the connection registries only. It is never held
+	// across a dial or a blocking write.
 	mu       sync.Mutex
 	closed   bool
 	dialed   map[node.ID]net.Conn
@@ -297,13 +308,13 @@ type tcpTransport struct {
 
 // peerConn is one destination's outbound state: the connection (a fabric's
 // wired link, else nil until dialed), the dial/write lock serialising access
-// to it, and the write scratch frames are sealed into. Holding mu across the
-// dial is what makes concurrent sends to an unreachable peer singleflight:
-// the second sender waits for the first dial's verdict, not dialing again.
+// to it, and the sealed frames not yet written (see Write side). Holding mu
+// across the dial is what makes concurrent sends to an unreachable peer
+// singleflight: the second sender waits for the first dial's verdict.
 type peerConn struct {
-	mu      sync.Mutex
-	c       net.Conn
-	scratch []byte
+	mu  sync.Mutex
+	c   net.Conn
+	out []byte
 }
 
 // newTCPCore builds the transport machinery and starts its accept loop.
@@ -366,9 +377,8 @@ func (t *tcpTransport) acceptLoop() {
 
 func (t *tcpTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
-	// Prune the connection from the accepted set on exit: peers re-dial each
-	// time a connection dies, and keeping every dead inbound conn would leak
-	// one entry per re-dial for the lifetime of the core.
+	// Prune the connection from the accepted set on exit, or each re-dial
+	// would leak one entry for the lifetime of the core.
 	defer func() {
 		t.mu.Lock()
 		delete(t.accepted, conn)
@@ -521,24 +531,10 @@ func (t *tcpTransport) connTo(to node.ID, pc *peerConn) (net.Conn, error) {
 	return c, nil
 }
 
-// dropConn forgets to's connection after a failed write (if still current)
-// and closes it. Caller holds pc.mu.
-func (t *tcpTransport) dropConn(to node.ID, pc *peerConn, c net.Conn) {
-	pc.c = nil
-	t.mu.Lock()
-	if t.dialed[to] == c {
-		delete(t.dialed, to)
-	}
-	t.mu.Unlock()
-	c.Close()
-}
-
-// sendFrame seals and writes one frame from this node (from is always self)
-// to peer to, dialing (or re-dialing) as needed. Header, payload, MAC, and the optional suffix (nil or TagSize
-// bytes, appended plaintext after the MAC) are assembled in the peer's
-// write scratch and go out as one buffer — one syscall per frame, no
-// allocation in steady state. A frame to self skips the socket: it is sealed
-// into this node's own inbox, as the hub seals every frame.
+// sendFrame seals one frame from this node (from is always self) into peer
+// to's buffer, and writes the buffer unless a driver holds the node. A frame
+// to self skips the socket: it is sealed into this node's own inbox, as the
+// hub seals every frame.
 func (t *tcpTransport) sendFrame(_, to node.ID, a *auth.Auth, frame, tag []byte) error {
 	if int(to) < 0 || int(to) >= len(t.addrs) {
 		return fmt.Errorf("runtime: bad destination %v", to)
@@ -556,35 +552,84 @@ func (t *tcpTransport) sendFrame(_, to node.ID, a *auth.Auth, frame, tag []byte)
 		return fmt.Errorf("runtime: frame to %v is %d bytes sealed, over the %d limit", to, n, maxFrameSize)
 	}
 	pc := &t.peers[to]
-	// One lock per destination: serialises the dial and the frame write to
-	// this peer (write interleaving would corrupt framing) while leaving
-	// every other peer — and Close — untouched.
+	// The peer's lock serialises its buffer, dial and write, leaving every
+	// other peer, and Close, untouched.
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
+	at := len(pc.out)
+	buf := append(pc.out, 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = a.AppendSeal(to, buf, frame)
+	buf = append(buf, tag...)
+	binary.LittleEndian.PutUint32(buf[at:], uint32(t.self))
+	binary.LittleEndian.PutUint32(buf[at+4:], uint32(len(buf)-at-8))
+	if pc.out = buf; t.busy.Load() > 0 {
+		return nil
+	}
+	return t.writeOut(to, pc)
+}
+
+// writeOut writes to's buffer in one write, dialing (or re-dialing) as
+// needed, and empties it whatever the outcome. Caller holds pc.mu.
+func (t *tcpTransport) writeOut(to node.ID, pc *peerConn) error {
+	buf := pc.out
+	if pc.out = buf[:0]; cap(buf) > inboxBufCap {
+		pc.out = nil // one jumbo write must not pin a jumbo buffer for good
+	}
 	c, err := t.connTo(to, pc)
 	if err != nil {
 		return fmt.Errorf("runtime: dial %v: %w", to, err)
 	}
-	buf := append(pc.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	buf = a.AppendSeal(to, buf, frame)
-	buf = append(buf, tag...)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(t.self))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(buf)-8))
-	if cap(buf) <= inboxBufCap {
-		pc.scratch = buf
-	} else {
-		// One jumbo frame must not pin a jumbo scratch on this peer slot for
-		// the rest of the session (the soak workload holds sessions open for
-		// thousands of rounds); same bound as the inbox freelist.
-		pc.scratch = nil
-	}
+	t.obsWrites.Inc()
 	if _, err := c.Write(buf); err != nil {
-		// Close unblocks a writer stuck on a saturated peer by closing the
-		// conn under its feet; either way the next send re-dials.
-		t.dropConn(to, pc, c)
+		// Forget the connection and close it (Close may have closed it
+		// under a writer stuck on a saturated peer): the next write re-dials.
+		pc.c = nil
+		t.mu.Lock()
+		if t.dialed[to] == c {
+			delete(t.dialed, to)
+		}
+		t.mu.Unlock()
+		c.Close()
 		return err
 	}
 	return nil
+}
+
+// hold and release bracket a driver's step; the last driver out writes every
+// peer's buffer, and release returns how many writes failed. delivered
+// counts a frame a driver delivered and reports when flushEvery have passed
+// since the last write. All are no-ops on the nil core of a Driver whose
+// node does not hold writes.
+func (t *tcpTransport) hold() {
+	if t != nil {
+		t.busy.Add(1)
+	}
+}
+
+func (t *tcpTransport) release() (failed int) {
+	if t == nil || t.busy.Add(-1) > 0 {
+		return 0
+	}
+	return t.writeAll()
+}
+
+func (t *tcpTransport) delivered() bool { return t != nil && t.since.Add(1) >= flushEvery }
+
+// writeAll writes every peer's buffer, returning how many writes failed.
+func (t *tcpTransport) writeAll() (failed int) {
+	if t == nil {
+		return 0
+	}
+	t.since.Store(0)
+	for to := range t.peers {
+		pc := &t.peers[to]
+		pc.mu.Lock()
+		if len(pc.out) > 0 && t.writeOut(node.ID(to), pc) != nil {
+			failed++
+		}
+		pc.mu.Unlock()
+	}
+	return failed
 }
 
 // Drops returns the count of observably lost inbound frames (see the field
@@ -619,11 +664,9 @@ func (t *tcpTransport) Close() error {
 // TCPNet is a persistent loopback TCP fabric for an n-node cluster: one
 // listener and one transport core per node and one connection per node pair,
 // made once and reused across any number of cluster runs. Each run takes
-// per-epoch endpoint views via Endpoint — the view carries that run's
-// authenticator, so two epochs sharing the fabric can never authenticate each
-// other's frames — while links and read loops persist. This is what makes a
-// session-scoped `tcp` execution backend possible: the n listener binds and
-// n(n−1)/2 connections happen once per session instead of once per trial.
+// per-epoch endpoint views carrying its own authenticator, so two epochs
+// sharing the fabric never authenticate each other's frames, while links and
+// read loops persist: a session binds and connects once, not once per trial.
 type TCPNet struct {
 	addrs []string
 	cores []*tcpTransport
@@ -695,16 +738,17 @@ func newTCPNet(n int, accept func(net.Listener) (net.Conn, error)) (_ *TCPNet, e
 func (p *TCPNet) N() int { return len(p.cores) }
 
 // Observe attaches the recorder to every core: transport.drops counts lost
-// inbound frames across the fabric, transport.late_closes peer closes seen
-// only at an eofPoll deadline, transport.inbox_high_water ratchets the
-// deepest inbox backlog, transport.links is the number of wired links, and
-// lazy dials land as tcp.dial on a shared "transport" track — on a fabric
-// each one means a wired link broke. Call before traffic starts; nil
-// recorder leaves the hooks free.
+// inbound frames across the fabric, transport.writes socket writes (one
+// peer's buffer each), transport.late_closes peer closes seen only at an
+// eofPoll deadline, transport.inbox_high_water ratchets the deepest inbox
+// backlog, transport.links is the number of wired links, and lazy dials land
+// as tcp.dial on a shared "transport" track: on a fabric each one means a
+// wired link broke. Call before traffic starts; a nil recorder is free.
 func (p *TCPNet) Observe(rec *obs.Recorder) {
 	dials := rec.SharedTrack("transport")
 	for _, c := range p.cores {
 		c.obsDrops, c.obsLateCloses = rec.Counter("transport.drops"), rec.Counter("transport.late_closes")
+		c.obsWrites = rec.Counter("transport.writes")
 		c.obsDials = dials
 		c.in.hw, c.in.stale = rec.Gauge("transport.inbox_high_water"), rec.Counter("transport.stale_epoch")
 	}
@@ -713,21 +757,19 @@ func (p *TCPNet) Observe(rec *obs.Recorder) {
 
 // Endpoint returns node id's transport view for one epoch (cluster run),
 // sealing outbound frames with a and marking them with a's epoch id. Closing
-// the view is a no-op — the fabric owns the core; frames of an earlier epoch
-// still crossing the fabric carry another id, and the view's Recv recycles
-// and counts them (transport.stale_epoch) instead of returning them.
+// the view is a no-op. Frames of an earlier epoch still crossing the fabric
+// carry another id: its Recv recycles and counts them (transport.stale_epoch).
 func (p *TCPNet) Endpoint(id node.ID, a *auth.Auth) Transport {
 	c, epoch := p.cores[id], binary.LittleEndian.AppendUint64(nil, a.Epoch())
-	return &endpoint{via: c, id: id, in: c.in, auth: a, suffix: epoch, want: epoch}
+	return &endpoint{via: c, id: id, in: c.in, auth: a, suffix: epoch, want: epoch, core: c}
 }
 
 // TaggedEndpoint is Endpoint for one instance of a multiplexed session: every
-// outbound frame carries the 8-byte little-endian instance tag after its MAC
-// (inside the length prefix), so an InstanceMux on the receiving side can
-// route it without trying keys.
+// outbound frame carries the 8-byte little-endian instance tag after its MAC,
+// so an InstanceMux on the receiving side routes it without trying keys.
 func (p *TCPNet) TaggedEndpoint(id node.ID, a *auth.Auth, tag uint64) Transport {
 	c := p.cores[id]
-	return &endpoint{via: c, id: id, in: c.in, auth: a, suffix: binary.LittleEndian.AppendUint64(nil, tag)}
+	return &endpoint{via: c, id: id, in: c.in, auth: a, suffix: binary.LittleEndian.AppendUint64(nil, tag), core: c}
 }
 
 // Recycle returns a frame buffer to node id's core pool. It is the
@@ -744,9 +786,8 @@ func (p *TCPNet) Recv(id node.ID, stop <-chan struct{}) (Frame, bool) {
 	return p.cores[id].in.get(stop)
 }
 
-// Drops sums the cores' observable frame-drop counters (mid-frame read
-// failures, oversized frames, shutdown races). Sessions snapshot it around
-// each trial to surface transport loss in the trial's stats.
+// Drops sums the cores' observable frame-drop counters; sessions snapshot
+// it around each trial to surface transport loss in the trial's stats.
 func (p *TCPNet) Drops() uint64 {
 	var total uint64
 	for _, c := range p.cores {

@@ -224,6 +224,16 @@ go test ./internal/runtime -race -count=1 \
 go test ./internal/backend -count=1 ${short_flag:+"$short_flag"} \
     -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops'
 
+# A tcp node holds its drivers' writes while any of them is in a step and
+# writes once per peer when the last goes idle (runtime's "Write side"). The
+# hold tests' interleavings depend on goroutine timing, so they run twenty
+# times under -race: one write per peer for two instances, the flushEvery
+# bound across drivers taking turns, per-link FIFO with a sender that holds
+# nothing, a failed write counted and redialed, and no hold left behind on
+# any exit path.
+echo "== tcp write hold gate (-race -count=20) =="
+go test ./internal/runtime -race -count=20 -run 'TestHold'
+
 # Persistent-session smoke: the matrix's tcp cells through the engine, each
 # worker reusing one loopback cluster (listeners + connections) across its
 # trials. The per-run check fails the run on any agreement or validity
