@@ -94,6 +94,7 @@ func runInProcess(ctx context.Context, cfg delphi.Config, center, spread float64
 
 	start := time.Now()
 	if oracle {
+		// RunLiveOracles verifies every certificate it returns.
 		certs, err := delphi.RunLiveOracles(ctx, cfg, inputs, 42)
 		if err != nil {
 			return err
@@ -102,9 +103,6 @@ func runInProcess(ctx context.Context, cfg delphi.Config, center, spread float64
 			if c == nil {
 				fmt.Printf("  node %2d: no certificate\n", i)
 				continue
-			}
-			if err := delphi.VerifyCertificate(c, cfg.N, cfg.F, 42); err != nil {
-				return fmt.Errorf("node %d certificate: %w", i, err)
 			}
 			fmt.Printf("  node %2d attested %.4f (%d signers, verified)\n", i, c.Value, len(c.Signers))
 		}

@@ -9,6 +9,8 @@
 // outputs that are within ε of each other (ε-agreement) and within
 // max(ρ0, δ) of the honest input range (relaxed min-max validity), using
 // O(n²) bits per round and no cryptography beyond authenticated channels.
+// Every Simulate and RunLive* call checks both guarantees on its honest
+// outputs; a run that breaks one returns an error, never results.
 //
 // Quick start — simulate a 4-node oracle cluster:
 //
@@ -34,6 +36,7 @@ package delphi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -45,6 +48,7 @@ import (
 	"delphi/internal/dora"
 	"delphi/internal/evt"
 	"delphi/internal/node"
+	"delphi/internal/run"
 	"delphi/internal/runtime"
 	"delphi/internal/sim"
 )
@@ -136,12 +140,6 @@ type SimReport struct {
 // Simulate runs Delphi in the virtual-time simulator and reports latency,
 // bandwidth, and agreement quality.
 func Simulate(spec SimSpec) (*SimReport, error) {
-	if err := spec.Config.Validate(); err != nil {
-		return nil, err
-	}
-	if len(spec.Inputs) != spec.Config.N {
-		return nil, fmt.Errorf("delphi: %d inputs for n=%d", len(spec.Inputs), spec.Config.N)
-	}
 	if spec.Env == 0 {
 		spec.Env = EnvLocal
 	}
@@ -149,89 +147,78 @@ func Simulate(spec SimSpec) (*SimReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	procs := make([]node.Process, spec.Config.N)
-	for i, v := range spec.Inputs {
-		if math.IsNaN(v) {
-			continue
-		}
-		d, err := core.New(spec.Config, v)
-		if err != nil {
-			return nil, fmt.Errorf("delphi: node %d: %w", i, err)
-		}
-		procs[i] = d
-	}
-	runner, err := sim.NewRunner(spec.Config.Config, env, spec.Seed, procs)
+	rs := runSpec(spec.Config, spec.Inputs)
+	rs.Env, rs.Seed = env, spec.Seed
+	st, err := run.Run(rs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("delphi: %w", err)
 	}
-	res := runner.Run()
-
 	report := &SimReport{
-		Nodes:      make([]NodeReport, spec.Config.N),
-		TotalBytes: res.TotalBytes,
-		TotalMsgs:  res.TotalMsgs,
+		Nodes:      make([]NodeReport, rs.N),
+		Latency:    st.Latency,
+		TotalBytes: st.TotalBytes,
+		TotalMsgs:  st.TotalMsgs,
+		Spread:     st.Spread,
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := 0; i < spec.Config.N; i++ {
-		nr := NodeReport{ID: i, Crashed: procs[i] == nil}
-		if !nr.Crashed {
-			st := res.Stats[i]
-			if len(st.Output) == 0 {
-				return nil, fmt.Errorf("delphi: node %d produced no output (liveness violation?)", i)
-			}
-			r, ok := st.Output[len(st.Output)-1].(core.Result)
-			if !ok {
-				return nil, fmt.Errorf("delphi: node %d output type %T", i, st.Output[0])
-			}
-			nr.Result = r
-			nr.DecidedAt = st.OutputAt
-			if st.OutputAt > report.Latency {
-				report.Latency = st.OutputAt
-			}
-			lo = math.Min(lo, r.Output)
-			hi = math.Max(hi, r.Output)
-		}
-		report.Nodes[i] = nr
+	for i, v := range spec.Inputs {
+		r, _ := st.Finals[i].(Result)
+		report.Nodes[i] = NodeReport{ID: i, Crashed: math.IsNaN(v), Result: r, DecidedAt: st.DecidedAt[i]}
 	}
-	report.Spread = hi - lo
 	return report, nil
 }
 
-// RunLive runs an in-process cluster of Delphi nodes over real goroutines
-// and HMAC-authenticated channels and returns the per-node results. Crashed
-// nodes are expressed with NaN inputs.
-func RunLive(ctx context.Context, cfg Config, inputs []float64) ([]*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("delphi: %d inputs for n=%d", len(inputs), cfg.N)
-	}
-	procs := make([]node.Process, cfg.N)
-	for i, v := range inputs {
-		if math.IsNaN(v) {
-			continue
-		}
-		d, err := core.New(cfg, v)
-		if err != nil {
-			return nil, fmt.Errorf("delphi: node %d: %w", i, err)
-		}
-		procs[i] = d
-	}
+// runSpec is the run layer's description of a Delphi run of cfg on inputs.
+func runSpec(cfg Config, inputs []float64) run.RunSpec {
+	return run.RunSpec{Protocol: run.ProtoDelphi, N: cfg.N, F: cfg.F, Inputs: inputs,
+		Delphi: cfg.Params, NoCompression: cfg.DisableCompression}
+}
+
+// runLive runs procs as an in-process cluster on ctx and checks the honest
+// outputs like every other run. It returns the slot-indexed final outputs.
+func runLive(ctx context.Context, spec run.RunSpec, procs []node.Process, master string) ([]any, error) {
 	reg, err := codec.NewRegistry()
 	if err != nil {
 		return nil, err
 	}
-	res, err := runtime.RunCluster(ctx, cfg.Config, procs, []byte("delphi-live-master"), reg)
+	res, err := runtime.RunCluster(ctx, node.Config{N: spec.N, F: spec.F}, procs, []byte(master), reg)
+	if err != nil {
+		return nil, err
+	}
+	if err := errors.Join(res.Errs...); err != nil {
+		return nil, fmt.Errorf("delphi: %w", err)
+	}
+	finals := make([]any, spec.N)
+	at := make([]time.Duration, spec.N)
+	for i := range finals {
+		finals[i], at[i] = res.Final(i), res.FinalAt(i)
+	}
+	if _, err := spec.StatsFromOutputs(finals, at); err != nil {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("delphi: %w: %v", ctx.Err(), err)
+		}
+		return nil, fmt.Errorf("delphi: %w", err)
+	}
+	return finals, nil
+}
+
+// RunLive runs an in-process cluster of Delphi nodes over real goroutines
+// and HMAC-authenticated channels and returns the per-node results. Crashed
+// nodes are expressed with NaN inputs; their results are nil. A run that
+// ctx cuts short is an error wrapping ctx.Err().
+func RunLive(ctx context.Context, cfg Config, inputs []float64) ([]*Result, error) {
+	spec := runSpec(cfg, inputs)
+	procs, err := spec.Processes()
+	if err != nil {
+		return nil, fmt.Errorf("delphi: %w", err)
+	}
+	finals, err := runLive(ctx, spec, procs, "delphi-live-master")
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Result, cfg.N)
-	for i := range out {
-		if v := res.Final(i); v != nil {
-			if r, ok := v.(core.Result); ok {
-				out[i] = &r
-			}
+	for i, v := range finals {
+		if r, ok := v.(Result); ok {
+			out[i] = &r
 		}
 	}
 	return out, nil
@@ -239,11 +226,9 @@ func RunLive(ctx context.Context, cfg Config, inputs []float64) ([]*Result, erro
 
 // RunLiveOracles runs an in-process DORA oracle cluster: Delphi followed by
 // the ε-rounding and t+1-signature certificate round. It returns the
-// per-node certificates.
+// per-node certificates, each verified against the PKI derived from
+// pkiSeed; it fails like RunLive, and on a certificate that does not verify.
 func RunLiveOracles(ctx context.Context, cfg Config, inputs []float64, pkiSeed uint64) ([]*Certificate, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("delphi: %d inputs for n=%d", len(inputs), cfg.N)
 	}
@@ -259,20 +244,17 @@ func RunLiveOracles(ctx context.Context, cfg Config, inputs []float64, pkiSeed u
 		}
 		procs[i] = p
 	}
-	reg, err := codec.NewRegistry()
-	if err != nil {
-		return nil, err
-	}
-	res, err := runtime.RunCluster(ctx, cfg.Config, procs, []byte("delphi-dora-master"), reg)
+	finals, err := runLive(ctx, runSpec(cfg, inputs), procs, "delphi-dora-master")
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Certificate, cfg.N)
-	for i := range out {
-		if v := res.Final(i); v != nil {
-			if c, ok := v.(dora.Certificate); ok {
-				out[i] = &c
+	for i, v := range finals {
+		if c, ok := v.(Certificate); ok {
+			if err := c.Verify(keys[0].Pubs, cfg.F); err != nil {
+				return nil, fmt.Errorf("delphi: oracle %d certificate: %w", i, err)
 			}
+			out[i] = &c
 		}
 	}
 	return out, nil
@@ -294,17 +276,14 @@ func RunLiveVector(ctx context.Context, cfg Config, points [][]float64) ([][]flo
 	if len(points) != cfg.N {
 		return nil, fmt.Errorf("delphi: %d points for n=%d", len(points), cfg.N)
 	}
-	dims := -1
+	if len(points) == 0 || len(points[0]) == 0 {
+		return nil, fmt.Errorf("delphi: empty points")
+	}
+	dims := len(points[0])
 	for i, p := range points {
-		if dims == -1 {
-			dims = len(p)
-		}
 		if len(p) != dims {
 			return nil, fmt.Errorf("delphi: point %d has %d dims, want %d", i, len(p), dims)
 		}
-	}
-	if dims <= 0 {
-		return nil, fmt.Errorf("delphi: empty points")
 	}
 	out := make([][]float64, cfg.N)
 	for i := range out {
@@ -322,9 +301,7 @@ func RunLiveVector(ctx context.Context, cfg Config, points [][]float64) ([][]flo
 		for i, r := range results {
 			if r == nil {
 				out[i] = nil
-				continue
-			}
-			if out[i] != nil {
+			} else if out[i] != nil {
 				out[i][d] = r.Output
 			}
 		}

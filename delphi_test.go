@@ -2,6 +2,7 @@ package delphi_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -16,33 +17,60 @@ func apiConfig(n, f int) delphi.Config {
 	}
 }
 
-func TestSimulateQuickstart(t *testing.T) {
-	cfg := apiConfig(4, 1)
-	rep, err := delphi.Simulate(delphi.SimSpec{
-		Config: cfg,
-		Inputs: []float64{50000, 50004, 50001, 50003},
-		Env:    delphi.EnvAWS,
-		Seed:   1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Spread >= cfg.Params.Eps {
-		t.Errorf("spread %g >= eps", rep.Spread)
-	}
-	if rep.Latency <= 0 {
-		t.Error("zero latency")
-	}
-	if rep.TotalBytes <= 0 || rep.TotalMsgs <= 0 {
-		t.Error("no traffic accounted")
+// checkSimReport pins a simulated run's latency and traffic (so routing
+// Simulate through the run layer provably moves nothing) and checks that
+// every live node reports its decision time and round count.
+func checkSimReport(t *testing.T, rep *delphi.SimReport, latency time.Duration, bytes int64, msgs int) {
+	t.Helper()
+	if rep.Latency != latency || rep.TotalBytes != bytes || rep.TotalMsgs != msgs {
+		t.Errorf("latency %v, bytes %d, msgs %d; want %v, %d, %d",
+			rep.Latency, rep.TotalBytes, rep.TotalMsgs, latency, bytes, msgs)
 	}
 	for _, nr := range rep.Nodes {
-		if nr.Crashed {
-			t.Errorf("node %d unexpectedly crashed", nr.ID)
+		if !nr.Crashed && (nr.DecidedAt <= 0 || nr.Result.Rounds <= 0) {
+			t.Errorf("node %d: DecidedAt %v, Rounds %d; want both set", nr.ID, nr.DecidedAt, nr.Result.Rounds)
 		}
-		if nr.Result.Output < 50000-4-2 || nr.Result.Output > 50004+4+2 {
-			t.Errorf("node %d output %g outside relaxed range", nr.ID, nr.Result.Output)
+	}
+}
+
+func TestSimulateQuickstart(t *testing.T) {
+	cfg := apiConfig(4, 1)
+	for _, tc := range []struct {
+		env     delphi.Environment
+		latency time.Duration
+		bytes   int64
+		msgs    int
+	}{
+		{delphi.EnvAWS, 824347745 * time.Nanosecond, 34744, 712},
+		{delphi.EnvLocal, 28135 * time.Microsecond, 34928, 720},
+	} {
+		rep, err := delphi.Simulate(delphi.SimSpec{
+			Config: cfg,
+			Inputs: []float64{50000, 50004, 50001, 50003},
+			Env:    tc.env,
+			Seed:   1,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if rep.Spread >= cfg.Params.Eps {
+			t.Errorf("spread %g >= eps", rep.Spread)
+		}
+		if rep.Latency <= 0 {
+			t.Error("zero latency")
+		}
+		if rep.TotalBytes <= 0 || rep.TotalMsgs <= 0 {
+			t.Error("no traffic accounted")
+		}
+		for _, nr := range rep.Nodes {
+			if nr.Crashed {
+				t.Errorf("node %d unexpectedly crashed", nr.ID)
+			}
+			if nr.Result.Output < 50000-4-2 || nr.Result.Output > 50004+4+2 {
+				t.Errorf("node %d output %g outside relaxed range", nr.ID, nr.Result.Output)
+			}
+		}
+		checkSimReport(t, rep, tc.latency, tc.bytes, tc.msgs)
 	}
 }
 
@@ -69,6 +97,7 @@ func TestSimulateWithCrashes(t *testing.T) {
 	if rep.Spread >= cfg.Params.Eps {
 		t.Errorf("spread %g >= eps", rep.Spread)
 	}
+	checkSimReport(t, rep, 33640694*time.Nanosecond, 74697, 1624)
 }
 
 func TestSimulateValidation(t *testing.T) {
@@ -83,6 +112,10 @@ func TestSimulateValidation(t *testing.T) {
 	}
 	if _, err := delphi.Simulate(delphi.SimSpec{Config: cfg, Inputs: []float64{1, 2, 3, 4}, Env: delphi.Environment(99)}); err == nil {
 		t.Error("unknown environment accepted")
+	}
+	nan := math.NaN()
+	if _, err := delphi.Simulate(delphi.SimSpec{Config: cfg, Inputs: []float64{nan, nan, nan, nan}}); err == nil {
+		t.Error("all-crashed run accepted")
 	}
 }
 
@@ -122,6 +155,24 @@ func TestRunLiveOraclesCertificates(t *testing.T) {
 		if err := delphi.VerifyCertificate(c, cfg.N, cfg.F, 42); err != nil {
 			t.Errorf("oracle %d: %v", i, err)
 		}
+	}
+}
+
+// TestRunLiveCancelledContext: a cluster that ctx stops before it decides
+// is an error wrapping ctx.Err(), never nil results with a nil error.
+func TestRunLiveCancelledContext(t *testing.T) {
+	cfg := apiConfig(4, 1)
+	inputs := []float64{40000, 40002, 40001, 40003}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := delphi.RunLive(ctx, cfg, inputs); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunLive = %v, %v; want an error wrapping context.Canceled", res, err)
+	}
+	if certs, err := delphi.RunLiveOracles(ctx, cfg, inputs, 42); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunLiveOracles = %v, %v; want an error wrapping context.Canceled", certs, err)
+	}
+	if pts, err := delphi.RunLiveVector(ctx, cfg, [][]float64{{1}, {2}, {3}, {4}}); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunLiveVector = %v, %v; want an error wrapping context.Canceled", pts, err)
 	}
 }
 

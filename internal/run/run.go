@@ -19,6 +19,7 @@ import (
 	"delphi/internal/byz"
 	"delphi/internal/core"
 	"delphi/internal/dist"
+	"delphi/internal/dora"
 	"delphi/internal/netadv"
 	"delphi/internal/node"
 	"delphi/internal/obs"
@@ -151,6 +152,10 @@ type RunStats struct {
 	// run to run, so Metrics carries no byte-identity guarantee — it is
 	// diagnostics, not results.
 	Metrics obs.Metrics
+	// Finals and DecidedAt are the slot-indexed final outputs and decision
+	// times StatsFromOutputs checked; only honest slots are meaningful.
+	Finals    []any
+	DecidedAt []time.Duration
 }
 
 // BackendKind names an execution backend for a RunSpec or scenario cell.
@@ -287,6 +292,9 @@ func (s RunSpec) Processes() ([]node.Process, error) {
 	if s.Byzantine > 0 && s.Protocol != ProtoDelphi {
 		return nil, fmt.Errorf("run: %s has no Byzantine behaviour; crash the slots (NaN inputs) instead", s.Protocol)
 	}
+	if len(s.Inputs) != s.N {
+		return nil, fmt.Errorf("run: %d inputs for n=%d", len(s.Inputs), s.N)
+	}
 	cfg := node.Config{N: s.N, F: s.F}
 	procs := make([]node.Process, s.N)
 	for i, v := range s.Inputs {
@@ -339,9 +347,10 @@ func (s RunSpec) HonestSlots() []int {
 
 // StatsFromOutputs assembles the output-derived half of RunStats — Outputs,
 // Spread, MeanAbsErr, and Latency — from each node's final output value and
-// decision time. finals and at are indexed by slot; crashed and Byzantine
-// slots are ignored, and every honest slot must have decided. Backends add
-// their own traffic and compute accounting on top.
+// decision time, and keeps both as Finals and DecidedAt. finals and at are
+// indexed by slot; crashed and Byzantine slots are ignored, and every honest
+// slot must have decided. Backends add their own traffic and compute
+// accounting on top.
 //
 // It is also the one place every run on every backend is checked against
 // the paper's guarantees, so a run that breaks one fails instead of
@@ -373,7 +382,7 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 	if s.Protocol == ProtoDelphi {
 		slack += math.Max(s.Delphi.Rho0, inHi-inLo)
 	}
-	stats := &RunStats{Backend: s.Backend}
+	stats := &RunStats{Backend: s.Backend, Finals: finals, DecidedAt: at}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, i := range honest {
 		if finals[i] == nil {
@@ -538,6 +547,8 @@ func extractOutput(v any) (float64, error) {
 		return r.Output, nil
 	case aaa.DolevResult:
 		return r.Output, nil
+	case dora.Certificate:
+		return r.DelphiResult.Output, nil
 	default:
 		return 0, fmt.Errorf("unexpected output type %T", v)
 	}

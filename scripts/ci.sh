@@ -48,6 +48,13 @@ for ex in examples/*/; do
     go run "./$ex" > /dev/null
 done
 
+# The live-cluster demo, in process, plain and with the DORA certificate
+# round: RunLive and RunLiveOracles check every run (and RunLiveOracles
+# verifies every certificate), so a violation exits 1 here.
+echo "== cmd/delphi =="
+go run ./cmd/delphi -n 4 -f 1 > /dev/null
+go run ./cmd/delphi -n 4 -f 1 -oracle > /dev/null
+
 # The library's size, printed and not gated: non-test Go lines outside
 # cmd/, examples/, perf/ and hidden directories (.git, the benchmark's
 # .bench_build).
