@@ -2,7 +2,6 @@ package aaa_test
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"delphi/internal/aaa"
@@ -133,11 +132,10 @@ func (e *stubEnv) Output(v any)                     { e.outputs = append(e.outpu
 func (e *stubEnv) Halt()                            { e.halted = true }
 func (e *stubEnv) ChargeCompute(c node.ComputeCost) {}
 
-// TestDolevReceiptHygiene pins what a round counts: one value per sender,
-// senders and rounds inside the configuration only — a duplicate, an unknown
-// sender ID, or a round outside [1, Rounds] must neither advance the quorum
-// nor enter the trimmed midpoint — and NaNs from up to t faulty senders are
-// trimmed like any other outlier.
+// TestDolevReceiptHygiene pins what a round counts: one finite value per
+// sender, senders and rounds inside the configuration only — a duplicate, an
+// unknown sender ID, a round outside [1, Rounds] or a NaN must neither advance
+// the quorum nor enter the trimmed midpoint.
 func TestDolevReceiptHygiene(t *testing.T) {
 	d, err := aaa.NewDolev(aaa.DolevConfig{N: 6, F: 1, Rounds: 2}, 10)
 	if err != nil {
@@ -160,58 +158,61 @@ func TestDolevReceiptHygiene(t *testing.T) {
 		t.Fatalf("round 2 began after four distinct receipts (quorum is 5): sent %d messages", len(env.sent))
 	}
 	val(4, 1, 50)
-	// Five receipts 10..50, trim 2t = 2 from each side: the midpoint is 30.
+	// Five receipts 10..50, trim t = 1 from each side: the midpoint is 30.
 	if len(env.sent) != 2 {
 		t.Fatalf("round 2 did not begin at quorum: sent %d messages", len(env.sent))
 	}
 	if got := env.sent[1].(*aaa.Value); got.Round != 2 || got.V != 30 {
 		t.Fatalf("round 2 broadcast = %+v, want round 2 value 30", got)
 	}
-	val(5, 2, math.NaN())
+	val(5, 2, math.NaN()) // not a receipt: node 5 may still send a value
 	for i, v := range []float64{28, 29, 31, 32} {
 		val(node.ID(i), 2, v)
 	}
-	// NaN orders first (as under sort.Float64s), among the 2t trimmed low values.
+	if env.halted || len(env.outputs) != 0 {
+		t.Fatalf("decided on four numbers and a NaN (quorum is 5): outputs %v", env.outputs)
+	}
+	val(5, 2, 0)
+	// 0 28 29 31 32, trim t = 1 from each side: the midpoint of 28 and 31.
 	if !env.halted || len(env.outputs) != 1 {
 		t.Fatalf("no decision after round 2's quorum (halted=%v outputs=%d)", env.halted, len(env.outputs))
 	}
-	if got := env.outputs[0].(aaa.DolevResult); got.Output != 29 || got.Rounds != 2 {
-		t.Errorf("decision = %+v, want output 29 after 2 rounds", got)
+	if got := env.outputs[0].(aaa.DolevResult); got.Output != 29.5 || got.Rounds != 2 {
+		t.Errorf("decision = %+v, want output 29.5 after 2 rounds", got)
 	}
+}
 
-	// f senders send NaN, wherever in the arrival order: the NaNs order first,
-	// inside the 2t trimmed low values, so the decision is the one the same
-	// receipts give with -Inf in their place.
-	decide := func(vals []float64) float64 {
-		d, err := aaa.NewDolev(aaa.DolevConfig{N: 11, F: 2, Rounds: 1}, 5)
+// TestDolevRoundHalves builds by hand the round on which trimming 2t a side
+// keeps the honest range whole: n=6, t=1, honest nodes 0..4 hold 0, 0, 1, 1,
+// 1 and node 5 is Byzantine. Node A misses a 0 and hears 1 from node 5; node
+// B misses a 1 and hears 0. Each round must at least halve the honest range.
+func TestDolevRoundHalves(t *testing.T) {
+	honest := []float64{0, 0, 1, 1, 1}
+	decide := func(miss node.ID, byz float64) float64 {
+		d, err := aaa.NewDolev(aaa.DolevConfig{N: 6, F: 1, Rounds: 1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		env := &stubEnv{n: 11, f: 2}
+		env := &stubEnv{n: 6, f: 1}
 		d.Init(env)
-		for i, v := range vals {
-			d.Deliver(node.ID(i), &aaa.Value{Round: 1, V: v})
+		for i, v := range honest {
+			if node.ID(i) != miss {
+				d.Deliver(node.ID(i), &aaa.Value{Round: 1, V: v})
+			}
 		}
+		d.Deliver(5, &aaa.Value{Round: 1, V: byz})
 		if len(env.outputs) != 1 {
-			t.Fatalf("no decision on %d receipts %v", len(vals), vals)
+			t.Fatalf("no decision on 5 receipts")
 		}
 		return env.outputs[0].(aaa.DolevResult).Output
 	}
-	nan := math.NaN()
-	for _, vals := range [][]float64{
-		{nan, nan, 7, 1, 6, 2, 5, 3, 4},
-		{7, 1, 6, 2, 5, 3, 4, nan, nan},
-		{7, nan, 1, 6, 2, 5, nan, 3, 4},
-	} {
-		clean := slices.Clone(vals)
-		for i, v := range clean {
-			if math.IsNaN(v) {
-				clean[i] = math.Inf(-1)
-			}
-		}
-		// NaN NaN 1 2 [3] 4 5 6 7: trimming 2t = 4 a side leaves the 3.
-		if got, want := decide(vals), decide(clean); got != want || got != 3 {
-			t.Errorf("receipts %v decide %v, with -Inf for NaN %v, want 3", vals, got, want)
+	a, b := decide(0, 1), decide(4, 0)
+	if spread := math.Abs(a - b); spread > 0.5 {
+		t.Errorf("outputs %g and %g: spread %g from an honest range of 1, want ≤ 0.5", a, b, spread)
+	}
+	for _, v := range []float64{a, b} {
+		if v < 0 || v > 1 {
+			t.Errorf("output %g outside the honest range [0, 1]", v)
 		}
 	}
 }

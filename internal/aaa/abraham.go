@@ -145,7 +145,7 @@ func (a *Abraham) onDeliver(k rbc.Key, payload []byte) {
 	}
 	rd := wire.NewReader(payload)
 	v := rd.F64()
-	if rd.Err() != nil {
+	if rd.Err() != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
 	d := a.rd(r)

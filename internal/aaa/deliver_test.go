@@ -1,6 +1,8 @@
 package aaa_test
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"delphi/internal/aaa"
@@ -87,4 +89,79 @@ func TestDeliverOutOfRange(t *testing.T) {
 			t.Fatalf("n-t distinct witnesses output %v, want one output of 1.5", env.outputs)
 		}
 	})
+}
+
+// TestNonFiniteReceipts: a NaN or ±Inf value, received by Dolev et al. as a
+// multicast or by Abraham et al. as a reliably broadcast round value, is
+// dropped before it counts: no panic, no allocation, nothing emitted, and
+// its sender is not counted, so the same sender's finite value still is.
+func TestNonFiniteReceipts(t *testing.T) {
+	f64 := func(v float64) []byte {
+		w := wire.NewWriter(8)
+		w.F64(v)
+		return w.Bytes()
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprintf("dolev %g", bad), func(t *testing.T) {
+			const n, f, runs = 6, 1, 100
+			d, err := aaa.NewDolev(aaa.DolevConfig{N: n, F: f, Rounds: runs + 2}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := &stubEnv{n: n, f: f}
+			d.Init(env)
+			// Each run's value opens a round of its own, after round 1.
+			i := 0
+			if allocs := testing.AllocsPerRun(runs, func() {
+				d.Deliver(node.ID(i%n), &aaa.Value{Round: uint16(2 + i), V: bad})
+				i++
+			}); allocs != 0 {
+				t.Errorf("%.1f allocations per dropped value", allocs)
+			}
+			for from := node.ID(0); from < n; from++ {
+				d.Deliver(from, &aaa.Value{Round: 1, V: bad})
+			}
+			if len(env.sent) != 1 {
+				t.Fatalf("dropped values emitted %v", env.sent[1:])
+			}
+			for from := node.ID(0); from < n-f; from++ {
+				d.Deliver(from, &aaa.Value{Round: 1, V: float64(from)})
+			}
+			if len(env.sent) != 2 {
+				t.Errorf("n-t finite values after dropped ones sent %d messages, want round 2 begun", len(env.sent))
+			}
+		})
+		t.Run(fmt.Sprintf("abraham %g", bad), func(t *testing.T) {
+			const n, f, runs = 7, 2, 100
+			a, err := aaa.NewAbraham(aaa.AbrahamConfig{Config: node.Config{N: n, F: f}, Rounds: runs + 2}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := &stubEnv{n: n, f: f}
+			a.Init(env)
+			sent := len(env.sent)
+			payload := f64(bad)
+			i := 0
+			if allocs := testing.AllocsPerRun(runs, func() {
+				a.OnDeliver(rbc.Key{Initiator: node.ID(i % n), Tag: uint32(2 + i)}, payload)
+				i++
+			}); allocs != 0 {
+				t.Errorf("%.1f allocations per dropped value", allocs)
+			}
+			for j := node.ID(0); j < n; j++ {
+				a.OnDeliver(rbc.Key{Initiator: j, Tag: 1}, payload)
+			}
+			if len(env.sent) != sent {
+				t.Fatalf("dropped values emitted %v", env.sent[sent:])
+			}
+			for j := node.ID(0); j < n-f; j++ {
+				a.OnDeliver(rbc.Key{Initiator: j, Tag: 1}, f64(float64(j)))
+			}
+			if len(env.sent) != sent+1 {
+				t.Errorf("n-t finite values after dropped ones sent %d messages, want one report", len(env.sent)-sent)
+			} else if _, ok := env.sent[sent].(*aaa.Report); !ok {
+				t.Errorf("n-t finite values sent %T, want a report", env.sent[sent])
+			}
+		})
+	}
 }

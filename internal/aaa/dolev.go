@@ -42,8 +42,17 @@ type DolevResult struct {
 }
 
 // Dolev runs one node of the classic 1986 approximate agreement: plain
-// multicast of the state each round, collect n-t values, trim 2t from each
-// side, update to the trimmed midpoint.
+// multicast of the state each round, collect n-t values, trim t from each
+// side, update to the midpoint of what is left.
+//
+// Why that halves the honest range when n > 5t: two honest nodes i and j
+// share at least n-3t honest senders C, who send both the same value. At
+// most t of i's receipts lie below its trimmed low end, so at least |C|-t of
+// C lie at or above it; likewise at least |C|-t lie at or below j's trimmed
+// high end. Some value of C does both when 2(|C|-t) > |C|, i.e. |C| > 2t,
+// which n > 5t gives. So every two trimmed ranges overlap, inside the honest
+// range, and their midpoints lie within half of it. (Trimming 2t would need
+// |C| > 4t, i.e. n > 7t.)
 type Dolev struct {
 	cfg     DolevConfig
 	env     node.Env
@@ -91,7 +100,7 @@ func (d *Dolev) Deliver(from node.ID, m node.Message) {
 		return
 	}
 	r := int(msg.Round)
-	if r < 1 || r > d.cfg.Rounds || from < 0 || int(from) >= d.cfg.N {
+	if r < 1 || r > d.cfg.Rounds || from < 0 || int(from) >= d.cfg.N || math.IsNaN(msg.V) || math.IsInf(msg.V, 0) {
 		return
 	}
 	rd := &d.rounds[r-1]
@@ -114,11 +123,11 @@ func (d *Dolev) progress() {
 			return
 		}
 		// The round reads two order statistics of its receipts, the ends of
-		// what trimming 2t from each side leaves: two selections, the second
+		// what trimming t from each side leaves: two selections, the second
 		// inside what the first left above it. Reordered in place: a round's
 		// receipts are read once, here, and a later one only appends to a
 		// slice nothing reads again.
-		trim := 2 * d.cfg.F
+		trim := d.cfg.F
 		lo := selectFloat(rv, trim)
 		hi := selectFloat(rv[trim:], len(rv)-1-2*trim)
 		d.value = (lo + hi) / 2
@@ -136,24 +145,14 @@ func (d *Dolev) progress() {
 	}
 }
 
-// selectFloat returns the value sort.Float64s would leave at v[k] — NaNs
-// order before every number — and reorders v no further than that takes:
-// afterwards v[k] holds it, nothing before k orders after it and nothing
-// after k before it. Median-of-three Hoare selection, linear where the sort
-// the round does not need is n log n.
+// selectFloat returns the value sort.Float64s would leave at v[k], v being
+// free of NaNs (Deliver drops them), and reorders v no further than that
+// takes: afterwards v[k] holds it, nothing before k orders after it and
+// nothing after k before it. Median-of-three Hoare selection, linear where
+// the sort the round does not need is n log n.
 func selectFloat(v []float64, k int) float64 {
-	lo := 0 // NaNs go to the front, so the scans below compare numbers only
-	for i, x := range v {
-		if math.IsNaN(x) {
-			v[i], v[lo] = v[lo], x
-			lo++
-		}
-	}
-	if k < lo {
-		return v[k]
-	}
 	// Invariant: v[:lo] <= v[lo:hi+1] <= v[hi+1:] and lo <= k <= hi.
-	hi := len(v) - 1
+	lo, hi := 0, len(v)-1
 	for hi-lo >= 12 {
 		mid := lo + (hi-lo)/2
 		if v[mid] < v[lo] {

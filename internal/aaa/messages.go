@@ -5,7 +5,7 @@
 //     per-round reliable broadcast of every node's state plus the witness
 //     technique, O(n³) bits per round and O(log(δ/ε)) rounds; and
 //   - Dolev, Lynch, Pinter, Stark and Weihl (JACM'86): resilience n = 5t+1
-//     with plain multicast rounds and double trimming.
+//     with plain multicast rounds, trimming t values from each side.
 //
 // Both converge by halving the honest range every round and offer strict
 // convex validity [m, M].
@@ -49,17 +49,17 @@ func (m *Report) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeReport decodes a Report body.
-func DecodeReport(body []byte) (node.Message, error) {
+func DecodeReport(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Report{}
+	m := wire.New(a, Report{})
 	m.Round = r.U16()
 	n := r.UVarint()
 	if r.Err() != nil || n > uint64(r.Remaining())+1 {
 		return m, wire.ErrTruncated
 	}
-	m.Have = make([]node.ID, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Have = append(m.Have, node.ID(r.UVarint()))
+	m.Have = wire.Make[node.ID](a, int(n))
+	for i := range m.Have {
+		m.Have[i] = node.ID(r.UVarint())
 	}
 	return m, r.Err()
 }
@@ -87,9 +87,9 @@ func (m *Value) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeValue decodes a Value body.
-func DecodeValue(body []byte) (node.Message, error) {
+func DecodeValue(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Value{}
+	m := wire.New(a, Value{})
 	m.Round = r.U16()
 	m.V = r.F64()
 	return m, r.Err()

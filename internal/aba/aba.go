@@ -70,9 +70,9 @@ func (m *Aux) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeBVal decodes a BVal body.
-func DecodeBVal(body []byte) (node.Message, error) {
+func DecodeBVal(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &BVal{}
+	m := wire.New(a, BVal{})
 	m.Inst = r.U32()
 	m.Round = r.U16()
 	m.V = r.Bool()
@@ -80,9 +80,9 @@ func DecodeBVal(body []byte) (node.Message, error) {
 }
 
 // DecodeAux decodes an Aux body.
-func DecodeAux(body []byte) (node.Message, error) {
+func DecodeAux(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Aux{}
+	m := wire.New(a, Aux{})
 	m.Inst = r.U32()
 	m.Round = r.U16()
 	m.V = r.Bool()

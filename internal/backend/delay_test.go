@@ -27,7 +27,7 @@ func (m pingMsg) MarshalBinary() ([]byte, error) { return m.body, nil }
 func pingRegistry(t *testing.T) *wire.Registry {
 	t.Helper()
 	reg := wire.NewRegistry()
-	if err := reg.Register(wire.TypeTestPing, func(body []byte) (node.Message, error) {
+	if err := reg.Register(wire.TypeTestPing, func(body []byte, _ *wire.Arena) (node.Message, error) {
 		return pingMsg{body: body}, nil
 	}); err != nil {
 		t.Fatal(err)

@@ -18,8 +18,7 @@ type Scale int
 const (
 	// Quick caps the node counts so every figure regenerates in seconds.
 	Quick Scale = iota + 1
-	// Paper uses the paper's full node counts (two cores, seed 1: ~80 s for
-	// Fig. 6a and 6b together, ~40 s for Fig. 6c, ~10 s for Fig. 7).
+	// Paper uses the paper's full node counts.
 	Paper
 )
 

@@ -111,17 +111,17 @@ func (m *Echo1C) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeEcho1C decodes an Echo1C body.
-func DecodeEcho1C(body []byte) (node.Message, error) {
+func DecodeEcho1C(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Echo1C{Round: r.U16(), PrevCount: r.U16(), Deltas: append([]byte(nil), r.BytesLP()...)}
+	m := wire.New(a, Echo1C{Round: r.U16(), PrevCount: r.U16(), Deltas: a.Copy(r.BytesLP())})
 	ne := r.UVarint()
 	if r.Err() == nil && ne <= uint64(r.Remaining())/8 {
-		m.Escapes = make([]float64, 0, ne)
-		for i := uint64(0); i < ne; i++ {
-			m.Escapes = append(m.Escapes, r.F64())
+		m.Escapes = wire.Make[float64](a, int(ne))
+		for i := range m.Escapes {
+			m.Escapes[i] = r.F64()
 		}
 	}
-	m.NewVals = decodeVals(r)
+	m.NewVals = decodeVals(r, a)
 	return m, r.Err()
 }
 
@@ -150,9 +150,9 @@ func (m *Echo2C) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeEcho2C decodes an Echo2C body.
-func DecodeEcho2C(body []byte) (node.Message, error) {
+func DecodeEcho2C(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	return &Echo2C{Round: r.U16(), Bits: append([]byte(nil), r.BytesLP()...)}, r.Err()
+	return wire.New(a, Echo2C{Round: r.U16(), Bits: a.Copy(r.BytesLP())}), r.Err()
 }
 
 // setBit marks bit i in a growable bitmap.

@@ -86,7 +86,7 @@ func TestEcho1CMessageRoundTrip(t *testing.T) {
 	if len(body) != m.WireSize()-1 {
 		t.Errorf("WireSize %d != 1+len(body) %d", m.WireSize(), 1+len(body))
 	}
-	dm, err := DecodeEcho1C(body)
+	dm, err := DecodeEcho1C(body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEcho2CMessageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, err := DecodeEcho2C(body)
+	dm, err := DecodeEcho2C(body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,7 +219,7 @@ func FuzzDecodeEcho1C(f *testing.F) {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		m, err := DecodeEcho1C(body)
+		m, err := DecodeEcho1C(body, nil)
 		if err != nil {
 			return
 		}

@@ -25,19 +25,18 @@ func encodeVals(w *wire.Writer, vals []IVal) {
 	}
 }
 
-func decodeVals(r *wire.Reader) []IVal {
+func decodeVals(r *wire.Reader, a *wire.Arena) []IVal {
 	n := r.UVarint()
 	if r.Err() != nil || n > uint64(r.Remaining()) { // each entry >= 1 byte
 		return nil
 	}
-	vals := make([]IVal, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var v IVal
+	vals := wire.Make[IVal](a, int(n))
+	for i := range vals {
+		v := &vals[i]
 		v.ID.Level = r.U8()
 		v.ID.K = int32(r.Varint())
 		v.Round = r.U16()
 		v.V = r.F64()
-		vals = append(vals, v)
 	}
 	return vals
 }
@@ -79,9 +78,9 @@ func (m *Echo1) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeEcho1 decodes an Echo1 message body.
-func DecodeEcho1(body []byte) (node.Message, error) {
+func DecodeEcho1(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	return &Echo1{Round: r.U16(), Init: r.Bool(), Vals: decodeVals(r)}, r.Err()
+	return wire.New(a, Echo1{Round: r.U16(), Init: r.Bool(), Vals: decodeVals(r, a)}), r.Err()
 }
 
 // Echo2 carries ECHO2 votes. A Zeros bundle casts ECHO2(0) for round Round
@@ -112,9 +111,9 @@ func (m *Echo2) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeEcho2 decodes an Echo2 message body.
-func DecodeEcho2(body []byte) (node.Message, error) {
+func DecodeEcho2(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	return &Echo2{Round: r.U16(), Zeros: r.Bool(), Vals: decodeVals(r)}, r.Err()
+	return wire.New(a, Echo2{Round: r.U16(), Zeros: r.Bool(), Vals: decodeVals(r, a)}), r.Err()
 }
 
 // Register installs the package's message decoders into a wire registry.

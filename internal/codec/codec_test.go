@@ -2,6 +2,7 @@ package codec_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"delphi/internal/aaa"
@@ -81,7 +82,7 @@ func TestDecodersRejectGarbage(t *testing.T) {
 	for typ := uint8(1); typ < 20; typ++ {
 		for _, body := range [][]byte{nil, {0x01}, {0xff, 0xff, 0xff}} {
 			// Must not panic; errors are acceptable and expected.
-			_, _ = reg.Decode(typ, body)
+			_, _ = reg.DecodeFramed(append([]byte{typ}, body...))
 		}
 	}
 }
@@ -94,7 +95,7 @@ func TestMustRegistryIsComplete(t *testing.T) {
 		wire.TypeCoinShare, wire.TypeABABVal, wire.TypeABAAux,
 		wire.TypeAAAReport, wire.TypeAAAMulticast, wire.TypeDoraSig,
 	} {
-		if _, err := reg.Decode(typ, nil); err != nil && err.Error() == "wire: unknown message type "+string(rune(typ)) {
+		if _, err := reg.DecodeFramed([]byte{typ}); err != nil && err.Error() == "wire: unknown message type "+string(rune(typ)) {
 			t.Errorf("type %d not registered", typ)
 		}
 	}
@@ -107,6 +108,8 @@ func TestMustRegistryIsComplete(t *testing.T) {
 // with none: all three must agree). Whatever decodes must be a message the
 // repository could have sent: it encodes, to exactly WireSize bytes, and that
 // canonical frame decodes to a message that encodes to the same bytes again.
+// Decoded through an arena shared with every earlier input, the frame must
+// encode exactly as it does decoded without one.
 func FuzzDecodeFramed(f *testing.F) {
 	for _, m := range sampleMessages() {
 		frame, err := wire.Encode(m)
@@ -116,8 +119,8 @@ func FuzzDecodeFramed(f *testing.F) {
 		f.Add(frame)
 	}
 	reg := codec.MustRegistry()
-	canonical := func(t *testing.T, frame []byte) []byte {
-		m, err := reg.DecodeFramed(frame)
+	canonical := func(t *testing.T, frame []byte, a *wire.Arena) []byte {
+		m, err := reg.DecodeIn(frame, a)
 		if err != nil {
 			return nil
 		}
@@ -130,19 +133,74 @@ func FuzzDecodeFramed(f *testing.F) {
 		}
 		return out
 	}
+	// One arena carves every input's messages, as a driver's carves every
+	// frame it receives.
+	var mu sync.Mutex
+	shared := new(wire.Arena)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want := canonical(t, data[:len(data):len(data)])
+		want := canonical(t, data[:len(data):len(data)], nil)
 		for _, fill := range []byte{0x00, 0xff} {
 			padded := append(append(make([]byte, 0, len(data)+16), data...), bytes.Repeat([]byte{fill}, 16)...)
-			if got := canonical(t, padded[:len(data)]); !bytes.Equal(got, want) {
+			if got := canonical(t, padded[:len(data)], nil); !bytes.Equal(got, want) {
 				t.Fatalf("frame %x decodes differently with %#x behind it: %x, alone %x", data, fill, got, want)
 			}
+		}
+		mu.Lock()
+		got := canonical(t, data, shared)
+		mu.Unlock()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %x decodes differently through a shared arena: %x, without one %x", data, got, want)
 		}
 		if want == nil {
 			return
 		}
-		if again := canonical(t, want); !bytes.Equal(again, want) {
+		if again := canonical(t, want, nil); !bytes.Equal(again, want) {
 			t.Fatalf("frame %x: canonical form %x decodes and encodes to %x", data, want, again)
 		}
 	})
+}
+
+// TestArenaKeepsMessages: a message carved from an arena stays intact
+// however many frames the arena decodes after it, because an arena never
+// hands out the same memory twice. One message of every registered type is
+// kept while over ten thousand further frames, each sample with its body
+// bytes flipped, are decoded through the same arena.
+func TestArenaKeepsMessages(t *testing.T) {
+	reg := codec.MustRegistry()
+	var a wire.Arena
+	var frames [][]byte
+	var kept []node.Message
+	for _, m := range sampleMessages() {
+		frame, err := wire.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dm, err := reg.DecodeIn(frame, &a)
+		if err != nil {
+			t.Fatalf("type %d: %v", m.Type(), err)
+		}
+		frames, kept = append(frames, frame), append(kept, dm)
+	}
+	decoded := 0
+	for i := 0; decoded < 10_000; i++ {
+		if i > 100_000 {
+			t.Fatalf("only %d of %d flipped frames decoded", decoded, i)
+		}
+		frame := bytes.Clone(frames[i%len(frames)])
+		for j := 1; j < len(frame); j++ {
+			frame[j] ^= byte(i/len(frames)) | 0x80
+		}
+		if _, err := reg.DecodeIn(frame, &a); err == nil {
+			decoded++
+		}
+	}
+	for i, m := range kept {
+		again, err := wire.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, frames[i]) {
+			t.Errorf("type %d: kept message re-encodes to %x after %d more decodes, want %x", m.Type(), again, decoded, frames[i])
+		}
+	}
 }

@@ -49,11 +49,11 @@ func (m *Share) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeShare decodes a Share body.
-func DecodeShare(body []byte) (node.Message, error) {
+func DecodeShare(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Share{}
+	m := wire.New(a, Share{})
 	m.Coin = r.U64()
-	m.Blob = append([]byte(nil), r.BytesLP()...)
+	m.Blob = a.Copy(r.BytesLP())
 	return m, r.Err()
 }
 

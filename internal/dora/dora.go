@@ -38,11 +38,11 @@ func (m *Sig) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeSig decodes a Sig body.
-func DecodeSig(body []byte) (node.Message, error) {
+func DecodeSig(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Sig{}
+	m := wire.New(a, Sig{})
 	m.V = r.F64()
-	m.Sig = append([]byte(nil), r.BytesLP()...)
+	m.Sig = a.Copy(r.BytesLP())
 	return m, r.Err()
 }
 

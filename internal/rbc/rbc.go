@@ -116,31 +116,31 @@ func (m *Ready) MarshalBinary() ([]byte, error) {
 }
 
 // DecodeInit decodes an Init body.
-func DecodeInit(body []byte) (node.Message, error) {
+func DecodeInit(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Init{}
+	m := wire.New(a, Init{})
 	m.Tag = r.U32()
-	m.Payload = append([]byte(nil), r.BytesLP()...)
+	m.Payload = a.Copy(r.BytesLP())
 	return m, r.Err()
 }
 
 // DecodeEcho decodes an Echo body.
-func DecodeEcho(body []byte) (node.Message, error) {
+func DecodeEcho(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Echo{}
+	m := wire.New(a, Echo{})
 	m.Initiator = node.ID(r.U32())
 	m.Tag = r.U32()
-	m.Payload = append([]byte(nil), r.BytesLP()...)
+	m.Payload = a.Copy(r.BytesLP())
 	return m, r.Err()
 }
 
 // DecodeReady decodes a Ready body.
-func DecodeReady(body []byte) (node.Message, error) {
+func DecodeReady(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := &Ready{}
+	m := wire.New(a, Ready{})
 	m.Initiator = node.ID(r.U32())
 	m.Tag = r.U32()
-	m.Payload = append([]byte(nil), r.BytesLP()...)
+	m.Payload = a.Copy(r.BytesLP())
 	return m, r.Err()
 }
 

@@ -135,9 +135,7 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 	var hub *Hub
 	if o.transports == nil {
 		hub = NewHub(cfg.N)
-		if o.rec != nil {
-			hub.Observe(o.rec)
-		}
+		hub.Observe(o.rec)
 		o.transports = func(id node.ID, a *auth.Auth) (Transport, error) {
 			return hub.Endpoint(id, a), nil
 		}
@@ -187,15 +185,11 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 			tr = o.wrap(node.ID(i), tr)
 		}
 		transports[i] = tr
-		dopts := []DriverOption{WithDriverBatching(!o.noBatch)}
-		if o.rec != nil {
-			var track *obs.Track
-			if i < len(o.tracks) {
-				track = o.tracks[i]
-			}
-			dopts = append(dopts, WithDriverObs(o.rec, track))
+		var track *obs.Track
+		if i < len(o.tracks) {
+			track = o.tracks[i]
 		}
-		drivers[i] = NewDriver(cfg, node.ID(i), p, tr, a, reg, dopts...)
+		drivers[i] = NewDriver(cfg, node.ID(i), p, tr, a, reg, WithDriverBatching(!o.noBatch), WithDriverObs(o.rec, track))
 		drivers[i].core = core
 	}
 	// WithWaitFor: once every listed (and actually running) driver exits,

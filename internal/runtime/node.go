@@ -21,9 +21,9 @@ import (
 // cannot defer sends or cancellation indefinitely.
 const flushEvery = 64
 
-// Driver runs one protocol process over a transport. Messages are decoded,
-// authenticated, and delivered sequentially; outputs are recorded in order
-// (Outputs); Halt stops the loop.
+// Driver runs one protocol process over a transport. Messages are
+// authenticated, decoded (carved from the driver's wire.Arena) and delivered
+// sequentially; outputs are recorded in order (Outputs); Halt stops the loop.
 //
 // With batching on (the default), the driver coalesces every frame the
 // process emits for one destination during one protocol step (processing
@@ -40,6 +40,7 @@ type Driver struct {
 	proc  node.Process
 	tr    Transport
 	reg   *wire.Registry
+	arena wire.Arena // what inbound messages are carved from
 	auth  *auth.Auth
 	outs  []any       // every Output, in order (see Outputs)
 	outAt []time.Time // when each was made
@@ -52,10 +53,12 @@ type Driver struct {
 	core *tcpTransport
 
 	batch     bool
-	rec       Recycler   // tr's buffer pool, when it has one
-	pend      [][][]byte // per-destination frames awaiting flush
-	pendCount int
-	scratch   []byte // envelope build buffer, reused across flushes
+	rec       Recycler  // tr's buffer pool, when it has one
+	pend      []pending // frames awaiting flush, in send order
+	selfSent  int       // how many of pend have gone to this node already
+	pendCount int       // (frame, destination) pairs awaiting flush
+	gather    [][]byte  // one destination's frames, reused across flushes
+	scratch   []byte    // envelope build buffer, reused across flushes
 
 	// Tolerated faults (see Fault), each mirrored into obsFaults.
 	faults    [numFaults]atomic.Uint64
@@ -66,6 +69,12 @@ type Driver struct {
 	obsTrack       *obs.Track
 	obsFlushes     *obs.Counter
 	obsFlushFrames *obs.Counter
+}
+
+// pending is a frame awaiting flush and its destinations [lo, hi).
+type pending struct {
+	frame  []byte
+	lo, hi node.ID
 }
 
 // Fault names one kind of event a driver tolerates and counts instead of
@@ -143,9 +152,6 @@ func NewDriver(cfg node.Config, id node.ID, proc node.Process, tr Transport, a *
 		opt(d)
 	}
 	d.rec, _ = tr.(Recycler)
-	if d.batch {
-		d.pend = make([][][]byte, cfg.N)
-	}
 	return d
 }
 
@@ -179,26 +185,24 @@ func (e *driverEnv) ChargeCompute(node.ComputeCost) {
 	// Real CPU time is spent for real on the live runtime.
 }
 
-// send encodes m once and files that one frame on the pending batch of every
-// destination in [lo, hi) — or transmits it to each when batching is off.
+// send encodes m once and files that one frame, with its destinations [lo,
+// hi), on the pending list — or transmits it to each when batching is off.
 // Sharing is safe because nothing downstream writes to a frame (see
 // Transport).
 func (d *Driver) send(m node.Message, lo, hi node.ID) {
 	frame, err := wire.Encode(m)
-	if err != nil {
+	switch {
+	case err != nil:
 		d.err = cmp.Or(d.err, fmt.Errorf("encode %T: %w", m, err))
-		return
-	}
-	for to := lo; to < hi; to++ {
-		switch {
-		case !d.batch:
+	case !d.batch:
+		for to := lo; to < hi; to++ {
 			d.transmit(to, frame)
-		case int(to) < 0 || int(to) >= d.cfg.N:
-			d.fault(FaultSend)
-		default:
-			d.pend[to] = append(d.pend[to], frame)
-			d.pendCount++
 		}
+	case lo < 0 || hi <= lo || int(hi) > d.cfg.N: // a Send to no node (hi may wrap)
+		d.fault(FaultSend)
+	default:
+		d.pend = append(d.pend, pending{frame, lo, hi})
+		d.pendCount += int(hi - lo)
 	}
 }
 
@@ -211,49 +215,56 @@ func (d *Driver) transmit(to node.ID, frame []byte) {
 	}
 }
 
-// flush sends every pending per-destination batch: single frames as-is, two
-// or more as one envelope. Destinations are visited in id order so the
+// flush sends every destination its pending frames: a single frame as-is,
+// two or more as one envelope. Destinations are visited in id order so the
 // wire schedule is a deterministic function of the protocol's sends.
 func (d *Driver) flush() {
-	if d.pendCount == 0 {
-		return
+	if d.pendCount > 0 {
+		d.obsFlushes.Inc()
+		d.obsTrack.Instant("driver.flush", int64(d.pendCount), 0)
+		for to := range node.ID(d.cfg.N) {
+			d.flushTo(to)
+		}
 	}
-	d.obsFlushes.Inc()
-	d.obsTrack.Instant("driver.flush", int64(d.pendCount), 0)
-	for to := range d.pend {
-		d.flushTo(to)
-	}
+	clear(d.pend)
+	d.pend, d.selfSent = d.pend[:0], 0
 }
 
-// flushTo sends to's pending batch, if any.
-func (d *Driver) flushTo(to int) {
-	frames := d.pend[to]
-	if len(frames) == 0 {
-		return
+// flushTo gathers to's pending frames, in send order, and sends them. It
+// reports whether there were any.
+func (d *Driver) flushTo(to node.ID) bool {
+	from := 0
+	if to == d.id {
+		from, d.selfSent = d.selfSent, len(d.pend)
+	}
+	frames := d.gather[:0]
+	for _, p := range d.pend[from:] {
+		if p.lo <= to && to < p.hi {
+			frames = append(frames, p.frame)
+		}
+	}
+	if d.gather = frames; len(frames) == 0 {
+		return false
 	}
 	frame := frames[0]
 	if len(frames) > 1 {
 		d.scratch = AppendBatch(d.scratch[:0], frames)
 		frame = d.scratch
 	}
-	d.transmit(node.ID(to), frame)
+	d.transmit(to, frame)
 	d.obsFlushFrames.Add(int64(len(frames)))
 	d.pendCount -= len(frames)
-	for i := range frames {
-		frames[i] = nil
-	}
-	d.pend[to] = frames[:0]
+	return true
 }
 
 // deliverOne decodes and delivers a single protocol frame; it reports
 // false once the process has halted.
 func (d *Driver) deliverOne(from node.ID, frame []byte) bool {
-	m, err := d.reg.DecodeFramed(frame)
-	if err != nil {
+	if m, err := d.reg.DecodeIn(frame, &d.arena); err != nil {
 		d.fault(FaultUndecodable)
-		return true
+	} else {
+		d.proc.Deliver(from, m)
 	}
-	d.proc.Deliver(from, m)
 	select {
 	case <-d.halt:
 		return false
@@ -281,20 +292,18 @@ func (d *Driver) deliverFrame(f Frame) bool {
 	default:
 		live = d.deliverOne(f.From, opened)
 	}
-	// The decoded messages copied every byte they keep, so the buffer can
-	// go back to the transport's pool.
+	// The decoded messages were carved from the arena with every byte they
+	// keep, so the buffer can go back to the transport's pool.
 	if d.rec != nil {
 		d.rec.Recycle(f.Data)
 	}
 	return live
 }
 
-// writeFaults counts each failed write of the node's buffers as a send
-// fault.
+// writeFaults counts each failed write of the node's buffers as a send fault.
 func (d *Driver) writeFaults(failed int) {
-	for range failed {
-		d.fault(FaultSend)
-	}
+	d.faults[FaultSend].Add(uint64(failed))
+	d.obsFaults[FaultSend].Add(int64(failed))
 }
 
 // Run initialises the process and delivers messages until the process
@@ -329,14 +338,11 @@ func (d *Driver) Run(ctx context.Context) error {
 	for {
 		f, ok := d.tr.TryRecv()
 		if !ok && d.batch {
-			if len(d.pend[d.id]) > 0 {
-				// Some of the pending output is for this node itself, and a
-				// self-send lands in the inbox at once: take it first. What
-				// it triggers joins the batches still pending for the peers,
-				// who then get one envelope where they would have got two.
-				// A process that keeps itself busy this way still flushes to
-				// its peers every flushEvery frames.
-				d.flushTo(int(d.id))
+			if d.flushTo(d.id) {
+				// Output for this node itself lands in its inbox at once:
+				// take it first, so what it triggers joins the frames still
+				// pending for the peers (one envelope, not two). A busy
+				// self-loop still flushes every flushEvery frames.
 				continue
 			}
 			// The inbox looks dry, but frames are often only a scheduler

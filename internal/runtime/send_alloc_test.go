@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"testing"
 
 	"delphi/internal/auth"
@@ -57,5 +58,26 @@ func TestBroadcastAllocsDoNotGrowWithN(t *testing.T) {
 	}
 	if small > 4 {
 		t.Errorf("%.0f allocations for two broadcasts and a flush, want ≤ 4 (2 per message)", small)
+	}
+}
+
+// TestSendToNoNode: a Send to an id outside [0, n), math.MaxInt included
+// (whose one-past end wraps), is a counted send fault and leaves nothing
+// pending.
+func TestSendToNoNode(t *testing.T) {
+	const n = 4
+	hub := NewHub(n)
+	defer hub.Close()
+	a := mustAuth(t, 0, n, []byte("no-node"))
+	d := NewDriver(node.Config{N: n, F: 1}, 0, nil, hub.Endpoint(0, a), a, wire.NewRegistry())
+	env := (*driverEnv)(d)
+	for _, to := range []node.ID{-1, n, math.MaxInt} {
+		env.Send(to, allocMsg{})
+	}
+	if got := d.Faults()[FaultSend]; got != 3 {
+		t.Errorf("%d send faults for three sends to no node, want 3", got)
+	}
+	if d.pendCount != 0 || len(d.pend) != 0 {
+		t.Errorf("sends to no node left %d frames (%d pairs) pending", len(d.pend), d.pendCount)
 	}
 }

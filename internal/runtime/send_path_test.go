@@ -437,7 +437,7 @@ func (p *chainProc) Deliver(from node.ID, m node.Message) {
 func pingRegistry(t *testing.T, marshals *atomic.Int64) *wire.Registry {
 	t.Helper()
 	reg := wire.NewRegistry()
-	if err := reg.Register(wire.TypeTestPing, func(body []byte) (node.Message, error) {
+	if err := reg.Register(wire.TypeTestPing, func(body []byte, _ *wire.Arena) (node.Message, error) {
 		return countedMsg{body: append([]byte(nil), body...), marshals: marshals}, nil
 	}); err != nil {
 		t.Fatal(err)

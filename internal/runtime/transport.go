@@ -14,8 +14,8 @@
 //     one frame to many destinations: the driver encodes a broadcast once.
 //   - A frame from Recv/TryRecv is the receiver's until it hands the buffer
 //     back with the transport's Recycle, if it ever does, and must not be
-//     touched after that. Decoded messages copy every byte slice out of the
-//     frame, so nothing downstream aliases it.
+//     touched after that. A driver carves decoded messages, bytes and all,
+//     from its wire.Arena, so nothing downstream aliases the frame.
 //
 // # Per-link ordering
 //

@@ -33,7 +33,7 @@ func (m holdMsg) MarshalBinary() ([]byte, error) { return []byte(m), nil }
 func holdRegistry(t *testing.T) *wire.Registry {
 	t.Helper()
 	reg := wire.NewRegistry()
-	if err := reg.Register(wire.TypeTestPing, func(b []byte) (node.Message, error) { return holdMsg(b), nil }); err != nil {
+	if err := reg.Register(wire.TypeTestPing, func(b []byte, _ *wire.Arena) (node.Message, error) { return holdMsg(b), nil }); err != nil {
 		t.Fatal(err)
 	}
 	return reg

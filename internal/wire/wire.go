@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"delphi/internal/node"
 )
@@ -261,8 +262,50 @@ func VarintSize(v int64) int {
 	return UVarintSize(uv)
 }
 
-// Decoder reconstructs a message from its encoded body.
-type Decoder func(body []byte) (node.Message, error)
+// Decoder reconstructs a message from its encoded body, carved from a.
+type Decoder func(body []byte, a *Arena) (node.Message, error)
+
+// Arena is what decoders carve messages from: per Go type (message structs,
+// slice elements, bytes), one 512-byte chunk at a time, front to back. It is
+// carve-only: nothing is handed out twice, so a message never aliases a later
+// one and may be kept at will; a chunk is garbage once no message points into
+// it. A nil *Arena allocates each value alone. Not for concurrent use.
+type Arena struct{ chunks []any } // per T, a *[]T: the rest of its chunk
+
+// Make returns n zeroed Ts carved from a. A run of over a quarter chunk that
+// does not fit is allocated alone, wasting no chunk's rest and pinning none.
+func Make[T any](a *Arena, n int) (s []T) {
+	if a == nil {
+		return make([]T, n)
+	}
+	var c *[]T
+	for i := 0; c == nil && i < len(a.chunks); i++ {
+		c, _ = a.chunks[i].(*[]T)
+	}
+	if c == nil {
+		c = new([]T)
+		a.chunks = append(a.chunks, c)
+	}
+	if n > len(*c) {
+		size := 512 / max(1, int(unsafe.Sizeof(*new(T))))
+		if 4*n > size {
+			return make([]T, n)
+		}
+		*c = make([]T, size)
+	}
+	s, *c = (*c)[:n:n], (*c)[n:]
+	return s
+}
+
+// New returns a copy of v carved from a.
+func New[T any](a *Arena, v T) *T {
+	p := &Make[T](a, 1)[0]
+	*p = v
+	return p
+}
+
+// Copy returns a copy of b carved from a.
+func (a *Arena) Copy(b []byte) []byte { return append(Make[byte](a, len(b))[:0], b...) }
 
 // Registry maps wire-type bytes to decoders.
 type Registry struct {
@@ -285,15 +328,6 @@ func (g *Registry) Register(t uint8, d Decoder) error {
 	return nil
 }
 
-// Decode reconstructs the message with wire type t from body.
-func (g *Registry) Decode(t uint8, body []byte) (node.Message, error) {
-	d := g.decoders[t]
-	if d == nil {
-		return nil, fmt.Errorf("wire: unknown message type %d", t)
-	}
-	return d(body)
-}
-
 // Encode frames m as type byte followed by the marshalled body.
 func Encode(m node.Message) ([]byte, error) {
 	body, err := m.MarshalBinary()
@@ -308,9 +342,15 @@ func Encode(m node.Message) ([]byte, error) {
 
 // DecodeFramed splits a framed message into its type byte and body and
 // decodes it through the registry.
-func (g *Registry) DecodeFramed(frame []byte) (node.Message, error) {
+func (g *Registry) DecodeFramed(frame []byte) (node.Message, error) { return g.DecodeIn(frame, nil) }
+
+// DecodeIn is DecodeFramed carving the message from a.
+func (g *Registry) DecodeIn(frame []byte, a *Arena) (node.Message, error) {
 	if len(frame) < 1 {
 		return nil, ErrTruncated
 	}
-	return g.Decode(frame[0], frame[1:])
+	if d := g.decoders[frame[0]]; d != nil {
+		return d(frame[1:], a)
+	}
+	return nil, fmt.Errorf("wire: unknown message type %d", frame[0])
 }

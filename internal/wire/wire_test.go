@@ -2,8 +2,10 @@ package wire_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"delphi/internal/node"
 	"delphi/internal/wire"
@@ -112,7 +114,7 @@ func (m *pingMsg) MarshalBinary() ([]byte, error) {
 
 func TestRegistry(t *testing.T) {
 	reg := wire.NewRegistry()
-	dec := func(body []byte) (node.Message, error) {
+	dec := func(body []byte, _ *wire.Arena) (node.Message, error) {
 		r := wire.NewReader(body)
 		m := &pingMsg{v: r.U32()}
 		return m, r.Err()
@@ -139,5 +141,41 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := reg.DecodeFramed(nil); err == nil {
 		t.Error("empty frame accepted")
+	}
+}
+
+// TestArenaOversizedField: a field longer than a chunk, as a Byzantine
+// length prefix can claim, is allocated alone at exactly its own size. It
+// neither replaces nor pins the arena's chunk: the next short field is carved
+// right after the one before it.
+func TestArenaOversizedField(t *testing.T) {
+	var a wire.Arena
+	short := []byte("short")
+	before := a.Copy(short)
+	huge := make([]byte, 1<<20)
+	// The quietest of five copies: the counters are the whole process's.
+	var got []byte
+	mallocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 5 {
+		runtime.GC() // so that the copy starts no collection of its own
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		got = a.Copy(huge)
+		runtime.ReadMemStats(&m1)
+		mallocs, bytes = min(mallocs, m1.Mallocs-m0.Mallocs), min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if mallocs != 1 || bytes != uint64(len(huge)) {
+		t.Errorf("copying a %d-byte field made %d allocations of %d bytes, want one of exactly its size", len(huge), mallocs, bytes)
+	}
+	if len(got) != len(huge) || cap(got) != len(huge) {
+		t.Errorf("copy has len %d cap %d, want %d", len(got), cap(got), len(huge))
+	}
+	after := a.Copy(short)
+	if unsafe.SliceData(after) != (*byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(before)), len(before))) {
+		t.Error("the field after an oversized one was not carved right after the one before it")
+	}
+	var ids []uint64
+	if allocs := testing.AllocsPerRun(10, func() { ids = wire.Make[uint64](&a, 1<<17) }); allocs != 1 || len(ids) != 1<<17 {
+		t.Errorf("an oversized slice field: %.0f allocations, len %d", allocs, len(ids))
 	}
 }
