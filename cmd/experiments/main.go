@@ -18,8 +18,7 @@
 // worstcase. Every name is checked before anything runs, and a target named
 // twice runs once. Stdout holds only the targets' text; the timing lines go
 // to stderr. Quick scale (default) finishes in seconds; paper scale uses the
-// paper's axes (n up to 169): on two cores at seed 1, ~80 s for fig6a and
-// fig6b together, ~40 s for fig6c and ~10 s for fig7.
+// paper's axes (n up to 169).
 //
 // The targets up to ablations are the experiments of bench.Experiments.
 // They run as one batch of simulations in which a run two experiments
@@ -38,7 +37,8 @@
 //
 // Every run is checked where its outputs are assembled
 // (run.RunSpec.StatsFromOutputs): a run that breaks ε-agreement or
-// validity fails its target, on every backend.
+// validity, or a DORA certificate that does not verify, fails its target,
+// on every backend.
 //
 // -workers, -sessions, -backend and -sim-workers set the fields of the one
 // bench.Engine every target runs its trials on. Results are identical at

@@ -229,31 +229,19 @@ func RunLive(ctx context.Context, cfg Config, inputs []float64) ([]*Result, erro
 // per-node certificates, each verified against the PKI derived from
 // pkiSeed; it fails like RunLive, and on a certificate that does not verify.
 func RunLiveOracles(ctx context.Context, cfg Config, inputs []float64, pkiSeed uint64) ([]*Certificate, error) {
-	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("delphi: %d inputs for n=%d", len(inputs), cfg.N)
+	spec := runSpec(cfg, inputs)
+	spec.Protocol, spec.Seed = run.ProtoDora, int64(pkiSeed)
+	procs, err := spec.Processes()
+	if err != nil {
+		return nil, fmt.Errorf("delphi: %w", err)
 	}
-	keys := dora.GenKeyrings(cfg.N, pkiSeed)
-	procs := make([]node.Process, cfg.N)
-	for i, v := range inputs {
-		if math.IsNaN(v) {
-			continue
-		}
-		p, err := dora.New(cfg, keys[i], v)
-		if err != nil {
-			return nil, fmt.Errorf("delphi: oracle %d: %w", i, err)
-		}
-		procs[i] = p
-	}
-	finals, err := runLive(ctx, runSpec(cfg, inputs), procs, "delphi-dora-master")
+	finals, err := runLive(ctx, spec, procs, "delphi-dora-master")
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Certificate, cfg.N)
 	for i, v := range finals {
 		if c, ok := v.(Certificate); ok {
-			if err := c.Verify(keys[0].Pubs, cfg.F); err != nil {
-				return nil, fmt.Errorf("delphi: oracle %d certificate: %w", i, err)
-			}
 			out[i] = &c
 		}
 	}

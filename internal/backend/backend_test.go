@@ -111,6 +111,30 @@ func TestLiveBackendAllProtocols(t *testing.T) {
 	}
 }
 
+// TestLiveBackendOracles runs the DORA certificate round and Chakka et
+// al.'s baseline as live clusters: the run layer verifies every DORA
+// certificate, and Chakka's oracles agree on the SMR channel's first
+// submission.
+func TestLiveBackendOracles(t *testing.T) {
+	for _, proto := range []run.Protocol{run.ProtoDora, run.ProtoChakka} {
+		t.Run(string(proto), func(t *testing.T) {
+			const n, seed = 4, 42
+			spec := run.RunSpec{Protocol: proto, N: n, F: proto.Faults(n), Env: sim.AWS(), Seed: seed,
+				Inputs: bench.OracleInputs(n, 41000, 20, seed), Delphi: quickParams}
+			st, err := backend.Live{}.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Outputs) != n {
+				t.Errorf("outputs = %d, want %d", len(st.Outputs), n)
+			}
+			if proto == run.ProtoChakka && st.Spread != 0 {
+				t.Errorf("chakka spread %g, want 0: every oracle adopts one median", st.Spread)
+			}
+		})
+	}
+}
+
 // TestLiveBackendFaults exercises crash and Byzantine slots on the live
 // cluster: the honest majority must still decide.
 func TestLiveBackendFaults(t *testing.T) {

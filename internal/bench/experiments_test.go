@@ -84,7 +84,7 @@ func init() {
 // row, the compression ablation's compressed run is Fig. 6b's Delphi
 // δ=20$ at n=16, and the coin-cost ablation's pairing-coin FIN is Fig. 6c's
 // FIN at n=16. The whole table adds the matrix, two of whose trials are
-// the latency tail's.
+// the latency tail's, and Table 3's DORA and Chakka et al. runs.
 func TestExperimentsRunCount(t *testing.T) {
 	for _, c := range []struct {
 		names      []string
@@ -92,7 +92,7 @@ func TestExperimentsRunCount(t *testing.T) {
 	}{
 		{[]string{"table1", "table2", "fig6a", "fig6b", "fig6c", "fig7", "validity", "tail", "adversary", "ablations"}, 95, 87},
 		{[]string{"fig6a", "fig6b"}, 16, 12},
-		{experimentNames(), 119, 109},
+		{experimentNames(), 121, 111},
 	} {
 		planned := 0
 		for _, x := range Experiments() {
@@ -170,7 +170,7 @@ func TestRunSpecKey(t *testing.T) {
 			}
 		}
 	}
-	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev} {
+	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN, run.ProtoAbraham, run.ProtoDolev, run.ProtoDora, run.ProtoChakka} {
 		check(proto, same, differ)
 	}
 	check(run.ProtoDelphi, nil, map[string]func(*run.RunSpec){
@@ -178,10 +178,17 @@ func TestRunSpecKey(t *testing.T) {
 		"compression": func(s *run.RunSpec) { s.NoCompression = true },
 		"byzantine":   func(s *run.RunSpec) { s.Byzantine = 1 },
 	})
-	check(run.ProtoFIN, map[string]func(*run.RunSpec){
-		"params":      func(s *run.RunSpec) { s.Delphi = core.Params{} },
+	check(run.ProtoDora, nil, map[string]func(*run.RunSpec){
+		"Δ":           func(s *run.RunSpec) { s.Delphi.Delta = 256 },
 		"compression": func(s *run.RunSpec) { s.NoCompression = true },
-	}, nil)
+	})
+	for _, proto := range []run.Protocol{run.ProtoFIN, run.ProtoChakka} {
+		check(proto, map[string]func(*run.RunSpec){
+			"params":      func(s *run.RunSpec) { s.Delphi = core.Params{} },
+			"Δ":           func(s *run.RunSpec) { s.Delphi.Delta = 256 },
+			"compression": func(s *run.RunSpec) { s.NoCompression = true },
+		}, nil)
+	}
 	// A Byzantine slot runs its kind (only Delphi has Byzantine slots).
 	byz := func(kind run.ByzKind) string {
 		s := base(run.ProtoDelphi)

@@ -8,10 +8,8 @@ import (
 
 	"delphi/internal/core"
 	"delphi/internal/dora"
-	"delphi/internal/node"
 	"delphi/internal/run"
 	"delphi/internal/sim"
-	"delphi/internal/smr"
 )
 
 // TableRow is one measured row of a comparison table.
@@ -130,136 +128,61 @@ func table2(scale Scale, seed int64) Plan[*Table] {
 	return s
 }
 
-// oracleStats measures one oracle-reporting protocol for Table III: the
-// time to the first SMR submission or certificate, node-to-node and
-// on-chain bytes, node-side signs and verifies, the SMR channel's
-// verifications, and the distinct attested values (Delphi: <= 2).
-type oracleStats struct {
-	latency                                                       time.Duration
-	totalBytes                                                    int64
-	onChainBytes, signs, verifies, chainVerifies, distinctOutputs int
-}
-
 // table3 is the paper's Table III: Delphi's DORA layer vs the Chakka et al.
-// baseline, measured per attested value.
+// baseline, measured per attested value: node-to-node and on-chain bytes,
+// node-side signs and verifies, the SMR channel's verifications, the
+// distinct attested values (Delphi: <= 2), and the time to the first SMR
+// submission or the last certificate.
 func table3(scale Scale, seed int64) Plan[*Table] {
-	return Plan[*Table]{Reduce: func([]*run.RunStats) (*Table, error) {
-		n := 16
-		if scale == Paper {
-			n = 64
-		}
-		inputs := OracleInputs(n, 41000, 20, seed)
+	n := 16
+	if scale == Paper {
+		n = 64
+	}
+	inputs := OracleInputs(n, 41000, 20, seed)
+	var s Plan[*Table]
+	s.add(run.RunSpec{Protocol: run.ProtoChakka, N: n, F: run.ProtoChakka.Faults(n), Env: sim.AWS(), Seed: seed, Inputs: inputs},
+		"DORA (Chakka et al.)")
+	s.add(run.RunSpec{Protocol: run.ProtoDora, N: n, F: run.ProtoDora.Faults(n), Env: sim.AWS(), Seed: seed, Inputs: inputs,
+		Delphi: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 2000, Eps: 2}}, "Delphi + DORA layer")
+	s.Reduce = func(stats []*run.RunStats) (*Table, error) {
 		var rows []TableRow
-		for _, row := range []struct {
-			name string
-			run  func(n int, inputs []float64, seed int64) (*oracleStats, error)
-		}{
-			{"DORA (Chakka et al.)", runChakka},
-			{"Delphi + DORA layer", runDelphiDora},
-		} {
-			st, err := row.run(n, inputs, seed)
-			if err != nil {
-				return nil, fmt.Errorf("table3 %s: %w", row.name, err)
+		for i, st := range stats {
+			latency, onChain, chainVerifies := st.Latency, 0, 0
+			distinct := make(map[float64]bool)
+			for slot, v := range st.Finals {
+				switch out := v.(type) {
+				case dora.Certificate:
+					distinct[out.Value] = true
+					if slot == 0 {
+						onChain, chainVerifies = out.WireSizeEstimate(), len(out.Signers)
+					}
+				case dora.ChakkaSubmission:
+					if slot == 0 {
+						onChain = out.WireSize
+					}
+				}
 			}
-			rows = append(rows, TableRow{Name: row.name, Cells: []string{
-				fmt.Sprintf("%.2f", float64(st.totalBytes)/1e6),
-				fmt.Sprintf("%d", st.onChainBytes),
-				fmt.Sprintf("%d", st.signs),
-				fmt.Sprintf("%d", st.verifies),
-				fmt.Sprintf("%d", st.chainVerifies),
-				fmt.Sprintf("%d", st.distinctOutputs),
-				st.latency.Round(time.Millisecond).String(),
+			outputs := len(distinct)
+			ch := run.ChakkaChannel(st.Finals, st.DecidedAt)
+			if first, ok := ch.First(); ok {
+				// The SMR channel picks one list; every oracle adopts its
+				// median, so there is a single decided value, but any of the
+				// n submissions could have been first — the protocol admits
+				// O(n) possible outputs.
+				latency, chainVerifies, outputs = first.At, first.VerifyCost, ch.Len()
+			}
+			rows = append(rows, TableRow{Name: s.Labels[i], Cells: []string{
+				fmt.Sprintf("%.2f", float64(st.TotalBytes)/1e6),
+				fmt.Sprintf("%d", onChain),
+				fmt.Sprintf("%d", st.SigSigns),
+				fmt.Sprintf("%d", st.SigVerifies),
+				fmt.Sprintf("%d", chainVerifies),
+				fmt.Sprintf("%d", outputs),
+				latency.Round(time.Millisecond).String(),
 			}})
 		}
 		return newTable(fmt.Sprintf("table3 — Oracle reporting protocols, measured at n=%d, δ=20$", n),
 			[]string{"MB", "on-chain B", "signs", "verifies", "chain-verifies", "outputs", "latency"}, rows), nil
-	}}
-}
-
-// runOracles runs one oracle per input on the AWS testbed and returns the
-// run with each node's last output, the signature work charged to st.
-func runOracles(n int, inputs []float64, seed int64, st *oracleStats, newOracle func(dora.Keyring, float64) (node.Process, error), opts ...sim.Option) (*sim.Result, []any, error) {
-	keys := dora.GenKeyrings(n, uint64(seed))
-	procs := make([]node.Process, n)
-	for i, v := range inputs {
-		p, err := newOracle(keys[i], v)
-		if err != nil {
-			return nil, nil, err
-		}
-		procs[i] = p
 	}
-	runner, err := sim.NewRunner(node.Config{N: n, F: run.ProtoDelphi.Faults(n)}, sim.AWS(), seed, procs, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := runner.Run()
-	st.totalBytes = res.TotalBytes
-	outs := make([]any, n)
-	for i, ns := range res.Stats {
-		if len(ns.Output) == 0 {
-			return nil, nil, fmt.Errorf("oracle %d: no output", i)
-		}
-		outs[i] = ns.Output[len(ns.Output)-1]
-		st.signs += ns.Compute.SigSigns
-		st.verifies += ns.Compute.SigVerifies
-	}
-	return res, outs, nil
-}
-
-func runChakka(n int, inputs []float64, seed int64) (*oracleStats, error) {
-	st := &oracleStats{}
-	res, outs, err := runOracles(n, inputs, seed, st, func(k dora.Keyring, v float64) (node.Process, error) {
-		return dora.NewChakka(node.Config{N: n, F: run.ProtoDelphi.Faults(n)}, k, v)
-	})
-	if err != nil {
-		return nil, err
-	}
-	ch := &smr.Channel{}
-	for i, out := range outs {
-		sub, ok := out.(dora.ChakkaSubmission)
-		if !ok {
-			return nil, fmt.Errorf("oracle %d output type %T", i, out)
-		}
-		ch.Submit(smr.Submission{From: node.ID(i), At: res.Stats[i].OutputAt, Payload: nil, VerifyCost: sub.VerifyCost})
-		if i == 0 {
-			st.onChainBytes = sub.WireSize
-		}
-	}
-	first, _ := ch.First()
-	st.latency = first.At
-	st.chainVerifies = first.VerifyCost
-	// The SMR channel picks one list; every oracle adopts its median, so
-	// there is a single decided value, but any of the n submissions could
-	// have been first — the protocol admits O(n) possible outputs.
-	st.distinctOutputs = ch.Len()
-	return st, nil
-}
-
-func runDelphiDora(n int, inputs []float64, seed int64) (*oracleStats, error) {
-	st := &oracleStats{}
-	cfg := core.Config{
-		Config: node.Config{N: n, F: run.ProtoDelphi.Faults(n)},
-		Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 2000, Eps: 2},
-	}
-	res, outs, err := runOracles(n, inputs, seed, st, func(k dora.Keyring, v float64) (node.Process, error) {
-		return dora.New(cfg, k, v)
-	}, sim.WithMaxTime(time.Hour))
-	if err != nil {
-		return nil, err
-	}
-	distinct := make(map[float64]bool)
-	for i, out := range outs {
-		cert, ok := out.(dora.Certificate)
-		if !ok {
-			return nil, fmt.Errorf("oracle %d output type %T", i, out)
-		}
-		distinct[cert.Value] = true
-		st.latency = max(st.latency, res.Stats[i].OutputAt)
-		if i == 0 {
-			st.onChainBytes = cert.WireSizeEstimate()
-			st.chainVerifies = len(cert.Signers)
-		}
-	}
-	st.distinctOutputs = len(distinct)
-	return st, nil
+	return s
 }

@@ -24,6 +24,7 @@ import (
 	"delphi/internal/node"
 	"delphi/internal/obs"
 	"delphi/internal/sim"
+	"delphi/internal/smr"
 )
 
 // Protocol names a protocol under measurement.
@@ -39,7 +40,26 @@ const (
 	ProtoAbraham Protocol = "abraham"
 	// ProtoDolev is Dolev et al.'s n=5t+1 approximate agreement.
 	ProtoDolev Protocol = "dolev"
+	// ProtoDora is Delphi followed by the DORA certificate round: t+1
+	// signatures on the ε-rounded output.
+	ProtoDora Protocol = "dora"
+	// ProtoChakka is Chakka et al.'s oracle baseline: each node submits
+	// n−t signed raw inputs to the SMR channel (see ChakkaChannel).
+	ProtoChakka Protocol = "chakka"
 )
+
+// reads reports which of a spec's shared parameters the protocol reads:
+// delphi, Delphi's parameters and NoCompression, as Delphi itself; rounds,
+// only the halving-round count derived from them (RunSpec.rounds).
+func (p Protocol) reads() (delphi, rounds bool) {
+	switch p {
+	case ProtoDelphi, ProtoDora:
+		return true, false
+	case ProtoAbraham, ProtoDolev:
+		return false, true
+	}
+	return false, false
+}
 
 // Faults returns the protocol's fault budget at n nodes: the largest t it
 // tolerates, under n >= 5t+1 for Dolev et al. and n >= 3t+1 for the others.
@@ -62,17 +82,17 @@ type RunSpec struct {
 	Seed int64
 	// Inputs are the honest measurements (NaN = crashed node).
 	Inputs []float64
-	// Delphi holds Delphi's parameters. Abraham et al. and Dolev read them
-	// too, for their round count ceil(log2(Δ/ε)).
+	// Delphi holds Delphi's parameters, which DORA runs too. Abraham et al.
+	// and Dolev read them for their round count ceil(log2(Δ/ε)).
 	Delphi core.Params
 	// NoCompression disables Delphi's §II-C wire encoding (ablation).
 	NoCompression bool
 	// Byzantine replaces the highest Byzantine slots with actively
 	// adversarial processes (their Inputs entries are ignored). Byzantine
 	// nodes are excluded from the honest statistics, like crashed nodes.
-	// Only Delphi has Byzantine behaviours: under any other protocol a
-	// Byzantine slot is an error, and a NaN input (a crash) is the fault to
-	// inject instead.
+	// Only Delphi (alone or under DORA) has Byzantine behaviours: under any
+	// other protocol a Byzantine slot is an error, and a NaN input (a crash)
+	// is the fault to inject instead.
 	Byzantine int
 	// ByzKind selects the adversarial behaviour; the zero value is ByzSpam.
 	ByzKind ByzKind
@@ -131,7 +151,9 @@ type RunStats struct {
 	Spread float64
 	// MeanAbsErr is the mean |output − mean(honest inputs)| (§VI-E).
 	MeanAbsErr float64
-	// SigVerifies and Pairings total the charged crypto work.
+	// SigSigns, SigVerifies and Pairings total the charged crypto work
+	// (simulator only: the live backends charge none).
+	SigSigns    int
 	SigVerifies int
 	Pairings    int
 	// Backend records which backend produced the stats (zero = simulator).
@@ -235,19 +257,20 @@ func (s RunSpec) rounds() int {
 
 // Key identifies the run the spec describes: specs with one key produce
 // the same RunStats, so a batch runs them once. It zeroes every field the
-// protocol does not read (FIN reads no Delphi parameter, Abraham et al. and
-// Dolev read them only through rounds, whose count it prints instead, and a
+// protocol does not read (see Protocol.reads: a protocol that reads Delphi's
+// parameters only through rounds gets its count printed instead, and a
 // Byzantine kind matters only with Byzantine slots), drops Obs, which never
 // changes results, and prints the latency model by value.
 func (s RunSpec) Key() string {
 	k := s
 	k.Obs, k.Env.Latency = nil, nil
-	rounds := 0
-	if s.Protocol != ProtoDelphi {
+	delphi, readsRounds := s.Protocol.reads()
+	if !delphi {
 		k.Delphi, k.NoCompression = core.Params{}, false
-		if s.Protocol != ProtoFIN {
-			rounds = s.rounds()
-		}
+	}
+	rounds := 0
+	if readsRounds {
+		rounds = s.rounds()
 	}
 	if s.Byzantine == 0 {
 		k.ByzKind = ByzSpam
@@ -283,19 +306,29 @@ func (s RunSpec) byzProcess(i int) node.Process {
 	}
 }
 
+// keyrings derives the oracle protocols' PKI from the spec's seed.
+func (s RunSpec) keyrings() []dora.Keyring {
+	return dora.GenKeyrings(s.N, uint64(s.Seed))
+}
+
 // Processes builds the spec's node processes: protocol instances for the
 // live honest slots, adversarial processes for the Byzantine slots, and nil
 // entries for crashed (NaN-input) slots. The same processes run unchanged
 // under the simulator and the live runtime backends — node.Process is the
 // shared contract.
 func (s RunSpec) Processes() ([]node.Process, error) {
-	if s.Byzantine > 0 && s.Protocol != ProtoDelphi {
+	if delphi, _ := s.Protocol.reads(); s.Byzantine > 0 && !delphi {
 		return nil, fmt.Errorf("run: %s has no Byzantine behaviour; crash the slots (NaN inputs) instead", s.Protocol)
 	}
 	if len(s.Inputs) != s.N {
 		return nil, fmt.Errorf("run: %d inputs for n=%d", len(s.Inputs), s.N)
 	}
 	cfg := node.Config{N: s.N, F: s.F}
+	dcfg := core.Config{Config: cfg, Params: s.Delphi, DisableCompression: s.NoCompression}
+	var keys []dora.Keyring
+	if s.Protocol == ProtoDora || s.Protocol == ProtoChakka {
+		keys = s.keyrings()
+	}
 	procs := make([]node.Process, s.N)
 	for i, v := range s.Inputs {
 		if s.byzSlot(i) {
@@ -311,17 +344,17 @@ func (s RunSpec) Processes() ([]node.Process, error) {
 		)
 		switch s.Protocol {
 		case ProtoDelphi:
-			p, err = core.New(core.Config{
-				Config:             cfg,
-				Params:             s.Delphi,
-				DisableCompression: s.NoCompression,
-			}, v)
+			p, err = core.New(dcfg, v)
 		case ProtoFIN:
 			p, err = acs.New(acs.Config{Config: cfg, CoinSeed: uint64(s.Seed) + 0xc01}, v)
 		case ProtoAbraham:
 			p, err = aaa.NewAbraham(aaa.AbrahamConfig{Config: cfg, Rounds: s.rounds()}, v)
 		case ProtoDolev:
 			p, err = aaa.NewDolev(aaa.DolevConfig{N: s.N, F: s.F, Rounds: s.rounds()}, v)
+		case ProtoDora:
+			p, err = dora.New(dcfg, keys[i], v)
+		case ProtoChakka:
+			p, err = dora.NewChakka(cfg, keys[i], v)
 		default:
 			return nil, fmt.Errorf("run: unknown protocol %q", s.Protocol)
 		}
@@ -358,8 +391,12 @@ func (s RunSpec) HonestSlots() []int {
 //
 //   - ε-agreement: Spread ≤ ε;
 //   - validity: no honest output is NaN or lies outside the honest input
-//     range [lo, hi] by more than max(ρ0, hi−lo) for Delphi (its relaxed
-//     min-max validity) or at all for the baselines.
+//     range [lo, hi] by more than max(ρ0, hi−lo) for Delphi and DORA (its
+//     relaxed min-max validity) or at all for the baselines;
+//   - DORA: every honest certificate verifies against the spec's keyring;
+//   - Chakka et al.: each honest submission's own median is valid, and the
+//     output every oracle adopts, so the one checked for agreement, is the
+//     median of the submission ChakkaChannel orders first.
 //
 // Both bounds allow 1e-9 of float rounding.
 func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, error) {
@@ -379,11 +416,10 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 	}
 	honestMean := honestSum / float64(len(honest))
 	slack := ulps
-	if s.Protocol == ProtoDelphi {
+	if delphi, _ := s.Protocol.reads(); delphi {
 		slack += math.Max(s.Delphi.Rho0, inHi-inLo)
 	}
 	stats := &RunStats{Backend: s.Backend, Finals: finals, DecidedAt: at}
-	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, i := range honest {
 		if finals[i] == nil {
 			return nil, fmt.Errorf("run: %s node %d produced no output", s.Protocol, i)
@@ -400,6 +436,28 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 		if at[i] > stats.Latency {
 			stats.Latency = at[i]
 		}
+	}
+	switch s.Protocol {
+	case ProtoDora:
+		pubs := s.keyrings()[0].Pubs
+		for _, i := range honest {
+			cert, _ := finals[i].(dora.Certificate) // any other output has no signers
+			if err := cert.Verify(pubs, s.F); err != nil {
+				return nil, fmt.Errorf("run: dora node %d certificate: %w", i, err)
+			}
+		}
+	case ProtoChakka:
+		first, _ := ChakkaChannel(finals, at).First()
+		sub, ok := finals[first.From].(dora.ChakkaSubmission)
+		if !ok {
+			return nil, fmt.Errorf("run: chakka node %d output %T is not a submission", first.From, finals[first.From])
+		}
+		for k := range stats.Outputs {
+			stats.Outputs[k] = sub.Median()
+		}
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, out := range stats.Outputs {
 		lo = math.Min(lo, out)
 		hi = math.Max(hi, out)
 		stats.MeanAbsErr += math.Abs(out - honestMean)
@@ -528,6 +586,7 @@ func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 	stats.TotalBytes = res.TotalBytes
 	stats.TotalMsgs = res.TotalMsgs
 	for _, i := range spec.HonestSlots() {
+		stats.SigSigns += res.Stats[i].Compute.SigSigns
 		stats.SigVerifies += res.Stats[i].Compute.SigVerifies
 		stats.Pairings += res.Stats[i].Compute.Pairings
 	}
@@ -549,7 +608,24 @@ func extractOutput(v any) (float64, error) {
 		return r.Output, nil
 	case dora.Certificate:
 		return r.DelphiResult.Output, nil
+	case dora.ChakkaSubmission:
+		return r.Median(), nil
 	default:
 		return 0, fmt.Errorf("unexpected output type %T", v)
 	}
+}
+
+// ChakkaChannel submits every Chakka et al. submission among finals to an
+// SMR channel, from its slot at its decision time. Chakka et al.'s oracles
+// agree through the channel, not among themselves: every oracle adopts the
+// median of the channel's first submission. finals and at are slot-indexed,
+// as in RunStats.
+func ChakkaChannel(finals []any, at []time.Duration) *smr.Channel {
+	ch := &smr.Channel{}
+	for i, v := range finals {
+		if sub, ok := v.(dora.ChakkaSubmission); ok {
+			ch.Submit(smr.Submission{From: node.ID(i), At: at[i], VerifyCost: sub.VerifyCost})
+		}
+	}
+	return ch
 }

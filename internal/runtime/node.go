@@ -347,11 +347,12 @@ func (d *Driver) Run(ctx context.Context) error {
 			}
 			// The inbox looks dry, but frames are often only a scheduler
 			// slice away (a read loop holding a frame it has not enqueued
-			// yet). With output pending, yield once before sealing it:
-			// frames that land now are processed into the same batch,
-			// turning what would be several single-frame writes into one
-			// envelope. With nothing pending there is nothing to coalesce,
-			// so the driver goes straight to the blocking receive.
+			// yet). So yield once before sealing what is pending: frames
+			// that land now are processed into the same batch, turning what
+			// would be several single-frame writes into one envelope. The
+			// yield does not look at what is pending: a batching driver
+			// whose self-flush took nothing yields here even with no output
+			// pending, before it falls through to the blocking receive.
 			goruntime.Gosched()
 			f, ok = d.tr.TryRecv()
 		}

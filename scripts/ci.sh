@@ -37,6 +37,19 @@ if [[ -n "$inits" ]]; then
     exit 1
 fi
 
+# One simulator entry point: outside internal/sim itself, the run layer
+# (internal/run) and perf/ (its own module), no non-test Go file builds a
+# sim.NewRunner — every simulated run goes through run.Run and its checks.
+echo "== one simulator entry point =="
+runners=$(find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './perf/*' \
+    ! -path './internal/sim/*' ! -path './internal/run/*' -print0 |
+    xargs -0 grep -l 'sim\.NewRunner(' || true)
+if [[ -n "$runners" ]]; then
+    echo "sim.NewRunner called outside internal/run in:" >&2
+    echo "$runners" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
