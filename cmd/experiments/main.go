@@ -6,12 +6,10 @@
 //
 //	experiments [-scale quick|paper] [-seed N] [-workers K] [-run T1,T2]
 //	            [-backend sim|live|tcp] [-sessions=false] [-sim-workers K]
-//	            [-trace out.json] [-metrics out|-] [-pprof addr]
-//	            [-worstcase-objective latency|spread|events|bytes]
-//	            [-worstcase-replay] [-worstcase-trace prefix]
+//	            [-trace out.json] [-metrics out|-] [-worstcase-replay]
 //	            [fig4 fig5 table1 table2 table3 fig6a fig6b fig6c fig7
 //	             validity tail matrix adversary ablations
-//	             service trace worstcase | all]
+//	             service worstcase | all]
 //
 // Targets are selected positionally or with -run (comma-separated); the
 // two compose, and `all` anywhere in the list stands for every target but
@@ -27,44 +25,44 @@
 //
 //   - service runs the continuous-service oracle mode: deterministic on
 //     the simulator, a wall-clock soak on live/tcp.
-//   - trace runs one instrumented simulator trial and prints its metrics;
-//     -trace writes its Chrome trace-event JSON (Perfetto-loadable), the
-//     same bytes at any -sim-workers count.
 //   - worstcase searches the adversary space for each protocol's empirical
-//     worst case (-worstcase-objective), byte-identical across reruns and
-//     -sim-workers counts; -worstcase-trace and -worstcase-replay add each
-//     winner's evidence trace and a wall-clock loopback-tcp replay.
+//     worst-case decision latency, byte-identical across reruns and
+//     -sim-workers counts. With -trace out.json it writes each winner's
+//     evidence trace to out-<protocol>.json; -worstcase-replay adds a
+//     wall-clock loopback-tcp replay of each winner.
 //
 // Every run is checked where its outputs are assembled
 // (run.RunSpec.StatsFromOutputs): a run that breaks ε-agreement or
 // validity, or a DORA certificate that does not verify, fails its target,
 // on every backend.
 //
-// -workers, -sessions, -backend and -sim-workers set the fields of the one
-// bench.Engine every target runs its trials on. Results are identical at
-// any -workers count and with or without -sessions. -backend retargets the
-// experiments' runs onto the simulator (default) or a live goroutine
-// cluster or loopback tcp cluster, whose latencies are real time; so
+// -workers, -sessions, -backend, -sim-workers, -trace and -metrics set the
+// fields of the one bench.Engine every target runs its trials on. Results
+// are identical at any -workers count and with or without -sessions.
+// -backend retargets the runs onto the simulator (default) or a live
+// goroutine or loopback tcp cluster, whose latencies are real time; so
 // `-backend tcp -run matrix` is a checked tcp run, through one persistent
 // session per worker unless -sessions=false. -sim-workers routes simulator
 // runs through the parallel window executor, deterministic at any worker
-// count but only δ-window close to the sequential loop. -metrics writes the
-// recorder's metrics snapshot ("-" for stdout, *.json for JSON); -pprof
-// serves net/http/pprof.
+// count but only δ-window close to the sequential loop.
+//
+// -trace and -metrics attach one recorder to the engine. It records every
+// run of the selected targets, one trial at a time (-workers is then
+// ignored), and moves no printed result. -trace writes its Chrome
+// trace-event JSON (Perfetto-loadable), on the simulator the same bytes at
+// any -workers or -sim-workers count; -metrics writes its metrics snapshot
+// ("-" for stdout, *.json for JSON).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"time"
-
-	// Serve profiling endpoints on the -pprof address.
-	_ "net/http/pprof"
 
 	"delphi/internal/advsearch"
 	"delphi/internal/bench"
@@ -77,24 +75,16 @@ import (
 )
 
 // options is one parsed command line: the engine every target runs its
-// trials on, the experiment sizing, the per-target knobs, and what run
-// does around the targets.
+// trials on, the experiment sizing, the worstcase target's replay switch,
+// and where the engine's recorder is written.
 type options struct {
 	engine *bench.Engine
 	scale  bench.Scale
 	seed   int64
-	// worst carries the worstcase target's knobs.
-	worst struct {
-		objective, trace string
-		replay           bool
-	}
-	// rec is the run's shared recorder, created when -trace or -metrics
-	// asks for one; the instrumented targets (service, trace) attach it.
-	// Nil keeps every hook a free no-op.
-	rec *obs.Recorder
+	replay bool
 
-	targets                           []string
-	tracePath, metricsPath, pprofAddr string
+	targets                []string
+	tracePath, metricsPath string
 }
 
 func main() {
@@ -109,15 +99,10 @@ func execute(args []string) error {
 	if err != nil {
 		return err
 	}
-	if o.pprofAddr != "" {
-		go func() {
-			fmt.Fprintln(os.Stderr, "experiments: pprof:", http.ListenAndServe(o.pprofAddr, nil))
-		}()
-	}
 	if err := runTargets(o, os.Stdout); err != nil {
 		return err
 	}
-	return writeObs(o.rec, o.tracePath, o.metricsPath)
+	return writeObs(o.engine.Obs, o.tracePath, o.metricsPath)
 }
 
 // parseArgs parses a command line into the options its targets run with.
@@ -131,12 +116,9 @@ func parseArgs(args []string) (*options, error) {
 	backendFlag := fs.String("backend", "sim", "execution backend for the workloads: sim, live, or tcp")
 	sessions := fs.Bool("sessions", true, "reuse backend substrates (listeners, hubs, sim storage) across a cell's trials")
 	fs.IntVar(&o.engine.SimWorkers, "sim-workers", 0, "parallel window executor shard workers for sim runs (0 = sequential)")
-	fs.StringVar(&o.worst.objective, "worstcase-objective", "latency", "worstcase target: maximised metric, latency, spread, events, or bytes")
-	fs.BoolVar(&o.worst.replay, "worstcase-replay", false, "worstcase target: validate each winner on the loopback-tcp backend (wall-clock)")
-	fs.StringVar(&o.worst.trace, "worstcase-trace", "", "worstcase target: write each winner's evidence trace to PREFIX-<protocol>.json")
-	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the instrumented targets")
-	fs.StringVar(&o.metricsPath, "metrics", "", "write the metrics snapshot: '-' for text on stdout, *.json for JSON, else text to the path")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	fs.BoolVar(&o.replay, "worstcase-replay", false, "worstcase target: validate each winner on the loopback-tcp backend (wall-clock)")
+	fs.StringVar(&o.tracePath, "trace", "", "record every run and write a Chrome trace-event JSON (Perfetto-loadable); worstcase adds PATH-<protocol>.json")
+	fs.StringVar(&o.metricsPath, "metrics", "", "record every run and write the metrics snapshot: '-' for text on stdout, *.json for JSON, else text to the path")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -155,19 +137,17 @@ func parseArgs(args []string) (*options, error) {
 		return nil, fmt.Errorf("unknown scale %q (want quick or paper)", *scaleFlag)
 	}
 	if o.tracePath != "" || o.metricsPath != "" {
-		o.rec = obs.New()
+		o.engine.Obs = obs.New()
 	}
 
-	// Every experiment, then every command; `all` is each of them but
+	// Every experiment, then the commands; `all` is each of them but
 	// worstcase, the adversary-space search.
-	var known []string
+	var all []string
 	for _, x := range bench.Experiments() {
-		known = append(known, x.Name)
+		all = append(all, x.Name)
 	}
-	for _, c := range commands() {
-		known = append(known, c.name)
-	}
-	all := slices.DeleteFunc(slices.Clone(known), func(t string) bool { return t == "worstcase" })
+	all = append(all, "service")
+	known := append(slices.Clone(all), "worstcase")
 	targets := fs.Args()
 	for _, t := range strings.Split(*runFlag, ",") {
 		if t = strings.TrimSpace(t); t != "" {
@@ -193,30 +173,15 @@ func parseArgs(args []string) (*options, error) {
 	return o, nil
 }
 
-// command is a target that reads command-line flags; every other target is
-// an experiment of bench.Experiments.
-type command struct {
-	name string
-	run  func(*options) (string, error)
-}
-
-// commands lists the commands in the order `all` runs them, after the
-// experiments.
-func commands() []command {
-	return []command{
-		{"service", runService},
-		{"trace", runTrace},
-		{"worstcase", runWorstcase},
-	}
-}
-
-// lookup returns the run function of the command named name, or nil when
-// name is an experiment.
-func lookup(name string) func(*options) (string, error) {
-	for _, c := range commands() {
-		if c.name == name {
-			return c.run
-		}
+// command returns the run function of the command named name, a target
+// that reads command-line flags, or nil when name is an experiment of
+// bench.Experiments.
+func command(name string) func(*options) (string, error) {
+	switch name {
+	case "service":
+		return runService
+	case "worstcase":
+		return runWorstcase
 	}
 	return nil
 }
@@ -228,7 +193,7 @@ func lookup(name string) func(*options) (string, error) {
 func runTargets(o *options, w io.Writer) error {
 	var names []string
 	for _, t := range o.targets {
-		if lookup(t) == nil {
+		if command(t) == nil {
 			names = append(names, t)
 		}
 	}
@@ -249,7 +214,7 @@ func runTargets(o *options, w io.Writer) error {
 		if !ok {
 			start := time.Now()
 			var err error
-			if text, err = lookup(t)(o); err != nil {
+			if text, err = command(t)(o); err != nil {
 				return fmt.Errorf("%s: %w", t, err)
 			}
 			fmt.Fprintf(os.Stderr, "[%s completed in %s]\n", t, time.Since(start).Round(time.Millisecond))
@@ -331,7 +296,6 @@ func runService(o *options) (string, error) {
 			Jitter: dist.Lognormal{Mu: 2, Sigma: 0.5},
 		},
 		Representatives: 8,
-		Obs:             o.rec,
 	}, o.seed)
 	if err != nil {
 		return "", err
@@ -339,47 +303,9 @@ func runService(o *options) (string, error) {
 	return rep.Text(), nil
 }
 
-// runTrace runs one instrumented simulator trial, Delphi at n=8 (16 at
-// paper scale) on the AWS testbed with Δ=64$ and δ=20$: protocol phase
-// spans land on per-node virtual-clock tracks, driver flushes and sim
-// internals on their own, and the metrics registry collects the counters.
-// It prints the metrics snapshot (deterministic on the simulator); -trace
-// captures the spans. Without -trace or -metrics it still runs, on its own
-// recorder, so the instrumented path is exercised either way. With
-// -sim-workers K the trial goes through the parallel executor; the trace
-// bytes are identical at any K — scripts/ci.sh gates exactly that.
-func runTrace(o *options) (string, error) {
-	rec := o.rec
-	if rec == nil {
-		rec = obs.New()
-	}
-	n := 8
-	if o.scale == bench.Paper {
-		n = 16
-	}
-	spec := run.RunSpec{
-		Protocol: run.ProtoDelphi, N: n, F: run.ProtoDelphi.Faults(n), Env: sim.AWS(), Seed: o.seed,
-		Inputs: bench.OracleInputs(n, 41000, 20, o.seed), Delphi: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2},
-		SimWorkers: o.engine.SimWorkers, Obs: rec,
-	}
-	st, err := run.Run(spec)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace — Delphi n=%d on the simulator: %d trace events\n", spec.N, rec.EventCount())
-	b.WriteString("metrics:\n")
-	for _, m := range st.Metrics {
-		line := &strings.Builder{}
-		_ = obs.Metrics{m}.WriteText(line)
-		b.WriteString("  " + line.String())
-	}
-	return b.String(), nil
-}
-
 // runWorstcase searches the adversary space for each protocol's empirical
-// worst case and prints the profiles. Everything printed here is a pure
-// function of (scale, seed, objective) on the simulator; the tcp replay
+// worst-case decision latency and prints the profiles. Everything printed
+// here is a pure function of (scale, seed) on the simulator; the tcp replay
 // lines are real wall-clock measurements and print only under
 // -worstcase-replay so the deterministic output stays gateable.
 func runWorstcase(o *options) (string, error) {
@@ -395,7 +321,7 @@ func runWorstcase(o *options) (string, error) {
 			Protocol:    proto,
 			N:           n,
 			Seed:        o.seed,
-			Objective:   advsearch.Objective(o.worst.objective),
+			Objective:   advsearch.ObjLatency,
 			Rungs:       rungs,
 			AnnealSteps: anneal,
 			SimWorkers:  o.engine.SimWorkers,
@@ -404,14 +330,14 @@ func runWorstcase(o *options) (string, error) {
 			return "", err
 		}
 		b.WriteString(p.Text())
-		if o.worst.trace != "" {
-			path := fmt.Sprintf("%s-%s.json", o.worst.trace, proto)
+		if o.tracePath != "" {
+			path := fmt.Sprintf("%s-%s.json", strings.TrimSuffix(o.tracePath, filepath.Ext(o.tracePath)), proto)
 			if err := os.WriteFile(path, p.Trace, 0o644); err != nil {
 				return "", fmt.Errorf("write evidence trace: %w", err)
 			}
 			fmt.Fprintf(&b, "  [evidence trace: %d events -> %s]\n", p.TraceEvents, path)
 		}
-		if o.worst.replay {
+		if o.replay {
 			res, err := p.ReplayTCP(advsearch.ReplayConfig{})
 			if err != nil {
 				return "", fmt.Errorf("tcp replay: %w", err)

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -173,10 +176,10 @@ func TestRunFlagSelectsTargets(t *testing.T) {
 		{[]string{"-run", "fig6a,typo"}, nil},
 		{[]string{"-run", "fig6a,all"}, append([]string{"fig6a", "fig4", "fig5", "table1", "table2", "table3", "fig6b"},
 			"fig6c", "fig7", "validity", "tail", "matrix", "adversary", "ablations",
-			"service", "trace")},
+			"service")},
 		{[]string{"worstcase", "all"}, []string{"worstcase", "fig4", "fig5", "table1", "table2", "table3", "fig6a",
 			"fig6b", "fig6c", "fig7", "validity", "tail", "matrix", "adversary", "ablations",
-			"service", "trace"}},
+			"service"}},
 	} {
 		o, err := parseArgs(c.args)
 		switch {
@@ -210,10 +213,66 @@ func TestFlagsReachEngine(t *testing.T) {
 	}
 }
 
-// defaultOptions returns the options of a command line with no flags.
-func defaultOptions(t *testing.T) *options {
+// TestTraceTableTarget pins -trace on a table target: the engine's
+// recorder records table2's runs, the trace bytes are the same at any
+// -workers and -sim-workers count, and the printed text is the untraced
+// run's.
+func TestTraceTableTarget(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	untraced := defaultOptions(t, "-sim-workers", "1", "-run", "table2")
+	want, err := runText(untraced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for _, workers := range [][]string{{"-workers", "1", "-sim-workers", "1"}, {"-workers", "8", "-sim-workers", "4"}} {
+		o := defaultOptions(t, append(workers, "-run", "table2", "-trace", path)...)
+		text, err := runText(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text != want {
+			t.Errorf("%v: traced text differs from the untraced run:\n%s\nvs\n%s", workers, text, want)
+		}
+		if err := writeObs(o.engine.Obs, o.tracePath, o.metricsPath); err != nil {
+			t.Fatal(err)
+		}
+		if o.engine.Obs.EventCount() == 0 {
+			t.Fatalf("%v: the trace recorded no events", workers)
+		}
+		trace, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = trace
+		} else if !bytes.Equal(trace, first) {
+			t.Errorf("%v: trace bytes differ from the first run's", workers)
+		}
+	}
+}
+
+// TestWorstcaseEvidenceTraces pins -trace on the worstcase target: each
+// protocol's winner writes its evidence trace beside the trace path.
+func TestWorstcaseEvidenceTraces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("adversary-space search (about 2 s)")
+	}
+	dir := t.TempDir()
+	if _, err := runText(defaultOptions(t, "-run", "worstcase", "-trace", filepath.Join(dir, "x.json"))); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"x-delphi.json", "x-fin.json"} {
+		if b, err := os.ReadFile(filepath.Join(dir, name)); err != nil || len(b) == 0 {
+			t.Errorf("%s: %d bytes, %v", name, len(b), err)
+		}
+	}
+}
+
+// defaultOptions returns the options of a command line made of args alone.
+func defaultOptions(t *testing.T, args ...string) *options {
 	t.Helper()
-	o, err := parseArgs(nil)
+	o, err := parseArgs(args)
 	if err != nil {
 		t.Fatal(err)
 	}

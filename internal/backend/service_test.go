@@ -354,9 +354,8 @@ func TestServiceLiveMetricsAccounting(t *testing.T) {
 		Queue:           40,
 		Subscribers:     servicePopulation(),
 		Representatives: 4,
-		Obs:             rec,
 	}
-	rep, err := bench.NewEngine(1).RunService(cfg, 21)
+	rep, err := (&bench.Engine{Obs: rec}).RunService(cfg, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

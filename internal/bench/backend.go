@@ -161,7 +161,7 @@ func ParseBackend(name string) (run.BackendKind, error) {
 }
 
 // runSpec dispatches a spec to its backend, filling the fields it leaves
-// zero from e: Backend, then SimWorkers. It routes the spec through c's
+// zero from e: Backend, SimWorkers and Obs. It routes the spec through c's
 // persistent session for its cell when the backend supports sessions
 // (c == nil forces per-trial setup). Sessions amortise setup only — a
 // trial's result is identical either way, so worker count and session
@@ -178,6 +178,9 @@ func (e *Engine) runSpec(spec run.RunSpec, c *sessionCache) (*run.RunStats, erro
 	}
 	if spec.SimWorkers == 0 {
 		spec.SimWorkers = e.SimWorkers
+	}
+	if spec.Obs == nil {
+		spec.Obs = e.Obs
 	}
 	b, err := lookupBackend(kind)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"delphi/internal/dist"
+	"delphi/internal/obs"
 	"delphi/internal/run"
 )
 
@@ -23,13 +24,14 @@ import (
 // process-wide settings. The zero value is ready to use.
 type Engine struct {
 	// Workers bounds the number of concurrent trials; <= 0 means
-	// GOMAXPROCS.
+	// GOMAXPROCS. It is ignored while Obs is set: a recorder runs one
+	// trial at a time.
 	Workers int
 	// DisableSessions forces per-trial backend setup: every trial opens
 	// and tears down its own substrate (listeners, connections, simulator
 	// storage) even on backends with session support. Sessions never
-	// change results — this switch exists for the setup-cost benchmarks
-	// and as an escape hatch.
+	// change results; the switch lets a run check exactly that (ci.sh's
+	// `-sessions=false -run matrix` gate).
 	DisableSessions bool
 	// Backend runs every spec (and service config) whose Backend is empty;
 	// the zero value is the simulator.
@@ -37,6 +39,10 @@ type Engine struct {
 	// SimWorkers is the parallel window executor's worker count for every
 	// sim-backed spec whose SimWorkers is zero; 0 keeps the sequential loop.
 	SimWorkers int
+	// Obs records every spec whose Obs is nil, and every service run. The
+	// trials then run one at a time, so tracks are created in spec order
+	// and a sim trace's bytes are the same at any Workers count.
+	Obs *obs.Recorder
 }
 
 // NewEngine returns an engine with the given worker count (<= 0 for
@@ -44,6 +50,9 @@ type Engine struct {
 func NewEngine(workers int) *Engine { return &Engine{Workers: workers} }
 
 func (e *Engine) workers() int {
+	if e.Obs != nil {
+		return 1
+	}
 	if e.Workers > 0 {
 		return e.Workers
 	}

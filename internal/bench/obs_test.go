@@ -62,6 +62,8 @@ func runTraced(t *testing.T, spec run.RunSpec) (*run.RunStats, []byte) {
 // (each traced run's golden line equals its untraced twin's; sequential and
 // parallel baselines are kept separate because the parallel window executor
 // legitimately produces its own — worker-count-independent — schedule).
+// An Engine's recorder holds the same bytes: a traced batch at Workers 8
+// runs its trials in order.
 func TestSimTraceDeterminism(t *testing.T) {
 	for _, adv := range []netadv.Adversary{{}, {Kind: netadv.JitterStorm}} {
 		t.Run(fmt.Sprintf("%s", adv), func(t *testing.T) {
@@ -101,6 +103,41 @@ func TestSimTraceDeterminism(t *testing.T) {
 					t.Errorf("workers=%d: trace bytes differ from workers=1", workers)
 				}
 			}
+
+			// The engine's recorder: a batch at Workers 8 traces exactly as
+			// its trials run one after another on one recorder.
+			seq := obs.New()
+			var wantLines []string
+			for i := range 3 {
+				spec := traceCell(adv, 4)
+				spec.Seed = run.TrialSeed(spec.Seed, i)
+				spec.Obs = seq
+				st, err := run.Run(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantLines = append(wantLines, goldenLine(spec, st))
+			}
+			eng := &Engine{Obs: obs.New(), Workers: 8}
+			sts, err := eng.RunTrials(traceCell(adv, 4), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range sts {
+				if got := goldenLine(traceCell(adv, 4), st); got != wantLines[i] {
+					t.Errorf("engine trial %d: results diverged:\n got %s\nwant %s", i, got, wantLines[i])
+				}
+			}
+			var want, got bytes.Buffer
+			if err := seq.WriteTrace(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Obs.WriteTrace(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Error("engine batch at Workers 8: trace bytes differ from its trials run in order")
+			}
 		})
 	}
 }
@@ -108,7 +145,7 @@ func TestSimTraceDeterminism(t *testing.T) {
 // obsServiceConfig is the sim service cell the observability service tests
 // drive: rate and window chosen so the run exercises queueing, shedding,
 // and fan-out all at once.
-func obsServiceConfig(rec *obs.Recorder) ServiceConfig {
+func obsServiceConfig() ServiceConfig {
 	return ServiceConfig{
 		Scenario: Scenario{
 			Name: "svc-obs", Protocol: run.ProtoDelphi, N: 8, Env: sim.AWS(),
@@ -124,7 +161,6 @@ func obsServiceConfig(rec *obs.Recorder) ServiceConfig {
 			Jitter: dist.Lognormal{Mu: 2, Sigma: 0.5},
 		},
 		Representatives: 3,
-		Obs:             rec,
 	}
 }
 
@@ -148,8 +184,8 @@ func serviceTrack(t *testing.T, rec *obs.Recorder) *obs.Track {
 // reported staleness.
 func TestServiceSimSpanDecomposition(t *testing.T) {
 	rec := obs.New()
-	cfg := obsServiceConfig(rec)
-	rep, err := NewEngine(4).RunService(cfg, 42)
+	cfg := obsServiceConfig()
+	rep, err := (&Engine{Obs: rec}).RunService(cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +266,8 @@ func TestServiceSimSpanDecomposition(t *testing.T) {
 // shed, or failed; every decided round fanned out to every representative,
 // delivered or shed by the subscriber.
 func TestServiceSimMetricsAccounting(t *testing.T) {
-	rec := obs.New()
-	cfg := obsServiceConfig(rec)
-	rep, err := NewEngine(1).RunService(cfg, 42)
+	cfg := obsServiceConfig()
+	rep, err := (&Engine{Obs: obs.New()}).RunService(cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 	"delphi/internal/run"
 )
 
-// This file is the continuous-service oracle mode (ROADMAP item 3): instead
-// of one-shot agreement trials, a Service drives an open-loop arrival
-// process of agreement rounds over a persistent backend session, admits a
-// bounded window of concurrent in-flight instances with explicit
-// backpressure, and fans decided rounds out to a modeled subscriber
-// population with end-to-end staleness measurement.
+// This file is the continuous-service oracle mode: instead of one-shot
+// agreement trials, a Service drives an open-loop arrival process of
+// agreement rounds over a persistent backend session, admits a bounded
+// window of concurrent in-flight instances with explicit backpressure,
+// and fans decided rounds out to a modeled subscriber population with
+// end-to-end staleness measurement.
 //
 // Two execution models share the configuration and report:
 //
@@ -85,10 +85,6 @@ type ServiceConfig struct {
 	// Queue bounds the waiting room for rounds arriving with the window
 	// full; beyond it arrivals are shed. 0 means shed immediately.
 	Queue int
-	// Duration optionally caps a live service run: arrivals stop once the
-	// wall clock passes it, even with Rounds unserved. Ignored by the
-	// simulator (virtual time is free).
-	Duration time.Duration
 	// Subscribers models the client population fed by decided rounds.
 	// Size 0 disables the fan-out stage.
 	Subscribers feeds.Population
@@ -96,18 +92,6 @@ type ServiceConfig struct {
 	// the population (0 means the default, 8); the rest are modeled through
 	// Subscribers.Delay.
 	Representatives int
-	// Obs, when non-nil, records the service's round lifecycle on a
-	// "service" trace track — svc.queue (arrival → start), svc.round
-	// (start → decision), and svc.fanout (decision → subscriber-visible)
-	// spans whose durations decompose each staleness sample — plus the
-	// drop/shed accounting counters. The simulator model drives the track
-	// on the virtual clock and records the overlay only (rounds run
-	// through the parallel batch engine, where shared-track creation order
-	// would not be deterministic), so its trace bytes are reproducible.
-	// Live backends use the wall clock and additionally attach the
-	// recorder to every round's RunSpec, so protocol phases land on
-	// per-node tracks. ServiceReport.Metrics carries the final snapshot.
-	Obs *obs.Recorder
 }
 
 func (c ServiceConfig) window() int {
@@ -147,9 +131,7 @@ func (c ServiceConfig) Validate() error {
 }
 
 // ServiceReport is a service run's accounting and measurements. Every
-// arrival is accounted exactly once: Arrived == Decided + Shed + Failed
-// (plus, on a Duration-capped live run, arrivals never generated are simply
-// not in Arrived).
+// arrival is accounted exactly once: Arrived == Decided + Shed + Failed.
 type ServiceReport struct {
 	// Backend records the executing backend.
 	Backend run.BackendKind
@@ -182,8 +164,8 @@ type ServiceReport struct {
 	// representative subscribers and updates shed by their bounded
 	// buffers.
 	DeliveredUpdates, SubDropped uint64
-	// Metrics is the recorder's snapshot when the config carried one (see
-	// ServiceConfig.Obs); nil otherwise. Excluded from Fingerprint: the
+	// Metrics is the recorder's snapshot when the engine carried one (see
+	// Engine.RunService); nil otherwise. Excluded from Fingerprint: the
 	// snapshot may include wall-clock and worker-count-dependent readings
 	// that carry no byte-identity guarantee.
 	Metrics obs.Metrics
@@ -237,6 +219,15 @@ func (r *ServiceReport) Text() string {
 // RunService executes one continuous-service run and returns its report.
 // Simulator cells run the deterministic queueing model; live and tcp cells
 // run concurrent rounds on one of internal/backend's service sessions.
+//
+// When e.Obs is set it records every round's protocol phases on per-node
+// tracks, and the service's round lifecycle on a "service" track:
+// svc.queue (arrival → start), svc.round (start → decision) and svc.fanout
+// (decision → subscriber-visible) spans, whose durations decompose each
+// staleness sample, plus the drop and shed counters. The simulator model
+// drives that track on the virtual clock, so its trace bytes are
+// reproducible; live backends use the wall clock. ServiceReport.Metrics
+// carries the final snapshot.
 func (e *Engine) RunService(cfg ServiceConfig, seed int64) (*ServiceReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -255,7 +246,7 @@ func (e *Engine) RunService(cfg ServiceConfig, seed int64) (*ServiceReport, erro
 	if b.service == nil {
 		return nil, fmt.Errorf("bench: backend %q has no service support", kind)
 	}
-	return runServiceLive(cfg, kind, seed, b.service)
+	return e.runServiceLive(cfg, kind, seed, b.service)
 }
 
 // interarrival returns arrival i's gap in seconds, a pure function of
@@ -416,7 +407,7 @@ func (e *Engine) runServiceSim(cfg ServiceConfig, seed int64) (*ServiceReport, e
 	// single-threaded overlay, so the emitted bytes are pure functions of
 	// (cfg, seed). vns converts overlay seconds to track nanoseconds.
 	var svcNow int64
-	track := cfg.Obs.NewTrack("service", &svcNow)
+	track := e.Obs.NewTrack("service", &svcNow)
 	vns := func(sec float64) int64 { return int64(sec * 1e9) }
 	startAt := make([]float64, cfg.Rounds)
 
@@ -477,16 +468,17 @@ func (e *Engine) runServiceSim(cfg ServiceConfig, seed int64) (*ServiceReport, e
 	if span > 0 {
 		rep.RoundsPerSec = float64(rep.Decided) / span
 	}
-	rep.finishMetrics(cfg.Obs)
+	rep.finishMetrics(e.Obs)
 	return rep, nil
 }
 
 // runServiceLive drives real concurrent rounds over one persistent service
 // substrate, paced by the wall clock, with a live fan-out stage.
-func runServiceLive(cfg ServiceConfig, kind run.BackendKind, seed int64, open run.ServiceOpen) (*ServiceReport, error) {
+func (e *Engine) runServiceLive(cfg ServiceConfig, kind run.BackendKind, seed int64, open run.ServiceOpen) (*ServiceReport, error) {
+	rec := e.Obs
 	spec0 := cfg.Scenario.Spec(seed, 0)
 	spec0.Backend = kind
-	spec0.Obs = cfg.Obs // lets the opener observe its fabric and demux
+	spec0.Obs = rec // lets the opener observe its fabric and demux
 	runner, err := open(spec0, 0)
 	if err != nil {
 		return nil, fmt.Errorf("bench: open %s service: %w", kind, err)
@@ -499,7 +491,6 @@ func runServiceLive(cfg ServiceConfig, kind run.BackendKind, seed int64, open ru
 
 	// Round-lifecycle trace on the wall clock. runRound goroutines and
 	// subscriber goroutines all write here, hence the shared track.
-	rec := cfg.Obs
 	track := rec.SharedTrack("service")
 
 	// Representative subscribers: each records per-delivery staleness =
@@ -556,7 +547,7 @@ func runServiceLive(cfg ServiceConfig, kind run.BackendKind, seed int64, open ru
 		arrived := arrivedAt[round]
 		spec := cfg.Scenario.Spec(seed, round)
 		spec.Backend = kind
-		spec.Obs = cfg.Obs
+		spec.Obs = rec
 		started := time.Now()
 		st, err := runner.RunRound(spec)
 		decided := time.Now()
@@ -606,9 +597,6 @@ func runServiceLive(cfg ServiceConfig, kind run.BackendKind, seed int64, open ru
 		if d := time.Until(next); d > 0 {
 			time.Sleep(d)
 		}
-		if cfg.Duration > 0 && time.Since(begin) > cfg.Duration {
-			break
-		}
 		mu.Lock()
 		arrivedAt[i] = time.Now()
 		start, shed := adm.arrive(i)
@@ -640,7 +628,7 @@ func runServiceLive(cfg ServiceConfig, kind run.BackendKind, seed int64, open ru
 	// The observed fabric and demux increment transport.drops and
 	// mux.stale_frames live; finishMetrics adds only the service- and
 	// fan-out-level tallies, so nothing is double counted.
-	rep.finishMetrics(cfg.Obs)
+	rep.finishMetrics(rec)
 	if rep.Decided == 0 && firstErr != nil {
 		return nil, firstErr
 	}

@@ -302,8 +302,9 @@ go test ./internal/backend -race -short -count=1 -run 'TestServiceTCPSoak|TestOn
 #      entirely untraced).
 #   2. Span decomposition + accounting identity on the service model.
 #   3. Zero-alloc regression on the disabled driver/transport hot paths.
-#   4. Trace determinism (CLI level): the `trace` target's exported
-#      Perfetto JSON is byte-identical across -sim-workers 1/4/8.
+#   4. Trace determinism (CLI level): `-run table2 -trace` records every
+#      run of a table target, and its Perfetto JSON is non-empty and
+#      byte-identical across -workers and -sim-workers 1/4/8.
 echo "== observability gate =="
 go test ./internal/bench -count=1 \
     -run 'TestSimTraceDeterminism|TestServiceSimSpanDecomposition|TestServiceSimMetricsAccounting|TestRunStatsMetricsSnapshot'
@@ -311,11 +312,15 @@ go test ./internal/runtime -count=1 -run 'TestDisabledObs'
 tr1=$(mktemp)
 tr2=$(mktemp)
 trap 'rm -f "$adv1" "$adv2" "${svc1:-}" "${svc2:-}" "$tr1" "$tr2"' EXIT
-go run ./cmd/experiments -scale quick -seed 1 -sim-workers 1 -run trace -trace "$tr1" > /dev/null
+go run ./cmd/experiments -scale quick -seed 1 -workers 1 -sim-workers 1 -run table2 -trace "$tr1" > /dev/null
+if ! grep -q '"ph"' "$tr1"; then
+    echo "-run table2 -trace recorded no events" >&2
+    exit 1
+fi
 for w in 4 8; do
-    go run ./cmd/experiments -scale quick -seed 1 -sim-workers "$w" -run trace -trace "$tr2" > /dev/null
+    go run ./cmd/experiments -scale quick -seed 1 -workers "$w" -sim-workers "$w" -run table2 -trace "$tr2" > /dev/null
     if ! cmp -s "$tr1" "$tr2"; then
-        echo "trace bytes differ between -sim-workers 1 and $w" >&2
+        echo "trace bytes differ between -workers/-sim-workers 1 and $w" >&2
         exit 1
     fi
 done
