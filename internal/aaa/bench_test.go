@@ -42,7 +42,10 @@ func abrahamRun(b *testing.B, n, rounds int, seed int64) int {
 // BenchmarkAbraham pins the per-event cost of the Abraham et al. baseline
 // at a small, a mid and a paper-scale size. Run with -benchmem: RBC vote
 // counting and the witness check are the per-event hot path, so allocation
-// regressions surface here first.
+// regressions surface here first. A round's ECHOs and READYs count in one
+// tag row (instances by initiator, voter sets in one slab), and on the
+// simulator every vote's payload is its initiator's own slice, matched by
+// identity before any byte compare.
 func BenchmarkAbraham(b *testing.B) {
 	for _, n := range []int{16, 40, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -5,11 +5,12 @@
 // the FIN-style ACS baseline.
 //
 // Many instances run concurrently, multiplexed by an instance id that is
-// the ACS slot: ids are [0, n), and the engine keeps the instances in a
-// slice by slot. A BVAL or AUX naming an instance outside [0, n), or a round
-// of 0 or above MaxRounds, is dropped before any state exists. To mirror
-// FIN's coin economy, all instances of one engine share a single coin per
-// round rather than one coin per (instance, round).
+// the ACS slot: ids are [0, n). The engine keeps the instances in a slice by
+// slot and their vote state in one row per round, made on the round's first
+// message. A BVAL or AUX naming an instance outside [0, n), or a round of 0
+// or above MaxRounds, is dropped before any state exists. To mirror FIN's
+// coin economy, all instances of one engine share a single coin per round
+// rather than one coin per (instance, round).
 package aba
 
 import (
@@ -25,7 +26,7 @@ type BVal struct {
 	Inst uint32
 	// Round is the ABA round (1-based).
 	Round uint16
-	// V is the binary value.
+	// V is the binary value (the vote, in an Aux).
 	V bool
 }
 
@@ -44,49 +45,37 @@ func (m *BVal) MarshalBinary() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// Aux is the per-round auxiliary vote.
-type Aux struct {
-	// Inst is the ABA instance id.
-	Inst uint32
-	// Round is the ABA round.
-	Round uint16
-	// V is the vote.
-	V bool
+// decode reads a BVal or Aux body into m.
+func (m *BVal) decode(body []byte) error {
+	r := wire.NewReader(body)
+	m.Inst = r.U32()
+	m.Round = r.U16()
+	m.V = r.Bool()
+	return r.Err()
 }
+
+// Aux is the per-round auxiliary vote. Its fields and layout are BVal's.
+type Aux BVal
 
 // Type implements node.Message.
 func (m *Aux) Type() uint8 { return wire.TypeABAAux }
 
 // WireSize implements node.Message.
-func (m *Aux) WireSize() int { return 1 + 4 + 2 + 1 }
+func (m *Aux) WireSize() int { return (*BVal)(m).WireSize() }
 
 // MarshalBinary implements node.Message.
-func (m *Aux) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
-	w.U32(m.Inst)
-	w.U16(m.Round)
-	w.Bool(m.V)
-	return w.Bytes(), nil
-}
+func (m *Aux) MarshalBinary() ([]byte, error) { return (*BVal)(m).MarshalBinary() }
 
 // DecodeBVal decodes a BVal body.
 func DecodeBVal(body []byte, a *wire.Arena) (node.Message, error) {
-	r := wire.NewReader(body)
 	m := wire.New(a, BVal{})
-	m.Inst = r.U32()
-	m.Round = r.U16()
-	m.V = r.Bool()
-	return m, r.Err()
+	return m, m.decode(body)
 }
 
 // DecodeAux decodes an Aux body.
 func DecodeAux(body []byte, a *wire.Arena) (node.Message, error) {
-	r := wire.NewReader(body)
 	m := wire.New(a, Aux{})
-	m.Inst = r.U32()
-	m.Round = r.U16()
-	m.V = r.Bool()
-	return m, r.Err()
+	return m, (*BVal)(m).decode(body)
 }
 
 // Register installs the package's decoders.
@@ -102,40 +91,31 @@ func Register(reg *wire.Registry) error {
 // bound indicates a bug rather than bad luck.
 const MaxRounds = 64
 
-// roundState is the per-(instance, round) vote state: who sent BVAL and AUX
-// for each value, and how many.
+// roundState is one instance's vote state in one round: the values it has
+// sent and accepted, and how many distinct BVALs and AUXes it holds for each.
+// Their voter sets are in the round's row.
 type roundState struct {
 	bvalSent, binValues [2]bool
 	auxSent, coinReady  bool
-	bval, aux           [2]node.Set
-	nBval, nAux         [2]int
+	nBval, nAux         [2]int32
 	coinValue           uint64
 	// startAt is the trace-clock reading when the round opened (feeds the
 	// per-round span; zero when tracing is disabled).
 	startAt int64
 }
 
-// instance is one ABA's state across rounds.
-type instance struct {
-	id      uint32
-	started bool
-	est     bool
-	round   int
-	rounds  []*roundState
-	decided bool
-	value   bool
+// row is one round of every instance: states[inst], and the instances' BVAL
+// and AUX voter sets, four per instance, carved from one slab.
+type row struct {
+	states []roundState
+	voters node.Set
 }
 
-func (x *instance) rs(r, n int) *roundState {
-	for len(x.rounds) < r {
-		w := node.SetWords(n)
-		s := make(node.Set, 4*w) // one allocation for the round's four sets
-		x.rounds = append(x.rounds, &roundState{
-			bval: [2]node.Set{s[:w:w], s[w : 2*w : 2*w]},
-			aux:  [2]node.Set{s[2*w : 3*w : 3*w], s[3*w:]},
-		})
-	}
-	return x.rounds[r-1]
+// instance is one ABA's state across rounds.
+type instance struct {
+	id                           uint32
+	started, est, decided, value bool
+	round                        int
 }
 
 // Engine multiplexes ABA instances for one node.
@@ -147,6 +127,26 @@ type Engine struct {
 	decide func(inst uint32, v bool)
 	// insts[id] is instance id, one per ACS slot.
 	insts []instance
+	// rows[r-1] is round r, made on its first use; round MaxRounds+1 only
+	// holds the BVAL and AUX an instance sends on leaving round MaxRounds.
+	rows [MaxRounds + 1]row
+}
+
+// rs returns instance x's state in round r.
+func (e *Engine) rs(x *instance, r int) *roundState {
+	round := &e.rows[r-1]
+	if round.states == nil {
+		round.states = make([]roundState, e.cfg.N)
+		round.voters = make(node.Set, 4*e.cfg.N*node.SetWords(e.cfg.N))
+	}
+	return &round.states[x.id]
+}
+
+// voters returns instance x's round-r voter set for BVAL (aux false) or AUX
+// votes on v.
+func (e *Engine) voters(x *instance, r int, aux, v bool) node.Set {
+	w := node.SetWords(e.cfg.N)
+	return e.rows[r-1].voters[(4*int(x.id)+2*bi(aux)+bi(v))*w:][:w]
 }
 
 // NewEngine creates an ABA engine. decide fires once per decided instance.
@@ -172,7 +172,7 @@ func (e *Engine) OnCoin(coinID, value uint64) {
 	for i := range e.insts {
 		x := &e.insts[i]
 		if x.started && !x.decided && CoinID(x.round) == coinID {
-			rs := x.rs(x.round, e.cfg.N)
+			rs := e.rs(x, x.round)
 			rs.coinValue = value
 			rs.coinReady = true
 			e.progress(x)
@@ -216,7 +216,7 @@ func bi(v bool) int {
 }
 
 func (e *Engine) startRound(x *instance) {
-	rs := x.rs(x.round, e.cfg.N)
+	rs := e.rs(x, x.round)
 	if rs.startAt == 0 {
 		rs.startAt = e.track.Now()
 	}
@@ -247,25 +247,25 @@ func (e *Engine) vote(from node.ID, inst uint32, round uint16) (*instance, *roun
 	if x == nil || r < 1 || r > MaxRounds || uint(from) >= uint(e.cfg.N) {
 		return nil, nil
 	}
-	rs := x.rs(r, e.cfg.N)
+	rs := e.rs(x, r)
 	e.zombie(x, r)
 	return x, rs
 }
 
 func (e *Engine) onBVal(from node.ID, m *BVal) {
 	x, rs := e.vote(from, m.Inst, m.Round)
-	if x == nil || !rs.bval[bi(m.V)].Add(from) {
+	if x == nil || !e.voters(x, int(m.Round), false, m.V).Add(from) {
 		return
 	}
-	r, c := int(m.Round), &rs.nBval[bi(m.V)]
-	*c++
+	rs.nBval[bi(m.V)]++
+	r, c := int(m.Round), int(rs.nBval[bi(m.V)])
 	// Amplify on t+1.
-	if *c >= e.cfg.F+1 && !rs.bvalSent[bi(m.V)] {
+	if c >= e.cfg.F+1 && !rs.bvalSent[bi(m.V)] {
 		rs.bvalSent[bi(m.V)] = true
 		e.env.Broadcast(&BVal{Inst: x.id, Round: uint16(r), V: m.V})
 	}
 	// Bin-values on 2t+1.
-	if *c >= 2*e.cfg.F+1 && !rs.binValues[bi(m.V)] {
+	if c >= 2*e.cfg.F+1 && !rs.binValues[bi(m.V)] {
 		rs.binValues[bi(m.V)] = true
 	}
 	if x.started && !x.decided {
@@ -275,7 +275,7 @@ func (e *Engine) onBVal(from node.ID, m *BVal) {
 
 func (e *Engine) onAux(from node.ID, m *Aux) {
 	x, rs := e.vote(from, m.Inst, m.Round)
-	if x == nil || !rs.aux[bi(m.V)].Add(from) {
+	if x == nil || !e.voters(x, int(m.Round), true, m.V).Add(from) {
 		return
 	}
 	rs.nAux[bi(m.V)]++
@@ -291,7 +291,7 @@ func (e *Engine) zombie(x *instance, r int) {
 	if !x.decided || r <= x.round {
 		return
 	}
-	rs := x.rs(r, e.cfg.N)
+	rs := e.rs(x, r)
 	if !rs.bvalSent[bi(x.value)] {
 		rs.bvalSent[bi(x.value)] = true
 		e.env.Broadcast(&BVal{Inst: x.id, Round: uint16(r), V: x.value})
@@ -305,7 +305,7 @@ func (e *Engine) zombie(x *instance, r int) {
 // progress runs the round state machine for the instance's current round.
 func (e *Engine) progress(x *instance) {
 	for !x.decided && x.round <= MaxRounds {
-		rs := x.rs(x.round, e.cfg.N)
+		rs := e.rs(x, x.round)
 		// Send AUX once some value entered bin_values.
 		if !rs.auxSent {
 			var w bool
@@ -324,10 +324,10 @@ func (e *Engine) progress(x *instance) {
 		// Collect n-t AUX votes on values inside bin_values.
 		n0, n1 := 0, 0
 		if rs.binValues[0] {
-			n0 = rs.nAux[0]
+			n0 = int(rs.nAux[0])
 		}
 		if rs.binValues[1] {
-			n1 = rs.nAux[1]
+			n1 = int(rs.nAux[1])
 		}
 		if n0+n1 < e.cfg.Quorum() {
 			return

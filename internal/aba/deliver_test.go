@@ -3,6 +3,7 @@ package aba_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"delphi/internal/aba"
@@ -118,6 +119,155 @@ func TestDeliverOutOfRange(t *testing.T) {
 			t.Fatalf("the (t+1)-th distinct BVAL sent %q, want %q", env.log, want)
 		}
 	})
+}
+
+// TestABARoundAllocs: one round's first BVAL and first AUX for every instance
+// cost at most two allocations in total (the round's row of states and its
+// voter slab), not some per instance.
+func TestABARoundAllocs(t *testing.T) {
+	const n, f, runs = 16, 5, 20
+	env := &recEnv{n: n, f: f}
+	eng, _ := newEngine(node.Config{N: n, F: f}, env)
+	// msgs[r-1] is one sender's BVAL and AUX for every instance in round r
+	// (AllocsPerRun makes one warm-up call, on round 1).
+	msgs := make([][]node.Message, runs+1)
+	for r := range msgs {
+		for i := range n {
+			msgs[r] = append(msgs[r],
+				&aba.BVal{Inst: uint32(i), Round: uint16(r + 1), V: true},
+				&aba.Aux{Inst: uint32(i), Round: uint16(r + 1), V: true})
+		}
+	}
+	r := 0
+	a := testing.AllocsPerRun(runs, func() {
+		for _, m := range msgs[r] {
+			eng.Handle(1, m)
+		}
+		r++
+	})
+	if a > 2 {
+		t.Errorf("%.1f allocations for a round's first BVALs and AUXes, want ≤ 2", a)
+	}
+	if len(env.log) != 0 {
+		t.Errorf("one sender's votes emitted %q", env.log)
+	}
+}
+
+// TestFarRoundBound: rounds are rows shared by every instance, so a BVAL from
+// an in-range sender naming round MaxRounds makes that one row (two
+// allocations), and repeating it allocates nothing and emits nothing.
+func TestFarRoundBound(t *testing.T) {
+	const n, f, runs = 7, 2, 20
+	cfg := node.Config{N: n, F: f}
+	far := &aba.BVal{Inst: 2, Round: aba.MaxRounds, V: true}
+	// Each run hands the BVAL to a fresh engine (AllocsPerRun makes one
+	// warm-up call).
+	envs := make([]*recEnv, runs+1)
+	engs := make([]*aba.Engine, runs+1)
+	for i := range engs {
+		envs[i] = &recEnv{n: n, f: f}
+		engs[i], _ = newEngine(cfg, envs[i])
+	}
+	i := 0
+	if a := testing.AllocsPerRun(runs, func() { engs[i].Handle(1, far); i++ }); a > 2 {
+		t.Errorf("%.1f allocations for a round-%d BVAL, want ≤ 2 (one row)", a, aba.MaxRounds)
+	}
+	if a := testing.AllocsPerRun(100, func() { engs[0].Handle(1, far) }); a != 0 {
+		t.Errorf("%.1f allocations per repeated round-%d BVAL", a, aba.MaxRounds)
+	}
+	for _, env := range envs {
+		if len(env.log) != 0 {
+			t.Errorf("a far-round BVAL emitted %q", env.log)
+		}
+	}
+}
+
+// TestSplitThroughAllRounds: BVALs on both values and AUXes split between
+// them keep an instance undecided (its estimate becomes the coin) through
+// all MaxRounds rounds, so it leaves round MaxRounds with a BVAL for round
+// MaxRounds+1; or, with the last round's AUXes all on that round's coin, it
+// decides there and sends its zombie BVAL and AUX for round MaxRounds+1.
+// Either way the engine emits and decides what the oracle does.
+func TestSplitThroughAllRounds(t *testing.T) {
+	const n, f = 7, 2
+	cfg := node.Config{N: n, F: f}
+	for _, decideLast := range []bool{false, true} {
+		t.Run(fmt.Sprintf("decide in the last round %v", decideLast), func(t *testing.T) {
+			p := newPair(cfg, aba.MaxRounds)
+			p.input(2, true)
+			for r := 1; r <= aba.MaxRounds; r++ {
+				for from := node.ID(0); from < 2*f+1; from++ {
+					p.handle(from, &aba.BVal{Inst: 2, Round: uint16(r), V: false})
+					p.handle(from, &aba.BVal{Inst: 2, Round: uint16(r), V: true})
+				}
+				coinBit := p.coins.Value(aba.CoinID(r))&1 == 1
+				for from := node.ID(0); from < n-f; from++ {
+					v := from > f // t+1 AUXes on false, the rest of n−t on true
+					if decideLast && r == aba.MaxRounds {
+						v = coinBit
+					}
+					p.handle(from, &aba.Aux{Inst: 2, Round: uint16(r), V: v})
+				}
+				for from := node.ID(0); from <= f; from++ {
+					p.share(from, r)
+				}
+			}
+			got, want := p.logs[0].log, p.logs[1].log
+			if !slices.Equal(got, want) {
+				t.Fatalf("engine %q\noracle %q", got, want)
+			}
+			decided, v := p.eng.Decided(2)
+			if decided != decideLast || decided && v != (p.coins.Value(aba.CoinID(aba.MaxRounds))&1 == 1) {
+				t.Errorf("Decided = %v, %v", decided, v)
+			}
+			last := fmt.Sprintf("Round:%d", aba.MaxRounds+1)
+			if !slices.ContainsFunc(got, func(s string) bool { return strings.Contains(s, last) }) {
+				t.Errorf("no emission names round %d: %q", aba.MaxRounds+1, got[len(got)-3:])
+			}
+		})
+	}
+}
+
+// pair is the engine and the oracle, each on its own coin source, fed one
+// stream of events; logs[0] is what the engine emits and decides, logs[1]
+// the oracle.
+type pair struct {
+	logs  [2]*recEnv
+	eng   *aba.Engine
+	coins *coin.Source
+	orc   *oracle
+	// shares[from][r-1] is from's genuine share for round r's coin.
+	shares [][]*coin.Share
+}
+
+// newPair builds a pair with every sender's shares for rounds [1, rounds].
+func newPair(cfg node.Config, rounds int) *pair {
+	p := &pair{logs: [2]*recEnv{{n: cfg.N, f: cfg.F}, {n: cfg.N, f: cfg.F}}}
+	p.eng, p.coins = newEngine(cfg, p.logs[0])
+	p.orc = &oracle{cfg: cfg, env: p.logs[1], insts: map[uint32]*oInst{}, decide: func(inst uint32, v bool) {
+		p.logs[1].log = append(p.logs[1].log, fmt.Sprintf("decide %d %v", inst, v))
+	}}
+	p.orc.coins = coin.NewSource(cfg, p.logs[1], 7, aba.CoinID(1), aba.MaxRounds, p.orc.onCoin)
+	p.shares = make([][]*coin.Share, cfg.N)
+	for from := range p.shares {
+		env := &recEnv{self: node.ID(from), n: cfg.N, f: cfg.F}
+		src := coin.NewSource(cfg, env, 7, aba.CoinID(1), aba.MaxRounds, nil)
+		for r := 1; r <= rounds; r++ {
+			src.Request(aba.CoinID(r))
+			p.shares[from] = append(p.shares[from], env.msgs[r-1].(*coin.Share))
+		}
+	}
+	return p
+}
+
+func (p *pair) input(inst uint32, v bool) { p.eng.Input(inst, v); p.orc.input(inst, v) }
+
+func (p *pair) handle(from node.ID, m node.Message) { p.eng.Handle(from, m); p.orc.handle(from, m) }
+
+// share hands both sides from's share for round r's coin.
+func (p *pair) share(from node.ID, r int) {
+	p.coins.Handle(from, p.shares[from][r-1])
+	p.orc.coins.Handle(from, p.shares[from][r-1])
 }
 
 // oracle is the map-keyed ABA engine the dense one replaced, trace spans
@@ -349,23 +499,7 @@ func FuzzABACounts(f *testing.F) {
 	f.Add(append(split, unanimous(2)[33:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n, fault, rounds = 7, 2, 4
-		cfg := node.Config{N: n, F: fault}
-		logs := [2]*recEnv{{n: n, f: fault}, {n: n, f: fault}}
-		eng, coins := newEngine(cfg, logs[0])
-		orc := &oracle{cfg: cfg, env: logs[1], insts: map[uint32]*oInst{}, decide: func(inst uint32, v bool) {
-			logs[1].log = append(logs[1].log, fmt.Sprintf("decide %d %v", inst, v))
-		}}
-		orc.coins = coin.NewSource(cfg, logs[1], 7, aba.CoinID(1), aba.MaxRounds, orc.onCoin)
-		// shares[from][r-1] is from's genuine share for round r's coin.
-		var shares [n][rounds]*coin.Share
-		for from := range shares {
-			env := &recEnv{self: node.ID(from), n: n, f: fault}
-			src := coin.NewSource(cfg, env, 7, aba.CoinID(1), aba.MaxRounds, nil)
-			for r := range shares[from] {
-				src.Request(aba.CoinID(r + 1))
-				shares[from][r] = env.msgs[r].(*coin.Share)
-			}
-		}
+		p := newPair(node.Config{N: n, F: fault}, rounds)
 		for len(data) >= 3 {
 			// Byte 0: kind (top two bits) and sender (low nibble, mod n+1);
 			// byte 1: instance (mod n+1); byte 2: round (high nibble, mod
@@ -380,29 +514,23 @@ func FuzzABACounts(f *testing.F) {
 			what := fmt.Sprintf("%#x %d %d %d %v", data[0]>>6, from, inst, r, v)
 			switch data[0] >> 6 {
 			case 0:
-				eng.Input(inst, v)
-				orc.input(inst, v)
+				p.input(inst, v)
 			case 1:
-				m := &aba.BVal{Inst: inst, Round: r, V: v}
-				eng.Handle(from, m)
-				orc.handle(from, m)
+				p.handle(from, &aba.BVal{Inst: inst, Round: r, V: v})
 			case 2:
-				m := &aba.Aux{Inst: inst, Round: r, V: v}
-				eng.Handle(from, m)
-				orc.handle(from, m)
+				p.handle(from, &aba.Aux{Inst: inst, Round: r, V: v})
 			case 3:
 				if int(from) < n && r >= 1 && r <= rounds {
-					coins.Handle(from, shares[from][r-1])
-					orc.coins.Handle(from, shares[from][r-1])
+					p.share(from, int(r))
 				}
 			}
 			data = data[3:]
-			if len(logs[0].log) != len(logs[1].log) {
-				t.Fatalf("after %s:\nengine %q\noracle %q", what, logs[0].log, logs[1].log)
+			if len(p.logs[0].log) != len(p.logs[1].log) {
+				t.Fatalf("after %s:\nengine %q\noracle %q", what, p.logs[0].log, p.logs[1].log)
 			}
 		}
-		if !slices.Equal(logs[0].log, logs[1].log) {
-			t.Fatalf("engine %q\noracle %q", logs[0].log, logs[1].log)
+		if !slices.Equal(p.logs[0].log, p.logs[1].log) {
+			t.Fatalf("engine %q\noracle %q", p.logs[0].log, p.logs[1].log)
 		}
 	})
 }

@@ -112,7 +112,7 @@ func (p *Process) onCoin(id, value uint64) {
 func (p *Process) onRBCDeliver(k rbc.Key, payload []byte) {
 	r := wire.NewReader(payload)
 	v := r.F64()
-	if r.Err() != nil {
+	if r.Err() != nil || r.Remaining() != 0 {
 		return // malformed broadcast from a Byzantine initiator
 	}
 	if !p.valued.Add(k.Initiator) {

@@ -13,7 +13,10 @@ import (
 
 // BenchmarkFIN pins the per-event cost of the FIN-style ACS baseline on
 // sim.AWS() at a small and a paper-scale size: RBC, ABA and coin vote
-// counting are its per-event hot path. It reports allocations and ns/event.
+// counting are its per-event hot path. An ECHO or READY touches one instance
+// in its tag's row and that row's voter slab, a BVAL or AUX one state in its
+// round's row and that row's slab; neither allocates past a row's first
+// vote. It reports allocations and ns/event.
 func BenchmarkFIN(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -90,6 +90,39 @@ func TestDeliverOutOfRange(t *testing.T) {
 	})
 }
 
+// TestRBCRowAllocs: the first ECHO and the first READY of every instance in
+// one tag row cost at most two allocations in total (the row's instances and
+// its voter slab), not one or more per instance.
+func TestRBCRowAllocs(t *testing.T) {
+	const n, f, runs = 16, 5, 20
+	env := &recEnv{n: n, f: f}
+	eng := rbc.NewEngine(node.Config{N: n, F: f}, env, runs+1, func(rbc.Key, []byte) { t.Error("delivered") })
+	p := []byte("v")
+	// msgs[tag] is one sender's ECHO and READY for every instance of row tag
+	// (AllocsPerRun makes one warm-up call, on row 0).
+	msgs := make([][]node.Message, runs+1)
+	for tag := range msgs {
+		for i := range n {
+			msgs[tag] = append(msgs[tag],
+				&rbc.Echo{Initiator: node.ID(i), Tag: uint32(tag), Payload: p},
+				&rbc.Ready{Initiator: node.ID(i), Tag: uint32(tag), Payload: p})
+		}
+	}
+	tag := 0
+	a := testing.AllocsPerRun(runs, func() {
+		for _, m := range msgs[tag] {
+			eng.Handle(1, m)
+		}
+		tag++
+	})
+	if a > 2 {
+		t.Errorf("%.1f allocations for a row's first ECHOs and READYs, want ≤ 2", a)
+	}
+	if len(env.log) != 0 {
+		t.Errorf("one sender's votes emitted %q", env.log)
+	}
+}
+
 // oracle is the map-keyed Bracha counting the engine replaced: instances by
 // Key, votes by payload string, voters in a map. It carries the engine's
 // drop rule, so the two must emit and deliver the same, in the same order.
@@ -164,9 +197,10 @@ func (o *oracle) handle(from node.ID, m node.Message) {
 }
 
 // FuzzRBCCounts hands the engine and the oracle one byte-driven stream of
-// INITs, ECHOs and READYs — repeats, two payloads per instance, votes
-// ahead of their INIT, and initiators, tags and senders out of range — and
-// requires the same emissions and deliveries, in order.
+// INITs, ECHOs and READYs — repeats, two payloads per instance, equal
+// payloads in distinct slices, votes ahead of their INIT, and initiators,
+// tags and senders out of range — and requires the same emissions and
+// deliveries, in order.
 func FuzzRBCCounts(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{0x10, 0, 0, 0x11, 0, 0, 0x12, 0, 0, 0x13, 0, 0, 0x14, 0, 0, 0x20, 0, 0, 0x21, 0, 0, 0x22, 0, 0})
@@ -180,14 +214,16 @@ func FuzzRBCCounts(f *testing.F) {
 		}
 		eng := rbc.NewEngine(cfg, logs[0], tags, deliv(logs[0]))
 		orc := &oracle{cfg: cfg, tags: tags, env: logs[1], deliv: deliv(logs[1]), insts: map[rbc.Key]*oracleInst{}}
-		payloads := [][]byte{[]byte("a"), []byte("b"), nil, []byte("a\x00")}
+		// The last is "a" again in its own backing array: equal payloads that
+		// are not the same slice take the byte comparison.
+		payloads := [][]byte{[]byte("a"), []byte("b"), nil, []byte("a\x00"), []byte("a")}
 		for len(data) >= 3 {
 			// Byte 0: kind (bits 4-5) and sender (low nibble, mod n+1); byte
 			// 1: initiator (low nibble, mod n+1) and tag (high nibble, mod
-			// tags+1); byte 2: payload.
+			// tags+1); byte 2: payload (mod 5).
 			from := node.ID(int(data[0]&15) % (n + 1))
 			k := rbc.Key{Initiator: node.ID(int(data[1]&15) % (n + 1)), Tag: uint32(data[1]>>4) % (tags + 1)}
-			p := payloads[data[2]%4]
+			p := payloads[data[2]%5]
 			var m node.Message
 			switch data[0] >> 4 & 3 {
 			case 0:

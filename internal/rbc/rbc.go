@@ -5,10 +5,12 @@
 //
 // Instances are keyed by (initiator, tag); a node may initiate many
 // broadcasts with distinct tags, in a range [0, tags) its caller fixes (FIN
-// uses one tag, Abraham et al. one per round). The engine keeps them in a
-// dense table indexed by tag and initiator, and counts each instance's
-// ECHOs and READYs as a short list of distinct payloads, compared by bytes,
-// each with its voters' node.Set. A message naming an initiator outside
+// uses one tag, Abraham et al. one per round). The engine keeps one row per
+// tag: its instances by initiator, each counting the ECHOs and READYs for its
+// first voted payload, with the voters' node.Sets carved from the row's one
+// slab. A payload is compared by slice identity, then by bytes; another
+// payload, which only an equivocating initiator causes, is tallied in the
+// instance's overflow list. A message naming an initiator outside
 // [0, n) or a tag outside the range, or sent from outside [0, n), is dropped
 // before any state exists, so a Byzantine peer cannot make honest nodes
 // allocate instances without bound.
@@ -87,33 +89,27 @@ func (m *Echo) MarshalBinary() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// Ready is the third-phase commitment carrying the payload (so delivery
-// works even if the INIT never arrived).
-type Ready struct {
-	// Initiator identifies the instance together with Tag.
-	Initiator node.ID
-	// Tag is the instance tag.
-	Tag uint32
-	// Payload is the committed content.
-	Payload []byte
+// decode reads an Echo or Ready body into m.
+func (m *Echo) decode(body []byte, a *wire.Arena) error {
+	r := wire.NewReader(body)
+	m.Initiator = node.ID(r.U32())
+	m.Tag = r.U32()
+	m.Payload = a.Copy(r.BytesLP())
+	return r.Err()
 }
+
+// Ready is the third-phase commitment carrying the payload (so delivery
+// works even if the INIT never arrived). Its fields and layout are Echo's.
+type Ready Echo
 
 // Type implements node.Message.
 func (m *Ready) Type() uint8 { return wire.TypeRBCReady }
 
 // WireSize implements node.Message.
-func (m *Ready) WireSize() int {
-	return 1 + 4 + 4 + wire.UVarintSize(uint64(len(m.Payload))) + len(m.Payload)
-}
+func (m *Ready) WireSize() int { return (*Echo)(m).WireSize() }
 
 // MarshalBinary implements node.Message.
-func (m *Ready) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
-	w.U32(uint32(m.Initiator))
-	w.U32(m.Tag)
-	w.BytesLP(m.Payload)
-	return w.Bytes(), nil
-}
+func (m *Ready) MarshalBinary() ([]byte, error) { return (*Echo)(m).MarshalBinary() }
 
 // DecodeInit decodes an Init body.
 func DecodeInit(body []byte, a *wire.Arena) (node.Message, error) {
@@ -126,22 +122,14 @@ func DecodeInit(body []byte, a *wire.Arena) (node.Message, error) {
 
 // DecodeEcho decodes an Echo body.
 func DecodeEcho(body []byte, a *wire.Arena) (node.Message, error) {
-	r := wire.NewReader(body)
 	m := wire.New(a, Echo{})
-	m.Initiator = node.ID(r.U32())
-	m.Tag = r.U32()
-	m.Payload = a.Copy(r.BytesLP())
-	return m, r.Err()
+	return m, m.decode(body, a)
 }
 
 // DecodeReady decodes a Ready body.
 func DecodeReady(body []byte, a *wire.Arena) (node.Message, error) {
-	r := wire.NewReader(body)
 	m := wire.New(a, Ready{})
-	m.Initiator = node.ID(r.U32())
-	m.Tag = r.U32()
-	m.Payload = a.Copy(r.BytesLP())
-	return m, r.Err()
+	return m, (*Echo)(m).decode(body, a)
 }
 
 // Register installs the package's decoders.
@@ -155,24 +143,33 @@ func Register(reg *wire.Registry) error {
 	return reg.Register(wire.TypeRBCReady, DecodeReady)
 }
 
-// tally counts one payload's distinct voters. The payload is the first
-// voter's message's own, held read-only like the message.
-type tally struct {
-	payload []byte
-	voters  node.Set
-	count   int
-}
-
-// instance is the per-broadcast state machine.
+// instance is one broadcast's state: its phases and the ECHO and READY
+// counts of its first voted payload, whose voters live in its row's slab.
+// Votes for any other payload, which only an equivocating initiator causes,
+// are tallied in more.
 type instance struct {
 	born, echoed, readied, delivered bool
+	n                                [2]int32 // ECHOs, READYs for payload
+	payload                          []byte
+	more                             *[2][]tally
 	// bornAt/echoAt/readyAt are trace-clock readings of the instance's
 	// phase transitions (zero when tracing is disabled; they only feed the
 	// emitted spans).
 	bornAt, echoAt, readyAt int64
-	// echoes and readies count votes per distinct payload: one, unless the
-	// initiator equivocates.
-	echoes, readies []tally
+}
+
+// tally counts the distinct voters for a further payload.
+type tally struct {
+	payload []byte
+	voters  node.Set
+	count   int32
+}
+
+// row is one tag's instances, by initiator, and their ECHO and READY voter
+// sets for their first payloads, side by side in one slab.
+type row struct {
+	insts  []instance
+	voters node.Set
 }
 
 // Engine runs all RBC instances for one node. Embed it in a protocol and
@@ -182,56 +179,74 @@ type Engine struct {
 	env     node.Env
 	track   *obs.Track
 	deliver func(Key, []byte)
-	// rows[tag][initiator] is the instance; a tag's row is allocated on its
-	// first message.
-	rows [][]instance
-	// spare is room for the next tallies' voter sets.
-	spare node.Set
+	// rows[tag] is made on the tag's first message.
+	rows []row
 }
 
 // NewEngine creates an engine for tags in [0, tags); deliver is invoked
 // exactly once per delivered instance.
 func NewEngine(cfg node.Config, env node.Env, tags int, deliver func(Key, []byte)) *Engine {
-	return &Engine{cfg: cfg, env: env, track: node.TrackOf(env), deliver: deliver, rows: make([][]instance, tags)}
+	return &Engine{cfg: cfg, env: env, track: node.TrackOf(env), deliver: deliver, rows: make([]row, tags)}
 }
 
-// inst returns k's instance for a message from from, or nil when the sender,
-// k's initiator or k's tag is out of range.
-func (e *Engine) inst(from node.ID, k Key) *instance {
+// inst returns k's row and instance for a message from from, or nils when
+// the sender, k's initiator or k's tag is out of range.
+func (e *Engine) inst(from node.ID, k Key) (*row, *instance) {
 	if uint(from) >= uint(e.cfg.N) || uint(k.Initiator) >= uint(e.cfg.N) || uint64(k.Tag) >= uint64(len(e.rows)) {
-		return nil
+		return nil, nil
 	}
-	if e.rows[k.Tag] == nil {
-		e.rows[k.Tag] = make([]instance, e.cfg.N)
+	r := &e.rows[k.Tag]
+	if r.insts == nil {
+		r.insts = make([]instance, e.cfg.N)
+		r.voters = make(node.Set, 2*e.cfg.N*node.SetWords(e.cfg.N))
 	}
-	x := &e.rows[k.Tag][k.Initiator]
+	x := &r.insts[k.Initiator]
 	if !x.born {
 		x.born, x.bornAt = true, e.track.Now()
 	}
-	return x
+	return r, x
 }
 
-// vote records from's vote for payload in ts. It returns the payload's new
-// count, or 0 if from had already voted for it.
-func (e *Engine) vote(ts *[]tally, from node.ID, payload []byte) int {
-	for i := range *ts {
-		if t := &(*ts)[i]; bytes.Equal(t.payload, payload) {
-			if !t.voters.Add(from) {
-				return 0
-			}
-			t.count++
-			return t.count
-		}
+// same reports whether a and b hold the same bytes, by slice identity first:
+// on the simulator every honest vote carries the initiator's own slice.
+func same(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || bytes.Equal(a, b))
+}
+
+// vote records from's ECHO (kind 0) or READY (kind 1) for payload in
+// initiator i's instance x of row r. It returns the payload's new count, or
+// 0 if from had already voted for it.
+func (e *Engine) vote(r *row, i node.ID, x *instance, kind int, from node.ID, payload []byte) int {
+	if x.n == [2]int32{} {
+		x.payload = payload
 	}
 	w := node.SetWords(e.cfg.N)
-	if len(e.spare) < w {
-		e.spare = make(node.Set, 2*e.cfg.N*w)
+	voters, c := r.voters[(2*int(i)+kind)*w:][:w], &x.n[kind]
+	if !same(x.payload, payload) {
+		t := further(x, kind, w, payload)
+		voters, c = t.voters, &t.count
 	}
-	t := tally{payload: payload, voters: e.spare[:w:w], count: 1}
-	e.spare = e.spare[w:]
-	t.voters.Add(from)
-	*ts = append(*ts, t)
-	return 1
+	if !voters.Add(from) {
+		return 0
+	}
+	*c++
+	return int(*c)
+}
+
+// further returns x's tally of kind for a payload other than its first,
+// made on the payload's first vote.
+func further(x *instance, kind, w int, payload []byte) *tally {
+	if x.more == nil {
+		x.more = new([2][]tally)
+	}
+	ts := &x.more[kind]
+	for i := range *ts {
+		if same((*ts)[i].payload, payload) {
+			return &(*ts)[i]
+		}
+	}
+	*ts = append(*ts, tally{payload: payload, voters: make(node.Set, w)})
+	return &(*ts)[len(*ts)-1]
 }
 
 // Broadcast initiates a reliable broadcast of payload under tag.
@@ -246,9 +261,9 @@ func (e *Engine) Handle(from node.ID, m node.Message) bool {
 	case *Init:
 		e.onInit(from, msg)
 	case *Echo:
-		e.onEcho(from, msg)
+		e.onVote(from, msg, 0)
 	case *Ready:
-		e.onReady(from, msg)
+		e.onVote(from, (*Echo)(msg), 1)
 	default:
 		return false
 	}
@@ -256,57 +271,31 @@ func (e *Engine) Handle(from node.ID, m node.Message) bool {
 }
 
 func (e *Engine) onInit(from node.ID, m *Init) {
-	x := e.inst(from, Key{Initiator: from, Tag: m.Tag})
+	_, x := e.inst(from, Key{Initiator: from, Tag: m.Tag})
 	if x == nil || x.echoed {
 		return
 	}
-	x.echoed = true
-	x.echoAt = e.track.Now()
+	x.echoed, x.echoAt = true, e.track.Now()
 	e.env.Broadcast(&Echo{Initiator: from, Tag: m.Tag, Payload: m.Payload})
 }
 
-// traceReady closes the instance's echo-collection phase span when the
-// READY goes out ("rbc.echo" spans echo broadcast → ready broadcast).
-func (e *Engine) traceReady(k Key, x *instance) {
-	start := x.echoAt
-	if start == 0 {
-		start = x.bornAt
-	}
-	e.track.Span("rbc.echo", start, int64(k.Initiator), int64(k.Tag))
-	x.readyAt = e.track.Now()
-}
-
-func (e *Engine) onEcho(from node.ID, m *Echo) {
+// onVote handles an ECHO (kind 0) or a READY (kind 1).
+func (e *Engine) onVote(from node.ID, m *Echo, kind int) {
 	k := Key{Initiator: m.Initiator, Tag: m.Tag}
-	x := e.inst(from, k)
+	r, x := e.inst(from, k)
 	if x == nil {
 		return
 	}
-	if e.vote(&x.echoes, from, m.Payload) >= e.cfg.Quorum() && !x.readied {
-		x.readied = true
-		e.traceReady(k, x)
-		e.env.Broadcast(&Ready{Initiator: m.Initiator, Tag: m.Tag, Payload: m.Payload})
-	}
-}
-
-func (e *Engine) onReady(from node.ID, m *Ready) {
-	k := Key{Initiator: m.Initiator, Tag: m.Tag}
-	x := e.inst(from, k)
-	if x == nil {
-		return
-	}
-	c := e.vote(&x.readies, from, m.Payload)
-	if c == 0 {
-		return
-	}
-	// Amplify on t+1 READYs.
-	if c >= e.cfg.F+1 && !x.readied {
-		x.readied = true
-		e.traceReady(k, x)
+	c := e.vote(r, k.Initiator, x, kind, from, m.Payload)
+	// READY on n−t ECHOs, or amplify on t+1 READYs.
+	if c >= [2]int{e.cfg.Quorum(), e.cfg.F + 1}[kind] && !x.readied {
+		// "rbc.echo" spans echo broadcast (or birth) → ready broadcast.
+		e.track.Span("rbc.echo", max(x.echoAt, x.bornAt), int64(k.Initiator), int64(k.Tag))
+		x.readied, x.readyAt = true, e.track.Now()
 		e.env.Broadcast(&Ready{Initiator: m.Initiator, Tag: m.Tag, Payload: m.Payload})
 	}
 	// Deliver on 2t+1 READYs.
-	if c >= 2*e.cfg.F+1 && !x.delivered {
+	if kind == 1 && c >= 2*e.cfg.F+1 && !x.delivered {
 		x.delivered = true
 		// "rbc.ready" spans ready broadcast → delivery quorum.
 		e.track.Span("rbc.ready", x.readyAt, int64(k.Initiator), int64(k.Tag))

@@ -239,12 +239,14 @@ go run ./cmd/experiments -scale quick -seed 1 -backend live -run matrix > /dev/n
 # the same list holds both-way FIFO on every link at once and the fallback
 # to one-way dials when a link breaks. The receive side's allocation gate
 # (TestEnvelopeDecodeAllocs: a driver decodes a 16-message envelope into its
-# arena for at most one allocation) runs without -race, which allocates.
+# arena for at most one allocation) and the vote counters' (TestRBCRowAllocs,
+# TestABARoundAllocs: a tag row's or a round's first votes for every instance
+# cost at most two allocations) run without -race, which allocates.
 echo "== transport batching gate =="
 go test ./internal/runtime -race -count=1 \
     -run 'TestHubPerLinkFIFO|TestTCPPerLinkFIFO|TestTCPDialStall|TestTCPDialInstallRace|TestTCPDropCounter|TestTCPNetLinksCarryBothDirections|TestTCPNetBrokenLinkFallsBack'
-go test ./internal/backend ./internal/runtime -count=1 ${short_flag:+"$short_flag"} \
-    -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops|TestEnvelopeDecodeAllocs'
+go test ./internal/backend ./internal/runtime ./internal/rbc ./internal/aba -count=1 ${short_flag:+"$short_flag"} \
+    -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops|TestEnvelopeDecodeAllocs|TestRBCRowAllocs|TestABARoundAllocs'
 
 # A tcp node holds its drivers' writes while any of them is in a step and
 # writes once per peer when the last goes idle (runtime's "Write side"). The
