@@ -101,9 +101,9 @@ func (a *Abraham) rd(r int) *roundData {
 }
 
 func (a *Abraham) broadcastValue() {
-	w := wire.NewWriter(8)
+	var w wire.Writer
 	w.F64(a.value)
-	a.rbcEng.Broadcast(uint32(a.round), w.Bytes())
+	a.rbcEng.Broadcast(uint32(a.round), w)
 }
 
 // Deliver implements node.Process.

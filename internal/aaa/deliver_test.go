@@ -70,10 +70,10 @@ func TestDeliverOutOfRange(t *testing.T) {
 		a.Init(env)
 		// Deliver every node's round-1 value through 2t+1 READYs.
 		for j := node.ID(0); j < n; j++ {
-			w := wire.NewWriter(8)
+			var w wire.Writer
 			w.F64(float64(j))
 			for from := node.ID(0); from < 2*f+1; from++ {
-				a.Deliver(from, &rbc.Ready{Initiator: j, Tag: 1, Payload: w.Bytes()})
+				a.Deliver(from, &rbc.Ready{Initiator: j, Tag: 1, Payload: w})
 			}
 		}
 		report := &aaa.Report{Round: 1, Have: []node.ID{0, 1, 2}}
@@ -97,9 +97,9 @@ func TestDeliverOutOfRange(t *testing.T) {
 // its sender is not counted, so the same sender's finite value still is.
 func TestNonFiniteReceipts(t *testing.T) {
 	f64 := func(v float64) []byte {
-		w := wire.NewWriter(8)
+		var w wire.Writer
 		w.F64(v)
-		return w.Bytes()
+		return w
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		t.Run(fmt.Sprintf("dolev %g", bad), func(t *testing.T) {

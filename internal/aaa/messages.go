@@ -37,15 +37,15 @@ func (m *Report) WireSize() int {
 	return s
 }
 
-// MarshalBinary implements node.Message.
-func (m *Report) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *Report) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U16(m.Round)
 	w.UVarint(uint64(len(m.Have)))
 	for _, id := range m.Have {
 		w.UVarint(uint64(id))
 	}
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // DecodeReport decodes a Report body.
@@ -78,12 +78,12 @@ func (m *Value) Type() uint8 { return wire.TypeAAAMulticast }
 // WireSize implements node.Message.
 func (m *Value) WireSize() int { return 1 + 2 + 8 }
 
-// MarshalBinary implements node.Message.
-func (m *Value) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *Value) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U16(m.Round)
 	w.F64(m.V)
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // DecodeValue decodes a Value body.

@@ -36,13 +36,13 @@ func (m *BVal) Type() uint8 { return wire.TypeABABVal }
 // WireSize implements node.Message.
 func (m *BVal) WireSize() int { return 1 + 4 + 2 + 1 }
 
-// MarshalBinary implements node.Message.
-func (m *BVal) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *BVal) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U32(m.Inst)
 	w.U16(m.Round)
 	w.Bool(m.V)
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // decode reads a BVal or Aux body into m.
@@ -63,8 +63,8 @@ func (m *Aux) Type() uint8 { return wire.TypeABAAux }
 // WireSize implements node.Message.
 func (m *Aux) WireSize() int { return (*BVal)(m).WireSize() }
 
-// MarshalBinary implements node.Message.
-func (m *Aux) MarshalBinary() ([]byte, error) { return (*BVal)(m).MarshalBinary() }
+// AppendBinary implements node.Message.
+func (m *Aux) AppendBinary(b []byte) ([]byte, error) { return (*BVal)(m).AppendBinary(b) }
 
 // DecodeBVal decodes a BVal body.
 func DecodeBVal(body []byte, a *wire.Arena) (node.Message, error) {

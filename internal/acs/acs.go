@@ -89,9 +89,9 @@ func (p *Process) Init(env node.Env) {
 	p.rbcEng = rbc.NewEngine(p.cfg.Config, env, 1, p.onRBCDeliver)
 	p.coins = coin.NewSource(p.cfg.Config, env, p.cfg.CoinSeed, aba.CoinID(1), aba.MaxRounds, p.onCoin)
 	p.abaEng = aba.NewEngine(p.cfg.Config, env, p.coins, p.onABADecide)
-	w := wire.NewWriter(8)
+	var w wire.Writer
 	w.F64(p.input)
-	p.rbcEng.Broadcast(0, w.Bytes())
+	p.rbcEng.Broadcast(0, w)
 }
 
 // Deliver implements node.Process.

@@ -2,11 +2,18 @@
 // pairwise HMAC-SHA256 message authentication codes over shared symmetric
 // keys. Every frame on the live transports carries a MAC; the simulator
 // accounts for the same 32-byte overhead and per-message hash cost.
+//
+// The HMAC is built from SHA-256 states, restored as crypto/hmac's own Reset
+// restores them: a channel key is the two states saved after its ipad and
+// opad blocks, and one Auth's two digests serve every channel, where each
+// hmac.New allocated two digests, pads and a sum. A live cluster re-keys
+// every node every trial; keys are derived lazily, on a channel's first use.
 package auth
 
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,28 +29,30 @@ const MACSize = sha256.Size
 // ErrBadMAC reports a frame whose MAC failed verification.
 var ErrBadMAC = errors.New("auth: MAC verification failed")
 
-// peerState caches one channel's keyed HMAC machinery. Keying an HMAC costs
-// two SHA-256 block compressions (ipad and opad) plus two allocations —
-// after frame batching that key schedule dominated seal/open cost, since it
-// was paid on every call. The cached hash is keyed once and Reset between
-// uses; the standard library restores the precomputed ipad/opad states on
-// Reset instead of re-deriving them. sum is the verify-side scratch, so
-// Open never allocates either. The mutex makes each channel safe under
-// concurrent sealers (a delay wrapper's timer goroutines can seal alongside
-// the driver); distinct peers never contend.
-type peerState struct {
-	mu  sync.Mutex
-	h   hash.Hash
-	sum [MACSize]byte
-	snd [8]byte // sender-id prefix scratch; a stack buffer would escape through the hash.Hash interface
+// digest is a SHA-256 hash whose state can be saved and restored.
+type digest interface {
+	hash.Hash
+	encoding.BinaryAppender
+	encoding.BinaryUnmarshaler
 }
 
-// Auth holds one node's pairwise channel keys.
+// key is an HMAC key as the SHA-256 states saved after its ipad and opad
+// blocks, 108 bytes each; a zero key is not derived yet (no saved state is).
+type key [2][108]byte
+
+// Auth holds one node's pairwise channel keys. Its mutex makes it safe under
+// concurrent sealers (a delay wrapper's timer goroutines seal alongside the
+// driver) and guards everything after it.
 type Auth struct {
-	self  node.ID
-	keys  [][]byte
-	peers []peerState
-	epoch uint64
+	self    node.ID
+	epoch   uint64
+	mu      sync.Mutex
+	master  key
+	peers   []key // by peer, derived on first use
+	in, out digest
+	block   [64]byte      // a key's padded block
+	ids     [16]byte      // sender id or node pair; a stack buffer would escape through the digest
+	sum     [MACSize]byte // a derived key, or the MAC Open compares against
 }
 
 // New derives pairwise keys for node self in an n-node system from a master
@@ -57,24 +66,41 @@ func New(self node.ID, n int, master []byte) (*Auth, error) {
 	if len(master) == 0 {
 		return nil, errors.New("auth: empty master secret")
 	}
-	a := &Auth{self: self, keys: make([][]byte, n), peers: make([]peerState, n)}
-	mac := hmac.New(sha256.New, master)
-	for peer := 0; peer < n; peer++ {
-		lo, hi := int(self), peer
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		mac.Reset()
-		var buf [16]byte
-		binary.LittleEndian.PutUint64(buf[0:], uint64(lo))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(hi))
-		mac.Write(buf[:])
-		a.keys[peer] = mac.Sum(nil)
-	}
-	mac.Reset()
-	mac.Write([]byte("epoch"))
-	a.epoch = binary.LittleEndian.Uint64(mac.Sum(nil))
+	a := &Auth{self: self, peers: make([]key, n), in: sha256.New().(digest), out: sha256.New().(digest)}
+	a.derive(&a.master, master)
+	a.epoch = binary.LittleEndian.Uint64(a.mac(&a.master, a.sum[:0], a.ids[:copy(a.ids[:], "epoch")], nil))
 	return a, nil
+}
+
+// derive sets k to HMAC key secret, which crypto/hmac first hashes if it is
+// longer than a block. Caller holds a.mu, or owns a.
+func (a *Auth) derive(k *key, secret []byte) {
+	if len(secret) > len(a.block) {
+		h := sha256.Sum256(secret)
+		secret = h[:]
+	}
+	a.block = [64]byte{}
+	copy(a.block[:], secret)
+	for i, h := range [2]digest{a.in, a.out} { // the ipad block, then the opad block
+		for j := range a.block {
+			a.block[j] ^= [2]byte{0x36, 0x36 ^ 0x5c}[i]
+		}
+		h.Reset()
+		h.Write(a.block[:])
+		h.AppendBinary(k[i][:0])
+	}
+}
+
+// mac appends HMAC(k, prefix || msg) to dst. Caller holds a.mu, or owns a.
+func (a *Auth) mac(k *key, dst, prefix, msg []byte) []byte {
+	a.in.UnmarshalBinary(k[0][:])
+	a.in.Write(prefix)
+	a.in.Write(msg)
+	n := len(dst)
+	dst = a.in.Sum(dst)
+	a.out.UnmarshalBinary(k[1][:])
+	a.out.Write(dst[n:])
+	return a.out.Sum(dst[:n])
 }
 
 // Epoch returns a short public identifier of the master secret, the same at
@@ -96,65 +122,39 @@ func (a *Auth) Seal(peer node.ID, frame []byte) []byte {
 // dst must not overlap.
 func (a *Auth) AppendSeal(peer node.ID, dst, frame []byte) []byte {
 	dst = append(dst, frame...)
-	return a.appendTag(peer, a.self, dst, frame)
+	if uint(peer) >= uint(len(a.peers)) {
+		return append(dst, make([]byte, MACSize)...)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.tag(peer, a.self, dst, frame)
 }
 
 // Open verifies and strips the MAC of a frame received from peer. The
 // returned slice aliases the input.
 func (a *Auth) Open(peer node.ID, sealed []byte) ([]byte, error) {
-	if len(sealed) < MACSize {
+	if len(sealed) < MACSize || uint(peer) >= uint(len(a.peers)) {
 		return nil, ErrBadMAC
 	}
-	frame := sealed[:len(sealed)-MACSize]
-	tag := sealed[len(sealed)-MACSize:]
-	if !a.check(peer, peer, frame, tag) {
+	frame, tag := sealed[:len(sealed)-MACSize], sealed[len(sealed)-MACSize:]
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !hmac.Equal(tag, a.tag(peer, peer, a.sum[:0], frame)) {
 		return nil, ErrBadMAC
 	}
 	return frame, nil
 }
 
-// tag computes HMAC(key(self,peer), sender || frame).
-func (a *Auth) tag(peer, sender node.ID, frame []byte) []byte {
-	return a.appendTag(peer, sender, nil, frame)
-}
-
-// appendTag appends HMAC(key(self,peer), sender || frame) to dst.
-func (a *Auth) appendTag(peer, sender node.ID, dst, frame []byte) []byte {
-	if int(peer) < 0 || int(peer) >= len(a.keys) {
-		return append(dst, make([]byte, MACSize)...)
+// tag appends HMAC(key(self, peer), sender || frame) to dst, deriving the
+// channel key, HMAC(master, lo || hi) for the ordered pair, on its first
+// use. Caller holds a.mu.
+func (a *Auth) tag(peer, sender node.ID, dst, frame []byte) []byte {
+	k := &a.peers[peer]
+	if k[0][0] == 0 {
+		binary.LittleEndian.PutUint64(a.ids[0:], uint64(min(a.self, peer)))
+		binary.LittleEndian.PutUint64(a.ids[8:], uint64(max(a.self, peer)))
+		a.derive(k, a.mac(&a.master, a.sum[:0], a.ids[:], nil))
 	}
-	ps := &a.peers[peer]
-	ps.mu.Lock()
-	dst = ps.sumInto(a.keys[peer], sender, dst, frame)
-	ps.mu.Unlock()
-	return dst
-}
-
-// check reports whether tag is the MAC of sender || frame on the peer
-// channel, comparing in constant time. The reference MAC lands in the
-// channel's scratch, so verification is allocation-free.
-func (a *Auth) check(peer, sender node.ID, frame, tag []byte) bool {
-	if int(peer) < 0 || int(peer) >= len(a.keys) {
-		return false
-	}
-	ps := &a.peers[peer]
-	ps.mu.Lock()
-	want := ps.sumInto(a.keys[peer], sender, ps.sum[:0], frame)
-	ok := hmac.Equal(tag, want)
-	ps.mu.Unlock()
-	return ok
-}
-
-// sumInto appends HMAC(key, sender || frame) to dst using the channel's
-// cached keyed state. Caller holds ps.mu.
-func (ps *peerState) sumInto(key []byte, sender node.ID, dst, frame []byte) []byte {
-	if ps.h == nil {
-		ps.h = hmac.New(sha256.New, key)
-	} else {
-		ps.h.Reset()
-	}
-	binary.LittleEndian.PutUint64(ps.snd[:], uint64(sender))
-	ps.h.Write(ps.snd[:])
-	ps.h.Write(frame)
-	return ps.h.Sum(dst)
+	binary.LittleEndian.PutUint64(a.ids[:8], uint64(sender))
+	return a.mac(k, dst, a.ids[:8], frame)
 }

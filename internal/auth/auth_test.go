@@ -199,7 +199,7 @@ func TestSealOpenZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAuthConcurrentUse exercises the per-peer locks: an adversary delay
+// TestAuthConcurrentUse exercises the Auth's lock: an adversary delay
 // wrapper's timer goroutines seal alongside the driver, on overlapping
 // peers, while the driver verifies inbound frames with the same Auth.
 func TestAuthConcurrentUse(t *testing.T) {
@@ -255,4 +255,90 @@ func BenchmarkOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// hmacSum is HMAC-SHA256(key, parts...) by crypto/hmac.
+func hmacSum(key []byte, parts ...[]byte) []byte {
+	mac := hmac.New(sha256.New, key)
+	for _, p := range parts {
+		mac.Write(p)
+	}
+	return mac.Sum(nil)
+}
+
+// le64 is v's 8-byte little-endian encoding.
+func le64(v int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+
+// TestMatchesHMAC pins every MAC byte to crypto/hmac: for masters shorter
+// than, equal to and longer than a SHA-256 block (which HMAC hashes first),
+// every channel in both directions, frames of 0 to 4 KiB across block
+// boundaries, and the epoch.
+func TestMatchesHMAC(t *testing.T) {
+	const n = 5
+	sizes := []int{0, 1, 31, 55, 56, 63, 64, 65, 119, 120, 128, 1000, 4095, 4096}
+	for _, master := range [][]byte{[]byte("m"), bytes.Repeat([]byte{7}, 64), bytes.Repeat([]byte("long master "), 20)} {
+		as := make([]*auth.Auth, n)
+		for i := range as {
+			as[i] = mustNew(t, node.ID(i), n, master)
+		}
+		if want := binary.LittleEndian.Uint64(hmacSum(master, []byte("epoch"))); as[0].Epoch() != want {
+			t.Errorf("master of %d bytes: epoch %x, crypto/hmac %x", len(master), as[0].Epoch(), want)
+		}
+		for from := range n {
+			for to := range n {
+				key := hmacSum(master, le64(min(from, to)), le64(max(from, to)))
+				for _, size := range sizes {
+					frame := bytes.Repeat([]byte{byte(size), byte(from), byte(to)}, size)[:size]
+					sealed := as[from].Seal(node.ID(to), frame)
+					if want := hmacSum(key, le64(from), frame); !bytes.Equal(sealed[size:], want) {
+						t.Fatalf("master of %d bytes, %d→%d, %d-byte frame: MAC %x, crypto/hmac %x", len(master), from, to, size, sealed[size:], want)
+					}
+					if _, err := as[to].Open(node.ID(from), sealed); err != nil {
+						t.Fatalf("master of %d bytes, %d→%d, %d-byte frame: %v", len(master), from, to, size, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKeyingAllocs: keying a node for a 16-node trial and using every
+// channel once each way costs a handful of allocations, not several per
+// peer (an hmac.New per channel, and a Sum per derived key, cost 156).
+func TestKeyingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 16
+	master := []byte("keying-allocs")
+	payload := bytes.Repeat([]byte{0x3c}, 100)
+	inbound := make([][]byte, n) // what each peer sealed for node 0
+	for peer := range n {
+		inbound[peer] = mustNew(t, node.ID(peer), n, master).Seal(0, payload)
+	}
+	scratch := make([]byte, 0, len(payload)+auth.MACSize)
+	allocs := testing.AllocsPerRun(20, func() {
+		a, err := auth.New(0, n, master)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for peer := range node.ID(n) {
+			scratch = a.AppendSeal(peer, scratch[:0], payload)
+			if _, err := a.Open(peer, inbound[peer]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("%.0f allocations to key a node and use its %d channels, want ≤ 8", allocs, n)
+	}
+}
+
+func mustNew(t *testing.T, self node.ID, n int, master []byte) *auth.Auth {
+	t.Helper()
+	a, err := auth.New(self, n, master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }

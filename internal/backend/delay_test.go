@@ -20,9 +20,9 @@ import (
 // delay rules key on.
 type pingMsg struct{ body []byte }
 
-func (m pingMsg) Type() uint8                    { return wire.TypeTestPing }
-func (m pingMsg) WireSize() int                  { return len(m.body) }
-func (m pingMsg) MarshalBinary() ([]byte, error) { return m.body, nil }
+func (m pingMsg) Type() uint8                           { return wire.TypeTestPing }
+func (m pingMsg) WireSize() int                         { return len(m.body) }
+func (m pingMsg) AppendBinary(b []byte) ([]byte, error) { return append(b, m.body...), nil }
 
 func pingRegistry(t *testing.T) *wire.Registry {
 	t.Helper()

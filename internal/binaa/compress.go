@@ -96,9 +96,9 @@ func (m *Echo1C) WireSize() int {
 		valsWireSize(m.NewVals)
 }
 
-// MarshalBinary implements node.Message.
-func (m *Echo1C) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *Echo1C) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U16(m.Round)
 	w.U16(m.PrevCount)
 	w.BytesLP(m.Deltas)
@@ -106,8 +106,8 @@ func (m *Echo1C) MarshalBinary() ([]byte, error) {
 	for _, v := range m.Escapes {
 		w.F64(v)
 	}
-	encodeVals(w, m.NewVals)
-	return w.Bytes(), nil
+	encodeVals(&w, m.NewVals)
+	return w, nil
 }
 
 // DecodeEcho1C decodes an Echo1C body.
@@ -141,12 +141,12 @@ func (m *Echo2C) Type() uint8 { return wire.TypeEcho2C }
 // WireSize implements node.Message.
 func (m *Echo2C) WireSize() int { return 1 + 2 + wire.UVarintSize(uint64(len(m.Bits))) + len(m.Bits) }
 
-// MarshalBinary implements node.Message.
-func (m *Echo2C) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *Echo2C) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U16(m.Round)
 	w.BytesLP(m.Bits)
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // DecodeEcho2C decodes an Echo2C body.

@@ -79,7 +79,7 @@ func TestEcho1CMessageRoundTrip(t *testing.T) {
 		Escapes:   []float64{0.625},
 		NewVals:   []IVal{{ID: IID{Level: 2, K: -7}, Round: 3, V: 0.25}},
 	}
-	body, err := m.MarshalBinary()
+	body, err := m.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEcho1CMessageRoundTrip(t *testing.T) {
 
 func TestEcho2CMessageRoundTrip(t *testing.T) {
 	m := &Echo2C{Round: 7, Bits: []byte{0xa5, 0x01}}
-	body, err := m.MarshalBinary()
+	body, err := m.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -363,7 +363,7 @@ func TestMessageAliasing(t *testing.T) {
 	cfg, in, trace := captureTrace(t)
 	before := make([][]byte, len(trace))
 	for i, d := range trace {
-		before[i], _ = d.m.MarshalBinary()
+		before[i], _ = d.m.AppendBinary(nil)
 	}
 	for pass := 0; pass < 2; pass++ {
 		if !replay(t, cfg, in, trace, func(e *binaa.Engine, d delivery) { deliver(e, d.from, d.m) }) {
@@ -371,7 +371,7 @@ func TestMessageAliasing(t *testing.T) {
 		}
 	}
 	for i, d := range trace {
-		after, _ := d.m.MarshalBinary()
+		after, _ := d.m.AppendBinary(nil)
 		if !bytes.Equal(before[i], after) {
 			t.Errorf("delivery %d (type %d from %v) was mutated by a handler", i, d.m.Type(), d.from)
 		}

@@ -212,7 +212,7 @@ func echo1CSeeds() []*Echo1C {
 // they decode, through the engine.
 func FuzzDecodeEcho1C(f *testing.F) {
 	for _, m := range echo1CSeeds() {
-		body, err := m.MarshalBinary()
+		body, err := m.AppendBinary(nil)
 		if err != nil {
 			f.Fatal(err)
 		}

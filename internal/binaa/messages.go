@@ -68,13 +68,13 @@ func (m *Echo1) Type() uint8 { return wire.TypeEcho1 }
 // WireSize implements node.Message.
 func (m *Echo1) WireSize() int { return 1 + 2 + 1 + valsWireSize(m.Vals) }
 
-// MarshalBinary implements node.Message.
-func (m *Echo1) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *Echo1) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U16(m.Round)
 	w.Bool(m.Init)
-	encodeVals(w, m.Vals)
-	return w.Bytes(), nil
+	encodeVals(&w, m.Vals)
+	return w, nil
 }
 
 // DecodeEcho1 decodes an Echo1 message body.
@@ -101,13 +101,13 @@ func (m *Echo2) Type() uint8 { return wire.TypeEcho2 }
 // WireSize implements node.Message.
 func (m *Echo2) WireSize() int { return 1 + 2 + 1 + valsWireSize(m.Vals) }
 
-// MarshalBinary implements node.Message.
-func (m *Echo2) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *Echo2) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U16(m.Round)
 	w.Bool(m.Zeros)
-	encodeVals(w, m.Vals)
-	return w.Bytes(), nil
+	encodeVals(&w, m.Vals)
+	return w, nil
 }
 
 // DecodeEcho2 decodes an Echo2 message body.

@@ -263,7 +263,7 @@ func (e *recEnv) Broadcast(m node.Message) {
 }
 
 func (r *recorder) record(to int64, m node.Message) {
-	body, err := m.MarshalBinary()
+	body, err := m.AppendBinary(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -300,7 +300,7 @@ func hexFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 
 // runTranscriptCell runs one cell and renders its golden line: total
 // traffic, then per node a digest of its ordered outgoing messages
-// (destination, Type(), MarshalBinary()) and a digest of its final weights
+// (destination, Type(), AppendBinary(nil)) and a digest of its final weights
 // (sorted, hex floats) plus the Delphi output aggregated from them.
 func runTranscriptCell(t *testing.T, c transcriptCell) string {
 	t.Helper()

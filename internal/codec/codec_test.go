@@ -74,6 +74,26 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 	}
 }
 
+// TestEveryMessageAppends: every message type appends its frame after the
+// bytes already in a buffer, leaving them as they were, and into a buffer
+// with room allocates nothing (the driver encodes every send so).
+func TestEveryMessageAppends(t *testing.T) {
+	for _, m := range sampleMessages() {
+		frame, err := wire.Encode(m)
+		if err != nil {
+			t.Fatalf("type %d: encode: %v", m.Type(), err)
+		}
+		buf := append(make([]byte, 0, 3+len(frame)), "pre"...)
+		var out []byte
+		if a := testing.AllocsPerRun(10, func() { out, err = wire.Append(buf, m) }); a != 0 || err != nil {
+			t.Errorf("type %d: %.0f allocations, %v appending into a buffer with room", m.Type(), a, err)
+		}
+		if string(out) != "pre"+string(frame) {
+			t.Errorf("type %d: appended %x, want \"pre\" then %x", m.Type(), out, frame)
+		}
+	}
+}
+
 // TestDecodersRejectGarbage feeds truncated bodies to every registered
 // decoder; none may panic, and truncations of length-bearing messages must
 // error.

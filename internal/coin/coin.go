@@ -40,12 +40,12 @@ func (m *Share) WireSize() int {
 	return 1 + 8 + wire.UVarintSize(uint64(len(m.Blob))) + len(m.Blob)
 }
 
-// MarshalBinary implements node.Message.
-func (m *Share) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *Share) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U64(m.Coin)
 	w.BytesLP(m.Blob)
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // DecodeShare decodes a Share body.

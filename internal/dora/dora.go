@@ -29,12 +29,12 @@ func (m *Sig) WireSize() int {
 	return 1 + 8 + wire.UVarintSize(uint64(len(m.Sig))) + len(m.Sig)
 }
 
-// MarshalBinary implements node.Message.
-func (m *Sig) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *Sig) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.F64(m.V)
 	w.BytesLP(m.Sig)
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // DecodeSig decodes a Sig body.

@@ -25,16 +25,19 @@ type ID int
 func (id ID) String() string { return fmt.Sprintf("node-%d", id) }
 
 // Message is a protocol message. Concrete message types live in the protocol
-// packages and must support binary marshalling (for the live transports and
-// for bandwidth accounting in the simulator).
+// packages and must support binary encoding (for the live transports) and
+// report their size (for bandwidth accounting in the simulator).
 type Message interface {
 	// Type returns the globally unique wire-type byte of this message.
 	Type() uint8
 	// WireSize returns the exact number of bytes the message occupies on
 	// the wire (excluding transport framing and MAC).
 	WireSize() int
-	// MarshalBinary encodes the message body (without the type byte).
-	MarshalBinary() ([]byte, error)
+	// AppendBinary appends the message body (without the type byte) to b
+	// and returns the extended slice, as encoding.BinaryAppender does. It
+	// only appends: b's bytes are left as they are, and encoding into a b
+	// with room allocates nothing.
+	AppendBinary(b []byte) ([]byte, error)
 }
 
 // Env is the environment handed to a Process. All interaction with the

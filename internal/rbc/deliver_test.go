@@ -90,6 +90,39 @@ func TestDeliverOutOfRange(t *testing.T) {
 	})
 }
 
+// TestSpamVotesAreBounded: an ECHO from one sender for 10 000 distinct
+// payloads of one instance makes at most one further tally, not one per
+// payload (each searched linearly by the next), and nothing is sent.
+func TestSpamVotesAreBounded(t *testing.T) {
+	const n, f, spam = 7, 2, 10_000
+	env := &recEnv{n: n, f: f}
+	eng := rbc.NewEngine(node.Config{N: n, F: f}, env, 1, func(rbc.Key, []byte) { t.Error("delivered") })
+	// AllocsPerRun makes one warm-up call, on initiator 0's instance; the
+	// measured call spams initiator 1's. Each starts with another sender's
+	// ECHO, so the spam is all further payloads.
+	msgs := make([][]node.Message, 2)
+	for i := range msgs {
+		msgs[i] = []node.Message{&rbc.Echo{Initiator: node.ID(i), Payload: []byte("first")}}
+		for j := range spam {
+			msgs[i] = append(msgs[i], &rbc.Echo{Initiator: node.ID(i), Payload: fmt.Appendf(nil, "p%d", j)})
+		}
+	}
+	i := 0
+	a := testing.AllocsPerRun(1, func() {
+		eng.Handle(0, msgs[i][0])
+		for _, m := range msgs[i][1:] {
+			eng.Handle(1, m)
+		}
+		i++
+	})
+	if a > 2 {
+		t.Errorf("%.0f allocations for %d distinct-payload ECHOs from one sender, want ≤ 2 (one further tally)", a, spam)
+	}
+	if len(env.log) != 0 {
+		t.Errorf("one sender's ECHOs sent %q", env.log)
+	}
+}
+
 // TestRBCRowAllocs: the first ECHO and the first READY of every instance in
 // one tag row cost at most two allocations in total (the row's instances and
 // its voter slab), not one or more per instance.
@@ -125,7 +158,9 @@ func TestRBCRowAllocs(t *testing.T) {
 
 // oracle is the map-keyed Bracha counting the engine replaced: instances by
 // Key, votes by payload string, voters in a map. It carries the engine's
-// drop rule, so the two must emit and deliver the same, in the same order.
+// drop rule and its first-vote rule (a sender's first ECHO and first READY in
+// an instance count, for whatever payload), so the two must emit and deliver
+// the same, in the same order.
 type oracle struct {
 	cfg   node.Config
 	tags  uint32
@@ -151,8 +186,14 @@ func (o *oracle) inst(from node.ID, k rbc.Key) *oracleInst {
 	return x
 }
 
-// add records from's vote for p, returning p's voter count, or 0 on a repeat.
+// add records from's vote for p, returning p's voter count, or 0 if from has
+// voted for any payload already.
 func add(votes map[string]map[node.ID]bool, from node.ID, p []byte) int {
+	for _, s := range votes {
+		if s[from] {
+			return 0
+		}
+	}
 	s := votes[string(p)]
 	if s == nil {
 		s = map[node.ID]bool{}

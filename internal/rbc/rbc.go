@@ -7,13 +7,15 @@
 // broadcasts with distinct tags, in a range [0, tags) its caller fixes (FIN
 // uses one tag, Abraham et al. one per round). The engine keeps one row per
 // tag: its instances by initiator, each counting the ECHOs and READYs for its
-// first voted payload, with the voters' node.Sets carved from the row's one
-// slab. A payload is compared by slice identity, then by bytes; another
-// payload, which only an equivocating initiator causes, is tallied in the
-// instance's overflow list. A message naming an initiator outside
-// [0, n) or a tag outside the range, or sent from outside [0, n), is dropped
-// before any state exists, so a Byzantine peer cannot make honest nodes
-// allocate instances without bound.
+// first voted payload, with who has voted each kind in node.Sets carved from
+// the row's one slab. A payload is compared by slice identity, then by bytes;
+// another payload, which only an equivocating initiator causes, is tallied in
+// the instance's overflow list. Only a sender's first ECHO and first READY in
+// an instance count (Bracha's "first ECHO from p"), so a Byzantine sender
+// adds at most one tally per instance and kind. A message naming an initiator
+// outside [0, n) or a tag outside the range, or sent from outside [0, n), is
+// dropped before any state exists, so a Byzantine peer cannot make honest
+// nodes allocate instances without bound.
 //
 // Properties: validity (an honest initiator's payload is delivered),
 // agreement (no two honest nodes deliver different payloads for the same
@@ -54,12 +56,12 @@ func (m *Init) WireSize() int {
 	return 1 + 4 + wire.UVarintSize(uint64(len(m.Payload))) + len(m.Payload)
 }
 
-// MarshalBinary implements node.Message.
-func (m *Init) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *Init) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U32(m.Tag)
 	w.BytesLP(m.Payload)
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // Echo is the second-phase echo carrying the payload.
@@ -80,13 +82,13 @@ func (m *Echo) WireSize() int {
 	return 1 + 4 + 4 + wire.UVarintSize(uint64(len(m.Payload))) + len(m.Payload)
 }
 
-// MarshalBinary implements node.Message.
-func (m *Echo) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(m.WireSize())
+// AppendBinary implements node.Message.
+func (m *Echo) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U32(uint32(m.Initiator))
 	w.U32(m.Tag)
 	w.BytesLP(m.Payload)
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // decode reads an Echo or Ready body into m.
@@ -108,8 +110,8 @@ func (m *Ready) Type() uint8 { return wire.TypeRBCReady }
 // WireSize implements node.Message.
 func (m *Ready) WireSize() int { return (*Echo)(m).WireSize() }
 
-// MarshalBinary implements node.Message.
-func (m *Ready) MarshalBinary() ([]byte, error) { return (*Echo)(m).MarshalBinary() }
+// AppendBinary implements node.Message.
+func (m *Ready) AppendBinary(b []byte) ([]byte, error) { return (*Echo)(m).AppendBinary(b) }
 
 // DecodeInit decodes an Init body.
 func DecodeInit(body []byte, a *wire.Arena) (node.Message, error) {
@@ -144,9 +146,9 @@ func Register(reg *wire.Registry) error {
 }
 
 // instance is one broadcast's state: its phases and the ECHO and READY
-// counts of its first voted payload, whose voters live in its row's slab.
-// Votes for any other payload, which only an equivocating initiator causes,
-// are tallied in more.
+// counts of its first voted payload. Its row's slab holds who has voted each
+// kind, for any payload. Votes for any other payload, which only an
+// equivocating initiator causes, are tallied in more.
 type instance struct {
 	born, echoed, readied, delivered bool
 	n                                [2]int32 // ECHOs, READYs for payload
@@ -158,15 +160,14 @@ type instance struct {
 	bornAt, echoAt, readyAt int64
 }
 
-// tally counts the distinct voters for a further payload.
+// tally counts the voters for a further payload.
 type tally struct {
 	payload []byte
-	voters  node.Set
 	count   int32
 }
 
 // row is one tag's instances, by initiator, and their ECHO and READY voter
-// sets for their first payloads, side by side in one slab.
+// sets, side by side in one slab.
 type row struct {
 	insts  []instance
 	voters node.Set
@@ -215,38 +216,38 @@ func same(a, b []byte) bool {
 
 // vote records from's ECHO (kind 0) or READY (kind 1) for payload in
 // initiator i's instance x of row r. It returns the payload's new count, or
-// 0 if from had already voted for it.
+// 0 if from had already voted that kind in x, for any payload.
 func (e *Engine) vote(r *row, i node.ID, x *instance, kind int, from node.ID, payload []byte) int {
 	if x.n == [2]int32{} {
 		x.payload = payload
 	}
 	w := node.SetWords(e.cfg.N)
-	voters, c := r.voters[(2*int(i)+kind)*w:][:w], &x.n[kind]
-	if !same(x.payload, payload) {
-		t := further(x, kind, w, payload)
-		voters, c = t.voters, &t.count
-	}
-	if !voters.Add(from) {
+	if !r.voters[(2*int(i)+kind)*w:][:w].Add(from) {
 		return 0
+	}
+	c := &x.n[kind]
+	if !same(x.payload, payload) {
+		c = further(x, kind, payload)
 	}
 	*c++
 	return int(*c)
 }
 
-// further returns x's tally of kind for a payload other than its first,
-// made on the payload's first vote.
-func further(x *instance, kind, w int, payload []byte) *tally {
+// further returns x's count of kind for a payload other than its first, made
+// on the payload's first vote. A sender adds at most one, so there are fewer
+// than n to search.
+func further(x *instance, kind int, payload []byte) *int32 {
 	if x.more == nil {
 		x.more = new([2][]tally)
 	}
 	ts := &x.more[kind]
 	for i := range *ts {
 		if same((*ts)[i].payload, payload) {
-			return &(*ts)[i]
+			return &(*ts)[i].count
 		}
 	}
-	*ts = append(*ts, tally{payload: payload, voters: make(node.Set, w)})
-	return &(*ts)[len(*ts)-1]
+	*ts = append(*ts, tally{payload: payload})
+	return &(*ts)[len(*ts)-1].count
 }
 
 // Broadcast initiates a reliable broadcast of payload under tag.

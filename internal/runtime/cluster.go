@@ -30,20 +30,18 @@ type ClusterResult struct {
 }
 
 // Final returns node i's last output, or nil if it produced none.
-func (r *ClusterResult) Final(i int) any {
-	if len(r.Outputs[i]) == 0 {
-		return nil
-	}
-	return r.Outputs[i][len(r.Outputs[i])-1]
-}
+func (r *ClusterResult) Final(i int) any { return last(r.Outputs[i]) }
 
 // FinalAt returns the wall-clock stamp of node i's last output (zero if it
 // produced none).
-func (r *ClusterResult) FinalAt(i int) time.Duration {
-	if len(r.Times[i]) == 0 {
-		return 0
+func (r *ClusterResult) FinalAt(i int) time.Duration { return last(r.Times[i]) }
+
+// last returns s's last element, or the zero value if s is empty.
+func last[T any](s []T) (v T) {
+	if len(s) > 0 {
+		v = s[len(s)-1]
 	}
-	return r.Times[i][len(r.Times[i])-1]
+	return v
 }
 
 // TransportFactory builds node id's transport for a cluster run; a is the

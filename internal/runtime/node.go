@@ -54,11 +54,11 @@ type Driver struct {
 
 	batch     bool
 	rec       Recycler  // tr's buffer pool, when it has one
+	out       []byte    // pending frames back to back (see send), then an envelope being sent
 	pend      []pending // frames awaiting flush, in send order
 	selfSent  int       // how many of pend have gone to this node already
 	pendCount int       // (frame, destination) pairs awaiting flush
 	gather    [][]byte  // one destination's frames, reused across flushes
-	scratch   []byte    // envelope build buffer, reused across flushes
 
 	// Tolerated faults (see Fault), each mirrored into obsFaults.
 	faults    [numFaults]atomic.Uint64
@@ -185,25 +185,27 @@ func (e *driverEnv) ChargeCompute(node.ComputeCost) {
 	// Real CPU time is spent for real on the live runtime.
 }
 
-// send encodes m once and files that one frame, with its destinations [lo,
-// hi), on the pending list — or transmits it to each when batching is off.
-// Sharing is safe because nothing downstream writes to a frame (see
-// Transport).
+// send appends m's frame to out and files it, with its destinations [lo, hi),
+// on the pending list — or transmits it to each when batching is off. A frame
+// is shared, and out reused once nothing is pending: Send keeps no frame.
 func (d *Driver) send(m node.Message, lo, hi node.ID) {
-	frame, err := wire.Encode(m)
+	n := len(d.out)
+	out, err := wire.Append(d.out, m)
 	switch {
 	case err != nil:
 		d.err = cmp.Or(d.err, fmt.Errorf("encode %T: %w", m, err))
 	case !d.batch:
 		for to := lo; to < hi; to++ {
-			d.transmit(to, frame)
+			d.transmit(to, out[n:])
 		}
 	case lo < 0 || hi <= lo || int(hi) > d.cfg.N: // a Send to no node (hi may wrap)
 		d.fault(FaultSend)
 	default:
-		d.pend = append(d.pend, pending{frame, lo, hi})
+		d.pend = append(d.pend, pending{out[n:], lo, hi})
 		d.pendCount += int(hi - lo)
+		n = len(out)
 	}
+	d.out = out[:n] // only pending frames stay
 }
 
 // transmit hands one frame or envelope to the transport. A failure to reach
@@ -227,7 +229,7 @@ func (d *Driver) flush() {
 		}
 	}
 	clear(d.pend)
-	d.pend, d.selfSent = d.pend[:0], 0
+	d.pend, d.out, d.selfSent = d.pend[:0], d.out[:0], 0
 }
 
 // flushTo gathers to's pending frames, in send order, and sends them. It
@@ -247,9 +249,9 @@ func (d *Driver) flushTo(to node.ID) bool {
 		return false
 	}
 	frame := frames[0]
-	if len(frames) > 1 {
-		d.scratch = AppendBatch(d.scratch[:0], frames)
-		frame = d.scratch
+	if n := len(d.out); len(frames) > 1 {
+		d.out = AppendBatch(d.out, frames)
+		frame, d.out = d.out[n:], d.out[:n] // past every pending frame, and dead once sent
 	}
 	d.transmit(to, frame)
 	d.obsFlushFrames.Add(int64(len(frames)))

@@ -28,9 +28,9 @@ type countedMsg struct {
 
 func (m countedMsg) Type() uint8   { return wire.TypeTestPing }
 func (m countedMsg) WireSize() int { return len(m.body) }
-func (m countedMsg) MarshalBinary() ([]byte, error) {
+func (m countedMsg) AppendBinary(b []byte) ([]byte, error) {
 	m.marshals.Add(1)
-	return append([]byte(nil), m.body...), nil
+	return append(b, m.body...), nil
 }
 
 // scriptProc plays a fixed list of sends from Init and halts.
@@ -581,9 +581,9 @@ func TestOutputsKeptInOrder(t *testing.T) {
 // badMsg fails to marshal.
 type badMsg struct{}
 
-func (badMsg) Type() uint8                    { return wire.TypeTestPing }
-func (badMsg) WireSize() int                  { return 0 }
-func (badMsg) MarshalBinary() ([]byte, error) { return nil, errors.New("cannot marshal") }
+func (badMsg) Type() uint8                         { return wire.TypeTestPing }
+func (badMsg) WireSize() int                       { return 0 }
+func (badMsg) AppendBinary([]byte) ([]byte, error) { return nil, errors.New("cannot marshal") }
 
 // TestEncodeFailureIsRunError: a message that fails to marshal is not
 // dropped silently: Run returns the error, and the cluster result carries it

@@ -10,8 +10,8 @@
 //
 //   - A frame given to Send is read-only and not retained after Send
 //     returns (transports seal into buffers of their own; the backend delay
-//     wrapper copies first), so a caller may reuse it at once and may Send
-//     one frame to many destinations: the driver encodes a broadcast once.
+//     wrapper copies first), so a driver encodes a broadcast once, into a
+//     buffer it reuses as soon as nothing in it is pending.
 //   - A frame from Recv/TryRecv is the receiver's until it hands the buffer
 //     back with the transport's Recycle, if it ever does, and must not be
 //     touched after that. A driver carves decoded messages, bytes and all,

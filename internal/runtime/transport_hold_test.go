@@ -26,9 +26,9 @@ import (
 // holdMsg is a test message: its body is its wire body.
 type holdMsg string
 
-func (m holdMsg) Type() uint8                    { return wire.TypeTestPing }
-func (m holdMsg) WireSize() int                  { return len(m) }
-func (m holdMsg) MarshalBinary() ([]byte, error) { return []byte(m), nil }
+func (m holdMsg) Type() uint8                           { return wire.TypeTestPing }
+func (m holdMsg) WireSize() int                         { return len(m) }
+func (m holdMsg) AppendBinary(b []byte) ([]byte, error) { return append(b, m...), nil }
 
 func holdRegistry(t *testing.T) *wire.Registry {
 	t.Helper()

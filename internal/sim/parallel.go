@@ -9,7 +9,8 @@
 // nodes into contiguous shards, hands each shard to a worker, and executes
 // one window per barrier: every worker files the sends staged for it in
 // the previous window, processes its slice of the current window, and
-// stages its own sends for the next.
+// stages its own sends for the next. One worker has no pool: Run's goroutine
+// runs its one shard itself, with no channel hop per window.
 //
 // Each shard keeps its pending events in a calendar (calendar.go, the type
 // the sequential loop uses too) whose bucket width is the lookahead, so one
@@ -112,7 +113,7 @@ type parRunner struct {
 	shardOf []uint8 // node -> shard
 	rands   []*rand.Rand
 	srcs    []sm64
-	work    []chan winCmd
+	work    []chan winCmd // the pool's; nil for one worker
 	done    chan int
 	closed  bool
 
@@ -231,13 +232,7 @@ func (r *Runner) setupParallel(seed int64) error {
 	if width <= 0 {
 		return fmt.Errorf("sim: parallel mode needs a positive lookahead, got %v", width)
 	}
-	workers := r.parWorkers
-	if workers > maxWorkers {
-		workers = maxWorkers
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(r.parWorkers, maxWorkers, n)
 	var ps *parScratch
 	if r.scratch != nil {
 		ps = r.scratch.par
@@ -260,11 +255,13 @@ func (r *Runner) setupParallel(seed int64) error {
 		shardOf: ps.shardOf,
 		rands:   ps.rands,
 		srcs:    ps.srcs,
-		work:    make([]chan winCmd, workers),
 		done:    make(chan int, workers),
 	}
-	for s := range pr.work {
-		pr.work[s] = make(chan winCmd, 1)
+	if workers > 1 { // else no pool: issue runs the one shard
+		pr.work = make([]chan winCmd, workers)
+		for s := range pr.work {
+			pr.work[s] = make(chan winCmd, 1)
+		}
 	}
 	for _, sh := range ps.shards {
 		sh.pr = pr
@@ -315,7 +312,7 @@ func (r *Runner) setupParallel(seed int64) error {
 // runWindows is Run's parallel body.
 func (pr *parRunner) runWindows() {
 	r := pr.r
-	for s := range pr.shards {
+	for s := range pr.work {
 		go pr.worker(s)
 	}
 	defer pr.stop()
@@ -403,7 +400,11 @@ func (pr *parRunner) stop() {
 	}
 }
 
+// issue starts phase cmd on every worker, or with no pool runs it here.
 func (pr *parRunner) issue(cmd winCmd) {
+	if pr.work == nil {
+		pr.runCmd(pr.shards[0], cmd)
+	}
 	for _, ch := range pr.work {
 		ch <- cmd
 	}
@@ -414,7 +415,7 @@ func (pr *parRunner) issue(cmd winCmd) {
 // A worker panic or detected causality violation is re-raised here, after a
 // clean pool shutdown, so it surfaces to Run's caller.
 func (pr *parRunner) collect() int64 {
-	for range pr.shards {
+	for range pr.work {
 		<-pr.done
 	}
 	b := int64(math.MaxInt64)
@@ -429,12 +430,7 @@ func (pr *parRunner) collect() int64 {
 		}
 		pr.r.live -= sh.halts
 		sh.halts = 0
-		if sh.nextB < b {
-			b = sh.nextB
-		}
-		if sh.minStaged < b {
-			b = sh.minStaged
-		}
+		b = min(b, sh.nextB, sh.minStaged)
 	}
 	if panicVal != nil {
 		pr.stop()

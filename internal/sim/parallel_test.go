@@ -175,7 +175,7 @@ func TestLookaheadViolation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func() (res *sim.Result, panicked string) {
+			run := func(workers int) (res *sim.Result, panicked string) {
 				defer func() {
 					if p := recover(); p != nil {
 						panicked = fmt.Sprint(p)
@@ -186,7 +186,7 @@ func TestLookaheadViolation(t *testing.T) {
 					procs[i] = &flood{rounds: 4}
 				}
 				env := sim.Local()
-				opts := []sim.Option{sim.WithParallelWindow(4)}
+				opts := []sim.Option{sim.WithParallelWindow(workers)}
 				if tc.lat != nil {
 					env.Latency = understatedLatency{floor: floor, lat: tc.lat}
 				} else {
@@ -200,22 +200,25 @@ func TestLookaheadViolation(t *testing.T) {
 				}
 				return r.Run(), ""
 			}
-			res, panicked := run()
-			if tc.wantPanic {
-				if panicked == "" {
-					t.Fatal("undercut MinLatency floor went undetected")
+			// One worker runs its shard on Run's goroutine, with no pool.
+			for _, workers := range []int{1, 4} {
+				res, panicked := run(workers)
+				if tc.wantPanic {
+					if panicked == "" {
+						t.Fatalf("%d workers: undercut MinLatency floor went undetected", workers)
+					}
+					if !strings.Contains(panicked, "causality violation") {
+						t.Fatalf("%d workers: panic %q does not name the causality violation", workers, panicked)
+					}
+					continue
 				}
-				if !strings.Contains(panicked, "causality violation") {
-					t.Fatalf("panic %q does not name the causality violation", panicked)
+				if panicked != "" {
+					t.Fatalf("%d workers: sound floor panicked: %s", workers, panicked)
 				}
-				return
-			}
-			if panicked != "" {
-				t.Fatalf("sound floor panicked: %s", panicked)
-			}
-			for i, st := range res.Stats {
-				if !st.Halted {
-					t.Errorf("node %d never halted", i)
+				for i, st := range res.Stats {
+					if !st.Halted {
+						t.Errorf("%d workers: node %d never halted", workers, i)
+					}
 				}
 			}
 		})

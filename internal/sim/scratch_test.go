@@ -31,9 +31,9 @@ func TestShrunkCap(t *testing.T) {
 // tests (the richer flood protocol lives in the sim_test package).
 type pingMsg struct{ Round int32 }
 
-func (pingMsg) Type() uint8                    { return 0xF1 }
-func (pingMsg) WireSize() int                  { return 48 }
-func (pingMsg) MarshalBinary() ([]byte, error) { return []byte{0}, nil }
+func (pingMsg) Type() uint8                           { return 0xF1 }
+func (pingMsg) WireSize() int                         { return 48 }
+func (pingMsg) AppendBinary(b []byte) ([]byte, error) { return append(b, 0), nil }
 
 type ping struct {
 	env    node.Env

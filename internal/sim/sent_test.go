@@ -57,7 +57,7 @@ func (m countedMsg) WireSize() int {
 	m.sized.Add(1)
 	return 48 + int(m.Round)
 }
-func (countedMsg) MarshalBinary() ([]byte, error) { return []byte{0}, nil }
+func (countedMsg) AppendBinary(b []byte) ([]byte, error) { return append(b, 0), nil }
 
 // caster is ping with a choice of how a round's message goes out — one
 // Broadcast, or a Send to each of 0…n−1 — and, for the node that has a

@@ -532,12 +532,12 @@ func WithScratch(s *Scratch) Option {
 }
 
 // WithParallelWindow enables conservative-window parallel execution on a
-// pool of `workers` shard workers. The runner partitions the nodes into
-// contiguous shards, takes the lookahead bound L to be the latency model's
-// declared MinLatency, and executes each [T, T+L) window of events
-// concurrently — events inside one lookahead window are causally
-// independent across nodes, the classic conservative PDES argument. See
-// Runner.Run and README "Parallel simulation" for which
+// pool of `workers` shard workers (one runs on Run's goroutine). The runner
+// partitions the nodes into contiguous shards, takes the lookahead bound L
+// to be the latency model's declared MinLatency, and executes each [T, T+L)
+// window of events concurrently — events inside one lookahead window are
+// causally independent across nodes, the classic conservative PDES
+// argument. See Runner.Run and README "Parallel simulation" for which
 // guarantees survive: parallel runs are deterministic (byte-identical
 // across reruns AND across worker counts), but follow a different
 // tie-breaking schedule and RNG stream split than the sequential runner, so

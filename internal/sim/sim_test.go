@@ -17,10 +17,10 @@ type ping struct{ seq uint32 }
 
 func (p *ping) Type() uint8   { return wire.TypeTestPing }
 func (p *ping) WireSize() int { return 1 + 4 }
-func (p *ping) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(4)
+func (p *ping) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U32(p.seq)
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // echoer replies to every ping once, then halts after seeing `quota` pings.

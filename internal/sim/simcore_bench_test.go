@@ -17,9 +17,9 @@ type floodMsg struct {
 	Round int32
 }
 
-func (floodMsg) Type() uint8                    { return 0xF0 }
-func (floodMsg) WireSize() int                  { return 64 }
-func (floodMsg) MarshalBinary() ([]byte, error) { return []byte{0, 0, 0, 0}, nil }
+func (floodMsg) Type() uint8                           { return 0xF0 }
+func (floodMsg) WireSize() int                         { return 64 }
+func (floodMsg) AppendBinary(b []byte) ([]byte, error) { return append(b, 0, 0, 0, 0), nil }
 
 // flood is a synthetic all-to-all protocol: every node broadcasts each
 // round, advances when it has heard n messages of its current round, and

@@ -4,8 +4,10 @@
 //
 // The encoding is deliberately simple and deterministic: fixed-width
 // little-endian integers and IEEE-754 floats, with unsigned varints for
-// lengths. Message bodies never embed their own type byte; framing
-// (type byte, length, MAC) is added by the transport layer.
+// lengths. Encoding appends: a message's AppendBinary appends its body
+// (never its own type byte) to the caller's slice through a Writer, and
+// Append puts the type byte in front, so a sender that reuses one buffer
+// encodes without allocating. Length and MAC are the transport's.
 package wire
 
 import (
@@ -64,49 +66,29 @@ const TypeBatch uint8 = 0xFF
 // ErrTruncated reports a message body shorter than its encoding requires.
 var ErrTruncated = errors.New("wire: truncated message")
 
-// Writer serialises primitives into a byte buffer.
-type Writer struct {
-	buf []byte
-}
-
-// NewWriter returns a writer with the given capacity hint.
-func NewWriter(capHint int) *Writer {
-	return &Writer{buf: make([]byte, 0, capHint)}
-}
-
-// Bytes returns the encoded bytes.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
+// Writer appends primitives to a byte slice: wire.Writer(b) writes after
+// b's bytes, into b's spare capacity while it lasts, and the Writer is the
+// grown slice. A message's AppendBinary starts one on the caller's buffer, so
+// encoding into a buffer with room allocates nothing.
+type Writer []byte
 
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+func (w *Writer) U8(v uint8) { *w = append(*w, v) }
 
 // U16 writes a fixed-width little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
-}
+func (w *Writer) U16(v uint16) { *w = binary.LittleEndian.AppendUint16(*w, v) }
 
 // U32 writes a fixed-width little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
+func (w *Writer) U32(v uint32) { *w = binary.LittleEndian.AppendUint32(*w, v) }
 
 // U64 writes a fixed-width little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
+func (w *Writer) U64(v uint64) { *w = binary.LittleEndian.AppendUint64(*w, v) }
 
 // UVarint writes an unsigned varint.
-func (w *Writer) UVarint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
+func (w *Writer) UVarint(v uint64) { *w = binary.AppendUvarint(*w, v) }
 
 // Varint writes a signed varint.
-func (w *Writer) Varint(v int64) {
-	w.buf = binary.AppendVarint(w.buf, v)
-}
+func (w *Writer) Varint(v int64) { *w = binary.AppendVarint(*w, v) }
 
 // F64 writes an IEEE-754 float64.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
@@ -123,7 +105,7 @@ func (w *Writer) Bool(v bool) {
 // BytesLP writes a length-prefixed byte slice.
 func (w *Writer) BytesLP(b []byte) {
 	w.UVarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
+	*w = append(*w, b...)
 }
 
 // Reader deserialises primitives from a byte buffer.
@@ -328,17 +310,18 @@ func (g *Registry) Register(t uint8, d Decoder) error {
 	return nil
 }
 
-// Encode frames m as type byte followed by the marshalled body.
-func Encode(m node.Message) ([]byte, error) {
-	body, err := m.MarshalBinary()
+// Append appends m's frame, its type byte followed by its body, to b. On an
+// error b comes back as it was.
+func Append(b []byte, m node.Message) ([]byte, error) {
+	out, err := m.AppendBinary(append(b, m.Type()))
 	if err != nil {
-		return nil, fmt.Errorf("wire: marshal type %d: %w", m.Type(), err)
+		return b, fmt.Errorf("wire: marshal type %d: %w", m.Type(), err)
 	}
-	out := make([]byte, 0, 1+len(body))
-	out = append(out, m.Type())
-	out = append(out, body...)
 	return out, nil
 }
+
+// Encode returns m's frame in a buffer of its own.
+func Encode(m node.Message) ([]byte, error) { return Append(make([]byte, 0, m.WireSize()), m) }
 
 // DecodeFramed splits a framed message into its type byte and body and
 // decodes it through the registry.

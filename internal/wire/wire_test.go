@@ -12,7 +12,7 @@ import (
 )
 
 func TestPrimitiveRoundTrip(t *testing.T) {
-	w := wire.NewWriter(64)
+	var w wire.Writer
 	w.U8(0xab)
 	w.U16(0xbeef)
 	w.U32(0xdeadbeef)
@@ -24,7 +24,7 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.BytesLP([]byte("hello"))
 
-	r := wire.NewReader(w.Bytes())
+	r := wire.NewReader(w)
 	if got := r.U8(); got != 0xab {
 		t.Errorf("U8 = %x", got)
 	}
@@ -65,10 +65,10 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 
 func TestVarintRoundTripProperty(t *testing.T) {
 	f := func(u uint64, v int64) bool {
-		w := wire.NewWriter(32)
+		var w wire.Writer
 		w.UVarint(u)
 		w.Varint(v)
-		r := wire.NewReader(w.Bytes())
+		r := wire.NewReader(w)
 		return r.UVarint() == u && r.Varint() == v && r.Err() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -78,11 +78,11 @@ func TestVarintRoundTripProperty(t *testing.T) {
 
 func TestVarintSizeMatchesEncoding(t *testing.T) {
 	f := func(u uint64, v int64) bool {
-		w := wire.NewWriter(32)
+		var w wire.Writer
 		w.UVarint(u)
-		n1 := w.Len()
+		n1 := len(w)
 		w.Varint(v)
-		n2 := w.Len() - n1
+		n2 := len(w) - n1
 		return wire.UVarintSize(u) == n1 && wire.VarintSize(v) == n2
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -106,10 +106,10 @@ type pingMsg struct{ v uint32 }
 
 func (m *pingMsg) Type() uint8   { return wire.TypeTestPing }
 func (m *pingMsg) WireSize() int { return 1 + 4 }
-func (m *pingMsg) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(4)
+func (m *pingMsg) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U32(m.v)
-	return w.Bytes(), nil
+	return w, nil
 }
 
 func TestRegistry(t *testing.T) {

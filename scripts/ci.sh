@@ -239,14 +239,20 @@ go run ./cmd/experiments -scale quick -seed 1 -backend live -run matrix > /dev/n
 # the same list holds both-way FIFO on every link at once and the fallback
 # to one-way dials when a link breaks. The receive side's allocation gate
 # (TestEnvelopeDecodeAllocs: a driver decodes a 16-message envelope into its
-# arena for at most one allocation) and the vote counters' (TestRBCRowAllocs,
-# TestABARoundAllocs: a tag row's or a round's first votes for every instance
-# cost at most two allocations) run without -race, which allocates.
+# arena for at most one allocation), the send side's (TestBroadcastAllocs…:
+# a steady step of two broadcasts and a flush allocates nothing;
+# TestEveryMessageAppends: every message type appends into a buffer with room
+# for free), keying's (TestKeyingAllocs: keying a node for a 16-node trial and
+# using each channel both ways costs at most 8 allocations) and the vote
+# counters' (TestRBCRowAllocs, TestABARoundAllocs: a tag row's or a round's
+# first votes for every instance cost at most two allocations;
+# TestSpamVotesAreBounded: 10 000 distinct-payload ECHOs from one sender make
+# at most one further tally) run without -race, which allocates.
 echo "== transport batching gate =="
 go test ./internal/runtime -race -count=1 \
     -run 'TestHubPerLinkFIFO|TestTCPPerLinkFIFO|TestTCPDialStall|TestTCPDialInstallRace|TestTCPDropCounter|TestTCPNetLinksCarryBothDirections|TestTCPNetBrokenLinkFallsBack'
-go test ./internal/backend ./internal/runtime ./internal/rbc ./internal/aba -count=1 ${short_flag:+"$short_flag"} \
-    -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops|TestEnvelopeDecodeAllocs|TestRBCRowAllocs|TestABARoundAllocs'
+go test ./internal/backend ./internal/runtime ./internal/rbc ./internal/aba ./internal/auth ./internal/codec -count=1 ${short_flag:+"$short_flag"} \
+    -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops|TestEnvelopeDecodeAllocs|TestBroadcastAllocsDoNotGrowWithN|TestEveryMessageAppends|TestKeyingAllocs|TestRBCRowAllocs|TestABARoundAllocs|TestSpamVotesAreBounded'
 
 # A tcp node holds its drivers' writes while any of them is in a step and
 # writes once per peer when the last goes idle (runtime's "Write side"). The
