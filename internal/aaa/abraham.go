@@ -38,17 +38,29 @@ type AbrahamResult struct {
 	Output float64
 	// Rounds is the number of rounds run.
 	Rounds int
+	rounds []*roundData // each round's state, for RoundValue
+}
+
+// RoundValue returns the node's state after round r, for r in [1, Rounds];
+// ok is false for any other r, or if the result carries no rounds.
+func (x AbrahamResult) RoundValue(r int) (v float64, ok bool) {
+	if r < 1 || r >= len(x.rounds) {
+		return 0, false
+	}
+	return x.rounds[r].value, true
 }
 
 // roundData tracks one round's deliveries and witness reports, by node:
 // values[i] is i's delivered value once delivered has i, and reports[i] the
-// set i reported (nil until i reports), carved from spare's words i·w on.
+// set i reported (nil until i reports), carved from spare's words i·w on;
+// and value, the state the node took from them.
 type roundData struct {
 	values           []float64
 	reports          []node.Set
 	delivered, spare node.Set
 	nDelivered       int
 	sentReport       bool
+	value            float64
 }
 
 // Abraham runs one node of Abraham et al.'s approximate agreement. Each
@@ -196,12 +208,16 @@ func (a *Abraham) progress() {
 		f := a.cfg.F
 		trimmed := vals[f : len(vals)-f]
 		a.value = (trimmed[0] + trimmed[len(trimmed)-1]) / 2
+		d.value = a.value
 		a.track.Span("aaa.round", a.roundAt, int64(a.round), int64(witnesses))
 		a.roundAt = a.track.Now()
 		if a.round >= a.cfg.Rounds {
 			a.done = true
 			a.track.Instant("aaa.decide", int64(a.round), 0)
-			a.env.Output(AbrahamResult{Output: a.value, Rounds: a.round})
+			for _, d := range a.rounds[1:] { // the result keeps the states, not the receipts
+				*d = roundData{value: d.value}
+			}
+			a.env.Output(AbrahamResult{Output: a.value, Rounds: a.round, rounds: a.rounds})
 			a.env.Halt()
 			return
 		}

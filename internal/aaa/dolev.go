@@ -39,6 +39,16 @@ type DolevResult struct {
 	Output float64
 	// Rounds is the number of rounds run.
 	Rounds int
+	rounds []dolevRound // each round's state, for RoundValue
+}
+
+// RoundValue returns the node's state after round r, for r in [1, Rounds];
+// ok is false for any other r, or if the result carries no rounds.
+func (x DolevResult) RoundValue(r int) (v float64, ok bool) {
+	if r < 1 || r > len(x.rounds) {
+		return 0, false
+	}
+	return x.rounds[r-1].value, true
 }
 
 // Dolev runs one node of the classic 1986 approximate agreement: plain
@@ -65,10 +75,12 @@ type Dolev struct {
 }
 
 // dolevRound is one round's receipts, allocated on the round's first
-// message: who has been heard from and what they sent, in arrival order.
+// message: who has been heard from and what they sent, in arrival order;
+// and the state the node took from them.
 type dolevRound struct {
-	seen node.Set
-	vals []float64
+	seen  node.Set
+	vals  []float64
+	value float64
 }
 
 var _ node.Process = (*Dolev)(nil)
@@ -131,12 +143,16 @@ func (d *Dolev) progress() {
 		lo := selectFloat(rv, trim)
 		hi := selectFloat(rv[trim:], len(rv)-1-2*trim)
 		d.value = (lo + hi) / 2
+		d.rounds[d.round-1].value = d.value
 		d.track.Span("aaa.round", d.roundAt, int64(d.round), int64(len(rv)))
 		d.roundAt = d.track.Now()
 		if d.round >= d.cfg.Rounds {
 			d.done = true
 			d.track.Instant("aaa.decide", int64(d.round), 0)
-			d.env.Output(DolevResult{Output: d.value, Rounds: d.round})
+			for i := range d.rounds { // the result keeps the states, not the receipts
+				d.rounds[i] = dolevRound{value: d.rounds[i].value}
+			}
+			d.env.Output(DolevResult{Output: d.value, Rounds: d.round, rounds: d.rounds})
 			d.env.Halt()
 			return
 		}

@@ -130,6 +130,7 @@ type Engine struct {
 	// rows[r-1] is round r, made on its first use; round MaxRounds+1 only
 	// holds the BVAL and AUX an instance sends on leaving round MaxRounds.
 	rows [MaxRounds + 1]row
+	sent wire.Arena // what it sends, carved; never reset (see wire.Arena)
 }
 
 // rs returns instance x's state in round r.
@@ -222,7 +223,7 @@ func (e *Engine) startRound(x *instance) {
 	}
 	if !rs.bvalSent[bi(x.est)] {
 		rs.bvalSent[bi(x.est)] = true
-		e.env.Broadcast(&BVal{Inst: x.id, Round: uint16(x.round), V: x.est})
+		e.env.Broadcast(wire.New(&e.sent, BVal{Inst: x.id, Round: uint16(x.round), V: x.est}))
 	}
 	e.progress(x)
 }
@@ -262,7 +263,7 @@ func (e *Engine) onBVal(from node.ID, m *BVal) {
 	// Amplify on t+1.
 	if c >= e.cfg.F+1 && !rs.bvalSent[bi(m.V)] {
 		rs.bvalSent[bi(m.V)] = true
-		e.env.Broadcast(&BVal{Inst: x.id, Round: uint16(r), V: m.V})
+		e.env.Broadcast(wire.New(&e.sent, BVal{Inst: x.id, Round: uint16(r), V: m.V}))
 	}
 	// Bin-values on 2t+1.
 	if c >= 2*e.cfg.F+1 && !rs.binValues[bi(m.V)] {
@@ -294,11 +295,11 @@ func (e *Engine) zombie(x *instance, r int) {
 	rs := e.rs(x, r)
 	if !rs.bvalSent[bi(x.value)] {
 		rs.bvalSent[bi(x.value)] = true
-		e.env.Broadcast(&BVal{Inst: x.id, Round: uint16(r), V: x.value})
+		e.env.Broadcast(wire.New(&e.sent, BVal{Inst: x.id, Round: uint16(r), V: x.value}))
 	}
 	if !rs.auxSent {
 		rs.auxSent = true
-		e.env.Broadcast(&Aux{Inst: x.id, Round: uint16(r), V: x.value})
+		e.env.Broadcast(wire.New(&e.sent, Aux{Inst: x.id, Round: uint16(r), V: x.value}))
 	}
 }
 
@@ -319,7 +320,7 @@ func (e *Engine) progress(x *instance) {
 				return // waiting for bin_values
 			}
 			rs.auxSent = true
-			e.env.Broadcast(&Aux{Inst: x.id, Round: uint16(x.round), V: w})
+			e.env.Broadcast(wire.New(&e.sent, Aux{Inst: x.id, Round: uint16(x.round), V: w}))
 		}
 		// Collect n-t AUX votes on values inside bin_values.
 		n0, n1 := 0, 0

@@ -156,8 +156,8 @@ func (p *Process) tryFinish() {
 	if !p.ones.SubsetOf(p.valued) {
 		return // a value still in flight
 	}
-	var set []node.ID
-	var vals []float64
+	set := make([]node.ID, 0, p.nOnes)
+	vals, sorted := make([]float64, 0, p.nOnes), make([]float64, p.nOnes)
 	for i := node.ID(0); int(i) < p.cfg.N; i++ {
 		if p.ones.Has(i) {
 			set = append(set, i)
@@ -167,7 +167,7 @@ func (p *Process) tryFinish() {
 	p.finished = true
 	// The whole-protocol span: Init → subset decided with values in hand.
 	p.track.Span("acs.decide", p.startAt, int64(len(set)), 0)
-	sorted := append([]float64(nil), vals...)
+	copy(sorted, vals)
 	sort.Float64s(sorted)
 	p.env.Output(Result{Output: median(sorted), Set: set, Values: vals})
 	p.env.Halt()

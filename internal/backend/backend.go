@@ -5,7 +5,7 @@
 // length-prefixed, HMAC-authenticated frames (runtime.TCPNet). Every run is
 // a session: bench.Engine keeps one per (cell, worker) across trials, and a
 // one-shot Run is a session of one trial. Serial trials share the fabric
-// through epoch keys and drainers (clusterSession); concurrent service
+// through epoch keys and drained idle slots (clusterSession); concurrent service
 // rounds share it through an instance mux (serviceSession). Both run their
 // trials through one body, runTrial.
 //
@@ -94,11 +94,10 @@ func (b TCP) OpenService(spec run.RunSpec, timeout time.Duration) (run.ServiceRu
 }
 
 // fabric is the persistent substrate under a session: per-slot inboxes
-// (runtime.MuxFabric; Recv for idle-slot drainers), per-epoch and per-instance
+// (runtime.MuxFabric, which runtime.Discard drains), per-epoch and per-instance
 // endpoints, and cumulative observable frame drops. Hub and TCPNet satisfy it.
 type fabric interface {
 	runtime.MuxFabric
-	Recv(id node.ID, stop <-chan struct{}) (runtime.Frame, bool)
 	Endpoint(id node.ID, a *auth.Auth) runtime.Transport
 	TaggedEndpoint(id node.ID, a *auth.Auth, tag uint64) runtime.Transport
 	Drops() uint64

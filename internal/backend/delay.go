@@ -202,9 +202,9 @@ func (t *advTransport) Recycle(buf []byte) {
 // delay timers start and timers still pending are released. It does not
 // wait for delayed sends already past their timer — a session releases its
 // per-trial wrappers this way while the inner transports live on, and
-// waits for the in-flight sends only after its drainers are back (an
-// in-flight send can be blocked on a peer that stopped draining; waiting
-// earlier would deadlock). Safe to call more than once.
+// waits for the in-flight sends only after its idle slots drain again (an
+// in-flight send must not be waited on while its peer's slot is neither
+// read nor drained). Safe to call more than once.
 func (t *advTransport) detach() {
 	t.mu.Lock()
 	if !t.closed {

@@ -1,0 +1,6 @@
+//go:build !race
+
+package backend_test
+
+// raceEnabled reports a -race build, whose instrumentation allocates.
+const raceEnabled = false

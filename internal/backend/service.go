@@ -16,7 +16,7 @@ import (
 // This file is the live half of the continuous-service mode
 // (bench.Engine.RunService): a serviceSession runs many agreement rounds
 // CONCURRENTLY over one persistent fabric. Where clusterSession serialises
-// trials (one epoch at a time, drainers between), the service session
+// trials (one epoch at a time, idle slots drained between), the service session
 // multiplexes instances:
 //
 //   - every round gets a unique 8-byte tag and sends through the fabric's
@@ -45,7 +45,7 @@ type serviceSession struct {
 
 // openService opens an n-slot fabric and attaches a mux to it; from here on
 // the mux's routes take every frame the fabric's inboxes are offered (the
-// session never starts drainers — each frame is routed or discarded as it
+// session never drains a slot — each frame is routed or discarded as it
 // arrives). rec, when non-nil, observes the fabric and the mux — it
 // arrives before any traffic flows, so the hooks are installed race-free.
 func openService(kind run.BackendKind, open func(int) (fabric, error), n int, timeout time.Duration, rec *obs.Recorder) (run.ServiceRunner, error) {

@@ -12,13 +12,6 @@ import (
 	"delphi/internal/runtime"
 )
 
-// drainer discards frames arriving on one slot's shared inbox while no
-// driver is reading it.
-type drainer struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
 // clusterSession runs serial trials over a persistent fabric. Correctness
 // across trials rests on two mechanisms:
 //
@@ -29,22 +22,20 @@ type drainer struct {
 //     trial's endpoint (transport.stale_epoch) before any MAC is tried. A
 //     frame that does fail the MAC is therefore a real fault, and fails the
 //     trial (see clusterStats).
-//   - Inter-trial drainers. Between trials (and during a trial, for slots
-//     hosting no process) every idle slot's inbound channel is drained.
-//     This discards stale frames and, more importantly, keeps senders from
-//     wedging: a late delayed send, or a Byzantine spammer that never
-//     halts, unblocks because its peer's channel keeps moving, without
-//     closing the listeners and connections the next trial reuses.
+//   - Drained idle slots. Between trials (and during a trial, for slots
+//     hosting no process) every idle slot discards what reaches it, its
+//     buffers going back to its pool (runtime.Discard), so a late delayed
+//     send or a Byzantine spammer that never halts queues nothing for the
+//     next trial, without closing the listeners and connections it reuses.
 type clusterSession struct {
 	kind    run.BackendKind
 	timeout time.Duration
 	fab     fabric
 	noBatch bool
 
-	mu       sync.Mutex
-	closed   bool
-	epoch    uint64
-	drainers []*drainer
+	mu     sync.Mutex
+	closed bool
+	epoch  uint64
 	// obsRec is the recorder the fabric is observed by (set by the first
 	// Run whose spec carries one); obsTracks are the session's long-lived
 	// per-node tracks, so a session's many trials share rows instead of
@@ -53,62 +44,24 @@ type clusterSession struct {
 	obsTracks []*obs.Track
 }
 
-// openCluster opens an n-slot fabric and starts draining every slot.
+// openCluster opens an n-slot fabric and drains every slot.
 func openCluster(kind run.BackendKind, open func(int) (fabric, error), n int, timeout time.Duration, noBatch bool) (run.BackendSession, error) {
 	fab, err := open(n)
 	if err != nil {
 		return nil, err
 	}
-	s := &clusterSession{
-		kind:     kind,
-		timeout:  timeout,
-		fab:      fab,
-		noBatch:  noBatch,
-		drainers: make([]*drainer, n),
-	}
-	s.resumeDrainers()
+	s := &clusterSession{kind: kind, timeout: timeout, fab: fab, noBatch: noBatch}
+	s.drainAll()
 	return s, nil
 }
 
-// startDrain starts slot i's drainer if absent. Caller holds s.mu.
-func (s *clusterSession) startDrain(i int) {
-	if s.closed || s.drainers[i] != nil {
-		return
-	}
-	d := &drainer{stop: make(chan struct{}), done: make(chan struct{})}
-	s.drainers[i] = d
-	id := node.ID(i)
-	go func() {
-		defer close(d.done)
-		for {
-			if _, ok := s.fab.Recv(id, d.stop); !ok {
-				// Stopped, or the fabric closed under us — either way, done.
-				return
-			}
-		}
-	}()
-}
-
-// stopDrain stops slot i's drainer and waits for it to exit, so no frame
-// can be consumed after stopDrain returns (the next trial's traffic must
-// reach the next trial's driver). Caller holds s.mu.
-func (s *clusterSession) stopDrain(i int) {
-	d := s.drainers[i]
-	if d == nil {
-		return
-	}
-	s.drainers[i] = nil
-	close(d.stop)
-	<-d.done
-}
-
-// resumeDrainers restarts draining on every slot; idempotent.
-func (s *clusterSession) resumeDrainers() {
+// drainAll drains every slot until a trial takes it; idempotent.
+func (s *clusterSession) drainAll() {
 	s.mu.Lock()
-	for i := range s.drainers {
-		s.startDrain(i)
+	defer s.mu.Unlock()
+	for i := 0; i < s.fab.N() && !s.closed; i++ {
+		runtime.Discard(s.fab, node.ID(i), true)
 	}
-	s.mu.Unlock()
 }
 
 // Run implements run.BackendSession.
@@ -143,7 +96,7 @@ func (s *clusterSession) Run(spec run.RunSpec) (*run.RunStats, error) {
 	// them never backs up the fabric.
 	for i, p := range sc.procs {
 		if p != nil {
-			s.stopDrain(i)
+			runtime.Discard(s.fab, node.ID(i), false)
 		}
 	}
 	s.mu.Unlock()
@@ -154,7 +107,7 @@ func (s *clusterSession) Run(spec run.RunSpec) (*run.RunStats, error) {
 	dropsBefore := s.fab.Drops()
 	st, err := runTrial(s.kind, spec, sc, master, s.noBatch,
 		func(id node.ID, a *auth.Auth) (runtime.Transport, error) { return s.fab.Endpoint(id, a), nil },
-		s.resumeDrainers, s.obsTracks)
+		s.drainAll, s.obsTracks)
 	if err != nil {
 		return nil, err
 	}
@@ -172,9 +125,6 @@ func (s *clusterSession) Close() error {
 		return nil
 	}
 	s.closed = true
-	for i := range s.drainers {
-		s.stopDrain(i)
-	}
 	s.mu.Unlock()
 	return s.fab.Close()
 }

@@ -72,6 +72,7 @@ type Source struct {
 	// coins[c-first] is coin c's state, for the coins the source serves.
 	first uint64
 	coins []state
+	sent  wire.Arena // what it sends, carved; never reset (see wire.Arena)
 }
 
 // state is one coin's: this node's share sent, the senders of the genuine
@@ -107,7 +108,7 @@ func (s *Source) Request(coin uint64) {
 	c.requested = true
 	s.env.ChargeCompute(node.ComputeCost{Pairings: 1}) // threshold-share signing
 	blob := s.shareBlob(coin, s.env.Self())
-	s.env.Broadcast(&Share{Coin: coin, Blob: blob[:]})
+	s.env.Broadcast(wire.New(&s.sent, Share{Coin: coin, Blob: s.sent.Copy(blob[:])}))
 }
 
 // Handle processes a coin share; it returns true if the message was a coin

@@ -44,7 +44,6 @@ type Chakka struct {
 	env   node.Env
 	input float64
 	seen  map[node.ID]float64
-	sigs  map[node.ID][]byte
 	done  bool
 }
 
@@ -58,8 +57,7 @@ func NewChakka(cfg node.Config, keys Keyring, input float64) (*Chakka, error) {
 	if len(keys.Pubs) != cfg.N {
 		return nil, fmt.Errorf("dora: keyring has %d keys for n=%d", len(keys.Pubs), cfg.N)
 	}
-	return &Chakka{cfg: cfg, keys: keys, input: input,
-		seen: make(map[node.ID]float64), sigs: make(map[node.ID][]byte)}, nil
+	return &Chakka{cfg: cfg, keys: keys, input: input, seen: make(map[node.ID]float64)}, nil
 }
 
 // Init implements node.Process.
@@ -84,7 +82,6 @@ func (c *Chakka) Deliver(from node.ID, m node.Message) {
 		return
 	}
 	c.seen[from] = sg.V
-	c.sigs[from] = sg.Sig
 	if len(c.seen) >= c.cfg.Quorum() {
 		c.done = true
 		sub := ChakkaSubmission{VerifyCost: len(c.seen)}

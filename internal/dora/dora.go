@@ -1,10 +1,12 @@
 package dora
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"delphi/internal/core"
 	"delphi/internal/node"
@@ -191,14 +193,10 @@ func (p *Process) tryCertify() {
 			continue
 		}
 		cert := Certificate{Value: v, DelphiResult: *p.result}
-		ids := make([]node.ID, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
+		for _, id := range slices.Sorted(maps.Keys(set)) {
 			cert.Signers = append(cert.Signers, id)
-			cert.Sigs = append(cert.Sigs, set[id])
+			// A copy: the delivered signature lives only as long as its run.
+			cert.Sigs = append(cert.Sigs, bytes.Clone(set[id]))
 		}
 		p.done = true
 		p.env.Output(cert)

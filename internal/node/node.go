@@ -101,9 +101,11 @@ type Process interface {
 	// adversary. They are never dropped.
 	//
 	// The message is shared: the simulator hands one pointer to every
-	// receiver of a broadcast. A handler never mutates a delivered message
-	// or takes ownership of its slices; what it keeps, it copies (holding
-	// the message itself, read-only, is fine).
+	// receiver of a broadcast. A handler never mutates a delivered message.
+	// It may hold the message and its slices, read-only, until its run ends,
+	// and no longer: a live driver carves messages from memory it reuses in
+	// its slot's next run. So an Output never aliases a delivered message;
+	// what outlives the run, the process copies.
 	Deliver(from ID, m Message)
 }
 

@@ -393,6 +393,8 @@ func (s RunSpec) HonestSlots() []int {
 //   - validity: no honest output is NaN or lies outside the honest input
 //     range [lo, hi] by more than max(ρ0, hi−lo) for Delphi and DORA (its
 //     relaxed min-max validity) or at all for the baselines;
+//   - Abraham et al. and Dolev et al.: every round halves the honest range
+//     (see halves);
 //   - DORA: every honest certificate verifies against the spec's keyring;
 //   - Chakka et al.: each honest submission's own median is valid, and the
 //     output every oracle adopts, so the one checked for agreement, is the
@@ -437,6 +439,9 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 			stats.Latency = at[i]
 		}
 	}
+	if err := s.halves(finals, honest, inLo, inHi); err != nil {
+		return nil, err
+	}
 	switch s.Protocol {
 	case ProtoDora:
 		pubs := s.keyrings()[0].Pubs
@@ -468,6 +473,49 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 	}
 	stats.MeanAbsErr /= float64(len(stats.Outputs))
 	return stats, nil
+}
+
+// roundValuer is a result that carries the node's state after each round.
+type roundValuer interface {
+	RoundValue(r int) (float64, bool)
+}
+
+// halvingULPs is how far, in ulps of the largest value involved, a round's
+// honest range may exceed half the previous one's: each state is one rounded
+// midpoint.
+const halvingULPs = 4
+
+// halves checks the invariant Abraham et al.'s and Dolev et al.'s proofs rest
+// on, round by round: the honest states after round r span at most half of
+// what they spanned after round r−1, round 0 being the honest inputs [lo, hi].
+// It reads what each final carries and allocates nothing; outputs of other
+// protocols carry no rounds, and pass.
+func (s RunSpec) halves(finals []any, honest []int, lo, hi float64) error {
+	for r := 1; ; r++ {
+		rlo, rhi, ilo, ihi := math.Inf(1), math.Inf(-1), 0, 0
+		for _, i := range honest {
+			rv, ok := finals[i].(roundValuer)
+			v := 0.0
+			if ok {
+				v, ok = rv.RoundValue(r)
+			}
+			if !ok {
+				return nil
+			}
+			if v < rlo {
+				rlo, ilo = v, i
+			}
+			if v > rhi {
+				rhi, ihi = v, i
+			}
+		}
+		mag := max(math.Abs(lo), math.Abs(hi), math.Abs(rlo), math.Abs(rhi))
+		if tol := halvingULPs * (math.Nextafter(mag, math.Inf(1)) - mag); rhi-rlo > (hi-lo)/2+tol {
+			return fmt.Errorf("run: %s round %d did not halve the honest range: nodes %d and %d hold %g and %g, %g apart, over half of round %d's %g",
+				s.Protocol, r, ilo, ihi, rlo, rhi, rhi-rlo, r-1, hi-lo)
+		}
+		lo, hi = rlo, rhi
+	}
 }
 
 // Run executes the spec in the simulator. A one-shot run is a session of

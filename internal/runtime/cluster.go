@@ -178,7 +178,7 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 			closeAll()
 			return nil, err
 		}
-		core := heldBy(tr) // found before a wrapper hides it
+		core, mem := slotOf(tr) // found before a wrapper hides them
 		if o.wrap != nil {
 			tr = o.wrap(node.ID(i), tr)
 		}
@@ -189,6 +189,9 @@ func RunCluster(ctx context.Context, cfg node.Config, procs []node.Process, mast
 		}
 		drivers[i] = NewDriver(cfg, node.ID(i), p, tr, a, reg, WithDriverBatching(!o.noBatch), WithDriverObs(o.rec, track))
 		drivers[i].core = core
+		if mem != nil {
+			drivers[i].driverMem = mem
+		}
 	}
 	// WithWaitFor: once every listed (and actually running) driver exits,
 	// cancel the rest instead of waiting on processes that never halt.

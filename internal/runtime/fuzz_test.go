@@ -174,15 +174,15 @@ func FuzzSuffixDemux(f *testing.F) {
 			rec := obs.New()
 			box := newInbox(16)
 			box.stale = rec.Counter("stale")
-			box.put(Frame{From: 1, Data: append([]byte(nil), in...)})
+			box.put(Frame{From: 1, Data: append(box.getBuf(len(in))[:0], in...)})
 			got, ok := box.recv(nil, false, want)
 			switch stale := rec.Snapshot().Value("stale"); {
 			case ok != ends:
 				t.Fatalf("recv(%x, want %x) returned %v", in, want, ok)
 			case ok && (stale != 0 || !bytes.Equal(got.Data, stripped) || got.From != 1):
 				t.Fatalf("recv(%x) = %x from %v with %d stale, want %x", in, got.Data, got.From, stale, stripped)
-			case !ok && (stale != 1 || len(in) > 0 && len(box.free) != 1):
-				t.Fatalf("recv dropped %x with %d stale, %d recycled, want 1 and 1", in, stale, len(box.free))
+			case !ok && (stale != 1 || box.nfree != 1):
+				t.Fatalf("recv dropped %x with %d stale, %d recycled, want 1 and 1", in, stale, box.nfree)
 			}
 
 			hub := NewHub(1)
@@ -192,15 +192,15 @@ func FuzzSuffixDemux(f *testing.F) {
 				t.Fatal(err)
 			}
 			routes := ends && len(in) >= TagSize+auth.MACSize
-			mux.route(0, Frame{From: 1, Data: append([]byte(nil), in...)})
+			mux.route(0, Frame{From: 1, Data: append(hub.inbox[0].getBuf(len(in))[:0], in...)})
 			got, ok = inst.slots[0].tryGet()
 			switch {
 			case ok != routes:
 				t.Fatalf("route(%x, tag %x) delivered %v", in, want, ok)
 			case ok && (mux.Stale() != 0 || !bytes.Equal(got.Data, stripped) || got.From != 1):
 				t.Fatalf("route(%x) = %x from %v with %d stale, want %x", in, got.Data, got.From, mux.Stale(), stripped)
-			case !ok && (mux.Stale() != 1 || len(in) > 0 && len(hub.inbox[0].free) != 1):
-				t.Fatalf("route dropped %x with %d stale, %d recycled, want 1 and 1", in, mux.Stale(), len(hub.inbox[0].free))
+			case !ok && (mux.Stale() != 1 || hub.inbox[0].nfree != 1):
+				t.Fatalf("route dropped %x with %d stale, %d recycled, want 1 and 1", in, mux.Stale(), hub.inbox[0].nfree)
 			}
 			mux.Close()
 			hub.Close()

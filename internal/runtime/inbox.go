@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +32,11 @@ type inbox struct {
 	// getters re-check the ring in a loop, so spurious wakeups are safe
 	// and lost wakeups impossible.
 	wake chan struct{}
-	// free is the bounded frame-buffer freelist (see getBuf/recycle).
-	free [][]byte
+	// free is the bounded frame-buffer freelist by size class (see
+	// getBuf/recycle), made on the first recycle: free[k] holds buffers of
+	// capacity at least 64<<k.
+	free  *[inboxClasses][][]byte
+	nfree int
 	// hw, when set, ratchets the inbox's high-water occupancy into a shared
 	// gauge, and stale counts the frames recv filtered out. Nil (free no-ops)
 	// unless a recorder is attached upstream.
@@ -40,15 +44,19 @@ type inbox struct {
 	stale *obs.Counter
 	// route, when set, takes every frame put is offered, on the producer's
 	// goroutine, instead of the ring (an InstanceMux's tag router on a
-	// fabric slot); frames queued before it was set stay queued.
+	// fabric slot, or Discard's drop); frames queued before it was set stay
+	// queued.
 	route atomic.Pointer[func(Frame)]
+	drop  func(Frame) // the route that recycles every frame (see Discard)
 }
 
 // inboxFreeCap bounds the freelist length; inboxBufCap bounds the capacity
 // of any recycled buffer so one oversized frame cannot pin memory forever.
+// Buffers come in inboxClasses powers of two, 64 bytes to inboxBufCap.
 const (
 	inboxFreeCap = 256
 	inboxBufCap  = 64 << 10
+	inboxClasses = 11
 )
 
 // newInbox returns an inbox with the given initial ring capacity.
@@ -112,8 +120,8 @@ func (b *inbox) get(stop <-chan struct{}) (Frame, bool) {
 		empty, closed := b.count == 0, b.closed
 		b.mu.Unlock()
 		if closed && empty {
-			// Cascade the wakeup so every other blocked getter (a driver
-			// overlapping a session drainer during teardown) also observes
+			// Cascade the wakeup so every other blocked getter (two
+			// drivers overlapping on a slot during teardown) also observes
 			// the close instead of sleeping forever.
 			b.signal()
 			return Frame{}, false
@@ -203,41 +211,51 @@ func (b *inbox) close() {
 	b.route.Store(nil)
 	b.mu.Lock()
 	b.closed = true
-	b.free = nil
+	b.free, b.nfree = nil, 0
 	b.mu.Unlock()
 	b.signal()
 }
 
-// getBuf returns a frame buffer of length n, reusing a recycled one when a
-// large enough buffer is on the freelist.
+// getBuf returns a frame buffer of length n: a recycled one of n's size
+// class or the next larger, else a new one of the class's capacity, so
+// buffers of every size a node's traffic takes return to the pool.
 func (b *inbox) getBuf(n int) []byte {
+	k := bits.Len(uint(max(n, 1)-1)) - 6 // 64<<k ≥ n
+	if k = max(k, 0); k >= inboxClasses {
+		return make([]byte, n)
+	}
 	b.mu.Lock()
-	for i := len(b.free) - 1; i >= 0; i-- {
-		if cap(b.free[i]) >= n {
-			buf := b.free[i]
-			b.free[i] = b.free[len(b.free)-1]
-			b.free[len(b.free)-1] = nil
-			b.free = b.free[:len(b.free)-1]
+	for c := k; c < inboxClasses && b.free != nil; c++ {
+		if l := len(b.free[c]) - 1; l >= 0 {
+			buf := b.free[c][l]
+			b.free[c][l] = nil
+			b.free[c] = b.free[c][:l]
+			b.nfree--
 			b.mu.Unlock()
 			return buf[:n]
 		}
 	}
 	b.mu.Unlock()
-	if n < 64 {
-		return make([]byte, n, 64)
-	}
-	return make([]byte, n)
+	return make([]byte, n, 64<<k)
 }
 
 // recycle returns a frame buffer to the freelist. Callers must be done with
 // every alias of buf: the next getBuf hands it to another frame.
 func (b *inbox) recycle(buf []byte) {
-	if cap(buf) == 0 || cap(buf) > inboxBufCap {
+	k := bits.Len(uint(cap(buf))) - 7 // the largest k with 64<<k ≤ cap(buf)
+	if k < 0 || cap(buf) > inboxBufCap {
 		return
 	}
 	b.mu.Lock()
-	if !b.closed && len(b.free) < inboxFreeCap {
-		b.free = append(b.free, buf)
+	if !b.closed && b.nfree < inboxFreeCap {
+		if b.free == nil {
+			b.free = new([inboxClasses][][]byte)
+		}
+		if b.free[k] == nil {
+			b.free[k] = make([][]byte, 0, 16) // most classes hold fewer
+		}
+		b.free[k] = append(b.free[k], buf)
+		b.nfree++
 	}
 	b.mu.Unlock()
 }

@@ -136,9 +136,11 @@ func TestInboxBufferReuse(t *testing.T) {
 	// huge frame would pin its memory in the pool forever.
 	huge := make([]byte, inboxBufCap+1)
 	box.recycle(huge)
-	for _, f := range box.free {
-		if cap(f) > inboxBufCap {
-			t.Error("oversized buffer retained in the freelist")
+	for _, class := range box.free {
+		for _, f := range class {
+			if cap(f) > inboxBufCap {
+				t.Error("oversized buffer retained in the freelist")
+			}
 		}
 	}
 }
@@ -259,4 +261,37 @@ func ExampleAppendBatch() {
 	env := AppendBatch(nil, [][]byte{{0x01, 0xAA}, {0x02}})
 	fmt.Printf("%x\n", env)
 	// Output: ff0201aa0102
+}
+
+// TestInboxPoolSizeClasses: a pool warmed with envelopes of alternating sizes
+// serves them again without allocating. Buffers come in powers of two and go
+// back to the class of their capacity, so a small frame does not take the
+// buffer a large one needs while one of its own size is free.
+func TestInboxPoolSizeClasses(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	box := newInbox(16)
+	var held [8][]byte
+	cycle := func() {
+		for i := range held {
+			held[i] = box.getBuf([2]int{90, 1500}[i%2] + 7*i)
+		}
+		for _, b := range held {
+			box.recycle(b)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("a warm pool made %.1f allocations a cycle, want 0", allocs)
+	}
+	small, large := box.getBuf(90), box.getBuf(1500)
+	if cap(small) != 128 || cap(large) != 2048 {
+		t.Errorf("90- and 1500-byte buffers have capacity %d and %d, want their classes' 128 and 2048", cap(small), cap(large))
+	}
+	box.recycle(small)
+	box.recycle(large)
+	if got := box.getBuf(90); &got[0] != &small[0] {
+		t.Error("a 90-byte frame took the 1500-byte frame's buffer")
+	}
 }

@@ -19,6 +19,26 @@ type MuxFabric interface {
 	slot(id node.ID) *inbox
 }
 
+// Discard turns slot id's drain on or off. While it is on, every frame put
+// into the slot's inbox, and every frame queued there when it starts, is
+// recycled at once, on the goroutine that puts it: a session's slots between
+// runs, and its crashed slots during one. Off, frames queue for the slot's
+// next driver again. Not for a fabric an InstanceMux routes.
+func Discard(fab MuxFabric, id node.ID, on bool) {
+	b := fab.slot(id)
+	if !on {
+		b.route.Store(nil)
+		return
+	}
+	if b.drop == nil {
+		b.drop = func(f Frame) { b.recycle(f.Data) }
+	}
+	b.route.Store(&b.drop)
+	for f, ok := b.tryGet(); ok; f, ok = b.tryGet() {
+		b.recycle(f.Data)
+	}
+}
+
 // InstanceMux lets any number of concurrent protocol instances share one
 // persistent fabric. Each instance seals frames with its own epoch key and
 // sends them through tagged endpoints (TaggedEndpoint on the fabric), which

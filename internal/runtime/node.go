@@ -40,7 +40,6 @@ type Driver struct {
 	proc  node.Process
 	tr    Transport
 	reg   *wire.Registry
-	arena wire.Arena // what inbound messages are carved from
 	auth  *auth.Auth
 	outs  []any       // every Output, in order (see Outputs)
 	outAt []time.Time // when each was made
@@ -52,13 +51,12 @@ type Driver struct {
 	// by RunCluster.
 	core *tcpTransport
 
-	batch     bool
-	rec       Recycler  // tr's buffer pool, when it has one
-	out       []byte    // pending frames back to back (see send), then an envelope being sent
-	pend      []pending // frames awaiting flush, in send order
+	batch bool
+	rec   Recycler // tr's buffer pool, when it has one
+	*driverMem
+	own       driverMem // the driverMem of a driver its slot lends none
 	selfSent  int       // how many of pend have gone to this node already
 	pendCount int       // (frame, destination) pairs awaiting flush
-	gather    [][]byte  // one destination's frames, reused across flushes
 
 	// Tolerated faults (see Fault), each mirrored into obsFaults.
 	faults    [numFaults]atomic.Uint64
@@ -69,6 +67,17 @@ type Driver struct {
 	obsTrack       *obs.Track
 	obsFlushes     *obs.Counter
 	obsFlushFrames *obs.Counter
+}
+
+// driverMem is the memory a driver reuses from message to message: what
+// inbound messages are carved from, and the send side's buffers. A session's
+// fabric slot keeps one from trial to trial (see slotOf), and Run resets it
+// when it starts, so a delivered message lives until its trial ends.
+type driverMem struct {
+	arena  wire.Arena // what inbound messages are carved from
+	out    []byte     // pending frames back to back (see send), then an envelope being sent
+	pend   []pending  // frames awaiting flush, in send order
+	gather [][]byte   // one destination's frames, reused across flushes
 }
 
 // pending is a frame awaiting flush and its destinations [lo, hi).
@@ -148,6 +157,7 @@ func NewDriver(cfg node.Config, id node.ID, proc node.Process, tr Transport, a *
 		halt:  make(chan struct{}),
 		batch: true,
 	}
+	d.driverMem = &d.own
 	for _, opt := range opts {
 		opt(d)
 	}
@@ -316,6 +326,7 @@ func (d *Driver) Run(ctx context.Context) error {
 	// deferred release, but for its idle waits in Recv.
 	d.core.hold()
 	defer func() { d.writeFaults(d.core.release()) }()
+	d.arena.Reset() // out and pend are empty: every exit flushes
 	d.proc.Init((*driverEnv)(d))
 	select {
 	case <-d.halt:

@@ -15,7 +15,10 @@
 //   - A frame from Recv/TryRecv is the receiver's until it hands the buffer
 //     back with the transport's Recycle, if it ever does, and must not be
 //     touched after that. A driver carves decoded messages, bytes and all,
-//     from its wire.Arena, so nothing downstream aliases the frame.
+//     from its wire.Arena, so nothing downstream aliases the frame. A
+//     session's fabric slot keeps that arena, and the driver's send
+//     buffers, from run to run: each driver resets them as it starts, so a
+//     delivered message lives until its run ends.
 //
 // # Per-link ordering
 //
@@ -126,6 +129,7 @@ type Recycler interface {
 type Hub struct {
 	n        int
 	inbox    []*inbox
+	mem      []driverMem // each node's, kept from run to run (see slotOf)
 	drops    atomic.Uint64
 	obsDrops *obs.Counter
 }
@@ -144,7 +148,7 @@ func (h *Hub) Observe(rec *obs.Recorder) {
 
 // NewHub creates a hub for n nodes.
 func NewHub(n int) *Hub {
-	h := &Hub{n: n, inbox: make([]*inbox, n)}
+	h := &Hub{n: n, inbox: make([]*inbox, n), mem: make([]driverMem, n)}
 	for i := range h.inbox {
 		h.inbox[i] = newInbox(4*n + 64) // a protocol burst; grows past it
 	}
@@ -156,7 +160,7 @@ func NewHub(n int) *Hub {
 // id's endpoints share its inbox, each seeing its own epoch.
 func (h *Hub) Endpoint(id node.ID, a *auth.Auth) Transport {
 	epoch := binary.LittleEndian.AppendUint64(nil, a.Epoch())
-	return &endpoint{via: h, id: id, in: h.inbox[id], auth: a, suffix: epoch, want: epoch, owner: h}
+	return &endpoint{via: h, id: id, in: h.inbox[id], auth: a, suffix: epoch, want: epoch, owner: h, mem: &h.mem[id]}
 }
 
 // TaggedEndpoint is Endpoint for one instance of a multiplexed session: every
@@ -170,13 +174,6 @@ func (h *Hub) TaggedEndpoint(id node.ID, a *auth.Auth, tag uint64) Transport {
 func (h *Hub) N() int { return h.n }
 
 func (h *Hub) slot(id node.ID) *inbox { return h.inbox[id] }
-
-// Recv receives the next frame addressed to node id — the inbox is shared
-// by every endpoint for id — so a session can drain frames addressed to
-// idle or crashed slots between runs. Semantics match Transport.Recv.
-func (h *Hub) Recv(id node.ID, stop <-chan struct{}) (Frame, bool) {
-	return h.inbox[id].get(stop)
-}
 
 // Drops returns the number of frames discarded because they arrived after
 // Close, so shutdown races can be ruled in or out.
@@ -224,18 +221,22 @@ type endpoint struct {
 	suffix, want []byte
 	owner        io.Closer
 	core         *tcpTransport
+	mem          *driverMem // its slot's, on a Hub or TCPNet (see slotOf)
 }
 
-// heldBy returns the tcp core that holds the writes of tr's node while its
-// drivers are in a step (see Write side), or nil.
-func heldBy(tr Transport) *tcpTransport {
+// slotOf returns what tr's fabric slot lends its driver, or nils: the tcp
+// core that holds the writes of the node while its drivers are in a step (see
+// Write side), and the driver memory the slot keeps from run to run. An
+// InstanceMux's endpoint lends no memory: its concurrent rounds share the slot.
+func slotOf(tr Transport) (*tcpTransport, *driverMem) {
 	switch e := tr.(type) {
 	case *endpoint:
-		return e.core
+		return e.core, e.mem
 	case *muxEndpoint:
-		return heldBy(e.out)
+		core, _ := slotOf(e.out)
+		return core, nil
 	}
-	return nil
+	return nil, nil
 }
 
 var _ Recycler = (*endpoint)(nil)
@@ -278,7 +279,8 @@ type tcpTransport struct {
 	ln    net.Listener
 	dial  DialFunc
 
-	in *inbox
+	in  *inbox
+	mem driverMem // the node's driver memory, kept from run to run (see slotOf)
 	// drops counts frames observably lost by this core: a body read that
 	// failed mid-frame, an oversized frame, or a frame that raced shutdown.
 	drops atomic.Uint64
@@ -761,7 +763,7 @@ func (p *TCPNet) Observe(rec *obs.Recorder) {
 // carry another id: its Recv recycles and counts them (transport.stale_epoch).
 func (p *TCPNet) Endpoint(id node.ID, a *auth.Auth) Transport {
 	c, epoch := p.cores[id], binary.LittleEndian.AppendUint64(nil, a.Epoch())
-	return &endpoint{via: c, id: id, in: c.in, auth: a, suffix: epoch, want: epoch, core: c}
+	return &endpoint{via: c, id: id, in: c.in, auth: a, suffix: epoch, want: epoch, core: c, mem: &c.mem}
 }
 
 // TaggedEndpoint is Endpoint for one instance of a multiplexed session: every
@@ -779,9 +781,8 @@ func (p *TCPNet) Recycle(id node.ID, buf []byte) { p.cores[id].in.recycle(buf) }
 
 func (p *TCPNet) slot(id node.ID) *inbox { return p.cores[id].in }
 
-// Recv receives the next frame addressed to node id — the core inbox is
-// shared by every epoch's view — so a session can drain frames addressed
-// to idle or crashed slots between runs. Semantics match Transport.Recv.
+// Recv receives the next frame addressed to node id, from the core inbox
+// every epoch's view shares. Semantics match Transport.Recv.
 func (p *TCPNet) Recv(id node.ID, stop <-chan struct{}) (Frame, bool) {
 	return p.cores[id].in.get(stop)
 }

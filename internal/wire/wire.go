@@ -124,56 +124,31 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-func (r *Reader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off+n > len(r.buf) {
+// take returns the next n bytes, or n zero bytes once a read has failed.
+func (r *Reader) take(n int) []byte {
+	if r.err == nil && r.off+n > len(r.buf) {
 		r.err = ErrTruncated
-		return false
 	}
-	return true
+	if r.err != nil {
+		return zeros[:n]
+	}
+	r.off += n
+	return r.buf[r.off-n : r.off]
 }
+
+var zeros [8]byte
 
 // U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
+func (r *Reader) U8() uint8 { return r.take(1)[0] }
 
 // U16 reads a fixed-width little-endian uint16.
-func (r *Reader) U16() uint16 {
-	if !r.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
-}
+func (r *Reader) U16() uint16 { return binary.LittleEndian.Uint16(r.take(2)) }
 
 // U32 reads a fixed-width little-endian uint32.
-func (r *Reader) U32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
+func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
 
 // U64 reads a fixed-width little-endian uint64.
-func (r *Reader) U64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
+func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
 
 // UVarint reads an unsigned varint.
 func (r *Reader) UVarint() uint64 {
@@ -191,16 +166,8 @@ func (r *Reader) UVarint() uint64 {
 
 // Varint reads a signed varint.
 func (r *Reader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.err = ErrTruncated
-		return 0
-	}
-	r.off += n
-	return v
+	u := r.UVarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // F64 reads an IEEE-754 float64.
@@ -248,11 +215,39 @@ func VarintSize(v int64) int {
 type Decoder func(body []byte, a *Arena) (node.Message, error)
 
 // Arena is what decoders carve messages from: per Go type (message structs,
-// slice elements, bytes), one 512-byte chunk at a time, front to back. It is
-// carve-only: nothing is handed out twice, so a message never aliases a later
-// one and may be kept at will; a chunk is garbage once no message points into
-// it. A nil *Arena allocates each value alone. Not for concurrent use.
-type Arena struct{ chunks []any } // per T, a *[]T: the rest of its chunk
+// slice elements, bytes), one 512-byte chunk at a time, front to back.
+// Nothing is handed out twice before a Reset, so a message never aliases a
+// later one. An arena is carve-only until a Reset rewinds what it carved: a
+// chunk is garbage once no message points into it, and a message may be kept
+// at will. From then on it keeps every chunk it carves, and the next Reset
+// hands them out again: what it carved before must be dead by then. A nil
+// *Arena allocates each value alone. Not for concurrent use.
+type Arena struct{ slabs []interface{ reset() } } // per T, a *slab[T]
+
+// slab is one Go type's chunks: rest is the uncarved tail of the one being
+// carved, and chunks[:next] those carved from since the last Reset, once a
+// Reset has found the type carved (keep).
+type slab[T any] struct {
+	chunks [][]T
+	next   int
+	rest   []T
+	keep   bool
+}
+
+func (c *slab[T]) reset() {
+	for _, ch := range c.chunks[:c.next] {
+		clear(ch)
+	}
+	c.next, c.rest, c.keep = 0, nil, true
+}
+
+// Reset rewinds a to the first of the chunks it keeps, zeroed. Every value
+// carved from a until now must be dead: the next Make hands it out again.
+func (a *Arena) Reset() {
+	for _, s := range a.slabs {
+		s.reset()
+	}
+}
 
 // Make returns n zeroed Ts carved from a. A run of over a quarter chunk that
 // does not fit is allocated alone, wasting no chunk's rest and pinning none.
@@ -260,22 +255,26 @@ func Make[T any](a *Arena, n int) (s []T) {
 	if a == nil {
 		return make([]T, n)
 	}
-	var c *[]T
-	for i := 0; c == nil && i < len(a.chunks); i++ {
-		c, _ = a.chunks[i].(*[]T)
+	var c *slab[T]
+	for i := 0; c == nil && i < len(a.slabs); i++ {
+		c, _ = a.slabs[i].(*slab[T])
 	}
 	if c == nil {
-		c = new([]T)
-		a.chunks = append(a.chunks, c)
+		c = new(slab[T])
+		a.slabs = append(a.slabs, c)
 	}
-	if n > len(*c) {
+	if n > len(c.rest) {
 		size := 512 / max(1, int(unsafe.Sizeof(*new(T))))
 		if 4*n > size {
 			return make([]T, n)
 		}
-		*c = make([]T, size)
+		if c.next < len(c.chunks) {
+			c.rest, c.next = c.chunks[c.next], c.next+1
+		} else if c.rest = make([]T, size); c.keep {
+			c.chunks, c.next = append(c.chunks, c.rest), c.next+1
+		}
 	}
-	s, *c = (*c)[:n:n], (*c)[n:]
+	s, c.rest = c.rest[:n:n], c.rest[n:]
 	return s
 }
 

@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"bytes"
 	"math"
 	"runtime"
 	"testing"
@@ -177,5 +178,36 @@ func TestArenaOversizedField(t *testing.T) {
 	var ids []uint64
 	if allocs := testing.AllocsPerRun(10, func() { ids = wire.Make[uint64](&a, 1<<17) }); allocs != 1 || len(ids) != 1<<17 {
 		t.Errorf("an oversized slice field: %.0f allocations, len %d", allocs, len(ids))
+	}
+}
+
+// TestArenaReset: a reset arena hands out the chunks it kept again, zeroed,
+// so refilling it allocates nothing, and nothing it hands out shows a value
+// carved before the reset.
+func TestArenaReset(t *testing.T) {
+	type msg struct {
+		a, b uint64
+		p    []byte
+	}
+	var a wire.Arena
+	fill := func() {
+		for i := range 300 {
+			m := wire.New(&a, msg{a: uint64(i) + 1, b: 7})
+			m.p = a.Copy([]byte("payload"))
+			wire.Make[uint32](&a, 3)[1] = 9
+		}
+	}
+	a.Reset() // as a driver does when it starts
+	fill()
+	if allocs := testing.AllocsPerRun(5, func() { a.Reset(); fill() }); allocs != 0 {
+		t.Errorf("refilling a reset arena made %.1f allocations, want 0", allocs)
+	}
+	a.Reset()
+	for i := range 300 {
+		m := wire.Make[msg](&a, 1)[0]
+		p, ids := wire.Make[byte](&a, 7), wire.Make[uint32](&a, 3)
+		if m.a != 0 || m.b != 0 || m.p != nil || ids[1] != 0 || !bytes.Equal(p, make([]byte, 7)) {
+			t.Fatalf("value %d after a reset is %+v, %q, %v, want zero", i, m, p, ids)
+		}
 	}
 }

@@ -247,12 +247,17 @@ go run ./cmd/experiments -scale quick -seed 1 -backend live -run matrix > /dev/n
 # counters' (TestRBCRowAllocs, TestABARoundAllocs: a tag row's or a round's
 # first votes for every instance cost at most two allocations;
 # TestSpamVotesAreBounded: 10 000 distinct-payload ECHOs from one sender make
-# at most one further tally) run without -race, which allocates.
+# at most one further tally), and a warm session's (TestArenaReset: a reset
+# arena refills without allocating and hands out zeroed values;
+# TestInboxPoolSizeClasses: a frame pool warmed with alternating envelope
+# sizes allocates nothing; TestWarmTrialAllocs: a FIN n=16 trial on a warm
+# tcp session makes at most 2 500 allocations) run without -race, which
+# allocates.
 echo "== transport batching gate =="
 go test ./internal/runtime -race -count=1 \
     -run 'TestHubPerLinkFIFO|TestTCPPerLinkFIFO|TestTCPDialStall|TestTCPDialInstallRace|TestTCPDropCounter|TestTCPNetLinksCarryBothDirections|TestTCPNetBrokenLinkFallsBack'
-go test ./internal/backend ./internal/runtime ./internal/rbc ./internal/aba ./internal/auth ./internal/codec -count=1 ${short_flag:+"$short_flag"} \
-    -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops|TestEnvelopeDecodeAllocs|TestBroadcastAllocsDoNotGrowWithN|TestEveryMessageAppends|TestKeyingAllocs|TestRBCRowAllocs|TestABARoundAllocs|TestSpamVotesAreBounded'
+go test ./internal/backend ./internal/runtime ./internal/rbc ./internal/aba ./internal/auth ./internal/codec ./internal/wire -count=1 ${short_flag:+"$short_flag"} \
+    -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops|TestEnvelopeDecodeAllocs|TestBroadcastAllocsDoNotGrowWithN|TestEveryMessageAppends|TestKeyingAllocs|TestRBCRowAllocs|TestABARoundAllocs|TestSpamVotesAreBounded|TestArenaReset|TestInboxPoolSizeClasses|TestWarmTrialAllocs'
 
 # A tcp node holds its drivers' writes while any of them is in a step and
 # writes once per peer when the last goes idle (runtime's "Write side"). The
