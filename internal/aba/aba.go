@@ -7,8 +7,9 @@
 // Many instances run concurrently, multiplexed by an instance id that is
 // the ACS slot: ids are [0, n). The engine keeps the instances in a slice by
 // slot and their vote state in one row per round, made on the round's first
-// message. A BVAL or AUX naming an instance outside [0, n), or a round of 0
-// or above MaxRounds, is dropped before any state exists. To mirror FIN's
+// message, so an engine allocates for the rounds it runs: FIN decides in 1–3.
+// A BVAL or AUX naming an instance outside [0, n), or a round of 0 or above
+// MaxRounds, is dropped before any state exists. To mirror FIN's
 // coin economy, all instances of one engine share a single coin per round
 // rather than one coin per (instance, round).
 package aba
@@ -104,9 +105,10 @@ type roundState struct {
 	startAt int64
 }
 
-// row is one round of every instance: states[inst], and the instances' BVAL
-// and AUX voter sets, four per instance, carved from one slab.
+// row is one round of every instance: its number, states[inst], and the
+// instances' BVAL and AUX voter sets, four per instance, carved from one slab.
 type row struct {
+	round  int
 	states []roundState
 	voters node.Set
 }
@@ -127,28 +129,31 @@ type Engine struct {
 	decide func(inst uint32, v bool)
 	// insts[id] is instance id, one per ACS slot.
 	insts []instance
-	// rows[r-1] is round r, made on its first use; round MaxRounds+1 only
-	// holds the BVAL and AUX an instance sends on leaving round MaxRounds.
-	rows [MaxRounds + 1]row
-	sent wire.Arena // what it sends, carved; never reset (see wire.Arena)
+	// rows holds the rounds in first-use order, each made on its round's
+	// first use, the first four in inline: the rounds an engine runs, not
+	// MaxRounds of them, so a far round's BVAL makes one row like any other.
+	// Round MaxRounds+1 only holds the BVAL and AUX an instance sends on
+	// leaving round MaxRounds. A row's states and voters never move.
+	rows   []row
+	inline [4]row
+	sent   wire.Arena // what it sends, carved; never reset (see wire.Arena)
+}
+
+// row returns round r's row, made on its first use. It looks from the
+// latest row back: the current rounds are the last made.
+func (e *Engine) row(r int) *row {
+	for i := len(e.rows) - 1; i >= 0; i-- {
+		if e.rows[i].round == r {
+			return &e.rows[i]
+		}
+	}
+	n := e.cfg.N
+	e.rows = append(e.rows, row{round: r, states: make([]roundState, n), voters: make(node.Set, 4*n*node.SetWords(n))})
+	return &e.rows[len(e.rows)-1]
 }
 
 // rs returns instance x's state in round r.
-func (e *Engine) rs(x *instance, r int) *roundState {
-	round := &e.rows[r-1]
-	if round.states == nil {
-		round.states = make([]roundState, e.cfg.N)
-		round.voters = make(node.Set, 4*e.cfg.N*node.SetWords(e.cfg.N))
-	}
-	return &round.states[x.id]
-}
-
-// voters returns instance x's round-r voter set for BVAL (aux false) or AUX
-// votes on v.
-func (e *Engine) voters(x *instance, r int, aux, v bool) node.Set {
-	w := node.SetWords(e.cfg.N)
-	return e.rows[r-1].voters[(4*int(x.id)+2*bi(aux)+bi(v))*w:][:w]
-}
+func (e *Engine) rs(x *instance, r int) *roundState { return &e.row(r).states[x.id] }
 
 // NewEngine creates an ABA engine. decide fires once per decided instance.
 // The coin source must be dedicated to this engine (it keys coins by
@@ -158,7 +163,9 @@ func NewEngine(cfg node.Config, env node.Env, coins *coin.Source, decide func(ui
 	for i := range insts {
 		insts[i].id = uint32(i)
 	}
-	return &Engine{cfg: cfg, env: env, track: node.TrackOf(env), coins: coins, decide: decide, insts: insts}
+	e := &Engine{cfg: cfg, env: env, track: node.TrackOf(env), coins: coins, decide: decide, insts: insts}
+	e.rows = e.inline[:0]
+	return e
 }
 
 // CoinID derives the coin identifier for a round (shared across instances,
@@ -241,21 +248,25 @@ func (e *Engine) Handle(from node.ID, m node.Message) bool {
 	return true
 }
 
-// vote returns the message's instance and round, or nils when the instance,
-// the round or the sender is out of range.
-func (e *Engine) vote(from node.ID, inst uint32, round uint16) (*instance, *roundState) {
-	x, r := e.inst(inst), int(round)
+// vote counts from's BVAL (aux false) or AUX on v and returns its instance
+// and round, or nils when the instance, the round or the sender is out of
+// range, or from has cast this vote already.
+func (e *Engine) vote(from node.ID, m *BVal, aux bool) (*instance, *roundState) {
+	x, r := e.inst(m.Inst), int(m.Round)
 	if x == nil || r < 1 || r > MaxRounds || uint(from) >= uint(e.cfg.N) {
 		return nil, nil
 	}
-	rs := e.rs(x, r)
+	w, k := e.row(r), node.SetWords(e.cfg.N)
 	e.zombie(x, r)
-	return x, rs
+	if !w.voters[(4*int(x.id)+2*bi(aux)+bi(m.V))*k:][:k].Add(from) {
+		return nil, nil
+	}
+	return x, &w.states[x.id]
 }
 
 func (e *Engine) onBVal(from node.ID, m *BVal) {
-	x, rs := e.vote(from, m.Inst, m.Round)
-	if x == nil || !e.voters(x, int(m.Round), false, m.V).Add(from) {
+	x, rs := e.vote(from, m, false)
+	if x == nil {
 		return
 	}
 	rs.nBval[bi(m.V)]++
@@ -275,8 +286,8 @@ func (e *Engine) onBVal(from node.ID, m *BVal) {
 }
 
 func (e *Engine) onAux(from node.ID, m *Aux) {
-	x, rs := e.vote(from, m.Inst, m.Round)
-	if x == nil || !e.voters(x, int(m.Round), true, m.V).Add(from) {
+	x, rs := e.vote(from, (*BVal)(m), true)
+	if x == nil {
 		return
 	}
 	rs.nAux[bi(m.V)]++
@@ -309,15 +320,12 @@ func (e *Engine) progress(x *instance) {
 		rs := e.rs(x, x.round)
 		// Send AUX once some value entered bin_values.
 		if !rs.auxSent {
-			var w bool
-			if rs.binValues[bi(x.est)] {
-				w = x.est
-			} else if rs.binValues[0] {
-				w = false
-			} else if rs.binValues[1] {
-				w = true
-			} else {
-				return // waiting for bin_values
+			// The estimate if it entered bin_values, else the value that did.
+			w := x.est
+			if !rs.binValues[bi(w)] {
+				if w = rs.binValues[1]; !w && !rs.binValues[0] {
+					return // waiting for bin_values
+				}
 			}
 			rs.auxSent = true
 			e.env.Broadcast(wire.New(&e.sent, Aux{Inst: x.id, Round: uint16(x.round), V: w}))
@@ -351,28 +359,19 @@ func (e *Engine) progress(x *instance) {
 		case n0 > 0 && n1 > 0:
 			x.est = coinBit
 		case n1 > 0:
-			x.est = true
-			if coinBit {
-				x.decided = true
-				x.value = true
-			}
+			x.est, x.decided, x.value = true, coinBit, coinBit
 		default:
-			x.est = false
-			if !coinBit {
-				x.decided = true
-				x.value = false
-			}
+			x.est, x.decided = false, !coinBit
 		}
+		e.track.Span("aba.round", rs.startAt, int64(x.id), int64(x.round))
 		if x.decided {
 			// Help laggards immediately with the next round's votes; the
 			// zombie path keeps feeding later rounds on demand.
-			e.track.Span("aba.round", rs.startAt, int64(x.id), int64(x.round))
 			e.track.Instant("aba.decide", int64(x.id), int64(bi(x.value)))
 			e.zombie(x, x.round+1)
 			e.decide(x.id, x.value)
 			return
 		}
-		e.track.Span("aba.round", rs.startAt, int64(x.id), int64(x.round))
 		x.round++
 		e.startRound(x)
 		return

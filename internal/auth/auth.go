@@ -4,10 +4,9 @@
 // accounts for the same 32-byte overhead and per-message hash cost.
 //
 // The HMAC is built from SHA-256 states, restored as crypto/hmac's own Reset
-// restores them: a channel key is the two states saved after its ipad and
-// opad blocks, and one Auth's two digests serve every channel, where each
-// hmac.New allocated two digests, pads and a sum. A live cluster re-keys
-// every node every trial; keys are derived lazily, on a channel's first use.
+// restores them: a channel key is the two chaining values saved after its
+// ipad and opad blocks, 64 bytes, and one Auth's digest serves every channel.
+// A live cluster re-keys every node every trial; keys are derived lazily.
 package auth
 
 import (
@@ -29,30 +28,27 @@ const MACSize = sha256.Size
 // ErrBadMAC reports a frame whose MAC failed verification.
 var ErrBadMAC = errors.New("auth: MAC verification failed")
 
-// digest is a SHA-256 hash whose state can be saved and restored.
-type digest interface {
-	hash.Hash
-	encoding.BinaryAppender
-	encoding.BinaryUnmarshaler
+// key is an HMAC key as the SHA-256 chaining values after its ipad and opad
+// blocks. Any byte of them may be zero, so derived is a flag of its own.
+type key struct {
+	cv      [2][sha256.Size]byte
+	derived bool
 }
-
-// key is an HMAC key as the SHA-256 states saved after its ipad and opad
-// blocks, 108 bytes each; a zero key is not derived yet (no saved state is).
-type key [2][108]byte
 
 // Auth holds one node's pairwise channel keys. Its mutex makes it safe under
 // concurrent sealers (a delay wrapper's timer goroutines seal alongside the
 // driver) and guards everything after it.
 type Auth struct {
-	self    node.ID
-	epoch   uint64
-	mu      sync.Mutex
-	master  key
-	peers   []key // by peer, derived on first use
-	in, out digest
-	block   [64]byte      // a key's padded block
-	ids     [16]byte      // sender id or node pair; a stack buffer would escape through the digest
-	sum     [MACSize]byte // a derived key, or the MAC Open compares against
+	self   node.ID
+	epoch  uint64
+	mu     sync.Mutex
+	master key
+	peers  []key         // by peer, derived on first use
+	h      hash.Hash     // SHA-256, restored from state (an encoding.BinaryUnmarshaler)
+	block  [64]byte      // a key's padded block
+	state  [108]byte     // h marshalled after one block: all but [4:36], its chaining value, is fixed
+	ids    [16]byte      // sender id or node pair; a stack buffer would escape through the digest
+	sum    [MACSize]byte // a derived key, or the MAC Open compares against
 }
 
 // New derives pairwise keys for node self in an n-node system from a master
@@ -66,7 +62,7 @@ func New(self node.ID, n int, master []byte) (*Auth, error) {
 	if len(master) == 0 {
 		return nil, errors.New("auth: empty master secret")
 	}
-	a := &Auth{self: self, peers: make([]key, n), in: sha256.New().(digest), out: sha256.New().(digest)}
+	a := &Auth{self: self, peers: make([]key, n), h: sha256.New()}
 	a.derive(&a.master, master)
 	a.epoch = binary.LittleEndian.Uint64(a.mac(&a.master, a.sum[:0], a.ids[:copy(a.ids[:], "epoch")], nil))
 	return a, nil
@@ -81,26 +77,30 @@ func (a *Auth) derive(k *key, secret []byte) {
 	}
 	a.block = [64]byte{}
 	copy(a.block[:], secret)
-	for i, h := range [2]digest{a.in, a.out} { // the ipad block, then the opad block
+	for i := range k.cv { // the ipad block, then the opad block
 		for j := range a.block {
 			a.block[j] ^= [2]byte{0x36, 0x36 ^ 0x5c}[i]
 		}
-		h.Reset()
-		h.Write(a.block[:])
-		h.AppendBinary(k[i][:0])
+		a.h.Reset()
+		a.h.Write(a.block[:])
+		a.h.(encoding.BinaryAppender).AppendBinary(a.state[:0])
+		copy(k.cv[i][:], a.state[4:])
 	}
+	k.derived = true
 }
 
 // mac appends HMAC(k, prefix || msg) to dst. Caller holds a.mu, or owns a.
 func (a *Auth) mac(k *key, dst, prefix, msg []byte) []byte {
-	a.in.UnmarshalBinary(k[0][:])
-	a.in.Write(prefix)
-	a.in.Write(msg)
 	n := len(dst)
-	dst = a.in.Sum(dst)
-	a.out.UnmarshalBinary(k[1][:])
-	a.out.Write(dst[n:])
-	return a.out.Sum(dst[:n])
+	for i := range k.cv { // the inner hash, then the outer one of its sum
+		copy(a.state[4:], k.cv[i][:])
+		a.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(a.state[:])
+		a.h.Write(prefix)
+		a.h.Write(msg)
+		dst = a.h.Sum(dst[:n])
+		prefix, msg = dst[n:], nil
+	}
+	return dst
 }
 
 // Epoch returns a short public identifier of the master secret, the same at
@@ -150,7 +150,7 @@ func (a *Auth) Open(peer node.ID, sealed []byte) ([]byte, error) {
 // use. Caller holds a.mu.
 func (a *Auth) tag(peer, sender node.ID, dst, frame []byte) []byte {
 	k := &a.peers[peer]
-	if k[0][0] == 0 {
+	if !k.derived {
 		binary.LittleEndian.PutUint64(a.ids[0:], uint64(min(a.self, peer)))
 		binary.LittleEndian.PutUint64(a.ids[8:], uint64(max(a.self, peer)))
 		a.derive(k, a.mac(&a.master, a.sum[:0], a.ids[:], nil))

@@ -5,6 +5,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -331,6 +332,30 @@ func TestKeyingAllocs(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Errorf("%.0f allocations to key a node and use its %d channels, want ≤ 8", allocs, n)
+	}
+}
+
+// TestNewBytes: keying a node for a 16-node trial allocates at most 2 KiB. A
+// channel key is its two 32-byte chaining values and a flag, where the two
+// marshalled 108-byte SHA-256 states it replaced made the peers' keys alone
+// 3.4 KiB, and one digest serves every channel.
+func TestNewBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, runs = 16, 100
+	master := []byte("keying-bytes")
+	as := make([]*auth.Auth, runs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range as {
+		as[i], _ = auth.New(0, n, master)
+	}
+	runtime.ReadMemStats(&after)
+	b := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("New(0, %d, master): %.0f bytes", n, b)
+	if b > 2048 {
+		t.Errorf("New(0, %d, master) allocated %.0f bytes, want at most 2 KiB", n, b)
 	}
 }
 

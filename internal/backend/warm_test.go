@@ -2,6 +2,7 @@ package backend_test
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -12,9 +13,11 @@ import (
 )
 
 // TestWarmTrialAllocs: on a warm tcp session one FIN n=16 trial makes at most
-// 2 500 allocations. Each fabric slot keeps its node's decode arena, send
-// buffers and frame pool from trial to trial, and the protocols carve the
-// messages they send, so a trial allocates per node, not per message.
+// 2 500 allocations of at most 300 KiB in all. Each fabric slot keeps its
+// node's decode arena, send buffers and frame pool from trial to trial, and
+// the protocols carve the messages they send, so a trial allocates per node,
+// not per message; and a node's vote rows, coin states and channel keys are
+// sized by the rounds and channels it uses, not by their bounds.
 func TestWarmTrialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation allocates")
@@ -32,10 +35,18 @@ func TestWarmTrialAllocs(t *testing.T) {
 	for range 10 {
 		trial()
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(10, trial)
-	t.Logf("%.0f allocations a trial", allocs)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun's warm-up call is an eleventh trial.
+	kib := float64(after.TotalAlloc-before.TotalAlloc) / 11 / 1024
+	t.Logf("%.0f allocations, %.1f KiB a trial", allocs, kib)
 	if allocs > 2500 {
 		t.Errorf("a warm FIN n=%d trial made %.0f allocations, want at most 2 500", n, allocs)
+	}
+	if kib > 300 {
+		t.Errorf("a warm FIN n=%d trial allocated %.1f KiB, want at most 300", n, kib)
 	}
 }
 

@@ -36,9 +36,7 @@ type Share struct {
 func (m *Share) Type() uint8 { return wire.TypeCoinShare }
 
 // WireSize implements node.Message.
-func (m *Share) WireSize() int {
-	return 1 + 8 + wire.UVarintSize(uint64(len(m.Blob))) + len(m.Blob)
-}
+func (m *Share) WireSize() int { return 1 + 8 + wire.UVarintSize(uint64(len(m.Blob))) + len(m.Blob) }
 
 // AppendBinary implements node.Message.
 func (m *Share) AppendBinary(b []byte) ([]byte, error) {
@@ -51,9 +49,7 @@ func (m *Share) AppendBinary(b []byte) ([]byte, error) {
 // DecodeShare decodes a Share body.
 func DecodeShare(body []byte, a *wire.Arena) (node.Message, error) {
 	r := wire.NewReader(body)
-	m := wire.New(a, Share{})
-	m.Coin = r.U64()
-	m.Blob = a.Copy(r.BytesLP())
+	m := wire.New(a, Share{Coin: r.U64(), Blob: a.Copy(r.BytesLP())})
 	return m, r.Err()
 }
 
@@ -65,43 +61,54 @@ func Register(reg *wire.Registry) error {
 // Source produces common coins for one node. All nodes constructed with the
 // same seed observe identical coin values once enough shares arrive.
 type Source struct {
-	cfg    node.Config
-	env    node.Env
-	seed   uint64
-	reveal func(coin uint64, value uint64)
-	// coins[c-first] is coin c's state, for the coins the source serves.
-	first uint64
-	coins []state
-	sent  wire.Arena // what it sends, carved; never reset (see wire.Arena)
+	cfg          node.Config
+	env          node.Env
+	seed         uint64
+	reveal       func(coin uint64, value uint64)
+	first, count uint64 // it serves the coins [first, first+count)
+	// coins holds a state per coin requested or with a genuine share, in
+	// first-use order, the first four in inline: FIN's engines use 1–3.
+	coins  []state
+	inline [4]state
+	sent   wire.Arena // what it sends, carved; never reset (see wire.Arena)
 }
 
-// state is one coin's: this node's share sent, the senders of the genuine
-// shares received (allocated on the first), and whether the coin is revealed.
+// state is one coin's: this node's share sent, and the senders of the
+// genuine shares received and their count; the coin is revealed at t+1.
 type state struct {
-	requested, revealed bool
-	shares              node.Set
-	count               int
+	coin      uint64
+	requested bool
+	shares    node.Set
+	count     int
 }
 
 // NewSource creates a coin source serving the coins [first, first+count).
 // reveal fires once per coin, after this node has received t+1 shares (its
 // own included). A share for any other coin is dropped unverified.
 func NewSource(cfg node.Config, env node.Env, seed, first uint64, count int, reveal func(coin, value uint64)) *Source {
-	return &Source{cfg: cfg, env: env, seed: seed, reveal: reveal, first: first, coins: make([]state, count)}
+	s := &Source{cfg: cfg, env: env, seed: seed, reveal: reveal, first: first, count: uint64(count)}
+	s.coins = s.inline[:0]
+	return s
 }
 
-// state returns coin's state, or nil when the source does not serve it.
-func (s *Source) state(coin uint64) *state {
-	if coin-s.first >= uint64(len(s.coins)) {
+// state returns coin's state, or makes it if add is set and the coin served.
+func (s *Source) state(coin uint64, add bool) *state {
+	for i := range s.coins {
+		if s.coins[i].coin == coin {
+			return &s.coins[i]
+		}
+	}
+	if !add || coin-s.first >= s.count {
 		return nil
 	}
-	return &s.coins[coin-s.first]
+	s.coins = append(s.coins, state{coin: coin, shares: make(node.Set, node.SetWords(s.cfg.N))})
+	return &s.coins[len(s.coins)-1]
 }
 
 // Request broadcasts this node's share for the coin (idempotent). The
 // signing cost of the share is charged to the environment.
 func (s *Source) Request(coin uint64) {
-	c := s.state(coin)
+	c := s.state(coin, true)
 	if c == nil || c.requested {
 		return
 	}
@@ -118,8 +125,7 @@ func (s *Source) Handle(from node.ID, m node.Message) bool {
 	if !ok {
 		return false
 	}
-	c := s.state(sh.Coin)
-	if c == nil || uint(from) >= uint(s.cfg.N) {
+	if sh.Coin-s.first >= s.count || uint(from) >= uint(s.cfg.N) {
 		return true
 	}
 	// Verify the share (pairing-class cost), discard forgeries.
@@ -127,16 +133,10 @@ func (s *Source) Handle(from node.ID, m node.Message) bool {
 	if blob := s.shareBlob(sh.Coin, from); string(sh.Blob) != string(blob[:]) {
 		return true
 	}
-	if c.shares == nil {
-		c.shares = make(node.Set, node.SetWords(s.cfg.N))
-	}
-	if !c.shares.Add(from) {
-		return true
-	}
-	c.count++
-	if c.count >= s.cfg.F+1 && !c.revealed {
-		c.revealed = true
-		s.reveal(sh.Coin, s.Value(sh.Coin))
+	if c := s.state(sh.Coin, true); c.shares.Add(from) {
+		if c.count++; c.count == s.cfg.F+1 {
+			s.reveal(sh.Coin, s.Value(sh.Coin))
+		}
 	}
 	return true
 }
@@ -144,7 +144,7 @@ func (s *Source) Handle(from node.ID, m node.Message) bool {
 // TryValue returns the coin's value if this node has already collected
 // enough shares to reveal it.
 func (s *Source) TryValue(coin uint64) (uint64, bool) {
-	if c := s.state(coin); c == nil || !c.revealed {
+	if c := s.state(coin, false); c == nil || c.count <= s.cfg.F {
 		return 0, false
 	}
 	return s.Value(coin), true

@@ -1,6 +1,7 @@
 package coin_test
 
 import (
+	"slices"
 	"testing"
 
 	"delphi/internal/coin"
@@ -75,4 +76,57 @@ func TestDeliverOutOfRange(t *testing.T) {
 			t.Fatalf("t+1 distinct shares revealed the coin %d times, want 1", revealed)
 		}
 	})
+}
+
+var sink *coin.Source
+
+// TestSourceSizedByUse: a source makes a coin's state on the coin's first
+// request or genuine share, so NewSource serving 64 coins allocates the
+// Source alone, and a genuine share for the last of them costs what it did
+// when every state was made up front: its sender set, one allocation. States
+// past the four held inline reveal as the first ones do, in any order.
+func TestSourceSizedByUse(t *testing.T) {
+	const n, f, first, count, runs = 16, 5, 100, 64, 100
+	cfg := node.Config{N: n, F: f}
+	if a := testing.AllocsPerRun(runs, func() { sink = coin.NewSource(cfg, nil, 3, first, count, nil) }); a != 1 {
+		t.Errorf("NewSource serving %d coins made %.0f allocations, want 1", count, a)
+	}
+	// share returns from's genuine share for c.
+	share := func(from node.ID, c uint64) node.Message {
+		env := &fakeEnv{self: from, n: n, f: f}
+		coin.NewSource(cfg, env, 3, c, 1, nil).Request(c)
+		return env.sent[0]
+	}
+	last := share(4, first+count-1)
+	srcs := make([]*coin.Source, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range srcs {
+		srcs[i] = coin.NewSource(cfg, &fakeEnv{n: n, f: f}, 3, first, count, nil)
+	}
+	i := 0
+	if a := testing.AllocsPerRun(runs, func() { srcs[i].Handle(4, last); i++ }); a > 1 {
+		t.Errorf("a genuine share for the last coin made %.0f allocations, want ≤ 1", a)
+	}
+
+	revealed := map[uint64]int{}
+	var src *coin.Source
+	src = coin.NewSource(cfg, &fakeEnv{n: n, f: f}, 3, first, count, func(c, v uint64) {
+		if v != src.Value(c) {
+			t.Errorf("coin %d revealed %d, want %d", c, v, src.Value(c))
+		}
+		revealed[c]++
+	})
+	coins := []uint64{first + 63, first + 9, first, first + 5, first + 1, first + 40}
+	for _, c := range coins {
+		src.Request(c)
+	}
+	for from := range node.ID(f + 1) {
+		for _, c := range slices.Backward(coins) {
+			src.Handle(from, share(from, c))
+		}
+	}
+	for _, c := range coins {
+		if v, ok := src.TryValue(c); revealed[c] != 1 || !ok || v != src.Value(c) {
+			t.Errorf("coin %d: revealed %d times, TryValue %d, %v", c, revealed[c], v, ok)
+		}
+	}
 }

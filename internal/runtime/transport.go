@@ -331,7 +331,7 @@ func newTCPCore(self node.ID, addrs []string, ln net.Listener, dial DialFunc, li
 		addrs:    addrs,
 		ln:       ln,
 		dial:     dial,
-		in:       newInbox(1024),
+		in:       newInbox(4*len(addrs) + 64), // a protocol burst, as a hub's; grows past it
 		peers:    make([]peerConn, len(addrs)),
 		dialed:   make(map[node.ID]net.Conn),
 		accepted: make(map[net.Conn]struct{}),

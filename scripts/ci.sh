@@ -251,13 +251,17 @@ go run ./cmd/experiments -scale quick -seed 1 -backend live -run matrix > /dev/n
 # arena refills without allocating and hands out zeroed values;
 # TestInboxPoolSizeClasses: a frame pool warmed with alternating envelope
 # sizes allocates nothing; TestWarmTrialAllocs: a FIN n=16 trial on a warm
-# tcp session makes at most 2 500 allocations) run without -race, which
-# allocates.
+# tcp session makes at most 2 500 allocations of at most 300 KiB in all), and
+# the per-trial state sized by use (TestEngineSizedByRounds: an n=16 ABA
+# engine allocates under 1 KiB and keeps a round-1 decision's rows inline;
+# TestSourceSizedByUse: a 64-coin source allocates itself alone; TestNewBytes:
+# keying a node for n=16 allocates at most 2 KiB; TestZeroByteKey: a channel
+# key with a zero byte is derived once) run without -race, which allocates.
 echo "== transport batching gate =="
 go test ./internal/runtime -race -count=1 \
     -run 'TestHubPerLinkFIFO|TestTCPPerLinkFIFO|TestTCPDialStall|TestTCPDialInstallRace|TestTCPDropCounter|TestTCPNetLinksCarryBothDirections|TestTCPNetBrokenLinkFallsBack'
-go test ./internal/backend ./internal/runtime ./internal/rbc ./internal/aba ./internal/auth ./internal/codec ./internal/wire -count=1 ${short_flag:+"$short_flag"} \
-    -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops|TestEnvelopeDecodeAllocs|TestBroadcastAllocsDoNotGrowWithN|TestEveryMessageAppends|TestKeyingAllocs|TestRBCRowAllocs|TestABARoundAllocs|TestSpamVotesAreBounded|TestArenaReset|TestInboxPoolSizeClasses|TestWarmTrialAllocs'
+go test ./internal/backend ./internal/runtime ./internal/rbc ./internal/aba ./internal/coin ./internal/auth ./internal/codec ./internal/wire -count=1 ${short_flag:+"$short_flag"} \
+    -run 'TestBatchingLiveAgreement|TestBatchingTCPAgreement|TestSessionTransportDrops|TestEnvelopeDecodeAllocs|TestBroadcastAllocsDoNotGrowWithN|TestEveryMessageAppends|TestKeyingAllocs|TestRBCRowAllocs|TestABARoundAllocs|TestSpamVotesAreBounded|TestArenaReset|TestInboxPoolSizeClasses|TestWarmTrialAllocs|TestEngineSizedByRounds|TestFarRoundBound|TestSourceSizedByUse|TestNewBytes|TestZeroByteKey'
 
 # A tcp node holds its drivers' writes while any of them is in a step and
 # writes once per peer when the last goes idle (runtime's "Write side"). The
