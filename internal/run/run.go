@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"time"
 	"weak"
@@ -524,9 +525,14 @@ func (s RunSpec) halves(finals []any, honest []int, lo, hi float64) error {
 // instead of allocating and zeroing its own, which is invisible in results
 // (TestOneShotReuseInvisible). The Scratch is held weakly, so the collector
 // reclaims it while no run is in flight, and by one slot, so concurrent
-// callers are safe but only one of them finds it.
+// callers are safe but only one of them finds it. Only a run that returns
+// hands its Scratch on: one that panics (a lookahead-violating delay rule)
+// strands it.
 func Run(spec RunSpec) (*RunStats, error) {
-	return runSim(spec, nil)
+	scratch := borrowScratch()
+	stats, err := runSim(spec, scratch)
+	lendScratch(scratch)
+	return stats, err
 }
 
 // lastScratch is the one slot one-shot runs pass their Scratch through.
@@ -548,12 +554,23 @@ func borrowScratch() *sim.Scratch {
 	return s
 }
 
-// lendScratch puts a completed run's Scratch in the slot.
+// lendScratch puts a completed run's Scratch in the slot. The weak pointer
+// alone would let a collection that began during the run, and scanned its
+// stack after the hand-back, take the Scratch before the next run borrows
+// it; that run would rebuild its arenas (28 MB at Dolev n=1000) as the
+// collector's timing fell. An object with a finalizer keeps what it points
+// to through the cycle that finds it unreachable and until the finalizer has
+// run, so an empty-finalizer scratchHold keeps the Scratch through the first
+// collection after the hand-back (TestOneShotRetention).
 func lendScratch(s *sim.Scratch) {
+	runtime.SetFinalizer(&scratchHold{s}, func(*scratchHold) {})
 	lastScratch.Lock()
 	lastScratch.p = weak.Make(s)
 	lastScratch.Unlock()
 }
+
+// scratchHold is lendScratch's holder.
+type scratchHold struct{ s *sim.Scratch }
 
 // OpenSim opens a simulator session: one sim.Scratch, so an engine worker's
 // trials share the event queue's backing array and per-node bookkeeping
@@ -572,9 +589,7 @@ func (s *simSession) Run(spec RunSpec) (*RunStats, error) { return runSim(spec, 
 // Close implements BackendSession; a scratch holds no external resources.
 func (s *simSession) Close() error { return nil }
 
-// runSim executes the spec in the simulator on scratch, or, when it is nil,
-// on the last one-shot run's. Only a run that returns hands its Scratch on:
-// one that panics (a lookahead-violating delay rule) strands it.
+// runSim executes the spec in the simulator on scratch.
 func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 	cfg := node.Config{N: spec.N, F: spec.F}
 	procs, err := spec.Processes()
@@ -600,10 +615,6 @@ func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 	if rule := spec.Adversary.RuleWith(spec.N, spec.F, spec.Seed, hv); rule != nil {
 		opts = append(opts, sim.WithDelayRule(rule))
 	}
-	oneShot := scratch == nil
-	if oneShot {
-		scratch = borrowScratch()
-	}
 	opts = append(opts, sim.WithScratch(scratch))
 	if spec.SimWorkers > 0 {
 		opts = append(opts, sim.WithParallelWindow(spec.SimWorkers))
@@ -613,9 +624,6 @@ func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 		return nil, err
 	}
 	res := runner.Run()
-	if oneShot {
-		lendScratch(scratch)
-	}
 
 	finals := make([]any, spec.N)
 	at := make([]time.Duration, spec.N)
