@@ -49,13 +49,14 @@ func BenchmarkEngineMatrix(b *testing.B) {
 	trials := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := bench.NewEngine(0).RunMatrix(m, int64(i))
-		if err != nil {
+		var specs []run.RunSpec
+		for _, s := range m.Scenarios() {
+			specs = append(specs, s.Specs(int64(i))...)
+		}
+		if _, err := bench.NewEngine(0).RunBatch(specs); err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range cells {
-			trials += c.Agg.Trials
-		}
+		trials += len(specs)
 	}
 	b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
 }

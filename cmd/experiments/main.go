@@ -6,7 +6,7 @@
 //
 //	experiments [-scale quick|paper] [-seed N] [-workers K] [-run T1,T2]
 //	            [-backend sim|live|tcp] [-sessions=false] [-sim-workers K]
-//	            [-trace out.json] [-metrics out|-] [-worstcase-replay]
+//	            [-trace out.json] [-metrics out|-]
 //	            [fig4 fig5 table1 table2 table3 fig6a fig6b fig6c fig7
 //	             validity tail matrix adversary ablations
 //	             service worstcase | all]
@@ -28,8 +28,7 @@
 //   - worstcase searches the adversary space for each protocol's empirical
 //     worst-case decision latency, byte-identical across reruns and
 //     -sim-workers counts. With -trace out.json it writes each winner's
-//     evidence trace to out-<protocol>.json; -worstcase-replay adds a
-//     wall-clock loopback-tcp replay of each winner.
+//     evidence trace to out-<protocol>.json.
 //
 // Every run is checked where its outputs are assembled
 // (run.RunSpec.StatsFromOutputs): a run that breaks ε-agreement or
@@ -42,9 +41,8 @@
 // -backend retargets the runs onto the simulator (default) or a live
 // goroutine or loopback tcp cluster, whose latencies are real time; so
 // `-backend tcp -run matrix` is a checked tcp run, through one persistent
-// session per worker unless -sessions=false. -sim-workers routes simulator
-// runs through the parallel window executor, deterministic at any worker
-// count but only δ-window close to the sequential loop.
+// session per worker unless -sessions=false. -sim-workers spreads each
+// simulator run's window shards over that many workers; it moves no result.
 //
 // -trace and -metrics attach one recorder to the engine. It records every
 // run of the selected targets, one trial at a time (-workers is then
@@ -75,13 +73,12 @@ import (
 )
 
 // options is one parsed command line: the engine every target runs its
-// trials on, the experiment sizing, the worstcase target's replay switch,
-// and where the engine's recorder is written.
+// trials on, the experiment sizing, and where the engine's recorder is
+// written.
 type options struct {
 	engine *bench.Engine
 	scale  bench.Scale
 	seed   int64
-	replay bool
 
 	targets                []string
 	tracePath, metricsPath string
@@ -115,8 +112,7 @@ func parseArgs(args []string) (*options, error) {
 	runFlag := fs.String("run", "", "comma-separated targets to run (adds to positional targets)")
 	backendFlag := fs.String("backend", "sim", "execution backend for the workloads: sim, live, or tcp")
 	sessions := fs.Bool("sessions", true, "reuse backend substrates (listeners, hubs, sim storage) across a cell's trials")
-	fs.IntVar(&o.engine.SimWorkers, "sim-workers", 0, "parallel window executor shard workers for sim runs (0 = sequential)")
-	fs.BoolVar(&o.replay, "worstcase-replay", false, "worstcase target: validate each winner on the loopback-tcp backend (wall-clock)")
+	fs.IntVar(&o.engine.SimWorkers, "sim-workers", 0, "window executor shard workers for sim runs")
 	fs.StringVar(&o.tracePath, "trace", "", "record every run and write a Chrome trace-event JSON (Perfetto-loadable); worstcase adds PATH-<protocol>.json")
 	fs.StringVar(&o.metricsPath, "metrics", "", "record every run and write the metrics snapshot: '-' for text on stdout, *.json for JSON, else text to the path")
 	if err := fs.Parse(args); err != nil {
@@ -305,9 +301,7 @@ func runService(o *options) (string, error) {
 
 // runWorstcase searches the adversary space for each protocol's empirical
 // worst-case decision latency and prints the profiles. Everything printed
-// here is a pure function of (scale, seed) on the simulator; the tcp replay
-// lines are real wall-clock measurements and print only under
-// -worstcase-replay so the deterministic output stays gateable.
+// here is a pure function of (scale, seed) on the simulator.
 func runWorstcase(o *options) (string, error) {
 	protos := []run.Protocol{run.ProtoDelphi, run.ProtoFIN}
 	n, rungs, anneal := 8, 3, 6
@@ -336,15 +330,6 @@ func runWorstcase(o *options) (string, error) {
 				return "", fmt.Errorf("write evidence trace: %w", err)
 			}
 			fmt.Fprintf(&b, "  [evidence trace: %d events -> %s]\n", p.TraceEvents, path)
-		}
-		if o.replay {
-			res, err := p.ReplayTCP(advsearch.ReplayConfig{})
-			if err != nil {
-				return "", fmt.Errorf("tcp replay: %w", err)
-			}
-			fmt.Fprintf(&b, "  replay  clean=%s worst=%s degraded=%v (attempts %d, scored %d, timed out %d)\n",
-				res.CleanWall.Round(time.Millisecond), res.WorstWall.Round(time.Millisecond),
-				res.Degraded, res.Attempts, res.Scored, res.TimedOut)
 		}
 	}
 	return b.String(), nil

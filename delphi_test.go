@@ -41,8 +41,8 @@ func TestSimulateQuickstart(t *testing.T) {
 		bytes   int64
 		msgs    int
 	}{
-		{delphi.EnvAWS, 824347745 * time.Nanosecond, 34744, 712},
-		{delphi.EnvLocal, 28135 * time.Microsecond, 34928, 720},
+		{delphi.EnvAWS, 838079952 * time.Nanosecond, 34856, 712},
+		{delphi.EnvLocal, 28148 * time.Microsecond, 34928, 720},
 	} {
 		rep, err := delphi.Simulate(delphi.SimSpec{
 			Config: cfg,
@@ -97,7 +97,7 @@ func TestSimulateWithCrashes(t *testing.T) {
 	if rep.Spread >= cfg.Params.Eps {
 		t.Errorf("spread %g >= eps", rep.Spread)
 	}
-	checkSimReport(t, rep, 33640694*time.Nanosecond, 74697, 1624)
+	checkSimReport(t, rep, 33965470*time.Nanosecond, 74697, 1624)
 }
 
 func TestSimulateValidation(t *testing.T) {

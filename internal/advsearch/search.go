@@ -152,8 +152,8 @@ type Config struct {
 	Rungs int
 	// AnnealSteps is the simulated-annealing refinement length (default 8).
 	AnnealSteps int
-	// SimWorkers routes probes through the parallel window executor with
-	// that many shard workers; 0 runs them on the sequential loop.
+	// SimWorkers spreads each probe's window shards over that many workers
+	// (RunSpec.SimWorkers); it moves wall time, not the profile.
 	SimWorkers int
 }
 

@@ -12,6 +12,17 @@ import (
 	"delphi/internal/sim"
 )
 
+// runTrials runs trials copies of base on eng, trial i at seed
+// run.TrialSeed(base.Seed, i).
+func runTrials(eng *bench.Engine, base run.RunSpec, trials int) ([]*run.RunStats, error) {
+	specs := make([]run.RunSpec, trials)
+	for i := range specs {
+		specs[i] = base
+		specs[i].Seed = run.TrialSeed(base.Seed, i)
+	}
+	return eng.RunBatch(specs)
+}
+
 // sessionSpec is a small clean-network cell spec for session tests.
 func sessionSpec(kind run.BackendKind, seed int64) run.RunSpec {
 	spec := quickSpec(run.ProtoDelphi, seed)
@@ -54,8 +65,7 @@ func TestSessionDeterminism(t *testing.T) {
 			base := sessionSpec(kind, 11)
 			var runs [][]*run.RunStats
 			for _, workers := range []int{1, 4, 16, 4} { // trailing 4: rerun == rerun
-				eng := bench.NewEngine(workers)
-				stats, err := eng.RunTrials(base, trials)
+				stats, err := runTrials(bench.NewEngine(workers), base, trials)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -267,7 +277,7 @@ func BenchmarkTCPCellSetup(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := &bench.Engine{Workers: 1, DisableSessions: mode.disable}
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.RunTrials(spec, 10); err != nil {
+				if _, err := runTrials(eng, spec, 10); err != nil {
 					b.Fatal(err)
 				}
 			}

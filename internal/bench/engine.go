@@ -36,8 +36,9 @@ type Engine struct {
 	// Backend runs every spec (and service config) whose Backend is empty;
 	// the zero value is the simulator.
 	Backend run.BackendKind
-	// SimWorkers is the parallel window executor's worker count for every
-	// sim-backed spec whose SimWorkers is zero; 0 keeps the sequential loop.
+	// SimWorkers is the window executor's worker count for every sim-backed
+	// spec whose SimWorkers is zero (see RunSpec.SimWorkers); 0 leaves them
+	// at one shard.
 	SimWorkers int
 	// Obs records every spec whose Obs is nil, and every service run. The
 	// trials then run one at a time, so tracks are created in spec order
@@ -135,17 +136,6 @@ func (e *Engine) RunBatch(specs []run.RunSpec) ([]*run.RunStats, error) {
 		}
 	}
 	return out, nil
-}
-
-// RunTrials executes trials copies of base, with trial i's seed derived as
-// TrialSeed(base.Seed, i), and returns the per-trial results in order.
-func (e *Engine) RunTrials(base run.RunSpec, trials int) ([]*run.RunStats, error) {
-	specs := make([]run.RunSpec, trials)
-	for i := range specs {
-		specs[i] = base
-		specs[i].Seed = run.TrialSeed(base.Seed, i)
-	}
-	return e.RunBatch(specs)
 }
 
 // DefaultSampleCap bounds a Stream's retained samples: large enough that

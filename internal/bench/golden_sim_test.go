@@ -24,11 +24,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the sim byte-ident
 // ordering, rng consumption, latency/cost arithmetic, or adversarial delay
 // evaluation shifts at least one cell's latency, traffic, or outputs.
 //
-// Those 24 cells are toy-sized and their queues stay on the simulator's
-// plain heap. The nine that follow them — Delphi n=40, FIN n=31 and Dolev
-// n=300, clean and under two presets — are large enough to engage the
-// calendar and its sorted bucket runs; their golden lines were generated by
-// the simulator that still heap-ordered every bucket.
+// Those 24 cells are toy-sized. The nine that follow them — Delphi n=40,
+// FIN n=31 and Dolev n=300, clean and under two presets — fill windows past
+// the radix sort's threshold and chain several chunks per window.
 func goldenSimCells() []run.RunSpec {
 	params := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 64, Eps: 2}
 	var specs []run.RunSpec
@@ -82,11 +80,12 @@ func goldenLine(spec run.RunSpec, st *run.RunStats) string {
 
 // TestSimGoldenByteIdentity is the fixed-seed byte-identity gate: the
 // simulator's outputs for every protocol under every adversary preset must
-// match the checked-in golden file bit for bit. The goldens were generated
-// from the pre-fast-path simulator (the container/heap implementation), so a
-// pass certifies that the inlined-heap fast path reproduces the original
-// schedule exactly. Regenerate with -update-golden only for a change that
-// deliberately alters the simulated schedule.
+// match the checked-in golden file bit for bit. The goldens are the window
+// executor's schedule, which the earlier executor produced with one shard
+// (before that, each window was sorted by destination first; within a
+// window only each node's own order is observable). Regenerate with
+// -update-golden only for a change that deliberately alters the simulated
+// schedule.
 func TestSimGoldenByteIdentity(t *testing.T) {
 	specs := goldenSimCells()
 	var lines []string

@@ -57,50 +57,31 @@ func runTraced(t *testing.T, spec run.RunSpec) (*run.RunStats, []byte) {
 
 // TestSimTraceDeterminism pins the trace-as-determinism-oracle guarantee:
 // a fixed-seed sim run's trace bytes are identical across reruns and across
-// parallel worker counts 1/4/8, on a clean network and under the
-// jitter-storm adversary — and attaching the recorder moves no result bit
-// (each traced run's golden line equals its untraced twin's; sequential and
-// parallel baselines are kept separate because the parallel window executor
-// legitimately produces its own — worker-count-independent — schedule).
+// worker counts 0 (the default one shard)/1/4/8, on a clean network and
+// under the jitter-storm adversary — and attaching the recorder moves no
+// result bit (each traced run's golden line equals its untraced twin's).
 // An Engine's recorder holds the same bytes: a traced batch at Workers 8
 // runs its trials in order.
 func TestSimTraceDeterminism(t *testing.T) {
 	for _, adv := range []netadv.Adversary{{}, {Kind: netadv.JitterStorm}} {
 		t.Run(fmt.Sprintf("%s", adv), func(t *testing.T) {
-			baseline := func(workers int) string {
-				plain, err := run.Run(traceCell(adv, workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return goldenLine(traceCell(adv, workers), plain)
+			plain, err := run.Run(traceCell(adv, 0))
+			if err != nil {
+				t.Fatal(err)
 			}
-
-			// Sequential trace: byte-identical across reruns, results
-			// untouched by tracing.
-			wantSeq := baseline(0)
-			st0, trace0 := runTraced(t, traceCell(adv, 0))
-			if got := goldenLine(traceCell(adv, 0), st0); got != wantSeq {
-				t.Errorf("tracing moved sequential results:\n got %s\nwant %s", got, wantSeq)
-			}
-			if _, again := runTraced(t, traceCell(adv, 0)); !bytes.Equal(trace0, again) {
-				t.Error("sequential trace bytes differ across reruns")
-			}
-
-			// Parallel traces: byte-identical across worker counts and
-			// across a rerun (trailing 4), results untouched by tracing.
-			wantPar := baseline(1)
-			var parTrace []byte
-			for _, workers := range []int{1, 4, 8, 4} {
+			wantLine := goldenLine(traceCell(adv, 0), plain)
+			var first []byte
+			for _, workers := range []int{0, 1, 4, 8, 4} {
 				st, trace := runTraced(t, traceCell(adv, workers))
-				if got := goldenLine(traceCell(adv, workers), st); got != wantPar {
-					t.Errorf("workers=%d: traced results diverged:\n got %s\nwant %s", workers, got, wantPar)
+				if got := goldenLine(traceCell(adv, workers), st); got != wantLine {
+					t.Errorf("workers=%d: traced results diverged:\n got %s\nwant %s", workers, got, wantLine)
 				}
-				if parTrace == nil {
-					parTrace = trace
+				if first == nil {
+					first = trace
 					continue
 				}
-				if !bytes.Equal(parTrace, trace) {
-					t.Errorf("workers=%d: trace bytes differ from workers=1", workers)
+				if !bytes.Equal(first, trace) {
+					t.Errorf("workers=%d: trace bytes differ from workers=0", workers)
 				}
 			}
 

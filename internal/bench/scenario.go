@@ -142,9 +142,9 @@ type Scenario struct {
 	// value is the simulator, unless the Engine fills it (see
 	// Engine.Backend).
 	Backend run.BackendKind
-	// SimWorkers runs every sim-backed trial under the parallel window
-	// executor with that many shard workers; 0 is the sequential loop
-	// unless the Engine fills it (see RunSpec.SimWorkers).
+	// SimWorkers spreads every sim-backed trial's window shards over that
+	// many workers; 0 is one shard unless the Engine fills it (see
+	// RunSpec.SimWorkers).
 	SimWorkers int
 	// Trials is the per-scenario trial count (default 1). Trial i runs at
 	// seed TrialSeed(base, i) with freshly shaped inputs.
@@ -224,14 +224,6 @@ func (s Scenario) Specs(baseSeed int64) []run.RunSpec {
 	return out
 }
 
-// ScenarioResult pairs a scenario with its aggregated trial statistics.
-type ScenarioResult struct {
-	// Scenario is the expanded scenario.
-	Scenario Scenario
-	// Agg holds the streaming per-trial summary.
-	Agg *Aggregate
-}
-
 // Matrix is a scenario grid: a base scenario crossed with per-axis value
 // lists. Nil axes keep the base value, so a Matrix degenerates gracefully
 // to a single scenario. The paper's sweeps (env × n, fault sweeps) are each
@@ -294,28 +286,6 @@ func (m Matrix) Scenarios() []Scenario {
 	return out
 }
 
-// RunScenarios executes every trial of every cell as one flat batch
-// (maximal pool utilisation), returning per-cell aggregates in cell order.
-// keepSamples retains per-trial latency samples in each cell's aggregate.
-func (e *Engine) RunScenarios(cells []Scenario, baseSeed int64, keepSamples bool) ([]*ScenarioResult, error) {
-	var specs []run.RunSpec
-	for _, s := range cells {
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-		specs = append(specs, s.Specs(baseSeed)...)
-	}
-	stats, err := e.RunBatch(specs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*ScenarioResult, len(cells))
-	for i, agg := range aggregates(cells, stats, keepSamples) {
-		out[i] = &ScenarioResult{Scenario: cells[i], Agg: agg}
-	}
-	return out, nil
-}
-
 // aggregates folds stats, every trial of every cell in cell order, into one
 // Aggregate per cell.
 func aggregates(cells []Scenario, stats []*run.RunStats, keepSamples bool) []*Aggregate {
@@ -328,12 +298,6 @@ func aggregates(cells []Scenario, stats []*run.RunStats, keepSamples bool) []*Ag
 		stats = stats[c.trials():]
 	}
 	return out
-}
-
-// RunMatrix expands the matrix and executes every trial of every cell as
-// one flat batch, returning per-cell aggregates in cell order.
-func (e *Engine) RunMatrix(m Matrix, baseSeed int64) ([]*ScenarioResult, error) {
-	return e.RunScenarios(m.Scenarios(), baseSeed, false)
 }
 
 // scenarioMatrix is the scenario matrix as an experiment: Delphi across

@@ -165,34 +165,11 @@ type ServiceReport struct {
 	// buffers.
 	DeliveredUpdates, SubDropped uint64
 	// Metrics is the recorder's snapshot when the engine carried one (see
-	// Engine.RunService); nil otherwise. Excluded from Fingerprint: the
+	// Engine.RunService); nil otherwise. Excluded from the golden
+	// fingerprint (TestServiceSimGolden): the
 	// snapshot may include wall-clock and worker-count-dependent readings
 	// that carry no byte-identity guarantee.
 	Metrics obs.Metrics
-}
-
-// Fingerprint renders every deterministic field with exact float bits — the
-// byte-identity gate for simulator service runs. Wall-clock-only noise
-// (none on the simulator) is excluded by construction: the simulator model
-// never touches the wall clock.
-func (r *ServiceReport) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "backend=%s arrived=%d decided=%d shed=%d failed=%d maxin=%d maxq=%d span=%d stale=%d drops=%d delivered=%d subdropped=%d\n",
-		r.Backend, r.Arrived, r.Decided, r.Shed, r.Failed, r.MaxInFlight, r.MaxQueued,
-		int64(r.Span), r.StaleFrames, r.TransportDrops, r.DeliveredUpdates, r.SubDropped)
-	fmt.Fprintf(&b, "rps=%x\n", r.RoundsPerSec)
-	for _, s := range []struct {
-		name string
-		st   *Stream
-	}{
-		{"latency", &r.LatencyMS}, {"service", &r.ServiceMS},
-		{"queue", &r.QueueMS}, {"staleness", &r.StalenessMS},
-	} {
-		fmt.Fprintf(&b, "%s n=%d mean=%x min=%x max=%x p50=%x p99=%x\n",
-			s.name, s.st.N(), s.st.Mean(), s.st.Min(), s.st.Max(),
-			s.st.Percentile(0.50), s.st.Percentile(0.99))
-	}
-	return b.String()
 }
 
 // Text renders the report for humans. Deterministic on the simulator (it

@@ -96,21 +96,3 @@ func KS(samples []float64, d Distribution) float64 {
 	}
 	return sup
 }
-
-// KSCritical returns the asymptotic one-sample KS critical value at
-// significance alpha for n samples: samples genuinely drawn from the
-// reference distribution exceed it with probability ≈ alpha. Supported
-// alpha values are 0.10, 0.05, and 0.01; other inputs fall back to 0.05.
-func KSCritical(alpha float64, n int) float64 {
-	c := 1.358 // alpha = 0.05
-	switch alpha {
-	case 0.10:
-		c = 1.224
-	case 0.01:
-		c = 1.628
-	}
-	if n < 1 {
-		n = 1
-	}
-	return c / math.Sqrt(float64(n))
-}

@@ -69,15 +69,6 @@ func (h *Histogram) BinWidth() float64 {
 	return (h.Max - h.Min) / float64(len(h.Counts))
 }
 
-// Density returns bin i's empirical probability density (normalized so
-// the histogram integrates to the in-range mass).
-func (h *Histogram) Density(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / (float64(h.N) * h.BinWidth())
-}
-
 // Render draws the histogram as rows of '#' bars scaled to width columns.
 // Each overlay distribution contributes a column of expected per-bin
 // counts (N · (CDF(hi) − CDF(lo))) so a fit can be eyeballed against the

@@ -211,16 +211,6 @@ func (m Metrics) Value(name string) int64 {
 	return 0
 }
 
-// Get returns the named metric and whether it exists.
-func (m Metrics) Get(name string) (Metric, bool) {
-	for i := range m {
-		if m[i].Name == name {
-			return m[i], true
-		}
-	}
-	return Metric{}, false
-}
-
 // WriteText renders the snapshot as "name kind value [sum min max]" lines,
 // sorted by name — the CLI's metrics dump format.
 func (m Metrics) WriteText(w io.Writer) error {

@@ -53,9 +53,6 @@ func New() *Recorder {
 	return &Recorder{epoch: time.Now()}
 }
 
-// Enabled reports whether the recorder is live (non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // NewTrack creates a single-writer track. now, when non-nil, is the track's
 // virtual clock: the owner (the simulator) stores the current virtual time
 // in nanoseconds there before invoking instrumented code. A nil now selects
@@ -115,9 +112,6 @@ type Track struct {
 	mu     sync.Mutex
 	events []Event
 }
-
-// Enabled reports whether events recorded on t are retained.
-func (t *Track) Enabled() bool { return t != nil }
 
 func (t *Track) clock() int64 {
 	if t.now != nil {

@@ -105,13 +105,11 @@ type RunSpec struct {
 	// Backend selects the execution backend; the zero value is the
 	// simulator. Run ignores it: bench.Engine routes a spec to its backend.
 	Backend BackendKind
-	// SimWorkers enables the simulator's conservative-window parallel mode
-	// with that many shard workers (sim.WithParallelWindow); 0 runs the
-	// sequential loop, unless an Engine fills it from Engine.SimWorkers.
-	// Sim-only: live backends ignore it. Parallel runs are
-	// byte-identical across reruns and worker counts but follow a different
-	// (equally valid) schedule than sequential runs, so sequential goldens
-	// only transfer as δ-window statistical agreement.
+	// SimWorkers spreads the simulator's window shards over that many
+	// workers (sim.WithParallelWindow); 0 or 1 runs one shard on the
+	// caller's goroutine, and an Engine fills a 0 from Engine.SimWorkers.
+	// Sim-only: live backends ignore it. A run is byte-identical across
+	// reruns and worker counts: the count moves wall time only.
 	SimWorkers int
 	// Obs, when non-nil, attaches the observability recorder: protocol
 	// phase spans land on per-node trace tracks (virtual time on the
@@ -615,10 +613,7 @@ func runSim(spec RunSpec, scratch *sim.Scratch) (*RunStats, error) {
 	if rule := spec.Adversary.RuleWith(spec.N, spec.F, spec.Seed, hv); rule != nil {
 		opts = append(opts, sim.WithDelayRule(rule))
 	}
-	opts = append(opts, sim.WithScratch(scratch))
-	if spec.SimWorkers > 0 {
-		opts = append(opts, sim.WithParallelWindow(spec.SimWorkers))
-	}
+	opts = append(opts, sim.WithScratch(scratch), sim.WithParallelWindow(spec.SimWorkers))
 	runner, err := sim.NewRunner(cfg, spec.Env, spec.Seed, procs, opts...)
 	if err != nil {
 		return nil, err

@@ -7,9 +7,9 @@ import (
 
 const (
 	// ringBuckets is the calendar ring size in buckets (power of two). At
-	// the sequential width (0.52 ms) and at the AWS lookahead floor (0.4 ms)
-	// the ring spans 3.3–4.3 s of virtual time, beyond the largest preset
-	// delay (jitter cap 3 s); farther events overflow.
+	// the AWS and CPS lookahead floor (0.4 ms) the ring spans 3.3 s of
+	// virtual time, beyond the largest preset delay (jitter cap 3 s); farther
+	// events overflow.
 	ringBuckets = 8192
 	ringMask    = ringBuckets - 1
 	// chunkEvents sizes a chunk at 1 KiB of events and a 16-byte header.
@@ -33,21 +33,19 @@ type chunk struct {
 	ev   [chunkEvents]event
 }
 
-// calendar is the pending-event store under both executors: a ring of
-// ringBuckets bucket heads, bucket idx = at / width in slot idx & ringMask,
-// each a chain of chunks drawn from geometrically growing slabs through a
-// freelist, plus a min-heap for events beyond the ring horizon, which drain
-// back as the ring advances. Events inside a bucket are unordered; the
-// caller orders the chain detach unlinks (the sequential runner's take copies
-// it out for sortRun, a shard's sortBucket scatters it) and recycles it. A
-// push writes to the end of a chunk and a detach unlinks one chain, so no
-// operation touches memory in proportion to the whole queue. A shard also
-// stages its cross-shard sends in chains of this arena's chunks (slot). The
-// zero value is ready once width is set.
+// calendar is a shard's pending-event store: a ring of ringBuckets bucket
+// heads, bucket idx = at / width in slot idx & ringMask, each a chain of
+// chunks drawn from geometrically growing slabs through a freelist, plus a
+// min-heap for events beyond the ring horizon, which drain back as the ring
+// advances. Events inside a bucket are unordered; take copies a bucket out
+// for the shard to order (shard.order). A push writes to the end of a chunk
+// and a take unlinks one chain, so no operation touches memory in proportion
+// to the whole queue. A shard also stages its cross-shard sends in chains of
+// this arena's chunks (slot). The zero value is ready once width is set.
 type calendar struct {
 	width    time.Duration
 	heads    [ringBuckets]*chunk
-	base     int64     // last bucket detached; the ring admits idx < base+ringBuckets
+	base     int64     // last bucket taken; the ring admits idx < base+ringBuckets
 	scan     int64     // no ring bucket before scan holds an event
 	count    int       // ring buckets holding events
 	overflow eventHeap // events at or beyond base+ringBuckets
@@ -64,7 +62,7 @@ type calendar struct {
 // taken so far.
 func (c *calendar) push(e *event, idx int64) {
 	if idx >= c.base+ringBuckets {
-		c.overflow.push(heapEvent{event: *e})
+		c.overflow.push(*e)
 		c.overflowPeak = max(c.overflowPeak, len(c.overflow))
 		return
 	}
@@ -135,10 +133,10 @@ func (c *calendar) next() int64 {
 	return nb
 }
 
-// detach advances the ring to bucket b — which must not exceed next() —
-// pulls newly admissible overflow back in, and unlinks bucket b's chain; the
-// caller reads it and hands it to recycle.
-func (c *calendar) detach(b int64) *chunk {
+// take advances the ring to bucket b — which must not exceed next() —
+// pulls newly admissible overflow back in, appends bucket b's events to dst
+// and recycles its chain.
+func (c *calendar) take(b int64, dst []event) []event {
 	c.base = b
 	for len(c.overflow) > 0 {
 		idx := int64(c.overflow[0].at / c.width)
@@ -146,22 +144,16 @@ func (c *calendar) detach(b int64) *chunk {
 			break
 		}
 		e := c.overflow.pop()
-		c.push(&e.event, idx)
+		c.push(&e, idx)
 	}
 	if c.scan <= b {
 		c.scan = b + 1
 	}
-	ch := c.heads[b&ringMask]
-	if ch != nil {
+	chain := c.heads[b&ringMask]
+	if chain != nil {
 		c.heads[b&ringMask] = nil
 		c.count--
 	}
-	return ch
-}
-
-// take detaches bucket b, appends its events to dst and recycles its chain.
-func (c *calendar) take(b int64, dst []event) []event {
-	chain := c.detach(b)
 	for ch := chain; ch != nil; ch = ch.next {
 		dst = append(dst, ch.ev[:ch.n]...)
 	}

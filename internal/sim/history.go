@@ -9,15 +9,11 @@
 // so a rule consulted twice for the same message coordinates always answers
 // the same — the purity contract sim.DelayRule demands.
 //
-// Commit points are schedule facts, not wall-clock facts. The sequential
-// loop commits when the next delivery's virtual time crosses an epoch
-// boundary; the parallel executor commits at the window barrier whose start
-// crosses one. The parallel window sequence is independent of the worker
-// count, so adaptive parallel runs stay byte-identical across reruns AND
-// across worker counts, exactly like static-adversary runs. Sequential and
-// parallel runs commit at different points and so may follow different
-// adaptive schedules — the same (accepted) divergence the two modes already
-// have for tie-breaking and RNG streams.
+// Commit points are schedule facts, not wall-clock facts: the executor
+// commits at the window barrier whose start crosses an epoch boundary. The
+// window sequence is independent of the worker count, so adaptive runs stay
+// byte-identical across reruns AND across worker counts, exactly like
+// static-adversary runs.
 package sim
 
 import (
@@ -49,27 +45,24 @@ type HistoryView interface {
 
 // History is the simulator's HistoryView: delivery counts committed on a
 // virtual-time epoch grid. Create one per run with NewHistory and attach it
-// with WithHistory; the runner records every processed delivery and commits
-// the pending counts when the schedule crosses an epoch boundary. A History
-// must not be shared by concurrently running Runners.
+// with WithHistory; the runner counts every processed delivery and commits
+// the counts when a window's start crosses an epoch boundary
+// (Runner.commitHistory). A History must not be shared by concurrently
+// running Runners.
 type History struct {
 	n     int
 	epoch time.Duration
 
 	// Committed prefix — immutable between commits, so rules may read it
-	// concurrently from parallel shard workers (the window barrier orders
-	// commits against reads).
+	// concurrently from shard workers (the window barrier orders commits
+	// against reads).
 	delivered int64
 	sent      []int64
 	hot       []node.ID // rank -> node
 	rank      []int32   // node -> rank
 	commits   int
 
-	// Pending counts (sequential mode; parallel shards keep their own) and
-	// the next epoch boundary that triggers a commit.
-	pendDelivered int64
-	pendSent      []int64
-	nextCommit    time.Duration
+	nextCommit time.Duration // the epoch boundary that triggers the next commit
 }
 
 var _ HistoryView = (*History)(nil)
@@ -87,7 +80,6 @@ func NewHistory(n int, epoch time.Duration) *History {
 		sent:       make([]int64, n),
 		hot:        make([]node.ID, n),
 		rank:       make([]int32, n),
-		pendSent:   make([]int64, n),
 		nextCommit: epoch,
 	}
 	for i := range h.hot {
@@ -99,9 +91,6 @@ func NewHistory(n int, epoch time.Duration) *History {
 
 // Delivered implements HistoryView.
 func (h *History) Delivered() int64 { return h.delivered }
-
-// SentMsgs returns how many committed deliveries originated at from.
-func (h *History) SentMsgs(from node.ID) int64 { return h.sent[from] }
 
 // HotRank implements HistoryView.
 func (h *History) HotRank(id node.ID) int { return int(h.rank[id]) }
@@ -117,37 +106,9 @@ func (h *History) HotSender(rank int) node.ID {
 	return h.hot[rank]
 }
 
-// Commits returns how many epoch commits the run has performed — the
-// observable the determinism tests pin.
-func (h *History) Commits() int { return h.commits }
-
-// observe advances the sequential commit grid: called with each delivery's
-// virtual time (nondecreasing), it commits the pending counts once the
-// schedule crosses the next epoch boundary. The triggering delivery itself
-// is recorded after the commit, so the committed prefix never includes the
-// delivery whose processing is consulting the rules.
-func (h *History) observe(at time.Duration) {
-	if at >= h.nextCommit {
-		h.commitUpTo(at)
-	}
-}
-
-// record adds one processed delivery from from to the pending
-// (uncommitted) counts.
-func (h *History) record(from node.ID) {
-	h.pendDelivered++
-	h.pendSent[from]++
-}
-
-// commitUpTo folds the pending counts into the committed prefix, recomputes
-// the traffic ranking, and moves the commit boundary past upTo.
-func (h *History) commitUpTo(upTo time.Duration) {
-	h.delivered += h.pendDelivered
-	h.pendDelivered = 0
-	for i := range h.pendSent {
-		h.sent[i] += h.pendSent[i]
-		h.pendSent[i] = 0
-	}
+// commit ranks the counts the executor folded into the committed prefix
+// and moves the commit boundary past upTo.
+func (h *History) commit(upTo time.Duration) {
 	RankHotSenders(h.sent, h.hot, h.rank)
 	h.nextCommit = (upTo/h.epoch + 1) * h.epoch
 	h.commits++

@@ -8,16 +8,21 @@ import (
 )
 
 // TestHistoryCommitGrid pins the committed-prefix semantics: deliveries are
-// invisible until the schedule crosses an epoch boundary, and the delivery
-// that triggers a commit is itself excluded from the committed prefix.
+// invisible until a window's start crosses an epoch boundary, and the
+// deliveries of that window are not in the prefix committed before it.
 func TestHistoryCommitGrid(t *testing.T) {
 	h := NewHistory(4, 10*time.Millisecond)
 	if h.Delivered() != 0 || h.Commits() != 0 {
 		t.Fatalf("fresh history not empty: delivered=%d commits=%d", h.Delivered(), h.Commits())
 	}
+	sh := &shard{histSent: make([]int64, 4)}
+	r := &Runner{history: h, width: time.Millisecond, shards: []*shard{sh}}
+	// step delivers one message from `from` at `at`, in its 1 ms window: the
+	// barrier before that window commits first.
 	step := func(at time.Duration, from node.ID) {
-		h.observe(at)
-		h.record(from)
+		r.commitHistory(int64(at / r.width))
+		sh.histDelivered++
+		sh.histSent[from]++
 	}
 	step(2*time.Millisecond, 0)
 	step(5*time.Millisecond, 0)
@@ -55,11 +60,8 @@ func TestHistoryRanking(t *testing.T) {
 	}
 	// Node 2 sends 3, node 0 sends 1, nodes 1 and 3 send none (tie -> 1
 	// before 3).
-	for i := 0; i < 3; i++ {
-		h.record(2)
-	}
-	h.record(0)
-	h.commitUpTo(time.Millisecond)
+	h.sent[2], h.sent[0] = 3, 1
+	h.commit(time.Millisecond)
 	want := []node.ID{2, 0, 1, 3}
 	for r, id := range want {
 		if h.HotSender(r) != id {

@@ -29,8 +29,8 @@ func runFloodN(b *testing.B, n, rounds int, seed int64, opts ...sim.Option) int 
 	return res.Events
 }
 
-// BenchmarkSimParallel measures the n=1000+ scale curve and the parallel
-// mode's speedup over the sequential loop. Both lanes run inside every
+// BenchmarkSimParallel measures the n=1000+ scale curve and what 8 workers
+// buy over the default one shard (the "seq" lane). Both lanes run inside every
 // iteration (paired alternating trials, like BenchmarkTCPFrameThroughput)
 // so host drift cannot bias either side, each lane reusing its own Scratch
 // across iterations; the parallel lane uses 8 workers. A warm Scratch is what

@@ -35,7 +35,7 @@ func TestParallelCompletes(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism pins the parallel mode's reproducibility
+// TestParallelDeterminism pins the executor's reproducibility
 // guarantee: fixed-seed runs are byte-identical across reruns AND across
 // worker counts (per-sender sequence numbers and per-node RNG streams make
 // the schedule independent of the sharding).
@@ -47,26 +47,26 @@ func TestParallelDeterminism(t *testing.T) {
 			sim.WithParallelWindow(workers))
 	}
 	base := mk(4)
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range []int{0, 1, 4, 8} {
 		if got := mk(workers); !resultsIdentical(got, base) {
 			t.Errorf("workers=%d diverged from the workers=4 schedule", workers)
 		}
 	}
 }
 
-// TestParallelScratchReuse pins Scratch reuse in parallel mode: reusing one
-// Scratch across parallel runs of different sizes — and interleaved with
-// sequential runs — never changes any run's result.
+// TestParallelScratchReuse pins Scratch reuse across worker counts: reusing
+// one Scratch across runs of different sizes and shard counts never changes
+// any run's result.
 func TestParallelScratchReuse(t *testing.T) {
 	scratch := &sim.Scratch{}
 	runs := []struct {
 		n       int
 		seed    int64
-		workers int // 0 = sequential
+		workers int // 0 = the default, one shard
 	}{
 		{24, 7, 4},
 		{12, 3, 4}, // same worker count, smaller n: arenas rebuilt
-		{24, 7, 0}, // sequential in between must not corrupt parallel arenas
+		{24, 7, 0}, // one shard in between must not corrupt four shards' arenas
 		{24, 7, 4}, // repeat of run 0: must match exactly
 	}
 	var fresh []*sim.Result
@@ -293,7 +293,9 @@ type noFloorLatency struct{}
 
 func (noFloorLatency) Latency(_, _ node.ID, _ *rand.Rand) time.Duration { return time.Millisecond }
 
-// TestParallelConfigErrors pins NewRunner's parallel-mode validation.
+// TestParallelConfigErrors pins NewRunner's validation of the window width,
+// which every run needs: a latency model that declares no MinLatency, or a
+// zero one, is rejected at any worker count.
 func TestParallelConfigErrors(t *testing.T) {
 	procs := make([]node.Process, 4)
 	for i := range procs {
@@ -303,16 +305,15 @@ func TestParallelConfigErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		env  sim.Environment
-		opts []sim.Option
 	}{
-		{"no MinLatency floor", sim.Environment{Name: "x", Latency: noFloorLatency{}},
-			[]sim.Option{sim.WithParallelWindow(2)}},
-		{"zero-width lookahead", sim.Environment{Name: "x", Latency: sim.FixedLatency(0)},
-			[]sim.Option{sim.WithParallelWindow(2)}},
+		{"no MinLatency floor", sim.Environment{Name: "x", Latency: noFloorLatency{}}},
+		{"zero-width lookahead", sim.Environment{Name: "x", Latency: sim.FixedLatency(0)}},
 	}
 	for _, tc := range cases {
-		if _, err := sim.NewRunner(cfg, tc.env, 1, procs, tc.opts...); err == nil {
-			t.Errorf("%s: NewRunner accepted an invalid parallel config", tc.name)
+		for _, workers := range []int{0, 2} {
+			if _, err := sim.NewRunner(cfg, tc.env, 1, procs, sim.WithParallelWindow(workers)); err == nil {
+				t.Errorf("%s: NewRunner accepted it at %d workers", tc.name, workers)
+			}
 		}
 	}
 }

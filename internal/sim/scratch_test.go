@@ -66,15 +66,12 @@ func (p *ping) Deliver(_ node.ID, m node.Message) {
 }
 
 // scratchMessages counts the messages reachable from s. A run holds them in
-// its sent arenas only — the sequential loop's and every shard's; nothing else
-// in a Scratch has a pointer to hold one with (TestEventLayout) — so every
-// record of every retained slab is looked at, in use or not.
-func scratchMessages(s *Scratch) int {
-	total := arenaMessages(&s.sent)
-	if s.par != nil {
-		for _, sh := range s.par.shards {
-			total += arenaMessages(&sh.sent)
-		}
+// its shards' sent arenas only — nothing else in a Scratch has a pointer to
+// hold one with (TestEventLayout) — so every record of every retained slab is
+// looked at, in use or not.
+func scratchMessages(s *Scratch) (total int) {
+	for _, sh := range s.shards {
+		total += arenaMessages(&sh.sent)
 	}
 	return total
 }
@@ -127,33 +124,37 @@ func TestScratchShrinksAfterLargeRun(t *testing.T) {
 		t.Errorf("steady-state reuse shrank retained capacity %d -> %d", small, got)
 	}
 
-	runPing(t, 192, s)
+	runPing(t, 400, s)
 	big := s.retainedEvents()
 	if big <= 4*small {
-		t.Fatalf("n=192 run retained %d event slots, not clearly above the small run's %d", big, small)
+		t.Fatalf("n=400 run retained %d event slots, not clearly above the small run's %d", big, small)
 	}
-	// The run drained its buckets through the run and key buffers (36 k
-	// messages in flight over ~300 buckets): both come back, keys at twice
-	// the run's size, and both are in the count above.
-	bigRun, bigKeys := cap(s.run), cap(s.keys)
+	// The run drained its windows through the run and key buffers (160 k
+	// messages in flight over ~300 windows): both come back, keys at twice
+	// the run's size, and both are in the count above. Its calendar peaked
+	// at over eight times the small run's chunks (a window with an event
+	// takes a chunk, and the small run's ~140 sparse windows a chunk each),
+	// which is what the release rule needs to give them back.
+	sh := s.shards[0]
+	bigRun, bigKeys := cap(sh.run), cap(sh.keys)
 	if bigRun < 128 || bigKeys < 2*bigRun {
-		t.Fatalf("n=192 run handed back a %d-event run buffer and %d keys", bigRun, bigKeys)
+		t.Fatalf("n=400 run handed back a %d-event run buffer and %d keys", bigRun, bigKeys)
 	}
-	runPing(t, 192, s)
-	if cap(s.run) != bigRun || cap(s.keys) != bigKeys {
-		t.Errorf("steady-state reuse moved the run buffer %d -> %d, the keys %d -> %d", bigRun, cap(s.run), bigKeys, cap(s.keys))
+	runPing(t, 400, s)
+	if cap(sh.run) != bigRun || cap(sh.keys) != bigKeys {
+		t.Errorf("steady-state reuse moved the run buffer %d -> %d, the keys %d -> %d", bigRun, cap(sh.run), bigKeys, cap(sh.keys))
 	}
 	runPing(t, 12, s)
 	after := s.retainedEvents()
 	if after > big/4 {
 		t.Errorf("after a small run the big run's capacity lingers: %d of %d event slots retained", after, big)
 	}
-	if cap(s.run) > bigRun/2 || cap(s.keys) > bigKeys/2 {
-		t.Errorf("after a small run %d of %d run slots and %d of %d keys are still retained", cap(s.run), bigRun, cap(s.keys), bigKeys)
+	if cap(sh.run) > bigRun/2 || cap(sh.keys) > bigKeys/2 {
+		t.Errorf("after a small run %d of %d run slots and %d of %d keys are still retained", cap(sh.run), bigRun, cap(sh.keys), bigKeys)
 	}
 
 	// Same policy for the parallel arenas.
-	runPing(t, 192, s, WithParallelWindow(4))
+	runPing(t, 400, s, WithParallelWindow(4))
 	bigPar := s.retainedEvents()
 	runPing(t, 12, s, WithParallelWindow(4))
 	afterPar := s.retainedEvents()
@@ -162,14 +163,15 @@ func TestScratchShrinksAfterLargeRun(t *testing.T) {
 	}
 }
 
-// TestEarlyStopLeaksNoMessage stops a run on its time bound with the calendar
-// engaged and a bucket's run half drained (n=64 puts 4096 messages in flight;
-// 80 ms is inside the first round's arrivals): the Scratch it hands back must
-// hold storage only, no message — not in the run's undelivered slots, the
-// near heap, the calendar's chunks or the staged-send buffer — and the next
-// run on it must match a fresh one. The parallel variant stops between two
-// windows with events filed in both shards' calendars and staged for the
-// other shard in chains nobody has walked yet.
+// TestEarlyStopLeaksNoMessage stops a run on its time bound with events
+// still filed in its calendars (n=64 puts 4096 messages in flight; the stop
+// falls inside the first rounds' arrivals): the Scratch it hands back must
+// hold storage only, no message — not in the calendars' chunks, the window
+// buffers or the staged-send chains — and the next run on it must match a
+// fresh one: on one shard run on the caller's goroutine (sequential), and
+// on two workers (parallel), where the stop also follows a window some node
+// broadcast in: its sends are staged for the other shard in chains nobody
+// will walk.
 func TestEarlyStopLeaksNoMessage(t *testing.T) {
 	newRun := func(opts ...Option) *Runner {
 		procs := make([]node.Process, 64)
@@ -182,45 +184,40 @@ func TestEarlyStopLeaksNoMessage(t *testing.T) {
 		}
 		return r
 	}
-	t.Run("sequential", func(t *testing.T) {
-		s := &Scratch{}
-		r := newRun(WithScratch(s), WithMaxTime(80*time.Millisecond))
-		res := r.Run()
-		if res.Events == 0 || r.cal == nil || r.runPos == 0 || r.runPos == len(r.run) {
-			t.Fatalf("the run stopped after %d events at %d of a %d-event run; want a half-drained run over an engaged calendar",
-				res.Events, r.runPos, len(r.run))
-		}
-		checkNoLeak(t, s, func(opts ...Option) *Result { return newRun(opts...).Run() })
-	})
-	t.Run("parallel", func(t *testing.T) {
-		par := WithParallelWindow(2)
-		// The first stop, in 1 ms steps, that follows a window some node
-		// broadcast in: its sends are staged and nobody will file them.
-		// Without a Scratch nothing is handed back, so what a stop leaves
-		// behind can be looked at.
-		pending := func(r *Runner) (filed int, staged bool) {
-			for _, sh := range r.par.shards {
-				filed += sh.cal.count
-				staged = staged || sh.staged[0][1-sh.id] != nil || sh.staged[1][1-sh.id] != nil
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"sequential", 1}, {"parallel", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			par := WithParallelWindow(tc.workers)
+			// Without a Scratch nothing is handed back, so what a stop leaves
+			// behind can be looked at.
+			pending := func(r *Runner) bool {
+				filed, staged := 0, len(r.shards) == 1
+				for _, sh := range r.shards {
+					filed += sh.cal.count
+					for _, chains := range sh.staged {
+						staged = staged || chains[1-sh.id] != nil
+					}
+				}
+				return filed > 0 && staged
 			}
-			return filed, staged
-		}
-		var stop Option
-		for ms := 80; ; ms++ {
-			if ms == 1000 {
-				t.Fatal("no stop in [80, 1000) ms leaves events both filed and staged")
+			var stop Option
+			for ms := 80; ; ms++ {
+				if ms == 1000 {
+					t.Fatal("no stop in [80, 1000) ms leaves events filed (and staged across shards)")
+				}
+				stop = WithMaxTime(time.Duration(ms) * time.Millisecond)
+				r := newRun(par, stop)
+				if res := r.Run(); res.Events > 0 && pending(r) {
+					break
+				}
 			}
-			stop = WithMaxTime(time.Duration(ms) * time.Millisecond)
-			r := newRun(par, stop)
-			r.Run()
-			if filed, staged := pending(r); filed > 0 && staged {
-				break
-			}
-		}
-		s := &Scratch{}
-		newRun(par, stop, WithScratch(s)).Run()
-		checkNoLeak(t, s, func(opts ...Option) *Result { return newRun(append(opts, par)...).Run() })
-	})
+			s := &Scratch{}
+			newRun(par, stop, WithScratch(s)).Run()
+			checkNoLeak(t, s, func(opts ...Option) *Result { return newRun(append(opts, par)...).Run() })
+		})
+	}
 }
 
 // checkNoLeak checks that s, handed back by an early-stopped run, holds no
@@ -253,12 +250,13 @@ func TestScratchNodeSlabReset(t *testing.T) {
 	}
 }
 
-// TestSequentialOverflowHorizon is the sequential counterpart of
-// TestParallelOverflowHorizon: with the queue large enough to engage the
-// calendar (n=160 puts 25600 messages in flight), a delay rule that parks
-// the last sender's messages 10 s out — past the ring horizon, 8192 buckets
-// ≈ 4.3 s — must spill them to the overflow heap and drain them back in
-// order. (The last sender: its Init runs with 159 broadcasts already queued.)
+// TestSequentialOverflowHorizon is the AWS-scale counterpart of
+// TestParallelOverflowHorizon on the default executor, one shard run on the
+// caller's goroutine: with n=160 putting 25600 messages in flight, a delay
+// rule that parks the last sender's messages 10 s out — past the ring
+// horizon, 8192 windows of 0.4 ms ≈ 3.3 s — must spill them to the overflow
+// heap and drain them back in order. (The last sender: its Init runs with
+// 159 broadcasts already queued.)
 func TestSequentialOverflowHorizon(t *testing.T) {
 	const n = 160
 	farRule := func(at time.Duration, from, to node.ID, m node.Message) time.Duration {
@@ -285,7 +283,7 @@ func TestSequentialOverflowHorizon(t *testing.T) {
 			t.Errorf("node %d never halted", i)
 		}
 	}
-	if s.cal == nil || cap(s.cal.overflow) == 0 {
+	if cap(s.shards[0].cal.overflow) == 0 {
 		t.Error("the run never used the calendar's overflow heap")
 	}
 }
@@ -344,7 +342,7 @@ func TestParallelStagingChains(t *testing.T) {
 			}
 		}
 		overflowed := false
-		for _, sh := range s.par.shards {
+		for _, sh := range s.shards {
 			overflowed = overflowed || cap(sh.cal.overflow) > 0
 		}
 		if !overflowed {

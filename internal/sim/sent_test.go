@@ -15,21 +15,18 @@ import (
 )
 
 // TestEventLayout pins the sizes the queue's cost rests on — an event is a
-// quarter of a cache line, in the run, the scatter buffer and the chunks, a
-// heap entry three eighths, a chunk 1 KiB of events behind a 16-byte header —
-// and that neither an event nor a staged send can hold a reference: the sent
-// arenas are then the only place a run keeps a message.
+// quarter of a cache line, in the window buffer, the overflow heap and the
+// chunks, a chunk 1 KiB of events behind a 16-byte header — and that neither
+// an event nor a staged send can hold a reference: the sent arenas are then
+// the only place a run keeps a message.
 func TestEventLayout(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 16 {
 		t.Errorf("an event is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(heapEvent{}); got != 24 {
-		t.Errorf("a heap entry is %d bytes, want 24", got)
-	}
 	if got := unsafe.Sizeof(chunk{}); got != 16+chunkEvents*16 || chunkEvents*16 != 1024 {
 		t.Errorf("a chunk is %d bytes, want a 16-byte header and 1024 bytes of events", got)
 	}
-	for _, v := range []any{event{}, heapEvent{}, outMsg{}} {
+	for _, v := range []any{event{}, outMsg{}} {
 		typ := reflect.TypeOf(v)
 		for _, f := range reflect.VisibleFields(typ) {
 			switch f.Type.Kind() {
@@ -127,9 +124,9 @@ func (c *caster) Deliver(from node.ID, m node.Message) {
 // TestBroadcastIsNSends pins what staging one entry per Broadcast must not
 // change: a process that broadcasts and its twin that sends to 0…n−1 produce
 // the same Result field for field — same departures off the uplink, same
-// sequence numbers and latency draws — inside a step and outside one, under
-// the sequential loop and the window executor at 1, 2 and 3 workers, on a
-// fresh Scratch and on a warm one. And a message is sized once per Send or
+// sequence numbers and latency draws — inside a step and outside one, at the
+// default one shard and at 1, 2 and 3 workers, on a fresh Scratch and on a
+// warm one. And a message is sized once per Send or
 // Broadcast call, not per delivery.
 func TestBroadcastIsNSends(t *testing.T) {
 	const n = 12 // nodes 0 and 1 share a shard at every worker count below
@@ -178,10 +175,10 @@ func TestBroadcastIsNSends(t *testing.T) {
 // the events — decide: fixed latency, no jitter, no uplink and no compute
 // cost, so every arrival of a round ties. Node 0 makes its borrowed cast after
 // its own round-1 cast, the corner where record order and sequence order
-// differ. The expected orders were recorded from the 32-byte event that stored
-// its sequence number (commit 8ea38eb): in full at n=6, where the near heap
-// holds the whole queue; as a hash at n=48, where the calendar engages and the
-// bucket sorts look sequence numbers up (and a parallel group passes 48).
+// differ. Each node logs its own deliveries, the order only it can observe;
+// the expected orders were recorded from the 32-byte event that stored its
+// sequence number: in full at n=6, and as a hash at n=48, where a window's
+// events pass radixMin and tie in groups the window order looks up.
 func TestTieOrder(t *testing.T) {
 	env := Environment{Latency: FixedLatency(time.Millisecond)}
 	run := func(n int, each bool, s *Scratch, workers int) string {
@@ -191,9 +188,6 @@ func TestTieOrder(t *testing.T) {
 		casters := make([]*caster, n)
 		for i := range procs {
 			casters[i] = &caster{each: each, late: true, sized: &sized, rounds: 2, log: &logs[i]}
-			if workers == 0 {
-				casters[i].log = &logs[0] // one goroutine: the global order
-			}
 			procs[i] = casters[i]
 		}
 		casters[0].borrowed = casters[1]
@@ -207,41 +201,31 @@ func TestTieOrder(t *testing.T) {
 		return string(bytes.Join(logs, nil))
 	}
 	for _, workers := range []int{0, 1, 2, 3} {
-		want6, want48 := tieOrderSeq6, uint64(tieOrderSeq48)
-		if workers > 0 {
-			want6, want48 = tieOrderPar6, tieOrderPar48
-		}
 		for _, each := range []bool{false, true} {
 			s := &Scratch{}
 			for _, state := range []string{"fresh", "warm"} {
-				if got := run(6, each, s, workers); got != want6 {
-					t.Errorf("workers=%d each=%v %s Scratch: n=6 delivery order\n%s\nwant\n%s", workers, each, state, got, want6)
+				if got := run(6, each, s, workers); got != tieOrder6 {
+					t.Errorf("workers=%d each=%v %s Scratch: n=6 delivery order\n%s\nwant\n%s", workers, each, state, got, tieOrder6)
 				}
 				h := fnv.New64a()
 				h.Write([]byte(run(48, each, s, workers)))
-				if got := h.Sum64(); got != want48 {
-					t.Errorf("workers=%d each=%v %s Scratch: n=48 delivery order hashes to %#x, want %#x", workers, each, state, got, want48)
+				if got := h.Sum64(); got != tieOrder48 {
+					t.Errorf("workers=%d each=%v %s Scratch: n=48 delivery order hashes to %#x, want %#x", workers, each, state, got, uint64(tieOrder48))
 				}
 			}
 		}
 	}
 }
 
-// The delivery orders TestTieOrder expects, as to, from and round+1: the
-// sequential loop's global order, and the window executor's by destination.
+// The delivery orders TestTieOrder expects, as to, from and round+1, node by
+// node.
 const (
-	tieOrderSeq6 = "001 101 201 301 401 501 011 111 211 311 411 511 021 121 221 321 421 521 " +
-		"031 131 231 331 431 531 041 141 241 341 441 541 051 151 251 351 451 551 " +
-		"010 110 210 310 410 510 002 102 202 302 402 502 012 112 212 312 412 512 " +
-		"022 122 222 322 422 522 032 132 232 332 432 532 042 142 242 342 442 542 " +
-		"052 152 252 352 452 552 "
-	tieOrderPar6 = "001 011 021 031 041 051 002 010 022 032 042 052 012 101 111 121 131 141 " +
+	tieOrder6 = "001 011 021 031 041 051 002 010 022 032 042 052 012 101 111 121 131 141 " +
 		"151 102 110 122 132 142 152 112 201 211 221 231 241 251 202 210 222 232 " +
 		"242 252 212 301 311 321 331 341 351 302 310 322 332 342 352 312 401 411 " +
 		"421 431 441 451 402 410 422 432 442 452 412 501 511 521 531 541 551 502 " +
 		"510 522 532 542 552 512 "
-	tieOrderSeq48 = 0xc6e5776a73183fd5
-	tieOrderPar48 = 0xe4b688234cdc19b5
+	tieOrder48 = 0xe4b688234cdc19b5
 )
 
 // TestSentArenaSlabs walks the arena across every slab boundary of its first
@@ -280,9 +264,10 @@ func TestSentArenaSlabs(t *testing.T) {
 	}
 }
 
-// TestSentArenaLimit exhausts an executor's index space (by count, not by
+// TestSentArenaLimit exhausts a shard's index space (by count, not by
 // allocating it): the next send must stop the run naming the limit, on the
-// caller's goroutine under either executor, not wrap into another arena's ids.
+// caller's goroutine at one shard and at two, not wrap into another arena's
+// ids.
 func TestSentArenaLimit(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		procs := make([]node.Process, 4)
@@ -293,9 +278,8 @@ func TestSentArenaLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.sent.used = sentLimit
-		if r.par != nil {
-			r.par.shards[1].sent.used = sentLimit
+		for _, sh := range r.shards {
+			sh.sent.used = sentLimit
 		}
 		func() {
 			defer func() {

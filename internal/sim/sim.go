@@ -13,38 +13,31 @@
 // knowing they are being simulated. All randomness flows from a single seed,
 // so every experiment is reproducible.
 //
+// Every run is one executor, the conservative-window one (parallel.go): the
+// latency model's declared MinLatency is the window width, the nodes are
+// split into contiguous shards, and each window's events, causally
+// independent across nodes, are delivered shard by shard. With one worker
+// (the default) Run's goroutine runs the single shard itself;
+// WithParallelWindow spreads the shards over a pool. The result is
+// byte-identical at any worker count (TestParallelDeterminism,
+// bench.TestSimGoldenByteIdentity).
+//
 // The event loop is built for sweep throughput. Pending deliveries are 16-byte
 // pointer-free event values (no per-event allocation; message, sender and
-// sequence numbers sit once per Send or Broadcast call in the sending
-// executor's arena) in one structure under both executors: a calendar
-// (calendar.go) files them by time bucket in fixed-size chunks, and the
-// sequential loop orders only the bucket it is about to drain, in linear radix
-// passes over 8-byte keys — at n=1000 a push is a write to the end of a chunk
-// and a pop reads the next key of a cache-resident run, where a single heap
-// over the million pending events missed the cache at every level. A small
-// inlined 4-ary heap holds what is pushed into the bucket being drained, and
-// all of a queue that never reaches nearMin events and builds no calendar. Per-
-// node bookkeeping lives in one contiguous nodeState slab, each node's Env is
-// allocated once per run, and a delivery is a direct Deliver call with no per-
-// event closure; Scratch lets a session reuse all of this storage across runs.
-// Pop order is fully determined by the (time, sequence) total order, so none of
-// it changes a scheduled delivery: fixed-seed runs are byte-identical to the
-// original container/heap implementation (bench.TestSimGoldenByteIdentity and,
-// for the queue alone, TestCalendarOrder).
-//
-// An opt-in conservative-window parallel mode (WithParallelWindow) shards
-// the nodes across a worker pool, one calendar per shard, and executes each
-// minimum-network-delay window of causally independent events concurrently;
-// see parallel.go.
+// sequence numbers sit once per Send or Broadcast call in the sending shard's
+// arena) filed by window in a calendar (calendar.go) of fixed-size chunks; a
+// window is ordered in linear radix passes over 8-byte keys. Per-node
+// bookkeeping lives in one contiguous nodeState slab, each node's Env is
+// allocated once per run, and a delivery is a direct Deliver call with no
+// per-event closure; Scratch lets a session reuse all of this storage across
+// runs.
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"time"
 
 	"delphi/internal/node"
@@ -52,9 +45,9 @@ import (
 )
 
 // event is a message delivery scheduled at a virtual time, stored by value, 16
-// bytes and no pointer: rec names the sending call's record — its executor's
-// arena (0, or the shard) above recBits, its index there below — which has the
-// sender and the sequence numbers; node ids are int32 (NewRunner bounds n).
+// bytes and no pointer: rec names the sending call's record — its shard's
+// arena above recBits, its index there below — which has the sender and the
+// sequence numbers; node ids are int32 (NewRunner bounds n).
 type event struct {
 	at  time.Duration
 	rec uint32
@@ -71,15 +64,15 @@ type sent struct {
 	size, from int32
 }
 
-// sentArena hands out a run's sent records and is the only place the run holds
-// a reference. Slab k holds 1<<(k+sentShift) records, and the slab table is a
-// fixed array: a shard resolves another shard's rec while that shard appends,
-// which an append-grown table would not survive.
+// sentArena hands out a shard's sent records and is the only place the run
+// holds a reference. Slab k holds 1<<(k+sentShift) records, and the slab table
+// is a fixed array: a shard resolves another shard's rec while that shard
+// appends, which an append-grown table would not survive.
 type sentArena struct {
 	slabs [recBits - sentShift]*[]sent
 	held  int    // slabs[:held] are allocated
 	used  uint32 // records handed out this run
-	id    uint32 // the executor's arena id, shifted above recBits
+	id    uint32 // the shard's arena id, shifted above recBits
 }
 
 // locate returns record i's slab and index there: i+1<<sentShift's top bit, the rest.
@@ -125,32 +118,18 @@ func (a *sentArena) release() {
 	a.held, a.used = min(a.held, keep+1), 0
 }
 
-// heapEvent is an event beside its sequence number: the near heap orders by it.
-type heapEvent struct {
-	event
-	seq uint64 // tie-breaker for determinism
-}
-
-// before reports whether e is scheduled strictly before o. seq is unique,
-// so this is a total order and the heap's pop sequence is independent of
-// its internal layout.
-func (e *heapEvent) before(o *heapEvent) bool {
-	return e.at < o.at || e.at == o.at && e.seq < o.seq
-}
-
-// eventHeap is an inlined 4-ary min-heap of events ordered by (at, seq): the
-// sequential runner's near heap and every calendar's beyond-horizon
-// overflow (seq 0: it hands events back to the ring by at alone). The value
-// layout and the manual sift loops keep heap maintenance allocation-free.
-type eventHeap []heapEvent
+// eventHeap is an inlined 4-ary min-heap of events ordered by at: a calendar's
+// beyond-horizon overflow, which hands events back to the ring by at alone.
+// The value layout and the manual sift loops keep it allocation-free.
+type eventHeap []event
 
 // push adds e to the heap, sifting it towards the root.
-func (h *eventHeap) push(e heapEvent) {
+func (h *eventHeap) push(e event) {
 	q := append(*h, e)
 	*h = q
 	for i := len(q) - 1; i > 0; {
 		p := (i - 1) >> 2
-		if !q[i].before(&q[p]) {
+		if q[i].at >= q[p].at {
 			break
 		}
 		q[i], q[p] = q[p], q[i]
@@ -159,7 +138,7 @@ func (h *eventHeap) push(e heapEvent) {
 }
 
 // pop removes and returns the earliest event.
-func (h *eventHeap) pop() heapEvent {
+func (h *eventHeap) pop() event {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
@@ -177,16 +156,12 @@ func (h *eventHeap) pop() heapEvent {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if q[j].before(&q[m]) {
+		for j := c + 1; j < min(c+4, n); j++ {
+			if q[j].at < q[m].at {
 				m = j
 			}
 		}
-		if !q[m].before(&last) {
+		if q[m].at >= last.at {
 			break
 		}
 		q[i] = q[m]
@@ -198,8 +173,8 @@ func (h *eventHeap) pop() heapEvent {
 
 // nodeState is one node's hot bookkeeping, packed into a single slab entry
 // so a delivery touches one cache line of per-node state instead of three
-// parallel slices. sendSeq is used only by the parallel mode (per-sender
-// sequence numbers keep event ordering independent of shard count).
+// parallel slices. sendSeq counts the deliveries the node has scheduled: its
+// per-sender sequence numbers keep event order independent of the sharding.
 type nodeState struct {
 	busyUntil time.Duration
 	// uplinkFree tracks when the node's uplink next idles (bandwidth
@@ -216,11 +191,11 @@ type LatencyModel interface {
 }
 
 // MinLatencyModel is implemented by latency models that can declare a hard
-// lower bound on every latency they will ever sample. The parallel runner
-// derives its conservative-window lookahead from this floor: events less
+// lower bound on every latency they will ever sample, and NewRunner requires
+// it: the executor's conservative window is this floor, since events less
 // than one floor apart are causally independent across nodes. A model whose
-// MinLatency overstates the true minimum makes the parallel runner fail
-// loudly on the first violation rather than silently diverge.
+// MinLatency overstates the true minimum makes a run fail loudly on the
+// first violation rather than silently diverge.
 type MinLatencyModel interface {
 	MinLatency() time.Duration
 }
@@ -328,16 +303,15 @@ type Result struct {
 // from its inputs (see internal/netadv for seed-deterministic presets).
 type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Duration
 
-// Scratch is a Runner's reusable storage: the near heap's backing array, the
-// drained bucket's run and sort keys, the calendar's chunk slabs, the sent
-// arena, the per-node bookkeeping slab, and — for parallel runs — each shard's
-// calendar (whose chunks also stage its cross-shard sends), sent arena and
-// scatter buffer. A session hands the same Scratch to consecutive NewRunner
-// calls, and run.Run the last one-shot run's, so a sweep performs the growth
-// allocations once instead of once per trial. A Scratch must not be shared by
-// concurrently running Runners; reuse never changes results (every buffer is
-// fully reset) — only allocation counts. It holds no message: the sent arenas
-// are the only storage with a pointer in it, and hand-back clears them.
+// Scratch is a Runner's reusable storage: the per-node bookkeeping slab and
+// RNG streams, and each shard's calendar (whose chunks also stage its
+// cross-shard sends), sent arena and window buffers. A session hands the
+// same Scratch to consecutive NewRunner calls, and run.Run the last one-shot
+// run's, so a sweep performs the growth allocations once instead of once per
+// trial. A Scratch must not be shared by concurrently running Runners; reuse
+// never changes results (every buffer is fully reset) — only allocation
+// counts. It holds no message: the sent arenas are the only storage with a
+// pointer in it, and hand-back clears them.
 //
 // Retained capacity is bounded, not monotone: after each run every backing
 // array whose peak occupancy fit in an eighth of its capacity is halved
@@ -346,15 +320,14 @@ type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Dur
 // its high-water storage once the sweep returns to paper-scale cells, while
 // steady-state sweeps sit inside the 8x hysteresis band and never thrash.
 type Scratch struct {
-	near    eventHeap
-	run     []event
-	keys    []uint64
-	cal     *calendar
 	nodes   []nodeState
-	outMsgs []outMsg
-	sent    sentArena
-	rng     *rand.Rand
-	par     *parScratch
+	shards  []*shard
+	shardOf []uint8 // node -> shard
+	rands   []*rand.Rand
+	srcs    []sm64
+	// clean marks a completed hand-back; a run that panicked leaves it false
+	// so the next run rebuilds instead of adopting half-mutated arenas.
+	clean bool
 }
 
 // scratchShrinkMin is the smallest backing array the post-run shrink pass
@@ -381,16 +354,11 @@ func shrunk[T any](buf []T, peak int) []T {
 }
 
 // retainedEvents reports the scratch's total retained event-slot and sent-
-// record capacity, every shard's too; the shrink policy's observable for tests.
+// record capacity over every shard; the shrink policy's observable for tests.
 func (s *Scratch) retainedEvents() int {
-	total := cap(s.near) + cap(s.run) + cap(s.keys) + s.sent.retained()
-	if s.cal != nil {
-		total += s.cal.retained()
-	}
-	if s.par != nil {
-		for _, sh := range s.par.shards {
-			total += sh.cal.retained() + cap(sh.sortBuf) + sh.sent.retained()
-		}
+	total := 0
+	for _, sh := range s.shards {
+		total += sh.cal.retained() + cap(sh.run) + cap(sh.keys) + sh.sent.retained()
 	}
 	return total
 }
@@ -399,22 +367,17 @@ func (s *Scratch) retainedEvents() int {
 type Runner struct {
 	cfg   node.Config
 	env   Environment
-	rng   *rand.Rand
 	procs []node.Process
 
-	// Pending deliveries: the calendar holds them by bucket (at >>
-	// seqBucketShift), run is the bucket being drained — read through keys,
-	// its (at, seq) order, from runPos on — and near holds what was pushed at
-	// or before that bucket; see push and next. cal is nil until the near heap
-	// first holds nearMin events.
-	near      eventHeap
-	nearPeak  int
-	cal       *calendar
-	run       []event
-	keys      []uint64 // len(run) sort keys, then as much sorting space
-	runPos    int
-	runPeak   int
-	seq       uint64
+	width   time.Duration // window width == lookahead == MinLatency
+	workers int           // WithParallelWindow's ask
+	shards  []*shard
+	shardOf []uint8 // node -> shard
+	rands   []*rand.Rand
+	work    []chan winCmd // the pool's; nil for one worker
+	done    chan int
+	closed  bool
+
 	now       time.Duration
 	nodes     []nodeState // per-node bookkeeping slab
 	stats     []NodeStats
@@ -426,21 +389,18 @@ type Runner struct {
 	events    int
 	scratch   *Scratch
 
-	// The parallel-mode knob (WithParallelWindow) and the materialised
-	// parallel runner; nil means the sequential loop.
-	parWorkers int
-	par        *parRunner
-
 	hasUplink bool // hoisted out of the per-message dispatch: is the uplink branch live
 
-	// Observability (WithRecorder): one trace track per node on the
-	// virtual clock. obsNow is the sequential loop's clock target; each
-	// parallel shard keeps its own. tracks == nil means disabled.
-	rec    *obs.Recorder
-	tracks []*obs.Track
-	obsNow int64
-
-	stepState // the sequential loop's; each parallel shard has its own
+	// Observability (WithRecorder): one trace track per node on its shard's
+	// virtual clock, and a "sim" track on simNow that records one instant
+	// per window (width and event count, both independent of the worker
+	// count); the wall-clock barrier wait goes to the metrics registry only,
+	// never the trace. tracks == nil means disabled.
+	rec      *obs.Recorder
+	tracks   []*obs.Track
+	simTrack *obs.Track
+	simNow   int64
+	barrier  *obs.Histogram
 }
 
 // outMsg is one staged Send or Broadcast, rec to destinations [lo, hi): dispatch
@@ -460,7 +420,7 @@ type stepState struct {
 	curOutput  bool
 	curHalt    bool
 	inStep     bool
-	sent       sentArena // every send by this executor, the loop or one shard
+	sent       sentArena // every send by this shard's nodes
 }
 
 // beginStep opens node id's processing step. The caller invokes the
@@ -500,9 +460,9 @@ func WithDelayRule(r DelayRule) Option {
 	return func(rn *Runner) { rn.delayRule = r }
 }
 
-// WithHistory attaches a delivered-message history: the runner records
-// every processed delivery into h and commits it on h's epoch grid, so a
-// DelayRule holding the same *History (as a HistoryView) can adapt to
+// WithHistory attaches a delivered-message history: the runner counts
+// every processed delivery and commits the counts into h on h's epoch grid,
+// so a DelayRule holding the same *History (as a HistoryView) can adapt to
 // observed traffic while remaining a pure function of the committed prefix.
 // The history must be freshly created (NewHistory) per run and its node
 // count must match the config. See history.go for the commit semantics.
@@ -518,10 +478,9 @@ func WithMaxTime(d time.Duration) Option {
 
 // WithRecorder attaches an observability recorder: the runner creates one
 // trace track per node driven by the virtual clock (timestamps are delivery
-// times, so a fixed-seed run's trace is byte-identical across reruns — and,
-// in parallel mode, across worker counts). A nil recorder leaves tracing
-// disabled at zero cost. The recorder must not be shared by concurrently
-// running Runners.
+// times, so a fixed-seed run's trace is byte-identical across reruns and
+// worker counts). A nil recorder leaves tracing disabled at zero cost. The
+// recorder must not be shared by concurrently running Runners.
 func WithRecorder(rec *obs.Recorder) Option {
 	return func(rn *Runner) { rn.rec = rec }
 }
@@ -531,20 +490,16 @@ func WithScratch(s *Scratch) Option {
 	return func(rn *Runner) { rn.scratch = s }
 }
 
-// WithParallelWindow enables conservative-window parallel execution on a
-// pool of `workers` shard workers (one runs on Run's goroutine). The runner
-// partitions the nodes into contiguous shards, takes the lookahead bound L
-// to be the latency model's declared MinLatency, and executes each [T, T+L)
-// window of events concurrently — events inside one lookahead window are
-// causally independent across nodes, the classic conservative PDES
-// argument. See Runner.Run and README "Parallel simulation" for which
-// guarantees survive: parallel runs are deterministic (byte-identical
-// across reruns AND across worker counts), but follow a different
-// tie-breaking schedule and RNG stream split than the sequential runner, so
-// sequential-vs-parallel agreement is δ-window-statistical, not
-// byte-identical. workers ≤ 0 keeps the sequential loop.
+// WithParallelWindow runs the window executor's shards on a pool of
+// `workers` goroutines, one shard each, while Run's goroutine keeps the
+// window barrier; at most one shard per node and maxWorkers in all. Events inside one lookahead window are causally
+// independent across nodes, the classic conservative PDES argument, so the
+// shards of a window run concurrently. It changes the wall time and nothing
+// else: a run is byte-identical at any worker count. workers ≤ 1 runs one
+// shard on Run's goroutine, which is also what a Runner without this option
+// does.
 func WithParallelWindow(workers int) Option {
-	return func(rn *Runner) { rn.parWorkers = workers }
+	return func(rn *Runner) { rn.workers = workers }
 }
 
 // resetNodes returns buf zeroed and resized to n, reusing its backing
@@ -560,72 +515,51 @@ func resetNodes(buf []nodeState, n int) []nodeState {
 
 // NewRunner creates a runner for the given processes. procs[i] runs as node
 // i; entries may be honest protocols or Byzantine behaviours, and nil
-// entries model crashed (mute) nodes.
+// entries model crashed (mute) nodes. The latency model must declare a
+// positive MinLatency (MinLatencyModel), the executor's window width, and n
+// is at most maxParN−1, the nodes a sequence number can name.
 func NewRunner(cfg node.Config, env Environment, seed int64, procs []node.Process, opts ...Option) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.N > math.MaxInt32 {
-		return nil, fmt.Errorf("sim: n=%d exceeds the %d nodes an event can address", cfg.N, math.MaxInt32)
+	n := cfg.N
+	if n >= maxParN {
+		return nil, fmt.Errorf("sim: n=%d exceeds the %d nodes a sequence number can name", n, maxParN-1)
 	}
-	if len(procs) != cfg.N {
-		return nil, fmt.Errorf("sim: have %d processes for n=%d", len(procs), cfg.N)
+	if len(procs) != n {
+		return nil, fmt.Errorf("sim: have %d processes for n=%d", len(procs), n)
+	}
+	ml, ok := env.Latency.(MinLatencyModel)
+	if !ok {
+		return nil, fmt.Errorf("sim: the window executor needs a latency model with a MinLatency floor; %T does not declare one", env.Latency)
+	}
+	if ml.MinLatency() <= 0 {
+		return nil, fmt.Errorf("sim: the window executor needs a positive lookahead, got %v", ml.MinLatency())
 	}
 	r := &Runner{
 		cfg:       cfg,
 		env:       env,
 		procs:     procs,
-		stats:     make([]NodeStats, cfg.N),
+		width:     ml.MinLatency(),
+		stats:     make([]NodeStats, n),
 		maxTime:   30 * time.Minute,
 		hasUplink: env.UplinkBytesPerSec > 0,
 	}
 	for _, o := range opts {
 		o(r)
 	}
-	if s := r.scratch; s != nil {
-		// Adopt the scratch buffers; Run hands them back (grown) when the
-		// run completes. Stats and envs are never pooled: Result escapes
-		// with the stats, and processes may retain their Env beyond the run.
-		r.near, r.run, r.keys = s.near[:0], s.run[:0], s.keys
-		r.nodes = resetNodes(s.nodes, cfg.N)
-		r.curOutMsgs, r.sent = s.outMsgs[:0], s.sent
-		if s.rng != nil {
-			r.rng = s.rng
-			r.rng.Seed(seed)
-		}
-	}
-	if r.nodes == nil {
-		r.nodes = make([]nodeState, cfg.N)
-	}
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(seed))
-		if r.scratch != nil {
-			r.scratch.rng = r.rng
-		}
+	if r.history != nil && r.history.n != n {
+		return nil, fmt.Errorf("sim: history has n=%d, config has n=%d", r.history.n, n)
 	}
 	for _, p := range procs {
 		if p != nil {
 			r.live++
 		}
 	}
-	if r.history != nil && r.history.n != cfg.N {
-		return nil, fmt.Errorf("sim: history has n=%d, config has n=%d", r.history.n, cfg.N)
-	}
-	r.envs = make([]simEnv, cfg.N)
+	r.setup(seed)
+	r.envs = make([]simEnv, n)
 	for i := range r.envs {
-		r.envs[i] = simEnv{r: r, id: node.ID(i)}
-	}
-	if r.parWorkers > 0 {
-		if err := r.setupParallel(seed); err != nil {
-			return nil, err
-		}
-		return r, nil
-	}
-	if r.rec != nil {
-		r.tracks = make([]*obs.Track, cfg.N)
-		for i := range r.tracks {
-			r.tracks[i] = r.rec.NewTrack(fmt.Sprintf("node-%d", i), &r.obsNow)
-		}
+		r.envs[i] = simEnv{r: r, id: node.ID(i), sh: r.shards[r.shardOf[i]]}
 	}
 	return r, nil
 }
@@ -635,15 +569,7 @@ func NewRunner(cfg node.Config, env Environment, seed int64, procs []node.Proces
 type simEnv struct {
 	r  *Runner
 	id node.ID
-}
-
-// shard returns the node's shard under parallel execution, nil under the
-// sequential loop.
-func (e *simEnv) shard() *shard {
-	if pr := e.r.par; pr != nil {
-		return pr.shards[pr.shardOf[e.id]]
-	}
-	return nil
+	sh *shard // the shard the node runs on
 }
 
 func (e *simEnv) Self() node.ID { return e.id }
@@ -662,10 +588,7 @@ func (e *simEnv) Track() *obs.Track {
 // step returns the delivery context e's calls act on, and whether they fall
 // inside e's own processing step.
 func (e *simEnv) step() (*stepState, bool) {
-	st := &e.r.stepState
-	if sh := e.shard(); sh != nil {
-		st = &sh.stepState
-	}
+	st := &e.sh.stepState
 	return st, st.inStep && e.id == st.curNode
 }
 
@@ -682,15 +605,10 @@ func (e *simEnv) send(lo, hi int32, m node.Message) {
 		return
 	}
 	// Sends outside a step (shouldn't happen for well-behaved processes) leave
-	// once the node is free, and no earlier than the executor's clock: an idle
-	// node's busyUntil lies in the past, and in a parallel window a departure
-	// before the window start would undercut the committed horizon.
-	free := e.r.nodes[e.id].busyUntil
-	if sh := e.shard(); sh != nil {
-		sh.dispatch(e.id, om, max(free, sh.windowStart))
-	} else {
-		e.r.dispatch(e.id, om, max(free, e.r.now))
-	}
+	// once the node is free, and no earlier than the window start: an idle
+	// node's busyUntil lies in the past, and a departure before the window
+	// start would undercut the committed horizon.
+	e.sh.dispatch(e.id, om, max(e.r.nodes[e.id].busyUntil, e.sh.windowStart))
 }
 
 func (e *simEnv) Output(v any) {
@@ -707,11 +625,7 @@ func (e *simEnv) Halt() {
 	}
 	e.r.nodes[e.id].halted = true
 	e.r.stats[e.id].Halted = true
-	if sh := e.shard(); sh != nil {
-		sh.halts++ // live accounting is folded in at the window barrier
-	} else {
-		e.r.live--
-	}
+	e.sh.halts++ // live accounting is folded in at the window barrier
 	if st, own := e.step(); own {
 		st.curHalt = true
 	}
@@ -724,9 +638,10 @@ func (e *simEnv) ChargeCompute(c node.ComputeCost) {
 }
 
 // depart books a message leaving `from` no earlier than ready — bandwidth
-// serialization on the sender's uplink, traffic accounting — and returns
-// its arrival time: departure plus sampled latency plus the delay rule's.
-func (r *Runner) depart(from, to node.ID, m *sent, ready time.Duration, rng *rand.Rand) time.Duration {
+// serialization on the sender's uplink, traffic accounting — and returns its
+// arrival time: departure plus latency, drawn from the sender's own RNG
+// stream, plus the delay rule's.
+func (r *Runner) depart(from, to node.ID, m *sent, ready time.Duration) time.Duration {
 	ns, st := &r.nodes[from], &r.stats[from]
 	st.MsgsSent++
 	st.BytesSent += int64(m.size)
@@ -735,204 +650,17 @@ func (r *Runner) depart(from, to node.ID, m *sent, ready time.Duration, rng *ran
 		left += time.Duration(float64(m.size) / r.env.UplinkBytesPerSec * float64(time.Second))
 	}
 	ns.uplinkFree = left
-	at := left + r.env.Latency.Latency(from, to, rng)
+	at := left + r.env.Latency.Latency(from, to, r.rands[from])
 	if r.delayRule != nil {
 		at += r.delayRule(left, from, to, m.msg)
 	}
 	return at
 }
 
-// dispatch enqueues a staged send's deliveries, leaving at ready or later.
-func (r *Runner) dispatch(from node.ID, om outMsg, ready time.Duration) {
-	m := r.sent.at(om.rec)
-	m.base = r.seq + 1 - uint64(om.lo)
-	r.seq += uint64(om.hi - om.lo)
-	for to := om.lo; to < om.hi; to++ {
-		at := r.depart(from, node.ID(to), m, ready, r.rng)
-		r.push(&event{at: at, rec: om.rec, to: to}, m.base+uint64(to))
-	}
-}
-
-// seqOf returns e's sequence number.
-func (r *Runner) seqOf(e *event) uint64 { return r.sent.at(e.rec).base + uint64(e.to) }
-
-const (
-	// seqBucketShift sets the sequential calendar's bucket width, 2^19 ns ≈
-	// 0.52 ms: at n=1000 the fullest bucket is 16 k events, a run whose
-	// events and sort keys stay in the L2 cache.
-	seqBucketShift = 19
-	// nearMin keeps a short queue out of the calendar altogether: until the
-	// near heap first holds this many events it takes every push, and a run
-	// that never does is a plain heap. An engaged calendar clears 64 KiB of
-	// bucket heads and spends a 1 KiB chunk on each sparse bucket, ~0.4 MB a
-	// run: protocol runs peaking under 1 k pending lose by it (FIN n=8 at 749
-	// +27 %; BenchmarkSimCore n=4/16 and the n=8 golden cells peak at 16–821),
-	// 1–2 k buys no time for 1.2–3× the bytes (FIN n=10, Delphi n=16), 3 k up
-	// wins (FIN n=16 at 5 k −15 %, Delphi n=40 at 11 k −15 %).
-	nearMin = 2048
-)
-
-// push queues a delivery, seq its sequence number. Once the calendar is
-// engaged, events at or before the bucket being drained — zero or sub-bucket
-// latency, out-of-step sends — go to the near heap, which next merges with
-// that bucket's run, and events beyond it to the calendar.
-func (r *Runner) push(e *event, seq uint64) {
-	if r.cal == nil && len(r.near) >= nearMin {
-		// Engage the calendar for the rest of the run, the scratch's if it
-		// holds one.
-		if s := r.scratch; s != nil && s.cal != nil {
-			r.cal, s.cal = s.cal, nil
-		} else {
-			r.cal = &calendar{width: 1 << seqBucketShift}
-		}
-	}
-	if r.cal != nil {
-		if idx := int64(e.at >> seqBucketShift); idx > r.cal.base {
-			r.cal.push(e, idx)
-			return
-		}
-	}
-	r.near.push(heapEvent{*e, seq})
-	r.nearPeak = max(r.nearPeak, len(r.near))
-}
-
-// next removes the earliest pending delivery in (at, seq) order into e, the
-// run's head or the near heap's top, and reports whether there was one. A run
-// in progress precedes every calendar bucket; once it is drained the
-// calendar's earliest bucket becomes the next run, unless the near heap's
-// top still precedes that bucket.
-func (r *Runner) next(e *event) bool {
-	if r.runPos == len(r.run) && r.cal != nil {
-		nb := r.cal.next()
-		if nb != math.MaxInt64 && (len(r.near) == 0 || int64(r.near[0].at>>seqBucketShift) >= nb) {
-			r.run = r.cal.take(nb, r.run[:0])
-			r.runPos = 0
-			r.runPeak = max(r.runPeak, len(r.run))
-			r.sortRun()
-		}
-	}
-	if r.runPos < len(r.run) {
-		head := &r.run[uint32(r.keys[r.runPos])]
-		if len(r.near) == 0 || head.at < r.near[0].at || head.at == r.near[0].at && r.seqOf(head) < r.near[0].seq {
-			*e = *head
-			r.runPos++
-			return true
-		}
-	}
-	if len(r.near) == 0 {
-		return false
-	}
-	*e = r.near[0].event // copied where it lies: pop's by-value result takes a detour over the stack
-	r.near.pop()
-	return true
-}
-
-// sortRun fills keys[:len(run)] with run's indices in (at, seq) order, each
-// under the bits of at its bucket leaves open: key = at%width<<32 | index. Two
-// stable counting passes of ten bits order the keys by at in linear time, 10
-// ns an event at 16 k against a comparison sort's 80; under radixMin events
-// zeroing and summing the counters costs more than comparing (26 against 13
-// ns at 64, 15 against 18 at 128). Events of equal at then stand in take, not
-// seq, order (chunks chain newest first): each such group is sorted by seq,
-// looked up in the arena.
-func (r *Runner) sortRun() {
-	const radixMin = 128
-	run, n := r.run, len(r.run)
-	if cap(r.keys) < 2*n {
-		r.keys = make([]uint64, 2*cap(run))
-	}
-	r.keys = r.keys[:2*n]
-	keys, tmp := r.keys[:n], r.keys[n:]
-	for i := range run {
-		keys[i] = uint64(run[i].at&(1<<seqBucketShift-1))<<32 | uint64(i)
-	}
-	if n < radixMin {
-		slices.Sort(keys)
-	} else {
-		for shift, src, dst := 32, keys, tmp; shift < 32+seqBucketShift; shift, src, dst = shift+10, dst, src {
-			var count [1 << 10]uint32
-			for _, k := range src {
-				count[k>>shift&1023]++
-			}
-			sum := uint32(0)
-			for d, c := range count {
-				count[d], sum = sum, sum+c
-			}
-			for _, k := range src {
-				dst[count[k>>shift&1023]] = k
-				count[k>>shift&1023]++
-			}
-		}
-	}
-	bySeq := func(a, b uint64) int { return cmp.Compare(r.seqOf(&run[uint32(a)]), r.seqOf(&run[uint32(b)])) }
-	for i, j := 0, 1; j <= n; j++ {
-		if j == n || keys[j]>>32 != keys[i]>>32 {
-			if j-i > 1 {
-				slices.SortFunc(keys[i:j], bySeq)
-			}
-			i = j
-		}
-	}
-}
-
-// endStep closes the step opened at virtual time t and flushes its staged
-// sends: they leave the node once processing completes.
-func (r *Runner) endStep(id node.ID, t, base time.Duration) {
-	ready := r.finishStep(r, id, t, base)
-	for _, om := range r.curOutMsgs {
-		r.dispatch(id, om, ready)
-	}
-	r.inStep = false
-}
-
-// deliver processes one delivery event; it reports false when the run is
-// over (time bound hit or every live process halted).
-func (r *Runner) deliver(e *event) bool {
-	r.now = e.at
-	r.obsNow = int64(e.at)
-	if r.now > r.maxTime {
-		return false
-	}
-	to := node.ID(e.to)
-	if r.nodes[to].halted || r.procs[to] == nil {
-		return true
-	}
-	m := r.sent.at(e.rec)
-	from := node.ID(m.from)
-	if h := r.history; h != nil {
-		h.observe(e.at)
-		h.record(from)
-	}
-	r.events++
-	r.stats[to].MsgsRecv++
-	r.beginStep(to)
-	r.procs[to].Deliver(from, m.msg)
-	r.endStep(to, e.at, r.env.Cost.messageCost(int(m.size)))
-	return r.live > 0
-}
-
 // Run executes the simulation until the event queue drains, all processes
 // halt, or the virtual-time bound is hit.
 func (r *Runner) Run() *Result {
-	if r.par != nil {
-		r.par.runWindows()
-	} else {
-		// Initialise all processes at t=0.
-		for i, p := range r.procs {
-			if p == nil {
-				continue
-			}
-			r.beginStep(node.ID(i))
-			p.Init(&r.envs[i])
-			r.endStep(node.ID(i), 0, 0)
-		}
-		var e event
-		for r.next(&e) {
-			if !r.deliver(&e) {
-				break
-			}
-		}
-	}
+	r.runWindows()
 	res := &Result{Stats: r.stats, Time: r.now, Events: r.events}
 	for i := range r.stats {
 		res.TotalBytes += r.stats[i].BytesSent
@@ -940,35 +668,15 @@ func (r *Runner) Run() *Result {
 	}
 	if r.rec != nil {
 		// Whole-run totals for the metrics registry: pure schedule facts, so
-		// they are identical across reruns (and, in parallel mode, across
-		// worker counts — unlike the per-shard sim.shard.* diagnostics).
+		// they are identical across reruns and worker counts — unlike the
+		// per-shard sim.shard.* diagnostics.
 		r.rec.Counter("sim.events").Add(int64(res.Events))
 		r.rec.Counter("sim.messages").Add(int64(res.TotalMsgs))
 		r.rec.Counter("sim.bytes").Add(res.TotalBytes)
 		r.rec.Gauge("sim.virtual_ns").Max(int64(r.now))
 	}
 	if s := r.scratch; s != nil {
-		// Hand the buffers back for the next run, shrunk where this run's
-		// peak occupancy left them mostly idle, and the arena released.
-		r.sent.release()
-		s.sent = r.sent
-		s.near = shrunk(r.near, r.nearPeak)
-		s.run = shrunk(r.run, r.runPeak)
-		s.keys = shrunk(r.keys, 2*r.runPeak)
-		// The calendar moved out of the scratch if the run engaged it (so a
-		// run that panics strands it instead of leaving it half-drained);
-		// either way it is released, which is what shrinks an idle one.
-		if r.cal != nil {
-			s.cal = r.cal
-		}
-		if s.cal != nil {
-			s.cal.release()
-		}
-		s.nodes = shrunk(r.nodes, r.cfg.N)
-		s.outMsgs = shrunk(r.curOutMsgs, r.outPeak)
-		if r.par != nil {
-			r.par.handback(s)
-		}
+		r.handback(s)
 	}
 	return res
 }

@@ -77,7 +77,8 @@ func TestFixedLatencyDelivery(t *testing.T) {
 
 func TestBandwidthSerialization(t *testing.T) {
 	// With a 1 kB/s uplink and ~37-byte frames (5 payload + 32 MAC), four
-	// sends from node 0 serialise at 37ms intervals.
+	// sends from node 0 serialise at 37ms intervals; the last then takes the
+	// 1 ms link.
 	cfg := node.Config{N: 4, F: 1}
 	procs := make([]node.Process, 4)
 	for i := range procs {
@@ -85,7 +86,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	}
 	env := sim.Environment{
 		Name:              "bw",
-		Latency:           sim.FixedLatency(0),
+		Latency:           sim.FixedLatency(time.Millisecond),
 		UplinkBytesPerSec: 1000,
 		MACBytes:          32,
 		Cost:              sim.CostModel{},
@@ -96,7 +97,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	}
 	res := r.Run()
 	last := res.Stats[3].HaltedAt
-	want := 4 * 37 * time.Millisecond // 4 frames of 37B at 1kB/s
+	want := 4*37*time.Millisecond + time.Millisecond // 4 frames of 37B at 1kB/s, one hop
 	if last < want-time.Millisecond || last > want+time.Millisecond {
 		t.Errorf("last delivery at %v, want ~%v", last, want)
 	}

@@ -84,8 +84,8 @@ func runFlood(b *testing.B, n int, rule sim.DelayRule, opts ...sim.Option) int {
 // jitter-storm adversary (the worst case for the delay-rule fast path).
 // These numbers are the regression gate for the event loop; scripts/bench.sh
 // records them in BENCH_5.json. n=4 and n=16 are the small-run guard: their
-// queues never reach the size that engages the calendar, so B/op there must
-// not rise when the queue's large-n machinery changes.
+// windows hold a few events each, so B/op and ns/event there show what the
+// calendar and the window barrier cost a run too small to need them.
 func BenchmarkSimCore(b *testing.B) {
 	for _, n := range []int{4, 16, 40, 160} {
 		for _, adv := range []struct {

@@ -140,24 +140,24 @@ go test ./internal/aba -run '^$' -fuzz FuzzABACounts -fuzztime 10s
 
 # The simulator's event queue carries a byte-identity guarantee: fixed-seed
 # outputs for every protocol under every adversary preset must match the
-# golden files generated from the original (container/heap) simulator bit
-# for bit (TestSimGoldenByteIdentity), because a silent schedule change
-# would invalidate every downstream measurement. The parallel window
-# executor carries worker-count determinism — a parallel run is
-# byte-identical across reruns and across 1/4/8 workers
+# golden file bit for bit (TestSimGoldenByteIdentity), because a silent
+# schedule change would invalidate every downstream measurement. The window
+# executor, the simulator's one executor, carries worker-count determinism —
+# a run is byte-identical across reruns and across 1/4/8 workers
 # (TestParallelDeterminism, TestParallelScratchReuse,
 # TestParallelOverflowHorizon) — and fails loudly on a latency model that
 # undercuts its declared MinLatency, the window width
 # (TestLookaheadViolation). All of these ran under -race in
 # `go test -race ./...` above, none is -short-gated, and they are not run
 # again. Neither are the quick-scale text of every experiment
-# (TestExperimentsGolden) and the run count of their de-duplicated batch
-# (TestExperimentsRunCount). The sim golden file's last nine cells (Delphi n=40,
-# FIN n=31, Dolev n=300) are large enough to engage the calendar and the
-# sorted bucket runs the sequential loop drains it through; what that pass
-# does not do is search the queue's order: a short fuzz of the sequential
-# queue (near heap + sorted run + calendar ring + overflow heap, early stops
-# included) against a reference min-heap on interleaved pushes and pops.
+# (TestExperimentsGolden), the run count of their de-duplicated batch
+# (TestExperimentsRunCount), and the seed sweep that holds every protocol's
+# per-run check over clean and preset networks (run.TestSeedSweep). The sim
+# golden file's last nine cells (Delphi n=40, FIN n=31, Dolev n=300) fill
+# windows past the radix sort's threshold; what that pass does not do is
+# search the queue's order: a short fuzz of a shard's queue (calendar ring +
+# overflow heap + window order, at three window widths, early stops
+# included) against a reference min-heap on interleaved pushes and windows.
 echo "== sim event-queue fuzz smoke =="
 go test ./internal/sim -run '^$' -fuzz FuzzCalendarOrder -fuzztime 10s
 
@@ -185,12 +185,10 @@ go test ./internal/runtime -run '^$' -fuzz FuzzSuffixDemux -fuzztime 10s
 go test ./internal/auth -run '^$' -fuzz FuzzAuthOpen -fuzztime 10s
 go test ./internal/codec -run '^$' -fuzz FuzzDecodeFramed -fuzztime 10s
 
-# The parallel executor's second guarantee, gated under -race on every run:
-# δ-window agreement with the sequential loop on a quick n=8, δ=20
-# cell (every protocol, clean and under adversary presets), and determinism
-# at the engine level. Parallel mode is opt-in and tie-breaks differently
-# from the sequential loop by construction. What -race is here to catch is
-# the staging chains' ownership rule: a chain of chunks is written in window
+# The window executor across workers, gated under -race on every run:
+# determinism at the engine level on quick n=8, δ=20 cells (every protocol,
+# clean and under two adversary presets, one shard against 1/4/8 workers).
+# What -race is here to catch is the staging chains' ownership rule: a chain of chunks is written in window
 # k by the sending shard's worker, read in k+1 by the receiving shard's, and
 # recycled in k+2 by the sender's again, with only the window barrier between
 # them — a chunk recycled a window early, or a chain walked while it is still
@@ -212,7 +210,7 @@ echo "== parallel-sim gate (-race) =="
 go test ./internal/sim -race -count=1 \
     -run 'TestParallelStagingChains|TestEarlyStopLeaksNoMessage|TestEventLayout|TestBroadcastIsNSends|TestTieOrder|TestSentArenaGrowsUnderReaders'
 go test ./internal/bench -race -count=1 \
-    -run 'TestParallelWindowAgreement|TestParallelWindowDeterminism'
+    -run 'TestParallelWindowDeterminism'
 go test ./internal/run -race -count=1 -run 'TestOneShot'
 
 # The execution-backend axis is exercised on every run (including -short):
@@ -345,10 +343,7 @@ done
 # Worst-case search gate: the adversary-space search (successive halving +
 # annealing, internal/advsearch) is a pure function of its seed — the
 # printed profiles must be byte-identical across reruns AND across
-# -sim-workers counts. All compared runs use the parallel executor: the
-# sequential loop tie-breaks differently by construction, so it is outside
-# this byte-identity contract (its own guarantees are gated above). The
-# search exercises the adaptive adversaries end to end: every probe's
+# -sim-workers counts. The search exercises the adaptive adversaries end to end: every probe's
 # history-reactive schedule must reproduce exactly for the bytes to match.
 echo "== worst-case search determinism gate =="
 wc1=$(mktemp)
