@@ -210,7 +210,7 @@ echo "== parallel-sim gate (-race) =="
 go test ./internal/sim -race -count=1 \
     -run 'TestParallelStagingChains|TestEarlyStopLeaksNoMessage|TestEventLayout|TestBroadcastIsNSends|TestTieOrder|TestSentArenaGrowsUnderReaders'
 go test ./internal/bench -race -count=1 \
-    -run 'TestParallelWindowDeterminism'
+    -run 'TestParallelWindowAgreement|TestParallelWindowDeterminism'
 go test ./internal/run -race -count=1 -run 'TestOneShot'
 
 # The execution-backend axis is exercised on every run (including -short):
