@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments [-scale quick|paper] [-seed N] [-workers K] [-run T1,T2]
-//	            [-backend sim|live|tcp] [-sessions=false] [-sim-workers K]
+//	            [-backend sim|live|tcp] [-sessions=false]
 //	            [-trace out.json] [-metrics out|-]
 //	            [fig4 fig5 table1 table2 table3 fig6a fig6b fig6c fig7
 //	             validity tail matrix adversary ablations
@@ -26,30 +26,29 @@
 //   - service runs the continuous-service oracle mode: deterministic on
 //     the simulator, a wall-clock soak on live/tcp.
 //   - worstcase searches the adversary space for each protocol's empirical
-//     worst-case decision latency, byte-identical across reruns and
-//     -sim-workers counts. With -trace out.json it writes each winner's
-//     evidence trace to out-<protocol>.json.
+//     worst-case decision latency, byte-identical across reruns; a probe
+//     that breaks a guarantee fails it, with the profile naming the probe.
+//     -trace out.json adds each winner's evidence trace, out-<proto>.json.
 //
-// Every run is checked where its outputs are assembled
-// (run.RunSpec.StatsFromOutputs): a run that breaks ε-agreement or
-// validity, or a DORA certificate that does not verify, fails its target,
-// on every backend.
+// Every run, on every backend, is checked where its outputs are assembled
+// (run.RunSpec.StatsFromOutputs): a run that breaks ε-agreement, validity
+// or halving, or a DORA certificate that does not verify, fails its target.
 //
-// -workers, -sessions, -backend, -sim-workers, -trace and -metrics set the
-// fields of the one bench.Engine every target runs its trials on. Results
-// are identical at any -workers count and with or without -sessions.
-// -backend retargets the runs onto the simulator (default) or a live
-// goroutine or loopback tcp cluster, whose latencies are real time; so
-// `-backend tcp -run matrix` is a checked tcp run, through one persistent
-// session per worker unless -sessions=false. -sim-workers spreads each
-// simulator run's window shards over that many workers; it moves no result.
+// -workers, -sessions, -backend, -trace and -metrics set the fields of the
+// one bench.Engine every target runs its trials on. -workers is the cores
+// it spends, on concurrent trials and on the window shards of simulator
+// runs with n ≥ 128; results are identical at any -workers count and with
+// or without -sessions. -backend retargets the runs onto the simulator
+// (default) or a live goroutine or loopback tcp cluster, whose latencies
+// are real time; so `-backend tcp -run matrix` is a checked tcp run,
+// through one persistent session per worker unless -sessions=false.
 //
 // -trace and -metrics attach one recorder to the engine. It records every
-// run of the selected targets, one trial at a time (-workers is then
-// ignored), and moves no printed result. -trace writes its Chrome
+// run of the selected targets, one trial at a time with up to -workers
+// shards each, and moves no printed result. -trace writes its Chrome
 // trace-event JSON (Perfetto-loadable), on the simulator the same bytes at
-// any -workers or -sim-workers count; -metrics writes its metrics snapshot
-// ("-" for stdout, *.json for JSON).
+// any -workers count; -metrics writes its metrics snapshot ("-" for
+// stdout, *.json for JSON).
 package main
 
 import (
@@ -108,11 +107,10 @@ func parseArgs(args []string) (*options, error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	scaleFlag := fs.String("scale", "quick", "experiment scale: quick or paper")
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
-	fs.IntVar(&o.engine.Workers, "workers", 0, "trial worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.engine.Workers, "workers", 0, "cores for trials and simulator shards (0 = GOMAXPROCS)")
 	runFlag := fs.String("run", "", "comma-separated targets to run (adds to positional targets)")
 	backendFlag := fs.String("backend", "sim", "execution backend for the workloads: sim, live, or tcp")
 	sessions := fs.Bool("sessions", true, "reuse backend substrates (listeners, hubs, sim storage) across a cell's trials")
-	fs.IntVar(&o.engine.SimWorkers, "sim-workers", 0, "window executor shard workers for sim runs")
 	fs.StringVar(&o.tracePath, "trace", "", "record every run and write a Chrome trace-event JSON (Perfetto-loadable); worstcase adds PATH-<protocol>.json")
 	fs.StringVar(&o.metricsPath, "metrics", "", "record every run and write the metrics snapshot: '-' for text on stdout, *.json for JSON, else text to the path")
 	if err := fs.Parse(args); err != nil {
@@ -318,12 +316,14 @@ func runWorstcase(o *options) (string, error) {
 			Objective:   advsearch.ObjLatency,
 			Rungs:       rungs,
 			AnnealSteps: anneal,
-			SimWorkers:  o.engine.SimWorkers,
 		})
 		if err != nil {
 			return "", err
 		}
 		b.WriteString(p.Text())
+		if p.Violation != nil {
+			return "", fmt.Errorf("%s broke a guarantee:\n%s", proto, b.String())
+		}
 		if o.tracePath != "" {
 			path := fmt.Sprintf("%s-%s.json", strings.TrimSuffix(o.tracePath, filepath.Ext(o.tracePath)), proto)
 			if err := os.WriteFile(path, p.Trace, 0o644); err != nil {

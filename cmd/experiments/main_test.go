@@ -197,11 +197,11 @@ func TestRunFlagSelectsTargets(t *testing.T) {
 // engine the parsed options carry, and the defaults to the zero engine
 // plus the simulator.
 func TestFlagsReachEngine(t *testing.T) {
-	o, err := parseArgs([]string{"-workers", "3", "-sessions=false", "-backend", "live", "-sim-workers", "2", "fig4"})
+	o, err := parseArgs([]string{"-workers", "3", "-sessions=false", "-backend", "live", "fig4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bench.Engine{Workers: 3, DisableSessions: true, Backend: run.BackendLive, SimWorkers: 2}
+	want := bench.Engine{Workers: 3, DisableSessions: true, Backend: run.BackendLive}
 	if *o.engine != want {
 		t.Errorf("engine = %+v, want %+v", *o.engine, want)
 	}
@@ -211,21 +211,40 @@ func TestFlagsReachEngine(t *testing.T) {
 	if d := defaultOptions(t); *d.engine != (bench.Engine{Backend: run.BackendSim}) {
 		t.Errorf("default engine = %+v", *d.engine)
 	}
+	if _, err := parseArgs([]string{"-sim-workers", "2", "fig4"}); err == nil {
+		t.Error("-sim-workers accepted: the engine picks shard counts itself")
+	}
+}
+
+// TestWorkersMoveNoResult pins the engine's core budget to wall time only:
+// fig6a's quick-scale text is byte-identical at -workers 1, 2 and 8.
+func TestWorkersMoveNoResult(t *testing.T) {
+	var first string
+	for _, w := range []string{"1", "2", "8"} {
+		text, err := runText(defaultOptions(t, "-workers", w, "-run", "fig6a"))
+		if err != nil {
+			t.Fatalf("-workers %s: %v", w, err)
+		}
+		if first == "" {
+			first = text
+		} else if text != first {
+			t.Errorf("-workers %s: fig6a text differs from -workers 1's:\n%s\nvs\n%s", w, text, first)
+		}
+	}
 }
 
 // TestTraceTableTarget pins -trace on a table target: the engine's
 // recorder records table2's runs, the trace bytes are the same at any
-// -workers and -sim-workers count, and the printed text is the untraced
-// run's.
+// -workers count, and the printed text is the untraced run's.
 func TestTraceTableTarget(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.json")
-	untraced := defaultOptions(t, "-sim-workers", "1", "-run", "table2")
+	untraced := defaultOptions(t, "-run", "table2")
 	want, err := runText(untraced)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first []byte
-	for _, workers := range [][]string{{"-workers", "1", "-sim-workers", "1"}, {"-workers", "8", "-sim-workers", "4"}} {
+	for _, workers := range [][]string{{"-workers", "1"}, {"-workers", "8"}} {
 		o := defaultOptions(t, append(workers, "-run", "table2", "-trace", path)...)
 		text, err := runText(o)
 		if err != nil {

@@ -1,6 +1,7 @@
 package aaa_test
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -58,8 +59,8 @@ func TestRoundsMustHalve(t *testing.T) {
 			switch {
 			case c.want == "" && err != nil:
 				t.Errorf("%s: halving rounds gave %v", proto, err)
-			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-				t.Errorf("%s: got %v, want an error with %q", proto, err, c.want)
+			case c.want != "" && (!errors.Is(err, run.ErrGuarantee) || !strings.Contains(err.Error(), c.want)):
+				t.Errorf("%s: got %v, want a run.ErrGuarantee error with %q", proto, err, c.want)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 func BenchmarkAdvSearch(b *testing.B) {
 	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN} {
 		b.Run(string(proto), func(b *testing.B) {
-			cfg := quickConfig(0)
+			cfg := quickConfig()
 			cfg.Protocol = proto
 			var p *Profile
 			total := 0

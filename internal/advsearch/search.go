@@ -10,20 +10,22 @@
 // annealing refinement around the halving winner. Every probe's seed
 // derives from the search seed via run.TrialSeed and every accept/reject
 // draw comes from a splitmix64 stream over the same seed, so a search is a
-// pure function of its Config: byte-identical profiles across reruns and —
-// because adaptive adversaries commit history at worker-count-independent
-// window barriers — across -sim-workers counts.
+// pure function of its Config: byte-identical profiles across reruns. Each
+// probe runs one window shard: at the n ≤ 16 a search probes, one shard is
+// the fastest.
 //
 // The output is a Profile: the winning configuration, its score against the
 // clean network and the best fixed preset (re-scored at the same final
 // budget, so the comparison is apples-to-apples and the winner is the
-// argmax over both by construction), the score trajectory, an evidence
-// trace from an instrumented run of the winner, and — when the caller asks
-// for live validation — a tcp replay with per-probe deadlines (replay.go).
+// argmax over both by construction), the score trajectory, and an evidence
+// trace from an instrumented run of the winner. A probe that breaks one of
+// the protocol's guarantees (run.ErrGuarantee) ends the search: the profile
+// then carries that probe as its Violation, the search's finding.
 package advsearch
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -152,9 +154,6 @@ type Config struct {
 	Rungs int
 	// AnnealSteps is the simulated-annealing refinement length (default 8).
 	AnnealSteps int
-	// SimWorkers spreads each probe's window shards over that many workers
-	// (RunSpec.SimWorkers); it moves wall time, not the profile.
-	SimWorkers int
 }
 
 // TrajPoint is one step of the search's score trajectory.
@@ -195,22 +194,26 @@ type Profile struct {
 	// Trajectory is the per-stage incumbent history.
 	Trajectory []TrajPoint
 
-	// Probe accounting: Probes == Scored + TimedOut. Sim probes always
-	// score; live replay attempts (ReplayTCP) add to the same counters and
-	// contribute the timeouts.
-	Probes, Scored, TimedOut int
+	// Probes counts the probe runs, a violating one included.
+	Probes int
 
 	// Trace is the winner's evidence: the Perfetto trace of one
 	// instrumented run (byte-identical across reruns on the simulator).
 	Trace       []byte
 	TraceEvents int
 
-	// Replay holds the live/tcp validation when ReplayTCP has run.
-	Replay *ReplayResult
+	// Violation, when non-nil, is the probe that broke a guarantee. The
+	// search stopped there, so the fields above hold what it had reached.
+	Violation *Violation
+}
 
-	// Replay needs the probe inputs the search used.
-	inputs []float64
-	params core.Params
+// Violation is a probe run whose outputs broke one of the protocol's
+// guarantees (run.ErrGuarantee): its adversary, its seed and the check's
+// error text, enough to rerun it.
+type Violation struct {
+	Adversary netadv.Adversary
+	Seed      int64
+	Err       string
 }
 
 // scored pairs a candidate with its latest score.
@@ -228,7 +231,9 @@ type searcher struct {
 	trial  int // global probe counter: every probe gets a distinct seed
 }
 
-// Search runs the configured worst-case search on the simulator backend.
+// Search runs the configured worst-case search on the simulator backend. A
+// probe that breaks a guarantee is no error: Search returns the profile with
+// its Violation set.
 func Search(cfg Config) (*Profile, error) {
 	if cfg.Protocol == "" {
 		return nil, fmt.Errorf("advsearch: no protocol")
@@ -259,8 +264,6 @@ func Search(cfg Config) (*Profile, error) {
 		N:         cfg.N,
 		F:         cfg.Protocol.Faults(cfg.N),
 		Seed:      cfg.Seed,
-		inputs:    s.inputs,
-		params:    s.params,
 	}
 
 	pool := cfg.Space.Candidates()
@@ -273,16 +276,25 @@ func Search(cfg Config) (*Profile, error) {
 		}
 	}
 
+	if err := s.search(pool); err != nil && s.prof.Violation == nil {
+		return nil, err
+	}
+	return s.prof, nil
+}
+
+// search runs the halving rungs, the annealing and the baselines over pool,
+// then the winner's evidence run, filling s.prof.
+func (s *searcher) search(pool []netadv.Adversary) error {
 	// Successive halving: score everyone, keep the top third, double the
 	// budget.
 	trials := 1
 	var ranked []scored
-	for rung := 1; rung <= cfg.Rungs && len(pool) > 0; rung++ {
+	for rung := 1; rung <= s.cfg.Rungs && len(pool) > 0; rung++ {
 		ranked = ranked[:0]
 		for _, adv := range pool {
 			sc, err := s.scoreAdv(adv, trials)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ranked = append(ranked, scored{adv: adv, score: sc})
 		}
@@ -301,7 +313,7 @@ func Search(cfg Config) (*Profile, error) {
 		for _, r := range ranked[:keep] {
 			pool = append(pool, r.adv)
 		}
-		if rung < cfg.Rungs {
+		if rung < s.cfg.Rungs {
 			trials *= 2
 		}
 	}
@@ -312,11 +324,11 @@ func Search(cfg Config) (*Profile, error) {
 	best := ranked[0].adv
 	bestScore, err := s.scoreAdv(best, finalTrials)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	best, bestScore, err = s.anneal(best, bestScore, finalTrials)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Baselines at the same budget: the clean network and every fixed
@@ -326,7 +338,7 @@ func Search(cfg Config) (*Profile, error) {
 	// never fall below PresetBestScore.
 	clean, err := s.scoreAdv(netadv.Adversary{}, finalTrials)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.prof.CleanScore = clean
 	presetBest := netadv.Adversary{}
@@ -334,7 +346,7 @@ func Search(cfg Config) (*Profile, error) {
 	for _, p := range netadv.Presets() {
 		sc, err := s.scoreAdv(p, finalTrials)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if sc > presetScore {
 			presetBest, presetScore = p, sc
@@ -358,15 +370,15 @@ func Search(cfg Config) (*Profile, error) {
 	// schedule fact on the simulator, so it reproduces byte-for-byte.
 	rec := obs.New()
 	if _, err := s.probe(best, 0, rec); err != nil {
-		return nil, err
+		return err
 	}
 	var buf bytes.Buffer
 	if err := rec.WriteTrace(&buf); err != nil {
-		return nil, err
+		return err
 	}
 	s.prof.Trace = buf.Bytes()
 	s.prof.TraceEvents = rec.EventCount()
-	return s.prof, nil
+	return nil
 }
 
 // sortScored orders by score descending, ties broken by the rendered
@@ -381,41 +393,43 @@ func sortScored(rs []scored) {
 }
 
 // scoreAdv probes adv `trials` times and returns the mean score. Each probe
-// counts toward the profile's accounting; simulator probes always complete,
-// so they all land in Scored.
+// counts in the profile's Probes.
 func (s *searcher) scoreAdv(adv netadv.Adversary, trials int) (float64, error) {
 	total := 0.0
 	for t := 0; t < trials; t++ {
+		s.prof.Probes++
 		sc, err := s.probe(adv, s.trial, nil)
 		if err != nil {
 			return 0, err
 		}
 		s.trial++
-		s.prof.Probes++
-		s.prof.Scored++
 		total += sc
 	}
 	return total / float64(trials), nil
 }
 
 // probe executes one simulator run of adv and returns its score. rec, when
-// non-nil, replaces the probe's private recorder (evidence runs).
+// non-nil, replaces the probe's private recorder (evidence runs). A run that
+// breaks a guarantee sets the profile's Violation.
 func (s *searcher) probe(adv netadv.Adversary, trial int, rec *obs.Recorder) (float64, error) {
 	if rec == nil {
 		rec = obs.New()
 	}
+	seed := run.TrialSeed(s.cfg.Seed, trial)
 	st, err := run.Run(run.RunSpec{
-		Protocol:   s.cfg.Protocol,
-		N:          s.cfg.N,
-		F:          s.prof.F,
-		Env:        sim.AWS(),
-		Seed:       run.TrialSeed(s.cfg.Seed, trial),
-		Inputs:     s.inputs,
-		Delphi:     s.params,
-		Adversary:  adv,
-		SimWorkers: s.cfg.SimWorkers,
-		Obs:        rec,
+		Protocol:  s.cfg.Protocol,
+		N:         s.cfg.N,
+		F:         s.prof.F,
+		Env:       sim.AWS(),
+		Seed:      seed,
+		Inputs:    s.inputs,
+		Delphi:    s.params,
+		Adversary: adv,
+		Obs:       rec,
 	})
+	if errors.Is(err, run.ErrGuarantee) {
+		s.prof.Violation = &Violation{Adversary: adv, Seed: seed, Err: err.Error()}
+	}
 	if err != nil {
 		return 0, fmt.Errorf("advsearch: probe %s: %w", adv, err)
 	}
@@ -500,10 +514,13 @@ func effectiveSev(a netadv.Adversary) float64 {
 func (p *Profile) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "worst-case %s/%s n=%d f=%d seed=%d\n", p.Protocol, p.Objective, p.N, p.F, p.Seed)
+	if v := p.Violation; v != nil {
+		fmt.Fprintf(&b, "  VIOLATION %s seed=%d: %s\n", v.Adversary, v.Seed, v.Err)
+	}
 	fmt.Fprintf(&b, "  best    %-28s score=%.3f\n", p.Best, p.BestScore)
 	fmt.Fprintf(&b, "  clean   %-28s score=%.3f\n", "none", p.CleanScore)
 	fmt.Fprintf(&b, "  preset  %-28s score=%.3f\n", p.PresetBest, p.PresetBestScore)
-	fmt.Fprintf(&b, "  probes  %d (scored %d, timed out %d)\n", p.Probes, p.Scored, p.TimedOut)
+	fmt.Fprintf(&b, "  probes  %d\n", p.Probes)
 	fmt.Fprintf(&b, "  trace   %d events, %d bytes\n", p.TraceEvents, len(p.Trace))
 	for _, t := range p.Trajectory {
 		fmt.Fprintf(&b, "  %-8s probes=%-5d best=%-28s score=%.3f\n", t.Stage, t.Probes, t.Best, t.Score)

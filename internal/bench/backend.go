@@ -161,13 +161,13 @@ func ParseBackend(name string) (run.BackendKind, error) {
 }
 
 // runSpec dispatches a spec to its backend, filling the fields it leaves
-// zero from e: Backend, SimWorkers and Obs. It routes the spec through c's
-// persistent session for its cell when the backend supports sessions
-// (c == nil forces per-trial setup). Sessions amortise setup only — a
-// trial's result is identical either way, so worker count and session
-// distribution never change measurements. The simulator path is exactly
-// run.Run.
-func (e *Engine) runSpec(spec run.RunSpec, c *sessionCache) (*run.RunStats, error) {
+// zero: Backend and Obs from e, a sim spec's SimWorkers from spare. It
+// routes the spec through c's persistent session for its cell when the
+// backend supports sessions (c == nil forces per-trial setup). Sessions
+// amortise setup only — a trial's result is identical either way, so
+// worker count and session distribution never change measurements. The
+// simulator path is exactly run.Run.
+func (e *Engine) runSpec(spec run.RunSpec, c *sessionCache, spare int) (*run.RunStats, error) {
 	kind := spec.Backend
 	if kind == "" {
 		kind = e.Backend
@@ -175,9 +175,8 @@ func (e *Engine) runSpec(spec run.RunSpec, c *sessionCache) (*run.RunStats, erro
 	isSim := kind == "" || kind == run.BackendSim
 	if !isSim {
 		spec.Backend = kind
-	}
-	if spec.SimWorkers == 0 {
-		spec.SimWorkers = e.SimWorkers
+	} else if spec.SimWorkers == 0 {
+		spec.SimWorkers = simShards(spare, spec.N)
 	}
 	if spec.Obs == nil {
 		spec.Obs = e.Obs

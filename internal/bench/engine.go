@@ -23,9 +23,9 @@ import (
 // entry point that runs trials is a method on it, and the package keeps no
 // process-wide settings. The zero value is ready to use.
 type Engine struct {
-	// Workers bounds the number of concurrent trials; <= 0 means
-	// GOMAXPROCS. It is ignored while Obs is set: a recorder runs one
-	// trial at a time.
+	// Workers is how many cores the engine spends, as concurrent trials
+	// and simulator shards; <= 0 means GOMAXPROCS. While Obs is set the
+	// trials run one at a time, each on up to Workers shards.
 	Workers int
 	// DisableSessions forces per-trial backend setup: every trial opens
 	// and tears down its own substrate (listeners, connections, simulator
@@ -36,10 +36,6 @@ type Engine struct {
 	// Backend runs every spec (and service config) whose Backend is empty;
 	// the zero value is the simulator.
 	Backend run.BackendKind
-	// SimWorkers is the window executor's worker count for every sim-backed
-	// spec whose SimWorkers is zero (see RunSpec.SimWorkers); 0 leaves them
-	// at one shard.
-	SimWorkers int
 	// Obs records every spec whose Obs is nil, and every service run. The
 	// trials then run one at a time, so tracks are created in spec order
 	// and a sim trace's bytes are the same at any Workers count.
@@ -50,14 +46,14 @@ type Engine struct {
 // GOMAXPROCS).
 func NewEngine(workers int) *Engine { return &Engine{Workers: workers} }
 
-func (e *Engine) workers() int {
-	if e.Obs != nil {
-		return 1
-	}
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0)
+// nodesPerShard is the nodes a simulated run needs per window shard: on two
+// cores a second shard slowed every protocol at n ≤ 64, and paid at n=160.
+const nodesPerShard = 64
+
+// simShards is the window shard count of an n-node simulated run that may
+// use spare cores: one per nodesPerShard nodes, at most spare, at least one.
+func simShards(spare, n int) int {
+	return max(1, min(spare, n/nodesPerShard))
 }
 
 // TrialError attaches the failing trial's batch index to its error.
@@ -79,6 +75,10 @@ func (e *TrialError) Unwrap() error { return e.Err }
 // the same error a sequential loop would hit first, independent of worker
 // count or completion order.
 //
+// A sim-backed spec that leaves SimWorkers 0 runs simShards(spare, n) window
+// shards, spare being the engine's cores over its concurrent trials (all of
+// them under a recorder). The count moves wall time, never a result.
+//
 // Each worker holds one persistent session per backend cell (see
 // BackendSession) and reuses it across every trial it runs for that cell,
 // so per-trial setup — the tcp backend's listener binds and dials, the
@@ -88,10 +88,15 @@ func (e *TrialError) Unwrap() error { return e.Err }
 func (e *Engine) RunBatch(specs []run.RunSpec) ([]*run.RunStats, error) {
 	out := make([]*run.RunStats, len(specs))
 	errs := make([]error, len(specs))
-	w := e.workers()
-	if w > len(specs) {
-		w = len(specs)
+	cores := e.Workers
+	if cores <= 0 {
+		cores = runtime.GOMAXPROCS(0)
 	}
+	w := min(cores, len(specs))
+	if e.Obs != nil {
+		w = 1
+	}
+	spare := cores / max(w, 1)
 	next := make(chan int)
 	// minFail tracks the lowest failing index seen so far. A failed batch
 	// discards every result, so trials above a known failure are skipped —
@@ -113,7 +118,7 @@ func (e *Engine) RunBatch(specs []run.RunSpec) ([]*run.RunStats, error) {
 				if int64(i) > minFail.Load() {
 					continue
 				}
-				out[i], errs[i] = e.runSpec(specs[i], cache)
+				out[i], errs[i] = e.runSpec(specs[i], cache, spare)
 				if errs[i] != nil {
 					for {
 						cur := minFail.Load()

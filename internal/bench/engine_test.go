@@ -2,12 +2,14 @@ package bench_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"delphi/internal/bench"
 	"delphi/internal/core"
+	"delphi/internal/obs"
 	"delphi/internal/run"
 	"delphi/internal/sim"
 )
@@ -189,5 +191,59 @@ func TestStreamMoments(t *testing.T) {
 	var empty bench.Stream
 	if !math.IsNaN(empty.Mean()) || !math.IsNaN(empty.Var()) || !math.IsNaN(empty.Min()) {
 		t.Error("empty stream must report NaN moments")
+	}
+}
+
+// TestEngineShardBudget pins how a 2-core engine shards its simulated runs,
+// read from the sim.shard.* metrics each run records: a lone spec at n=160
+// takes both cores as two window shards, one at n=16 keeps one shard, and so
+// does each spec of a two-spec batch, whose trials hold both cores. A spec
+// that names its own SimWorkers keeps it. The shard count moves no result.
+func TestEngineShardBudget(t *testing.T) {
+	spec := func(n, trial int) run.RunSpec {
+		s := bench.Scenario{
+			Protocol: run.ProtoDolev, N: n, Env: sim.AWS(),
+			Params: core.Params{S: 0, E: 100000, Rho0: 2, Delta: 8, Eps: 2},
+			Center: 41000, Delta: 8,
+		}.Spec(1, trial)
+		s.Obs = obs.New()
+		return s
+	}
+	eng := &bench.Engine{Workers: 2}
+	for _, c := range []struct {
+		name   string
+		specs  []run.RunSpec
+		shards int
+	}{
+		{"one spec, n=160", []run.RunSpec{spec(160, 0)}, 2},
+		{"one spec, n=16", []run.RunSpec{spec(16, 0)}, 1},
+		{"two specs, n=160", []run.RunSpec{spec(160, 0), spec(160, 1)}, 1},
+	} {
+		sts, err := eng.RunBatch(c.specs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i, st := range sts {
+			for k := range 3 {
+				got := st.Metrics.Value(fmt.Sprintf("sim.shard.%d.events", k)) > 0
+				if want := k < c.shards; got != want {
+					t.Errorf("%s, spec %d: shard %d recorded: %v, want %v", c.name, i, k, got, want)
+				}
+			}
+			c.specs[i].Obs = nil
+			if want, err := run.Run(c.specs[i]); err != nil || !reflect.DeepEqual(st.Outputs, want.Outputs) || st.Latency != want.Latency {
+				t.Errorf("%s, spec %d: engine run differs from a one-shard Run (%v)", c.name, i, err)
+			}
+		}
+	}
+
+	pinned := spec(160, 0)
+	pinned.SimWorkers = 1
+	sts, err := eng.RunBatch([]run.RunSpec{pinned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := sts[0].Metrics.Value("sim.shard.1.events"); v != 0 {
+		t.Errorf("a spec pinned to one shard ran a second one (%d events)", v)
 	}
 }

@@ -57,13 +57,14 @@ func runTraced(t *testing.T, spec run.RunSpec) (*run.RunStats, []byte) {
 
 // TestSimTraceDeterminism pins the trace-as-determinism-oracle guarantee:
 // a fixed-seed sim run's trace bytes are identical across reruns and across
-// worker counts 0 (the default one shard)/1/4/8, on a clean network and
-// under the jitter-storm adversary — and attaching the recorder moves no
+// worker counts 0 (the default one shard)/1/4/8, on a clean network, under
+// the jitter-storm adversary and under an adaptive slow-f adversary, whose
+// schedule reads the run's own history — and attaching the recorder moves no
 // result bit (each traced run's golden line equals its untraced twin's).
 // An Engine's recorder holds the same bytes: a traced batch at Workers 8
 // runs its trials in order.
 func TestSimTraceDeterminism(t *testing.T) {
-	for _, adv := range []netadv.Adversary{{}, {Kind: netadv.JitterStorm}} {
+	for _, adv := range []netadv.Adversary{{}, {Kind: netadv.JitterStorm}, {Kind: netadv.SlowF, Adaptive: true}} {
 		t.Run(fmt.Sprintf("%s", adv), func(t *testing.T) {
 			plain, err := run.Run(traceCell(adv, 0))
 			if err != nil {

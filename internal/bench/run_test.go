@@ -1,6 +1,7 @@
 package bench_test
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -141,6 +142,9 @@ func TestRunAllCrashedInputs(t *testing.T) {
 	if err == nil {
 		t.Fatal("all-crashed spec: want error")
 	}
+	if errors.Is(err, run.ErrGuarantee) {
+		t.Errorf("all-crashed spec: %v reads as a broken guarantee", err)
+	}
 }
 
 // TestStatsFromOutputsChecksGuarantees pins the per-run safety check every
@@ -182,13 +186,22 @@ func TestStatsFromOutputsChecksGuarantees(t *testing.T) {
 				t.Errorf("want an error with %q, got stats (spread %g, outputs %v)", c.want, st.Spread, st.Outputs)
 			case c.want != "" && !strings.Contains(err.Error(), c.want):
 				t.Errorf("error %q lacks %q", err, c.want)
+			case c.want != "" && !errors.Is(err, run.ErrGuarantee):
+				t.Errorf("error %q does not wrap run.ErrGuarantee", err)
 			}
 		})
 	}
 
+	// ε ≈ 0: the runs' own spread of 2 breaks agreement, a guarantee.
+	spec, finals, at := statsCase(run.ProtoFIN, 2, inputs, []float64{105, 105, 106, 107})
+	spec.Delphi.Eps = 1e-12
+	if _, err := spec.StatsFromOutputs(finals, at); !errors.Is(err, run.ErrGuarantee) {
+		t.Errorf("ε = 1e-12: err = %v, want one wrapping run.ErrGuarantee", err)
+	}
+
 	// The check reads only what the assembly already holds: HonestSlots'
 	// slice, the RunStats and the growth of its Outputs.
-	spec, finals, at := statsCase(run.ProtoDelphi, 2, inputs, []float64{105, 105, 106, 107})
+	spec, finals, at = statsCase(run.ProtoDelphi, 2, inputs, []float64{105, 105, 106, 107})
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = spec.StatsFromOutputs(finals, at) }); allocs != 5 {
 		t.Errorf("StatsFromOutputs allocates %v times, want 5", allocs)
 	}

@@ -12,10 +12,10 @@ import (
 
 // TestScaleSweepSequentialLane pins the benchmark's two simulator lanes to
 // one result: a bare Run with SimWorkers 0 (the sim-scale-seq lane, one
-// shard), a 2-worker Run (sim-scale-par) and an engine configured the way
-// `experiments -sim-workers 2` configures one, in the same process. The
-// worker count moves wall time only. The spec is the simulator's n=1000
-// Dolev scale point.
+// shard), a 2-worker Run (sim-scale-par) and a 2-core engine, which shards a
+// one-spec batch at n=1000 over both cores, in the same process. The worker
+// count moves wall time only. The spec is the simulator's n=1000 Dolev scale
+// point.
 func TestScaleSweepSequentialLane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness test")
@@ -29,7 +29,7 @@ func TestScaleSweepSequentialLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaEngine, err := (&bench.Engine{SimWorkers: 2}).RunBatch([]run.RunSpec{spec})
+	viaEngine, err := (&bench.Engine{Workers: 2}).RunBatch([]run.RunSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +43,6 @@ func TestScaleSweepSequentialLane(t *testing.T) {
 		t.Errorf("workers-0 run differs from the 2-worker run: %v vs %v", lane0.Latency, lane2.Latency)
 	}
 	if !reflect.DeepEqual(viaEngine[0], lane2) {
-		t.Errorf("engine SimWorkers=2 run differs from a 2-worker Run: %v vs %v", viaEngine[0].Latency, lane2.Latency)
+		t.Errorf("2-core engine run differs from a 2-worker Run: %v vs %v", viaEngine[0].Latency, lane2.Latency)
 	}
 }

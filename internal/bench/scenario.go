@@ -142,10 +142,6 @@ type Scenario struct {
 	// value is the simulator, unless the Engine fills it (see
 	// Engine.Backend).
 	Backend run.BackendKind
-	// SimWorkers spreads every sim-backed trial's window shards over that
-	// many workers; 0 is one shard unless the Engine fills it (see
-	// RunSpec.SimWorkers).
-	SimWorkers int
 	// Trials is the per-scenario trial count (default 1). Trial i runs at
 	// seed TrialSeed(base, i) with freshly shaped inputs.
 	Trials int
@@ -211,7 +207,6 @@ func (s Scenario) Spec(baseSeed int64, trial int) run.RunSpec {
 		ByzKind:       s.ByzKind,
 		Adversary:     s.Adversary,
 		Backend:       s.Backend,
-		SimWorkers:    s.SimWorkers,
 	}
 }
 

@@ -1,6 +1,7 @@
 package run_test
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func TestDoraCertificatesVerified(t *testing.T) {
 	cert.Sigs[0] = slices.Clone(cert.Sigs[0])
 	cert.Sigs[0][0] ^= 1
 	finals[0] = cert
-	if _, err := spec.StatsFromOutputs(finals, st.DecidedAt); err == nil || !strings.Contains(err.Error(), "invalid signature") {
-		t.Errorf("a flipped signature byte gave %v, want an invalid-signature error", err)
+	if _, err := spec.StatsFromOutputs(finals, st.DecidedAt); !errors.Is(err, run.ErrGuarantee) || !strings.Contains(err.Error(), "invalid signature") {
+		t.Errorf("a flipped signature byte gave %v, want a run.ErrGuarantee invalid-signature error", err)
 	}
 }

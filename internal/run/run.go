@@ -5,6 +5,7 @@
 package run
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -106,8 +107,9 @@ type RunSpec struct {
 	// simulator. Run ignores it: bench.Engine routes a spec to its backend.
 	Backend BackendKind
 	// SimWorkers spreads the simulator's window shards over that many
-	// workers (sim.WithParallelWindow); 0 or 1 runs one shard on the
-	// caller's goroutine, and an Engine fills a 0 from Engine.SimWorkers.
+	// workers (sim.WithParallelWindow); 0: the engine chooses. A bare Run
+	// runs a 0 or 1 as one shard on the caller's goroutine, and a
+	// bench.Engine fills a 0 from the cores its batch leaves spare.
 	// Sim-only: live backends ignore it. A run is byte-identical across
 	// reruns and worker counts: the count moves wall time only.
 	SimWorkers int
@@ -430,8 +432,8 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 			return nil, fmt.Errorf("run: node %d: %w", i, err)
 		}
 		if math.IsNaN(out) || out < inLo-slack || out > inHi+slack {
-			return nil, fmt.Errorf("run: %s validity violated: node %d output %g outside honest inputs [%g, %g] ± %g",
-				s.Protocol, i, out, inLo, inHi, slack)
+			return nil, fmt.Errorf("run: %s validity %w: node %d output %g outside honest inputs [%g, %g] ± %g",
+				s.Protocol, ErrGuarantee, i, out, inLo, inHi, slack)
 		}
 		stats.Outputs = append(stats.Outputs, out)
 		if at[i] > stats.Latency {
@@ -447,7 +449,7 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 		for _, i := range honest {
 			cert, _ := finals[i].(dora.Certificate) // any other output has no signers
 			if err := cert.Verify(pubs, s.F); err != nil {
-				return nil, fmt.Errorf("run: dora node %d certificate: %w", i, err)
+				return nil, fmt.Errorf("run: dora node %d certificate %w: %w", i, ErrGuarantee, err)
 			}
 		}
 	case ProtoChakka:
@@ -468,11 +470,17 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 	}
 	stats.Spread = hi - lo
 	if stats.Spread > s.Delphi.Eps+ulps {
-		return nil, fmt.Errorf("run: %s agreement violated: spread %g > ε %g", s.Protocol, stats.Spread, s.Delphi.Eps)
+		return nil, fmt.Errorf("run: %s agreement %w: spread %g > ε %g", s.Protocol, ErrGuarantee, stats.Spread, s.Delphi.Eps)
 	}
 	stats.MeanAbsErr /= float64(len(stats.Outputs))
 	return stats, nil
 }
+
+// ErrGuarantee is wrapped by every StatsFromOutputs error that reports a
+// broken guarantee: validity, ε-agreement, per-round halving or a DORA
+// certificate. Test for it with errors.Is. Its text is the word each such
+// message already reads ("validity violated").
+var ErrGuarantee = errors.New("violated")
 
 // roundValuer is a result that carries the node's state after each round.
 type roundValuer interface {
@@ -510,8 +518,8 @@ func (s RunSpec) halves(finals []any, honest []int, lo, hi float64) error {
 		}
 		mag := max(math.Abs(lo), math.Abs(hi), math.Abs(rlo), math.Abs(rhi))
 		if tol := halvingULPs * (math.Nextafter(mag, math.Inf(1)) - mag); rhi-rlo > (hi-lo)/2+tol {
-			return fmt.Errorf("run: %s round %d did not halve the honest range: nodes %d and %d hold %g and %g, %g apart, over half of round %d's %g",
-				s.Protocol, r, ilo, ihi, rlo, rhi, rhi-rlo, r-1, hi-lo)
+			return fmt.Errorf("run: %s halving %w: round %d did not halve the honest range: nodes %d and %d hold %g and %g, %g apart, over half of round %d's %g",
+				s.Protocol, ErrGuarantee, r, ilo, ihi, rlo, rhi, rhi-rlo, r-1, hi-lo)
 		}
 		lo, hi = rlo, rhi
 	}

@@ -319,7 +319,8 @@ go test ./internal/backend -race -short -count=1 -run 'TestServiceTCPSoak|TestOn
 #   3. Zero-alloc regression on the disabled driver/transport hot paths.
 #   4. Trace determinism (CLI level): `-run table2 -trace` records every
 #      run of a table target, and its Perfetto JSON is non-empty and
-#      byte-identical across -workers and -sim-workers 1/4/8.
+#      byte-identical across -workers 1/4/8 (the engine's core budget, so
+#      also across the window shard counts it picks).
 echo "== observability gate =="
 go test ./internal/bench -count=1 \
     -run 'TestSimTraceDeterminism|TestServiceSimSpanDecomposition|TestServiceSimMetricsAccounting|TestRunStatsMetricsSnapshot'
@@ -327,51 +328,50 @@ go test ./internal/runtime -count=1 -run 'TestDisabledObs'
 tr1=$(mktemp)
 tr2=$(mktemp)
 trap 'rm -f "$adv1" "$adv2" "${svc1:-}" "${svc2:-}" "$tr1" "$tr2"' EXIT
-go run ./cmd/experiments -scale quick -seed 1 -workers 1 -sim-workers 1 -run table2 -trace "$tr1" > /dev/null
+go run ./cmd/experiments -scale quick -seed 1 -workers 1 -run table2 -trace "$tr1" > /dev/null
 if ! grep -q '"ph"' "$tr1"; then
     echo "-run table2 -trace recorded no events" >&2
     exit 1
 fi
 for w in 4 8; do
-    go run ./cmd/experiments -scale quick -seed 1 -workers "$w" -sim-workers "$w" -run table2 -trace "$tr2" > /dev/null
+    go run ./cmd/experiments -scale quick -seed 1 -workers "$w" -run table2 -trace "$tr2" > /dev/null
     if ! cmp -s "$tr1" "$tr2"; then
-        echo "trace bytes differ between -workers/-sim-workers 1 and $w" >&2
+        echo "trace bytes differ between -workers 1 and $w" >&2
         exit 1
     fi
 done
 
 # Worst-case search gate: the adversary-space search (successive halving +
 # annealing, internal/advsearch) is a pure function of its seed — the
-# printed profiles must be byte-identical across reruns AND across
-# -sim-workers counts. The search exercises the adaptive adversaries end to end: every probe's
+# printed profiles must be byte-identical across reruns. The search
+# exercises the adaptive adversaries end to end: every probe's
 # history-reactive schedule must reproduce exactly for the bytes to match.
+# Its probes run one window shard; shard-count invariance is gated by
+# TestAdaptiveDeterminism, TestParallelWindowAgreement/Determinism and
+# TestSimTraceDeterminism in the test pass.
 echo "== worst-case search determinism gate =="
 wc1=$(mktemp)
 wc2=$(mktemp)
 trap 'rm -f "$adv1" "$adv2" "${svc1:-}" "${svc2:-}" "$tr1" "$tr2" "${wc1:-}" "${wc2:-}"' EXIT
-go run ./cmd/experiments -scale quick -seed 1 -sim-workers 1 -run worstcase > "$wc1"
-go run ./cmd/experiments -scale quick -seed 1 -sim-workers 1 -run worstcase > "$wc2"
+go run ./cmd/experiments -scale quick -seed 1 -run worstcase > "$wc1"
+go run ./cmd/experiments -scale quick -seed 1 -run worstcase > "$wc2"
 if ! cmp -s "$wc1" "$wc2"; then
     echo "worst-case search reruns differ:" >&2
-    diff "$wc1" "$wc2" >&2 || true
-    exit 1
-fi
-go run ./cmd/experiments -scale quick -seed 1 -sim-workers 4 -run worstcase > "$wc2"
-if ! cmp -s "$wc1" "$wc2"; then
-    echo "worst-case search differs between -sim-workers 1 and 4:" >&2
     diff "$wc1" "$wc2" >&2 || true
     exit 1
 fi
 
 # perf/ is its own module compiled against this one's exported API, and
 # `go build ./... && go test ./...` never enters it: vet it, run its tests,
-# and run every workload once at smoke size, so an API break against the
-# benchmark fails here instead of in the benchmark run.
+# and run every workload once at smoke size, untraced and traced (the traced
+# tcp-fin pass builds perf's own cluster over runtime, auth and wire), so an
+# API break against the benchmark fails here instead of in the benchmark run.
 echo "== perf module (vet, test, smoke) =="
 perf_start=$SECONDS
 go vet -C perf ./...
 go test -C perf ./...
 bash perf/run.sh -smoke > /dev/null
+bash perf/run.sh -smoke -trace > /dev/null
 echo "perf module step: $((SECONDS - perf_start)) s"
 
 echo "CI OK in $SECONDS s"
