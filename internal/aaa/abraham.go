@@ -176,13 +176,13 @@ func (a *Abraham) progress() {
 		// Report the delivered set once it reaches n-t.
 		if !d.sentReport && d.nDelivered >= a.cfg.Quorum() {
 			d.sentReport = true
-			have := make([]node.ID, 0, d.nDelivered)
+			have := wire.Make[node.ID](wire.SentArena(a.env), d.nDelivered)[:0]
 			for id := node.ID(0); int(id) < a.cfg.N; id++ {
 				if d.delivered.Has(id) {
 					have = append(have, id)
 				}
 			}
-			a.env.Broadcast(&Report{Round: uint16(a.round), Have: have})
+			a.env.Broadcast(wire.New(wire.SentArena(a.env), Report{Round: uint16(a.round), Have: have}))
 		}
 		if !d.sentReport {
 			return

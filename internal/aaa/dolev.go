@@ -6,6 +6,7 @@ import (
 
 	"delphi/internal/node"
 	"delphi/internal/obs"
+	"delphi/internal/wire"
 )
 
 // DolevConfig parameterises the Dolev et al. (JACM'86) baseline, which
@@ -93,7 +94,7 @@ func NewDolev(cfg DolevConfig, input float64) (*Dolev, error) {
 	if math.IsNaN(input) || math.IsInf(input, 0) {
 		return nil, fmt.Errorf("aaa: input must be finite, got %g", input)
 	}
-	return &Dolev{cfg: cfg, value: input, rounds: make([]dolevRound, cfg.Rounds)}, nil
+	return &Dolev{cfg: cfg, value: input, round: 1, rounds: make([]dolevRound, cfg.Rounds)}, nil
 }
 
 // Init implements node.Process.
@@ -101,8 +102,7 @@ func (d *Dolev) Init(env node.Env) {
 	d.env = env
 	d.track = node.TrackOf(env)
 	d.roundAt = d.track.Now()
-	d.round = 1
-	env.Broadcast(&Value{Round: 1, V: d.value})
+	env.Broadcast(wire.New(wire.SentArena(env), Value{Round: 1, V: d.value}))
 }
 
 // Deliver implements node.Process.
@@ -157,7 +157,7 @@ func (d *Dolev) progress() {
 			return
 		}
 		d.round++
-		d.env.Broadcast(&Value{Round: uint16(d.round), V: d.value})
+		d.env.Broadcast(wire.New(wire.SentArena(d.env), Value{Round: uint16(d.round), V: d.value}))
 	}
 }
 

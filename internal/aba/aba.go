@@ -136,7 +136,7 @@ type Engine struct {
 	// leaving round MaxRounds. A row's states and voters never move.
 	rows   []row
 	inline [4]row
-	sent   wire.Arena // what it sends, carved; never reset (see wire.Arena)
+	sent   *wire.Arena // what it sends is carved from, lent by env (see wire.Lender)
 }
 
 // row returns round r's row, made on its first use. It looks from the
@@ -163,7 +163,7 @@ func NewEngine(cfg node.Config, env node.Env, coins *coin.Source, decide func(ui
 	for i := range insts {
 		insts[i].id = uint32(i)
 	}
-	e := &Engine{cfg: cfg, env: env, track: node.TrackOf(env), coins: coins, decide: decide, insts: insts}
+	e := &Engine{cfg: cfg, env: env, track: node.TrackOf(env), coins: coins, decide: decide, insts: insts, sent: wire.SentArena(env)}
 	e.rows = e.inline[:0]
 	return e
 }
@@ -230,7 +230,7 @@ func (e *Engine) startRound(x *instance) {
 	}
 	if !rs.bvalSent[bi(x.est)] {
 		rs.bvalSent[bi(x.est)] = true
-		e.env.Broadcast(wire.New(&e.sent, BVal{Inst: x.id, Round: uint16(x.round), V: x.est}))
+		e.env.Broadcast(wire.New(e.sent, BVal{Inst: x.id, Round: uint16(x.round), V: x.est}))
 	}
 	e.progress(x)
 }
@@ -274,7 +274,7 @@ func (e *Engine) onBVal(from node.ID, m *BVal) {
 	// Amplify on t+1.
 	if c >= e.cfg.F+1 && !rs.bvalSent[bi(m.V)] {
 		rs.bvalSent[bi(m.V)] = true
-		e.env.Broadcast(wire.New(&e.sent, BVal{Inst: x.id, Round: uint16(r), V: m.V}))
+		e.env.Broadcast(wire.New(e.sent, BVal{Inst: x.id, Round: uint16(r), V: m.V}))
 	}
 	// Bin-values on 2t+1.
 	if c >= 2*e.cfg.F+1 && !rs.binValues[bi(m.V)] {
@@ -306,11 +306,11 @@ func (e *Engine) zombie(x *instance, r int) {
 	rs := e.rs(x, r)
 	if !rs.bvalSent[bi(x.value)] {
 		rs.bvalSent[bi(x.value)] = true
-		e.env.Broadcast(wire.New(&e.sent, BVal{Inst: x.id, Round: uint16(r), V: x.value}))
+		e.env.Broadcast(wire.New(e.sent, BVal{Inst: x.id, Round: uint16(r), V: x.value}))
 	}
 	if !rs.auxSent {
 		rs.auxSent = true
-		e.env.Broadcast(wire.New(&e.sent, Aux{Inst: x.id, Round: uint16(r), V: x.value}))
+		e.env.Broadcast(wire.New(e.sent, Aux{Inst: x.id, Round: uint16(r), V: x.value}))
 	}
 }
 
@@ -328,7 +328,7 @@ func (e *Engine) progress(x *instance) {
 				}
 			}
 			rs.auxSent = true
-			e.env.Broadcast(wire.New(&e.sent, Aux{Inst: x.id, Round: uint16(x.round), V: w}))
+			e.env.Broadcast(wire.New(e.sent, Aux{Inst: x.id, Round: uint16(x.round), V: w}))
 		}
 		// Collect n-t AUX votes on values inside bin_values.
 		n0, n1 := 0, 0

@@ -263,8 +263,8 @@ func BenchmarkTCPCellSetup(b *testing.B) {
 		N:        16, F: run.ProtoDolev.Faults(16),
 		Env:     sim.AWS(),
 		Seed:    9,
-		Inputs:  bench.OracleInputs(16, 41000, 20, 9),
-		Delphi:  core.Params{Delta: 2, Eps: 2}, // Δ/ε = 1: one round
+		Inputs:  bench.OracleInputs(16, 41000, 2, 9), // spanning Δ
+		Delphi:  core.Params{Delta: 2, Eps: 2},       // Δ/ε = 1: one round
 		Backend: run.BackendTCP,
 	}
 	for _, mode := range []struct {

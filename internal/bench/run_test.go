@@ -11,6 +11,7 @@ import (
 	"delphi/internal/acs"
 	"delphi/internal/bench"
 	"delphi/internal/core"
+	"delphi/internal/node"
 	"delphi/internal/run"
 	"delphi/internal/sim"
 )
@@ -199,25 +200,62 @@ func TestStatsFromOutputsChecksGuarantees(t *testing.T) {
 		t.Errorf("ε = 1e-12: err = %v, want one wrapping run.ErrGuarantee", err)
 	}
 
+	// FIN's common subset: outputs that are valid and within ε still break
+	// it when one node agreed another slot or value, or when every node
+	// agreed fewer than n−t slots.
+	for _, c := range []struct {
+		name  string
+		slots []int // the honest slots whose result edit replaces
+		edit  func(r acs.Result) acs.Result
+	}{
+		{"another slot at one node", []int{3}, func(r acs.Result) acs.Result {
+			r.Set = []node.ID{0, 1, 2, 4}
+			return r
+		}},
+		{"another value at one node", []int{3}, func(r acs.Result) acs.Result {
+			r.Values = []float64{100, 110, 104, 106.5}
+			return r
+		}},
+		{"short of n−t at every node", []int{0, 1, 2, 3}, func(r acs.Result) acs.Result {
+			r.Set, r.Values = r.Set[:3], r.Values[:3]
+			return r
+		}},
+	} {
+		spec, finals, at := statsCase(run.ProtoFIN, 2, inputs, []float64{105, 105, 105, 105})
+		for _, i := range c.slots {
+			finals[i] = c.edit(finals[i].(acs.Result))
+		}
+		if _, err := spec.StatsFromOutputs(finals, at); !errors.Is(err, run.ErrGuarantee) || !strings.Contains(err.Error(), "common subset") {
+			t.Errorf("fin, %s: err = %v, want a common-subset run.ErrGuarantee", c.name, err)
+		}
+	}
+
 	// The check reads only what the assembly already holds: HonestSlots'
 	// slice, the RunStats and the growth of its Outputs.
-	spec, finals, at = statsCase(run.ProtoDelphi, 2, inputs, []float64{105, 105, 106, 107})
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = spec.StatsFromOutputs(finals, at) }); allocs != 5 {
-		t.Errorf("StatsFromOutputs allocates %v times, want 5", allocs)
+	for _, proto := range []run.Protocol{run.ProtoDelphi, run.ProtoFIN} {
+		spec, finals, at = statsCase(proto, 2, inputs, []float64{105, 105, 106, 107})
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = spec.StatsFromOutputs(finals, at) }); allocs != 5 {
+			t.Errorf("%s: StatsFromOutputs allocates %v times, want 5", proto, allocs)
+		}
 	}
 }
 
 // statsCase builds a spec over inputs and the per-slot finals of a run
-// whose honest slots decided outs, in slot order, at 1s.
+// whose honest slots decided outs, in slot order, at 1s. FIN's agree on the
+// subset of every honest slot and its input.
 func statsCase(proto run.Protocol, rho0 float64, inputs, outs []float64) (run.RunSpec, []any, []time.Duration) {
-	spec := run.RunSpec{Protocol: proto, N: len(inputs), Inputs: inputs, Delphi: core.Params{Rho0: rho0, Eps: 2}}
+	spec := run.RunSpec{Protocol: proto, N: len(inputs), F: proto.Faults(len(inputs)), Inputs: inputs, Delphi: core.Params{Rho0: rho0, Eps: 2}}
 	finals := make([]any, spec.N)
 	at := make([]time.Duration, spec.N)
+	var subset acs.Result
+	for _, i := range spec.HonestSlots() {
+		subset.Set, subset.Values = append(subset.Set, node.ID(i)), append(subset.Values, inputs[i])
+	}
 	for k, i := range spec.HonestSlots() {
 		at[i] = time.Second
 		switch proto {
 		case run.ProtoFIN:
-			finals[i] = acs.Result{Output: outs[k]}
+			finals[i] = acs.Result{Output: outs[k], Set: subset.Set, Values: subset.Values}
 		case run.ProtoAbraham:
 			finals[i] = aaa.AbrahamResult{Output: outs[k]}
 		case run.ProtoDolev:

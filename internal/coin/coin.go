@@ -70,7 +70,7 @@ type Source struct {
 	// first-use order, the first four in inline: FIN's engines use 1–3.
 	coins  []state
 	inline [4]state
-	sent   wire.Arena // what it sends, carved; never reset (see wire.Arena)
+	sent   *wire.Arena // what it sends is carved from, lent by env (see wire.Lender)
 }
 
 // state is one coin's: this node's share sent, and the senders of the
@@ -86,7 +86,7 @@ type state struct {
 // reveal fires once per coin, after this node has received t+1 shares (its
 // own included). A share for any other coin is dropped unverified.
 func NewSource(cfg node.Config, env node.Env, seed, first uint64, count int, reveal func(coin, value uint64)) *Source {
-	s := &Source{cfg: cfg, env: env, seed: seed, reveal: reveal, first: first, count: uint64(count)}
+	s := &Source{cfg: cfg, env: env, seed: seed, reveal: reveal, first: first, count: uint64(count), sent: wire.SentArena(env)}
 	s.coins = s.inline[:0]
 	return s
 }
@@ -115,7 +115,7 @@ func (s *Source) Request(coin uint64) {
 	c.requested = true
 	s.env.ChargeCompute(node.ComputeCost{Pairings: 1}) // threshold-share signing
 	blob := s.shareBlob(coin, s.env.Self())
-	s.env.Broadcast(wire.New(&s.sent, Share{Coin: coin, Blob: s.sent.Copy(blob[:])}))
+	s.env.Broadcast(wire.New(s.sent, Share{Coin: coin, Blob: s.sent.Copy(blob[:])}))
 }
 
 // Handle processes a coin share; it returns true if the message was a coin

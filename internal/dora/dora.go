@@ -149,6 +149,9 @@ func (e *interceptEnv) Halt() {
 	// Swallow the inner protocol's halt; the DORA round is still running.
 }
 
+// SentArena implements wire.Lender with the arena the node's env lends.
+func (e *interceptEnv) SentArena() *wire.Arena { return wire.SentArena(e.Env) }
+
 func (p *Process) onDelphiDone(r core.Result) {
 	p.result = &r
 	p.rounded = RoundToEps(r.Output, p.cfg.Params.Eps)

@@ -52,9 +52,11 @@ type Env interface {
 	F() int
 	// Send transmits m to a single peer. Sending to Self() is allowed and
 	// is delivered like any other message. The environment may keep m until
-	// its last delivery and size it once, at the call: a sent message must
-	// not be mutated afterwards, nor its WireSize change (the same holds for
-	// Broadcast, and receivers never mutate a delivered message either).
+	// the run ends and size it once, at the call: a sent message must not be
+	// mutated afterwards, nor its WireSize change (the same holds for
+	// Broadcast, and receivers never mutate a delivered message either). It
+	// may lend the node an arena to carve m from (wire.SentArena), which it
+	// resets as its next run starts: nothing that outlives a run points into m.
 	Send(to ID, m Message)
 	// Broadcast transmits m to every node, including the sender itself.
 	Broadcast(m Message)

@@ -182,13 +182,13 @@ type Engine struct {
 	deliver func(Key, []byte)
 	// rows[tag] is made on the tag's first message.
 	rows []row
-	sent wire.Arena // what it sends, carved; never reset (see wire.Arena)
+	sent *wire.Arena // what it sends is carved from, lent by env (see wire.Lender)
 }
 
 // NewEngine creates an engine for tags in [0, tags); deliver is invoked
 // exactly once per delivered instance.
 func NewEngine(cfg node.Config, env node.Env, tags int, deliver func(Key, []byte)) *Engine {
-	return &Engine{cfg: cfg, env: env, track: node.TrackOf(env), deliver: deliver, rows: make([]row, tags)}
+	return &Engine{cfg: cfg, env: env, track: node.TrackOf(env), deliver: deliver, rows: make([]row, tags), sent: wire.SentArena(env)}
 }
 
 // inst returns k's row and instance for a message from from, or nils when
@@ -253,7 +253,7 @@ func further(x *instance, kind int, payload []byte) *int32 {
 
 // Broadcast initiates a reliable broadcast of payload under tag.
 func (e *Engine) Broadcast(tag uint32, payload []byte) {
-	e.env.Broadcast(wire.New(&e.sent, Init{Tag: tag, Payload: payload}))
+	e.env.Broadcast(wire.New(e.sent, Init{Tag: tag, Payload: payload}))
 }
 
 // Handle routes an RBC message; it returns true if the message was an RBC
@@ -278,7 +278,7 @@ func (e *Engine) onInit(from node.ID, m *Init) {
 		return
 	}
 	x.echoed, x.echoAt = true, e.track.Now()
-	e.env.Broadcast(wire.New(&e.sent, Echo{Initiator: from, Tag: m.Tag, Payload: m.Payload}))
+	e.env.Broadcast(wire.New(e.sent, Echo{Initiator: from, Tag: m.Tag, Payload: m.Payload}))
 }
 
 // onVote handles an ECHO (kind 0) or a READY (kind 1).
@@ -294,7 +294,7 @@ func (e *Engine) onVote(from node.ID, m *Echo, kind int) {
 		// "rbc.echo" spans echo broadcast (or birth) → ready broadcast.
 		e.track.Span("rbc.echo", max(x.echoAt, x.bornAt), int64(k.Initiator), int64(k.Tag))
 		x.readied, x.readyAt = true, e.track.Now()
-		e.env.Broadcast(wire.New(&e.sent, Ready{Initiator: m.Initiator, Tag: m.Tag, Payload: m.Payload}))
+		e.env.Broadcast(wire.New(e.sent, Ready{Initiator: m.Initiator, Tag: m.Tag, Payload: m.Payload}))
 	}
 	// Deliver on 2t+1 READYs.
 	if kind == 1 && c >= 2*e.cfg.F+1 && !x.delivered {

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 	"weak"
@@ -396,6 +397,7 @@ func (s RunSpec) HonestSlots() []int {
 //     relaxed min-max validity) or at all for the baselines;
 //   - Abraham et al. and Dolev et al.: every round halves the honest range
 //     (see halves);
+//   - FIN: every honest node agreed one subset of ≥ n−t slots, values and all;
 //   - DORA: every honest certificate verifies against the spec's keyring;
 //   - Chakka et al.: each honest submission's own median is valid, and the
 //     output every oracle adopts, so the one checked for agreement, is the
@@ -452,6 +454,14 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 				return nil, fmt.Errorf("run: dora node %d certificate %w: %w", i, ErrGuarantee, err)
 			}
 		}
+	case ProtoFIN:
+		ref, _ := finals[honest[0]].(acs.Result)
+		for _, i := range honest {
+			if r, _ := finals[i].(acs.Result); len(r.Set) < s.N-s.F || !slices.Equal(r.Set, ref.Set) || !slices.Equal(r.Values, ref.Values) {
+				return nil, fmt.Errorf("run: fin common subset %w: node %d agreed %v = %v, node %d %v = %v; want one of ≥ n−t = %d slots",
+					ErrGuarantee, honest[0], ref.Set, ref.Values, i, r.Set, r.Values, s.N-s.F)
+			}
+		}
 	case ProtoChakka:
 		first, _ := ChakkaChannel(finals, at).First()
 		sub, ok := finals[first.From].(dora.ChakkaSubmission)
@@ -477,8 +487,8 @@ func (s RunSpec) StatsFromOutputs(finals []any, at []time.Duration) (*RunStats, 
 }
 
 // ErrGuarantee is wrapped by every StatsFromOutputs error that reports a
-// broken guarantee: validity, ε-agreement, per-round halving or a DORA
-// certificate. Test for it with errors.Is. Its text is the word each such
+// broken guarantee: validity, ε-agreement, halving, FIN's common subset or a
+// DORA certificate. Test for it with errors.Is. Its text is the word each such
 // message already reads ("validity violated").
 var ErrGuarantee = errors.New("violated")
 

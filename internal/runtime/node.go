@@ -70,11 +70,12 @@ type Driver struct {
 }
 
 // driverMem is the memory a driver reuses from message to message: what
-// inbound messages are carved from, and the send side's buffers. A session's
-// fabric slot keeps one from trial to trial (see slotOf), and Run resets it
-// when it starts, so a delivered message lives until its trial ends.
+// messages are carved from, and the send side's buffers. A session's fabric
+// slot keeps one from trial to trial (see slotOf), and Run resets it when it
+// starts, so a delivered or sent message lives until its trial ends.
 type driverMem struct {
 	arena  wire.Arena // what inbound messages are carved from
+	sent   wire.Arena // what the process sends is carved from; encoded at send
 	out    []byte     // pending frames back to back (see send), then an envelope being sent
 	pend   []pending  // frames awaiting flush, in send order
 	gather [][]byte   // one destination's frames, reused across flushes
@@ -179,6 +180,8 @@ func (e *driverEnv) F() int        { return e.cfg.F }
 // Track implements node.Tracing: the process's phase spans share the
 // driver's per-node track (nil when observability is off).
 func (e *driverEnv) Track() *obs.Track { return e.obsTrack }
+
+func (e *driverEnv) SentArena() *wire.Arena { return &e.sent }
 
 func (e *driverEnv) Send(to node.ID, m node.Message) { (*Driver)(e).send(m, to, to+1) }
 
@@ -327,6 +330,7 @@ func (d *Driver) Run(ctx context.Context) error {
 	d.core.hold()
 	defer func() { d.writeFaults(d.core.release()) }()
 	d.arena.Reset() // out and pend are empty: every exit flushes
+	d.sent.Reset()
 	d.proc.Init((*driverEnv)(d))
 	select {
 	case <-d.halt:

@@ -16,9 +16,10 @@
 //     back with the transport's Recycle, if it ever does, and must not be
 //     touched after that. A driver carves decoded messages, bytes and all,
 //     from its wire.Arena, so nothing downstream aliases the frame. A
-//     session's fabric slot keeps that arena, and the driver's send
-//     buffers, from run to run: each driver resets them as it starts, so a
-//     delivered message lives until its run ends.
+//     session's fabric slot keeps that arena, the one it lends the process
+//     for what it sends (wire.Lender), and the driver's send buffers, from
+//     run to run: each driver resets them as it starts, so a delivered or
+//     sent message lives until its run ends.
 //
 // # Per-link ordering
 //

@@ -53,6 +53,7 @@ import (
 	"delphi/internal/dist"
 	"delphi/internal/node"
 	"delphi/internal/obs"
+	"delphi/internal/wire"
 )
 
 const (
@@ -143,7 +144,8 @@ type shard struct {
 	// (single-writer: only this shard's worker delivers to its nodes).
 	obsNow int64
 
-	runPeak int // run's retained-capacity peak for the scratch shrink rule
+	runPeak int        // run's retained-capacity peak for the scratch shrink rule
+	lent    wire.Arena // what its nodes' sends are carved from (see simEnv.SentArena)
 
 	stepState
 }
@@ -196,6 +198,7 @@ func (r *Runner) setup(seed int64) {
 		sh.parity, sh.windowStart, sh.events, sh.lastAt, sh.obsNow = 0, 0, 0, 0, 0
 		sh.halts, sh.viol, sh.panicVal, sh.runPeak, sh.outPeak = 0, nil, nil, 0, 0
 		sh.histDelivered = 0
+		sh.lent.Reset() // the last run's messages are dead
 		if r.history == nil {
 			sh.histSent = nil
 		} else if len(sh.histSent) != n {

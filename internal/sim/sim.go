@@ -42,6 +42,7 @@ import (
 
 	"delphi/internal/node"
 	"delphi/internal/obs"
+	"delphi/internal/wire"
 )
 
 // event is a message delivery scheduled at a virtual time, stored by value, 16
@@ -310,8 +311,9 @@ type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Dur
 // run's, so a sweep performs the growth allocations once instead of once per
 // trial. A Scratch must not be shared by concurrently running Runners; reuse
 // never changes results (every buffer is fully reset) — only allocation
-// counts. It holds no message: the sent arenas are the only storage with a
-// pointer in it, and hand-back clears them.
+// counts. It holds no message but in each shard's arena for its nodes' sends
+// (simEnv.SentArena), which the next run resets: the sent-record arenas are
+// the only other storage with a pointer in it, and hand-back clears them.
 //
 // Retained capacity is bounded, not monotone: after each run every backing
 // array whose peak occupancy fit in an eighth of its capacity is halved
@@ -584,6 +586,8 @@ func (e *simEnv) Track() *obs.Track {
 	}
 	return e.r.tracks[e.id]
 }
+
+func (e *simEnv) SentArena() *wire.Arena { return &e.sh.lent }
 
 // step returns the delivery context e's calls act on, and whether they fall
 // inside e's own processing step.

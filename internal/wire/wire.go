@@ -214,8 +214,8 @@ func VarintSize(v int64) int {
 // Decoder reconstructs a message from its encoded body, carved from a.
 type Decoder func(body []byte, a *Arena) (node.Message, error)
 
-// Arena is what decoders carve messages from: per Go type (message structs,
-// slice elements, bytes), one 512-byte chunk at a time, front to back.
+// Arena is what decoders and senders carve messages from: per Go type (message
+// structs, slice elements, bytes), one 512-byte chunk at a time, front to back.
 // Nothing is handed out twice before a Reset, so a message never aliases a
 // later one. An arena is carve-only until a Reset rewinds what it carved: a
 // chunk is garbage once no message points into it, and a message may be kept
@@ -276,6 +276,19 @@ func Make[T any](a *Arena, n int) (s []T) {
 	}
 	s, c.rest = c.rest[:n:n], c.rest[n:]
 	return s
+}
+
+// Lender is the optional capability of an Env that lends its node an arena
+// to carve what it sends from, kept from run to run (see node.Env.Send).
+type Lender interface{ SentArena() *Arena }
+
+// SentArena returns the arena env lends, or nil when it lends none: a nil
+// *Arena allocates each value alone.
+func SentArena(env node.Env) *Arena {
+	if l, ok := env.(Lender); ok {
+		return l.SentArena()
+	}
+	return nil
 }
 
 // New returns a copy of v carved from a.

@@ -211,3 +211,27 @@ func TestArenaReset(t *testing.T) {
 		}
 	}
 }
+
+// lender is an env that lends its node an arena; its node.Env methods are
+// never called here.
+type lender struct {
+	node.Env
+	a *wire.Arena
+}
+
+func (e lender) SentArena() *wire.Arena { return e.a }
+
+// TestSentArena: the lookup returns the arena an env lends, and nil for an
+// env that lends none, which Make then treats as allocating each value alone.
+func TestSentArena(t *testing.T) {
+	var a wire.Arena
+	if got := wire.SentArena(lender{a: &a}); got != &a {
+		t.Errorf("SentArena of a lender = %p, want its arena %p", got, &a)
+	}
+	var plain struct{ node.Env }
+	for _, env := range []node.Env{plain, nil} {
+		if got := wire.SentArena(env); got != nil {
+			t.Errorf("SentArena(%T) = %p, want nil", env, got)
+		}
+	}
+}

@@ -85,6 +85,12 @@ done
 echo "== go test -race =="
 go test -race ${short_flag:+"$short_flag"} ./...
 
+# Every benchmark, once (including -short; ~15 s). `go test` runs none, and a
+# benchmark's runs pass the same per-run checks as a test's, so a benchmark
+# whose spec breaks its own guarantees fails here instead of going unseen.
+echo "== benchmarks, once =="
+go test -run '^$' -bench . -benchtime 1x ./...
+
 # The adversary scenario axis is exercised on every run (including -short,
 # where the heavy bench tests skip): a quick-scale sweep of the named
 # DelayRule presets across protocols, run twice to hold the byte-identical
@@ -249,7 +255,7 @@ go run ./cmd/experiments -scale quick -seed 1 -backend live -run matrix > /dev/n
 # arena refills without allocating and hands out zeroed values;
 # TestInboxPoolSizeClasses: a frame pool warmed with alternating envelope
 # sizes allocates nothing; TestWarmTrialAllocs: a FIN n=16 trial on a warm
-# tcp session makes at most 2 500 allocations of at most 300 KiB in all), and
+# tcp session makes at most 900 allocations of at most 200 KiB in all), and
 # the per-trial state sized by use (TestEngineSizedByRounds: an n=16 ABA
 # engine allocates under 1 KiB and keeps a round-1 decision's rows inline;
 # TestSourceSizedByUse: a 64-coin source allocates itself alone; TestNewBytes:
